@@ -5,7 +5,7 @@
 // overhead, so the payload the P5 may inject per clock is slightly less
 // than W octets. The PHY models this: it serialises W line octets per
 // clock, pulling payload from a one-frame staging buffer and pushing
-// back on the P5 when the buffer is full. The ~3.7% SONET overhead tax
+// back on the P5 when the buffer is full. The ~3.4% SONET overhead tax
 // on goodput emerges rather than being configured.
 package pos
 

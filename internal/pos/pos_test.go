@@ -71,7 +71,7 @@ func TestPOSEndToEnd(t *testing.T) {
 
 func TestPOSOverheadThrottlesGoodput(t *testing.T) {
 	// Saturate the transmitter: the SONET overhead tax must show up as
-	// goodput ≈ payload/line ratio (~96.3%), enforced by backpressure,
+	// goodput ≈ payload/line ratio (~96.6%), enforced by backpressure,
 	// not data loss.
 	s := newPOSSystem(4, sonet.STM16)
 	payload := make([]byte, 1496)
@@ -99,7 +99,7 @@ func TestPOSOverheadThrottlesGoodput(t *testing.T) {
 	payloadBits := float64(480 * (len(payload) + 8) * 8) // + header+FCS
 	gotBitsPerCycle := payloadBits / cycles
 	// Ideal without SONET overhead: 32 bits/cycle (minus PPP flags);
-	// with the transport tax: ×(PayloadBytes/FrameBytes) ≈ ×0.963.
+	// with the transport tax: ×(PayloadBytes/FrameBytes) ≈ ×0.966.
 	// Delivery arrives in per-transport-frame bursts, so the window
 	// edges add ±1 SONET frame of quantisation (~±4% over 20 frames).
 	ratio := float64(sonet.STM16.PayloadBytes()) / float64(sonet.STM16.FrameBytes())

@@ -1,6 +1,7 @@
 package sonet
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strings"
 )
@@ -248,43 +249,93 @@ func (m *DefectMonitor) event(e DefectEvent) {
 }
 
 // Octets observes raw line octets: the LOS zero-run detector and the
-// LOF integration timers run at line rate.
+// LOF integration timers run at line rate. The Deframer calls it with
+// spans that end at each frame boundary, interleaved with FrameResult,
+// so the LOF persistence timer integrates correctly even when a whole
+// outage arrives in one chunk.
+//
+// OOF only changes in FrameResult, so it is constant across p and the
+// LOF timer can cross its threshold at most once inside it, at an
+// offset known up front; only the zero-run detector looks at the octets.
 func (m *DefectMonitor) Octets(p []byte) {
-	for _, b := range p {
-		m.OctetIn(b)
-	}
-}
-
-// OctetIn observes a single line octet. The Deframer calls this for
-// every received octet, interleaved with FrameResult at frame
-// boundaries, so the LOF persistence timer integrates correctly even
-// when a whole outage arrives in one chunk.
-func (m *DefectMonitor) OctetIn(b byte) {
-	m.octet++
-	if b == 0 {
-		m.zeroRun++
-		if m.zeroRun == m.losOctets() {
-			m.raise(DefLOS)
-		}
-	} else {
-		if m.Has(DefLOS) {
-			m.clearDef(DefLOS)
-		}
-		m.zeroRun = 0
-	}
 	if m.lofThresh == 0 {
 		m.lofThresh = int64(m.lofFrames()) * int64(m.Level.FrameBytes())
 	}
-	if m.Has(DefOOF) {
-		m.oofOct++
-		if !m.Has(DefLOF) && m.oofOct >= m.lofThresh {
-			m.raise(DefLOF)
+	// timer is the integrator running in this sync state; the LOF
+	// transition, if one is pending, fires on the octet that brings it
+	// to the threshold.
+	oof := m.Has(DefOOF)
+	timer := &m.inOct
+	if oof {
+		timer = &m.oofOct
+	}
+	if m.Has(DefLOF) != oof {
+		at := m.lofThresh - *timer
+		if at < 1 {
+			at = 1
 		}
-	} else {
-		m.inOct++
-		if m.Has(DefLOF) && m.inOct >= m.lofThresh {
-			m.clearDef(DefLOF)
+		if at <= int64(len(p)) {
+			m.scanLOS(p[:at])
+			if oof {
+				m.raise(DefLOF)
+			} else {
+				m.clearDef(DefLOF)
+			}
+			*timer += at
+			p = p[at:]
 		}
+	}
+	m.scanLOS(p)
+	*timer += int64(len(p))
+}
+
+// OctetIn observes a single line octet.
+func (m *DefectMonitor) OctetIn(b byte) { m.Octets([]byte{b}) }
+
+// scanLOS runs the zero-run detector over p and advances the octet
+// index. A machine word that is all live or all dead and cannot cross
+// the LOS threshold is skipped whole; every transition goes through
+// losOctet, so it is logged at the exact octet that caused it.
+func (m *DefectMonitor) scanLOS(p []byte) {
+	thresh := m.losOctets()
+	for len(p) >= 8 {
+		w := binary.LittleEndian.Uint64(p)
+		switch {
+		case !hasZeroOctet(w) && !m.Has(DefLOS): // a live line, nothing to clear
+			m.zeroRun = 0
+			m.octet += 8
+		case w == 0 && (m.zeroRun >= thresh || m.zeroRun+8 < thresh):
+			m.zeroRun += 8
+			m.octet += 8
+		default:
+			for _, b := range p[:8] {
+				m.losOctet(b, thresh)
+			}
+		}
+		p = p[8:]
+	}
+	for _, b := range p {
+		m.losOctet(b, thresh)
+	}
+}
+
+// hasZeroOctet reports whether any of the eight octets of w is zero.
+func hasZeroOctet(w uint64) bool {
+	const lsb, msb = 0x0101010101010101, 0x8080808080808080
+	return (w-lsb)&^w&msb != 0
+}
+
+// losOctet is the zero-run detector's definition, one octet at a time.
+func (m *DefectMonitor) losOctet(b byte, thresh int) {
+	m.octet++
+	if b != 0 {
+		m.clearDef(DefLOS)
+		m.zeroRun = 0
+		return
+	}
+	m.zeroRun++
+	if m.zeroRun == thresh {
+		m.raise(DefLOS)
 	}
 }
 

@@ -28,13 +28,13 @@ type Deframer struct {
 	// to re-anchor its intra-frame payload position after a resync.
 	OnFrame func()
 
-	buf     []byte // accumulating candidate frame
+	stage   []byte // candidate frame accumulating across Feed calls; cap FrameBytes
+	work    []byte // the descrambled frame being checked and emitted
 	aligned bool
 
-	scr       Scrambler
-	prevFrame []byte
-	prevPath  []byte
-	prevB2    byte // line BIP-8 computed over the previous descrambled frame
+	// BIP-8 of the previous delivered frame, computed when it arrived:
+	// raw section, clear line (rows 4-9), clear path.
+	b1, b2, b3 byte
 	// first frame after alignment cannot be parity-checked (no
 	// previous frame).
 	havePrev bool
@@ -74,40 +74,58 @@ func NewDeframer(level Level, emit func(byte)) *Deframer {
 // Aligned reports whether frame alignment has been acquired.
 func (d *Deframer) Aligned() bool { return d.aligned }
 
-// Feed consumes received line octets.
+// Feed consumes received line octets in any chunking. Defect
+// supervision and alignment run a frame-bounded span at a time; a whole
+// aligned frame inside p is checked where it lies, without staging. p
+// is only read.
 func (d *Deframer) Feed(p []byte) {
-	for _, b := range p {
-		if d.Defects != nil {
-			d.Defects.OctetIn(b)
+	fb := d.Level.FrameBytes()
+	if len(d.work) != fb {
+		d.stage = make([]byte, 0, fb)
+		d.work = make([]byte, fb)
+	}
+	for len(p) > 0 {
+		n := fb - len(d.stage)
+		if n > len(p) {
+			n = len(p)
 		}
-		d.buf = append(d.buf, b)
-		if !d.aligned {
-			d.hunt()
+		if d.Defects != nil {
+			d.Defects.Octets(p[:n])
+		}
+		if d.aligned && n == fb {
+			d.frame(p[:n])
+			p = p[n:]
 			continue
 		}
-		if len(d.buf) == d.Level.FrameBytes() {
-			raw := d.buf
-			d.buf = nil
+		d.stage = append(d.stage, p[:n]...)
+		p = p[n:]
+		if !d.aligned {
+			d.hunt()
+		}
+		if d.aligned && len(d.stage) == fb {
+			raw := d.stage
+			d.stage = d.stage[:0]
 			d.frame(raw)
 		}
 	}
 }
 
-// hunt looks for the A1...A1 A2...A2 pattern at the start of buf.
+// hunt slides the staged octets to the first A1...A1 A2...A2 pattern.
+// Without one it keeps only the tail that could still begin a pattern.
 func (d *Deframer) hunt() {
 	n := int(d.Level)
 	need := 6 * n
-	for len(d.buf) >= need {
-		if matchAlignment(d.buf, n) {
+	at := 0
+	for ; len(d.stage)-at >= need; at++ {
+		if matchAlignment(d.stage[at:], n) {
 			// Everything from here is the start of a frame; keep any
 			// octets already received beyond the alignment pattern.
 			d.aligned = true
 			d.ResyncCount++
-			return
+			break
 		}
-		// Slide by one octet.
-		d.buf = d.buf[1:]
 	}
+	d.stage = d.stage[:copy(d.stage, d.stage[at:])]
 }
 
 func matchAlignment(p []byte, n int) bool {
@@ -125,32 +143,33 @@ func matchAlignment(p []byte, n int) bool {
 }
 
 // frame processes one frame-time of octets at the assumed alignment.
+// raw is either the (already emptied) staging buffer or a span of the
+// caller's slice; it is not modified.
 func (d *Deframer) frame(raw []byte) {
 	n := int(d.Level)
-	row := colsPerSTM1 * n
-	soh := sohCols * n
+	row := d.Level.rowBytes()
+	soh := d.Level.sohBytes()
 	alignOK := matchAlignment(raw, n)
 
-	frame := append([]byte(nil), raw...)
-	d.scr.Reset()
-	d.scr.Apply(frame[soh:])
+	// Descramble into the work buffer. Its first soh octets (row 0's
+	// clear overhead, judged on raw above) are never read.
+	frame := d.work
+	xorStream(frame[soh:], raw[soh:], 0)
 
 	// Parity checks against the previous frame. B1/B3 watch the section
 	// and path; B2 watches the line and is what SD/SF declaration
 	// integrates, feeding the APS SF/SD switch triggers.
 	parityErr, lineErr := false, false
 	if d.havePrev {
-		wantB1 := bip8(d.prevFrame)
-		if frame[row+0] != wantB1 { // row 1, first overhead byte
+		if frame[row+0] != d.b1 { // row 1, first overhead byte
 			d.B1Errors++
 			parityErr = true
 		}
-		if frame[apsRow*row] != d.prevB2 {
+		if frame[apsRow*row] != d.b2 {
 			d.B2Errors++
 			lineErr = true
 		}
-		wantB3 := bip8(d.prevPath)
-		if frame[2*row+soh] != wantB3 {
+		if frame[2*row+soh] != d.b3 {
 			d.B3Errors++
 			parityErr = true
 		}
@@ -165,10 +184,17 @@ func (d *Deframer) frame(raw []byte) {
 		// true boundary may sit inside this very frame after a slip.
 		d.aligned = false
 		d.havePrev = false
-		d.buf = append([]byte(nil), raw[1:]...)
+		d.stage = append(d.stage[:0], raw[1:]...)
 		d.hunt()
 		return
 	}
+
+	// This frame's own parity, checked against the bytes the next one
+	// carries.
+	d.b1 = bip8(raw)
+	d.b2 = bip8(frame[lineStart(d.Level):])
+	d.b3 = pathBIP(frame, d.Level)
+	d.havePrev = true
 
 	// APS signalling: K1/K2 from the line overhead, gated by the
 	// persistence filter.
@@ -178,21 +204,14 @@ func (d *Deframer) frame(raw []byte) {
 		d.OnFrame()
 	}
 
-	// Extract POH column + payload.
-	var path []byte
-	for r := 0; r < rows; r++ {
-		base := r * row
-		path = append(path, frame[base+soh:base+row]...)
-		for c := soh + 1; c < row; c++ {
-			if d.Emit != nil {
-				d.Emit(frame[base+c])
+	// Emit the payload: every row after its overhead and POH octet.
+	if emit := d.Emit; emit != nil {
+		for r := 0; r < rows; r++ {
+			for _, b := range frame[(r+1)*row-d.Level.rowPayload() : (r+1)*row] {
+				emit(b)
 			}
 		}
 	}
-	d.prevPath = path
-	d.prevFrame = append(d.prevFrame[:0], raw...)
-	d.prevB2 = bip8(frame[lineStart(d.Level):])
-	d.havePrev = true
 	if alignOK {
 		d.FramesOK++
 	} else {

@@ -1,0 +1,264 @@
+package sonet
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"repro/internal/fault"
+)
+
+// rxLog is everything observable about one deframer run: the emitted
+// payload and where in it each frame began, the accepted APS pairs, and
+// at the end the counters and the defect monitor's full state.
+type rxLog struct {
+	Out      []byte
+	FrameAt  []int // len(Out) at each OnFrame
+	APS      [][2]byte
+	Aligned  bool
+	Counters [7]uint64
+	K1, K2   byte
+	APSValid bool
+	Monitor  DefectMonitor // OnEvent cleared
+}
+
+func (l *rxLog) hook(d *Deframer) {
+	d.Emit = func(b byte) { l.Out = append(l.Out, b) }
+	d.OnFrame = func() { l.FrameAt = append(l.FrameAt, len(l.Out)) }
+	d.OnAPS = func(k1, k2 byte) { l.APS = append(l.APS, [2]byte{k1, k2}) }
+}
+
+func (l *rxLog) finish(d *Deframer) {
+	l.Aligned = d.Aligned()
+	l.Counters = [7]uint64{d.FramesOK, d.FramesErrored, d.B1Errors, d.B2Errors,
+		d.B3Errors, d.ResyncCount, d.APSAccepts}
+	l.K1, l.K2, l.APSValid = d.APSBytes()
+	l.Monitor = *d.Defects
+	l.Monitor.OnEvent = nil
+}
+
+// diff reports the first difference between two logs, or "".
+func (l *rxLog) diff(want *rxLog) string {
+	for i, e := range want.Monitor.Events {
+		if i >= len(l.Monitor.Events) {
+			return fmt.Sprintf("defect event %d missing: want %v", i, e)
+		}
+		if l.Monitor.Events[i] != e {
+			return fmt.Sprintf("defect event %d: got %v, want %v", i, l.Monitor.Events[i], e)
+		}
+	}
+	if !bytes.Equal(l.Out, want.Out) {
+		return fmt.Sprintf("emitted payload differs (%d vs %d octets)", len(l.Out), len(want.Out))
+	}
+	for _, f := range []struct {
+		name      string
+		got, want any
+	}{
+		{"OnFrame positions", l.FrameAt, want.FrameAt},
+		{"OnAPS log", l.APS, want.APS},
+		{"aligned", l.Aligned, want.Aligned},
+		{"counters (ok errored b1 b2 b3 resync aps)", l.Counters, want.Counters},
+		{"APSBytes", [3]any{l.K1, l.K2, l.APSValid}, [3]any{want.K1, want.K2, want.APSValid}},
+		{"defect monitor", l.Monitor, want.Monitor},
+	} {
+		if !reflect.DeepEqual(f.got, f.want) {
+			return fmt.Sprintf("%s: got %+v, want %+v", f.name, f.got, f.want)
+		}
+	}
+	return ""
+}
+
+// chunker cuts a stream into the chunk sizes that stress the bulk
+// path: single octets, a few octets, just under / exactly / just over a
+// frame, and several frames at once.
+func chunker(rng *rand.Rand, fb int) func(left int) int {
+	return func(left int) int {
+		var n int
+		switch rng.Intn(8) {
+		case 0:
+			n = 1
+		case 1:
+			n = 1 + rng.Intn(16)
+		case 2:
+			n = fb - 1
+		case 3:
+			n = fb
+		case 4:
+			n = fb + 1
+		case 5:
+			n = fb*(2+rng.Intn(3)) + rng.Intn(2)
+		default:
+			n = 1 + rng.Intn(2*fb)
+		}
+		if n > left {
+			n = left
+		}
+		return n
+	}
+}
+
+// runBoth feeds line to the reference deframer octet by octet (its only
+// mode) and to the production deframer in chunks, and returns both logs.
+func runBoth(level Level, cfg DefectConfig, line []byte, next func(left int) int) (got, want *rxLog) {
+	got, want = &rxLog{}, &rxLog{}
+	df := NewDeframer(level, nil)
+	df.Defects.Cfg = cfg
+	got.hook(df)
+	ref := newRefDeframer(level, nil)
+	ref.Defects.Cfg = cfg
+	want.hook(&ref.Deframer)
+
+	ref.Feed(line)
+	for len(line) > 0 {
+		n := next(len(line))
+		df.Feed(line[:n])
+		line = line[n:]
+	}
+	got.finish(df)
+	want.finish(&ref.Deframer)
+	return got, want
+}
+
+// buildLine returns frames transport frames from the production framer,
+// concatenated, after checking each against the reference framer. The
+// payload source runs dry now and then (flag fill) and K1/K2 change
+// every few frames.
+func buildLine(t *testing.T, level Level, seed int64, frames int) []byte {
+	t.Helper()
+	src := func() func() (byte, bool) {
+		rng := rand.New(rand.NewSource(seed))
+		dry := 0
+		return func() (byte, bool) {
+			if dry > 0 {
+				dry--
+				return 0, false
+			}
+			if rng.Intn(5000) == 0 {
+				dry = rng.Intn(300)
+			}
+			return byte(rng.Intn(256)), true
+		}
+	}
+	fr := NewFramer(level, src())
+	ref := &refFramer{Level: level, Pull: src()}
+	var line []byte
+	for i := 0; i < frames; i++ {
+		if i%5 == 3 {
+			fr.K1, fr.K2 = byte(i), byte(i>>1)
+			ref.K1, ref.K2 = fr.K1, fr.K2
+		}
+		f, want := fr.NextFrame(), ref.NextFrame()
+		if !bytes.Equal(f, want) {
+			t.Fatalf("%v frame %d: framer output differs from the reference", level, i)
+		}
+		line = append(line, f...)
+	}
+	if fr.FillOctets != ref.FillOctets || fr.FramesBuilt != ref.FramesBuilt || fr.FillOctets == 0 {
+		t.Fatalf("framer counters: fill %d/%d built %d/%d", fr.FillOctets, ref.FillOctets, fr.FramesBuilt, ref.FramesBuilt)
+	}
+	return line
+}
+
+// TestDifferentialAgainstReference is the oracle for the word-wide
+// rebuild: on impaired lines the production framer/deframer/monitor
+// must match the byte-at-a-time reference on every frame octet, every
+// emitted octet, every counter, the APS filter, and the defect event
+// log down to the octet index of each transition.
+func TestDifferentialAgainstReference(t *testing.T) {
+	for _, level := range []Level{STM1, STM16} {
+		const frames = 100 // the reference costs ~2 ms per STM-16 frame
+		fb := int64(level.FrameBytes())
+		// Small integration spans so LOF raises inside the long cut and
+		// clears mid-chunk well before the line ends.
+		cfg := DefectConfig{LOFFrames: 5, WindowFrames: 8, SDFrames: 2, SFFrames: 5}
+		los := int64(level.FrameBytes() / 8) // the default LOS threshold
+		for seed := int64(1); seed <= 4; seed++ {
+			clean := buildLine(t, level, seed, frames)
+			rng := rand.New(rand.NewSource(seed * 977))
+			var sc fault.Script
+			// Bit errors: payload, an A1 octet (errored pattern, sync
+			// kept), the B1/B2/B3 and K1/K2 positions themselves.
+			sc.Corrupt(3*fb+fb/2, 1, 0x10)
+			sc.Corrupt(5*fb+1, 1, 0xFF)
+			sc.Corrupt(6*fb+int64(level.rowBytes()), 1, 0x01)
+			sc.Corrupt(7*fb+apsRow*int64(level.rowBytes()), 3, 0x80)
+			sc.Corrupt(8*fb+2*int64(level.rowBytes())+int64(level.sohBytes()), 1, 0x04)
+			sc.Noise(10*fb+rng.Int63n(fb), int(6*fb), 2e-5, uint64(seed))
+			// Octet slips, one near a frame boundary.
+			sc.Insert(20*fb+rng.Int63n(fb), 0xA5)
+			sc.Delete(30*fb-1, 1)
+			sc.Insert(33*fb+rng.Int63n(fb), A1, A1, A2)
+			// Zero runs: one octet short of LOS, exactly LOS, and both
+			// straddling a frame boundary; then a cut of many frames
+			// (OOF, then LOF, inside the dead line).
+			sc.LOS(40*fb-los/2, int(los-1))
+			sc.LOS(42*fb-3, int(los))
+			sc.LOS(44*fb+rng.Int63n(fb), int(los+rng.Int63n(fb)))
+			sc.LOS(46*fb+rng.Int63n(fb), int(12*fb+rng.Int63n(fb)))
+			sc.Duplicate(70*fb+100, 16)
+			line := fault.NewInjector(sc).Apply(clean)
+
+			got, want := runBoth(level, cfg, line, chunker(rng, int(fb)))
+			if d := got.diff(want); d != "" {
+				t.Fatalf("%v seed %d: %s", level, seed, d)
+			}
+			// The scenario must really exercise what it claims to.
+			m := &want.Monitor
+			if m.Raises(DefLOS) < 3 || m.Raises(DefOOF) < 3 || m.Raises(DefLOF) == 0 ||
+				m.Clears(DefLOF) == 0 || m.Raises(DefSD) == 0 || m.Active() != 0 {
+				t.Fatalf("%v seed %d: weak scenario: events %v", level, seed, m.Events)
+			}
+			c := want.Counters
+			if c[1] == 0 || c[2] == 0 || c[3] == 0 || c[4] == 0 || c[5] < 4 || c[6] < 3 {
+				t.Fatalf("%v seed %d: weak scenario: counters %v", level, seed, c)
+			}
+		}
+	}
+}
+
+// TestDefectMonitorOctetsMatchesPerOctet drives the bulk line-rate
+// observer and the per-octet reference with the same octets and the
+// same framing verdicts at random points, under random thresholds, and
+// compares the complete monitor state: zero runs that straddle chunks,
+// LOS transitions mid-chunk, and the LOF timer crossing mid-chunk.
+func TestDefectMonitorOctetsMatchesPerOctet(t *testing.T) {
+	for seed := int64(0); seed < 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		cfg := DefectConfig{
+			OOFBadFrames: 1 + rng.Intn(3), OOFGoodFrames: 1 + rng.Intn(2),
+			LOFFrames: 1 + rng.Intn(3), LOSOctets: 1 + rng.Intn(40),
+		}
+		bulk, ref := NewDefectMonitor(STM1), NewDefectMonitor(STM1)
+		bulk.Cfg, ref.Cfg = cfg, cfg
+		for step := 0; step < 60; step++ {
+			p := make([]byte, rng.Intn(3*STM1.FrameBytes()))
+			rng.Read(p)
+			for holes := rng.Intn(6); holes > 0 && len(p) > 0; holes-- {
+				at := rng.Intn(len(p))
+				end := at + rng.Intn(80)
+				if rng.Intn(4) == 0 {
+					end = len(p) // a run that continues into the next chunk
+				}
+				clear(p[at:min(end, len(p))])
+			}
+			if rng.Intn(8) == 0 {
+				clear(p)
+			}
+			bulk.Octets(p)
+			for _, b := range p {
+				refOctetIn(ref, b)
+			}
+			ok := rng.Intn(3) != 0
+			bulk.FrameResult(ok, false)
+			ref.FrameResult(ok, false)
+			if !reflect.DeepEqual(bulk, ref) {
+				t.Fatalf("seed %d step %d: monitors diverge\nbulk %+v\n ref %+v", seed, step, bulk, ref)
+			}
+		}
+		if ref.Raises(DefLOS) == 0 {
+			t.Fatalf("seed %d: no LOS in %v", seed, ref.Events)
+		}
+	}
+}

@@ -17,10 +17,8 @@ type Framer struct {
 	// controller rewrites them between frames; zero is "no request".
 	K1, K2 byte
 
-	scr       Scrambler
-	prevFrame []byte // previous scrambled frame, for B1
-	prevPath  []byte // previous payload+POH, for B3
-	prevB2    byte   // line BIP-8 of the previous frame's LOH+payload
+	frame      []byte // the one transmit buffer NextFrame rebuilds and returns
+	b1, b2, b3 byte   // BIP-8 of the previous frame: scrambled section, clear line, clear path
 
 	FramesBuilt uint64
 	FillOctets  uint64
@@ -31,90 +29,89 @@ func NewFramer(level Level, pull func() (byte, bool)) *Framer {
 	return &Framer{Level: level, Pull: pull}
 }
 
-// rowBytes is the octets per row of the transport frame.
-func (f *Framer) rowBytes() int { return colsPerSTM1 * int(f.Level) }
+// noData stands in for a nil Pull: every octet is fill.
+func noData() (byte, bool) { return 0, false }
 
-// sohBytes is the overhead octets per row.
-func (f *Framer) sohBytes() int { return sohCols * int(f.Level) }
-
-// NextFrame builds one complete scrambled transport frame.
+// NextFrame builds one complete scrambled transport frame, pulling
+// exactly Level.PayloadBytes() octets. The returned slice is the
+// framer's own buffer: it is valid (and may be modified, e.g. by an
+// in-place error injector) until the next call to NextFrame, which
+// overwrites it. A caller that keeps a frame longer must copy it.
 func (f *Framer) NextFrame() []byte {
 	n := int(f.Level)
-	row := f.rowBytes()
-	soh := f.sohBytes()
-	frame := make([]byte, f.Level.FrameBytes())
+	row := f.Level.rowBytes()
+	soh := f.Level.sohBytes()
+	if len(f.frame) != f.Level.FrameBytes() {
+		f.frame = make([]byte, f.Level.FrameBytes())
+	}
+	frame := f.frame
 
-	// Path overhead occupies the first payload column; the remainder
-	// carries the HDLC stream.
-	pathStart := soh // column index of POH within each row
-	var path []byte  // assembled POH+payload for B3 accounting
+	pull, fill := f.Pull, uint64(0)
+	if pull == nil {
+		pull = noData
+	}
 	for r := 0; r < rows; r++ {
-		base := r * row
-		// --- Section/line overhead ---
+		line := frame[r*row : (r+1)*row]
+		// --- Section/line overhead and the path overhead octet ---
+		// Unused overhead is zero; the buffer still holds the previous
+		// (scrambled) frame.
+		clear(line[:soh+1])
 		switch r {
 		case 0:
 			// A1 ×3N then A2 ×3N, then unused overhead.
 			for i := 0; i < 3*n; i++ {
-				frame[base+i] = A1
+				line[i] = A1
 			}
 			for i := 3 * n; i < 6*n; i++ {
-				frame[base+i] = A2
+				line[i] = A2
 			}
+			line[soh] = 0x01 // J1 trace (constant)
 		case 1:
 			// B1: section BIP-8 over the previous scrambled frame.
-			frame[base] = bip8(f.prevFrame)
+			line[0] = f.b1
+		case 2:
+			// B3: path BIP-8 over the previous frame's POH + payload.
+			line[soh] = f.b3
 		case 3:
 			// H1/H2 pointer: concatenation, zero offset. The standard
 			// encoding is 0x6A/0x0A for the first STM-1 and the
 			// concatenation indication for the rest; a fixed marker
 			// is sufficient for the byte-synchronous mapping.
-			frame[base] = 0x6A
-			frame[base+1] = 0x0A
-		case 4:
+			line[0] = 0x6A
+			line[1] = 0x0A
+		case apsRow:
 			// B2: line BIP-8 over the previous frame's line overhead
 			// and payload (everything below the section overhead rows),
 			// then the K1/K2 APS signalling channel.
-			frame[base] = f.prevB2
-			frame[base+1] = f.K1
-			frame[base+2] = f.K2
+			line[0] = f.b2
+			line[1] = f.K1
+			line[2] = f.K2
+			line[soh] = C2PPP
 		}
-		// --- Path overhead column ---
-		var poh byte
-		switch r {
-		case 0:
-			poh = 0x01 // J1 trace (constant)
-		case 2:
-			poh = bip8(f.prevPath) // B3
-		case 4:
-			poh = C2PPP
-		}
-		frame[base+pathStart] = poh
-		// --- Payload ---
-		for c := pathStart + 1; c < row; c++ {
-			b, ok := byte(hdlc.Flag), false
-			if f.Pull != nil {
-				b, ok = f.Pull()
-			}
+		// --- Payload: the rest of the row carries the HDLC stream ---
+		payload := line[row-f.Level.rowPayload():]
+		for i := range payload {
+			b, ok := pull()
 			if !ok {
 				b = hdlc.Flag
-				f.FillOctets++
+				fill++
 			}
-			frame[base+c] = b
+			payload[i] = b
 		}
-		path = append(path, frame[base+pathStart:base+row]...)
 	}
-	f.prevPath = path
-	// B2 covers rows 4-9 (line overhead + payload) of this frame before
-	// scrambling; it is inserted into the NEXT frame.
-	f.prevB2 = bip8(frame[lineStart(f.Level):])
+	f.FillOctets += fill
+	// The parity bytes the NEXT frame carries: B3 over this frame's path
+	// and B2 over its rows 4-9 before scrambling, B1 over all of it after.
+	f.b3 = pathBIP(frame, f.Level)
+	f.b2 = bip8(frame[lineStart(f.Level):])
 
-	// Scramble everything except the first row of section overhead.
-	f.scr.Reset()
-	f.scr.Apply(frame[soh:]) // row 0 payload onward... see note below
+	// Scramble everything except the first row of section overhead: one
+	// word-wide XOR with the frame-synchronous sequence.
 	// Note: the standard leaves only the A1/A2 (and J0/Z0) bytes of row
 	// 0 unscrambled; we leave the whole first 9·N overhead octets clear
 	// so the alignment hunt is exact.
-	f.prevFrame = append(f.prevFrame[:0], frame...)
+	xorStream(frame[soh:], frame[soh:], 0)
+	f.b1 = bip8(frame)
 	f.FramesBuilt++
 	return frame
 }

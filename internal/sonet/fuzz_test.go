@@ -1,6 +1,7 @@
 package sonet
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/fault"
@@ -67,6 +68,58 @@ func FuzzDeframerByteSlip(f *testing.F) {
 		}
 		if d := df.Defects.Active() & (DefOOF | DefLOF | DefLOS); d != 0 {
 			t.Fatalf("defects latched after recovery: %v", d)
+		}
+	})
+}
+
+// FuzzDeframerChunking: how a line is cut into Feed calls must be
+// invisible. Arbitrary line octets go to one deframer in an arbitrary
+// chunking (cuts, two octets per chunk length, cycled), to a second one
+// octet at a time, and to the byte-at-a-time reference; emitted
+// payload, OnFrame/OnAPS callbacks, every counter and the defect event
+// log must agree. Thresholds are small so a few frames of input reach
+// LOS, LOF and SD/SF.
+func FuzzDeframerChunking(f *testing.F) {
+	const fb = 2430 // STM-1
+	pos := 0
+	fr := NewFramer(STM1, func() (byte, bool) { pos++; return byte(pos * 7), pos%900 != 0 })
+	var line []byte
+	for i := 0; i < 6; i++ {
+		fr.K1 = byte(i / 3)
+		line = append(line, fr.NextFrame()...)
+	}
+	cuts := func(ns ...int) (c []byte) {
+		for _, n := range ns {
+			c = append(c, byte(n), byte(n>>8))
+		}
+		return c
+	}
+	f.Add(line, cuts(fb))   // whole aligned frames: checked in the caller's slice
+	f.Add(line, cuts(fb-1)) // every chunk one octet short of a frame
+	f.Add(line, cuts(fb+1)) // ... and one over
+	f.Add(line, cuts(3*fb, 1, 5))
+	// Garbage, two frames, a three-frame line cut, the rest.
+	f.Add(slices.Concat([]byte{1, 2, 3}, line[:2*fb+40], make([]byte, 3*fb), line[2*fb:]), cuts(fb, 17, 2*fb+9))
+	f.Add(slices.Concat(line[:fb+100], line[fb+101:]), cuts(700)) // one-octet slip
+	f.Fuzz(func(t *testing.T, line, cuts []byte) {
+		cfg := DefectConfig{LOFFrames: 2, LOSOctets: 24, WindowFrames: 4, SDFrames: 1, SFFrames: 3}
+		at := 0
+		chunked, want := runBoth(STM1, cfg, line, func(left int) int {
+			n := left
+			if len(cuts) >= 2 {
+				n = int(cuts[at]) | int(cuts[at+1])<<8
+				if at += 2; at+1 >= len(cuts) {
+					at = 0
+				}
+			}
+			return max(1, min(n, left))
+		})
+		if d := chunked.diff(want); d != "" {
+			t.Fatalf("chunked vs reference: %s", d)
+		}
+		single, _ := runBoth(STM1, cfg, line, func(int) int { return 1 })
+		if d := single.diff(chunked); d != "" {
+			t.Fatalf("octet-by-octet vs chunked: %s", d)
 		}
 	})
 }

@@ -12,6 +12,11 @@
 // mapping the paper assumes.
 package sonet
 
+import (
+	"crypto/subtle"
+	"encoding/binary"
+)
+
 // Level is the STM level N (STM-1, STM-4, STM-16...). OC-3N equivalent.
 type Level int
 
@@ -40,11 +45,23 @@ func (n Level) LineRate() float64 {
 	return float64(n.FrameBytes()) * 8 * FramesPerSecond
 }
 
+// rowBytes is the octets per row of the transport frame.
+func (n Level) rowBytes() int { return colsPerSTM1 * int(n) }
+
+// sohBytes is the section/line overhead octets at the head of each row.
+func (n Level) sohBytes() int { return sohCols * int(n) }
+
+// rowPayload is the HDLC octets carried per row: everything after the
+// overhead columns except the single path-overhead octet. The payload
+// area is concatenated (one VC-4-Nc), so there is one POH column per
+// frame, not one per STM-1.
+func (n Level) rowPayload() int { return n.rowBytes() - n.sohBytes() - 1 }
+
 // PayloadBytes returns the octets per frame available to the HDLC
-// stream: the payload area minus one path-overhead column.
-func (n Level) PayloadBytes() int {
-	return rows * (colsPerSTM1 - sohCols - 1) * int(n)
-}
+// stream, 9·(261·N − 1): the payload area minus the one path-overhead
+// column. It is exactly what Framer.NextFrame pulls and what the
+// Deframer emits per frame.
+func (n Level) PayloadBytes() int { return rows * n.rowPayload() }
 
 // PayloadRate returns the HDLC-visible payload rate in bits per second.
 func (n Level) PayloadRate() float64 {
@@ -84,16 +101,77 @@ func (s *Scrambler) Next() byte {
 	return out
 }
 
-// Apply XORs the scrambler stream over p in place.
-func (s *Scrambler) Apply(p []byte) {
-	for i := range p {
-		p[i] ^= s.Next()
+// scramblerPeriod is the octet period of the scrambler stream: the
+// 127-bit maximal-length sequence realigns with octet boundaries after
+// 127 octets, and because 8 and 127 are coprime those 127 octet phases
+// visit every non-zero LFSR state exactly once.
+const scramblerPeriod = 127
+
+// scramblerTile is how many periods one word-wide XOR covers.
+const scramblerTile = 32
+
+// The scrambler stream as tables, derived once from Scrambler.Next (the
+// reference definition): scramblerTile+1 back-to-back periods of stream
+// octets, so scramblerTile periods starting at any phase are one
+// contiguous slice, and the LFSR state at each phase with its inverse.
+var (
+	scramblerStream  [(scramblerTile + 1) * scramblerPeriod]byte
+	scramblerStateAt [scramblerPeriod]byte
+	scramblerPhaseOf [128]uint8
+)
+
+func init() {
+	var s Scrambler
+	s.Reset()
+	for i := 0; i < scramblerPeriod; i++ {
+		scramblerStateAt[i] = s.state
+		scramblerPhaseOf[s.state] = uint8(i)
+		scramblerStream[i] = s.Next()
+	}
+	for at := scramblerPeriod; at < len(scramblerStream); at += scramblerPeriod {
+		copy(scramblerStream[at:], scramblerStream[:scramblerPeriod])
 	}
 }
 
-// bip8 computes even byte-interleaved parity over p.
+// xorStream sets dst[i] = src[i] ^ stream[phase+i], scramblerTile
+// periods per word-wide XOR, and returns the phase after the last
+// octet. dst and src are the same length and either the same slice or
+// disjoint. Phase 0 is the frame-synchronous reset point.
+func xorStream(dst, src []byte, phase int) int {
+	for len(src) > 0 {
+		n := subtle.XORBytes(dst, src, scramblerStream[phase:phase+scramblerTile*scramblerPeriod])
+		dst, src = dst[n:], src[n:]
+		phase = (phase + n) % scramblerPeriod
+	}
+	return phase
+}
+
+// Apply XORs the scrambler stream over p in place, continuing from the
+// current state exactly as len(p) calls to Next would.
+func (s *Scrambler) Apply(p []byte) {
+	if s.state == 0 {
+		return // never Reset: the LFSR is stuck at zero, its stream is zeros
+	}
+	s.state = scramblerStateAt[xorStream(p, p, int(scramblerPhaseOf[s.state]))]
+}
+
+// bip8 computes even byte-interleaved parity over p, folding eight
+// octets per step.
 func bip8(p []byte) byte {
-	var b byte
+	var w uint64
+	for len(p) >= 32 {
+		w ^= binary.LittleEndian.Uint64(p) ^ binary.LittleEndian.Uint64(p[8:]) ^
+			binary.LittleEndian.Uint64(p[16:]) ^ binary.LittleEndian.Uint64(p[24:])
+		p = p[32:]
+	}
+	for len(p) >= 8 {
+		w ^= binary.LittleEndian.Uint64(p)
+		p = p[8:]
+	}
+	w ^= w >> 32
+	w ^= w >> 16
+	w ^= w >> 8
+	b := byte(w)
 	for _, x := range p {
 		b ^= x
 	}
@@ -103,8 +181,19 @@ func bip8(p []byte) byte {
 // lineStart returns the octet offset of the line-overhead rows within a
 // transport frame: B2 parity coverage starts here (the section overhead
 // rows above are excluded, per the B2 definition).
-func lineStart(n Level) int { return 3 * colsPerSTM1 * int(n) }
+func lineStart(n Level) int { return 3 * n.rowBytes() }
 
 // apsRow is the frame row carrying B2/K1/K2 (row 5 of the standard's
 // 1-indexed layout).
 const apsRow = 4
+
+// pathBIP is the B3 coverage of a clear (descrambled) frame: BIP-8 over
+// the path-overhead octet and payload of every row.
+func pathBIP(frame []byte, n Level) byte {
+	row, soh := n.rowBytes(), n.sohBytes()
+	var b byte
+	for r := 0; r < rows; r++ {
+		b ^= bip8(frame[r*row+soh : (r+1)*row])
+	}
+	return b
+}

@@ -27,6 +27,62 @@ func TestRates(t *testing.T) {
 	}
 }
 
+// TestPayloadBytesIsWhatTheFramerCarries: Level.PayloadBytes is the
+// one statement of the payload geometry — the framer pulls exactly that
+// many octets per frame and the deframer emits exactly that many, at
+// every level (the concatenated payload has one POH column, not N).
+func TestPayloadBytesIsWhatTheFramerCarries(t *testing.T) {
+	for _, level := range []Level{STM1, STM4, STM16, STM64} {
+		n := int(level)
+		if got, want := level.PayloadBytes(), 9*(261*n-1); got != want {
+			t.Errorf("%v PayloadBytes = %d, want %d", level, got, want)
+		}
+		pulled, emitted := 0, 0
+		fr := NewFramer(level, func() (byte, bool) { pulled++; return byte(pulled), pulled%3 != 0 })
+		df := NewDeframer(level, func(byte) { emitted++ })
+		for i := 1; i <= 3; i++ {
+			df.Feed(fr.NextFrame())
+			if pulled != i*level.PayloadBytes() || emitted != pulled {
+				t.Fatalf("%v after %d frames: pulled %d emitted %d, PayloadBytes %d",
+					level, i, pulled, emitted, level.PayloadBytes())
+			}
+		}
+	}
+}
+
+// TestSteadyStateAllocatesNothing is the allocation gate: once the
+// framer owns its frame buffer and the deframer its staging and
+// descramble buffers, building and receiving STM-16 frames allocates
+// nothing — neither on the whole-frame path nor through staging.
+func TestSteadyStateAllocatesNothing(t *testing.T) {
+	fr := NewFramer(STM16, func() (byte, bool) { return 0x42, true })
+	out := make([]byte, 0, STM16.PayloadBytes())
+	df := NewDeframer(STM16, func(b byte) { out = append(out, b) })
+	df.Feed(fr.NextFrame())
+	for name, step := range map[string]func(){
+		"whole frame": func() {
+			out = out[:0]
+			df.Feed(fr.NextFrame())
+		},
+		"staged halves": func() {
+			out = out[:0]
+			f := fr.NextFrame()
+			df.Feed(f[:len(f)/2])
+			df.Feed(f[len(f)/2:])
+		},
+	} {
+		if avg := testing.AllocsPerRun(10, step); avg != 0 {
+			t.Errorf("%s: %.1f allocs per NextFrame+Feed, want 0", name, avg)
+		}
+		if len(out) != STM16.PayloadBytes() {
+			t.Errorf("%s: emitted %d octets", name, len(out))
+		}
+	}
+	if df.FramesOK != fr.FramesBuilt || df.B1Errors+df.B2Errors+df.B3Errors != 0 {
+		t.Errorf("frames %d/%d, parity errors on a clean line", df.FramesOK, fr.FramesBuilt)
+	}
+}
+
 func TestScramblerIsSelfInverse(t *testing.T) {
 	data := make([]byte, 1000)
 	rand.New(rand.NewSource(1)).Read(data)
@@ -41,6 +97,33 @@ func TestScramblerIsSelfInverse(t *testing.T) {
 	b.Apply(data)
 	if !bytes.Equal(data, orig) {
 		t.Fatal("descramble failed")
+	}
+	// Apply is the table-driven form of Next: from any phase it XORs
+	// the same octets and leaves the same state behind.
+	for skip := 0; skip < 2*scramblerPeriod; skip += 5 {
+		for _, n := range []int{0, 1, 126, 127, 128, 1000} {
+			var viaNext, viaApply Scrambler
+			viaNext.Reset()
+			viaApply.Reset()
+			for i := 0; i < skip; i++ {
+				viaNext.Next()
+				viaApply.Next()
+			}
+			want := append([]byte(nil), orig[:n]...)
+			for i := range want {
+				want[i] ^= viaNext.Next()
+			}
+			got := append([]byte(nil), orig[:n]...)
+			viaApply.Apply(got)
+			if !bytes.Equal(got, want) || viaApply != viaNext {
+				t.Fatalf("Apply(%d octets) after %d differs from Next", n, skip)
+			}
+		}
+	}
+	var unreset Scrambler // stuck at zero: Next yields zeros, Apply must too
+	unreset.Apply(data)
+	if !bytes.Equal(data, orig) || unreset.Next() != 0 {
+		t.Fatal("zero-state scrambler is not the identity")
 	}
 }
 
@@ -62,6 +145,29 @@ func TestScramblerPeriod(t *testing.T) {
 	// And it is not trivially constant.
 	if bytes.Count(first, []byte{first[0]}) == len(first) {
 		t.Error("scrambler output constant")
+	}
+	// The cached period, applied a word at a time from the frame-
+	// synchronous reset, is Scrambler.Next's sequence over the whole
+	// scrambled span of a frame, and the frames the framer builds with
+	// it are the ones the Next-per-octet reference framer builds — two
+	// successive frames (the reset is per frame) at every level.
+	for _, level := range []Level{STM1, STM4, STM16, STM64} {
+		s.Reset()
+		want := make([]byte, level.FrameBytes()-level.sohBytes())
+		for i := range want {
+			want[i] = s.Next()
+		}
+		got := make([]byte, len(want))
+		xorStream(got, got, 0)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%v: cached sequence differs from Scrambler.Next", level)
+		}
+		fr, ref := NewFramer(level, nil), &refFramer{Level: level}
+		for frame := 0; frame < 2; frame++ {
+			if !bytes.Equal(fr.NextFrame(), ref.NextFrame()) {
+				t.Fatalf("%v frame %d: scrambled frame differs from the reference", level, frame)
+			}
+		}
 	}
 }
 
@@ -236,7 +342,7 @@ func BenchmarkDeframerSTM16(b *testing.B) {
 	fr := NewFramer(STM16, func() (byte, bool) { return 0x42, true })
 	frames := make([][]byte, 16)
 	for i := range frames {
-		frames[i] = fr.NextFrame()
+		frames[i] = append([]byte(nil), fr.NextFrame()...) // NextFrame reuses its buffer
 	}
 	df := NewDeframer(STM16, nil)
 	b.SetBytes(int64(STM16.FrameBytes()))

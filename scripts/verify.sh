@@ -3,6 +3,7 @@
 #   go vet, go build, go test -race, the flight-recorder and
 #   stage-profile overhead gates, the chaos/transport smokes, a 30s
 #   differential fuzz of the fused RX kernel (FUSED_FUZZTIME overrides),
+#   a 10s one of the SONET deframer's chunking (SONET_FUZZTIME overrides),
 #   a decode-throughput floor vs the newest BENCH_*.json snapshot, the
 #   benchmark trend gate, and a short fuzz smoke of every Fuzz* target
 #   (5s each by default; FUZZTIME overrides).
@@ -231,6 +232,15 @@ echo "== fused decode fuzz smoke (${FUSED_FUZZTIME:-30s}) =="
 # the receive hot path.
 go test -run '^$' -fuzz '^FuzzFusedDecode$' \
     -fuzztime "${FUSED_FUZZTIME:-30s}" ./internal/hdlc
+
+echo "== SONET deframer chunking fuzz (${SONET_FUZZTIME:-10s}) =="
+# The word-wide SONET receive path is gated the same way: one line fed
+# in an arbitrary chunking, octet by octet, and to the byte-at-a-time
+# reference deframer must give the same payload, counters and defect
+# event log. Inputs are whole STM-1 frames, so minimisation of each new
+# corpus entry is capped or it eats the run.
+go test -run '^$' -fuzz '^FuzzDeframerChunking$' -fuzzminimizetime 20x \
+    -fuzztime "${SONET_FUZZTIME:-10s}" ./internal/sonet
 
 echo "== decode throughput floor gate =="
 # The fused RX kernel's headline number must not regress: run the
