@@ -348,7 +348,7 @@ func BenchmarkSoftStuff_SWAR(b *testing.B) {
 	dst := make([]byte, 0, 4096)
 	b.SetBytes(int64(len(p)))
 	for i := 0; i < b.N; i++ {
-		dst = hdlc.StuffSWAR(dst[:0], p, hdlc.ACCMNone)
+		dst = hdlc.StuffBlock(dst[:0], p, hdlc.ACCMNone)
 	}
 }
 
@@ -663,27 +663,52 @@ func BenchmarkLinkDecodeSteady(b *testing.B) {
 	}
 }
 
-// BenchmarkTokenizerFeed measures the fused destuff+CRC receive kernel
-// in isolation across the escape-density spectrum: 0% is the pure
-// span-copy fast path, 2% is typical IP traffic, 50% defeats the span
-// scanner every other byte, and 100% (every payload octet escaped) is
-// the pathological worst case where the kernel degenerates to the
-// byte-at-a-time path. MB/s is wire bytes through Feed; 0 allocs/op
-// once the arena is warm.
-func BenchmarkTokenizerFeed(b *testing.B) {
-	for _, density := range []int{0, 2, 50, 100} {
+// sweepDensities are the escape-density points both codec sweeps visit:
+// 0% is the pure span-copy path, 2% typical IP traffic, 25–75% defeat
+// the span scanner (short spans: the block kernels take over), 100%
+// doubles the wire. verify.sh holds every point of both sweeps to the
+// OC-48 floor (311 MB/s of wire, 0 allocs/op).
+var sweepDensities = []int{0, 2, 25, 50, 75, 100}
+
+// densityPayload returns n octets of which density percent, spread
+// evenly, are flags (escaped on the wire).
+func densityPayload(n, density int) []byte {
+	p := make([]byte, n)
+	for i := range p {
+		p[i] = 0x55
+		if (i+1)*density/100 > i*density/100 {
+			p[i] = hdlc.Flag
+		}
+	}
+	return p
+}
+
+// BenchmarkAppendFramed is the transmit-side density sweep: the fused
+// CRC+stuff encoder (ppp.AppendFramed) on one 1500-octet datagram per
+// op. MB/s is wire octets produced; 0 allocs/op once dst has grown.
+func BenchmarkAppendFramed(b *testing.B) {
+	for _, density := range sweepDensities {
 		b.Run(fmt.Sprintf("escape=%d%%", density), func(b *testing.B) {
-			payload := make([]byte, 1500)
-			for i := range payload {
-				switch {
-				case density == 100,
-					density == 50 && i%2 == 0,
-					density == 2 && i%50 == 0:
-					payload[i] = hdlc.Flag // escaped on the wire
-				default:
-					payload[i] = 0x55
-				}
+			hdr := []byte{0xFF, 0x03, 0x00, 0x21}
+			payload := densityPayload(1500, density)
+			dst := ppp.AppendFramed(nil, hdr, payload, crc.FCS32Mode, hdlc.ACCMNone, true)
+			b.SetBytes(int64(len(dst)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				dst = ppp.AppendFramed(dst[:0], hdr, payload, crc.FCS32Mode, hdlc.ACCMNone, true)
 			}
+		})
+	}
+}
+
+// BenchmarkTokenizerFeed is the receive-side density sweep: the fused
+// destuff+CRC kernel in isolation, eight 1500-octet frames per op.
+// MB/s is wire bytes through Feed; 0 allocs/op once the arena is warm.
+func BenchmarkTokenizerFeed(b *testing.B) {
+	for _, density := range sweepDensities {
+		b.Run(fmt.Sprintf("escape=%d%%", density), func(b *testing.B) {
+			payload := densityPayload(1500, density)
 			var stream []byte
 			const frames = 8
 			for i := 0; i < frames; i++ {

@@ -6,9 +6,11 @@
 //
 //   - the byte-at-a-time path (Stuff/Destuff), the software mirror of the
 //     paper's 8-bit P5 datapath, and
-//   - the word-parallel SWAR path (StuffWord/words scanning 8 lanes per
-//     step), the software mirror of the 32-bit P5 datapath where a flag
-//     or escape can appear in any lane of the word.
+//   - the word-parallel SWAR path (the span scanners test eight lanes
+//     per step; StuffBlock and the tokenizer's block destuffer resolve
+//     every lane of a word without a branch on the data), the software
+//     mirror of the 32-bit P5 datapath where a flag or escape can appear
+//     in any lane of the word.
 //
 // Both produce identical byte streams; the P5 cycle-accurate model in
 // internal/p5 is verified against them.

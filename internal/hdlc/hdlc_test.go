@@ -2,6 +2,7 @@ package hdlc
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -58,18 +59,44 @@ func TestStuffDestuffRoundTrip(t *testing.T) {
 func TestSWARMatchesByteAtATime(t *testing.T) {
 	f := func(p []byte, m uint32) bool {
 		accm := ACCM(m)
-		return bytes.Equal(Stuff(nil, p, accm), StuffSWAR(nil, p, accm))
+		want := Stuff(nil, p, accm)
+		return bytes.Equal(want, StuffBlock(nil, p, accm))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
 }
 
-func TestDestuffSWARMatches(t *testing.T) {
+func TestEscapeSpanMatchesByteAtATime(t *testing.T) {
+	// Both arms — the empty map (delegated to DelimiterSpan) and maps
+	// with holes — over a clean prefix of every length across two words,
+	// then octets drawn from the neighbourhood of each escapable value.
+	rng := rand.New(rand.NewSource(5))
+	alphabet := []byte{Flag, Escape, 0x7C, 0x7F, 0x00, 0x01, 0x11, 0x1F, 0x20, 0x5E}
+	for trial := 0; trial < 2000; trial++ {
+		accm := []ACCM{ACCMNone, ACCMAll, 0x000A0001}[trial%3]
+		p := bytes.Repeat([]byte{0x55}, rng.Intn(20))
+		for n := rng.Intn(12); n > 0; n-- {
+			p = append(p, alphabet[rng.Intn(len(alphabet))])
+		}
+		want := len(p)
+		for i, b := range p {
+			if accm.Escaped(b) {
+				want = i
+				break
+			}
+		}
+		if got := EscapeSpan(p, accm); got != want {
+			t.Fatalf("EscapeSpan(% x, %#x) = %d, want %d", p, accm, got, want)
+		}
+	}
+}
+
+func TestDestuffBlockMatches(t *testing.T) {
 	f := func(p []byte) bool {
 		enc := Stuff(nil, p, ACCMAll)
 		a, ea := Destuff(nil, enc, false)
-		b, eb := DestuffSWAR(nil, enc, false)
+		b, eb := destuffBlock(nil, enc, false)
 		return ea == eb && bytes.Equal(a, b) && bytes.Equal(a, p)
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -77,7 +104,7 @@ func TestDestuffSWARMatches(t *testing.T) {
 	}
 }
 
-func TestDestuffSWARChunked(t *testing.T) {
+func TestDestuffBlockChunked(t *testing.T) {
 	// Streaming state must survive arbitrary chunk splits, including a
 	// split straight through an escape sequence.
 	rng := rand.New(rand.NewSource(3))
@@ -98,11 +125,11 @@ func TestDestuffSWARChunked(t *testing.T) {
 		var dec []byte
 		esc := false
 		for off := 0; off < len(enc); {
-			n := 1 + rng.Intn(9)
+			n := 1 + rng.Intn(24)
 			if off+n > len(enc) {
 				n = len(enc) - off
 			}
-			dec, esc = DestuffSWAR(dec, enc[off:off+n], esc)
+			dec, esc = destuffBlock(dec, enc[off:off+n], esc)
 			off += n
 		}
 		if esc || !bytes.Equal(dec, p) {
@@ -142,6 +169,43 @@ func TestFindFlagSWAR(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestLaneMasksExact pins the lane-mask contract the block kernels rely
+// on: for every adjacent-octet pair, repeated across the word so each
+// lane has the other octet below it, zeroLanes, matchLanes and escLanes
+// mark exactly the matching lanes. The borrowing form of the zero test
+// fails here on 7E 7F, 7D 7C and 00 01.
+func TestLaneMasksExact(t *testing.T) {
+	const ctl = ACCM(0x000A0001) // NUL, DC1, DC3: a map with holes
+	laneMask := func(w [8]byte, match func(byte) bool) (m uint64) {
+		for i, b := range w {
+			if match(b) {
+				m |= 0x80 << (8 * uint(i))
+			}
+		}
+		return m
+	}
+	for pair := 0; pair < 1<<16; pair++ {
+		a, b := byte(pair), byte(pair>>8)
+		w := [8]byte{a, b, a, b, b, a, b, a}
+		x := binary.LittleEndian.Uint64(w[:])
+		for _, tc := range []struct {
+			name string
+			got  uint64
+			want func(byte) bool
+		}{
+			{"zeroLanes", zeroLanes(x), func(c byte) bool { return c == 0 }},
+			{"matchLanes(Flag)", matchLanes(x, Flag), func(c byte) bool { return c == Flag }},
+			{"matchLanes(Escape)", matchLanes(x, Escape), func(c byte) bool { return c == Escape }},
+			{"escLanes(ACCMNone)", escLanes(x, ACCMNone), ACCMNone.Escaped},
+			{"escLanes(ctl)", escLanes(x, ctl), ctl.Escaped},
+		} {
+			if want := laneMask(w, tc.want); tc.got != want {
+				t.Fatalf("%s(% x) = %016x, want %016x", tc.name, w, tc.got, want)
+			}
+		}
 	}
 }
 
@@ -337,21 +401,11 @@ func BenchmarkStuffByte(b *testing.B) {
 	}
 }
 
-func BenchmarkStuffSWAR(b *testing.B) {
+func BenchmarkStuffBlock(b *testing.B) {
 	p := makePayload(1500, 0.01, 1)
 	dst := make([]byte, 0, 4096)
 	b.SetBytes(int64(len(p)))
 	for i := 0; i < b.N; i++ {
-		dst = StuffSWAR(dst[:0], p, ACCMNone)
-	}
-}
-
-func BenchmarkDestuffSWAR(b *testing.B) {
-	p := makePayload(1500, 0.01, 1)
-	enc := Stuff(nil, p, ACCMNone)
-	dst := make([]byte, 0, 4096)
-	b.SetBytes(int64(len(p)))
-	for i := 0; i < b.N; i++ {
-		dst, _ = DestuffSWAR(dst[:0], enc, false)
+		dst = StuffBlock(dst[:0], p, ACCMNone)
 	}
 }

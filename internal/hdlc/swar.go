@@ -3,6 +3,7 @@ package hdlc
 import (
 	"encoding/binary"
 	"math/bits"
+	"slices"
 )
 
 // Word-parallel stuffing. The hardware problem (paper §3, Figs 5 and 6) is
@@ -17,9 +18,20 @@ const (
 	msbMask = 0x8080808080808080
 )
 
-// zeroLanes returns a mask with bit 8i+7 set iff byte lane i of x is zero.
+// Lane-mask contract: every mask below has bit 8i+7 set iff lane i
+// matches and no other bit set, exactly, in every lane. The scanners
+// only read the lowest set lane (TrailingZeros64); the block kernels
+// read all eight, which rules out the shorter (x-lsbMask)&^x&msbMask
+// zero test — its subtraction borrows into the next lane, so 0x7F
+// after 0x7E, or 0x7C 0x7C after 0x7D, would read as matches.
+// TestLaneMasksExact pins the contract over every adjacent-octet pair.
+
+// zeroLanes returns a mask with bit 8i+7 set iff byte lane i of x is
+// zero. The per-lane add cannot carry out of a lane: the top bit of
+// each lane is masked off before 0x7F is added.
 func zeroLanes(x uint64) uint64 {
-	return (x - lsbMask) & ^x & msbMask
+	const low7 = ^uint64(msbMask)
+	return ^((x&low7 + low7) | x | low7)
 }
 
 // matchLanes returns a mask with the MSB of each lane set iff that lane of
@@ -55,34 +67,17 @@ func escLanes(x uint64, m ACCM) uint64 {
 	return lanes
 }
 
-// StuffSWAR appends the octet-stuffed encoding of src to dst scanning
-// eight lanes per step — the software mirror of the 32-bit Escape
-// Generate byte sorter. Output is byte-identical to Stuff.
-func StuffSWAR(dst, src []byte, m ACCM) []byte {
-	for len(src) >= 8 {
-		x := binary.LittleEndian.Uint64(src)
-		lanes := escLanes(x, m)
-		if lanes == 0 {
-			dst = append(dst, src[:8]...)
-			src = src[8:]
-			continue
-		}
-		// First offending lane; copy the clean prefix in bulk, escape
-		// one octet, continue.
-		i := bits.TrailingZeros64(lanes) / 8
-		dst = append(dst, src[:i]...)
-		dst = append(dst, Escape, src[i]^XorBit)
-		src = src[i+1:]
-	}
-	return Stuff(dst, src, m)
-}
-
 // EscapeSpan returns the length of the maximal prefix of src containing
 // no octet that needs escaping under map m, scanning eight lanes per
-// step. Span-at-a-time callers (the fused CRC+stuff transmit kernel)
-// alternate EscapeSpan with a single escaped octet, so every byte of
-// src is visited exactly once.
+// step. The fused CRC+stuff transmit kernel alternates EscapeSpan with
+// a single escaped octet or, where spans come back short, a StuffBlock.
+// Under the empty map (the SONET/SDH default) only Flag and Escape
+// count, which is DelimiterSpan's question: its lane test is inlined,
+// where escLanes is a call per word.
 func EscapeSpan(src []byte, m ACCM) int {
+	if m == 0 {
+		return DelimiterSpan(src)
+	}
 	off := 0
 	for len(src) >= 8 {
 		x := binary.LittleEndian.Uint64(src)
@@ -104,8 +99,9 @@ func EscapeSpan(src []byte, m ACCM) int {
 // containing neither a Flag nor an Escape octet, scanning eight lanes
 // per step — the receive-side twin of EscapeSpan. The fused
 // destuff+CRC kernel alternates DelimiterSpan with single-octet
-// delimiter handling, so runs of ordinary line bytes are bulk-copied
-// into the arena with one copy instead of a per-byte loop.
+// delimiter handling (or a block, where spans come back short), so
+// runs of ordinary line bytes are bulk-copied into the arena with one
+// copy instead of a per-byte loop.
 func DelimiterSpan(src []byte) int {
 	off := 0
 	for len(src) >= 8 {
@@ -124,35 +120,77 @@ func DelimiterSpan(src []byte) int {
 	return off + len(src)
 }
 
-// DestuffSWAR appends the decoded form of a stuffed sequence to dst,
-// scanning eight lanes per step for escape octets. esc threads streaming
-// state exactly as Destuff does.
-func DestuffSWAR(dst, src []byte, esc bool) ([]byte, bool) {
+// BlockOctets bounds one step of the block kernels. Their callers —
+// the fused transmit and receive kernels — enter a block only when the
+// span scanner comes back with less than a word, and scan again after
+// it, so a payload that turns clean is back on the memmove path within
+// 64 octets and a dense one pays the scanner once per block instead
+// of once per escape.
+const BlockOctets = 64
+
+// StuffBlock appends the octet-stuffed encoding of src to dst at a
+// cost that does not depend on where the escapes fall — the software
+// Escape Generate sorter (paper Fig 5). Room for the worst case is
+// reserved up front; each lane then stores Escape, stores its octet
+// over it or after it, and advances by one or two, with no branch on
+// the data. A word with nothing to escape is stored whole. Output is
+// byte-identical to Stuff.
+func StuffBlock(dst, src []byte, m ACCM) []byte {
+	j := len(dst)
+	dst = slices.Grow(dst, 2*len(src))[:j+2*len(src)]
 	for len(src) >= 8 {
-		if esc {
-			dst = append(dst, src[0]^XorBit)
-			src = src[1:]
-			esc = false
-			continue
-		}
 		x := binary.LittleEndian.Uint64(src)
-		lanes := matchLanes(x, Escape)
+		src = src[8:]
+		lanes := escLanes(x, m) >> 7
 		if lanes == 0 {
-			dst = append(dst, src[:8]...)
-			src = src[8:]
+			binary.LittleEndian.PutUint64(dst[j:], x)
+			j += 8
 			continue
 		}
-		i := bits.TrailingZeros64(lanes) / 8
-		dst = append(dst, src[:i]...)
-		if i+1 < 8 || len(src) > i+1 {
-			dst = append(dst, src[i+1]^XorBit)
-			src = src[i+2:]
-		} else {
-			src = src[i+1:]
-			esc = true
+		for i := 0; i < 8; i++ {
+			e := int(lanes & 1)
+			dst[j] = Escape
+			dst[j+e] = byte(x) ^ byte(e*XorBit)
+			j += 1 + e
+			x >>= 8
+			lanes >>= 8
 		}
 	}
-	return Destuff(dst, src, esc)
+	return Stuff(dst[:j], src, m)
+}
+
+// destuffBlock appends the decoded form of the flag-free stuffed
+// sequence src to dst, threading the escape-pending state exactly as
+// Destuff does — the software Escape Detect sorter (paper Fig 6).
+// Each lane is stored xored by the previous lane's escape bit and the
+// write position advances only past lanes that are not themselves an
+// escape, so an escape octet is overwritten by its successor; again no
+// branch on the data, and a word without escapes is stored whole.
+func destuffBlock(dst, src []byte, esc bool) ([]byte, bool) {
+	j := len(dst)
+	dst = slices.Grow(dst, len(src))[:j+len(src)]
+	var pend uint64 // 1 while the previous lane was an escape octet
+	if esc {
+		pend = 1
+	}
+	for len(src) >= 8 {
+		x := binary.LittleEndian.Uint64(src)
+		src = src[8:]
+		lanes := matchLanes(x, Escape) >> 7
+		if lanes|pend == 0 {
+			binary.LittleEndian.PutUint64(dst[j:], x)
+			j += 8
+			continue
+		}
+		for i := 0; i < 8; i++ {
+			dst[j] = byte(x) ^ byte(pend*XorBit)
+			pend = lanes & 1 &^ pend // an escaped 0x7D is data
+			j += int(1 - pend)
+			x >>= 8
+			lanes >>= 8
+		}
+	}
+	return Destuff(dst[:j], src, pend != 0)
 }
 
 // FindFlagSWAR returns the index of the first Flag octet in p, or -1 —

@@ -44,11 +44,13 @@ type Token struct {
 // handle flags in any byte lane.
 //
 // Feed is the fused receive kernel, the twin of the fused CRC+stuff
-// transmit path (ppp.AppendFrame over EscapeSpan): delimiter-free spans
-// are located eight lanes per step by DelimiterSpan and bulk-copied
-// into the arena, with the streaming CRC folded over each span as it
-// lands — so checking the FCS costs no second pass over the body.
-// ReferenceTokenizer retains the byte-at-a-time loop as the
+// transmit path (ppp.AppendFrame): delimiter-free spans are located
+// eight lanes per step by DelimiterSpan and bulk-copied into the arena,
+// and where escapes come less than a word apart the branch-free block
+// destuffer takes over, so the cost per octet does not depend on where
+// the escapes fall. Either way the streaming CRC is folded over the
+// octets as they land — checking the FCS costs no second pass over
+// the body. ReferenceTokenizer retains the byte-at-a-time loop as the
 // differential-fuzz model.
 //
 // Destuffed bytes land in a single reusable arena (compacted at each
@@ -94,6 +96,10 @@ func (t *Tokenizer) Feed(out []Token, chunk []byte) []Token {
 		t.arena = t.arena[:n]
 		t.start = 0
 	}
+	// dense: the last clean span was shorter than a word. A property of
+	// the input, re-measured at every span; it only picks which of two
+	// equivalent paths handles the next escape.
+	dense := false
 	for len(chunk) > 0 {
 		if !t.inFrame || t.drop {
 			// Hunting (inter-frame idle fill is ignored; HDLC links may
@@ -116,13 +122,17 @@ func (t *Tokenizer) Feed(out []Token, chunk []byte) []Token {
 			t.esc = false
 			t.push(b ^ XorBit)
 			chunk = chunk[1:]
-		case b == Escape:
-			t.esc = true
+		case b == Escape && !dense:
+			// A lone escape after a long clean span costs one step.
+			t.esc, dense = true, true
 			chunk = chunk[1:]
+		case b == Escape:
+			chunk = chunk[t.pushBlock(chunk):]
 		default:
 			// Ordinary bytes up to the next delimiter: one bulk copy
 			// into the arena, one streaming-CRC fold over the span.
 			n := DelimiterSpan(chunk)
+			dense = n < 8
 			t.pushSpan(chunk[:n])
 			chunk = chunk[n:]
 		}
@@ -137,10 +147,7 @@ func (t *Tokenizer) push(b byte) {
 	if t.FCS != 0 {
 		t.fcsReg = t.FCS.UpdateByte(t.fcsReg, b)
 	}
-	if t.MaxFrame > 0 && len(t.arena)-t.start > t.MaxFrame {
-		t.drop = true
-		t.Oversize++
-	}
+	t.police()
 }
 
 // pushSpan appends a delimiter-free span in bulk. The CRC fold uses the
@@ -151,8 +158,36 @@ func (t *Tokenizer) pushSpan(p []byte) {
 	if t.FCS != 0 {
 		t.fcsReg = t.FCS.Update(t.fcsReg, p)
 	}
+	t.police()
+}
+
+// pushBlock destuffs the head of chunk — up to BlockOctets, cut at the
+// first flag — into the arena with the block kernel, then folds the
+// CRC once over the octets that landed there (contiguous, so the
+// slicing kernel runs at full width however the escapes fell). It
+// returns the number of line octets consumed.
+func (t *Tokenizer) pushBlock(chunk []byte) int {
+	blk := chunk[:min(len(chunk), BlockOctets)]
+	if i := FindFlagSWAR(blk); i >= 0 {
+		blk = blk[:i]
+	}
+	n := len(t.arena)
+	t.arena, t.esc = destuffBlock(t.arena, blk, false)
+	if t.FCS != 0 {
+		t.fcsReg = t.FCS.Update(t.fcsReg, t.arena[n:])
+	}
+	t.police()
+	return len(blk)
+}
+
+// police starts discarding once the in-progress frame exceeds MaxFrame.
+// Octets the block kernel landed past the limit are dropped with the
+// frame, and so is an escape it left pending: the oversize octet came
+// first, so a flag straight after reports ErrOversize, not ErrAborted.
+func (t *Tokenizer) police() {
 	if t.MaxFrame > 0 && len(t.arena)-t.start > t.MaxFrame {
 		t.drop = true
+		t.esc = false
 		t.Oversize++
 	}
 }
@@ -211,12 +246,14 @@ func (t *Tokenizer) Reset() {
 // Encode appends a fully framed encoding of body to dst: opening flag,
 // stuffed body, closing flag. If shareFlag is true and dst already ends
 // with a flag, the opening flag is omitted (RFC 1662 allows a single flag
-// between frames).
+// between frames). It stuffs byte at a time on purpose: it carries only
+// control frames and is the oracle the fused transmit kernel is fuzzed
+// against, so it shares nothing with the word-parallel path.
 func Encode(dst, body []byte, m ACCM, shareFlag bool) []byte {
 	if !shareFlag || len(dst) == 0 || dst[len(dst)-1] != Flag {
 		dst = append(dst, Flag)
 	}
-	dst = StuffSWAR(dst, body, m)
+	dst = Stuff(dst, body, m)
 	return append(dst, Flag)
 }
 

@@ -18,30 +18,29 @@ import (
 
 // stuffFCS appends the stuffed encoding of src to dst while folding src
 // into the streaming FCS register: one traversal, escape-free spans
-// located by the SWAR scanner and copied in bulk.
+// located by the SWAR scanner and copied in bulk. Where the scanner
+// comes back with less than a word the input is dense in escapes, and
+// the next block goes through the branch-free block stuffer instead, so
+// the cost per octet does not depend on where the escapes fall. Either
+// way the CRC is folded over contiguous source octets, escaped ones
+// included, never octet by octet.
 func stuffFCS(dst, src []byte, m hdlc.ACCM, s crc.Size, fcs uint32) ([]byte, uint32) {
 	for len(src) > 0 {
 		n := hdlc.EscapeSpan(src, m)
-		if n > 0 {
-			fcs = s.Update(fcs, src[:n])
+		if n < 8 && n < len(src) {
+			n = min(len(src), hdlc.BlockOctets)
+			dst = hdlc.StuffBlock(dst, src[:n], m)
+		} else {
 			dst = append(dst, src[:n]...)
-			src = src[n:]
+			if n < len(src) {
+				dst = append(dst, hdlc.Escape, src[n]^hdlc.XorBit)
+				n++
+			}
 		}
-		if len(src) > 0 {
-			b := src[0]
-			fcs = s.UpdateByte(fcs, b)
-			dst = append(dst, hdlc.Escape, b^hdlc.XorBit)
-			src = src[1:]
-		}
+		fcs = s.Update(fcs, src[:n])
+		src = src[n:]
 	}
 	return dst, fcs
-}
-
-// stuffOnly appends the stuffed encoding of src without touching the
-// FCS register (used for the FCS field itself, which is stuffed but not
-// self-covered).
-func stuffOnly(dst, src []byte, m hdlc.ACCM) []byte {
-	return hdlc.StuffSWAR(dst, src, m)
 }
 
 // AppendFramed appends one complete wire frame — flag, stuffed
@@ -65,7 +64,7 @@ func AppendFramed(dst, hdr, payload []byte, s crc.Size, m hdlc.ACCM, shareFlag b
 	for i := 0; i < s.Bytes(); i++ {
 		tail[i] = byte(v >> (8 * uint(i)))
 	}
-	dst = stuffOnly(dst, tail[:s.Bytes()], m)
+	dst = hdlc.Stuff(dst, tail[:s.Bytes()], m) // stuffed, not self-covered
 	return append(dst, hdlc.Flag)
 }
 

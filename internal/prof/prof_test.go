@@ -19,11 +19,11 @@ func TestShardProfileStampArithmetic(t *testing.T) {
 	col := New(nil, "t", 1, Config{SampleShift: -1, Clock: c.read})
 	p := col.Shard(0)
 
-	p.StepStart()             // clock = 10
-	p.Stamp(StageControl)     // 20 → +10
-	p.Stamp(StageEncode)      // 30 → +10
-	p.Stamp(StageEncode)      // 40 → +10 (second stamp accumulates)
-	p.StepEnd()               // no clock read: step cost = last-start = 30
+	p.StepStart()         // clock = 10
+	p.Stamp(StageControl) // 20 → +10
+	p.Stamp(StageEncode)  // 30 → +10
+	p.Stamp(StageEncode)  // 40 → +10 (second stamp accumulates)
+	p.StepEnd()           // no clock read: step cost = last-start = 30
 	if got := p.StageNs(StageControl); got != 10 {
 		t.Errorf("control ns = %d, want 10", got)
 	}

@@ -5,44 +5,53 @@
 #   (BenchmarkEngineAggregate, plus its stage-profiled twin
 #   BenchmarkEngineAggregateProfiled), the steady-state link fast
 #   paths (BenchmarkLinkEncodeSteady / BenchmarkLinkEncodeSteadyFlight /
-#   BenchmarkLinkDecodeSteady), the fused RX kernel escape-density
-#   sweep (BenchmarkTokenizerFeed), and the armed distributed-
+#   BenchmarkLinkDecodeSteady), the escape-density sweeps of both fused
+#   kernels (BenchmarkAppendFramed / BenchmarkTokenizerFeed), the two
+#   SONET-coupled paths (BenchmarkEndToEnd_IPoverSONET /
+#   BenchmarkSONETCoupledGoodput), and the armed distributed-
 #   observatory socket loop (BenchmarkTransportUDPSteady), and writes
 #   BENCH_<date>.json with ns/op, MB/s, allocs/op and the custom
 #   metrics (bits/cycle, frames/s, Gbps-line) per variant, so
 #   successive PRs can be compared without scraping test logs.
+#   Every benchmark runs eight times and the fastest run is recorded
+#   (the best-of-count estimator of verify.sh's gates): on a host whose
+#   speed wanders a single run is a sample of the host, not of the code.
+#   The default of 25 iterations per run is what the µs-scale kernels
+#   need to get past warm-up; the whole script takes about half a minute.
 #
 # Usage: ./scripts/bench.sh [outfile]   (or: make bench-json)
 set -eu
 
 cd "$(dirname "$0")/.."
 out="${1:-BENCH_$(date +%Y%m%d).json}"
-benchtime="${BENCHTIME:-3x}"
+benchtime="${BENCHTIME:-25x}"
 
 raw=$(go test -run '^$' \
-    -bench '^(BenchmarkSystemSteady|BenchmarkEngineAggregate|BenchmarkEngineAggregateProfiled|BenchmarkLinkEncodeSteady|BenchmarkLinkEncodeSteadyFlight|BenchmarkLinkDecodeSteady|BenchmarkTokenizerFeed|BenchmarkTransportUDPSteady)$' \
-    -benchtime "$benchtime" -benchmem .)
+    -bench '^(BenchmarkSystemSteady|BenchmarkEngineAggregate|BenchmarkEngineAggregateProfiled|BenchmarkLinkEncodeSteady|BenchmarkLinkEncodeSteadyFlight|BenchmarkLinkDecodeSteady|BenchmarkAppendFramed|BenchmarkTokenizerFeed|BenchmarkEndToEnd_IPoverSONET|BenchmarkSONETCoupledGoodput|BenchmarkTransportUDPSteady)$' \
+    -benchtime "$benchtime" -count 8 -benchmem .)
 
 printf '%s\n' "$raw" | awk -v date="$(date +%Y-%m-%d)" -v go="$(go version | awk '{print $3}')" '
-BEGIN {
-    printf "{\n  \"date\": \"%s\",\n  \"go\": \"%s\",\n  \"benchmarks\": [", date, go
-    n = 0
-}
-/^Benchmark(System|EngineAggregate|LinkEncodeSteady|LinkDecodeSteady|TokenizerFeed|TransportUDPSteady)/ {
+/^Benchmark(System|EngineAggregate|LinkEncodeSteady|LinkDecodeSteady|AppendFramed|TokenizerFeed|EndToEnd_IPoverSONET|SONETCoupledGoodput|TransportUDPSteady)/ {
     # BenchmarkSystemSteady/width=8bit/telemetry=false-8  5  17448822 ns/op  1.72 MB/s  7.779 bits/cycle  0 B/op  0 allocs/op
     name = $1
     sub(/-[0-9]+$/, "", name)   # strip GOMAXPROCS suffix
-    if (n++) printf ","
-    printf "\n    {\"name\": \"%s\", \"iterations\": %s", name, $2
+    if (!(name in best)) order[n++] = name
+    else if ($3 + 0 >= best[name]) next   # keep the fastest of -count runs
+    best[name] = $3 + 0
+    rec = sprintf("{\"name\": \"%s\", \"iterations\": %s", name, $2)
     for (i = 3; i < NF; i += 2) {
         unit = $(i + 1)
         gsub(/[\/]/, "_per_", unit)
         gsub(/[^A-Za-z0-9_]/, "_", unit)
-        printf ", \"%s\": %s", unit, $i
+        rec = rec sprintf(", \"%s\": %s", unit, $i)
     }
-    printf "}"
+    line[name] = rec "}"
 }
-END { printf "\n  ]\n}\n" }
+END {
+    printf "{\n  \"date\": \"%s\",\n  \"go\": \"%s\",\n  \"benchmarks\": [", date, go
+    for (k = 0; k < n; k++) printf "%s\n    %s", (k ? "," : ""), line[order[k]]
+    printf "\n  ]\n}\n"
+}
 ' > "$out"
 
 echo "bench.sh: wrote $out"

@@ -1,18 +1,27 @@
 #!/bin/sh
 # verify.sh — the repo's full verification gate:
-#   go vet, go build, go test -race, the flight-recorder and
+#   gofmt, go vet, go build, go test -race, the flight-recorder and
 #   stage-profile overhead gates, the chaos/transport smokes, a 30s
 #   differential fuzz of the fused RX kernel (FUSED_FUZZTIME overrides),
 #   a 10s one of the SONET deframer's chunking (SONET_FUZZTIME overrides),
 #   a decode-throughput floor vs the newest BENCH_*.json snapshot, the
-#   benchmark trend gate, and a short fuzz smoke of every Fuzz* target
-#   (5s each by default; FUZZTIME overrides).
+#   OC-48 floor under both escape-density sweeps, the benchmark trend
+#   gate, and a short fuzz smoke of every Fuzz* target (5s each by
+#   default; FUZZTIME overrides).
 #
 # Usage: ./scripts/verify.sh   (or: make verify)
 set -eu
 
 cd "$(dirname "$0")/.."
 FUZZTIME="${FUZZTIME:-5s}"
+
+echo "== gofmt =="
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+    echo "gofmt: these files need formatting:"
+    echo "$unformatted"
+    exit 1
+fi
 
 echo "== go vet =="
 go vet ./...
@@ -284,6 +293,36 @@ if [ -n "$snap" ]; then
 else
     echo "decode floor: no BENCH_*.json snapshot, skipping"
 fi
+
+echo "== OC-48 escape-density floor gate =="
+# The flat worst case: no payload may push either fused kernel under
+# line rate. Every point of the encode (BenchmarkAppendFramed) and
+# decode (BenchmarkTokenizerFeed) density sweeps must reach 311 MB/s of
+# wire (2.488 Gb/s) with 0 allocs/op. The floor is absolute, so there is
+# no tolerance; the estimator is the decode floor's best-of-count, which
+# is what a contended host still reaches in one run of three.
+sweep_out=$(go test -run '^$' -bench '^(BenchmarkAppendFramed|BenchmarkTokenizerFeed)$' \
+    -benchtime "${DECODE_BENCHTIME:-5000x}" -count 3 -benchmem .)
+printf '%s\n' "$sweep_out"
+printf '%s\n' "$sweep_out" | awk -v floor=311 '
+$1 ~ /^Benchmark(AppendFramed|TokenizerFeed)\// {
+    name = $1
+    sub(/-[0-9]+$/, "", name)
+    for (i = 2; i < NF; i++)
+        if ($(i + 1) == "MB/s" && $i + 0 > best[name]) best[name] = $i + 0
+    if ($(NF-1) + 0 != 0) allocs[name] = $(NF-1)
+}
+END {
+    for (name in best) {
+        n++
+        if (name in allocs) { printf "oc48 floor: %s allocs/op = %s, want 0\n", name, allocs[name]; bad = 1 }
+        if (best[name] < floor) { printf "oc48 floor: %s best %.0f MB/s < %d MB/s\n", name, best[name], floor; bad = 1 }
+        if (worst == 0 || best[name] < worst) { worst = best[name]; at = name }
+    }
+    if (n == 0) { print "oc48 floor: no density-sweep benchmarks in this tree, skipping"; exit 0 }
+    if (bad) exit 1
+    printf "oc48 floor: OK (%d points, lowest %.0f MB/s at %s, floor %d MB/s, 0 allocs/op)\n", n, worst, at, floor
+}'
 
 echo "== benchmark trend =="
 # Compare the two newest BENCH_*.json snapshots; >10% ns/op regression
