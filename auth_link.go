@@ -62,7 +62,7 @@ func (l *Link) initAuth() {
 	send := func(proto uint16) func(*auth.Packet) {
 		return func(p *auth.Packet) {
 			f := &ppp.Frame{Protocol: proto, Payload: p.Marshal(nil)}
-			l.out = ppp.Encode(l.out, f, l.lcpTxConfig(), true)
+			l.out = ppp.AppendFrame(l.out, f, l.lcpTxConfig(), true)
 		}
 	}
 	rnd := a.cfg.Rand

@@ -141,7 +141,7 @@ func BenchmarkFigure5_EscapeGenerate32(b *testing.B) {
 // escape sequences leaving bubbles that the sorter must collapse.
 func BenchmarkFigure6_EscapeDetect32(b *testing.B) {
 	body := bytes.Repeat([]byte{0x7E, 0x12, 0x34, 0x56}, 256)
-	line := hdlc.Encode(nil, body, hdlc.ACCMNone, false)
+	line := hdlc.ReferenceEncode(nil, body, hdlc.ACCMNone, false)
 	b.SetBytes(int64(len(line)))
 	var cycles int64
 	for i := 0; i < b.N; i++ {
@@ -490,7 +490,7 @@ func BenchmarkBaseline_GFPvsHDLC(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				hdlcOctets, gfpOctets = 0, 0
 				for _, p := range payloads {
-					hdlcOctets += len(hdlc.Encode(nil, p, hdlc.ACCMNone, false))
+					hdlcOctets += len(hdlc.ReferenceEncode(nil, p, hdlc.ACCMNone, false))
 					g, _ := gfp.Encode(nil, p)
 					gfpOctets += len(g)
 				}
@@ -713,7 +713,7 @@ func BenchmarkTokenizerFeed(b *testing.B) {
 			const frames = 8
 			for i := 0; i < frames; i++ {
 				body := crc.FCS32Mode.Append(append([]byte{0xFF, 0x03, 0x00, 0x21}, payload...))
-				stream = hdlc.Encode(stream, body, hdlc.ACCMNone, true)
+				stream = hdlc.ReferenceEncode(stream, body, hdlc.ACCMNone, true)
 			}
 			tk := hdlc.Tokenizer{FCS: crc.FCS32Mode}
 			var toks []hdlc.Token

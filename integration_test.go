@@ -2,8 +2,11 @@ package gigapos
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
+	"repro/internal/crc"
+	"repro/internal/hdlc"
 	"repro/internal/netsim"
 	"repro/internal/p5"
 	"repro/internal/ppp"
@@ -85,18 +88,139 @@ func TestHardwareP5OverSONET(t *testing.T) {
 	}
 }
 
-// TestHardwareAndSoftwareWireCompatibility proves the cycle-accurate
-// transmitter and the software Link speak the same wire format: a Link
-// decodes the P5's octets directly and vice versa.
+// wireCorpus is the payload corpus of the three-way codec comparison:
+// the adversarial escape-density shapes both fused fuzz corpora carry.
+func wireCorpus() []wirePayload {
+	c := []wirePayload{
+		{"1B", []byte{0x42}},
+		{"1B-flag", []byte{hdlc.Flag}},
+		{"esc-esc", []byte{1, hdlc.Escape, hdlc.Escape, 2}},
+		{"esc-last", []byte{1, 2, 3, hdlc.Escape}},
+		{"all-flag", bytes.Repeat([]byte{hdlc.Flag}, 130)},
+		{"ctl-near-flag", []byte{0x11, hdlc.Flag, 0x13, hdlc.Escape, 0x00}},
+	}
+	for _, d := range []int{0, 25, 50, 75, 100} {
+		c = append(c, wirePayload{fmt.Sprintf("1500B-escape%d", d), densityPayload(1500, d)})
+	}
+	// A run of delimiters straddling a word or a 64-octet block edge.
+	for _, at := range []int{3, 6, 7, 59, 62, 63, 64, 66} {
+		p := bytes.Repeat([]byte{0x55}, 200)
+		copy(p[at:], []byte{hdlc.Flag, hdlc.Escape, hdlc.Escape, hdlc.Flag, 0x5E, hdlc.Flag})
+		c = append(c, wirePayload{fmt.Sprintf("run-at%d", at), p})
+	}
+	return c
+}
+
+type wirePayload struct {
+	name    string
+	payload []byte
+}
+
+// TestHardwareAndSoftwareWireCompatibility proves the three
+// implementations of the framing transform — the fused production
+// codec, its byte-at-a-time oracle and the cycle-accurate P5 — speak
+// one wire format: each corpus payload is encoded three ways to the
+// same octets (the model may pad with trailing flags) and the wire is
+// decoded three ways, intact and damaged, to the same body and the
+// same FCS verdict. The last subtest runs a Link against the P5 in
+// both directions.
 func TestHardwareAndSoftwareWireCompatibility(t *testing.T) {
-	// Hardware → software.
+	for _, c := range wireCorpus() {
+		for _, fcs := range []crc.Size{crc.FCS16Mode, crc.FCS32Mode} {
+			for _, w := range []int{1, 4} {
+				t.Run(fmt.Sprintf("%s/%v/w=%d", c.name, fcs, w), func(t *testing.T) {
+					threeWay(t, c.payload, fcs, w)
+				})
+			}
+		}
+	}
+	t.Run("link", linkAgainstP5)
+}
+
+func threeWay(t *testing.T, payload []byte, fcs crc.Size, w int) {
+	fr := &ppp.Frame{Protocol: ppp.ProtoIPv4, Payload: payload}
+	cfg := ppp.Config{FCS: fcs}
+	regs := p5.NewRegs()
+	p5.NewOAM(regs, nil, nil).Write(p5.RegFCSMode, uint32(fcs.Bytes()))
+
+	// Transmit.
+	ref := ppp.ReferenceEncode(nil, fr, cfg, false)
+	if fused := ppp.AppendFrame(nil, fr, cfg, false); !bytes.Equal(fused, ref) {
+		t.Fatalf("fused encoder diverges from reference:\n got % x\nwant % x", fused, ref)
+	}
+	model := p5Encode(t, w, regs, payload)
+	for len(model) > len(ref) && model[len(model)-1] == hdlc.Flag {
+		model = model[:len(model)-1] // flag pad to the word boundary
+	}
+	if !bytes.Equal(model, ref) {
+		t.Fatalf("P5 transmitter diverges from reference:\n got % x\nwant % x", model, ref)
+	}
+
+	// Receive, first the intact wire, then with one header bit flipped
+	// (FF→FE: not a delimiter, so delineation is unchanged).
+	damaged := bytes.Clone(ref)
+	damaged[1] ^= 1
+	for _, c := range []struct {
+		wire   []byte
+		wantOK bool
+	}{{ref, true}, {damaged, false}} {
+		wire, wantOK := c.wire, c.wantOK
+		oracle := hdlc.ReferenceTokenizer{Tokenizer: hdlc.Tokenizer{FCS: fcs}}
+		want := oracle.Feed(nil, wire)
+		if len(want) != 1 || want[0].Err != nil || want[0].FCSOK != wantOK {
+			t.Fatalf("reference tokenizer: %+v, want one frame with FCSOK=%t", want, wantOK)
+		}
+		fusedTk := hdlc.Tokenizer{FCS: fcs}
+		got := fusedTk.Feed(nil, wire)
+		if len(got) != 1 || got[0].Err != nil || got[0].FCSOK != wantOK || !bytes.Equal(got[0].Body, want[0].Body) {
+			t.Fatalf("fused tokenizer diverges from reference:\n got %+v\nwant %+v", got, want)
+		}
+		q := p5Decode(t, w, regs, wire)
+		if len(q) != 1 || (q[0].Err == nil) != wantOK || !bytes.Equal(q[0].Body, want[0].Body) {
+			t.Fatalf("P5 receiver diverges from reference (FCSOK=%t):\n got %+v\nwant % x", wantOK, q, want[0].Body)
+		}
+		if wantOK && !bytes.Equal(q[0].Frame.Payload, payload) {
+			t.Fatalf("P5 receiver delivered % x, want % x", q[0].Frame.Payload, payload)
+		}
+	}
+}
+
+// p5Encode runs one IPv4 datagram through a width-w P5 transmitter
+// programmed by regs and returns its line octets.
+func p5Encode(t *testing.T, w int, regs *p5.Regs, payload []byte) []byte {
 	sim := &rtl.Sim{}
-	tx := p5.NewTransmitter(sim, 4, p5.NewRegs())
+	tx := p5.NewTransmitter(sim, w, regs)
+	tx.CRC.Mode = regs.FCSMode()
 	sink := rtl.NewSink(tx.Out)
 	sim.Add(sink)
-	payload := []byte{0x7E, 0x01, 0x7D, 0x02}
 	tx.Framer.Enqueue(p5.TxJob{Protocol: ppp.ProtoIPv4, Payload: payload})
-	sim.RunUntil(func() bool { return !tx.Busy() && sim.Drained() }, 100000)
+	if !sim.RunUntil(func() bool { return !tx.Busy() && sim.Drained() }, 1_000_000) {
+		t.Fatal("transmitter did not drain")
+	}
+	return sink.Data
+}
+
+// p5Decode feeds line octets to a width-w P5 receiver programmed by
+// regs and returns its receive queue.
+func p5Decode(t *testing.T, w int, regs *p5.Regs, wire []byte) []p5.RxFrame {
+	sim := &rtl.Sim{}
+	src := &rtl.Source{}
+	rx := p5.NewReceiver(sim, w, regs)
+	rx.CRC.Mode = regs.FCSMode()
+	src.Out = rx.In
+	sim.Add(src)
+	src.FeedBytes(wire, w)
+	if !sim.RunUntil(func() bool { return src.Pending() == 0 && !rx.Busy() && sim.Drained() }, 1_000_000) {
+		t.Fatal("receiver did not drain")
+	}
+	return rx.Control.Queue
+}
+
+// linkAgainstP5: a Link decodes the P5's octets directly and vice versa.
+func linkAgainstP5(t *testing.T) {
+	// Hardware → software.
+	payload := []byte{0x7E, 0x01, 0x7D, 0x02}
+	line := p5Encode(t, 4, p5.NewRegs(), payload)
 
 	sw := NewLink(LinkConfig{Magic: 1})
 	// Force-open the software side so data frames are accepted: feed a
@@ -117,7 +241,7 @@ func TestHardwareAndSoftwareWireCompatibility(t *testing.T) {
 	if !sw.Opened() {
 		t.Fatal("software link did not open")
 	}
-	sw.Input(sink.Data)
+	sw.Input(line)
 	got := sw.Received()
 	if len(got) != 1 || !bytes.Equal(got[0].Payload, payload) {
 		t.Fatalf("software side received %+v", got)
@@ -127,17 +251,7 @@ func TestHardwareAndSoftwareWireCompatibility(t *testing.T) {
 	if err := peer.SendIPv4(payload); err != nil {
 		t.Fatal(err)
 	}
-	wire := peer.Output()
-	rxSim := &rtl.Sim{}
-	src := &rtl.Source{}
-	rx := p5.NewReceiver(rxSim, 4, p5.NewRegs())
-	src.Out = rx.In
-	rxSim.Add(src)
-	src.FeedBytes(wire, 4)
-	rxSim.RunUntil(func() bool {
-		return src.Pending() == 0 && !rx.Busy() && rxSim.Drained()
-	}, 100000)
-	q := rx.Control.Queue
+	q := p5Decode(t, 4, p5.NewRegs(), peer.Output())
 	if len(q) != 1 || q[0].Err != nil || !bytes.Equal(q[0].Frame.Payload, payload) {
 		t.Fatalf("hardware side received %+v", q)
 	}

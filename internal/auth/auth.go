@@ -32,11 +32,8 @@ const (
 	chapFailure   = 4
 )
 
-// Errors.
-var (
-	ErrMalformed = errors.New("auth: malformed packet")
-	ErrBadSecret = errors.New("auth: authentication failed")
-)
+// ErrMalformed reports a packet too short or inconsistent to parse.
+var ErrMalformed = errors.New("auth: malformed packet")
 
 // Packet is one authentication-protocol packet (same header layout as
 // LCP: code, id, length).

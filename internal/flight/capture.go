@@ -64,7 +64,9 @@ type Capture struct {
 	// most recent received raw HDLC octets.
 	RxBase uint64
 	RxWire []byte
-	// TxBase/TxWire mirror the transmit direction when it was tapped.
+	// TxBase/TxWire are the transmit section of the .p5fr layout. No
+	// recorder has ever tapped transmit, so Trigger leaves them empty;
+	// the codec still carries the section so every capture file loads.
 	TxBase uint64
 	TxWire []byte
 	// Events is the retained black-box event ring, oldest first.

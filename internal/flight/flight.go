@@ -20,8 +20,8 @@
 //
 // Steady-state cost is deliberately asymmetric: the transmit path pays
 // one ring store and one atomic add per frame (no wall-clock read, no
-// wire copy unless Config.TapTx is set), keeping the PR-4 zero-alloc
-// encode benchmark within its overhead gate; the receive path adds the
+// wire copy), keeping the PR-4 zero-alloc encode benchmark within its
+// overhead gate; the receive path adds the
 // wire-ring memcpy, the FIFO match and the sampled stamps. Nothing on
 // either path allocates.
 //
@@ -48,9 +48,12 @@ type Stage uint8
 const (
 	// StageEncode spans ppp.AppendFrame on the transmit side.
 	StageEncode Stage = iota
-	// StageTokenize spans hdlc.Tokenizer.Feed for one input chunk.
+	// StageTokenize spans hdlc.Tokenizer.Feed for one input chunk,
+	// which destuffs and folds the FCS in the same pass.
 	StageTokenize
-	// StageFCS spans ppp.DecodeBodyInto (FCS check + header parse).
+	// StageFCS spans ppp.DecodeVerifiedBodyInto: the header parse of a
+	// body whose FCS verdict the tokenizer already delivered. The
+	// series keeps its "fcs" name.
 	StageFCS
 	// StageVJ spans Van Jacobson decompression, when active.
 	StageVJ
@@ -98,10 +101,6 @@ type Config struct {
 	// SlowTicks is the end-to-end latency at or above which an arrival
 	// emits a slow-frame event into the black box (default 32).
 	SlowTicks int64
-	// TapTx also records transmitted wire octets. Off by default: the
-	// extra memcpy is the one recorder cost the steady-state encode
-	// overhead gate would notice.
-	TapTx bool
 	// Dir, when non-empty, is the directory capture files are written
 	// to (one file per trigger). Empty keeps captures in memory only.
 	Dir string
@@ -240,12 +239,11 @@ type Recorder struct {
 	lost    *telemetry.Counter
 	capsC   *telemetry.Counter
 	wireRx  *telemetry.Counter
-	wireTx  *telemetry.Counter
 
 	exMu sync.Mutex
 	ex   []Exemplar // one slot per e2e bucket, zero ID = empty
 
-	rx, tx byteRing
+	rx     byteRing // received raw wire octets; transmit is not tapped
 	events *telemetry.Tracer
 
 	now         int64 // latest virtual time seen (SetNow)
@@ -298,12 +296,8 @@ func NewRecorder(reg *telemetry.Registry, name string, cfg Config) *Recorder {
 		lost:    reg.Counter("flight_frames_lost_total", "tagged frames never delivered (horizon or overflow)", lk),
 		capsC:   reg.Counter("flight_captures_total", "black-box captures triggered", lk),
 		wireRx:  reg.Counter("flight_wire_octets_total", "raw wire octets through the black box", lk, telemetry.L("dir", "rx")),
-		wireTx:  reg.Counter("flight_wire_octets_total", "raw wire octets through the black box", lk, telemetry.L("dir", "tx")),
 	}
 	r.rx.buf = make([]byte, pow2(cfg.WireBytes))
-	if cfg.TapTx {
-		r.tx.buf = make([]byte, pow2(cfg.WireBytes))
-	}
 	for s := Stage(0); s < numStages; s++ {
 		r.stage[s] = reg.Histogram("flight_stage_latency_ns",
 			"sampled per-stage frame latency, wall-clock ns", StageBounds, lk, telemetry.L("stage", s.String()))
@@ -462,19 +456,6 @@ func (r *Recorder) TapRx(p []byte) {
 	r.wireRx.Add(uint64(len(p)))
 }
 
-// TapTx records transmitted raw wire octets, when Config.TapTx armed
-// the TX ring; otherwise it only counts.
-func (r *Recorder) TapTx(p []byte) {
-	if r.tx.buf != nil {
-		r.tx.write(p)
-	}
-	r.wireTx.Add(uint64(len(p)))
-}
-
-// RxStream returns the total RX octets ever tapped (the stream offset
-// just past the newest retained byte).
-func (r *Recorder) RxStream() uint64 { return r.rx.n }
-
 // Event records one structured event into the black box ring.
 func (r *Recorder) Event(at int64, name, detail string, v1, v2 int64) {
 	r.events.Emit(at, r.name, name, detail, v1, v2)
@@ -502,7 +483,6 @@ func (r *Recorder) Trigger(reason string) *Capture {
 		WallNs: r.cfg.Clock(),
 	}
 	c.RxBase, c.RxWire = r.rx.snapshot()
-	c.TxBase, c.TxWire = r.tx.snapshot()
 	c.Events = r.events.Events()
 	if r.RegDump != nil {
 		c.Regs = r.RegDump(c.Regs)

@@ -130,12 +130,6 @@ func NewSLO(reg *telemetry.Registry, name string, cfg SLOConfig, src Sources) *S
 	return s
 }
 
-// Name returns the SLO's link name.
-func (s *SLO) Name() string { return s.name }
-
-// Config returns the effective (defaulted) objective configuration.
-func (s *SLO) Config() SLOConfig { return s.cfg }
-
 func milliClamp(v float64) int64 {
 	if v < 0 || math.IsNaN(v) {
 		return 0

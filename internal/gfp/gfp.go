@@ -239,8 +239,3 @@ func (d *Deframer) frame(body []byte) {
 		d.Deliver(body[TypeHeaderLen:])
 	}
 }
-
-// LineOverhead returns the line octets needed to carry a payload of n
-// octets under GFP (fixed) — for the E15 comparison against HDLC's
-// content-dependent stuffing.
-func LineOverhead(n int) int { return Overhead }

@@ -286,7 +286,7 @@ func TestOverheadComparisonVsHDLC(t *testing.T) {
 			payload[i] = 0x40
 		}
 	}
-	hdlcLine := hdlc.Encode(nil, payload, hdlc.ACCMNone, false)
+	hdlcLine := hdlc.ReferenceEncode(nil, payload, hdlc.ACCMNone, false)
 	gfpLine, _ := Encode(nil, payload)
 	if len(gfpLine) >= len(hdlcLine) {
 		t.Errorf("at 5%% density GFP (%d) should beat HDLC (%d)", len(gfpLine), len(hdlcLine))

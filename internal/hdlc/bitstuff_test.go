@@ -187,7 +187,7 @@ func TestBitTransparencyEquivalence(t *testing.T) {
 			return true
 		}
 		// Octet path.
-		enc := Encode(nil, payload, ACCMNone, false)
+		enc := ReferenceEncode(nil, payload, ACCMNone, false)
 		var tk Tokenizer
 		toks := tk.Feed(nil, enc)
 		if len(toks) != 1 || !bytes.Equal(toks[0].Body, payload) {

@@ -12,6 +12,10 @@
 //     mirror of the 32-bit P5 datapath where a flag or escape can appear
 //     in any lane of the word.
 //
-// Both produce identical byte streams; the P5 cycle-accurate model in
-// internal/p5 is verified against them.
+// Both produce identical byte streams. Production frames take the
+// word-parallel path only (Tokenizer.Feed here, ppp.AppendFrame for
+// transmit), with Stuff/Destuff as its sub-word tails; reference.go
+// builds the byte-at-a-time path into a complete encoder and tokenizer
+// for tests, which hold the fast path and the P5 cycle-accurate model
+// in internal/p5 to it.
 package hdlc

@@ -18,8 +18,7 @@ func ExampleStuff() {
 // The tokenizer recovers frames from a raw line stream across arbitrary
 // chunk boundaries.
 func ExampleTokenizer() {
-	wire := hdlc.Encode(nil, []byte("hi"), hdlc.ACCMNone, false)
-	wire = hdlc.Encode(wire, []byte{0x7E}, hdlc.ACCMNone, true)
+	wire := []byte{0x7E, 'h', 'i', 0x7E, 0x7D, 0x5E, 0x7E} // two frames, one shared flag
 	var tk hdlc.Tokenizer
 	for _, tok := range tk.Feed(nil, wire) {
 		fmt.Printf("% X\n", tok.Body)

@@ -46,7 +46,7 @@ func TestDelimiterSpan(t *testing.T) {
 func TestTokenizerFusedFCS(t *testing.T) {
 	for _, mode := range []crc.Size{crc.FCS16Mode, crc.FCS32Mode} {
 		body := mode.Append([]byte{0xFF, 0x03, 0x00, 0x21, 0x7E, 0x7D, 9})
-		wire := Encode(nil, body, ACCMNone, false)
+		wire := ReferenceEncode(nil, body, ACCMNone, false)
 
 		tk := Tokenizer{FCS: mode}
 		toks := tk.Feed(nil, wire)
@@ -74,7 +74,7 @@ func TestTokenizerFusedFCS(t *testing.T) {
 		// Corrupt one payload byte (avoiding delimiter octets).
 		badBody := bytes.Clone(body)
 		badBody[6] ^= 0x01
-		bad := Encode(nil, badBody, ACCMNone, false)
+		bad := ReferenceEncode(nil, badBody, ACCMNone, false)
 		tk = Tokenizer{FCS: mode}
 		toks = tk.Feed(toks[:0], bad)
 		if len(toks) != 1 || toks[0].Err != nil || toks[0].FCSOK {
@@ -94,7 +94,7 @@ func TestTokenizerFusedFCS(t *testing.T) {
 	// Unarmed tokenizer: verdict stays false, everything else unchanged.
 	body := crc.FCS32Mode.Append([]byte{0xFF, 0x03, 0x00, 0x21, 9})
 	var tk Tokenizer
-	toks := tk.Feed(nil, Encode(nil, body, ACCMNone, false))
+	toks := tk.Feed(nil, ReferenceEncode(nil, body, ACCMNone, false))
 	if len(toks) != 1 || toks[0].Err != nil || toks[0].FCSOK {
 		t.Fatalf("unarmed tokenizer: %+v", toks)
 	}

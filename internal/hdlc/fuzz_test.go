@@ -23,7 +23,7 @@ func FuzzTokenizer(f *testing.F) {
 			if tok.Err != nil {
 				continue
 			}
-			re := Encode(nil, tok.Body, ACCMNone, false)
+			re := ReferenceEncode(nil, tok.Body, ACCMNone, false)
 			var tk2 Tokenizer
 			toks2 := tk2.Feed(nil, re)
 			if len(toks2) != 1 || toks2[0].Err != nil || !bytes.Equal(toks2[0].Body, tok.Body) {
@@ -40,7 +40,7 @@ func FuzzTokenizer(f *testing.F) {
 // OAM counters for any wire bytes, any chunk split, and any FCS mode.
 func FuzzFusedDecode(f *testing.F) {
 	good := crc.FCS32Mode.Append([]byte{0xFF, 0x03, 0x00, 0x21, 1, 2, 3})
-	f.Add(Encode(nil, good, ACCMNone, false), 3, byte(2))
+	f.Add(ReferenceEncode(nil, good, ACCMNone, false), 3, byte(2))
 	f.Add(bytes.Repeat([]byte{0x7D}, 48), 1, byte(1))             // all-escape
 	f.Add(bytes.Repeat([]byte{0x7E}, 48), 5, byte(2))             // flag-storm
 	f.Add([]byte{0x7E, 0x7D, 0x7E, 0x7E, 0x01, 0x7E}, 2, byte(0)) // abort, runt

@@ -28,18 +28,6 @@ func (m ACCM) Escaped(b byte) bool {
 	return b < 0x20 && m&(1<<uint(b)) != 0
 }
 
-// Count returns how many of the octets in p must be escaped — the
-// escape density the P5 byte sorter is sensitive to.
-func (m ACCM) Count(p []byte) int {
-	n := 0
-	for _, b := range p {
-		if m.Escaped(b) {
-			n++
-		}
-	}
-	return n
-}
-
 // Stuff appends the octet-stuffed encoding of src to dst and returns the
 // extended slice. It processes one byte per iteration — the software
 // analog of the 8-bit P5 Escape Generate unit, where a detected flag
@@ -54,12 +42,6 @@ func Stuff(dst, src []byte, m ACCM) []byte {
 		}
 	}
 	return dst
-}
-
-// StuffedLen returns the exact encoded length of src under map m without
-// allocating.
-func StuffedLen(src []byte, m ACCM) int {
-	return len(src) + m.Count(src)
 }
 
 // Destuff appends the decoded form of a stuffed byte sequence to dst.

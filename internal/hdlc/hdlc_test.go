@@ -138,16 +138,6 @@ func TestDestuffBlockChunked(t *testing.T) {
 	}
 }
 
-func TestStuffedLen(t *testing.T) {
-	f := func(p []byte, m uint32) bool {
-		accm := ACCM(m)
-		return StuffedLen(p, accm) == len(Stuff(nil, p, accm))
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestFindFlagSWAR(t *testing.T) {
 	for _, tc := range []struct {
 		p    []byte
@@ -160,12 +150,12 @@ func TestFindFlagSWAR(t *testing.T) {
 		{bytes.Repeat([]byte{0xAA}, 100), -1},
 		{append(bytes.Repeat([]byte{0xAA}, 37), 0x7E), 37},
 	} {
-		if got := FindFlagSWAR(tc.p); got != tc.want {
-			t.Errorf("FindFlagSWAR(% x) = %d, want %d", tc.p, got, tc.want)
+		if got := findFlag(tc.p); got != tc.want {
+			t.Errorf("findFlag(% x) = %d, want %d", tc.p, got, tc.want)
 		}
 	}
 	f := func(p []byte) bool {
-		return FindFlagSWAR(p) == bytes.IndexByte(p, Flag)
+		return findFlag(p) == bytes.IndexByte(p, Flag)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -211,8 +201,8 @@ func TestLaneMasksExact(t *testing.T) {
 
 func TestTokenizerBasic(t *testing.T) {
 	var tk Tokenizer
-	stream := Encode(nil, []byte{1, 2, 3}, ACCMNone, false)
-	stream = Encode(stream, []byte{0x7E, 0x7D, 4}, ACCMNone, true)
+	stream := ReferenceEncode(nil, []byte{1, 2, 3}, ACCMNone, false)
+	stream = ReferenceEncode(stream, []byte{0x7E, 0x7D, 4}, ACCMNone, true)
 	toks := tk.Feed(nil, stream)
 	if len(toks) != 2 {
 		t.Fatalf("got %d tokens, want 2", len(toks))
@@ -229,7 +219,7 @@ func TestTokenizerBasic(t *testing.T) {
 }
 
 func TestTokenizerSplitAcrossFeeds(t *testing.T) {
-	stream := Encode(nil, bytes.Repeat([]byte{0x7E, 0x55}, 50), ACCMNone, false)
+	stream := ReferenceEncode(nil, bytes.Repeat([]byte{0x7E, 0x55}, 50), ACCMNone, false)
 	for chunk := 1; chunk <= 7; chunk++ {
 		var tk Tokenizer
 		var toks []Token
@@ -281,8 +271,8 @@ func TestTokenizerRunt(t *testing.T) {
 func TestTokenizerOversize(t *testing.T) {
 	tk := Tokenizer{MaxFrame: 10}
 	body := bytes.Repeat([]byte{0x42}, 100)
-	stream := Encode(nil, body, ACCMNone, false)
-	stream = Encode(stream, []byte{1, 2, 3, 4, 5}, ACCMNone, true)
+	stream := ReferenceEncode(nil, body, ACCMNone, false)
+	stream = ReferenceEncode(stream, []byte{1, 2, 3, 4, 5}, ACCMNone, true)
 	toks := tk.Feed(nil, stream)
 	if len(toks) != 2 || toks[0].Err != ErrOversize || toks[1].Err != nil {
 		t.Fatalf("tokens = %+v", toks)
@@ -309,29 +299,15 @@ func TestTokenizerBackToBackFlags(t *testing.T) {
 	}
 }
 
-func TestTokenizerReset(t *testing.T) {
-	var tk Tokenizer
-	tk.Feed(nil, []byte{Flag, 1, 2})
-	tk.Reset()
-	toks := tk.Feed(nil, []byte{3, 4, Flag}) // pre-flag garbage post reset
-	if len(toks) != 0 {
-		t.Fatalf("tokens after reset = %+v", toks)
-	}
-	toks = tk.Feed(nil, []byte{5, 6, Flag})
-	if len(toks) != 1 || !bytes.Equal(toks[0].Body, []byte{5, 6}) {
-		t.Fatalf("tokens = %+v", toks)
-	}
-}
-
 func TestEncodeSharedFlag(t *testing.T) {
-	s := Encode(nil, []byte{1}, ACCMNone, false)
-	s2 := Encode(s, []byte{2}, ACCMNone, true)
+	s := ReferenceEncode(nil, []byte{1}, ACCMNone, false)
+	s2 := ReferenceEncode(s, []byte{2}, ACCMNone, true)
 	// Shared flag: exactly one flag between the frames.
 	want := []byte{Flag, 1, Flag, 2, Flag}
 	if !bytes.Equal(s2, want) {
 		t.Errorf("shared-flag stream = % x, want % x", s2, want)
 	}
-	s3 := Encode(s, []byte{2}, ACCMNone, false)
+	s3 := ReferenceEncode(s, []byte{2}, ACCMNone, false)
 	want3 := []byte{Flag, 1, Flag, Flag, 2, Flag}
 	if !bytes.Equal(s3, want3) {
 		t.Errorf("unshared stream = % x, want % x", s3, want3)
@@ -346,7 +322,7 @@ func TestEncodeTokenizeRoundTripProperty(t *testing.T) {
 			if len(fr) == 0 {
 				continue // empty bodies produce no token
 			}
-			stream = Encode(stream, fr, ACCMNone, share)
+			stream = ReferenceEncode(stream, fr, ACCMNone, share)
 			want = append(want, fr)
 		}
 		var tk Tokenizer
@@ -363,15 +339,6 @@ func TestEncodeTokenizeRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestAbortHelper(t *testing.T) {
-	var tk Tokenizer
-	stream := append([]byte{Flag, 1, 2}, Abort(nil)...)
-	toks := tk.Feed(nil, stream)
-	if len(toks) != 1 || toks[0].Err != ErrAborted {
-		t.Fatalf("tokens = %+v", toks)
 	}
 }
 

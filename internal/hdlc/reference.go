@@ -1,5 +1,9 @@
 package hdlc
 
+// This file is the byte-at-a-time oracle for both fused kernels; only
+// tests may name what it exports (TestOracleStaysAnOracle in the root
+// package).
+
 // ReferenceTokenizer is the retained byte-at-a-time frame delineator: the
 // pre-fusion Tokenizer.Feed loop, kept as the differential-fuzz model for
 // the span-based fused kernel (FuzzFusedDecode). It shares the Tokenizer
@@ -38,4 +42,18 @@ func (t *ReferenceTokenizer) Feed(out []Token, chunk []byte) []Token {
 		}
 	}
 	return out
+}
+
+// ReferenceEncode appends a fully framed encoding of body to dst:
+// opening flag, stuffed body, closing flag. If shareFlag is true and dst
+// already ends with a flag, the opening flag is omitted (RFC 1662 allows
+// a single flag between frames). It stuffs byte at a time on purpose: it
+// is the oracle the fused transmit kernel (ppp.AppendFramed) is fuzzed
+// against, so it shares nothing with the word-parallel path.
+func ReferenceEncode(dst, body []byte, m ACCM, shareFlag bool) []byte {
+	if !shareFlag || len(dst) == 0 || dst[len(dst)-1] != Flag {
+		dst = append(dst, Flag)
+	}
+	dst = Stuff(dst, body, m)
+	return append(dst, Flag)
 }

@@ -193,9 +193,9 @@ func destuffBlock(dst, src []byte, esc bool) ([]byte, bool) {
 	return Destuff(dst[:j], src, pend != 0)
 }
 
-// FindFlagSWAR returns the index of the first Flag octet in p, or -1 —
+// findFlag returns the index of the first Flag octet in p, or -1 —
 // the word-parallel flag hunt used for frame delineation.
-func FindFlagSWAR(p []byte) int {
+func findFlag(p []byte) int {
 	off := 0
 	for len(p) >= 8 {
 		x := binary.LittleEndian.Uint64(p)

@@ -106,7 +106,7 @@ func (t *Tokenizer) Feed(out []Token, chunk []byte) []Token {
 			// idle with flags or 0xFF fill) or discarding an oversize
 			// frame: nothing lands in the arena until the next flag, so
 			// the word-parallel flag hunt skips the span in bulk.
-			i := FindFlagSWAR(chunk)
+			i := findFlag(chunk)
 			if i < 0 {
 				return out
 			}
@@ -168,7 +168,7 @@ func (t *Tokenizer) pushSpan(p []byte) {
 // returns the number of line octets consumed.
 func (t *Tokenizer) pushBlock(chunk []byte) int {
 	blk := chunk[:min(len(chunk), BlockOctets)]
-	if i := FindFlagSWAR(blk); i >= 0 {
+	if i := findFlag(blk); i >= 0 {
 		blk = blk[:i]
 	}
 	n := len(t.arena)
@@ -231,33 +231,4 @@ func (t *Tokenizer) closeFrame(out []Token) []Token {
 		}
 		return append(out, tok)
 	}
-}
-
-// Reset returns the tokenizer to the hunting state, discarding any
-// partial frame. Counters are preserved; previously returned token
-// bodies stay valid until the next Feed.
-func (t *Tokenizer) Reset() {
-	t.arena = t.arena[:t.start]
-	t.esc = false
-	t.inFrame = false
-	t.drop = false
-}
-
-// Encode appends a fully framed encoding of body to dst: opening flag,
-// stuffed body, closing flag. If shareFlag is true and dst already ends
-// with a flag, the opening flag is omitted (RFC 1662 allows a single flag
-// between frames). It stuffs byte at a time on purpose: it carries only
-// control frames and is the oracle the fused transmit kernel is fuzzed
-// against, so it shares nothing with the word-parallel path.
-func Encode(dst, body []byte, m ACCM, shareFlag bool) []byte {
-	if !shareFlag || len(dst) == 0 || dst[len(dst)-1] != Flag {
-		dst = append(dst, Flag)
-	}
-	dst = Stuff(dst, body, m)
-	return append(dst, Flag)
-}
-
-// Abort appends an abort sequence terminating any in-progress frame.
-func Abort(dst []byte) []byte {
-	return append(dst, Escape, Flag)
 }

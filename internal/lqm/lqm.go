@@ -191,9 +191,6 @@ func (m *Monitor) CountInPacket(n int) {
 // CountInError records a damaged received frame.
 func (m *Monitor) CountInError() { m.InErrors++ }
 
-// CountInDiscard records a discarded (policy) frame.
-func (m *Monitor) CountInDiscard() { m.InDiscards++ }
-
 // Advance services the report timer.
 func (m *Monitor) Advance(now int64) {
 	if now > m.now {

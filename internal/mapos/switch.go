@@ -26,9 +26,6 @@ func NewSwitch(n int) *Switch {
 	return &Switch{out: make([]func(Address, *Frame), n)}
 }
 
-// Ports returns the port count.
-func (s *Switch) Ports() int { return len(s.out) }
-
 // Attach registers the delivery callback for port n and returns the
 // unicast address the switch will assign to that port.
 func (s *Switch) Attach(n int, deliver func(src Address, f *Frame)) Address {

@@ -55,11 +55,8 @@ type IPv4Header struct {
 // HeaderLen is the size of an option-less IPv4 header.
 const HeaderLen = 20
 
-// Protocol numbers used by the generators.
-const (
-	ProtoUDP = 17
-	ProtoTCP = 6
-)
+// ProtoUDP is the IP protocol number the generators use.
+const ProtoUDP = 17
 
 // Marshal appends the 20-byte header with a valid checksum.
 func (h *IPv4Header) Marshal(dst []byte) []byte {

@@ -49,9 +49,6 @@ type Framer struct {
 // Enqueue appends jobs to the shared-memory transmit queue.
 func (fr *Framer) Enqueue(jobs ...TxJob) { fr.queue = append(fr.queue, jobs...) }
 
-// Pending returns queued jobs not yet started.
-func (fr *Framer) Pending() int { return len(fr.queue) - fr.head }
-
 // Busy reports whether a frame is mid-transmission or queued.
 func (fr *Framer) Busy() bool {
 	return fr.cur != nil || fr.head < len(fr.queue) || (fr.Ring != nil && fr.Ring.Len() > 0)

@@ -94,8 +94,8 @@ func (rc *RxControl) complete(streamErr, aborted bool) {
 		rc.Bad++
 		out.Err = ErrRxAborted
 	default:
-		frame, err := ppp.DecodeBody(body, rc.pppConfig())
-		if err != nil {
+		frame := new(ppp.Frame)
+		if err := ppp.DecodeBodyInto(frame, body, rc.pppConfig()); err != nil {
 			rc.Bad++
 			out.Err = err
 		} else {

@@ -237,7 +237,7 @@ func TestDelineatorOverrunMarksFrame(t *testing.T) {
 	dl := &Delineator{In: src.Out, Out: out, W: 4, BufCap: 8}
 	// No consumer for out: it fills after one flit and stalls.
 	sim.Add(src, dl)
-	line := hdlc.Encode(nil, bytes.Repeat([]byte{0x42}, 100), hdlc.ACCMNone, false)
+	line := hdlc.ReferenceEncode(nil, bytes.Repeat([]byte{0x42}, 100), hdlc.ACCMNone, false)
 	src.FeedBytes(line, 4)
 	sim.RunUntil(func() bool { return src.Pending() == 0 }, 100000)
 	if dl.Overruns == 0 {
@@ -328,7 +328,7 @@ func TestRxControlStripsAndDecodes(t *testing.T) {
 	src := &rtl.Source{Out: sim.Wire("in")}
 	rc := &RxControl{In: src.Out, Regs: NewRegs()}
 	sim.Add(src, rc)
-	body := ppp.EncodeBody(nil, &ppp.Frame{Protocol: ppp.ProtoIPv4, Payload: []byte{5, 6}}, ppp.Config{})
+	body := ppp.ReferenceEncodeBody(nil, &ppp.Frame{Protocol: ppp.ProtoIPv4, Payload: []byte{5, 6}}, ppp.Config{})
 	src.FeedBytes(body, 4)
 	sim.RunUntil(func() bool { return src.Pending() == 0 && sim.Drained() }, 1000)
 	if len(rc.Queue) != 1 || rc.Queue[0].Err != nil {
@@ -348,7 +348,7 @@ func TestRxControlDeliverCallback(t *testing.T) {
 	var got []RxFrame
 	rc := &RxControl{In: src.Out, Regs: NewRegs(), Deliver: func(f RxFrame) { got = append(got, f) }}
 	sim.Add(src, rc)
-	body := ppp.EncodeBody(nil, &ppp.Frame{Protocol: ppp.ProtoIPv4}, ppp.Config{})
+	body := ppp.ReferenceEncodeBody(nil, &ppp.Frame{Protocol: ppp.ProtoIPv4}, ppp.Config{})
 	src.FeedBytes(body, 4)
 	sim.RunUntil(func() bool { return src.Pending() == 0 && sim.Drained() }, 1000)
 	if len(got) != 1 || len(rc.Queue) != 0 {

@@ -1,20 +1,18 @@
 package ppp
 
 import (
-	"sync"
-
 	"repro/internal/crc"
 	"repro/internal/hdlc"
 )
 
-// This file is the allocation-free transmit fast path: a fused kernel
-// that walks the frame exactly once, folding each byte into the FCS
-// register while stuffing it onto the line — the software mirror of the
-// paper's pipelined CRC → Escape Generate transmitter stages, where the
-// CRC unit and the byte sorter see the same word in back-to-back
-// pipeline registers. The two-pass Encode (EncodeBody then
-// hdlc.Encode) is kept as the reference implementation; the fuzz target
-// FuzzFusedEncode holds the two byte-for-byte equal.
+// This file is the frame codec every production frame takes. Transmit
+// is a fused kernel that walks the frame exactly once, folding each
+// byte into the FCS register while stuffing it onto the line — the
+// software mirror of the paper's pipelined CRC → Escape Generate
+// transmitter stages, where the CRC unit and the byte sorter see the
+// same word in back-to-back pipeline registers. Tests hold it
+// byte-for-byte equal to the two-pass, byte-at-a-time ReferenceEncode
+// (reference.go; FuzzFusedEncode), which no production code calls.
 
 // stuffFCS appends the stuffed encoding of src to dst while folding src
 // into the streaming FCS register: one traversal, escape-free spans
@@ -68,10 +66,11 @@ func AppendFramed(dst, hdr, payload []byte, s crc.Size, m hdlc.ACCM, shareFlag b
 	return append(dst, hdlc.Flag)
 }
 
-// AppendFrame is the fused equivalent of Encode: it appends the
-// complete on-the-wire encoding of f to dst, computing the FCS and
+// AppendFrame appends the complete on-the-wire encoding of f — flags,
+// stuffed header, payload and FCS — to dst, computing the FCS and
 // stuffing in one pass over the payload, with no intermediate body
-// buffer. Output is byte-identical to Encode.
+// buffer. Zero Address and Control fields take the configured address
+// and CtrlUI. shareFlag is as for AppendFramed.
 func AppendFrame(dst []byte, f *Frame, c Config, shareFlag bool) []byte {
 	var hdr [4]byte
 	n := 0
@@ -97,9 +96,11 @@ func AppendFrame(dst []byte, f *Frame, c Config, shareFlag bool) []byte {
 	return AppendFramed(dst, hdr[:n], f.Payload, c.fcs(), c.ACCM, shareFlag)
 }
 
-// DecodeBodyInto parses a destuffed frame body into *f without
-// allocating — the receive-side twin of AppendFrame. Semantics match
-// DecodeBody exactly; f.Payload aliases body.
+// DecodeBodyInto parses a destuffed frame body (as produced by the
+// hdlc Tokenizer: address through FCS) into *f without allocating — the
+// receive-side twin of AppendFrame. It verifies the FCS, polices the
+// address and MRU, and understands compressed headers when the
+// corresponding Config option is on. f.Payload aliases body.
 func DecodeBodyInto(f *Frame, body []byte, c Config) error {
 	fcsN := c.fcs().Bytes()
 	if len(body) < fcsN+1 {
@@ -172,13 +173,4 @@ func decodeChecked(f *Frame, p []byte, c Config) error {
 	}
 	f.Payload = p
 	return nil
-}
-
-// bodyPool holds scratch body buffers for the two-pass Encode so legacy
-// callers stop paying a per-frame allocation once the pool is warm.
-var bodyPool = sync.Pool{
-	New: func() any {
-		b := make([]byte, 0, DefaultMRU+8)
-		return &b
-	},
 }

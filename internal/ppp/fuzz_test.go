@@ -8,8 +8,8 @@ import (
 	"repro/internal/hdlc"
 )
 
-// FuzzDecodeBody must never panic on arbitrary bodies and must accept
-// everything EncodeBody produces.
+// FuzzDecodeBody: DecodeBodyInto must never panic on arbitrary bodies
+// and must accept everything the reference body builder produces.
 func FuzzDecodeBody(f *testing.F) {
 	f.Add([]byte{0xFF, 0x03, 0x00, 0x21, 1, 2, 3}, true, true, false)
 	f.Add([]byte{}, false, false, true)
@@ -19,12 +19,13 @@ func FuzzDecodeBody(f *testing.F) {
 		if fcs16 {
 			cfg.FCS = crc.FCS16Mode
 		}
-		DecodeBody(body, cfg) // must not panic
+		var got Frame
+		DecodeBodyInto(&got, body, cfg) // must not panic
 
 		// And the constructive direction always decodes.
 		fr := &Frame{Protocol: ProtoIPv4, Payload: body}
-		enc := EncodeBody(nil, fr, cfg)
-		got, err := DecodeBody(enc, Config{PFC: pfc, ACFC: acfc, FCS: cfg.FCS, MRU: 1 << 16})
+		enc := ReferenceEncodeBody(nil, fr, cfg)
+		err := DecodeBodyInto(&got, enc, Config{PFC: pfc, ACFC: acfc, FCS: cfg.FCS, MRU: 1 << 16})
 		if err != nil {
 			t.Fatalf("self-encoded frame rejected: %v", err)
 		}
@@ -35,8 +36,8 @@ func FuzzDecodeBody(f *testing.F) {
 }
 
 // FuzzFusedEncode differential-tests the fused single-pass CRC+stuff
-// transmit kernel (AppendFrame) against the two-pass reference
-// (EncodeBody then hdlc.Encode): every payload, framing-option
+// transmit kernel (AppendFrame) against the two-pass, byte-at-a-time
+// ReferenceEncode: every payload, framing-option
 // combination, protocol number and prior-stream state must produce
 // byte-for-byte identical wire encodings.
 func FuzzFusedEncode(f *testing.F) {
@@ -54,7 +55,7 @@ func FuzzFusedEncode(f *testing.F) {
 		// Exercise the shared-flag elision from both prior states: an
 		// empty stream and one ending in a closing flag.
 		for _, prior := range [][]byte{nil, {hdlc.Flag}} {
-			ref := Encode(append([]byte(nil), prior...), fr, cfg, share)
+			ref := ReferenceEncode(append([]byte(nil), prior...), fr, cfg, share)
 			fused := AppendFrame(append([]byte(nil), prior...), fr, cfg, share)
 			if !bytes.Equal(ref, fused) {
 				t.Fatalf("fused kernel diverges from two-pass reference\nproto=%#04x pfc=%t acfc=%t fcs16=%t share=%t accm=%#x prior=% x\nref   = % x\nfused = % x",

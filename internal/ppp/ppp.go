@@ -42,13 +42,12 @@ const DefaultMRU = 1500
 
 // Decode errors.
 var (
-	ErrBadFCS       = errors.New("ppp: FCS check failed")
-	ErrTooShort     = errors.New("ppp: frame too short")
-	ErrBadAddress   = errors.New("ppp: unexpected address field")
-	ErrBadControl   = errors.New("ppp: unexpected control field")
-	ErrBadProtocol  = errors.New("ppp: malformed protocol field")
-	ErrTooLong      = errors.New("ppp: payload exceeds MRU")
-	ErrPaddingRules = errors.New("ppp: invalid padding")
+	ErrBadFCS      = errors.New("ppp: FCS check failed")
+	ErrTooShort    = errors.New("ppp: frame too short")
+	ErrBadAddress  = errors.New("ppp: unexpected address field")
+	ErrBadControl  = errors.New("ppp: unexpected control field")
+	ErrBadProtocol = errors.New("ppp: malformed protocol field")
+	ErrTooLong     = errors.New("ppp: payload exceeds MRU")
 )
 
 // Frame is one PPP frame between the flags, before stuffing.
@@ -115,83 +114,8 @@ func (c Config) mru() int {
 	return c.MRU
 }
 
-// EncodeBody appends the frame body — address, control, protocol, payload
-// and FCS, but no flags or stuffing — to dst. This is the byte sequence
-// the P5 transmitter's CRC unit sees.
-func EncodeBody(dst []byte, f *Frame, c Config) []byte {
-	start := len(dst)
-	compressAC := c.ACFC && f.Protocol != ProtoLCP
-	if !compressAC {
-		addr := f.Address
-		if addr == 0 {
-			addr = c.address()
-		}
-		ctrl := f.Control
-		if ctrl == 0 {
-			ctrl = CtrlUI
-		}
-		dst = append(dst, addr, ctrl)
-	}
-	if c.PFC && f.Protocol < 0x100 && f.Protocol&1 == 1 && f.Protocol != ProtoLCP {
-		dst = append(dst, byte(f.Protocol))
-	} else {
-		dst = append(dst, byte(f.Protocol>>8), byte(f.Protocol))
-	}
-	dst = append(dst, f.Payload...)
-	if c.fcs() == crc.FCS16Mode {
-		v := crc.FCS16(dst[start:])
-		dst = append(dst, byte(v), byte(v>>8))
-	} else {
-		v := crc.FCS32(dst[start:])
-		dst = append(dst, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-	}
-	return dst
-}
-
-// Encode appends the complete on-the-wire encoding of f — flags, stuffed
-// body, FCS — to dst. shareFlag elides the opening flag after a previous
-// closing flag. The body scratch comes from a sync.Pool, so the steady
-// state allocates nothing; AppendFrame produces identical output in one
-// fused CRC+stuff pass and is preferred on hot paths.
-func Encode(dst []byte, f *Frame, c Config, shareFlag bool) []byte {
-	scratch := bodyPool.Get().(*[]byte)
-	body := EncodeBody((*scratch)[:0], f, c)
-	dst = hdlc.Encode(dst, body, c.ACCM, shareFlag)
-	*scratch = body
-	bodyPool.Put(scratch)
-	return dst
-}
-
-// DecodeBody parses a destuffed frame body (as produced by the hdlc
-// Tokenizer: address through FCS) into f. It verifies the FCS, polices the
-// address and MRU, and understands compressed headers when the
-// corresponding Config option is on.
-func DecodeBody(body []byte, c Config) (*Frame, error) {
-	var f Frame
-	if err := DecodeBodyInto(&f, body, c); err != nil {
-		return nil, err
-	}
-	return &f, nil
-}
-
 // String implements fmt.Stringer for log-friendly frame dumps.
 func (f *Frame) String() string {
 	return fmt.Sprintf("PPP{addr=%#02x ctrl=%#02x proto=%#04x len=%d}",
 		f.Address, f.Control, f.Protocol, len(f.Payload))
-}
-
-// ProtocolClass reports the RFC 1661 protocol-number range of p.
-func ProtocolClass(p uint16) string {
-	switch {
-	case p >= 0x0001 && p <= 0x3FFF:
-		return "network-layer"
-	case p >= 0x4001 && p <= 0x7FFF:
-		return "low-volume"
-	case p >= 0x8001 && p <= 0xBFFF:
-		return "network-control"
-	case p >= 0xC001 && p <= 0xFFFF:
-		return "link-layer"
-	default:
-		return "reserved"
-	}
 }

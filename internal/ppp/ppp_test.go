@@ -10,9 +10,18 @@ import (
 	"repro/internal/hdlc"
 )
 
+// decodeBody is DecodeBodyInto into a fresh Frame.
+func decodeBody(body []byte, c Config) (*Frame, error) {
+	f := new(Frame)
+	if err := DecodeBodyInto(f, body, c); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
 func TestEncodeBodyLayout(t *testing.T) {
 	f := &Frame{Protocol: ProtoIPv4, Payload: []byte{0xDE, 0xAD}}
-	body := EncodeBody(nil, f, Config{})
+	body := ReferenceEncodeBody(nil, f, Config{})
 	// FF 03 00 21 DE AD + 4-byte FCS
 	if len(body) != 10 {
 		t.Fatalf("body len = %d, want 10", len(body))
@@ -29,8 +38,8 @@ func TestEncodeBodyLayout(t *testing.T) {
 func TestRoundTripDefault(t *testing.T) {
 	cfg := Config{}
 	f := &Frame{Protocol: ProtoIPv4, Payload: []byte("hello world")}
-	body := EncodeBody(nil, f, cfg)
-	got, err := DecodeBody(body, cfg)
+	body := ReferenceEncodeBody(nil, f, cfg)
+	got, err := decodeBody(body, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,8 +59,8 @@ func TestRoundTripAllConfigs(t *testing.T) {
 				cfg := Config{FCS: fcs, PFC: pfc, ACFC: acfc}
 				for _, proto := range []uint16{ProtoIPv4, ProtoLCP, ProtoIPCP} {
 					f := &Frame{Protocol: proto, Payload: payload}
-					body := EncodeBody(nil, f, cfg)
-					got, err := DecodeBody(body, cfg)
+					body := ReferenceEncodeBody(nil, f, cfg)
+					got, err := decodeBody(body, cfg)
 					if err != nil {
 						t.Fatalf("fcs=%v pfc=%v acfc=%v proto=%#x: %v", fcs, pfc, acfc, proto, err)
 					}
@@ -67,7 +76,7 @@ func TestRoundTripAllConfigs(t *testing.T) {
 func TestPFCCompressesNetworkProto(t *testing.T) {
 	cfg := Config{PFC: true}
 	f := &Frame{Protocol: ProtoIPv4, Payload: nil}
-	body := EncodeBody(nil, f, cfg)
+	body := ReferenceEncodeBody(nil, f, cfg)
 	// FF 03 21 + FCS4: protocol is a single octet.
 	if body[2] != 0x21 || len(body) != 3+4 {
 		t.Errorf("PFC body = % x", body)
@@ -76,56 +85,56 @@ func TestPFCCompressesNetworkProto(t *testing.T) {
 
 func TestACFCKeepsLCPUncompressed(t *testing.T) {
 	cfg := Config{ACFC: true}
-	lcp := EncodeBody(nil, &Frame{Protocol: ProtoLCP}, cfg)
+	lcp := ReferenceEncodeBody(nil, &Frame{Protocol: ProtoLCP}, cfg)
 	if lcp[0] != 0xFF || lcp[1] != 0x03 {
 		t.Errorf("LCP frame must keep FF 03: % x", lcp)
 	}
-	ip := EncodeBody(nil, &Frame{Protocol: ProtoIPv4}, cfg)
+	ip := ReferenceEncodeBody(nil, &Frame{Protocol: ProtoIPv4}, cfg)
 	if ip[0] == 0xFF {
 		t.Errorf("network frame should be compressed: % x", ip)
 	}
 }
 
 func TestDecodeRejectsBadFCS(t *testing.T) {
-	body := EncodeBody(nil, &Frame{Protocol: ProtoIPv4, Payload: []byte{1}}, Config{})
+	body := ReferenceEncodeBody(nil, &Frame{Protocol: ProtoIPv4, Payload: []byte{1}}, Config{})
 	body[3] ^= 0x40
-	if _, err := DecodeBody(body, Config{}); !errors.Is(err, ErrBadFCS) {
+	if _, err := decodeBody(body, Config{}); !errors.Is(err, ErrBadFCS) {
 		t.Errorf("err = %v, want ErrBadFCS", err)
 	}
 }
 
 func TestDecodeRejectsShort(t *testing.T) {
-	if _, err := DecodeBody([]byte{1, 2, 3}, Config{}); !errors.Is(err, ErrTooShort) {
+	if _, err := decodeBody([]byte{1, 2, 3}, Config{}); !errors.Is(err, ErrTooShort) {
 		t.Errorf("err = %v, want ErrTooShort", err)
 	}
-	if _, err := DecodeBody(nil, Config{}); !errors.Is(err, ErrTooShort) {
+	if _, err := decodeBody(nil, Config{}); !errors.Is(err, ErrTooShort) {
 		t.Errorf("err = %v, want ErrTooShort", err)
 	}
 }
 
 func TestDecodeRejectsWrongAddress(t *testing.T) {
 	// Encode with MAPOS address 0x04, decode expecting 0x08.
-	body := EncodeBody(nil, &Frame{Address: 0x04, Protocol: ProtoIPv4}, Config{Address: 0x04})
-	if _, err := DecodeBody(body, Config{Address: 0x08}); !errors.Is(err, ErrBadAddress) {
+	body := ReferenceEncodeBody(nil, &Frame{Address: 0x04, Protocol: ProtoIPv4}, Config{Address: 0x04})
+	if _, err := decodeBody(body, Config{Address: 0x08}); !errors.Is(err, ErrBadAddress) {
 		t.Errorf("err = %v, want ErrBadAddress", err)
 	}
 	// AnyAddress accepts it.
-	if _, err := DecodeBody(body, Config{Address: 0x08, AnyAddress: true}); err != nil {
+	if _, err := decodeBody(body, Config{Address: 0x08, AnyAddress: true}); err != nil {
 		t.Errorf("AnyAddress: %v", err)
 	}
 	// All-stations always accepted.
-	body2 := EncodeBody(nil, &Frame{Protocol: ProtoIPv4}, Config{})
-	if _, err := DecodeBody(body2, Config{Address: 0x08}); err != nil {
+	body2 := ReferenceEncodeBody(nil, &Frame{Protocol: ProtoIPv4}, Config{})
+	if _, err := decodeBody(body2, Config{Address: 0x08}); err != nil {
 		t.Errorf("all-stations: %v", err)
 	}
 }
 
 func TestDecodeRejectsBadControl(t *testing.T) {
-	body := EncodeBody(nil, &Frame{Protocol: ProtoIPv4}, Config{})
+	body := ReferenceEncodeBody(nil, &Frame{Protocol: ProtoIPv4}, Config{})
 	body[1] = 0x13                    // not UI
 	body = body[:len(body)-4]         // strip stale FCS
 	body = crc.FCS32Mode.Append(body) // re-seal
-	if _, err := DecodeBody(body, Config{}); !errors.Is(err, ErrBadControl) {
+	if _, err := decodeBody(body, Config{}); !errors.Is(err, ErrBadControl) {
 		t.Errorf("err = %v, want ErrBadControl", err)
 	}
 }
@@ -134,24 +143,24 @@ func TestDecodeRejectsBadProtocol(t *testing.T) {
 	// Low protocol octet must be odd.
 	raw := []byte{0xFF, 0x03, 0x00, 0x20}
 	raw = crc.FCS32Mode.Append(raw)
-	if _, err := DecodeBody(raw, Config{}); !errors.Is(err, ErrBadProtocol) {
+	if _, err := decodeBody(raw, Config{}); !errors.Is(err, ErrBadProtocol) {
 		t.Errorf("even low octet: err = %v", err)
 	}
 	// Single-octet protocol without PFC negotiated.
 	raw2 := []byte{0xFF, 0x03, 0x21}
 	raw2 = crc.FCS32Mode.Append(raw2)
-	if _, err := DecodeBody(raw2, Config{}); !errors.Is(err, ErrBadProtocol) {
+	if _, err := decodeBody(raw2, Config{}); !errors.Is(err, ErrBadProtocol) {
 		t.Errorf("PFC off: err = %v", err)
 	}
 }
 
 func TestDecodeEnforcesMRU(t *testing.T) {
 	big := make([]byte, 100)
-	body := EncodeBody(nil, &Frame{Protocol: ProtoIPv4, Payload: big}, Config{})
-	if _, err := DecodeBody(body, Config{MRU: 99}); !errors.Is(err, ErrTooLong) {
+	body := ReferenceEncodeBody(nil, &Frame{Protocol: ProtoIPv4, Payload: big}, Config{})
+	if _, err := decodeBody(body, Config{MRU: 99}); !errors.Is(err, ErrTooLong) {
 		t.Errorf("err = %v, want ErrTooLong", err)
 	}
-	if _, err := DecodeBody(body, Config{MRU: 100}); err != nil {
+	if _, err := decodeBody(body, Config{MRU: 100}); err != nil {
 		t.Errorf("exact MRU: %v", err)
 	}
 }
@@ -165,7 +174,7 @@ func TestWireRoundTripThroughTokenizer(t *testing.T) {
 	}
 	var wire []byte
 	for _, f := range frames {
-		wire = Encode(wire, f, cfg, true)
+		wire = ReferenceEncode(wire, f, cfg, true)
 	}
 	var tk hdlc.Tokenizer
 	toks := tk.Feed(nil, wire)
@@ -176,7 +185,7 @@ func TestWireRoundTripThroughTokenizer(t *testing.T) {
 		if tok.Err != nil {
 			t.Fatalf("token %d: %v", i, tok.Err)
 		}
-		got, err := DecodeBody(tok.Body, cfg)
+		got, err := decodeBody(tok.Body, cfg)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
@@ -190,34 +199,17 @@ func TestWireRoundTripProperty(t *testing.T) {
 	f := func(payload []byte, pfc, acfc bool) bool {
 		cfg := Config{PFC: pfc, ACFC: acfc, MRU: 65535}
 		fr := &Frame{Protocol: ProtoIPv4, Payload: payload}
-		wire := Encode(nil, fr, cfg, false)
+		wire := ReferenceEncode(nil, fr, cfg, false)
 		var tk hdlc.Tokenizer
 		toks := tk.Feed(nil, wire)
 		if len(toks) != 1 || toks[0].Err != nil {
 			return false
 		}
-		got, err := DecodeBody(toks[0].Body, cfg)
+		got, err := decodeBody(toks[0].Body, cfg)
 		return err == nil && got.Protocol == ProtoIPv4 && bytes.Equal(got.Payload, payload)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestProtocolClass(t *testing.T) {
-	for _, tc := range []struct {
-		p    uint16
-		want string
-	}{
-		{ProtoIPv4, "network-layer"},
-		{ProtoIPCP, "network-control"},
-		{ProtoLCP, "link-layer"},
-		{0x4001, "low-volume"},
-		{0x0000, "reserved"},
-	} {
-		if got := ProtocolClass(tc.p); got != tc.want {
-			t.Errorf("ProtocolClass(%#x) = %q, want %q", tc.p, got, tc.want)
-		}
 	}
 }
 
@@ -244,7 +236,7 @@ func TestAppendFrameMatchesEncode(t *testing.T) {
 					for _, proto := range []uint16{ProtoIPv4, ProtoLCP, ProtoVJC, 0x0057} {
 						for _, p := range payloads {
 							fr := &Frame{Protocol: proto, Payload: p}
-							ref := Encode(nil, fr, cfg, false)
+							ref := ReferenceEncode(nil, fr, cfg, false)
 							got := AppendFrame(nil, fr, cfg, false)
 							if !bytes.Equal(ref, got) {
 								t.Fatalf("pfc=%t acfc=%t fcs=%v accm=%#x proto=%#04x len=%d:\nref % x\ngot % x",
@@ -263,7 +255,7 @@ func TestAppendFrameSharedFlag(t *testing.T) {
 	fr := &Frame{Protocol: ProtoIPv4, Payload: []byte{9, 9}}
 	s := AppendFrame(nil, fr, cfg, false)
 	shared := AppendFrame(s, fr, cfg, true)
-	ref := Encode(Encode(nil, fr, cfg, false), fr, cfg, true)
+	ref := ReferenceEncode(ReferenceEncode(nil, fr, cfg, false), fr, cfg, true)
 	if !bytes.Equal(shared, ref) {
 		t.Fatalf("shared-flag stream % x, want % x", shared, ref)
 	}
@@ -296,13 +288,5 @@ func TestFusedPathZeroAlloc(t *testing.T) {
 		}
 	}); allocs != 0 {
 		t.Errorf("DecodeBodyInto: %.1f allocs/op, want 0", allocs)
-	}
-
-	// The pooled two-pass Encode is allocation-free in the steady state
-	// as well (scratch body from the sync.Pool).
-	if allocs := testing.AllocsPerRun(100, func() {
-		dst = Encode(dst[:0], &fr, cfg, false)
-	}); allocs != 0 {
-		t.Errorf("Encode (pooled): %.1f allocs/op, want 0", allocs)
 	}
 }

@@ -310,9 +310,6 @@ func New(reg *telemetry.Registry, name string, nShards int, cfg Config) *Collect
 // Shard returns the i'th worker's profile.
 func (c *Collector) Shard(i int) *ShardProfile { return c.shards[i] }
 
-// Shards returns the shard count.
-func (c *Collector) Shards() int { return len(c.shards) }
-
 // SetArmed arms or disarms every shard profile. Call only while the
 // engine is quiescent (between Runs). Disarmed, the hot path takes
 // zero clock samples — StepStart/Stamp/Batch* reduce to a bool check —

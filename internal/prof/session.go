@@ -86,9 +86,6 @@ func (s *Session) cpuClose() error {
 	return err
 }
 
-// Dir returns the session's capture directory.
-func (s *Session) Dir() string { return s.dir }
-
 // WriteSnapshot dumps the point-in-time profiles (heap, allocs, mutex,
 // block, goroutine) into dir, prefixing each file with tag ("tag-" is
 // omitted when tag is empty). It is the on-demand capture behind the

@@ -79,13 +79,8 @@ func iCtrl(ns, nr uint8) byte { return ns&7<<1 | nr&7<<5 }
 // sCtrl builds an S-frame control octet.
 func sCtrl(base byte, nr uint8) byte { return base | nr&7<<5 }
 
-// Errors.
-var (
-	// ErrNotConnected is returned by Send before SABM/UA completes.
-	ErrNotConnected = errors.New("reliable: link not in ABM")
-	// ErrWindowFull is returned when k frames are unacknowledged.
-	ErrWindowFull = errors.New("reliable: transmit window full")
-)
+// ErrNotConnected is returned by Send before SABM/UA completes.
+var ErrNotConnected = errors.New("reliable: link not in ABM")
 
 // Frame is one numbered-mode frame on the wire: the control octet and
 // (for I frames) the information field.

@@ -289,9 +289,6 @@ func (m *DefectMonitor) Octets(p []byte) {
 	*timer += int64(len(p))
 }
 
-// OctetIn observes a single line octet.
-func (m *DefectMonitor) OctetIn(b byte) { m.Octets([]byte{b}) }
-
 // scanLOS runs the zero-run detector over p and advances the octet
 // index. A machine word that is all live or all dead and cannot cross
 // the LOS threshold is skipped whole; every transition goes through

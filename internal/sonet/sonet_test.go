@@ -309,7 +309,7 @@ func TestHDLCOverSONETEndToEnd(t *testing.T) {
 	var wire []byte
 	for i := 0; i < 10; i++ {
 		body := bytes.Repeat([]byte{byte(i), 0x7E, byte(i * 3)}, 5)
-		wire = hdlc.Encode(wire, body, hdlc.ACCMNone, true)
+		wire = hdlc.ReferenceEncode(wire, body, hdlc.ACCMNone, true)
 	}
 	var rec []byte
 	got, df := pump(t, STM16, wire, 2, nil)

@@ -7,7 +7,7 @@ import (
 	"net/http/pprof"
 )
 
-// Handler builds the exposition endpoint set over a registry and an
+// Mux builds the exposition endpoint set over a registry and an
 // optional tracer:
 //
 //	/metrics       Prometheus text format
@@ -16,13 +16,10 @@ import (
 //	/debug/pprof/  the standard Go profiling endpoints
 //	/trace         the tracer's retained events as JSON (404 when nil)
 //
-// The returned handler is safe to serve while probes are being written:
-// all metric state is atomic.
-func Handler(reg *Registry, tr *Tracer) http.Handler { return Mux(reg, tr) }
-
-// Mux is Handler exposed as a concrete *http.ServeMux so callers can
-// mount additional endpoints (the flight recorder's /slo board, for
-// example) next to the standard set before serving.
+// The returned mux is safe to serve while probes are being written:
+// all metric state is atomic. It is a concrete *http.ServeMux so
+// callers can mount additional endpoints (the flight recorder's /slo
+// board, for example) next to the standard set before serving.
 func Mux(reg *Registry, tr *Tracer) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
@@ -71,17 +68,6 @@ type Server struct {
 
 	ln  net.Listener
 	srv *http.Server
-}
-
-// Serve starts an HTTP server for Handler(reg, tr) on addr (":0" picks
-// a free port) and also publishes the registry to expvar under
-// expvarName. It returns once the listener is bound; serving continues
-// in a background goroutine until Close.
-func Serve(addr string, reg *Registry, tr *Tracer, expvarName string) (*Server, error) {
-	if expvarName != "" {
-		Publish(reg, expvarName)
-	}
-	return ServeHandler(addr, Handler(reg, tr))
 }
 
 // ServeHandler starts an HTTP server for an arbitrary handler —

@@ -74,16 +74,6 @@ func (t *Tracer) Emit(at int64, scope, name, detail string, v1, v2 int64) {
 	t.mu.Unlock()
 }
 
-// Len returns the number of events currently held.
-func (t *Tracer) Len() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.seq < uint64(len(t.ring)) {
-		return int(t.seq)
-	}
-	return len(t.ring)
-}
-
 // Total returns the number of events ever emitted.
 func (t *Tracer) Total() uint64 {
 	t.mu.Lock()

@@ -67,9 +67,6 @@ func newPort(n *Node, c *Circuit, peer int) *Port {
 	return p
 }
 
-// Node returns the endpoint's node.
-func (p *Port) Node() *Node { return p.node }
-
 // Selected returns the rotation the drop side currently delivers.
 func (p *Port) Selected() Rotation { return p.sel }
 
@@ -94,16 +91,6 @@ func (p *Port) Recv(dst []byte) []byte {
 	dst = p.rxq[p.sel].drain(dst)
 	p.rxq[p.sel.Opp()].reset()
 	return dst
-}
-
-// PendingTx returns the octets queued for transmission (the deeper
-// rotation).
-func (p *Port) PendingTx() int {
-	n := p.txq[East].size()
-	if w := p.txq[West].size(); w > n {
-		n = w
-	}
-	return n
 }
 
 // dropsFrom reports whether arrivals on rot belong to this port.

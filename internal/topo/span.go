@@ -89,22 +89,3 @@ func (s *Span) SetScript(sc *fault.Script) {
 // Deframer exposes the receive-side deframer (defect monitor, parity
 // and resync counters) for assertions and stats.
 func (s *Span) Deframer() *sonet.Deframer { return s.df }
-
-// Framer exposes the transmit-side framer.
-func (s *Span) Framer() *sonet.Framer { return s.fr }
-
-// Defect reports whether the span currently shows a service-affecting
-// receive defect.
-func (s *Span) Defect() bool {
-	return s.df.Defects.Active()&sonet.ServiceAffecting != 0
-}
-
-// CutLOS appends a loss-of-signal window to the span's script,
-// covering ticks [fromTick, fromTick+ticks): the scripted equivalent
-// of unplugging this fibre for that long. It composes with any
-// existing injector script only if called before SetScript; prefer
-// building the whole script first.
-func CutLOS(sc *fault.Script, level sonet.Level, fromTick, ticks int64) *fault.Script {
-	fb := int64(level.FrameBytes())
-	return sc.LOS(fromTick*fb, int(ticks*fb))
-}

@@ -137,7 +137,6 @@ type Ring struct {
 
 	nodes    []*Node
 	spans    [2][]*Span // [rotation][source node]
-	circuits []*Circuit
 	slotCirc []*Circuit // slot -> owning circuit
 	now      int64
 
@@ -214,12 +213,6 @@ func (r *Ring) SpansBetween(u, v int) (uv, vu *Span, err error) {
 	return nil, nil, fmt.Errorf("topo: nodes %d and %d are not adjacent", u, v)
 }
 
-// Circuits returns the provisioned circuits.
-func (r *Ring) Circuits() []*Circuit { return r.circuits }
-
-// SlotCircuit returns the circuit owning a slot (nil when unused).
-func (r *Ring) SlotCircuit(slot int) *Circuit { return r.slotCirc[slot] }
-
 // AddCircuit provisions a bidirectional circuit and returns its two
 // endpoint ports (at c.A and c.B respectively). Call before the first
 // Tick.
@@ -238,7 +231,6 @@ func (r *Ring) AddCircuit(c Circuit) (pa, pb *Port, err error) {
 		return nil, nil, fmt.Errorf("topo: bad endpoints %d,%d", c.A, c.B)
 	}
 	cc := c
-	r.circuits = append(r.circuits, &cc)
 	r.slotCirc[c.Slot] = &cc
 	pa = newPort(r.nodes[c.A], &cc, c.B)
 	pb = newPort(r.nodes[c.B], &cc, c.A)
@@ -332,9 +324,6 @@ func newNode(r *Ring, id int) *Node {
 
 // RingAPS returns the node's BLSR state machine (nil in UPSR mode).
 func (n *Node) RingAPS() *RingAPS { return n.raps }
-
-// Port returns the node's endpoint for slot, if any.
-func (n *Node) Port(slot int) *Port { return n.ports[slot] }
 
 // out and in return the spans leaving and entering the node on a
 // rotation.

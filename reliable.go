@@ -118,7 +118,7 @@ func (l *Link) protocolReject(f *ppp.Frame) {
 	data := []byte{byte(f.Protocol >> 8), byte(f.Protocol)}
 	data = append(data, f.Payload...)
 	pkt := lcpPacket(8 /* Protocol-Reject */, l.protoRejID, data)
-	l.out = ppp.Encode(l.out, &ppp.Frame{Protocol: ppp.ProtoLCP, Payload: pkt},
+	l.out = ppp.AppendFrame(l.out, &ppp.Frame{Protocol: ppp.ProtoLCP, Payload: pkt},
 		l.lcpTxConfig(), true)
 	l.ProtocolRejects++
 }

@@ -2,8 +2,10 @@
 # verify.sh — the repo's full verification gate:
 #   gofmt, go vet, go build, go test -race, the flight-recorder and
 #   stage-profile overhead gates, the chaos/transport smokes, a 30s
-#   differential fuzz of the fused RX kernel (FUSED_FUZZTIME overrides),
-#   a 10s one of the SONET deframer's chunking (SONET_FUZZTIME overrides),
+#   differential fuzz of each fused kernel — the one production encoder
+#   and the one production tokenizer, each against its byte-at-a-time
+#   reference (FUSED_FUZZTIME overrides, per kernel) — a 10s one of the
+#   SONET deframer's chunking (SONET_FUZZTIME overrides),
 #   a decode-throughput floor vs the newest BENCH_*.json snapshot, the
 #   OC-48 floor under both escape-density sweeps, the benchmark trend
 #   gate, and a short fuzz smoke of every Fuzz* target (5s each by
@@ -233,12 +235,14 @@ grep -q '^incident ' "$net_dir/fleet-join.txt" || {
 echo "fleet smoke: OK (one board, one correlated capture pair, joined timeline)"
 rm -rf "$(dirname "$scen_bin")"
 
-echo "== fused decode fuzz smoke (${FUSED_FUZZTIME:-30s}) =="
-# The fused single-pass destuff+CRC kernel is gated by its differential
-# fuzzer: a longer dedicated run than the generic smoke below, because
-# this target compares two live decoder implementations (span-fused vs
-# byte-at-a-time reference) and any divergence is a correctness bug in
-# the receive hot path.
+echo "== fused codec fuzz (${FUSED_FUZZTIME:-30s} per kernel) =="
+# Every frame, control frames included, leaves through ppp.AppendFrame
+# and arrives through hdlc.Tokenizer.Feed; each is held to its
+# byte-at-a-time reference by a differential fuzzer, and a divergence
+# is a wire-format bug with no second production path to mask it. Both
+# get a longer dedicated run than the generic smoke below.
+go test -run '^$' -fuzz '^FuzzFusedEncode$' \
+    -fuzztime "${FUSED_FUZZTIME:-30s}" ./internal/ppp
 go test -run '^$' -fuzz '^FuzzFusedDecode$' \
     -fuzztime "${FUSED_FUZZTIME:-30s}" ./internal/hdlc
 
