@@ -26,6 +26,7 @@ bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # Machine-readable bench trajectory: BENCH_<date>.json with ns/op,
-# MB/s, and bits/cycle for the width × telemetry system matrix.
+# MB/s, bits/cycle and host ns/cycle for the width × telemetry system
+# matrix.
 bench-json:
 	./scripts/bench.sh

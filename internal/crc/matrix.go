@@ -1,5 +1,7 @@
 package crc
 
+import "math/bits"
+
 // Matrix-parallel CRC, after T.-B. Pei and C. Zukowski, "High-speed
 // parallel CRC circuits in VLSI", IEEE Trans. Comm. 40(4), 1992 — the
 // reference the paper cites for its CRC core.
@@ -11,9 +13,11 @@ package crc
 // where Mstate is 32×32 and Mdata is 32×W. In hardware each output bit is
 // one XOR tree over the state and data bits whose matrix column is set —
 // the "8 x 32-bit parallel matrix" (8-bit P5) and "32 x 32-bit parallel
-// matrix" (32-bit P5) of the paper. Here the same matrices drive both the
-// functional engine and the synthesis-cost model (each matrix row's
-// population count sizes its XOR tree).
+// matrix" (32-bit P5) of the paper. Here the matrices are the definition:
+// the synthesis-cost model reads them (each row's population count sizes
+// its XOR tree) and Apply evaluates them column by column. Step, the
+// per-clock operation of the simulated CRC unit, evaluates the same map
+// eight input bits at a time through tables derived from the columns.
 
 // Matrix32 is a GF(2) linear map into 32-bit vectors, stored column-major:
 // Cols[i] is the 32-bit output contribution of input bit i. Apply XORs the
@@ -47,11 +51,38 @@ func (m Matrix32) Row(r int) uint64 {
 	return row
 }
 
-// Parallel32 computes a 32-bit FCS W data bits at a time.
+// sliceTables derives the byte-sliced evaluation of a column-major GF(2)
+// matrix: t[k][v] is the XOR of the columns 8k+i selected by the set bits
+// i of v, so M·x = ⊕ₖ t[k][byte k of x]. A last table shorter than eight
+// columns ignores the index bits it has no column for.
+func sliceTables[T uint16 | uint32](cols []T) [][256]T {
+	t := make([][256]T, (len(cols)+7)/8)
+	for k := range t {
+		for v := 1; v < 256; v++ {
+			var c T
+			if i := 8*k + bits.TrailingZeros8(uint8(v)); i < len(cols) {
+				c = cols[i]
+			}
+			t[k][v] = t[k][v&(v-1)] ^ c
+		}
+	}
+	return t
+}
+
+// Parallel32 computes a 32-bit FCS W data bits at a time. It is immutable
+// once built, so one engine may serve any number of CRC units.
 type Parallel32 struct {
 	w      int      // data bits consumed per step
 	mstate Matrix32 // 32 columns
 	mdata  Matrix32 // w columns
+
+	ts *[4][256]uint32 // sliceTables(mstate)
+	td [][256]uint32   // sliceTables(mdata): ⌈w/8⌉ tables
+}
+
+func (p *Parallel32) buildTables() {
+	p.ts = (*[4][256]uint32)(sliceTables(p.mstate.Cols))
+	p.td = sliceTables(p.mdata.Cols)
 }
 
 // NewParallel32 builds the W-bit-per-step parallel engine for the FCS-32
@@ -78,22 +109,22 @@ func NewParallel32(w int) *Parallel32 {
 	for j := 0; j < w; j++ {
 		p.mdata.Cols[j] = step(0, 1<<uint(j))
 	}
+	p.buildTables()
 	return p
 }
 
 // Width reports the number of data bits consumed per Step.
 func (p *Parallel32) Width() int { return p.w }
 
-// Step advances the FCS by one datapath word. Only the low Width() bits of
-// data are consumed. This is the single-clock-cycle operation of the
-// hardware CRC core.
+// Step advances the FCS by one datapath word: next = Mstate·fcs ⊕
+// Mdata·data, evaluated through the byte-sliced tables. Only the low
+// Width() bits of data are consumed. This is the single-clock-cycle
+// operation of the hardware CRC core.
 func (p *Parallel32) Step(fcs uint32, data uint64) uint32 {
-	next := p.mstate.Apply(fcs)
-	// Apply the data matrix: bit j of data selects mdata.Cols[j].
-	for j := 0; j < p.w; j++ {
-		if data>>uint(j)&1 != 0 {
-			next ^= p.mdata.Cols[j]
-		}
+	next := p.ts[0][byte(fcs)] ^ p.ts[1][byte(fcs>>8)] ^
+		p.ts[2][byte(fcs>>16)] ^ p.ts[3][fcs>>24]
+	for k := range p.td {
+		next ^= p.td[k][byte(data>>(8*uint(k)))]
 	}
 	return next
 }
@@ -151,6 +182,7 @@ func (p *Parallel32) Compose() *Parallel32 {
 		q.mdata.Cols[j] = p.mstate.Apply(p.mdata.Cols[j])
 		q.mdata.Cols[p.w+j] = p.mdata.Cols[j]
 	}
+	q.buildTables()
 	return q
 }
 
@@ -159,6 +191,9 @@ type Parallel16 struct {
 	w      int
 	mstate []uint16
 	mdata  []uint16
+
+	ts *[2][256]uint16 // sliceTables(mstate)
+	td [][256]uint16   // sliceTables(mdata)
 }
 
 // NewParallel16 builds the W-bit-per-step parallel engine for the FCS-16
@@ -182,6 +217,8 @@ func NewParallel16(w int) *Parallel16 {
 	for j := 0; j < w; j++ {
 		p.mdata[j] = step(0, 1<<uint(j))
 	}
+	p.ts = (*[2][256]uint16)(sliceTables(p.mstate))
+	p.td = sliceTables(p.mdata)
 	return p
 }
 
@@ -190,16 +227,9 @@ func (p *Parallel16) Width() int { return p.w }
 
 // Step advances the FCS by one datapath word.
 func (p *Parallel16) Step(fcs uint16, data uint64) uint16 {
-	var next uint16
-	for i := 0; i < 16; i++ {
-		if fcs>>uint(i)&1 != 0 {
-			next ^= p.mstate[i]
-		}
-	}
-	for j := 0; j < p.w; j++ {
-		if data>>uint(j)&1 != 0 {
-			next ^= p.mdata[j]
-		}
+	next := p.ts[0][byte(fcs)] ^ p.ts[1][fcs>>8]
+	for k := range p.td {
+		next ^= p.td[k][byte(data>>(8*uint(k)))]
 	}
 	return next
 }

@@ -1,15 +1,40 @@
 package p5
 
 import (
+	"sync"
+
 	"repro/internal/crc"
 	"repro/internal/rtl"
 )
 
-// fcsCore wraps the parallel matrix CRC engines for every lane count the
-// datapath can present (1..W octets per clock), in both FCS sizes. This
-// is the paper's "highly efficient and optimised parallel CRC core": the
-// 8-bit P5 uses the 8×32 matrix, the 32-bit P5 the 32×32 matrix, and the
-// partial final word of a frame uses the narrower matrices.
+// engines holds the parallel matrix CRC engines for every lane count a
+// datapath can present (1..8 octets per clock). An engine is immutable
+// once built, so every CRC unit in the process shares one set; each is
+// built on first use.
+var engines [9]struct {
+	once32, once16 sync.Once
+	e32            *crc.Parallel32
+	e16            *crc.Parallel16
+}
+
+func engine32(lanes int) *crc.Parallel32 {
+	e := &engines[lanes]
+	e.once32.Do(func() { e.e32 = crc.NewParallel32(8 * lanes) })
+	return e.e32
+}
+
+func engine16(lanes int) *crc.Parallel16 {
+	e := &engines[lanes]
+	e.once16.Do(func() { e.e16 = crc.NewParallel16(8 * lanes) })
+	return e.e16
+}
+
+// fcsCore is one CRC unit's register plus the engines of the programmed
+// FCS size for every lane count its datapath can present. This is the
+// paper's "highly efficient and optimised parallel CRC core": the 8-bit
+// P5 uses the 8×32 matrix, the 32-bit P5 the 32×32 matrix, and the
+// partial final word of a frame uses the narrower matrices. A mode
+// change builds a new core.
 type fcsCore struct {
 	mode crc.Size
 	e32  []*crc.Parallel32 // e32[n] consumes n octets per step
@@ -23,11 +48,16 @@ func newFCSCore(w int, mode crc.Size) *fcsCore {
 		mode = crc.FCS32Mode
 	}
 	c := &fcsCore{mode: mode}
-	c.e32 = make([]*crc.Parallel32, w+1)
-	c.e16 = make([]*crc.Parallel16, w+1)
-	for n := 1; n <= w; n++ {
-		c.e32[n] = crc.NewParallel32(8 * n)
-		c.e16[n] = crc.NewParallel16(8 * n)
+	if mode == crc.FCS16Mode {
+		c.e16 = make([]*crc.Parallel16, w+1)
+		for n := 1; n <= w; n++ {
+			c.e16[n] = engine16(n)
+		}
+	} else {
+		c.e32 = make([]*crc.Parallel32, w+1)
+		for n := 1; n <= w; n++ {
+			c.e32[n] = engine32(n)
+		}
 	}
 	c.reset()
 	return c

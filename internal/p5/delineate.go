@@ -49,13 +49,26 @@ func (dl *Delineator) Busy() bool { return dl.fifo.Len() > 0 }
 
 // Eval implements rtl.Module.
 func (dl *Delineator) Eval() {
+	dl.fifo.reserve(dl.bufCap())
 	dl.evalOutput()
 	f, ok := dl.In.Take() // never refuse the PHY
 	if !ok {
 		return
 	}
-	for i := 0; i < f.N; i++ {
-		dl.octet(f.Byte(i))
+	data := f.Data
+	if dl.inFrame && f.N > 0 && lanesEqual(data, hdlc.Flag)&validLanes(f.N) == 0 &&
+		dl.fifo.Len()+f.N <= dl.bufCap() {
+		// No flag in any lane and room for the whole word: every lane
+		// is content of the open frame.
+		for i := 0; i < f.N; i, data = i+1, data>>8 {
+			dl.fifo.Push(octetTag(byte(data), dl.content == 0))
+			dl.content++
+		}
+		dl.lastEsc = f.Byte(f.N-1) == hdlc.Escape
+		return
+	}
+	for i := 0; i < f.N; i, data = i+1, data>>8 {
+		dl.octet(byte(data))
 	}
 }
 
@@ -80,8 +93,7 @@ func (dl *Delineator) octet(b byte) {
 		dl.content++
 		return
 	}
-	t := tagByte{b: b, sof: dl.content == 0}
-	dl.fifo.Push(t)
+	dl.fifo.Push(octetTag(b, dl.content == 0))
 	dl.content++
 	dl.lastEsc = b == hdlc.Escape
 }
@@ -93,7 +105,7 @@ func (dl *Delineator) closeFrame() {
 		dl.Aborts++
 	}
 	dl.Frames++
-	dl.fifo.Push(tagByte{mark: true, err: dl.dropped, abort: abort})
+	dl.fifo.Push(markTag(dl.dropped, abort))
 }
 
 // evalOutput drains buffered content downstream, cutting at frame ends.
@@ -112,7 +124,7 @@ func (dl *Delineator) evalOutput() {
 	if !dl.Out.CanPush() {
 		return
 	}
-	dl.fifo.Pop(take)
+	dl.fifo.Drop(take)
 	dl.Out.Push(f)
 }
 

@@ -5,48 +5,110 @@ import (
 	"repro/internal/rtl"
 )
 
-// tagByte is one entry in a receive-side resynchronisation buffer:
-// either a frame octet (with its start-of-frame tag) or an end-of-frame
+// tag is one entry in a receive-side resynchronisation buffer: either a
+// frame octet (low byte, with its start-of-frame bit) or an end-of-frame
 // marker. Markers travel in-band so frame boundaries can never be lost
 // or reordered, whatever the cycle-level interleaving.
-type tagByte struct {
-	b     byte
-	sof   bool
-	mark  bool // end-of-frame marker entry (b unused)
-	err   bool // valid on markers: frame damaged
-	abort bool // valid on markers: frame deliberately aborted
+type tag uint16
+
+const (
+	tagSOF   tag = 1 << (8 + iota) // octet entry: first octet of its frame
+	tagMark                        // end-of-frame marker entry (low byte unused)
+	tagErr                         // on markers: frame damaged
+	tagAbort                       // on markers: frame deliberately aborted
+)
+
+// octetTag is the entry for frame octet b.
+func octetTag(b byte, sof bool) tag {
+	if sof {
+		return tag(b) | tagSOF
+	}
+	return tag(b)
 }
 
-// tagFIFO is the receive-side resynchronisation buffer.
+// markTag is the end-of-frame marker entry.
+func markTag(err, abort bool) tag {
+	t := tagMark
+	if err {
+		t |= tagErr
+	}
+	if abort {
+		t |= tagAbort
+	}
+	return t
+}
+
+// tagFIFO is the receive-side resynchronisation buffer: a ring the owning
+// unit allocates at its bufCap() — the storage the hardware has. The
+// units bound the octets they commit to it, but not the in-band
+// end-of-frame markers, so a stalled run of tiny frames can still
+// overfill it; the ring then doubles rather than drop a boundary.
 type tagFIFO struct {
-	buf       []tagByte
-	head      int
+	buf       []tag // ring storage
+	head, n   int
 	HighWater int
 }
 
-func (q *tagFIFO) Len() int { return len(q.buf) - q.head }
-
-func (q *tagFIFO) Push(t ...tagByte) {
-	q.buf = append(q.buf, t...)
-	if n := q.Len(); n > q.HighWater {
-		q.HighWater = n
+// reserve allocates the ring on first use.
+func (q *tagFIFO) reserve(capacity int) {
+	if q.buf == nil {
+		q.buf = make([]tag, capacity)
 	}
 }
 
-func (q *tagFIFO) Peek(i int) tagByte { return q.buf[q.head+i] }
+func (q *tagFIFO) Len() int { return q.n }
 
-func (q *tagFIFO) Pop(n int) []tagByte {
-	if n > q.Len() {
-		n = q.Len()
+func (q *tagFIFO) grow() {
+	grown := make([]tag, max(2*len(q.buf), 4))
+	k := copy(grown, q.buf[q.head:])
+	copy(grown[k:], q.buf[:q.head])
+	q.buf, q.head = grown, 0
+}
+
+func (q *tagFIFO) Push(t tag) {
+	if q.n == len(q.buf) {
+		q.grow()
 	}
-	p := q.buf[q.head : q.head+n]
+	i := q.head + q.n
+	if i >= len(q.buf) {
+		i -= len(q.buf)
+	}
+	q.buf[i] = t
+	q.n++
+	if q.n > q.HighWater {
+		q.HighWater = q.n
+	}
+}
+
+func (q *tagFIFO) Peek(i int) tag {
+	i += q.head
+	if i >= len(q.buf) {
+		i -= len(q.buf)
+	}
+	return q.buf[i]
+}
+
+// Drop removes the n oldest entries.
+func (q *tagFIFO) Drop(n int) {
 	q.head += n
-	if q.head == len(q.buf) {
-		q.buf = q.buf[:0]
-		q.head = 0
+	if q.head >= len(q.buf) {
+		q.head -= len(q.buf)
 	}
-	return p
+	q.n -= n
 }
+
+// lanesEqual returns a bitmask of the byte lanes of data (lane i is bits
+// 8i..8i+7) equal to v — every lane of the word compared at once, as the
+// hardware's stage-A comparators do.
+func lanesEqual(data uint64, v byte) uint8 {
+	const lsb, low7 = 0x0101010101010101, 0x7F7F7F7F7F7F7F7F
+	x := data ^ lsb*uint64(v)
+	zero := ^((x&low7 + low7) | x | low7) // bit 8i+7 set iff lane i matched
+	return uint8((zero >> 7) * 0x0102040810204080 >> 56)
+}
+
+// validLanes is the lane bitmask of an n-octet word.
+func validLanes(n int) uint8 { return uint8(uint(1)<<uint(n) - 1) }
 
 // EscapeDetect is the Escape Detect unit of the P5 receiver: it removes
 // octet stuffing from the delineated frame-content stream. On the W-octet
@@ -87,7 +149,7 @@ type detStage struct {
 	valid    bool
 	flit     rtl.Flit
 	mask     uint8 // lanes holding escape octets
-	out      [8]tagByte
+	out      [8]tag
 	outN     int
 	sof, eof bool
 	err      bool
@@ -121,9 +183,11 @@ func (d *EscapeDetect) Busy() bool {
 
 // Eval implements rtl.Module.
 func (d *EscapeDetect) Eval() {
+	d.fifo.reserve(d.bufCap())
 	d.evalOutput() // stage D
 	if d.W == 1 {
-		if st, ok := d.take(); ok {
+		var st detStage
+		if d.take(&st) {
 			d.remove(&st)
 			d.merge(&st)
 		}
@@ -139,30 +203,26 @@ func (d *EscapeDetect) Eval() {
 		d.stA.valid = false
 	}
 	if !d.stA.valid { // stage A
-		if st, ok := d.take(); ok {
-			d.stA = st
-		}
+		d.take(&d.stA)
 	}
 }
 
-// take is stage A.
-func (d *EscapeDetect) take() (detStage, bool) {
+// take is stage A: accept one word into st if the buffer can absorb it
+// on top of everything already committed.
+func (d *EscapeDetect) take(st *detStage) bool {
 	f, ok := d.In.Peek()
 	if !ok {
-		return detStage{}, false
+		return false
 	}
 	if d.fifo.Len()+d.stA.committed()+d.stB.committed()+f.N > d.bufCap() {
 		d.InputStalls++
-		return detStage{}, false
+		return false
 	}
 	d.In.Take()
-	st := detStage{valid: true, flit: f, sof: f.SOF, eof: f.EOF, err: f.Err, abort: f.Abort}
-	for i := 0; i < f.N; i++ {
-		if f.Byte(i) == hdlc.Escape {
-			st.mask |= 1 << uint(i)
-		}
-	}
-	return st, true
+	st.valid, st.flit, st.outN = true, f, 0
+	st.sof, st.eof, st.err, st.abort = f.SOF, f.EOF, f.Err, f.Abort
+	st.mask = lanesEqual(f.Data, hdlc.Escape) & validLanes(f.N)
+	return true
 }
 
 // remove is stage B: delete escapes and restore the escaped octets. The
@@ -170,21 +230,22 @@ func (d *EscapeDetect) take() (detStage, bool) {
 func (d *EscapeDetect) remove(st *detStage) {
 	n := 0
 	sofPend := st.sof
-	for i := 0; i < st.flit.N; i++ {
-		b := st.flit.Byte(i)
+	data := st.flit.Data
+	for i := 0; i < st.flit.N; i, data = i+1, data>>8 {
+		b := byte(data)
 		if d.esc {
-			st.out[n] = tagByte{b: b ^ hdlc.XorBit, sof: sofPend}
+			st.out[n] = octetTag(b^hdlc.XorBit, sofPend)
 			sofPend = false
 			n++
 			d.esc = false
 			continue
 		}
-		if b == hdlc.Escape {
+		if st.mask>>uint(i)&1 != 0 {
 			d.esc = true
 			d.Removed++
 			continue
 		}
-		st.out[n] = tagByte{b: b, sof: sofPend}
+		st.out[n] = octetTag(b, sofPend)
 		sofPend = false
 		n++
 	}
@@ -205,13 +266,13 @@ func (d *EscapeDetect) merge(st *detStage) {
 	for i := 0; i < st.outN; i++ {
 		t := st.out[i]
 		if d.sofPend {
-			t.sof = true
+			t |= tagSOF
 			d.sofPend = false
 		}
 		d.fifo.Push(t)
 	}
 	if st.eof {
-		d.fifo.Push(tagByte{mark: true, err: st.err, abort: st.abort})
+		d.fifo.Push(markTag(st.err, st.abort))
 		d.sofPend = false
 		d.Frames++
 	}
@@ -236,7 +297,7 @@ func (d *EscapeDetect) evalOutput() {
 	if !d.Out.CanPush() {
 		return
 	}
-	d.fifo.Pop(take)
+	d.fifo.Drop(take)
 	d.Out.Push(f)
 }
 
@@ -251,29 +312,24 @@ func packWord(q *tagFIFO, w int) (rtl.Flit, int, bool) {
 	}
 	var f rtl.Flit
 	take := 0
-	for take < n && f.N < w {
+	for take < n {
 		t := q.Peek(take)
-		if t.mark {
-			f.EOF = true
-			f.Err = f.Err || t.err
-			f.Abort = f.Abort || t.abort
+		if t&tagMark != 0 {
+			// The marker ends the word — also when it immediately
+			// follows a full one, so full-word frame tails still carry
+			// their EOF.
+			f.EOF, f.Err, f.Abort = true, t&tagErr != 0, t&tagAbort != 0
 			take++
 			break
 		}
-		f.SetByte(f.N, t.b)
-		if t.sof {
+		if f.N == w {
+			break
+		}
+		f.Data |= uint64(byte(t)) << (8 * uint(f.N))
+		if t&tagSOF != 0 {
 			f.SOF = true
 		}
 		f.N++
-		take++
-	}
-	if f.N == w && take < n && q.Peek(take).mark {
-		// The marker immediately follows a full word: take it too, so
-		// full-word frame tails still carry their EOF.
-		t := q.Peek(take)
-		f.EOF = true
-		f.Err = f.Err || t.err
-		f.Abort = f.Abort || t.abort
 		take++
 	}
 	return f, take, true

@@ -1,6 +1,7 @@
 package p5
 
 import (
+	"encoding/binary"
 	"math/bits"
 
 	"repro/internal/hdlc"
@@ -71,33 +72,21 @@ type genStage struct {
 }
 
 // committed returns the octets this stage will eventually pour into the
-// resynchronisation buffer (exact, since the escape mask is known).
+// resynchronisation buffer (exact, since the escape mask is known): its
+// lanes, one more per escaped lane, and the delimiting flags.
 func (s *genStage) committed() int {
 	if !s.valid {
 		return 0
-	}
-	if s.expN > 0 {
-		n := s.expN
-		if s.sof {
-			n++
-		}
-		if s.eof {
-			n += 1 // closing flag or half the abort pair
-		}
-		if s.err {
-			n++ // abort is two octets
-		}
-		return n
 	}
 	n := s.flit.N + bits.OnesCount8(s.mask)
 	if s.sof {
 		n++
 	}
 	if s.eof {
-		n++
+		n++ // closing flag or half the abort pair
 	}
 	if s.err {
-		n++
+		n++ // abort is two octets
 	}
 	return n
 }
@@ -133,7 +122,8 @@ func (g *EscapeGen) Eval() {
 	g.evalOutput() // stage D
 	if g.W == 1 {
 		// 8-bit datapath: detect, expand and merge in one cycle.
-		if st, ok := g.take(); ok {
+		var st genStage
+		if g.take(&st) {
 			g.expand(&st)
 			g.merge(&st)
 		}
@@ -152,35 +142,45 @@ func (g *EscapeGen) Eval() {
 	}
 	// Stage A: detect.
 	if !g.stA.valid {
-		if st, ok := g.take(); ok {
-			g.stA = st
-		}
+		g.take(&g.stA)
 	}
 }
 
-// take is stage A: accept one word from upstream if the buffer can absorb
-// everything already committed plus this word.
-func (g *EscapeGen) take() (genStage, bool) {
+// take is stage A: accept one word from upstream into st (an invalid
+// stage register) if the buffer can absorb everything already committed
+// plus this word.
+func (g *EscapeGen) take(st *genStage) bool {
 	f, ok := g.In.Peek()
 	if !ok {
-		return genStage{}, false
+		return false
 	}
-	st := genStage{valid: true, flit: f, sof: f.SOF, eof: f.EOF, err: f.Err || f.Abort}
-	for i := 0; i < f.N; i++ {
-		if g.ACCM.Escaped(f.Byte(i)) {
-			st.mask |= 1 << uint(i)
+	mask := lanesEqual(f.Data, hdlc.Flag) | lanesEqual(f.Data, hdlc.Escape)
+	if g.ACCM != 0 { // mapped control characters too, lane by lane
+		for i := 0; i < f.N; i++ {
+			if g.ACCM.Escaped(f.Byte(i)) {
+				mask |= 1 << uint(i)
+			}
 		}
 	}
-	if g.fifo.Len()+g.stA.committed()+g.stB.committed()+st.committed() > g.bufCap() {
+	prior := g.fifo.Len() + g.stA.committed() + g.stB.committed()
+	st.valid, st.flit, st.mask, st.expN = true, f, mask&validLanes(f.N), 0
+	st.sof, st.eof, st.err = f.SOF, f.EOF, f.Err || f.Abort
+	if prior+st.committed() > g.bufCap() {
+		st.valid = false
 		g.InputStalls++
-		return genStage{}, false
+		return false
 	}
 	g.In.Take()
-	return st, true
+	return true
 }
 
 // expand is stage B: apply the escape rewriting.
 func (g *EscapeGen) expand(st *genStage) {
+	if st.mask == 0 {
+		binary.LittleEndian.PutUint64(st.exp[:8], st.flit.Data)
+		st.expN = st.flit.N
+		return
+	}
 	n := 0
 	for i := 0; i < st.flit.N; i++ {
 		b := st.flit.Byte(i)

@@ -27,12 +27,18 @@ type Framer struct {
 
 	// W is the datapath width in octets.
 	W int
-	// Regs is the OAM register file supplying the programmable address
-	// and control values.
+	// Regs is the OAM register file supplying the transmit enable and
+	// the programmable address and control values.
 	Regs *Regs
 	// Ring, when set, is the shared-memory descriptor ring jobs are
 	// pulled from after the direct queue is empty.
 	Ring *Ring[TxJob]
+
+	// cfg is the clock's register sample when a System or Pair drives
+	// the clock; nil on a bare Sim, where the framer samples Regs into
+	// own itself.
+	cfg *config
+	own config
 
 	queue []TxJob
 	head  int // index of the next queued job; queue[:head] is consumed
@@ -77,7 +83,12 @@ func (fr *Framer) nextJob() (TxJob, bool) {
 
 // Eval implements rtl.Module.
 func (fr *Framer) Eval() {
-	if fr.Regs != nil && !fr.Regs.TxEnable() {
+	cfg := fr.cfg
+	if cfg == nil && fr.Regs != nil {
+		cfg = &fr.own
+		fr.Regs.sample(cfg)
+	}
+	if cfg != nil && cfg.ctrl&CtrlTxEnable == 0 {
 		return
 	}
 	if fr.cur == nil {

@@ -144,12 +144,15 @@ var IntCauseNames = []struct {
 	{IntProfDump, "prof-dump"},
 }
 
-// Regs is the OAM configuration register file. Datapath modules read it
-// every cycle, so a host write takes effect on the next clock — the
-// system programmability the paper claims. The zero value is usable but
-// disabled; NewRegs returns the reset defaults.
+// Regs is the OAM configuration register file. The datapath samples it
+// once per clock (see config), so a host write takes effect on the next
+// clock — the system programmability the paper claims. The zero value is
+// usable but disabled; NewRegs returns the reset defaults.
 type Regs struct {
-	mu      sync.RWMutex
+	mu sync.RWMutex
+	// gen counts host writes to the registers config samples. It is
+	// bumped under mu, and read without it by the per-clock check.
+	gen     atomic.Uint32
 	ctrl    uint32
 	address byte
 	control byte
@@ -184,7 +187,34 @@ func NewRegs() *Regs {
 	}
 }
 
-// Accessors used by the datapath (hot path: RLock).
+// config is one clock's sample of the registers the datapath reads every
+// cycle: the control bits, the escape map and the FCS size. Whoever
+// drives the clock (System, Pair, or a Framer running on a bare Sim)
+// owns one, refreshes it with Regs.sample before the clock's first Eval,
+// and every unit of that clock works from the same values.
+type config struct {
+	sampled bool
+	gen     uint32
+	ctrl    uint32
+	accm    hdlc.ACCM
+	fcs     crc.Size
+}
+
+// sample brings c up to date and reports whether it changed. With no
+// host write since the last sample — every clock but a handful — it is
+// one atomic load; otherwise the registers are copied under the lock, so
+// c never mixes two writes' worth of state.
+func (r *Regs) sample(c *config) bool {
+	if c.sampled && r.gen.Load() == c.gen {
+		return false
+	}
+	r.mu.RLock()
+	*c = config{sampled: true, gen: r.gen.Load(), ctrl: r.ctrl, accm: r.accm, fcs: r.fcsMode}
+	r.mu.RUnlock()
+	return true
+}
+
+// Accessors for per-frame and host-side reads (RLock each).
 
 // TxEnable reports the transmit-enable control bit.
 func (r *Regs) TxEnable() bool { return r.ctrlBit(CtrlTxEnable) }
@@ -194,13 +224,6 @@ func (r *Regs) RxEnable() bool { return r.ctrlBit(CtrlRxEnable) }
 
 // Loopback reports the internal-loopback control bit.
 func (r *Regs) Loopback() bool { return r.ctrlBit(CtrlLoopback) }
-
-// SharedFlags reports the shared-flag framing mode.
-func (r *Regs) SharedFlags() bool { return r.ctrlBit(CtrlSharedFlags) }
-
-// IdleFill reports whether the transmitter fills idle line time with
-// flags.
-func (r *Regs) IdleFill() bool { return r.ctrlBit(CtrlIdleFill) }
 
 // AnyAddress reports promiscuous address acceptance.
 func (r *Regs) AnyAddress() bool { return r.ctrlBit(CtrlAnyAddress) }
@@ -445,18 +468,21 @@ func (o *OAM) Write(addr uint32, v uint32) {
 	switch addr {
 	case RegCtrl:
 		r.ctrl = v
+		r.gen.Add(1)
 	case RegAddress:
 		r.address = byte(v)
 	case RegControl:
 		r.control = byte(v)
 	case RegACCM:
 		r.accm = hdlc.ACCM(v)
+		r.gen.Add(1)
 	case RegFCSMode:
 		if v == 2 {
 			r.fcsMode = crc.FCS16Mode
 		} else {
 			r.fcsMode = crc.FCS32Mode
 		}
+		r.gen.Add(1)
 	case RegMRU:
 		r.mru = int(v & 0xFFFF)
 	case RegIntStat:

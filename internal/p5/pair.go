@@ -11,6 +11,8 @@ type Endpoint struct {
 	OAM  *OAM
 	Tx   *Transmitter
 	Rx   *Receiver
+
+	cfg config // this clock's sample of Regs
 }
 
 // Send queues datagrams at this endpoint.
@@ -43,7 +45,7 @@ type steer struct {
 	in       *rtl.Wire
 	peer     *rtl.Wire
 	self     *rtl.Wire
-	src      *Regs
+	src      *config // the sending endpoint's register sample
 	Corrupt  func(f rtl.Flit, cycle int64) rtl.Flit
 	cycle    int64
 	Words    uint64
@@ -57,7 +59,7 @@ func (s *steer) Eval() {
 		return
 	}
 	dst := s.peer
-	loop := s.src.Loopback()
+	loop := s.src.ctrl&CtrlLoopback != 0
 	if loop {
 		dst = s.self
 	}
@@ -83,13 +85,18 @@ func NewPair(w int) *Pair {
 	p := &Pair{Sim: &rtl.Sim{}}
 	regsA, regsB := NewRegs(), NewRegs()
 
+	p.A = &Endpoint{Regs: regsA}
+	p.B = &Endpoint{Regs: regsB}
+
 	txA := NewTransmitter(p.Sim, w, regsA)
-	sAB := &steer{in: txA.Out, src: regsA}
+	txA.Framer.cfg = &p.A.cfg
+	sAB := &steer{in: txA.Out, src: &p.A.cfg}
 	p.Sim.Add(sAB)
 	rxB := NewReceiver(p.Sim, w, regsB)
 
 	txB := NewTransmitter(p.Sim, w, regsB)
-	sBA := &steer{in: txB.Out, src: regsB}
+	txB.Framer.cfg = &p.B.cfg
+	sBA := &steer{in: txB.Out, src: &p.B.cfg}
 	p.Sim.Add(sBA)
 	rxA := NewReceiver(p.Sim, w, regsA)
 
@@ -98,19 +105,19 @@ func NewPair(w int) *Pair {
 	sBA.peer = rxA.In
 	sBA.self = rxB.In
 
-	p.A = &Endpoint{Regs: regsA, Tx: txA, Rx: rxA}
-	p.B = &Endpoint{Regs: regsB, Tx: txB, Rx: rxB}
+	p.A.Tx, p.A.Rx = txA, rxA
+	p.B.Tx, p.B.Rx = txB, rxB
 	p.A.OAM = &OAM{Regs: regsA, tx: txA, rx: rxA}
 	p.B.OAM = &OAM{Regs: regsB, tx: txB, rx: rxB}
+	clockConfig(regsA, &p.A.cfg, txA, rxA) // reset values
+	clockConfig(regsB, &p.B.cfg, txB, rxB)
 	return p
 }
 
 // Cycle advances the pair one clock.
 func (p *Pair) Cycle() {
-	p.A.Tx.syncConfig(p.A.Regs)
-	p.A.Rx.syncConfig(p.A.Regs)
-	p.B.Tx.syncConfig(p.B.Regs)
-	p.B.Rx.syncConfig(p.B.Regs)
+	clockConfig(p.A.Regs, &p.A.cfg, p.A.Tx, p.A.Rx)
+	clockConfig(p.B.Regs, &p.B.cfg, p.B.Tx, p.B.Rx)
 	p.Sim.Cycle()
 }
 

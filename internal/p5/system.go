@@ -34,14 +34,13 @@ func (t *Transmitter) Busy() bool {
 	return t.Framer.Busy() || t.CRC.Busy() || t.Escape.Busy()
 }
 
-// syncConfig pulls the live register values into the datapath (runs
-// first every cycle, so host writes take effect on the next clock).
-func (t *Transmitter) syncConfig(r *Regs) {
-	t.Escape.ACCM = r.ACCM()
-	t.Escape.SharedFlags = r.SharedFlags()
-	t.Escape.IdleFill = r.IdleFill()
-	t.CRC.Mode = r.FCSMode()
-	if t.CRC.core != nil && t.CRC.core.mode != r.FCSMode() {
+// applyConfig loads a changed register sample into the transmit units.
+func (t *Transmitter) applyConfig(c *config) {
+	t.Escape.ACCM = c.accm
+	t.Escape.SharedFlags = c.ctrl&CtrlSharedFlags != 0
+	t.Escape.IdleFill = c.ctrl&CtrlIdleFill != 0
+	t.CRC.Mode = c.fcs
+	if t.CRC.core != nil && t.CRC.core.mode != c.fcs {
 		t.CRC.core = nil // mode change re-arms the core
 	}
 }
@@ -84,10 +83,21 @@ func (r *Receiver) Busy() bool {
 	return r.Delineator.Busy() || r.Escape.Busy()
 }
 
-func (r *Receiver) syncConfig(regs *Regs) {
-	r.CRC.Mode = regs.FCSMode()
-	if r.CRC.core != nil && r.CRC.core.mode != regs.FCSMode() {
+func (r *Receiver) applyConfig(c *config) {
+	r.CRC.Mode = c.fcs
+	if r.CRC.core != nil && r.CRC.core.mode != c.fcs {
 		r.CRC.core = nil
+	}
+}
+
+// clockConfig is the first thing a clock does: sample the register file
+// once and, if a host write landed since the last clock, load the same
+// sample into both datapath halves — so a write takes effect on the next
+// clock, whole, and transmitter and receiver never disagree within one.
+func clockConfig(regs *Regs, c *config, tx *Transmitter, rx *Receiver) {
+	if regs.sample(c) {
+		tx.applyConfig(c)
+		rx.applyConfig(c)
 	}
 }
 
@@ -135,6 +145,7 @@ type System struct {
 	Rx   *Receiver
 	Line *Line
 
+	cfg           config // this clock's register sample
 	txWasBusy     bool
 	telemetrySync func()
 
@@ -157,6 +168,7 @@ type System struct {
 func NewSystem(w int) *System {
 	sys := &System{W: w, Sim: &rtl.Sim{}, Regs: NewRegs(), FillLatency: -1}
 	sys.Tx = NewTransmitter(sys.Sim, w, sys.Regs)
+	sys.Tx.Framer.cfg = &sys.cfg
 	// The line registers between Tx and Rx so that, in the kernel's
 	// downstream-first evaluation, the receiver vacates Rx.In before
 	// the line pushes and the line vacates Tx.Out before the
@@ -174,6 +186,7 @@ func NewSystem(w int) *System {
 			sys.Regs.RaiseInt(IntRxFrame)
 		}
 	}
+	clockConfig(sys.Regs, &sys.cfg, sys.Tx, sys.Rx) // reset values
 	return sys
 }
 
@@ -203,8 +216,7 @@ func (s *System) ReceivedInto(dst []RxFrame) []RxFrame {
 
 // Cycle advances the whole system one clock.
 func (s *System) Cycle() {
-	s.Tx.syncConfig(s.Regs)
-	s.Rx.syncConfig(s.Regs)
+	clockConfig(s.Regs, &s.cfg, s.Tx, s.Rx)
 	if !s.fillPending && !s.txWasBusy && s.Tx.Busy() {
 		s.fillPending = true
 		s.fillStart = s.Sim.Now()
@@ -239,11 +251,15 @@ func (s *System) Busy() bool {
 // RunUntilIdle clocks the system until it drains or the budget runs
 // out; it reports whether the system drained.
 func (s *System) RunUntilIdle(budget int) bool {
+	if !s.Busy() {
+		return true
+	}
 	for i := 0; i < budget; i++ {
-		if !s.Busy() {
+		s.Cycle()
+		// Cycle has just evaluated the transmitter's busy state.
+		if !s.txWasBusy && !s.Rx.Busy() && s.Sim.Drained() {
 			return true
 		}
-		s.Cycle()
 	}
-	return !s.Busy()
+	return false
 }

@@ -57,14 +57,13 @@ func (f Flit) Bytes(dst []byte) []byte {
 
 // FlitOf packs up to 8 bytes into a flit.
 func FlitOf(p []byte) Flit {
-	var f Flit
 	if len(p) > 8 {
 		p = p[:8]
 	}
+	f := Flit{N: len(p)}
 	for i, b := range p {
-		f.SetByte(i, b)
+		f.Data |= uint64(b) << (8 * uint(i))
 	}
-	f.N = len(p)
 	return f
 }
 

@@ -3,6 +3,8 @@ package synth
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/crc"
 )
 
 func TestCostAlgebra(t *testing.T) {
@@ -250,5 +252,26 @@ func TestScalingTable(t *testing.T) {
 	out := FormatScalingTable(rows)
 	if !strings.Contains(out, "64-b") {
 		t.Errorf("format:\n%s", out)
+	}
+}
+
+func TestCRCUnitCostPinned(t *testing.T) {
+	// The XOR-tree inventory is read off the GF(2) matrices of
+	// crc.Parallel32; these are the numbers from before Step moved to
+	// byte-sliced tables (PR 15). A change in how the engine evaluates
+	// the matrices must not change the matrices.
+	want := map[int][2]Cost{
+		1: {{82, 40, 2}, {41, 24, 2}},
+		2: {{149, 48, 3}, {74, 32, 3}},
+		4: {{302, 64, 3}, {151, 48, 3}},
+		8: {{475, 96, 3}, {237, 80, 3}},
+	}
+	for w, c := range want {
+		if got := CRCUnit(w, crc.FCS32Mode); got != c[0] {
+			t.Errorf("CRCUnit(%d, FCS-32) = %+v, want %+v", w, got, c[0])
+		}
+		if got := CRCUnit(w, crc.FCS16Mode); got != c[1] {
+			t.Errorf("CRCUnit(%d, FCS-16) = %+v, want %+v", w, got, c[1])
+		}
 	}
 }

@@ -11,7 +11,8 @@
 #   BenchmarkSONETCoupledGoodput), and the armed distributed-
 #   observatory socket loop (BenchmarkTransportUDPSteady), and writes
 #   BENCH_<date>.json with ns/op, MB/s, allocs/op and the custom
-#   metrics (bits/cycle, frames/s, Gbps-line) per variant, so
+#   metrics (bits/cycle and host ns/cycle of the RTL model, frames/s,
+#   Gbps-line) per variant, so
 #   successive PRs can be compared without scraping test logs.
 #   Every benchmark runs eight times and the fastest run is recorded
 #   (the best-of-count estimator of verify.sh's gates): on a host whose
@@ -32,7 +33,7 @@ raw=$(go test -run '^$' \
 
 printf '%s\n' "$raw" | awk -v date="$(date +%Y-%m-%d)" -v go="$(go version | awk '{print $3}')" '
 /^Benchmark(System|EngineAggregate|LinkEncodeSteady|LinkDecodeSteady|AppendFramed|TokenizerFeed|EndToEnd_IPoverSONET|SONETCoupledGoodput|TransportUDPSteady)/ {
-    # BenchmarkSystemSteady/width=8bit/telemetry=false-8  5  17448822 ns/op  1.72 MB/s  7.779 bits/cycle  0 B/op  0 allocs/op
+    # BenchmarkSystemSteady/width=8bit/telemetry=false-8  5  5120324 ns/op  5.86 MB/s  7.779 bits/cycle  166.0 ns/cycle  0 B/op  0 allocs/op
     name = $1
     sub(/-[0-9]+$/, "", name)   # strip GOMAXPROCS suffix
     if (!(name in best)) order[n++] = name
