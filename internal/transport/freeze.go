@@ -3,8 +3,8 @@ package transport
 // This file is the capture-correlation side channel: a flight trigger
 // on one end of a socket line sends a TypeFreeze datagram carrying a
 // shared incident ID so the peer dumps its own black box. The freeze
-// box is embedded in the socket transports and mutated only under
-// their mutex; delivery is best-effort with alive-gated retransmits —
+// box is a field of the record session and mutated only under
+// its mutex; delivery is best-effort with alive-gated retransmits —
 // during a blackout the sender's own dead-peer detection holds the
 // pending freeze back, so the retries land once the line returns
 // instead of being exhausted into a dark line.

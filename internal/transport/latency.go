@@ -7,7 +7,7 @@ import "repro/internal/telemetry"
 // TypeData headers, probe RTT and NTP-style clock offset from the
 // TypeKeepalive/TypeKeepaliveReply exchange, and a tick-domain offset
 // estimate for correlating captures across processes. The meter is
-// embedded in the transport and mutated only under the transport's
+// a field of the record session and mutated only under its
 // mutex; the histograms are the telemetry package's atomic kind, so
 // Instrument can expose them directly and a scrape never takes the
 // transport lock.

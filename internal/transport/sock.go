@@ -1,8 +1,6 @@
 package transport
 
 import (
-	"os"
-	"strconv"
 	"time"
 
 	"repro/internal/netsim"
@@ -10,9 +8,9 @@ import (
 
 // This file holds the machinery the socket transports share: the
 // capped exponential backoff with seeded jitter that paces dial and
-// re-dial attempts, the bounded drop-oldest send queue, and the pooled
+// re-dial attempts, the bounded drop-oldest send queue, the pooled
 // receive queue that carries datagrams from the reader goroutine to
-// the owning tick loop.
+// the owning tick loop, and the clock-reading half of Send.
 
 // backoff paces reconnection attempts: capped exponential doubling
 // with ±20% seeded jitter, so N transports orphaned by one dead peer
@@ -155,17 +153,16 @@ func (q *rxQueue) drain() [][]byte {
 	return q.lent
 }
 
-// envBuffer resolves a socket buffer size: the configured value wins,
-// else the environment variable (the udpx idiom — buffer tuning
-// without a rebuild), else 0 for the kernel default.
-func envBuffer(configured int, env string) int {
-	if configured > 0 {
-		return configured
-	}
-	if v := os.Getenv(env); v != "" {
-		if n, err := strconv.Atoi(v); err == nil && n > 0 {
-			return n
+// queueChunks is the body of Send under both transports: p split into
+// data records on s's send queue, the wall clock read only for the
+// sampled records that carry a stamp (the session itself never reads
+// a clock).
+func queueChunks(s *session, p []byte) {
+	for len(p) > 0 {
+		wall := int64(0)
+		if s.stampDue() {
+			wall = time.Now().UnixNano()
 		}
+		p = s.queueData(p, wall)
 	}
-	return 0
 }

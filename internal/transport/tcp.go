@@ -6,8 +6,6 @@ import (
 	"net"
 	"sync"
 	"time"
-
-	"repro/internal/telemetry"
 )
 
 // TCP is the stream socket transport: the same wire records as UDP,
@@ -20,15 +18,13 @@ import (
 // and keepalive probes whose misses reset the connection so dead peers
 // are re-dialed instead of trusted forever.
 type TCP struct {
-	cfg      Config
+	session
 	dialAddr string
 	ln       net.Listener
 
-	mu     sync.Mutex
-	cond   *sync.Cond
-	closed bool
-	muted  bool
-	st     Stats
+	// Everything below is guarded by the session's mu; cond (on the
+	// same mutex) wakes the writer.
+	cond *sync.Cond
 
 	conn      net.Conn
 	connGen   int
@@ -37,27 +33,7 @@ type TCP struct {
 
 	dialing bool
 	retryAt int64
-	tickNow int64
 	bo      backoff
-
-	sq chunkQueue
-	rq rxQueue
-
-	epoch uint32
-	seq   uint64
-
-	peerEpoch uint32
-	gotEpoch  bool
-	peerSeq   uint64
-
-	alive    bool
-	rxCount  uint64
-	kaNext   int64
-	kaLastRx uint64
-	kaMisses int
-
-	lm meter
-	fz freezeBox
 }
 
 // TCPConfig places a TCP endpoint.
@@ -82,15 +58,9 @@ func NewTCP(cfg TCPConfig) (*TCP, error) {
 	if (cfg.ListenAddr == "") == (cfg.DialAddr == "") {
 		return nil, fmt.Errorf("transport: TCP needs exactly one of ListenAddr or DialAddr")
 	}
-	t := &TCP{
-		cfg:      cfg.Config,
-		dialAddr: cfg.DialAddr,
-		epoch:    uint32(time.Now().UnixNano()) | 1,
-		bo:       newBackoff(cfg.Config),
-		lm:       newMeter(cfg.LatencySampleShift),
-	}
+	t := &TCP{dialAddr: cfg.DialAddr, bo: newBackoff(cfg.Config)}
+	t.init(cfg.Config, cfg.ListenAddr != "", uint32(time.Now().UnixNano())|1)
 	t.cond = sync.NewCond(&t.mu)
-	t.sq.limit = cfg.queueLimit()
 	if cfg.ListenAddr != "" {
 		ln, err := net.Listen("tcp", cfg.ListenAddr)
 		if err != nil {
@@ -133,12 +103,6 @@ func (t *TCP) acceptLoop() {
 func (t *TCP) install(c net.Conn) {
 	if tc, ok := c.(*net.TCPConn); ok {
 		tc.SetNoDelay(true)
-		if n := envBuffer(t.cfg.ReadBuffer, "P5_SOCK_RBUF"); n > 0 {
-			tc.SetReadBuffer(n)
-		}
-		if n := envBuffer(t.cfg.WriteBuffer, "P5_SOCK_WBUF"); n > 0 {
-			tc.SetWriteBuffer(n)
-		}
 	}
 	t.mu.Lock()
 	if t.closed {
@@ -154,8 +118,7 @@ func (t *TCP) install(c net.Conn) {
 	t.connGen++
 	gen := t.connGen
 	t.connected = true
-	t.alive = true
-	t.kaMisses = 0
+	t.revive()
 	if t.everUp {
 		t.st.Reconnects++
 	}
@@ -186,8 +149,21 @@ func (t *TCP) dropConn(c net.Conn, gen int) {
 	t.mu.Unlock()
 }
 
-// reader parses wire records off c until it fails. A magic mismatch is
-// a stream desync: the connection is reset rather than resynchronised.
+// queueControl copies a control record the session built onto the send
+// queue: on a stream everything, probe replies included, leaves behind
+// the data already queued.
+func (t *TCP) queueControl(rec []byte) {
+	t.sq.push(append(t.sq.get(), rec...))
+	t.cond.Broadcast()
+}
+
+// reader parses length-prefixed wire records off c until it fails. A
+// header that does not decode is a stream desync: there is no next
+// record to find, so the connection is reset rather than
+// resynchronised (a version-skewed peer resets on its first record and
+// never comes up — the clean rejection path, counted so fleet scrapes
+// can name the cause). A muted line keeps parsing, to stay
+// record-aligned for when the mute lifts.
 func (t *TCP) reader(c net.Conn, gen int) {
 	var hdr [HeaderLen]byte
 	payload := make([]byte, 0, 4096)
@@ -196,27 +172,16 @@ func (t *TCP) reader(c net.Conn, gen int) {
 			t.dropConn(c, gen)
 			return
 		}
-		h, err := DecodeHeader(hdr[:])
-		if err != nil {
-			t.mu.Lock()
-			if err == ErrBadVersion {
-				// A version-skewed peer resets on its first record and
-				// never comes up — the clean rejection path, counted so
-				// fleet scrapes can name the cause.
-				t.st.RxBadVersion++
+		h, derr := DecodeHeader(hdr[:])
+		if derr == nil {
+			if cap(payload) < h.Len {
+				payload = make([]byte, 0, h.Len)
 			}
-			t.st.RxDropped++
-			t.mu.Unlock()
-			t.dropConn(c, gen)
-			return
-		}
-		if cap(payload) < h.Len {
-			payload = make([]byte, 0, h.Len)
-		}
-		payload = payload[:h.Len]
-		if _, err := io.ReadFull(c, payload); err != nil {
-			t.dropConn(c, gen)
-			return
+			payload = payload[:h.Len]
+			if _, err := io.ReadFull(c, payload); err != nil {
+				t.dropConn(c, gen)
+				return
+			}
 		}
 		rxWall := time.Now().UnixNano()
 		t.mu.Lock()
@@ -224,63 +189,17 @@ func (t *TCP) reader(c net.Conn, gen int) {
 			t.mu.Unlock()
 			return
 		}
-		if t.muted {
-			// Line cut: keep parsing the stream to stay record-aligned,
-			// but the dark window hides everything from delivery and
-			// liveness accounting alike.
-			t.st.RxDropped++
-			t.mu.Unlock()
-			continue
+		if kind, _ := t.receive(h, payload, derr, rxWall); kind == rxProbe {
+			// t3 is stamped at queue time, so writer-queue delay lands
+			// in the measured RTT — honest for a stream transport, where
+			// queued data delays everything else too.
+			t.queueControl(t.reply(h.Wall, rxWall, time.Now().UnixNano()))
 		}
-		t.rxCount++
-		t.alive = true
-		if !t.gotEpoch || h.Epoch != t.peerEpoch {
-			t.gotEpoch = true
-			t.peerEpoch = h.Epoch
-			t.peerSeq = 0
-		}
-		t.lm.noteTick(h.Tick, t.tickNow)
-		switch h.Type {
-		case TypeKeepalive:
-			// Answer through the send queue. t3 is stamped at queue
-			// time, so writer-queue delay lands in the measured RTT —
-			// honest for a stream transport, where queued data delays
-			// everything else too.
-			if h.Wall != 0 {
-				buf := t.sq.get()
-				buf = AppendHeader(buf, TypeKeepaliveReply, KeepaliveReplyLen,
-					t.epoch, t.seq, t.tickNow, 0)
-				buf = AppendKeepaliveReplyPayload(buf, h.Wall, rxWall, time.Now().UnixNano())
-				t.sq.push(buf)
-				t.cond.Broadcast()
-			}
-			t.mu.Unlock()
-			continue
-		case TypeKeepaliveReply:
-			if t1, t2, t3, perr := DecodeKeepaliveReply(payload); perr == nil {
-				t.lm.noteReply(t1, t2, t3, rxWall)
-			}
-			t.mu.Unlock()
-			continue
-		case TypeFreeze:
-			if inc, trigTick, trigWall, reason, perr := DecodeFreeze(payload); perr == nil {
-				t.fz.note(FreezeInfo{Incident: inc, Reason: reason, Tick: trigTick, WallNs: trigWall})
-			}
-			t.mu.Unlock()
-			continue
-		}
-		if h.Seq <= t.peerSeq {
-			// A replayed record after a reconnect race: drop rather
-			// than splice stale octets into the stream.
-			t.st.RxDropped++
-			t.mu.Unlock()
-			continue
-		}
-		t.peerSeq = h.Seq
-		t.rq.push(t.rq.get(payload))
-		t.st.RxChunks++
-		t.st.RxBytes += uint64(len(payload))
 		t.mu.Unlock()
+		if derr != nil {
+			t.dropConn(c, gen)
+			return
+		}
 	}
 }
 
@@ -288,6 +207,10 @@ func (t *TCP) reader(c net.Conn, gen int) {
 // the transport's lifetime.
 func (t *TCP) writer() {
 	batch := make([][]byte, 0, 32)
+	// WriteTo consumes the slice it is called on, so nb is re-cut from
+	// store for every batch and the backing array is allocated once.
+	store := make(net.Buffers, 0, 32)
+	var nb net.Buffers
 	for {
 		t.mu.Lock()
 		for !t.closed && (t.conn == nil || t.muted || len(t.sq.bufs) == 0) {
@@ -301,9 +224,8 @@ func (t *TCP) writer() {
 		batch = t.sq.drainInto(batch[:0], 32)
 		t.mu.Unlock()
 
-		nb := make(net.Buffers, len(batch))
+		nb = append(store[:0], batch...)
 		var payload uint64
-		copy(nb, batch)
 		for _, b := range batch {
 			payload += uint64(len(b) - HeaderLen)
 		}
@@ -326,54 +248,23 @@ func (t *TCP) writer() {
 	}
 }
 
-// Mute simulates a line cut at this endpoint: the writer pauses (data
-// holds in the bounded queue, oldest dropped), keepalive probes stop,
-// and received records are parsed but discarded before liveness
-// accounting. The chaos adapter drives this for scripted blackout
-// windows.
-func (t *TCP) Mute(on bool) {
-	t.mu.Lock()
-	t.muted = on
-	t.cond.Broadcast()
-	t.mu.Unlock()
-}
-
-// Send splits p into MaxChunk records and queues them for the writer.
+// Send splits p into records of at most maxChunk payload octets and
+// queues them for the writer.
 func (t *TCP) Send(p []byte) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.closed {
 		return ErrClosed
 	}
-	maxChunk := t.cfg.maxChunk()
-	for len(p) > 0 {
-		n := len(p)
-		if n > maxChunk {
-			n = maxChunk
-		}
-		buf := t.sq.get()
-		t.seq++
-		wall := int64(0)
-		if t.lm.stampWall(t.seq) {
-			wall = time.Now().UnixNano()
-		}
-		buf = AppendHeader(buf, TypeData, n, t.epoch, t.seq, t.tickNow, wall)
-		buf = append(buf, p[:n]...)
-		p = p[n:]
-		t.sq.push(buf)
-	}
+	queueChunks(&t.session, p)
 	t.cond.Broadcast()
 	return nil
 }
 
-// Recv appends the record payloads received since the previous Recv.
-func (t *TCP) Recv(dst [][]byte) [][]byte {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append(dst, t.rq.drain()...)
-}
-
-// Tick schedules dial attempts and runs keepalive accounting.
+// Tick schedules dial attempts, queues a due pending freeze, and runs
+// keepalive accounting while connected. An open connection whose peer
+// has gone silent is dropped, so the dead peer is re-dialed instead of
+// trusted forever.
 func (t *TCP) Tick(now int64) {
 	t.mu.Lock()
 	t.tickNow = now
@@ -385,49 +276,24 @@ func (t *TCP) Tick(now int64) {
 		t.dialing = true
 		go t.dial()
 	}
-	t.flushFreezeLocked(now)
-	period := t.cfg.KeepalivePeriod
-	if period <= 0 || !t.connected {
-		t.kaNext = 0
+	if rec := t.dueFreeze(now, t.connected); rec != nil {
+		t.queueControl(rec)
+	}
+	if !t.connected {
 		t.mu.Unlock()
 		return
 	}
-	if t.kaNext == 0 {
-		t.kaNext = now + period
-		t.kaLastRx = t.rxCount
-		t.mu.Unlock()
-		return
+	due, dead := t.keepalive(now)
+	c, gen := t.conn, t.connGen
+	if due && !dead {
+		t.queueControl(t.probe(now, time.Now().UnixNano()))
 	}
-	if now < t.kaNext {
-		t.mu.Unlock()
-		return
-	}
-	t.kaNext = now + period
-	giveUp := false
-	var c net.Conn
-	var gen int
-	if t.rxCount == t.kaLastRx {
-		t.kaMisses++
-		t.st.KeepaliveMisses++
-		if t.kaMisses >= t.cfg.keepaliveMisses() {
-			// The connection is open but the peer is silent: treat it
-			// as dead and force a reconnect cycle.
-			giveUp, c, gen = true, t.conn, t.connGen
-		}
-	} else {
-		t.kaMisses = 0
-	}
-	t.kaLastRx = t.rxCount
-	if !giveUp && !t.muted {
-		buf := t.sq.get()
-		// The probe's wall stamp is the NTP t1 origin.
-		buf = AppendHeader(buf, TypeKeepalive, 0, t.epoch, t.seq, now, time.Now().UnixNano())
-		t.sq.push(buf)
-		t.st.KeepaliveProbes++
+	if !t.muted && len(t.sq.bufs) > 0 {
+		// Data held across a mute has no Send to wake the writer.
 		t.cond.Broadcast()
 	}
 	t.mu.Unlock()
-	if giveUp {
+	if dead {
 		t.dropConn(c, gen)
 	}
 }
@@ -435,17 +301,13 @@ func (t *TCP) Tick(now int64) {
 // dial runs one connect attempt off the tick loop.
 func (t *TCP) dial() {
 	c, err := net.DialTimeout("tcp", t.dialAddr, dialTimeout)
-	if err != nil {
-		t.mu.Lock()
-		t.dialing = false
-		t.retryAt = t.tickNow + t.bo.next()
-		closed := t.closed
-		t.mu.Unlock()
-		_ = closed
-		return
-	}
 	t.mu.Lock()
 	t.dialing = false
+	if err != nil {
+		t.retryAt = t.tickNow + t.bo.next()
+		t.mu.Unlock()
+		return
+	}
 	closed := t.closed
 	t.mu.Unlock()
 	if closed {
@@ -455,80 +317,11 @@ func (t *TCP) dial() {
 	t.install(c)
 }
 
-// flushFreezeLocked queues one due pending freeze for the writer.
-// Retries are gated on the line being alive, so a freeze raised while
-// disconnected waits for the reconnect instead of exhausting its
-// tries into a dead stream.
-func (t *TCP) flushFreezeLocked(now int64) {
-	fi := t.fz.due(now, t.connected && t.alive && !t.muted, t.cfg.KeepalivePeriod)
-	if fi == nil {
-		return
-	}
-	reason := fi.Reason
-	if len(reason) > freezeReasonMax {
-		reason = reason[:freezeReasonMax]
-	}
-	buf := t.sq.get()
-	buf = AppendHeader(buf, TypeFreeze, 25+len(reason), t.epoch, t.seq, now, 0)
-	buf = AppendFreezePayload(buf, fi.Incident, fi.Tick, fi.WallNs, reason)
-	t.sq.push(buf)
-	t.cond.Broadcast()
-}
-
-// SendFreeze queues a capture-correlation freeze toward the peer.
-func (t *TCP) SendFreeze(info FreezeInfo) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.closed {
-		return
-	}
-	t.fz.queue(info)
-	t.flushFreezeLocked(t.tickNow)
-}
-
-// Freezes appends and returns the freezes received since the last call.
-func (t *TCP) Freezes(dst []FreezeInfo) []FreezeInfo {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.fz.drain(dst)
-}
-
-// CorrelationLeader reports whether this end assigns shared incident
-// IDs (epoch comparison; the listener wins ties).
-func (t *TCP) CorrelationLeader() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return leader(t.epoch, t.peerEpoch, t.gotEpoch, t.ln != nil)
-}
-
-// Latency returns the endpoint's latency summary.
-func (t *TCP) Latency() Latency {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.lm.latency()
-}
-
-// LatencyHist returns the live latency histograms (µs).
-func (t *TCP) LatencyHist() (oneWay, jitter, rtt *telemetry.Histogram) {
-	return t.lm.oneWay, t.lm.jitter, t.lm.rtt
-}
-
 // Up reports connection and dead-peer status.
 func (t *TCP) Up() bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.connected && t.alive && !t.closed
-}
-
-// Stats returns a snapshot of the endpoint's counters.
-func (t *TCP) Stats() Stats {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	st := t.st
-	st.TxDropped += t.sq.dropped
-	st.QueueDepth = len(t.sq.bufs)
-	st.QueueHighWater = t.sq.highWater
-	return st
 }
 
 // Close shuts down the listener, the connection, the writer and the

@@ -104,13 +104,6 @@ type Stats struct {
 // Config tunes the socket transports. The zero value is usable; every
 // field has a default.
 type Config struct {
-	// QueueLimit bounds the send queue in chunks (default 256). When
-	// full the oldest queued chunk is dropped — the transport degrades,
-	// it never blocks the engine.
-	QueueLimit int
-	// MaxChunk bounds one chunk's payload octets (default 60000, under
-	// the 64 KiB UDP datagram ceiling). Oversized Sends are split.
-	MaxChunk int
 	// KeepalivePeriod, when non-zero, sends a keepalive probe every
 	// this many ticks and checks for inbound traffic; KeepaliveMisses
 	// consecutive silent periods (default 3) declare the peer dead
@@ -126,11 +119,6 @@ type Config struct {
 	// JitterSeed seeds the backoff jitter (0 derives a per-process
 	// default). Distinct transports should use distinct seeds.
 	JitterSeed uint64
-	// ReadBuffer/WriteBuffer request socket buffer sizes in bytes
-	// (0 keeps the kernel default; the P5_SOCK_RBUF and P5_SOCK_WBUF
-	// environment variables override zero values, the udpx idiom of
-	// env-tuned buffers).
-	ReadBuffer, WriteBuffer int
 	// LatencySampleShift controls the one-way latency wall-stamp rate:
 	// one data datagram in 2^shift carries a transmit wall stamp
 	// (default 6, 1 in 64). Sampling keeps the stamp cost off most of
@@ -140,20 +128,6 @@ type Config struct {
 
 // defaultLatencySampleShift is the 1-in-64 default sampling rate.
 const defaultLatencySampleShift = 6
-
-func (c Config) queueLimit() int {
-	if c.QueueLimit <= 0 {
-		return 256
-	}
-	return c.QueueLimit
-}
-
-func (c Config) maxChunk() int {
-	if c.MaxChunk <= 0 {
-		return 60000
-	}
-	return c.MaxChunk
-}
 
 func (c Config) keepaliveMisses() int {
 	if c.KeepaliveMisses <= 0 {

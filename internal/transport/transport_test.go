@@ -431,103 +431,166 @@ func TestUDPBadVersionRejected(t *testing.T) {
 	}
 }
 
-// TestUDPLatencyExchange drives a real loopback pair and asserts the
-// latency meter fills from both channels: one-way samples from sampled
-// wall stamps on data chunks, RTT samples from the keepalive
-// probe/reply exchange.
-func TestUDPLatencyExchange(t *testing.T) {
-	cfg := Config{KeepalivePeriod: 2, LatencySampleShift: 1}
+// sockLine is what the transport-independent socket tests need of an
+// endpoint: the line contract plus the latency and freeze channels.
+type sockLine interface {
+	LineTransport
+	LatencyMeter
+	Freezer
+}
+
+// sockPairs opens a connected loopback listener/dialer pair per socket
+// transport, for the tests whose assertions do not depend on which one
+// carries the records. now is the pair's tick clock.
+var sockPairs = []struct {
+	name string
+	open func(t *testing.T, cfg Config, now *int64) (ln, dl sockLine)
+}{{"udp", udpSockPair}, {"tcp", tcpSockPair}}
+
+func udpSockPair(t *testing.T, cfg Config, now *int64) (sockLine, sockLine) {
 	ln, err := NewUDP(UDPConfig{Config: cfg, ListenAddr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ln.Close()
+	t.Cleanup(func() { ln.Close() })
 	dl, err := NewUDP(UDPConfig{Config: cfg, DialAddr: ln.LocalAddr().String()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer dl.Close()
+	t.Cleanup(func() { dl.Close() })
+	return ln, dl
+}
 
-	now := int64(0)
-	for i := 0; i < 16; i++ {
-		dl.Send([]byte("tick"))
+func tcpSockPair(t *testing.T, cfg Config, now *int64) (sockLine, sockLine) {
+	ln, err := NewTCP(TCPConfig{Config: cfg, ListenAddr: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
 	}
-	collect(t, ln, dl, 16, &now)
-	if lat := ln.Latency(); lat.Samples == 0 {
-		t.Fatalf("no one-way samples after 16 stamped chunks: %+v", lat)
+	t.Cleanup(func() { ln.Close() })
+	dl, err := NewTCP(TCPConfig{Config: cfg, DialAddr: ln.LocalAddr().String()})
+	if err != nil {
+		t.Fatal(err)
 	}
+	t.Cleanup(func() { dl.Close() })
+	tickUntil(t, now, "dialer never connected", dl.Up, dl)
+	return ln, dl
+}
 
-	// Reverse traffic marks the dialer's peer alive, after which its
-	// keepalive probes (wall-stamped) earn RTT samples from replies.
-	ln.Send([]byte("back"))
-	collect(t, dl, ln, 1, &now)
+// tickUntil ticks the given transports until cond holds, failing with
+// msg after five seconds.
+func tickUntil(t *testing.T, now *int64, msg string, cond func() bool, ts ...LineTransport) {
+	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	for dl.Latency().RTTSamples == 0 {
+	for !cond() {
 		if time.Now().After(deadline) {
-			t.Fatalf("no RTT samples: %+v", dl.Latency())
+			t.Fatal(msg)
 		}
-		now++
-		dl.Tick(now)
-		ln.Tick(now)
+		*now++
+		for _, tr := range ts {
+			tr.Tick(*now)
+		}
 		time.Sleep(100 * time.Microsecond)
-	}
-	lat := dl.Latency()
-	if lat.ClockOffsetNS > 1e9 || lat.ClockOffsetNS < -1e9 {
-		t.Fatalf("loopback clock offset estimate off by >1s: %+v", lat)
 	}
 }
 
-// TestUDPFreezeExchange: a freeze ping queued on one end surfaces on
-// the peer exactly once — retransmissions are deduplicated by incident.
-func TestUDPFreezeExchange(t *testing.T) {
-	cfg := Config{KeepalivePeriod: 2}
-	ln, err := NewUDP(UDPConfig{Config: cfg, ListenAddr: "127.0.0.1:0"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	dl, err := NewUDP(UDPConfig{Config: cfg, DialAddr: ln.LocalAddr().String()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer dl.Close()
+// TestLatencyExchange drives a real loopback pair and asserts the
+// latency meter fills from both channels: one-way samples from sampled
+// wall stamps on data chunks, RTT samples from the keepalive
+// probe/reply exchange.
+func TestLatencyExchange(t *testing.T) {
+	for _, tr := range sockPairs {
+		t.Run(tr.name, func(t *testing.T) {
+			now := int64(0)
+			ln, dl := tr.open(t, Config{KeepalivePeriod: 2, LatencySampleShift: 1}, &now)
+			for i := 0; i < 16; i++ {
+				dl.Send([]byte("tick"))
+			}
+			collect(t, ln, dl, 16, &now)
+			if lat := ln.Latency(); lat.Samples == 0 {
+				t.Fatalf("no one-way samples after 16 stamped chunks: %+v", lat)
+			}
 
-	// Two-way traffic so both ends see a live peer.
+			// Reverse traffic marks the dialer's peer alive, after which its
+			// keepalive probes (wall-stamped) earn RTT samples from replies.
+			ln.Send([]byte("back"))
+			collect(t, dl, ln, 1, &now)
+			tickUntil(t, &now, "no RTT samples", func() bool { return dl.Latency().RTTSamples != 0 }, dl, ln)
+			lat := dl.Latency()
+			if lat.ClockOffsetNS > 1e9 || lat.ClockOffsetNS < -1e9 {
+				t.Fatalf("loopback clock offset estimate off by >1s: %+v", lat)
+			}
+		})
+	}
+}
+
+// TestFreezeExchange: a freeze ping queued on one end surfaces on the
+// peer exactly once — retransmissions are deduplicated by incident.
+func TestFreezeExchange(t *testing.T) {
+	for _, tr := range sockPairs {
+		t.Run(tr.name, func(t *testing.T) {
+			cfg := Config{KeepalivePeriod: 2}
+			now := int64(0)
+			ln, dl := tr.open(t, cfg, &now)
+
+			// Two-way traffic so both ends see a live peer.
+			dl.Send([]byte("fwd"))
+			collect(t, ln, dl, 1, &now)
+			ln.Send([]byte("rev"))
+			collect(t, dl, ln, 1, &now)
+
+			want := FreezeInfo{Incident: 0xC0FFEE, Reason: "transport-los", Tick: 41, WallNs: 1234}
+			dl.SendFreeze(want)
+			var got []FreezeInfo
+			tickUntil(t, &now, "freeze never arrived", func() bool {
+				got = ln.Freezes(got)
+				return len(got) != 0
+			}, dl, ln)
+			if got[0] != want {
+				t.Fatalf("freeze round trip: got %+v, want %+v", got[0], want)
+			}
+			// Let every retransmission land; dedup must keep the count at one.
+			for i := 0; i < 4*int(cfg.KeepalivePeriod)+4; i++ {
+				now++
+				dl.Tick(now)
+				ln.Tick(now)
+				time.Sleep(100 * time.Microsecond)
+			}
+			if extra := ln.Freezes(nil); len(extra) != 0 {
+				t.Fatalf("retransmitted freeze delivered twice: %+v", extra)
+			}
+			if len(got) != 1 {
+				t.Fatalf("freeze count %d, want 1", len(got))
+			}
+		})
+	}
+}
+
+// TestTCPSilentPeerRedial: a connection that stays open while the peer
+// goes silent — here a muted listener, which neither writes nor counts
+// what it reads — must not be trusted forever. The dialer's keepalive
+// runs out of misses, drops the connection and re-dials; when the mute
+// lifts, the replacement connection carries data again.
+func TestTCPSilentPeerRedial(t *testing.T) {
+	cfg := Config{KeepalivePeriod: 4, KeepaliveMisses: 2, RetryMin: 1, RetryMax: 4}
 	now := int64(0)
-	dl.Send([]byte("fwd"))
+	ln, dl := tcpSockPair(t, cfg, &now)
+	dl.Send([]byte("before"))
 	collect(t, ln, dl, 1, &now)
-	ln.Send([]byte("rev"))
-	collect(t, dl, ln, 1, &now)
 
-	want := FreezeInfo{Incident: 0xC0FFEE, Reason: "transport-los", Tick: 41, WallNs: 1234}
-	dl.SendFreeze(want)
-	var got []FreezeInfo
-	deadline := time.Now().Add(5 * time.Second)
-	for len(got) == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("freeze never arrived")
-		}
-		now++
-		dl.Tick(now)
-		ln.Tick(now)
-		got = ln.Freezes(got)
-		time.Sleep(100 * time.Microsecond)
+	ln.(Muter).Mute(true)
+	tickUntil(t, &now, "dialer never gave up on the silent peer and re-dialed", func() bool {
+		st := dl.Stats()
+		return st.Resets > 0 && st.Reconnects > 0
+	}, dl, ln)
+	if st := dl.Stats(); st.KeepaliveMisses < 2 {
+		t.Fatalf("give-up without the configured misses: %+v", st)
 	}
-	if got[0] != want {
-		t.Fatalf("freeze round trip: got %+v, want %+v", got[0], want)
-	}
-	// Let every retransmission land; dedup must keep the count at one.
-	for i := 0; i < 4*int(cfg.KeepalivePeriod)+4; i++ {
-		now++
-		dl.Tick(now)
-		ln.Tick(now)
-		time.Sleep(100 * time.Microsecond)
-	}
-	if extra := ln.Freezes(nil); len(extra) != 0 {
-		t.Fatalf("retransmitted freeze delivered twice: %+v", extra)
-	}
-	if len(got) != 1 {
-		t.Fatalf("freeze count %d, want 1", len(got))
+
+	ln.(Muter).Mute(false)
+	tickUntil(t, &now, "dialer not up after the mute lifted", dl.Up, dl, ln)
+	dl.Send([]byte("after"))
+	if got := collect(t, ln, dl, 1, &now); string(got[0]) != "after" {
+		t.Fatalf("after the silent window got %q", got[0])
 	}
 }
 

@@ -4,10 +4,7 @@ import (
 	"fmt"
 	"net"
 	"net/netip"
-	"sync"
 	"time"
-
-	"repro/internal/telemetry"
 )
 
 // UDP is the datagram socket transport: one chunk of wire octets per
@@ -29,43 +26,13 @@ import (
 // clock offset against its peer (LatencyMeter). It also carries the
 // capture-correlation freeze channel (Freezer).
 type UDP struct {
-	cfg      Config
-	conn     *net.UDPConn
-	listener bool
+	session
+	conn *net.UDPConn
 
-	mu     sync.Mutex
-	closed bool
-	muted  bool
-	st     Stats
-	peer   netip.AddrPort
-
-	sq       chunkQueue
-	rq       rxQueue
+	// peer is the address datagrams go to (guarded by mu): fixed for a
+	// dialer, latched from the first valid datagram for a listener.
+	peer     netip.AddrPort
 	flushTmp [][]byte
-
-	epoch uint32
-	seq   uint64
-
-	peerEpoch uint32
-	gotEpoch  bool
-	peerSeq   uint64
-
-	alive   bool
-	rxCount uint64
-	tickNow int64
-
-	kaNext   int64
-	kaLastRx uint64
-	kaMisses int
-
-	lm meter
-	fz freezeBox
-
-	// probeBuf and replyBuf are preallocated so the keepalive exchange
-	// never allocates (stack arrays would escape into the socket write).
-	probeBuf  [HeaderLen]byte
-	replyBuf  [HeaderLen + KeepaliveReplyLen]byte
-	freezeBuf [HeaderLen + 64]byte
 }
 
 // UDPConfig places a UDP endpoint.
@@ -95,20 +62,8 @@ func NewUDP(cfg UDPConfig) (*UDP, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: bind: %w", err)
 	}
-	if n := envBuffer(cfg.ReadBuffer, "P5_SOCK_RBUF"); n > 0 {
-		conn.SetReadBuffer(n)
-	}
-	if n := envBuffer(cfg.WriteBuffer, "P5_SOCK_WBUF"); n > 0 {
-		conn.SetWriteBuffer(n)
-	}
-	t := &UDP{
-		cfg:      cfg.Config,
-		conn:     conn,
-		listener: cfg.DialAddr == "",
-		epoch:    uint32(time.Now().UnixNano()) | 1,
-		lm:       newMeter(cfg.LatencySampleShift),
-	}
-	t.sq.limit = cfg.queueLimit()
+	t := &UDP{conn: conn}
+	t.init(cfg.Config, cfg.DialAddr == "", uint32(time.Now().UnixNano())|1)
 	if cfg.DialAddr != "" {
 		raddr, err := net.ResolveUDPAddr("udp", cfg.DialAddr)
 		if err != nil {
@@ -124,46 +79,18 @@ func NewUDP(cfg UDPConfig) (*UDP, error) {
 // LocalAddr returns the bound socket address (useful with ":0").
 func (t *UDP) LocalAddr() net.Addr { return t.conn.LocalAddr() }
 
-// Send splits p into MaxChunk-sized datagrams and queues them; the
-// queue is flushed inline when the peer is known, so in the steady
-// state a Send is its own batched syscall burst.
+// Send splits p into datagrams of at most maxChunk payload octets and
+// queues them; the queue is flushed inline when the peer is known, so
+// in the steady state a Send is its own batched syscall burst.
 func (t *UDP) Send(p []byte) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.closed {
 		return ErrClosed
 	}
-	maxChunk := t.cfg.maxChunk()
-	for len(p) > 0 {
-		n := len(p)
-		if n > maxChunk {
-			n = maxChunk
-		}
-		buf := t.sq.get()
-		t.seq++
-		wall := int64(0)
-		if t.lm.stampWall(t.seq) {
-			wall = time.Now().UnixNano()
-		}
-		buf = AppendHeader(buf, TypeData, n, t.epoch, t.seq, t.tickNow, wall)
-		buf = append(buf, p[:n]...)
-		p = p[n:]
-		t.sq.push(buf)
-	}
+	queueChunks(&t.session, p)
 	t.flushLocked()
 	return nil
-}
-
-// Mute simulates a line cut at this endpoint: while muted nothing is
-// written to the socket — data holds in the bounded queue (oldest
-// dropped), keepalive probes are suppressed — and everything received
-// is discarded before liveness accounting, so both ends' dead-peer
-// detection sees a genuinely dark line. The chaos adapter drives this
-// for scripted blackout windows.
-func (t *UDP) Mute(on bool) {
-	t.mu.Lock()
-	t.muted = on
-	t.mu.Unlock()
 }
 
 // flushLocked writes every queued datagram to the peer (no-op while
@@ -185,15 +112,9 @@ func (t *UDP) flushLocked() {
 	}
 }
 
-// Recv appends the datagram payloads received since the previous Recv.
-func (t *UDP) Recv(dst [][]byte) [][]byte {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append(dst, t.rq.drain()...)
-}
-
-// Tick runs keepalive probing, dead-peer accounting and pending freeze
-// transmission, and flushes anything still queued.
+// Tick flushes anything still queued, transmits a due pending freeze,
+// and runs keepalive probing and dead-peer accounting. Control records
+// go straight to the socket, never behind queued data.
 func (t *UDP) Tick(now int64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -202,95 +123,24 @@ func (t *UDP) Tick(now int64) {
 	}
 	t.tickNow = now
 	t.flushLocked()
-	t.flushFreezeLocked(now)
-	period := t.cfg.KeepalivePeriod
-	if period <= 0 {
-		return
+	if rec := t.dueFreeze(now, t.peer.IsValid()); rec != nil {
+		t.conn.WriteToUDPAddrPort(rec, t.peer)
 	}
-	if t.kaNext == 0 {
-		t.kaNext = now + period
-		t.kaLastRx = t.rxCount
-		return
+	due, dead := t.keepalive(now)
+	if dead {
+		// A dead datagram peer costs nothing to keep: the socket stays,
+		// probes continue, and Up() turns true again on the first
+		// arrival.
+		t.st.Resets++
 	}
-	if now < t.kaNext {
-		return
-	}
-	t.kaNext = now + period
-	if t.rxCount == t.kaLastRx {
-		t.kaMisses++
-		t.st.KeepaliveMisses++
-		if t.kaMisses >= t.cfg.keepaliveMisses() && t.alive {
-			t.alive = false
-			t.st.Resets++
-		}
-	} else {
-		t.kaMisses = 0
-	}
-	t.kaLastRx = t.rxCount
-	if t.peer.IsValid() && !t.muted {
-		// The probe's wall stamp is the NTP t1 origin.
-		probe := AppendHeader(t.probeBuf[:0], TypeKeepalive, 0, t.epoch, t.seq,
-			now, time.Now().UnixNano())
-		t.conn.WriteToUDPAddrPort(probe, t.peer)
-		t.st.KeepaliveProbes++
+	if due && t.peer.IsValid() {
+		t.conn.WriteToUDPAddrPort(t.probe(now, time.Now().UnixNano()), t.peer)
 	}
 }
 
-// flushFreezeLocked transmits one due pending freeze. Retries are
-// gated on the line being alive, so a freeze raised during a blackout
-// waits the dark window out instead of exhausting its tries into it.
-func (t *UDP) flushFreezeLocked(now int64) {
-	fi := t.fz.due(now, t.alive && !t.muted && t.peer.IsValid(), t.cfg.KeepalivePeriod)
-	if fi == nil {
-		return
-	}
-	payload := AppendFreezePayload(t.freezeBuf[HeaderLen:HeaderLen], fi.Incident, fi.Tick, fi.WallNs, fi.Reason)
-	buf := AppendHeader(t.freezeBuf[:0], TypeFreeze, len(payload), t.epoch, t.seq, now, 0)
-	buf = buf[:HeaderLen+len(payload)]
-	t.conn.WriteToUDPAddrPort(buf, t.peer)
-}
-
-// SendFreeze queues a capture-correlation freeze toward the peer.
-func (t *UDP) SendFreeze(info FreezeInfo) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.closed {
-		return
-	}
-	t.fz.queue(info)
-	t.flushFreezeLocked(t.tickNow)
-}
-
-// Freezes appends and returns the freezes received since the last call.
-func (t *UDP) Freezes(dst []FreezeInfo) []FreezeInfo {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.fz.drain(dst)
-}
-
-// CorrelationLeader reports whether this end assigns shared incident
-// IDs (epoch comparison; the listener wins ties).
-func (t *UDP) CorrelationLeader() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return leader(t.epoch, t.peerEpoch, t.gotEpoch, t.listener)
-}
-
-// Latency returns the endpoint's latency summary.
-func (t *UDP) Latency() Latency {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.lm.latency()
-}
-
-// LatencyHist returns the live latency histograms (µs).
-func (t *UDP) LatencyHist() (oneWay, jitter, rtt *telemetry.Histogram) {
-	return t.lm.oneWay, t.lm.jitter, t.lm.rtt
-}
-
-// reader is the receive goroutine: it validates, deduplicates and
-// copies datagrams into the pooled receive queue, answers keepalive
-// probes, and folds latency samples into the meter.
+// reader is the receive goroutine: one datagram is one record. A
+// datagram that fails to decode is dropped alone — the next one stands
+// on its own.
 func (t *UDP) reader() {
 	buf := make([]byte, 65536)
 	for {
@@ -311,82 +161,19 @@ func (t *UDP) reader() {
 			t.mu.Unlock()
 			return
 		}
-		if t.muted {
-			// The line is cut: what arrives anyway is lost in the dark
-			// window, invisible even to liveness accounting.
-			t.st.RxDropped++
-			t.mu.Unlock()
-			continue
+		kind, ev := t.receive(h, payload, derr, rxWall)
+		if ev == peerRestarted {
+			t.st.Reconnects++
 		}
-		if derr != nil {
-			// A version-skewed peer fails here on every datagram and
-			// never marks the line alive — keepalive supervision reports
-			// it dead, RxBadVersion names the cause.
-			if derr == ErrBadVersion {
-				t.st.RxBadVersion++
-			}
-			t.st.RxDropped++
-			t.mu.Unlock()
-			continue
-		}
-		t.rxCount++
-		t.alive = true
-		epochChanged := !t.gotEpoch || h.Epoch != t.peerEpoch
-		if epochChanged {
-			if t.gotEpoch {
-				// The peer restarted (or re-bound): resynchronise and
-				// count the reconnection.
-				t.st.Reconnects++
-			}
-			t.gotEpoch = true
-			t.peerEpoch = h.Epoch
-			t.peerSeq = 0
-		}
-		if t.listener && (!t.peer.IsValid() || epochChanged) {
-			// Latch (or re-latch) the return path.
+		if t.listener && ev != peerSame {
+			// Latch (or, after a peer restart, re-latch) the return path.
 			t.peer = addr
 		}
-		t.lm.noteTick(h.Tick, t.tickNow)
-		switch h.Type {
-		case TypeKeepalive:
-			// Answer with the NTP triple: t1 echoed from the probe's
-			// wall stamp, t2 our receive clock, t3 our transmit clock.
+		if kind == rxProbe {
 			// Replying straight to the source keeps the exchange alive
 			// even before the return path is latched.
-			if h.Wall != 0 {
-				reply := AppendHeader(t.replyBuf[:0], TypeKeepaliveReply, KeepaliveReplyLen,
-					t.epoch, t.seq, t.tickNow, 0)
-				reply = AppendKeepaliveReplyPayload(reply, h.Wall, rxWall, time.Now().UnixNano())
-				t.conn.WriteToUDPAddrPort(reply, addr)
-			}
-			t.mu.Unlock()
-			continue
-		case TypeKeepaliveReply:
-			if t1, t2, t3, perr := DecodeKeepaliveReply(payload); perr == nil {
-				t.lm.noteReply(t1, t2, t3, rxWall)
-			}
-			t.mu.Unlock()
-			continue
-		case TypeFreeze:
-			if inc, trigTick, trigWall, reason, perr := DecodeFreeze(payload); perr == nil {
-				t.fz.note(FreezeInfo{Incident: inc, Reason: reason, Tick: trigTick, WallNs: trigWall})
-			}
-			t.mu.Unlock()
-			continue
+			t.conn.WriteToUDPAddrPort(t.reply(h.Wall, rxWall, time.Now().UnixNano()), addr)
 		}
-		if h.Seq <= t.peerSeq {
-			// Duplicate or reordered behind the delivery cursor: a
-			// stale chunk spliced into the HDLC stream would corrupt
-			// framing, so it is dropped (loss PPP already absorbs).
-			t.st.RxDropped++
-			t.mu.Unlock()
-			continue
-		}
-		t.peerSeq = h.Seq
-		t.lm.noteData(h.Wall, rxWall)
-		t.rq.push(t.rq.get(payload))
-		t.st.RxChunks++
-		t.st.RxBytes += uint64(len(payload))
 		t.mu.Unlock()
 	}
 }
@@ -397,17 +184,6 @@ func (t *UDP) Up() bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.alive && !t.closed
-}
-
-// Stats returns a snapshot of the endpoint's counters.
-func (t *UDP) Stats() Stats {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	st := t.st
-	st.TxDropped += t.sq.dropped // write errors + queue overflow drops
-	st.QueueDepth = len(t.sq.bufs)
-	st.QueueHighWater = t.sq.highWater
-	return st
 }
 
 // Close shuts the socket down and stops the reader.

@@ -3,6 +3,7 @@ package gigapos
 import (
 	"bytes"
 	"fmt"
+	"net"
 	"testing"
 	"time"
 
@@ -262,79 +263,97 @@ func TestEngineTransportPipeZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestEngineRemoteUDP interconnects two single-ended engines — the
-// listener half (RoleA) and the dialer half (RoleZ) — over real UDP
-// loopback sockets: the two-process p5sim topology, in one process so
-// the test can observe both sides.
-func TestEngineRemoteUDP(t *testing.T) {
-	const nLinks = 2
-	kcfg := transport.Config{KeepalivePeriod: 64, KeepaliveMisses: 5}
+// remoteLine is what TestEngineRemote needs of a socket endpoint: the
+// line contract plus the bound address its peer dials.
+type remoteLine interface {
+	transport.LineTransport
+	LocalAddr() net.Addr
+}
 
-	listeners := make([]*transport.UDP, nLinks)
-	for i := range listeners {
-		ln, err := transport.NewUDP(transport.UDPConfig{Config: kcfg, ListenAddr: "127.0.0.1:0"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		listeners[i] = ln
-	}
-	eA := NewEngine(EngineConfig{
-		Links: nLinks, Shards: 1, PayloadSize: 256, Batch: 2,
-		Link: LinkConfig{Supervise: true, RestartPeriod: 24},
-		Role: RoleA,
-		Transport: func(port int) (a, z transport.LineTransport) {
-			return listeners[port], nil
-		},
-	})
-	defer eA.Close()
-	eZ := NewEngine(EngineConfig{
-		Links: nLinks, Shards: 1, PayloadSize: 256, Batch: 2,
-		Link: LinkConfig{Supervise: true, RestartPeriod: 24},
-		Role: RoleZ,
-		Transport: func(port int) (a, z transport.LineTransport) {
-			dl, err := transport.NewUDP(transport.UDPConfig{
-				Config:   kcfg,
-				DialAddr: listeners[port].LocalAddr().String(),
-			})
-			if err != nil {
-				t.Fatalf("dial port %d: %v", port, err)
+// TestEngineRemote interconnects two single-ended engines — the
+// listener half (RoleA) and the dialer half (RoleZ) — over real
+// loopback sockets, once per socket transport: the two-process p5sim
+// topology, in one process so the test can observe both sides.
+func TestEngineRemote(t *testing.T) {
+	for _, tr := range []struct {
+		name string
+		open func(cfg transport.Config, listen, dial string) (remoteLine, error)
+	}{
+		{"udp", func(cfg transport.Config, listen, dial string) (remoteLine, error) {
+			return transport.NewUDP(transport.UDPConfig{Config: cfg, ListenAddr: listen, DialAddr: dial})
+		}},
+		{"tcp", func(cfg transport.Config, listen, dial string) (remoteLine, error) {
+			return transport.NewTCP(transport.TCPConfig{Config: cfg, ListenAddr: listen, DialAddr: dial})
+		}},
+	} {
+		t.Run(tr.name, func(t *testing.T) {
+			const nLinks = 2
+			kcfg := transport.Config{KeepalivePeriod: 64, KeepaliveMisses: 5}
+
+			listeners := make([]remoteLine, nLinks)
+			for i := range listeners {
+				ln, err := tr.open(kcfg, "127.0.0.1:0", "")
+				if err != nil {
+					t.Fatal(err)
+				}
+				listeners[i] = ln
 			}
-			return nil, dl
-		},
-	})
-	defer eZ.Close()
+			eA := NewEngine(EngineConfig{
+				Links: nLinks, Shards: 1, PayloadSize: 256, Batch: 2,
+				Link: LinkConfig{Supervise: true, RestartPeriod: 24},
+				Role: RoleA,
+				Transport: func(port int) (a, z transport.LineTransport) {
+					return listeners[port], nil
+				},
+			})
+			defer eA.Close()
+			eZ := NewEngine(EngineConfig{
+				Links: nLinks, Shards: 1, PayloadSize: 256, Batch: 2,
+				Link: LinkConfig{Supervise: true, RestartPeriod: 24},
+				Role: RoleZ,
+				Transport: func(port int) (a, z transport.LineTransport) {
+					dl, err := tr.open(kcfg, "", listeners[port].LocalAddr().String())
+					if err != nil {
+						t.Fatalf("dial port %d: %v", port, err)
+					}
+					return nil, dl
+				},
+			})
+			defer eZ.Close()
 
-	deadline := time.Now().Add(15 * time.Second)
-	for !(eA.Ready() && eZ.Ready()) {
-		if time.Now().After(deadline) {
-			t.Fatalf("remote engines never converged: a=%v z=%v", eA.Ready(), eZ.Ready())
-		}
-		eA.Run(1)
-		eZ.Run(1)
-		time.Sleep(50 * time.Microsecond)
-	}
-	for i := 0; i < 2000; i++ {
-		eA.Run(1)
-		eZ.Run(1)
-		time.Sleep(50 * time.Microsecond)
-	}
-	for name, e := range map[string]*Engine{"A": eA, "Z": eZ} {
-		st := e.Stats()
-		if st.Datagrams == 0 {
-			t.Errorf("engine %s delivered no datagrams: %+v", name, st)
-		}
-		ts := e.TransportStats()
-		if ts.TxChunks == 0 || ts.RxChunks == 0 {
-			t.Errorf("engine %s transport counters empty: %+v", name, ts)
-		}
-		var names []string
-		e.EachTransport(func(n string, _ transport.LineTransport) { names = append(names, n) })
-		if len(names) != nLinks {
-			t.Errorf("engine %s transports: %v, want %d", name, names, nLinks)
-		}
-	}
-	if a, z := eA.Port(0); a == nil || z != nil {
-		t.Error("RoleA engine port shape wrong: want local a, nil z")
+			deadline := time.Now().Add(15 * time.Second)
+			for !(eA.Ready() && eZ.Ready()) {
+				if time.Now().After(deadline) {
+					t.Fatalf("remote engines never converged: a=%v z=%v", eA.Ready(), eZ.Ready())
+				}
+				eA.Run(1)
+				eZ.Run(1)
+				time.Sleep(50 * time.Microsecond)
+			}
+			for i := 0; i < 2000; i++ {
+				eA.Run(1)
+				eZ.Run(1)
+				time.Sleep(50 * time.Microsecond)
+			}
+			for name, e := range map[string]*Engine{"A": eA, "Z": eZ} {
+				st := e.Stats()
+				if st.Datagrams == 0 {
+					t.Errorf("engine %s delivered no datagrams: %+v", name, st)
+				}
+				ts := e.TransportStats()
+				if ts.TxChunks == 0 || ts.RxChunks == 0 {
+					t.Errorf("engine %s transport counters empty: %+v", name, ts)
+				}
+				var names []string
+				e.EachTransport(func(n string, _ transport.LineTransport) { names = append(names, n) })
+				if len(names) != nLinks {
+					t.Errorf("engine %s transports: %v, want %d", name, names, nLinks)
+				}
+			}
+			if a, z := eA.Port(0); a == nil || z != nil {
+				t.Error("RoleA engine port shape wrong: want local a, nil z")
+			}
+		})
 	}
 }
 
