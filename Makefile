@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fuzz-smoke verify bench bench-json
+.PHONY: build test race vet fuzz-smoke verify bench bench-json metrics
 
 build:
 	$(GO) build ./...
@@ -30,3 +30,8 @@ bench:
 # matrix.
 bench-json:
 	./scripts/bench.sh
+
+# Regenerate METRICS.md from the live registry; `go test ./...` fails
+# when the committed file drifts from what the code registers.
+metrics:
+	$(GO) test -run '^TestMetricsDocMatchesRegistry$$' -update .

@@ -19,7 +19,8 @@
 // without an LCP/IPCP renegotiation, and after the line heals the
 // group reverts through wait-to-restore. The report shows the switch
 // record and the OAM protection registers; -telemetry exposes
-// aps_switches_total and the aps_switch_duration histogram.
+// aps_switches_total and the aps_switch_duration histogram for both
+// ends, labelled link="a" / link="b".
 //
 // With -engine N the run is the sharded software line card instead of
 // the cycle-accurate model: N loopback PPP link pairs partitioned
@@ -226,15 +227,15 @@ func main() {
 // run executes one simulation per cfg, writing the report to out.
 func run(cfg simConfig, out io.Writer) error {
 	if cfg.flightDir != "" {
-		// Capture writes land in Recorder.LastErr, not the report —
-		// create the directory up front so a missing one is a loud
-		// startup error instead of silently lost captures.
+		// Create the directory up front so a missing one is a loud
+		// startup error; a capture write that fails later is counted
+		// and shows in the flight summary.
 		if err := os.MkdirAll(cfg.flightDir, 0o755); err != nil {
 			return fmt.Errorf("-flight: %w", err)
 		}
 	}
 	if cfg.profDir != "" {
-		s, err := prof.StartSession(cfg.profDir, prof.SessionConfig{})
+		s, err := prof.StartSession(cfg.profDir)
 		if err != nil {
 			return fmt.Errorf("-prof: %w", err)
 		}
@@ -359,7 +360,7 @@ func serveTelemetry(cfg simConfig, reg *telemetry.Registry, tr *telemetry.Tracer
 
 // flightSummary renders the one-line flight report: aggregate frames
 // tracked/lost, captures dumped, and the worst SLO burn across the
-// board.
+// board — plus a second line when capture files failed to land.
 func flightSummary(out io.Writer, board *flight.Board, dir string) {
 	doc := board.Snapshot()
 	var tracked, lost, captures uint64
@@ -379,6 +380,20 @@ func flightSummary(out io.Writer, board *flight.Board, dir string) {
 	}
 	fmt.Fprintf(out, "  flight           : tracked=%d lost=%d captures=%d exemplars=%d worst-burn=%.2f alarm=%v dir=%s\n",
 		tracked, lost, captures, exemplars, worst, alarm, dir)
+	reportCaptureWriteErrors(out, doc.Links, dir)
+}
+
+// reportCaptureWriteErrors adds a line to any report that names capture
+// files when some never reached dir: evidence the reader would look for
+// and not find. Silent when every write landed.
+func reportCaptureWriteErrors(out io.Writer, links []flight.LinkJSON, dir string) {
+	var n uint64
+	for _, l := range links {
+		n += l.CaptureWriteErrors
+	}
+	if n > 0 {
+		fmt.Fprintf(out, "  capture errors   : %d capture file(s) could NOT be written to %s (flight_capture_write_errors_total)\n", n, dir)
+	}
 }
 
 // runEngine is the -engine mode: the sharded software line card. N
@@ -573,10 +588,14 @@ func runSONET(cfg simConfig, out io.Writer) error {
 	tx := p5.NewTransmitter(txSim, w, regs)
 	sink := rtl.NewSink(tx.Out)
 	txSim.Add(sink)
-	var txSync func()
+	// One mirror for the split assembly: transmitter, receiver and
+	// section counters, synced together after the run (nil, and every
+	// use below a no-op, without telemetry).
+	var tel *telemetry.Mirror
 	if reg != nil {
+		tel = reg.Mirror()
 		txSim.Instrument(reg, "p5tx")
-		txSync = p5.InstrumentTransmitter(reg, "p5tx", txSim, tx)
+		p5.InstrumentTransmitter(tel, "p5tx", txSim, tx)
 	}
 	var payloadBits int64
 	for i := 0; i < cfg.frames; i++ {
@@ -607,18 +626,16 @@ func runSONET(cfg simConfig, out io.Writer) error {
 	rx := p5.NewReceiver(rxSim, w, regs)
 	src.Out = rx.In
 	rxSim.Add(src)
-	var rxSync func()
 	if reg != nil {
 		rxSim.Instrument(reg, "p5rx")
-		rxSync = p5.InstrumentReceiver(reg, "p5rx", rxSim, rx)
+		p5.InstrumentReceiver(tel, "p5rx", rxSim, rx)
 	}
 	oam := p5.NewOAM(regs, tx, rx)
 	oam.AttachSection(df)
 	oam.Write(p5.RegIntMask, p5.IntOOF|p5.IntLOF|p5.IntLOS|p5.IntSDeg|p5.IntSFail)
-	var sectionSync func()
 	if reg != nil {
 		// After AttachSection so the OAM's defect hook stays chained.
-		sectionSync = df.Instrument(reg, tr, "sonet")
+		df.Instrument(tel, tr, "sonet")
 	}
 
 	nFrames := (len(line)+sonet.STM1.PayloadBytes()-1)/sonet.STM1.PayloadBytes() + 2
@@ -641,13 +658,9 @@ func runSONET(cfg simConfig, out io.Writer) error {
 	}, 200_000_000) {
 		return fmt.Errorf("receiver did not drain")
 	}
-	if reg != nil {
-		txSync()
-		rxSync()
-		sectionSync()
-		txSim.SyncTelemetry()
-		rxSim.SyncTelemetry()
-	}
+	tel.Sync()
+	txSim.SyncTelemetry()
+	rxSim.SyncTelemetry()
 
 	good, bad := 0, 0
 	for i, f := range rx.Control.Queue {
@@ -718,7 +731,8 @@ func runProtect(cfg simConfig, out io.Writer) error {
 	lcfg.Magic, lcfg.IPAddr = 0xBBBB, [4]byte{10, 0, 0, 2}
 	b := gigapos.NewProtectedLink(lcfg, pcfg)
 	if reg != nil {
-		b.Instrument(reg, tr, "link")
+		a.Instrument(reg, tr, "a")
+		b.Instrument(reg, tr, "b")
 	}
 	oam := &p5.OAM{Regs: p5.NewRegs()}
 	oam.AttachAPS(b.Ctrl)

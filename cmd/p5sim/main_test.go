@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/flight"
+	"repro/internal/scenario"
 	"repro/internal/sonet"
 	"repro/internal/telemetry"
 )
@@ -190,37 +191,46 @@ func TestProtectTelemetryScrape(t *testing.T) {
 	if series == nil {
 		t.Fatal("scrape hook never ran")
 	}
-	if got := series[`aps_switches_total`]; got != 2 {
-		t.Errorf("aps_switches_total = %v, want 2 (failover + revert)", got)
+	// Both ends are instrumented into the one registry and keep their
+	// own record: the bidirectional group moves both selectors, twice.
+	for _, end := range []string{"a", "b"} {
+		if got := series[`aps_switches_total{link="`+end+`"}`]; got != 2 {
+			t.Errorf("aps_switches_total{link=%q} = %v, want 2 (failover + revert)", end, got)
+		}
 	}
-	if got := series[`aps_switch_duration_count`]; got != 2 {
+	if got := series[`aps_switch_duration_count{link="b"}`]; got != 2 {
 		t.Errorf("aps_switch_duration_count = %v, want 2", got)
 	}
 	// Both switches completed inside the 50 ms budget bucket.
-	if got := series[`aps_switch_duration_bucket{le="400"}`]; got != 2 {
+	if got := series[`aps_switch_duration_bucket{link="b",le="400"}`]; got != 2 {
 		t.Errorf(`duration bucket le=400 = %v, want 2`, got)
 	}
 	for _, name := range []string{
-		`aps_to_protect_total`, `aps_to_working_total`,
-		`link_working_b2_errors_total`, // the cut corrupts line parity before LOS bites
-		`link_protect_frames_ok_total`,
-		`link_standby_discarded_octets_total`,
+		`aps_to_protect_total{link="b"}`, `aps_to_working_total{link="b"}`,
+		`link_working_b2_errors_total{link="b"}`, // the cut corrupts line parity before LOS bites
+		`link_protect_frames_ok_total{link="b"}`,
+		`link_protect_frames_ok_total{link="a"}`,
+		`link_standby_discarded_octets_total{link="b"}`,
 	} {
 		if v, ok := series[name]; !ok || v == 0 {
 			t.Errorf("series %s = %v (present=%v), want nonzero", name, v, ok)
 		}
 	}
-	if got := series[`aps_active`]; got != 0 {
+	// Only the a→b working line was cut: a's own receive side stayed clean.
+	if got := series[`link_working_b2_errors_total{link="a"}`]; got != 0 {
+		t.Errorf(`link_working_b2_errors_total{link="a"} = %v, want 0 (b's errors leaked into a's series)`, got)
+	}
+	if got := series[`aps_active{link="b"}`]; got != 0 {
 		t.Errorf("aps_active = %v, want 0 (reverted to working)", got)
 	}
 	switches := 0
 	for _, e := range trace {
-		if e.Scope == "aps" && e.Name == "switch" {
+		if e.Scope == "aps:b" && e.Name == "switch" {
 			switches++
 		}
 	}
 	if switches != 2 {
-		t.Errorf("aps switch trace events = %d, want 2", switches)
+		t.Errorf("aps:b switch trace events = %d, want 2", switches)
 	}
 	if !strings.Contains(out.String(), "lcp-renegotiations=0") {
 		t.Errorf("report does not show a hitless run:\n%s", out.String())
@@ -400,6 +410,8 @@ func TestEngineProfMode(t *testing.T) {
 	for _, name := range []string{
 		`prof_stage_ns_total{engine="linecard",shard="0",stage="encode"}`,
 		`prof_stage_ns_total{engine="linecard",shard="1",stage="tokenize"}`,
+		`prof_stage_ns_total{engine="linecard",shard="0",stage="decode"}`,
+		`prof_stage_ns_total{engine="linecard",shard="1",stage="queue"}`,
 		`prof_barrier_wait_ns_total{engine="linecard",shard="0"}`,
 		`prof_sampled_steps_total{engine="linecard"}`,
 		`runtime_goroutines`,
@@ -413,6 +425,8 @@ func TestEngineProfMode(t *testing.T) {
 	for _, want := range []string{
 		"stage profile    : 2 shards,",
 		"tokenize :",
+		"decode   :", // stamped inside Link.Input: the one table, finer rows
+		"queue    :",
 		"barrier  :",
 		"profiles         : 6 written to " + profDir,
 	} {
@@ -499,5 +513,43 @@ func TestScenarioMode(t *testing.T) {
 		t.Fatal("missing scenario file accepted")
 	} else if _, ok := err.(usageError); !ok {
 		t.Fatalf("want usageError for missing file, got %T", err)
+	}
+}
+
+// TestReportsSayWhenCapturesWereNotWritten: a drill whose capture
+// directory cannot be written still runs and grades, but every report
+// that names capture files gains a line saying how many are missing —
+// and stays silent (reports byte-identical) when every write landed.
+func TestReportsSayWhenCapturesWereNotWritten(t *testing.T) {
+	// A regular file where the directory should be: unwritable for any
+	// user, root included.
+	notDir := filepath.Join(t.TempDir(), "captures")
+	if err := os.WriteFile(notDir, nil, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	s, err := scenario.Load(filepath.Join("..", "..", "scenarios", "fiber-cut.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Run(scenario.RunConfig{CaptureDir: notDir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Pass {
+		t.Errorf("drill failed for want of a capture directory: %+v", res.Failures)
+	}
+	if len(res.CapturePaths) != 0 {
+		t.Fatalf("drill names capture files under an unwritable directory: %v", res.CapturePaths)
+	}
+	var out bytes.Buffer
+	reportCaptureWriteErrors(&out, res.Board.Links, notDir)
+	if !strings.Contains(out.String(), "could NOT be written to "+notDir) {
+		t.Errorf("the fibre cut's protection-switch captures were lost and the report does not say so: %q", out.String())
+	}
+
+	out.Reset()
+	reportCaptureWriteErrors(&out, []flight.LinkJSON{{Link: "a", Captures: 3}}, "dir")
+	if out.Len() != 0 {
+		t.Errorf("report line with no write errors: %q", out.String())
 	}
 }

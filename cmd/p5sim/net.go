@@ -185,7 +185,6 @@ func runNet(cfg simConfig, nc netConfig, out io.Writer) error {
 	cfg.mountExtra = status.Mount
 	if reg != nil {
 		e.Instrument(reg, "linecard")
-		e.InstrumentTransports(reg)
 	}
 	var board *flight.Board
 	if cfg.flightDir != "" {

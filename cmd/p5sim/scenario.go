@@ -54,6 +54,7 @@ func runScenario(cfg simConfig, out io.Writer) error {
 	}
 	fmt.Fprintf(out, "  slo              : worst-burn=%.2f alarm=%v captures=%d dir=%s\n",
 		worst, alarm, len(res.CapturePaths), dir)
+	reportCaptureWriteErrors(out, res.Board.Links, dir)
 	if err := stopProf(cfg, out); err != nil {
 		return err
 	}

@@ -140,7 +140,9 @@ func (p *enginePort) step(now int64, s *engineShard) {
 	// sp is nil until ArmProfile; every stamp is then a single
 	// predictable branch. On a sampled step each stamp charges the time
 	// since the previous one to its stage — the taxonomy in
-	// prof.Stage's doc comment maps one-to-one onto the calls here.
+	// prof.Stage's doc comment maps one-to-one onto the calls here and
+	// the ones the armed Links make inside Input (tokenize, decode, vj,
+	// queue) and TransportPort.Poll (line, after the transport's Recv).
 	sp := s.prof
 	p.a.Advance(now)
 	if p.z != nil {
@@ -165,19 +167,16 @@ func (p *enginePort) step(now int64, s *engineShard) {
 		if p.tpz != nil {
 			p.tpz.Poll(now)
 		}
-		sp.Stamp(prof.StageTokenize)
 	} else {
 		if out := p.a.Output(); len(out) > 0 {
 			s.lineBytes += uint64(len(out))
 			sp.Stamp(prof.StageLine)
 			p.z.Input(out)
-			sp.Stamp(prof.StageTokenize)
 		}
 		if out := p.z.Output(); len(out) > 0 {
 			s.lineBytes += uint64(len(out))
 			sp.Stamp(prof.StageLine)
 			p.a.Input(out)
-			sp.Stamp(prof.StageTokenize)
 		}
 	}
 	p.rxTmp = p.a.ReceivedInto(p.rxTmp[:0])
@@ -253,11 +252,8 @@ type Engine struct {
 	// prof is the stage-cost collector (nil until ArmProfile).
 	prof *prof.Collector
 
-	// Telemetry mirrors (nil until Instrument).
-	telDatagrams *telemetry.Counter
-	telPayload   *telemetry.Counter
-	telLine      *telemetry.Counter
-	telSteps     *telemetry.Counter
+	// tel mirrors the aggregate counters (nil until Instrument).
+	tel *telemetry.Mirror
 }
 
 // NewEngine builds the engine and starts its shard workers (idle until
@@ -348,27 +344,32 @@ func (e *Engine) Run(n int) {
 	if e.prof != nil {
 		e.prof.Join()
 	}
-	e.syncTelemetry()
+	e.tel.Sync()
 }
 
-// ArmProfile arms per-shard stage cost accounting: sampled monotonic
-// stamps around every worker-loop stage, barrier-wait and imbalance
-// accounting at each Run join, and (when reg is non-nil) the
+// ArmProfile arms per-shard stage cost accounting — the one stage
+// clock: sampled monotonic stamps at every stage boundary of the worker
+// loop and, through the shard profile handed to each of the shard's
+// Links, of the receive path inside Link.Input; barrier-wait and
+// imbalance accounting at each Run join; and (when reg is non-nil) the
 // prof_stage_ns / prof_barrier_wait_ns / prof_shard_imbalance
 // telemetry series labelled engine=name, shard=N. Call between Runs;
 // the next Run's channel send publishes the profiles to the workers.
 // The steady state stays allocation-free; the verify gate holds the
-// armed engine bench within 2% of the disarmed one.
+// armed engine bench within PROF_OVERHEAD_PCT (8%) of the disarmed one.
 func (e *Engine) ArmProfile(reg *telemetry.Registry, name string, cfg prof.Config) *prof.Collector {
 	e.prof = prof.New(reg, name, len(e.shards), cfg)
 	for i, s := range e.shards {
 		s.prof = e.prof.Shard(i)
+		for _, p := range s.ports {
+			p.a.prof = s.prof
+			if p.z != nil {
+				p.z.prof = s.prof
+			}
+		}
 	}
 	return e.prof
 }
-
-// Profile returns the collector armed by ArmProfile (nil before).
-func (e *Engine) Profile() *prof.Collector { return e.prof }
 
 // PortBringUp identifies one port that missed the bring-up deadline,
 // with each side's IP readiness (ZReady is true for a single-ended
@@ -485,14 +486,6 @@ func (e *Engine) EachTransport(fn func(name string, t transport.LineTransport)) 
 	}
 }
 
-// InstrumentTransports exports the transport_* series for every line
-// transport the engine owns (no-op on a direct-loopback engine).
-func (e *Engine) InstrumentTransports(reg *telemetry.Registry) {
-	e.EachTransport(func(name string, t transport.LineTransport) {
-		transport.Instrument(reg, name, t)
-	})
-}
-
 // TransportStats sums the counters of every line transport the engine
 // owns. Call only between Runs.
 func (e *Engine) TransportStats() transport.Stats {
@@ -541,32 +534,28 @@ func (e *Engine) Close() {
 }
 
 // Instrument exports the engine's aggregate counters to reg, refreshed
-// at the end of every Run — the same sync-mirror pattern the Link
-// probes use, so a live scrape never races a shard worker.
+// at the end of every Run — the same sync-mirror the Link probes use,
+// so a live scrape never races a shard worker — and the transport_*
+// series of every line transport the engine owns.
 func (e *Engine) Instrument(reg *telemetry.Registry, name string) {
 	lbl := telemetry.L("engine", name)
-	e.telDatagrams = reg.Counter("engine_datagrams_total",
-		"Network-layer datagrams delivered end to end, both directions.", lbl)
-	e.telPayload = reg.Counter("engine_payload_bytes_total",
-		"Delivered network-layer octets.", lbl)
-	e.telLine = reg.Counter("engine_line_bytes_total",
-		"Wire octets moved between endpoints (flags, stuffing, FCS).", lbl)
-	e.telSteps = reg.Counter("engine_steps_total",
-		"Engine steps (virtual clock ticks) run.", lbl)
+	e.tel = reg.Mirror()
+	e.tel.Counter("engine_datagrams_total",
+		"Network-layer datagrams delivered end to end, both directions.",
+		func() uint64 { return e.Stats().Datagrams }, lbl)
+	e.tel.Counter("engine_payload_bytes_total",
+		"Delivered network-layer octets.", func() uint64 { return e.Stats().PayloadBytes }, lbl)
+	e.tel.Counter("engine_line_bytes_total",
+		"Wire octets moved between endpoints (flags, stuffing, FCS).",
+		func() uint64 { return e.Stats().LineBytes }, lbl)
+	e.tel.Counter("engine_steps_total",
+		"Engine steps (virtual clock ticks) run.", func() uint64 { return e.steps }, lbl)
 	reg.Gauge("engine_links", "Configured link pairs.", lbl).Set(int64(e.cfg.links()))
 	reg.Gauge("engine_shards", "Worker goroutines.", lbl).Set(int64(len(e.shards)))
-	e.syncTelemetry()
-}
-
-func (e *Engine) syncTelemetry() {
-	if e.telSteps == nil {
-		return
-	}
-	st := e.Stats()
-	e.telDatagrams.Set(st.Datagrams)
-	e.telPayload.Set(st.PayloadBytes)
-	e.telLine.Set(st.LineBytes)
-	e.telSteps.Set(st.Steps)
+	e.tel.Sync()
+	e.EachTransport(func(line string, t transport.LineTransport) {
+		transport.Instrument(reg, line, t)
+	})
 }
 
 // String summarises the engine topology.

@@ -29,7 +29,7 @@ func TestEngineSoak(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	e.Instrument(reg, "soak")
 	if dir := os.Getenv("SOAK_PROF_DIR"); dir != "" {
-		s, err := prof.StartSession(dir, prof.SessionConfig{})
+		s, err := prof.StartSession(dir)
 		if err != nil {
 			t.Fatalf("SOAK_PROF_DIR=%s: %v", dir, err)
 		}

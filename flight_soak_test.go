@@ -18,9 +18,8 @@ import (
 // the black-box bookkeeping invariants — every supervisor restart and
 // every defect outage dumped exactly one capture, every capture file on
 // disk decodes losslessly back to its in-memory twin — plus a live
-// latency observatory: the e2e histogram carries resolvable exemplars,
-// the per-stage histograms sampled real frames, and the SLO evaluator
-// burned budget through the outage windows.
+// latency observatory: the e2e histogram carries resolvable exemplars
+// and the SLO evaluator burned budget through the outage windows.
 func TestChaosSoakFlightRecorder(t *testing.T) {
 	const fb = 2430 // STM-1 frame bytes; one frame per direction per tick
 
@@ -148,8 +147,8 @@ func TestChaosSoakFlightRecorder(t *testing.T) {
 	if got := rb.CapturesFor("defect-outage"); got != supB.DefectOutages {
 		t.Errorf("b: %d defect-outage captures, want %d (one per outage)", got, supB.DefectOutages)
 	}
-	if ra.LastErr() != nil || rb.LastErr() != nil {
-		t.Fatalf("capture write errors: a=%v b=%v", ra.LastErr(), rb.LastErr())
+	if ra.WriteErrors() != 0 || rb.WriteErrors() != 0 {
+		t.Fatalf("capture write errors: a=%d b=%d", ra.WriteErrors(), rb.WriteErrors())
 	}
 
 	// Every capture landed on disk and decodes losslessly.
@@ -197,12 +196,6 @@ func TestChaosSoakFlightRecorder(t *testing.T) {
 		if ex.Value < 0 {
 			t.Errorf("exemplar latency %d < 0", ex.Value)
 		}
-	}
-	if ra.StageHistogram(flight.StageEncode).Count() == 0 {
-		t.Error("encode stage histogram sampled nothing")
-	}
-	if rb.StageHistogram(flight.StageFCS).Count() == 0 {
-		t.Error("fcs stage histogram sampled nothing")
 	}
 
 	// SLO evaluator: the outage loss (percent-scale against a 0.1%
@@ -254,8 +247,8 @@ func TestChaosSoakFlightRecorder(t *testing.T) {
 
 // TestLinkSteadyStateZeroAllocFlightArmed re-runs the PR-4 zero-alloc
 // invariant with the flight recorder armed on both ends: tagging,
-// FIFO matching, exemplar upkeep, wire-ring taps and sampled stage
-// stamps must all ride the steady-state path without allocating.
+// FIFO matching, exemplar upkeep and wire-ring taps must all ride the
+// steady-state path without allocating.
 func TestLinkSteadyStateZeroAllocFlightArmed(t *testing.T) {
 	a, z := newTestPair(t, LinkConfig{}, LinkConfig{})
 	a.ArmFlight(flight.NewRecorder(nil, "za", flight.Config{}))

@@ -1,15 +1,13 @@
-// Package flight is the always-on flight recorder and per-frame latency
-// observatory. Where internal/telemetry answers "how much, how often",
-// flight answers "where did the time go, and what was on the wire when
-// it went wrong":
+// Package flight is the always-on flight recorder. Where
+// internal/telemetry answers "how much, how often" and internal/prof
+// answers "where did the time go", flight answers "what was on the
+// wire, and how late did it arrive":
 //
 //   - a per-frame latency pipe: datagrams are tagged when they depart a
 //     link's transmit path and matched FIFO at the far end, feeding an
 //     end-to-end latency histogram (virtual ticks) with *exemplars* —
 //     the concrete frame ID, arrival time and trace-ring sequence
 //     behind each bucket, so a p99 spike resolves to a real frame;
-//   - sampled per-stage wall-clock stamps (encode, tokenize, FCS check,
-//     VJ, deliver) at 1-in-2^SampleShift frames, bounding overhead;
 //   - a black-box recorder: bounded rings of recent raw HDLC wire
 //     bytes, structured events and register snapshots, dumped
 //     atomically to a self-describing capture file (capture.go) on
@@ -21,11 +19,11 @@
 // Steady-state cost is deliberately asymmetric: the transmit path pays
 // one ring store and one atomic add per frame (no wall-clock read, no
 // wire copy), keeping the PR-4 zero-alloc encode benchmark within its
-// overhead gate; the receive path adds the
-// wire-ring memcpy, the FIFO match and the sampled stamps. Nothing on
-// either path allocates.
+// overhead gate; the receive path adds the wire-ring memcpy and the
+// FIFO match. Neither path reads a wall clock — stage timing is
+// internal/prof's job — and nothing on either path allocates.
 //
-// Ownership follows the Link rules (DESIGN.md §8): Depart/Arrive/Tap*
+// Ownership follows the Link rules (DESIGN.md §8): Depart/Arrive/TapRx
 // and Trigger must be called from the goroutine that owns the link (or
 // while the simulation is quiesced); the histograms and counters behind
 // them are atomic and the exemplar store is mutex-protected, so HTTP
@@ -41,73 +39,36 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Stage identifies one stamped segment of the frame path.
-type Stage uint8
-
-// The stamped stages, in pipeline order.
-const (
-	// StageEncode spans ppp.AppendFrame on the transmit side.
-	StageEncode Stage = iota
-	// StageTokenize spans hdlc.Tokenizer.Feed for one input chunk,
-	// which destuffs and folds the FCS in the same pass.
-	StageTokenize
-	// StageFCS spans ppp.DecodeVerifiedBodyInto: the header parse of a
-	// body whose FCS verdict the tokenizer already delivered. The
-	// series keeps its "fcs" name.
-	StageFCS
-	// StageVJ spans Van Jacobson decompression, when active.
-	StageVJ
-	// StageDeliver spans the copy into the receive datagram arena.
-	StageDeliver
-
-	numStages
-)
-
-var stageNames = [numStages]string{"encode", "tokenize", "fcs", "vj", "deliver"}
-
-func (s Stage) String() string {
-	if int(s) < len(stageNames) {
-		return stageNames[s]
-	}
-	return "unknown"
-}
-
 // E2EBounds are the end-to-end latency histogram bounds, in virtual
 // ticks (1 tick = one 125 µs frame slot in the SONET-paced sims).
 var E2EBounds = []int64{0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512}
 
-// StageBounds are the per-stage latency histogram bounds, in
-// wall-clock nanoseconds.
-var StageBounds = []int64{250, 500, 1000, 2500, 5000, 10000, 25000, 50000, 100000, 1000000}
+// The recorder's fixed sizes.
+const (
+	// wireBytes is the raw receive wire ring capacity in octets.
+	wireBytes = 8192
+	// eventRing is the black-box event ring capacity.
+	eventRing = 256
+	// pipeDepth bounds the in-flight frame matcher; when it overflows
+	// the oldest departure is counted lost.
+	pipeDepth = 1024
+	// slowTicks is the end-to-end latency at or above which an arrival
+	// emits a slow-frame event into the black box.
+	slowTicks = 32
+	// recentCaptures bounds the in-memory capture list.
+	recentCaptures = 8
+)
 
-// Config sizes a Recorder. The zero value is usable: every field has a
-// working default.
+// Config parameterises a Recorder. The zero value is usable.
 type Config struct {
-	// WireBytes is the per-direction raw wire ring capacity in octets
-	// (default 8192, rounded up to a power of two).
-	WireBytes int
-	// Events is the event ring capacity (default 256).
-	Events int
-	// PipeDepth bounds the in-flight frame matcher (default 1024,
-	// rounded up to a power of two). When it overflows the oldest
-	// departure is counted lost.
-	PipeDepth int
-	// SampleShift selects 1-in-2^SampleShift frames for wall-clock
-	// stage stamping (default 3 → every 8th frame).
-	SampleShift uint
 	// Horizon is the age in ticks after which an unmatched departure
 	// is declared lost (default 1024).
 	Horizon int64
-	// SlowTicks is the end-to-end latency at or above which an arrival
-	// emits a slow-frame event into the black box (default 32).
-	SlowTicks int64
 	// Dir, when non-empty, is the directory capture files are written
 	// to (one file per trigger). Empty keeps captures in memory only.
 	Dir string
-	// RecentCaptures bounds the in-memory capture list (default 8).
-	RecentCaptures int
-	// Clock supplies wall-clock nanoseconds for stage stamps (default
-	// time.Now().UnixNano).
+	// Clock supplies the wall-clock nanoseconds stamped on captures
+	// (default time.Now().UnixNano). Injectable for tests.
 	Clock func() int64
 	// Profiler, when set, observes every capture after it is recorded
 	// (and after any capture file is written), so a runtime profile
@@ -118,39 +79,13 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.WireBytes <= 0 {
-		c.WireBytes = 8192
-	}
-	if c.Events <= 0 {
-		c.Events = 256
-	}
-	if c.PipeDepth <= 0 {
-		c.PipeDepth = 1024
-	}
-	if c.SampleShift == 0 {
-		c.SampleShift = 3
-	}
 	if c.Horizon <= 0 {
 		c.Horizon = 1024
-	}
-	if c.SlowTicks <= 0 {
-		c.SlowTicks = 32
-	}
-	if c.RecentCaptures <= 0 {
-		c.RecentCaptures = 8
 	}
 	if c.Clock == nil {
 		c.Clock = func() int64 { return time.Now().UnixNano() }
 	}
 	return c
-}
-
-func pow2(n int) int {
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
 }
 
 // Exemplar is the concrete frame behind a latency bucket: enough to
@@ -217,9 +152,9 @@ func (r *byteRing) snapshot() (base uint64, data []byte) {
 	return r.n - size, data
 }
 
-// Recorder is one link's flight recorder: latency pipe, stage
-// histograms, wire/event black box and capture trigger. Obtain one
-// with NewRecorder and arm it on a Link.
+// Recorder is one link's flight recorder: latency pipe, wire/event
+// black box and capture trigger. Obtain one with NewRecorder and arm
+// it on a Link.
 type Recorder struct {
 	name string
 	cfg  Config
@@ -227,18 +162,17 @@ type Recorder struct {
 	// FIFO departure matcher. Single-writer: owned by the link's
 	// goroutine (Depart on TX, Arrive driven by the peer's RX — the
 	// same goroutine in every deployment here).
-	ring   []departure
-	mask   uint64
+	ring   [pipeDepth]departure
 	head   uint64 // oldest live entry
 	tail   uint64 // next free slot
 	nextID uint64
 
-	e2e     *telemetry.Histogram
-	stage   [numStages]*telemetry.Histogram
-	tracked *telemetry.Counter
-	lost    *telemetry.Counter
-	capsC   *telemetry.Counter
-	wireRx  *telemetry.Counter
+	e2e       *telemetry.Histogram
+	tracked   *telemetry.Counter
+	lost      *telemetry.Counter
+	capsC     *telemetry.Counter
+	writeErrs *telemetry.Counter
+	wireRx    *telemetry.Counter
 
 	exMu sync.Mutex
 	ex   []Exemplar // one slot per e2e bucket, zero ID = empty
@@ -246,15 +180,12 @@ type Recorder struct {
 	rx     byteRing // received raw wire octets; transmit is not tapped
 	events *telemetry.Tracer
 
-	now         int64 // latest virtual time seen (SetNow)
-	sampleCount uint64
-	sampleMask  uint64
+	now int64 // latest virtual time seen (SetNow)
 
 	capMu    sync.Mutex
 	recent   []*Capture
 	capSeq   uint64
 	byReason map[string]uint64
-	lastErr  error
 
 	// Correlate, when set, stamps correlation metadata onto every
 	// capture — incident ID, clock/tick offset estimates, peer trigger
@@ -279,30 +210,23 @@ func NewRecorder(reg *telemetry.Registry, name string, cfg Config) *Recorder {
 	if reg == nil {
 		reg = telemetry.NewRegistry()
 	}
-	depth := pow2(cfg.PipeDepth)
 	lk := telemetry.L("link", name)
-	r := &Recorder{
-		name:       name,
-		cfg:        cfg,
-		ring:       make([]departure, depth),
-		mask:       uint64(depth - 1),
-		sampleMask: (1 << cfg.SampleShift) - 1,
-		ex:         make([]Exemplar, len(E2EBounds)+1),
-		events:     telemetry.NewTracer(cfg.Events),
-		byReason:   make(map[string]uint64),
+	return &Recorder{
+		name:     name,
+		cfg:      cfg,
+		ex:       make([]Exemplar, len(E2EBounds)+1),
+		rx:       byteRing{buf: make([]byte, wireBytes)},
+		events:   telemetry.NewTracer(eventRing),
+		byReason: make(map[string]uint64),
 		e2e: reg.Histogram("flight_e2e_latency_ticks",
 			"end-to-end frame latency, departure to delivery, virtual ticks", E2EBounds, lk),
 		tracked: reg.Counter("flight_frames_tracked_total", "frames tagged at departure", lk),
 		lost:    reg.Counter("flight_frames_lost_total", "tagged frames never delivered (horizon or overflow)", lk),
 		capsC:   reg.Counter("flight_captures_total", "black-box captures triggered", lk),
-		wireRx:  reg.Counter("flight_wire_octets_total", "raw wire octets through the black box", lk, telemetry.L("dir", "rx")),
+		writeErrs: reg.Counter("flight_capture_write_errors_total",
+			"capture files that could not be written to the capture directory", lk),
+		wireRx: reg.Counter("flight_wire_octets_total", "raw wire octets through the black box", lk, telemetry.L("dir", "rx")),
 	}
-	r.rx.buf = make([]byte, pow2(cfg.WireBytes))
-	for s := Stage(0); s < numStages; s++ {
-		r.stage[s] = reg.Histogram("flight_stage_latency_ns",
-			"sampled per-stage frame latency, wall-clock ns", StageBounds, lk, telemetry.L("stage", s.String()))
-	}
-	return r
 }
 
 // Name returns the link name the recorder was built for.
@@ -316,12 +240,12 @@ func (r *Recorder) SetNow(now int64) { r.now = now }
 // its frame ID. When the pipe is full the oldest in-flight entry is
 // retired as lost.
 func (r *Recorder) Depart(now int64) uint64 {
-	if r.tail-r.head > r.mask {
+	if r.tail-r.head == pipeDepth {
 		r.head++
 		r.lost.Inc()
 	}
 	r.nextID++
-	r.ring[r.tail&r.mask] = departure{id: r.nextID, at: now}
+	r.ring[r.tail%pipeDepth] = departure{id: r.nextID, at: now}
 	r.tail++
 	r.tracked.Add(1)
 	return r.nextID
@@ -337,7 +261,7 @@ func (r *Recorder) Arrive(now int64) (lat int64, ok bool) {
 	if r.head == r.tail {
 		return 0, false
 	}
-	d := r.ring[r.head&r.mask]
+	d := r.ring[r.head%pipeDepth]
 	r.head++
 	lat = now - d.at
 	if lat < 0 {
@@ -345,7 +269,7 @@ func (r *Recorder) Arrive(now int64) (lat int64, ok bool) {
 	}
 	r.e2e.Observe(lat)
 	r.noteExemplar(d.id, lat, now)
-	if lat >= r.cfg.SlowTicks {
+	if lat >= slowTicks {
 		r.events.Emit(now, r.name, "slow-frame", "", int64(d.id), lat)
 	}
 	return lat, true
@@ -358,7 +282,7 @@ func (r *Recorder) Expire(now int64) { r.expire(now) }
 
 func (r *Recorder) expire(now int64) {
 	for r.head != r.tail {
-		d := r.ring[r.head&r.mask]
+		d := r.ring[r.head%pipeDepth]
 		if now-d.at <= r.cfg.Horizon {
 			return
 		}
@@ -416,40 +340,6 @@ func (r *Recorder) Exemplars() []Exemplar {
 	return out
 }
 
-// Exemplar returns the exemplar for the bucket a latency of v ticks
-// falls in, if one has been recorded.
-func (r *Recorder) Exemplar(v int64) (Exemplar, bool) {
-	i := 0
-	for i < len(E2EBounds) && v > E2EBounds[i] {
-		i++
-	}
-	r.exMu.Lock()
-	defer r.exMu.Unlock()
-	e := r.ex[i]
-	return e, e.ID != 0
-}
-
-// Sampled reports whether the current frame is selected for wall-clock
-// stage stamping (one in 2^SampleShift).
-func (r *Recorder) Sampled() bool {
-	r.sampleCount++
-	return r.sampleCount&r.sampleMask == 0
-}
-
-// Clock returns the wall-clock in nanoseconds for stage stamping.
-func (r *Recorder) Clock() int64 { return r.cfg.Clock() }
-
-// ObserveStage records one sampled stage duration in nanoseconds.
-func (r *Recorder) ObserveStage(s Stage, ns int64) {
-	if ns < 0 {
-		ns = 0
-	}
-	r.stage[s].Observe(ns)
-}
-
-// StageHistogram exposes a stage's histogram (for boards and tests).
-func (r *Recorder) StageHistogram(s Stage) *telemetry.Histogram { return r.stage[s] }
-
 // TapRx records received raw wire octets into the black box.
 func (r *Recorder) TapRx(p []byte) {
 	r.rx.write(p)
@@ -461,13 +351,11 @@ func (r *Recorder) Event(at int64, name, detail string, v1, v2 int64) {
 	r.events.Emit(at, r.name, name, detail, v1, v2)
 }
 
-// Events returns the retained black-box events, oldest first.
-func (r *Recorder) Events() []telemetry.Event { return r.events.Events() }
-
 // Trigger dumps the black box: wire rings, event ring and register
 // snapshot are captured atomically into a Capture, appended to the
-// bounded in-memory list, written to Config.Dir (when set) and handed
-// to OnCapture. Must run on the owning goroutine (or quiesced sim).
+// bounded in-memory list, written to Config.Dir (when set; a failed
+// write is counted, see write) and handed to OnCapture. Must run on the
+// owning goroutine (or quiesced sim).
 func (r *Recorder) Trigger(reason string) *Capture {
 	r.capMu.Lock()
 	r.capSeq++
@@ -492,16 +380,14 @@ func (r *Recorder) Trigger(reason string) *Capture {
 		r.Correlate(c)
 	}
 
-	var err error
 	if r.cfg.Dir != "" {
-		err = c.WriteFile(r.cfg.Dir)
+		r.write(c, r.cfg.Dir)
 	}
 	r.capMu.Lock()
 	r.recent = append(r.recent, c)
-	if len(r.recent) > r.cfg.RecentCaptures {
-		r.recent = r.recent[len(r.recent)-r.cfg.RecentCaptures:]
+	if len(r.recent) > recentCaptures {
+		r.recent = r.recent[len(r.recent)-recentCaptures:]
 	}
-	r.lastErr = err
 	r.capMu.Unlock()
 
 	r.events.Emit(r.now, r.name, "capture", reason, int64(seq), int64(len(c.RxWire)))
@@ -512,6 +398,18 @@ func (r *Recorder) Trigger(reason string) *Capture {
 		r.cfg.Profiler(c)
 	}
 	return c
+}
+
+// write lands c in dir. A capture is evidence: one that could not be
+// written is counted (flight_capture_write_errors_total, the board's
+// capture_write_errors) and leaves a capture-write-error event in the
+// black box, so every report that names capture files can say when one
+// is missing.
+func (r *Recorder) write(c *Capture, dir string) {
+	if err := c.WriteFile(dir); err != nil {
+		r.writeErrs.Inc()
+		r.events.Emit(r.now, r.name, "capture-write-error", err.Error(), int64(c.Seq), 0)
+	}
 }
 
 // AdoptIncident back-stamps a shared incident ID onto the most recent
@@ -576,10 +474,7 @@ func (r *Recorder) AdoptIncident(incident uint64, reason string, peerNow, peerWa
 	r.capMu.Unlock()
 
 	if path != "" {
-		err := target.WriteFile(filepath.Dir(path))
-		r.capMu.Lock()
-		r.lastErr = err
-		r.capMu.Unlock()
+		r.write(target, filepath.Dir(path))
 	}
 	r.events.Emit(r.now, r.name, "incident-adopted", target.Reason, int64(target.Seq), int64(incident))
 	return true
@@ -607,12 +502,8 @@ func (r *Recorder) Recent() []*Capture {
 	return append([]*Capture(nil), r.recent...)
 }
 
-// LastErr returns the most recent capture-file write error, if any.
-func (r *Recorder) LastErr() error {
-	r.capMu.Lock()
-	defer r.capMu.Unlock()
-	return r.lastErr
-}
+// WriteErrors returns how many capture files could not be written.
+func (r *Recorder) WriteErrors() uint64 { return r.writeErrs.Value() }
 
 // BurstDetector fires once per burst when Threshold events land inside
 // a sliding Window of ticks — the FCS-error-burst capture trigger.

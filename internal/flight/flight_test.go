@@ -65,14 +65,12 @@ func TestPipeHorizonCountsLoss(t *testing.T) {
 }
 
 func TestPipeOverflowRetiresOldest(t *testing.T) {
-	cfg := testCfg()
-	cfg.PipeDepth = 4
-	r := NewRecorder(nil, "a", cfg)
-	for i := 0; i < 6; i++ {
+	r := NewRecorder(nil, "a", testCfg())
+	for i := 0; i < pipeDepth+2; i++ {
 		r.Depart(int64(i))
 	}
-	if r.Lost() != 2 || r.InFlight() != 4 {
-		t.Fatalf("lost=%d inflight=%d, want 2/4", r.Lost(), r.InFlight())
+	if r.Lost() != 2 || r.InFlight() != pipeDepth {
+		t.Fatalf("lost=%d inflight=%d, want 2/%d", r.Lost(), r.InFlight(), pipeDepth)
 	}
 	// Oldest live departure is #3 (at=2).
 	lat, ok := r.Arrive(10)
@@ -81,13 +79,31 @@ func TestPipeOverflowRetiresOldest(t *testing.T) {
 	}
 }
 
+// exemplarFor returns the exemplar of the bucket a latency of v ticks
+// falls in, if one has been recorded.
+func exemplarFor(r *Recorder, v int64) (Exemplar, bool) {
+	le := int64(math.MaxInt64)
+	for _, b := range E2EBounds {
+		if v <= b {
+			le = b
+			break
+		}
+	}
+	for _, e := range r.Exemplars() {
+		if e.LE == le {
+			return e, true
+		}
+	}
+	return Exemplar{}, false
+}
+
 func TestExemplarsResolve(t *testing.T) {
 	r := NewRecorder(nil, "a", testCfg())
 	r.Depart(0)
 	r.Depart(0)
 	r.Arrive(1)   // fast frame
 	r.Arrive(100) // slow frame, bucket le=128
-	ex, ok := r.Exemplar(100)
+	ex, ok := exemplarFor(r, 100)
 	if !ok {
 		t.Fatal("no exemplar for the slow bucket")
 	}
@@ -98,15 +114,15 @@ func TestExemplarsResolve(t *testing.T) {
 	if len(all) != 2 {
 		t.Fatalf("exemplars = %d, want 2", len(all))
 	}
-	// A slow frame (≥ SlowTicks) leaves a black-box event carrying its ID.
+	// A slow frame (≥ slowTicks) leaves a black-box event carrying its ID.
 	found := false
-	for _, e := range r.Events() {
+	for _, e := range r.events.Events() {
 		if e.Name == "slow-frame" && e.V1 == 2 && e.V2 == 100 {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("no slow-frame event for frame 2 in %v", r.Events())
+		t.Fatalf("no slow-frame event for frame 2 in %v", r.events.Events())
 	}
 }
 
@@ -205,8 +221,8 @@ func TestCaptureFileAtomicWrite(t *testing.T) {
 	r.TapRx([]byte{0x7E, 0x11, 0x22, 0x7E})
 	r.SetNow(99)
 	c := r.Trigger("fcs-burst")
-	if err := r.LastErr(); err != nil {
-		t.Fatal(err)
+	if n := r.WriteErrors(); n != 0 {
+		t.Fatalf("%d capture write errors", n)
 	}
 	path := filepath.Join(dir, c.Filename())
 	got, err := ReadFile(path)
@@ -225,10 +241,49 @@ func TestCaptureFileAtomicWrite(t *testing.T) {
 	}
 }
 
-func TestTriggerBookkeeping(t *testing.T) {
+// TestCaptureWriteErrorIsCounted: a capture that cannot reach its
+// directory stays in memory, and the failure is a counted series, a
+// board field and a black-box event rather than a swallowed error.
+func TestCaptureWriteErrorIsCounted(t *testing.T) {
+	// A regular file where the directory should be: unwritable for any
+	// user, root included.
+	notDir := filepath.Join(t.TempDir(), "captures")
+	if err := os.WriteFile(notDir, nil, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.NewRegistry()
 	cfg := testCfg()
-	cfg.RecentCaptures = 2
-	r := NewRecorder(nil, "a", cfg)
+	cfg.Dir = notDir
+	r := NewRecorder(reg, "w", cfg)
+	c := r.Trigger("oam")
+	if c.Path != "" {
+		t.Fatalf("capture claims path %q under an unwritable directory", c.Path)
+	}
+	if len(r.Recent()) != 1 {
+		t.Fatal("capture lost from memory when its file write failed")
+	}
+	if got := r.WriteErrors(); got != 1 {
+		t.Fatalf("WriteErrors = %d, want 1", got)
+	}
+	if v, _ := reg.Snapshot("t").Get(`flight_capture_write_errors_total{link="w"}`); v != 1 {
+		t.Errorf("flight_capture_write_errors_total = %v, want 1", v)
+	}
+	b := NewBoard()
+	b.Attach(r)
+	if got := b.Snapshot().Links[0].CaptureWriteErrors; got != 1 {
+		t.Errorf("board capture_write_errors = %d, want 1", got)
+	}
+	found := false
+	for _, e := range r.events.Events() {
+		found = found || e.Name == "capture-write-error" && e.V1 == int64(c.Seq)
+	}
+	if !found {
+		t.Error("no capture-write-error event in the black box")
+	}
+}
+
+func TestTriggerBookkeeping(t *testing.T) {
+	r := NewRecorder(nil, "a", testCfg())
 	r.RegDump = func(dst []RegSample) []RegSample {
 		return append(dst, RegSample{Name: "x", Value: 1})
 	}
@@ -244,11 +299,16 @@ func TestTriggerBookkeeping(t *testing.T) {
 		t.Fatalf("OnCapture fired %d times", seen)
 	}
 	rec := r.Recent()
-	if len(rec) != 2 || rec[0].Seq != 2 || rec[1].Seq != 3 {
-		t.Fatalf("recent ring not bounded oldest-out: %d entries", len(rec))
+	if len(rec) != 3 || len(rec[2].Regs) != 1 || rec[2].Regs[0].Name != "x" {
+		t.Fatalf("RegDump not applied: %+v", rec)
 	}
-	if len(rec[1].Regs) != 1 || rec[1].Regs[0].Name != "x" {
-		t.Fatalf("RegDump not applied: %+v", rec[1].Regs)
+	// The in-memory list is bounded, oldest out.
+	for i := 0; i < recentCaptures; i++ {
+		r.Trigger("oam")
+	}
+	rec = r.Recent()
+	if len(rec) != recentCaptures || rec[0].Seq != 4 || rec[len(rec)-1].Seq != 3+recentCaptures {
+		t.Fatalf("recent ring not bounded oldest-out: %d entries from seq %d", len(rec), rec[0].Seq)
 	}
 }
 
@@ -403,7 +463,7 @@ func TestExemplarOverflowBucketLE(t *testing.T) {
 	r := NewRecorder(nil, "a", cfg)
 	r.Depart(0)
 	r.Arrive(100000) // beyond the last finite bound
-	ex, ok := r.Exemplar(100000)
+	ex, ok := exemplarFor(r, 100000)
 	if !ok || ex.LE != math.MaxInt64 {
 		t.Fatalf("overflow exemplar = %+v ok=%v", ex, ok)
 	}

@@ -274,13 +274,16 @@ type SLOJSON struct {
 
 // LinkJSON is one recorder's entry in the /slo board document.
 type LinkJSON struct {
-	Link      string     `json:"link"`
-	Tracked   uint64     `json:"tracked"`
-	Lost      uint64     `json:"lost"`
-	InFlight  int        `json:"in_flight"`
-	P99Ticks  int64      `json:"p99_ticks"`
-	Captures  uint64     `json:"captures"`
-	Exemplars []Exemplar `json:"exemplars,omitempty"`
+	Link     string `json:"link"`
+	Tracked  uint64 `json:"tracked"`
+	Lost     uint64 `json:"lost"`
+	InFlight int    `json:"in_flight"`
+	P99Ticks int64  `json:"p99_ticks"`
+	Captures uint64 `json:"captures"`
+	// CaptureWriteErrors counts captures whose file never reached the
+	// capture directory: evidence a report would otherwise name.
+	CaptureWriteErrors uint64     `json:"capture_write_errors,omitempty"`
+	Exemplars          []Exemplar `json:"exemplars,omitempty"`
 }
 
 // BoardJSON is the /slo document: every SLO and every recorder
@@ -326,13 +329,14 @@ func (b *Board) Snapshot() BoardJSON {
 	}
 	for _, r := range recs {
 		doc.Links = append(doc.Links, LinkJSON{
-			Link:      r.Name(),
-			Tracked:   r.Tracked(),
-			Lost:      r.Lost(),
-			InFlight:  r.InFlight(),
-			P99Ticks:  r.P99(),
-			Captures:  r.Captures(),
-			Exemplars: r.Exemplars(),
+			Link:               r.Name(),
+			Tracked:            r.Tracked(),
+			Lost:               r.Lost(),
+			InFlight:           r.InFlight(),
+			P99Ticks:           r.P99(),
+			Captures:           r.Captures(),
+			CaptureWriteErrors: r.WriteErrors(),
+			Exemplars:          r.Exemplars(),
 		})
 	}
 	return doc

@@ -105,17 +105,6 @@ func ScrapeAll(addrs []string) []Instance {
 	return out
 }
 
-// Merged concatenates the instance-labelled series of every
-// successfully scraped instance — the fleet-wide sample set
-// SeriesQuantile and the SLO rows run over.
-func Merged(instances []Instance) []telemetry.Series {
-	var all []telemetry.Series
-	for _, in := range instances {
-		all = append(all, in.Series...)
-	}
-	return all
-}
-
 // WriteFleetBoard renders the fleet: one header line per instance
 // (health, uptime, wire version, armed subsystems), a per-line
 // transport table across all instances (liveness, one-way latency

@@ -90,8 +90,12 @@ func TestScrapeAndFleetBoard(t *testing.T) {
 		}
 	}
 
-	// The merged fleet set answers quantile queries across instances.
-	merged := Merged(instances)
+	// The merged fleet set — every scraped instance's labelled series,
+	// concatenated — answers quantile queries across instances.
+	var merged []telemetry.Series
+	for _, in := range instances {
+		merged = append(merged, in.Series...)
+	}
 	p50, ok := telemetry.SeriesQuantile(merged, "transport_oneway_latency_us", 0.50)
 	if !ok || p50 != 100 {
 		t.Fatalf("fleet p50 = %d ok=%v, want 100", p50, ok)

@@ -145,9 +145,9 @@ type System struct {
 	Rx   *Receiver
 	Line *Line
 
-	cfg           config // this clock's register sample
-	txWasBusy     bool
-	telemetrySync func()
+	cfg       config // this clock's register sample
+	txWasBusy bool
+	tel       *telemetry.Mirror // nil until Instrument
 
 	// Fill-latency span: armed when the transmitter picks up work from
 	// idle, closed when the next word crosses the line register. The
@@ -238,8 +238,8 @@ func (s *System) Cycle() {
 		s.Regs.RaiseInt(IntTxDone)
 	}
 	s.txWasBusy = busy
-	if s.telemetrySync != nil && s.Sim.Now()&(telemetrySyncInterval-1) == 0 {
-		s.telemetrySync()
+	if s.tel != nil && s.Sim.Now()&(telemetrySyncInterval-1) == 0 {
+		s.SyncTelemetry()
 	}
 }
 

@@ -7,88 +7,66 @@ import (
 
 // Telemetry mirrors: the datapath counters are plain uint64s written
 // only on the simulation thread (see internal/rtl/telemetry.go); here
-// each gets an atomic mirror in the registry, refreshed by a sync
-// closure. System hooks the sync into its own Cycle so a scraper sees
-// values at most telemetrySyncInterval cycles stale; standalone
-// assemblies (the p5sim -sonet path) call the returned sync functions
-// themselves.
+// each is declared on a telemetry.Mirror, whose Sync copies it into its
+// atomic registry series. System hooks the sync into its own Cycle so a
+// scraper sees values at most telemetrySyncInterval cycles stale;
+// standalone assemblies (the p5sim -sonet path) sync the mirror they
+// passed in themselves.
 
 // telemetrySyncInterval is how often (cycles) an instrumented System
 // refreshes its mirrors. Power of two so the check is a mask.
 const telemetrySyncInterval = 256
 
-// counterTap binds one datapath counter to its registry mirror.
-type counterTap struct {
-	mirror *telemetry.Counter
-	read   func() uint64
+// InstrumentTransmitter declares a transmitter's unit counters on m
+// under prefix and samples its units' busy state each cycle (sim must
+// already be instrumented).
+func InstrumentTransmitter(m *telemetry.Mirror, prefix string, sim *rtl.Sim, tx *Transmitter) {
+	m.Counter(prefix+"_tx_frames_total", "Frames through the transmit CRC unit.",
+		func() uint64 { return tx.CRC.Frames })
+	m.Counter(prefix+"_tx_octets_total", "Payload octets read by the framer.",
+		func() uint64 { return tx.Framer.OctetsRead })
+	m.Counter(prefix+"_tx_escaped_octets_total", "Octets escaped on transmit.",
+		func() uint64 { return tx.Escape.Escaped })
+	m.Counter(prefix+"_tx_idle_words_total", "Idle fill words emitted on the line.",
+		func() uint64 { return tx.Escape.IdleWords })
+	m.Counter(prefix+"_tx_stall_cycles_total", "Transmit cycles refused by line backpressure.",
+		func() uint64 { return tx.Escape.InputStalls })
+	m.Gauge(prefix+"_tx_sorter_occupancy", "Transmit byte-sorter FIFO occupancy (octets).",
+		func() int64 { return int64(tx.Escape.Occupancy()) })
+	m.Gauge(prefix+"_tx_sorter_highwater", "Transmit byte-sorter FIFO high-water mark (octets).",
+		func() int64 { return int64(tx.Escape.HighWater()) })
+	watchUnitBusy(m.Registry(), prefix, sim, "framer", tx.Framer.Busy)
+	watchUnitBusy(m.Registry(), prefix, sim, "tx_crc", tx.CRC.Busy)
+	watchUnitBusy(m.Registry(), prefix, sim, "escape_gen", tx.Escape.Busy)
 }
 
-// gaugeTap likewise for instantaneous values (FIFO occupancy).
-type gaugeTap struct {
-	mirror *telemetry.Gauge
-	read   func() int64
-}
-
-// InstrumentTransmitter exports a transmitter's unit counters under
-// prefix and samples its units' busy state each cycle (sim must already
-// be instrumented). The returned sync refreshes the mirrors.
-func InstrumentTransmitter(reg *telemetry.Registry, prefix string, sim *rtl.Sim, tx *Transmitter) func() {
-	taps := []counterTap{
-		{reg.Counter(prefix+"_tx_frames_total", "Frames through the transmit CRC unit."),
-			func() uint64 { return tx.CRC.Frames }},
-		{reg.Counter(prefix+"_tx_octets_total", "Payload octets read by the framer."),
-			func() uint64 { return tx.Framer.OctetsRead }},
-		{reg.Counter(prefix+"_tx_escaped_octets_total", "Octets escaped on transmit."),
-			func() uint64 { return tx.Escape.Escaped }},
-		{reg.Counter(prefix+"_tx_idle_words_total", "Idle fill words emitted on the line."),
-			func() uint64 { return tx.Escape.IdleWords }},
-		{reg.Counter(prefix+"_tx_stall_cycles_total", "Transmit cycles refused by line backpressure."),
-			func() uint64 { return tx.Escape.InputStalls }},
-	}
-	gauges := []gaugeTap{
-		{reg.Gauge(prefix+"_tx_sorter_occupancy", "Transmit byte-sorter FIFO occupancy (octets)."),
-			func() int64 { return int64(tx.Escape.Occupancy()) }},
-		{reg.Gauge(prefix+"_tx_sorter_highwater", "Transmit byte-sorter FIFO high-water mark (octets)."),
-			func() int64 { return int64(tx.Escape.HighWater()) }},
-	}
-	watchUnitBusy(reg, prefix, sim, "framer", tx.Framer.Busy)
-	watchUnitBusy(reg, prefix, sim, "tx_crc", tx.CRC.Busy)
-	watchUnitBusy(reg, prefix, sim, "escape_gen", tx.Escape.Busy)
-	return func() { syncTaps(taps, gauges) }
-}
-
-// InstrumentReceiver exports a receiver's unit counters under prefix
-// and samples its units' busy state each cycle.
-func InstrumentReceiver(reg *telemetry.Registry, prefix string, sim *rtl.Sim, rx *Receiver) func() {
-	taps := []counterTap{
-		{reg.Counter(prefix+"_rx_frames_good_total", "Frames delivered with a valid FCS."),
-			func() uint64 { return rx.Control.Good }},
-		{reg.Counter(prefix+"_rx_frames_bad_total", "Frames disposed of as damaged."),
-			func() uint64 { return rx.Control.Bad }},
-		{reg.Counter(prefix+"_rx_fcs_errors_total", "Frames failing the FCS check."),
-			func() uint64 { return rx.CRC.FCSErrors }},
-		{reg.Counter(prefix+"_rx_aborts_total", "Frames ended by an HDLC abort."),
-			func() uint64 { return rx.Delineator.Aborts }},
-		{reg.Counter(prefix+"_rx_overruns_total", "Octets dropped to receive overrun."),
-			func() uint64 { return rx.Delineator.Overruns }},
-		{reg.Counter(prefix+"_rx_runts_total", "Frames below the minimum length."),
-			func() uint64 { return rx.Control.Runts }},
-		{reg.Counter(prefix+"_rx_flags_total", "Flag sequences seen by the delineator."),
-			func() uint64 { return rx.Delineator.FlagsSeen }},
-		{reg.Counter(prefix+"_rx_sorter_bubbles_total", "Escape octets removed by the byte sorter (pipeline bubbles)."),
-			func() uint64 { return rx.Escape.Removed }},
-		{reg.Counter(prefix+"_rx_stall_cycles_total", "Receive cycles refused by downstream backpressure."),
-			func() uint64 { return rx.Escape.InputStalls }},
-	}
-	gauges := []gaugeTap{
-		{reg.Gauge(prefix+"_rx_sorter_occupancy", "Receive byte-sorter FIFO occupancy (octets)."),
-			func() int64 { return int64(rx.Escape.Occupancy()) }},
-		{reg.Gauge(prefix+"_rx_sorter_highwater", "Receive byte-sorter FIFO high-water mark (octets)."),
-			func() int64 { return int64(rx.Escape.HighWater()) }},
-	}
-	watchUnitBusy(reg, prefix, sim, "delineator", rx.Delineator.Busy)
-	watchUnitBusy(reg, prefix, sim, "escape_detect", rx.Escape.Busy)
-	return func() { syncTaps(taps, gauges) }
+// InstrumentReceiver declares a receiver's unit counters on m under
+// prefix and samples its units' busy state each cycle.
+func InstrumentReceiver(m *telemetry.Mirror, prefix string, sim *rtl.Sim, rx *Receiver) {
+	m.Counter(prefix+"_rx_frames_good_total", "Frames delivered with a valid FCS.",
+		func() uint64 { return rx.Control.Good })
+	m.Counter(prefix+"_rx_frames_bad_total", "Frames disposed of as damaged.",
+		func() uint64 { return rx.Control.Bad })
+	m.Counter(prefix+"_rx_fcs_errors_total", "Frames failing the FCS check.",
+		func() uint64 { return rx.CRC.FCSErrors })
+	m.Counter(prefix+"_rx_aborts_total", "Frames ended by an HDLC abort.",
+		func() uint64 { return rx.Delineator.Aborts })
+	m.Counter(prefix+"_rx_overruns_total", "Octets dropped to receive overrun.",
+		func() uint64 { return rx.Delineator.Overruns })
+	m.Counter(prefix+"_rx_runts_total", "Frames below the minimum length.",
+		func() uint64 { return rx.Control.Runts })
+	m.Counter(prefix+"_rx_flags_total", "Flag sequences seen by the delineator.",
+		func() uint64 { return rx.Delineator.FlagsSeen })
+	m.Counter(prefix+"_rx_sorter_bubbles_total", "Escape octets removed by the byte sorter (pipeline bubbles).",
+		func() uint64 { return rx.Escape.Removed })
+	m.Counter(prefix+"_rx_stall_cycles_total", "Receive cycles refused by downstream backpressure.",
+		func() uint64 { return rx.Escape.InputStalls })
+	m.Gauge(prefix+"_rx_sorter_occupancy", "Receive byte-sorter FIFO occupancy (octets).",
+		func() int64 { return int64(rx.Escape.Occupancy()) })
+	m.Gauge(prefix+"_rx_sorter_highwater", "Receive byte-sorter FIFO high-water mark (octets).",
+		func() int64 { return int64(rx.Escape.HighWater()) })
+	watchUnitBusy(m.Registry(), prefix, sim, "delineator", rx.Delineator.Busy)
+	watchUnitBusy(m.Registry(), prefix, sim, "escape_detect", rx.Escape.Busy)
 }
 
 func watchUnitBusy(reg *telemetry.Registry, prefix string, sim *rtl.Sim, unit string, busy func() bool) {
@@ -97,46 +75,34 @@ func watchUnitBusy(reg *telemetry.Registry, prefix string, sim *rtl.Sim, unit st
 		telemetry.L("unit", unit)), busy)
 }
 
-func syncTaps(taps []counterTap, gauges []gaugeTap) {
-	for _, t := range taps {
-		t.mirror.Set(t.read())
-	}
-	for _, g := range gauges {
-		g.mirror.Set(g.read())
-	}
-}
-
 // Instrument exports the whole loopback system — kernel wires, unit
 // busy cycles, and datapath counters — under prefix. Cycle then
 // refreshes the mirrors every telemetrySyncInterval cycles; call
-// SyncTelemetry after the final cycle for an exact view.
+// SyncTelemetry after the final cycle for an exact view. One registry
+// takes one system per prefix: a second would fight the first over the
+// same series, and the mirror refuses it.
 func (s *System) Instrument(reg *telemetry.Registry, prefix string) {
 	s.Sim.Instrument(reg, prefix)
-	txSync := InstrumentTransmitter(reg, prefix, s.Sim, s.Tx)
-	rxSync := InstrumentReceiver(reg, prefix, s.Sim, s.Rx)
-	lineWords := reg.Counter(prefix+"_line_words_total", "Words carried by the line model.")
-	fillGauge := reg.Gauge(prefix+"_tx_fill_latency_cycles",
-		"Last measured idle-to-first-line-word transmit fill latency (cycles; -1 until measured).")
-	fillSpans := reg.Counter(prefix+"_tx_fill_spans_total",
-		"Completed fill-latency measurements (idle-to-busy transitions).")
+	s.tel = reg.Mirror()
+	InstrumentTransmitter(s.tel, prefix, s.Sim, s.Tx)
+	InstrumentReceiver(s.tel, prefix, s.Sim, s.Rx)
+	s.tel.Counter(prefix+"_line_words_total", "Words carried by the line model.",
+		func() uint64 { return s.Line.Words })
+	s.tel.Gauge(prefix+"_tx_fill_latency_cycles",
+		"Last measured idle-to-first-line-word transmit fill latency (cycles; -1 until measured).",
+		func() int64 { return s.FillLatency })
+	s.tel.Counter(prefix+"_tx_fill_spans_total",
+		"Completed fill-latency measurements (idle-to-busy transitions).",
+		func() uint64 { return s.FillSpans })
 	s.fillHist = reg.Histogram(prefix+"_tx_fill_latency_cycles_dist",
 		"Distribution of transmit fill latencies — the paper's four-cycle sorter claim, continuously asserted.",
 		[]int64{1, 2, 3, 4, 5, 6, 8, 12, 16, 24, 32})
-	s.telemetrySync = func() {
-		txSync()
-		rxSync()
-		lineWords.Set(s.Line.Words)
-		fillGauge.Set(s.FillLatency)
-		fillSpans.Set(s.FillSpans)
-		s.Sim.SyncTelemetry()
-	}
-	s.telemetrySync()
+	s.SyncTelemetry()
 }
 
 // SyncTelemetry refreshes every exported mirror immediately. No-op
 // when the system is not instrumented.
 func (s *System) SyncTelemetry() {
-	if s.telemetrySync != nil {
-		s.telemetrySync()
-	}
+	s.tel.Sync()
+	s.Sim.SyncTelemetry()
 }

@@ -46,17 +46,17 @@ func TestInstrumentedIdleCycleZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestInstrumentReusesRegistry pins the get-or-create contract the
-// system benchmark relies on: instrumenting a fresh system into an
-// already-populated registry re-binds the existing mirrors instead of
-// growing the series set.
-func TestInstrumentReusesRegistry(t *testing.T) {
+// TestInstrumentRefusesSecondSystem: one registry takes one system per
+// prefix. A second system instrumented under the same prefix would run
+// its own sync loop into the first one's series, each overwriting the
+// other; the mirror refuses at wiring time instead.
+func TestInstrumentRefusesSecondSystem(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	NewSystem(1).Instrument(reg, "p5")
-	n1 := len(reg.Snapshot("one").Samples())
+	defer func() {
+		if recover() == nil {
+			t.Error("second system instrumented into the same series without a panic")
+		}
+	}()
 	NewSystem(1).Instrument(reg, "p5")
-	n2 := len(reg.Snapshot("two").Samples())
-	if n1 == 0 || n1 != n2 {
-		t.Errorf("series count %d -> %d after re-instrumenting, want unchanged nonzero", n1, n2)
-	}
 }

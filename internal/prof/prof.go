@@ -11,13 +11,19 @@
 // the repo's probes — plain fields written by exactly one goroutine
 // (the shard worker), zero allocations after arming, telemetry mirrors
 // refreshed only at the Run barrier where the engine is quiescent —
-// plus one of its own: when disarmed, the hot path takes zero clock
-// samples (a nil/bool check is all that remains, and the verify gate
-// prices the armed case at ≤2% of the disarmed engine bench).
+// plus one of its own: disarmed is a nil *ShardProfile, and the hot path
+// then takes zero clock samples — a nil check inlined at each stamp
+// site is all that remains (the verify gate holds the armed case within
+// PROF_OVERHEAD_PCT, 8%, of the disarmed engine bench).
+//
+// This is the repo's one stage clock. The engine stamps the step-level
+// boundaries and hands each Link its shard's profile, so the in-Link
+// receive stages land in the same table — no second taxonomy, and no
+// wall-clock read for stage timing anywhere outside this package.
 //
 // Sampling: 1 in 2^SampleShift steps is stamped with monotonic
-// timestamps around every stage; a sampled step costs one clock read
-// per stage boundary, an unsampled step costs one counter increment.
+// timestamps at every stage boundary; a sampled step costs one clock
+// read per boundary, an unsampled step costs one counter increment.
 // Per-shard results accumulate in fixed arrays plus a power-of-two
 // ring of recent whole-step costs, all single-writer — the "lock-free"
 // here is the strongest kind: no shared writes at all, published by
@@ -32,13 +38,25 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Stage identifies one segment of the engine worker loop. The taxonomy
-// maps onto the paper's pipeline: control (LCP/IPCP timers), encode
-// (the fused CRC+stuff transmit kernel), line (TX buffer swap and wire
-// move), tokenize (RX delineation, destuff, FCS, VJ and delivery into
-// the receive queue), drain (receive-queue copy-out), deliver (payload
-// accounting back in the caller), and barrier (the Run join, accounted
-// by the Collector rather than stamped in-loop).
+// Stage identifies one segment of the engine worker loop — the one
+// taxonomy from encode to delivery. Each stamp charges the time since
+// the previous one, so the stages tile a sampled step exactly:
+//
+//   - control: Link.Advance on both ends (LCP/IPCP timers, echo,
+//     supervisor, flight/SLO service, telemetry mirrors);
+//   - encode: SendIPv4Batch — the fused CRC+stuff transmit kernel;
+//   - line: the wire move — the Output buffer swap on a direct loopback,
+//     Flush plus the transport's Tick and Recv on a TransportPort;
+//   - tokenize: hdlc.Tokenizer.Feed for one input chunk — delineation,
+//     destuff and the fused FCS, and nothing else of Link.Input;
+//   - decode: ppp.DecodeVerifiedBodyInto, the header parse of a frame
+//     whose FCS verdict the tokenizer already delivered;
+//   - vj: Van Jacobson decompression, when negotiated;
+//   - queue: the copy into the link's receive arena and datagram queue;
+//   - drain: ReceivedInto, the receive-queue copy-out;
+//   - deliver: payload accounting back in the caller;
+//   - barrier: the Run join, accounted by the Collector rather than
+//     stamped in-loop.
 type Stage uint8
 
 // The stages, in worker-loop order.
@@ -47,6 +65,9 @@ const (
 	StageEncode
 	StageLine
 	StageTokenize
+	StageDecode
+	StageVJ
+	StageQueue
 	StageDrain
 	StageDeliver
 	StageBarrier
@@ -57,7 +78,8 @@ const (
 const NumStages = int(numStages)
 
 var stageNames = [numStages]string{
-	"control", "encode", "line", "tokenize", "drain", "deliver", "barrier",
+	"control", "encode", "line", "tokenize", "decode", "vj", "queue",
+	"drain", "deliver", "barrier",
 }
 
 func (s Stage) String() string {
@@ -72,9 +94,6 @@ type Config struct {
 	// SampleShift selects 1-in-2^SampleShift steps for stage stamping
 	// (default 5 → every 32nd step). Negative samples every step.
 	SampleShift int
-	// RingSize is the per-shard ring of recent sampled whole-step costs
-	// in ns (default 256, rounded up to a power of two).
-	RingSize int
 	// Clock supplies monotonic wall-clock nanoseconds (default
 	// time.Now().UnixNano). Injectable for tests.
 	Clock func() int64
@@ -87,32 +106,25 @@ func (c Config) withDefaults() Config {
 	if c.SampleShift < 0 {
 		c.SampleShift = 0
 	}
-	if c.RingSize <= 0 {
-		c.RingSize = 256
-	}
-	c.RingSize = pow2(c.RingSize)
 	if c.Clock == nil {
 		c.Clock = func() int64 { return time.Now().UnixNano() }
 	}
 	return c
 }
 
-func pow2(n int) int {
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
-}
+// stepRing is the per-shard ring of recent sampled whole-step costs
+// (a power of two).
+const stepRing = 256
 
 // ShardProfile is one shard worker's private accounting. All methods
-// except the Collector's are called only by the owning worker between
-// StepStart/StepEnd pairs; the Run barrier publishes the fields to the
-// Collector. The zero value is unusable — obtain one from a Collector.
+// except the Collector's are called only by the owning worker (and the
+// Links it drives) between StepStart/StepEnd pairs; the Run barrier
+// publishes the fields to the Collector. A nil *ShardProfile is the
+// disarmed state: every method is a no-op that reads no clock. Obtain
+// an armed one from a Collector.
 type ShardProfile struct {
 	clock func() int64
 	mask  uint64 // sample when steps&mask == 0
-	armed bool
 
 	steps    uint64 // total steps seen
 	sampled  uint64 // steps that were stamped
@@ -124,23 +136,19 @@ type ShardProfile struct {
 	ns    [numStages]uint64 // accumulated ns per stage (sampled steps)
 	count [numStages]uint64 // stamps per stage
 
-	ring  []int64 // recent sampled whole-step ns
-	ringN uint64  // ring write cursor (monotonic)
+	ring  [stepRing]int64 // recent sampled whole-step ns
+	ringN uint64          // ring write cursor (monotonic)
 
 	// Batch bookkeeping for barrier accounting: the worker records the
 	// wall clock entering and leaving each Run batch; the Collector
 	// (driver goroutine, after wg.Wait) turns the spread into barrier
 	// wait and imbalance. Reset by Join.
 	batchStart, batchEnd int64
-
-	barrierNs    uint64 // accumulated join wait (written by Collector)
-	barrierJoins uint64
 }
 
-// StepStart opens one engine step. Receivers may be nil (disarmed
-// shard): every method is a no-op then.
+// StepStart opens one engine step.
 func (p *ShardProfile) StepStart() {
-	if p == nil || !p.armed {
+	if p == nil {
 		return
 	}
 	p.steps++
@@ -154,11 +162,16 @@ func (p *ShardProfile) StepStart() {
 }
 
 // Stamp charges the time since the previous stamp (or StepStart) to
-// stage s. Multiple stamps per stage per step accumulate.
+// stage s. Multiple stamps per stage per step accumulate. It is small
+// enough to inline, so a disarmed or unsampled call site pays the two
+// tests below and no call.
 func (p *ShardProfile) Stamp(s Stage) {
-	if p == nil || !p.sampling {
-		return
+	if p != nil && p.sampling {
+		p.stamp(s)
 	}
+}
+
+func (p *ShardProfile) stamp(s Stage) {
 	now := p.clock()
 	p.ns[s] += uint64(now - p.last)
 	p.count[s]++
@@ -167,87 +180,48 @@ func (p *ShardProfile) Stamp(s Stage) {
 
 // StepEnd closes the step, recording the whole-step cost into the
 // ring. It reuses the final stamp's clock value — closing a sampled
-// step costs no extra clock read.
+// step costs no extra clock read, and the stage costs of the step sum
+// to the recorded whole exactly.
 func (p *ShardProfile) StepEnd() {
 	if p == nil || !p.sampling {
 		return
 	}
 	p.sampling = false
 	p.sampled++
-	p.ring[p.ringN&uint64(len(p.ring)-1)] = p.last - p.stepStart
+	p.ring[p.ringN&(stepRing-1)] = p.last - p.stepStart
 	p.ringN++
 }
 
 // BatchStart marks the worker entering a Run batch.
 func (p *ShardProfile) BatchStart() {
-	if p == nil || !p.armed {
-		return
+	if p != nil {
+		p.batchStart = p.clock()
 	}
-	p.batchStart = p.clock()
 }
 
 // BatchEnd marks the worker leaving a Run batch (just before wg.Done).
 func (p *ShardProfile) BatchEnd() {
-	if p == nil || !p.armed {
-		return
+	if p != nil {
+		p.batchEnd = p.clock()
 	}
-	p.batchEnd = p.clock()
-}
-
-// StageNs returns the accumulated sampled ns charged to stage s.
-func (p *ShardProfile) StageNs(s Stage) uint64 {
-	if s == StageBarrier {
-		return p.barrierNs
-	}
-	return p.ns[s]
-}
-
-// StageCount returns how many stamps stage s received.
-func (p *ShardProfile) StageCount(s Stage) uint64 {
-	if s == StageBarrier {
-		return p.barrierJoins
-	}
-	return p.count[s]
-}
-
-// Steps returns total steps seen; Sampled the stamped subset.
-func (p *ShardProfile) Steps() uint64   { return p.steps }
-func (p *ShardProfile) Sampled() uint64 { return p.sampled }
-
-// RecentStepNs returns the retained ring of sampled whole-step costs,
-// oldest first. Call only while the shard is quiescent.
-func (p *ShardProfile) RecentStepNs() []int64 {
-	n := p.ringN
-	size := uint64(len(p.ring))
-	if n <= size {
-		return append([]int64(nil), p.ring[:n]...)
-	}
-	out := make([]int64, 0, size)
-	start := n & (size - 1)
-	out = append(out, p.ring[start:]...)
-	out = append(out, p.ring[:start]...)
-	return out
 }
 
 // Collector owns the per-shard profiles of one engine and their
 // telemetry mirrors. Construct with New, hand Shard(i) to each worker,
 // call Join from the driver after every Run barrier.
 type Collector struct {
-	cfg    Config
 	clock  func() int64
 	shards []*ShardProfile
 
-	// Telemetry mirrors, nil when built without a registry.
-	stageNs      [][]*telemetry.Counter // [shard][stage]
-	stageSamples [][]*telemetry.Counter
-	barrierNs    []*telemetry.Counter
-	barrierJoins []*telemetry.Counter
-	sampledSteps *telemetry.Counter
-	imbalance    *telemetry.Gauge
-	stepHist     *telemetry.Histogram
-	histSynced   []uint64 // per-shard ring cursor already observed
+	// Barrier accounting, written by Join on the driver goroutine.
+	barrierNs    []uint64 // accumulated join wait per shard
+	barrierJoins []uint64
+	imbalance    int64 // per-mille, from the newest Join
 
-	lastImbalance int64 // per-mille, from the newest Join
+	// Telemetry, nil when built without a registry.
+	mirror     *telemetry.Mirror
+	stepHist   *telemetry.Histogram
+	histSynced []uint64 // per-shard ring cursor already observed
 }
 
 // stepBounds are the prof_step_ns histogram buckets: 1 µs to 50 ms.
@@ -258,72 +232,62 @@ var stepBounds = []int64{
 
 // New builds a Collector for nShards shard workers. reg may be nil for
 // an unexposed collector (tests, tools); name labels the series
-// (engine="name"). The collector starts armed.
+// (engine="name").
 func New(reg *telemetry.Registry, name string, nShards int, cfg Config) *Collector {
 	cfg = cfg.withDefaults()
-	c := &Collector{cfg: cfg, clock: cfg.Clock}
-	c.shards = make([]*ShardProfile, nShards)
+	c := &Collector{
+		clock:        cfg.Clock,
+		shards:       make([]*ShardProfile, nShards),
+		barrierNs:    make([]uint64, nShards),
+		barrierJoins: make([]uint64, nShards),
+		histSynced:   make([]uint64, nShards),
+	}
 	mask := uint64(1)<<uint(cfg.SampleShift) - 1
 	for i := range c.shards {
-		c.shards[i] = &ShardProfile{
-			clock: cfg.Clock,
-			mask:  mask,
-			armed: true,
-			ring:  make([]int64, cfg.RingSize),
-		}
+		c.shards[i] = &ShardProfile{clock: cfg.Clock, mask: mask}
 	}
-	c.histSynced = make([]uint64, nShards)
-	if reg != nil {
-		lbl := telemetry.L("engine", name)
-		c.stageNs = make([][]*telemetry.Counter, nShards)
-		c.stageSamples = make([][]*telemetry.Counter, nShards)
-		c.barrierNs = make([]*telemetry.Counter, nShards)
-		c.barrierJoins = make([]*telemetry.Counter, nShards)
-		for i := 0; i < nShards; i++ {
-			shard := telemetry.L("shard", strconv.Itoa(i))
-			c.stageNs[i] = make([]*telemetry.Counter, numStages)
-			c.stageSamples[i] = make([]*telemetry.Counter, numStages)
-			for s := Stage(0); s < StageBarrier; s++ {
-				stage := telemetry.L("stage", s.String())
-				c.stageNs[i][s] = reg.Counter("prof_stage_ns_total",
-					"Sampled wall-clock ns charged to one worker-loop stage.",
-					lbl, shard, stage)
-				c.stageSamples[i][s] = reg.Counter("prof_stage_samples_total",
-					"Stage stamps taken (sampled steps only).", lbl, shard, stage)
+	if reg == nil {
+		return c
+	}
+	lbl := telemetry.L("engine", name)
+	c.mirror = reg.Mirror()
+	for i, p := range c.shards {
+		shard := telemetry.L("shard", strconv.Itoa(i))
+		for s := Stage(0); s < StageBarrier; s++ {
+			stage := telemetry.L("stage", s.String())
+			c.mirror.Counter("prof_stage_ns_total",
+				"Sampled wall-clock ns charged to one worker-loop stage.",
+				func() uint64 { return p.ns[s] }, lbl, shard, stage)
+			c.mirror.Counter("prof_stage_samples_total",
+				"Stage stamps taken (sampled steps only).",
+				func() uint64 { return p.count[s] }, lbl, shard, stage)
+		}
+		c.mirror.Counter("prof_barrier_wait_ns_total",
+			"Ns the shard spent finished while the Run barrier waited for stragglers.",
+			func() uint64 { return c.barrierNs[i] }, lbl, shard)
+		c.mirror.Counter("prof_barrier_joins_total",
+			"Run barriers this shard participated in.",
+			func() uint64 { return c.barrierJoins[i] }, lbl, shard)
+	}
+	c.mirror.Counter("prof_sampled_steps_total",
+		"Engine steps that carried stage stamps, across all shards.",
+		func() uint64 {
+			var n uint64
+			for _, p := range c.shards {
+				n += p.sampled
 			}
-			c.barrierNs[i] = reg.Counter("prof_barrier_wait_ns_total",
-				"Ns the shard spent finished while the Run barrier waited for stragglers.",
-				lbl, shard)
-			c.barrierJoins[i] = reg.Counter("prof_barrier_joins_total",
-				"Run barriers this shard participated in.", lbl, shard)
-		}
-		c.sampledSteps = reg.Counter("prof_sampled_steps_total",
-			"Engine steps that carried stage stamps, across all shards.", lbl)
-		c.imbalance = reg.Gauge("prof_shard_imbalance",
-			"Per-mille spread of shard busy time in the newest Run batch (0 = balanced).", lbl)
-		c.stepHist = reg.Histogram("prof_step_ns",
-			"Sampled whole-step cost distribution across shards.", stepBounds, lbl)
-	}
+			return n
+		}, lbl)
+	c.mirror.Gauge("prof_shard_imbalance",
+		"Per-mille spread of shard busy time in the newest Run batch (0 = balanced).",
+		func() int64 { return c.imbalance }, lbl)
+	c.stepHist = reg.Histogram("prof_step_ns",
+		"Sampled whole-step cost distribution across shards.", stepBounds, lbl)
 	return c
 }
 
 // Shard returns the i'th worker's profile.
 func (c *Collector) Shard(i int) *ShardProfile { return c.shards[i] }
-
-// SetArmed arms or disarms every shard profile. Call only while the
-// engine is quiescent (between Runs). Disarmed, the hot path takes
-// zero clock samples — StepStart/Stamp/Batch* reduce to a bool check —
-// and Join is a no-op too.
-func (c *Collector) SetArmed(armed bool) {
-	for _, p := range c.shards {
-		p.armed = armed
-	}
-}
-
-// Armed reports whether the collector is currently armed.
-func (c *Collector) Armed() bool {
-	return len(c.shards) > 0 && c.shards[0].armed
-}
 
 // Join settles one Run batch: it charges each shard's wait between its
 // own finish and the global join to the barrier stage, recomputes the
@@ -332,17 +296,14 @@ func (c *Collector) Armed() bool {
 // barrier (wg.Wait) — the barrier's happens-before edge makes every
 // shard field safe to read here.
 func (c *Collector) Join() {
-	if !c.Armed() {
-		return
-	}
 	join := c.clock()
 	var minBusy, maxBusy int64 = -1, 0
-	for _, p := range c.shards {
+	for i, p := range c.shards {
 		if p.batchEnd == 0 {
 			continue
 		}
-		p.barrierNs += uint64(join - p.batchEnd)
-		p.barrierJoins++
+		c.barrierNs[i] += uint64(join - p.batchEnd)
+		c.barrierJoins[i]++
 		busy := p.batchEnd - p.batchStart
 		if minBusy < 0 || busy < minBusy {
 			minBusy = busy
@@ -353,45 +314,29 @@ func (c *Collector) Join() {
 		p.batchEnd = 0
 	}
 	if maxBusy > 0 && minBusy >= 0 {
-		c.lastImbalance = 1000 * (maxBusy - minBusy) / maxBusy
+		c.imbalance = 1000 * (maxBusy - minBusy) / maxBusy
 	}
-	c.Sync()
+	c.sync()
 }
 
-// Sync refreshes the telemetry mirrors from the shard profiles. Join
-// calls it; standalone use needs the same quiescence.
-func (c *Collector) Sync() {
+// sync refreshes the telemetry mirrors from the shard profiles.
+func (c *Collector) sync() {
 	if c.stepHist != nil {
 		for i, p := range c.shards {
 			// Observe ring entries written since the last sync; if the
 			// ring lapped us, take the retained window.
 			n := p.ringN
 			from := c.histSynced[i]
-			size := uint64(len(p.ring))
-			if n-from > size {
-				from = n - size
+			if n-from > stepRing {
+				from = n - stepRing
 			}
 			for ; from < n; from++ {
-				c.stepHist.Observe(p.ring[from&(size-1)])
+				c.stepHist.Observe(p.ring[from&(stepRing-1)])
 			}
 			c.histSynced[i] = n
 		}
 	}
-	if c.stageNs == nil {
-		return
-	}
-	var sampled uint64
-	for i, p := range c.shards {
-		for s := Stage(0); s < StageBarrier; s++ {
-			c.stageNs[i][s].Set(p.ns[s])
-			c.stageSamples[i][s].Set(p.count[s])
-		}
-		c.barrierNs[i].Set(p.barrierNs)
-		c.barrierJoins[i].Set(p.barrierJoins)
-		sampled += p.sampled
-	}
-	c.sampledSteps.Set(sampled)
-	c.imbalance.Set(c.lastImbalance)
+	c.mirror.Sync()
 }
 
 // Summary is an aggregate view across shards, for reports and tests.
@@ -409,16 +354,16 @@ type Summary struct {
 
 // Summary aggregates the per-shard accounting. Call between Runs.
 func (c *Collector) Summary() Summary {
-	sum := Summary{Shards: len(c.shards), ImbalancePerMille: c.lastImbalance}
-	for _, p := range c.shards {
+	sum := Summary{Shards: len(c.shards), ImbalancePerMille: c.imbalance}
+	for i, p := range c.shards {
 		sum.Steps += p.steps
 		sum.Sampled += p.sampled
 		for s := Stage(0); s < StageBarrier; s++ {
 			sum.StageNs[s] += p.ns[s]
 			sum.StageCount[s] += p.count[s]
 		}
-		sum.StageNs[StageBarrier] += p.barrierNs
-		sum.StageCount[StageBarrier] += p.barrierJoins
+		sum.StageNs[StageBarrier] += c.barrierNs[i]
+		sum.StageCount[StageBarrier] += c.barrierJoins[i]
 	}
 	return sum
 }

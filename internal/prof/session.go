@@ -1,7 +1,6 @@
 package prof
 
 import (
-	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -21,29 +20,17 @@ type Session struct {
 	prevMutexFraction int
 }
 
-// SessionConfig tunes a Session.
-type SessionConfig struct {
-	// MutexFraction samples 1/n mutex contention events (default 5).
-	MutexFraction int
-	// BlockRateNs samples blocking events lasting at least this many ns
-	// (default 100µs — coarse enough not to distort the run).
-	BlockRateNs int
-}
-
-func (c SessionConfig) withDefaults() SessionConfig {
-	if c.MutexFraction <= 0 {
-		c.MutexFraction = 5
-	}
-	if c.BlockRateNs <= 0 {
-		c.BlockRateNs = 100_000
-	}
-	return c
-}
+// Sampling rates of a Session: 1 in mutexFraction contention events,
+// and blocking events of at least blockRateNs (100 µs — coarse enough
+// not to distort the run).
+const (
+	mutexFraction = 5
+	blockRateNs   = 100_000
+)
 
 // StartSession creates dir (if needed), starts CPU profiling into
 // dir/cpu.pprof and enables mutex/block sampling.
-func StartSession(dir string, cfg SessionConfig) (*Session, error) {
-	cfg = cfg.withDefaults()
+func StartSession(dir string) (*Session, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
@@ -56,8 +43,8 @@ func StartSession(dir string, cfg SessionConfig) (*Session, error) {
 		return nil, fmt.Errorf("prof: start cpu profile: %w", err)
 	}
 	s := &Session{dir: dir, cpu: f}
-	s.prevMutexFraction = runtime.SetMutexProfileFraction(cfg.MutexFraction)
-	runtime.SetBlockProfileRate(cfg.BlockRateNs)
+	s.prevMutexFraction = runtime.SetMutexProfileFraction(mutexFraction)
+	runtime.SetBlockProfileRate(blockRateNs)
 	return s, nil
 }
 
@@ -134,11 +121,4 @@ func writeSnapshot(dir, tag string) ([]string, error) {
 		files = append(files, name)
 	}
 	return files, firstErr
-}
-
-// Do runs f with the given pprof label set on the goroutine, so CPU
-// and goroutine profiles attribute its samples (the engine labels each
-// shard worker p5_shard=N this way; harnesses label phases).
-func Do(key, value string, f func()) {
-	pprof.Do(context.Background(), pprof.Labels(key, value), func(context.Context) { f() })
 }

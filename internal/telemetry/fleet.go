@@ -1,8 +1,6 @@
 package telemetry
 
 import (
-	"fmt"
-	"io"
 	"math"
 	"sort"
 	"strconv"
@@ -48,19 +46,6 @@ func sortedLabels(m map[string]string) []Label {
 		ls[i] = L(k, m[k])
 	}
 	return ls
-}
-
-// WriteSeriesText renders parsed series back to exposition sample
-// lines (no HELP/TYPE headers — a merged fleet snapshot has no single
-// authoritative metadata source). The output round-trips through
-// ParseText.
-func WriteSeriesText(w io.Writer, series []Series) error {
-	for _, s := range series {
-		if _, err := fmt.Fprintf(w, "%s %s\n", s.Full, formatFloat(s.Value)); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // SeriesQuantile estimates quantile q of the histogram family name

@@ -2,9 +2,23 @@ package telemetry
 
 import (
 	"bytes"
+	"fmt"
+	"io"
 	"strings"
 	"testing"
 )
+
+// writeSeriesText renders parsed series back to exposition sample lines
+// (no HELP/TYPE headers), the shape a merged fleet snapshot has when it
+// is fed to ParseText again.
+func writeSeriesText(w io.Writer, series []Series) error {
+	for _, s := range series {
+		if _, err := fmt.Fprintf(w, "%s %s\n", s.Full, formatFloat(s.Value)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
 // scrapeOf renders a registry the way an HTTP scrape would see it and
 // parses it back — the first half of the fleet merge path.
@@ -42,7 +56,7 @@ func TestFleetMergeDuplicateSeries(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := WriteSeriesText(&buf, merged); err != nil {
+	if err := writeSeriesText(&buf, merged); err != nil {
 		t.Fatal(err)
 	}
 	again, err := ParseText(&buf)
@@ -93,7 +107,7 @@ func TestInjectLabelEscaping(t *testing.T) {
 	hostile := `he said "hi"\` + "\n" + `done`
 	out := InjectLabel(in, "instance", hostile)
 	var buf bytes.Buffer
-	if err := WriteSeriesText(&buf, out); err != nil {
+	if err := writeSeriesText(&buf, out); err != nil {
 		t.Fatal(err)
 	}
 	again, err := ParseText(&buf)

@@ -127,9 +127,6 @@ func (h *Histogram) Count() uint64 { return h.count.Load() }
 // Sum returns the sum of observed values.
 func (h *Histogram) Sum() int64 { return h.sum.Load() }
 
-// Bounds returns the configured upper bounds.
-func (h *Histogram) Bounds() []int64 { return append([]int64(nil), h.bounds...) }
-
 // BucketCounts returns the per-bucket (non-cumulative) counts; the last
 // entry is the overflow (+Inf) bucket.
 func (h *Histogram) BucketCounts() []uint64 {
@@ -266,6 +263,7 @@ type Registry struct {
 	mu       sync.RWMutex
 	metrics  []*metric
 	index    map[string]*metric
+	mirrored map[string]bool // series a Mirror feeds (mirror.go)
 	samplers []func()
 }
 

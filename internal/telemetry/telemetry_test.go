@@ -97,7 +97,7 @@ func TestHistogramQuantileClampsOverflow(t *testing.T) {
 	}
 
 	// The helper over captured counts agrees with the live histogram.
-	if got := QuantileFromBuckets(h2.Bounds(), h2.BucketCounts(), 0.99); got != 8 {
+	if got := QuantileFromBuckets(h2.bounds, h2.BucketCounts(), 0.99); got != 8 {
 		t.Errorf("QuantileFromBuckets p99 = %d, want 8", got)
 	}
 	if got := QuantileFromBuckets(nil, nil, 0.5); got != 0 {
@@ -293,5 +293,52 @@ func TestParseTextRoundTrip(t *testing.T) {
 	}
 	if s, ok := byFull[`c_bucket{le="+Inf"}`]; !ok || s.Value != 1 {
 		t.Errorf("bucket = %+v", s)
+	}
+}
+
+// TestMirrorSyncsAndRefusesSecondClaim: a Mirror copies plain fields
+// into registry series on Sync without allocating; the same family
+// under different labels is two series and two claims; a second mirror
+// on one series — two sync loops overwriting each other — panics at
+// wiring time; a nil Mirror (an uninstrumented owner) syncs nothing.
+func TestMirrorSyncsAndRefusesSecondClaim(t *testing.T) {
+	reg := NewRegistry()
+	var frames, other uint64
+	var depth int64
+	m := reg.Mirror()
+	m.Counter("frames_total", "frames", func() uint64 { return frames }, L("link", "a"))
+	m.Gauge("depth", "queue depth", func() int64 { return depth }, L("link", "a"))
+	reg.Mirror().Counter("frames_total", "frames", func() uint64 { return other }, L("link", "b"))
+
+	frames, depth = 7, -3
+	m.Sync()
+	snap := reg.Snapshot("t")
+	if v, _ := snap.Get(`frames_total{link="a"}`); v != 7 {
+		t.Errorf(`frames_total{link="a"} = %v, want 7`, v)
+	}
+	if v, _ := snap.Get(`depth{link="a"}`); v != -3 {
+		t.Errorf(`depth{link="a"} = %v, want -3`, v)
+	}
+	if v, _ := snap.Get(`frames_total{link="b"}`); v != 0 {
+		t.Errorf(`frames_total{link="b"} = %v before its own Sync, want 0`, v)
+	}
+	if allocs := testing.AllocsPerRun(100, m.Sync); allocs != 0 {
+		t.Errorf("Sync allocates %.1f allocs/op, want 0", allocs)
+	}
+	var none *Mirror
+	none.Sync()
+
+	for name, declare := range map[string]func(){
+		"counter": func() { reg.Mirror().Counter("frames_total", "frames", func() uint64 { return 0 }, L("link", "a")) },
+		"gauge":   func() { m.Gauge("depth", "queue depth", func() int64 { return 0 }, L("link", "a")) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("second mirror on a %s series was not refused", name)
+				}
+			}()
+			declare()
+		}()
 	}
 }

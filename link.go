@@ -3,13 +3,13 @@ package gigapos
 import (
 	"errors"
 
-	"repro/internal/flight"
 	"repro/internal/hdlc"
 	"repro/internal/ipcp"
 	"repro/internal/lcp"
 	"repro/internal/lqm"
 	"repro/internal/netsim"
 	"repro/internal/ppp"
+	"repro/internal/prof"
 	"repro/internal/reliable"
 	"repro/internal/vj"
 )
@@ -162,8 +162,12 @@ type Link struct {
 	// Telemetry (nil until Instrument).
 	tel *linkTelemetry
 	// Flight recorder (nil until ArmFlight).
-	fl  *flightState
-	now int64 // virtual time of the latest Advance, for event stamps
+	fl *flightState
+	// Stage clock of the engine shard driving this link (nil unless
+	// Engine.ArmProfile armed it): the receive path stamps its stages
+	// into the shard's one table.
+	prof *prof.ShardProfile
+	now  int64 // virtual time of the latest Advance, for event stamps
 }
 
 // ErrLinkDown is returned when sending on a link whose LCP (or IPCP,
@@ -312,7 +316,7 @@ func (l *Link) Advance(now int64) {
 		l.serviceFlight(now)
 	}
 	if l.tel != nil {
-		l.tel.sync()
+		l.tel.mirror.Sync()
 	}
 }
 
@@ -425,67 +429,37 @@ func (l *Link) SendIPv4Batch(datagrams [][]byte) (int, error) {
 		return len(datagrams), nil
 	}
 	cfg := l.dataTxConfig()
-	fl := l.fl
 	for _, d := range datagrams {
 		if l.monitor != nil {
 			l.monitor.CountOutPacket(len(d))
 		}
 		f := ppp.Frame{Protocol: ppp.ProtoIPv4, Payload: d}
-		if fl != nil {
-			// Tag the departure; the wall clock is read only for the
-			// 1-in-2^SampleShift frames that stamp the encode stage.
-			var t0 int64
-			sampled := fl.rec.Sampled()
-			if sampled {
-				t0 = fl.rec.Clock()
-			}
-			l.out = ppp.AppendFrame(l.out, &f, cfg, true)
-			fl.rec.Depart(l.now)
-			if sampled {
-				fl.rec.ObserveStage(flight.StageEncode, fl.rec.Clock()-t0)
-			}
-			continue
-		}
 		l.out = ppp.AppendFrame(l.out, &f, cfg, true)
+		l.flightDepart()
 	}
 	return len(datagrams), nil
 }
 
 // SendIPv4 queues an IPv4 datagram, applying Van Jacobson header
 // compression when IPCP has negotiated it. With the flight recorder
-// armed the datagram is tagged at departure and, for sampled frames,
-// the encode stage is stamped.
+// armed the datagram is tagged at departure.
 func (l *Link) SendIPv4(datagram []byte) error {
-	if fl := l.fl; fl != nil {
-		var t0 int64
-		sampled := fl.rec.Sampled()
-		if sampled {
-			t0 = fl.rec.Clock()
-		}
-		err := l.sendIPv4(datagram)
-		if err == nil {
-			fl.rec.Depart(l.now)
-			if sampled {
-				fl.rec.ObserveStage(flight.StageEncode, fl.rec.Clock()-t0)
-			}
-		}
-		return err
-	}
-	return l.sendIPv4(datagram)
-}
-
-func (l *Link) sendIPv4(datagram []byte) error {
+	proto := uint16(ppp.ProtoIPv4)
 	if l.vjTx != nil && l.VJGranted() {
-		typ, out := l.vjTx.Compress(datagram)
+		var typ vj.Type
+		typ, datagram = l.vjTx.Compress(datagram)
 		switch typ {
 		case vj.TypeCompressed:
-			return l.Send(ppp.ProtoVJC, out)
+			proto = ppp.ProtoVJC
 		case vj.TypeUncompressed:
-			return l.Send(ppp.ProtoVJU, out)
+			proto = ppp.ProtoVJU
 		}
-		return l.Send(ppp.ProtoIPv4, out)
 	}
-	return l.Send(ppp.ProtoIPv4, datagram)
+	err := l.Send(proto, datagram)
+	if err == nil {
+		l.flightDepart()
+	}
+	return err
 }
 
 // VJGranted reports whether the peer agreed to receive VJ-compressed
@@ -513,22 +487,11 @@ func (l *Link) HasOutput() bool { return len(l.out) > 0 }
 // and queued datagram payloads are copies — the caller may recycle the
 // buffer immediately.
 func (l *Link) Input(stream []byte) {
-	if fl := l.fl; fl != nil {
-		// Black box: retain the raw wire octets, and stamp the
-		// tokenize stage for sampled chunks.
-		fl.rec.TapRx(stream)
-		var t0 int64
-		sampled := fl.rec.Sampled()
-		if sampled {
-			t0 = fl.rec.Clock()
-		}
-		l.toks = l.tk.Feed(l.toks[:0], stream)
-		if sampled {
-			fl.rec.ObserveStage(flight.StageTokenize, fl.rec.Clock()-t0)
-		}
-	} else {
-		l.toks = l.tk.Feed(l.toks[:0], stream)
+	if l.fl != nil {
+		l.fl.rec.TapRx(stream) // black box: retain the raw wire octets
 	}
+	l.toks = l.tk.Feed(l.toks[:0], stream)
+	l.prof.Stamp(prof.StageTokenize)
 	for i := range l.toks {
 		if l.toks[i].Err != nil {
 			l.RxErrors++
@@ -561,15 +524,6 @@ func (l *Link) frame(body []byte, fcsOK bool) {
 		}
 		return
 	}
-	fl := l.fl
-	var t0 int64
-	sampled := false
-	if fl != nil {
-		sampled = fl.rec.Sampled()
-		if sampled {
-			t0 = fl.rec.Clock()
-		}
-	}
 	// The FCS verdict comes fused from the tokenizer; decode itself
 	// only parses the header, with no second pass over the body.
 	var f ppp.Frame
@@ -585,11 +539,7 @@ func (l *Link) frame(body []byte, fcsOK bool) {
 		}
 		return
 	}
-	if sampled {
-		t := fl.rec.Clock()
-		fl.rec.ObserveStage(flight.StageFCS, t-t0)
-		t0 = t
-	}
+	l.prof.Stamp(prof.StageDecode)
 	l.RxFrames++
 	switch f.Protocol {
 	case ppp.ProtoLCP:
@@ -622,14 +572,8 @@ func (l *Link) frame(body []byte, fcsOK bool) {
 		// Copy out of the tokenizer's recycled arena: the queued
 		// datagram must survive any number of further Input calls.
 		l.rx = append(l.rx, Datagram{Protocol: f.Protocol, Payload: l.copyRx(f.Payload)})
-		if fl != nil {
-			if sampled {
-				fl.rec.ObserveStage(flight.StageDeliver, fl.rec.Clock()-t0)
-			}
-			if fl.peer != nil {
-				fl.peer.Arrive(l.now)
-			}
-		}
+		l.prof.Stamp(prof.StageQueue)
+		l.flightArrive()
 	case ppp.ProtoVJC, ppp.ProtoVJU:
 		if l.vjRx == nil {
 			l.protocolReject(&f)
@@ -648,23 +592,13 @@ func (l *Link) frame(body []byte, fcsOK bool) {
 			}
 			return
 		}
-		if sampled {
-			t := fl.rec.Clock()
-			fl.rec.ObserveStage(flight.StageVJ, t-t0)
-			t0 = t
-		}
+		l.prof.Stamp(prof.StageVJ)
 		if l.monitor != nil {
 			l.monitor.CountInPacket(len(pkt))
 		}
 		l.rx = append(l.rx, Datagram{Protocol: ppp.ProtoIPv4, Payload: pkt})
-		if fl != nil {
-			if sampled {
-				fl.rec.ObserveStage(flight.StageDeliver, fl.rec.Clock()-t0)
-			}
-			if fl.peer != nil {
-				fl.peer.Arrive(l.now)
-			}
-		}
+		l.prof.Stamp(prof.StageQueue)
+		l.flightArrive()
 	default:
 		// Unknown protocol: Protocol-Reject (RFC 1661 §5.7).
 		l.protocolReject(&f)

@@ -9,13 +9,14 @@ import (
 )
 
 // This file arms a Link with the flight recorder (internal/flight):
-// per-frame latency stamping on the transmit and receive fast paths,
-// the black-box wire/event rings, capture triggers (supervisor
+// the departure/arrival latency pipe on the transmit and receive fast
+// paths, the black-box wire/event rings, capture triggers (supervisor
 // restart, defect escalation, APS switch, FCS-error burst), and the
 // per-link SLO evaluator. Everything here follows the fast-path rules
-// of DESIGN.md §8: the armed steady state allocates nothing, and the
-// transmit side pays only a pipe-ring store plus one atomic add per
-// datagram.
+// of DESIGN.md §8: the armed steady state allocates nothing and reads
+// no wall clock, the transmit side pays only a pipe-ring store plus one
+// atomic add per datagram, and unarmed each fast-path hook is one
+// inlined nil check.
 
 // Default FCS-error burst trigger: eight damaged frames inside 128
 // ticks dumps the black box once per burst.
@@ -130,6 +131,21 @@ func (l *Link) FlightSLO(reg *telemetry.Registry, name string, cfg flight.SLOCon
 func (l *Link) FlightSetFailover(ticks int64) {
 	if l.fl != nil {
 		l.fl.failover = ticks
+	}
+}
+
+// flightDepart tags one queued datagram in the departure pipe.
+func (l *Link) flightDepart() {
+	if l.fl != nil {
+		l.fl.rec.Depart(l.now)
+	}
+}
+
+// flightArrive matches one delivered datagram against the departure
+// pipe of the peer that sent it.
+func (l *Link) flightArrive() {
+	if l.fl != nil && l.fl.peer != nil {
+		l.fl.peer.Arrive(l.now)
 	}
 }
 

@@ -5,13 +5,13 @@ import (
 	"repro/internal/telemetry"
 )
 
-// linkTelemetry holds a Link's probe state: the registry mirrors for
-// its plain counters (refreshed on every Advance — the control-plane
+// linkTelemetry holds a Link's probe state: the registry mirror of its
+// plain counters (refreshed on every Advance — the control-plane
 // cadence, so no hot-path cost) and the shared event tracer.
 type linkTelemetry struct {
 	tracer *telemetry.Tracer
 	scope  string
-	sync   func()
+	mirror *telemetry.Mirror
 }
 
 // trace emits a structured event on the link's tracer (no-op while
@@ -34,92 +34,60 @@ func (l *Link) trace(name, detail string, v1, v2 int64) {
 // may be nil to disable tracing. Call once, before traffic.
 func (l *Link) Instrument(reg *telemetry.Registry, tr *telemetry.Tracer, name string) {
 	lbl := telemetry.L("link", name)
-	type tap struct {
-		c    *telemetry.Counter
-		read func() uint64
-	}
-	taps := []tap{
-		{reg.Counter("link_rx_frames_total", "HDLC frames accepted by the endpoint.", lbl),
-			func() uint64 { return l.RxFrames }},
-		{reg.Counter("link_rx_errors_total", "Damaged or undecodable frames (FCS failures included).", lbl),
-			func() uint64 { return l.RxErrors }},
-		{reg.Counter("link_protocol_rejects_total", "Protocol-Reject packets sent.", lbl),
-			func() uint64 { return l.ProtocolRejects }},
-		{reg.Counter("link_echo_timeouts_total", "Dead-peer teardowns from unanswered echoes.", lbl),
-			func() uint64 { return l.EchoTimeouts }},
-		{reg.Counter("link_auth_failures_total", "Authentication phase failures.", lbl),
-			func() uint64 { return l.AuthFailures }},
-		{reg.Counter("link_lcp_tx_packets_total", "LCP control packets sent.", lbl),
-			func() uint64 { return l.lcpA.TxPackets }},
-		{reg.Counter("link_lcp_rx_packets_total", "LCP control packets received.", lbl),
-			func() uint64 { return l.lcpA.RxPackets }},
-		{reg.Counter("link_lcp_timeouts_total", "LCP restart-timer expiries.", lbl),
-			func() uint64 { return l.lcpA.Timeouts }},
-	}
-	gauges := []struct {
-		g    *telemetry.Gauge
-		read func() int64
-	}{
-		{reg.Gauge("link_lcp_state", "LCP automaton state (RFC 1661 ordinal).", lbl),
-			func() int64 { return int64(l.lcpA.State()) }},
-		{reg.Gauge("link_ipcp_state", "IPCP automaton state (RFC 1661 ordinal).", lbl),
-			func() int64 { return int64(l.ipcpA.State()) }},
-	}
+	m := reg.Mirror()
+	m.Counter("link_rx_frames_total", "HDLC frames accepted by the endpoint.",
+		func() uint64 { return l.RxFrames }, lbl)
+	m.Counter("link_rx_errors_total", "Damaged or undecodable frames (FCS failures included).",
+		func() uint64 { return l.RxErrors }, lbl)
+	m.Counter("link_protocol_rejects_total", "Protocol-Reject packets sent.",
+		func() uint64 { return l.ProtocolRejects }, lbl)
+	m.Counter("link_echo_timeouts_total", "Dead-peer teardowns from unanswered echoes.",
+		func() uint64 { return l.EchoTimeouts }, lbl)
+	m.Counter("link_auth_failures_total", "Authentication phase failures.",
+		func() uint64 { return l.AuthFailures }, lbl)
+	m.Counter("link_lcp_tx_packets_total", "LCP control packets sent.",
+		func() uint64 { return l.lcpA.TxPackets }, lbl)
+	m.Counter("link_lcp_rx_packets_total", "LCP control packets received.",
+		func() uint64 { return l.lcpA.RxPackets }, lbl)
+	m.Counter("link_lcp_timeouts_total", "LCP restart-timer expiries.",
+		func() uint64 { return l.lcpA.Timeouts }, lbl)
+	m.Gauge("link_lcp_state", "LCP automaton state (RFC 1661 ordinal).",
+		func() int64 { return int64(l.lcpA.State()) }, lbl)
+	m.Gauge("link_ipcp_state", "IPCP automaton state (RFC 1661 ordinal).",
+		func() int64 { return int64(l.ipcpA.State()) }, lbl)
 	if l.vjTx != nil {
-		taps = append(taps,
-			tap{reg.Counter("link_vj_out_ip_total", "Datagrams sent uncompressible (TYPE_IP).", lbl),
-				func() uint64 { return l.vjTx.OutIP }},
-			tap{reg.Counter("link_vj_out_uncompressed_total", "Datagrams sent as VJ UNCOMPRESSED_TCP.", lbl),
-				func() uint64 { return l.vjTx.OutUncompressed }},
-			tap{reg.Counter("link_vj_out_compressed_total", "Datagrams sent as VJ COMPRESSED_TCP (hits).", lbl),
-				func() uint64 { return l.vjTx.OutCompressed }},
-			tap{reg.Counter("link_vj_saved_octets_total", "Header octets elided by VJ compression.", lbl),
-				func() uint64 { return l.vjTx.SavedOctets }})
+		m.Counter("link_vj_out_ip_total", "Datagrams sent uncompressible (TYPE_IP).",
+			func() uint64 { return l.vjTx.OutIP }, lbl)
+		m.Counter("link_vj_out_uncompressed_total", "Datagrams sent as VJ UNCOMPRESSED_TCP.",
+			func() uint64 { return l.vjTx.OutUncompressed }, lbl)
+		m.Counter("link_vj_out_compressed_total", "Datagrams sent as VJ COMPRESSED_TCP (hits).",
+			func() uint64 { return l.vjTx.OutCompressed }, lbl)
+		m.Counter("link_vj_saved_octets_total", "Header octets elided by VJ compression.",
+			func() uint64 { return l.vjTx.SavedOctets }, lbl)
 	}
 	if l.monitor != nil {
-		taps = append(taps,
-			tap{reg.Counter("link_lqm_reports_out_total", "Link-Quality-Reports emitted.", lbl),
-				func() uint64 { return uint64(l.monitor.OutLQRs) }},
-			tap{reg.Counter("link_lqm_reports_in_total", "Link-Quality-Reports received.", lbl),
-				func() uint64 { return uint64(l.monitor.InLQRs) }},
-			tap{reg.Counter("link_lqm_rtt_samples_total", "Completed report round-trip measurements.", lbl),
-				func() uint64 { return l.monitor.RTTSamples }})
-		gauges = append(gauges,
-			struct {
-				g    *telemetry.Gauge
-				read func() int64
-			}{reg.Gauge("link_lqm_rtt", "Last report round-trip (virtual time units).", lbl),
-				func() int64 { return l.monitor.LastRTT }},
-			struct {
-				g    *telemetry.Gauge
-				read func() int64
-			}{reg.Gauge("link_lqm_quality", "Quality verdict: 0 unknown, 1 good, 2 bad.", lbl),
-				func() int64 { return int64(l.monitor.Quality()) }})
+		m.Counter("link_lqm_reports_out_total", "Link-Quality-Reports emitted.",
+			func() uint64 { return uint64(l.monitor.OutLQRs) }, lbl)
+		m.Counter("link_lqm_reports_in_total", "Link-Quality-Reports received.",
+			func() uint64 { return uint64(l.monitor.InLQRs) }, lbl)
+		m.Counter("link_lqm_rtt_samples_total", "Completed report round-trip measurements.",
+			func() uint64 { return l.monitor.RTTSamples }, lbl)
+		m.Gauge("link_lqm_rtt", "Last report round-trip (virtual time units).",
+			func() int64 { return l.monitor.LastRTT }, lbl)
+		m.Gauge("link_lqm_quality", "Quality verdict: 0 unknown, 1 good, 2 bad.",
+			func() int64 { return int64(l.monitor.Quality()) }, lbl)
 	}
 	if l.sup != nil {
-		taps = append(taps,
-			tap{reg.Counter("link_supervisor_restarts_total", "Supervised re-open attempts.", lbl),
-				func() uint64 { return l.sup.Restarts }},
-			tap{reg.Counter("link_supervisor_recoveries_total", "Returns to Opened after an outage.", lbl),
-				func() uint64 { return l.sup.Recoveries }},
-			tap{reg.Counter("link_supervisor_defect_outages_total", "Service-affecting defect windows.", lbl),
-				func() uint64 { return l.sup.DefectOutages }},
-			tap{reg.Counter("link_supervisor_lqm_restarts_total", "Restarts from Bad quality verdicts.", lbl),
-				func() uint64 { return l.sup.LQMRestarts }})
+		m.Counter("link_supervisor_restarts_total", "Supervised re-open attempts.",
+			func() uint64 { return l.sup.Restarts }, lbl)
+		m.Counter("link_supervisor_recoveries_total", "Returns to Opened after an outage.",
+			func() uint64 { return l.sup.Recoveries }, lbl)
+		m.Counter("link_supervisor_defect_outages_total", "Service-affecting defect windows.",
+			func() uint64 { return l.sup.DefectOutages }, lbl)
+		m.Counter("link_supervisor_lqm_restarts_total", "Restarts from Bad quality verdicts.",
+			func() uint64 { return l.sup.LQMRestarts }, lbl)
 	}
-
-	l.tel = &linkTelemetry{
-		tracer: tr,
-		scope:  "link:" + name,
-		sync: func() {
-			for _, t := range taps {
-				t.c.Set(t.read())
-			}
-			for _, g := range gauges {
-				g.g.Set(g.read())
-			}
-		},
-	}
+	l.tel = &linkTelemetry{tracer: tr, scope: "link:" + name, mirror: m}
 
 	lcpTrans := reg.Counter("link_lcp_transitions_total", "LCP automaton state transitions.", lbl)
 	l.lcpA.OnTransition = func(from, to lcp.State) {
@@ -131,13 +99,5 @@ func (l *Link) Instrument(reg *telemetry.Registry, tr *telemetry.Tracer, name st
 		ipcpTrans.Inc()
 		l.trace("ipcp-transition", from.String()+"->"+to.String(), int64(from), int64(to))
 	}
-	l.tel.sync()
-}
-
-// SyncTelemetry refreshes the link's exported mirrors immediately
-// (Advance also does this every call). No-op when uninstrumented.
-func (l *Link) SyncTelemetry() {
-	if l.tel != nil {
-		l.tel.sync()
-	}
+	m.Sync()
 }

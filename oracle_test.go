@@ -6,19 +6,17 @@ import (
 	"go/token"
 	"io/fs"
 	"path/filepath"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
 )
 
-// TestOracleStaysAnOracle holds the framing codec to one production
-// path plus one oracle: the Reference* symbols of internal/hdlc and
-// internal/ppp (the byte-at-a-time encoder and tokenizer the fused
-// kernels are tested against) may be named by tests and by the two
-// reference.go files that define them, and by no other file in the
-// module.
-func TestOracleStaysAnOracle(t *testing.T) {
-	codec := map[string]bool{"repro/internal/hdlc": true, "repro/internal/ppp": true}
+// productionFiles parses every non-test .go file of the module and
+// hands each to fn with its slash-separated directory ("." for the
+// root package).
+func productionFiles(t *testing.T, fn func(fset *token.FileSet, dir, name string, f *ast.File)) {
+	t.Helper()
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -30,15 +28,33 @@ func TestOracleStaysAnOracle(t *testing.T) {
 			}
 			return nil
 		}
-		dir := filepath.ToSlash(filepath.Dir(path))
-		inCodec := codec["repro/"+dir]
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") ||
-			inCodec && d.Name() == "reference.go" {
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
 			return nil
 		}
 		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
 		if err != nil {
 			return err
+		}
+		fn(fset, filepath.ToSlash(filepath.Dir(path)), d.Name(), f)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestOracleStaysAnOracle holds the framing codec to one production
+// path plus one oracle: the Reference* symbols of internal/hdlc and
+// internal/ppp (the byte-at-a-time encoder and tokenizer the fused
+// kernels are tested against) may be named by tests and by the two
+// reference.go files that define them, and by no other file in the
+// module.
+func TestOracleStaysAnOracle(t *testing.T) {
+	codec := map[string]bool{"repro/internal/hdlc": true, "repro/internal/ppp": true}
+	productionFiles(t, func(fset *token.FileSet, dir, name string, f *ast.File) {
+		inCodec := codec["repro/"+dir]
+		if inCodec && name == "reference.go" {
+			return
 		}
 		// The names under which this file sees the codec packages.
 		local := map[string]bool{}
@@ -70,9 +86,82 @@ func TestOracleStaysAnOracle(t *testing.T) {
 			}
 			return true
 		})
-		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestObservationExportsHaveCallers keeps the observation surface to
+// what something reads: every exported function, method, type,
+// constant, variable and untagged struct field defined in
+// internal/{flight,prof,telemetry,obsnet} must be named by at least one
+// non-test file of the module besides its own definition. An accessor
+// only tests call is either a documented series or dead — delete it,
+// unexport it, or move it into the test that needs it. The match is by
+// name (go/parser, no type information), so it errs towards silence;
+// struct fields with a tag are serialised documents and exempt, as are
+// methods the standard library calls through an interface and the
+// names kept below, each with its reason.
+func TestObservationExportsHaveCallers(t *testing.T) {
+	observed := map[string]bool{
+		"internal/flight": true, "internal/prof": true,
+		"internal/telemetry": true, "internal/obsnet": true,
+	}
+	viaInterface := map[string]bool{"String": true, "Error": true, "ServeHTTP": true}
+	kept := map[string]string{
+		"Recent": "flight.Recorder: the in-memory captures are the evidence when no capture directory is set",
+	}
+
+	defined := map[string]token.Position{} // exported name -> a definition site
+	defIdent := map[*ast.Ident]bool{}
+	uses := map[string]int{}
+	productionFiles(t, func(fset *token.FileSet, dir, _ string, f *ast.File) {
+		define := func(id *ast.Ident) {
+			defIdent[id] = true
+			if observed[dir] && id.IsExported() && !viaInterface[id.Name] {
+				defined[id.Name] = fset.Position(id.Pos())
+			}
+		}
+		for _, decl := range f.Decls {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				define(d.Name)
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch s := spec.(type) {
+					case *ast.ValueSpec:
+						for _, id := range s.Names {
+							define(id)
+						}
+					case *ast.TypeSpec:
+						define(s.Name)
+						if st, ok := s.Type.(*ast.StructType); ok {
+							for _, fld := range st.Fields.List {
+								if fld.Tag != nil {
+									continue
+								}
+								for _, id := range fld.Names {
+									define(id)
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && !defIdent[id] {
+				uses[id.Name]++
+			}
+			return true
+		})
+	})
+	var dead []string
+	for name, pos := range defined {
+		if uses[name] == 0 && kept[name] == "" {
+			dead = append(dead, pos.String()+": exported "+name+" has no non-test caller")
+		}
+	}
+	sort.Strings(dead)
+	for _, d := range dead {
+		t.Error(d)
 	}
 }

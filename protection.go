@@ -54,8 +54,8 @@ type ProtectedLink struct {
 	// the standby deframer hot so a switch is a pointer flip.
 	DiscardedStandbyOctets uint64
 
-	now     int64
-	telSync []func()
+	now int64
+	tel *telemetry.Mirror // nil until Instrument
 }
 
 // NewProtectedLink builds a Link plus its protected line pair.
@@ -96,9 +96,7 @@ func (pl *ProtectedLink) Advance(now int64) {
 	pl.now = now
 	pl.Link.Advance(now)
 	pl.Ctrl.Advance(now)
-	for _, sync := range pl.telSync {
-		sync()
-	}
+	pl.tel.Sync()
 }
 
 // NextFrames drains the Link's pending output into both line queues —
@@ -152,19 +150,20 @@ func (pl *ProtectedLink) observe(line aps.Line) {
 	}
 }
 
-// Instrument exports the full protected-endpoint probe set: the Link's
-// protocol counters under name, the APS controller under "aps", and
-// each line's deframer under name_working / name_protect. The mirrors
-// refresh on every Advance.
+// Instrument exports the full protected-endpoint probe set, every
+// series labelled {link=name} so both ends of a pair can share one
+// registry: the Link's protocol counters, the APS controller (aps_*),
+// and each line's deframer (link_working_* / link_protect_*). The
+// mirrors refresh on every Advance.
 func (pl *ProtectedLink) Instrument(reg *telemetry.Registry, tr *telemetry.Tracer, name string) {
 	pl.Link.Instrument(reg, tr, name)
-	pl.telSync = append(pl.telSync,
-		pl.Ctrl.Instrument(reg, tr, "aps"),
-		pl.df[aps.Working].Instrument(reg, tr, name+"_working"),
-		pl.df[aps.Protect].Instrument(reg, tr, name+"_protect"))
-	discarded := reg.Counter(name+"_standby_discarded_octets_total",
-		"Standby-line payload octets dropped by the receive selector.")
-	pl.telSync = append(pl.telSync, func() {
-		discarded.Set(pl.DiscardedStandbyOctets)
-	})
+	lbl := telemetry.L("link", name)
+	pl.tel = reg.Mirror()
+	pl.Ctrl.Instrument(pl.tel, tr, name)
+	pl.df[aps.Working].Instrument(pl.tel, tr, "link_working", lbl)
+	pl.df[aps.Protect].Instrument(pl.tel, tr, "link_protect", lbl)
+	pl.tel.Counter("link_standby_discarded_octets_total",
+		"Standby-line payload octets dropped by the receive selector.",
+		func() uint64 { return pl.DiscardedStandbyOctets }, lbl)
+	pl.tel.Sync()
 }

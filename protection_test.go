@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/aps"
+	"repro/internal/telemetry"
 )
 
 // protectedPair wires two ProtectedLinks full duplex: both directions
@@ -246,4 +247,56 @@ func TestProtectionBothLinesDownFallsBack(t *testing.T) {
 		}
 	}
 	t.Fatal("recovered pair did not deliver traffic")
+}
+
+// TestProtectedPairTelemetryKeepsEndsApart instruments both ends of one
+// pair into one registry. Unidirectional APS makes the ends differ — a
+// cut of the a→b working line moves b's selector and leaves a's alone —
+// so two sync loops sharing one series would show: each end must keep
+// its own aps_* and deframer record under its {link} label. A second
+// mirror on an end's series is a wiring bug and is refused.
+func TestProtectedPairTelemetryKeepsEndsApart(t *testing.T) {
+	p := newProtectedPair(t, ProtectionConfig{})
+	reg := telemetry.NewRegistry()
+	p.a.Instrument(reg, nil, "a")
+	p.b.Instrument(reg, nil, "b")
+	for i := 0; i < 30; i++ {
+		p.tick()
+	}
+	if !p.a.IPReady() || !p.b.IPReady() {
+		t.Fatal("links did not open on the clean pair")
+	}
+	p.impairW = zeroFrame
+	for i := 0; i < 40; i++ {
+		p.tick()
+	}
+	if p.b.Ctrl.Switches != 1 || p.a.Ctrl.Switches != 0 {
+		t.Fatalf("scenario did not split the ends: switches a=%d b=%d, want 0/1",
+			p.a.Ctrl.Switches, p.b.Ctrl.Switches)
+	}
+	snap := reg.Snapshot("pair")
+	for series, want := range map[string]float64{
+		`aps_switches_total{link="a"}`: 0,
+		`aps_switches_total{link="b"}`: 1,
+		`aps_active{link="a"}`:         float64(aps.Working),
+		`aps_active{link="b"}`:         float64(aps.Protect),
+	} {
+		if got, ok := snap.Get(series); !ok || got != want {
+			t.Errorf("%s = %v (present=%v), want %v", series, got, ok, want)
+		}
+	}
+	// The dead working line shows on b's deframer only.
+	if v, _ := snap.Get(`link_working_alarms{link="b"}`); v == 0 {
+		t.Error(`link_working_alarms{link="b"} = 0 on a cut line`)
+	}
+	if v, _ := snap.Get(`link_working_alarms{link="a"}`); v != 0 {
+		t.Errorf(`link_working_alarms{link="a"} = %v on a clean line`, v)
+	}
+
+	defer func() {
+		if recover() == nil {
+			t.Error("a second mirror on end a's series was not refused")
+		}
+	}()
+	p.a.Instrument(reg, nil, "a")
 }

@@ -23,8 +23,8 @@ type RingLink struct {
 	*Link
 	Port *topo.Port
 
-	rxBuf   []byte
-	telSync []func()
+	rxBuf []byte
+	tel   *telemetry.Mirror // nil until Instrument
 }
 
 // ringRestartPeriod is the default LCP/IPCP restart timer for ring
@@ -68,9 +68,7 @@ func (rl *RingLink) Advance(now int64) {
 	if len(rl.rxBuf) > 0 {
 		rl.Link.Input(rl.rxBuf)
 	}
-	for _, f := range rl.telSync {
-		f()
-	}
+	rl.tel.Sync()
 }
 
 // ArmFlight arms the underlying link and additionally dumps the black
@@ -89,29 +87,31 @@ func (rl *RingLink) ArmFlight(rec *flight.Recorder) {
 	}
 }
 
-// Instrument exports the link's probe set under name plus the ring
-// endpoint's selector counters. Mirrors refresh on every Advance.
+// Instrument exports the link's probe set plus the ring endpoint's
+// selector counters (link_ring_*), all labelled {link=name}. Mirrors
+// refresh on every Advance.
 func (rl *RingLink) Instrument(reg *telemetry.Registry, tr *telemetry.Tracer, name string) {
 	rl.Link.Instrument(reg, tr, name)
-	switches := reg.Counter(name+"_ring_switches_total",
-		"Path selector movements at this ring endpoint.")
-	fill := reg.Counter(name+"_ring_fill_octets_total",
-		"Idle flag octets inserted while the add queue ran dry.")
-	drops := reg.Counter(name+"_ring_rx_drops_total",
-		"Drop-stream octets discarded to the receive depth cap.")
-	sel := reg.Gauge(name+"_ring_selected_rotation",
-		"Rotation the drop selector currently delivers (0 east, 1 west).")
-	down := reg.Gauge(name+"_ring_down",
-		"1 while the circuit is squelched (no rotation delivers).")
-	rl.telSync = append(rl.telSync, func() {
-		switches.Set(rl.Port.Switches)
-		fill.Set(rl.Port.FillOctets)
-		drops.Set(rl.Port.RxDrops)
-		sel.Set(int64(rl.Port.Selected()))
-		if rl.Port.Down() {
-			down.Set(1)
-		} else {
-			down.Set(0)
-		}
-	})
+	lbl := telemetry.L("link", name)
+	rl.tel = reg.Mirror()
+	rl.tel.Counter("link_ring_switches_total",
+		"Path selector movements at this ring endpoint.",
+		func() uint64 { return rl.Port.Switches }, lbl)
+	rl.tel.Counter("link_ring_fill_octets_total",
+		"Idle flag octets inserted while the add queue ran dry.",
+		func() uint64 { return rl.Port.FillOctets }, lbl)
+	rl.tel.Counter("link_ring_rx_drops_total",
+		"Drop-stream octets discarded to the receive depth cap.",
+		func() uint64 { return rl.Port.RxDrops }, lbl)
+	rl.tel.Gauge("link_ring_selected_rotation",
+		"Rotation the drop selector currently delivers (0 east, 1 west).",
+		func() int64 { return int64(rl.Port.Selected()) }, lbl)
+	rl.tel.Gauge("link_ring_down",
+		"1 while the circuit is squelched (no rotation delivers).",
+		func() int64 {
+			if rl.Port.Down() {
+				return 1
+			}
+			return 0
+		}, lbl)
 }

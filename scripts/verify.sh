@@ -44,7 +44,9 @@ go test -race ./...
 echo "== flight recorder overhead gate =="
 # The armed encode benchmark must stay zero-alloc and within
 # FLIGHT_OVERHEAD_PCT (default 5) percent of the unarmed baseline —
-# the recorder's contract is an invisible transmit fast path.
+# the recorder's contract is an invisible transmit fast path. Armed,
+# that path is AppendFrame plus a bare Depart (one departure-ring store,
+# one atomic add); it reads no clock — stage timing is internal/prof's.
 FLIGHT_BENCHTIME="${FLIGHT_BENCHTIME:-5000x}"
 bench_out=$(go test -run '^$' -bench '^BenchmarkLinkEncodeSteady(Flight)?$' \
     -benchtime "$FLIGHT_BENCHTIME" -count 3 -benchmem .)
@@ -74,7 +76,12 @@ echo "== stage-profile overhead gate =="
 # sampling) must stay zero-alloc and within PROF_OVERHEAD_PCT
 # (default 8) percent of the disarmed baseline at shards=1 — the
 # observatory's contract is that watching the hot path does not bend
-# it. The stamp cost itself is ~0.01% of a step (E17); the ns/op
+# it. Armed, the path holds the one stage clock: the worker loop's
+# stamps (control, encode, line, drain, deliver) and, through the shard
+# profile handed to each Link, the receive path's (tokenize per chunk;
+# decode, vj, queue per frame) — an inlined nil-and-sampling test per
+# site on 31 steps in 32, a clock read per stamp on the sampled one.
+# The stamp cost itself is ~0.01% of a step (E17); the ns/op
 # tolerance exists to catch armed-path pathologies, and is set to what
 # best-of-count floors actually converge to on a steal-prone host —
 # the fused RX kernel halved the step time (E18), so the same absolute

@@ -4,6 +4,7 @@ import (
 	"math/rand/v2"
 
 	"repro/internal/flight"
+	"repro/internal/prof"
 	"repro/internal/transport"
 )
 
@@ -164,6 +165,9 @@ func (p *TransportPort) Poll(now int64) int {
 		}
 	}
 	p.rxChunks = p.T.Recv(p.rxChunks[:0])
+	// Socket and pipe time is line time: stamp before the link's own
+	// receive stages start charging.
+	p.Link.prof.Stamp(prof.StageLine)
 	n := 0
 	for _, c := range p.rxChunks {
 		n += len(c)
