@@ -577,8 +577,8 @@ func BenchmarkEngineAggregateProfiled(b *testing.B) {
 }
 
 // BenchmarkLinkEncodeSteady measures the steady-state transmit path of
-// one negotiated link: batch dispatch, fused single-pass CRC+stuff
-// encode, double-buffered drain. The alloc column is the point: 0 B/op.
+// one negotiated link: batch dispatch, the production encoder (one wide
+// FCS fold per frame, then stuffing), double-buffered drain. The alloc column is the point: 0 B/op.
 func BenchmarkLinkEncodeSteady(b *testing.B) {
 	a, _ := newTestPair(b, LinkConfig{}, LinkConfig{})
 	payload := make([]byte, 1500)
@@ -632,9 +632,8 @@ func BenchmarkLinkEncodeSteadyFlight(b *testing.B) {
 }
 
 // BenchmarkLinkDecodeSteady measures the steady-state receive path:
-// fused single-pass destuff+CRC tokenization (span scan, bulk arena
-// copy, streaming FCS fold), DecodeVerifiedBodyInto, arena copy, batch
-// drain. 0 B/op once warm.
+// tokenization (span scan, bulk arena copy, one wide FCS fold at each
+// closing flag), DecodeVerifiedBodyInto, arena copy, batch drain. 0 B/op once warm.
 func BenchmarkLinkDecodeSteady(b *testing.B) {
 	a, z := newTestPair(b, LinkConfig{}, LinkConfig{})
 	payload := make([]byte, 1500)
@@ -670,6 +669,30 @@ func BenchmarkLinkDecodeSteady(b *testing.B) {
 // OC-48 floor (311 MB/s of wire, 0 allocs/op).
 var sweepDensities = []int{0, 2, 25, 50, 75, 100}
 
+// sweepSizes is the other axis, at the 2% density of real IP: the frame
+// sizes of the ladder's workloads. Cost per frame dominates at the
+// small end, and the step between 40 and 64 octets is where the FCS
+// fold goes from the slicing tables to the wide kernel.
+var sweepSizes = []int{40, 64, 128, 576, 1500}
+
+// sweepPoints names every point of both codec sweeps: the density axis
+// at 1500 octets, then the size axis at 2%.
+func sweepPoints() []sweepPoint {
+	var pts []sweepPoint
+	for _, d := range sweepDensities {
+		pts = append(pts, sweepPoint{fmt.Sprintf("escape=%d%%", d), densityPayload(1500, d)})
+	}
+	for _, n := range sweepSizes {
+		pts = append(pts, sweepPoint{fmt.Sprintf("size=%d", n), densityPayload(n, 2)})
+	}
+	return pts
+}
+
+type sweepPoint struct {
+	name    string
+	payload []byte
+}
+
 // densityPayload returns n octets of which density percent, spread
 // evenly, are flags (escaped on the wire).
 func densityPayload(n, density int) []byte {
@@ -683,36 +706,35 @@ func densityPayload(n, density int) []byte {
 	return p
 }
 
-// BenchmarkAppendFramed is the transmit-side density sweep: the fused
-// CRC+stuff encoder (ppp.AppendFramed) on one 1500-octet datagram per
-// op. MB/s is wire octets produced; 0 allocs/op once dst has grown.
+// BenchmarkAppendFramed is the transmit-side sweep: the production
+// encoder (ppp.AppendFramed) on one datagram per op. MB/s is wire
+// octets produced; 0 allocs/op once dst has grown.
 func BenchmarkAppendFramed(b *testing.B) {
-	for _, density := range sweepDensities {
-		b.Run(fmt.Sprintf("escape=%d%%", density), func(b *testing.B) {
+	for _, pt := range sweepPoints() {
+		b.Run(pt.name, func(b *testing.B) {
 			hdr := []byte{0xFF, 0x03, 0x00, 0x21}
-			payload := densityPayload(1500, density)
-			dst := ppp.AppendFramed(nil, hdr, payload, crc.FCS32Mode, hdlc.ACCMNone, true)
+			dst := ppp.AppendFramed(nil, hdr, pt.payload, crc.FCS32Mode, hdlc.ACCMNone, true)
 			b.SetBytes(int64(len(dst)))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				dst = ppp.AppendFramed(dst[:0], hdr, payload, crc.FCS32Mode, hdlc.ACCMNone, true)
+				dst = ppp.AppendFramed(dst[:0], hdr, pt.payload, crc.FCS32Mode, hdlc.ACCMNone, true)
 			}
 		})
 	}
 }
 
-// BenchmarkTokenizerFeed is the receive-side density sweep: the fused
-// destuff+CRC kernel in isolation, eight 1500-octet frames per op.
-// MB/s is wire bytes through Feed; 0 allocs/op once the arena is warm.
+// BenchmarkTokenizerFeed is the receive-side sweep: the production
+// tokenizer (destuff, then one FCS fold per frame) in isolation, eight
+// frames per op. MB/s is wire bytes through Feed; 0 allocs/op once the
+// arena is warm.
 func BenchmarkTokenizerFeed(b *testing.B) {
-	for _, density := range sweepDensities {
-		b.Run(fmt.Sprintf("escape=%d%%", density), func(b *testing.B) {
-			payload := densityPayload(1500, density)
+	for _, pt := range sweepPoints() {
+		b.Run(pt.name, func(b *testing.B) {
 			var stream []byte
 			const frames = 8
 			for i := 0; i < frames; i++ {
-				body := crc.FCS32Mode.Append(append([]byte{0xFF, 0x03, 0x00, 0x21}, payload...))
+				body := crc.FCS32Mode.Append(append([]byte{0xFF, 0x03, 0x00, 0x21}, pt.payload...))
 				stream = hdlc.ReferenceEncode(stream, body, hdlc.ACCMNone, true)
 			}
 			tk := hdlc.Tokenizer{FCS: crc.FCS32Mode}

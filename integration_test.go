@@ -108,6 +108,14 @@ func wireCorpus() []wirePayload {
 		copy(p[at:], []byte{hdlc.Flag, hdlc.Escape, hdlc.Escape, hdlc.Flag, 0x5E, hdlc.Flag})
 		c = append(c, wirePayload{fmt.Sprintf("run-at%d", at), p})
 	}
+	// Minimum-size frames on both sides of the 64-octet fold threshold:
+	// 40- and 64-octet datagrams, 63/65 around the transmit fold (taken
+	// over the payload), and the lengths that make the receive fold's
+	// body — 4 header octets, payload, FCS — 59/60/63/64/65/67 octets
+	// under FCS-32 (51…59) and FCS-16 (53…61).
+	for _, n := range []int{40, 51, 52, 53, 54, 55, 56, 57, 58, 59, 61, 63, 64, 65} {
+		c = append(c, wirePayload{fmt.Sprintf("%dB", n), netsim.NewGen(18, netsim.Fixed(n), 0.05).Next()})
+	}
 	return c
 }
 

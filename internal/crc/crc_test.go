@@ -2,6 +2,7 @@ package crc
 
 import (
 	"bytes"
+	"fmt"
 	"hash/crc32"
 	"math/rand"
 	"testing"
@@ -75,6 +76,113 @@ func TestSlicingArbitraryInit(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// sizes pairs each FCS mode with its bit-serial definition, widened to
+// the streaming register.
+var sizes = []struct {
+	mode    Size
+	bitwise func(fcs uint32, p []byte) uint32
+	table   func(fcs uint32, p []byte) uint32
+}{
+	{FCS16Mode,
+		func(fcs uint32, p []byte) uint32 { return uint32(Bitwise16(uint16(fcs), p)) },
+		func(fcs uint32, p []byte) uint32 { return uint32(Table16(uint16(fcs), p)) }},
+	{FCS32Mode, Bitwise32, Table32},
+}
+
+// TestUpdateMatchesBitwise holds the production kernel — in-package
+// slicing below 64 octets, hash/crc32's wide fold from there — to the
+// 1-bit LFSR at the seam between the two: every length around it, every
+// slice alignment the vector kernel could care about, starting
+// registers other than Init (the complement trick must hold from any
+// value, not only the checksum convention's), and every way of cutting
+// an input in two so each half lands on either side of the threshold
+// and of the 16-octet remainder the wide kernel leaves behind.
+func TestUpdateMatchesBitwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	backing := make([]byte, 65535+16)
+	rng.Read(backing)
+	lengths := []int{1500, 4470, 65535}
+	for n := 0; n <= 300; n++ {
+		lengths = append(lengths, n)
+	}
+	for _, sz := range sizes {
+		inits := []uint32{sz.mode.Init(), 0}
+		for _, n := range lengths {
+			for align := 0; align < 16; align++ {
+				p := backing[align : align+n]
+				init := inits[(n+align)%len(inits)]
+				if (n+align)%3 == 0 {
+					init = rng.Uint32() >> (32 - 8*uint(sz.mode.Bytes()))
+				}
+				if got, want := sz.mode.Update(init, p), sz.bitwise(init, p); got != want {
+					t.Fatalf("%v: Update(%#x, %d octets at +%d) = %#x, bitwise %#x", sz.mode, init, n, align, got, want)
+				}
+			}
+		}
+		for _, n := range []int{127, 128, 129, 160, 300} {
+			p := backing[3 : 3+n]
+			init := rng.Uint32() >> (32 - 8*uint(sz.mode.Bytes()))
+			want := sz.bitwise(init, p)
+			for cut := 0; cut <= n; cut++ {
+				if got := sz.mode.Update(sz.mode.Update(init, p[:cut]), p[cut:]); got != want {
+					t.Fatalf("%v: %d octets cut at %d = %#x, bitwise %#x", sz.mode, n, cut, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestOneKernelPerSize pins that the named helpers are views of
+// Size.Update: same field value, same verdict, at lengths on both sides
+// of the wide threshold.
+func TestOneKernelPerSize(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	for _, n := range []int{0, 1, 40, 63, 64, 65, 1500} {
+		p := make([]byte, n)
+		rng.Read(p)
+		if got, want := FCS16(p), ^Bitwise16(Init16, p); got != want {
+			t.Errorf("FCS16(%d octets) = %#x, bitwise %#x", n, got, want)
+		}
+		if got, want := FCS32(p), ^Bitwise32(Init32, p); got != want {
+			t.Errorf("FCS32(%d octets) = %#x, bitwise %#x", n, got, want)
+		}
+		for _, s := range []Size{FCS16Mode, FCS32Mode} {
+			sealed := s.Append(bytes.Clone(p))
+			if !s.Check(sealed) {
+				t.Errorf("%v: %d octets sealed by Append fail Check", s, n)
+			}
+			sealed[n/2] ^= 0x10
+			if s.Check(sealed) {
+				t.Errorf("%v: %d octets pass Check with a bit flipped", s, n)
+			}
+		}
+	}
+}
+
+// FuzzUpdateSplit: folding an input in two pieces through the
+// production kernel, from any starting register, equals the Sarwate
+// table over the whole — wherever the cut puts each piece relative to
+// the wide threshold.
+func FuzzUpdateSplit(f *testing.F) {
+	f.Add([]byte("123456789"), uint32(Init32), 4)
+	f.Add(bytes.Repeat([]byte{0x7E, 0x7D, 0x00, 0xFF}, 40), uint32(0), 64)
+	f.Add(bytes.Repeat([]byte{0xA5}, 129), uint32(0xDEADBEEF), 65)
+	f.Add(bytes.Repeat([]byte{0x11}, 1500), uint32(1), 63)
+	f.Fuzz(func(t *testing.T, data []byte, init uint32, cut int) {
+		if cut < 0 {
+			cut = -(cut + 1) // -cut overflows at MinInt
+		}
+		cut %= len(data) + 1
+		for _, sz := range sizes {
+			init := init >> (32 - 8*uint(sz.mode.Bytes()))
+			got := sz.mode.Update(sz.mode.Update(init, data[:cut]), data[cut:])
+			if want := sz.table(init, data); got != want {
+				t.Fatalf("%v: Update from %#x over %d octets cut at %d = %#x, table %#x", sz.mode, init, len(data), cut, got, want)
+			}
+		}
+	})
 }
 
 func TestParallel32MatchesReference(t *testing.T) {
@@ -350,3 +458,28 @@ func BenchmarkParallel32x32(b *testing.B) {
 		p.Update(Init32, buf)
 	}
 }
+
+// BenchmarkFCSUpdate prices the production FCS-32 kernel across the
+// frame sizes of the ladder, 256 frames laid end to end per op: the
+// step at 64 octets is where the wide fold engages.
+func BenchmarkFCSUpdate(b *testing.B) {
+	const frames = 256
+	for _, size := range []int{40, 64, 128, 576, 1500} {
+		b.Run(fmt.Sprintf("size=%d", size), func(b *testing.B) {
+			buf := make([]byte, frames*size)
+			rand.New(rand.NewSource(1)).Read(buf)
+			b.SetBytes(int64(len(buf)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			var sink uint32
+			for i := 0; i < b.N; i++ {
+				for off := 0; off < len(buf); off += size {
+					sink += FCS32Mode.Update(Init32, buf[off:off+size])
+				}
+			}
+			benchSink = sink
+		})
+	}
+}
+
+var benchSink uint32

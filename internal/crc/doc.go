@@ -5,11 +5,17 @@
 //   - Bitwise: the 1-bit-per-step LFSR reference, used as ground truth.
 //   - Table: the byte-at-a-time Sarwate algorithm (the software mirror of
 //     the paper's 8-bit CRC unit).
-//   - Slicing: slicing-by-4, a fast software path for bulk checks.
+//   - Slicing: slicing-by-8 (FCS-32) and by-2 (FCS-16), the portable
+//     software path and the named definition of the production kernel.
 //   - Matrix: the paper's parallel CRC core [Pei & Zukowski 1992] — the
 //     next CRC state is computed from the current state and W input bits
 //     in one step via a GF(2) matrix, exactly the 8×32 (8-bit P5) and
 //     32×32 (32-bit P5) parallel matrices of the paper.
+//
+// Size.Update is the production kernel: FCS-32 inputs of 64 octets or
+// more are folded by hash/crc32 — software's CRC core as wide as the
+// datapath — and everything else takes the Slicing tables. Callers fold
+// once per frame, so that a frame reaches it whole.
 //
 // All engines operate on the same reflected polynomial conventions PPP
 // uses (FCS-16 poly 0x8408, FCS-32 poly 0xEDB88320, init all-ones,

@@ -1,46 +1,35 @@
 package crc
 
+import "hash/crc32"
+
 // PPP frame-check-sequence helpers (RFC 1662 appendix C). The FCS is
 // computed over address, control, protocol and information fields (after
 // any header compression, before any byte stuffing), transmitted
-// complemented, least-significant byte first.
+// complemented, least-significant byte first. Every helper here goes
+// through Size.Update: one production kernel per size.
 
 // FCS16 returns the 16-bit FCS field value (already complemented, ready to
 // append LSB-first) for the given frame contents.
-func FCS16(p []byte) uint16 {
-	return Table16(Init16, p) ^ 0xFFFF
-}
+func FCS16(p []byte) uint16 { return ^uint16(FCS16Mode.Update(uint32(Init16), p)) }
 
 // FCS32 returns the 32-bit FCS field value for the given frame contents.
-func FCS32(p []byte) uint32 {
-	return Slicing32(Init32, p) ^ 0xFFFFFFFF
-}
+func FCS32(p []byte) uint32 { return ^FCS32Mode.Update(Init32, p) }
 
 // AppendFCS16 appends the complemented 16-bit FCS to p, LSB first, and
 // returns the extended slice.
-func AppendFCS16(p []byte) []byte {
-	f := FCS16(p)
-	return append(p, byte(f), byte(f>>8))
-}
+func AppendFCS16(p []byte) []byte { return FCS16Mode.Append(p) }
 
 // AppendFCS32 appends the complemented 32-bit FCS to p, LSB first.
-func AppendFCS32(p []byte) []byte {
-	f := FCS32(p)
-	return append(p, byte(f), byte(f>>8), byte(f>>16), byte(f>>24))
-}
+func AppendFCS32(p []byte) []byte { return FCS32Mode.Append(p) }
 
 // Check16 reports whether p — a frame body including its trailing 2-byte
 // FCS — is intact: the register over the whole thing must land on the
 // magic residue Good16.
-func Check16(p []byte) bool {
-	return len(p) >= 2 && Table16(Init16, p) == Good16
-}
+func Check16(p []byte) bool { return FCS16Mode.Check(p) }
 
 // Check32 reports whether p — a frame body including its trailing 4-byte
 // FCS — is intact.
-func Check32(p []byte) bool {
-	return len(p) >= 4 && Slicing32(Init32, p) == Good32
-}
+func Check32(p []byte) bool { return FCS32Mode.Check(p) }
 
 // Size is the FCS mode used on a link.
 type Size int
@@ -52,13 +41,18 @@ const (
 	FCS32Mode Size = 4 // 32-bit FCS, 4 octets on the wire
 )
 
+// wide is the input length from which FCS-32 is folded at datapath
+// width by hash/crc32 — carry-less multiply on amd64, the CRC32
+// instructions on arm64, slicing-by-8 elsewhere. The stdlib's own wide
+// kernel needs as much; shorter inputs would only pay its dispatch.
+const wide = 64
+
 // Bytes returns the on-the-wire size of the FCS field in octets.
 func (s Size) Bytes() int { return int(s) }
 
 // Init returns the initial register value for streaming computation in
 // this mode, widened to 32 bits (the FCS16 register lives in the low
-// half). Thread the value through Update and finish with AppendFinish —
-// the streaming interface the fused stuff-and-CRC transmit kernel uses.
+// half). Thread the value through Update and finish with Finish.
 func (s Size) Init() uint32 {
 	if s == FCS16Mode {
 		return uint32(Init16)
@@ -66,20 +60,28 @@ func (s Size) Init() uint32 {
 	return Init32
 }
 
-// Update folds p into a streaming register started by Init.
+// Update folds p into a streaming register started by Init — the one
+// production kernel of each size. hash/crc32 speaks the checksum
+// convention (register complemented going in and coming out); the
+// complement on both sides turns it back into the raw register, from
+// any starting value. FCS-16 has no hardware kernel: it and short
+// inputs take the in-package slicing tables.
 func (s Size) Update(fcs uint32, p []byte) uint32 {
+	if s != FCS16Mode && len(p) >= wide {
+		return ^crc32.Update(^fcs, crc32.IEEETable, p)
+	}
+	return s.Slicing(fcs, p)
+}
+
+// Slicing folds p through the in-package slicing tables whatever its
+// length. Unlike Update it does not let p escape to the heap (the
+// stdlib dispatches through a function variable), so it is the fold
+// for a few octets in a caller's stack buffer — a frame header.
+func (s Size) Slicing(fcs uint32, p []byte) uint32 {
 	if s == FCS16Mode {
 		return uint32(Slicing16(uint16(fcs), p))
 	}
 	return Slicing32(fcs, p)
-}
-
-// UpdateByte folds a single octet into a streaming register.
-func (s Size) UpdateByte(fcs uint32, b byte) uint32 {
-	if s == FCS16Mode {
-		return uint32(TableByte16(uint16(fcs), b))
-	}
-	return TableByte32(fcs, b)
 }
 
 // Finish complements a streaming register into the on-the-wire FCS
@@ -91,33 +93,22 @@ func (s Size) Finish(fcs uint32) uint32 {
 	return fcs ^ 0xFFFFFFFF
 }
 
-// ResidueOK reports whether a streaming register (started by Init and
-// fed every frame octet including the trailing FCS field) landed on the
-// mode's magic residue — the fused receive-side equivalent of Check,
-// for callers that fold the CRC during destuffing instead of making a
-// second pass over the assembled body.
-func (s Size) ResidueOK(fcs uint32) bool {
-	if s == FCS16Mode {
-		return uint16(fcs) == Good16
-	}
-	return fcs == Good32
-}
-
 // Append appends the FCS of the selected size to p.
 func (s Size) Append(p []byte) []byte {
+	v := s.Finish(s.Update(s.Init(), p))
 	if s == FCS16Mode {
-		return AppendFCS16(p)
+		return append(p, byte(v), byte(v>>8))
 	}
-	return AppendFCS32(p)
+	return append(p, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
 }
 
 // Check verifies a frame body (including trailing FCS) in the selected
 // mode.
 func (s Size) Check(p []byte) bool {
 	if s == FCS16Mode {
-		return Check16(p)
+		return len(p) >= 2 && uint16(s.Update(s.Init(), p)) == Good16
 	}
-	return Check32(p)
+	return len(p) >= 4 && s.Update(s.Init(), p) == Good32
 }
 
 func (s Size) String() string {

@@ -34,9 +34,10 @@ func FuzzTokenizer(f *testing.F) {
 }
 
 // FuzzFusedDecode is the receive-side differential fuzzer, the twin of
-// ppp.FuzzFusedEncode: the fused span-scanning destuff+CRC Tokenizer and
-// the retained byte-at-a-time ReferenceTokenizer must produce identical
-// token sequences — bodies, errors, fused FCS verdicts — and identical
+// ppp.FuzzFusedEncode: the span-scanning Tokenizer with its one wide FCS
+// fold per frame and the retained byte-at-a-time ReferenceTokenizer with
+// its per-octet check must produce identical
+// token sequences — bodies, errors, FCS verdicts — and identical
 // OAM counters for any wire bytes, any chunk split, and any FCS mode.
 func FuzzFusedDecode(f *testing.F) {
 	good := crc.FCS32Mode.Append([]byte{0xFF, 0x03, 0x00, 0x21, 1, 2, 3})
@@ -45,6 +46,12 @@ func FuzzFusedDecode(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0x7E}, 48), 5, byte(2))             // flag-storm
 	f.Add([]byte{0x7E, 0x7D, 0x7E, 0x7E, 0x01, 0x7E}, 2, byte(0)) // abort, runt
 	f.Add([]byte{0x7E, 1, 2, 3}, 1, byte(3))                      // unterminated
+	// Intact frames on both sides of the wide-fold threshold, cut where
+	// the frame straddles chunks.
+	for _, n := range []int{59, 60, 61, 1500} {
+		long := crc.FCS32Mode.Append(bytes.Repeat([]byte{0x21, 0x7D, 0x45, 0x00}, n)[:n])
+		f.Add(ReferenceEncode(nil, long, ACCMNone, false), 37, byte(2))
+	}
 	f.Fuzz(func(t *testing.T, stream []byte, chunk int, mode byte) {
 		if chunk <= 0 {
 			chunk = 1
@@ -101,8 +108,10 @@ func FuzzFusedDecode(f *testing.F) {
 					want[i].body, want[i].err, want[i].fcsOK)
 			}
 			if got[i].err == nil && cfg.FCS != 0 {
-				if check := cfg.FCS.Check(got[i].body); check != got[i].fcsOK {
-					t.Fatalf("token %d fused verdict %v contradicts two-pass Check %v for % x",
+				// Not cfg.FCS.Check: that is the wide kernel the fused
+				// verdict came from.
+				if check := referenceCheck(cfg.FCS, got[i].body); check != got[i].fcsOK {
+					t.Fatalf("token %d fused verdict %v contradicts the per-octet residue %v for % x",
 						i, got[i].fcsOK, check, got[i].body)
 				}
 			}

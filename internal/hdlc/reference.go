@@ -1,5 +1,7 @@
 package hdlc
 
+import "repro/internal/crc"
+
 // This file is the byte-at-a-time oracle for both fused kernels; only
 // tests may name what it exports (TestOracleStaysAnOracle in the root
 // package).
@@ -7,11 +9,12 @@ package hdlc
 // ReferenceTokenizer is the retained byte-at-a-time frame delineator: the
 // pre-fusion Tokenizer.Feed loop, kept as the differential-fuzz model for
 // the span-based fused kernel (FuzzFusedDecode). It shares the Tokenizer
-// state machine, push and closeFrame — so the CRC fold goes through the
-// per-octet table path where the fused kernel uses span slicing, making
-// the two genuinely independent where it matters — and must produce an
-// identical token sequence (bodies, errors, FCS verdicts, counters) for
-// any input under any chunking.
+// state machine, push and closeFrame, but not the frame check: the
+// embedded tokenizer runs unarmed and the verdict is the oracle's own
+// Sarwate walk over the body, one octet per step, where the fused
+// kernel folds at datapath width — the two are independent where it
+// matters. It must produce an identical token sequence (bodies, errors,
+// FCS verdicts, counters) for any input under any chunking.
 type ReferenceTokenizer struct {
 	Tokenizer
 }
@@ -24,6 +27,8 @@ func (t *ReferenceTokenizer) Feed(out []Token, chunk []byte) []Token {
 		t.arena = t.arena[:n]
 		t.start = 0
 	}
+	mode, first := t.FCS, len(out)
+	t.FCS = 0 // closeFrame must not lend the oracle the fold it checks
 	for _, b := range chunk {
 		switch {
 		case b == Flag:
@@ -41,7 +46,20 @@ func (t *ReferenceTokenizer) Feed(out []Token, chunk []byte) []Token {
 			t.push(b)
 		}
 	}
+	t.FCS = mode
+	for i := first; i < len(out); i++ {
+		out[i].FCSOK = mode != 0 && out[i].Err == nil && referenceCheck(mode, out[i].Body)
+	}
 	return out
+}
+
+// referenceCheck is the per-octet frame check: the Sarwate table walked
+// over body, FCS field included, must land on the magic residue.
+func referenceCheck(mode crc.Size, body []byte) bool {
+	if mode == crc.FCS16Mode {
+		return len(body) >= 2 && crc.Table16(crc.Init16, body) == crc.Good16
+	}
+	return len(body) >= 4 && crc.Table32(crc.Init32, body) == crc.Good32
 }
 
 // ReferenceEncode appends a fully framed encoding of body to dst:

@@ -69,7 +69,7 @@ func escLanes(x uint64, m ACCM) uint64 {
 
 // EscapeSpan returns the length of the maximal prefix of src containing
 // no octet that needs escaping under map m, scanning eight lanes per
-// step. The fused CRC+stuff transmit kernel alternates EscapeSpan with
+// step. The transmit kernel (ppp.AppendFramed) alternates EscapeSpan with
 // a single escaped octet or, where spans come back short, a StuffBlock.
 // Under the empty map (the SONET/SDH default) only Flag and Escape
 // count, which is DelimiterSpan's question: its lane test is inlined,
@@ -97,8 +97,8 @@ func EscapeSpan(src []byte, m ACCM) int {
 
 // DelimiterSpan returns the length of the maximal prefix of src
 // containing neither a Flag nor an Escape octet, scanning eight lanes
-// per step — the receive-side twin of EscapeSpan. The fused
-// destuff+CRC kernel alternates DelimiterSpan with single-octet
+// per step — the receive-side twin of EscapeSpan. Tokenizer.Feed
+// alternates DelimiterSpan with single-octet
 // delimiter handling (or a block, where spans come back short), so
 // runs of ordinary line bytes are bulk-copied into the arena with one
 // copy instead of a per-byte loop.

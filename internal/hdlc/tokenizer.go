@@ -27,31 +27,33 @@ var (
 type Token struct {
 	Body []byte
 	Err  error
-	// FCSOK is the fused frame-check verdict: with the Tokenizer's FCS
-	// mode armed, every destuffed octet was folded into a streaming CRC
-	// register as it landed in the arena, and FCSOK reports whether the
-	// register closed on the mode's magic residue (equivalently,
-	// crc.Size.Check over Body). Meaningful only on complete-frame
-	// tokens (Err == nil) of an FCS-armed tokenizer; false otherwise.
+	// FCSOK is the frame-check verdict: with the Tokenizer's FCS mode
+	// armed, the closing flag folds Body once, at datapath width, and
+	// FCSOK reports whether the register landed on the mode's magic
+	// residue (crc.Size.Check over Body). Meaningful only on
+	// complete-frame tokens (Err == nil) of an FCS-armed tokenizer;
+	// false otherwise.
 	FCSOK bool
 }
 
 // Tokenizer performs streaming frame delineation on a raw octet stream:
 // flag hunting, abort detection, destuffing, size policing and —
-// with FCS armed — frame checking, all in one pass. It holds state
-// across Feed calls so frames may straddle arbitrary chunk (or
-// datapath-word) boundaries — the condition that forces the 32-bit P5 to
-// handle flags in any byte lane.
+// with FCS armed — frame checking. It holds state across Feed calls so
+// frames may straddle arbitrary chunk (or datapath-word) boundaries —
+// the condition that forces the 32-bit P5 to handle flags in any byte
+// lane.
 //
-// Feed is the fused receive kernel, the twin of the fused CRC+stuff
-// transmit path (ppp.AppendFrame): delimiter-free spans are located
-// eight lanes per step by DelimiterSpan and bulk-copied into the arena,
-// and where escapes come less than a word apart the branch-free block
-// destuffer takes over, so the cost per octet does not depend on where
-// the escapes fall. Either way the streaming CRC is folded over the
-// octets as they land — checking the FCS costs no second pass over
-// the body. ReferenceTokenizer retains the byte-at-a-time loop as the
-// differential-fuzz model.
+// Feed is the fused receive kernel, the twin of the transmit path
+// (ppp.AppendFrame): delimiter-free spans are located eight lanes per
+// step by DelimiterSpan and bulk-copied into the arena, and where
+// escapes come less than a word apart the branch-free block destuffer
+// takes over, so the cost per octet does not depend on where the
+// escapes fall. The frame, not the span, is the unit of the FCS: the
+// in-progress frame is contiguous in the arena however the stream was
+// chunked, so the closing flag folds it once through crc.Size.Update's
+// wide kernel, and aborts, runts, oversize discards and hunting never
+// touch the CRC. ReferenceTokenizer retains the byte-at-a-time loop,
+// with a per-octet check of its own, as the differential-fuzz model.
 //
 // Destuffed bytes land in a single reusable arena (compacted at each
 // Feed), so the steady-state receive path allocates nothing once the
@@ -66,10 +68,9 @@ type Tokenizer struct {
 	// reported with ErrRunt. Zero-length spans (back-to-back flags) are
 	// always silently skipped.
 	MinFrame int
-	// FCS, when non-zero, arms the fused frame check: each destuffed
-	// octet is folded into a streaming register of the selected size
-	// during tokenization and complete-frame tokens carry the verdict
-	// in Token.FCSOK. Zero leaves checking to the consumer.
+	// FCS, when non-zero, arms the frame check: complete-frame tokens
+	// carry the verdict of the selected size in Token.FCSOK. Zero
+	// leaves checking to the consumer.
 	FCS crc.Size
 
 	arena   []byte // destuffed bytes; the in-progress frame is arena[start:]
@@ -77,7 +78,6 @@ type Tokenizer struct {
 	esc     bool   // escape octet pending
 	inFrame bool   // seen an opening flag
 	drop    bool   // discarding until next flag (after oversize)
-	fcsReg  uint32 // streaming FCS register of the in-progress frame
 
 	// Counters for the OAM status registers.
 	Frames   uint64 // complete frames emitted
@@ -130,7 +130,7 @@ func (t *Tokenizer) Feed(out []Token, chunk []byte) []Token {
 			chunk = chunk[t.pushBlock(chunk):]
 		default:
 			// Ordinary bytes up to the next delimiter: one bulk copy
-			// into the arena, one streaming-CRC fold over the span.
+			// into the arena.
 			n := DelimiterSpan(chunk)
 			dense = n < 8
 			t.pushSpan(chunk[:n])
@@ -140,42 +140,28 @@ func (t *Tokenizer) Feed(out []Token, chunk []byte) []Token {
 	return out
 }
 
-// push appends one destuffed octet to the in-progress frame, folding it
-// into the fused CRC register and policing MaxFrame.
+// push appends one destuffed octet to the in-progress frame, policing
+// MaxFrame.
 func (t *Tokenizer) push(b byte) {
 	t.arena = append(t.arena, b)
-	if t.FCS != 0 {
-		t.fcsReg = t.FCS.UpdateByte(t.fcsReg, b)
-	}
 	t.police()
 }
 
-// pushSpan appends a delimiter-free span in bulk. The CRC fold uses the
-// slicing (span) form of the streaming API — byte-identical to folding
-// octet by octet, verified by the FuzzFusedDecode differential fuzzer.
+// pushSpan appends a delimiter-free span in bulk.
 func (t *Tokenizer) pushSpan(p []byte) {
 	t.arena = append(t.arena, p...)
-	if t.FCS != 0 {
-		t.fcsReg = t.FCS.Update(t.fcsReg, p)
-	}
 	t.police()
 }
 
 // pushBlock destuffs the head of chunk — up to BlockOctets, cut at the
-// first flag — into the arena with the block kernel, then folds the
-// CRC once over the octets that landed there (contiguous, so the
-// slicing kernel runs at full width however the escapes fell). It
-// returns the number of line octets consumed.
+// first flag — into the arena with the block kernel. It returns the
+// number of line octets consumed.
 func (t *Tokenizer) pushBlock(chunk []byte) int {
 	blk := chunk[:min(len(chunk), BlockOctets)]
 	if i := findFlag(blk); i >= 0 {
 		blk = blk[:i]
 	}
-	n := len(t.arena)
 	t.arena, t.esc = destuffBlock(t.arena, blk, false)
-	if t.FCS != 0 {
-		t.fcsReg = t.FCS.Update(t.fcsReg, t.arena[n:])
-	}
 	t.police()
 	return len(blk)
 }
@@ -195,13 +181,9 @@ func (t *Tokenizer) police() {
 // closeFrame handles a Flag octet: emit, skip, or report the span ended.
 func (t *Tokenizer) closeFrame(out []Token) []Token {
 	wasEsc, wasDrop, wasIn := t.esc, t.drop, t.inFrame
-	reg := t.fcsReg
 	t.esc = false
 	t.drop = false
 	t.inFrame = true // a flag both closes and opens a frame
-	if t.FCS != 0 {
-		t.fcsReg = t.FCS.Init()
-	}
 	if !wasIn {
 		return out
 	}
@@ -225,10 +207,7 @@ func (t *Tokenizer) closeFrame(out []Token) []Token {
 	default:
 		t.Frames++
 		t.start = len(t.arena)
-		tok := Token{Body: body}
-		if t.FCS != 0 {
-			tok.FCSOK = len(body) >= t.FCS.Bytes() && t.FCS.ResidueOK(reg)
-		}
-		return append(out, tok)
+		// One fold over the contiguous body it is about to hand out.
+		return append(out, Token{Body: body, FCSOK: t.FCS != 0 && t.FCS.Check(body)})
 	}
 }

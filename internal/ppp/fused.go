@@ -6,23 +6,19 @@ import (
 )
 
 // This file is the frame codec every production frame takes. Transmit
-// is a fused kernel that walks the frame exactly once, folding each
-// byte into the FCS register while stuffing it onto the line — the
-// software mirror of the paper's pipelined CRC → Escape Generate
-// transmitter stages, where the CRC unit and the byte sorter see the
-// same word in back-to-back pipeline registers. Tests hold it
+// folds the FCS once over the whole frame at datapath width, then
+// walks it once more to stuff it onto the line — the software mirror of
+// the paper's pipelined CRC → Escape Generate transmitter stages, a CRC
+// core as wide as the bus ahead of the byte sorter. Tests hold it
 // byte-for-byte equal to the two-pass, byte-at-a-time ReferenceEncode
 // (reference.go; FuzzFusedEncode), which no production code calls.
 
-// stuffFCS appends the stuffed encoding of src to dst while folding src
-// into the streaming FCS register: one traversal, escape-free spans
+// stuff appends the stuffed encoding of src to dst: escape-free spans
 // located by the SWAR scanner and copied in bulk. Where the scanner
 // comes back with less than a word the input is dense in escapes, and
 // the next block goes through the branch-free block stuffer instead, so
-// the cost per octet does not depend on where the escapes fall. Either
-// way the CRC is folded over contiguous source octets, escaped ones
-// included, never octet by octet.
-func stuffFCS(dst, src []byte, m hdlc.ACCM, s crc.Size, fcs uint32) ([]byte, uint32) {
+// the cost per octet does not depend on where the escapes fall.
+func stuff(dst, src []byte, m hdlc.ACCM) []byte {
 	for len(src) > 0 {
 		n := hdlc.EscapeSpan(src, m)
 		if n < 8 && n < len(src) {
@@ -35,18 +31,21 @@ func stuffFCS(dst, src []byte, m hdlc.ACCM, s crc.Size, fcs uint32) ([]byte, uin
 				n++
 			}
 		}
-		fcs = s.Update(fcs, src[:n])
 		src = src[n:]
 	}
-	return dst, fcs
+	return dst
 }
 
 // AppendFramed appends one complete wire frame — flag, stuffed
-// hdr‖payload‖FCS(hdr‖payload), flag — to dst in a single pass over the
-// payload, allocating nothing beyond dst growth. hdr is the unstuffed
-// frame head (address/control/protocol octets, already compressed as
-// negotiated); the FCS of the selected size covers hdr then payload.
-// shareFlag elides the opening flag after a previous closing flag.
+// hdr‖payload‖FCS(hdr‖payload), flag — to dst, allocating nothing
+// beyond dst growth. hdr is the unstuffed frame head
+// (address/control/protocol octets, already compressed as negotiated);
+// the FCS of the selected size covers hdr then payload: the frame is
+// the unit of the fold, one crc.Size.Update over the contiguous payload
+// whatever escapes it holds. hdr goes through the in-package tables —
+// it is a few octets, usually in the caller's stack frame, and must
+// not escape. shareFlag elides the opening flag after a previous
+// closing flag.
 func AppendFramed(dst, hdr, payload []byte, s crc.Size, m hdlc.ACCM, shareFlag bool) []byte {
 	if s == 0 {
 		s = crc.FCS32Mode
@@ -54,11 +53,10 @@ func AppendFramed(dst, hdr, payload []byte, s crc.Size, m hdlc.ACCM, shareFlag b
 	if !shareFlag || len(dst) == 0 || dst[len(dst)-1] != hdlc.Flag {
 		dst = append(dst, hdlc.Flag)
 	}
-	fcs := s.Init()
-	dst, fcs = stuffFCS(dst, hdr, m, s, fcs)
-	dst, fcs = stuffFCS(dst, payload, m, s, fcs)
+	v := s.Finish(s.Update(s.Slicing(s.Init(), hdr), payload))
+	dst = stuff(dst, hdr, m)
+	dst = stuff(dst, payload, m)
 	var tail [4]byte
-	v := s.Finish(fcs)
 	for i := 0; i < s.Bytes(); i++ {
 		tail[i] = byte(v >> (8 * uint(i)))
 	}
@@ -67,8 +65,7 @@ func AppendFramed(dst, hdr, payload []byte, s crc.Size, m hdlc.ACCM, shareFlag b
 }
 
 // AppendFrame appends the complete on-the-wire encoding of f — flags,
-// stuffed header, payload and FCS — to dst, computing the FCS and
-// stuffing in one pass over the payload, with no intermediate body
+// stuffed header, payload and FCS — to dst with no intermediate body
 // buffer. Zero Address and Control fields take the configured address
 // and CtrlUI. shareFlag is as for AppendFramed.
 func AppendFrame(dst []byte, f *Frame, c Config, shareFlag bool) []byte {
@@ -113,11 +110,10 @@ func DecodeBodyInto(f *Frame, body []byte, c Config) error {
 }
 
 // DecodeVerifiedBodyInto parses a destuffed frame body whose FCS has
-// already been verified upstream — by the fused destuff+CRC tokenizer,
-// which folds the frame check into delineation (hdlc.Token.FCSOK) — so
-// the body is not traversed a second time here. Callers must only pass
-// bodies with a true fused verdict; semantics otherwise match
-// DecodeBodyInto.
+// already been verified upstream — by the tokenizer, which folds the
+// frame check at the closing flag (hdlc.Token.FCSOK) — so the body is
+// not traversed again here. Callers must only pass bodies with a true
+// verdict; semantics otherwise match DecodeBodyInto.
 func DecodeVerifiedBodyInto(f *Frame, body []byte, c Config) error {
 	fcsN := c.fcs().Bytes()
 	if len(body) < fcsN+1 {

@@ -35,8 +35,8 @@ func FuzzDecodeBody(f *testing.F) {
 	})
 }
 
-// FuzzFusedEncode differential-tests the fused single-pass CRC+stuff
-// transmit kernel (AppendFrame) against the two-pass, byte-at-a-time
+// FuzzFusedEncode differential-tests the production transmit kernel
+// (AppendFrame: one wide FCS fold, then span/block stuffing) against the two-pass, byte-at-a-time
 // ReferenceEncode: every payload, framing-option
 // combination, protocol number and prior-stream state must produce
 // byte-for-byte identical wire encodings.

@@ -262,25 +262,43 @@ func TestAppendFrameSharedFlag(t *testing.T) {
 }
 
 // TestFusedPathZeroAlloc pins the zero-allocation invariant of the
-// steady-state encode and decode fast paths: once dst and the frame
-// struct are warm, AppendFrame and DecodeBodyInto must not allocate.
+// steady-state encode and decode fast paths: once dst, the arena and
+// the frame struct are warm, AppendFrame, Tokenizer.Feed and
+// DecodeBodyInto must not allocate. The payloads are long enough for
+// the wide FCS fold, whose stdlib dispatch makes whatever it is handed
+// escape: AppendFrame's header lives in its stack frame and must not
+// reach it.
 func TestFusedPathZeroAlloc(t *testing.T) {
-	payload := bytes.Repeat([]byte{0x17, 0x7E, 0x42, 0x55}, 350)
 	cfg := Config{ACCM: hdlc.ACCMNone}
-	fr := Frame{Protocol: ProtoIPv4, Payload: payload}
-	dst := AppendFrame(nil, &fr, cfg, false) // size the buffer
-	if allocs := testing.AllocsPerRun(100, func() {
-		dst = AppendFrame(dst[:0], &fr, cfg, false)
-	}); allocs != 0 {
-		t.Errorf("AppendFrame: %.1f allocs/op, want 0", allocs)
+	var body []byte
+	for _, n := range []int{64, 1500} {
+		payload := bytes.Repeat([]byte{0x17, 0x7E, 0x42, 0x55}, 375)[:n]
+		fr := Frame{Protocol: ProtoIPv4, Payload: payload}
+		dst := AppendFrame(nil, &fr, cfg, false) // size the buffer
+		if allocs := testing.AllocsPerRun(100, func() {
+			dst = AppendFrame(dst[:0], &fr, cfg, false)
+		}); allocs != 0 {
+			t.Errorf("AppendFrame, %d octets: %.1f allocs/op, want 0", n, allocs)
+		}
+
+		// One frame straddling two chunks: the frame check folds the
+		// arena at the closing flag, in the second Feed.
+		tk := hdlc.Tokenizer{FCS: cfg.fcs()}
+		var toks []hdlc.Token
+		feed := func() {
+			toks = tk.Feed(toks[:0], dst[:len(dst)/2])
+			toks = tk.Feed(toks, dst[len(dst)/2:])
+		}
+		feed() // grow the arena
+		if allocs := testing.AllocsPerRun(100, feed); allocs != 0 {
+			t.Errorf("Tokenizer.Feed, %d octets: %.1f allocs/op, want 0", n, allocs)
+		}
+		if len(toks) != 1 || toks[0].Err != nil || !toks[0].FCSOK {
+			t.Fatalf("tokens = %+v", toks)
+		}
+		body = toks[0].Body
 	}
 
-	var tk hdlc.Tokenizer
-	toks := tk.Feed(nil, dst)
-	if len(toks) != 1 || toks[0].Err != nil {
-		t.Fatalf("tokens = %+v", toks)
-	}
-	body := append([]byte(nil), toks[0].Body...)
 	var out Frame
 	if allocs := testing.AllocsPerRun(100, func() {
 		if err := DecodeBodyInto(&out, body, cfg); err != nil {

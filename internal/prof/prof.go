@@ -44,11 +44,12 @@ import (
 //
 //   - control: Link.Advance on both ends (LCP/IPCP timers, echo,
 //     supervisor, flight/SLO service, telemetry mirrors);
-//   - encode: SendIPv4Batch — the fused CRC+stuff transmit kernel;
+//   - encode: SendIPv4Batch — one FCS fold per frame, then stuffing;
 //   - line: the wire move — the Output buffer swap on a direct loopback,
 //     Flush plus the transport's Tick and Recv on a TransportPort;
 //   - tokenize: hdlc.Tokenizer.Feed for one input chunk — delineation,
-//     destuff and the fused FCS, and nothing else of Link.Input;
+//     destuff and, at each closing flag, the FCS fold over that frame's
+//     body — and nothing else of Link.Input;
 //   - decode: ppp.DecodeVerifiedBodyInto, the header parse of a frame
 //     whose FCS verdict the tokenizer already delivered;
 //   - vj: Van Jacobson decompression, when negotiated;

@@ -177,8 +177,8 @@ var ErrLinkDown = errors.New("gigapos: link not opened")
 // NewLink creates an endpoint with the given configuration.
 func NewLink(cfg LinkConfig) *Link {
 	l := &Link{cfg: cfg}
-	// Arm the fused destuff+CRC kernel: the tokenizer folds the frame
-	// check into delineation, so decode never re-walks the body.
+	// Arm the tokenizer's frame check: it folds each body once, at the
+	// closing flag, so decode never re-walks it.
 	l.tk.FCS = cfg.fcs()
 	l.lcpPol = lcp.NewLCPPolicy(cfg.Magic)
 	l.lcpPol.WantMRU = cfg.MRU

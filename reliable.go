@@ -79,8 +79,7 @@ func (l *Link) LinkQuality() (lqm.Quality, float64) {
 
 // encodeNumbered puts a numbered-mode frame on the wire: address, the
 // I/S/U control octet, the information field, FCS — stuffed and flagged
-// like every other frame, through the fused single-pass CRC+stuff
-// kernel.
+// like every other frame, through the production codec.
 func (l *Link) encodeNumbered(dst []byte, f reliable.Frame) []byte {
 	hdr := [2]byte{ppp.AddrAllStations, f.Ctrl}
 	return ppp.AppendFramed(dst, hdr[:], f.Payload, l.cfg.fcs(), hdlc.ACCMAll, true)
@@ -125,6 +124,6 @@ func (l *Link) protocolReject(f *ppp.Frame) {
 
 func lcpPacket(code, id byte, data []byte) []byte {
 	n := 4 + len(data)
-	out := []byte{code, id, byte(n >> 8), byte(n)}
+	out := append(make([]byte, 0, n), code, id, byte(n>>8), byte(n))
 	return append(out, data...)
 }

@@ -7,7 +7,8 @@
 #   reference (FUSED_FUZZTIME overrides, per kernel) — a 10s one of the
 #   SONET deframer's chunking (SONET_FUZZTIME overrides),
 #   a decode-throughput floor vs the newest BENCH_*.json snapshot, the
-#   OC-48 floor under both escape-density sweeps, the benchmark trend
+#   OC-48 floor under both codec sweeps (escape density and frame
+#   size), the benchmark trend
 #   gate, and a short fuzz smoke of every Fuzz* target (5s each by
 #   default; FUZZTIME overrides).
 #
@@ -305,10 +306,11 @@ else
     echo "decode floor: no BENCH_*.json snapshot, skipping"
 fi
 
-echo "== OC-48 escape-density floor gate =="
-# The flat worst case: no payload may push either fused kernel under
+echo "== OC-48 escape-density and frame-size floor gate =="
+# The flat worst case: no payload may push either codec kernel under
 # line rate. Every point of the encode (BenchmarkAppendFramed) and
-# decode (BenchmarkTokenizerFeed) density sweeps must reach 311 MB/s of
+# decode (BenchmarkTokenizerFeed) sweeps — escape density 0–100% at
+# 1500 octets, frame size 40–1500 octets at 2% — must reach 311 MB/s of
 # wire (2.488 Gb/s) with 0 allocs/op. The floor is absolute, so there is
 # no tolerance; the estimator is the decode floor's best-of-count, which
 # is what a contended host still reaches in one run of three.
@@ -330,7 +332,7 @@ END {
         if (best[name] < floor) { printf "oc48 floor: %s best %.0f MB/s < %d MB/s\n", name, best[name], floor; bad = 1 }
         if (worst == 0 || best[name] < worst) { worst = best[name]; at = name }
     }
-    if (n == 0) { print "oc48 floor: no density-sweep benchmarks in this tree, skipping"; exit 0 }
+    if (n == 0) { print "oc48 floor: no codec-sweep benchmarks in this tree, skipping"; exit 0 }
     if (bad) exit 1
     printf "oc48 floor: OK (%d points, lowest %.0f MB/s at %s, floor %d MB/s, 0 allocs/op)\n", n, worst, at, floor
 }'
