@@ -15,6 +15,7 @@ package gigapos
 //	BenchmarkEngineAggregate         — sharded line-card scale-out (E16)
 //	BenchmarkLink{Encode,Decode}Steady — zero-alloc link fast paths
 //	BenchmarkLinkEncodeSteadyFlight  — same loop, flight recorder armed
+//	BenchmarkLinkPair                — both directions of a Link pair across frame size
 //	BenchmarkSoftStuff_*             — software mirror of 8- vs 32-bit
 //
 // Custom metrics attach the paper's quantities (LUTs, FFs, MHz, Gb/s,
@@ -659,6 +660,54 @@ func BenchmarkLinkDecodeSteady(b *testing.B) {
 		if len(rx) != len(batch) {
 			b.Fatalf("decoded %d datagrams, want %d", len(rx), len(batch))
 		}
+	}
+}
+
+// BenchmarkLinkPair is the Link-level twin of the codec size sweep: a
+// negotiated pair carrying seeded datagrams of one size at the 2 %
+// escape density of real IP, one op = SendIPv4Batch + Output + Input +
+// ReceivedInto of a batch of about 24 KB. MB/s is wire octets, so
+// verify.sh's OC-48 floor applies as it stands: both directions of a
+// 40-octet frame on one core at 311 MB/s is the paper's claim in one
+// number. At the small end the cost is per frame — header, flags, FCS
+// tail, token and queue bookkeeping, everything Link adds around the
+// kernels — which the 1500-octet steady benches above cannot see.
+func BenchmarkLinkPair(b *testing.B) {
+	for _, size := range sweepSizes {
+		b.Run(fmt.Sprintf("size=%d", size), func(b *testing.B) {
+			a, z := newTestPair(b, LinkConfig{}, LinkConfig{})
+			gen := netsim.NewGen(uint64(size), netsim.Fixed(size), 0.02)
+			batches := make([][][]byte, 4)
+			for i := range batches {
+				batches[i] = gen.Burst(max(16*size, 24000))
+			}
+			var rx []Datagram
+			step := func(batch [][]byte) (wire int) {
+				if _, err := a.SendIPv4Batch(batch); err != nil {
+					b.Fatal(err)
+				}
+				out := a.Output()
+				z.Input(out)
+				rx = z.ReceivedInto(rx[:0])
+				if len(rx) != len(batch) {
+					b.Fatalf("delivered %d datagrams of %d", len(rx), len(batch))
+				}
+				return len(out)
+			}
+			wire := 0
+			for range 2 { // grow buffers to steady-state capacity
+				wire = 0
+				for _, batch := range batches {
+					wire += step(batch)
+				}
+			}
+			b.SetBytes(int64(wire / len(batches)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				step(batches[i%len(batches)])
+			}
+		})
 	}
 }
 

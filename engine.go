@@ -20,7 +20,7 @@ import (
 // P5 reaches 2.488 Gb/s on one 32-bit datapath; a line card multiplies
 // that by packing many channels side by side, and this engine is that
 // scale-out axis in software. Every per-frame path underneath it
-// (AppendFrame, the tokenizer arena, the double-buffered queues) is
+// (Header.Append, the tokenizer arena, the double-buffered queues) is
 // allocation-free in the steady state, so aggregate throughput scales
 // with cores instead of with the garbage collector.
 

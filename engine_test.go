@@ -156,33 +156,41 @@ func newTestPair(t testing.TB, acfg, zcfg LinkConfig) (*Link, *Link) {
 
 // TestLinkSteadyStateZeroAlloc asserts the whole per-frame path —
 // batch send, fused encode, output drain, tokenize, decode, receive
-// drain — allocates nothing once warm. This is the invariant the
-// engine's scale-out rests on.
+// drain — allocates nothing once warm, at the engine's shape (a few
+// 512-octet datagrams) and at the min-size flood's (600 × 40 octets,
+// where the batch's prepared Header and Input's latched config live on
+// the stack or not at all). This is the invariant the engine's
+// scale-out rests on.
 func TestLinkSteadyStateZeroAlloc(t *testing.T) {
-	a, z := newTestPair(t, LinkConfig{}, LinkConfig{})
-	payload := make([]byte, 512)
-	batch := [][]byte{payload, payload, payload, payload}
-	var rx []Datagram
-	now := int64(1000)
-	step := func() {
-		now++
-		a.Advance(now)
-		z.Advance(now)
-		if _, err := a.SendIPv4Batch(batch); err != nil {
-			t.Fatalf("SendIPv4Batch: %v", err)
+	for _, shape := range []struct{ frames, size int }{{4, 512}, {600, 40}} {
+		a, z := newTestPair(t, LinkConfig{}, LinkConfig{})
+		batch := make([][]byte, shape.frames)
+		for i := range batch {
+			batch[i] = bytes.Repeat([]byte{byte(i), 0x7E, 0x45, 0x00}, shape.size/4)
 		}
-		z.Input(a.Output())
-		rx = z.ReceivedInto(rx[:0])
-	}
-	// Warm every buffer to steady-state capacity.
-	for i := 0; i < 16; i++ {
-		step()
-	}
-	if avg := testing.AllocsPerRun(100, step); avg != 0 {
-		t.Fatalf("steady-state link step allocates %.1f times per run, want 0", avg)
-	}
-	if len(rx) != len(batch) {
-		t.Fatalf("drained %d datagrams per step, want %d", len(rx), len(batch))
+		var rx []Datagram
+		now := int64(1000)
+		step := func() {
+			now++
+			a.Advance(now)
+			z.Advance(now)
+			if _, err := a.SendIPv4Batch(batch); err != nil {
+				t.Fatalf("SendIPv4Batch: %v", err)
+			}
+			z.Input(a.Output())
+			rx = z.ReceivedInto(rx[:0])
+		}
+		// Warm every buffer to steady-state capacity.
+		for i := 0; i < 16; i++ {
+			step()
+		}
+		if avg := testing.AllocsPerRun(100, step); avg != 0 {
+			t.Errorf("%d × %d octets: steady-state link step allocates %.1f times per run, want 0",
+				shape.frames, shape.size, avg)
+		}
+		if len(rx) != len(batch) {
+			t.Errorf("%d × %d octets: drained %d datagrams per step", shape.frames, shape.size, len(rx))
+		}
 	}
 }
 

@@ -65,12 +65,15 @@ func (s Size) Init() uint32 {
 // convention (register complemented going in and coming out); the
 // complement on both sides turns it back into the raw register, from
 // any starting value. FCS-16 has no hardware kernel: it and short
-// inputs take the in-package slicing tables.
+// inputs take the in-package slicing tables, one call from here.
 func (s Size) Update(fcs uint32, p []byte) uint32 {
-	if s != FCS16Mode && len(p) >= wide {
+	if s == FCS16Mode {
+		return uint32(Slicing16(uint16(fcs), p))
+	}
+	if len(p) >= wide {
 		return ^crc32.Update(^fcs, crc32.IEEETable, p)
 	}
-	return s.Slicing(fcs, p)
+	return Slicing32(fcs, p)
 }
 
 // Slicing folds p through the in-package slicing tables whatever its
@@ -103,12 +106,16 @@ func (s Size) Append(p []byte) []byte {
 }
 
 // Check verifies a frame body (including trailing FCS) in the selected
-// mode.
+// mode. It dispatches like Update, so that a short frame — the
+// tokenizer checks every one — is one call from its fold.
 func (s Size) Check(p []byte) bool {
 	if s == FCS16Mode {
-		return len(p) >= 2 && uint16(s.Update(s.Init(), p)) == Good16
+		return len(p) >= 2 && Slicing16(Init16, p) == Good16
 	}
-	return len(p) >= 4 && s.Update(s.Init(), p) == Good32
+	if len(p) >= wide {
+		return s.Update(Init32, p) == Good32
+	}
+	return len(p) >= 4 && Slicing32(Init32, p) == Good32
 }
 
 func (s Size) String() string {

@@ -13,7 +13,7 @@
 //     in any lane of the word.
 //
 // Both produce identical byte streams. Production frames take the
-// word-parallel path only (Tokenizer.Feed here, ppp.AppendFrame for
+// word-parallel path only (Tokenizer.Feed here, ppp.Header.Append for
 // transmit), with Stuff/Destuff as its sub-word tails; reference.go
 // builds the byte-at-a-time path into a complete encoder and tokenizer
 // for tests, which hold the fast path and the P5 cycle-accurate model

@@ -199,6 +199,42 @@ func TestLaneMasksExact(t *testing.T) {
 	}
 }
 
+// TestFirstLaneExact is the sibling of TestLaneMasksExact for the span
+// scanners, whose borrow-tolerant zero test (firstZero) promises only
+// its lowest set lane: every adjacent-octet pair, placed at every lane
+// position of a word of filler — so the pair that borrows (7E 7F,
+// 7D 7C, 7D 7E) sits below, at and above the first real delimiter —
+// must give the index the byte loop gives.
+func TestFirstLaneExact(t *testing.T) {
+	index := func(p []byte, match func(byte) bool) int {
+		for i, b := range p {
+			if match(b) {
+				return i
+			}
+		}
+		return -1
+	}
+	for pair := 0; pair < 1<<16; pair++ {
+		a, b := byte(pair), byte(pair>>8)
+		for lane := 0; lane < 8; lane++ {
+			for _, fill := range []byte{0x00, 0x7F, 0x7C, 0xFF} {
+				w := bytes.Repeat([]byte{fill}, 16)
+				w[lane], w[lane+1] = a, b // lane 7 straddles the word boundary
+				want := index(w, func(c byte) bool { return c == Flag || c == Escape })
+				if want < 0 {
+					want = len(w)
+				}
+				if got := DelimiterSpan(w); got != want {
+					t.Fatalf("DelimiterSpan(% x) = %d, want %d", w, got, want)
+				}
+				if got, want := findFlag(w), index(w, func(c byte) bool { return c == Flag }); got != want {
+					t.Fatalf("findFlag(% x) = %d, want %d", w, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestTokenizerBasic(t *testing.T) {
 	var tk Tokenizer
 	stream := ReferenceEncode(nil, []byte{1, 2, 3}, ACCMNone, false)

@@ -66,7 +66,7 @@ func referenceCheck(mode crc.Size, body []byte) bool {
 // opening flag, stuffed body, closing flag. If shareFlag is true and dst
 // already ends with a flag, the opening flag is omitted (RFC 1662 allows
 // a single flag between frames). It stuffs byte at a time on purpose: it
-// is the oracle the fused transmit kernel (ppp.AppendFramed) is fuzzed
+// is the oracle the fused transmit kernel (ppp.Header.Append) is fuzzed
 // against, so it shares nothing with the word-parallel path.
 func ReferenceEncode(dst, body []byte, m ACCM, shareFlag bool) []byte {
 	if !shareFlag || len(dst) == 0 || dst[len(dst)-1] != Flag {

@@ -18,13 +18,12 @@ const (
 	msbMask = 0x8080808080808080
 )
 
-// Lane-mask contract: every mask below has bit 8i+7 set iff lane i
-// matches and no other bit set, exactly, in every lane. The scanners
-// only read the lowest set lane (TrailingZeros64); the block kernels
-// read all eight, which rules out the shorter (x-lsbMask)&^x&msbMask
-// zero test — its subtraction borrows into the next lane, so 0x7F
-// after 0x7E, or 0x7C 0x7C after 0x7D, would read as matches.
-// TestLaneMasksExact pins the contract over every adjacent-octet pair.
+// Lane-mask contract: zeroLanes, matchLanes and escLanes have bit 8i+7
+// set iff lane i matches and no other bit set, exactly, in every lane —
+// the block kernels read all eight. TestLaneMasksExact pins that over
+// every adjacent-octet pair. The span scanners (DelimiterSpan,
+// findFlag) only read the lowest set lane and take the shorter
+// firstZero, which TestFirstLaneExact holds to the byte loop.
 
 // zeroLanes returns a mask with bit 8i+7 set iff byte lane i of x is
 // zero. The per-lane add cannot carry out of a lane: the top bit of
@@ -38,6 +37,14 @@ func zeroLanes(x uint64) uint64 {
 // x equals v.
 func matchLanes(x uint64, v byte) uint64 {
 	return zeroLanes(x ^ (lsbMask * uint64(v)))
+}
+
+// firstZero is the borrow-tolerant zero test: zero iff x has no zero
+// lane, else its lowest set bit is bit 8i+7 of the first zero lane i.
+// The subtraction borrows out of a zero lane into those above (0x7F
+// after 0x7E reads as a match), so only the lowest set lane counts.
+func firstZero(x uint64) uint64 {
+	return (x - lsbMask) &^ x & msbMask
 }
 
 // escLanes returns the per-lane match mask for octets needing escape under
@@ -69,7 +76,7 @@ func escLanes(x uint64, m ACCM) uint64 {
 
 // EscapeSpan returns the length of the maximal prefix of src containing
 // no octet that needs escaping under map m, scanning eight lanes per
-// step. The transmit kernel (ppp.AppendFramed) alternates EscapeSpan with
+// step. The transmit kernel (ppp.Header.Append) alternates EscapeSpan with
 // a single escaped octet or, where spans come back short, a StuffBlock.
 // Under the empty map (the SONET/SDH default) only Flag and Escape
 // count, which is DelimiterSpan's question: its lane test is inlined,
@@ -106,7 +113,7 @@ func DelimiterSpan(src []byte) int {
 	off := 0
 	for len(src) >= 8 {
 		x := binary.LittleEndian.Uint64(src)
-		if lanes := matchLanes(x, Flag) | matchLanes(x, Escape); lanes != 0 {
+		if lanes := firstZero(x^lsbMask*Flag) | firstZero(x^lsbMask*Escape); lanes != 0 {
 			return off + bits.TrailingZeros64(lanes)/8
 		}
 		src = src[8:]
@@ -199,7 +206,7 @@ func findFlag(p []byte) int {
 	off := 0
 	for len(p) >= 8 {
 		x := binary.LittleEndian.Uint64(p)
-		if lanes := matchLanes(x, Flag); lanes != 0 {
+		if lanes := firstZero(x ^ lsbMask*Flag); lanes != 0 {
 			return off + bits.TrailingZeros64(lanes)/8
 		}
 		p = p[8:]

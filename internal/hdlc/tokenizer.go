@@ -44,8 +44,9 @@ type Token struct {
 // lane.
 //
 // Feed is the fused receive kernel, the twin of the transmit path
-// (ppp.AppendFrame): delimiter-free spans are located eight lanes per
-// step by DelimiterSpan and bulk-copied into the arena, and where
+// (ppp.Header.Append): delimiter-free spans are located eight lanes per
+// step by DelimiterSpan and bulk-copied into the arena — a span ending
+// at the closing flag closes its frame in the same step — and where
 // escapes come less than a word apart the branch-free block destuffer
 // takes over, so the cost per octet does not depend on where the
 // escapes fall. The frame, not the span, is the unit of the FCS: the
@@ -130,10 +131,14 @@ func (t *Tokenizer) Feed(out []Token, chunk []byte) []Token {
 			chunk = chunk[t.pushBlock(chunk):]
 		default:
 			// Ordinary bytes up to the next delimiter: one bulk copy
-			// into the arena.
+			// into the arena, and the frame closed if a flag ends it.
 			n := DelimiterSpan(chunk)
 			dense = n < 8
 			t.pushSpan(chunk[:n])
+			if n < len(chunk) && chunk[n] == Flag {
+				out = t.closeFrame(out)
+				n++
+			}
 			chunk = chunk[n:]
 		}
 	}

@@ -1,96 +1,169 @@
 package ppp
 
 import (
+	"encoding/binary"
+	"slices"
+
 	"repro/internal/crc"
 	"repro/internal/hdlc"
 )
 
 // This file is the frame codec every production frame takes. Transmit
-// folds the FCS once over the whole frame at datapath width, then
-// walks it once more to stuff it onto the line — the software mirror of
-// the paper's pipelined CRC → Escape Generate transmitter stages, a CRC
+// is one encoder, (*Header).Append: what every frame of a link shares —
+// the address/control/protocol head — is prepared once, as the P5 takes
+// it from the OAM register file, and a frame then costs one FCS fold at
+// datapath width and one stuffing walk: the software mirror of the
+// paper's pipelined CRC → Escape Generate transmitter stages, a CRC
 // core as wide as the bus ahead of the byte sorter. Tests hold it
 // byte-for-byte equal to the two-pass, byte-at-a-time ReferenceEncode
 // (reference.go; FuzzFusedEncode), which no production code calls.
 
-// stuff appends the stuffed encoding of src to dst: escape-free spans
-// located by the SWAR scanner and copied in bulk. Where the scanner
-// comes back with less than a word the input is dense in escapes, and
-// the next block goes through the branch-free block stuffer instead, so
-// the cost per octet does not depend on where the escapes fall.
-func stuff(dst, src []byte, m hdlc.ACCM) []byte {
-	for len(src) > 0 {
-		n := hdlc.EscapeSpan(src, m)
+// Header is the constant part of every frame of one protocol under one
+// framing configuration: the head octets as they go on the wire and the
+// FCS register as it stands after them. Prepare one (Config.Header) and
+// Append it to a batch of payloads; do not keep it across a renegotiation.
+type Header struct {
+	head uint64 // stuffed head octets, the first on the wire in the low lane
+	n    int    // how many: at most 8, four octets all escaped
+	reg  uint32 // FCS register folded over the unstuffed head
+	fcs  crc.Size
+	accm hdlc.ACCM
+}
+
+// Header prepares the head of protocol proto's frames under c: address,
+// CtrlUI and protocol number, compressed as negotiated (never for LCP).
+func (c Config) Header(proto uint16) (h Header) {
+	x, n := c.head(0, 0, proto)
+	h.prepare(x, n, c.fcs(), c.ACCM)
+	return h
+}
+
+// head assembles an unstuffed frame head as a little-endian word and its
+// length: the fold loads it whole, and that stalls behind octet stores.
+// A zero addr or ctrl takes the configured address or CtrlUI.
+func (c Config) head(addr, ctrl byte, proto uint16) (x uint32, n int) {
+	if !c.ACFC || proto == ProtoLCP {
+		if addr == 0 {
+			addr = c.address()
+		}
+		if ctrl == 0 {
+			ctrl = CtrlUI
+		}
+		x, n = uint32(addr)|uint32(ctrl)<<8, 2
+	}
+	if c.PFC && proto < 0x100 && proto&1 == 1 { // never LCP, 0xC021
+		return x | uint32(proto)<<(8*n), n + 1
+	}
+	return x | uint32(proto>>8)<<(8*n) | uint32(proto&0xFF)<<(8*n+8), n + 2
+}
+
+// prepare fills h for the n (at most 4) unstuffed head octets in x,
+// folded through the in-package tables from a stack word that must not
+// escape. In place, field by field — a Header copied whole between
+// prepare and Append stalls on its narrow stores.
+func (h *Header) prepare(x uint32, n int, s crc.Size, m hdlc.ACCM) {
+	var b [4]byte
+	binary.LittleEndian.PutUint32(b[:], x)
+	h.reg, h.fcs, h.accm = s.Slicing(s.Init(), b[:n]), s, m
+	h.head, h.n = stuffWord(x, n, m)
+}
+
+// stuffWord returns the stuffed encoding of the low n (at most 4)
+// octets of x as a little-endian word, and its length. Nothing to
+// escape — a SONET link's head, nearly every FCS — costs one lane test:
+// no Flag, no Escape and, under a non-empty map, no control character,
+// mapped or not. The zero test borrows across lanes, which can only
+// flag a lane above a true match: exact for "is there any".
+func stuffWord(x uint32, n int, m hdlc.ACCM) (uint64, int) {
+	const lsb, msb = 0x0101010101010101, 0x8080808080808080
+	w := uint64(x) | ^uint64(0)<<(8*uint(n)) // lanes past n read 0xFF: never escaped
+	f, e := w^lsb*hdlc.Flag, w^lsb*hdlc.Escape
+	hit := (f-lsb)&^f | (e-lsb)&^e
+	if m != 0 {
+		c := w & (lsb * 0xE0) // a lane under 0x20 has its top three bits clear
+		hit |= (c - lsb) &^ c
+	}
+	if hit&msb == 0 {
+		return uint64(x), n
+	}
+	var b [12]byte // eight octets of room, then the source
+	binary.LittleEndian.PutUint32(b[8:], x)
+	n = len(hdlc.Stuff(b[:0], b[8:8+n], m))
+	return binary.LittleEndian.Uint64(b[:]), n
+}
+
+// Append appends one complete wire frame — flag, the prepared head,
+// stuffed payload, stuffed FCS(head‖payload), flag — to dst, allocating
+// nothing beyond dst growth: the worst case is reserved once and every
+// octet stored by index. The frame is the unit of the fold, one
+// crc.Size.Update over the contiguous payload from the Header's
+// register. The payload goes out as escape-free spans located by the
+// SWAR scanner and copied in bulk; where the scanner comes back with
+// less than a word the input is dense in escapes and the next block
+// takes the branch-free block stuffer, so the cost per octet does not
+// depend on where the escapes fall. shareFlag elides the opening flag
+// after a previous closing flag.
+func (h *Header) Append(dst, payload []byte, shareFlag bool) []byte {
+	j := len(dst)
+	// Flag, head and FCS stored as whole words (8 + 8), 2 per octet, flag.
+	dst = slices.Grow(dst, 2*len(payload)+18)[:j+2*len(payload)+18]
+	if !shareFlag || j == 0 || dst[j-1] != hdlc.Flag {
+		dst[j] = hdlc.Flag
+		j++
+	}
+	binary.LittleEndian.PutUint64(dst[j:], h.head)
+	j += h.n
+	v := h.fcs.Finish(h.fcs.Update(h.reg, payload))
+	for src := payload; len(src) > 0; {
+		n := hdlc.EscapeSpan(src, h.accm)
 		if n < 8 && n < len(src) {
 			n = min(len(src), hdlc.BlockOctets)
-			dst = hdlc.StuffBlock(dst, src[:n], m)
+			j = len(hdlc.StuffBlock(dst[:j], src[:n], h.accm))
 		} else {
-			dst = append(dst, src[:n]...)
+			j += copy(dst[j:], src[:n])
 			if n < len(src) {
-				dst = append(dst, hdlc.Escape, src[n]^hdlc.XorBit)
+				dst[j], dst[j+1] = hdlc.Escape, src[n]^hdlc.XorBit
+				j += 2
 				n++
 			}
 		}
 		src = src[n:]
 	}
-	return dst
+	tail, n := stuffWord(v, h.fcs.Bytes(), h.accm) // stuffed, not self-covered
+	binary.LittleEndian.PutUint64(dst[j:], tail)
+	dst[j+n] = hdlc.Flag
+	return dst[:j+n+1]
 }
 
-// AppendFramed appends one complete wire frame — flag, stuffed
-// hdr‖payload‖FCS(hdr‖payload), flag — to dst, allocating nothing
-// beyond dst growth. hdr is the unstuffed frame head
-// (address/control/protocol octets, already compressed as negotiated);
-// the FCS of the selected size covers hdr then payload: the frame is
-// the unit of the fold, one crc.Size.Update over the contiguous payload
-// whatever escapes it holds. hdr goes through the in-package tables —
-// it is a few octets, usually in the caller's stack frame, and must
-// not escape. shareFlag elides the opening flag after a previous
-// closing flag.
+// AppendFramed appends one complete wire frame to dst from a raw head:
+// hdr is the unstuffed address/control/protocol octets, compressed as
+// negotiated; the FCS of the selected size covers hdr then payload. It
+// prepares hdr per frame — a word-wide step — and ends in Header.Append.
 func AppendFramed(dst, hdr, payload []byte, s crc.Size, m hdlc.ACCM, shareFlag bool) []byte {
 	if s == 0 {
 		s = crc.FCS32Mode
 	}
-	if !shareFlag || len(dst) == 0 || dst[len(dst)-1] != hdlc.Flag {
-		dst = append(dst, hdlc.Flag)
+	if len(hdr) > 4 {
+		panic("ppp: frame head longer than four octets")
 	}
-	v := s.Finish(s.Update(s.Slicing(s.Init(), hdr), payload))
-	dst = stuff(dst, hdr, m)
-	dst = stuff(dst, payload, m)
-	var tail [4]byte
-	for i := 0; i < s.Bytes(); i++ {
-		tail[i] = byte(v >> (8 * uint(i)))
+	var x uint32
+	for i, b := range hdr {
+		x |= uint32(b) << (8 * i)
 	}
-	dst = hdlc.Stuff(dst, tail[:s.Bytes()], m) // stuffed, not self-covered
-	return append(dst, hdlc.Flag)
+	var h Header
+	h.prepare(x, len(hdr), s, m)
+	return h.Append(dst, payload, shareFlag)
 }
 
 // AppendFrame appends the complete on-the-wire encoding of f — flags,
 // stuffed header, payload and FCS — to dst with no intermediate body
 // buffer. Zero Address and Control fields take the configured address
-// and CtrlUI. shareFlag is as for AppendFramed.
+// and CtrlUI. It ends in Header.Append, shareFlag included.
 func AppendFrame(dst []byte, f *Frame, c Config, shareFlag bool) []byte {
-	var hdr [4]byte
-	n := 0
-	if !(c.ACFC && f.Protocol != ProtoLCP) {
-		addr := f.Address
-		if addr == 0 {
-			addr = c.address()
-		}
-		ctrl := f.Control
-		if ctrl == 0 {
-			ctrl = CtrlUI
-		}
-		hdr[0], hdr[1] = addr, ctrl
-		n = 2
-	}
-	if c.PFC && f.Protocol < 0x100 && f.Protocol&1 == 1 && f.Protocol != ProtoLCP {
-		hdr[n] = byte(f.Protocol)
-		n++
-	} else {
-		hdr[n], hdr[n+1] = byte(f.Protocol>>8), byte(f.Protocol)
-		n += 2
-	}
-	return AppendFramed(dst, hdr[:n], f.Payload, c.fcs(), c.ACCM, shareFlag)
+	var h Header
+	x, n := c.head(f.Address, f.Control, f.Protocol)
+	h.prepare(x, n, c.fcs(), c.ACCM)
+	return h.Append(dst, f.Payload, shareFlag)
 }
 
 // DecodeBodyInto parses a destuffed frame body (as produced by the
@@ -99,32 +172,30 @@ func AppendFrame(dst []byte, f *Frame, c Config, shareFlag bool) []byte {
 // address and MRU, and understands compressed headers when the
 // corresponding Config option is on. f.Payload aliases body.
 func DecodeBodyInto(f *Frame, body []byte, c Config) error {
-	fcsN := c.fcs().Bytes()
-	if len(body) < fcsN+1 {
-		return ErrTooShort
-	}
-	if !c.fcs().Check(body) {
+	if s := c.fcs(); len(body) > s.Bytes() && !s.Check(body) {
 		return ErrBadFCS
 	}
-	return decodeChecked(f, body[:len(body)-fcsN], c)
+	return decodeChecked(f, body, &c)
 }
 
 // DecodeVerifiedBodyInto parses a destuffed frame body whose FCS has
 // already been verified upstream — by the tokenizer, which folds the
 // frame check at the closing flag (hdlc.Token.FCSOK) — so the body is
 // not traversed again here. Callers must only pass bodies with a true
-// verdict; semantics otherwise match DecodeBodyInto.
+// verdict; semantics otherwise match DecodeBodyInto. It inlines: the
+// caller is one call from the parse.
 func DecodeVerifiedBodyInto(f *Frame, body []byte, c Config) error {
-	fcsN := c.fcs().Bytes()
-	if len(body) < fcsN+1 {
-		return ErrTooShort
-	}
-	return decodeChecked(f, body[:len(body)-fcsN], c)
+	return decodeChecked(f, body, &c)
 }
 
-// decodeChecked parses the header and payload of p, a frame body with
-// the FCS field already verified and stripped.
-func decodeChecked(f *Frame, p []byte, c Config) error {
+// decodeChecked parses the header and payload of body, a frame body
+// whose FCS field the caller has verified; it is stripped here.
+func decodeChecked(f *Frame, body []byte, c *Config) error {
+	n := len(body) - c.fcs().Bytes()
+	if n < 1 {
+		return ErrTooShort
+	}
+	p := body[:n]
 	// Address/control, possibly compressed away (ACFC). A compressed
 	// frame cannot begin with 0xFF: that would be ambiguous with the
 	// address octet, so 0xFF always means "uncompressed header".

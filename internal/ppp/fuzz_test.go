@@ -36,10 +36,12 @@ func FuzzDecodeBody(f *testing.F) {
 }
 
 // FuzzFusedEncode differential-tests the production transmit kernel
-// (AppendFrame: one wide FCS fold, then span/block stuffing) against the two-pass, byte-at-a-time
-// ReferenceEncode: every payload, framing-option
-// combination, protocol number and prior-stream state must produce
-// byte-for-byte identical wire encodings.
+// (Header.Append: one wide FCS fold from the prepared register, then
+// span/block stuffing and a word-wide tail) against the two-pass,
+// byte-at-a-time ReferenceEncode, both through a Header prepared ahead
+// and through AppendFrame's per-frame preparation: every payload,
+// framing-option combination, protocol number and prior-stream state
+// must produce byte-for-byte identical wire encodings.
 func FuzzFusedEncode(f *testing.F) {
 	f.Add([]byte{1, 2, 3}, uint16(ProtoIPv4), false, false, false, false, uint32(0))
 	f.Add([]byte{0x7E, 0x7D, 0x00, 0x13}, uint16(ProtoIPv4), true, true, false, true, uint32(0xFFFFFFFF))
@@ -52,14 +54,16 @@ func FuzzFusedEncode(f *testing.F) {
 			cfg.FCS = crc.FCS16Mode
 		}
 		fr := &Frame{Protocol: proto, Payload: payload}
+		hdr := cfg.Header(proto)
 		// Exercise the shared-flag elision from both prior states: an
 		// empty stream and one ending in a closing flag.
 		for _, prior := range [][]byte{nil, {hdlc.Flag}} {
-			ref := ReferenceEncode(append([]byte(nil), prior...), fr, cfg, share)
-			fused := AppendFrame(append([]byte(nil), prior...), fr, cfg, share)
-			if !bytes.Equal(ref, fused) {
-				t.Fatalf("fused kernel diverges from two-pass reference\nproto=%#04x pfc=%t acfc=%t fcs16=%t share=%t accm=%#x prior=% x\nref   = % x\nfused = % x",
-					proto, pfc, acfc, fcs16, share, accm, prior, ref, fused)
+			ref := ReferenceEncode(bytes.Clone(prior), fr, cfg, share)
+			fused := AppendFrame(bytes.Clone(prior), fr, cfg, share)
+			prepared := hdr.Append(bytes.Clone(prior), payload, share)
+			if !bytes.Equal(ref, fused) || !bytes.Equal(ref, prepared) {
+				t.Fatalf("fused kernel diverges from two-pass reference\nproto=%#04x pfc=%t acfc=%t fcs16=%t share=%t accm=%#x prior=% x\nref      = % x\nfused    = % x\nprepared = % x",
+					proto, pfc, acfc, fcs16, share, accm, prior, ref, fused, prepared)
 			}
 		}
 	})

@@ -2,6 +2,7 @@ package ppp
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"testing"
 	"testing/quick"
@@ -261,25 +262,142 @@ func TestAppendFrameSharedFlag(t *testing.T) {
 	}
 }
 
+// tailPayloads returns base extended by four octets chosen so that the
+// FCS of the frame (f.Protocol, c) holds want in lane i, for every lane
+// of the FCS field: the payloads that put a flag, an escape or a mapped
+// control octet in each position of the tail Header.Append stores whole.
+func tailPayloads(t *testing.T, c Config, proto uint16, base []byte, want byte) [][]byte {
+	t.Helper()
+	var out [][]byte
+	fcsN := c.fcs().Bytes()
+	for lane := 0; lane < fcsN; lane++ {
+		p := append(bytes.Clone(base), 0, 0, 0, 0)
+		found := false
+		for ctr := uint32(0); ctr < 1<<16 && !found; ctr++ {
+			binary.LittleEndian.PutUint32(p[len(base):], ctr*0x9E3779B1)
+			body := ReferenceEncodeBody(nil, &Frame{Protocol: proto, Payload: p}, c)
+			found = body[len(body)-fcsN+lane] == want
+		}
+		if !found {
+			t.Fatalf("no payload puts %#02x in FCS lane %d", want, lane)
+		}
+		out = append(out, p)
+	}
+	return out
+}
+
+// TestHeaderAppendMatchesReference holds the three ways into the one
+// encoder — a prepared Header, AppendFrame, and (through the body
+// builder's own header) the byte-at-a-time ReferenceEncode — to the
+// same wire image, over every head the config can produce and every
+// tail the FCS can.
+func TestHeaderAppendMatchesReference(t *testing.T) {
+	corpus := [][]byte{
+		nil,
+		{0x00},
+		{0x7E},
+		{0x7D, 0x7D},
+		{0x41, 0x7D},
+		{0x7E, 0x7D, 0x03, 0x13, 0x11},
+		bytes.Repeat([]byte{0x7E}, 100),
+		bytes.Repeat([]byte{0x03, 0x7E}, 33),
+		append(bytes.Repeat([]byte{0x42}, 63), 0x7D, 0x42, 0x7E),
+		bytes.Repeat([]byte{0x55, 0x7E}, 750), // 50% escapes: the block path
+	}
+	sparse := bytes.Repeat(append(bytes.Repeat([]byte{0x55}, 49), 0x7E), 30) // 2%: the span path
+	corpus = append(corpus, sparse[:40], sparse[:64], sparse)
+	protos := []uint16{ProtoIPv4, ProtoIPv6, ProtoLCP, ProtoIPCP, ProtoVJC, 0x00FD}
+	n := 0
+	for mask := 0; mask < 16; mask++ {
+		for _, accm := range []hdlc.ACCM{hdlc.ACCMNone, hdlc.ACCMAll, 1 << CtrlUI} {
+			for _, proto := range protos {
+				cfg := Config{ACFC: mask&1 != 0, PFC: mask&2 != 0, ACCM: accm}
+				if mask&4 != 0 {
+					cfg.Address = 0x0B // a MAPOS unicast address
+				}
+				if mask&8 != 0 {
+					cfg.FCS = crc.FCS16Mode
+				}
+				payloads := corpus
+				for _, want := range []byte{hdlc.Flag, hdlc.Escape, CtrlUI} {
+					payloads = append(payloads, tailPayloads(t, cfg, proto, []byte{0x45, 0x00}, want)...)
+				}
+				hdr := cfg.Header(proto)
+				for _, p := range payloads {
+					fr := &Frame{Protocol: proto, Payload: p}
+					for _, prior := range [][]byte{nil, {hdlc.Flag}, {0x55}} {
+						for _, share := range []bool{false, true} {
+							ref := ReferenceEncode(bytes.Clone(prior), fr, cfg, share)
+							got := hdr.Append(bytes.Clone(prior), p, share)
+							af := AppendFrame(bytes.Clone(prior), fr, cfg, share)
+							if !bytes.Equal(ref, got) || !bytes.Equal(ref, af) {
+								t.Fatalf("cfg=%+v proto=%#04x len=%d prior=% x share=%t:\nref    % x\nheader % x\nframe  % x",
+									cfg, proto, len(p), prior, share, ref, got, af)
+							}
+							n++
+						}
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d encodings compared", n)
+}
+
+// TestAppendFramedRawHead: the raw-head wrapper takes any head of up to
+// four octets — numbered mode sends address and an I/S/U control octet,
+// no protocol field — and refuses a longer one.
+func TestAppendFramedRawHead(t *testing.T) {
+	payload := []byte{0x7E, 1, 2, 3}
+	for _, fcs := range []crc.Size{crc.FCS16Mode, crc.FCS32Mode} {
+		for n := 0; n <= 4; n++ {
+			hdr := []byte{0xFF, 0x7D, 0x13, 0x7E}[:n]
+			body := fcs.Append(append(bytes.Clone(hdr), payload...))
+			ref := hdlc.ReferenceEncode(nil, body, hdlc.ACCMAll, false)
+			if got := AppendFramed(nil, hdr, payload, fcs, hdlc.ACCMAll, false); !bytes.Equal(got, ref) {
+				t.Errorf("%v, %d-octet head:\nref % x\ngot % x", fcs, n, ref, got)
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("a five-octet head did not panic")
+		}
+	}()
+	AppendFramed(nil, make([]byte, 5), payload, crc.FCS32Mode, hdlc.ACCMNone, false)
+}
+
 // TestFusedPathZeroAlloc pins the zero-allocation invariant of the
 // steady-state encode and decode fast paths: once dst, the arena and
-// the frame struct are warm, AppendFrame, Tokenizer.Feed and
-// DecodeBodyInto must not allocate. The payloads are long enough for
-// the wide FCS fold, whose stdlib dispatch makes whatever it is handed
-// escape: AppendFrame's header lives in its stack frame and must not
-// reach it.
+// the frame struct are warm, Header.Append, its two wrappers,
+// Tokenizer.Feed and DecodeBodyInto must not allocate. From 64 octets
+// the payloads are long enough for the wide FCS fold, whose stdlib
+// dispatch makes whatever it is handed escape: the head the wrappers
+// assemble, and the Header they prepare from it, live in their stack
+// frames and must not reach it. Every fourth octet is a flag, so the
+// FCS tail and the escaped-word path of stuffWord are exercised too.
 func TestFusedPathZeroAlloc(t *testing.T) {
 	cfg := Config{ACCM: hdlc.ACCMNone}
 	var body []byte
-	for _, n := range []int{64, 1500} {
+	for _, n := range []int{40, 64, 1500} {
 		payload := bytes.Repeat([]byte{0x17, 0x7E, 0x42, 0x55}, 375)[:n]
 		fr := Frame{Protocol: ProtoIPv4, Payload: payload}
 		dst := AppendFrame(nil, &fr, cfg, false) // size the buffer
-		if allocs := testing.AllocsPerRun(100, func() {
-			dst = AppendFrame(dst[:0], &fr, cfg, false)
-		}); allocs != 0 {
-			t.Errorf("AppendFrame, %d octets: %.1f allocs/op, want 0", n, allocs)
+		hdr := cfg.Header(ProtoIPv4)
+		raw := []byte{AddrAllStations, CtrlUI, 0x00, ProtoIPv4}
+		for _, enc := range []struct {
+			name string
+			f    func()
+		}{
+			{"Header.Append", func() { dst = hdr.Append(dst[:0], payload, false) }},
+			{"AppendFrame", func() { dst = AppendFrame(dst[:0], &fr, cfg, false) }},
+			{"AppendFramed", func() { dst = AppendFramed(dst[:0], raw, payload, crc.FCS32Mode, hdlc.ACCMAll, false) }},
+		} {
+			if allocs := testing.AllocsPerRun(100, enc.f); allocs != 0 {
+				t.Errorf("%s, %d octets: %.1f allocs/op, want 0", enc.name, n, allocs)
+			}
 		}
+		dst = AppendFrame(dst[:0], &fr, cfg, false)
 
 		// One frame straddling two chunks: the frame check folds the
 		// arena at the closing flag, in the second Feed.

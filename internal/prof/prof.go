@@ -44,14 +44,16 @@ import (
 //
 //   - control: Link.Advance on both ends (LCP/IPCP timers, echo,
 //     supervisor, flight/SLO service, telemetry mirrors);
-//   - encode: SendIPv4Batch — one FCS fold per frame, then stuffing;
+//   - encode: SendIPv4Batch — the frame head prepared once per batch,
+//     then per frame one FCS fold over the payload and one stuffing walk;
 //   - line: the wire move — the Output buffer swap on a direct loopback,
 //     Flush plus the transport's Tick and Recv on a TransportPort;
 //   - tokenize: hdlc.Tokenizer.Feed for one input chunk — delineation,
 //     destuff and, at each closing flag, the FCS fold over that frame's
 //     body — and nothing else of Link.Input;
 //   - decode: ppp.DecodeVerifiedBodyInto, the header parse of a frame
-//     whose FCS verdict the tokenizer already delivered;
+//     whose FCS verdict the tokenizer already delivered, under the
+//     receive config Input latched for the chunk;
 //   - vj: Van Jacobson decompression, when negotiated;
 //   - queue: the copy into the link's receive arena and datagram queue;
 //   - drain: ReceivedInto, the receive-queue copy-out;

@@ -297,6 +297,7 @@ func (s *Scenario) Run(rc RunConfig) (*Result, error) {
 		seed = 1
 	}
 	sizes := netsim.NewRand(seed)
+	escapes := netsim.NewRand(seed ^ 0x7E7D) // drawn from only when traffic.density is set
 
 	nextAction := 0
 	var rxScratch []gigapos.Datagram
@@ -329,6 +330,9 @@ func (s *Scenario) Run(rc RunConfig) (*Result, error) {
 						peer = cr.a
 					}
 					d := mkDatagram(byte(ci), byte(di), ep.seq, dist.Next(sizes))
+					if s.Traffic.Density > 0 && ep.seq&1 == 1 {
+						storm(d, s.Traffic.Density, escapes)
+					}
 					if err := ep.link.SendIPv4(d); err == nil {
 						peer.expect[ep.seq] = d
 						ep.seq++
@@ -482,6 +486,16 @@ func mkDatagram(circuit, dir byte, seq uint32, size int) []byte {
 		d[i] = patternByte(seq, i)
 	}
 	return d
+}
+
+// storm overwrites the pattern octets of d with flags and escapes, each
+// with probability density: the payload the stuffer expands most.
+func storm(d []byte, density float64, rng *netsim.Rand) {
+	for i := 8; i < len(d); i++ {
+		if rng.Float64() < density {
+			d[i] = 0x7E - rng.Byte()&1
+		}
+	}
 }
 
 func patternByte(seq uint32, i int) byte {

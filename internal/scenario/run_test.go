@@ -14,8 +14,8 @@ func TestCommittedScenarios(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(files) < 5 {
-		t.Fatalf("found only %d committed scenarios, expected at least 5", len(files))
+	if len(files) < 6 {
+		t.Fatalf("found only %d committed scenarios, expected at least 6", len(files))
 	}
 	for _, f := range files {
 		f := f

@@ -91,6 +91,13 @@ type LinkSpec struct {
 type TrafficSpec struct {
 	// Mix is "imix" (default), "fixed:N", or "uniform:MIN:MAX".
 	Mix string `json:"mix,omitempty"`
+	// Density is the probability that a payload octet is a flag or an
+	// escape — what HDLC must stuff — in every second datagram of each
+	// direction; the ones between keep the plain pattern, so a storm
+	// always alternates with clean traffic and both codecs cross
+	// between their span and block paths at every frame. Zero
+	// (default) is the plain pattern throughout.
+	Density float64 `json:"density,omitempty"`
 	// Interval is the ticks between datagrams per direction (default 2).
 	Interval int64 `json:"interval,omitempty"`
 	// Seed drives the size draws (default 1).
@@ -237,6 +244,9 @@ func (s *Scenario) Validate() error {
 	}
 	if _, _, err := s.Traffic.dist(); err != nil {
 		return err
+	}
+	if d := s.Traffic.Density; d < 0 || d > 1 {
+		return fmt.Errorf("scenario %s: traffic.density %g outside [0, 1]", s.Name, d)
 	}
 	for i, e := range s.Events {
 		if e.At < 0 || e.At >= s.Duration {

@@ -1,8 +1,11 @@
 package scenario
 
 import (
+	"bytes"
 	"strings"
 	"testing"
+
+	"repro/internal/netsim"
 )
 
 func TestParseValidation(t *testing.T) {
@@ -30,6 +33,7 @@ func TestParseValidation(t *testing.T) {
 		}, "duplicate circuit"},
 		{"bad mix", func(s *Scenario) { s.Traffic.Mix = "elephant" }, "unknown traffic mix"},
 		{"bad fixed", func(s *Scenario) { s.Traffic.Mix = "fixed:4" }, "bad traffic mix"},
+		{"bad density", func(s *Scenario) { s.Traffic.Density = 1.5 }, "traffic.density"},
 		{"event too late", func(s *Scenario) {
 			s.Events = []Event{{At: 100, Action: "cut", Between: [2]int{0, 1}}}
 		}, "outside 0..99"},
@@ -98,6 +102,23 @@ func TestDatagramRoundTrip(t *testing.T) {
 	ep.verify(bad)
 	if ep.corrupt != 2 {
 		t.Fatalf("damaged payload not flagged: corrupt=%d", ep.corrupt)
+	}
+}
+
+// TestStormKeepsTheLedgerFields: an escape storm overwrites only the
+// pattern octets — the header verify keys on survives — and at density
+// one leaves nothing but flags and escapes.
+func TestStormKeepsTheLedgerFields(t *testing.T) {
+	d := mkDatagram(2, 1, 99, 40)
+	want := append([]byte(nil), d[:8]...)
+	storm(d, 1, netsim.NewRand(5))
+	if !bytes.Equal(d[:8], want) {
+		t.Fatalf("header % x, want % x", d[:8], want)
+	}
+	for i, b := range d[8:] {
+		if b != 0x7E && b != 0x7D {
+			t.Fatalf("octet %d = %#02x at density 1", 8+i, b)
+		}
 	}
 }
 

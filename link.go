@@ -428,13 +428,14 @@ func (l *Link) SendIPv4Batch(datagrams [][]byte) (int, error) {
 		}
 		return len(datagrams), nil
 	}
-	cfg := l.dataTxConfig()
+	// One head for the whole batch, stuffed and folded into the FCS here;
+	// not latched on the link, so a renegotiation invalidates nothing.
+	hdr := l.dataTxConfig().Header(ppp.ProtoIPv4)
 	for _, d := range datagrams {
 		if l.monitor != nil {
 			l.monitor.CountOutPacket(len(d))
 		}
-		f := ppp.Frame{Protocol: ppp.ProtoIPv4, Payload: d}
-		l.out = ppp.AppendFrame(l.out, &f, cfg, true)
+		l.out = hdr.Append(l.out, d, true)
 		l.flightDepart()
 	}
 	return len(datagrams), nil
@@ -492,13 +493,28 @@ func (l *Link) Input(stream []byte) {
 	}
 	l.toks = l.tk.Feed(l.toks[:0], stream)
 	l.prof.Stamp(prof.StageTokenize)
+	// The receive config only changes at a control frame: latched here,
+	// handed down by pointer, and read again after any frame that queued
+	// no datagram — an Ack mid-chunk can turn PFC/ACFC on for the next.
+	cfg := l.rxConfig()
 	for i := range l.toks {
-		if l.toks[i].Err != nil {
-			l.RxErrors++
-			l.flightNoteError()
-			continue
+		tok := &l.toks[i]
+		if tok.Err != nil {
+			l.rxError()
+		} else if !l.frame(tok.Body, tok.FCSOK, &cfg) {
+			cfg = l.rxConfig()
 		}
-		l.frame(l.toks[i].Body, l.toks[i].FCSOK)
+	}
+}
+
+// rxError is the one exit for a damaged received frame — framing error,
+// bad FCS or header, unusable numbered frame, undecompressable VJ packet:
+// counted, shown to the flight burst detector, reported in LQM InErrors.
+func (l *Link) rxError() {
+	l.RxErrors++
+	l.flightNoteError()
+	if l.monitor != nil {
+		l.monitor.CountInError()
 	}
 }
 
@@ -512,7 +528,9 @@ func (l *Link) InputBatch(chunks [][]byte) {
 	}
 }
 
-func (l *Link) frame(body []byte, fcsOK bool) {
+// frame dispatches one frame body under the latched receive config; true
+// means it queued a datagram, the outcome that cannot change the config.
+func (l *Link) frame(body []byte, fcsOK bool, cfg *ppp.Config) bool {
 	// Numbered-mode frames carry an I/S/U control octet instead of UI;
 	// they belong to the station (0x03 itself is the UI encoding, so
 	// the dispatch is unambiguous).
@@ -520,24 +538,16 @@ func (l *Link) frame(body []byte, fcsOK bool) {
 		if l.decodeNumbered(body, fcsOK) {
 			l.RxFrames++
 		} else {
-			l.RxErrors++
+			l.rxError()
 		}
-		return
+		return false
 	}
 	// The FCS verdict comes fused from the tokenizer; decode itself
 	// only parses the header, with no second pass over the body.
 	var f ppp.Frame
-	err := ppp.ErrBadFCS
-	if fcsOK {
-		err = ppp.DecodeVerifiedBodyInto(&f, body, l.rxConfig())
-	}
-	if err != nil {
-		l.RxErrors++
-		l.flightNoteError()
-		if l.monitor != nil {
-			l.monitor.CountInError()
-		}
-		return
+	if !fcsOK || ppp.DecodeVerifiedBodyInto(&f, body, *cfg) != nil {
+		l.rxError()
+		return false
 	}
 	l.prof.Stamp(prof.StageDecode)
 	l.RxFrames++
@@ -574,10 +584,11 @@ func (l *Link) frame(body []byte, fcsOK bool) {
 		l.rx = append(l.rx, Datagram{Protocol: f.Protocol, Payload: l.copyRx(f.Payload)})
 		l.prof.Stamp(prof.StageQueue)
 		l.flightArrive()
+		return true
 	case ppp.ProtoVJC, ppp.ProtoVJU:
 		if l.vjRx == nil {
 			l.protocolReject(&f)
-			return
+			return false
 		}
 		typ := vj.TypeCompressed
 		if f.Protocol == ppp.ProtoVJU {
@@ -585,12 +596,8 @@ func (l *Link) frame(body []byte, fcsOK bool) {
 		}
 		pkt, err := l.vjRx.Decompress(typ, f.Payload)
 		if err != nil {
-			l.RxErrors++
-			l.flightNoteError()
-			if l.monitor != nil {
-				l.monitor.CountInError()
-			}
-			return
+			l.rxError()
+			return false
 		}
 		l.prof.Stamp(prof.StageVJ)
 		if l.monitor != nil {
@@ -599,10 +606,12 @@ func (l *Link) frame(body []byte, fcsOK bool) {
 		l.rx = append(l.rx, Datagram{Protocol: ppp.ProtoIPv4, Payload: pkt})
 		l.prof.Stamp(prof.StageQueue)
 		l.flightArrive()
+		return true
 	default:
 		// Unknown protocol: Protocol-Reject (RFC 1661 §5.7).
 		l.protocolReject(&f)
 	}
+	return false
 }
 
 // copyRx appends p to the link's receive arena and returns the stored

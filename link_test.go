@@ -4,6 +4,10 @@ import (
 	"bytes"
 	"math/rand"
 	"testing"
+
+	"repro/internal/hdlc"
+	"repro/internal/lcp"
+	"repro/internal/ppp"
 )
 
 // pump shuttles bytes between two links until both go quiet.
@@ -326,5 +330,120 @@ func TestEchoKeepaliveDetectsDeadPeer(t *testing.T) {
 	}
 	if a.EchoTimeouts != 1 {
 		t.Errorf("EchoTimeouts = %d", a.EchoTimeouts)
+	}
+}
+
+// lastRequest returns the newest LCP Configure-Request in wire, one
+// Output of a link.
+func lastRequest(t *testing.T, wire []byte) *lcp.Packet {
+	t.Helper()
+	var req *lcp.Packet
+	var tk hdlc.Tokenizer
+	for _, tok := range tk.Feed(nil, wire) {
+		var f ppp.Frame
+		if tok.Err != nil || ppp.DecodeBodyInto(&f, tok.Body, ppp.Config{}) != nil || f.Protocol != ppp.ProtoLCP {
+			continue
+		}
+		if p, err := lcp.ParsePacket(f.Payload); err == nil && p.Code == lcp.ConfigureRequest {
+			req = &lcp.Packet{Code: p.Code, ID: p.ID, Data: bytes.Clone(p.Data)}
+		}
+	}
+	if req == nil {
+		t.Fatal("no Configure-Request on the wire")
+	}
+	return req
+}
+
+// TestInputRenegotiatesMidChunk holds Input's latched receive config to
+// the rule that makes it safe: the config used for frame k reflects
+// every control frame before it in the same chunk. A hand-played peer
+// puts the Configure-Ack that turns PFC+ACFC on and a compressed
+// datagram in one chunk, then — after rejecting both options — the Ack
+// that turns them off again, an uncompressed datagram and a compressed
+// one that must now be refused. The same octets fed whole and fed one
+// at a time must deliver the same datagrams and count the same frames.
+func TestInputRenegotiatesMidChunk(t *testing.T) {
+	lcpCfg := ppp.Config{ACCM: hdlc.ACCMAll}
+	control := func(dst []byte, code lcp.Code, req *lcp.Packet, data []byte) []byte {
+		pkt := (&lcp.Packet{Code: code, ID: req.ID, Data: data}).Marshal(nil)
+		return ppp.AppendFrame(dst, &ppp.Frame{Protocol: ppp.ProtoLCP, Payload: pkt}, lcpCfg, true)
+	}
+	plain := &ppp.Frame{Protocol: ppp.ProtoIPv4, Payload: []byte{0x45, 0, 0, 20, 1, 2, 3, 4}}
+	packed := &ppp.Frame{Protocol: ppp.ProtoIPv4, Payload: []byte{0x45, 0, 0, 20, 5, 6, 7, 8}}
+	compressed := ppp.Config{PFC: true, ACFC: true}
+
+	type result struct {
+		got              [][]byte
+		rxFrames, rxErrs uint64
+	}
+	run := func(feed func(l *Link, chunk []byte)) result {
+		l := NewLink(LinkConfig{Magic: 7, WantPFC: true, WantACFC: true})
+		l.Open()
+		l.Up()
+		var res result
+		drain := func() {
+			for _, d := range l.Received() {
+				res.got = append(res.got, bytes.Clone(d.Payload))
+			}
+		}
+
+		// Chunk 1: the Ack that turns compression on, then a compressed
+		// datagram. Under the config latched before the Ack its first
+		// octet, 0x21, reads as a bad address.
+		req := lastRequest(t, l.Output())
+		chunk := control(nil, lcp.ConfigureAck, req, req.Data)
+		chunk = ppp.AppendFrame(chunk, packed, compressed, true)
+		feed(l, chunk)
+		drain()
+		if len(res.got) != 1 || !bytes.Equal(res.got[0], packed.Payload) {
+			t.Fatalf("after the Ack turning PFC+ACFC on: delivered %x, want the compressed datagram (RxErrors %d)",
+				res.got, l.RxErrors)
+		}
+
+		// Reject both options: the link asks again without them.
+		opts, err := lcp.ParseOptions(req.Data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rej []lcp.Option
+		for _, o := range opts {
+			if o.Type == lcp.OptPFC || o.Type == lcp.OptACFC {
+				rej = append(rej, o)
+			}
+		}
+		feed(l, control(nil, lcp.ConfigureReject, req, lcp.MarshalOptions(nil, rej)))
+
+		// Chunk 2: the Ack that turns compression off, an uncompressed
+		// datagram, and a compressed one — refused from here on.
+		req = lastRequest(t, l.Output())
+		chunk = control(nil, lcp.ConfigureAck, req, req.Data)
+		chunk = ppp.AppendFrame(chunk, plain, ppp.Config{}, true)
+		chunk = ppp.AppendFrame(chunk, packed, compressed, true)
+		feed(l, chunk)
+		drain()
+		res.rxFrames, res.rxErrs = l.RxFrames, l.RxErrors
+		return res
+	}
+
+	whole := run(func(l *Link, chunk []byte) { l.Input(chunk) })
+	octets := run(func(l *Link, chunk []byte) {
+		for i := range chunk {
+			l.Input(chunk[i : i+1])
+		}
+	})
+	if len(whole.got) != 2 || !bytes.Equal(whole.got[1], plain.Payload) {
+		t.Errorf("fed whole: delivered %x, want the compressed then the uncompressed datagram", whole.got)
+	}
+	if whole.rxErrs != 1 {
+		t.Errorf("fed whole: RxErrors = %d, want 1 (the compressed datagram after compression went off)", whole.rxErrs)
+	}
+	if len(whole.got) != len(octets.got) || whole.rxFrames != octets.rxFrames || whole.rxErrs != octets.rxErrs {
+		t.Errorf("fed whole: %d datagrams, RxFrames %d, RxErrors %d; fed per octet: %d, %d, %d",
+			len(whole.got), whole.rxFrames, whole.rxErrs, len(octets.got), octets.rxFrames, octets.rxErrs)
+	}
+	for i := range min(len(whole.got), len(octets.got)) {
+		if !bytes.Equal(whole.got[i], octets.got[i]) {
+			t.Errorf("datagram %d: fed whole %x, fed per octet %x", i, whole.got[i], octets.got[i])
+		}
 	}
 }

@@ -6,8 +6,8 @@ import (
 	"testing"
 
 	"repro/internal/hdlc"
-
 	"repro/internal/lqm"
+	"repro/internal/ppp"
 )
 
 func bringUpReliable(t *testing.T, a, b *Link) {
@@ -236,5 +236,52 @@ func TestNumberedFrameWireFormat(t *testing.T) {
 	got := b.Received()
 	if len(got) != 1 || !bytes.Equal(got[0].Payload, []byte{0xAA, 0xBB}) {
 		t.Fatalf("received %+v", got)
+	}
+}
+
+// TestEveryDamagedFrameReachesLQM: a framing error is a damaged frame
+// like a bad FCS is. Abort, runt, oversize, a UI frame and a numbered
+// frame with a broken FCS each take the one receive-error exit, so the
+// InErrors the peer reads in our quality reports matches RxErrors.
+func TestEveryDamagedFrameReachesLQM(t *testing.T) {
+	cfg := LinkConfig{Magic: 1, Reliable: true, LQMPeriod: 10, IPAddr: [4]byte{10, 0, 0, 1}}
+	a := NewLink(cfg)
+	cfg.Magic, cfg.IPAddr = 2, [4]byte{10, 0, 0, 2}
+	b := NewLink(cfg)
+	bringUpReliable(t, a, b)
+	if b.RxErrors != 0 || b.monitor.InErrors != 0 {
+		t.Fatalf("errors before any damage: RxErrors %d, InErrors %d", b.RxErrors, b.monitor.InErrors)
+	}
+	b.tk.MinFrame, b.tk.MaxFrame = 5, 64 // a link polices neither by default
+
+	breakFCS := func(wire []byte) []byte {
+		wire = bytes.Clone(wire)
+		wire[len(wire)-3] ^= 0x01 // inside the FCS field; both frames are fixed, and neither grows a delimiter
+		return wire
+	}
+	echo := ppp.AppendFrame(nil, &ppp.Frame{Protocol: ppp.ProtoLCP, Payload: []byte{9, 1, 0, 8, 0, 0, 0, 1}},
+		ppp.Config{ACCM: hdlc.ACCMAll}, false)
+	if err := a.SendIPv4([]byte{0xAA, 0xBB}); err != nil {
+		t.Fatal(err)
+	}
+	numbered := a.Output()
+	for i, tc := range []struct {
+		name string
+		wire []byte
+	}{
+		{"abort", []byte{0x7E, 0xFF, 0x03, 0x41, 0x7D, 0x7E}},
+		{"runt", []byte{0x7E, 0xFF, 0x03, 0x7E}},
+		{"oversize", append(append([]byte{0x7E}, bytes.Repeat([]byte{0x41}, 80)...), 0x7E)},
+		{"bad FCS", breakFCS(echo)},
+		{"bad numbered frame", breakFCS(numbered)},
+	} {
+		b.Input(tc.wire)
+		if want := uint64(i + 1); b.RxErrors != want || uint64(b.monitor.InErrors) != want {
+			t.Fatalf("after %s: RxErrors %d, LQM InErrors %d, want %d each",
+				tc.name, b.RxErrors, b.monitor.InErrors, want)
+		}
+	}
+	if got := b.Received(); len(got) != 0 {
+		t.Errorf("damaged frames delivered: %+v", got)
 	}
 }

@@ -5,8 +5,9 @@
 #   (BenchmarkEngineAggregate, plus its stage-profiled twin
 #   BenchmarkEngineAggregateProfiled), the steady-state link fast
 #   paths (BenchmarkLinkEncodeSteady / BenchmarkLinkEncodeSteadyFlight /
-#   BenchmarkLinkDecodeSteady), the escape-density and frame-size
-#   sweeps of both codec kernels (BenchmarkAppendFramed /
+#   BenchmarkLinkDecodeSteady) and both directions of a Link pair
+#   across frame size (BenchmarkLinkPair), the escape-density and
+#   frame-size sweeps of both codec kernels (BenchmarkAppendFramed /
 #   BenchmarkTokenizerFeed) and of the FCS kernel under them
 #   (internal/crc BenchmarkFCSUpdate), the two SONET-coupled paths
 #   (BenchmarkEndToEnd_IPoverSONET / BenchmarkSONETCoupledGoodput), and
@@ -30,11 +31,11 @@ out="${1:-BENCH_$(date +%Y%m%d).json}"
 benchtime="${BENCHTIME:-25x}"
 
 raw=$(go test -run '^$' \
-    -bench '^(BenchmarkSystemSteady|BenchmarkEngineAggregate|BenchmarkEngineAggregateProfiled|BenchmarkLinkEncodeSteady|BenchmarkLinkEncodeSteadyFlight|BenchmarkLinkDecodeSteady|BenchmarkAppendFramed|BenchmarkTokenizerFeed|BenchmarkFCSUpdate|BenchmarkEndToEnd_IPoverSONET|BenchmarkSONETCoupledGoodput|BenchmarkTransportUDPSteady)$' \
+    -bench '^(BenchmarkSystemSteady|BenchmarkEngineAggregate|BenchmarkEngineAggregateProfiled|BenchmarkLinkEncodeSteady|BenchmarkLinkEncodeSteadyFlight|BenchmarkLinkDecodeSteady|BenchmarkLinkPair|BenchmarkAppendFramed|BenchmarkTokenizerFeed|BenchmarkFCSUpdate|BenchmarkEndToEnd_IPoverSONET|BenchmarkSONETCoupledGoodput|BenchmarkTransportUDPSteady)$' \
     -benchtime "$benchtime" -count 8 -benchmem . ./internal/crc)
 
 printf '%s\n' "$raw" | awk -v date="$(date +%Y-%m-%d)" -v go="$(go version | awk '{print $3}')" '
-/^Benchmark(System|EngineAggregate|LinkEncodeSteady|LinkDecodeSteady|AppendFramed|TokenizerFeed|FCSUpdate|EndToEnd_IPoverSONET|SONETCoupledGoodput|TransportUDPSteady)/ {
+/^Benchmark(System|EngineAggregate|LinkEncodeSteady|LinkDecodeSteady|LinkPair|AppendFramed|TokenizerFeed|FCSUpdate|EndToEnd_IPoverSONET|SONETCoupledGoodput|TransportUDPSteady)/ {
     # BenchmarkSystemSteady/width=8bit/telemetry=false-8  5  5120324 ns/op  5.86 MB/s  7.779 bits/cycle  166.0 ns/cycle  0 B/op  0 allocs/op
     name = $1
     sub(/-[0-9]+$/, "", name)   # strip GOMAXPROCS suffix

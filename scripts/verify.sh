@@ -8,7 +8,7 @@
 #   SONET deframer's chunking (SONET_FUZZTIME overrides),
 #   a decode-throughput floor vs the newest BENCH_*.json snapshot, the
 #   OC-48 floor under both codec sweeps (escape density and frame
-#   size), the benchmark trend
+#   size) and under a whole Link pair across frame size, the benchmark trend
 #   gate, and a short fuzz smoke of every Fuzz* target (5s each by
 #   default; FUZZTIME overrides).
 #
@@ -141,7 +141,7 @@ echo "== chaos scenario smoke =="
 # and names the .p5fr captures, failing this gate.
 scen_bin="$(mktemp -d)/p5sim"
 go build -o "$scen_bin" ./cmd/p5sim
-for drill in fiber-cut dual-cut noise-resync; do
+for drill in fiber-cut dual-cut noise-resync min-size-storm; do
     echo "-- scenarios/$drill.json"
     "$scen_bin" -scenario "scenarios/$drill.json"
 done
@@ -311,14 +311,17 @@ echo "== OC-48 escape-density and frame-size floor gate =="
 # line rate. Every point of the encode (BenchmarkAppendFramed) and
 # decode (BenchmarkTokenizerFeed) sweeps — escape density 0–100% at
 # 1500 octets, frame size 40–1500 octets at 2% — must reach 311 MB/s of
-# wire (2.488 Gb/s) with 0 allocs/op. The floor is absolute, so there is
-# no tolerance; the estimator is the decode floor's best-of-count, which
-# is what a contended host still reaches in one run of three.
-sweep_out=$(go test -run '^$' -bench '^(BenchmarkAppendFramed|BenchmarkTokenizerFeed)$' \
+# wire (2.488 Gb/s) with 0 allocs/op, and so must every size of
+# BenchmarkLinkPair — both directions of a negotiated Link pair on one
+# core: at 40 octets, the paper's claim in one number. The floor is
+# absolute, so there is no tolerance; the estimator is the decode
+# floor's best-of-count, which is what a contended host still reaches
+# in one run of three.
+sweep_out=$(go test -run '^$' -bench '^(BenchmarkAppendFramed|BenchmarkTokenizerFeed|BenchmarkLinkPair)$' \
     -benchtime "${DECODE_BENCHTIME:-5000x}" -count 3 -benchmem .)
 printf '%s\n' "$sweep_out"
 printf '%s\n' "$sweep_out" | awk -v floor=311 '
-$1 ~ /^Benchmark(AppendFramed|TokenizerFeed)\// {
+$1 ~ /^Benchmark(AppendFramed|TokenizerFeed|LinkPair)\// {
     name = $1
     sub(/-[0-9]+$/, "", name)
     for (i = 2; i < NF; i++)
