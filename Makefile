@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fuzz-smoke verify bench bench-json metrics
+.PHONY: build test race vet fuzz-smoke verify gates bench metrics
 
 build:
 	$(GO) build ./...
@@ -13,23 +13,27 @@ race:
 
 vet:
 	$(GO) vet ./...
+	$(GO) vet -tags gates .
 
 # Short fuzz pass over every Fuzz* target (FUZZTIME=5s by default).
 fuzz-smoke:
 	FUZZTIME=$(or $(FUZZTIME),5s) ./scripts/verify.sh
 
-# The full gate: vet + build + race tests + fuzz smoke.
+# The full gate: vet + build + race tests + timing gates + smokes + fuzz.
 verify:
 	./scripts/verify.sh
 
-bench:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
+# The three timing contracts (gates_test.go): flight-armed encode ≤ 5 %
+# over unarmed, profile-armed engine step ≤ 8 % over disarmed, every
+# codec sweep point and Link pair size ≥ 311 MB/s of wire.
+gates:
+	$(GO) test -tags gates -run '^TestGate' -count=1 -v .
 
-# Machine-readable bench trajectory: BENCH_<date>.json with ns/op,
-# MB/s, bits/cycle and host ns/cycle for the width × telemetry system
-# matrix.
-bench-json:
-	./scripts/bench.sh
+# Smoke: every benchmark of the root package, the FCS kernel and the
+# SONET map/demap runs once (CI runs this same target). Speeds are
+# recorded and compared by `go run ./benchmark`, not from here.
+bench:
+	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem . ./internal/crc ./internal/sonet
 
 # Regenerate METRICS.md from the live registry; `go test ./...` fails
 # when the committed file drifts from what the code registers.

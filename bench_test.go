@@ -16,10 +16,11 @@ package gigapos
 //	BenchmarkLink{Encode,Decode}Steady — zero-alloc link fast paths
 //	BenchmarkLinkEncodeSteadyFlight  — same loop, flight recorder armed
 //	BenchmarkLinkPair                — both directions of a Link pair across frame size
-//	BenchmarkSoftStuff_*             — software mirror of 8- vs 32-bit
 //
 // Custom metrics attach the paper's quantities (LUTs, FFs, MHz, Gb/s,
-// cycles) to the standard testing.B output.
+// cycles) to the standard testing.B output. The loops three timing
+// contracts hang on (gates_test.go) are factored into one function
+// each, which the benchmark and the gate both call.
 
 import (
 	"bytes"
@@ -330,29 +331,6 @@ func BenchmarkAblation_Backpressure(b *testing.B) {
 	}
 }
 
-// BenchmarkSoftStuff_ByteAtATime / _SWAR are the software mirror of the
-// paper's 8- vs 32-bit argument: scanning one lane versus all lanes per
-// step.
-func BenchmarkSoftStuff_ByteAtATime(b *testing.B) {
-	g := netsim.NewGen(1, netsim.Fixed(1500), 0.01)
-	p := g.Next()
-	dst := make([]byte, 0, 4096)
-	b.SetBytes(int64(len(p)))
-	for i := 0; i < b.N; i++ {
-		dst = hdlc.Stuff(dst[:0], p, hdlc.ACCMNone)
-	}
-}
-
-func BenchmarkSoftStuff_SWAR(b *testing.B) {
-	g := netsim.NewGen(1, netsim.Fixed(1500), 0.01)
-	p := g.Next()
-	dst := make([]byte, 0, 4096)
-	b.SetBytes(int64(len(p)))
-	for i := 0; i < b.N; i++ {
-		dst = hdlc.StuffBlock(dst[:0], p, hdlc.ACCMNone)
-	}
-}
-
 // BenchmarkEndToEnd_IPoverSONET runs the complete stack of the paper's
 // system context: IPv4 datagrams → PPP link → STM-16 SDH/SONET frames →
 // deframer → PPP link.
@@ -514,26 +492,8 @@ func BenchmarkBaseline_GFPvsHDLC(b *testing.B) {
 func BenchmarkEngineAggregate(b *testing.B) {
 	for _, shards := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("links=8/shards=%d", shards), func(b *testing.B) {
-			e := NewEngine(EngineConfig{Links: 8, Shards: shards, PayloadSize: 512, Batch: 8})
-			defer e.Close()
-			if !e.BringUp(512).Ready {
-				b.Fatal("engine bring-up failed")
-			}
-			e.Run(32) // reach steady-state buffer capacities
-			start := e.Stats()
-			b.ReportAllocs()
-			b.ResetTimer()
-			e.Run(b.N)
-			b.StopTimer()
-			st := e.Stats()
-			delivered := float64(st.Datagrams - start.Datagrams)
-			line := float64(st.LineBytes - start.LineBytes)
-			secs := b.Elapsed().Seconds()
-			if secs > 0 {
-				b.ReportMetric(delivered/secs, "frames/s")
-				b.ReportMetric(line*8/secs/1e9, "Gbps-line")
-			}
-			b.ReportMetric(delivered/float64(b.N), "frames/step")
+			e, _ := steadyEngine(b, shards, false)
+			benchEngineSteps(b, e)
 		})
 	}
 }
@@ -541,33 +501,13 @@ func BenchmarkEngineAggregate(b *testing.B) {
 // BenchmarkEngineAggregateProfiled is the armed twin of
 // BenchmarkEngineAggregate: the same engine step loop with stage cost
 // accounting enabled (prof.Collector, default 1-in-32 sampling).
-// verify.sh compares its shards=1 ns/op against the disarmed bench and
-// fails if the observatory costs more than PROF_OVERHEAD_PCT (2%).
+// TestGateProfileOverhead holds its shards=1 step to the disarmed one.
 // allocs/op must stay 0 — stamps are atomics into preallocated rings.
 func BenchmarkEngineAggregateProfiled(b *testing.B) {
 	for _, shards := range []int{1, 8} {
 		b.Run(fmt.Sprintf("links=8/shards=%d", shards), func(b *testing.B) {
-			e := NewEngine(EngineConfig{Links: 8, Shards: shards, PayloadSize: 512, Batch: 8})
-			defer e.Close()
-			col := e.ArmProfile(telemetry.NewRegistry(), "bench", prof.Config{})
-			if !e.BringUp(512).Ready {
-				b.Fatal("engine bring-up failed")
-			}
-			e.Run(32) // reach steady-state buffer capacities
-			start := e.Stats()
-			b.ReportAllocs()
-			b.ResetTimer()
-			e.Run(b.N)
-			b.StopTimer()
-			st := e.Stats()
-			delivered := float64(st.Datagrams - start.Datagrams)
-			line := float64(st.LineBytes - start.LineBytes)
-			secs := b.Elapsed().Seconds()
-			if secs > 0 {
-				b.ReportMetric(delivered/secs, "frames/s")
-				b.ReportMetric(line*8/secs/1e9, "Gbps-line")
-			}
-			b.ReportMetric(delivered/float64(b.N), "frames/step")
+			e, col := steadyEngine(b, shards, true)
+			benchEngineSteps(b, e)
 			sum := col.Summary()
 			if sum.Sampled == 0 {
 				b.Fatal("stage profile armed but no steps sampled")
@@ -577,59 +517,75 @@ func BenchmarkEngineAggregateProfiled(b *testing.B) {
 	}
 }
 
+// steadyEngine returns the 8-link, 512-octet engine of the aggregate
+// benches, brought up and warmed to steady-state buffer capacities,
+// with the stage profile armed or not (col is nil when it is not).
+func steadyEngine(tb testing.TB, shards int, armed bool) (e *Engine, col *prof.Collector) {
+	e = NewEngine(EngineConfig{Links: 8, Shards: shards, PayloadSize: 512, Batch: 8})
+	tb.Cleanup(e.Close)
+	if armed {
+		col = e.ArmProfile(telemetry.NewRegistry(), "bench", prof.Config{})
+	}
+	if !e.BringUp(512).Ready {
+		tb.Fatal("engine bring-up failed")
+	}
+	e.Run(32)
+	return e, col
+}
+
+func benchEngineSteps(b *testing.B, e *Engine) {
+	start := e.Stats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.Run(b.N)
+	b.StopTimer()
+	st := e.Stats()
+	delivered := float64(st.Datagrams - start.Datagrams)
+	line := float64(st.LineBytes - start.LineBytes)
+	secs := b.Elapsed().Seconds()
+	if secs > 0 {
+		b.ReportMetric(delivered/secs, "frames/s")
+		b.ReportMetric(line*8/secs/1e9, "Gbps-line")
+	}
+	b.ReportMetric(delivered/float64(b.N), "frames/step")
+}
+
 // BenchmarkLinkEncodeSteady measures the steady-state transmit path of
 // one negotiated link: batch dispatch, the production encoder (one wide
 // FCS fold per frame, then stuffing), double-buffered drain. The alloc column is the point: 0 B/op.
-func BenchmarkLinkEncodeSteady(b *testing.B) {
-	a, _ := newTestPair(b, LinkConfig{}, LinkConfig{})
-	payload := make([]byte, 1500)
-	batch := make([][]byte, 8)
-	for i := range batch {
-		batch[i] = payload
-	}
-	for i := 0; i < 4; i++ { // grow buffers to steady-state capacity
-		a.SendIPv4Batch(batch)
-		a.Output()
-	}
-	b.SetBytes(int64(len(payload) * len(batch)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := a.SendIPv4Batch(batch); err != nil {
-			b.Fatal(err)
-		}
-		a.Output()
-	}
-}
+func BenchmarkLinkEncodeSteady(b *testing.B) { benchSteady(b, encodeSteady(b, false)) }
 
 // BenchmarkLinkEncodeSteadyFlight is the armed twin of
 // BenchmarkLinkEncodeSteady: the identical transmit loop with the
 // flight recorder attached, so the per-frame tagging cost is directly
-// comparable. verify.sh gates the pair — armed must stay 0 allocs/op
-// and within a few percent of the unarmed ns/op.
-func BenchmarkLinkEncodeSteadyFlight(b *testing.B) {
-	a, z := newTestPair(b, LinkConfig{}, LinkConfig{})
-	a.ArmFlight(flight.NewRecorder(nil, "bench_a", flight.Config{}))
-	z.ArmFlight(flight.NewRecorder(nil, "bench_z", flight.Config{}))
-	JoinFlight(a, z)
+// comparable. TestGateFlightOverhead holds the pair together.
+func BenchmarkLinkEncodeSteadyFlight(b *testing.B) { benchSteady(b, encodeSteady(b, true)) }
+
+// encodeSteady is one op of the steady-state transmit loop — a batch of
+// eight 1500-octet datagrams through SendIPv4Batch, then Output — on a
+// negotiated link, flight recorder armed or not.
+func encodeSteady(tb testing.TB, armed bool) steadyOp {
+	a, z := newTestPair(tb, LinkConfig{}, LinkConfig{})
+	if armed {
+		a.ArmFlight(flight.NewRecorder(nil, "bench_a", flight.Config{}))
+		z.ArmFlight(flight.NewRecorder(nil, "bench_z", flight.Config{}))
+		JoinFlight(a, z)
+	}
 	payload := make([]byte, 1500)
 	batch := make([][]byte, 8)
 	for i := range batch {
 		batch[i] = payload
 	}
-	for i := 0; i < 4; i++ { // grow buffers to steady-state capacity
-		a.SendIPv4Batch(batch)
-		a.Output()
-	}
-	b.SetBytes(int64(len(payload) * len(batch)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	step := func() {
 		if _, err := a.SendIPv4Batch(batch); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		a.Output()
 	}
+	for i := 0; i < 4; i++ {
+		step()
+	}
+	return steadyOp{step, len(payload) * len(batch)}
 }
 
 // BenchmarkLinkDecodeSteady measures the steady-state receive path:
@@ -667,7 +623,7 @@ func BenchmarkLinkDecodeSteady(b *testing.B) {
 // negotiated pair carrying seeded datagrams of one size at the 2 %
 // escape density of real IP, one op = SendIPv4Batch + Output + Input +
 // ReceivedInto of a batch of about 24 KB. MB/s is wire octets, so
-// verify.sh's OC-48 floor applies as it stands: both directions of a
+// TestGateOC48Floor applies as it stands: both directions of a
 // 40-octet frame on one core at 311 MB/s is the paper's claim in one
 // number. At the small end the cost is per frame — header, flags, FCS
 // tail, token and queue bookkeeping, everything Link adds around the
@@ -675,47 +631,70 @@ func BenchmarkLinkDecodeSteady(b *testing.B) {
 func BenchmarkLinkPair(b *testing.B) {
 	for _, size := range sweepSizes {
 		b.Run(fmt.Sprintf("size=%d", size), func(b *testing.B) {
-			a, z := newTestPair(b, LinkConfig{}, LinkConfig{})
-			gen := netsim.NewGen(uint64(size), netsim.Fixed(size), 0.02)
-			batches := make([][][]byte, 4)
-			for i := range batches {
-				batches[i] = gen.Burst(max(16*size, 24000))
-			}
-			var rx []Datagram
-			step := func(batch [][]byte) (wire int) {
-				if _, err := a.SendIPv4Batch(batch); err != nil {
-					b.Fatal(err)
-				}
-				out := a.Output()
-				z.Input(out)
-				rx = z.ReceivedInto(rx[:0])
-				if len(rx) != len(batch) {
-					b.Fatalf("delivered %d datagrams of %d", len(rx), len(batch))
-				}
-				return len(out)
-			}
-			wire := 0
-			for range 2 { // grow buffers to steady-state capacity
-				wire = 0
-				for _, batch := range batches {
-					wire += step(batch)
-				}
-			}
-			b.SetBytes(int64(wire / len(batches)))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				step(batches[i%len(batches)])
-			}
+			benchSteady(b, linkPairOp(b, size))
 		})
 	}
+}
+
+// steadyOp is one op of a loop warmed to steady-state capacity, and the
+// octets MB/s counts for it: wire octets for the sweeps, payload octets
+// for the encode loop.
+type steadyOp struct {
+	step   func()
+	octets int
+}
+
+func benchSteady(b *testing.B, op steadyOp) {
+	b.SetBytes(int64(op.octets))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op.step()
+	}
+}
+
+// linkPairOp is one op of BenchmarkLinkPair at one datagram size;
+// successive ops cycle through four seeded batches, and octets is
+// their mean on the wire.
+func linkPairOp(tb testing.TB, size int) steadyOp {
+	a, z := newTestPair(tb, LinkConfig{}, LinkConfig{})
+	gen := netsim.NewGen(uint64(size), netsim.Fixed(size), 0.02)
+	batches := make([][][]byte, 4)
+	for i := range batches {
+		batches[i] = gen.Burst(max(16*size, 24000))
+	}
+	var rx []Datagram
+	carry := func(batch [][]byte) (wire int) {
+		if _, err := a.SendIPv4Batch(batch); err != nil {
+			tb.Fatal(err)
+		}
+		out := a.Output()
+		z.Input(out)
+		rx = z.ReceivedInto(rx[:0])
+		if len(rx) != len(batch) {
+			tb.Fatalf("delivered %d datagrams of %d", len(rx), len(batch))
+		}
+		return len(out)
+	}
+	wire := 0
+	for range 2 { // grow buffers to steady-state capacity
+		wire = 0
+		for _, batch := range batches {
+			wire += carry(batch)
+		}
+	}
+	next := 0
+	return steadyOp{func() {
+		carry(batches[next%len(batches)])
+		next++
+	}, wire / len(batches)}
 }
 
 // sweepDensities are the escape-density points both codec sweeps visit:
 // 0% is the pure span-copy path, 2% typical IP traffic, 25–75% defeat
 // the span scanner (short spans: the block kernels take over), 100%
-// doubles the wire. verify.sh holds every point of both sweeps to the
-// OC-48 floor (311 MB/s of wire, 0 allocs/op).
+// doubles the wire. TestGateOC48Floor holds every point of both sweeps
+// to 311 MB/s of wire.
 var sweepDensities = []int{0, 2, 25, 50, 75, 100}
 
 // sweepSizes is the other axis, at the 2% density of real IP: the frame
@@ -761,16 +740,17 @@ func densityPayload(n, density int) []byte {
 func BenchmarkAppendFramed(b *testing.B) {
 	for _, pt := range sweepPoints() {
 		b.Run(pt.name, func(b *testing.B) {
-			hdr := []byte{0xFF, 0x03, 0x00, 0x21}
-			dst := ppp.AppendFramed(nil, hdr, pt.payload, crc.FCS32Mode, hdlc.ACCMNone, true)
-			b.SetBytes(int64(len(dst)))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				dst = ppp.AppendFramed(dst[:0], hdr, pt.payload, crc.FCS32Mode, hdlc.ACCMNone, true)
-			}
+			benchSteady(b, appendFramedOp(pt.payload))
 		})
 	}
+}
+
+func appendFramedOp(payload []byte) steadyOp {
+	hdr := []byte{0xFF, 0x03, 0x00, 0x21}
+	dst := ppp.AppendFramed(nil, hdr, payload, crc.FCS32Mode, hdlc.ACCMNone, true)
+	return steadyOp{func() {
+		dst = ppp.AppendFramed(dst[:0], hdr, payload, crc.FCS32Mode, hdlc.ACCMNone, true)
+	}, len(dst)}
 }
 
 // BenchmarkTokenizerFeed is the receive-side sweep: the production
@@ -780,33 +760,35 @@ func BenchmarkAppendFramed(b *testing.B) {
 func BenchmarkTokenizerFeed(b *testing.B) {
 	for _, pt := range sweepPoints() {
 		b.Run(pt.name, func(b *testing.B) {
-			var stream []byte
-			const frames = 8
-			for i := 0; i < frames; i++ {
-				body := crc.FCS32Mode.Append(append([]byte{0xFF, 0x03, 0x00, 0x21}, pt.payload...))
-				stream = hdlc.ReferenceEncode(stream, body, hdlc.ACCMNone, true)
-			}
-			tk := hdlc.Tokenizer{FCS: crc.FCS32Mode}
-			var toks []hdlc.Token
-			for i := 0; i < 4; i++ { // grow the arena to steady state
-				toks = tk.Feed(toks[:0], stream)
-			}
-			b.SetBytes(int64(len(stream)))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				toks = tk.Feed(toks[:0], stream)
-				if len(toks) != frames {
-					b.Fatalf("got %d tokens, want %d", len(toks), frames)
-				}
-			}
-			for _, tok := range toks {
-				if tok.Err != nil || !tok.FCSOK {
-					b.Fatalf("bad token: %+v", tok)
-				}
-			}
+			benchSteady(b, tokenizerFeedOp(b, pt.payload))
 		})
 	}
+}
+
+func tokenizerFeedOp(tb testing.TB, payload []byte) steadyOp {
+	var stream []byte
+	const frames = 8
+	for i := 0; i < frames; i++ {
+		body := crc.FCS32Mode.Append(append([]byte{0xFF, 0x03, 0x00, 0x21}, payload...))
+		stream = hdlc.ReferenceEncode(stream, body, hdlc.ACCMNone, true)
+	}
+	tk := hdlc.Tokenizer{FCS: crc.FCS32Mode}
+	var toks []hdlc.Token
+	step := func() {
+		toks = tk.Feed(toks[:0], stream)
+		if len(toks) != frames {
+			tb.Fatalf("got %d tokens, want %d", len(toks), frames)
+		}
+	}
+	for i := 0; i < 4; i++ { // grow the arena to steady state
+		step()
+	}
+	for _, tok := range toks {
+		if tok.Err != nil || !tok.FCSOK {
+			tb.Fatalf("bad token: %+v", tok)
+		}
+	}
+	return steadyOp{step, len(stream)}
 }
 
 // BenchmarkSystemSteady runs the full cycle-accurate loopback system
@@ -815,12 +797,9 @@ func BenchmarkTokenizerFeed(b *testing.B) {
 // few hundred cycles) is accepted only if the telemetry=true variants
 // stay within ~2% of the plain ones.
 //
-// Renamed from BenchmarkSystem when the per-op unit changed: the system
-// (and telemetry registry) is now constructed once per variant and
-// drained every iteration, so an op measures the steady-state datapath
-// plus the delivery contract rather than construction churn. Comparing
-// ns/op across that change would be phantom, so the trend gate sees a
-// rename (churn), not a regression.
+// The system (and telemetry registry) is constructed once per variant
+// and drained every iteration, so an op measures the steady-state
+// datapath plus the delivery contract rather than construction churn.
 func BenchmarkSystemSteady(b *testing.B) {
 	gen := netsim.NewGen(42, netsim.Fixed(1500), 0.02)
 	payloads := make([][]byte, 20)
@@ -883,64 +862,16 @@ func BenchmarkSystemSteady(b *testing.B) {
 // links carried by socket transports with the v2 latency-tracing
 // header live (virtual-tick stamp on every datagram, 1-in-2^k sampled
 // wall stamps, keepalive RTT probes) and flight recorders plus capture
-// correlation armed on both ends. The alloc column is the gate:
-// verify.sh requires 0 allocs/op, proving the tracing and correlation
-// plumbing rides the existing pooled buffers.
+// correlation armed on both ends. The alloc column is the contract,
+// held by TestTransportUDPSteadyZeroAlloc over the same op: the tracing
+// and correlation plumbing rides the existing pooled buffers.
 func BenchmarkTransportUDPSteady(b *testing.B) {
-	// The measured loop advances virtual time far faster than wall time,
-	// so probe replies land "late" in tick terms; a huge miss budget
-	// keeps the probes (and their RTT samples) flowing without ever
-	// tripping dead-peer detection mid-benchmark.
-	cfg := transport.Config{KeepalivePeriod: 64, KeepaliveMisses: 1 << 20, RetryMin: 8, RetryMax: 64}
-	ln, err := transport.NewUDP(transport.UDPConfig{Config: cfg, ListenAddr: "127.0.0.1:0"})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer ln.Close()
-	dl, err := transport.NewUDP(transport.UDPConfig{Config: cfg, DialAddr: ln.LocalAddr().String()})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer dl.Close()
-	pa, pz := supervisedPorts(ln, dl)
-	ra := flight.NewRecorder(nil, "bench_a", flight.Config{})
-	rz := flight.NewRecorder(nil, "bench_z", flight.Config{})
-	pa.Link.ArmFlight(ra)
-	pz.Link.ArmFlight(rz)
-	JoinFlight(pa.Link, pz.Link)
-	if !pa.ArmCorrelation(ra) || !pz.ArmCorrelation(rz) {
-		b.Fatal("correlation did not arm on UDP transports")
-	}
-
-	now := int64(0)
-	deadline := time.Now().Add(15 * time.Second)
-	for !(pa.Link.IPReady() && pz.Link.IPReady()) {
-		if time.Now().After(deadline) {
-			b.Fatalf("links not up over UDP: a=%v z=%v", pa.Link.IPReady(), pz.Link.IPReady())
-		}
-		now++
-		pa.Tick(now)
-		pz.Tick(now)
-		time.Sleep(50 * time.Microsecond)
-	}
-	payload := make([]byte, 1500)
-	for i := 0; i < 512; i++ { // warm queues, arenas and meters
-		now++
-		pa.Link.SendIPv4(payload)
-		pa.Tick(now)
-		pz.Tick(now)
-	}
-
-	b.SetBytes(int64(len(payload)))
+	step, dl := udpSteadyOp(b)
+	b.SetBytes(1500)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		now++
-		if err := pa.Link.SendIPv4(payload); err != nil {
-			b.Fatal(err)
-		}
-		pa.Tick(now)
-		pz.Tick(now)
+		step()
 	}
 	b.StopTimer()
 	// Data flows a→z, so the dialer's meter holds the one-way samples.
@@ -957,4 +888,59 @@ func BenchmarkTransportUDPSteady(b *testing.B) {
 	if lat.Samples == 0 && lat.RTTSamples == 0 && b.N > 256 {
 		b.Fatal("latency tracing armed but no one-way or RTT samples")
 	}
+}
+
+// udpSteadyOp returns one op of the armed socket loop — one 1500-octet
+// datagram sent, both ports ticked — on a negotiated pair with queues,
+// arenas and meters warm, and the dialing transport.
+func udpSteadyOp(tb testing.TB) (step func(), dl *transport.UDP) {
+	// The measured loop advances virtual time far faster than wall time,
+	// so probe replies land "late" in tick terms; a huge miss budget
+	// keeps the probes (and their RTT samples) flowing without ever
+	// tripping dead-peer detection mid-run.
+	cfg := transport.Config{KeepalivePeriod: 64, KeepaliveMisses: 1 << 20, RetryMin: 8, RetryMax: 64}
+	ln, err := transport.NewUDP(transport.UDPConfig{Config: cfg, ListenAddr: "127.0.0.1:0"})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { ln.Close() })
+	dl, err = transport.NewUDP(transport.UDPConfig{Config: cfg, DialAddr: ln.LocalAddr().String()})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { dl.Close() })
+	pa, pz := supervisedPorts(ln, dl)
+	ra := flight.NewRecorder(nil, "bench_a", flight.Config{})
+	rz := flight.NewRecorder(nil, "bench_z", flight.Config{})
+	pa.Link.ArmFlight(ra)
+	pz.Link.ArmFlight(rz)
+	JoinFlight(pa.Link, pz.Link)
+	if !pa.ArmCorrelation(ra) || !pz.ArmCorrelation(rz) {
+		tb.Fatal("correlation did not arm on UDP transports")
+	}
+
+	now := int64(0)
+	deadline := time.Now().Add(15 * time.Second)
+	for !(pa.Link.IPReady() && pz.Link.IPReady()) {
+		if time.Now().After(deadline) {
+			tb.Fatalf("links not up over UDP: a=%v z=%v", pa.Link.IPReady(), pz.Link.IPReady())
+		}
+		now++
+		pa.Tick(now)
+		pz.Tick(now)
+		time.Sleep(50 * time.Microsecond)
+	}
+	payload := make([]byte, 1500)
+	step = func() {
+		now++
+		if err := pa.Link.SendIPv4(payload); err != nil {
+			tb.Fatal(err)
+		}
+		pa.Tick(now)
+		pz.Tick(now)
+	}
+	for i := 0; i < 512; i++ {
+		step()
+	}
+	return step, dl
 }

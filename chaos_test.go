@@ -111,7 +111,7 @@ func TestChaosSoakLinkSelfHealing(t *testing.T) {
 		}
 	}
 	if !inj.Done() {
-		t.Fatalf("script not fully fired: %d ops left at pos %d", len(script.Ops)-inj.Stats.OpsFired, inj.Pos())
+		t.Fatalf("script not fully fired: %d ops left", len(script.Ops)-inj.Stats.OpsFired)
 	}
 	if !sawOutage {
 		t.Fatal("two LOS windows produced no outage — scenario did not bite")
@@ -172,7 +172,11 @@ func TestChaosSoakLinkSelfHealing(t *testing.T) {
 	if inj.Stats.Inserted != 3 || inj.Stats.Deleted != uint64(1+fb-1200) || inj.Stats.Duplicated != 16 {
 		t.Errorf("injector slip stats: ins=%d del=%d dup=%d", inj.Stats.Inserted, inj.Stats.Deleted, inj.Stats.Duplicated)
 	}
-	raises, clears := mon.Transitions()
+	var raises, clears uint64
+	for _, d := range []sonet.Defect{sonet.DefOOF, sonet.DefLOF, sonet.DefLOS, sonet.DefSD, sonet.DefSF} {
+		raises += mon.Raises(d)
+		clears += mon.Clears(d)
+	}
 	if got := uint64(oam.Read(p5.RegDefectRaise)); got != raises {
 		t.Errorf("OAM raise counter %d != monitor %d", got, raises)
 	}

@@ -22,15 +22,6 @@
 // liveness, chunk counters, reconnects and resets, keepalive probe and
 // miss counts, and send-queue backpressure high-water marks.
 //
-// With -bench p5stat leaves the live endpoint alone and becomes the
-// bench trend analyser: it loads every BENCH_*.json snapshot from -dir
-// (written by scripts/bench.sh), prints the per-benchmark time series
-// with a regression verdict for the two newest snapshots, and exits
-// non-zero naming the worst regressed benchmark when any ns/op grew
-// more than -trend-pct. -md FILE additionally writes a markdown trend
-// report. Benchmarks appearing or disappearing between snapshots are
-// annotated, never an error; fewer than two snapshots is a no-op.
-//
 // With -fleet ADDR,ADDR,... p5stat becomes the fleet board: every
 // address's /metrics and /status are scraped, merged under per-instance
 // labels, and rendered as one columnar view — instance identity
@@ -44,7 +35,6 @@
 //	p5stat [-url http://127.0.0.1:8080] [-interval 2s] [-n 5] [-events] [-slo] [-exemplars] [-transport]
 //	p5stat -fleet 127.0.0.1:8080,127.0.0.1:8081
 //	p5stat -replay trace.json
-//	p5stat -bench [-dir .] [-trend-pct 10] [-md TREND.md]
 package main
 
 import (
@@ -62,7 +52,6 @@ import (
 	"repro/internal/flight"
 	"repro/internal/obsnet"
 	"repro/internal/telemetry"
-	"repro/internal/trend"
 )
 
 func main() {
@@ -75,19 +64,8 @@ func main() {
 	exemplars := flag.Bool("exemplars", false, "with the /slo board, list each link's latency exemplars")
 	replay := flag.String("replay", "", "format events from a saved JSON trace file instead of attaching")
 	fleet := flag.String("fleet", "", "comma-separated telemetry addresses; render the cross-instance fleet board instead of attaching to one endpoint")
-	bench := flag.Bool("bench", false, "analyse BENCH_*.json trend snapshots instead of attaching")
-	dir := flag.String("dir", ".", "with -bench, directory holding the BENCH_*.json snapshots")
-	trendPct := flag.Float64("trend-pct", 10, "with -bench, ns/op growth beyond this percent is a regression")
-	md := flag.String("md", "", "with -bench, also write a markdown trend report to this file")
 	flag.Parse()
 
-	if *bench {
-		if err := runBench(os.Stdout, *dir, *trendPct, *md); err != nil {
-			fmt.Fprintln(os.Stderr, "p5stat:", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if *fleet != "" {
 		if err := runFleet(os.Stdout, *fleet); err != nil {
 			fmt.Fprintln(os.Stderr, "p5stat:", err)
@@ -127,40 +105,6 @@ func runFleet(w io.Writer, addrList string) error {
 	}
 	if alive == 0 {
 		return fmt.Errorf("no instance reachable (%d scraped)", len(instances))
-	}
-	return nil
-}
-
-// runBench is the trend-analytics mode. A regression is an error — the
-// message names the worst benchmark so CI fails with a culprit, not
-// just a threshold.
-func runBench(w io.Writer, dir string, tolPct float64, mdPath string) error {
-	snaps, err := trend.Load(dir)
-	if err != nil {
-		return err
-	}
-	r := trend.Analyze(snaps, tolPct)
-	if err := r.WriteText(w); err != nil {
-		return err
-	}
-	if mdPath != "" {
-		f, err := os.Create(mdPath)
-		if err != nil {
-			return err
-		}
-		if err := r.WriteMarkdown(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "trend: markdown report written to %s\n", mdPath)
-	}
-	if len(r.Regressions) > 0 {
-		worst := r.Regressions[0]
-		return fmt.Errorf("bench regression: %s %+.1f%% (%.0f -> %.0f ns/op, tolerance %g%%)",
-			worst.Name, worst.DeltaPct, worst.OldNs, worst.NewNs, tolPct)
 	}
 	return nil
 }

@@ -133,60 +133,6 @@ func TestIntervalDeltaReport(t *testing.T) {
 	}
 }
 
-// TestBenchTrendMode pins the -bench contract the verify gate relies
-// on: OK exit on clean trends, a named benchmark in the error when one
-// regresses, markdown side output, and a no-op on fresh checkouts.
-func TestBenchTrendMode(t *testing.T) {
-	dir := t.TempDir()
-	write := func(name, body string) {
-		t.Helper()
-		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	write("BENCH_1.json", `{"benchmarks":[
-		{"name":"BenchmarkA","ns_per_op":1000},
-		{"name":"BenchmarkGone","ns_per_op":50}]}`)
-
-	// One snapshot: nothing to diff, success.
-	var out bytes.Buffer
-	if err := runBench(&out, dir, 10, ""); err != nil {
-		t.Fatalf("single snapshot: %v", err)
-	}
-	if !strings.Contains(out.String(), "need 2") {
-		t.Errorf("single-snapshot note missing:\n%s", out.String())
-	}
-
-	// Clean pair with churn: still success, churn annotated.
-	write("BENCH_2.json", `{"benchmarks":[
-		{"name":"BenchmarkA","ns_per_op":1010},
-		{"name":"BenchmarkNew","ns_per_op":70}]}`)
-	out.Reset()
-	md := filepath.Join(dir, "TREND.md")
-	if err := runBench(&out, dir, 10, md); err != nil {
-		t.Fatalf("clean pair: %v", err)
-	}
-	for _, want := range []string{"new      BenchmarkNew", "gone     BenchmarkGone", "trend: OK"} {
-		if !strings.Contains(out.String(), want) {
-			t.Errorf("clean report missing %q:\n%s", want, out.String())
-		}
-	}
-	if b, err := os.ReadFile(md); err != nil || !strings.Contains(string(b), "# Benchmark trend") {
-		t.Errorf("markdown report: err=%v body=%q", err, b)
-	}
-
-	// Regressed pair: error names the benchmark.
-	write("BENCH_3.json", `{"benchmarks":[{"name":"BenchmarkA","ns_per_op":2000}]}`)
-	out.Reset()
-	err := runBench(&out, dir, 10, "")
-	if err == nil {
-		t.Fatal("regression did not fail")
-	}
-	if !strings.Contains(err.Error(), "BenchmarkA") {
-		t.Errorf("regression error does not name the benchmark: %v", err)
-	}
-}
-
 func TestReplayTraceFile(t *testing.T) {
 	tr := telemetry.NewTracer(16)
 	tr.Emit(1, "link:a", "restart", "", 40, 8)

@@ -355,8 +355,8 @@ func (e *Engine) Run(n int) {
 // prof_stage_ns / prof_barrier_wait_ns / prof_shard_imbalance
 // telemetry series labelled engine=name, shard=N. Call between Runs;
 // the next Run's channel send publishes the profiles to the workers.
-// The steady state stays allocation-free; the verify gate holds the
-// armed engine bench within PROF_OVERHEAD_PCT (8%) of the disarmed one.
+// The steady state stays allocation-free; TestGateProfileOverhead holds
+// the armed engine step within 8% of the disarmed one.
 func (e *Engine) ArmProfile(reg *telemetry.Registry, name string, cfg prof.Config) *prof.Collector {
 	e.prof = prof.New(reg, name, len(e.shards), cfg)
 	for i, s := range e.shards {

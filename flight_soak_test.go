@@ -110,7 +110,7 @@ func TestChaosSoakFlightRecorder(t *testing.T) {
 		tickOnce(true)
 	}
 	if !inj.Done() {
-		t.Fatalf("script not fully fired at pos %d", inj.Pos())
+		t.Fatal("script not fully fired")
 	}
 	healBudget := 0
 	for !(a.IPReady() && b.IPReady()) {

@@ -234,9 +234,6 @@ func NewInjector(script Script) *Injector {
 	return &Injector{ops: ops}
 }
 
-// Pos returns the current input-stream offset.
-func (in *Injector) Pos() int64 { return in.pos }
-
 // Apply passes one chunk of the stream through the injector and returns
 // the impaired chunk (which may be shorter or longer than the input).
 func (in *Injector) Apply(p []byte) []byte {

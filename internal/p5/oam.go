@@ -355,7 +355,7 @@ func defectIntBit(d sonet.Defect) uint32 {
 // Pass the deframer whose Emit feeds this P5's receive path.
 func (o *OAM) AttachSection(df *sonet.Deframer) {
 	o.section = df
-	if df == nil || df.Defects == nil {
+	if df == nil {
 		return
 	}
 	prev := df.Defects.OnEvent

@@ -13,8 +13,8 @@
 // refreshed only at the Run barrier where the engine is quiescent —
 // plus one of its own: disarmed is a nil *ShardProfile, and the hot path
 // then takes zero clock samples — a nil check inlined at each stamp
-// site is all that remains (the verify gate holds the armed case within
-// PROF_OVERHEAD_PCT, 8%, of the disarmed engine bench).
+// site is all that remains (the root package's TestGateProfileOverhead
+// holds the armed engine step within 8% of the disarmed one).
 //
 // This is the repo's one stage clock. The engine stamps the step-level
 // boundaries and hands each Link its shard's profile, so the in-Link

@@ -201,15 +201,6 @@ func (m *DefectMonitor) Raises(d Defect) uint64 { return m.raises[bitIndex(d)] }
 // Clears returns how many times defect d has been cleared.
 func (m *DefectMonitor) Clears(d Defect) uint64 { return m.clears[bitIndex(d)] }
 
-// Transitions returns the total raise+clear transition count.
-func (m *DefectMonitor) Transitions() (raises, clears uint64) {
-	for i := range m.raises {
-		raises += m.raises[i]
-		clears += m.clears[i]
-	}
-	return
-}
-
 func bitIndex(d Defect) int {
 	for i := 0; i < 5; i++ {
 		if d&(1<<uint(i)) != 0 {
@@ -334,12 +325,6 @@ func (m *DefectMonitor) losOctet(b byte, thresh int) {
 	if m.zeroRun == thresh {
 		m.raise(DefLOS)
 	}
-}
-
-// FrameResult is FrameResultLine for callers with a single parity
-// verdict: the one observation serves both the section and the line.
-func (m *DefectMonitor) FrameResult(alignOK, parityErr bool) (inFrame bool) {
-	return m.FrameResultLine(alignOK, parityErr, parityErr)
 }
 
 // FrameResultLine observes one frame-time's framing and parity verdicts

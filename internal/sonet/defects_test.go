@@ -15,6 +15,12 @@ func mon() *DefectMonitor {
 	return m
 }
 
+// FrameResult is FrameResultLine with a single parity verdict: the one
+// observation serves both the section and the line.
+func (m *DefectMonitor) FrameResult(alignOK, parityErr bool) (inFrame bool) {
+	return m.FrameResultLine(alignOK, parityErr, parityErr)
+}
+
 func TestOOFNeedsConsecutiveErroredFrames(t *testing.T) {
 	m := mon()
 	// Three errored patterns, then a good one: no OOF (hysteresis).
@@ -161,9 +167,8 @@ func TestDefectEventsAndStrings(t *testing.T) {
 	if Defect(0).String() != "none" {
 		t.Errorf("zero String = %q", Defect(0).String())
 	}
-	r, c := m.Transitions()
-	if r != 1 || c != 1 {
-		t.Errorf("transitions = %d/%d", r, c)
+	if r, c := m.Raises(DefLOS), m.Clears(DefLOS); r != 1 || c != 1 {
+		t.Errorf("LOS transitions = %d/%d", r, c)
 	}
 }
 
@@ -211,7 +216,7 @@ func TestDeframerByteSlipRaisesOOFAndRecovers(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		df.Feed(fr.NextFrame())
 	}
-	if !df.Aligned() {
+	if !df.aligned {
 		t.Fatal("did not realign after slip")
 	}
 	if df.Defects.Raises(DefOOF) != 1 || df.Defects.Clears(DefOOF) != 1 {

@@ -9,14 +9,14 @@ package sonet
 // errored A1/A2 pattern no longer drops alignment — the frame is still
 // delivered at the assumed boundary and only OOFBadFrames consecutive
 // errored patterns fall back to the hunt, with LOS/LOF/SD/SF alarms
-// raised along the way. Set Defects to nil for the legacy stateless
-// behaviour (drop to hunting on the first errored pattern).
+// raised along the way.
 type Deframer struct {
 	Level Level
 	// Emit receives recovered payload octets in order.
 	Emit func(b byte)
-	// Defects supervises sync state and raises section/path alarms.
-	// NewDeframer installs a monitor with default thresholds.
+	// Defects supervises sync state and raises section/path alarms;
+	// Feed needs one. NewDeframer installs a monitor with default
+	// thresholds.
 	Defects *DefectMonitor
 	// OnAPS, when set, observes every accepted K1/K2 change: a new pair
 	// is accepted only after arriving identically in apsAcceptFrames
@@ -71,9 +71,6 @@ func NewDeframer(level Level, emit func(byte)) *Deframer {
 	return &Deframer{Level: level, Emit: emit, Defects: NewDefectMonitor(level)}
 }
 
-// Aligned reports whether frame alignment has been acquired.
-func (d *Deframer) Aligned() bool { return d.aligned }
-
 // Feed consumes received line octets in any chunking. Defect
 // supervision and alignment run a frame-bounded span at a time; a whole
 // aligned frame inside p is checked where it lies, without staging. p
@@ -89,9 +86,7 @@ func (d *Deframer) Feed(p []byte) {
 		if n > len(p) {
 			n = len(p)
 		}
-		if d.Defects != nil {
-			d.Defects.Octets(p[:n])
-		}
+		d.Defects.Octets(p[:n])
 		if d.aligned && n == fb {
 			d.frame(p[:n])
 			p = p[n:]
@@ -175,11 +170,7 @@ func (d *Deframer) frame(raw []byte) {
 		}
 	}
 
-	inFrame := alignOK
-	if d.Defects != nil {
-		inFrame = d.Defects.FrameResultLine(alignOK, parityErr, lineErr)
-	}
-	if !inFrame {
+	if !d.Defects.FrameResultLine(alignOK, parityErr, lineErr) {
 		// Out of frame: drop back to hunting from the next octet — the
 		// true boundary may sit inside this very frame after a slip.
 		d.aligned = false

@@ -31,7 +31,7 @@ func (l *rxLog) hook(d *Deframer) {
 }
 
 func (l *rxLog) finish(d *Deframer) {
-	l.Aligned = d.Aligned()
+	l.Aligned = d.aligned
 	l.Counters = [7]uint64{d.FramesOK, d.FramesErrored, d.B1Errors, d.B2Errors,
 		d.B3Errors, d.ResyncCount, d.APSAccepts}
 	l.K1, l.K2, l.APSValid = d.APSBytes()

@@ -63,7 +63,7 @@ func FuzzDeframerByteSlip(f *testing.F) {
 		if df.FramesOK < before+2 {
 			t.Fatalf("did not recover after slip: %d frames", df.FramesOK-before)
 		}
-		if !df.Aligned() {
+		if !df.aligned {
 			t.Fatal("not aligned after clean tail")
 		}
 		if d := df.Defects.Active() & (DefOOF | DefLOF | DefLOS); d != 0 {

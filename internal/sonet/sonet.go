@@ -63,11 +63,6 @@ func (n Level) rowPayload() int { return n.rowBytes() - n.sohBytes() - 1 }
 // Deframer emits per frame.
 func (n Level) PayloadBytes() int { return rows * n.rowPayload() }
 
-// PayloadRate returns the HDLC-visible payload rate in bits per second.
-func (n Level) PayloadRate() float64 {
-	return float64(n.PayloadBytes()) * 8 * FramesPerSecond
-}
-
 // Overhead byte values.
 const (
 	A1 = 0xF6 // frame alignment, first half

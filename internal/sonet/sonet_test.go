@@ -16,7 +16,7 @@ func TestRates(t *testing.T) {
 		t.Errorf("STM-16 line rate = %v", got)
 	}
 	// STM-16 payload must comfortably exceed 2.3 Gb/s.
-	if got := STM16.PayloadRate(); got < 2.3e9 || got > 2.49e9 {
+	if got := float64(STM16.PayloadBytes()) * 8 * FramesPerSecond; got < 2.3e9 || got > 2.49e9 {
 		t.Errorf("STM-16 payload rate = %v", got)
 	}
 	if STM4.FrameBytes() != 9*270*4 {
@@ -235,7 +235,7 @@ func TestDeframerAlignmentFromMidStream(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		df.Feed(fr.NextFrame())
 	}
-	if !df.Aligned() {
+	if !df.aligned {
 		t.Fatal("never aligned")
 	}
 	if df.FramesOK != 3 {
@@ -286,7 +286,7 @@ func TestDeframerRealignsAfterFrameLoss(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		df.Feed(fr.NextFrame())
 	}
-	if !df.Aligned() {
+	if !df.aligned {
 		t.Fatal("did not realign after slip")
 	}
 	if df.ResyncCount < 2 {

@@ -4,12 +4,11 @@ import "repro/internal/telemetry"
 
 // Instrument declares the deframer's section counters on m under
 // prefix (plus labels — a protected pair labels each line's deframer
-// with its link) and, when the deframer has a defect monitor, mirrors
-// the active alarm set and emits a structured trace event for every
-// defect raise/clear (chained ahead of any existing OnEvent subscriber,
-// in the same style as OAM.AttachSection). tr may be nil to disable
-// tracing. The caller's m.Sync refreshes the mirrors; call it at
-// whatever cadence frames are fed.
+// with its link), mirrors the active alarm set and emits a structured
+// trace event for every defect raise/clear (chained ahead of any
+// existing OnEvent subscriber, in the same style as OAM.AttachSection).
+// tr may be nil to disable tracing. The caller's m.Sync refreshes the
+// mirrors; call it at whatever cadence frames are fed.
 func (d *Deframer) Instrument(m *telemetry.Mirror, tr *telemetry.Tracer, prefix string, labels ...telemetry.Label) {
 	m.Counter(prefix+"_frames_ok_total", "Transport frames delivered in sync.",
 		func() uint64 { return d.FramesOK }, labels...)
@@ -23,9 +22,6 @@ func (d *Deframer) Instrument(m *telemetry.Mirror, tr *telemetry.Tracer, prefix 
 		func() uint64 { return d.B3Errors }, labels...)
 	m.Counter(prefix+"_resyncs_total", "Frame-alignment reacquisitions.",
 		func() uint64 { return d.ResyncCount }, labels...)
-	if d.Defects == nil {
-		return
-	}
 	m.Gauge(prefix+"_alarms", "Active defect set (sonet.Defect bits).",
 		func() int64 { return int64(d.Defects.Active()) }, labels...)
 	reg := m.Registry()

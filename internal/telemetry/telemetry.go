@@ -272,7 +272,11 @@ func NewRegistry() *Registry {
 	return &Registry{index: make(map[string]*metric)}
 }
 
-func (r *Registry) register(name, help string, kind Kind, labels []Label) *metric {
+// register returns the metric for name+labels, creating it if needed.
+// fill gives a new metric its value inside the critical section: a
+// metric is never visible — to a second registrant or to a scrape —
+// before it has one, and is not written again once it is.
+func (r *Registry) register(name, help string, kind Kind, labels []Label, fill func(*metric)) *metric {
 	name = sanitizeName(name)
 	key := seriesName(name, labels)
 	r.mu.Lock()
@@ -284,6 +288,7 @@ func (r *Registry) register(name, help string, kind Kind, labels []Label) *metri
 		return m
 	}
 	m := &metric{name: name, help: help, labels: append([]Label(nil), labels...), kind: kind}
+	fill(m)
 	r.metrics = append(r.metrics, m)
 	r.index[key] = m
 	return m
@@ -292,38 +297,30 @@ func (r *Registry) register(name, help string, kind Kind, labels []Label) *metri
 // Counter returns the registered counter for name+labels, creating it
 // if needed.
 func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
-	m := r.register(name, help, KindCounter, labels)
-	if m.counter == nil {
-		m.counter = &Counter{}
-	}
-	return m.counter
+	return r.register(name, help, KindCounter, labels, func(m *metric) { m.counter = &Counter{} }).counter
 }
 
 // Gauge returns the registered gauge for name+labels, creating it if
 // needed.
 func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	m := r.register(name, help, KindGauge, labels)
+	m := r.register(name, help, KindGauge, labels, func(m *metric) { m.gauge = &Gauge{} })
 	if m.gauge == nil {
-		m.gauge = &Gauge{}
+		panic(fmt.Sprintf("telemetry: %s re-registered as a gauge (was a gauge func)", m.series()))
 	}
 	return m.gauge
 }
 
 // GaugeFunc registers a gauge whose value is sampled by calling fn at
-// exposition time. fn must be safe for concurrent calls.
+// exposition time. fn must be safe for concurrent calls. Asking again
+// for the same series keeps the first function.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Label) {
-	m := r.register(name, help, KindGauge, labels)
-	m.fn = fn
+	r.register(name, help, KindGauge, labels, func(m *metric) { m.fn = fn })
 }
 
 // Histogram returns the registered histogram for name+labels, creating
 // it with the given inclusive upper bounds if needed.
 func (r *Registry) Histogram(name, help string, bounds []int64, labels ...Label) *Histogram {
-	m := r.register(name, help, KindHistogram, labels)
-	if m.hist == nil {
-		m.hist = NewHistogram(bounds)
-	}
-	return m.hist
+	return r.register(name, help, KindHistogram, labels, func(m *metric) { m.hist = NewHistogram(bounds) }).hist
 }
 
 // AttachHistogram adopts an externally created histogram into the
@@ -331,10 +328,7 @@ func (r *Registry) Histogram(name, help string, bounds []int64, labels ...Label)
 // (the transport latency meter) expose them without copying. Asking
 // again for the same series keeps the first attached histogram.
 func (r *Registry) AttachHistogram(name, help string, h *Histogram, labels ...Label) {
-	m := r.register(name, help, KindHistogram, labels)
-	if m.hist == nil {
-		m.hist = h
-	}
+	r.register(name, help, KindHistogram, labels, func(m *metric) { m.hist = h })
 }
 
 // AddSampler registers fn to run at the start of every Snapshot and

@@ -236,6 +236,12 @@ func TestConcurrentWritersAndReaders(t *testing.T) {
 	if tr.Total() != writers*perWriter {
 		t.Errorf("lost events: %d", tr.Total())
 	}
+	// Every writer that registered late_total got the one counter: a
+	// registration that publishes the metric before its value lets two
+	// of them install their own and lose the other's increments.
+	if late := r.Counter("late_total", "").Value(); late != writers*perWriter {
+		t.Errorf("lost increments on the concurrently registered counter: %d", late)
+	}
 }
 
 func TestTracerRingWrap(t *testing.T) {

@@ -92,8 +92,8 @@ func TestOracleStaysAnOracle(t *testing.T) {
 // TestObservationExportsHaveCallers keeps the observation surface to
 // what something reads: every exported function, method, type,
 // constant, variable and untagged struct field defined in
-// internal/{flight,prof,telemetry,obsnet} must be named by at least one
-// non-test file of the module besides its own definition. An accessor
+// internal/{flight,prof,telemetry,obsnet,sonet,fault} must be named by
+// at least one non-test file of the module besides its own definition. An accessor
 // only tests call is either a documented series or dead — delete it,
 // unexport it, or move it into the test that needs it. The match is by
 // name (go/parser, no type information), so it errs towards silence;
@@ -104,10 +104,19 @@ func TestObservationExportsHaveCallers(t *testing.T) {
 	observed := map[string]bool{
 		"internal/flight": true, "internal/prof": true,
 		"internal/telemetry": true, "internal/obsnet": true,
+		"internal/sonet": true, "internal/fault": true,
 	}
 	viaInterface := map[string]bool{"String": true, "Error": true, "ServeHTTP": true}
 	kept := map[string]string{
-		"Recent": "flight.Recorder: the in-memory captures are the evidence when no capture directory is set",
+		"Recent":    "flight.Recorder: the in-memory captures are the evidence when no capture directory is set",
+		"STM4":      "sonet.Level: the STM rate table; topo's STM-4 ring test and the geometry tests walk every level",
+		"STM64":     "sonet.Level: the STM rate table (the scaling study's ceiling)",
+		"Raises":    "sonet.DefectMonitor: per-defect counts the chaos drill and the OAM test reconcile the alarm registers against",
+		"Clears":    "sonet.DefectMonitor: as Raises",
+		"Truncate":  "fault.Script: frame truncation, a chaos knob TestChaosSoakLinkSelfHealing drives",
+		"Randomize": "fault.Transport: the seeded drop/dup/reorder rates TestTransportDupReorderSoakUDP drives",
+		"Dup":       "fault.Transport: scripted twin of Randomize's dup rate, pins the adapter's delivery order exactly",
+		"Reorder":   "fault.Transport: as Dup, for the one-slot late delivery",
 	}
 
 	defined := map[string]token.Position{} // exported name -> a definition site

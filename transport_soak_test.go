@@ -263,6 +263,22 @@ func TestEngineTransportPipeZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestTransportUDPSteadyZeroAlloc holds the armed socket loop — real
+// UDP loopback pair, v2 latency-tracing header, flight recorders,
+// capture correlation and latency meter, the op
+// BenchmarkTransportUDPSteady times — to zero allocations per op:
+// tracing rides the pooled buffers or it does not ship. The count is
+// process-wide, so the reader goroutines' receive path is inside it.
+func TestTransportUDPSteadyZeroAlloc(t *testing.T) {
+	step, dl := udpSteadyOp(t)
+	if avg := testing.AllocsPerRun(2000, step); avg != 0 {
+		t.Fatalf("armed UDP steady state allocates %.1f times per op, want 0", avg)
+	}
+	if st := dl.Stats(); st.RxChunks == 0 {
+		t.Fatalf("nothing crossed the socket: %+v", st)
+	}
+}
+
 // remoteLine is what TestEngineRemote needs of a socket endpoint: the
 // line contract plus the bound address its peer dials.
 type remoteLine interface {
