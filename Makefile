@@ -25,7 +25,8 @@ verify:
 
 # The three timing contracts (gates_test.go): flight-armed encode ≤ 5 %
 # over unarmed, profile-armed engine step ≤ 8 % over disarmed, every
-# codec sweep point and Link pair size ≥ 311 MB/s of wire.
+# codec sweep point, Link pair size and the STM-16 section ≥ 311 MB/s
+# of wire.
 gates:
 	$(GO) test -tags gates -run '^TestGate' -count=1 -v .
 

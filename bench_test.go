@@ -368,17 +368,12 @@ func BenchmarkEndToEnd_IPoverSONET(b *testing.B) {
 		}
 		// Carry a→z over STM-16.
 		stream := a.Output()
-		pos := 0
-		fr := sonet.NewFramer(sonet.STM16, func() (byte, bool) {
-			if pos < len(stream) {
-				pos++
-				return stream[pos-1], true
-			}
-			return 0, false
-		})
+		fr := sonet.NewFramer(sonet.STM16, nil)
+		fr.Fill = fillFrom(&stream)
 		var rxBytes []byte
-		df := sonet.NewDeframer(sonet.STM16, func(bb byte) { rxBytes = append(rxBytes, bb) })
-		for pos < len(stream) {
+		df := sonet.NewDeframer(sonet.STM16, nil)
+		df.Payload = func(p []byte, _ int) { rxBytes = append(rxBytes, p...) }
+		for len(stream) > 0 {
 			df.Feed(fr.NextFrame())
 		}
 		df.Feed(fr.NextFrame()) // flush fill
@@ -387,6 +382,47 @@ func BenchmarkEndToEnd_IPoverSONET(b *testing.B) {
 			b.Fatalf("delivered %d/%d datagrams", len(got), len(datagrams))
 		}
 	}
+}
+
+// BenchmarkSONETSection is the paper's titular path on one core: IMIX
+// HDLC octets mapped into an STM-16 frame and demapped again, one frame
+// per op. MB/s is line octets, so TestGateOC48Floor holds it to the
+// line rate it models; 0 allocs/op.
+func BenchmarkSONETSection(b *testing.B) { benchSteady(b, sonetSectionOp(b)) }
+
+// sonetSectionOp is one op of BenchmarkSONETSection: a framer filling
+// its rows from a cycled stream of IMIX wire octets, a deframer handing
+// the rows back into one reused buffer.
+func sonetSectionOp(tb testing.TB) steadyOp {
+	gen := netsim.NewGen(16, netsim.IMIX{}, 0.02)
+	var wire []byte
+	for len(wire) < 4*sonet.STM16.PayloadBytes() {
+		wire = ppp.AppendFramed(wire, []byte{0xFF, 0x03, 0x00, 0x21}, gen.Next(), crc.FCS32Mode, hdlc.ACCMNone, true)
+	}
+	at := 0
+	fr := sonet.NewFramer(sonet.STM16, nil)
+	fr.Fill = func(dst []byte, _ int) int {
+		n := copy(dst, wire[at:])
+		if at += n; at == len(wire) {
+			at = 0 // the short row ends in inter-frame fill
+		}
+		return n
+	}
+	var rx []byte
+	df := sonet.NewDeframer(sonet.STM16, nil)
+	df.Payload = func(p []byte, _ int) { rx = append(rx, p...) }
+	step := func() {
+		rx = rx[:0]
+		df.Feed(fr.NextFrame())
+		if len(rx) != sonet.STM16.PayloadBytes() {
+			tb.Fatalf("recovered %d payload octets, want %d", len(rx), sonet.STM16.PayloadBytes())
+		}
+	}
+	step()
+	if !bytes.Equal(rx, wire[:len(rx)]) || df.FramesOK != 1 {
+		tb.Fatal("section did not carry the stream")
+	}
+	return steadyOp{step, sonet.STM16.FrameBytes()}
 }
 
 // BenchmarkScaling_WidthSweep runs the cycle-accurate system at every

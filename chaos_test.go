@@ -34,15 +34,10 @@ func TestChaosSoakLinkSelfHealing(t *testing.T) {
 
 	// SONET carry a→b with the fault injector in the middle.
 	var aQueue, bQueue []byte
-	fa := sonet.NewFramer(sonet.STM1, func() (byte, bool) {
-		if len(aQueue) == 0 {
-			return 0, false
-		}
-		by := aQueue[0]
-		aQueue = aQueue[1:]
-		return by, true
-	})
-	dfB := sonet.NewDeframer(sonet.STM1, func(by byte) { bQueue = append(bQueue, by) })
+	fa := sonet.NewFramer(sonet.STM1, nil)
+	fa.Fill = fillFrom(&aQueue)
+	dfB := sonet.NewDeframer(sonet.STM1, nil)
+	dfB.Payload = func(p []byte, _ int) { bQueue = append(bQueue, p...) }
 
 	// Physical-layer supervision: defect transitions drive both the P5
 	// OAM alarm register and the PPP supervisor.
@@ -82,7 +77,7 @@ func TestChaosSoakLinkSelfHealing(t *testing.T) {
 		dfB.Feed(frame)
 		if len(bQueue) > 0 {
 			b.Input(bQueue)
-			bQueue = nil
+			bQueue = bQueue[:0]
 		}
 		// b→a is a clean direct line.
 		if out := b.Output(); len(out) > 0 {

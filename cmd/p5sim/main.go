@@ -610,16 +610,16 @@ func runSONET(cfg simConfig, out io.Writer) error {
 	// Section: map into STM-1 transport frames, pass each frame through
 	// the deterministic fault injector, demap.
 	line := sink.Data
-	pos := 0
-	fr := sonet.NewFramer(sonet.STM1, func() (byte, bool) {
-		if pos < len(line) {
-			pos++
-			return line[pos-1], true
-		}
-		return 0, false
-	})
+	nFrames := (len(line)+sonet.STM1.PayloadBytes()-1)/sonet.STM1.PayloadBytes() + 2
+	fr := sonet.NewFramer(sonet.STM1, nil)
+	fr.Fill = func(dst []byte, _ int) int {
+		n := copy(dst, line)
+		line = line[n:]
+		return n
+	}
 	var recovered []byte
-	df := sonet.NewDeframer(sonet.STM1, func(b byte) { recovered = append(recovered, b) })
+	df := sonet.NewDeframer(sonet.STM1, nil)
+	df.Payload = func(p []byte, _ int) { recovered = append(recovered, p...) }
 
 	rxSim := &rtl.Sim{}
 	src := &rtl.Source{}
@@ -638,7 +638,6 @@ func runSONET(cfg simConfig, out io.Writer) error {
 		df.Instrument(tel, tr, "sonet")
 	}
 
-	nFrames := (len(line)+sonet.STM1.PayloadBytes()-1)/sonet.STM1.PayloadBytes() + 2
 	script := fault.Random(netsim.NewRand(cfg.seed^0xFA17), int64(nFrames*sonet.STM1.FrameBytes()), cfg.faults)
 	inj := fault.NewInjector(script)
 	for i := 0; i < nFrames; i++ {

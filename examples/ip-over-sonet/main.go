@@ -18,16 +18,15 @@ import (
 // carry moves a PPP byte stream across an STM-16 section, optionally
 // corrupting one octet per frame index in mangle.
 func carry(stream []byte, mangle map[int]bool) (out []byte, df *sonet.Deframer) {
-	pos := 0
-	fr := sonet.NewFramer(sonet.STM16, func() (byte, bool) {
-		if pos < len(stream) {
-			pos++
-			return stream[pos-1], true
-		}
-		return 0, false
-	})
-	df = sonet.NewDeframer(sonet.STM16, func(b byte) { out = append(out, b) })
-	for i := 0; pos < len(stream); i++ {
+	fr := sonet.NewFramer(sonet.STM16, nil)
+	fr.Fill = func(dst []byte, _ int) int {
+		n := copy(dst, stream)
+		stream = stream[n:]
+		return n
+	}
+	df = sonet.NewDeframer(sonet.STM16, nil)
+	df.Payload = func(p []byte, _ int) { out = append(out, p...) }
+	for i := 0; len(stream) > 0; i++ {
 		f := fr.NextFrame()
 		if mangle[i] {
 			f[len(f)/2] ^= 0x20 // noise burst mid-frame

@@ -47,15 +47,10 @@ func TestChaosSoakFlightRecorder(t *testing.T) {
 	// SONET carry a→b with the fault injector in the middle; b→a is a
 	// clean direct line (same topology as the unarmed soak).
 	var aQueue, bQueue []byte
-	fa := sonet.NewFramer(sonet.STM1, func() (byte, bool) {
-		if len(aQueue) == 0 {
-			return 0, false
-		}
-		by := aQueue[0]
-		aQueue = aQueue[1:]
-		return by, true
-	})
-	dfB := sonet.NewDeframer(sonet.STM1, func(by byte) { bQueue = append(bQueue, by) })
+	fa := sonet.NewFramer(sonet.STM1, nil)
+	fa.Fill = fillFrom(&aQueue)
+	dfB := sonet.NewDeframer(sonet.STM1, nil)
+	dfB.Payload = func(p []byte, _ int) { bQueue = append(bQueue, p...) }
 	dfB.Defects.OnEvent = func(sonet.DefectEvent) {
 		b.NotifyDefects(uint32(dfB.Defects.Active()))
 	}
@@ -87,7 +82,7 @@ func TestChaosSoakFlightRecorder(t *testing.T) {
 		dfB.Feed(frame)
 		if len(bQueue) > 0 {
 			b.Input(bQueue)
-			bQueue = nil
+			bQueue = bQueue[:0]
 		}
 		delivered += len(b.Received())
 		if out := b.Output(); len(out) > 0 {

@@ -14,6 +14,15 @@ import (
 	"repro/internal/sonet"
 )
 
+// fillFrom is a Framer.Fill that drains *q a row at a time.
+func fillFrom(q *[]byte) func(dst []byte, off int) int {
+	return func(dst []byte, _ int) int {
+		n := copy(dst, *q)
+		*q = (*q)[n:]
+		return n
+	}
+}
+
 // TestHardwareP5OverSONET drives the full hardware path of the paper's
 // Figure 2: datagrams enter the cycle-accurate P5 transmitter, its line
 // octets are mapped byte-synchronously into STM-16 transport frames,
@@ -40,17 +49,12 @@ func TestHardwareP5OverSONET(t *testing.T) {
 
 	// SONET section: map the line stream into STM-16 frames and back.
 	line := txSink.Data
-	pos := 0
-	fr := sonet.NewFramer(sonet.STM16, func() (byte, bool) {
-		if pos < len(line) {
-			pos++
-			return line[pos-1], true
-		}
-		return 0, false
-	})
+	fr := sonet.NewFramer(sonet.STM16, nil)
+	fr.Fill = fillFrom(&line)
 	var recovered []byte
-	df := sonet.NewDeframer(sonet.STM16, func(b byte) { recovered = append(recovered, b) })
-	for pos < len(line) {
+	df := sonet.NewDeframer(sonet.STM16, nil)
+	df.Payload = func(p []byte, _ int) { recovered = append(recovered, p...) }
+	for len(line) > 0 {
 		df.Feed(fr.NextFrame())
 	}
 	df.Feed(fr.NextFrame())

@@ -17,7 +17,7 @@ func TestOAMSectionAlarms(t *testing.T) {
 	sys.OAM.AttachSection(df)
 	sys.OAM.Write(RegIntMask, IntLOS|IntOOF|IntDefectClear)
 
-	fr := sonet.NewFramer(sonet.STM1, func() (byte, bool) { return 0x42, true })
+	fr := sonet.NewFramer(sonet.STM1, nil) // an idle line: flag fill
 	for i := 0; i < 4; i++ {
 		df.Feed(fr.NextFrame())
 	}

@@ -49,21 +49,18 @@ func (t *TxPHY) stagingCap() int { return t.Level.PayloadBytes() }
 // Eval implements rtl.Module.
 func (t *TxPHY) Eval() {
 	if t.framer == nil {
-		t.framer = sonet.NewFramer(t.Level, func() (byte, bool) {
-			if t.staging.Len() == 0 {
-				return 0, false
-			}
-			return t.staging.Pop(1)[0], true
-		})
+		t.framer = sonet.NewFramer(t.Level, nil)
+		t.framer.Fill = func(dst []byte, _ int) int {
+			return copy(dst, t.staging.Pop(len(dst)))
+		}
 		t.budget = t.Level.FrameBytes()
 	}
 	// Accept payload while the staging buffer has room.
 	if f, ok := t.In.Peek(); ok {
 		if t.staging.Len()+f.N <= t.stagingCap() {
 			t.In.Take()
-			for i := 0; i < f.N; i++ {
-				t.staging.Push(f.Byte(i))
-			}
+			var lanes [8]byte
+			t.staging.Push(f.Bytes(lanes[:0])...)
 		} else {
 			t.InputStalls++
 		}
@@ -105,9 +102,8 @@ type RxPHY struct {
 // model between the PHYs).
 func (r *RxPHY) Feed(frame []byte) {
 	if r.deframer == nil {
-		r.deframer = sonet.NewDeframer(r.Level, func(b byte) {
-			r.payload.Push(b)
-		})
+		r.deframer = sonet.NewDeframer(r.Level, nil)
+		r.deframer.Payload = func(p []byte, _ int) { r.payload.Push(p...) }
 	}
 	r.deframer.Feed(frame)
 	r.Frames++

@@ -67,6 +67,12 @@ func TestPOSEndToEnd(t *testing.T) {
 	if s.rxPHY.Deframer().B1Errors != 0 {
 		t.Error("parity errors on a clean channel")
 	}
+	// Both PHYs stage at most the frame in hand: the transmit side by
+	// backpressure, the receive side because a frame time drains it.
+	limit := sonet.STM16.PayloadBytes()
+	if tx, rx := s.txPHY.staging.HighWater, s.rxPHY.payload.HighWater; tx > limit || rx > limit || rx == 0 {
+		t.Errorf("staging high water: tx %d, rx %d octets, want ≤ one frame payload (%d)", tx, rx, limit)
+	}
 }
 
 func TestPOSOverheadThrottlesGoodput(t *testing.T) {

@@ -9,7 +9,7 @@ import (
 // deframer, but only after persisting for apsAcceptFrames consecutive
 // frames — a one-frame glitch must not be accepted.
 func TestK1K2CarriedAndFiltered(t *testing.T) {
-	fr := NewFramer(STM1, func() (byte, bool) { return 0x42, true })
+	fr := constFramer(STM1, 0x42)
 	var accepted [][2]byte
 	df := NewDeframer(STM1, nil)
 	df.OnAPS = func(k1, k2 byte) { accepted = append(accepted, [2]byte{k1, k2}) }
@@ -65,7 +65,7 @@ func TestB2CleanLine(t *testing.T) {
 		t.Errorf("B2 errors on clean line: %d", df.B2Errors)
 	}
 	// K1/K2 carriage must also survive STM-4 geometry.
-	fr := NewFramer(STM4, func() (byte, bool) { return 0x11, true })
+	fr := constFramer(STM4, 0x11)
 	fr.K1, fr.K2 = 0xAA, 0x05
 	df4 := NewDeframer(STM4, nil)
 	for i := 0; i < 4; i++ {

@@ -205,10 +205,12 @@ func TestDeframerSurvivesSingleErroredPattern(t *testing.T) {
 // mid-stream: the deframer must integrate the errored patterns, declare
 // OOF, re-hunt, and clear the defect after realignment.
 func TestDeframerByteSlipRaisesOOFAndRecovers(t *testing.T) {
-	pos := 0
-	fr := NewFramer(STM1, func() (byte, bool) { pos++; return byte(pos%250) + 1, true })
-	var got []byte
-	df := NewDeframer(STM1, func(b byte) { got = append(got, b) })
+	ramp := make([]byte, 12*STM1.PayloadBytes())
+	for i := range ramp {
+		ramp[i] = byte((i+1)%250) + 1
+	}
+	fr := streamFramer(STM1, ramp)
+	df := NewDeframer(STM1, nil)
 	df.Feed(fr.NextFrame())
 	// Delete one octet from the next frame: everything downstream slips.
 	f := fr.NextFrame()
@@ -235,7 +237,7 @@ func TestDeframerByteSlipRaisesOOFAndRecovers(t *testing.T) {
 // outage persists, OOF then LOF) must raise, then clear after the light
 // comes back.
 func TestDeframerLOSWindow(t *testing.T) {
-	fr := NewFramer(STM1, func() (byte, bool) { return 0x42, true })
+	fr := constFramer(STM1, 0x42)
 	df := NewDeframer(STM1, nil)
 	// Small LOF timer; parity thresholds high enough that the outage's
 	// few misframed candidates don't also trip SD/SF.

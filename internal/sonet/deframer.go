@@ -2,8 +2,8 @@ package sonet
 
 // Deframer recovers the HDLC payload stream from a received STM-N octet
 // stream: it hunts for the A1/A2 alignment pattern, descrambles,
-// verifies B1/B3 parity against its own computation, and emits the
-// payload octets.
+// verifies B1/B3 parity against its own computation, and hands out the
+// payload a row at a time.
 //
 // Frame sync is supervised by a DefectMonitor (GR-253-style): a single
 // errored A1/A2 pattern no longer drops alignment — the frame is still
@@ -12,8 +12,11 @@ package sonet
 // raised along the way.
 type Deframer struct {
 	Level Level
-	// Emit receives recovered payload octets in order.
-	Emit func(b byte)
+	// Payload receives the recovered payload in order, a row per call, off
+	// octets into its frame's payload (off == 0 opens a delivered frame).
+	// p is the deframer's buffer: read-only, valid until the next frame
+	// is descrambled — at the latest the next Feed.
+	Payload func(p []byte, off int)
 	// Defects supervises sync state and raises section/path alarms;
 	// Feed needs one. NewDeframer installs a monitor with default
 	// thresholds.
@@ -23,13 +26,9 @@ type Deframer struct {
 	// consecutive frames (the GR-253 byte-persistence filter), so a
 	// protection controller never acts on a corrupted signalling byte.
 	OnAPS func(k1, k2 byte)
-	// OnFrame, when set, is called once per delivered frame, before that
-	// frame's payload octets are emitted. A slot demultiplexer keys on it
-	// to re-anchor its intra-frame payload position after a resync.
-	OnFrame func()
 
 	stage   []byte // candidate frame accumulating across Feed calls; cap FrameBytes
-	work    []byte // the descrambled frame being checked and emitted
+	work    []byte // the descrambled frame being checked and handed out
 	aligned bool
 
 	// BIP-8 of the previous delivered frame, computed when it arrived:
@@ -66,9 +65,18 @@ func (d *Deframer) APSBytes() (k1, k2 byte, ok bool) {
 }
 
 // NewDeframer returns a deframer for the given level, supervised by a
-// DefectMonitor with default thresholds.
+// DefectMonitor with default thresholds. A non-nil emit is adapted to
+// Payload for the frozen benchmark; everything else sets Payload.
 func NewDeframer(level Level, emit func(byte)) *Deframer {
-	return &Deframer{Level: level, Emit: emit, Defects: NewDefectMonitor(level)}
+	d := &Deframer{Level: level, Defects: NewDefectMonitor(level)}
+	if emit != nil {
+		d.Payload = func(p []byte, _ int) {
+			for _, b := range p {
+				emit(b)
+			}
+		}
+	}
+	return d
 }
 
 // Feed consumes received line octets in any chunking. Defect
@@ -191,16 +199,11 @@ func (d *Deframer) frame(raw []byte) {
 	// persistence filter.
 	d.observeAPS(frame[apsRow*row+1], frame[apsRow*row+2])
 
-	if d.OnFrame != nil {
-		d.OnFrame()
-	}
-
-	// Emit the payload: every row after its overhead and POH octet.
-	if emit := d.Emit; emit != nil {
+	// The payload: every row after its overhead and POH octet.
+	if d.Payload != nil {
+		rp := d.Level.rowPayload()
 		for r := 0; r < rows; r++ {
-			for _, b := range frame[(r+1)*row-d.Level.rowPayload() : (r+1)*row] {
-				emit(b)
-			}
+			d.Payload(frame[(r+1)*row-rp:(r+1)*row], r*rp)
 		}
 	}
 	if alignOK {

@@ -15,16 +15,35 @@ import (
 // at the end the counters and the defect monitor's full state.
 type rxLog struct {
 	Out      []byte
-	FrameAt  []int // len(Out) at each OnFrame
+	FrameAt  []int // len(Out) where each delivered frame began
 	APS      [][2]byte
 	Aligned  bool
 	Counters [7]uint64
 	K1, K2   byte
 	APSValid bool
 	Monitor  DefectMonitor // OnEvent cleared
+	SpanErr  string
+	nextOff  int // the offset the next span must carry
 }
 
+// hook logs the production deframer: a frame begins at the span with
+// off == 0. SpanErr is set when a frame's spans do not tile its payload
+// in order (not part of diff: the reference has no spans).
 func (l *rxLog) hook(d *Deframer) {
+	d.Payload = func(p []byte, off int) {
+		if off != l.nextOff && l.SpanErr == "" {
+			l.SpanErr = fmt.Sprintf("span at offset %d, want %d (%d octets out)", off, l.nextOff, len(l.Out))
+		}
+		if off == 0 {
+			l.FrameAt = append(l.FrameAt, len(l.Out))
+		}
+		l.Out = append(l.Out, p...)
+		l.nextOff = (off + len(p)) % d.Level.PayloadBytes()
+	}
+	d.OnAPS = func(k1, k2 byte) { l.APS = append(l.APS, [2]byte{k1, k2}) }
+}
+
+func (l *rxLog) hookRef(d *refDeframer) {
 	d.Emit = func(b byte) { l.Out = append(l.Out, b) }
 	d.OnFrame = func() { l.FrameAt = append(l.FrameAt, len(l.Out)) }
 	d.OnAPS = func(k1, k2 byte) { l.APS = append(l.APS, [2]byte{k1, k2}) }
@@ -37,6 +56,9 @@ func (l *rxLog) finish(d *Deframer) {
 	l.K1, l.K2, l.APSValid = d.APSBytes()
 	l.Monitor = *d.Defects
 	l.Monitor.OnEvent = nil
+	if l.nextOff != 0 && l.SpanErr == "" {
+		l.SpanErr = fmt.Sprintf("last frame stopped %d octets in", l.nextOff)
+	}
 }
 
 // diff reports the first difference between two logs, or "".
@@ -56,7 +78,7 @@ func (l *rxLog) diff(want *rxLog) string {
 		name      string
 		got, want any
 	}{
-		{"OnFrame positions", l.FrameAt, want.FrameAt},
+		{"frame start positions", l.FrameAt, want.FrameAt},
 		{"OnAPS log", l.APS, want.APS},
 		{"aligned", l.Aligned, want.Aligned},
 		{"counters (ok errored b1 b2 b3 resync aps)", l.Counters, want.Counters},
@@ -108,7 +130,7 @@ func runBoth(level Level, cfg DefectConfig, line []byte, next func(left int) int
 	got.hook(df)
 	ref := newRefDeframer(level, nil)
 	ref.Defects.Cfg = cfg
-	want.hook(&ref.Deframer)
+	want.hookRef(ref)
 
 	ref.Feed(line)
 	for len(line) > 0 {
@@ -121,28 +143,51 @@ func runBoth(level Level, cfg DefectConfig, line []byte, next func(left int) int
 	return got, want
 }
 
+// seededSource is one seeded payload stream in both shapes: row fills
+// for the span hooks and octet pulls for the reference framer and the
+// closure constructors. About one row in twenty runs dry part-way, and
+// the rest of that row is flag fill.
+func seededSource(level Level, seed int64) (fill func([]byte, int) int, pull func() (byte, bool)) {
+	rp := level.rowPayload()
+	queued := func(rng *rand.Rand) int {
+		if rng.Intn(20) == 0 {
+			return rng.Intn(rp)
+		}
+		return rp
+	}
+	frng, prng := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+	fill = func(dst []byte, _ int) int {
+		n := queued(frng)
+		for i := range dst[:n] {
+			dst[i] = byte(frng.Intn(256))
+		}
+		return n
+	}
+	col, left := rp, 0 // position in the row, data octets it still holds
+	pull = func() (byte, bool) {
+		if col == rp {
+			col, left = 0, queued(prng)
+		}
+		col++
+		if left == 0 {
+			return 0, false
+		}
+		left--
+		return byte(prng.Intn(256)), true
+	}
+	return fill, pull
+}
+
 // buildLine returns frames transport frames from the production framer,
 // concatenated, after checking each against the reference framer. The
 // payload source runs dry now and then (flag fill) and K1/K2 change
 // every few frames.
 func buildLine(t *testing.T, level Level, seed int64, frames int) []byte {
 	t.Helper()
-	src := func() func() (byte, bool) {
-		rng := rand.New(rand.NewSource(seed))
-		dry := 0
-		return func() (byte, bool) {
-			if dry > 0 {
-				dry--
-				return 0, false
-			}
-			if rng.Intn(5000) == 0 {
-				dry = rng.Intn(300)
-			}
-			return byte(rng.Intn(256)), true
-		}
-	}
-	fr := NewFramer(level, src())
-	ref := &refFramer{Level: level, Pull: src()}
+	fill, pull := seededSource(level, seed)
+	fr := NewFramer(level, nil)
+	fr.Fill = fill
+	ref := &refFramer{Level: level, Pull: pull}
 	var line []byte
 	for i := 0; i < frames; i++ {
 		if i%5 == 3 {
@@ -204,6 +249,9 @@ func TestDifferentialAgainstReference(t *testing.T) {
 			if d := got.diff(want); d != "" {
 				t.Fatalf("%v seed %d: %s", level, seed, d)
 			}
+			if got.SpanErr != "" {
+				t.Fatalf("%v seed %d: %s", level, seed, got.SpanErr)
+			}
 			// The scenario must really exercise what it claims to.
 			m := &want.Monitor
 			if m.Raises(DefLOS) < 3 || m.Raises(DefOOF) < 3 || m.Raises(DefLOF) == 0 ||
@@ -215,6 +263,60 @@ func TestDifferentialAgainstReference(t *testing.T) {
 				t.Fatalf("%v seed %d: weak scenario: counters %v", level, seed, c)
 			}
 		}
+	}
+}
+
+// TestClosureConstructorsMatchSpanHooks holds the frozen benchmark's
+// adapter to the production exchange: one seeded stream and one fault
+// script through NewFramer(pull)/NewDeframer(emit) and through
+// Fill/Payload give the same frames, payload, FillOctets, counters and
+// defect log, and pull is called exactly once per payload octet — the
+// benchmark learns the frame's payload by counting its pulls.
+func TestClosureConstructorsMatchSpanHooks(t *testing.T) {
+	const level, frames = STM4, 40
+	fb := int64(level.FrameBytes())
+	var sc fault.Script
+	sc.Corrupt(3*fb+fb/2, 1, 0x10)
+	sc.Insert(8*fb+77, 0xA5)
+	sc.LOS(15*fb+100, int(6*fb))
+	sc.Delete(30*fb-1, 1)
+
+	fill, pull := seededSource(level, 11)
+	pulls := 0
+	viaClosure := NewFramer(level, func() (byte, bool) { pulls++; return pull() })
+	viaSpan := NewFramer(level, nil)
+	viaSpan.Fill = fill
+
+	var spans, octets rxLog
+	dfSpan := NewDeframer(level, nil)
+	spans.hook(dfSpan)
+	dfOctet := NewDeframer(level, func(b byte) { octets.Out = append(octets.Out, b) })
+	dfOctet.OnAPS = func(k1, k2 byte) { octets.APS = append(octets.APS, [2]byte{k1, k2}) }
+
+	injSpan, injOctet := fault.NewInjector(sc), fault.NewInjector(sc)
+	for i := 0; i < frames; i++ {
+		viaSpan.K1, viaClosure.K1 = byte(i/7), byte(i/7)
+		f, g := viaSpan.NextFrame(), viaClosure.NextFrame()
+		if !bytes.Equal(f, g) {
+			t.Fatalf("frame %d differs between Fill and pull", i)
+		}
+		if want := (i + 1) * level.PayloadBytes(); pulls != want {
+			t.Fatalf("after frame %d: %d pulls, want %d (one per payload octet, fill included)", i, pulls, want)
+		}
+		dfSpan.Feed(injSpan.Apply(f))
+		dfOctet.Feed(injOctet.Apply(g))
+	}
+	if viaSpan.FillOctets != viaClosure.FillOctets || viaSpan.FillOctets == 0 {
+		t.Fatalf("FillOctets: %d via Fill, %d via pull", viaSpan.FillOctets, viaClosure.FillOctets)
+	}
+	spans.finish(dfSpan)
+	octets.finish(dfOctet)
+	octets.FrameAt = spans.FrameAt // an octet sink cannot see frame starts
+	if d := octets.diff(&spans); d != "" {
+		t.Fatalf("emit vs Payload: %s", d)
+	}
+	if spans.SpanErr != "" || spans.Monitor.Raises(DefLOS) == 0 || spans.Counters[5] < 2 {
+		t.Fatalf("weak or broken scenario: %q, events %v, counters %v", spans.SpanErr, spans.Monitor.Events, spans.Counters)
 	}
 }
 

@@ -3,14 +3,16 @@ package sonet
 import "repro/internal/hdlc"
 
 // Framer builds transmit STM-N frames around a byte-synchronous HDLC
-// payload stream. Pull supplies the next payload octet; when it reports
-// no data the framer inserts HDLC flags, because the synchronous payload
-// envelope can never pause.
+// payload stream. Fill supplies the payload a row at a time; whatever it
+// leaves unwritten the framer fills with HDLC flags, because the
+// synchronous payload envelope can never pause.
 type Framer struct {
 	Level Level
-	// Pull returns the next HDLC line octet. A nil Pull (or ok ==
-	// false) inserts inter-frame flag fill.
-	Pull func() (byte, bool)
+	// Fill copies up to len(dst) queued HDLC line octets into dst, the
+	// payload row off octets into the frame's payload, and returns the
+	// count. dst is the framer's buffer and is not kept. The rest of the
+	// row (all of it under a nil Fill) is flag fill, counted in FillOctets.
+	Fill func(dst []byte, off int) int
 
 	// K1 and K2 are the APS signalling bytes carried in the line
 	// overhead (row 5 of the transport frame, next to B2). A protection
@@ -24,16 +26,29 @@ type Framer struct {
 	FillOctets  uint64
 }
 
-// NewFramer returns a framer for the given level.
+// NewFramer returns a framer for the given level. A non-nil pull is the
+// frozen benchmark's adapter to Fill: called exactly once per payload
+// octet (the benchmark counts them), ok == false meaning flag fill.
 func NewFramer(level Level, pull func() (byte, bool)) *Framer {
-	return &Framer{Level: level, Pull: pull}
+	f := &Framer{Level: level}
+	if pull != nil {
+		f.Fill = func(dst []byte, _ int) int {
+			for i := range dst {
+				b, ok := pull()
+				if !ok {
+					b = hdlc.Flag
+					f.FillOctets++
+				}
+				dst[i] = b
+			}
+			return len(dst)
+		}
+	}
+	return f
 }
 
-// noData stands in for a nil Pull: every octet is fill.
-func noData() (byte, bool) { return 0, false }
-
-// NextFrame builds one complete scrambled transport frame, pulling
-// exactly Level.PayloadBytes() octets. The returned slice is the
+// NextFrame builds one complete scrambled transport frame, asking Fill
+// for each of its nine payload rows in order. The returned slice is the
 // framer's own buffer: it is valid (and may be modified, e.g. by an
 // in-place error injector) until the next call to NextFrame, which
 // overwrites it. A caller that keeps a frame longer must copy it.
@@ -46,10 +61,7 @@ func (f *Framer) NextFrame() []byte {
 	}
 	frame := f.frame
 
-	pull, fill := f.Pull, uint64(0)
-	if pull == nil {
-		pull = noData
-	}
+	rp := f.Level.rowPayload()
 	for r := 0; r < rows; r++ {
 		line := frame[r*row : (r+1)*row]
 		// --- Section/line overhead and the path overhead octet ---
@@ -89,17 +101,16 @@ func (f *Framer) NextFrame() []byte {
 			line[soh] = C2PPP
 		}
 		// --- Payload: the rest of the row carries the HDLC stream ---
-		payload := line[row-f.Level.rowPayload():]
-		for i := range payload {
-			b, ok := pull()
-			if !ok {
-				b = hdlc.Flag
-				fill++
-			}
-			payload[i] = b
+		payload := line[row-rp:]
+		if f.Fill != nil {
+			payload = payload[f.Fill(payload, r*rp):]
+		}
+		f.FillOctets += uint64(len(payload))
+		// One flag, doubled up to the end of the row.
+		for n := copy(payload, []byte{hdlc.Flag}); n < len(payload); n *= 2 {
+			copy(payload[n:], payload[:n])
 		}
 	}
-	f.FillOctets += fill
 	// The parity bytes the NEXT frame carries: B3 over this frame's path
 	// and B2 over its rows 4-9 before scrambling, B1 over all of it after.
 	f.b3 = pathBIP(frame, f.Level)

@@ -17,7 +17,7 @@ func FuzzDeframer(f *testing.F) {
 	f.Fuzz(func(t *testing.T, garbage []byte) {
 		df := NewDeframer(STM1, nil)
 		df.Feed(garbage)
-		fr := NewFramer(STM1, func() (byte, bool) { return 0x42, true })
+		fr := constFramer(STM1, 0x42)
 		before := df.FramesOK
 		for i := 0; i < 12; i++ {
 			df.Feed(fr.NextFrame())
@@ -38,7 +38,7 @@ func FuzzDeframerByteSlip(f *testing.F) {
 	f.Add(uint32(2430), false, byte(0xF6))
 	f.Add(uint32(7), false, byte(0x28))
 	f.Fuzz(func(t *testing.T, at uint32, del bool, ins byte) {
-		fr := NewFramer(STM1, func() (byte, bool) { return 0x42, true })
+		fr := constFramer(STM1, 0x42)
 		df := NewDeframer(STM1, nil)
 
 		// Two clean frames, then a slip somewhere in the next three.
@@ -76,13 +76,18 @@ func FuzzDeframerByteSlip(f *testing.F) {
 // invisible. Arbitrary line octets go to one deframer in an arbitrary
 // chunking (cuts, two octets per chunk length, cycled), to a second one
 // octet at a time, and to the byte-at-a-time reference; emitted
-// payload, OnFrame/OnAPS callbacks, every counter and the defect event
-// log must agree. Thresholds are small so a few frames of input reach
-// LOS, LOF and SD/SF.
+// payload, frame starts and OnAPS callbacks, every counter and the
+// defect event log must agree. Thresholds are small so a few frames of
+// input reach LOS, LOF and SD/SF.
 func FuzzDeframerChunking(f *testing.F) {
 	const fb = 2430 // STM-1
-	pos := 0
-	fr := NewFramer(STM1, func() (byte, bool) { pos++; return byte(pos * 7), pos%900 != 0 })
+	fr := NewFramer(STM1, nil)
+	fr.Fill = func(dst []byte, off int) int {
+		for i := range dst {
+			dst[i] = byte((off + i) * 7)
+		}
+		return len(dst) - off%7 // a few octets of flag fill on most rows
+	}
 	var line []byte
 	for i := 0; i < 6; i++ {
 		fr.K1 = byte(i / 3)
@@ -117,9 +122,17 @@ func FuzzDeframerChunking(f *testing.F) {
 		if d := chunked.diff(want); d != "" {
 			t.Fatalf("chunked vs reference: %s", d)
 		}
+		// Each delivered frame's spans tile its payload: offsets
+		// ascending from 0, lengths summing to PayloadBytes.
+		if chunked.SpanErr != "" {
+			t.Fatalf("chunked spans: %s", chunked.SpanErr)
+		}
 		single, _ := runBoth(STM1, cfg, line, func(int) int { return 1 })
 		if d := single.diff(chunked); d != "" {
 			t.Fatalf("octet-by-octet vs chunked: %s", d)
+		}
+		if single.SpanErr != "" {
+			t.Fatalf("octet-by-octet spans: %s", single.SpanErr)
 		}
 	})
 }

@@ -132,6 +132,10 @@ func refOctetIn(m *DefectMonitor, b byte) {
 // ones.
 type refDeframer struct {
 	Deframer
+	// The per-octet hooks the production deframer had before it handed
+	// out row spans.
+	Emit    func(b byte)
+	OnFrame func()
 
 	buf       []byte
 	prevFrame []byte
@@ -140,7 +144,7 @@ type refDeframer struct {
 }
 
 func newRefDeframer(level Level, emit func(byte)) *refDeframer {
-	return &refDeframer{Deframer: Deframer{Level: level, Emit: emit, Defects: NewDefectMonitor(level)}}
+	return &refDeframer{Deframer: Deframer{Level: level, Defects: NewDefectMonitor(level)}, Emit: emit}
 }
 
 func (d *refDeframer) Feed(p []byte) {

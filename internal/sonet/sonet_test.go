@@ -37,14 +37,26 @@ func TestPayloadBytesIsWhatTheFramerCarries(t *testing.T) {
 		if got, want := level.PayloadBytes(), 9*(261*n-1); got != want {
 			t.Errorf("%v PayloadBytes = %d, want %d", level, got, want)
 		}
-		pulled, emitted := 0, 0
-		fr := NewFramer(level, func() (byte, bool) { pulled++; return byte(pulled), pulled%3 != 0 })
-		df := NewDeframer(level, func(byte) { emitted++ })
+		asked, handed := 0, 0
+		fr, df := NewFramer(level, nil), NewDeframer(level, nil)
+		fr.Fill = func(dst []byte, off int) int {
+			if off != asked%level.PayloadBytes() {
+				t.Fatalf("%v: Fill at offset %d after %d octets", level, off, asked)
+			}
+			asked += len(dst)
+			return 2 * len(dst) / 3 // the rest of every row is flag fill
+		}
+		df.Payload = func(p []byte, off int) {
+			if off != handed%level.PayloadBytes() {
+				t.Fatalf("%v: Payload at offset %d after %d octets", level, off, handed)
+			}
+			handed += len(p)
+		}
 		for i := 1; i <= 3; i++ {
 			df.Feed(fr.NextFrame())
-			if pulled != i*level.PayloadBytes() || emitted != pulled {
-				t.Fatalf("%v after %d frames: pulled %d emitted %d, PayloadBytes %d",
-					level, i, pulled, emitted, level.PayloadBytes())
+			if asked != i*level.PayloadBytes() || handed != asked {
+				t.Fatalf("%v after %d frames: asked for %d, handed out %d, PayloadBytes %d",
+					level, i, asked, handed, level.PayloadBytes())
 			}
 		}
 	}
@@ -55,9 +67,9 @@ func TestPayloadBytesIsWhatTheFramerCarries(t *testing.T) {
 // descramble buffers, building and receiving STM-16 frames allocates
 // nothing — neither on the whole-frame path nor through staging.
 func TestSteadyStateAllocatesNothing(t *testing.T) {
-	fr := NewFramer(STM16, func() (byte, bool) { return 0x42, true })
+	fr := constFramer(STM16, 0x42)
 	out := make([]byte, 0, STM16.PayloadBytes())
-	df := NewDeframer(STM16, func(b byte) { out = append(out, b) })
+	df := collector(STM16, &out)
 	df.Feed(fr.NextFrame())
 	for name, step := range map[string]func(){
 		"whole frame": func() {
@@ -171,21 +183,39 @@ func TestScramblerPeriod(t *testing.T) {
 	}
 }
 
+// constFramer is a saturated line: every payload octet is b.
+func constFramer(level Level, b byte) *Framer {
+	row := bytes.Repeat([]byte{b}, level.rowPayload())
+	fr := NewFramer(level, nil)
+	fr.Fill = func(dst []byte, _ int) int { return copy(dst, row) }
+	return fr
+}
+
+// streamFramer carries stream, then idles on flag fill.
+func streamFramer(level Level, stream []byte) *Framer {
+	fr := NewFramer(level, nil)
+	fr.Fill = func(dst []byte, _ int) int {
+		n := copy(dst, stream)
+		stream = stream[n:]
+		return n
+	}
+	return fr
+}
+
+// collector appends every recovered payload row to *out.
+func collector(level Level, out *[]byte) *Deframer {
+	df := NewDeframer(level, nil)
+	df.Payload = func(p []byte, _ int) { *out = append(*out, p...) }
+	return df
+}
+
 // pump sends the payload stream through framer → deframer and returns
 // what was recovered.
 func pump(t *testing.T, level Level, payload []byte, frames int, mangle func([]byte, int)) ([]byte, *Deframer) {
 	t.Helper()
-	pos := 0
-	fr := NewFramer(level, func() (byte, bool) {
-		if pos < len(payload) {
-			b := payload[pos]
-			pos++
-			return b, true
-		}
-		return 0, false
-	})
+	fr := streamFramer(level, payload)
 	var got []byte
-	df := NewDeframer(level, func(b byte) { got = append(got, b) })
+	df := collector(level, &got)
 	for i := 0; i < frames; i++ {
 		f := fr.NextFrame()
 		if mangle != nil {
@@ -219,16 +249,9 @@ func TestFramerDeframerRoundTrip(t *testing.T) {
 
 func TestDeframerAlignmentFromMidStream(t *testing.T) {
 	payload := bytes.Repeat([]byte{0xAB}, 2000)
-	pos := 0
-	fr := NewFramer(STM1, func() (byte, bool) {
-		if pos < len(payload) {
-			pos++
-			return payload[pos-1], true
-		}
-		return 0, false
-	})
+	fr := streamFramer(STM1, payload)
 	var got []byte
-	df := NewDeframer(STM1, func(b byte) { got = append(got, b) })
+	df := collector(STM1, &got)
 	// Lead with garbage: the hunt must slide to the A1/A2 boundary.
 	garbage := []byte{0x00, 0xF6, 0xF6, 0x11, 0x22}
 	df.Feed(garbage)
@@ -266,16 +289,9 @@ func TestDeframerDetectsParityErrors(t *testing.T) {
 func TestDeframerRealignsAfterFrameLoss(t *testing.T) {
 	payload := make([]byte, 20000)
 	rand.New(rand.NewSource(4)).Read(payload)
-	pos := 0
-	fr := NewFramer(STM4, func() (byte, bool) {
-		if pos < len(payload) {
-			pos++
-			return payload[pos-1], true
-		}
-		return 0, false
-	})
+	fr := streamFramer(STM4, payload)
 	var got []byte
-	df := NewDeframer(STM4, func(b byte) { got = append(got, b) })
+	df := collector(STM4, &got)
 	df.Feed(fr.NextFrame())
 	// Lose half a frame (slip): feed only the tail of the next one.
 	f2 := fr.NextFrame()
@@ -331,7 +347,7 @@ func TestHDLCOverSONETEndToEnd(t *testing.T) {
 }
 
 func BenchmarkFramerSTM16(b *testing.B) {
-	fr := NewFramer(STM16, func() (byte, bool) { return 0x42, true })
+	fr := constFramer(STM16, 0x42)
 	b.SetBytes(int64(STM16.FrameBytes()))
 	for i := 0; i < b.N; i++ {
 		fr.NextFrame()
@@ -339,7 +355,7 @@ func BenchmarkFramerSTM16(b *testing.B) {
 }
 
 func BenchmarkDeframerSTM16(b *testing.B) {
-	fr := NewFramer(STM16, func() (byte, bool) { return 0x42, true })
+	fr := constFramer(STM16, 0x42)
 	frames := make([][]byte, 16)
 	for i := range frames {
 		frames[i] = append([]byte(nil), fr.NextFrame()...) // NextFrame reuses its buffer

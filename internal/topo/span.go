@@ -27,9 +27,6 @@ type Span struct {
 	df   *sonet.Deframer
 	ring *Ring
 
-	txPos int // payload octet position within the frame being built
-	rxPos int // payload octet position within the frame being parsed
-
 	FramesSent      uint64
 	FramesDelivered uint64
 	DarkFrames      uint64 // zero frames launched while the source was failed
@@ -48,32 +45,30 @@ func newSpan(r *Ring, rot Rotation, from, to int) *Span {
 	if r.Cfg.Jitter > 0 || r.Cfg.ReorderEvery > 0 {
 		s.Line.Rand = newRand(spanSeed(r.Cfg.Seed, rot, from))
 	}
-	payload := r.Cfg.Level.PayloadBytes()
-	s.fr = sonet.NewFramer(r.Cfg.Level, func() (byte, bool) {
-		b := r.nodes[from].txByte(rot, s.txPos/r.block)
-		s.txPos++
-		if s.txPos == payload {
-			s.txPos = 0
+	// The slot of a payload octet is its offset in the frame over the
+	// block size. The offset comes with every row, so a resync after a
+	// slip or cut cannot leave the slots rotated.
+	s.fr = sonet.NewFramer(r.Cfg.Level, nil)
+	s.fr.Fill = func(dst []byte, off int) int {
+		for i := range dst {
+			dst[i] = r.nodes[from].txByte(rot, (off+i)/r.block)
 		}
-		return b, true
-	})
-	s.df = sonet.NewDeframer(r.Cfg.Level, func(b byte) {
+		return len(dst)
+	}
+	s.df = sonet.NewDeframer(r.Cfg.Level, nil)
+	s.df.Payload = func(p []byte, off int) {
 		// While the line is service-affected the deframer may still
 		// deliver frames at the assumed boundary (the defect monitor's
 		// persistence contract), but their payload is meaningless — an
 		// ADM inserts path AIS downstream instead of garbage.
-		if s.df.Defects.Active()&sonet.ServiceAffecting != 0 {
-			b = aisOctet
+		ais := s.df.Defects.Active()&sonet.ServiceAffecting != 0
+		for i, b := range p {
+			if ais {
+				b = aisOctet
+			}
+			r.nodes[to].rxByte(rot, (off+i)/r.block, b)
 		}
-		r.nodes[to].rxByte(rot, s.rxPos/r.block, b)
-		s.rxPos++
-		if s.rxPos == payload {
-			s.rxPos = 0
-		}
-	})
-	// Re-anchor the slot demultiplexer at every delivered frame so a
-	// resync after a slip or cut cannot leave the slots rotated.
-	s.df.OnFrame = func() { s.rxPos = 0 }
+	}
 	return s
 }
 

@@ -65,7 +65,7 @@ func TestMetricsDocMatchesRegistry(t *testing.T) {
 	NewRingLink(LinkConfig{}, port).Instrument(reg, tr, "ring")
 
 	p5.NewSystem(4).Instrument(reg, "p5")
-	sonet.NewDeframer(sonet.STM1, func(byte) {}).Instrument(reg.Mirror(), tr, "sonet")
+	sonet.NewDeframer(sonet.STM1, nil).Instrument(reg.Mirror(), tr, "sonet")
 
 	udp, err := transport.NewUDP(transport.UDPConfig{ListenAddr: "127.0.0.1:0"})
 	if err != nil {

@@ -46,8 +46,8 @@ type ProtectedLink struct {
 
 	fr  [2]*sonet.Framer
 	df  [2]*sonet.Deframer
-	txQ [2][]byte // per-line payload queues behind the permanent bridge
-	rx  []byte    // selected-line payload accumulated during a Feed
+	txQ []byte // payload queued behind the permanent bridge: both lines carry it
+	rx  []byte // one line's payload accumulated during a Feed
 
 	// DiscardedStandbyOctets counts payload octets recovered from the
 	// standby line and dropped by the selector — the cost of keeping
@@ -63,16 +63,14 @@ func NewProtectedLink(cfg LinkConfig, pcfg ProtectionConfig) *ProtectedLink {
 	pl := &ProtectedLink{Link: NewLink(cfg), Ctrl: aps.NewController(pcfg.APS)}
 	level := pcfg.level()
 	for i := range pl.fr {
-		line := i
-		pl.fr[i] = sonet.NewFramer(level, func() (byte, bool) {
-			q := pl.txQ[line]
-			if len(q) == 0 {
-				return 0, false
-			}
-			pl.txQ[line] = q[1:]
-			return q[0], true
-		})
-		pl.df[i] = sonet.NewDeframer(level, func(b byte) { pl.rx = append(pl.rx, b) })
+		pl.fr[i] = sonet.NewFramer(level, nil)
+		// Both framers read the one queue; off is how much of it the
+		// frame being built already carries.
+		pl.fr[i].Fill = func(dst []byte, off int) int {
+			return copy(dst, pl.txQ[min(off, len(pl.txQ)):])
+		}
+		pl.df[i] = sonet.NewDeframer(level, nil)
+		pl.df[i].Payload = func(p []byte, _ int) { pl.rx = append(pl.rx, p...) }
 		pl.df[i].Defects.Cfg = pcfg.Defects
 	}
 	// Far-end requests arrive in the protection line's K1/K2, already
@@ -99,17 +97,17 @@ func (pl *ProtectedLink) Advance(now int64) {
 	pl.tel.Sync()
 }
 
-// NextFrames drains the Link's pending output into both line queues —
-// the permanent 1+1 head-end bridge — and builds one transmit frame
-// per line. The protection line's frame carries the controller's
-// current K1/K2.
+// NextFrames queues the Link's pending output and builds one transmit
+// frame per line from the same queue — the permanent 1+1 head-end
+// bridge. The protection line's frame carries the controller's current
+// K1/K2.
 func (pl *ProtectedLink) NextFrames() (working, protect []byte) {
-	if out := pl.Link.Output(); len(out) > 0 {
-		pl.txQ[aps.Working] = append(pl.txQ[aps.Working], out...)
-		pl.txQ[aps.Protect] = append(pl.txQ[aps.Protect], out...)
-	}
+	pl.txQ = append(pl.txQ, pl.Link.Output()...)
 	pl.fr[aps.Protect].K1, pl.fr[aps.Protect].K2 = pl.Ctrl.TxK1K2()
-	return pl.fr[aps.Working].NextFrame(), pl.fr[aps.Protect].NextFrame()
+	working, protect = pl.fr[aps.Working].NextFrame(), pl.fr[aps.Protect].NextFrame()
+	sent := min(len(pl.txQ), pl.fr[aps.Working].Level.PayloadBytes())
+	pl.txQ = pl.txQ[:copy(pl.txQ, pl.txQ[sent:])]
+	return working, protect
 }
 
 // FeedWorking delivers received working-line octets.
@@ -119,7 +117,7 @@ func (pl *ProtectedLink) FeedWorking(p []byte) { pl.feed(aps.Working, p) }
 func (pl *ProtectedLink) FeedProtect(p []byte) { pl.feed(aps.Protect, p) }
 
 func (pl *ProtectedLink) feed(line aps.Line, p []byte) {
-	pl.rx = nil
+	pl.rx = pl.rx[:0]
 	pl.df[int(line)].Feed(p)
 	if len(pl.rx) > 0 {
 		if pl.Ctrl.Active() == line {
@@ -127,7 +125,6 @@ func (pl *ProtectedLink) feed(line aps.Line, p []byte) {
 		} else {
 			pl.DiscardedStandbyOctets += uint64(len(pl.rx))
 		}
-		pl.rx = nil
 	}
 	pl.observe(line)
 }

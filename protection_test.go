@@ -300,3 +300,31 @@ func TestProtectedPairTelemetryKeepsEndsApart(t *testing.T) {
 	}()
 	p.a.Instrument(reg, nil, "a")
 }
+
+// TestProtectedLinkSteadyStateAllocatesNothing: a warmed pair carrying
+// one 40-octet datagram per tick allocates nothing — the bridge queue
+// is compacted in place and one receive buffer serves every line feed.
+func TestProtectedLinkSteadyStateAllocatesNothing(t *testing.T) {
+	p := newProtectedPair(t, ProtectionConfig{})
+	payload := make([]byte, 40)
+	payload[0] = 0x45
+	var rx []Datagram
+	step := func() {
+		if p.a.IPReady() {
+			if err := p.a.SendIPv4(payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+		p.tick()
+		rx = p.b.ReceivedInto(rx[:0])
+	}
+	for i := 0; i < 100; i++ {
+		step()
+	}
+	if len(rx) != 1 {
+		t.Fatalf("warmed pair delivered %d datagrams in a tick, want 1", len(rx))
+	}
+	if avg := testing.AllocsPerRun(200, step); avg != 0 {
+		t.Errorf("%.1f allocs per tick, want 0", avg)
+	}
+}

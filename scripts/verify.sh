@@ -1,10 +1,12 @@
 #!/bin/sh
 # verify.sh — the repo's full verification gate, a list of commands:
 #   gofmt, go vet (with and without the gates tag), go build,
-#   go test -race, the three timing gates (gates_test.go), the chaos
-#   and two-process transport smokes, a 30s differential fuzz of each
-#   fused kernel — the one production encoder and the one production
-#   tokenizer, each against its byte-at-a-time reference
+#   go test -race, the three timing gates (gates_test.go; the OC-48
+#   floor covers the codecs, the Link pair and the STM-16 section),
+#   every scenarios/*.json drill, the two-process transport smokes, a
+#   30s differential fuzz of each fused kernel — the one production
+#   encoder and the one production tokenizer, each against its
+#   byte-at-a-time reference
 #   (FUSED_FUZZTIME overrides, per kernel) — a 10s one of the SONET
 #   deframer's chunking (SONET_FUZZTIME overrides), and a short fuzz
 #   smoke of every Fuzz* target (5s each by default; FUZZTIME
@@ -41,20 +43,20 @@ go test -race -count 2 ./internal/telemetry
 echo "== go test -race =="
 go test -race ./...
 
-echo "== timing gates (flight ≤ 5%, stage profile ≤ 8%, OC-48 floor) =="
+echo "== timing gates (flight ≤ 5%, stage profile ≤ 8%, OC-48 floor: codecs, Link pair, STM-16 section) =="
 go test -tags gates -run '^TestGate' -count=1 -v .
 
 echo "== chaos scenario smoke =="
-# Run the committed protection drills end-to-end through the p5sim
-# -scenario mode: a failed SLO assertion makes p5sim exit non-zero
-# and names the .p5fr captures, failing this gate.
+# Run every committed drill end-to-end through the p5sim -scenario
+# mode: a failed SLO assertion makes p5sim exit non-zero and names the
+# .p5fr captures, failing this gate.
 net_dir="$(mktemp -d)"
 trap 'rm -rf "$net_dir"' EXIT
 scen_bin="$net_dir/p5sim"
 go build -o "$scen_bin" ./cmd/p5sim
-for drill in fiber-cut dual-cut noise-resync min-size-storm; do
-    echo "-- scenarios/$drill.json"
-    "$scen_bin" -scenario "scenarios/$drill.json"
+for drill in scenarios/*.json; do
+    echo "-- $drill"
+    "$scen_bin" -scenario "$drill"
 done
 
 echo "== transport chaos smoke (two p5sim processes over UDP loopback) =="
