@@ -36,7 +36,7 @@ type Pair struct {
 	Sim  *rtl.Sim
 	A, B *Endpoint
 
-	LineAB, LineBA *Line
+	lineAB, lineBA *steer
 }
 
 // steer routes a line's output to the peer or, under loopback, back to
@@ -105,6 +105,7 @@ func NewPair(w int) *Pair {
 	sBA.peer = rxA.In
 	sBA.self = rxB.In
 
+	p.lineAB, p.lineBA = sAB, sBA
 	p.A.Tx, p.A.Rx = txA, rxA
 	p.B.Tx, p.B.Rx = txB, rxB
 	p.A.OAM = &OAM{Regs: regsA, tx: txA, rx: rxA}
