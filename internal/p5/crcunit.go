@@ -163,9 +163,6 @@ func (t *TxCRC) Eval() {
 	t.Out.Push(f)
 }
 
-// Tick implements rtl.Module.
-func (t *TxCRC) Tick() {}
-
 // Busy reports whether FCS octets are still queued.
 func (t *TxCRC) Busy() bool { return len(t.pending) > 0 }
 
@@ -213,6 +210,3 @@ func (r *RxCRC) Eval() {
 	}
 	r.Out.Push(f)
 }
-
-// Tick implements rtl.Module.
-func (r *RxCRC) Tick() {}

@@ -25,6 +25,7 @@ type Delineator struct {
 	BufCap int
 
 	fifo    tagFIFO
+	limit   int // bufCap(), latched with the storage on the first clock
 	inFrame bool
 	content int  // content octets seen in the current frame
 	lastEsc bool // previous content octet was an escape
@@ -49,7 +50,10 @@ func (dl *Delineator) Busy() bool { return dl.fifo.Len() > 0 }
 
 // Eval implements rtl.Module.
 func (dl *Delineator) Eval() {
-	dl.fifo.reserve(dl.bufCap())
+	if dl.limit == 0 {
+		dl.limit = dl.bufCap()
+		dl.fifo.reserve(dl.limit)
+	}
 	dl.evalOutput()
 	f, ok := dl.In.Take() // never refuse the PHY
 	if !ok {
@@ -57,13 +61,11 @@ func (dl *Delineator) Eval() {
 	}
 	data := f.Data
 	if dl.inFrame && f.N > 0 && lanesEqual(data, hdlc.Flag)&validLanes(f.N) == 0 &&
-		dl.fifo.Len()+f.N <= dl.bufCap() {
+		dl.fifo.Len()+f.N <= dl.limit {
 		// No flag in any lane and room for the whole word: every lane
 		// is content of the open frame.
-		for i := 0; i < f.N; i, data = i+1, data>>8 {
-			dl.fifo.Push(octetTag(byte(data), dl.content == 0))
-			dl.content++
-		}
+		dl.fifo.PushOctets(data, f.N, dl.content == 0)
+		dl.content += f.N
 		dl.lastEsc = f.Byte(f.N-1) == hdlc.Escape
 		return
 	}
@@ -87,13 +89,13 @@ func (dl *Delineator) octet(b byte) {
 	if !dl.inFrame {
 		return // inter-frame fill / pre-alignment garbage
 	}
-	if dl.fifo.Len() >= dl.bufCap() {
+	if dl.fifo.Len() >= dl.limit {
 		dl.Overruns++
 		dl.dropped = true
 		dl.content++
 		return
 	}
-	dl.fifo.Push(octetTag(b, dl.content == 0))
+	dl.fifo.PushOctets(uint64(b), 1, dl.content == 0)
 	dl.content++
 	dl.lastEsc = b == hdlc.Escape
 }
@@ -127,6 +129,3 @@ func (dl *Delineator) evalOutput() {
 	dl.fifo.Drop(take)
 	dl.Out.Push(f)
 }
-
-// Tick implements rtl.Module.
-func (dl *Delineator) Tick() {}

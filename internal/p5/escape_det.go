@@ -1,6 +1,8 @@
 package p5
 
 import (
+	"math/bits"
+
 	"repro/internal/hdlc"
 	"repro/internal/rtl"
 )
@@ -18,14 +20,6 @@ const (
 	tagAbort                       // on markers: frame deliberately aborted
 )
 
-// octetTag is the entry for frame octet b.
-func octetTag(b byte, sof bool) tag {
-	if sof {
-		return tag(b) | tagSOF
-	}
-	return tag(b)
-}
-
 // markTag is the end-of-frame marker entry.
 func markTag(err, abort bool) tag {
 	t := tagMark
@@ -39,21 +33,20 @@ func markTag(err, abort bool) tag {
 }
 
 // tagFIFO is the receive-side resynchronisation buffer: a ring the owning
-// unit allocates at its bufCap() — the storage the hardware has. The
-// units bound the octets they commit to it, but not the in-band
-// end-of-frame markers, so a stalled run of tiny frames can still
-// overfill it; the ring then doubles rather than drop a boundary.
+// unit allocates at its bufCap() — the storage the hardware has, rounded
+// up to a power of two so an index wraps with a mask. The units bound the
+// octets they commit to it, but not the in-band end-of-frame markers, so
+// a stalled run of tiny frames can still overfill it; the ring then
+// doubles rather than drop a boundary.
 type tagFIFO struct {
-	buf       []tag // ring storage
+	buf       []tag // ring storage, a power of two long
 	head, n   int
 	HighWater int
 }
 
-// reserve allocates the ring on first use.
+// reserve allocates the ring.
 func (q *tagFIFO) reserve(capacity int) {
-	if q.buf == nil {
-		q.buf = make([]tag, capacity)
-	}
+	q.buf = make([]tag, 1<<bits.Len(uint(capacity-1)))
 }
 
 func (q *tagFIFO) Len() int { return q.n }
@@ -65,35 +58,42 @@ func (q *tagFIFO) grow() {
 	q.buf, q.head = grown, 0
 }
 
-func (q *tagFIFO) Push(t tag) {
-	if q.n == len(q.buf) {
+// extend makes room for k more entries behind the tail — one room check
+// and one high-water update however many — and returns the tail's index.
+func (q *tagFIFO) extend(k int) int {
+	for q.n+k > len(q.buf) {
 		q.grow()
 	}
-	i := q.head + q.n
-	if i >= len(q.buf) {
-		i -= len(q.buf)
-	}
-	q.buf[i] = t
-	q.n++
+	tail := q.head + q.n
+	q.n += k
 	if q.n > q.HighWater {
 		q.HighWater = q.n
 	}
+	return tail
 }
 
-func (q *tagFIFO) Peek(i int) tag {
-	i += q.head
-	if i >= len(q.buf) {
-		i -= len(q.buf)
+// Push appends one entry.
+func (q *tagFIFO) Push(t tag) {
+	tail := q.extend(1)
+	q.buf[tail&(len(q.buf)-1)] = t
+}
+
+// PushOctets appends the n low lanes of data as frame octets, the first
+// tagged start-of-frame if sof.
+func (q *tagFIFO) PushOctets(data uint64, n int, sof bool) {
+	tail := q.extend(n)
+	mask := len(q.buf) - 1
+	for i := 0; i < n; i, data = i+1, data>>8 {
+		q.buf[(tail+i)&mask] = tag(byte(data))
 	}
-	return q.buf[i]
+	if sof {
+		q.buf[tail&mask] |= tagSOF
+	}
 }
 
 // Drop removes the n oldest entries.
 func (q *tagFIFO) Drop(n int) {
-	q.head += n
-	if q.head >= len(q.buf) {
-		q.head -= len(q.buf)
-	}
+	q.head = (q.head + n) & (len(q.buf) - 1)
 	q.n -= n
 }
 
@@ -134,10 +134,13 @@ type EscapeDetect struct {
 	// zero value selects 4W.
 	BufCap int
 
-	stA, stB detStage
-	fifo     tagFIFO
-	esc      bool // escape pending across a word boundary
-	sofPend  bool // tag next surviving octet as frame start
+	st      [2]detStage // stage A's register is st[a], stage B's the other
+	a       int
+	fifo    tagFIFO
+	limit   int  // bufCap(), latched with the storage on the first clock
+	pending int  // octets taken and not yet merged (removal only shrinks it)
+	esc     bool // escape pending across a word boundary
+	sofPend bool // tag next surviving octet as frame start
 
 	// Counters surfaced through the OAM.
 	Removed     uint64 // escape octets removed
@@ -146,21 +149,11 @@ type EscapeDetect struct {
 }
 
 type detStage struct {
-	valid    bool
-	flit     rtl.Flit
-	mask     uint8 // lanes holding escape octets
-	out      [8]tag
-	outN     int
-	sof, eof bool
-	err      bool
-	abort    bool
-}
-
-func (s *detStage) committed() int {
-	if !s.valid {
-		return 0
-	}
-	return s.flit.N // upper bound; removal only shrinks it
+	valid bool
+	flit  rtl.Flit
+	mask  uint8  // stage A: lanes holding escape octets
+	out   uint64 // stage B: the surviving octets, packed from lane 0
+	outN  int
 }
 
 func (d *EscapeDetect) bufCap() int {
@@ -178,12 +171,15 @@ func (d *EscapeDetect) HighWater() int { return d.fifo.HighWater }
 
 // Busy reports whether any octet is still inside the unit.
 func (d *EscapeDetect) Busy() bool {
-	return d.stA.valid || d.stB.valid || d.fifo.Len() > 0
+	return d.st[0].valid || d.st[1].valid || d.fifo.Len() > 0
 }
 
 // Eval implements rtl.Module.
 func (d *EscapeDetect) Eval() {
-	d.fifo.reserve(d.bufCap())
+	if d.limit == 0 {
+		d.limit = d.bufCap()
+		d.fifo.reserve(d.limit)
+	}
 	d.evalOutput() // stage D
 	if d.W == 1 {
 		var st detStage
@@ -193,34 +189,32 @@ func (d *EscapeDetect) Eval() {
 		}
 		return
 	}
-	if d.stB.valid { // stage C
-		d.merge(&d.stB)
-		d.stB.valid = false
+	stA, stB := &d.st[d.a], &d.st[d.a^1]
+	if stB.valid { // stage C
+		d.merge(stB)
+		stB.valid = false
 	}
-	if d.stA.valid && !d.stB.valid { // stage B
-		d.stB = d.stA
-		d.remove(&d.stB)
-		d.stA.valid = false
+	if stA.valid { // stage B, by swap: C has just drained B's register
+		d.remove(stA)
+		d.a ^= 1
 	}
-	if !d.stA.valid { // stage A
-		d.take(&d.stA)
-	}
+	d.take(&d.st[d.a]) // stage A
 }
 
-// take is stage A: accept one word into st if the buffer can absorb it
-// on top of everything already committed.
+// take is stage A: accept one word into st (an invalid stage register)
+// if the buffer can absorb it on top of everything already committed.
 func (d *EscapeDetect) take(st *detStage) bool {
 	f, ok := d.In.Peek()
 	if !ok {
 		return false
 	}
-	if d.fifo.Len()+d.stA.committed()+d.stB.committed()+f.N > d.bufCap() {
+	if d.fifo.Len()+d.pending+f.N > d.limit {
 		d.InputStalls++
 		return false
 	}
 	d.In.Take()
-	st.valid, st.flit, st.outN = true, f, 0
-	st.sof, st.eof, st.err, st.abort = f.SOF, f.EOF, f.Err, f.Abort
+	d.pending += f.N
+	st.valid, st.flit = true, f
 	st.mask = lanesEqual(f.Data, hdlc.Escape) & validLanes(f.N)
 	return true
 }
@@ -228,51 +222,45 @@ func (d *EscapeDetect) take(st *detStage) bool {
 // remove is stage B: delete escapes and restore the escaped octets. The
 // escape-pending state carries across word boundaries.
 func (d *EscapeDetect) remove(st *detStage) {
-	n := 0
-	sofPend := st.sof
-	data := st.flit.Data
-	for i := 0; i < st.flit.N; i, data = i+1, data>>8 {
-		b := byte(data)
-		if d.esc {
-			st.out[n] = octetTag(b^hdlc.XorBit, sofPend)
-			sofPend = false
-			n++
-			d.esc = false
-			continue
+	if st.mask == 0 && !d.esc {
+		st.out, st.outN = st.flit.Data, st.flit.N // nothing to delete
+	} else {
+		st.out, st.outN = 0, 0
+		data := st.flit.Data
+		for i := 0; i < st.flit.N; i, data = i+1, data>>8 {
+			b := byte(data)
+			switch {
+			case d.esc:
+				b ^= hdlc.XorBit
+				d.esc = false
+			case st.mask>>uint(i)&1 != 0:
+				d.esc = true
+				d.Removed++
+				continue
+			}
+			st.out |= uint64(b) << (8 * uint(st.outN))
+			st.outN++
 		}
-		if st.mask>>uint(i)&1 != 0 {
-			d.esc = true
-			d.Removed++
-			continue
-		}
-		st.out[n] = octetTag(b, sofPend)
-		sofPend = false
-		n++
 	}
-	if st.eof {
+	if st.flit.EOF {
 		d.esc = false // a dangling escape at end of frame is malformed
 	}
-	st.outN = n
-	// Frame start that survived no octets this word: defer the tag.
-	st.sof = sofPend
 }
 
 // merge is stage C: pour surviving octets (and the in-band end-of-frame
-// marker) into the buffer.
+// marker) into the buffer. A frame start whose word kept no octet tags
+// the next one that survives.
 func (d *EscapeDetect) merge(st *detStage) {
-	if st.sof {
+	d.pending -= st.flit.N
+	if st.flit.SOF {
 		d.sofPend = true
 	}
-	for i := 0; i < st.outN; i++ {
-		t := st.out[i]
-		if d.sofPend {
-			t |= tagSOF
-			d.sofPend = false
-		}
-		d.fifo.Push(t)
+	if st.outN > 0 {
+		d.fifo.PushOctets(st.out, st.outN, d.sofPend)
+		d.sofPend = false
 	}
-	if st.eof {
-		d.fifo.Push(markTag(st.err, st.abort))
+	if st.flit.EOF {
+		d.fifo.Push(markTag(st.flit.Err, st.flit.Abort))
 		d.sofPend = false
 		d.Frames++
 	}
@@ -287,7 +275,7 @@ func (d *EscapeDetect) evalOutput() {
 	if !f.EOF && f.N < d.W {
 		// Partial word and no frame end in sight: emit only if the
 		// pipeline behind is empty (the stream has paused).
-		if d.stA.valid || d.stB.valid {
+		if d.st[0].valid || d.st[1].valid {
 			return
 		}
 		if _, more := d.In.Peek(); more {
@@ -305,35 +293,31 @@ func (d *EscapeDetect) evalOutput() {
 // flit, stopping at (and consuming) an end-of-frame marker. It returns
 // the flit, the number of entries it spans, and whether anything is
 // available.
-func packWord(q *tagFIFO, w int) (rtl.Flit, int, bool) {
-	n := q.Len()
-	if n == 0 {
-		return rtl.Flit{}, 0, false
-	}
-	var f rtl.Flit
-	take := 0
+func packWord(q *tagFIFO, w int) (f rtl.Flit, take int, ok bool) {
+	n := min(q.n, w+1) // at most a full word and the marker behind it
+	mask := len(q.buf) - 1
+	var data uint64
+	var flags, mark tag
 	for take < n {
-		t := q.Peek(take)
+		t := q.buf[(q.head+take)&mask]
 		if t&tagMark != 0 {
 			// The marker ends the word — also when it immediately
 			// follows a full one, so full-word frame tails still carry
 			// their EOF.
-			f.EOF, f.Err, f.Abort = true, t&tagErr != 0, t&tagAbort != 0
-			take++
+			mark = t
 			break
 		}
-		if f.N == w {
+		if take == w {
 			break
 		}
-		f.Data |= uint64(byte(t)) << (8 * uint(f.N))
-		if t&tagSOF != 0 {
-			f.SOF = true
-		}
-		f.N++
+		data |= uint64(byte(t)) << (8 * uint(take))
+		flags |= t
 		take++
 	}
-	return f, take, true
+	f = rtl.Flit{Data: data, N: take, Marks: rtl.Marks{SOF: flags&tagSOF != 0,
+		EOF: mark != 0, Err: mark&tagErr != 0, Abort: mark&tagAbort != 0}}
+	if mark != 0 {
+		take++
+	}
+	return f, take, n > 0
 }
-
-// Tick implements rtl.Module.
-func (d *EscapeDetect) Tick() {}

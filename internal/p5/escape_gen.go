@@ -48,8 +48,11 @@ type EscapeGen struct {
 	// zero value selects 4W.
 	BufCap int
 
-	stA, stB genStage
+	st       [2]genStage // stage A's register is st[a], stage B's the other
+	a        int
 	fifo     rtl.ByteFIFO
+	limit    int // bufCap(), latched on the first clock
+	pending  int // octets taken and not yet merged
 	inFrame  bool
 	lastFlag bool // previous octet merged was a closing flag
 
@@ -62,33 +65,12 @@ type EscapeGen struct {
 
 // genStage is one internal pipeline register of the sorter.
 type genStage struct {
-	valid    bool
-	flit     rtl.Flit
-	mask     uint8    // stage A: lanes needing escape
-	exp      [18]byte // stage B: expanded octets (≤ 2W for W ≤ 8, +2 flags)
-	expN     int
-	sof, eof bool
-	err      bool
-}
-
-// committed returns the octets this stage will eventually pour into the
-// resynchronisation buffer (exact, since the escape mask is known): its
-// lanes, one more per escaped lane, and the delimiting flags.
-func (s *genStage) committed() int {
-	if !s.valid {
-		return 0
-	}
-	n := s.flit.N + bits.OnesCount8(s.mask)
-	if s.sof {
-		n++
-	}
-	if s.eof {
-		n++ // closing flag or half the abort pair
-	}
-	if s.err {
-		n++ // abort is two octets
-	}
-	return n
+	valid  bool
+	flit   rtl.Flit
+	mask   uint8    // stage A: lanes needing escape
+	commit int      // stage A: octets this word will pour into the buffer
+	exp    [16]byte // stage B: expanded octets (≤ 2W for W ≤ 8)
+	expN   int
 }
 
 func (g *EscapeGen) bufCap() int {
@@ -113,12 +95,15 @@ func (g *EscapeGen) HighWater() int { return g.fifo.HighWater }
 
 // Busy reports whether any octet is still inside the unit.
 func (g *EscapeGen) Busy() bool {
-	return g.stA.valid || g.stB.valid || g.fifo.Len() > 0
+	return g.st[0].valid || g.st[1].valid || g.fifo.Len() > 0
 }
 
 // Eval implements rtl.Module. Stages run downstream-first, so a word
 // advances exactly one stage per clock.
 func (g *EscapeGen) Eval() {
+	if g.limit == 0 {
+		g.limit = g.bufCap()
+	}
 	g.evalOutput() // stage D
 	if g.W == 1 {
 		// 8-bit datapath: detect, expand and merge in one cycle.
@@ -129,26 +114,26 @@ func (g *EscapeGen) Eval() {
 		}
 		return
 	}
+	stA, stB := &g.st[g.a], &g.st[g.a^1]
 	// Stage C: merge the word expanded last cycle.
-	if g.stB.valid {
-		g.merge(&g.stB)
-		g.stB.valid = false
+	if stB.valid {
+		g.merge(stB)
+		stB.valid = false
 	}
-	// Stage B: expand the word detected last cycle.
-	if g.stA.valid && !g.stB.valid {
-		g.stB = g.stA
-		g.expand(&g.stB)
-		g.stA.valid = false
+	// Stage B: expand the word detected last cycle. It moves by swap:
+	// stage C has just drained B's register, which becomes A's.
+	if stA.valid {
+		g.expand(stA)
+		g.a ^= 1
 	}
 	// Stage A: detect.
-	if !g.stA.valid {
-		g.take(&g.stA)
-	}
+	g.take(&g.st[g.a])
 }
 
 // take is stage A: accept one word from upstream into st (an invalid
 // stage register) if the buffer can absorb everything already committed
-// plus this word.
+// plus this word — exactly, since the escape mask is known: its lanes,
+// one more per escaped lane, and the delimiting flags.
 func (g *EscapeGen) take(st *genStage) bool {
 	f, ok := g.In.Peek()
 	if !ok {
@@ -162,15 +147,24 @@ func (g *EscapeGen) take(st *genStage) bool {
 			}
 		}
 	}
-	prior := g.fifo.Len() + g.stA.committed() + g.stB.committed()
-	st.valid, st.flit, st.mask, st.expN = true, f, mask&validLanes(f.N), 0
-	st.sof, st.eof, st.err = f.SOF, f.EOF, f.Err || f.Abort
-	if prior+st.committed() > g.bufCap() {
-		st.valid = false
+	mask &= validLanes(f.N)
+	commit := f.N + bits.OnesCount8(mask)
+	if f.SOF {
+		commit++
+	}
+	if f.EOF {
+		commit++ // closing flag or half the abort pair
+	}
+	if f.Err || f.Abort {
+		commit++ // abort is two octets
+	}
+	if g.fifo.Len()+g.pending+commit > g.limit {
 		g.InputStalls++
 		return false
 	}
 	g.In.Take()
+	g.pending += commit
+	st.valid, st.flit, st.mask, st.commit = true, f, mask, commit
 	return true
 }
 
@@ -200,7 +194,8 @@ func (g *EscapeGen) expand(st *genStage) {
 // merge is stage C: pour the expanded octets and any frame-delimiting
 // flags into the resynchronisation buffer.
 func (g *EscapeGen) merge(st *genStage) {
-	if st.sof {
+	g.pending -= st.commit
+	if st.flit.SOF {
 		if !(g.SharedFlags && g.lastFlag) {
 			g.fifo.Push(hdlc.Flag)
 		}
@@ -211,8 +206,8 @@ func (g *EscapeGen) merge(st *genStage) {
 		g.fifo.Push(st.exp[:st.expN]...)
 		g.lastFlag = false
 	}
-	if st.eof {
-		if st.err {
+	if st.flit.EOF {
+		if st.flit.Err || st.flit.Abort {
 			// Deliberate abort: escape immediately followed by flag.
 			g.fifo.Push(hdlc.Escape, hdlc.Flag)
 		} else {
@@ -233,7 +228,7 @@ func (g *EscapeGen) evalOutput() {
 			return
 		}
 		g.Out.Push(rtl.FlitOf(g.fifo.Pop(g.W)))
-	case n > 0 && !g.inFrame && !g.stA.valid && !g.stB.valid:
+	case n > 0 && !g.inFrame && !g.st[0].valid && !g.st[1].valid:
 		// Frame tail shorter than a word and nothing behind it: pad
 		// with inter-frame fill flags to keep the line word-aligned.
 		if !g.Out.CanPush() {
@@ -250,7 +245,7 @@ func (g *EscapeGen) evalOutput() {
 		f.N = g.W
 		g.fifo.Pop(n)
 		g.Out.Push(f)
-	case n == 0 && g.IdleFill && !g.stA.valid && !g.stB.valid:
+	case n == 0 && g.IdleFill && !g.st[0].valid && !g.st[1].valid:
 		if !g.Out.CanPush() {
 			return
 		}
@@ -263,7 +258,3 @@ func (g *EscapeGen) evalOutput() {
 		g.Out.Push(f)
 	}
 }
-
-// Tick implements rtl.Module; all state advances inside Eval thanks to
-// the downstream-first ordering.
-func (g *EscapeGen) Tick() {}

@@ -144,6 +144,3 @@ func (fr *Framer) buildBody(job *TxJob) []byte {
 		byte(job.Protocol>>8), byte(job.Protocol))
 	return append(body, job.Payload...)
 }
-
-// Tick implements rtl.Module.
-func (fr *Framer) Tick() {}

@@ -51,6 +51,14 @@ func goldenPayload(rng *rand.Rand, n int, density float64) []byte {
 	return p
 }
 
+// datapathWires lists the wires from tx's framer to rx's control unit.
+func datapathWires(tx *Transmitter, rx *Receiver) [7]*rtl.Wire {
+	return [7]*rtl.Wire{
+		tx.Framer.Out, tx.CRC.Out, tx.Out, rx.In,
+		rx.Delineator.Out, rx.Escape.Out, rx.CRC.Out,
+	}
+}
+
 // runGoldenCorpus pushes the fixed corpus through a width-w loopback:
 // clean, 2 % and 50 % escape density, one deliberate abort, and one line
 // hit that plants two flags three octets apart (a runt between two
@@ -61,10 +69,7 @@ func runGoldenCorpus(t *testing.T, w int, fcs16 bool) simCounts {
 	if fcs16 {
 		sys.OAM.Write(RegFCSMode, 2)
 	}
-	wires := [7]*rtl.Wire{
-		sys.Tx.Framer.Out, sys.Tx.CRC.Out, sys.Tx.Out, sys.Rx.In,
-		sys.Rx.Delineator.Out, sys.Rx.Escape.Out, sys.Rx.CRC.Out,
-	}
+	wires := datapathWires(sys.Tx, sys.Rx)
 	h := sha256.New()
 	vcd := rtl.NewVCD(h)
 	for i, wire := range wires {
@@ -269,18 +274,9 @@ func TestPairCountsGolden(t *testing.T) {
 		GenHighA: p.A.Tx.Escape.HighWater(), GenHighB: p.B.Tx.Escape.HighWater(),
 		DetHighA: p.A.Rx.Escape.HighWater(), DetHighB: p.B.Rx.Escape.HighWater(),
 	}
-	i := 0
-	for _, half := range []struct {
-		tx *Transmitter
-		rx *Receiver
-	}{{p.A.Tx, p.B.Rx}, {p.B.Tx, p.A.Rx}} {
-		for _, wire := range []*rtl.Wire{
-			half.tx.Framer.Out, half.tx.CRC.Out, half.tx.Out, half.rx.In,
-			half.rx.Delineator.Out, half.rx.Escape.Out, half.rx.CRC.Out,
-		} {
-			got.Wires[i] = [3]uint64{wire.Transfers, wire.Stalls, wire.Occupied}
-			i++
-		}
+	ab, ba := datapathWires(p.A.Tx, p.B.Rx), datapathWires(p.B.Tx, p.A.Rx)
+	for i, wire := range append(ab[:], ba[:]...) {
+		got.Wires[i] = [3]uint64{wire.Transfers, wire.Stalls, wire.Occupied}
 	}
 	want := pairCounts{
 		Now: 1540, WordsAB: 1311, ReturnedAB: 451, WordsBA: 411, ReturnedBA: 0,

@@ -77,7 +77,7 @@ func (s *steer) Eval() {
 	dst.Push(f)
 }
 
-// Tick implements rtl.Module.
+// Tick implements rtl.Clocked.
 func (s *steer) Tick() { s.cycle++ }
 
 // NewPair builds a width-w cross-connected pair.
@@ -122,13 +122,14 @@ func (p *Pair) Cycle() {
 	p.Sim.Cycle()
 }
 
+// busy reports in-flight octets anywhere in the pair; it stops at the
+// first unit or wire that holds one.
+func (p *Pair) busy() bool { return p.A.Busy() || p.B.Busy() || !p.Sim.Drained() }
+
 // RunUntilIdle clocks until both endpoints drain.
 func (p *Pair) RunUntilIdle(budget int) bool {
-	for i := 0; i < budget; i++ {
-		if !p.A.Busy() && !p.B.Busy() && p.Sim.Drained() {
-			return true
-		}
+	for i := 0; i < budget && p.busy(); i++ {
 		p.Cycle()
 	}
-	return !p.A.Busy() && !p.B.Busy() && p.Sim.Drained()
+	return !p.busy()
 }

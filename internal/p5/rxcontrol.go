@@ -119,6 +119,3 @@ func (rc *RxControl) pppConfig() ppp.Config {
 		MRU:        rc.Regs.MRU(),
 	}
 }
-
-// Tick implements rtl.Module.
-func (rc *RxControl) Tick() {}

@@ -131,7 +131,7 @@ func (l *Line) Eval() {
 	l.Out.Push(f)
 }
 
-// Tick implements rtl.Module.
+// Tick implements rtl.Clocked.
 func (l *Line) Tick() { l.cycle++ }
 
 // System is a full loopback P5: transmitter, line, receiver, and the
@@ -217,7 +217,8 @@ func (s *System) ReceivedInto(dst []RxFrame) []RxFrame {
 // Cycle advances the whole system one clock.
 func (s *System) Cycle() {
 	clockConfig(s.Regs, &s.cfg, s.Tx, s.Rx)
-	if !s.fillPending && !s.txWasBusy && s.Tx.Busy() {
+	// An idle transmitter picks up work only through the framer's queues.
+	if !s.fillPending && !s.txWasBusy && s.Tx.Framer.Busy() {
 		s.fillPending = true
 		s.fillStart = s.Sim.Now()
 	}

@@ -80,9 +80,6 @@ func (t *TxPHY) Eval() {
 	}
 }
 
-// Tick implements rtl.Module.
-func (t *TxPHY) Tick() {}
-
 // RxPHY deframes received transport frames and feeds the recovered line
 // octets to a P5 receiver, W per clock.
 type RxPHY struct {
@@ -123,9 +120,6 @@ func (r *RxPHY) Eval() {
 	}
 	r.Out.Push(rtl.FlitOf(r.payload.Pop(n)))
 }
-
-// Tick implements rtl.Module.
-func (r *RxPHY) Tick() {}
 
 // Deframer exposes the inner deframer's monitoring counters.
 func (r *RxPHY) Deframer() *sonet.Deframer { return r.deframer }

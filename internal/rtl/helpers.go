@@ -5,6 +5,7 @@ package rtl
 type Source struct {
 	Out   *Wire
 	queue []Flit
+	head  int // queue[:head] is consumed; rewound once drained
 	// Sent counts flits pushed; StallCycles counts cycles blocked.
 	Sent        uint64
 	StallCycles uint64
@@ -29,24 +30,24 @@ func (s *Source) FeedBytes(p []byte, w int) {
 }
 
 // Pending reports how many flits remain queued.
-func (s *Source) Pending() int { return len(s.queue) }
+func (s *Source) Pending() int { return len(s.queue) - s.head }
 
 // Eval implements Module.
 func (s *Source) Eval() {
-	if len(s.queue) == 0 {
+	if s.head == len(s.queue) {
 		return
 	}
 	if !s.Out.CanPush() {
 		s.StallCycles++
 		return
 	}
-	s.Out.Push(s.queue[0])
-	s.queue = s.queue[1:]
+	s.Out.Push(s.queue[s.head])
+	s.head++
+	if s.head == len(s.queue) {
+		s.queue, s.head = s.queue[:0], 0
+	}
 	s.Sent++
 }
-
-// Tick implements Module.
-func (s *Source) Tick() {}
 
 // Sink drains a wire, recording every flit and the flattened byte stream.
 type Sink struct {
@@ -93,7 +94,7 @@ func (s *Sink) Eval() {
 	}
 }
 
-// Tick implements Module.
+// Tick implements Clocked.
 func (s *Sink) Tick() { s.cycle++ }
 
 // ByteFIFO is a small synchronous byte buffer with occupancy tracking —

@@ -15,10 +15,18 @@
 // the tick phase every wire latches — pushed flits become visible to
 // consumers on the next cycle, exactly like a pipeline register.
 //
+// The downstream-first order lets a module advance all of its own state
+// inside Eval, so most have nothing left to latch. The few that keep
+// clocked state of their own — a cycle counter, in Sink and the p5 line
+// models — also have a Tick method; Sim.Add notices it once and the tick
+// phase calls only those before the wires latch.
+//
 // A module that cannot push simply does not take its input; the stall
 // propagates upstream wire by wire, which is precisely the backpressure
 // scheme of a ready/valid hardware pipeline with registered outputs.
 package rtl
+
+import "encoding/binary"
 
 // Flit is one datapath word in flight: up to 8 octets packed
 // little-endian (lane 0 = first octet on the wire), a lane count, and
@@ -29,6 +37,13 @@ type Flit struct {
 	// N is the number of valid lanes, 1..8. Zero lanes only appear in
 	// control-only flits (EOF bubbles).
 	N int
+	Marks
+}
+
+// Marks are a flit's frame markers. They are a struct of their own so
+// that Flit has three fields of at most four: the shape the compiler
+// keeps in registers instead of building in memory a byte at a time.
+type Marks struct {
 	// SOF marks the first flit of a frame, EOF the last.
 	SOF, EOF bool
 	// Err marks the frame as damaged (overrun, FCS failure); it
@@ -49,22 +64,16 @@ func (f *Flit) SetByte(i int, b byte) {
 
 // Bytes appends the valid lanes of f to dst.
 func (f Flit) Bytes(dst []byte) []byte {
-	for i := 0; i < f.N; i++ {
-		dst = append(dst, f.Byte(i))
-	}
-	return dst
+	var lanes [8]byte
+	binary.LittleEndian.PutUint64(lanes[:], f.Data)
+	return append(dst, lanes[:f.N]...)
 }
 
 // FlitOf packs up to 8 bytes into a flit.
 func FlitOf(p []byte) Flit {
-	if len(p) > 8 {
-		p = p[:8]
-	}
-	f := Flit{N: len(p)}
-	for i, b := range p {
-		f.Data |= uint64(b) << (8 * uint(i))
-	}
-	return f
+	var lanes [8]byte
+	n := copy(lanes[:], p)
+	return Flit{Data: binary.LittleEndian.Uint64(lanes[:]), N: n}
 }
 
 // Wire is a single-slot pipeline register between two modules. The zero
@@ -147,26 +156,34 @@ func (w *Wire) Tick() {
 // Empty reports whether the wire holds no flit and none is being latched.
 func (w *Wire) Empty() bool { return !(w.curValid && !w.consumed) && !w.nextOK }
 
-// Module is a clocked pipeline stage.
-type Module interface {
-	// Eval runs the combinational phase for this cycle. Modules are
-	// evaluated downstream-first (reverse registration order).
-	Eval()
-	// Tick latches internal state at the clock edge.
-	Tick()
-}
+// Module is a pipeline stage. Eval runs its combinational phase for this
+// cycle; modules are evaluated downstream-first (reverse registration
+// order).
+type Module interface{ Eval() }
+
+// Clocked is the optional second half of a Module that keeps clocked
+// state of its own: Tick latches it at the clock edge, after every Eval.
+type Clocked interface{ Tick() }
 
 // Sim drives a set of modules and wires with a common clock. Register
 // modules in upstream-to-downstream order; Sim evaluates them in reverse.
 type Sim struct {
 	modules []Module
+	clocked []Clocked // the modules that also have a Tick
 	wires   []*Wire
 	cycle   int64
 	instr   *instrumentation
 }
 
 // Add registers modules in datapath order (source first).
-func (s *Sim) Add(m ...Module) { s.modules = append(s.modules, m...) }
+func (s *Sim) Add(m ...Module) {
+	s.modules = append(s.modules, m...)
+	for _, m := range m {
+		if c, ok := m.(Clocked); ok {
+			s.clocked = append(s.clocked, c)
+		}
+	}
+}
 
 // Wire creates and registers a named wire.
 func (s *Sim) Wire(name string) *Wire {
@@ -180,8 +197,8 @@ func (s *Sim) Cycle() {
 	for i := len(s.modules) - 1; i >= 0; i-- {
 		s.modules[i].Eval()
 	}
-	for _, m := range s.modules {
-		m.Tick()
+	for _, c := range s.clocked {
+		c.Tick()
 	}
 	for _, w := range s.wires {
 		w.Tick()

@@ -3,6 +3,8 @@ package rtl
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -117,7 +119,6 @@ func (p *passthrough) Eval() {
 	f, _ := p.in.Take()
 	p.out.Push(f)
 }
-func (p *passthrough) Tick() {}
 
 func TestPipelineLatencyAndThroughput(t *testing.T) {
 	// N passthrough stages = N+1 wires = N+1 cycles of latency, and
@@ -179,7 +180,6 @@ func (th *throttle) Eval() {
 	f, _ := th.in.Take()
 	th.out.Push(f)
 }
-func (th *throttle) Tick() {}
 
 func TestBackpressurePropagates(t *testing.T) {
 	var sim Sim
@@ -424,4 +424,222 @@ func TestSimInstrument(t *testing.T) {
 	if busySrc.Value() == 0 {
 		t.Error("busy watch never sampled busy")
 	}
+}
+
+// refCycle is the kernel as it was before the schedule was built once:
+// every clock walks every module twice through the interface, asking each
+// again whether it has a Tick. It is the oracle Sim.Cycle is held to.
+func refCycle(s *Sim) {
+	for i := len(s.modules) - 1; i >= 0; i-- {
+		s.modules[i].Eval()
+	}
+	for _, m := range s.modules {
+		if c, ok := m.(Clocked); ok {
+			c.Tick()
+		}
+	}
+	for _, w := range s.wires {
+		w.Tick()
+	}
+	s.cycle++
+	if s.instr != nil {
+		s.instr.cycle(s.cycle)
+	}
+}
+
+// gate is a pass-through stage that is ready only on some cycles, drawn
+// from its own seeded stream. With merge set it packs two narrow flits
+// into one word when their lanes fit, as a byte sorter's output does.
+type gate struct {
+	in, out *Wire
+	rng     *rand.Rand
+	ready   float64
+	merge   bool
+	held    Flit
+	holding bool
+}
+
+func (g *gate) Eval() {
+	if g.rng.Float64() >= g.ready {
+		return
+	}
+	f, ok := g.in.Peek()
+	switch {
+	case !ok && !g.holding:
+	case !ok: // input paused: flush the held half-word
+		if g.out.CanPush() {
+			g.out.Push(g.held)
+			g.holding = false
+		}
+	case g.merge && !g.holding:
+		g.in.Take()
+		g.held, g.holding = f, true
+	case g.holding && g.held.N+f.N <= 8:
+		if g.out.CanPush() {
+			g.in.Take()
+			g.held.Data |= f.Data << (8 * uint(g.held.N))
+			g.held.N += f.N
+			g.out.Push(g.held)
+			g.holding = false
+		}
+	case g.holding:
+		if g.out.CanPush() {
+			g.out.Push(g.held)
+			g.holding = false
+		}
+	default:
+		if g.out.CanPush() {
+			g.in.Take()
+			g.out.Push(f)
+		}
+	}
+}
+
+// clockedGate is a gate with clocked state of its own: it is shut every
+// k-th cycle by a counter only its Tick advances, so a kernel that drops
+// or doubles a Tick shifts everything downstream of it.
+type clockedGate struct {
+	gate
+	k, cycle int
+}
+
+func (c *clockedGate) Eval() {
+	if c.cycle%c.k != 0 {
+		c.gate.Eval()
+	}
+}
+func (c *clockedGate) Tick() { c.cycle++ }
+
+// randomPipeline builds Source → 1–6 gates → Sink from seed and loads the
+// source. The sink is returned unregistered: the caller adds it after the
+// first clock, so the schedule must also take a late Add.
+func randomPipeline(seed int64) (*Sim, *Source, *Sink) {
+	rng := rand.New(rand.NewSource(seed))
+	sim := &Sim{}
+	src := &Source{Out: sim.Wire("w0")}
+	sim.Add(src)
+	prev := src.Out
+	for i, n := 0, 1+rng.Intn(6); i < n; i++ {
+		next := sim.Wire(fmt.Sprintf("w%d", i+1))
+		g := gate{in: prev, out: next, rng: rand.New(rand.NewSource(rng.Int63())),
+			ready: 0.4 + 0.6*rng.Float64(), merge: rng.Intn(3) == 0}
+		if rng.Intn(2) == 0 {
+			sim.Add(&clockedGate{gate: g, k: 2 + rng.Intn(4)})
+		} else {
+			sim.Add(&g)
+		}
+		prev = next
+	}
+	for i := 0; i < 200; i++ {
+		p := make([]byte, 1+rng.Intn(8))
+		rng.Read(p)
+		src.Feed(FlitOf(p))
+	}
+	return sim, src, NewSink(prev)
+}
+
+func TestScheduleMatchesReferenceKernel(t *testing.T) {
+	type outcome struct {
+		Now        int64
+		Data       []byte
+		Flits      []Flit
+		First      int64
+		Last       int64
+		Gaps       [9]uint64
+		MaxGap     int64
+		Sent       uint64
+		SrcStalls  uint64
+		WireCounts [][3]uint64
+	}
+	run := func(seed int64, cycle func(*Sim)) outcome {
+		sim, src, sink := randomPipeline(seed)
+		cycle(sim)
+		sim.Add(sink) // a module added after the first Cycle
+		for i := 0; i < 1500; i++ {
+			cycle(sim)
+		}
+		o := outcome{Now: sim.Now(), Data: sink.Data, Flits: sink.Flits,
+			First: sink.FirstCycle, Last: sink.LastCycle, Gaps: sink.GapCounts,
+			MaxGap: sink.MaxGap, Sent: src.Sent, SrcStalls: src.StallCycles}
+		for _, w := range sim.wires {
+			o.WireCounts = append(o.WireCounts, [3]uint64{w.Transfers, w.Stalls, w.Occupied})
+		}
+		if src.Pending() != 0 || !sim.Drained() {
+			t.Fatalf("seed %d: pipeline did not drain", seed)
+		}
+		return o
+	}
+	for seed := int64(1); seed <= 60; seed++ {
+		got, want := run(seed, (*Sim).Cycle), run(seed, refCycle)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: schedule and reference kernel disagree:\n got %+v\nwant %+v", seed, got, want)
+		}
+		if len(got.Data) == 0 || got.First < 0 {
+			t.Fatalf("seed %d: nothing reached the sink", seed)
+		}
+	}
+}
+
+// drain consumes its input and keeps nothing.
+type drain struct{ in *Wire }
+
+func (d *drain) Eval() { d.in.Take() }
+
+// kernelLoop is Source → three pass-through stages → drain: the kernel's
+// own dispatch with next to no unit work in it.
+func kernelLoop() (*Sim, *Source) {
+	sim := &Sim{}
+	src := &Source{Out: sim.Wire("w0")}
+	sim.Add(src)
+	prev := src.Out
+	for i := 1; i <= 3; i++ {
+		next := sim.Wire(fmt.Sprintf("w%d", i))
+		sim.Add(&passthrough{in: prev, out: next})
+		prev = next
+	}
+	sim.Add(&drain{in: prev})
+	return sim, src
+}
+
+// TestSourceSteadyFeedAllocatesNothing: the queue is consumed by head
+// index and rewound once drained, so a warmed feed/drain loop reuses one
+// backing array instead of sliding a window off its end.
+func TestSourceSteadyFeedAllocatesNothing(t *testing.T) {
+	sim, src := kernelLoop()
+	burst := make([]Flit, 64)
+	for i := range burst {
+		burst[i] = FlitOf([]byte{byte(i)})
+	}
+	op := func() {
+		src.Feed(burst...)
+		for src.Pending() > 0 {
+			sim.Cycle()
+		}
+	}
+	op() // warm: the queue reaches its working capacity
+	if allocs := testing.AllocsPerRun(50, op); allocs != 0 {
+		t.Errorf("warmed feed/drain loop allocates %.1f times per burst, want 0", allocs)
+	}
+	if src.Sent != 52*64 {
+		t.Errorf("Sent = %d, want %d", src.Sent, 52*64)
+	}
+}
+
+// BenchmarkKernelCycle reads the kernel's dispatch apart from unit work.
+func BenchmarkKernelCycle(b *testing.B) {
+	sim, src := kernelLoop()
+	burst := make([]Flit, 256)
+	for i := range burst {
+		burst[i] = FlitOf([]byte{byte(i)})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	start := sim.Now()
+	for i := 0; i < b.N; i++ {
+		src.Feed(burst...)
+		for src.Pending() > 0 {
+			sim.Cycle()
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(sim.Now()-start), "ns/cycle")
 }
