@@ -367,17 +367,13 @@ func BenchmarkEndToEnd_IPoverSONET(b *testing.B) {
 			}
 		}
 		// Carry a→z over STM-16.
-		stream := a.Output()
-		fr := sonet.NewFramer(sonet.STM16, nil)
-		fr.Fill = fillFrom(&stream)
-		var rxBytes []byte
-		df := sonet.NewDeframer(sonet.STM16, nil)
-		df.Payload = func(p []byte, _ int) { rxBytes = append(rxBytes, p...) }
-		for len(stream) > 0 {
-			df.Feed(fr.NextFrame())
+		la, lz := sonet.NewLinePair(sonet.STM16)
+		la.Send(a.Output())
+		for la.Stats().QueueDepth > 0 {
+			la.Tick(0)
 		}
-		df.Feed(fr.NextFrame()) // flush fill
-		z.Input(rxBytes)
+		la.Tick(0) // flush fill
+		z.InputBatch(lz.Recv(nil))
 		if got := z.Received(); len(got) != len(datagrams) {
 			b.Fatalf("delivered %d/%d datagrams", len(got), len(datagrams))
 		}
@@ -399,27 +395,21 @@ func sonetSectionOp(tb testing.TB) steadyOp {
 	for len(wire) < 4*sonet.STM16.PayloadBytes() {
 		wire = ppp.AppendFramed(wire, []byte{0xFF, 0x03, 0x00, 0x21}, gen.Next(), crc.FCS32Mode, hdlc.ACCMNone, true)
 	}
+	wire = wire[:len(wire)/sonet.STM16.PayloadBytes()*sonet.STM16.PayloadBytes()]
 	at := 0
-	fr := sonet.NewFramer(sonet.STM16, nil)
-	fr.Fill = func(dst []byte, _ int) int {
-		n := copy(dst, wire[at:])
-		if at += n; at == len(wire) {
-			at = 0 // the short row ends in inter-frame fill
-		}
-		return n
-	}
-	var rx []byte
-	df := sonet.NewDeframer(sonet.STM16, nil)
-	df.Payload = func(p []byte, _ int) { rx = append(rx, p...) }
+	la, lz := sonet.NewLinePair(sonet.STM16)
+	var rx [][]byte
 	step := func() {
-		rx = rx[:0]
-		df.Feed(fr.NextFrame())
-		if len(rx) != sonet.STM16.PayloadBytes() {
-			tb.Fatalf("recovered %d payload octets, want %d", len(rx), sonet.STM16.PayloadBytes())
+		la.Send(wire[at : at+sonet.STM16.PayloadBytes()])
+		at = (at + sonet.STM16.PayloadBytes()) % len(wire)
+		la.Tick(0)
+		rx = lz.Recv(rx[:0])
+		if len(rx) != 1 || len(rx[0]) != sonet.STM16.PayloadBytes() {
+			tb.Fatalf("recovered %d spans, want one of %d payload octets", len(rx), sonet.STM16.PayloadBytes())
 		}
 	}
 	step()
-	if !bytes.Equal(rx, wire[:len(rx)]) || df.FramesOK != 1 {
+	if !bytes.Equal(rx[0], wire[:len(rx[0])]) || lz.Deframer().FramesOK != 1 {
 		tb.Fatal("section did not carry the stream")
 	}
 	return steadyOp{step, sonet.STM16.FrameBytes()}

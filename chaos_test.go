@@ -33,11 +33,8 @@ func TestChaosSoakLinkSelfHealing(t *testing.T) {
 	b := NewLink(cfg)
 
 	// SONET carry a→b with the fault injector in the middle.
-	var aQueue, bQueue []byte
-	fa := sonet.NewFramer(sonet.STM1, nil)
-	fa.Fill = fillFrom(&aQueue)
-	dfB := sonet.NewDeframer(sonet.STM1, nil)
-	dfB.Payload = func(p []byte, _ int) { bQueue = append(bQueue, p...) }
+	la, lb := sonet.NewLinePair(sonet.STM1)
+	dfB := lb.Deframer()
 
 	// Physical-layer supervision: defect transitions drive both the P5
 	// OAM alarm register and the PPP supervisor.
@@ -65,20 +62,15 @@ func TestChaosSoakLinkSelfHealing(t *testing.T) {
 	}
 
 	now := int64(0)
-	tickOnce := func(impair bool) {
+	var rx [][]byte
+	tickOnce := func() {
 		now++
 		a.Advance(now)
 		b.Advance(now)
-		aQueue = append(aQueue, a.Output()...)
-		frame := fa.NextFrame()
-		if impair {
-			frame = inj.Apply(frame)
-		}
-		dfB.Feed(frame)
-		if len(bQueue) > 0 {
-			b.Input(bQueue)
-			bQueue = bQueue[:0]
-		}
+		la.Send(a.Output())
+		la.Tick(now)
+		rx = lb.Recv(rx[:0])
+		b.InputBatch(rx)
 		// b→a is a clean direct line.
 		if out := b.Output(); len(out) > 0 {
 			a.Input(out)
@@ -90,7 +82,7 @@ func TestChaosSoakLinkSelfHealing(t *testing.T) {
 	a.Up()
 	b.Up()
 	for i := 0; i < 30; i++ {
-		tickOnce(false)
+		tickOnce()
 	}
 	if !a.Opened() || !b.Opened() || !a.IPReady() || !b.IPReady() {
 		t.Fatal("links did not open on the clean line")
@@ -99,12 +91,14 @@ func TestChaosSoakLinkSelfHealing(t *testing.T) {
 	// The soak: run the scripted scenario, then verify bounded-time
 	// recovery after it ends.
 	sawOutage := false
+	la.Inject = inj.Apply
 	for i := 0; i < 720; i++ {
-		tickOnce(true)
+		tickOnce()
 		if !b.Opened() {
 			sawOutage = true
 		}
 	}
+	la.Inject = nil
 	if !inj.Done() {
 		t.Fatalf("script not fully fired: %d ops left", len(script.Ops)-inj.Stats.OpsFired)
 	}
@@ -113,7 +107,7 @@ func TestChaosSoakLinkSelfHealing(t *testing.T) {
 	}
 	healBudget := 0
 	for !(a.Opened() && b.Opened() && a.IPReady() && b.IPReady()) {
-		tickOnce(false)
+		tickOnce()
 		healBudget++
 		if healBudget > 400 {
 			t.Fatalf("links did not heal within budget: a=%v b=%v alarms=%v",
@@ -192,7 +186,7 @@ func TestChaosSoakLinkSelfHealing(t *testing.T) {
 	}
 	delivered := false
 	for i := 0; i < 40 && !delivered; i++ {
-		tickOnce(false)
+		tickOnce()
 		for _, d := range b.Received() {
 			if string(d.Payload) == string(payload) {
 				delivered = true
@@ -233,8 +227,8 @@ func TestChaosSoakDualLineProtection(t *testing.T) {
 	pr.LOS(180*fb, 60*fb)            // protect cut while working is clean
 	pr.LOS(400*fb, 50*fb)            // protect cut #2, selector on working
 	pair := fault.NewPair(w, pr)
-	p.impairW = func(f []byte) []byte { return pair.Apply(0, f) }
-	p.impairP = func(f []byte) []byte { return pair.Apply(1, f) }
+	p.impair(aps.Working, pair.Working.Apply)
+	p.impair(aps.Protect, pair.Protect.Apply)
 
 	for i := 0; i < 40; i++ {
 		p.tick()

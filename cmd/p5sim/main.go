@@ -27,7 +27,11 @@
 // across -shards worker goroutines (default GOMAXPROCS), every
 // per-frame path allocation-free, reporting aggregate delivered
 // frames/s and line-rate Gb/s. -frames sets the measured step count
-// and -size the datagram size.
+// and -size the datagram size. With -sonet as well, every pair rides an
+// STM-16 section (sonet.Line) per direction instead of the in-process
+// wire, and the report adds the SDH line rate, delivered against
+// expected datagrams and the LCP renegotiation count. Any other two
+// modes together are a usage error.
 //
 // With -listen or -dial the engine's link pairs are split across two
 // p5sim processes interconnected by real UDP or TCP sockets (-net-transport,
@@ -75,7 +79,7 @@
 //	      [-telemetry ADDR] [-flight DIR] [-prof DIR]
 //	      [-sonet] [-slip-every N] [-los-windows N] [-los-frames N] [-dup-every N]
 //	      [-protect]
-//	      [-engine N] [-shards N]
+//	      [-engine N] [-shards N] [-sonet]
 //	      [-listen HOST:PORT | -dial HOST:PORT] [-net-transport udp|tcp]
 //	      [-net-keepalive N] [-tick-us N] [-net-stall FROM:TO] [-net-blackout FROM:TO]
 //	      [-scenario FILE]
@@ -103,6 +107,7 @@ import (
 	"repro/internal/sonet"
 	"repro/internal/synth"
 	"repro/internal/telemetry"
+	"repro/internal/transport"
 )
 
 // simConfig is one p5sim run, decoupled from flag parsing so tests can
@@ -224,8 +229,37 @@ func main() {
 	}
 }
 
+// modeConflict names the first two mode flags of cfg that cannot be
+// combined. Only two pairings mean something: -listen/-dial take their
+// link count from -engine, and -engine -sonet puts the line card behind
+// STM-16 lines.
+func modeConflict(cfg simConfig) error {
+	modes := []struct {
+		flag string
+		on   bool
+	}{
+		{"-scenario", cfg.scenarioFile != ""},
+		{"-listen/-dial", cfg.net.listen != "" || cfg.net.dial != ""},
+		{"-engine", cfg.engineLinks > 0},
+		{"-protect", cfg.protectMode},
+		{"-sonet", cfg.sonetMode},
+	}
+	for i, a := range modes {
+		for _, b := range modes[i+1:] {
+			pair := a.flag + " " + b.flag
+			if a.on && b.on && pair != "-listen/-dial -engine" && pair != "-engine -sonet" {
+				return usageError(a.flag + " and " + b.flag + " cannot be combined")
+			}
+		}
+	}
+	return nil
+}
+
 // run executes one simulation per cfg, writing the report to out.
 func run(cfg simConfig, out io.Writer) error {
+	if err := modeConflict(cfg); err != nil {
+		return err
+	}
 	if cfg.flightDir != "" {
 		// Create the directory up front so a missing one is a loud
 		// startup error; a capture write that fails later is counted
@@ -413,12 +447,18 @@ func runEngine(cfg simConfig, out io.Writer) error {
 	if steps <= 0 {
 		steps = 1000
 	}
-	e := gigapos.NewEngine(gigapos.EngineConfig{
+	ecfg := gigapos.EngineConfig{
 		Links:       cfg.engineLinks,
 		Shards:      cfg.engineShards,
 		PayloadSize: size,
 		Batch:       8,
-	})
+	}
+	if cfg.sonetMode {
+		// The line card behind its PHY: every pair rides an STM-16
+		// section, one frame per direction per step.
+		ecfg.Transport = func(int) (a, z transport.LineTransport) { return sonet.NewLinePair(sonet.STM16) }
+	}
+	e := gigapos.NewEngine(ecfg)
 	defer e.Close()
 	reg, tr := newTelemetry(cfg)
 	if reg != nil {
@@ -438,6 +478,7 @@ func runEngine(cfg simConfig, out io.Writer) error {
 	}
 	e.Run(32) // settle buffers at steady-state capacity
 	start := e.Stats()
+	restarts0, cut0 := sumRestarts(e, cfg.engineLinks), e.TransportStats().TxChunks
 	t0 := time.Now()
 	e.Run(steps)
 	elapsed := time.Since(t0)
@@ -459,6 +500,14 @@ func runEngine(cfg simConfig, out io.Writer) error {
 		float64(delivered)/secs, float64(payload)*8/secs/1e9, float64(line)*8/secs/1e9)
 	fmt.Fprintf(out, "  paper scale      : %.2fx the 2.488 Gb/s STM-16 line rate\n",
 		float64(line)*8/secs/1e9/2.488)
+	if cfg.sonetMode {
+		ts := e.TransportStats()
+		cut := ts.TxChunks - cut0
+		fmt.Fprintf(out, "  SONET lines      : %d STM-16 sections, %d frames cut = %.3f Gb/s of SDH line; queue high-water %d octets\n",
+			2*st.Links, cut, float64(cut)*float64(sonet.STM16.FrameBytes())*8/secs/1e9, ts.QueueHighWater)
+		fmt.Fprintf(out, "  session          : %d/%d datagrams delivered, lcp-renegotiations=%d\n",
+			delivered, uint64(steps*st.Links*2*ecfg.Batch), sumRestarts(e, cfg.engineLinks)-restarts0)
+	}
 	if col != nil {
 		sum := col.Summary()
 		fmt.Fprintf(out, "  stage profile    : %d shards, %d/%d steps sampled, shard imbalance %d‰\n",
@@ -513,20 +562,7 @@ func runLoopback(cfg simConfig, out io.Writer) error {
 	}
 	sys.SyncTelemetry()
 
-	good, bad := 0, 0
-	for i, f := range sys.Received() {
-		if f.Err != nil {
-			bad++
-			if cfg.verbose {
-				fmt.Fprintf(out, "frame %4d: %v\n", i, f.Err)
-			}
-			continue
-		}
-		good++
-		if cfg.verbose {
-			fmt.Fprintf(out, "frame %4d: %v\n", i, f.Frame)
-		}
-	}
+	good, bad := tally(out, sys.Received(), cfg.verbose)
 
 	cycles := sys.Sim.Now()
 	bitsPerCycle := float64(payloadBits) / float64(cycles)
@@ -551,6 +587,24 @@ func runLoopback(cfg simConfig, out io.Writer) error {
 	fmt.Fprintf(out, "  OAM interrupts   : stat=%#x causes=[%s]\n",
 		sys.OAM.Read(p5.RegIntStat), causeNames(sys.OAM.Read(p5.RegIntStat)))
 	return serveTelemetry(cfg, reg, tr, nil, out)
+}
+
+// tally counts delivered and rejected frames, printing each one's
+// disposition under -v.
+func tally(out io.Writer, frames []p5.RxFrame, verbose bool) (good, bad int) {
+	for i, f := range frames {
+		var what any = f.Frame
+		if f.Err != nil {
+			bad++
+			what = f.Err
+		} else {
+			good++
+		}
+		if verbose {
+			fmt.Fprintf(out, "frame %4d: %v\n", i, what)
+		}
+	}
+	return good, bad
 }
 
 // causeNames decodes an interrupt status word into its mnemonics.
@@ -597,29 +651,19 @@ func runSONET(cfg simConfig, out io.Writer) error {
 		txSim.Instrument(reg, "p5tx")
 		p5.InstrumentTransmitter(tel, "p5tx", txSim, tx)
 	}
-	var payloadBits int64
 	for i := 0; i < cfg.frames; i++ {
-		d := gen.Next()
-		payloadBits += int64(len(d)) * 8
-		tx.Framer.Enqueue(p5.TxJob{Protocol: ppp.ProtoIPv4, Payload: d})
+		tx.Framer.Enqueue(p5.TxJob{Protocol: ppp.ProtoIPv4, Payload: gen.Next()})
 	}
 	if !txSim.RunUntil(func() bool { return !tx.Busy() && txSim.Drained() }, 200_000_000) {
 		return fmt.Errorf("transmitter did not drain")
 	}
 
-	// Section: map into STM-1 transport frames, pass each frame through
-	// the deterministic fault injector, demap.
+	// Section: an STM-1 line with the deterministic fault injector on
+	// its transmit side.
 	line := sink.Data
 	nFrames := (len(line)+sonet.STM1.PayloadBytes()-1)/sonet.STM1.PayloadBytes() + 2
-	fr := sonet.NewFramer(sonet.STM1, nil)
-	fr.Fill = func(dst []byte, _ int) int {
-		n := copy(dst, line)
-		line = line[n:]
-		return n
-	}
-	var recovered []byte
-	df := sonet.NewDeframer(sonet.STM1, nil)
-	df.Payload = func(p []byte, _ int) { recovered = append(recovered, p...) }
+	la, lz := sonet.NewLinePair(sonet.STM1)
+	df := lz.Deframer()
 
 	rxSim := &rtl.Sim{}
 	src := &rtl.Source{}
@@ -640,18 +684,20 @@ func runSONET(cfg simConfig, out io.Writer) error {
 
 	script := fault.Random(netsim.NewRand(cfg.seed^0xFA17), int64(nFrames*sonet.STM1.FrameBytes()), cfg.faults)
 	inj := fault.NewInjector(script)
-	for i := 0; i < nFrames; i++ {
-		df.Feed(inj.Apply(fr.NextFrame()))
-	}
-	// Recovery tail: enough clean frame times for any line cut still in
-	// progress to end and the defect hysteresis to integrate back in.
+	la.Inject = inj.Apply
+	la.Send(line)
+	// The stream's frames, then a recovery tail: enough clean frame times
+	// for any line cut still in progress to end and the defect hysteresis
+	// to integrate back in.
 	tail := cfg.faults.LOSLen/sonet.STM1.FrameBytes() + 40
-	for i := 0; i < tail; i++ {
-		df.Feed(inj.Apply(fr.NextFrame()))
+	for i := 0; i < nFrames+tail; i++ {
+		la.Tick(int64(i))
 	}
 
 	// Receive: feed the demapped octet stream to the P5 receiver.
-	src.FeedBytes(recovered, w)
+	for _, p := range lz.Recv(nil) {
+		src.FeedBytes(p, w)
+	}
 	if !rxSim.RunUntil(func() bool {
 		return src.Pending() == 0 && !rx.Busy() && rxSim.Drained()
 	}, 200_000_000) {
@@ -661,20 +707,7 @@ func runSONET(cfg simConfig, out io.Writer) error {
 	txSim.SyncTelemetry()
 	rxSim.SyncTelemetry()
 
-	good, bad := 0, 0
-	for i, f := range rx.Control.Queue {
-		if f.Err != nil {
-			bad++
-			if cfg.verbose {
-				fmt.Fprintf(out, "frame %4d: %v\n", i, f.Err)
-			}
-			continue
-		}
-		good++
-		if cfg.verbose {
-			fmt.Fprintf(out, "frame %4d: %v\n", i, f.Frame)
-		}
-	}
+	good, bad := tally(out, rx.Control.Queue, cfg.verbose)
 
 	fmt.Fprintf(out, "P5 %d-bit over STM-1 SDH section\n", cfg.width)
 	fmt.Fprintf(out, "  datagrams        : %d sent, %d delivered, %d rejected\n", cfg.frames, good, bad)
@@ -725,10 +758,10 @@ func runProtect(cfg simConfig, out io.Writer) error {
 	pcfg := gigapos.ProtectionConfig{APS: aps.Config{
 		Bidirectional: true, Revertive: true, WaitToRestore: wtrTicks,
 	}}
-	lcfg.Magic, lcfg.IPAddr = 0xAAAA, [4]byte{10, 0, 0, 1}
-	a := gigapos.NewProtectedLink(lcfg, pcfg)
-	lcfg.Magic, lcfg.IPAddr = 0xBBBB, [4]byte{10, 0, 0, 2}
-	b := gigapos.NewProtectedLink(lcfg, pcfg)
+	cfgA, cfgB := lcfg, lcfg
+	cfgA.Magic, cfgA.IPAddr = 0xAAAA, [4]byte{10, 0, 0, 1}
+	cfgB.Magic, cfgB.IPAddr = 0xBBBB, [4]byte{10, 0, 0, 2}
+	a, b := gigapos.NewProtectedPair(cfgA, cfgB, pcfg)
 	if reg != nil {
 		a.Instrument(reg, tr, "a")
 		b.Instrument(reg, tr, "b")
@@ -770,19 +803,11 @@ func runProtect(cfg simConfig, out io.Writer) error {
 	var wScript, pScript fault.Script
 	wScript.LOS(int64(warmTicks+preTicks)*fb, cut*fb)
 	pair := fault.NewPair(wScript, pScript)
+	a.Line(aps.Working).Inject = pair.Working.Apply
+	a.Line(aps.Protect).Inject = pair.Protect.Apply
 
 	var now int64
-	tick := func() {
-		now++
-		a.Advance(now)
-		b.Advance(now)
-		wa, pa := a.NextFrames()
-		wb, pb := b.NextFrames()
-		b.FeedWorking(pair.Apply(0, wa))
-		b.FeedProtect(pair.Apply(1, pa))
-		a.FeedWorking(wb)
-		a.FeedProtect(pb)
-	}
+	tick := func() { now++; a.Advance(now); b.Advance(now) }
 
 	a.Open()
 	a.Up()

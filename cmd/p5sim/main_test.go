@@ -461,6 +461,40 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	}
 }
 
+// TestRunRejectsModeCombinations: two mode flags that do not combine are
+// a usage error naming both, not a silent pick of the first; -engine with
+// -sonet (and -listen/-dial with -engine, net_test.go) are the pairings
+// that mean something.
+func TestRunRejectsModeCombinations(t *testing.T) {
+	net := netConfig{listen: "127.0.0.1:0", proto: "udp"}
+	for _, c := range []struct {
+		cfg  simConfig
+		want string // "" = accepted
+	}{
+		{simConfig{protectMode: true, sonetMode: true}, "-protect and -sonet"},
+		{simConfig{engineLinks: 4, protectMode: true}, "-engine and -protect"},
+		{simConfig{scenarioFile: "x.json", engineLinks: 2}, "-scenario and -engine"},
+		{simConfig{scenarioFile: "x.json", sonetMode: true}, "-scenario and -sonet"},
+		{simConfig{net: net, protectMode: true}, "-listen/-dial and -protect"},
+		{simConfig{net: net, engineLinks: 1, sonetMode: true}, "-listen/-dial and -sonet"},
+		{simConfig{engineLinks: 2, sonetMode: true, frames: 20, size: "64"}, ""},
+	} {
+		var out bytes.Buffer
+		err := run(c.cfg, &out)
+		if c.want == "" {
+			if err != nil {
+				t.Errorf("%+v: %v", c.cfg, err)
+			} else if !strings.Contains(out.String(), "640/640 datagrams delivered, lcp-renegotiations=0") {
+				t.Errorf("-engine 2 -sonet report:\n%s", out.String())
+			}
+			continue
+		}
+		if _, ok := err.(usageError); !ok || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%+v: got %v, want a usageError naming %q", c.cfg, err, c.want)
+		}
+	}
+}
+
 // TestScenarioMode runs the committed fiber-cut drill through the
 // -scenario path (PASS, report names the drill) and a deliberately
 // impossible drill (FAIL, non-nil error, report points at the .p5fr

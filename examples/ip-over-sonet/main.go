@@ -15,26 +15,22 @@ import (
 	"repro/internal/sonet"
 )
 
-// carry moves a PPP byte stream across an STM-16 section, optionally
-// corrupting one octet per frame index in mangle.
-func carry(stream []byte, mangle map[int]bool) (out []byte, df *sonet.Deframer) {
-	fr := sonet.NewFramer(sonet.STM16, nil)
-	fr.Fill = func(dst []byte, _ int) int {
-		n := copy(dst, stream)
-		stream = stream[n:]
-		return n
-	}
-	df = sonet.NewDeframer(sonet.STM16, nil)
-	df.Payload = func(p []byte, _ int) { out = append(out, p...) }
-	for i := 0; len(stream) > 0; i++ {
-		f := fr.NextFrame()
-		if mangle[i] {
+// carry moves a PPP byte stream across an STM-16 line, corrupting one
+// octet of the hit-th transport frame.
+func carry(stream []byte, hit uint64) (out [][]byte, df *sonet.Deframer) {
+	a, z := sonet.NewLinePair(sonet.STM16)
+	a.Inject = func(f []byte) []byte {
+		if a.Framer().FramesBuilt == hit {
 			f[len(f)/2] ^= 0x20 // noise burst mid-frame
 		}
-		df.Feed(f)
+		return f
 	}
-	df.Feed(fr.NextFrame()) // one fill frame to flush
-	return out, df
+	a.Send(stream)
+	for a.Stats().QueueDepth > 0 {
+		a.Tick(0)
+	}
+	a.Tick(0) // one fill frame to flush
+	return z.Recv(nil), z.Deframer()
 }
 
 func main() {
@@ -73,8 +69,8 @@ func main() {
 		len(datagrams), gen.Octets, sonet.STM16.LineRate()/1e9)
 
 	// Carry the stream over SONET, corrupting transport frame 2.
-	rx, df := carry(a.Output(), map[int]bool{1: true})
-	b.Input(rx)
+	rx, df := carry(a.Output(), 2)
+	b.InputBatch(rx)
 
 	got := b.Received()
 	fmt.Printf("\nSDH section   : %d frames OK, B1 parity errors: %d, B3 path errors: %d\n",

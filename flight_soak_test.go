@@ -46,11 +46,8 @@ func TestChaosSoakFlightRecorder(t *testing.T) {
 
 	// SONET carry a→b with the fault injector in the middle; b→a is a
 	// clean direct line (same topology as the unarmed soak).
-	var aQueue, bQueue []byte
-	fa := sonet.NewFramer(sonet.STM1, nil)
-	fa.Fill = fillFrom(&aQueue)
-	dfB := sonet.NewDeframer(sonet.STM1, nil)
-	dfB.Payload = func(p []byte, _ int) { bQueue = append(bQueue, p...) }
+	la, lb := sonet.NewLinePair(sonet.STM1)
+	dfB := lb.Deframer()
 	dfB.Defects.OnEvent = func(sonet.DefectEvent) {
 		b.NotifyDefects(uint32(dfB.Defects.Active()))
 	}
@@ -65,7 +62,8 @@ func TestChaosSoakFlightRecorder(t *testing.T) {
 	payload[0] = 0x45
 	var sent, delivered int
 	now := int64(0)
-	tickOnce := func(impair bool) {
+	var rx [][]byte
+	tickOnce := func() {
 		now++
 		a.Advance(now)
 		b.Advance(now)
@@ -74,16 +72,10 @@ func TestChaosSoakFlightRecorder(t *testing.T) {
 				sent++
 			}
 		}
-		aQueue = append(aQueue, a.Output()...)
-		frame := fa.NextFrame()
-		if impair {
-			frame = inj.Apply(frame)
-		}
-		dfB.Feed(frame)
-		if len(bQueue) > 0 {
-			b.Input(bQueue)
-			bQueue = bQueue[:0]
-		}
+		la.Send(a.Output())
+		la.Tick(now)
+		rx = lb.Recv(rx[:0])
+		b.InputBatch(rx)
 		delivered += len(b.Received())
 		if out := b.Output(); len(out) > 0 {
 			a.Input(out)
@@ -95,21 +87,23 @@ func TestChaosSoakFlightRecorder(t *testing.T) {
 	a.Up()
 	b.Up()
 	for i := 0; i < 30; i++ {
-		tickOnce(false)
+		tickOnce()
 	}
 	if !a.IPReady() || !b.IPReady() {
 		t.Fatal("links did not open on the clean line")
 	}
 
+	la.Inject = inj.Apply
 	for i := 0; i < 640; i++ {
-		tickOnce(true)
+		tickOnce()
 	}
+	la.Inject = nil
 	if !inj.Done() {
 		t.Fatal("script not fully fired")
 	}
 	healBudget := 0
 	for !(a.IPReady() && b.IPReady()) {
-		tickOnce(false)
+		tickOnce()
 		healBudget++
 		if healBudget > 400 {
 			t.Fatalf("links did not heal within budget: a=%v b=%v",
@@ -118,7 +112,7 @@ func TestChaosSoakFlightRecorder(t *testing.T) {
 	}
 	// Let the loss horizon retire anything cut down by the second LOS.
 	for i := 0; i < 300; i++ {
-		tickOnce(false)
+		tickOnce()
 	}
 
 	// Black-box invariant: exactly one capture per trigger, on both

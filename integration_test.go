@@ -14,15 +14,6 @@ import (
 	"repro/internal/sonet"
 )
 
-// fillFrom is a Framer.Fill that drains *q a row at a time.
-func fillFrom(q *[]byte) func(dst []byte, off int) int {
-	return func(dst []byte, _ int) int {
-		n := copy(dst, *q)
-		*q = (*q)[n:]
-		return n
-	}
-}
-
 // TestHardwareP5OverSONET drives the full hardware path of the paper's
 // Figure 2: datagrams enter the cycle-accurate P5 transmitter, its line
 // octets are mapped byte-synchronously into STM-16 transport frames,
@@ -48,17 +39,14 @@ func TestHardwareP5OverSONET(t *testing.T) {
 	}
 
 	// SONET section: map the line stream into STM-16 frames and back.
-	line := txSink.Data
-	fr := sonet.NewFramer(sonet.STM16, nil)
-	fr.Fill = fillFrom(&line)
-	var recovered []byte
-	df := sonet.NewDeframer(sonet.STM16, nil)
-	df.Payload = func(p []byte, _ int) { recovered = append(recovered, p...) }
-	for len(line) > 0 {
-		df.Feed(fr.NextFrame())
+	la, lz := sonet.NewLinePair(sonet.STM16)
+	la.Send(txSink.Data)
+	for la.Stats().QueueDepth > 0 {
+		la.Tick(0)
 	}
-	df.Feed(fr.NextFrame())
-	if df.B1Errors != 0 || df.B3Errors != 0 {
+	la.Tick(0) // one fill frame to flush
+	recovered := lz.Recv(nil)[0]
+	if df := lz.Deframer(); df.B1Errors != 0 || df.B3Errors != 0 {
 		t.Fatalf("parity errors on a clean line: %d/%d", df.B1Errors, df.B3Errors)
 	}
 

@@ -103,11 +103,6 @@ func K2(channel int, bidirectional bool) byte {
 	return byte(channel&0x0F)<<4 | mode
 }
 
-// ParseK2 splits a K2 byte into bridged channel and mode.
-func ParseK2(b byte) (channel int, bidirectional bool) {
-	return int(b >> 4), b&0x07 == ModeBidirectional
-}
-
 // Config parameterises the controller. The zero value is a
 // unidirectional, non-revertive group with no hold-off.
 type Config struct {

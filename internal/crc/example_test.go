@@ -21,11 +21,11 @@ func ExampleNewParallel32() {
 
 // FCS fields append complemented, LSB first, and verify by magic
 // residue (RFC 1662).
-func ExampleAppendFCS32() {
-	frame := crc.AppendFCS32([]byte{0xFF, 0x03, 0x00, 0x21, 0xDE, 0xAD})
-	fmt.Println(crc.Check32(frame))
+func ExampleSize_Append() {
+	frame := crc.FCS32Mode.Append([]byte{0xFF, 0x03, 0x00, 0x21, 0xDE, 0xAD})
+	fmt.Println(crc.FCS32Mode.Check(frame))
 	frame[4] ^= 0x01
-	fmt.Println(crc.Check32(frame))
+	fmt.Println(crc.FCS32Mode.Check(frame))
 	// Output:
 	// true
 	// false

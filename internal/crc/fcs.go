@@ -8,29 +8,6 @@ import "hash/crc32"
 // complemented, least-significant byte first. Every helper here goes
 // through Size.Update: one production kernel per size.
 
-// FCS16 returns the 16-bit FCS field value (already complemented, ready to
-// append LSB-first) for the given frame contents.
-func FCS16(p []byte) uint16 { return ^uint16(FCS16Mode.Update(uint32(Init16), p)) }
-
-// FCS32 returns the 32-bit FCS field value for the given frame contents.
-func FCS32(p []byte) uint32 { return ^FCS32Mode.Update(Init32, p) }
-
-// AppendFCS16 appends the complemented 16-bit FCS to p, LSB first, and
-// returns the extended slice.
-func AppendFCS16(p []byte) []byte { return FCS16Mode.Append(p) }
-
-// AppendFCS32 appends the complemented 32-bit FCS to p, LSB first.
-func AppendFCS32(p []byte) []byte { return FCS32Mode.Append(p) }
-
-// Check16 reports whether p — a frame body including its trailing 2-byte
-// FCS — is intact: the register over the whole thing must land on the
-// magic residue Good16.
-func Check16(p []byte) bool { return FCS16Mode.Check(p) }
-
-// Check32 reports whether p — a frame body including its trailing 4-byte
-// FCS — is intact.
-func Check32(p []byte) bool { return FCS32Mode.Check(p) }
-
 // Size is the FCS mode used on a link.
 type Size int
 

@@ -162,30 +162,6 @@ func (p *Parallel32) StateMatrix() Matrix32 { return p.mstate }
 // DataMatrix returns the data-injection matrix.
 func (p *Parallel32) DataMatrix() Matrix32 { return p.mdata }
 
-// Compose returns the engine equivalent to running p twice per step,
-// i.e. a 2W-bit-per-step engine, computed by matrix composition:
-// M2 = M·M, D2 = [M·D | D]. Used to verify the matrix algebra (an 8-bit
-// engine composed twice must equal the directly-built 16-bit engine).
-func (p *Parallel32) Compose() *Parallel32 {
-	if p.w*2 > 64 {
-		panic("crc: composed width exceeds 64 bits")
-	}
-	q := &Parallel32{w: p.w * 2}
-	q.mstate.Cols = make([]uint32, 32)
-	for i := 0; i < 32; i++ {
-		q.mstate.Cols[i] = p.mstate.Apply(p.mstate.Cols[i])
-	}
-	q.mdata.Cols = make([]uint32, q.w)
-	// First (earlier) w data bits pass through the second application of
-	// Mstate; the last w bits are injected directly.
-	for j := 0; j < p.w; j++ {
-		q.mdata.Cols[j] = p.mstate.Apply(p.mdata.Cols[j])
-		q.mdata.Cols[p.w+j] = p.mdata.Cols[j]
-	}
-	q.buildTables()
-	return q
-}
-
 // Parallel16 is the 16-bit-FCS counterpart of Parallel32.
 type Parallel16 struct {
 	w      int

@@ -45,18 +45,14 @@ var coreScramble = [4]byte{0xB6, 0xAB, 0x31, 0xE0}
 const (
 	CoreHeaderLen = 4 // PLI(2) + cHEC(2)
 	TypeHeaderLen = 4 // type(2) + tHEC(2)
-	// Overhead is the fixed per-frame octet cost.
-	Overhead = CoreHeaderLen + TypeHeaderLen
 )
 
 // MaxPayload bounds the payload (PLI covers type header + payload).
 const MaxPayload = 65535 - TypeHeaderLen
 
-// Payload type field values (simplified: client data / client mgmt).
-const (
-	TypeClientData = 0x1000
-	TypeClientMgmt = 0x2000
-)
+// TypeClientData is the payload type field value (simplified: client
+// data is the only type carried).
+const TypeClientData = 0x1000
 
 // Errors.
 var (
@@ -80,11 +76,6 @@ func Encode(dst, payload []byte) ([]byte, error) {
 	thec := crc16CCITT(dst[len(dst)-2:])
 	dst = append(dst, byte(thec>>8), byte(thec))
 	return append(dst, payload...), nil
-}
-
-// EncodeIdle appends one 4-octet idle frame (PLI = 0, scrambled).
-func EncodeIdle(dst []byte) []byte {
-	return append(dst, coreScramble[0], coreScramble[1], coreScramble[2], coreScramble[3])
 }
 
 // Delineation states (G.7041 §6.3.1).

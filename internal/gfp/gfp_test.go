@@ -9,6 +9,16 @@ import (
 	"repro/internal/hdlc"
 )
 
+// overhead is GFP's fixed per-frame octet cost, the figure experiment
+// E15 sets against HDLC's data-dependent one.
+const overhead = CoreHeaderLen + TypeHeaderLen
+
+// encodeIdle appends one 4-octet idle frame (PLI = 0, scrambled): the
+// fill a mapper sends between client frames, which the decoder skips.
+func encodeIdle(dst []byte) []byte {
+	return append(dst, coreScramble[:]...)
+}
+
 func TestCRC16Vector(t *testing.T) {
 	// CRC-16/XMODEM (same generator, zero init, MSB first) of
 	// "123456789" is 0x31C3.
@@ -22,7 +32,7 @@ func TestEncodeLayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out) != Overhead+2 {
+	if len(out) != overhead+2 {
 		t.Fatalf("len = %d", len(out))
 	}
 	// PLI covers type header + payload = 6 (descrambled).
@@ -48,7 +58,7 @@ func TestRoundTripProperty(t *testing.T) {
 				return false
 			}
 			want = append(want, p)
-			stream = EncodeIdle(stream) // idle fill between frames
+			stream = encodeIdle(stream) // idle fill between frames
 		}
 		var got [][]byte
 		d := &Deframer{Deliver: func(p []byte) { got = append(got, append([]byte(nil), p...)) }}
@@ -118,7 +128,7 @@ func TestSingleBitCorrectionInSync(t *testing.T) {
 	}
 	// Flip one bit in the THIRD frame's core header (deframer is in
 	// SYNC by then).
-	frameLen := Overhead + 40
+	frameLen := overhead + 40
 	pos := 2 * frameLen // start of frame 3's core header
 	stream[pos] ^= 0x04 // PLI high byte bit
 	var got int
@@ -144,7 +154,7 @@ func TestMultiBitHeaderErrorForcesRehunt(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		stream, _ = Encode(stream, make([]byte, 40))
 	}
-	frameLen := Overhead + 40
+	frameLen := overhead + 40
 	pos := 2 * frameLen
 	damageUncorrectably(t, stream[pos:pos+CoreHeaderLen])
 	var got int
@@ -213,7 +223,7 @@ func TestFalseLockOnPayloadStallsHunt(t *testing.T) {
 	d.Feed(stream)
 	// Keep the line alive with idle fill until delineation recovers.
 	for i := 0; i < 20000 && d.State() != Sync; i++ {
-		d.Feed(EncodeIdle(nil))
+		d.Feed(encodeIdle(nil))
 	}
 	if d.State() != Sync {
 		t.Fatalf("never re-acquired: %v", d.State())
@@ -227,7 +237,7 @@ func TestCorruptTypeHeaderDropsOnlyThatFrame(t *testing.T) {
 	}
 	// Damage frame 2's type header (core header intact: length still
 	// delineates).
-	frameLen := Overhead + 3
+	frameLen := overhead + 3
 	stream[frameLen+CoreHeaderLen] ^= 0xFF
 	var got int
 	d := &Deframer{Deliver: func([]byte) { got++ }}
@@ -245,8 +255,8 @@ func TestCorruptTypeHeaderDropsOnlyThatFrame(t *testing.T) {
 
 func TestIdleFramesCounted(t *testing.T) {
 	var stream []byte
-	stream = EncodeIdle(stream)
-	stream = EncodeIdle(stream)
+	stream = encodeIdle(stream)
+	stream = encodeIdle(stream)
 	stream, _ = Encode(stream, []byte{9})
 	var got int
 	d := &Deframer{Deliver: func([]byte) { got++ }}
@@ -266,7 +276,7 @@ func TestOverheadComparisonVsHDLC(t *testing.T) {
 		// 2 flags + expected stuffing expansion.
 		return 2 + density*float64(frame)
 	}
-	gfpOverhead := float64(Overhead)
+	gfpOverhead := float64(overhead)
 	// Crossover density: where stuffing cost exceeds the 6-octet
 	// header difference: (8-2)/1500 = 0.4%.
 	cross := (gfpOverhead - 2) / float64(frame)

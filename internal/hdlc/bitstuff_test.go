@@ -7,6 +7,186 @@ import (
 	"testing/quick"
 )
 
+// Bit-synchronous framing (RFC 1662 §5): on links that preserve bit
+// boundaries rather than octet boundaries, transparency is achieved by
+// zero-bit insertion — after five contiguous 1 bits the transmitter
+// inserts a 0, so the flag's 01111110 pattern can never appear inside a
+// frame. The paper's P5 uses the octet-stuffed variant (SONET is octet
+// synchronous) and nothing in the module frames bit-synchronously, so
+// this sibling mode is a model that lives with its tests: an independent
+// transparency mechanism TestBitTransparencyEquivalence holds the octet
+// codec against.
+
+// BitWriter accumulates a bit stream LSB-first into bytes.
+type BitWriter struct {
+	buf  []byte
+	cur  byte
+	nbit uint
+}
+
+// WriteBit appends one bit.
+func (w *BitWriter) WriteBit(b byte) {
+	w.cur |= (b & 1) << w.nbit
+	w.nbit++
+	if w.nbit == 8 {
+		w.buf = append(w.buf, w.cur)
+		w.cur = 0
+		w.nbit = 0
+	}
+}
+
+// Bytes returns the completed bytes; a trailing partial byte is padded
+// with ones (idle line).
+func (w *BitWriter) Bytes() []byte {
+	out := w.buf
+	if w.nbit != 0 {
+		pad := w.cur
+		for i := w.nbit; i < 8; i++ {
+			pad |= 1 << i
+		}
+		out = append(out, pad)
+	}
+	return out
+}
+
+// BitStuff appends the zero-bit-inserted encoding of one frame to the
+// writer: opening flag, stuffed body bits, closing flag. Bits are
+// transmitted LSB first, matching the serial convention used by the FCS.
+func BitStuff(w *BitWriter, frame []byte) {
+	writeFlag(w)
+	run := 0
+	for _, octet := range frame {
+		for i := 0; i < 8; i++ {
+			bit := octet >> uint(i) & 1
+			w.WriteBit(bit)
+			if bit == 1 {
+				run++
+				if run == 5 {
+					w.WriteBit(0) // inserted zero
+					run = 0
+				}
+			} else {
+				run = 0
+			}
+		}
+	}
+	writeFlag(w)
+}
+
+func writeFlag(w *BitWriter) {
+	// 0x7E LSB-first: 0 1 1 1 1 1 1 0.
+	for i := 0; i < 8; i++ {
+		w.WriteBit(Flag >> uint(i) & 1)
+	}
+}
+
+// BitDestuffer recovers frames from a zero-bit-inserted bit stream,
+// the way synchronous HDLC receivers do it: an 8-bit shift register
+// detects the raw flag pattern 01111110 independent of transparency;
+// the raw bits accumulated between two flags are then destuffed (any 0
+// following five contiguous 1s is removed). Seven or more contiguous
+// 1 bits abort the in-progress frame (HDLC idle/abort). Frames whose
+// destuffed length is not a whole number of octets are counted as
+// damaged and dropped.
+type BitDestuffer struct {
+	Frames  [][]byte
+	Aborts  uint64
+	Damaged uint64
+
+	last8   byte   // raw shift register, oldest bit at LSB
+	nseen   uint   // bits shifted in so far (to prime the register)
+	run     int    // contiguous raw 1 bits
+	raw     []byte // raw frame bits, one per entry
+	inFrame bool
+}
+
+// FeedByte feeds eight bits, LSB first.
+func (d *BitDestuffer) FeedByte(b byte) {
+	for i := 0; i < 8; i++ {
+		d.FeedBit(b >> uint(i) & 1)
+	}
+}
+
+// Feed feeds a byte slice.
+func (d *BitDestuffer) Feed(p []byte) {
+	for _, b := range p {
+		d.FeedByte(b)
+	}
+}
+
+// FeedBit consumes a single raw line bit.
+func (d *BitDestuffer) FeedBit(bit byte) {
+	d.last8 = d.last8>>1 | bit<<7
+	d.nseen++
+	if bit == 1 {
+		d.run++
+		if d.run == 7 && d.inFrame {
+			// Abort / idle: discard the frame in progress.
+			d.Aborts++
+			d.inFrame = false
+			d.raw = d.raw[:0]
+		}
+	} else {
+		d.run = 0
+	}
+	if d.inFrame {
+		d.raw = append(d.raw, bit)
+	}
+	if d.nseen >= 8 && d.last8 == Flag {
+		d.flag()
+	}
+}
+
+// flag handles a raw flag match: the last 8 raw bits are the flag
+// itself; everything before them is the frame.
+func (d *BitDestuffer) flag() {
+	if d.inFrame && len(d.raw) >= 8 {
+		if body, ok := destuffBits(d.raw[:len(d.raw)-8]); ok {
+			if len(body) > 0 {
+				d.Frames = append(d.Frames, body)
+			}
+		} else {
+			d.Damaged++
+		}
+	}
+	d.inFrame = true
+	d.raw = d.raw[:0]
+	// The shift register keeps running: adjacent flags may share their
+	// boundary zero (…0111111 0 1111110…), so clearing it here would
+	// blind the hunter to a real flag whose window overlaps a match in
+	// preceding noise. No closer re-match exists — the windows 1-6 bits
+	// past a flag all start with a 1 — and a shared-zero match leaves
+	// fewer than 8 raw bits, which the length guard above drops.
+}
+
+// destuffBits removes inserted zeros and packs the residue into octets;
+// ok is false when the bit count is not a multiple of 8.
+func destuffBits(bits []byte) ([]byte, bool) {
+	out := make([]byte, 0, len(bits)/8)
+	var cur byte
+	var n uint
+	run := 0
+	for _, b := range bits {
+		if run == 5 && b == 0 {
+			run = 0
+			continue // inserted zero
+		}
+		if b == 1 {
+			run++
+		} else {
+			run = 0
+		}
+		cur |= b << n
+		n++
+		if n == 8 {
+			out = append(out, cur)
+			cur = 0
+			n = 0
+		}
+	}
+	return out, n == 0
+}
+
 func TestBitWriterPacksLSBFirst(t *testing.T) {
 	var w BitWriter
 	for _, b := range []byte{1, 0, 1, 1, 0, 0, 1, 0} { // 0b01001101 = 0x4D

@@ -5,11 +5,7 @@
 // the paper's Protocol OAM block mediates.
 package ipcp
 
-import (
-	"encoding/binary"
-
-	"repro/internal/lcp"
-)
+import "repro/internal/lcp"
 
 // IPCP configuration option types (RFC 1332).
 const (
@@ -183,14 +179,4 @@ func (p *Policy) HandleReject(opts []lcp.Option) {
 	for _, o := range opts {
 		p.rejected[o.Type] = true
 	}
-}
-
-// U32 packs an address for test convenience.
-func (a Addr) U32() uint32 { return binary.BigEndian.Uint32(a[:]) }
-
-// FromU32 unpacks an address.
-func FromU32(v uint32) Addr {
-	var a Addr
-	binary.BigEndian.PutUint32(a[:], v)
-	return a
 }

@@ -62,13 +62,6 @@ func TestAddrString(t *testing.T) {
 	}
 }
 
-func TestU32RoundTrip(t *testing.T) {
-	a := Addr{1, 2, 3, 4}
-	if FromU32(a.U32()) != a {
-		t.Error("U32 round trip")
-	}
-}
-
 func TestStaticAddressesNegotiate(t *testing.T) {
 	pa := NewPolicy(Addr{10, 0, 0, 1})
 	pb := NewPolicy(Addr{10, 0, 0, 2})

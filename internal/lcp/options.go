@@ -331,12 +331,15 @@ func (p *LCPPolicy) RxConfig() ppp.Config {
 	}
 }
 
+// chapMD5 is the algorithm octet of the one CHAP algorithm in RFC 1994.
+const chapMD5 = 5
+
 // authOption encodes the authentication-protocol option: the protocol
 // number, plus the MD5 algorithm octet for CHAP (RFC 1994 §3).
 func authOption(proto uint16) Option {
 	data := []byte{byte(proto >> 8), byte(proto)}
 	if proto == 0xC223 {
-		data = append(data, 5) // MD5
+		data = append(data, chapMD5)
 	}
 	return Option{Type: OptAuthProto, Data: data}
 }
@@ -351,7 +354,7 @@ func parseAuthOption(o Option) (uint16, bool) {
 	case 0xC023:
 		return proto, len(o.Data) == 2
 	case 0xC223:
-		return proto, len(o.Data) == 3 && o.Data[2] == 5
+		return proto, len(o.Data) == 3 && o.Data[2] == chapMD5
 	}
 	return 0, false
 }

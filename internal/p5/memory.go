@@ -35,9 +35,6 @@ func NewRing[T any](capacity int) *Ring[T] {
 // Len returns the current occupancy.
 func (r *Ring[T]) Len() int { return r.n }
 
-// Cap returns the ring capacity.
-func (r *Ring[T]) Cap() int { return len(r.slots) }
-
 // Post offers an item to the ring; it reports false (and changes
 // nothing) when the ring is full — transmit-side backpressure.
 func (r *Ring[T]) Post(v T) bool {

@@ -92,14 +92,7 @@ const (
 	OvfAPSSwitch  = uint32(1) << 13
 )
 
-// RegAlarm bit assignments mirror the sonet.Defect bit set.
-const (
-	AlarmOOF = uint32(sonet.DefOOF)
-	AlarmLOF = uint32(sonet.DefLOF)
-	AlarmLOS = uint32(sonet.DefLOS)
-	AlarmSD  = uint32(sonet.DefSD)
-	AlarmSF  = uint32(sonet.DefSF)
-)
+// RegAlarm's bit assignments are the sonet.Defect bit set.
 
 // RegCtrl bits.
 const (
@@ -215,15 +208,6 @@ func (r *Regs) sample(c *config) bool {
 }
 
 // Accessors for per-frame and host-side reads (RLock each).
-
-// TxEnable reports the transmit-enable control bit.
-func (r *Regs) TxEnable() bool { return r.ctrlBit(CtrlTxEnable) }
-
-// RxEnable reports the receive-enable control bit.
-func (r *Regs) RxEnable() bool { return r.ctrlBit(CtrlRxEnable) }
-
-// Loopback reports the internal-loopback control bit.
-func (r *Regs) Loopback() bool { return r.ctrlBit(CtrlLoopback) }
 
 // AnyAddress reports promiscuous address acceptance.
 func (r *Regs) AnyAddress() bool { return r.ctrlBit(CtrlAnyAddress) }

@@ -29,7 +29,7 @@ func TestOAMSectionAlarms(t *testing.T) {
 	// LOF follow as the dead line fails to frame.
 	dead := make([]byte, 20*sonet.STM1.FrameBytes())
 	df.Feed(dead)
-	if a := sys.OAM.Read(RegAlarm); a&AlarmLOS == 0 {
+	if a := sys.OAM.Read(RegAlarm); a&uint32(sonet.DefLOS) == 0 {
 		t.Fatalf("alarm register = %#x, LOS not raised", a)
 	}
 	if stat := sys.OAM.Read(RegIntStat); stat&IntLOS == 0 {

@@ -138,7 +138,7 @@ func TestRxCRCTagsBadFrame(t *testing.T) {
 	u := &RxCRC{In: src.Out, Out: out, W: 4}
 	sink := rtl.NewSink(out)
 	sim.Add(src, u, sink)
-	good := crc.AppendFCS32([]byte{1, 2, 3, 4, 5})
+	good := crc.FCS32Mode.Append([]byte{1, 2, 3, 4, 5})
 	bad := append([]byte(nil), good...)
 	bad[0] ^= 0x80
 	src.FeedBytes(good, 4)
@@ -249,7 +249,7 @@ func TestDelineatorOverrunMarksFrame(t *testing.T) {
 
 func TestOAMRegisterFileDefaults(t *testing.T) {
 	r := NewRegs()
-	if !r.TxEnable() || !r.RxEnable() || r.Loopback() {
+	if !r.ctrlBit(CtrlTxEnable) || !r.ctrlBit(CtrlRxEnable) || r.ctrlBit(CtrlLoopback) {
 		t.Error("control defaults")
 	}
 	if r.Address() != 0xFF || r.Control() != 0x03 {
@@ -385,7 +385,7 @@ func TestLineCorruptHook(t *testing.T) {
 
 func TestRingBasics(t *testing.T) {
 	r := NewRing[int](3)
-	if r.Cap() != 3 || r.Len() != 0 {
+	if len(r.slots) != 3 || r.Len() != 0 {
 		t.Fatal("fresh ring")
 	}
 	for i := 1; i <= 3; i++ {

@@ -31,7 +31,7 @@ func TestEncodeBodyLayout(t *testing.T) {
 	if !bytes.Equal(body[:6], want) {
 		t.Errorf("header = % x, want % x", body[:6], want)
 	}
-	if !crc.Check32(body) {
+	if !crc.FCS32Mode.Check(body) {
 		t.Error("FCS over body must verify")
 	}
 }

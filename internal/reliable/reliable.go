@@ -192,9 +192,6 @@ func (s *Station) reset() {
 // InFlight returns the number of unacknowledged I frames.
 func (s *Station) InFlight() int { return len(s.sent) }
 
-// Queued returns the number of payloads waiting for window space.
-func (s *Station) Queued() int { return len(s.pending) }
-
 // Send queues an information field for numbered transmission. Payloads
 // beyond the window are buffered and flushed as acknowledgements open
 // the window.

@@ -150,8 +150,8 @@ func TestWindowLimitsInFlight(t *testing.T) {
 	if w.a.InFlight() != 3 {
 		t.Errorf("in flight = %d, want window 3", w.a.InFlight())
 	}
-	if w.a.Queued() != 7 {
-		t.Errorf("queued = %d, want 7", w.a.Queued())
+	if len(w.a.pending) != 7 {
+		t.Errorf("queued = %d, want 7", len(w.a.pending))
 	}
 	// Drain: acknowledgements open the window.
 	var got int
@@ -160,7 +160,7 @@ func TestWindowLimitsInFlight(t *testing.T) {
 	if got != 10 {
 		t.Errorf("delivered %d, want 10", got)
 	}
-	if w.a.InFlight() != 0 || w.a.Queued() != 0 {
+	if w.a.InFlight() != 0 || len(w.a.pending) != 0 {
 		t.Error("window did not drain")
 	}
 }

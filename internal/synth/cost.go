@@ -27,11 +27,6 @@ func (c Cost) Add(o Cost) Cost {
 	return Cost{LUTs: c.LUTs + o.LUTs, FFs: c.FFs + o.FFs, Depth: d}
 }
 
-// Chain sums areas and depths (series composition).
-func (c Cost) Chain(o Cost) Cost {
-	return Cost{LUTs: c.LUTs + o.LUTs, FFs: c.FFs + o.FFs, Depth: c.Depth + o.Depth}
-}
-
 // Times replicates a cost n times in parallel.
 func (c Cost) Times(n int) Cost {
 	return Cost{LUTs: c.LUTs * n, FFs: c.FFs * n, Depth: c.Depth}

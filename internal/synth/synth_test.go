@@ -13,9 +13,6 @@ func TestCostAlgebra(t *testing.T) {
 	if got := a.Add(b); got != (Cost{13, 6, 4}) {
 		t.Errorf("Add = %+v", got)
 	}
-	if got := a.Chain(b); got != (Cost{13, 6, 6}) {
-		t.Errorf("Chain = %+v", got)
-	}
 	if got := a.Times(3); got != (Cost{30, 15, 2}) {
 		t.Errorf("Times = %+v", got)
 	}

@@ -112,17 +112,6 @@ func (ra *RingAPS) clearFailed(span int) {
 	delete(ra.failed, span)
 }
 
-// FailedSpans returns the east-span indexes currently known failed.
-func (ra *RingAPS) FailedSpans(now int64) []int {
-	var out []int
-	for sp, until := range ra.failed {
-		if until > now {
-			out = append(out, sp)
-		}
-	}
-	return out
-}
-
 // Reachable reports whether nodes a and b are still connected by
 // surviving spans (either way around the ring). Wrap-time squelching
 // keys on this: an unreachable endpoint means the circuit must carry

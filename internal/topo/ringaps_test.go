@@ -125,8 +125,8 @@ func TestRingAPSRelaysLongPathRequests(t *testing.T) {
 	}
 	// And it learns the failed span (2↔3, east index 2) for squelch
 	// computation.
-	if got := ra.FailedSpans(5); len(got) != 1 || got[0] != 2 {
-		t.Fatalf("learned failed spans = %v, want [2]", got)
+	if len(ra.failed) != 1 || ra.failed[2] <= 5 {
+		t.Fatalf("learned failed spans = %v, want span 2 alone, still current", ra.failed)
 	}
 	// After the relay ages out, idle resumes.
 	ra.Advance(5+ra.KTTL+1, false, false)

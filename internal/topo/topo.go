@@ -194,9 +194,6 @@ func (r *Ring) Nodes() int { return len(r.nodes) }
 // Now returns the last ticked virtual time.
 func (r *Ring) Now() int64 { return r.now }
 
-// BlockBytes returns the octets per slot per frame.
-func (r *Ring) BlockBytes() int { return r.block }
-
 // Span returns the directed span leaving node src on rotation rot.
 func (r *Ring) Span(rot Rotation, src int) *Span { return r.spans[rot][src] }
 

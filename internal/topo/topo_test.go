@@ -138,8 +138,8 @@ func TestSTM4RingKeepsSlotsApart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := r.BlockBytes() * 3; got != sonet.STM4.PayloadBytes() {
-		t.Fatalf("3 slots of %d octets, payload %d", r.BlockBytes(), sonet.STM4.PayloadBytes())
+	if got := r.block * 3; got != sonet.STM4.PayloadBytes() {
+		t.Fatalf("3 slots of %d octets, payload %d", r.block, sonet.STM4.PayloadBytes())
 	}
 	pa, pb, err := r.AddCircuit(Circuit{Name: "a-c", A: 0, B: 2, Slot: 0})
 	if err != nil {

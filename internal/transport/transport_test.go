@@ -57,41 +57,6 @@ func TestPipePairExchange(t *testing.T) {
 	}
 }
 
-// TestPipeOwnershipGenerations: a chunk returned by Recv must stay
-// intact until the second-following Recv, the Link receive-queue rule.
-func TestPipeOwnershipGenerations(t *testing.T) {
-	a, z := NewPipePair()
-	a.Send([]byte("generation-0"))
-	gen0 := z.Recv(nil)
-	a.Send([]byte("generation-1"))
-	_ = z.Recv(nil) // first following Recv: gen0 must survive
-	if !bytes.Equal(gen0[0], []byte("generation-0")) {
-		t.Fatalf("chunk invalidated by the first following Recv: %q", gen0[0])
-	}
-}
-
-func TestPipeZeroAllocSteadyState(t *testing.T) {
-	a, z := NewPipePair()
-	payload := bytes.Repeat([]byte{0x7E}, 512)
-	var dst [][]byte
-	// Warm the arenas to steady-state capacity.
-	for i := 0; i < 64; i++ {
-		a.Send(payload)
-		z.Send(payload)
-		dst = a.Recv(dst[:0])
-		dst = z.Recv(dst)
-	}
-	allocs := testing.AllocsPerRun(200, func() {
-		a.Send(payload)
-		z.Send(payload)
-		dst = a.Recv(dst[:0])
-		dst = z.Recv(dst)
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state pipe exchange allocates %.1f/op, want 0", allocs)
-	}
-}
-
 func TestUDPPairExchange(t *testing.T) {
 	cfg := Config{}
 	ln, err := NewUDP(UDPConfig{Config: cfg, ListenAddr: "127.0.0.1:0"})

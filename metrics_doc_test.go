@@ -51,8 +51,9 @@ func TestMetricsDocMatchesRegistry(t *testing.T) {
 
 	// Every optional Link subsystem on, so every link_* family registers.
 	lcfg := LinkConfig{WantVJ: true, AllowVJ: true, LQMPeriod: 16, Supervise: true}
-	NewProtectedLink(lcfg, ProtectionConfig{}).Instrument(reg, tr, "a")
-	NewProtectedLink(lcfg, ProtectionConfig{}).Instrument(reg, tr, "b")
+	pa, pb := NewProtectedPair(lcfg, lcfg, ProtectionConfig{})
+	pa.Instrument(reg, tr, "a")
+	pb.Instrument(reg, tr, "b")
 
 	ring, err := topo.NewRing(topo.Config{Nodes: 4})
 	if err != nil {

@@ -7,12 +7,12 @@ import (
 )
 
 // This file wires a Link to a 1+1 protected SONET line pair: one PPP
-// endpoint, two transmit framers fed from a permanent bridge of the
-// same payload stream, two supervised receive deframers, and an
-// aps.Controller moving the receive selector between them. A
-// service-affecting defect on one line becomes an APS switch — the
-// LCP/IPCP session never notices — and only when both lines are down
-// does the event reach Link.NotifyDefects and the self-healing
+// endpoint on two sonet.Lines (the same seam every other carrier sits
+// behind), a permanent transmit bridge sending the same payload stream
+// down both, and an aps.Controller moving the receive selector between
+// them. A service-affecting defect on one line becomes an APS switch —
+// the LCP/IPCP session never notices — and only when both lines are
+// down does the event reach Link.NotifyDefects and the self-healing
 // supervisor's backoff path.
 
 // ProtectionConfig configures the protected pair around a Link.
@@ -26,125 +26,99 @@ type ProtectionConfig struct {
 	Defects sonet.DefectConfig
 }
 
-func (c ProtectionConfig) level() sonet.Level {
-	if c.Level > 0 {
-		return c.Level
-	}
-	return sonet.STM1
-}
-
-// ProtectedLink is a Link riding a 1+1 protected line pair. Drive it
-// like the unprotected arrangement, but with two line feeds: per tick,
-// call Advance, transmit both NextFrames outputs, and deliver each
-// received line's octets to FeedWorking / FeedProtect. The receive
-// selector follows Ctrl.
+// ProtectedLink is one end of a Link pair riding a 1+1 protected line
+// pair. Advance is the whole drive: once per frame time and end. The
+// receive selector follows Ctrl.
 type ProtectedLink struct {
 	*Link
 	// Ctrl is the protection controller (exported for external
 	// commands — lockout, forced and manual switches — and state).
 	Ctrl *aps.Controller
 
-	fr  [2]*sonet.Framer
-	df  [2]*sonet.Deframer
-	txQ []byte // payload queued behind the permanent bridge: both lines carry it
-	rx  []byte // one line's payload accumulated during a Feed
+	lines [2]*sonet.Line // this end of the working and protection sections
+	rx    [][]byte       // Recv scratch
 
 	// DiscardedStandbyOctets counts payload octets recovered from the
 	// standby line and dropped by the selector — the cost of keeping
 	// the standby deframer hot so a switch is a pointer flip.
 	DiscardedStandbyOctets uint64
 
-	now int64
 	tel *telemetry.Mirror // nil until Instrument
 }
 
-// NewProtectedLink builds a Link plus its protected line pair.
-func NewProtectedLink(cfg LinkConfig, pcfg ProtectionConfig) *ProtectedLink {
-	pl := &ProtectedLink{Link: NewLink(cfg), Ctrl: aps.NewController(pcfg.APS)}
-	level := pcfg.level()
-	for i := range pl.fr {
-		pl.fr[i] = sonet.NewFramer(level, nil)
-		// Both framers read the one queue; off is how much of it the
-		// frame being built already carries.
-		pl.fr[i].Fill = func(dst []byte, off int) int {
-			return copy(dst, pl.txQ[min(off, len(pl.txQ)):])
-		}
-		pl.df[i] = sonet.NewDeframer(level, nil)
-		pl.df[i].Payload = func(p []byte, _ int) { pl.rx = append(pl.rx, p...) }
-		pl.df[i].Defects.Cfg = pcfg.Defects
+// NewProtectedPair builds two Links and the working and protection
+// sections between them.
+func NewProtectedPair(cfgA, cfgB LinkConfig, pcfg ProtectionConfig) (a, b *ProtectedLink) {
+	a = &ProtectedLink{Link: NewLink(cfgA), Ctrl: aps.NewController(pcfg.APS)}
+	b = &ProtectedLink{Link: NewLink(cfgB), Ctrl: aps.NewController(pcfg.APS)}
+	level := pcfg.Level
+	if level == 0 {
+		level = sonet.STM1
+	}
+	for i := range a.lines {
+		a.lines[i], b.lines[i] = sonet.NewLinePair(level)
+		a.lines[i].Deframer().Defects.Cfg = pcfg.Defects
+		b.lines[i].Deframer().Defects.Cfg = pcfg.Defects
 	}
 	// Far-end requests arrive in the protection line's K1/K2, already
 	// persistence-filtered by the deframer.
-	pl.df[aps.Protect].OnAPS = func(k1, k2 byte) {
-		pl.Ctrl.ReceiveK1K2(pl.now, k1, k2)
+	for _, pl := range []*ProtectedLink{a, b} {
+		pl.lines[aps.Protect].Deframer().OnAPS = func(k1, k2 byte) {
+			pl.Ctrl.ReceiveK1K2(pl.Ctrl.Now(), k1, k2)
+		}
 	}
-	return pl
+	return a, b
 }
 
 // Active returns the line the receive selector currently follows.
 func (pl *ProtectedLink) Active() aps.Line { return pl.Ctrl.Active() }
 
-// Deframer exposes a line's receive deframer (defect monitors,
-// counters) for tests and OAM attachment.
-func (pl *ProtectedLink) Deframer(line aps.Line) *sonet.Deframer { return pl.df[int(line)&1] }
+// Line exposes this end of one section: Inject for faults on what it
+// transmits, Deframer() for the defect monitors and counters of what it
+// receives.
+func (pl *ProtectedLink) Line(line aps.Line) *sonet.Line { return pl.lines[int(line)&1] }
 
-// Advance moves the endpoint and the protection controller one virtual
-// time step. Call once per frame time, after the tick's line feeds.
+// Advance moves the endpoint one frame time: the Link's and the
+// controller's clocks; one frame onto each line — the permanent 1+1
+// head-end bridge, the protection line carrying the controller's K1/K2;
+// then what the far end's frames have delivered — the selected line's
+// payload to the Link, the standby's to the counter, each line's
+// condition to the controller. A frame the far end cuts later in the
+// same tick is taken in on the next.
 func (pl *ProtectedLink) Advance(now int64) {
-	pl.now = now
 	pl.Link.Advance(now)
 	pl.Ctrl.Advance(now)
-	pl.tel.Sync()
-}
 
-// NextFrames queues the Link's pending output and builds one transmit
-// frame per line from the same queue — the permanent 1+1 head-end
-// bridge. The protection line's frame carries the controller's current
-// K1/K2.
-func (pl *ProtectedLink) NextFrames() (working, protect []byte) {
-	pl.txQ = append(pl.txQ, pl.Link.Output()...)
-	pl.fr[aps.Protect].K1, pl.fr[aps.Protect].K2 = pl.Ctrl.TxK1K2()
-	working, protect = pl.fr[aps.Working].NextFrame(), pl.fr[aps.Protect].NextFrame()
-	sent := min(len(pl.txQ), pl.fr[aps.Working].Level.PayloadBytes())
-	pl.txQ = pl.txQ[:copy(pl.txQ, pl.txQ[sent:])]
-	return working, protect
-}
-
-// FeedWorking delivers received working-line octets.
-func (pl *ProtectedLink) FeedWorking(p []byte) { pl.feed(aps.Working, p) }
-
-// FeedProtect delivers received protection-line octets.
-func (pl *ProtectedLink) FeedProtect(p []byte) { pl.feed(aps.Protect, p) }
-
-func (pl *ProtectedLink) feed(line aps.Line, p []byte) {
-	pl.rx = pl.rx[:0]
-	pl.df[int(line)].Feed(p)
-	if len(pl.rx) > 0 {
-		if pl.Ctrl.Active() == line {
-			pl.Link.Input(pl.rx)
-		} else {
-			pl.DiscardedStandbyOctets += uint64(len(pl.rx))
-		}
+	out := pl.Link.Output()
+	pr := pl.lines[aps.Protect].Framer()
+	pr.K1, pr.K2 = pl.Ctrl.TxK1K2()
+	for _, l := range pl.lines {
+		l.Send(out)
+		l.Tick(now)
 	}
-	pl.observe(line)
-}
 
-// observe refreshes the controller's view of one line's condition and
-// decides whether the outage escalates past the protection layer: only
-// with BOTH lines service-affected does the supervisor see a defect
-// outage and fall back to its backoff-and-retry recovery.
-func (pl *ProtectedLink) observe(line aps.Line) {
-	d := pl.df[int(line)].Defects.Active()
-	pl.Ctrl.SetSignal(pl.now, line,
-		d&sonet.ServiceAffecting != 0, d&sonet.DefSD != 0)
-
-	w := pl.df[aps.Working].Defects.Active()
-	p := pl.df[aps.Protect].Defects.Active()
-	if w&sonet.ServiceAffecting != 0 && p&sonet.ServiceAffecting != 0 {
-		pl.Link.NotifyDefects(uint32(w | p))
+	var d [2]sonet.Defect
+	for i, l := range pl.lines {
+		pl.rx = l.Recv(pl.rx[:0])
+		if pl.Ctrl.Active() == aps.Line(i) {
+			pl.Link.InputBatch(pl.rx)
+		} else {
+			for _, c := range pl.rx {
+				pl.DiscardedStandbyOctets += uint64(len(c))
+			}
+		}
+		d[i] = l.Deframer().Defects.Active()
+		pl.Ctrl.SetSignal(now, aps.Line(i), d[i]&sonet.ServiceAffecting != 0, d[i]&sonet.DefSD != 0)
+	}
+	// The outage escalates past the protection layer only with BOTH
+	// lines service-affected: then the supervisor sees a defect outage
+	// and falls back to its backoff-and-retry recovery.
+	if d[0]&sonet.ServiceAffecting != 0 && d[1]&sonet.ServiceAffecting != 0 {
+		pl.Link.NotifyDefects(uint32(d[0] | d[1]))
 	} else {
 		pl.Link.NotifyDefects(0)
 	}
+	pl.tel.Sync()
 }
 
 // Instrument exports the full protected-endpoint probe set, every
@@ -157,8 +131,8 @@ func (pl *ProtectedLink) Instrument(reg *telemetry.Registry, tr *telemetry.Trace
 	lbl := telemetry.L("link", name)
 	pl.tel = reg.Mirror()
 	pl.Ctrl.Instrument(pl.tel, tr, name)
-	pl.df[aps.Working].Instrument(pl.tel, tr, "link_working", lbl)
-	pl.df[aps.Protect].Instrument(pl.tel, tr, "link_protect", lbl)
+	pl.lines[aps.Working].Deframer().Instrument(pl.tel, tr, "link_working", lbl)
+	pl.lines[aps.Protect].Deframer().Instrument(pl.tel, tr, "link_protect", lbl)
 	pl.tel.Counter("link_standby_discarded_octets_total",
 		"Standby-line payload octets dropped by the receive selector.",
 		func() uint64 { return pl.DiscardedStandbyOctets }, lbl)

@@ -15,9 +15,6 @@ import (
 type protectedPair struct {
 	a, b *ProtectedLink
 	now  int64
-	// impair*, when set, transform the a→b frames in transit (nil
-	// passes the frame through; returning nil drops it entirely).
-	impairW, impairP func([]byte) []byte
 }
 
 func newProtectedPair(t *testing.T, pcfg ProtectionConfig) *protectedPair {
@@ -26,10 +23,10 @@ func newProtectedPair(t *testing.T, pcfg ProtectionConfig) *protectedPair {
 		EchoPeriod: 8, EchoMisses: 3,
 		Supervise: true, RetryMin: 8, RetryMax: 128,
 	}
-	cfg.Magic, cfg.IPAddr = 0xAAAA, [4]byte{10, 0, 0, 1}
-	a := NewProtectedLink(cfg, pcfg)
-	cfg.Magic, cfg.IPAddr = 0xBBBB, [4]byte{10, 0, 0, 2}
-	b := NewProtectedLink(cfg, pcfg)
+	cfgA, cfgB := cfg, cfg
+	cfgA.Magic, cfgA.IPAddr = 0xAAAA, [4]byte{10, 0, 0, 1}
+	cfgB.Magic, cfgB.IPAddr = 0xBBBB, [4]byte{10, 0, 0, 2}
+	a, b := NewProtectedPair(cfgA, cfgB, pcfg)
 	p := &protectedPair{a: a, b: b}
 	a.Open()
 	a.Up()
@@ -38,23 +35,16 @@ func newProtectedPair(t *testing.T, pcfg ProtectionConfig) *protectedPair {
 	return p
 }
 
+// impair sets what transforms the a→b frames of one line in transit
+// (nil passes them through); b→a stays clean in these scenarios.
+func (p *protectedPair) impair(line aps.Line, fn func([]byte) []byte) {
+	p.a.Line(line).Inject = fn
+}
+
 func (p *protectedPair) tick() {
 	p.now++
 	p.a.Advance(p.now)
 	p.b.Advance(p.now)
-	wa, pa := p.a.NextFrames()
-	wb, pb := p.b.NextFrames()
-	if p.impairW != nil {
-		wa = p.impairW(wa)
-	}
-	if p.impairP != nil {
-		pa = p.impairP(pa)
-	}
-	p.b.FeedWorking(wa)
-	p.b.FeedProtect(pa)
-	// b→a stays clean in these scenarios.
-	p.a.FeedWorking(wb)
-	p.a.FeedProtect(pb)
 }
 
 // zeroFrame replaces a frame with a dead line — a full-frame LOS cut.
@@ -137,7 +127,7 @@ func TestProtectionHitlessFailover(t *testing.T) {
 
 	// Cut the working line for 200 frame times.
 	failAt := p.now
-	p.impairW = zeroFrame
+	p.impair(aps.Working, zeroFrame)
 	for i := 0; i < 200; i++ {
 		step()
 	}
@@ -156,7 +146,7 @@ func TestProtectionHitlessFailover(t *testing.T) {
 	}
 
 	// Heal, then ride out wait-to-restore: the group must revert.
-	p.impairW = nil
+	p.impair(aps.Working, nil)
 	for i := 0; i < wtr+100; i++ {
 		step()
 	}
@@ -209,7 +199,8 @@ func TestProtectionBothLinesDownFallsBack(t *testing.T) {
 		t.Fatal("links did not open")
 	}
 
-	p.impairW, p.impairP = zeroFrame, zeroFrame
+	p.impair(aps.Working, zeroFrame)
+	p.impair(aps.Protect, zeroFrame)
 	for i := 0; i < 150; i++ {
 		p.tick()
 	}
@@ -221,7 +212,8 @@ func TestProtectionBothLinesDownFallsBack(t *testing.T) {
 		t.Errorf("DefectOutages = %d, want 1", sup.DefectOutages)
 	}
 
-	p.impairW, p.impairP = nil, nil
+	p.impair(aps.Working, nil)
+	p.impair(aps.Protect, nil)
 	heal := 0
 	for !(a.Opened() && b.Opened() && a.IPReady() && b.IPReady()) {
 		p.tick()
@@ -266,7 +258,7 @@ func TestProtectedPairTelemetryKeepsEndsApart(t *testing.T) {
 	if !p.a.IPReady() || !p.b.IPReady() {
 		t.Fatal("links did not open on the clean pair")
 	}
-	p.impairW = zeroFrame
+	p.impair(aps.Working, zeroFrame)
 	for i := 0; i < 40; i++ {
 		p.tick()
 	}

@@ -3,7 +3,8 @@
 #   gofmt, go vet (with and without the gates tag), go build,
 #   go test -race, the three timing gates (gates_test.go; the OC-48
 #   floor covers the codecs, the Link pair and the STM-16 section),
-#   every scenarios/*.json drill, the two-process transport smokes, a
+#   every scenarios/*.json drill, the engine over SONET lines
+#   (p5sim -engine 8 -sonet), the two-process transport smokes, a
 #   30s differential fuzz of each fused kernel — the one production
 #   encoder and the one production tokenizer, each against its
 #   byte-at-a-time reference
@@ -58,6 +59,8 @@ for drill in scenarios/*.json; do
     echo "-- $drill"
     "$scen_bin" -scenario "$drill"
 done
+# The line card behind its PHY: 8 pairs over STM-16 sonet.Lines must deliver every datagram offered and never renegotiate.
+"$scen_bin" -engine 8 -sonet -frames 2000 | tee /dev/stderr | grep -Eq ' ([0-9]+)/\1 datagrams delivered, lcp-renegotiations=0$'
 
 echo "== transport chaos smoke (two p5sim processes over UDP loopback) =="
 # Two p5sim halves interconnect over real UDP sockets; a 250-tick
