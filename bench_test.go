@@ -550,7 +550,7 @@ func steadyEngine(tb testing.TB, shards int, armed bool) (e *Engine, col *prof.C
 	e = NewEngine(EngineConfig{Links: 8, Shards: shards, PayloadSize: 512, Batch: 8})
 	tb.Cleanup(e.Close)
 	if armed {
-		col = e.ArmProfile(telemetry.NewRegistry(), "bench", prof.Config{})
+		col = e.Observe(Observation{Profile: &prof.Config{}}, "bench").Profile
 	}
 	if !e.BringUp(512).Ready {
 		tb.Fatal("engine bring-up failed")
@@ -593,9 +593,7 @@ func BenchmarkLinkEncodeSteadyFlight(b *testing.B) { benchSteady(b, encodeSteady
 func encodeSteady(tb testing.TB, armed bool) steadyOp {
 	a, z := newTestPair(tb, LinkConfig{}, LinkConfig{})
 	if armed {
-		a.ArmFlight(flight.NewRecorder(nil, "bench_a", flight.Config{}))
-		z.ArmFlight(flight.NewRecorder(nil, "bench_z", flight.Config{}))
-		JoinFlight(a, z)
+		new(Watch).ObservePair(Observation{Flight: &flight.Config{}}, "bench", a, z)
 	}
 	payload := make([]byte, 1500)
 	batch := make([][]byte, 8)
@@ -936,12 +934,8 @@ func udpSteadyOp(tb testing.TB) (step func(), dl *transport.UDP) {
 	}
 	tb.Cleanup(func() { dl.Close() })
 	pa, pz := supervisedPorts(ln, dl)
-	ra := flight.NewRecorder(nil, "bench_a", flight.Config{})
-	rz := flight.NewRecorder(nil, "bench_z", flight.Config{})
-	pa.Link.ArmFlight(ra)
-	pz.Link.ArmFlight(rz)
-	JoinFlight(pa.Link, pz.Link)
-	if !pa.ArmCorrelation(ra) || !pz.ArmCorrelation(rz) {
+	new(Watch).ObservePair(Observation{Flight: &flight.Config{}}, "bench", pa, pz)
+	if pa.fz == nil || pz.fz == nil {
 		tb.Fatal("correlation did not arm on UDP transports")
 	}
 

@@ -11,6 +11,9 @@
 // the Prometheus text exposition at /metrics, expvar JSON at
 // /debug/vars, Go profiles under /debug/pprof/, and the structured
 // event trace at /trace — scrape it with p5stat or curl, ^C to exit.
+// -telemetry, -flight and -prof build the run's one gigapos.Observation;
+// every end it arms is named <pair>_a or <pair>_z in every series,
+// recorder and capture file.
 //
 // With -protect two software PPP endpoints ride a 1+1 protected STM-1
 // line pair (GR-253 linear APS, bidirectional, revertive): the working
@@ -20,7 +23,7 @@
 // group reverts through wait-to-restore. The report shows the switch
 // record and the OAM protection registers; -telemetry exposes
 // aps_switches_total and the aps_switch_duration histogram for both
-// ends, labelled link="a" / link="b".
+// ends, labelled link="prot_a" / link="prot_z".
 //
 // With -engine N the run is the sharded software line card instead of
 // the cycle-accurate model: N loopback PPP link pairs partitioned
@@ -53,23 +56,25 @@
 // captures that hold the evidence. Committed drills live under
 // scenarios/.
 //
-// With -flight DIR (in the -protect and -engine modes) every link is
+// With -flight DIR (in the modes that build links: -protect, -engine,
+// -listen/-dial, -scenario; a usage error elsewhere) every link is
 // armed with the always-on flight recorder: per-frame latency
-// histograms with exemplars, SLO burn-rate gauges in /metrics, the
-// error-budget board at /slo (render with p5stat -slo), and black-box
-// captures (.p5fr, decode with p5trace -capture) written to DIR on
-// every defect escalation, APS switch, FCS burst, or supervisor
-// restart.
+// histograms with exemplars, SLO burn-rate gauges in /metrics for both
+// directions of every pair, the error-budget board at /slo (render
+// with p5stat -slo), and black-box captures (.p5fr, decode with
+// p5trace -capture) written to DIR on every defect escalation, APS
+// switch, FCS burst, or supervisor restart.
 //
 // With -prof DIR the run is the performance observatory: CPU, heap,
 // allocs, mutex, block, and goroutine profiles are captured for the
-// whole run and written to DIR (inspect with go tool pprof). In the
-// -engine mode the worker loop additionally arms per-shard stage cost
-// accounting — the report gains a stage-by-stage ns/step breakdown,
-// barrier wait, and shard imbalance, and the prof_* series join
-// /metrics. Combined with -flight, every black-box capture also drops
-// a tagged profile snapshot next to its .p5fr file, and in -protect
-// the host can demand a snapshot through the OAM RegProfCtrl register.
+// whole run and written to DIR (inspect with go tool pprof). Where an
+// engine runs (-engine, -listen/-dial) the worker loop additionally
+// arms per-shard stage cost accounting — the -engine report gains a
+// stage-by-stage ns/step breakdown, barrier wait, and shard imbalance,
+// and the prof_* series join /metrics. Combined with -flight, every
+// black-box capture also drops a tagged profile snapshot next to its
+// .p5fr file, and in -protect the host can demand a snapshot through
+// the OAM RegProfCtrl register.
 // Whenever telemetry is armed, runtime/metrics (GC pauses, scheduler
 // latency, goroutine count) are exported as runtime_* gauges.
 //
@@ -125,12 +130,12 @@ type simConfig struct {
 	// after the run (":0" picks a free port).
 	telemetryAddr string
 
-	// flightDir, when non-empty, arms the flight recorder in the
-	// -protect and -engine modes and writes black-box captures there.
+	// flightDir, when non-empty, arms the flight recorder in the modes
+	// that build links and writes black-box captures there.
 	flightDir string
 
 	// profDir, when non-empty, captures runtime profiles for the whole
-	// run into this directory and (in the -engine mode) arms per-shard
+	// run into this directory and (where an engine runs) arms per-shard
 	// stage cost accounting.
 	profDir string
 	// profSession is the live capture started by run(); modes stop it
@@ -184,7 +189,7 @@ func main() {
 	flag.Uint64Var(&cfg.seed, "seed", 1, "workload seed")
 	flag.BoolVar(&cfg.verbose, "v", false, "print per-frame dispositions")
 	flag.StringVar(&cfg.telemetryAddr, "telemetry", "", "serve /metrics, /debug/vars, /debug/pprof/, /trace on this address after the run")
-	flag.StringVar(&cfg.flightDir, "flight", "", "arm the flight recorder (with -protect or -engine); write .p5fr captures to this directory")
+	flag.StringVar(&cfg.flightDir, "flight", "", "arm the flight recorder (with -protect, -engine, -listen/-dial or -scenario); write .p5fr captures to this directory")
 	flag.StringVar(&cfg.profDir, "prof", "", "capture CPU/heap/mutex/block profiles for the run into this directory; with -engine, arm per-shard stage accounting")
 	flag.BoolVar(&cfg.sonetMode, "sonet", false, "carry the line over an STM-1 section with fault injection")
 	flag.BoolVar(&cfg.protectMode, "protect", false, "run the 1+1 APS failover scenario (working-line cut of -los-frames frames)")
@@ -230,17 +235,20 @@ func main() {
 }
 
 // modeConflict names the first two mode flags of cfg that cannot be
-// combined. Only two pairings mean something: -listen/-dial take their
-// link count from -engine, and -engine -sonet puts the line card behind
-// STM-16 lines.
+// combined, or the first flag set in a mode that would never read it.
+// Only two pairings mean something: -listen/-dial take their link count
+// from -engine, and -engine -sonet puts the line card behind STM-16
+// lines.
 func modeConflict(cfg simConfig) error {
+	scenario, netMode := cfg.scenarioFile != "", cfg.net.listen != "" || cfg.net.dial != ""
+	engine := cfg.engineLinks > 0
 	modes := []struct {
 		flag string
 		on   bool
 	}{
-		{"-scenario", cfg.scenarioFile != ""},
-		{"-listen/-dial", cfg.net.listen != "" || cfg.net.dial != ""},
-		{"-engine", cfg.engineLinks > 0},
+		{"-scenario", scenario},
+		{"-listen/-dial", netMode},
+		{"-engine", engine},
 		{"-protect", cfg.protectMode},
 		{"-sonet", cfg.sonetMode},
 	}
@@ -251,6 +259,14 @@ func modeConflict(cfg simConfig) error {
 				return usageError(a.flag + " and " + b.flag + " cannot be combined")
 			}
 		}
+	}
+	switch chaos := cfg.net.stallTo > cfg.net.stallFrom || cfg.net.blackoutTo > cfg.net.blackoutFrom; {
+	case cfg.flightDir != "" && !(cfg.protectMode || engine || netMode || scenario):
+		return usageError("-flight needs one of -protect, -engine, -listen/-dial, -scenario: the modes that arm a recorder")
+	case cfg.engineShards != 0 && !(engine || netMode):
+		return usageError("-shards needs one of -engine, -listen/-dial")
+	case chaos && !netMode:
+		return usageError("-net-stall/-net-blackout needs one of -listen/-dial")
 	}
 	return nil
 }
@@ -309,18 +325,6 @@ func stopProf(cfg simConfig, out io.Writer) error {
 	return nil
 }
 
-// flightProfiler builds the flight-capture profile hook: every
-// black-box dump drops a tagged runtime profile snapshot next to its
-// .p5fr file. Nil when -prof is not armed.
-func flightProfiler(cfg simConfig) func(*flight.Capture) {
-	if cfg.profDir == "" {
-		return nil
-	}
-	return func(c *flight.Capture) {
-		prof.WriteSnapshot(cfg.profDir, fmt.Sprintf("flight-%s-%d", c.Reason, c.Seq))
-	}
-}
-
 // parseCommon validates the flag combinations shared by both modes and
 // returns the byte width and size distribution.
 func parseCommon(cfg simConfig) (int, netsim.SizeDist, error) {
@@ -339,18 +343,32 @@ func parseCommon(cfg simConfig) (int, netsim.SizeDist, error) {
 	return w, dist, nil
 }
 
-// newTelemetry builds the registry/tracer pair when the run should be
-// instrumented (a serve address or a scrape hook is configured).
-func newTelemetry(cfg simConfig) (*telemetry.Registry, *telemetry.Tracer) {
-	if cfg.telemetryAddr == "" && cfg.scrape == nil {
-		return nil, nil
+// observation is what the run watches: -telemetry (or a test's scrape
+// hook) sets the registry and tracer, -flight the recorder, -prof the
+// stage clock. The modes that build links hand it to Observe; the RTL
+// modes read its Registry and Tracer for the model's own probes.
+func observation(cfg simConfig) gigapos.Observation {
+	var o gigapos.Observation
+	if cfg.telemetryAddr != "" || cfg.scrape != nil {
+		o.Registry, o.Tracer = telemetry.NewRegistry(), telemetry.NewTracer(4096)
+		// Instrumented runs always carry the Go runtime's own vitals —
+		// GC pauses, scheduler latency, goroutine count — refreshed at
+		// every scrape through the registry's sampler hook.
+		prof.ExportRuntime(o.Registry)
 	}
-	reg := telemetry.NewRegistry()
-	// Instrumented runs always carry the Go runtime's own vitals —
-	// GC pauses, scheduler latency, goroutine count — refreshed at
-	// every scrape through the registry's sampler hook.
-	prof.ExportRuntime(reg)
-	return reg, telemetry.NewTracer(4096)
+	if cfg.flightDir != "" {
+		o.Flight = &flight.Config{Dir: cfg.flightDir}
+	}
+	if cfg.profDir != "" {
+		o.Profile = &prof.Config{}
+		if o.Flight != nil {
+			// Every black-box dump drops a tagged profile snapshot beside it.
+			o.Flight.Profiler = func(c *flight.Capture) {
+				prof.WriteSnapshot(cfg.profDir, fmt.Sprintf("flight-%s-%d", c.Reason, c.Seq))
+			}
+		}
+	}
+	return o
 }
 
 // serveTelemetry starts the exposition endpoint after a run, mounting
@@ -358,10 +376,11 @@ func newTelemetry(cfg simConfig) (*telemetry.Registry, *telemetry.Tracer) {
 // server lives only for the hook call; otherwise it lingers until the
 // process is killed so the operator can attach p5stat, curl /metrics,
 // or pull a profile.
-func serveTelemetry(cfg simConfig, reg *telemetry.Registry, tr *telemetry.Tracer, board *flight.Board, out io.Writer) error {
+func serveTelemetry(cfg simConfig, o gigapos.Observation, board *flight.Board, out io.Writer) error {
 	if err := stopProf(cfg, out); err != nil {
 		return err
 	}
+	reg := o.Registry
 	if reg == nil {
 		return nil
 	}
@@ -370,7 +389,7 @@ func serveTelemetry(cfg simConfig, reg *telemetry.Registry, tr *telemetry.Tracer
 		addr = "127.0.0.1:0"
 	}
 	telemetry.Publish(reg, "p5sim")
-	mux := telemetry.Mux(reg, tr)
+	mux := telemetry.Mux(reg, o.Tracer)
 	endpoints := "/debug/vars /debug/pprof/ /trace"
 	if board != nil {
 		mux.Handle("/slo", board.Handler())
@@ -393,11 +412,12 @@ func serveTelemetry(cfg simConfig, reg *telemetry.Registry, tr *telemetry.Tracer
 }
 
 // flightSummary renders the one-line flight report: aggregate frames
-// tracked/lost, captures dumped, and the worst SLO burn across the
-// board — plus a second line when capture files failed to land.
-func flightSummary(out io.Writer, board *flight.Board, dir string) {
+// tracked/lost, captures dumped (returned), and the worst SLO burn
+// across the board — plus a second line when capture files failed to
+// land.
+func flightSummary(out io.Writer, board *flight.Board, dir string) (captures uint64) {
 	doc := board.Snapshot()
-	var tracked, lost, captures uint64
+	var tracked, lost uint64
 	exemplars := 0
 	for _, l := range doc.Links {
 		tracked += l.Tracked
@@ -415,6 +435,7 @@ func flightSummary(out io.Writer, board *flight.Board, dir string) {
 	fmt.Fprintf(out, "  flight           : tracked=%d lost=%d captures=%d exemplars=%d worst-burn=%.2f alarm=%v dir=%s\n",
 		tracked, lost, captures, exemplars, worst, alarm, dir)
 	reportCaptureWriteErrors(out, doc.Links, dir)
+	return captures
 }
 
 // reportCaptureWriteErrors adds a line to any report that names capture
@@ -460,18 +481,8 @@ func runEngine(cfg simConfig, out io.Writer) error {
 	}
 	e := gigapos.NewEngine(ecfg)
 	defer e.Close()
-	reg, tr := newTelemetry(cfg)
-	if reg != nil {
-		e.Instrument(reg, "linecard")
-	}
-	var col *prof.Collector
-	if cfg.profDir != "" {
-		col = e.ArmProfile(reg, "linecard", prof.Config{})
-	}
-	var board *flight.Board
-	if cfg.flightDir != "" {
-		board = e.ArmFlight(reg, flight.Config{Dir: cfg.flightDir, Profiler: flightProfiler(cfg)})
-	}
+	o := observation(cfg)
+	w := e.Observe(o, "linecard")
 
 	if bu := e.BringUp(1024); !bu.Ready {
 		return fmt.Errorf("engine bring-up failed: %s", bu)
@@ -508,8 +519,8 @@ func runEngine(cfg simConfig, out io.Writer) error {
 		fmt.Fprintf(out, "  session          : %d/%d datagrams delivered, lcp-renegotiations=%d\n",
 			delivered, uint64(steps*st.Links*2*ecfg.Batch), sumRestarts(e, cfg.engineLinks)-restarts0)
 	}
-	if col != nil {
-		sum := col.Summary()
+	if w.Profile != nil {
+		sum := w.Profile.Summary()
 		fmt.Fprintf(out, "  stage profile    : %d shards, %d/%d steps sampled, shard imbalance %d‰\n",
 			sum.Shards, sum.Sampled, sum.Steps, sum.ImbalancePerMille)
 		for st := prof.Stage(0); int(st) < prof.NumStages; st++ {
@@ -520,10 +531,10 @@ func runEngine(cfg simConfig, out io.Writer) error {
 				st, sum.PerStep(st), sum.StageCount[st])
 		}
 	}
-	if board != nil {
-		flightSummary(out, board, cfg.flightDir)
+	if w.Board != nil {
+		flightSummary(out, w.Board, cfg.flightDir)
 	}
-	return serveTelemetry(cfg, reg, tr, board, out)
+	return serveTelemetry(cfg, o, w.Board, out)
 }
 
 // runLoopback is the default pipeline: transmitter and receiver share
@@ -535,9 +546,9 @@ func runLoopback(cfg simConfig, out io.Writer) error {
 	}
 	gen := netsim.NewGen(cfg.seed, dist, cfg.density)
 	sys := p5.NewSystem(w)
-	reg, tr := newTelemetry(cfg)
-	if reg != nil {
-		sys.Instrument(reg, "p5")
+	o := observation(cfg)
+	if o.Registry != nil {
+		sys.Instrument(o.Registry, "p5")
 	}
 
 	if cfg.errRate > 0 {
@@ -586,7 +597,7 @@ func runLoopback(cfg simConfig, out io.Writer) error {
 		sys.OAM.Read(p5.RegRxRunts))
 	fmt.Fprintf(out, "  OAM interrupts   : stat=%#x causes=[%s]\n",
 		sys.OAM.Read(p5.RegIntStat), causeNames(sys.OAM.Read(p5.RegIntStat)))
-	return serveTelemetry(cfg, reg, tr, nil, out)
+	return serveTelemetry(cfg, o, nil, out)
 }
 
 // tally counts delivered and rejected frames, printing each one's
@@ -632,7 +643,8 @@ func runSONET(cfg simConfig, out io.Writer) error {
 		return err
 	}
 	gen := netsim.NewGen(cfg.seed, dist, cfg.density)
-	reg, tr := newTelemetry(cfg)
+	o := observation(cfg)
+	reg, tr := o.Registry, o.Tracer
 
 	regs := p5.NewRegs()
 
@@ -678,7 +690,6 @@ func runSONET(cfg simConfig, out io.Writer) error {
 	oam.AttachSection(df)
 	oam.Write(p5.RegIntMask, p5.IntOOF|p5.IntLOF|p5.IntLOS|p5.IntSDeg|p5.IntSFail)
 	if reg != nil {
-		// After AttachSection so the OAM's defect hook stays chained.
 		df.Instrument(tel, tr, "sonet")
 	}
 
@@ -730,7 +741,7 @@ func runSONET(cfg simConfig, out io.Writer) error {
 		oam.Read(p5.RegRxFCSErr), oam.Read(p5.RegRxAborts), oam.Read(p5.RegRxRunts))
 	fmt.Fprintf(out, "  OAM interrupts   : stat=%#x irq=%v causes=[%s]\n",
 		oam.Read(p5.RegIntStat), regs.IRQ(), causeNames(oam.Read(p5.RegIntStat)))
-	return serveTelemetry(cfg, reg, tr, nil, out)
+	return serveTelemetry(cfg, o, nil, out)
 }
 
 // runProtect is the -protect scenario: two supervised PPP endpoints on
@@ -749,7 +760,7 @@ func runProtect(cfg simConfig, out io.Writer) error {
 	if cut <= 0 {
 		cut = 30
 	}
-	reg, tr := newTelemetry(cfg)
+	o := observation(cfg)
 
 	lcfg := gigapos.LinkConfig{
 		EchoPeriod: 8, EchoMisses: 3,
@@ -762,10 +773,8 @@ func runProtect(cfg simConfig, out io.Writer) error {
 	cfgA.Magic, cfgA.IPAddr = 0xAAAA, [4]byte{10, 0, 0, 1}
 	cfgB.Magic, cfgB.IPAddr = 0xBBBB, [4]byte{10, 0, 0, 2}
 	a, b := gigapos.NewProtectedPair(cfgA, cfgB, pcfg)
-	if reg != nil {
-		a.Instrument(reg, tr, "a")
-		b.Instrument(reg, tr, "b")
-	}
+	var w gigapos.Watch
+	w.ObservePair(o, "prot", a, b)
 	oam := &p5.OAM{Regs: p5.NewRegs()}
 	oam.AttachAPS(b.Ctrl)
 	oam.Write(p5.RegIntMask, p5.IntAPSSwitch|p5.IntFlightDump|p5.IntSLOBurn|p5.IntProfDump)
@@ -779,25 +788,9 @@ func runProtect(cfg simConfig, out io.Writer) error {
 		})
 	}
 
-	// Flight recorder: arm both endpoints so a→b latency resolves, put
-	// the SLO on the receiving side, and expose dumps through the OAM
-	// interrupt causes. Armed before traffic, as the recorder requires.
-	var board *flight.Board
-	var recA, recB *flight.Recorder
-	if cfg.flightDir != "" {
-		fcfg := flight.Config{Dir: cfg.flightDir, Profiler: flightProfiler(cfg)}
-		recA = flight.NewRecorder(reg, "prot_a", fcfg)
-		recB = flight.NewRecorder(reg, "prot_b", fcfg)
-		a.ArmFlight(recA)
-		b.ArmFlight(recB)
-		gigapos.JoinFlight(a.Link, b.Link)
-		slo := b.FlightSLO(reg, "prot", flight.SLOConfig{})
-		oam.AttachFlight(recB, slo)
-		board = flight.NewBoard()
-		board.Attach(recA)
-		board.Attach(recB)
-		board.AttachSLO(slo)
-	}
+	// The receiving end's dumps and the SLO grading a→b show in the OAM
+	// interrupt causes (both nil, and nothing attached, without -flight).
+	oam.AttachFlight(b.Flight(), w.SLOs["prot_z"])
 
 	// The scripted per-line scenario: only the a→b working line is cut.
 	var wScript, pScript fault.Script
@@ -863,11 +856,11 @@ func runProtect(cfg simConfig, out io.Writer) error {
 		oam.Read(p5.RegAPSTx), oam.Read(p5.RegAPSSwitches))
 	fmt.Fprintf(out, "  OAM interrupts   : stat=%#x irq=%v causes=[%s]\n",
 		oam.Read(p5.RegIntStat), oam.Regs.IRQ(), causeNames(oam.Read(p5.RegIntStat)))
-	if board != nil {
+	if w.Board != nil {
 		fmt.Fprintf(out, "  flight captures  : aps-switch=%d total=%d (p99 %d ticks a→b); OAM RegFlightCtrl=%d\n",
-			recB.CapturesFor("aps-switch"), recB.Captures(), recA.P99(),
+			b.Flight().CapturesFor("aps-switch"), b.Flight().Captures(), a.Flight().P99(),
 			oam.Read(p5.RegFlightCtrl))
-		flightSummary(out, board, cfg.flightDir)
+		flightSummary(out, w.Board, cfg.flightDir)
 	}
-	return serveTelemetry(cfg, reg, tr, board, out)
+	return serveTelemetry(cfg, o, w.Board, out)
 }

@@ -193,44 +193,44 @@ func TestProtectTelemetryScrape(t *testing.T) {
 	}
 	// Both ends are instrumented into the one registry and keep their
 	// own record: the bidirectional group moves both selectors, twice.
-	for _, end := range []string{"a", "b"} {
+	for _, end := range []string{"prot_a", "prot_z"} {
 		if got := series[`aps_switches_total{link="`+end+`"}`]; got != 2 {
 			t.Errorf("aps_switches_total{link=%q} = %v, want 2 (failover + revert)", end, got)
 		}
 	}
-	if got := series[`aps_switch_duration_count{link="b"}`]; got != 2 {
+	if got := series[`aps_switch_duration_count{link="prot_z"}`]; got != 2 {
 		t.Errorf("aps_switch_duration_count = %v, want 2", got)
 	}
 	// Both switches completed inside the 50 ms budget bucket.
-	if got := series[`aps_switch_duration_bucket{link="b",le="400"}`]; got != 2 {
+	if got := series[`aps_switch_duration_bucket{link="prot_z",le="400"}`]; got != 2 {
 		t.Errorf(`duration bucket le=400 = %v, want 2`, got)
 	}
 	for _, name := range []string{
-		`aps_to_protect_total{link="b"}`, `aps_to_working_total{link="b"}`,
-		`link_working_b2_errors_total{link="b"}`, // the cut corrupts line parity before LOS bites
-		`link_protect_frames_ok_total{link="b"}`,
-		`link_protect_frames_ok_total{link="a"}`,
-		`link_standby_discarded_octets_total{link="b"}`,
+		`aps_to_protect_total{link="prot_z"}`, `aps_to_working_total{link="prot_z"}`,
+		`link_working_b2_errors_total{link="prot_z"}`, // the cut corrupts line parity before LOS bites
+		`link_protect_frames_ok_total{link="prot_z"}`,
+		`link_protect_frames_ok_total{link="prot_a"}`,
+		`link_standby_discarded_octets_total{link="prot_z"}`,
 	} {
 		if v, ok := series[name]; !ok || v == 0 {
 			t.Errorf("series %s = %v (present=%v), want nonzero", name, v, ok)
 		}
 	}
 	// Only the a→b working line was cut: a's own receive side stayed clean.
-	if got := series[`link_working_b2_errors_total{link="a"}`]; got != 0 {
-		t.Errorf(`link_working_b2_errors_total{link="a"} = %v, want 0 (b's errors leaked into a's series)`, got)
+	if got := series[`link_working_b2_errors_total{link="prot_a"}`]; got != 0 {
+		t.Errorf(`link_working_b2_errors_total{link="prot_a"} = %v, want 0 (b's errors leaked into a's series)`, got)
 	}
-	if got := series[`aps_active{link="b"}`]; got != 0 {
+	if got := series[`aps_active{link="prot_z"}`]; got != 0 {
 		t.Errorf("aps_active = %v, want 0 (reverted to working)", got)
 	}
 	switches := 0
 	for _, e := range trace {
-		if e.Scope == "aps:b" && e.Name == "switch" {
+		if e.Scope == "aps:prot_z" && e.Name == "switch" {
 			switches++
 		}
 	}
 	if switches != 2 {
-		t.Errorf("aps:b switch trace events = %d, want 2", switches)
+		t.Errorf("aps:prot_z switch trace events = %d, want 2", switches)
 	}
 	if !strings.Contains(out.String(), "lcp-renegotiations=0") {
 		t.Errorf("report does not show a hitless run:\n%s", out.String())
@@ -273,20 +273,20 @@ func TestProtectFlightScrape(t *testing.T) {
 	for _, name := range []string{
 		`flight_frames_tracked_total{link="prot_a"}`,
 		`flight_e2e_latency_ticks_count{link="prot_a"}`,
-		`slo_worst_burn_rate{slo="prot"}`,
-		`slo_error_budget_remaining{slo="prot"}`,
-		`flight_captures_total{link="prot_b"}`,
+		`slo_worst_burn_rate{slo="prot_z"}`,
+		`slo_error_budget_remaining{slo="prot_z"}`,
+		`flight_captures_total{link="prot_z"}`,
 	} {
 		if _, ok := series[name]; !ok {
 			t.Errorf("series %s missing from /metrics", name)
 		}
 	}
-	if got := series[`flight_captures_total{link="prot_b"}`]; got != 2 {
+	if got := series[`flight_captures_total{link="prot_z"}`]; got != 2 {
 		t.Errorf("captures = %v, want 2 (failover + revert)", got)
 	}
 	var slos, links int
 	for _, s := range board.SLOs {
-		if s.Name == "prot" {
+		if s.Name == "prot_z" {
 			slos++
 		}
 	}
@@ -300,9 +300,9 @@ func TestProtectFlightScrape(t *testing.T) {
 	}
 	// Both ends dump on each selector movement; check the receiving
 	// side's two files decode back losslessly.
-	files, err := filepath.Glob(filepath.Join(dir, "prot_b-*.p5fr"))
+	files, err := filepath.Glob(filepath.Join(dir, "prot_z-*.p5fr"))
 	if err != nil || len(files) != 2 {
-		t.Fatalf("prot_b capture files = %v (err=%v), want 2", files, err)
+		t.Fatalf("prot_z capture files = %v (err=%v), want 2", files, err)
 	}
 	for _, f := range files {
 		c, err := flight.ReadFile(f)
@@ -363,11 +363,13 @@ func TestEngineModeScrape(t *testing.T) {
 		}
 	}
 	// The burn gauge is present and zero on a clean run.
-	if v, ok := series[`slo_worst_burn_rate{slo="port0"}`]; !ok || v != 0 {
-		t.Errorf(`slo_worst_burn_rate{slo="port0"} = %v (present=%v), want 0`, v, ok)
+	if v, ok := series[`slo_worst_burn_rate{slo="port0_z"}`]; !ok || v != 0 {
+		t.Errorf(`slo_worst_burn_rate{slo="port0_z"} = %v (present=%v), want 0`, v, ok)
 	}
-	if len(board.SLOs) != 4 || len(board.Links) != 8 {
-		t.Errorf("/slo board: %d slos %d links, want 4/8", len(board.SLOs), len(board.Links))
+	// Every end of every pair records, and every end is graded on what
+	// it receives.
+	if len(board.SLOs) != 8 || len(board.Links) != 8 {
+		t.Errorf("/slo board: %d slos %d links, want 8/8", len(board.SLOs), len(board.Links))
 	}
 	for _, l := range board.Links {
 		if l.Lost != 0 {
@@ -458,6 +460,28 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	}
 	if err := run(simConfig{engineLinks: 2, frames: 1, size: "bogus"}, &out); err == nil {
 		t.Fatal("bad engine size accepted")
+	}
+	// A flag set in a mode that never reads it is refused, not ignored:
+	// -flight used to leave an empty directory behind the default and
+	// -sonet modes without a word.
+	dir := filepath.Join(t.TempDir(), "captures")
+	stall := netConfig{proto: "udp", stallFrom: 10, stallTo: 20}
+	for _, c := range []struct {
+		cfg  simConfig
+		want string
+	}{
+		{simConfig{width: 32, frames: 1, size: "imix", flightDir: dir}, "-flight needs one of -protect, -engine, -listen/-dial, -scenario"},
+		{simConfig{width: 32, frames: 1, size: "imix", sonetMode: true, flightDir: dir}, "-flight needs"},
+		{simConfig{width: 32, frames: 1, size: "imix", engineShards: 2}, "-shards needs one of -engine, -listen/-dial"},
+		{simConfig{protectMode: true, net: stall}, "-net-stall/-net-blackout needs one of -listen/-dial"},
+	} {
+		err := run(c.cfg, &out)
+		if _, ok := err.(usageError); !ok || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%+v: got %v, want a usageError naming %q", c.cfg, err, c.want)
+		}
+	}
+	if _, err := os.Stat(dir); err == nil {
+		t.Errorf("a refused -flight still created %s", dir)
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 
 	gigapos "repro"
 	"repro/internal/fault"
-	"repro/internal/flight"
 	"repro/internal/transport"
 )
 
@@ -179,17 +178,11 @@ func runNet(cfg simConfig, nc netConfig, out io.Writer) error {
 	})
 	defer e.Close()
 
-	reg, tr := newTelemetry(cfg)
+	o := observation(cfg)
+	board := e.Observe(o, "linecard").Board
 	status := transport.NewStatusBoard()
 	e.EachTransport(status.Add)
 	cfg.mountExtra = status.Mount
-	if reg != nil {
-		e.Instrument(reg, "linecard")
-	}
-	var board *flight.Board
-	if cfg.flightDir != "" {
-		board = e.ArmFlight(reg, flight.Config{Dir: cfg.flightDir, Profiler: flightProfiler(cfg)})
-	}
 	// Socket transports always speak the v2 latency-tracing header, so
 	// the fleet board can trust the armed flags it scrapes.
 	status.SetInfo(cfg.flightDir != "", cfg.profDir != "", true)
@@ -232,12 +225,6 @@ func runNet(cfg simConfig, nc netConfig, out io.Writer) error {
 	delivered := st.Datagrams - start.Datagrams
 	payload := st.PayloadBytes - start.PayloadBytes
 	renegotiations := sumRestarts(e, links) - restarts0
-	var captures uint64
-	if board != nil {
-		for _, l := range board.Snapshot().Links {
-			captures += l.Captures
-		}
-	}
 
 	fmt.Fprintf(out, "Socket line-card (role %s, %s)\n", roleName, nc.proto)
 	fmt.Fprintf(out, "  topology         : %d links on %d shards; keepalive every %d ticks; %v/tick\n",
@@ -262,15 +249,16 @@ func runNet(cfg simConfig, nc netConfig, out io.Writer) error {
 		fmt.Fprintf(out, "  latency          : oneway p50=%dµs p99=%dµs (%d samples); rtt p50=%dµs (%d probes); clock offset %+dns\n",
 			lat.OneWayP50US, lat.OneWayP99US, lat.Samples, lat.RTTP50US, lat.RTTSamples, lat.ClockOffsetNS)
 	}
+	var captures uint64
 	if board != nil {
-		flightSummary(out, board, cfg.flightDir)
+		captures = flightSummary(out, board, cfg.flightDir)
 	}
 	// The one-line machine-readable summary: scripts assert on this.
 	fmt.Fprintf(out, "NET-REPORT role=%s transport=%s links=%d steps=%d delivered=%d rx_errors=%d renegotiations=%d reconnects=%d resets=%d tx_dropped=%d rx_dropped=%d captures=%d oneway_p50_us=%d oneway_p99_us=%d rtt_p50_us=%d\n",
 		roleName, nc.proto, links, steps, delivered, st.RxErrors,
 		renegotiations, ts.Reconnects, ts.Resets, ts.TxDropped, ts.RxDropped, captures,
 		lat.OneWayP50US, lat.OneWayP99US, lat.RTTP50US)
-	return serveTelemetry(cfg, reg, tr, board, out)
+	return serveTelemetry(cfg, o, board, out)
 }
 
 // sumRestarts totals supervisor restarts across this process's local

@@ -88,8 +88,24 @@ func TestNetModeUDPTwoHalves(t *testing.T) {
 	lerr := make(chan error, 1)
 	go func() { lerr <- run(lcfg, &lout) }()
 
+	// The dialer is the Z half: everything that names its end says _z —
+	// the transport series, the protocol series the observed engine now
+	// exports per port, and the /status row the fleet board reads.
+	var dseries map[string]float64
+	var dstatus struct {
+		Transports []struct {
+			Name string `json:"name"`
+		} `json:"transports"`
+	}
 	dcfg := common
 	dcfg.net.dial = addr
+	dcfg.telemetryAddr = "127.0.0.1:0"
+	dcfg.scrape = func(base string) {
+		dseries = seriesMap(t, base)
+		if _, body := scrapeGet(t, base, "/status"); json.Unmarshal(body, &dstatus) != nil {
+			t.Errorf("dialer /status: %s", body)
+		}
+	}
 	var dout bytes.Buffer
 	if err := run(dcfg, &dout); err != nil {
 		t.Fatalf("dialer: %v\n%s", err, dout.String())
@@ -144,6 +160,17 @@ func TestNetModeUDPTwoHalves(t *testing.T) {
 		if _, ok := series[want]; !ok {
 			t.Errorf("series %s missing from /metrics", want)
 		}
+	}
+	for _, want := range []string{`transport_up{line="port0_z"}`, `link_lcp_state{link="port0_z"}`} {
+		if _, ok := dseries[want]; !ok {
+			t.Errorf("dialer: series %s missing from /metrics", want)
+		}
+	}
+	if _, ok := dseries[`transport_up{line="port0_a"}`]; ok {
+		t.Error(`dialer calls its only end port0_a; RoleZ's end is the pair's z`)
+	}
+	if len(dstatus.Transports) != 1 || dstatus.Transports[0].Name != "port0_z" {
+		t.Errorf("dialer /status transports = %+v, want one named port0_z", dstatus.Transports)
 	}
 	if series[`transport_up{line="port0_a"}`] != 1 {
 		t.Errorf("transport_up = %v, want 1", series[`transport_up{line="port0_a"}`])

@@ -207,7 +207,7 @@ type engineShard struct {
 	payloadBytes uint64
 	lineBytes    uint64
 
-	// prof is nil until Engine.ArmProfile; the driver sets it between
+	// prof is nil until Engine.Observe arms a Profile; the driver sets it between
 	// Runs, and the next steps-channel send publishes it to the worker.
 	prof *prof.ShardProfile
 
@@ -249,10 +249,10 @@ type Engine struct {
 
 	steps uint64
 
-	// prof is the stage-cost collector (nil until ArmProfile).
+	// prof is the stage-cost collector (nil until Observe with Profile).
 	prof *prof.Collector
 
-	// tel mirrors the aggregate counters (nil until Instrument).
+	// tel mirrors the aggregate counters (nil until Observe with Registry).
 	tel *telemetry.Mirror
 }
 
@@ -347,30 +347,6 @@ func (e *Engine) Run(n int) {
 	e.tel.Sync()
 }
 
-// ArmProfile arms per-shard stage cost accounting — the one stage
-// clock: sampled monotonic stamps at every stage boundary of the worker
-// loop and, through the shard profile handed to each of the shard's
-// Links, of the receive path inside Link.Input; barrier-wait and
-// imbalance accounting at each Run join; and (when reg is non-nil) the
-// prof_stage_ns / prof_barrier_wait_ns / prof_shard_imbalance
-// telemetry series labelled engine=name, shard=N. Call between Runs;
-// the next Run's channel send publishes the profiles to the workers.
-// The steady state stays allocation-free; TestGateProfileOverhead holds
-// the armed engine step within 8% of the disarmed one.
-func (e *Engine) ArmProfile(reg *telemetry.Registry, name string, cfg prof.Config) *prof.Collector {
-	e.prof = prof.New(reg, name, len(e.shards), cfg)
-	for i, s := range e.shards {
-		s.prof = e.prof.Shard(i)
-		for _, p := range s.ports {
-			p.a.prof = s.prof
-			if p.z != nil {
-				p.z.prof = s.prof
-			}
-		}
-	}
-	return e.prof
-}
-
 // PortBringUp identifies one port that missed the bring-up deadline,
 // with each side's IP readiness (ZReady is true for a single-ended
 // port — the peer's state is not observable from here).
@@ -461,27 +437,48 @@ func (e *Engine) Stats() EngineStats {
 	return st
 }
 
+func (e *Engine) port(i int) *enginePort {
+	return e.shards[i%len(e.shards)].ports[i/len(e.shards)]
+}
+
 // Port returns the i'th link pair for inspection (a, z; z is nil in a
 // remote-role engine). Call only between Runs; the port's shard owns
 // the links while Run executes.
 func (e *Engine) Port(i int) (a, z *Link) {
-	s := e.shards[i%len(e.shards)]
-	p := s.ports[i/len(e.shards)]
+	p := e.port(i)
 	return p.a, p.z
 }
 
-// EachTransport visits every line transport the engine owns, named
-// port<i>_a / port<i>_z — the hook status boards and instrumentation
-// build on. Call only between Runs.
+// ends returns p's local ends as the (a, z) of the pair they belong
+// to, each behind its transport when it has one. A RoleZ engine keeps
+// its only link in slot a, but it is the pair's z end and named so.
+func (e *Engine) ends(p *enginePort) (a, z Observable) {
+	a = p.a
+	if p.tpa != nil {
+		a = p.tpa
+	}
+	if p.tpz != nil {
+		z = p.tpz
+	} else if p.z != nil {
+		z = p.z
+	}
+	if e.cfg.Role == RoleZ {
+		a, z = nil, a
+	}
+	return a, z
+}
+
+// EachTransport visits every line transport the engine owns, named as
+// Observe names the end it carries (port<i>_a / port<i>_z) — the hook
+// status boards build on. Call only between Runs.
 func (e *Engine) EachTransport(fn func(name string, t transport.LineTransport)) {
 	for i := 0; i < e.cfg.links(); i++ {
-		s := e.shards[i%len(e.shards)]
-		p := s.ports[i/len(e.shards)]
-		if p.tpa != nil {
-			fn(fmt.Sprintf("port%d_a", i), p.tpa.T)
+		a, z := e.ends(e.port(i))
+		if tp, ok := a.(*TransportPort); ok {
+			fn(fmt.Sprintf("port%d_a", i), tp.T)
 		}
-		if p.tpz != nil {
-			fn(fmt.Sprintf("port%d_z", i), p.tpz.T)
+		if tp, ok := z.(*TransportPort); ok {
+			fn(fmt.Sprintf("port%d_z", i), tp.T)
 		}
 	}
 }
@@ -533,29 +530,53 @@ func (e *Engine) Close() {
 	}
 }
 
-// Instrument exports the engine's aggregate counters to reg, refreshed
-// at the end of every Run — the same sync-mirror the Link probes use,
-// so a live scrape never races a shard worker — and the transport_*
-// series of every line transport the engine owns.
-func (e *Engine) Instrument(reg *telemetry.Registry, name string) {
-	lbl := telemetry.L("engine", name)
-	e.tel = reg.Mirror()
-	e.tel.Counter("engine_datagrams_total",
-		"Network-layer datagrams delivered end to end, both directions.",
-		func() uint64 { return e.Stats().Datagrams }, lbl)
-	e.tel.Counter("engine_payload_bytes_total",
-		"Delivered network-layer octets.", func() uint64 { return e.Stats().PayloadBytes }, lbl)
-	e.tel.Counter("engine_line_bytes_total",
-		"Wire octets moved between endpoints (flags, stuffing, FCS).",
-		func() uint64 { return e.Stats().LineBytes }, lbl)
-	e.tel.Counter("engine_steps_total",
-		"Engine steps (virtual clock ticks) run.", func() uint64 { return e.steps }, lbl)
-	reg.Gauge("engine_links", "Configured link pairs.", lbl).Set(int64(e.cfg.links()))
-	reg.Gauge("engine_shards", "Worker goroutines.", lbl).Set(int64(len(e.shards)))
-	e.tel.Sync()
-	e.EachTransport(func(line string, t transport.LineTransport) {
-		transport.Instrument(reg, line, t)
-	})
+// Observe arms o on the whole line card. Call between Runs; the next
+// Run's channel send publishes it to the workers. With Registry: the
+// engine_* aggregates labelled {engine=name}, refreshed at the end of
+// every Run by the sync-mirror the Link probes use, so a live scrape
+// never races a shard worker. With Profile: the one stage clock (prof_*,
+// engine=name, shard=N) — sampled stamps at every stage boundary of the
+// worker loop and, through the shard profile handed to each Link, of
+// the receive path inside Link.Input, plus barrier wait and imbalance
+// at each Run join (TestGateProfileOverhead holds the profiled step
+// within 8% of the bare one). And every port as ObservePair arms any
+// pair, named port<i>. The steady state stays allocation-free.
+func (e *Engine) Observe(o Observation, name string) (w Watch) {
+	if reg := o.Registry; reg != nil {
+		lbl := telemetry.L("engine", name)
+		e.tel = reg.Mirror()
+		e.tel.Counter("engine_datagrams_total",
+			"Network-layer datagrams delivered end to end, both directions.",
+			func() uint64 { return e.Stats().Datagrams }, lbl)
+		e.tel.Counter("engine_payload_bytes_total",
+			"Delivered network-layer octets.", func() uint64 { return e.Stats().PayloadBytes }, lbl)
+		e.tel.Counter("engine_line_bytes_total",
+			"Wire octets moved between endpoints (flags, stuffing, FCS).",
+			func() uint64 { return e.Stats().LineBytes }, lbl)
+		e.tel.Counter("engine_steps_total",
+			"Engine steps (virtual clock ticks) run.", func() uint64 { return e.steps }, lbl)
+		reg.Gauge("engine_links", "Configured link pairs.", lbl).Set(int64(e.cfg.links()))
+		reg.Gauge("engine_shards", "Worker goroutines.", lbl).Set(int64(len(e.shards)))
+		e.tel.Sync()
+	}
+	if o.Profile != nil {
+		e.prof = prof.New(o.Registry, name, len(e.shards), *o.Profile)
+		w.Profile = e.prof
+		for i, s := range e.shards {
+			s.prof = e.prof.Shard(i)
+			for _, p := range s.ports {
+				p.a.prof = s.prof
+				if p.z != nil {
+					p.z.prof = s.prof
+				}
+			}
+		}
+	}
+	for i := 0; i < e.cfg.links(); i++ {
+		a, z := e.ends(e.port(i))
+		w.ObservePair(o, fmt.Sprintf("port%d", i), a, z)
+	}
+	return w
 }
 
 // String summarises the engine topology.

@@ -47,7 +47,7 @@ func testStageAccounting(t *testing.T, hook func(int) (a, z transport.LineTransp
 	var ticks atomic.Int64
 	clock := func() int64 { n := ticks.Add(1); return n*7 + n%5 }
 	reg := telemetry.NewRegistry()
-	col := e.ArmProfile(reg, "test", prof.Config{SampleShift: -1, Clock: clock}) // stamp every step
+	col := e.Observe(Observation{Registry: reg, Profile: &prof.Config{SampleShift: -1, Clock: clock}}, "test").Profile // stamp every step
 	if !e.BringUp(512).Ready {
 		t.Fatal("engine bring-up failed")
 	}
@@ -124,7 +124,7 @@ func TestEngineProfileDisarmedZeroSamples(t *testing.T) {
 	never, control := NewEngine(cfg), NewEngine(cfg)
 	defer never.Close()
 	defer control.Close()
-	control.ArmProfile(nil, "guard", prof.Config{SampleShift: -1, Clock: clock})
+	control.Observe(Observation{Profile: &prof.Config{SampleShift: -1, Clock: clock}}, "guard")
 
 	never.Run(128)
 	if n := calls.Load(); n != 0 {
@@ -166,7 +166,7 @@ func TestEngineProfiledSteadyZeroAlloc(t *testing.T) {
 	e := NewEngine(EngineConfig{Links: 2, Shards: 1, PayloadSize: 256, Batch: 4})
 	defer e.Close()
 	reg := telemetry.NewRegistry()
-	e.ArmProfile(reg, "zeroalloc", prof.Config{SampleShift: -1})
+	e.Observe(Observation{Registry: reg, Profile: &prof.Config{SampleShift: -1}}, "zeroalloc")
 	if !e.BringUp(512).Ready {
 		t.Fatal("engine bring-up failed")
 	}
@@ -182,7 +182,7 @@ func TestEngineProfiledSteadyZeroAlloc(t *testing.T) {
 func TestEngineProfileSummaryString(t *testing.T) {
 	e := NewEngine(EngineConfig{Links: 1, PayloadSize: 128, Batch: 2})
 	defer e.Close()
-	col := e.ArmProfile(nil, "s", prof.Config{SampleShift: -1})
+	col := e.Observe(Observation{Profile: &prof.Config{SampleShift: -1}}, "s").Profile
 	if !e.BringUp(512).Ready {
 		t.Fatal("engine bring-up failed")
 	}

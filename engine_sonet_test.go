@@ -35,7 +35,7 @@ func TestEngineOverSONET(t *testing.T) {
 	defer e.Close()
 	tr := telemetry.NewTracer(256)
 	_, cutZ := e.Port(cutPort)
-	cutZ.Instrument(telemetry.NewRegistry(), tr, "cut_z")
+	cutZ.Observe(Observation{Registry: telemetry.NewRegistry(), Tracer: tr}, "cut_z")
 
 	if bu := e.BringUp(1024); !bu.Ready {
 		t.Fatalf("bring-up over SONET lines failed: %s", bu)

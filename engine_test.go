@@ -27,7 +27,7 @@ func TestEngineSoak(t *testing.T) {
 	})
 	defer e.Close()
 	reg := telemetry.NewRegistry()
-	e.Instrument(reg, "soak")
+	o := Observation{Registry: reg}
 	if dir := os.Getenv("SOAK_PROF_DIR"); dir != "" {
 		s, err := prof.StartSession(dir)
 		if err != nil {
@@ -40,8 +40,9 @@ func TestEngineSoak(t *testing.T) {
 			}
 			t.Logf("soak profiles: %d written to %s", len(files), dir)
 		}()
-		e.ArmProfile(reg, "soak", prof.Config{})
+		o.Profile = &prof.Config{}
 	}
+	e.Observe(o, "soak")
 
 	if !e.BringUp(512).Ready {
 		t.Fatalf("engine failed to negotiate: %v", e.String())

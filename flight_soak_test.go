@@ -33,16 +33,13 @@ func TestChaosSoakFlightRecorder(t *testing.T) {
 	b := NewLink(cfg)
 
 	// Arm before traffic: recorders on both ends, paired so deliveries
-	// at b complete a's departure pipe, with an SLO on the receive side.
+	// at b complete a's departure pipe, with an SLO on each receive side
+	// (soak_z grades the a→b direction the traffic flows in).
 	dir := t.TempDir()
 	reg := telemetry.NewRegistry()
-	fcfg := flight.Config{Dir: dir, Horizon: 256}
-	ra := flight.NewRecorder(reg, "soak_a", fcfg)
-	rb := flight.NewRecorder(reg, "soak_b", fcfg)
-	a.ArmFlight(ra)
-	b.ArmFlight(rb)
-	JoinFlight(a, b)
-	slo := b.FlightSLO(reg, "soak", flight.SLOConfig{})
+	var w Watch
+	w.ObservePair(Observation{Registry: reg, Flight: &flight.Config{Dir: dir, Horizon: 256}}, "soak", a, b)
+	ra, rb, slo := a.Flight(), b.Flight(), w.SLOs["soak_z"]
 
 	// SONET carry a→b with the fault injector in the middle; b→a is a
 	// clean direct line (same topology as the unarmed soak).
@@ -202,28 +199,26 @@ func TestChaosSoakFlightRecorder(t *testing.T) {
 	reg.WritePrometheus(&prom)
 	for _, want := range []string{
 		`flight_frames_tracked_total{link="soak_a"}`,
-		`flight_captures_total{link="soak_b"}`,
-		`slo_worst_burn_rate{slo="soak"}`,
-		`slo_error_budget_remaining{slo="soak"}`,
+		`flight_captures_total{link="soak_z"}`,
+		`slo_worst_burn_rate{slo="soak_z"}`,
+		`slo_error_budget_remaining{slo="soak_z"}`,
 	} {
 		if !bytes.Contains(prom.Bytes(), []byte(want)) {
 			t.Errorf("exposition missing %s", want)
 		}
 	}
-	board := flight.NewBoard()
-	board.Attach(ra)
-	board.Attach(rb)
-	board.AttachSLO(slo)
 	var js bytes.Buffer
-	if err := board.WriteJSON(&js); err != nil {
+	if err := w.Board.WriteJSON(&js); err != nil {
 		t.Fatal(err)
 	}
 	doc, err := flight.ReadBoard(&js)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(doc.SLOs) != 1 || doc.SLOs[0].Name != "soak" || !doc.SLOs[0].Alarm {
-		t.Errorf("board SLO row wrong: %+v", doc.SLOs)
+	// Both directions are graded; only a→b carried (and lost) traffic.
+	if len(doc.SLOs) != 2 || doc.SLOs[0].Name != "soak_a" || doc.SLOs[0].Alarm ||
+		doc.SLOs[1].Name != "soak_z" || !doc.SLOs[1].Alarm {
+		t.Errorf("board SLO rows wrong: %+v", doc.SLOs)
 	}
 	if len(doc.Links) != 2 || doc.Links[0].Tracked != ra.Tracked() {
 		t.Errorf("board link rows wrong: %+v", doc.Links)
@@ -240,9 +235,7 @@ func TestChaosSoakFlightRecorder(t *testing.T) {
 // steady-state path without allocating.
 func TestLinkSteadyStateZeroAllocFlightArmed(t *testing.T) {
 	a, z := newTestPair(t, LinkConfig{}, LinkConfig{})
-	a.ArmFlight(flight.NewRecorder(nil, "za", flight.Config{}))
-	z.ArmFlight(flight.NewRecorder(nil, "zz", flight.Config{}))
-	JoinFlight(a, z)
+	new(Watch).ObservePair(Observation{Flight: &flight.Config{}}, "z", a, z)
 
 	payload := make([]byte, 512)
 	batch := [][]byte{payload, payload, payload, payload}

@@ -12,7 +12,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/flight"
 	"repro/internal/netsim"
-	"repro/internal/telemetry"
 	"repro/internal/topo"
 )
 
@@ -95,8 +94,6 @@ func (t TrafficSpec) dist() (netsim.SizeDist, string, error) {
 // endpoint is one side of a circuit under test.
 type endpoint struct {
 	link *gigapos.RingLink
-	rec  *flight.Recorder
-	slo  *flight.SLO
 
 	wasOpen bool
 	reneg   int
@@ -110,7 +107,7 @@ type endpoint struct {
 }
 
 // circuitRun is a circuit plus its two endpoints (a at spec.A, b at
-// spec.B).
+// spec.B), observed as the pair <name>_a / <name>_z.
 type circuitRun struct {
 	spec CircuitSpec
 	a, b *endpoint
@@ -141,15 +138,9 @@ func (s *Scenario) Run(rc RunConfig) (*Result, error) {
 	}
 
 	res := &Result{Scenario: s.Name}
-	reg := telemetry.NewRegistry()
-	board := flight.NewBoard()
-	sloCfg := flight.SLOConfig{
-		Window:              s.SLO.Window,
-		FrameLossTarget:     s.SLO.FrameLossTarget,
-		P99BudgetTicks:      s.SLO.P99BudgetTicks,
-		FailoverBudgetTicks: s.SLO.FailoverBudgetTicks,
-		AlarmBurn:           s.SLO.AlarmBurn,
-	}
+	// SLOSpec is flight.SLOConfig with JSON names, field for field.
+	obs := gigapos.Observation{Flight: &flight.Config{Dir: rc.CaptureDir}, SLO: flight.SLOConfig(s.SLO)}
+	var watch gigapos.Watch
 	notePath := func(c *flight.Capture) {
 		if c.Path != "" {
 			res.CapturePaths = append(res.CapturePaths, c.Path)
@@ -162,33 +153,26 @@ func (s *Scenario) Run(rc RunConfig) (*Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("scenario %s: %w", s.Name, err)
 		}
-		mk := func(port *topo.Port, sub string, magic uint32, ip byte) *endpoint {
+		mk := func(port *topo.Port, magic uint32, ip byte) *endpoint {
 			cfg := gigapos.LinkConfig{
 				Magic:         magic,
 				IPAddr:        [4]byte{10, byte(i), 0, ip},
 				Supervise:     s.Links.Supervise,
 				RestartPeriod: s.Links.RestartPeriod,
 			}
-			ep := &endpoint{
+			return &endpoint{
 				link:   gigapos.NewRingLink(cfg, port),
 				expect: make(map[uint32][]byte),
 			}
-			ep.rec = flight.NewRecorder(reg, cs.Name+"_"+sub, flight.Config{Dir: rc.CaptureDir})
-			ep.rec.OnCapture = notePath
-			ep.link.ArmFlight(ep.rec)
-			board.Attach(ep.rec)
-			return ep
 		}
 		cr := &circuitRun{
 			spec: cs,
-			a:    mk(pa, "a", 0xA0000000+uint32(i)*2, 1),
-			b:    mk(pb, "b", 0xB0000000+uint32(i)*2, 2),
+			a:    mk(pa, 0xA0000000+uint32(i)*2, 1),
+			b:    mk(pb, 0xB0000000+uint32(i)*2, 2),
 		}
-		gigapos.JoinFlight(cr.a.link.Link, cr.b.link.Link)
-		cr.a.slo = cr.a.link.FlightSLO(reg, cs.Name+"_a", sloCfg)
-		cr.b.slo = cr.b.link.FlightSLO(reg, cs.Name+"_b", sloCfg)
-		board.AttachSLO(cr.a.slo)
-		board.AttachSLO(cr.b.slo)
+		watch.ObservePair(obs, cs.Name, cr.a.link, cr.b.link)
+		cr.a.link.Flight().OnCapture = notePath
+		cr.b.link.Flight().OnCapture = notePath
 		runs = append(runs, cr)
 	}
 
@@ -222,7 +206,7 @@ func (s *Scenario) Run(rc RunConfig) (*Result, error) {
 	if !ready {
 		res.Failures = append(res.Failures, Failure{Msg: fmt.Sprintf("bring-up: links not IP-ready within %d ticks", budget)})
 		s.failCaptures(res, runs)
-		res.Board = board.Snapshot()
+		res.Board = watch.Board.Snapshot()
 		return res, nil
 	}
 	t0 := now
@@ -363,8 +347,8 @@ func (s *Scenario) Run(rc RunConfig) (*Result, error) {
 			RenegB:    cr.b.reneg,
 			DownA:     cr.a.link.Port.Down(),
 			DownB:     cr.b.link.Port.Down(),
-			AlarmA:    cr.a.slo.Alarmed(),
-			AlarmB:    cr.b.slo.Alarmed(),
+			AlarmA:    watch.SLOs[cr.spec.Name+"_a"].Alarmed(),
+			AlarmB:    watch.SLOs[cr.spec.Name+"_z"].Alarmed(),
 		}
 		res.Circuits = append(res.Circuits, rep)
 	}
@@ -374,7 +358,7 @@ func (s *Scenario) Run(rc RunConfig) (*Result, error) {
 		s.failCaptures(res, runs)
 	}
 	res.Pass = len(res.Failures) == 0
-	res.Board = board.Snapshot()
+	res.Board = watch.Board.Snapshot()
 	return res, nil
 }
 
@@ -454,8 +438,8 @@ func (s *Scenario) failCaptures(res *Result, runs []*circuitRun) {
 		if !global && !failing[cr.spec.Name] {
 			continue
 		}
-		cr.a.rec.Trigger("scenario-fail")
-		cr.b.rec.Trigger("scenario-fail")
+		cr.a.link.Flight().Trigger("scenario-fail")
+		cr.b.link.Flight().Trigger("scenario-fail")
 	}
 }
 

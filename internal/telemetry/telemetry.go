@@ -146,7 +146,12 @@ func (h *Histogram) BucketCounts() []uint64 {
 // q-quantile lands in +Inf therefore reports bounds[len-1], never a
 // fabricated larger value. Returns 0 when the histogram is empty.
 func (h *Histogram) Quantile(q float64) int64 {
-	return QuantileFromBuckets(h.bounds, h.BucketCounts(), q)
+	var buf [32]uint64 // on the stack: an SLO evaluator asks once per link tick
+	counts := buf[:0]
+	for i := range h.counts {
+		counts = append(counts, h.counts[i].Load())
+	}
+	return QuantileFromBuckets(h.bounds, counts, q)
 }
 
 // QuantileFromBuckets is Histogram.Quantile over externally captured

@@ -23,7 +23,7 @@ type FreezeInfo struct {
 
 // Freezer is implemented by transports that carry the freeze side
 // channel (UDP, TCP). The in-process Pipe does not: both ends live in
-// one process and JoinFlight already correlates them.
+// one process and ObservePair already joins their recorders.
 type Freezer interface {
 	// SendFreeze queues a freeze for transmission to the peer
 	// (best-effort, retransmitted while the line is alive).

@@ -159,12 +159,12 @@ type Link struct {
 	RxBadAuth          uint64
 	EchoTimeouts       uint64
 
-	// Telemetry (nil until Instrument).
+	// Telemetry (nil until Observe with a Registry or Tracer).
 	tel *linkTelemetry
-	// Flight recorder (nil until ArmFlight).
+	// Flight recorder (nil until Observe with Flight).
 	fl *flightState
 	// Stage clock of the engine shard driving this link (nil unless
-	// Engine.ArmProfile armed it): the receive path stamps its stages
+	// Engine.Observe armed a Profile): the receive path stamps its stages
 	// into the shard's one table.
 	prof *prof.ShardProfile
 	now  int64 // virtual time of the latest Advance, for event stamps

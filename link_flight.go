@@ -1,9 +1,6 @@
 package gigapos
 
 import (
-	"fmt"
-
-	"repro/internal/aps"
 	"repro/internal/flight"
 	"repro/internal/telemetry"
 )
@@ -30,7 +27,7 @@ const (
 type flightState struct {
 	rec *flight.Recorder
 	// peer is the recorder of the link whose transmissions we receive;
-	// deliveries here complete that pipe. Set by JoinFlight.
+	// deliveries here complete that pipe. Set by ObservePair.
 	peer *flight.Recorder
 	slo  *flight.SLO
 
@@ -38,20 +35,14 @@ type flightState struct {
 	failover int64 // last protection-switch duration in ticks
 }
 
-// ArmFlight attaches a flight recorder to the link. Arm before
-// traffic, from the owning goroutine; pair both ends with JoinFlight
-// so end-to-end latency resolves. The recorder's register dump gains
-// the link's protocol state.
-func (l *Link) ArmFlight(rec *flight.Recorder) {
+// armFlight attaches a fresh recorder to the link. Its register dump
+// is the link's protocol state.
+func (l *Link) armFlight(rec *flight.Recorder) {
 	l.fl = &flightState{
 		rec:   rec,
 		burst: flight.BurstDetector{Window: flightBurstWindow, Threshold: flightBurstThreshold},
 	}
-	prev := rec.RegDump
 	rec.RegDump = func(dst []flight.RegSample) []flight.RegSample {
-		if prev != nil {
-			dst = prev(dst)
-		}
 		dst = append(dst,
 			flight.RegSample{Name: "rx_frames", Value: l.RxFrames},
 			flight.RegSample{Name: "rx_errors", Value: l.RxErrors},
@@ -66,7 +57,8 @@ func (l *Link) ArmFlight(rec *flight.Recorder) {
 	}
 }
 
-// Flight returns the link's armed recorder (nil when unarmed).
+// Flight returns the link's armed recorder (nil when unarmed): the one
+// way to reach an end's captures, exemplars and counts after Observe.
 func (l *Link) Flight() *flight.Recorder {
 	if l.fl == nil {
 		return nil
@@ -74,48 +66,20 @@ func (l *Link) Flight() *flight.Recorder {
 	return l.fl.rec
 }
 
-// JoinFlight pairs two armed links so each side's deliveries complete
-// the other side's departure pipe — the end-to-end latency span.
-func JoinFlight(a, z *Link) {
-	if a.fl == nil || z.fl == nil {
-		return
-	}
-	a.fl.peer = z.fl.rec
-	z.fl.peer = a.fl.rec
-}
-
-// FlightSLO attaches an SLO evaluator to an armed link, registered in
-// reg under name. The objectives read the receive direction: frames
-// the peer tagged for us, losses the matcher declared, the end-to-end
-// p99 into this link, and the most recent protection-switch duration.
-// Sampled on every Advance.
-func (l *Link) FlightSLO(reg *telemetry.Registry, name string, cfg flight.SLOConfig) *flight.SLO {
-	if l.fl == nil {
-		return nil
-	}
+// armSLO attaches an SLO evaluator to a link whose pipe is joined to a
+// peer's, registered in reg under name. The objectives read the receive
+// direction: frames the peer tagged for us, losses the matcher declared,
+// the end-to-end p99 into this link, and the most recent
+// protection-switch duration. Sampled on every Advance.
+func (l *Link) armSLO(reg *telemetry.Registry, name string, cfg flight.SLOConfig) *flight.SLO {
 	fl := l.fl
 	s := flight.NewSLO(reg, name, cfg, flight.Sources{
-		Frames: func() uint64 {
-			if fl.peer != nil {
-				return fl.peer.Tracked()
-			}
-			return 0
-		},
-		Errors: func() uint64 {
-			// Damaged tracked frames surface as matcher losses too (the
-			// departure never matches), so the lost counter alone covers
-			// both drop and corruption without double counting.
-			if fl.peer != nil {
-				return fl.peer.Lost()
-			}
-			return 0
-		},
-		P99: func() int64 {
-			if fl.peer != nil {
-				return fl.peer.P99()
-			}
-			return 0
-		},
+		Frames: fl.peer.Tracked,
+		// Damaged tracked frames surface as matcher losses too (the
+		// departure never matches), so the lost counter alone covers
+		// both drop and corruption without double counting.
+		Errors:   fl.peer.Lost,
+		P99:      fl.peer.P99,
 		Failover: func() int64 { return fl.failover },
 	})
 	fl.slo = s
@@ -125,13 +89,17 @@ func (l *Link) FlightSLO(reg *telemetry.Registry, name string, cfg flight.SLOCon
 	return s
 }
 
-// FlightSetFailover records a protection-switch duration for the SLO's
-// failover objective (ProtectedLink.ArmFlight wires this to the APS
-// controller).
-func (l *Link) FlightSetFailover(ticks int64) {
-	if l.fl != nil {
-		l.fl.failover = ticks
+// flightFailover is a protection layer's selector movement as an armed
+// link sees it (no-op while unarmed): the duration feeds the SLO's
+// failover objective and the black box is dumped under reason, the
+// switch its last event. ProtectedLink and RingLink hook it up.
+func (l *Link) flightFailover(reason, detail string, to, ticks int64) {
+	if l.fl == nil {
+		return
 	}
+	l.fl.failover = ticks
+	l.trace(reason, detail, to, ticks)
+	l.fl.rec.Trigger(reason)
 }
 
 // flightDepart tags one queued datagram in the departure pipe.
@@ -179,57 +147,4 @@ func (l *Link) flightTrigger(reason string) {
 	if l.fl != nil {
 		l.fl.rec.Trigger(reason)
 	}
-}
-
-// ArmFlight arms the underlying link and additionally dumps the black
-// box on every APS selector movement, recording the switch duration
-// for the SLO's failover objective.
-func (pl *ProtectedLink) ArmFlight(rec *flight.Recorder) {
-	pl.Link.ArmFlight(rec)
-	prev := pl.Ctrl.OnSwitch
-	pl.Ctrl.OnSwitch = func(e aps.SwitchEvent) {
-		if prev != nil {
-			prev(e)
-		}
-		pl.Link.FlightSetFailover(e.Duration)
-		pl.Link.trace("aps-switch", e.Trigger.String(), int64(e.To), e.Duration)
-		pl.Link.flightTrigger("aps-switch")
-	}
-}
-
-// ArmFlight arms every port with recorders and SLO evaluators (series
-// labelled portN_a / portN_z) and returns the /slo board aggregating
-// them. Call before Run; captures and exemplars may be inspected
-// between Runs. On a loopback engine both ends arm and the SLO on each
-// pair's z side covers the a→z direction; a remote-role engine (z nil)
-// arms its single local end, and when that end's transport carries a
-// freeze side channel the recorder is also joined to it for
-// cross-process capture correlation (TransportPort.ArmCorrelation).
-func (e *Engine) ArmFlight(reg *telemetry.Registry, cfg flight.Config) *flight.Board {
-	board := flight.NewBoard()
-	i := 0
-	for _, s := range e.shards {
-		for _, p := range s.ports {
-			ra := flight.NewRecorder(reg, fmt.Sprintf("port%d_a", i), cfg)
-			p.a.ArmFlight(ra)
-			board.Attach(ra)
-			if p.tpa != nil {
-				p.tpa.ArmCorrelation(ra)
-			}
-			if p.z != nil {
-				rz := flight.NewRecorder(reg, fmt.Sprintf("port%d_z", i), cfg)
-				p.z.ArmFlight(rz)
-				JoinFlight(p.a, p.z)
-				board.Attach(rz)
-				if p.tpz != nil {
-					p.tpz.ArmCorrelation(rz)
-				}
-				if slo := p.z.FlightSLO(reg, fmt.Sprintf("port%d", i), flight.SLOConfig{}); slo != nil {
-					board.AttachSLO(slo)
-				}
-			}
-			i++
-		}
-	}
-	return board
 }

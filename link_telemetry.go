@@ -1,6 +1,7 @@
 package gigapos
 
 import (
+	"repro/internal/flight"
 	"repro/internal/lcp"
 	"repro/internal/telemetry"
 )
@@ -28,11 +29,22 @@ func (l *Link) trace(name, detail string, v1, v2 int64) {
 	l.tel.tracer.Emit(l.now, l.tel.scope, name, detail, v1, v2)
 }
 
-// Instrument exports the link's protocol counters to reg — every
-// series labelled {link=name} — and emits structured events (LCP/IPCP
-// state transitions, supervisor actions, echo timeouts) to tr, which
-// may be nil to disable tracing. Call once, before traffic.
-func (l *Link) Instrument(reg *telemetry.Registry, tr *telemetry.Tracer, name string) {
+func (l *Link) endpoint() *Link { return l }
+
+// Observe arms o on the link: with Flight a recorder called name; with
+// Registry the protocol counters, every series labelled {link=name},
+// and the structured events (LCP/IPCP state transitions, supervisor
+// actions, echo timeouts) to Tracer. A second Observe on the same
+// registry and name is a wiring bug and panics on the first mirrored
+// series.
+func (l *Link) Observe(o Observation, name string) {
+	if o.Flight != nil {
+		l.armFlight(flight.NewRecorder(o.Registry, name, *o.Flight))
+	}
+	reg := o.Registry
+	if reg == nil {
+		return
+	}
 	lbl := telemetry.L("link", name)
 	m := reg.Mirror()
 	m.Counter("link_rx_frames_total", "HDLC frames accepted by the endpoint.",
@@ -87,7 +99,7 @@ func (l *Link) Instrument(reg *telemetry.Registry, tr *telemetry.Tracer, name st
 		m.Counter("link_supervisor_lqm_restarts_total", "Restarts from Bad quality verdicts.",
 			func() uint64 { return l.sup.LQMRestarts }, lbl)
 	}
-	l.tel = &linkTelemetry{tracer: tr, scope: "link:" + name, mirror: m}
+	l.tel = &linkTelemetry{tracer: o.Tracer, scope: "link:" + name, mirror: m}
 
 	lcpTrans := reg.Counter("link_lcp_transitions_total", "LCP automaton state transitions.", lbl)
 	l.lcpA.OnTransition = func(from, to lcp.State) {

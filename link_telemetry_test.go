@@ -23,8 +23,9 @@ func TestLinkInstrumentTelemetry(t *testing.T) {
 	a := NewLink(cfg)
 	cfg.Magic, cfg.IPAddr = 0x2222, [4]byte{10, 0, 0, 2}
 	b := NewLink(cfg)
-	a.Instrument(reg, tr, "a")
-	b.Instrument(reg, tr, "b")
+	o := Observation{Registry: reg, Tracer: tr}
+	a.Observe(o, "a")
+	b.Observe(o, "b")
 
 	a.Open()
 	b.Open()

@@ -29,12 +29,14 @@ var instanceLabels = map[string]bool{
 }
 
 // TestMetricsDocMatchesRegistry keeps METRICS.md equal to what the code
-// registers: it arms every observation surface once into one registry —
-// a pipe-transport Engine with Instrument, ArmProfile and ArmFlight, a
-// protected pair, a ring link, the cycle-accurate p5.System, a bare
-// sonet.Deframer, a socket transport and the runtime exporter — and
-// renders one row per metric family (name, type, labels, help) from the
-// Prometheus exposition. A series added, removed, relabelled or
+// registers: it arms every observation surface once into one registry.
+// Everything the root package exports goes through the one Observation —
+// a pipe-transport Engine, a protected pair, a ring link and a port on a
+// socket transport, so the document is also the proof that Observe
+// reaches every family; the cycle-accurate p5.System, a bare
+// sonet.Deframer (p5sim -sonet's section) and the runtime exporter are
+// internal packages' own. It renders one row per metric family (name,
+// type, labels, help) from the Prometheus exposition. A series added, removed, relabelled or
 // re-described without the document fails here; `make metrics` (this
 // test with -update) rewrites it.
 func TestMetricsDocMatchesRegistry(t *testing.T) {
@@ -45,15 +47,13 @@ func TestMetricsDocMatchesRegistry(t *testing.T) {
 	e := NewEngine(EngineConfig{Links: 1, Shards: 1,
 		Transport: func(int) (a, z transport.LineTransport) { return transport.NewPipePair() }})
 	defer e.Close()
-	e.Instrument(reg, "linecard")
-	e.ArmProfile(reg, "linecard", prof.Config{})
-	e.ArmFlight(reg, flight.Config{})
+	o := Observation{Registry: reg, Tracer: tr, Flight: &flight.Config{}, Profile: &prof.Config{}}
+	e.Observe(o, "linecard")
 
 	// Every optional Link subsystem on, so every link_* family registers.
 	lcfg := LinkConfig{WantVJ: true, AllowVJ: true, LQMPeriod: 16, Supervise: true}
 	pa, pb := NewProtectedPair(lcfg, lcfg, ProtectionConfig{})
-	pa.Instrument(reg, tr, "a")
-	pb.Instrument(reg, tr, "b")
+	new(Watch).ObservePair(o, "prot", pa, pb)
 
 	ring, err := topo.NewRing(topo.Config{Nodes: 4})
 	if err != nil {
@@ -63,7 +63,7 @@ func TestMetricsDocMatchesRegistry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	NewRingLink(LinkConfig{}, port).Instrument(reg, tr, "ring")
+	NewRingLink(LinkConfig{}, port).Observe(o, "ring")
 
 	p5.NewSystem(4).Instrument(reg, "p5")
 	sonet.NewDeframer(sonet.STM1, nil).Instrument(reg.Mirror(), tr, "sonet")
@@ -73,7 +73,7 @@ func TestMetricsDocMatchesRegistry(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer udp.Close()
-	transport.Instrument(reg, "udp0", udp)
+	NewTransportPort(NewLink(LinkConfig{}), udp).Observe(o, "udp0")
 
 	var expo bytes.Buffer
 	if err := reg.WritePrometheus(&expo); err != nil {

@@ -117,6 +117,96 @@ func TestOneSectionCarrier(t *testing.T) {
 	})
 }
 
+// TestOneArmingCall holds observation to one way in: the Observe
+// family. In the root package's production files no other exported
+// function or method takes a registry, a tracer, a recorder or a
+// flight/SLO/profile config — directly or inside an Observation — and
+// outside the root package and internal/flight nothing builds a
+// recorder or an SLO or attaches one to a board by hand: that is the
+// dance ObservePair writes once.
+func TestOneArmingCall(t *testing.T) {
+	family := map[string]string{
+		"Link.Observe":          "the end every other kind wraps: protocol series, events, recorder",
+		"ProtectedLink.Observe": "adds the aps_* and per-line deframer series",
+		"RingLink.Observe":      "adds the link_ring_* selector series",
+		"TransportPort.Observe": "adds the transport_* series and the freeze-channel correlation",
+		"Watch.ObservePair":     "names both ends, joins the pipes, grades each direction, fills the board",
+		"Engine.Observe":        "the engine series, the stage clock, and ObservePair per port",
+	}
+	watched := map[string]map[string]bool{
+		"telemetry": {"Registry": true, "Tracer": true},
+		"flight":    {"Recorder": true, "Config": true, "SLOConfig": true},
+		"prof":      {"Config": true},
+	}
+	seen := map[string]bool{}
+	productionFiles(t, func(fset *token.FileSet, dir, _ string, f *ast.File) {
+		if dir == "." {
+			for _, decl := range f.Decls {
+				fn, ok := decl.(*ast.FuncDecl)
+				if !ok || !fn.Name.IsExported() {
+					continue
+				}
+				name := fn.Name.Name
+				if fn.Recv != nil {
+					recv := fn.Recv.List[0].Type
+					if star, ok := recv.(*ast.StarExpr); ok {
+						recv = star.X
+					}
+					name = recv.(*ast.Ident).Name + "." + name
+				}
+				arms := false
+				ast.Inspect(fn.Type.Params, func(n ast.Node) bool {
+					switch n := n.(type) {
+					case *ast.Ident:
+						arms = arms || n.Name == "Observation"
+					case *ast.SelectorExpr:
+						if x, ok := n.X.(*ast.Ident); ok {
+							arms = arms || watched[x.Name][n.Sel.Name]
+						}
+					}
+					return true
+				})
+				switch {
+				case arms && family[name] == "":
+					t.Errorf("%s: %s takes an observation argument; arm through Observe", fset.Position(fn.Pos()), name)
+				case arms:
+					seen[name] = true
+				}
+			}
+			return
+		}
+		usesFlight := false
+		for _, imp := range f.Imports {
+			usesFlight = usesFlight || imp.Path.Value == `"repro/internal/flight"`
+		}
+		if !usesFlight || dir == "internal/flight" {
+			return
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			x, _ := sel.X.(*ast.Ident)
+			byHand := x != nil && x.Name == "flight" && (sel.Sel.Name == "NewRecorder" || sel.Sel.Name == "NewSLO") ||
+				sel.Sel.Name == "Attach" || sel.Sel.Name == "AttachSLO"
+			if byHand {
+				t.Errorf("%s: %s by hand; gigapos.ObservePair builds, joins and boards the recorders", fset.Position(call.Pos()), sel.Sel.Name)
+			}
+			return true
+		})
+	})
+	for name := range family {
+		if !seen[name] {
+			t.Errorf("%s is kept as an arming call but no longer exists or takes no observation", name)
+		}
+	}
+}
+
 // TestObservationExportsHaveCallers keeps every internal package's
 // surface to what something reads (it began with the observation
 // packages, hence the name): every exported function, method, type,

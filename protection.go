@@ -43,7 +43,7 @@ type ProtectedLink struct {
 	// the standby deframer hot so a switch is a pointer flip.
 	DiscardedStandbyOctets uint64
 
-	tel *telemetry.Mirror // nil until Instrument
+	tel *telemetry.Mirror // nil until Observe with a Registry
 }
 
 // NewProtectedPair builds two Links and the working and protection
@@ -60,11 +60,16 @@ func NewProtectedPair(cfgA, cfgB LinkConfig, pcfg ProtectionConfig) (a, b *Prote
 		a.lines[i].Deframer().Defects.Cfg = pcfg.Defects
 		b.lines[i].Deframer().Defects.Cfg = pcfg.Defects
 	}
-	// Far-end requests arrive in the protection line's K1/K2, already
-	// persistence-filtered by the deframer.
 	for _, pl := range []*ProtectedLink{a, b} {
+		// Far-end requests arrive in the protection line's K1/K2, already
+		// persistence-filtered by the deframer.
 		pl.lines[aps.Protect].Deframer().OnAPS = func(k1, k2 byte) {
 			pl.Ctrl.ReceiveK1K2(pl.Ctrl.Now(), k1, k2)
+		}
+		// The controller is ours, so this is the first subscriber (aps
+		// telemetry and p5.OAM.AttachAPS chain onto it).
+		pl.Ctrl.OnSwitch = func(e aps.SwitchEvent) {
+			pl.Link.flightFailover("aps-switch", e.Trigger.String(), int64(e.To), e.Duration)
 		}
 	}
 	return a, b
@@ -121,18 +126,21 @@ func (pl *ProtectedLink) Advance(now int64) {
 	pl.tel.Sync()
 }
 
-// Instrument exports the full protected-endpoint probe set, every
-// series labelled {link=name} so both ends of a pair can share one
-// registry: the Link's protocol counters, the APS controller (aps_*),
-// and each line's deframer (link_working_* / link_protect_*). The
+// Observe arms o on the Link underneath and adds what a protected end
+// has, every series labelled {link=name} so both ends of a pair can
+// share one registry: the APS controller (aps_*) and each line's
+// deframer (link_working_* / link_protect_*), with their events. The
 // mirrors refresh on every Advance.
-func (pl *ProtectedLink) Instrument(reg *telemetry.Registry, tr *telemetry.Tracer, name string) {
-	pl.Link.Instrument(reg, tr, name)
+func (pl *ProtectedLink) Observe(o Observation, name string) {
+	pl.Link.Observe(o, name)
+	if o.Registry == nil {
+		return
+	}
 	lbl := telemetry.L("link", name)
-	pl.tel = reg.Mirror()
-	pl.Ctrl.Instrument(pl.tel, tr, name)
-	pl.lines[aps.Working].Deframer().Instrument(pl.tel, tr, "link_working", lbl)
-	pl.lines[aps.Protect].Deframer().Instrument(pl.tel, tr, "link_protect", lbl)
+	pl.tel = o.Registry.Mirror()
+	pl.Ctrl.Instrument(pl.tel, o.Tracer, name)
+	pl.lines[aps.Working].Deframer().Instrument(pl.tel, o.Tracer, "link_working", lbl)
+	pl.lines[aps.Protect].Deframer().Instrument(pl.tel, o.Tracer, "link_protect", lbl)
 	pl.tel.Counter("link_standby_discarded_octets_total",
 		"Standby-line payload octets dropped by the receive selector.",
 		func() uint64 { return pl.DiscardedStandbyOctets }, lbl)

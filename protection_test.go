@@ -250,8 +250,8 @@ func TestProtectionBothLinesDownFallsBack(t *testing.T) {
 func TestProtectedPairTelemetryKeepsEndsApart(t *testing.T) {
 	p := newProtectedPair(t, ProtectionConfig{})
 	reg := telemetry.NewRegistry()
-	p.a.Instrument(reg, nil, "a")
-	p.b.Instrument(reg, nil, "b")
+	p.a.Observe(Observation{Registry: reg}, "a")
+	p.b.Observe(Observation{Registry: reg}, "b")
 	for i := 0; i < 30; i++ {
 		p.tick()
 	}
@@ -290,7 +290,7 @@ func TestProtectedPairTelemetryKeepsEndsApart(t *testing.T) {
 			t.Error("a second mirror on end a's series was not refused")
 		}
 	}()
-	p.a.Instrument(reg, nil, "a")
+	p.a.Observe(Observation{Registry: reg}, "a")
 }
 
 // TestProtectedLinkSteadyStateAllocatesNothing: a warmed pair carrying

@@ -1,7 +1,6 @@
 package gigapos
 
 import (
-	"repro/internal/flight"
 	"repro/internal/telemetry"
 	"repro/internal/topo"
 )
@@ -24,7 +23,7 @@ type RingLink struct {
 	Port *topo.Port
 
 	rxBuf []byte
-	tel   *telemetry.Mirror // nil until Instrument
+	tel   *telemetry.Mirror // nil until Observe with a Registry
 }
 
 // ringRestartPeriod is the default LCP/IPCP restart timer for ring
@@ -40,11 +39,12 @@ func NewRingLink(cfg LinkConfig, port *topo.Port) *RingLink {
 		cfg.RestartPeriod = ringRestartPeriod
 	}
 	rl := &RingLink{Link: NewLink(cfg), Port: port}
-	prev := port.OnDown
+	// The endpoint owns its port's hooks. A selector movement records the
+	// outage it healed and dumps the black box, once a recorder is armed.
+	port.OnSwitch = func(now int64, from, to topo.Rotation, outage int64) {
+		rl.Link.flightFailover("ring-switch", to.String(), int64(to), outage)
+	}
 	port.OnDown = func(now int64, down bool) {
-		if prev != nil {
-			prev(now, down)
-		}
 		if down {
 			rl.Link.trace("ring-squelch", rl.Port.Circ.Name, 1, now)
 			rl.Link.NotifyDefects(AlarmServiceAffecting)
@@ -71,29 +71,16 @@ func (rl *RingLink) Advance(now int64) {
 	rl.tel.Sync()
 }
 
-// ArmFlight arms the underlying link and additionally dumps the black
-// box on every ring selector movement, recording the outage the
-// switch healed as the SLO failover duration.
-func (rl *RingLink) ArmFlight(rec *flight.Recorder) {
-	rl.Link.ArmFlight(rec)
-	prev := rl.Port.OnSwitch
-	rl.Port.OnSwitch = func(now int64, from, to topo.Rotation, outage int64) {
-		if prev != nil {
-			prev(now, from, to, outage)
-		}
-		rl.Link.FlightSetFailover(outage)
-		rl.Link.trace("ring-switch", to.String(), int64(to), outage)
-		rl.Link.flightTrigger("ring-switch")
-	}
-}
-
-// Instrument exports the link's probe set plus the ring endpoint's
+// Observe arms o on the Link underneath and adds the ring endpoint's
 // selector counters (link_ring_*), all labelled {link=name}. Mirrors
 // refresh on every Advance.
-func (rl *RingLink) Instrument(reg *telemetry.Registry, tr *telemetry.Tracer, name string) {
-	rl.Link.Instrument(reg, tr, name)
+func (rl *RingLink) Observe(o Observation, name string) {
+	rl.Link.Observe(o, name)
+	if o.Registry == nil {
+		return
+	}
 	lbl := telemetry.L("link", name)
-	rl.tel = reg.Mirror()
+	rl.tel = o.Registry.Mirror()
 	rl.tel.Counter("link_ring_switches_total",
 		"Path selector movements at this ring endpoint.",
 		func() uint64 { return rl.Port.Switches }, lbl)
@@ -114,4 +101,5 @@ func (rl *RingLink) Instrument(reg *telemetry.Registry, tr *telemetry.Tracer, na
 			}
 			return 0
 		}, lbl)
+	rl.tel.Sync()
 }

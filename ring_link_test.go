@@ -90,12 +90,8 @@ func TestRingLinkBringUpAndTransfer(t *testing.T) {
 func TestRingLinkHitlessCutNoRenegotiation(t *testing.T) {
 	r, a, b := ringPair(t, topo.UPSR)
 
-	reg := telemetry.NewRegistry()
-	ra := flight.NewRecorder(reg, "ring_a", flight.Config{Dir: t.TempDir()})
-	rb := flight.NewRecorder(reg, "ring_b", flight.Config{Dir: t.TempDir()})
-	a.ArmFlight(ra)
-	b.ArmFlight(rb)
-	JoinFlight(a.Link, b.Link)
+	new(Watch).ObservePair(Observation{Registry: telemetry.NewRegistry(), Flight: &flight.Config{Dir: t.TempDir()}}, "ring", a, b)
+	rb := b.Flight()
 
 	now := ringBringUp(t, r, a, b, 0)
 	cutAt := now + 100

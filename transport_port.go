@@ -33,13 +33,10 @@ type TransportPort struct {
 	wasUp    bool // liveness seen by the previous Poll
 	rxChunks [][]byte
 
-	// Correlation plumbing (ArmCorrelation): the armed recorder, the
-	// transport's freeze side channel and latency meter, and the peer
-	// freeze currently being serviced (stamped onto the capture its
-	// Trigger produces).
-	rec         *flight.Recorder
+	// Correlation plumbing (Observe): the transport's freeze side
+	// channel, and the peer freeze currently being serviced (stamped
+	// onto the capture its Trigger produces).
 	fz          transport.Freezer
-	lm          transport.LatencyMeter
 	pending     transport.FreezeInfo
 	havePending bool
 	rxFreezes   []transport.FreezeInfo
@@ -50,34 +47,34 @@ func NewTransportPort(l *Link, t transport.LineTransport) *TransportPort {
 	return &TransportPort{Link: l, T: t}
 }
 
-// ArmCorrelation joins the port's flight recorder to the transport's
-// freeze side channel, turning isolated black-box dumps into
-// correlated capture pairs (DESIGN.md §16): a local trigger on the
-// correlation leader mints a shared incident ID and freeze-pings the
-// peer; the peer either back-stamps the ID onto the capture its own
-// detection already produced, or dumps fresh under reason
-// "peer-freeze". Every capture is additionally stamped with the
-// transport's clock/tick offset estimates — the p5trace -join
-// alignment inputs. Reports false (and arms nothing) when the
-// transport has no freeze channel (Pipe). Call after ArmFlight, before
-// traffic.
-func (p *TransportPort) ArmCorrelation(rec *flight.Recorder) bool {
-	fz, ok := p.T.(transport.Freezer)
-	if !ok || rec == nil {
-		return false
+// Observe arms o on the port's Link and adds what the line has: with
+// Registry the transport_* series labelled {line=name}, and with Flight
+// on a transport with a freeze side channel (transport.Freezer: the
+// sockets, not Pipe or a sonet.Line) the recorder joins it, turning
+// isolated black-box dumps into correlated capture pairs (DESIGN.md
+// §16): a local trigger on the correlation leader mints a shared
+// incident ID and freeze-pings the peer; the peer either back-stamps the
+// ID onto the capture its own detection already produced, or dumps
+// fresh under reason "peer-freeze". Every capture is also stamped with
+// the transport's clock/tick offset estimates — p5trace -join's inputs.
+func (p *TransportPort) Observe(o Observation, name string) {
+	p.Link.Observe(o, name)
+	if o.Registry != nil {
+		transport.Instrument(o.Registry, name, p.T)
 	}
-	p.rec = rec
-	p.fz = fz
-	p.lm, _ = p.T.(transport.LatencyMeter)
-	rec.Correlate = p.correlate
-	return true
+	if fz, ok := p.T.(transport.Freezer); ok && o.Flight != nil {
+		p.fz = fz
+		p.Link.fl.rec.Correlate = p.correlate
+	}
 }
+
+func (p *TransportPort) endpoint() *Link { return p.Link }
 
 // correlate runs inside Recorder.Trigger, before the capture file is
 // written.
 func (p *TransportPort) correlate(c *flight.Capture) {
-	if p.lm != nil {
-		lat := p.lm.Latency()
+	if lm, ok := p.T.(transport.LatencyMeter); ok {
+		lat := lm.Latency()
 		c.ClockOffsetNS = lat.ClockOffsetNS
 		c.TickOffset = lat.TickOffset
 	}
@@ -119,12 +116,12 @@ func (p *TransportPort) correlate(c *flight.Capture) {
 func (p *TransportPort) drainFreezes() {
 	p.rxFreezes = p.fz.Freezes(p.rxFreezes[:0])
 	for _, f := range p.rxFreezes {
-		if p.rec.AdoptIncident(f.Incident, f.Reason, f.Tick, f.WallNs) {
+		if p.Link.fl.rec.AdoptIncident(f.Incident, f.Reason, f.Tick, f.WallNs) {
 			continue
 		}
 		p.pending = f
 		p.havePending = true
-		p.rec.Trigger("peer-freeze")
+		p.Link.fl.rec.Trigger("peer-freeze")
 		p.havePending = false
 	}
 }

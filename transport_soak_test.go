@@ -70,10 +70,11 @@ func TestTransportChaosSoakUDP(t *testing.T) {
 	chaos := fault.WrapTransport(ln).Blackout(blackoutFrom, blackoutTo)
 	pa, pz := supervisedPorts(chaos, dl)
 
-	ra := flight.NewRecorder(nil, "chaos_a", flight.Config{})
-	rz := flight.NewRecorder(nil, "chaos_z", flight.Config{})
-	pa.Link.ArmFlight(ra)
-	pz.Link.ArmFlight(rz)
+	// Each end on its own, as two processes would arm them: recorders
+	// and captures, no joined pipe.
+	pa.Link.Observe(Observation{Flight: &flight.Config{}}, "chaos_a")
+	pz.Link.Observe(Observation{Flight: &flight.Config{}}, "chaos_z")
+	ra, rz := pa.Link.Flight(), pz.Link.Flight()
 
 	template := make([]byte, 256)
 	for i := range template {
@@ -431,13 +432,12 @@ func TestTransportCorrelatedCapturesUDP(t *testing.T) {
 	pa, pz := supervisedPorts(chaos, dl)
 
 	dirA, dirZ := t.TempDir(), t.TempDir()
-	ra := flight.NewRecorder(nil, "corr_a", flight.Config{Dir: dirA})
-	rz := flight.NewRecorder(nil, "corr_z", flight.Config{Dir: dirZ})
-	pa.Link.ArmFlight(ra)
-	pz.Link.ArmFlight(rz)
-	if !pa.ArmCorrelation(ra) || !pz.ArmCorrelation(rz) {
+	pa.Observe(Observation{Flight: &flight.Config{Dir: dirA}}, "corr_a")
+	pz.Observe(Observation{Flight: &flight.Config{Dir: dirZ}}, "corr_z")
+	if pa.fz == nil || pz.fz == nil {
 		t.Fatal("UDP transports did not expose the freeze channel")
 	}
+	ra, rz := pa.Link.Flight(), pz.Link.Flight()
 
 	now := int64(0)
 	run := func(ticks int) {
