@@ -6,17 +6,30 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
-	"repro/internal/fault"
+	gigapos "repro"
 	"repro/internal/flight"
 	"repro/internal/scenario"
-	"repro/internal/sonet"
 	"repro/internal/telemetry"
 )
 
-// scrapeMetrics GETs base+path and returns the body.
+// committed is the path of a scenario under scenarios/.
+func committed(name string) string { return filepath.Join("..", "..", "scenarios", name+".json") }
+
+// inline writes a scenario document to a file for one test.
+func inline(t *testing.T, doc string) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "scenario.json")
+	if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// scrapeGet GETs base+path and returns the status and body.
 func scrapeGet(t *testing.T, base, path string) (int, []byte) {
 	t.Helper()
 	resp, err := http.Get(base + path)
@@ -49,6 +62,41 @@ func seriesMap(t *testing.T, base string) map[string]float64 {
 	return out
 }
 
+// scrapeBoard GETs /slo and decodes the error-budget board.
+func scrapeBoard(t *testing.T, base string) flight.BoardJSON {
+	t.Helper()
+	code, body := scrapeGet(t, base, "/slo")
+	if code != http.StatusOK {
+		t.Fatalf("/slo status %d", code)
+	}
+	board, err := flight.ReadBoard(bytes.NewReader(body))
+	if err != nil {
+		t.Fatalf("decode /slo: %v", err)
+	}
+	return board
+}
+
+// scrapeTrace GETs /trace and decodes the events.
+func scrapeTrace(t *testing.T, base string) []telemetry.Event {
+	t.Helper()
+	code, body := scrapeGet(t, base, "/trace")
+	if code != http.StatusOK {
+		t.Fatalf("/trace status %d", code)
+	}
+	trace, err := telemetry.ReadEvents(bytes.NewReader(body))
+	if err != nil {
+		t.Fatalf("decode /trace: %v", err)
+	}
+	return trace
+}
+
+// withProcs runs the engine tests on two shards: an engine has
+// GOMAXPROCS of them.
+func withProcs(t *testing.T, n int) {
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
 // TestLoopbackTelemetryScrape is the acceptance path: a framed burst
 // with injected line errors, then an HTTP scrape of /metrics must show
 // nonzero per-stage occupancy, stall, and FCS-error series, and the
@@ -56,8 +104,9 @@ func seriesMap(t *testing.T, base string) map[string]float64 {
 func TestLoopbackTelemetryScrape(t *testing.T) {
 	var series map[string]float64
 	cfg := simConfig{
-		width: 8, frames: 20, size: "imix", density: 0.02,
-		errRate: 0.001, seed: 7,
+		scenario: inline(t, `{"name": "loopback-errors",
+			"p5": {"width": 8, "frames": 20, "density": 0.02, "errors": 0.001, "line": "loopback"},
+			"traffic": {"mix": "imix", "seed": 7}, "assert": {}}`),
 		telemetryAddr: "127.0.0.1:0",
 		scrape: func(base string) {
 			series = seriesMap(t, base)
@@ -100,32 +149,22 @@ func TestLoopbackTelemetryScrape(t *testing.T) {
 	}
 }
 
-// TestSONETTelemetryScrape runs the -sonet pipeline with byte slips and
-// a line cut, and checks the section/defect series and trace events
-// appear alongside the per-direction pipeline series.
+// TestSONETTelemetryScrape runs the P5 over its STM-1 section with a
+// byte slip and a line cut, and checks the section/defect series and
+// trace events appear alongside the per-direction pipeline series.
 func TestSONETTelemetryScrape(t *testing.T) {
 	var series map[string]float64
 	var trace []telemetry.Event
 	cfg := simConfig{
-		width: 8, frames: 20, size: "imix", density: 0.02, seed: 3,
-		sonetMode: true,
-		faults: fault.RandomConfig{
-			SlipEvery:  4000,
-			LOSWindows: 1,
-			LOSLen:     10 * sonet.STM1.FrameBytes(),
-		},
+		scenario: inline(t, `{"name": "section-faults",
+			"p5": {"width": 8, "frames": 20, "density": 0.02, "line": "stm1"},
+			"traffic": {"mix": "imix", "seed": 3}, "duration": 80,
+			"events": [{"at": 2, "action": "slip"}, {"at": 10, "action": "cut", "ticks": 10}],
+			"assert": {}}`),
 		telemetryAddr: "127.0.0.1:0",
 		scrape: func(base string) {
 			series = seriesMap(t, base)
-			code, body := scrapeGet(t, base, "/trace")
-			if code != http.StatusOK {
-				t.Fatalf("/trace status %d", code)
-			}
-			var err error
-			trace, err = telemetry.ReadEvents(bytes.NewReader(body))
-			if err != nil {
-				t.Fatalf("decode /trace: %v", err)
-			}
+			trace = scrapeTrace(t, base)
 		},
 	}
 	var out bytes.Buffer
@@ -162,26 +201,19 @@ func TestSONETTelemetryScrape(t *testing.T) {
 }
 
 // TestProtectTelemetryScrape is the protection acceptance path: the
-// -protect failover scenario must expose the APS switch counter and
-// the switch-duration histogram through /metrics, emit aps switch
-// trace events, and report a hitless run (no LCP renegotiation).
+// committed working-line cut must expose the APS switch counter and the
+// switch-duration histogram through /metrics, emit aps switch trace
+// events, and report a hitless run (no LCP renegotiation).
 func TestProtectTelemetryScrape(t *testing.T) {
+	t.Setenv("TMPDIR", t.TempDir()) // the pair records; its captures land here
 	var series map[string]float64
 	var trace []telemetry.Event
 	cfg := simConfig{
-		protectMode: true, cutFrames: 30,
+		scenario:      committed("protected-working-cut"),
 		telemetryAddr: "127.0.0.1:0",
 		scrape: func(base string) {
 			series = seriesMap(t, base)
-			code, body := scrapeGet(t, base, "/trace")
-			if code != http.StatusOK {
-				t.Fatalf("/trace status %d", code)
-			}
-			var err error
-			trace, err = telemetry.ReadEvents(bytes.NewReader(body))
-			if err != nil {
-				t.Fatalf("decode /trace: %v", err)
-			}
+			trace = scrapeTrace(t, base)
 		},
 	}
 	var out bytes.Buffer
@@ -232,35 +264,27 @@ func TestProtectTelemetryScrape(t *testing.T) {
 	if switches != 2 {
 		t.Errorf("aps:prot_z switch trace events = %d, want 2", switches)
 	}
-	if !strings.Contains(out.String(), "lcp-renegotiations=0") {
+	// The ledger's circuit line: no LCP renegotiation at either end.
+	if !strings.Contains(out.String(), "reneg=0/0") {
 		t.Errorf("report does not show a hitless run:\n%s", out.String())
 	}
 }
 
-// TestProtectFlightScrape re-runs the failover scenario with the
-// flight recorder armed: the APS switch must dump exactly one capture
-// per selector movement (decodable from disk), the SLO burn gauges and
-// latency histograms must appear in /metrics, and /slo must serve the
-// error-budget board.
+// TestProtectFlightScrape re-runs the failover with -flight: the APS
+// switch must dump exactly one capture per selector movement (decodable
+// from disk), the SLO burn gauges and latency histograms must appear in
+// /metrics, and /slo must serve the error-budget board.
 func TestProtectFlightScrape(t *testing.T) {
 	dir := t.TempDir()
 	var series map[string]float64
 	var board flight.BoardJSON
 	cfg := simConfig{
-		protectMode: true, cutFrames: 30,
+		scenario:      committed("protected-working-cut"),
 		telemetryAddr: "127.0.0.1:0",
 		flightDir:     dir,
 		scrape: func(base string) {
 			series = seriesMap(t, base)
-			code, body := scrapeGet(t, base, "/slo")
-			if code != http.StatusOK {
-				t.Fatalf("/slo status %d", code)
-			}
-			var err error
-			board, err = flight.ReadBoard(bytes.NewReader(body))
-			if err != nil {
-				t.Fatalf("decode /slo: %v", err)
-			}
+			board = scrapeBoard(t, base)
 		},
 	}
 	var out bytes.Buffer
@@ -319,27 +343,24 @@ func TestProtectFlightScrape(t *testing.T) {
 	}
 }
 
-// TestEngineModeScrape runs the -engine line card and checks the report
-// plus the exported aggregate series.
+// engineDoc is a 4-pair engine over pipes, 200 steps of 256-octet
+// datagrams.
+const engineDoc = `{"name": "engine-4", "engine": {"links": 4, "line": "pipe"},
+	"traffic": {"mix": "fixed:256"}, "duration": 200, "assert": {}}`
+
+// TestEngineModeScrape runs the line card and checks the report plus
+// the exported aggregate series.
 func TestEngineModeScrape(t *testing.T) {
+	withProcs(t, 2)
 	var series map[string]float64
 	var board flight.BoardJSON
 	cfg := simConfig{
-		engineLinks: 4, engineShards: 2,
-		frames: 200, size: "256",
+		scenario:      inline(t, engineDoc),
 		telemetryAddr: "127.0.0.1:0",
 		flightDir:     t.TempDir(),
 		scrape: func(base string) {
 			series = seriesMap(t, base)
-			code, body := scrapeGet(t, base, "/slo")
-			if code != http.StatusOK {
-				t.Fatalf("/slo status %d", code)
-			}
-			var err error
-			board, err = flight.ReadBoard(bytes.NewReader(body))
-			if err != nil {
-				t.Fatalf("decode /slo: %v", err)
-			}
+			board = scrapeBoard(t, base)
 		},
 	}
 	var out bytes.Buffer
@@ -388,16 +409,16 @@ func TestEngineModeScrape(t *testing.T) {
 	}
 }
 
-// TestEngineProfMode runs the -engine line card with the performance
+// TestEngineProfMode runs the line card with the performance
 // observatory armed: the profile files land in the directory, the
 // report carries the stage breakdown, and the prof_* and runtime_*
 // series join the exposition.
 func TestEngineProfMode(t *testing.T) {
+	withProcs(t, 2)
 	profDir := t.TempDir()
 	var series map[string]float64
 	cfg := simConfig{
-		engineLinks: 4, engineShards: 2,
-		frames: 200, size: "256",
+		scenario:      inline(t, engineDoc),
 		telemetryAddr: "127.0.0.1:0",
 		profDir:       profDir,
 		scrape:        func(base string) { series = seriesMap(t, base) },
@@ -447,37 +468,33 @@ func TestEngineProfMode(t *testing.T) {
 	}
 }
 
-// TestRunRejectsBadFlags pins the usage-error path.
+// TestRunRejectsBadFlags pins the usage-error path: a document that
+// does not validate, and a where-flag on a topology that cannot use it,
+// are refused (exit 2) naming the problem — not ignored.
 func TestRunRejectsBadFlags(t *testing.T) {
-	var out bytes.Buffer
-	if err := run(simConfig{width: 16, frames: 1, size: "imix"}, &out); err == nil {
-		t.Fatal("width 16 accepted")
-	} else if _, ok := err.(usageError); !ok {
-		t.Fatalf("want usageError, got %T", err)
-	}
-	if err := run(simConfig{width: 8, frames: 1, size: "bogus"}, &out); err == nil {
-		t.Fatal("bad size accepted")
-	}
-	if err := run(simConfig{engineLinks: 2, frames: 1, size: "bogus"}, &out); err == nil {
-		t.Fatal("bad engine size accepted")
-	}
-	// A flag set in a mode that never reads it is refused, not ignored:
-	// -flight used to leave an empty directory behind the default and
-	// -sonet modes without a word.
 	dir := filepath.Join(t.TempDir(), "captures")
-	stall := netConfig{proto: "udp", stallFrom: 10, stallTo: 20}
+	p5 := inline(t, `{"name": "p5", "p5": {"width": 32, "frames": 1, "line": "loopback"}, "assert": {}}`)
 	for _, c := range []struct {
+		name string
 		cfg  simConfig
 		want string
 	}{
-		{simConfig{width: 32, frames: 1, size: "imix", flightDir: dir}, "-flight needs one of -protect, -engine, -listen/-dial, -scenario"},
-		{simConfig{width: 32, frames: 1, size: "imix", sonetMode: true, flightDir: dir}, "-flight needs"},
-		{simConfig{width: 32, frames: 1, size: "imix", engineShards: 2}, "-shards needs one of -engine, -listen/-dial"},
-		{simConfig{protectMode: true, net: stall}, "-net-stall/-net-blackout needs one of -listen/-dial"},
+		{"bad width", simConfig{scenario: inline(t, `{"name": "w", "p5": {"width": 16, "frames": 1, "line": "loopback"}, "assert": {}}`)}, "p5.width must be 8 or 32"},
+		{"bad size", simConfig{scenario: inline(t, `{"name": "s", "p5": {"width": 8, "frames": 1, "line": "loopback"}, "traffic": {"mix": "bogus"}, "assert": {}}`)}, "unknown traffic mix"},
+		{"bad engine size", simConfig{scenario: inline(t, `{"name": "e", "engine": {"links": 2, "line": "pipe"}, "traffic": {"mix": "fixed:bogus"}, "duration": 1, "assert": {}}`)}, "bad traffic mix"},
+		// -flight used to leave an empty directory behind the P5 runs
+		// without a word.
+		{"-flight on p5", simConfig{scenario: p5, flightDir: dir}, "the p5 loopback topology has none"},
+		{"-listen on p5", simConfig{scenario: p5, listen: "127.0.0.1:0"}, "the p5 loopback topology has no socket"},
+		{"-dial on a ring", simConfig{scenario: committed("fiber-cut"), dial: "127.0.0.1:9"}, "the ring topology has no socket"},
+		{"-listen on protected", simConfig{scenario: committed("protected-working-cut"), listen: "127.0.0.1:0"}, "the protected topology has no socket"},
+		{"-listen on a pipe engine", simConfig{scenario: committed("engine-pipe"), listen: "127.0.0.1:0"}, "the pipe engine topology has no socket"},
+		{"socket engine without -listen/-dial", simConfig{scenario: committed("net/udp-stall")}, "exactly one of a listen or a dial"},
 	} {
+		var out bytes.Buffer
 		err := run(c.cfg, &out)
 		if _, ok := err.(usageError); !ok || !strings.Contains(err.Error(), c.want) {
-			t.Errorf("%+v: got %v, want a usageError naming %q", c.cfg, err, c.want)
+			t.Errorf("%s: got %v, want a usageError naming %q", c.name, err, c.want)
 		}
 	}
 	if _, err := os.Stat(dir); err == nil {
@@ -485,50 +502,42 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	}
 }
 
-// TestRunRejectsModeCombinations: two mode flags that do not combine are
-// a usage error naming both, not a silent pick of the first; -engine with
-// -sonet (and -listen/-dial with -engine, net_test.go) are the pairings
-// that mean something.
+// TestRunRejectsModeCombinations: two topologies in one document are a
+// usage error, not a silent pick of the first; the line card behind
+// STM-16 lines is one topology and delivers everything it offers.
 func TestRunRejectsModeCombinations(t *testing.T) {
-	net := netConfig{listen: "127.0.0.1:0", proto: "udp"}
 	for _, c := range []struct {
-		cfg  simConfig
+		doc  string
 		want string // "" = accepted
 	}{
-		{simConfig{protectMode: true, sonetMode: true}, "-protect and -sonet"},
-		{simConfig{engineLinks: 4, protectMode: true}, "-engine and -protect"},
-		{simConfig{scenarioFile: "x.json", engineLinks: 2}, "-scenario and -engine"},
-		{simConfig{scenarioFile: "x.json", sonetMode: true}, "-scenario and -sonet"},
-		{simConfig{net: net, protectMode: true}, "-listen/-dial and -protect"},
-		{simConfig{net: net, engineLinks: 1, sonetMode: true}, "-listen/-dial and -sonet"},
-		{simConfig{engineLinks: 2, sonetMode: true, frames: 20, size: "64"}, ""},
+		{`{"name": "x", "protected": {}, "p5": {"width": 32, "frames": 1, "line": "stm1"}, "duration": 10, "assert": {}}`, "exactly one topology"},
+		{`{"name": "x", "engine": {"links": 4, "line": "pipe"}, "protected": {}, "traffic": {"mix": "fixed:64"}, "duration": 10, "assert": {}}`, "exactly one topology"},
+		{`{"name": "x", "ring": {"nodes": 4, "circuits": [{"name": "c0", "a": 0, "b": 2}]}, "engine": {"links": 2, "line": "pipe"}, "duration": 10, "assert": {}}`, "exactly one topology"},
+		{`{"name": "x", "duration": 10, "assert": {}}`, "exactly one topology"},
+		{`{"name": "x", "engine": {"links": 2, "line": "stm16"}, "traffic": {"mix": "fixed:64"}, "duration": 20, "assert": {}}`, ""},
 	} {
 		var out bytes.Buffer
-		err := run(c.cfg, &out)
+		err := run(simConfig{scenario: inline(t, c.doc)}, &out)
 		if c.want == "" {
 			if err != nil {
-				t.Errorf("%+v: %v", c.cfg, err)
+				t.Errorf("%s: %v", c.doc, err)
 			} else if !strings.Contains(out.String(), "640/640 datagrams delivered, lcp-renegotiations=0") {
-				t.Errorf("-engine 2 -sonet report:\n%s", out.String())
+				t.Errorf("two pairs over STM-16 lines:\n%s", out.String())
 			}
 			continue
 		}
 		if _, ok := err.(usageError); !ok || !strings.Contains(err.Error(), c.want) {
-			t.Errorf("%+v: got %v, want a usageError naming %q", c.cfg, err, c.want)
+			t.Errorf("%s: got %v, want a usageError naming %q", c.doc, err, c.want)
 		}
 	}
 }
 
-// TestScenarioMode runs the committed fiber-cut drill through the
-// -scenario path (PASS, report names the drill) and a deliberately
-// impossible drill (FAIL, non-nil error, report points at the .p5fr
-// captures).
+// TestScenarioMode runs the committed fiber-cut drill (PASS, report
+// names the drill) and a deliberately impossible drill (FAIL, non-nil
+// error, report points at the .p5fr captures).
 func TestScenarioMode(t *testing.T) {
 	var out bytes.Buffer
-	cfg := simConfig{
-		scenarioFile: filepath.Join("..", "..", "scenarios", "fiber-cut.json"),
-		flightDir:    t.TempDir(),
-	}
+	cfg := simConfig{scenario: committed("fiber-cut"), flightDir: t.TempDir()}
 	if err := run(cfg, &out); err != nil {
 		t.Fatalf("fiber-cut drill failed: %v\n%s", err, out.String())
 	}
@@ -540,19 +549,14 @@ func TestScenarioMode(t *testing.T) {
 	}
 
 	// An impossible drill: assert zero switches across a fibre cut.
-	bad := filepath.Join(t.TempDir(), "impossible.json")
-	js := `{
-	  "name": "impossible", "ring": {"nodes": 4},
-	  "circuits": [{"name": "c0", "a": 0, "b": 2, "slot": 0}],
+	bad := inline(t, `{
+	  "name": "impossible", "ring": {"nodes": 4, "circuits": [{"name": "c0", "a": 0, "b": 2, "slot": 0}]},
 	  "duration": 600,
 	  "events": [{"at": 100, "action": "cut", "between": [0, 1]}],
 	  "assert": {"circuits": [{"circuit": "c0", "switches": 0}]}
-	}`
-	if err := os.WriteFile(bad, []byte(js), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	}`)
 	out.Reset()
-	err := run(simConfig{scenarioFile: bad, flightDir: t.TempDir()}, &out)
+	err := run(simConfig{scenario: bad, flightDir: t.TempDir()}, &out)
 	if err == nil {
 		t.Fatalf("impossible drill passed:\n%s", out.String())
 	}
@@ -567,17 +571,57 @@ func TestScenarioMode(t *testing.T) {
 	}
 
 	// A missing file is a usage error (exit 2), not a drill failure.
-	if err := run(simConfig{scenarioFile: "no-such.json"}, &out); err == nil {
+	if err := run(simConfig{scenario: "no-such.json"}, &out); err == nil {
 		t.Fatal("missing scenario file accepted")
 	} else if _, ok := err.(usageError); !ok {
 		t.Fatalf("want usageError for missing file, got %T", err)
 	}
 }
 
+// TestScenarioTelemetryScrape: a ring drill under -telemetry serves what
+// its ends armed — the ring selector series of both ends of every
+// circuit in /metrics, and the error-budget board at /slo.
+func TestScenarioTelemetryScrape(t *testing.T) {
+	var series map[string]float64
+	var board flight.BoardJSON
+	cfg := simConfig{
+		scenario:      committed("fiber-cut"),
+		flightDir:     t.TempDir(),
+		telemetryAddr: "127.0.0.1:0",
+		scrape: func(base string) {
+			series = seriesMap(t, base)
+			board = scrapeBoard(t, base)
+		},
+	}
+	var out bytes.Buffer
+	if err := run(cfg, &out); err != nil {
+		t.Fatalf("%v\n%s", err, out.String())
+	}
+	if series == nil {
+		t.Fatal("no endpoint came up for the drill")
+	}
+	if got, ok := series[`link_ring_switches_total{link="c0_z"}`]; !ok || got != 1 {
+		t.Errorf(`link_ring_switches_total{link="c0_z"} = %v (present=%v), want 1 (the cut's one switch)`, got, ok)
+	}
+	if _, ok := series[`link_ring_switches_total{link="c0_a"}`]; !ok {
+		t.Error(`link_ring_switches_total{link="c0_a"} missing`)
+	}
+	slos := map[string]bool{}
+	for _, s := range board.SLOs {
+		slos[s.Name] = true
+	}
+	if !slos["c0_a"] || !slos["c0_z"] {
+		t.Errorf("/slo board SLOs = %v, want c0_a and c0_z", slos)
+	}
+	if !strings.Contains(out.String(), "/slo") {
+		t.Errorf("report does not list /slo among the endpoints:\n%s", out.String())
+	}
+}
+
 // TestReportsSayWhenCapturesWereNotWritten: a drill whose capture
 // directory cannot be written still runs and grades, but every report
 // that names capture files gains a line saying how many are missing —
-// and stays silent (reports byte-identical) when every write landed.
+// and stays silent when every write landed.
 func TestReportsSayWhenCapturesWereNotWritten(t *testing.T) {
 	// A regular file where the directory should be: unwritable for any
 	// user, root included.
@@ -585,11 +629,12 @@ func TestReportsSayWhenCapturesWereNotWritten(t *testing.T) {
 	if err := os.WriteFile(notDir, nil, 0o600); err != nil {
 		t.Fatal(err)
 	}
-	s, err := scenario.Load(filepath.Join("..", "..", "scenarios", "fiber-cut.json"))
+	s, err := scenario.Load(committed("fiber-cut"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.Run(scenario.RunConfig{CaptureDir: notDir})
+	var out bytes.Buffer
+	res, err := s.Run(scenario.RunConfig{Observation: gigapos.Observation{Flight: &flight.Config{Dir: notDir}}, Out: &out})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -599,15 +644,15 @@ func TestReportsSayWhenCapturesWereNotWritten(t *testing.T) {
 	if len(res.CapturePaths) != 0 {
 		t.Fatalf("drill names capture files under an unwritable directory: %v", res.CapturePaths)
 	}
-	var out bytes.Buffer
-	reportCaptureWriteErrors(&out, res.Board.Links, notDir)
 	if !strings.Contains(out.String(), "could NOT be written to "+notDir) {
 		t.Errorf("the fibre cut's protection-switch captures were lost and the report does not say so: %q", out.String())
 	}
 
 	out.Reset()
-	reportCaptureWriteErrors(&out, []flight.LinkJSON{{Link: "a", Captures: 3}}, "dir")
-	if out.Len() != 0 {
-		t.Errorf("report line with no write errors: %q", out.String())
+	if _, err := s.Run(scenario.RunConfig{Observation: gigapos.Observation{Flight: &flight.Config{Dir: t.TempDir()}}, Out: &out}); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(out.String(), "capture errors") {
+		t.Errorf("report line with no write errors:\n%s", out.String())
 	}
 }

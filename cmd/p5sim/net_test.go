@@ -44,15 +44,17 @@ func netReport(t *testing.T, out string) map[string]string {
 	return nil
 }
 
-// TestNetModeUDPTwoHalves drives both halves of the -listen/-dial mode
-// in one process over real UDP loopback sockets, with a stall window
-// scripted on the listener's line. Both halves must converge, ride the
-// stall out with zero LCP renegotiations, and the listener's telemetry
-// endpoint must serve /health, /status and the transport_* series.
+// TestNetModeUDPTwoHalves drives both halves of a udp engine in one
+// process over real UDP loopback sockets, with a stall window scripted
+// on port 0's line. Both halves must converge, ride the stall out with
+// zero LCP renegotiations, and the listener's telemetry endpoint must
+// serve /health, /status and the transport_* series.
 func TestNetModeUDPTwoHalves(t *testing.T) {
 	addr := fmt.Sprintf("127.0.0.1:%d", freeUDPPort(t))
-	common := simConfig{frames: 600, size: "imix", engineLinks: 1}
-	common.net = netConfig{proto: "udp", keepalive: 64, tickUS: 20}
+	doc := inline(t, `{"name": "udp-stall", "engine": {"links": 1, "line": "udp"},
+		"traffic": {"mix": "fixed:256"}, "duration": 600, "bringup_budget": 400000,
+		"events": [{"at": 100, "action": "stall", "ticks": 100}],
+		"assert": {"circuits": [{"lcp_renegotiations": 0, "rx_errors": 0}]}}`)
 
 	var healthCode int
 	var statusDoc struct {
@@ -70,10 +72,7 @@ func TestNetModeUDPTwoHalves(t *testing.T) {
 	}
 	var series map[string]float64
 
-	lcfg := common
-	lcfg.net.listen = addr
-	lcfg.net.stallFrom, lcfg.net.stallTo = 100, 200
-	lcfg.telemetryAddr = "127.0.0.1:0"
+	lcfg := simConfig{scenario: doc, listen: addr, telemetryAddr: "127.0.0.1:0"}
 	lcfg.scrape = func(base string) {
 		healthCode, _ = scrapeGet(t, base, "/health")
 		code, body := scrapeGet(t, base, "/status")
@@ -97,9 +96,7 @@ func TestNetModeUDPTwoHalves(t *testing.T) {
 			Name string `json:"name"`
 		} `json:"transports"`
 	}
-	dcfg := common
-	dcfg.net.dial = addr
-	dcfg.telemetryAddr = "127.0.0.1:0"
+	dcfg := simConfig{scenario: doc, dial: addr, telemetryAddr: "127.0.0.1:0"}
 	dcfg.scrape = func(base string) {
 		dseries = seriesMap(t, base)
 		if _, body := scrapeGet(t, base, "/status"); json.Unmarshal(body, &dstatus) != nil {
@@ -180,25 +177,26 @@ func TestNetModeUDPTwoHalves(t *testing.T) {
 	}
 }
 
-// TestNetModeFlagValidation covers the usage errors.
+// TestNetModeFlagValidation covers the usage errors of a socket engine's
+// placement: both halves at once, no transport the format knows, an
+// address with no port or a port past the last one.
 func TestNetModeFlagValidation(t *testing.T) {
-	var out bytes.Buffer
-	cfg := simConfig{}
-	cfg.net = netConfig{listen: "127.0.0.1:1", dial: "127.0.0.1:2", proto: "udp"}
-	if err := run(cfg, &out); err == nil || !strings.Contains(err.Error(), "exactly one") {
-		t.Errorf("listen+dial: err = %v", err)
-	}
-	cfg.net = netConfig{listen: "127.0.0.1:1", proto: "sctp"}
-	if err := run(cfg, &out); err == nil || !strings.Contains(err.Error(), "udp or tcp") {
-		t.Errorf("bad proto: err = %v", err)
-	}
-	if _, _, err := parseWindow("50:40"); err == nil {
-		t.Error("inverted window accepted")
-	}
-	if from, to, err := parseWindow("10:20"); err != nil || from != 10 || to != 20 {
-		t.Errorf("parseWindow(10:20) = %d,%d,%v", from, to, err)
-	}
-	if from, to, err := parseWindow(""); err != nil || from != 0 || to != 0 {
-		t.Errorf("parseWindow(\"\") = %d,%d,%v", from, to, err)
+	udp := committed("net/udp-stall")
+	for _, c := range []struct {
+		name string
+		cfg  simConfig
+		want string
+	}{
+		{"listen and dial", simConfig{scenario: udp, listen: "127.0.0.1:1", dial: "127.0.0.1:2"}, "exactly one"},
+		{"unknown transport", simConfig{scenario: inline(t, `{"name": "x", "engine": {"links": 1, "line": "sctp"}, "traffic": {"mix": "fixed:64"}, "duration": 1, "assert": {}}`), listen: "127.0.0.1:1"}, "unknown engine line"},
+		{"no port", simConfig{scenario: udp, listen: "127.0.0.1"}, "missing port"},
+		{"port is not a number", simConfig{scenario: udp, dial: "127.0.0.1:http"}, "bad port"},
+		{"last pair past the port range", simConfig{scenario: udp, listen: "127.0.0.1:65535"}, "bad port"},
+	} {
+		var out bytes.Buffer
+		err := run(c.cfg, &out)
+		if _, ok := err.(usageError); !ok || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: got %v, want a usageError naming %q", c.name, err, c.want)
+		}
 	}
 }

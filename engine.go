@@ -137,7 +137,7 @@ type enginePort struct {
 }
 
 func (p *enginePort) step(now int64, s *engineShard) {
-	// sp is nil until ArmProfile; every stamp is then a single
+	// sp is nil until Observe arms a Profile; every stamp is then a single
 	// predictable branch. On a sampled step each stamp charges the time
 	// since the previous one to its stage — the taxonomy in
 	// prof.Stage's doc comment maps one-to-one onto the calls here and

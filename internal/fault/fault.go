@@ -7,12 +7,12 @@
 // (LOS) windows during which the receiver sees a dead (all-zeros) line.
 //
 // Every impairment is an Op pinned to an absolute input-stream octet
-// offset, so a scenario is exactly reproducible: build a Script by hand
-// or from a seeded netsim.Rand, wrap it in an Injector, and pass the
-// line stream through Apply. An optional channel.Model composes analog
-// bit errors on top of the scripted events (bit noise is suppressed
-// inside LOS windows — a cut fibre carries no light, and therefore no
-// noise).
+// offset, so a scenario is exactly reproducible: build a Script (by hand,
+// or compiled from a scenario file's events by internal/scenario), wrap
+// it in an Injector, and pass the line stream through Apply. An optional
+// channel.Model composes analog bit errors on top of the scripted events
+// (bit noise is suppressed inside LOS windows — a cut fibre carries no
+// light, and therefore no noise).
 package fault
 
 import (
@@ -49,19 +49,8 @@ const (
 )
 
 func (k Kind) String() string {
-	switch k {
-	case KindInsert:
-		return "insert"
-	case KindDelete:
-		return "delete"
-	case KindDuplicate:
-		return "duplicate"
-	case KindCorrupt:
-		return "corrupt"
-	case KindLOS:
-		return "los"
-	case KindNoise:
-		return "noise"
+	if names := [...]string{"insert", "delete", "duplicate", "corrupt", "los", "noise"}; k >= 0 && int(k) < len(names) {
+		return names[k]
 	}
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
@@ -144,49 +133,6 @@ func (s *Script) String() string {
 	return b.String()
 }
 
-// RandomConfig parameterises a generated scenario.
-type RandomConfig struct {
-	// SlipEvery is the mean octet distance between byte slips
-	// (alternating single-octet inserts and deletes); 0 disables slips.
-	SlipEvery int
-	// LOSWindows line cuts of LOSLen octets each are spread uniformly
-	// over the stream.
-	LOSWindows int
-	LOSLen     int
-	// DupEvery is the mean distance between 16-octet duplications;
-	// 0 disables duplication.
-	DupEvery int
-}
-
-// Random builds a reproducible scenario over a stream of total octets.
-// The same rng seed always yields the same script.
-func Random(rng *netsim.Rand, total int64, cfg RandomConfig) Script {
-	var s Script
-	if cfg.SlipEvery > 0 {
-		del := false
-		for at := int64(rng.Intn(cfg.SlipEvery)) + 1; at < total; at += int64(rng.Intn(2*cfg.SlipEvery) + 1) {
-			if del {
-				s.Delete(at, 1)
-			} else {
-				s.Insert(at, rng.Byte())
-			}
-			del = !del
-		}
-	}
-	for i := 0; i < cfg.LOSWindows; i++ {
-		at := total * int64(i+1) / int64(cfg.LOSWindows+1)
-		at += int64(rng.Intn(1000))
-		s.LOS(at, cfg.LOSLen)
-	}
-	if cfg.DupEvery > 0 {
-		for at := int64(rng.Intn(cfg.DupEvery)) + 1; at < total; at += int64(rng.Intn(2*cfg.DupEvery) + 1) {
-			s.Duplicate(at, 16)
-		}
-	}
-	sort.SliceStable(s.Ops, func(i, j int) bool { return s.Ops[i].At < s.Ops[j].At })
-	return s
-}
-
 // Stats counts what the injector actually did, for reconciling a run
 // against its script.
 type Stats struct {
@@ -255,7 +201,7 @@ func (in *Injector) Apply(p []byte) []byte {
 				out = append(out, op.Data...)
 				in.Stats.Inserted += uint64(len(op.Data))
 			case KindDelete:
-				in.delEnd = maxI64(in.delEnd, in.pos+int64(op.N))
+				in.delEnd = max(in.delEnd, in.pos+int64(op.N))
 			case KindDuplicate:
 				// Replay the most recently delivered octets: the tail of
 				// this chunk's output first, then saved history.
@@ -273,16 +219,16 @@ func (in *Injector) Apply(p []byte) []byte {
 				out = append(out, dup...)
 				in.Stats.Duplicated += uint64(len(dup))
 			case KindCorrupt:
-				in.corEnd = maxI64(in.corEnd, in.pos+int64(op.N))
+				in.corEnd = max(in.corEnd, in.pos+int64(op.N))
 				in.corMask = op.Mask
 				if in.corMask == 0 {
 					in.corMask = 0xFF
 				}
 			case KindLOS:
-				in.losEnd = maxI64(in.losEnd, in.pos+int64(op.N))
+				in.losEnd = max(in.losEnd, in.pos+int64(op.N))
 				in.Stats.LOSWindows++
 			case KindNoise:
-				in.noiEnd = maxI64(in.noiEnd, in.pos+int64(op.N))
+				in.noiEnd = max(in.noiEnd, in.pos+int64(op.N))
 				in.noise = &channel.BER{Rate: op.Rate, Rand: netsim.NewRand(op.Seed)}
 			}
 		}
@@ -323,10 +269,3 @@ func (in *Injector) Apply(p []byte) []byte {
 
 // Done reports whether every scripted op has fired.
 func (in *Injector) Done() bool { return len(in.ops) == 0 }
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -6,8 +6,8 @@ import (
 	"repro/internal/obsnet"
 )
 
-// FleetSpec extends a drill with distributed SLO assertions: after the
-// in-process ring drill, the listed live p5sim instances are scraped
+// FleetSpec extends a run with distributed SLO assertions: after the
+// in-process run, the listed live p5sim instances are scraped
 // (/metrics + /status) and graded as one deployment. This is how a
 // committed scenario file asserts on a multi-process topology — version
 // skew, per-line one-way latency, fleet-wide burn rates — without
@@ -33,36 +33,18 @@ type FleetAssert struct {
 	SameWireVersion *bool `json:"same_wire_version,omitempty"`
 }
 
-// Count reports how many individual checks the fleet block holds.
-func (f *FleetSpec) Count() int {
+// count reports how many individual checks the fleet block holds.
+func (f *FleetSpec) count() int {
 	if f == nil {
 		return 0
 	}
-	n := 0
-	for _, set := range []bool{
-		f.Assert.RequireUp != nil, f.Assert.MaxOneWayP99US != nil,
-		f.Assert.MaxWorstBurn != nil, f.Assert.SameWireVersion != nil,
-	} {
-		if set {
-			n++
-		}
-	}
-	return n
+	return len(set(f.Assert, ""))
 }
 
-// GradeFleet scrapes the fleet block's instances and evaluates its
-// assertions, returning one Failure per violation (Circuit carries the
-// instance address). An unreachable instance fails every run — a
-// distributed drill cannot pass blind.
-func (s *Scenario) GradeFleet() []Failure {
-	if s.Fleet == nil {
-		return nil
-	}
-	return s.Fleet.grade(obsnet.ScrapeAll(s.Fleet.Instances))
-}
-
-// grade is the scrape-free core of GradeFleet, separated so tests can
-// feed synthetic instances.
+// grade evaluates the fleet assertions over the scraped instances,
+// returning one Failure per violation (Circuit carries the instance
+// address). An unreachable instance fails every run — a distributed
+// drill cannot pass blind.
 func (f *FleetSpec) grade(instances []obsnet.Instance) []Failure {
 	var fails []Failure
 	fail := func(instance, format string, args ...any) {

@@ -39,8 +39,8 @@ func TestFleetGrade(t *testing.T) {
 			SameWireVersion: &same,
 		},
 	}
-	if spec.Count() != 4 {
-		t.Fatalf("Count = %d, want 4", spec.Count())
+	if spec.count() != 4 {
+		t.Fatalf("count = %d, want 4", spec.count())
 	}
 
 	// A healthy fleet passes clean.
@@ -88,8 +88,7 @@ func (e errScrape) Error() string { return string(e) }
 func TestFleetValidation(t *testing.T) {
 	doc := `{
 		"name": "fleet-drill", "duration": 100,
-		"ring": {"nodes": 2},
-		"circuits": [{"name": "c0", "a": 0, "b": 1, "slot": 0}],
+		"ring": {"nodes": 2, "circuits": [{"name": "c0", "a": 0, "b": 1, "slot": 0}]},
 		"assert": {},
 		"fleet": {"instances": ["127.0.0.1:8080"], "assert": {"require_up": true}}
 	}`

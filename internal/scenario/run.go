@@ -1,10 +1,9 @@
 package scenario
 
 import (
-	"bytes"
-	"encoding/binary"
 	"fmt"
-	"sort"
+	"io"
+	"net"
 	"strconv"
 	"strings"
 
@@ -12,14 +11,30 @@ import (
 	"repro/internal/fault"
 	"repro/internal/flight"
 	"repro/internal/netsim"
-	"repro/internal/topo"
+	"repro/internal/obsnet"
+	"repro/internal/transport"
 )
 
-// RunConfig parameterises one execution of a scenario.
+// RunConfig says where a scenario runs: what watches it, where a
+// socket-backed engine's half sits, and where the report goes.
 type RunConfig struct {
-	// CaptureDir receives .p5fr flight captures ("" keeps captures in
-	// memory only — failure reports then cannot point at files).
-	CaptureDir string
+	// Observation arms the run's ends and, with a Registry, the P5
+	// model's own probes. Its SLO is the scenario's; the ring's and the
+	// protected pair's ends always record (a nil Flight records in
+	// memory, and a failure report then names no capture files).
+	Observation gigapos.Observation
+	// Listen or Dial places a udp or tcp engine's half: bind or connect
+	// HOST:PORT, pair i on PORT+i. Exactly one, and only there.
+	Listen, Dial string
+	// ProfDir receives the profile snapshots the protected pair's OAM
+	// block demands through RegProfCtrl ("" = none).
+	ProfDir string
+	// Out receives the report (nil discards it).
+	Out io.Writer
+	// Live, when set, is called with the graded result while the
+	// topology is still up — a socket engine's transports open — before
+	// Run tears it down; its error is Run's.
+	Live func(*Result) error
 }
 
 // Result is the graded outcome of a run.
@@ -29,11 +44,15 @@ type Result struct {
 	Failures     []Failure
 	Circuits     []CircuitReport
 	BringUpTicks int64
-	Resyncs      uint64 // span alignment reacquisitions after traffic start
+	Resyncs      uint64 // frame-alignment reacquisitions after traffic start
 	// CapturePaths lists every .p5fr written during the run (failure
 	// triggers and protection-switch dumps alike), oldest first.
 	CapturePaths []string
-	Board        flight.BoardJSON
+	// Board holds every recorder and SLO the run armed (nil when none),
+	// live for a /slo endpoint.
+	Board *flight.Board
+	// Status is a socket engine's transport board (/health, /status).
+	Status *transport.StatusBoard
 }
 
 // Failure is one violated assertion.
@@ -47,460 +66,293 @@ type CircuitReport struct {
 	Name                 string
 	Sent, Received       int
 	Corrupted, Lost      int
+	RxErrors             int // damaged frames discarded after bring-up, both ends
 	SwitchesA, SwitchesB uint64
-	FailoverA, FailoverB int64 // outage healed by the last switch, per end
-	RenegA, RenegB       int   // LCP Opened→down edges after bring-up
-	DownA, DownB         bool  // squelched at end of run
+	FailoverA, FailoverB int64 // longest outage a switch healed, per end
+	RenegA, RenegB       int   // LCP renegotiations after bring-up
+	DownA, DownB         bool  // no live path at end of run
 	AlarmA, AlarmB       bool  // SLO alarm state at end of run
 }
 
-// Summary renders a one-line digest for logs.
-func (c CircuitReport) Summary() string {
+// summary renders a one-line digest for reports and logs.
+func (c CircuitReport) summary() string {
 	return fmt.Sprintf("%s: sent=%d recv=%d corrupt=%d lost=%d switches=%d/%d failover=%d/%d reneg=%d/%d down=%v/%v alarm=%v/%v",
 		c.Name, c.Sent, c.Received, c.Corrupted, c.Lost,
 		c.SwitchesA, c.SwitchesB, c.FailoverA, c.FailoverB,
 		c.RenegA, c.RenegB, c.DownA, c.DownB, c.AlarmA, c.AlarmB)
 }
 
-// dist decodes the traffic mix specification.
-func (t TrafficSpec) dist() (netsim.SizeDist, string, error) {
-	mix := t.Mix
-	if mix == "" {
-		mix = "imix"
-	}
-	switch {
-	case mix == "imix":
-		return netsim.IMIX{}, mix, nil
-	case strings.HasPrefix(mix, "fixed:"):
-		n, err := strconv.Atoi(mix[len("fixed:"):])
-		if err != nil || n < 12 {
-			return nil, mix, fmt.Errorf("scenario: bad traffic mix %q (want fixed:N, N ≥ 12)", mix)
-		}
-		return netsim.Fixed(n), mix, nil
-	case strings.HasPrefix(mix, "uniform:"):
-		parts := strings.Split(mix[len("uniform:"):], ":")
-		if len(parts) == 2 {
-			lo, err1 := strconv.Atoi(parts[0])
-			hi, err2 := strconv.Atoi(parts[1])
-			if err1 == nil && err2 == nil && lo >= 12 && hi >= lo {
-				return netsim.Uniform{Min: lo, Max: hi}, mix, nil
-			}
-		}
-		return nil, mix, fmt.Errorf("scenario: bad traffic mix %q (want uniform:MIN:MAX)", mix)
-	}
-	return nil, mix, fmt.Errorf("scenario: unknown traffic mix %q", mix)
-}
-
-// endpoint is one side of a circuit under test.
-type endpoint struct {
-	link *gigapos.RingLink
-
-	wasOpen bool
-	reneg   int
-
-	// Verification state for the traffic arriving here.
-	expect  map[uint32][]byte // seq -> expected payload
-	seq     uint32            // next seq this end will send
-	recv    int
-	corrupt int
-	sent    int
-}
-
-// circuitRun is a circuit plus its two endpoints (a at spec.A, b at
-// spec.B), observed as the pair <name>_a / <name>_z.
-type circuitRun struct {
-	spec CircuitSpec
-	a, b *endpoint
-}
-
-// Run builds the scenario's ring, brings the links up, injects the
-// scripted faults under load, and grades the assertions. The error
-// return covers only structural problems (bad document, bring-up
-// timeout is a Failure, not an error).
+// Run builds the scenario's topology, brings it up, injects the scripted
+// faults under load, prints the report to rc.Out and grades the
+// assertions. The error return covers only where the run was placed
+// (Check) and what the host or the model refuses (a socket that will not
+// open, a P5 that never drains); a failed bring-up or assertion is a
+// Failure.
 func (s *Scenario) Run(rc RunConfig) (*Result, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	mode, _ := s.Ring.mode()
-	ring, err := topo.NewRing(topo.Config{
-		Nodes:        s.Ring.Nodes,
-		Slots:        s.Ring.Slots,
-		Mode:         mode,
-		Delay:        s.Ring.Delay,
-		Jitter:       s.Ring.Jitter,
-		ReorderEvery: s.Ring.ReorderEvery,
-		Seed:         s.Ring.Seed,
-		WTR:          s.Ring.WTR,
-		AISThreshold: s.Ring.AISThreshold,
-	})
-	if err != nil {
+	if err := s.Check(rc); err != nil {
 		return nil, err
 	}
-
+	if rc.Out == nil {
+		rc.Out = io.Discard
+	}
+	rc.Observation.SLO = flight.SLOConfig(s.SLO) // field for field
+	if rc.Observation.Flight == nil && (s.Ring != nil || s.Protected != nil) {
+		rc.Observation.Flight = &flight.Config{}
+	}
+	fmt.Fprintf(rc.Out, "Chaos drill %q\n", s.Name)
+	if s.Description != "" {
+		fmt.Fprintf(rc.Out, "  drill            : %s\n", s.Description)
+	}
+	run := s.runP5
+	switch {
+	case s.Ring != nil:
+		run = s.runRing
+	case s.Protected != nil:
+		run = s.runProtected
+	case s.Engine != nil:
+		run = s.runEngine
+	}
 	res := &Result{Scenario: s.Name}
-	// SLOSpec is flight.SLOConfig with JSON names, field for field.
-	obs := gigapos.Observation{Flight: &flight.Config{Dir: rc.CaptureDir}, SLO: flight.SLOConfig(s.SLO)}
-	var watch gigapos.Watch
-	notePath := func(c *flight.Capture) {
-		if c.Path != "" {
-			res.CapturePaths = append(res.CapturePaths, c.Path)
-		}
-	}
-
-	var runs []*circuitRun
-	for i, cs := range s.Circuits {
-		pa, pb, err := ring.AddCircuit(topo.Circuit{Name: cs.Name, A: cs.A, B: cs.B, Slot: cs.Slot})
-		if err != nil {
-			return nil, fmt.Errorf("scenario %s: %w", s.Name, err)
-		}
-		mk := func(port *topo.Port, magic uint32, ip byte) *endpoint {
-			cfg := gigapos.LinkConfig{
-				Magic:         magic,
-				IPAddr:        [4]byte{10, byte(i), 0, ip},
-				Supervise:     s.Links.Supervise,
-				RestartPeriod: s.Links.RestartPeriod,
-			}
-			return &endpoint{
-				link:   gigapos.NewRingLink(cfg, port),
-				expect: make(map[uint32][]byte),
-			}
-		}
-		cr := &circuitRun{
-			spec: cs,
-			a:    mk(pa, 0xA0000000+uint32(i)*2, 1),
-			b:    mk(pb, 0xB0000000+uint32(i)*2, 2),
-		}
-		watch.ObservePair(obs, cs.Name, cr.a.link, cr.b.link)
-		cr.a.link.Flight().OnCapture = notePath
-		cr.b.link.Flight().OnCapture = notePath
-		runs = append(runs, cr)
-	}
-
-	// Bring-up: every link must reach the network phase on the clean
-	// ring before the chaos starts.
-	budget := s.BringUpBudget
-	if budget == 0 {
-		budget = 4000
-	}
-	for _, cr := range runs {
-		for _, ep := range []*endpoint{cr.a, cr.b} {
-			ep.link.Open()
-			ep.link.Up()
-		}
-	}
-	now := int64(0)
-	ready := false
-	for ; now < budget; now++ {
-		ring.Tick(now)
-		ready = true
-		for _, cr := range runs {
-			cr.a.link.Advance(now)
-			cr.b.link.Advance(now)
-			ready = ready && cr.a.link.IPReady() && cr.b.link.IPReady()
-		}
-		if ready {
-			now++
-			break
-		}
-	}
-	if !ready {
-		res.Failures = append(res.Failures, Failure{Msg: fmt.Sprintf("bring-up: links not IP-ready within %d ticks", budget)})
-		s.failCaptures(res, runs)
-		res.Board = watch.Board.Snapshot()
-		return res, nil
-	}
-	t0 := now
-	res.BringUpTicks = t0
-	for _, cr := range runs {
-		cr.a.wasOpen, cr.b.wasOpen = true, true
-	}
-
-	// Compile span impairments into per-span fault scripts anchored at
-	// traffic start (the injector position starts at zero when the
-	// script is installed, and every span moves one frame per tick).
-	fb := int64(ring.Cfg.Level.FrameBytes())
-	scripts := map[*topo.Span]*fault.Script{}
-	spanScript := func(sp *topo.Span) *fault.Script {
-		if scripts[sp] == nil {
-			scripts[sp] = &fault.Script{}
-		}
-		return scripts[sp]
-	}
-	var actions []Event // node-fail / node-restore, fired at runtime
-	for _, e := range s.Events {
-		ticks := e.Ticks
-		if ticks == 0 {
-			ticks = s.Duration - e.At
-		}
-		switch e.Action {
-		case "cut", "noise":
-			uv, vu, err := ring.SpansBetween(e.Between[0], e.Between[1])
-			if err != nil {
-				return nil, fmt.Errorf("scenario %s: %w", s.Name, err)
-			}
-			for si, sp := range []*topo.Span{uv, vu} {
-				sc := spanScript(sp)
-				if e.Action == "cut" {
-					sc.LOS(e.At*fb, int(ticks*fb))
-				} else {
-					sc.Noise(e.At*fb, int(ticks*fb), e.Rate, e.Seed+uint64(si)+1)
-				}
-			}
-		default:
-			actions = append(actions, e)
-		}
-	}
-	for sp, sc := range scripts {
-		sort.SliceStable(sc.Ops, func(i, j int) bool { return sc.Ops[i].At < sc.Ops[j].At })
-		sp.SetScript(sc)
-	}
-	sort.SliceStable(actions, func(i, j int) bool { return actions[i].At < actions[j].At })
-
-	resyncBase := sumResyncs(ring)
-
-	// Traffic: a deterministic size mix, both directions of every
-	// circuit, payloads sequence-stamped so corruption and loss are
-	// separable on receipt.
-	dist, _, err := s.Traffic.dist()
-	if err != nil {
+	if err := run(rc, res); err != nil {
 		return nil, err
 	}
-	interval := s.Traffic.Interval
-	if interval == 0 {
-		interval = 2
-	}
-	drain := s.Traffic.Drain
-	if drain == 0 {
-		drain = 100
-	}
-	if drain >= s.Duration {
-		drain = s.Duration / 2
-	}
-	seed := s.Traffic.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	sizes := netsim.NewRand(seed)
-	escapes := netsim.NewRand(seed ^ 0x7E7D) // drawn from only when traffic.density is set
-
-	nextAction := 0
-	var rxScratch []gigapos.Datagram
-	for t := int64(0); t < s.Duration; t++ {
-		now = t0 + t
-		for nextAction < len(actions) && actions[nextAction].At == t {
-			e := actions[nextAction]
-			nextAction++
-			switch e.Action {
-			case "node-fail":
-				ring.Node(e.Node).Failed = true
-			case "node-restore":
-				ring.Node(e.Node).Failed = false
-			}
-		}
-		ring.Tick(now)
-		for ci, cr := range runs {
-			for di, ep := range []*endpoint{cr.a, cr.b} {
-				ep.link.Advance(now)
-				if open := ep.link.Opened(); ep.wasOpen && !open {
-					ep.reneg++
-					ep.wasOpen = false
-				} else if open {
-					ep.wasOpen = true
-				}
-				// Send toward the peer; the peer's endpoint verifies.
-				if t < s.Duration-drain && t%interval == int64((ci+di))%interval {
-					peer := cr.b
-					if di == 1 {
-						peer = cr.a
-					}
-					d := mkDatagram(byte(ci), byte(di), ep.seq, dist.Next(sizes))
-					if s.Traffic.Density > 0 && ep.seq&1 == 1 {
-						storm(d, s.Traffic.Density, escapes)
-					}
-					if err := ep.link.SendIPv4(d); err == nil {
-						peer.expect[ep.seq] = d
-						ep.seq++
-						ep.sent++
-					}
-				}
-				rxScratch = ep.link.ReceivedInto(rxScratch[:0])
-				for _, d := range rxScratch {
-					ep.verify(d.Payload)
-				}
-			}
-		}
-	}
-
-	// Grade the run.
-	for _, cr := range runs {
-		rep := CircuitReport{
-			Name:      cr.spec.Name,
-			Sent:      cr.a.sent + cr.b.sent,
-			Received:  cr.a.recv + cr.b.recv,
-			Corrupted: cr.a.corrupt + cr.b.corrupt,
-			Lost:      len(cr.a.expect) + len(cr.b.expect),
-			SwitchesA: cr.a.link.Port.Switches,
-			SwitchesB: cr.b.link.Port.Switches,
-			FailoverA: cr.a.link.Port.LastFailover,
-			FailoverB: cr.b.link.Port.LastFailover,
-			RenegA:    cr.a.reneg,
-			RenegB:    cr.b.reneg,
-			DownA:     cr.a.link.Port.Down(),
-			DownB:     cr.b.link.Port.Down(),
-			AlarmA:    watch.SLOs[cr.spec.Name+"_a"].Alarmed(),
-			AlarmB:    watch.SLOs[cr.spec.Name+"_z"].Alarmed(),
-		}
-		res.Circuits = append(res.Circuits, rep)
-	}
-	res.Resyncs = sumResyncs(ring) - resyncBase
-	s.grade(res)
-	if len(res.Failures) > 0 {
-		s.failCaptures(res, runs)
-	}
-	res.Pass = len(res.Failures) == 0
-	res.Board = watch.Board.Snapshot()
 	return res, nil
 }
 
-// grade evaluates the assertion block against the measured reports.
-func (s *Scenario) grade(res *Result) {
-	byName := map[string]*CircuitReport{}
-	for i := range res.Circuits {
-		byName[res.Circuits[i].Name] = &res.Circuits[i]
+// Check rejects a RunConfig that places the scenario where its topology
+// cannot run: a flight recorder on the P5 model, which has no PPP ends,
+// and a listen or dial address anywhere but a udp or tcp engine, which
+// needs exactly one well-formed address.
+func (s *Scenario) Check(rc RunConfig) error {
+	sh, err := s.shape()
+	if err != nil {
+		return err
 	}
+	addr := rc.Listen + rc.Dial
+	switch {
+	case s.P5 != nil && rc.Observation.Flight != nil:
+		return fmt.Errorf("a flight recorder needs PPP ends; the %s topology has none", sh.name)
+	case s.Engine == nil || !s.Engine.socket():
+		if addr != "" {
+			return fmt.Errorf("a listen or dial address needs a udp or tcp engine; the %s topology has no socket", sh.name)
+		}
+		return nil
+	case rc.Listen != "" && rc.Dial != "" || addr == "":
+		return fmt.Errorf("the %s topology needs exactly one of a listen or a dial address", sh.name)
+	}
+	_, err = portAddr(addr, s.Engine.Links-1)
+	return err
+}
+
+// portAddr shifts the port of host:port by i, so pair i gets its own
+// socket pair.
+func portAddr(addr string, i int) (string, error) {
+	host, port, err := net.SplitHostPort(addr)
+	if err != nil {
+		return "", err
+	}
+	p, err := strconv.Atoi(port)
+	if err != nil || p < 0 || p+i > 65535 {
+		return "", fmt.Errorf("bad port in %q", addr)
+	}
+	return net.JoinHostPort(host, strconv.Itoa(p+i)), nil
+}
+
+// grade evaluates the circuit assertions against the measured reports.
+func (s *Scenario) grade(res *Result) {
 	fail := func(circuit, format string, args ...any) {
 		res.Failures = append(res.Failures, Failure{Circuit: circuit, Msg: fmt.Sprintf(format, args...)})
 	}
 	for _, a := range s.Assert.Circuits {
-		rep := byName[a.Circuit]
-		if rep == nil {
-			continue // Validate already rejects unknown names
-		}
-		switches := rep.SwitchesA + rep.SwitchesB
-		if a.Switches != nil && switches != *a.Switches {
-			fail(a.Circuit, "selector switches = %d, want exactly %d", switches, *a.Switches)
-		}
-		if a.MaxSwitches != nil && switches > *a.MaxSwitches {
-			fail(a.Circuit, "selector switches = %d, want ≤ %d", switches, *a.MaxSwitches)
-		}
-		if a.MaxFailoverTicks != nil {
-			fo := rep.FailoverA
-			if rep.FailoverB > fo {
-				fo = rep.FailoverB
+		for _, rep := range res.Circuits {
+			if a.Circuit != "" && a.Circuit != rep.Name {
+				continue
 			}
-			if fo > *a.MaxFailoverTicks {
-				fail(a.Circuit, "protection switch healed a %d-tick outage, budget %d", fo, *a.MaxFailoverTicks)
+			name := rep.Name
+			switches := rep.SwitchesA + rep.SwitchesB
+			if a.Switches != nil && switches != *a.Switches {
+				fail(name, "selector switches = %d, want exactly %d", switches, *a.Switches)
 			}
-		}
-		if a.LCPRenegotiations != nil && rep.RenegA+rep.RenegB != *a.LCPRenegotiations {
-			fail(a.Circuit, "LCP renegotiations = %d, want %d", rep.RenegA+rep.RenegB, *a.LCPRenegotiations)
-		}
-		if a.Corrupted != nil && rep.Corrupted != *a.Corrupted {
-			fail(a.Circuit, "corrupted datagrams = %d, want %d", rep.Corrupted, *a.Corrupted)
-		}
-		if a.MinDeliveryRatio != nil {
-			ratio := 1.0
-			if rep.Sent > 0 {
-				ratio = float64(rep.Received) / float64(rep.Sent)
+			if a.MaxSwitches != nil && switches > *a.MaxSwitches {
+				fail(name, "selector switches = %d, want ≤ %d", switches, *a.MaxSwitches)
 			}
-			if ratio < *a.MinDeliveryRatio {
-				fail(a.Circuit, "delivery ratio %.3f (%d of %d), want ≥ %.3f", ratio, rep.Received, rep.Sent, *a.MinDeliveryRatio)
+			if a.MaxFailoverTicks != nil {
+				fo := max(rep.FailoverA, rep.FailoverB)
+				if fo > *a.MaxFailoverTicks {
+					fail(name, "protection switch healed a %d-tick outage, budget %d", fo, *a.MaxFailoverTicks)
+				}
 			}
-		}
-		if a.Down != nil {
-			down := rep.DownA || rep.DownB
-			if down != *a.Down {
-				fail(a.Circuit, "squelched = %v (a=%v b=%v), want %v", down, rep.DownA, rep.DownB, *a.Down)
+			if a.LCPRenegotiations != nil && rep.RenegA+rep.RenegB != *a.LCPRenegotiations {
+				fail(name, "LCP renegotiations = %d, want %d", rep.RenegA+rep.RenegB, *a.LCPRenegotiations)
 			}
-		}
-		if a.SLOGreen != nil && *a.SLOGreen && (rep.AlarmA || rep.AlarmB) {
-			fail(a.Circuit, "SLO alarm raised (a=%v b=%v), want green", rep.AlarmA, rep.AlarmB)
+			if a.Corrupted != nil && rep.Corrupted != *a.Corrupted {
+				fail(name, "corrupted datagrams = %d, want %d", rep.Corrupted, *a.Corrupted)
+			}
+			if a.MinDeliveryRatio != nil {
+				ratio := 1.0
+				if rep.Sent > 0 {
+					ratio = float64(rep.Received) / float64(rep.Sent)
+				}
+				if ratio < *a.MinDeliveryRatio {
+					fail(name, "delivery ratio %.3f (%d of %d), want ≥ %.3f", ratio, rep.Received, rep.Sent, *a.MinDeliveryRatio)
+				}
+			}
+			if a.RxErrors != nil && rep.RxErrors != *a.RxErrors {
+				fail(name, "rx errors = %d, want %d", rep.RxErrors, *a.RxErrors)
+			}
+			if a.Down != nil {
+				down := rep.DownA || rep.DownB
+				if down != *a.Down {
+					fail(name, "squelched = %v (a=%v b=%v), want %v", down, rep.DownA, rep.DownB, *a.Down)
+				}
+			}
+			if a.SLOGreen != nil && *a.SLOGreen && (rep.AlarmA || rep.AlarmB) {
+				fail(name, "SLO alarm raised (a=%v b=%v), want green", rep.AlarmA, rep.AlarmB)
+			}
 		}
 	}
 	if s.Assert.MinResyncs != nil && res.Resyncs < *s.Assert.MinResyncs {
-		fail("", "span resyncs = %d, want ≥ %d", res.Resyncs, *s.Assert.MinResyncs)
+		fail("", "resyncs = %d, want ≥ %d", res.Resyncs, *s.Assert.MinResyncs)
+	}
+	res.Pass = len(res.Failures) == 0
+}
+
+// conclude grades the fleet, prints the verdict, and hands the run —
+// still up — to rc.Live. Every topology's run ends here.
+func (s *Scenario) conclude(rc RunConfig, res *Result) error {
+	out := rc.Out
+	if s.Fleet != nil {
+		fails := s.Fleet.grade(obsnet.ScrapeAll(s.Fleet.Instances))
+		fmt.Fprintf(out, "  fleet            : %d instances scraped, %d violations\n", len(s.Fleet.Instances), len(fails))
+		res.Failures = append(res.Failures, fails...)
+	}
+	res.Pass = len(res.Failures) == 0
+	if res.Pass {
+		fmt.Fprintf(out, "  verdict          : PASS (%d assertions held)\n", s.Assert.count()+s.Fleet.count())
+	} else {
+		fmt.Fprintf(out, "  verdict          : FAIL\n")
+		for _, f := range res.Failures {
+			name := f.Circuit
+			if name == "" {
+				name = "(global)"
+			}
+			fmt.Fprintf(out, "    FAIL %-10s %s\n", name, f.Msg)
+		}
+		for _, p := range res.CapturePaths {
+			fmt.Fprintf(out, "    capture %s\n", p)
+		}
+	}
+	if rc.Live == nil {
+		return nil
+	}
+	return rc.Live(res)
+}
+
+// dist decodes the traffic mix specification.
+func (t TrafficSpec) dist() (netsim.SizeDist, error) {
+	mix := t.Mix
+	if mix == "" {
+		mix = "imix"
+	}
+	size := func(s string) (int, bool) {
+		n, err := strconv.Atoi(s)
+		return n, err == nil && n >= 12 && n <= 1500
+	}
+	switch {
+	case mix == "imix":
+		return netsim.IMIX{}, nil
+	case strings.HasPrefix(mix, "fixed:"):
+		if n, ok := size(mix[len("fixed:"):]); ok {
+			return netsim.Fixed(n), nil
+		}
+		return nil, fmt.Errorf("bad traffic mix %q (want fixed:N, 12 ≤ N ≤ 1500)", mix)
+	case strings.HasPrefix(mix, "uniform:"):
+		lo, hi, _ := strings.Cut(mix[len("uniform:"):], ":")
+		if l, ok := size(lo); ok {
+			if h, ok := size(hi); ok && h >= l {
+				return netsim.Uniform{Min: l, Max: h}, nil
+			}
+		}
+		return nil, fmt.Errorf("bad traffic mix %q (want uniform:MIN:MAX, 12 ≤ MIN ≤ MAX ≤ 1500)", mix)
+	}
+	return nil, fmt.Errorf("unknown traffic mix %q", mix)
+}
+
+// seed is the traffic generator's seed (default 1).
+func (t TrafficSpec) seed() uint64 {
+	if t.Seed == 0 {
+		return 1
+	}
+	return t.Seed
+}
+
+// span is how many ticks e lasts in a run of duration ticks.
+func (e Event) span(duration int64) int64 {
+	if e.Ticks == 0 {
+		return duration - e.At
+	}
+	return e.Ticks
+}
+
+// fault adds e's line fault to sc, a line that carries fb octets a tick
+// from traffic start, in a run of duration ticks; dir tells a fibre's
+// two directions' noise apart.
+func (e Event) fault(sc *fault.Script, fb, duration int64, dir uint64) {
+	ticks := e.span(duration)
+	switch at := e.At * fb; e.Action {
+	case "cut":
+		sc.LOS(at, int(ticks*fb))
+	case "noise":
+		sc.Noise(at, int(ticks*fb), e.Rate, e.Seed+dir+1)
+	case "slip":
+		sc.Insert(at, 0)
+	case "dup":
+		sc.Duplicate(at, 16)
 	}
 }
 
-// failCaptures dumps the black box of every failing circuit (or all of
-// them for global failures) so the report can point at .p5fr files.
-func (s *Scenario) failCaptures(res *Result, runs []*circuitRun) {
-	failing := map[string]bool{}
-	global := false
-	for _, f := range res.Failures {
-		if f.Circuit == "" {
-			global = true
-		} else {
-			failing[f.Circuit] = true
-		}
+// flightLine renders the one-line flight report of a board: aggregate
+// frames tracked/lost, captures dumped (returned), and the worst SLO
+// burn — plus the capture-error line when files failed to land.
+func flightLine(out io.Writer, board *flight.Board, dir string) (captures uint64) {
+	doc := board.Snapshot()
+	var tracked, lost uint64
+	exemplars := 0
+	for _, l := range doc.Links {
+		tracked += l.Tracked
+		lost += l.Lost
+		captures += l.Captures
+		exemplars += len(l.Exemplars)
 	}
-	for _, cr := range runs {
-		if !global && !failing[cr.spec.Name] {
-			continue
-		}
-		cr.a.link.Flight().Trigger("scenario-fail")
-		cr.b.link.Flight().Trigger("scenario-fail")
-	}
+	worst, alarm := worstBurn(doc)
+	fmt.Fprintf(out, "  flight           : tracked=%d lost=%d captures=%d exemplars=%d worst-burn=%.2f alarm=%v dir=%s\n",
+		tracked, lost, captures, exemplars, worst, alarm, dir)
+	captureErrors(out, doc.Links, dir)
+	return captures
 }
 
-// sumResyncs totals frame-alignment reacquisitions over every span.
-func sumResyncs(r *topo.Ring) uint64 {
+// worstBurn is the highest SLO burn on a board and whether any alarm is
+// raised.
+func worstBurn(doc flight.BoardJSON) (worst float64, alarm bool) {
+	for _, s := range doc.SLOs {
+		worst = max(worst, s.WorstBurn)
+		alarm = alarm || s.Alarm
+	}
+	return worst, alarm
+}
+
+// captureErrors adds a line to any report that names capture files when
+// some never reached dir: evidence the reader would look for and not
+// find. Silent when every write landed.
+func captureErrors(out io.Writer, links []flight.LinkJSON, dir string) {
 	var n uint64
-	for rot := topo.East; rot <= topo.West; rot++ {
-		for i := 0; i < r.Nodes(); i++ {
-			n += r.Span(rot, i).Deframer().ResyncCount
-		}
+	for _, l := range links {
+		n += l.CaptureWriteErrors
 	}
-	return n
-}
-
-// mkDatagram builds a sequence-stamped pseudo-IPv4 datagram: circuit
-// and direction tags plus a seq number, then a pattern derived from the
-// seq so any delivered corruption is detectable.
-func mkDatagram(circuit, dir byte, seq uint32, size int) []byte {
-	if size < 12 {
-		size = 12
-	}
-	d := make([]byte, size)
-	d[0] = 0x45
-	d[1] = circuit
-	d[2] = dir
-	binary.BigEndian.PutUint32(d[4:8], seq)
-	for i := 8; i < size; i++ {
-		d[i] = patternByte(seq, i)
-	}
-	return d
-}
-
-// storm overwrites the pattern octets of d with flags and escapes, each
-// with probability density: the payload the stuffer expands most.
-func storm(d []byte, density float64, rng *netsim.Rand) {
-	for i := 8; i < len(d); i++ {
-		if rng.Float64() < density {
-			d[i] = 0x7E - rng.Byte()&1
-		}
-	}
-}
-
-func patternByte(seq uint32, i int) byte {
-	return byte((uint32(i)*131 + seq*31 + 7) % 251)
-}
-
-// verify grades one delivered datagram against the sender's ledger.
-func (ep *endpoint) verify(payload []byte) {
-	if len(payload) < 8 || payload[0] != 0x45 {
-		ep.corrupt++
-		return
-	}
-	seq := binary.BigEndian.Uint32(payload[4:8])
-	want, ok := ep.expect[seq]
-	if !ok {
-		ep.corrupt++ // unknown or duplicate seq: damaged beyond matching
-		return
-	}
-	delete(ep.expect, seq)
-	ep.recv++
-	if !bytes.Equal(payload, want) {
-		ep.corrupt++
+	if n > 0 {
+		fmt.Fprintf(out, "  capture errors   : %d capture file(s) could NOT be written to %s (flight_capture_write_errors_total)\n", n, dir)
 	}
 }

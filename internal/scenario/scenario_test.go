@@ -2,9 +2,13 @@ package scenario
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
+	gigapos "repro"
+	"repro/internal/flight"
 	"repro/internal/netsim"
 )
 
@@ -12,52 +16,120 @@ func TestParseValidation(t *testing.T) {
 	base := func() *Scenario {
 		return &Scenario{
 			Name:     "x",
-			Ring:     RingSpec{Nodes: 4},
-			Circuits: []CircuitSpec{{Name: "c0", A: 0, B: 2, Slot: 0}},
+			Ring:     &RingSpec{Nodes: 4, Circuits: []CircuitSpec{{Name: "c0", A: 0, B: 2, Slot: 0}}},
 			Duration: 100,
 		}
 	}
+	engine := func(s *Scenario) {
+		s.Ring, s.Engine, s.Traffic.Mix = nil, &EngineSpec{Links: 2, Line: "pipe"}, "fixed:64"
+	}
+	p5stm1 := func(s *Scenario) { s.Ring, s.P5 = nil, &P5Spec{Width: 32, Frames: 4, Line: "stm1"} }
+	p5loop := func(s *Scenario) { s.Ring, s.P5, s.Duration = nil, &P5Spec{Width: 8, Frames: 4, Line: "loopback"}, 0 }
+	one := uint64(1)
 	cases := []struct {
 		name string
 		mut  func(*Scenario)
+		doc  string // when set, Parse this document instead
 		want string
 	}{
-		{"ok", func(*Scenario) {}, ""},
-		{"no name", func(s *Scenario) { s.Name = "" }, "missing name"},
-		{"bad mode", func(s *Scenario) { s.Ring.Mode = "ulsr" }, "unknown ring mode"},
-		{"bad size", func(s *Scenario) { s.Ring.Nodes = 1 }, "outside 2..16"},
-		{"no duration", func(s *Scenario) { s.Duration = 0 }, "duration"},
-		{"no circuits", func(s *Scenario) { s.Circuits = nil }, "no circuits"},
+		{"ok", func(*Scenario) {}, "", ""},
+		{"no name", func(s *Scenario) { s.Name = "" }, "", "missing name"},
+		{"bad mode", func(s *Scenario) { s.Ring.Mode = "ulsr" }, "", "unknown ring mode"},
+		{"bad size", func(s *Scenario) { s.Ring.Nodes = 1 }, "", "outside 2..16"},
+		{"no duration", func(s *Scenario) { s.Duration = 0 }, "", "duration"},
+		{"no circuits", func(s *Scenario) { s.Ring.Circuits = nil }, "", "no circuits"},
 		{"dup circuit", func(s *Scenario) {
-			s.Circuits = append(s.Circuits, CircuitSpec{Name: "c0", A: 1, B: 3, Slot: 1})
-		}, "duplicate circuit"},
-		{"bad mix", func(s *Scenario) { s.Traffic.Mix = "elephant" }, "unknown traffic mix"},
-		{"bad fixed", func(s *Scenario) { s.Traffic.Mix = "fixed:4" }, "bad traffic mix"},
-		{"bad density", func(s *Scenario) { s.Traffic.Density = 1.5 }, "traffic.density"},
+			s.Ring.Circuits = append(s.Ring.Circuits, CircuitSpec{Name: "c0", A: 1, B: 3, Slot: 1})
+		}, "", "duplicate circuit"},
+		{"bad mix", func(s *Scenario) { s.Traffic.Mix = "elephant" }, "", "unknown traffic mix"},
+		{"bad fixed", func(s *Scenario) { s.Traffic.Mix = "fixed:4" }, "", "bad traffic mix"},
+		{"bad density", func(s *Scenario) { s.Traffic.Density = 1.5 }, "", "traffic.density"},
 		{"event too late", func(s *Scenario) {
 			s.Events = []Event{{At: 100, Action: "cut", Between: [2]int{0, 1}}}
-		}, "outside 0..99"},
+		}, "", "outside 0..99"},
 		{"cut non-adjacent", func(s *Scenario) {
 			s.Events = []Event{{At: 1, Action: "cut", Between: [2]int{0, 2}}}
-		}, "non-adjacent"},
+		}, "", "non-adjacent"},
 		{"noise bad rate", func(s *Scenario) {
 			s.Events = []Event{{At: 1, Action: "noise", Between: [2]int{0, 1}, Rate: 0.9}}
-		}, "noise rate"},
+		}, "", "noise rate"},
 		{"bad node", func(s *Scenario) {
 			s.Events = []Event{{At: 1, Action: "node-fail", Node: 9}}
-		}, "references node"},
+		}, "", "references node"},
 		{"bad action", func(s *Scenario) {
 			s.Events = []Event{{At: 1, Action: "meteor"}}
-		}, "unknown action"},
+		}, "", "unknown action"},
 		{"unknown assert circuit", func(s *Scenario) {
 			s.Assert.Circuits = []CircuitAssert{{Circuit: "ghost"}}
-		}, "unknown circuit"},
+		}, "", "unknown circuit"},
+
+		// Accepted at one time and inert: a negative window scripts nothing.
+		{"cut negative ticks", func(s *Scenario) {
+			s.Events = []Event{{At: 1, Action: "cut", Between: [2]int{0, 1}, Ticks: -400}}
+		}, "", "events[0].ticks is negative"},
+		{"negative interval", func(s *Scenario) { s.Traffic.Interval = -2 }, "", "traffic.interval is negative"},
+		{"negative drain", func(s *Scenario) { s.Traffic.Drain = -1 }, "", "traffic.drain is negative"},
+		{"negative bringup_budget", func(s *Scenario) { s.BringUpBudget = -1 }, "", "bringup_budget is negative"},
+		{"negative delay", func(s *Scenario) { s.Ring.Delay = -1 }, "", "ring.delay is negative"},
+		{"negative jitter", func(s *Scenario) { s.Ring.Jitter = -1 }, "", "ring.jitter is negative"},
+		{"negative reorder_every", func(s *Scenario) { s.Ring.ReorderEvery = -1 }, "", "ring.reorder_every is negative"},
+		{"negative wtr", func(s *Scenario) { s.Ring.WTR = -1 }, "", "ring.wtr is negative"},
+		{"negative ais_threshold", func(s *Scenario) { s.Ring.AISThreshold = -1 }, "", "ring.ais_threshold is negative"},
+		{"restart_period has no block", nil,
+			`{"name": "x", "ring": {"nodes": 4, "circuits": [{"name": "c0", "a": 0, "b": 2}]}, "links": {"restart_period": -1}, "duration": 100, "assert": {}}`,
+			`unknown field "links"`},
+		// Accepted, then refused by Run with a structural error.
+		{"circuit a == b", func(s *Scenario) { s.Ring.Circuits[0].B = 0 }, "", "bad endpoints 0,0"},
+		{"endpoint outside ring", func(s *Scenario) { s.Ring.Circuits[0].B = 7 }, "", "bad endpoints 0,7"},
+		{"negative slot", func(s *Scenario) { s.Ring.Circuits[0].Slot = -1 }, "", "ring.circuits[0].slot is negative"},
+		{"slot outside capacity", func(s *Scenario) { s.Ring.Circuits[0].Slot = 4 }, "", "outside working capacity"},
+		{"slots do not divide the payload", func(s *Scenario) { s.Ring.Slots = 7 }, "", "do not divide"},
+		{"odd BLSR slot count", func(s *Scenario) { s.Ring.Mode, s.Ring.Slots = "blsr", 3 }, "", "even slot count"},
+
+		// One topology per document, and no field it would ignore.
+		{"two topologies in one document", func(s *Scenario) { s.Protected = &ProtectedSpec{} }, "", "exactly one topology"},
+		{"no topology", func(s *Scenario) { s.Ring = nil }, "", "exactly one topology"},
+		{"engine ok", engine, "", ""},
+		{"engine no links", func(s *Scenario) { engine(s); s.Engine.Links = 0 }, "", "engine.links 0"},
+		{"engine bad line", func(s *Scenario) { engine(s); s.Engine.Line = "sctp" }, "", "unknown engine line"},
+		{"engine imix", func(s *Scenario) { engine(s); s.Traffic.Mix = "imix" }, "", "fixed:N"},
+		{"engine storm", func(s *Scenario) { engine(s); s.Traffic.Density = 0.5 }, "", "does not read traffic.density"},
+		{"engine switches", func(s *Scenario) {
+			engine(s)
+			s.Assert.Circuits = []CircuitAssert{{Circuit: "port1", Switches: &one}}
+		}, "", "does not read switches"},
+		{"engine cut", func(s *Scenario) { engine(s); s.Events = []Event{{At: 1, Action: "cut"}} }, "", "unknown action"},
+		{"engine two stalls", func(s *Scenario) {
+			engine(s)
+			s.Events = []Event{{At: 1, Action: "stall", Ticks: 5}, {At: 20, Action: "stall", Ticks: 5}}
+		}, "", "one stall window"},
+		{"p5 ok", p5stm1, "", ""},
+		{"p5 bad width", func(s *Scenario) { p5stm1(s); s.P5.Width = 16 }, "", "8 or 32"},
+		{"p5 no frames", func(s *Scenario) { p5stm1(s); s.P5.Frames = 0 }, "", "p5.frames 0"},
+		{"p5 errors on stm1", func(s *Scenario) { p5stm1(s); s.P5.Errors = 0.01 }, "", "p5.errors"},
+		{"p5 slo", func(s *Scenario) { p5stm1(s); s.SLO.AlarmBurn = 2 }, "", "does not read slo"},
+		{"p5 section between", func(s *Scenario) {
+			p5stm1(s)
+			s.Events = []Event{{At: 1, Action: "cut", Between: [2]int{0, 1}}}
+		}, "", "does not read between"},
+		{"p5 loopback duration", func(s *Scenario) { p5loop(s); s.Duration = 10 }, "", "does not read duration"},
+		{"p5 loopback event", func(s *Scenario) { p5loop(s); s.Events = []Event{{Action: "slip"}} }, "", "unknown action"},
+		{"protected node event", func(s *Scenario) {
+			s.Ring, s.Protected = nil, &ProtectedSpec{}
+			s.Events = []Event{{At: 1, Action: "node-fail"}}
+		}, "", "unknown action"},
+		{"oversize mix", func(s *Scenario) { s.Traffic.Mix = "fixed:2000" }, "", "bad traffic mix"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			s := base()
-			c.mut(s)
-			err := s.Validate()
+			var err error
+			if c.doc != "" {
+				_, err = Parse([]byte(c.doc))
+			} else {
+				s := base()
+				c.mut(s)
+				err = s.Validate()
+			}
 			if c.want == "" {
 				if err != nil {
 					t.Fatalf("unexpected error: %v", err)
@@ -73,7 +145,7 @@ func TestParseValidation(t *testing.T) {
 
 func TestTrafficDist(t *testing.T) {
 	for _, mix := range []string{"", "imix", "fixed:64", "uniform:40:1500"} {
-		if _, _, err := (TrafficSpec{Mix: mix}).dist(); err != nil {
+		if _, err := (TrafficSpec{Mix: mix}).dist(); err != nil {
 			t.Errorf("mix %q rejected: %v", mix, err)
 		}
 	}
@@ -129,8 +201,7 @@ func TestFailureProducesCaptures(t *testing.T) {
 	zero := uint64(0)
 	s := &Scenario{
 		Name:     "impossible",
-		Ring:     RingSpec{Nodes: 4},
-		Circuits: []CircuitSpec{{Name: "c0", A: 0, B: 2, Slot: 0}},
+		Ring:     &RingSpec{Nodes: 4, Circuits: []CircuitSpec{{Name: "c0", A: 0, B: 2, Slot: 0}}},
 		Duration: 600,
 		Events:   []Event{{At: 100, Action: "cut", Between: [2]int{0, 1}}},
 		Assert: Assertions{Circuits: []CircuitAssert{
@@ -138,7 +209,7 @@ func TestFailureProducesCaptures(t *testing.T) {
 			{Circuit: "c0", Switches: &zero},
 		}},
 	}
-	res, err := s.Run(RunConfig{CaptureDir: t.TempDir()})
+	res, err := s.Run(RunConfig{Observation: gigapos.Observation{Flight: &flight.Config{Dir: t.TempDir()}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,4 +231,50 @@ func TestFailureProducesCaptures(t *testing.T) {
 	if !found {
 		t.Fatalf("no scenario-fail capture among %v", res.CapturePaths)
 	}
+}
+
+// FuzzScenarioParse holds Validate to being the single gate. On any
+// bytes Parse must not panic, and every document it accepts must run —
+// its clock, bring-up budget, P5 frames and engine pairs capped so an
+// input costs milliseconds, events past the cap dropped — without an
+// error or a panic. Socket engines (they need a peer process) and fleet
+// blocks (they scrape the network) are parsed, not run. The corpus is
+// every committed scenario plus testdata/fuzz, the documents
+// TestParseValidation's rows describe.
+func FuzzScenarioParse(f *testing.F) {
+	files, _ := filepath.Glob("../../scenarios/*.json")
+	net, _ := filepath.Glob("../../scenarios/net/*.json")
+	for _, name := range append(files, net...) {
+		data, err := os.ReadFile(name)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	const maxTicks = 40
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := Parse(data)
+		if err != nil || s.Fleet != nil || s.Engine != nil && s.Engine.socket() {
+			return
+		}
+		if s.P5 != nil {
+			s.P5.Frames = min(s.P5.Frames, 4)
+		} else {
+			s.BringUpBudget = min(max(s.BringUpBudget, maxTicks), maxTicks)
+		}
+		if s.Engine != nil {
+			s.Engine.Links = min(s.Engine.Links, 4)
+		}
+		s.Duration = min(s.Duration, maxTicks)
+		kept := s.Events[:0]
+		for _, e := range s.Events {
+			if e.At < s.Duration {
+				kept = append(kept, e)
+			}
+		}
+		s.Events = kept
+		if _, err := s.Run(RunConfig{}); err != nil {
+			t.Fatalf("Parse accepted a document Run refuses: %v\n%s", err, data)
+		}
+	})
 }

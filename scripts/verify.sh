@@ -3,9 +3,9 @@
 #   gofmt, go vet (with and without the gates tag), go build,
 #   go test -race, the three timing gates (gates_test.go; the OC-48
 #   floor covers the codecs, the Link pair and the STM-16 section),
-#   every scenarios/*.json drill, the engine over SONET lines
-#   (p5sim -engine 8 -sonet), the two-process transport smokes, a
-#   30s differential fuzz of each fused kernel — the one production
+#   every scenarios/*.json run through p5sim (each graded by its own
+#   assertions), the scenarios/net/*.json socket engines as two p5sim
+#   halves each, a 30s differential fuzz of each fused kernel — the one production
 #   encoder and the one production tokenizer, each against its
 #   byte-at-a-time reference
 #   (FUSED_FUZZTIME overrides, per kernel) — a 10s one of the SONET
@@ -47,53 +47,38 @@ go test -race ./...
 echo "== timing gates (flight ≤ 5%, stage profile ≤ 8%, OC-48 floor: codecs, Link pair, STM-16 section) =="
 go test -tags gates -run '^TestGate' -count=1 -v .
 
-echo "== chaos scenario smoke =="
-# Run every committed drill end-to-end through the p5sim -scenario
-# mode: a failed SLO assertion makes p5sim exit non-zero and names the
-# .p5fr captures, failing this gate.
+echo "== scenario smoke =="
+# Run every committed scenario end-to-end through p5sim: a failed
+# assertion makes p5sim exit non-zero (naming the .p5fr captures of a
+# failed drill), failing this gate. Captures land in the temp dir.
 net_dir="$(mktemp -d)"
 trap 'rm -rf "$net_dir"' EXIT
 scen_bin="$net_dir/p5sim"
 go build -o "$scen_bin" ./cmd/p5sim
-for drill in scenarios/*.json; do
-    echo "-- $drill"
-    "$scen_bin" -scenario "$drill"
+for scen in scenarios/*.json; do
+    echo "-- $scen"
+    TMPDIR="$net_dir" "$scen_bin" "$scen"
 done
-# The line card behind its PHY: 8 pairs over STM-16 sonet.Lines must deliver every datagram offered and never renegotiate.
-"$scen_bin" -engine 8 -sonet -frames 2000 | tee /dev/stderr | grep -Eq ' ([0-9]+)/\1 datagrams delivered, lcp-renegotiations=0$'
 
 echo "== transport chaos smoke (two p5sim processes over UDP loopback) =="
-# Two p5sim halves interconnect over real UDP sockets; a 250-tick
-# stall window is scripted on the listener's line. Keepalive probes
-# keep flowing through a stall, so both halves must ride it out and
-# resynchronise losslessly: zero LCP renegotiations, zero rx errors.
+# The two halves of scenarios/net/udp-stall.json interconnect over real
+# UDP sockets, each riding a 250-tick stall of its port 0 line; both must
+# pass the scenario's assertions (no renegotiation, no damaged frame).
 net_port=$((20000 + $$ % 20000))
-"$scen_bin" -listen "127.0.0.1:$net_port" -engine 2 -frames 3000 \
-    -net-stall 500:750 > "$net_dir/netA.log" 2>&1 &
+"$scen_bin" -listen "127.0.0.1:$net_port" scenarios/net/udp-stall.json > "$net_dir/netA.log" 2>&1 &
 net_pid=$!
 sleep 1
-"$scen_bin" -dial "127.0.0.1:$net_port" -engine 2 -frames 3000 \
-    > "$net_dir/netZ.log" 2>&1
-wait "$net_pid"
+net_ok=0
+"$scen_bin" -dial "127.0.0.1:$net_port" scenarios/net/udp-stall.json > "$net_dir/netZ.log" 2>&1 || net_ok=1
+wait "$net_pid" || net_ok=1
 cat "$net_dir/netA.log" "$net_dir/netZ.log"
-for log in "$net_dir/netA.log" "$net_dir/netZ.log"; do
-    grep '^NET-REPORT ' "$log" | awk '{
-        for (i = 2; i <= NF; i++) { split($i, kv, "="); v[kv[1]] = kv[2] }
-        if (v["delivered"] + 0 == 0) { print "transport smoke: nothing delivered"; exit 1 }
-        if (v["renegotiations"] + 0 != 0) {
-            printf "transport smoke: %s LCP renegotiations riding the stall, want 0\n", v["renegotiations"]; exit 1
-        }
-        if (v["rx_errors"] + 0 != 0) { printf "transport smoke: rx_errors=%s, want 0\n", v["rx_errors"]; exit 1 }
-        found = 1
-    }
-    END { if (!found) { print "transport smoke: no NET-REPORT line"; exit 1 } }'
-done
-echo "transport smoke: OK (stall ridden out, zero renegotiations)"
+[ "$net_ok" = 0 ] || { echo "transport smoke: a half failed"; exit 1; }
 
 echo "== distributed fleet smoke (two instances, one board, correlated captures) =="
-# Two p5sim instances interconnect over UDP with flight recorders and
-# telemetry endpoints armed; a scripted blackout cuts the line mid-run.
-# The gate asserts the three distributed-observatory claims end to end:
+# The two halves of scenarios/net/udp-blackout.json interconnect over
+# UDP with flight recorders and telemetry endpoints armed; the scripted
+# blackout cuts the line mid-run. Beside the scenario's own verdict, the
+# gate asserts the three distributed-observatory claims end to end:
 # `p5stat -fleet` renders both instances in one board, the blackout
 # yields exactly one transport-los capture per end, and the pair shares
 # an incident ID that `p5trace -join` merges into one timeline.
@@ -105,21 +90,19 @@ fdir_z="$net_dir/flightZ"
 mkdir -p "$fdir_a" "$fdir_z"
 go build -o "$net_dir/p5stat" ./cmd/p5stat
 go build -o "$net_dir/p5trace" ./cmd/p5trace
-"$scen_bin" -listen "127.0.0.1:$fleet_port" -engine 1 -frames 3000 \
-    -net-blackout 500:1100 -flight "$fdir_a" \
-    -telemetry "127.0.0.1:$tport_a" > "$net_dir/fleetA.log" 2>&1 &
+"$scen_bin" -listen "127.0.0.1:$fleet_port" -flight "$fdir_a" \
+    -telemetry "127.0.0.1:$tport_a" scenarios/net/udp-blackout.json > "$net_dir/fleetA.log" 2>&1 &
 fleet_a_pid=$!
 sleep 1
-"$scen_bin" -dial "127.0.0.1:$fleet_port" -engine 1 -frames 3000 \
-    -flight "$fdir_z" \
-    -telemetry "127.0.0.1:$tport_z" > "$net_dir/fleetZ.log" 2>&1 &
+"$scen_bin" -dial "127.0.0.1:$fleet_port" -flight "$fdir_z" \
+    -telemetry "127.0.0.1:$tport_z" scenarios/net/udp-blackout.json > "$net_dir/fleetZ.log" 2>&1 &
 fleet_z_pid=$!
-# The -telemetry endpoints serve forever; poll for the reports, scrape,
-# then kill both halves.
+# The -telemetry endpoints serve forever once the verdict is in; poll
+# for the endpoint lines, scrape, then kill both halves.
 fleet_up=0
 for _ in $(seq 1 120); do
-    if grep -q '^NET-REPORT ' "$net_dir/fleetA.log" 2>/dev/null &&
-       grep -q '^NET-REPORT ' "$net_dir/fleetZ.log" 2>/dev/null; then
+    if grep -q '^  telemetry  ' "$net_dir/fleetA.log" 2>/dev/null &&
+       grep -q '^  telemetry  ' "$net_dir/fleetZ.log" 2>/dev/null; then
         fleet_up=1
         break
     fi
@@ -131,6 +114,10 @@ if [ "$fleet_up" != 1 ]; then
     exit 1
 fi
 cat "$net_dir/fleetA.log" "$net_dir/fleetZ.log"
+grep -q 'verdict          : PASS' "$net_dir/fleetA.log" && grep -q 'verdict          : PASS' "$net_dir/fleetZ.log" || {
+    echo "fleet smoke: a half failed its scenario"
+    exit 1
+}
 "$net_dir/p5stat" -fleet "127.0.0.1:$tport_a,127.0.0.1:$tport_z" > "$net_dir/fleet-board.txt"
 cat "$net_dir/fleet-board.txt"
 for want in "127.0.0.1:$tport_a" "127.0.0.1:$tport_z" "wire v2" "oneway-p50" "port0"; do
