@@ -845,9 +845,8 @@ func BenchmarkSystemSteady(b *testing.B) {
 				// One system for the whole variant, drained each
 				// iteration: constructing a system per op (wires, module
 				// registration, queue growth) measured setup, not the
-				// datapath. What remains per op is the delivery
-				// contract — each received frame materialises an owned
-				// body and decoded header.
+				// datapath. The received frames live in the receiver's
+				// double-buffered arena, so a warmed op allocates nothing.
 				sys := p5.NewSystem(w)
 				if instrumented {
 					sys.Instrument(reg, "p5")

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"bytes"
 	"fmt"
 
 	gigapos "repro"
@@ -40,7 +41,10 @@ func main() {
 			systems[i].RunUntilIdle(1_000_000)
 			for _, f := range systems[i].Received() {
 				if f.Err == nil {
-					rx.Receive(i, f.Frame.Payload)
+					// The reassembler keeps fragments across many
+					// drains; a received payload lives only until the
+					// second-following one, so it gets a copy.
+					rx.Receive(i, bytes.Clone(f.Frame.Payload))
 				}
 			}
 		})

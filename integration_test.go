@@ -190,7 +190,7 @@ func threeWay(t *testing.T, payload []byte, fcs crc.Size, w int) {
 func p5Encode(t *testing.T, w int, regs *p5.Regs, payload []byte) []byte {
 	sim := &rtl.Sim{}
 	tx := p5.NewTransmitter(sim, w, regs)
-	tx.CRC.Mode = regs.FCSMode()
+	tx.CRC.Mode = crc.Size(p5.NewOAM(regs, nil, nil).Read(p5.RegFCSMode))
 	sink := rtl.NewSink(tx.Out)
 	sim.Add(sink)
 	tx.Framer.Enqueue(p5.TxJob{Protocol: ppp.ProtoIPv4, Payload: payload})
@@ -206,7 +206,7 @@ func p5Decode(t *testing.T, w int, regs *p5.Regs, wire []byte) []p5.RxFrame {
 	sim := &rtl.Sim{}
 	src := &rtl.Source{}
 	rx := p5.NewReceiver(sim, w, regs)
-	rx.CRC.Mode = regs.FCSMode()
+	rx.CRC.Mode = crc.Size(p5.NewOAM(regs, nil, nil).Read(p5.RegFCSMode))
 	src.Out = rx.In
 	sim.Add(src)
 	src.FeedBytes(wire, w)

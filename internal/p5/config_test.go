@@ -1,6 +1,8 @@
 package p5
 
 import (
+	"bytes"
+	"errors"
 	"sync"
 	"testing"
 
@@ -32,6 +34,7 @@ func checkOneSample(t *testing.T, sys *System) {
 
 func TestHostWriteLandsOnAClockEdge(t *testing.T) {
 	sys := NewSystem(4)
+	payload := make([]byte, 64)
 
 	// A write that returns before Cycle n is what clock n runs with.
 	sys.OAM.Write(RegFCSMode, 2)
@@ -47,16 +50,35 @@ func TestHostWriteLandsOnAClockEdge(t *testing.T) {
 	}
 	checkOneSample(t, sys)
 	sys.OAM.Write(RegCtrl, CtrlRxEnable)
-	sys.Send(TxJob{Protocol: ppp.ProtoIPv4, Payload: []byte{1}})
+	sys.Send(TxJob{Protocol: ppp.ProtoIPv4, Payload: payload})
 	sys.Cycle()
 	if sys.Tx.Framer.FramesStarted != 0 {
 		t.Fatal("framer started a frame in the clock after TxEnable was cleared")
 	}
 
-	// A host on another goroutine rewriting the three sampled registers
-	// as fast as it can: wherever a write lands relative to Cycle, the
-	// clock runs on one sample — transmitter and receiver on the same
-	// FCS size, the CRC cores in the mode their units hold.
+	// The FCS size switches in the clock between RxCRC's verdict on a
+	// frame and RxControl taking its end: the frame is stripped by the
+	// size it was checked under, both ways round.
+	for _, sizes := range [][2]uint32{{4, 2}, {2, 4}} {
+		sys := NewSystem(4)
+		sys.OAM.Write(RegFCSMode, sizes[0])
+		sys.Send(TxJob{Protocol: ppp.ProtoIPv4, Payload: payload})
+		for sys.Rx.CRC.Frames == 0 {
+			sys.Cycle()
+		}
+		sys.OAM.Write(RegFCSMode, sizes[1])
+		sys.Cycle()
+		got := sys.Received()
+		if len(got) != 1 || got[0].Err != nil || !bytes.Equal(got[0].Frame.Payload, payload) {
+			t.Fatalf("FCS-%d frame with FCS-%d written before its delivery: %+v", 8*sizes[0], 8*sizes[1], got)
+		}
+	}
+
+	// A host on another goroutine rewriting the sampled registers as fast
+	// as it can: wherever a write lands relative to Cycle, the clock runs
+	// on one sample — transmitter and receiver on the same FCS size, the
+	// CRC cores in the mode their units hold — and a frame RxCRC passed
+	// is never failed on its FCS again under another size.
 	stop := make(chan struct{})
 	var host sync.WaitGroup
 	host.Add(1)
@@ -71,10 +93,12 @@ func TestHostWriteLandsOnAClockEdge(t *testing.T) {
 			sys.OAM.Write(RegFCSMode, 2+2*(i&1))
 			sys.OAM.Write(RegACCM, i)
 			sys.OAM.Write(RegCtrl, CtrlTxEnable|CtrlRxEnable|(i>>1&1)*CtrlSharedFlags|(i>>2&1)*CtrlIdleFill)
+			sys.OAM.Write(RegAddress, 0xFF-(i>>3&1)*0xF0)
+			sys.OAM.Write(RegControl, 0x03^(i>>4&1)*0x10)
+			sys.OAM.Write(RegMRU, 1500-(i>>5&1)*1480)
 		}
 	}()
-	payload := make([]byte, 64)
-	changes, last := 0, sys.cfg.gen
+	changes, last, delivered := 0, sys.cfg.gen, 0
 	// At least 50 000 clocks, and on until the host has interleaved ten
 	// times (a single-CPU run only switches goroutines every few ms).
 	for i := 0; i < 50_000 || (changes < 10 && i < 5_000_000); i++ {
@@ -86,10 +110,22 @@ func TestHostWriteLandsOnAClockEdge(t *testing.T) {
 		if sys.cfg.gen != last {
 			changes, last = changes+1, sys.cfg.gen
 		}
+		for _, f := range sys.Received() {
+			if errors.Is(f.Err, ppp.ErrBadFCS) {
+				t.Fatalf("cycle %d: a frame RxCRC passed was failed on its FCS: % x", sys.Sim.Now(), f.Body)
+			}
+			if f.Err == nil && !bytes.Equal(f.Frame.Payload, payload) {
+				t.Fatalf("cycle %d: good frame delivered %d octets % x, sent %d zeros", sys.Sim.Now(), len(f.Frame.Payload), f.Frame.Payload, len(payload))
+			}
+			delivered++
+		}
 	}
 	close(stop)
 	host.Wait()
 	if changes < 10 {
 		t.Fatalf("only %d clocks saw a new sample: the host never interleaved", changes)
+	}
+	if delivered == 0 {
+		t.Fatal("no frame was delivered under the hammering host")
 	}
 }

@@ -80,15 +80,13 @@ func (c *fcsCore) step(f rtl.Flit) {
 	}
 }
 
-// appendFCS appends the complemented FCS field, LSB first. Callers pass
-// a fixed scratch array so the append phase allocates nothing per frame.
-func (c *fcsCore) appendFCS(dst []byte) []byte {
+// fcsWord returns the complemented FCS field as a word, LSB first in the
+// low lane, and its length in octets.
+func (c *fcsCore) fcsWord() (uint64, int) {
 	if c.mode == crc.FCS16Mode {
-		v := c.st16 ^ 0xFFFF
-		return append(dst, byte(v), byte(v>>8))
+		return uint64(c.st16 ^ 0xFFFF), 2
 	}
-	v := c.st32 ^ 0xFFFFFFFF
-	return append(dst, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
+	return uint64(c.st32 ^ 0xFFFFFFFF), 4
 }
 
 // good reports whether the register sits on the magic residue (receiver
@@ -111,10 +109,10 @@ type TxCRC struct {
 	Mode crc.Size
 
 	core *fcsCore
-	// FCS octets still to transmit; non-empty means the unit is in the
-	// append phase and upstream naturally stalls. pending aliases tail.
-	pending []byte
-	tail    [4]byte
+	// FCS octets still to transmit, the next in the low lane; fcsN > 0
+	// is the append phase, in which upstream naturally stalls.
+	fcs  uint64
+	fcsN int
 
 	Frames uint64
 }
@@ -124,18 +122,14 @@ func (t *TxCRC) Eval() {
 	if t.core == nil {
 		t.core = newFCSCore(t.W, t.Mode)
 	}
-	if len(t.pending) > 0 {
+	if t.fcsN > 0 {
 		if !t.Out.CanPush() {
 			return
 		}
-		n := t.W
-		if n > len(t.pending) {
-			n = len(t.pending)
-		}
-		f := rtl.FlitOf(t.pending[:n])
-		t.pending = t.pending[n:]
-		f.EOF = len(t.pending) == 0
-		t.Out.Push(f)
+		n := min(t.W, t.fcsN)
+		t.Out.Push(rtl.Flit{Data: t.fcs & laneMask(n), N: n, Marks: rtl.Marks{EOF: n == t.fcsN}})
+		t.fcs >>= 8 * uint(n)
+		t.fcsN -= n
 		return
 	}
 	f, ok := t.In.Peek()
@@ -151,20 +145,19 @@ func (t *TxCRC) Eval() {
 	}
 	t.core.step(f)
 	if f.EOF {
-		t.pending = t.core.appendFCS(t.tail[:0])
 		t.Frames++
-		f.EOF = false
-		if f.Err || f.Abort {
-			// Aborted upstream: emit no FCS, pass the abort mark.
-			t.pending = nil
-			f.EOF = true
+		// A frame aborted upstream gets no FCS: its EOF and abort mark
+		// pass straight on.
+		if !f.Err && !f.Abort {
+			t.fcs, t.fcsN = t.core.fcsWord()
+			f.EOF = false
 		}
 	}
 	t.Out.Push(f)
 }
 
 // Busy reports whether FCS octets are still queued.
-func (t *TxCRC) Busy() bool { return len(t.pending) > 0 }
+func (t *TxCRC) Busy() bool { return t.fcsN > 0 }
 
 // RxCRC is the receiver CRC unit: it folds every frame octet (FCS
 // included) into the running register and, at end of frame, verifies the
@@ -177,6 +170,9 @@ type RxCRC struct {
 	Mode crc.Size
 
 	core *fcsCore
+	// judged is the FCS size the last frame end was checked under;
+	// RxControl strips that frame by it on the next clock.
+	judged crc.Size
 
 	Frames    uint64
 	FCSErrors uint64
@@ -201,6 +197,7 @@ func (r *RxCRC) Eval() {
 	r.core.step(f)
 	if f.EOF {
 		r.Frames++
+		r.judged = r.core.mode
 		if !f.Err && !f.Abort && !r.core.good() {
 			f.Err = true
 			r.FCSErrors++

@@ -24,8 +24,7 @@ type Delineator struct {
 	// BufCap bounds the internal buffer; zero selects 8W.
 	BufCap int
 
-	fifo    tagFIFO
-	limit   int // bufCap(), latched with the storage on the first clock
+	fifo    resync
 	inFrame bool
 	content int  // content octets seen in the current frame
 	lastEsc bool // previous content octet was an escape
@@ -50,9 +49,8 @@ func (dl *Delineator) Busy() bool { return dl.fifo.Len() > 0 }
 
 // Eval implements rtl.Module.
 func (dl *Delineator) Eval() {
-	if dl.limit == 0 {
-		dl.limit = dl.bufCap()
-		dl.fifo.reserve(dl.limit)
+	if dl.fifo.limit == 0 {
+		dl.fifo.reserve(dl.bufCap())
 	}
 	dl.evalOutput()
 	f, ok := dl.In.Take() // never refuse the PHY
@@ -61,10 +59,10 @@ func (dl *Delineator) Eval() {
 	}
 	data := f.Data
 	if dl.inFrame && f.N > 0 && lanesEqual(data, hdlc.Flag)&validLanes(f.N) == 0 &&
-		dl.fifo.Len()+f.N <= dl.limit {
+		dl.fifo.Len()+f.N <= dl.fifo.limit {
 		// No flag in any lane and room for the whole word: every lane
 		// is content of the open frame.
-		dl.fifo.PushOctets(data, f.N, dl.content == 0)
+		dl.fifo.push(data, f.N, dl.content == 0)
 		dl.content += f.N
 		dl.lastEsc = f.Byte(f.N-1) == hdlc.Escape
 		return
@@ -89,13 +87,13 @@ func (dl *Delineator) octet(b byte) {
 	if !dl.inFrame {
 		return // inter-frame fill / pre-alignment garbage
 	}
-	if dl.fifo.Len() >= dl.limit {
+	if dl.fifo.Len() >= dl.fifo.limit {
 		dl.Overruns++
 		dl.dropped = true
 		dl.content++
 		return
 	}
-	dl.fifo.PushOctets(uint64(b), 1, dl.content == 0)
+	dl.fifo.push(uint64(b), 1, dl.content == 0)
 	dl.content++
 	dl.lastEsc = b == hdlc.Escape
 }
@@ -107,12 +105,12 @@ func (dl *Delineator) closeFrame() {
 		dl.Aborts++
 	}
 	dl.Frames++
-	dl.fifo.Push(markTag(dl.dropped, abort))
+	dl.fifo.mark(dl.dropped, abort)
 }
 
 // evalOutput drains buffered content downstream, cutting at frame ends.
 func (dl *Delineator) evalOutput() {
-	f, take, ok := packWord(&dl.fifo, dl.W)
+	f, take, ok := dl.fifo.pack(dl.W)
 	if !ok {
 		return
 	}
@@ -126,6 +124,6 @@ func (dl *Delineator) evalOutput() {
 	if !dl.Out.CanPush() {
 		return
 	}
-	dl.fifo.Drop(take)
+	dl.fifo.drop(take)
 	dl.Out.Push(f)
 }

@@ -1,101 +1,9 @@
 package p5
 
 import (
-	"math/bits"
-
 	"repro/internal/hdlc"
 	"repro/internal/rtl"
 )
-
-// tag is one entry in a receive-side resynchronisation buffer: either a
-// frame octet (low byte, with its start-of-frame bit) or an end-of-frame
-// marker. Markers travel in-band so frame boundaries can never be lost
-// or reordered, whatever the cycle-level interleaving.
-type tag uint16
-
-const (
-	tagSOF   tag = 1 << (8 + iota) // octet entry: first octet of its frame
-	tagMark                        // end-of-frame marker entry (low byte unused)
-	tagErr                         // on markers: frame damaged
-	tagAbort                       // on markers: frame deliberately aborted
-)
-
-// markTag is the end-of-frame marker entry.
-func markTag(err, abort bool) tag {
-	t := tagMark
-	if err {
-		t |= tagErr
-	}
-	if abort {
-		t |= tagAbort
-	}
-	return t
-}
-
-// tagFIFO is the receive-side resynchronisation buffer: a ring the owning
-// unit allocates at its bufCap() — the storage the hardware has, rounded
-// up to a power of two so an index wraps with a mask. The units bound the
-// octets they commit to it, but not the in-band end-of-frame markers, so
-// a stalled run of tiny frames can still overfill it; the ring then
-// doubles rather than drop a boundary.
-type tagFIFO struct {
-	buf       []tag // ring storage, a power of two long
-	head, n   int
-	HighWater int
-}
-
-// reserve allocates the ring.
-func (q *tagFIFO) reserve(capacity int) {
-	q.buf = make([]tag, 1<<bits.Len(uint(capacity-1)))
-}
-
-func (q *tagFIFO) Len() int { return q.n }
-
-func (q *tagFIFO) grow() {
-	grown := make([]tag, max(2*len(q.buf), 4))
-	k := copy(grown, q.buf[q.head:])
-	copy(grown[k:], q.buf[:q.head])
-	q.buf, q.head = grown, 0
-}
-
-// extend makes room for k more entries behind the tail — one room check
-// and one high-water update however many — and returns the tail's index.
-func (q *tagFIFO) extend(k int) int {
-	for q.n+k > len(q.buf) {
-		q.grow()
-	}
-	tail := q.head + q.n
-	q.n += k
-	if q.n > q.HighWater {
-		q.HighWater = q.n
-	}
-	return tail
-}
-
-// Push appends one entry.
-func (q *tagFIFO) Push(t tag) {
-	tail := q.extend(1)
-	q.buf[tail&(len(q.buf)-1)] = t
-}
-
-// PushOctets appends the n low lanes of data as frame octets, the first
-// tagged start-of-frame if sof.
-func (q *tagFIFO) PushOctets(data uint64, n int, sof bool) {
-	tail := q.extend(n)
-	mask := len(q.buf) - 1
-	for i := 0; i < n; i, data = i+1, data>>8 {
-		q.buf[(tail+i)&mask] = tag(byte(data))
-	}
-	if sof {
-		q.buf[tail&mask] |= tagSOF
-	}
-}
-
-// Drop removes the n oldest entries.
-func (q *tagFIFO) Drop(n int) {
-	q.head = (q.head + n) & (len(q.buf) - 1)
-	q.n -= n
-}
 
 // lanesEqual returns a bitmask of the byte lanes of data (lane i is bits
 // 8i..8i+7) equal to v — every lane of the word compared at once, as the
@@ -136,8 +44,7 @@ type EscapeDetect struct {
 
 	st      [2]detStage // stage A's register is st[a], stage B's the other
 	a       int
-	fifo    tagFIFO
-	limit   int  // bufCap(), latched with the storage on the first clock
+	fifo    resync
 	pending int  // octets taken and not yet merged (removal only shrinks it)
 	esc     bool // escape pending across a word boundary
 	sofPend bool // tag next surviving octet as frame start
@@ -176,9 +83,8 @@ func (d *EscapeDetect) Busy() bool {
 
 // Eval implements rtl.Module.
 func (d *EscapeDetect) Eval() {
-	if d.limit == 0 {
-		d.limit = d.bufCap()
-		d.fifo.reserve(d.limit)
+	if d.fifo.limit == 0 {
+		d.fifo.reserve(d.bufCap())
 	}
 	d.evalOutput() // stage D
 	if d.W == 1 {
@@ -208,7 +114,7 @@ func (d *EscapeDetect) take(st *detStage) bool {
 	if !ok {
 		return false
 	}
-	if d.fifo.Len()+d.pending+f.N > d.limit {
+	if d.fifo.Len()+d.pending+f.N > d.fifo.limit {
 		d.InputStalls++
 		return false
 	}
@@ -256,11 +162,11 @@ func (d *EscapeDetect) merge(st *detStage) {
 		d.sofPend = true
 	}
 	if st.outN > 0 {
-		d.fifo.PushOctets(st.out, st.outN, d.sofPend)
+		d.fifo.push(st.out, st.outN, d.sofPend)
 		d.sofPend = false
 	}
 	if st.flit.EOF {
-		d.fifo.Push(markTag(st.flit.Err, st.flit.Abort))
+		d.fifo.mark(st.flit.Err, st.flit.Abort)
 		d.sofPend = false
 		d.Frames++
 	}
@@ -268,7 +174,7 @@ func (d *EscapeDetect) merge(st *detStage) {
 
 // evalOutput is stage D: emit dense words, cutting at frame boundaries.
 func (d *EscapeDetect) evalOutput() {
-	f, take, ok := packWord(&d.fifo, d.W)
+	f, take, ok := d.fifo.pack(d.W)
 	if !ok {
 		return
 	}
@@ -285,39 +191,6 @@ func (d *EscapeDetect) evalOutput() {
 	if !d.Out.CanPush() {
 		return
 	}
-	d.fifo.Drop(take)
+	d.fifo.drop(take)
 	d.Out.Push(f)
-}
-
-// packWord assembles up to w data octets from the front of q into a
-// flit, stopping at (and consuming) an end-of-frame marker. It returns
-// the flit, the number of entries it spans, and whether anything is
-// available.
-func packWord(q *tagFIFO, w int) (f rtl.Flit, take int, ok bool) {
-	n := min(q.n, w+1) // at most a full word and the marker behind it
-	mask := len(q.buf) - 1
-	var data uint64
-	var flags, mark tag
-	for take < n {
-		t := q.buf[(q.head+take)&mask]
-		if t&tagMark != 0 {
-			// The marker ends the word — also when it immediately
-			// follows a full one, so full-word frame tails still carry
-			// their EOF.
-			mark = t
-			break
-		}
-		if take == w {
-			break
-		}
-		data |= uint64(byte(t)) << (8 * uint(take))
-		flags |= t
-		take++
-	}
-	f = rtl.Flit{Data: data, N: take, Marks: rtl.Marks{SOF: flags&tagSOF != 0,
-		EOF: mark != 0, Err: mark&tagErr != 0, Abort: mark&tagAbort != 0}}
-	if mark != 0 {
-		take++
-	}
-	return f, take, n > 0
 }

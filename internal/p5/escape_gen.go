@@ -50,8 +50,7 @@ type EscapeGen struct {
 
 	st       [2]genStage // stage A's register is st[a], stage B's the other
 	a        int
-	fifo     rtl.ByteFIFO
-	limit    int // bufCap(), latched on the first clock
+	fifo     resync
 	pending  int // octets taken and not yet merged
 	inFrame  bool
 	lastFlag bool // previous octet merged was a closing flag
@@ -101,8 +100,8 @@ func (g *EscapeGen) Busy() bool {
 // Eval implements rtl.Module. Stages run downstream-first, so a word
 // advances exactly one stage per clock.
 func (g *EscapeGen) Eval() {
-	if g.limit == 0 {
-		g.limit = g.bufCap()
+	if g.fifo.limit == 0 {
+		g.fifo.reserve(g.bufCap())
 	}
 	g.evalOutput() // stage D
 	if g.W == 1 {
@@ -158,7 +157,7 @@ func (g *EscapeGen) take(st *genStage) bool {
 	if f.Err || f.Abort {
 		commit++ // abort is two octets
 	}
-	if g.fifo.Len()+g.pending+commit > g.limit {
+	if g.fifo.Len()+g.pending+commit > g.fifo.limit {
 		g.InputStalls++
 		return false
 	}
@@ -192,69 +191,61 @@ func (g *EscapeGen) expand(st *genStage) {
 }
 
 // merge is stage C: pour the expanded octets and any frame-delimiting
-// flags into the resynchronisation buffer.
+// flags into the resynchronisation buffer, a word at a time.
 func (g *EscapeGen) merge(st *genStage) {
 	g.pending -= st.commit
 	if st.flit.SOF {
 		if !(g.SharedFlags && g.lastFlag) {
-			g.fifo.Push(hdlc.Flag)
+			g.fifo.push(hdlc.Flag, 1, false)
 		}
 		g.inFrame = true
 		g.lastFlag = false
 	}
-	if st.expN > 0 {
-		g.fifo.Push(st.exp[:st.expN]...)
+	if n := st.expN; n > 0 {
+		g.fifo.push(binary.LittleEndian.Uint64(st.exp[:8]), min(n, 8), false)
+		if n > 8 {
+			g.fifo.push(binary.LittleEndian.Uint64(st.exp[8:]), n-8, false)
+		}
 		g.lastFlag = false
 	}
 	if st.flit.EOF {
-		if st.flit.Err || st.flit.Abort {
-			// Deliberate abort: escape immediately followed by flag.
-			g.fifo.Push(hdlc.Escape, hdlc.Flag)
-		} else {
-			g.fifo.Push(hdlc.Flag)
+		closing, n := uint64(hdlc.Flag), 1
+		if st.flit.Err || st.flit.Abort { // deliberate abort: escape, then flag
+			closing, n = closing<<8|hdlc.Escape, 2
 		}
+		g.fifo.push(closing, n, false)
 		g.Frames++
 		g.inFrame = false
 		g.lastFlag = true
 	}
 }
 
+// flagFill is a word of inter-frame fill flags.
+const flagFill = lanesOf * hdlc.Flag
+
 // evalOutput is stage D: drain the buffer onto the line.
 func (g *EscapeGen) evalOutput() {
 	n := g.fifo.Len()
+	var data uint64
 	switch {
 	case n >= g.W:
-		if !g.Out.CanPush() {
-			return
-		}
-		g.Out.Push(rtl.FlitOf(g.fifo.Pop(g.W)))
+		data = g.fifo.word(g.W)
+		n = g.W
 	case n > 0 && !g.inFrame && !g.st[0].valid && !g.st[1].valid:
 		// Frame tail shorter than a word and nothing behind it: pad
 		// with inter-frame fill flags to keep the line word-aligned.
-		if !g.Out.CanPush() {
-			return
-		}
-		var f rtl.Flit
-		for i := 0; i < g.W; i++ {
-			if i < n {
-				f.SetByte(i, g.fifo.Peek(i))
-			} else {
-				f.SetByte(i, hdlc.Flag)
-			}
-		}
-		f.N = g.W
-		g.fifo.Pop(n)
-		g.Out.Push(f)
+		data = g.fifo.word(n) | flagFill&laneMask(g.W)&^laneMask(n)
 	case n == 0 && g.IdleFill && !g.st[0].valid && !g.st[1].valid:
-		if !g.Out.CanPush() {
-			return
-		}
-		var f rtl.Flit
-		for i := 0; i < g.W; i++ {
-			f.SetByte(i, hdlc.Flag)
-		}
-		f.N = g.W
-		g.IdleWords++
-		g.Out.Push(f)
+		data = flagFill & laneMask(g.W)
+	default:
+		return
 	}
+	if !g.Out.CanPush() {
+		return
+	}
+	if n == 0 {
+		g.IdleWords++
+	}
+	g.fifo.drop(n)
+	g.Out.Push(rtl.Flit{Data: data, N: g.W})
 }

@@ -1,6 +1,8 @@
 package p5
 
 import (
+	"encoding/binary"
+
 	"repro/internal/rtl"
 )
 
@@ -11,7 +13,9 @@ type TxJob struct {
 	Address byte
 	// Protocol is the PPP protocol number of the payload.
 	Protocol uint16
-	// Payload is the information field.
+	// Payload is the information field. The framer reads it in place,
+	// a word per clock, as a DMA engine reads shared memory: it must
+	// not change until the frame has left the framer.
 	Payload []byte
 	// Abort deliberately aborts the frame mid-payload (test hook for
 	// the abort datapath).
@@ -34,18 +38,17 @@ type Framer struct {
 	// pulled from after the direct queue is empty.
 	Ring *Ring[TxJob]
 
-	// cfg is the clock's register sample when a System or Pair drives
-	// the clock; nil on a bare Sim, where the framer samples Regs into
-	// own itself.
-	cfg *config
-	own config
+	clockSample
 
 	queue []TxJob
 	head  int // index of the next queued job; queue[:head] is consumed
-	cur   []byte
-	free  [][]byte // recycled body buffers, refilled at EOF
-	abort bool
-	off   int
+
+	// The frame on the wire: its job, the 4-octet head (address,
+	// control, protocol) in the low lanes of hdr, its body length and
+	// the offset of the next word. size == 0 means no frame.
+	job       TxJob
+	hdr       uint64
+	size, off int
 
 	// Counters surfaced through the OAM.
 	FramesStarted uint64
@@ -57,7 +60,7 @@ func (fr *Framer) Enqueue(jobs ...TxJob) { fr.queue = append(fr.queue, jobs...) 
 
 // Busy reports whether a frame is mid-transmission or queued.
 func (fr *Framer) Busy() bool {
-	return fr.cur != nil || fr.head < len(fr.queue) || (fr.Ring != nil && fr.Ring.Len() > 0)
+	return fr.size != 0 || fr.head < len(fr.queue) || (fr.Ring != nil && fr.Ring.Len() > 0)
 }
 
 // nextJob pulls from the direct queue first, then the descriptor ring.
@@ -70,8 +73,7 @@ func (fr *Framer) nextJob() (TxJob, bool) {
 		fr.queue[fr.head] = TxJob{} // drop the payload reference
 		fr.head++
 		if fr.head == len(fr.queue) {
-			fr.queue = fr.queue[:0]
-			fr.head = 0
+			fr.queue, fr.head = fr.queue[:0], 0
 		}
 		return job, true
 	}
@@ -83,64 +85,59 @@ func (fr *Framer) nextJob() (TxJob, bool) {
 
 // Eval implements rtl.Module.
 func (fr *Framer) Eval() {
-	cfg := fr.cfg
-	if cfg == nil && fr.Regs != nil {
-		cfg = &fr.own
-		fr.Regs.sample(cfg)
-	}
-	if cfg != nil && cfg.ctrl&CtrlTxEnable == 0 {
+	cfg := fr.get(fr.Regs)
+	if cfg.ctrl&CtrlTxEnable == 0 {
 		return
 	}
-	if fr.cur == nil {
+	if fr.size == 0 {
 		job, ok := fr.nextJob()
 		if !ok {
 			return
 		}
-		fr.cur = fr.buildBody(&job)
-		fr.abort = job.Abort
-		fr.off = 0
+		addr := job.Address
+		if addr == 0 {
+			addr = cfg.rx.Address
+		}
+		fr.job, fr.off, fr.size = job, 0, 4+len(job.Payload)
+		fr.hdr = uint64(addr) | uint64(cfg.control)<<8 | uint64(job.Protocol>>8)<<16 | uint64(byte(job.Protocol))<<24
 		fr.FramesStarted++
 	}
 	if !fr.Out.CanPush() {
 		return
 	}
-	end := fr.off + fr.W
-	if end > len(fr.cur) {
-		end = len(fr.cur)
-	}
-	f := rtl.FlitOf(fr.cur[fr.off:end])
+	n := min(fr.W, fr.size-fr.off)
+	f := rtl.Flit{Data: fr.word(n), N: n}
 	f.SOF = fr.off == 0
-	f.EOF = end == len(fr.cur)
-	if f.EOF && fr.abort {
-		f.Abort = true
+	fr.off += n
+	if fr.off == fr.size {
+		f.EOF, f.Abort = true, fr.job.Abort
+		fr.job, fr.size = TxJob{}, 0 // drop the payload reference
 	}
-	fr.OctetsRead += uint64(f.N)
-	fr.off = end
-	if f.EOF {
-		// The flit pipeline copies octets lane by lane, so the body
-		// buffer is free for the next job the moment EOF is pushed.
-		fr.free = append(fr.free, fr.cur)
-		fr.cur = nil
-	}
+	fr.OctetsRead += uint64(n)
 	fr.Out.Push(f)
 }
 
-// buildBody assembles the uncompressed header plus payload (the FCS is
-// appended downstream by the CRC unit). Buffers come from a free list
-// refilled at EOF, so the steady state stops allocating per frame.
-func (fr *Framer) buildBody(job *TxJob) []byte {
-	addr := job.Address
-	if addr == 0 {
-		addr = fr.Regs.Address()
+// word returns the n body octets at fr.off: the head's, then the
+// payload's, loaded a word at a time straight from the job.
+func (fr *Framer) word(n int) uint64 {
+	if fr.off >= 4 {
+		return loadWord(fr.job.Payload, fr.off-4, n)
 	}
-	var body []byte
-	if n := len(fr.free); n > 0 {
-		body = fr.free[n-1][:0]
-		fr.free = fr.free[:n-1]
-	} else {
-		body = make([]byte, 0, 4+len(job.Payload))
+	k := 4 - fr.off // head octets left
+	w := fr.hdr >> (8 * uint(fr.off))
+	if n > k {
+		w |= loadWord(fr.job.Payload, 0, n-k) << (8 * uint(k))
 	}
-	body = append(body, addr, fr.Regs.Control(),
-		byte(job.Protocol>>8), byte(job.Protocol))
-	return append(body, job.Payload...)
+	return w & laneMask(n)
+}
+
+// loadWord returns p[i:i+n] (n ≤ 8) as a word: one 8-octet load except
+// within 8 octets of p's end.
+func loadWord(p []byte, i, n int) uint64 {
+	if i+8 <= len(p) {
+		return binary.LittleEndian.Uint64(p[i:]) & laneMask(n)
+	}
+	var b [8]byte
+	copy(b[:], p[i:i+n])
+	return binary.LittleEndian.Uint64(b[:])
 }

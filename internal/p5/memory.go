@@ -1,5 +1,7 @@
 package p5
 
+import "bytes"
+
 // The paper's Figure 2 places a shared memory between the host and the
 // P5: "Data is buffered before transmission and after reception in
 // memory." This file models that block as fixed-capacity descriptor
@@ -78,21 +80,24 @@ func (r *Ring[T]) Poll() (T, bool) {
 // UseRings replaces the system's unbounded software queues with
 // fixed-capacity shared-memory descriptor rings, returning them for the
 // host side to drive. A full receive ring drops frames (counted in the
-// returned ring's Drops and raised as IntRxError).
+// returned ring's Drops and raised as IntRxError). A posted frame is
+// copied out of the receive arena into memory of its own, like a host buffer.
 func (s *System) UseRings(txCap, rxCap int) (tx *Ring[TxJob], rx *Ring[RxFrame]) {
 	tx = NewRing[TxJob](txCap)
 	rx = NewRing[RxFrame](rxCap)
 	s.Tx.Framer.Ring = tx
 	s.Rx.Control.Deliver = func(f RxFrame) {
-		if !rx.PostOrDrop(f) {
-			s.Regs.RaiseInt(IntRxError)
-			return
+		body := bytes.Clone(f.Body)
+		if f.Frame != nil {
+			// Payload lies in Body, whose capacity ends at its length.
+			fr := *f.Frame
+			off := len(f.Body) - cap(fr.Payload)
+			fr.Payload = body[off : off+len(fr.Payload)]
+			f.Frame = &fr
 		}
-		if f.Err != nil {
-			s.Regs.RaiseInt(IntRxError)
-		} else {
-			s.Regs.RaiseInt(IntRxFrame)
-		}
+		f.Body = body
+		s.Rx.Control.rewind()
+		s.Regs.RaiseInt(rxInt(rx.PostOrDrop(f) && f.Err == nil))
 	}
 	return tx, rx
 }

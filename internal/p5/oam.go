@@ -180,17 +180,21 @@ func NewRegs() *Regs {
 	}
 }
 
-// config is one clock's sample of the registers the datapath reads every
-// cycle: the control bits, the escape map and the FCS size. Whoever
-// drives the clock (System, Pair, or a Framer running on a bare Sim)
+// config is one clock's sample of the registers the datapath reads: the
+// control bits, the escape map, the FCS size, and the address, control
+// and MRU a frame's head is built and policed with. Whoever drives the
+// clock (System, Pair, or a Framer or RxControl running on a bare Sim)
 // owns one, refreshes it with Regs.sample before the clock's first Eval,
-// and every unit of that clock works from the same values.
+// and every unit of that clock works from the same values — a frame never
+// mixes two writes, and takes no lock of its own.
 type config struct {
 	sampled bool
 	gen     uint32
 	ctrl    uint32
 	accm    hdlc.ACCM
 	fcs     crc.Size
+	control byte
+	rx      ppp.Config // address, AnyAddress, FCS size and MRU as received
 }
 
 // sample brings c up to date and reports whether it changed. With no
@@ -202,55 +206,27 @@ func (r *Regs) sample(c *config) bool {
 		return false
 	}
 	r.mu.RLock()
-	*c = config{sampled: true, gen: r.gen.Load(), ctrl: r.ctrl, accm: r.accm, fcs: r.fcsMode}
+	*c = config{sampled: true, gen: r.gen.Load(), ctrl: r.ctrl, accm: r.accm, fcs: r.fcsMode, control: r.control,
+		rx: ppp.Config{Address: r.address, AnyAddress: r.ctrl&CtrlAnyAddress != 0, FCS: r.fcsMode, MRU: r.mru}}
 	r.mu.RUnlock()
 	return true
 }
 
-// Accessors for per-frame and host-side reads (RLock each).
-
-// AnyAddress reports promiscuous address acceptance.
-func (r *Regs) AnyAddress() bool { return r.ctrlBit(CtrlAnyAddress) }
-
-func (r *Regs) ctrlBit(b uint32) bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.ctrl&b != 0
+// clockSample is a unit's hold on its clock's register sample: cfg
+// points at the System's or Pair's when one drives the clock; on a bare
+// Sim it stays nil and the unit samples its Regs into own.
+type clockSample struct {
+	cfg *config
+	own config
 }
 
-// Address returns the programmed HDLC address octet.
-func (r *Regs) Address() byte {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.address
-}
-
-// Control returns the programmed HDLC control octet.
-func (r *Regs) Control() byte {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.control
-}
-
-// ACCM returns the programmed escape map.
-func (r *Regs) ACCM() hdlc.ACCM {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.accm
-}
-
-// FCSMode returns the programmed FCS size.
-func (r *Regs) FCSMode() crc.Size {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.fcsMode
-}
-
-// MRU returns the programmed maximum receive unit.
-func (r *Regs) MRU() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.mru
+// get returns the clock's sample.
+func (c *clockSample) get(r *Regs) *config {
+	if c.cfg == nil {
+		r.sample(&c.own)
+		return &c.own
+	}
+	return c.cfg
 }
 
 // stat16 narrows a live datapath counter to its 16-bit status register
@@ -455,8 +431,10 @@ func (o *OAM) Write(addr uint32, v uint32) {
 		r.gen.Add(1)
 	case RegAddress:
 		r.address = byte(v)
+		r.gen.Add(1)
 	case RegControl:
 		r.control = byte(v)
+		r.gen.Add(1)
 	case RegACCM:
 		r.accm = hdlc.ACCM(v)
 		r.gen.Add(1)
@@ -469,6 +447,7 @@ func (o *OAM) Write(addr uint32, v uint32) {
 		r.gen.Add(1)
 	case RegMRU:
 		r.mru = int(v & 0xFFFF)
+		r.gen.Add(1)
 	case RegIntStat:
 		r.intStat &^= v // write-1-to-clear
 	case RegIntMask:

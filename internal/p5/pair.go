@@ -18,12 +18,9 @@ type Endpoint struct {
 // Send queues datagrams at this endpoint.
 func (e *Endpoint) Send(jobs ...TxJob) { e.Tx.Framer.Enqueue(jobs...) }
 
-// Received drains this endpoint's receive queue.
-func (e *Endpoint) Received() []RxFrame {
-	q := e.Rx.Control.Queue
-	e.Rx.Control.Queue = nil
-	return q
-}
+// Received drains this endpoint's receive queue; the frames follow
+// RxFrame's ownership rule.
+func (e *Endpoint) Received() []RxFrame { return e.Rx.Control.drain() }
 
 // Busy reports in-flight octets at this endpoint.
 func (e *Endpoint) Busy() bool { return e.Tx.Busy() || e.Rx.Busy() }
@@ -93,12 +90,14 @@ func NewPair(w int) *Pair {
 	sAB := &steer{in: txA.Out, src: &p.A.cfg}
 	p.Sim.Add(sAB)
 	rxB := NewReceiver(p.Sim, w, regsB)
+	rxB.Control.cfg = &p.B.cfg
 
 	txB := NewTransmitter(p.Sim, w, regsB)
 	txB.Framer.cfg = &p.B.cfg
 	sBA := &steer{in: txB.Out, src: &p.B.cfg}
 	p.Sim.Add(sBA)
 	rxA := NewReceiver(p.Sim, w, regsA)
+	rxA.Control.cfg = &p.A.cfg
 
 	sAB.peer = rxB.In
 	sAB.self = rxA.In

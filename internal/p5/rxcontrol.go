@@ -1,6 +1,7 @@
 package p5
 
 import (
+	"encoding/binary"
 	"errors"
 
 	"repro/internal/ppp"
@@ -17,6 +18,11 @@ var (
 )
 
 // RxFrame is one received frame as delivered to shared memory.
+//
+// Body and Frame live in the receiver's double-buffered arena, the rule
+// Link, Pipe and sonet.Line share: a frame handed out by one drain
+// (Received or ReceivedInto) stays intact through the next drain and is
+// recycled after it. Consume or copy it before then.
 type RxFrame struct {
 	// Frame is the decoded PPP frame; nil when Err is set.
 	Frame *ppp.Frame
@@ -37,12 +43,23 @@ type RxControl struct {
 	// Regs supplies the programmable receive configuration.
 	Regs *Regs
 	// Deliver, when set, is called for every completed frame instead
-	// of appending to Queue.
+	// of appending to Queue; the frame follows RxFrame's ownership rule.
 	Deliver func(RxFrame)
 	// Queue is the shared-memory receive queue.
 	Queue []RxFrame
 
-	buf []byte
+	clockSample
+	// judge checked the frames on In: their FCS is stripped by the size
+	// it judged them under (the clock's sample when nil, on a bare Sim).
+	judge *RxCRC
+
+	// The arena: frame octets (whole flits appended) and decoded
+	// headers, with the other half of the double buffer and the queue's
+	// beside them. start is where the frame being assembled begins.
+	octets, spareOctets []byte
+	frames, spareFrames []ppp.Frame
+	spareQueue          []RxFrame
+	start               int
 
 	// Counters surfaced through the OAM.
 	Good      uint64
@@ -52,11 +69,6 @@ type RxControl struct {
 	Delivered uint64
 }
 
-func (rc *RxControl) minFrame() int {
-	// Header (addr+ctrl+proto) + FCS.
-	return 4 + rc.Regs.FCSMode().Bytes()
-}
-
 // Eval implements rtl.Module.
 func (rc *RxControl) Eval() {
 	f, ok := rc.In.Take() // memory writes never stall
@@ -64,44 +76,50 @@ func (rc *RxControl) Eval() {
 		return
 	}
 	if f.SOF {
-		rc.buf = rc.buf[:0]
+		rc.octets = rc.octets[:rc.start]
 	}
-	rc.buf = f.Bytes(rc.buf)
-	if !f.EOF {
-		return
+	if cap(rc.octets)-len(rc.octets) < 8 {
+		// A fresh, doubled chunk: delivered frames keep the old one.
+		grown := make([]byte, 0, max(2*cap(rc.octets), 4096))
+		rc.octets, rc.start = append(grown, rc.octets[rc.start:]...), 0
 	}
-	rc.complete(f.Err, f.Abort)
+	// One 8-octet store per flit; the lanes past N land in free space.
+	n := len(rc.octets)
+	binary.LittleEndian.PutUint64(rc.octets[n:n+8], f.Data)
+	rc.octets = rc.octets[:n+f.N]
+	if f.EOF {
+		rc.complete(f.Err, f.Abort)
+	}
 }
 
 func (rc *RxControl) complete(streamErr, aborted bool) {
-	body := make([]byte, len(rc.buf))
-	copy(body, rc.buf)
-	rc.buf = rc.buf[:0]
+	rx := rc.get(rc.Regs).rx
+	if rc.judge != nil {
+		rx.FCS = rc.judge.judged
+	}
+	body := rc.octets[rc.start:len(rc.octets):len(rc.octets)]
+	rc.start = len(rc.octets)
 	out := RxFrame{Body: body}
 	switch {
-	case aborted:
-		rc.Aborted++
-		rc.Bad++
-		out.Err = ErrRxAborted
-	case len(body) < rc.minFrame():
+	case !aborted && len(body) < 4+rx.FCS.Bytes(): // header (addr+ctrl+proto) + FCS
 		// Too short to be a frame at all — classified as a runt even
 		// when the stream also flagged it (noise bursts do both).
 		rc.Runts++
-		rc.Bad++
 		out.Err = ErrRxRunt
-	case streamErr:
+	case aborted || streamErr:
 		rc.Aborted++
-		rc.Bad++
 		out.Err = ErrRxAborted
 	default:
-		frame := new(ppp.Frame)
-		if err := ppp.DecodeBodyInto(frame, body, rc.pppConfig()); err != nil {
-			rc.Bad++
-			out.Err = err
-		} else {
+		// RxCRC has given the FCS verdict; the decode only parses.
+		var frame ppp.Frame
+		if out.Err = ppp.DecodeVerifiedBodyInto(&frame, body, rx); out.Err == nil {
 			rc.Good++
-			out.Frame = frame
+			rc.frames = append(rc.frames, frame)
+			out.Frame = &rc.frames[len(rc.frames)-1]
 		}
+	}
+	if out.Err != nil {
+		rc.Bad++
 	}
 	rc.Delivered++
 	if rc.Deliver != nil {
@@ -111,11 +129,19 @@ func (rc *RxControl) complete(streamErr, aborted bool) {
 	rc.Queue = append(rc.Queue, out)
 }
 
-func (rc *RxControl) pppConfig() ppp.Config {
-	return ppp.Config{
-		Address:    rc.Regs.Address(),
-		AnyAddress: rc.Regs.AnyAddress(),
-		FCS:        rc.Regs.FCSMode(),
-		MRU:        rc.Regs.MRU(),
-	}
+// rewind restarts the arena at its front, for a Deliver callback that
+// copies out every frame it is handed.
+func (rc *RxControl) rewind() {
+	rc.octets, rc.frames, rc.start = rc.octets[:0], rc.frames[:0], 0
+}
+
+// drain hands out the receive queue and flips the double buffer: the
+// frames it returns stay intact until the next drain, and the half they
+// leave is refilled after it. A frame still being assembled moves across.
+func (rc *RxControl) drain() []RxFrame {
+	rc.Queue, rc.spareQueue = rc.spareQueue[:0], rc.Queue
+	rc.octets, rc.spareOctets = append(rc.spareOctets[:0], rc.octets[rc.start:]...), rc.octets
+	rc.frames, rc.spareFrames = rc.spareFrames[:0], rc.frames
+	rc.start = 0
+	return rc.spareQueue
 }

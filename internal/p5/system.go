@@ -73,7 +73,7 @@ func NewReceiverOn(sim *rtl.Sim, w int, regs *Regs, in *rtl.Wire) *Receiver {
 	r.Delineator = &Delineator{In: r.In, Out: w1, W: w}
 	r.Escape = &EscapeDetect{In: w1, Out: w2, W: w}
 	r.CRC = &RxCRC{In: w2, Out: w3, W: w}
-	r.Control = &RxControl{In: w3, Regs: regs}
+	r.Control = &RxControl{In: w3, Regs: regs, judge: r.CRC}
 	sim.Add(r.Delineator, r.Escape, r.CRC, r.Control)
 	return r
 }
@@ -176,42 +176,37 @@ func NewSystem(w int) *System {
 	sys.Line = &Line{In: sys.Tx.Out}
 	sys.Sim.Add(sys.Line)
 	sys.Rx = NewReceiver(sys.Sim, w, sys.Regs)
+	sys.Rx.Control.cfg = &sys.cfg
 	sys.Line.Out = sys.Rx.In
 	sys.OAM = &OAM{Regs: sys.Regs, tx: sys.Tx, rx: sys.Rx}
 	sys.Rx.Control.Deliver = func(f RxFrame) {
 		sys.Rx.Control.Queue = append(sys.Rx.Control.Queue, f)
-		if f.Err != nil {
-			sys.Regs.RaiseInt(IntRxError)
-		} else {
-			sys.Regs.RaiseInt(IntRxFrame)
-		}
+		sys.Regs.RaiseInt(rxInt(f.Err == nil))
 	}
 	clockConfig(sys.Regs, &sys.cfg, sys.Tx, sys.Rx) // reset values
 	return sys
 }
 
+// rxInt is the interrupt a frame handed to the host raises: IntRxFrame
+// for a good one, IntRxError for a bad or dropped one.
+func rxInt(good bool) uint32 {
+	if good {
+		return IntRxFrame
+	}
+	return IntRxError
+}
+
 // Send queues datagrams for transmission.
 func (s *System) Send(jobs ...TxJob) { s.Tx.Framer.Enqueue(jobs...) }
 
-// Received drains and returns the receive queue.
-func (s *System) Received() []RxFrame {
-	q := s.Rx.Control.Queue
-	s.Rx.Control.Queue = nil
-	return q
-}
+// Received drains and returns the receive queue; the slice and its
+// frames follow RxFrame's ownership rule.
+func (s *System) Received() []RxFrame { return s.Rx.Control.drain() }
 
 // ReceivedInto appends the drained receive queue to dst and returns it —
-// the batch-drain form: the queue's backing array keeps its capacity, so
-// a steady send/drain cycle stops allocating queue headers. Frame
-// payloads still belong to the drained frames themselves.
+// the batch-drain form; the frames follow RxFrame's ownership rule.
 func (s *System) ReceivedInto(dst []RxFrame) []RxFrame {
-	q := s.Rx.Control.Queue
-	dst = append(dst, q...)
-	for i := range q {
-		q[i] = RxFrame{} // drop body/frame references from the queue
-	}
-	s.Rx.Control.Queue = q[:0]
-	return dst
+	return append(dst, s.Rx.Control.drain()...)
 }
 
 // Cycle advances the whole system one clock.

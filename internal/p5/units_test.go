@@ -249,16 +249,16 @@ func TestDelineatorOverrunMarksFrame(t *testing.T) {
 
 func TestOAMRegisterFileDefaults(t *testing.T) {
 	r := NewRegs()
-	if !r.ctrlBit(CtrlTxEnable) || !r.ctrlBit(CtrlRxEnable) || r.ctrlBit(CtrlLoopback) {
+	if r.ctrl&CtrlTxEnable == 0 || r.ctrl&CtrlRxEnable == 0 || r.ctrl&CtrlLoopback != 0 {
 		t.Error("control defaults")
 	}
-	if r.Address() != 0xFF || r.Control() != 0x03 {
+	if r.address != 0xFF || r.control != 0x03 {
 		t.Error("framing defaults")
 	}
-	if r.FCSMode() != crc.FCS32Mode || r.MRU() != 1500 {
+	if r.fcsMode != crc.FCS32Mode || r.mru != 1500 {
 		t.Error("fcs/mru defaults")
 	}
-	if r.ACCM() != hdlc.ACCMNone {
+	if r.accm != hdlc.ACCMNone {
 		t.Error("accm default must be 0 for octet-synchronous links")
 	}
 }
@@ -312,11 +312,11 @@ func TestOAMInterruptMaskAndClear(t *testing.T) {
 func TestOAMFCSModeEncoding(t *testing.T) {
 	oam := &OAM{Regs: NewRegs()}
 	oam.Write(RegFCSMode, 2)
-	if oam.Regs.FCSMode() != crc.FCS16Mode {
+	if oam.Regs.fcsMode != crc.FCS16Mode {
 		t.Error("FCS16 write")
 	}
 	oam.Write(RegFCSMode, 99) // anything else selects FCS32
-	if oam.Regs.FCSMode() != crc.FCS32Mode {
+	if oam.Regs.fcsMode != crc.FCS32Mode {
 		t.Error("FCS32 fallback")
 	}
 }

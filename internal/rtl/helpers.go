@@ -18,10 +18,7 @@ func (s *Source) Feed(f ...Flit) { s.queue = append(s.queue, f...) }
 // on the first and EOF on the last.
 func (s *Source) FeedBytes(p []byte, w int) {
 	for off := 0; off < len(p); off += w {
-		end := off + w
-		if end > len(p) {
-			end = len(p)
-		}
+		end := min(off+w, len(p))
 		f := FlitOf(p[off:end])
 		f.SOF = off == 0
 		f.EOF = end == len(p)
@@ -80,13 +77,8 @@ func (s *Sink) Eval() {
 			s.FirstCycle = s.cycle
 		} else {
 			gap := s.cycle - s.LastCycle
-			if gap > s.MaxGap {
-				s.MaxGap = gap
-			}
-			if gap > 8 {
-				gap = 8
-			}
-			s.GapCounts[gap]++
+			s.MaxGap = max(s.MaxGap, gap)
+			s.GapCounts[min(gap, 8)]++
 		}
 		s.LastCycle = s.cycle
 		s.Flits = append(s.Flits, f)
@@ -97,8 +89,8 @@ func (s *Sink) Eval() {
 // Tick implements Clocked.
 func (s *Sink) Tick() { s.cycle++ }
 
-// ByteFIFO is a small synchronous byte buffer with occupancy tracking —
-// the resynchronisation buffer of the paper's byte sorter.
+// ByteFIFO is a synchronous byte buffer for spans of octets — the PHY
+// staging buffers of internal/pos.
 type ByteFIFO struct {
 	buf  []byte
 	head int
@@ -120,9 +112,7 @@ func (q *ByteFIFO) Push(p ...byte) {
 		// compaction at least half the capacity is free slack — while
 		// pinning the array near 2x the high-water occupancy, so the
 		// steady state stops allocating.
-		n := copy(q.buf, q.buf[q.head:])
-		q.buf = q.buf[:n]
-		q.head = 0
+		q.buf, q.head = q.buf[:copy(q.buf, q.buf[q.head:])], 0
 	}
 	q.buf = append(q.buf, p...)
 	if n := q.Len(); n > q.HighWater {
@@ -133,23 +123,11 @@ func (q *ByteFIFO) Push(p ...byte) {
 // Pop removes and returns up to n bytes. The returned slice aliases the
 // FIFO's storage: consume it before the next Push, which may compact.
 func (q *ByteFIFO) Pop(n int) []byte {
-	if n > q.Len() {
-		n = q.Len()
-	}
+	n = min(n, q.Len())
 	p := q.buf[q.head : q.head+n]
 	q.head += n
 	if q.head == len(q.buf) {
-		q.buf = q.buf[:0]
-		q.head = 0
+		q.buf, q.head = q.buf[:0], 0
 	}
 	return p
-}
-
-// Peek returns byte i from the front without removing it.
-func (q *ByteFIFO) Peek(i int) byte { return q.buf[q.head+i] }
-
-// Reset empties the FIFO (HighWater is preserved).
-func (q *ByteFIFO) Reset() {
-	q.buf = q.buf[:0]
-	q.head = 0
 }

@@ -229,6 +229,7 @@ func TestObservationExportsHaveCallers(t *testing.T) {
 		"Clears":    "sonet.DefectMonitor: as Raises",
 		"Truncate":  "fault.Script: frame truncation, a chaos knob TestChaosSoakLinkSelfHealing drives",
 		"Randomize": "fault.Transport: the seeded drop/dup/reorder rates TestTransportDupReorderSoakUDP drives",
+		"Drop":      "fault.Transport: scripted twin of Randomize's drop rate, pins the adapter's loss exactly",
 		"Dup":       "fault.Transport: scripted twin of Randomize's dup rate, pins the adapter's delivery order exactly",
 		"Reorder":   "fault.Transport: as Dup, for the one-slot late delivery",
 
