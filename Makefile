@@ -30,14 +30,15 @@ verify:
 gates:
 	$(GO) test -tags gates -run '^TestGate' -count=1 -v .
 
-# Smoke: every benchmark of the root package, the FCS kernel, the RTL
+# Smoke: every benchmark of the root package, the FCS kernel, the
+# stuffing word path (BenchmarkStuffByte, BenchmarkStuffBlock), the RTL
 # kernel's dispatch (BenchmarkKernelCycle, ns/cycle with no unit work),
 # the P5's resync buffer (BenchmarkResyncBuffer, one word pushed and
 # packed at W = 4) and the SONET map/demap runs once (CI runs this same
 # target). Speeds
 # are recorded and compared by `go run ./benchmark`, not from here.
 bench:
-	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem . ./internal/crc ./internal/rtl ./internal/p5 ./internal/sonet
+	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem . ./internal/crc ./internal/hdlc ./internal/rtl ./internal/p5 ./internal/sonet
 
 # Regenerate METRICS.md from the live registry; `go test ./...` fails
 # when the committed file drifts from what the code registers.

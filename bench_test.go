@@ -715,9 +715,9 @@ func linkPairOp(tb testing.TB, size int) steadyOp {
 }
 
 // sweepDensities are the escape-density points both codec sweeps visit:
-// 0% is the pure span-copy path, 2% typical IP traffic, 25–75% defeat
-// the span scanner (short spans: the block kernels take over), 100%
-// doubles the wire. TestGateOC48Floor holds every point of both sweeps
+// 0% is the pure memmove path, 2% typical IP traffic (the bitmap walk),
+// 25–100% dense blocks (the word sorters take over), 100% doubles the
+// wire. TestGateOC48Floor holds every point of both sweeps
 // to 311 MB/s of wire.
 var sweepDensities = []int{0, 2, 25, 50, 75, 100}
 
@@ -728,7 +728,8 @@ var sweepDensities = []int{0, 2, 25, 50, 75, 100}
 var sweepSizes = []int{40, 64, 128, 576, 1500}
 
 // sweepPoints names every point of both codec sweeps: the density axis
-// at 1500 octets, then the size axis at 2%.
+// at 1500 octets, then the size axis at 2%, then 2% placed at random,
+// the layout of the ladder's link_mtu (escape=2% spreads it evenly).
 func sweepPoints() []sweepPoint {
 	var pts []sweepPoint
 	for _, d := range sweepDensities {
@@ -737,7 +738,7 @@ func sweepPoints() []sweepPoint {
 	for _, n := range sweepSizes {
 		pts = append(pts, sweepPoint{fmt.Sprintf("size=%d", n), densityPayload(n, 2)})
 	}
-	return pts
+	return append(pts, sweepPoint{"random=2%", netsim.NewGen(1, netsim.Fixed(1500), 0.02).Next()})
 }
 
 type sweepPoint struct {

@@ -6,16 +6,17 @@
 //
 //   - the byte-at-a-time path (Stuff/Destuff), the software mirror of the
 //     paper's 8-bit P5 datapath, and
-//   - the word-parallel SWAR path (the span scanners test eight lanes
-//     per step; StuffBlock and the tokenizer's block destuffer resolve
-//     every lane of a word without a branch on the data), the software
+//   - the word-parallel SWAR path (one delimiter bitmap per 64-octet
+//     block, eight lanes tested per step and the bitmap's set bits
+//     walked; dense blocks and sub-block tails through word sorters that
+//     resolve every lane without a branch on the data), the software
 //     mirror of the 32-bit P5 datapath where a flag or escape can appear
 //     in any lane of the word.
 //
 // Both produce identical byte streams. Production frames take the
-// word-parallel path only (Tokenizer.Feed here, ppp.Header.Append for
-// transmit), with Stuff/Destuff as its sub-word tails; reference.go
-// builds the byte-at-a-time path into a complete encoder and tokenizer
-// for tests, which hold the fast path and the P5 cycle-accurate model
-// in internal/p5 to it.
+// word-parallel path only (Tokenizer.Feed, and AppendStuffed under
+// ppp.Header.Append for transmit), with Stuff/Destuff as its sub-word
+// tails; reference.go builds the byte-at-a-time path into a complete
+// encoder and tokenizer for tests, which hold the fast path and the P5
+// cycle-accurate model in internal/p5 to it.
 package hdlc

@@ -60,34 +60,31 @@ func TestSWARMatchesByteAtATime(t *testing.T) {
 	f := func(p []byte, m uint32) bool {
 		accm := ACCM(m)
 		want := Stuff(nil, p, accm)
-		return bytes.Equal(want, StuffBlock(nil, p, accm))
+		return bytes.Equal(want, stuffBlock(nil, p, accm))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
 }
 
-func TestEscapeSpanMatchesByteAtATime(t *testing.T) {
-	// Both arms — the empty map (delegated to DelimiterSpan) and maps
-	// with holes — over a clean prefix of every length across two words,
-	// then octets drawn from the neighbourhood of each escapable value.
+func TestAppendStuffedMatchesByteAtATime(t *testing.T) {
+	// The block kernel against Stuff: every map shape, over payloads
+	// from one octet short of a block to three blocks, with escapable
+	// octets drawn from the neighbourhood of each value (the borrow
+	// chains 7E 7F and 7D 7C among them) at densities that take both the
+	// bit walk and the dense word path, appended after a prefix.
 	rng := rand.New(rand.NewSource(5))
 	alphabet := []byte{Flag, Escape, 0x7C, 0x7F, 0x00, 0x01, 0x11, 0x1F, 0x20, 0x5E}
-	for trial := 0; trial < 2000; trial++ {
+	for trial := 0; trial < 3000; trial++ {
 		accm := []ACCM{ACCMNone, ACCMAll, 0x000A0001}[trial%3]
-		p := bytes.Repeat([]byte{0x55}, rng.Intn(20))
-		for n := rng.Intn(12); n > 0; n-- {
-			p = append(p, alphabet[rng.Intn(len(alphabet))])
+		p := bytes.Repeat([]byte{0x55}, BlockOctets-1+rng.Intn(2*BlockOctets+2))
+		for n := rng.Intn(1 + len(p)*rng.Intn(4)/8); n > 0; n-- {
+			p[rng.Intn(len(p))] = alphabet[rng.Intn(len(alphabet))]
 		}
-		want := len(p)
-		for i, b := range p {
-			if accm.Escaped(b) {
-				want = i
-				break
-			}
-		}
-		if got := EscapeSpan(p, accm); got != want {
-			t.Fatalf("EscapeSpan(% x, %#x) = %d, want %d", p, accm, got, want)
+		prefix := []byte{Flag, 0xFF}
+		want := Stuff(bytes.Clone(prefix), p, accm)
+		if got := AppendStuffed(bytes.Clone(prefix), p, accm); !bytes.Equal(got, want) {
+			t.Fatalf("AppendStuffed(% x, %#x)\n got % x\nwant % x", p, accm, got, want)
 		}
 	}
 }
@@ -138,34 +135,12 @@ func TestDestuffBlockChunked(t *testing.T) {
 	}
 }
 
-func TestFindFlagSWAR(t *testing.T) {
-	for _, tc := range []struct {
-		p    []byte
-		want int
-	}{
-		{nil, -1},
-		{[]byte{0x7E}, 0},
-		{[]byte{0, 0, 0, 0, 0, 0, 0, 0x7E}, 7},
-		{[]byte{0, 0, 0, 0, 0, 0, 0, 0, 0x7E}, 8},
-		{bytes.Repeat([]byte{0xAA}, 100), -1},
-		{append(bytes.Repeat([]byte{0xAA}, 37), 0x7E), 37},
-	} {
-		if got := findFlag(tc.p); got != tc.want {
-			t.Errorf("findFlag(% x) = %d, want %d", tc.p, got, tc.want)
-		}
-	}
-	f := func(p []byte) bool {
-		return findFlag(p) == bytes.IndexByte(p, Flag)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 // TestLaneMasksExact pins the lane-mask contract the block kernels rely
 // on: for every adjacent-octet pair, repeated across the word so each
-// lane has the other octet below it, zeroLanes, matchLanes and escLanes
-// mark exactly the matching lanes. The borrowing form of the zero test
+// lane has the other octet below it, zeroLanes, matchLanes, delimLanes
+// and escLanes mark exactly the matching lanes; and blockMaps, with the
+// pair at every octet position of a block of filler, sets exactly the
+// bits of the octets to escape. The borrowing form of the zero test
 // fails here on 7E 7F, 7D 7C and 00 01.
 func TestLaneMasksExact(t *testing.T) {
 	const ctl = ACCM(0x000A0001) // NUL, DC1, DC3: a map with holes
@@ -189,6 +164,7 @@ func TestLaneMasksExact(t *testing.T) {
 			{"zeroLanes", zeroLanes(x), func(c byte) bool { return c == 0 }},
 			{"matchLanes(Flag)", matchLanes(x, Flag), func(c byte) bool { return c == Flag }},
 			{"matchLanes(Escape)", matchLanes(x, Escape), func(c byte) bool { return c == Escape }},
+			{"delimLanes", delimLanes(x), ACCMNone.Escaped},
 			{"escLanes(ACCMNone)", escLanes(x, ACCMNone), ACCMNone.Escaped},
 			{"escLanes(ctl)", escLanes(x, ctl), ctl.Escaped},
 		} {
@@ -197,10 +173,35 @@ func TestLaneMasksExact(t *testing.T) {
 			}
 		}
 	}
+
+	var blk [BlockOctets]byte
+	var maps [mapBlocks]uint64
+	for i := range blk {
+		blk[i] = 0x55
+	}
+	for pair := 0; pair < 1<<16; pair++ {
+		a, b := byte(pair), byte(pair>>8)
+		for pos := 0; pos+1 < BlockOctets; pos++ {
+			blk[pos], blk[pos+1] = a, b
+			for _, m := range []ACCM{ACCMNone, ctl} {
+				var want uint64
+				if m.Escaped(a) {
+					want |= 1 << pos
+				}
+				if m.Escaped(b) {
+					want |= 2 << pos
+				}
+				if blockMaps(&maps, blk[:], m); maps[0] != want {
+					t.Fatalf("blockMaps(%02x %02x at %d, %#x) = %016x, want %016x", a, b, pos, m, maps[0], want)
+				}
+			}
+			blk[pos], blk[pos+1] = 0x55, 0x55
+		}
+	}
 }
 
 // TestFirstLaneExact is the sibling of TestLaneMasksExact for the span
-// scanners, whose borrow-tolerant zero test (firstZero) promises only
+// scanner, whose borrow-tolerant zero test (firstZero) promises only
 // its lowest set lane: every adjacent-octet pair, placed at every lane
 // position of a word of filler — so the pair that borrows (7E 7F,
 // 7D 7C, 7D 7E) sits below, at and above the first real delimiter —
@@ -226,9 +227,6 @@ func TestFirstLaneExact(t *testing.T) {
 				}
 				if got := DelimiterSpan(w); got != want {
 					t.Fatalf("DelimiterSpan(% x) = %d, want %d", w, got, want)
-				}
-				if got, want := findFlag(w), index(w, func(c byte) bool { return c == Flag }); got != want {
-					t.Fatalf("findFlag(% x) = %d, want %d", w, got, want)
 				}
 			}
 		}
@@ -409,6 +407,6 @@ func BenchmarkStuffBlock(b *testing.B) {
 	dst := make([]byte, 0, 4096)
 	b.SetBytes(int64(len(p)))
 	for i := 0; i < b.N; i++ {
-		dst = StuffBlock(dst[:0], p, ACCMNone)
+		dst = stuffBlock(dst[:0], p, ACCMNone)
 	}
 }

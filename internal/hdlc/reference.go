@@ -53,6 +53,13 @@ func (t *ReferenceTokenizer) Feed(out []Token, chunk []byte) []Token {
 	return out
 }
 
+// push appends one destuffed octet to the in-progress frame, policing
+// MaxFrame.
+func (t *ReferenceTokenizer) push(b byte) {
+	t.arena = append(t.arena, b)
+	t.oversize(len(t.arena))
+}
+
 // referenceCheck is the per-octet frame check: the Sarwate table walked
 // over body, FCS field included, must land on the magic residue.
 func referenceCheck(mode crc.Size, body []byte) bool {

@@ -97,39 +97,26 @@ func stuffWord(x uint32, n int, m hdlc.ACCM) (uint64, int) {
 // nothing beyond dst growth: the worst case is reserved once and every
 // octet stored by index. The frame is the unit of the fold, one
 // crc.Size.Update over the contiguous payload from the Header's
-// register. The payload goes out as escape-free spans located by the
-// SWAR scanner and copied in bulk; where the scanner comes back with
-// less than a word the input is dense in escapes and the next block
-// takes the branch-free block stuffer, so the cost per octet does not
-// depend on where the escapes fall. shareFlag elides the opening flag
-// after a previous closing flag.
+// register. The payload goes out through the block kernel
+// (hdlc.AppendStuffed): clean runs by memmove, escapes by a walk over
+// each 64-octet block's delimiter bitmap, so the cost per octet does
+// not depend on where the escapes fall. shareFlag elides the opening
+// flag after a previous closing flag.
 func (h *Header) Append(dst, payload []byte, shareFlag bool) []byte {
 	j := len(dst)
-	// Flag, head and FCS stored as whole words (8 + 8), 2 per octet, flag.
-	dst = slices.Grow(dst, 2*len(payload)+18)[:j+2*len(payload)+18]
+	// Flag, head and FCS stored as whole words (8 + 8), 2 per octet and
+	// the block kernel's slack, flag: reserved once.
+	dst = slices.Grow(dst, 2*len(payload)+hdlc.BlockOctets+18)[:j+9]
 	if !shareFlag || j == 0 || dst[j-1] != hdlc.Flag {
 		dst[j] = hdlc.Flag
 		j++
 	}
 	binary.LittleEndian.PutUint64(dst[j:], h.head)
-	j += h.n
 	v := h.fcs.Finish(h.fcs.Update(h.reg, payload))
-	for src := payload; len(src) > 0; {
-		n := hdlc.EscapeSpan(src, h.accm)
-		if n < 8 && n < len(src) {
-			n = min(len(src), hdlc.BlockOctets)
-			j = len(hdlc.StuffBlock(dst[:j], src[:n], h.accm))
-		} else {
-			j += copy(dst[j:], src[:n])
-			if n < len(src) {
-				dst[j], dst[j+1] = hdlc.Escape, src[n]^hdlc.XorBit
-				j += 2
-				n++
-			}
-		}
-		src = src[n:]
-	}
+	dst = hdlc.AppendStuffed(dst[:j+h.n], payload, h.accm)
+	j = len(dst)
 	tail, n := stuffWord(v, h.fcs.Bytes(), h.accm) // stuffed, not self-covered
+	dst = dst[:j+9]
 	binary.LittleEndian.PutUint64(dst[j:], tail)
 	dst[j+n] = hdlc.Flag
 	return dst[:j+n+1]

@@ -2,6 +2,7 @@ package ppp
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 
 	"repro/internal/crc"
@@ -48,6 +49,32 @@ func FuzzFusedEncode(f *testing.F) {
 	f.Add([]byte{}, uint16(ProtoLCP), true, true, true, true, uint32(0xA5A5A5A5))
 	f.Add(bytes.Repeat([]byte{0x7E}, 64), uint16(0x0057), false, true, true, false, uint32(1))
 	f.Add(bytes.Repeat([]byte{0x42}, 1500), uint16(0x002D), true, false, false, false, uint32(0))
+	// Block edges of the payload, where the block kernel cuts: an escape
+	// as octet 63/64/65, 7D ending a block with 7D/7E opening the next, a
+	// dense block run that turns sparse, a mapped control character in a
+	// dirty block, and 2 % at random over 1500 octets.
+	for _, at := range []int{63, 64, 65} {
+		p := bytes.Repeat([]byte{0x42}, 200)
+		p[at] = hdlc.Flag
+		f.Add(p, uint16(ProtoIPv4), false, false, false, false, uint32(0))
+	}
+	for _, next := range []byte{hdlc.Escape, hdlc.Flag} {
+		p := bytes.Repeat([]byte{0x42}, 130)
+		p[63], p[64] = hdlc.Escape, next
+		f.Add(p, uint16(ProtoIPv4), false, false, false, true, uint32(0))
+	}
+	dense := append(bytes.Repeat([]byte{0x7E, 0x7D, 0x11}, 60), bytes.Repeat([]byte{0x42}, 200)...)
+	f.Add(dense, uint16(ProtoIPv4), false, false, false, false, uint32(0))
+	f.Add(dense[150:], uint16(ProtoIPv4), false, false, true, false, uint32(0x000A0000))
+	rng := rand.New(rand.NewSource(1))
+	random := make([]byte, 1500)
+	for i := range random {
+		random[i] = byte(rng.Intn(256))
+		if rng.Intn(50) == 0 {
+			random[i] = hdlc.Flag - byte(rng.Intn(2))
+		}
+	}
+	f.Add(random, uint16(ProtoIPv4), false, false, false, true, uint32(0))
 	f.Fuzz(func(t *testing.T, payload []byte, proto uint16, pfc, acfc, fcs16, share bool, accm uint32) {
 		cfg := Config{PFC: pfc, ACFC: acfc, ACCM: hdlc.ACCM(accm)}
 		if fcs16 {

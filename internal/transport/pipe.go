@@ -1,6 +1,9 @@
 package transport
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // Pipe is the in-process line transport: a pair of directly-connected
 // endpoints whose Send lands in the peer's receive queue. It is the
@@ -17,7 +20,7 @@ type Pipe struct {
 	peer *Pipe
 
 	mu     sync.Mutex
-	closed bool
+	closed atomic.Bool // set under mu; Send reads it without
 	st     Stats
 
 	// Receive queue: chunk spans into an arena, double-buffered at
@@ -47,19 +50,21 @@ func NewPipePair() (a, z *Pipe) {
 	return a, z
 }
 
-// Send copies p into the peer's receive queue.
+// Send copies b into the peer's receive queue. A closed end returns
+// ErrClosed before touching anything, as the socket transports do; an
+// open end whose peer is closed drops the chunk and counts it in
+// TxDropped.
 func (p *Pipe) Send(b []byte) error {
+	if p.closed.Load() {
+		return ErrClosed
+	}
 	q := p.peer
 	q.mu.Lock()
-	if q.closed {
+	if q.closed.Load() {
 		q.mu.Unlock()
 		p.mu.Lock()
-		closed := p.closed
 		p.st.TxDropped++
 		p.mu.Unlock()
-		if closed {
-			return ErrClosed
-		}
 		return nil
 	}
 	q.rx.arena = append(q.rx.arena, b...)
@@ -69,10 +74,6 @@ func (p *Pipe) Send(b []byte) error {
 	q.mu.Unlock()
 
 	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return ErrClosed
-	}
 	p.st.TxChunks++
 	p.st.TxBytes += uint64(len(b))
 	p.mu.Unlock()
@@ -101,9 +102,7 @@ func (p *Pipe) Tick(now int64) {}
 // Up always reports true: an in-process line cannot lose its peer.
 // Inject transport faults through fault.Transport to model loss.
 func (p *Pipe) Up() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return !p.closed
+	return !p.closed.Load()
 }
 
 // Stats returns a snapshot of the endpoint's counters.
@@ -117,7 +116,7 @@ func (p *Pipe) Stats() Stats {
 // fail or drop.
 func (p *Pipe) Close() error {
 	p.mu.Lock()
-	p.closed = true
+	p.closed.Store(true)
 	p.mu.Unlock()
 	return nil
 }

@@ -57,6 +57,39 @@ func TestPipePairExchange(t *testing.T) {
 	}
 }
 
+// TestPipeClosedEndDeliversNothing: Send on a closed end fails before
+// it touches the peer, as UDP and TCP do, so the sender's TxChunks and
+// the peer's RxChunks never disagree; the open end's sends to it are
+// dropped and counted.
+func TestPipeClosedEndDeliversNothing(t *testing.T) {
+	a, z := NewPipePair()
+	a.Close()
+	if err := a.Send([]byte{1, 2, 3}); err != ErrClosed {
+		t.Fatalf("Send on a closed end = %v, want ErrClosed", err)
+	}
+	if got := z.Recv(nil); len(got) != 0 {
+		t.Fatalf("peer received %d chunks from a closed end", len(got))
+	}
+	if st := z.Stats(); st.RxChunks != 0 || st.RxBytes != 0 {
+		t.Fatalf("peer stats after a closed end's send: %+v", st)
+	}
+	if st := a.Stats(); st.TxChunks != 0 || st.TxDropped != 0 {
+		t.Fatalf("closed end's stats: %+v", st)
+	}
+	if err := z.Send([]byte{4}); err != nil {
+		t.Fatalf("Send to a closed peer = %v, want a silent drop", err)
+	}
+	if st := z.Stats(); st.TxChunks != 0 || st.TxDropped != 1 {
+		t.Fatalf("open end's stats after sending to a closed peer: %+v", st)
+	}
+	if got := a.Recv(nil); len(got) != 0 {
+		t.Fatalf("closed end received %d chunks", len(got))
+	}
+	if a.Up() || !z.Up() {
+		t.Fatalf("Up: closed end %t, open end %t", a.Up(), z.Up())
+	}
+}
+
 func TestUDPPairExchange(t *testing.T) {
 	cfg := Config{}
 	ln, err := NewUDP(UDPConfig{Config: cfg, ListenAddr: "127.0.0.1:0"})
