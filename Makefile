@@ -31,7 +31,8 @@ gates:
 	$(GO) test -tags gates -run '^TestGate' -count=1 -v .
 
 # Smoke: every benchmark of the root package, the FCS kernel, the
-# stuffing word path (BenchmarkStuffByte, BenchmarkStuffBlock), the RTL
+# stuffing word path (BenchmarkStuffByte, BenchmarkStuffBlock) and the
+# delimiter bitmap (BenchmarkBlockMaps, the SSE2 kernel on amd64), the RTL
 # kernel's dispatch (BenchmarkKernelCycle, ns/cycle with no unit work),
 # the P5's resync buffer (BenchmarkResyncBuffer, one word pushed and
 # packed at W = 4) and the SONET map/demap runs once (CI runs this same

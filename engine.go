@@ -279,8 +279,8 @@ func NewEngine(cfg EngineConfig) *Engine {
 		// negotiation must never look like a looped-back line. The
 		// derivation is shared by both remote roles, so two single-ended
 		// engines meeting over sockets agree on who is who.
-		acfg.Magic = uint32(0xA0000001 + i*2)
-		zcfg.Magic = uint32(0xA0000002 + i*2)
+		acfg.Magic = 0xA0000001 + uint32(i)*2
+		zcfg.Magic = 0xA0000002 + uint32(i)*2
 		if acfg.IPAddr == ([4]byte{}) {
 			acfg.IPAddr = [4]byte{10, byte(i >> 8), byte(i), 1}
 			zcfg.IPAddr = [4]byte{10, byte(i >> 8), byte(i), 2}

@@ -3,6 +3,7 @@ package hdlc
 import (
 	"bytes"
 	"encoding/binary"
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -196,6 +197,65 @@ func TestLaneMasksExact(t *testing.T) {
 				}
 			}
 			blk[pos], blk[pos+1] = 0x55, 0x55
+		}
+	}
+}
+
+// TestBlockMapsExact holds blockMaps to the byte-wise definition
+// across blocks and alignments: every length 0…1100 (past mapBlocks
+// whole blocks), at every start offset 0…15 inside a larger buffer, at
+// a random density per input, under ACCMNone and a holed map. Every
+// returned map must equal ACCM.Escaped octet by octet, the count must
+// be min(whole blocks, mapBlocks) or the first dense block's index + 1,
+// and no map past the count may be written.
+func TestBlockMapsExact(t *testing.T) {
+	const ctl = ACCM(0x000A0001) // NUL, DC1, DC3: a map with holes
+	const sentinel = 0x5A5A5A5A5A5A5A5A
+	marked := []byte{Flag, Escape, 0x7C, 0x7F, 0x00, 0x01, 0x11, 0x13, 0x5E, 0x5D}
+	densities := []float64{0, 0.005, 0.02, 0.08, 0.12, 0.15, 0.3, 0.6}
+	rng := rand.New(rand.NewSource(31))
+	buf := make([]byte, 16+1100)
+	var maps [mapBlocks]uint64
+	for n := 0; n <= 1100; n++ {
+		for align := 0; align < 16; align++ {
+			src := buf[align : align+n]
+			d := densities[rng.Intn(len(densities))]
+			for i := range src {
+				src[i] = byte(rng.Intn(256))
+				if rng.Float64() < d {
+					src[i] = marked[rng.Intn(len(marked))]
+				}
+			}
+			for _, m := range []ACCM{ACCMNone, ctl} {
+				for i := range maps {
+					maps[i] = sentinel
+				}
+				got := blockMaps(&maps, src, m)
+				want := min(n/BlockOctets, mapBlocks)
+				for i := range want {
+					var bm uint64
+					for j, c := range src[i*BlockOctets : (i+1)*BlockOctets] {
+						if m.Escaped(c) {
+							bm |= 1 << j
+						}
+					}
+					if maps[i] != bm {
+						t.Fatalf("n=%d align=%d m=%#x: block %d map %016x, want %016x", n, align, m, i, maps[i], bm)
+					}
+					if bits.OnesCount64(bm) > denseBits {
+						want = i + 1
+						break
+					}
+				}
+				if got != want {
+					t.Fatalf("n=%d align=%d m=%#x: %d maps, want %d", n, align, m, got, want)
+				}
+				for i := got; i < mapBlocks; i++ {
+					if maps[i] != sentinel {
+						t.Fatalf("n=%d align=%d m=%#x: map %d past the count written", n, align, m, i)
+					}
+				}
+			}
 		}
 	}
 }
@@ -408,5 +468,19 @@ func BenchmarkStuffBlock(b *testing.B) {
 	b.SetBytes(int64(len(p)))
 	for i := 0; i < b.N; i++ {
 		dst = stuffBlock(dst[:0], p, ACCMNone)
+	}
+}
+
+// BenchmarkBlockMaps is the delimiter bitmap alone: 1536 clean octets,
+// the 24 blocks of a link_mtu frame, mapped mapBlocks at a time as the
+// block kernels map them.
+func BenchmarkBlockMaps(b *testing.B) {
+	p := makePayload(1536, 0, 1)
+	var maps [mapBlocks]uint64
+	b.SetBytes(int64(len(p)))
+	for i := 0; i < b.N; i++ {
+		for s := p; len(s) >= BlockOctets; {
+			s = s[blockMaps(&maps, s, ACCMNone)*BlockOctets:]
+		}
 	}
 }

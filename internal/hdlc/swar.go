@@ -9,10 +9,11 @@ import (
 // Word-parallel stuffing. The hardware problem (paper §3, Figs 5 and 6) is
 // that on a W-byte datapath a flag/escape can sit in any lane, so one
 // input word can expand to up to 2W output bytes (stuffing) or collapse
-// leaving bubbles (destuffing). In software the analog is SWAR: all eight
-// lanes of a 64-bit word are tested for 0x7E/0x7D in a handful of ALU
-// operations, eight words make a 64-octet block's delimiter bitmap, and
-// the block kernels walk its set bits.
+// leaving bubbles (destuffing). In software the analog is SWAR: every
+// lane of a word tested for 0x7E/0x7D at once — sixteen per SSE2
+// compare on amd64 (delim_amd64.s), eight per 64-bit word in ALU
+// operations elsewhere — into a 64-octet block's delimiter bitmap, whose
+// set bits the block kernels walk.
 
 const (
 	lsbMask = 0x0101010101010101
@@ -21,11 +22,10 @@ const (
 
 // Lane-mask contract: zeroLanes, matchLanes, delimLanes and escLanes have
 // bit 8i+7 set iff lane i matches and no other bit set, exactly, in every
-// lane — blockMaps folds all eight lanes of eight words into a bitmap.
-// TestLaneMasksExact pins that over every adjacent-octet pair, and
-// blockMaps over every pair at every octet position of a block. The span
-// scanner (DelimiterSpan) only reads the lowest set lane and takes the
-// shorter firstZero, which TestFirstLaneExact holds to the byte loop.
+// lane — the Go block folds OR all eight lanes of eight words. Held by
+// TestLaneMasksExact over every adjacent-octet pair, and blockMaps by
+// TestBlockMapsExact. The span scanner (DelimiterSpan) reads only the
+// lowest set lane: firstZero, held by TestFirstLaneExact.
 
 // zeroLanes returns a mask with bit 8i+7 set iff byte lane i of x is
 // zero. The per-lane add cannot carry out of a lane: the top bit of
@@ -137,46 +137,39 @@ const mapBlocks = 16
 // word path does not need the blocks after it mapped), and returns how
 // many. Bit i of a block's map is set iff its octet i needs escaping
 // under map m (under m = 0: iff it is a Flag or an Escape, the receive
-// kernel's question too). Word w's exact lane mask lands lane i on bit
-// 8i+w, two operations a word with no branch on the data, and a block
-// with a bit set has three delta swaps transpose the 8×8 bit matrix into
-// octet order (Hacker's Delight §7-3). Mapping ahead in a loop of its
-// own keeps the lane tests free of the walk's state.
+// kernel's question too). Under m = 0 (SONET/SDH links, and every
+// receive) that is delimMaps: the SSE2 kernel on amd64, the Go fold
+// elsewhere. Under a non-empty map mappedLanes folds the lanes and
+// transpose reorders them. Mapping ahead in a loop of its own keeps the
+// lane tests free of the walk's state.
 func blockMaps(maps *[mapBlocks]uint64, src []byte, m ACCM) int {
-	le := binary.LittleEndian
+	if m == 0 {
+		return delimMaps(maps, src)
+	}
 	k := min(len(src)/BlockOctets, mapBlocks)
 	for i := range k {
-		blk := (*[BlockOctets]byte)(src[i*BlockOctets:])
-		var t uint64
-		if m == 0 {
-			t = delimLanes(le.Uint64(blk[0:])) >> 7
-			t |= delimLanes(le.Uint64(blk[8:])) >> 6
-			t |= delimLanes(le.Uint64(blk[16:])) >> 5
-			t |= delimLanes(le.Uint64(blk[24:])) >> 4
-			t |= delimLanes(le.Uint64(blk[32:])) >> 3
-			t |= delimLanes(le.Uint64(blk[40:])) >> 2
-			t |= delimLanes(le.Uint64(blk[48:])) >> 1
-			t |= delimLanes(le.Uint64(blk[56:]))
-		} else {
-			t = mappedLanes(blk, m)
-		}
-		if maps[i] = 0; t == 0 {
-			continue
-		}
-		d := (t ^ t>>7) & 0x00AA00AA00AA00AA
-		t ^= d ^ d<<7
-		d = (t ^ t>>14) & 0x0000CCCC0000CCCC
-		t ^= d ^ d<<14
-		d = (t ^ t>>28) & 0x00000000F0F0F0F0
-		if maps[i] = t ^ d ^ d<<28; isDense(maps[i]) {
+		t := mappedLanes((*[BlockOctets]byte)(src[i*BlockOctets:]), m)
+		if maps[i] = transpose(t); isDense(maps[i]) {
 			return i + 1
 		}
 	}
 	return k
 }
 
-// mappedLanes is blockMaps' lane fold under a non-empty map, kept out
-// of its loop: escLanes filters control characters lane by lane.
+// transpose moves bit 8i+w of a block's lane fold (lane i of word w) to
+// octet order, bit 8w+i: three delta swaps of the 8×8 bit matrix
+// (Hacker's Delight §7-3).
+func transpose(t uint64) uint64 {
+	d := (t ^ t>>7) & 0x00AA00AA00AA00AA
+	t ^= d ^ d<<7
+	d = (t ^ t>>14) & 0x0000CCCC0000CCCC
+	t ^= d ^ d<<14
+	d = (t ^ t>>28) & 0x00000000F0F0F0F0
+	return t ^ d ^ d<<28
+}
+
+// mappedLanes is the lane fold under a non-empty map: word w's escLanes
+// mask, which filters control characters lane by lane, on bit 8i+w.
 func mappedLanes(blk *[BlockOctets]byte, m ACCM) (t uint64) {
 	for w := 0; w < 8; w++ {
 		t |= escLanes(binary.LittleEndian.Uint64(blk[8*w:]), m) >> (7 - w)

@@ -1,8 +1,12 @@
 #!/bin/sh
 # verify.sh — the repo's full verification gate, a list of commands:
 #   gofmt, go vet (with and without the gates tag), go build,
-#   go test -race, the three timing gates (gates_test.go; the OC-48
-#   floor covers the codecs, the Link pair and the STM-16 section),
+#   go test -race, the portable Go delimiter fold that amd64 replaces
+#   with an SSE2 kernel (GOARCH=386 go test of internal/hdlc and
+#   internal/ppp, GOARCH=arm64 go vet of internal/hdlc; go vet ./...
+#   above runs asmdecl on the kernel itself), the three timing gates
+#   (gates_test.go; the OC-48 floor covers the codecs, the Link pair
+#   and the STM-16 section),
 #   every scenarios/*.json run through p5sim (each graded by its own
 #   assertions), the scenarios/net/*.json socket engines as two p5sim
 #   halves each, a 30s differential fuzz of each fused kernel — the one production
@@ -43,6 +47,15 @@ go test -race -count 2 ./internal/telemetry
 
 echo "== go test -race =="
 go test -race ./...
+
+echo "== portable delimiter fold (GOARCH=386 test, GOARCH=arm64 vet) =="
+# amd64 maps delimiters with delim_amd64.s; every other GOARCH runs the
+# Go fold in delim_other.go, which an amd64 build never compiles. 386
+# binaries run on an amd64 host, so the codec tests (TestBlockMapsExact,
+# the guard-page test, the fused-path tests) run against the fold too;
+# the arm64 vet checks the fold on a 64-bit GOARCH.
+GOARCH=386 go test ./internal/hdlc ./internal/ppp
+GOARCH=arm64 go vet ./internal/hdlc
 
 echo "== timing gates (flight ≤ 5%, stage profile ≤ 8%, OC-48 floor: codecs, Link pair, STM-16 section) =="
 go test -tags gates -run '^TestGate' -count=1 -v .
