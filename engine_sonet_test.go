@@ -24,9 +24,7 @@ func TestEngineOverSONET(t *testing.T) {
 	var as, zs [links]*sonet.Line
 	e := NewEngine(EngineConfig{
 		Links: links, Shards: 2, PayloadSize: 512, Batch: batch,
-		// A line has a round trip — a frame time out, a step to answer,
-		// a frame time back — and the restart timer must outlast it.
-		Link: LinkConfig{Supervise: true, RetryMin: 8, RetryMax: 64, RestartPeriod: 8},
+		Link: LinkConfig{Supervise: true, RetryMin: 8, RetryMax: 64},
 		Transport: func(port int) (a, z transport.LineTransport) {
 			as[port], zs[port] = sonet.NewLinePair(sonet.STM16)
 			return as[port], zs[port]

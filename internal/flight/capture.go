@@ -211,9 +211,10 @@ func (c *Capture) Encode() ([]byte, error) {
 
 type sectionReader struct{ buf []byte }
 
-func (r *sectionReader) need(n int) bool { return len(r.buf) >= n }
-func (r *sectionReader) u8() uint8       { v := r.buf[0]; r.buf = r.buf[1:]; return v }
-func (r *sectionReader) skip(n int)      { r.buf = r.buf[n:] }
+// need compares unsigned: as an int, a length ≥ 2³¹ is negative on 386.
+func (r *sectionReader) need(n uint32) bool { return uint64(len(r.buf)) >= uint64(n) }
+func (r *sectionReader) u8() uint8          { v := r.buf[0]; r.buf = r.buf[1:]; return v }
+func (r *sectionReader) skip(n int)         { r.buf = r.buf[n:] }
 func (r *sectionReader) u16() uint16 {
 	v := binary.LittleEndian.Uint16(r.buf)
 	r.buf = r.buf[2:]
@@ -233,8 +234,8 @@ func (r *sectionReader) str16() (string, error) {
 	if !r.need(2) {
 		return "", fmt.Errorf("flight: truncated string")
 	}
-	n := int(r.u16())
-	if !r.need(n) {
+	n := r.u16()
+	if !r.need(uint32(n)) {
 		return "", fmt.Errorf("flight: truncated string body")
 	}
 	s := string(r.buf[:n])
@@ -259,12 +260,12 @@ func Decode(data []byte) (*Capture, error) {
 		}
 		typ := r.u16()
 		r.u16() // flags
-		n := int(r.u32())
+		n := r.u32()
 		if !r.need(n) {
 			return nil, fmt.Errorf("flight: truncated section %d (%d of %d bytes)", typ, len(r.buf), n)
 		}
 		body := sectionReader{buf: r.buf[:n]}
-		r.skip(n)
+		r.skip(int(n))
 		switch typ {
 		case secMeta:
 			if !body.need(24) {
@@ -301,8 +302,8 @@ func Decode(data []byte) (*Capture, error) {
 			if !body.need(4) {
 				return nil, fmt.Errorf("flight: short regs section")
 			}
-			n := int(body.u32())
-			for i := 0; i < n; i++ {
+			n := body.u32()
+			for i := uint32(0); i < n; i++ {
 				name, err := body.str16()
 				if err != nil {
 					return nil, err

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -211,6 +212,101 @@ func TestCaptureDecodeRejectsGarbage(t *testing.T) {
 	if got.Link != "a" || got.Reason != "oam" {
 		t.Fatalf("meta lost around unknown section: %+v", got)
 	}
+}
+
+// hugeSection is a capture header whose first section claims 2³¹ (or
+// more) octets: a length that an int conversion makes negative on a
+// 32-bit GOARCH.
+func hugeSection(n uint32) []byte {
+	var w sectionWriter
+	w.buf = append(w.buf, captureMagic...)
+	w.u8(captureVersion)
+	w.pad(3)
+	w.u16(secWire)
+	w.u16(0)
+	w.u32(n)
+	w.buf = append(w.buf, "sixteen octets.."...)
+	return w.buf
+}
+
+// TestCaptureDecodeHugeSectionLength: a section or register count at or
+// above 2³¹ is truncation, not a negative length that slips past the
+// bounds check (run under GOARCH=386 by scripts/verify.sh).
+func TestCaptureDecodeHugeSectionLength(t *testing.T) {
+	for _, n := range []uint32{1 << 31, 1<<31 + 1, 1<<32 - 1} {
+		if _, err := Decode(hugeSection(n)); err == nil {
+			t.Errorf("section length %#x accepted", n)
+		}
+	}
+	c := &Capture{Link: "a", Reason: "oam", Regs: []RegSample{{Name: "x", Value: 1}}}
+	data, _ := c.Encode()
+	count := bytes.Index(data, []byte{1, 0, 0, 0, 1, 0, 'x'}) // regs: count u32, str16 "x"
+	if count < 0 {
+		t.Fatal("regs section not found")
+	}
+	data[count+3] = 0x80 // 2³¹ + 1 registers
+	if _, err := Decode(data); err == nil {
+		t.Error("register count 2³¹+1 accepted")
+	}
+}
+
+// FuzzCaptureDecode: p5trace reads capture files it did not write, so
+// any input is an error or a capture, never a panic, and what Decode
+// allocates is bounded by the input's size. The input also rides a
+// capture's every field through Encode → Decode unchanged (event
+// strings as valid UTF-8: the events section is JSON). Seeds: a
+// recorder's capture and the 2³¹ section header.
+func FuzzCaptureDecode(f *testing.F) {
+	r := NewRecorder(nil, "port0_a", testCfg())
+	r.RegDump = func(dst []RegSample) []RegSample {
+		return append(dst, RegSample{Name: "alarm", Value: 0x30})
+	}
+	r.TapRx([]byte{0x7E, 0xFF, 0x03, 0xC0, 0x21, 0x01, 0x01, 0x00, 0x04, 0x7D, 0x5E, 0x7E})
+	r.Event(7, "restart", "backoff", 2, 8)
+	r.Trigger("transport-los")
+	r.AdoptIncident(0xFEED, "transport-los", 40, 1234)
+	recorded, err := r.Recent()[0].Encode()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(recorded)
+	f.Add(hugeSection(1 << 31))
+	f.Add(hugeSection(1<<32 - 1))
+	f.Add([]byte("P5FR\x01\x00\x00\x00"))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, in []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		Decode(in)
+		runtime.ReadMemStats(&after)
+		if n := after.TotalAlloc - before.TotalAlloc; n > 256*uint64(len(in))+64<<10 {
+			t.Fatalf("Decode of %d octets allocated %d bytes", len(in), n)
+		}
+
+		s, v := string(in), uint64(len(in))
+		u := strings.ToValidUTF8(s, "?")
+		c := &Capture{
+			Link: s, Reason: s, Seq: v, Now: -int64(v), WallNs: int64(v) << 20,
+			RxBase: v, RxWire: in, TxBase: ^v, TxWire: in,
+			Events:   []telemetry.Event{{Seq: v, At: 1, Scope: u, Name: u, Detail: u, V1: -1, V2: int64(v)}},
+			Regs:     []RegSample{{Name: s, Value: v}, {Name: "", Value: ^v}},
+			Incident: v | 1, FromPeer: v%2 == 0, PeerNow: 3, PeerWallNs: -4, ClockOffsetNS: int64(v), TickOffset: -5,
+		}
+		if len(in) == 0 { // no octets: nil wire, and no tx section to carry TxBase
+			c.RxWire, c.TxBase, c.TxWire = nil, 0, nil
+		}
+		data, err := c.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Decode(data)
+		if err != nil {
+			t.Fatalf("Decode of an encoded capture: %v", err)
+		}
+		if !reflect.DeepEqual(got, c) {
+			t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, c)
+		}
+	})
 }
 
 func TestCaptureFileAtomicWrite(t *testing.T) {

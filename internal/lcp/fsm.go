@@ -36,11 +36,17 @@ const (
 	DefaultMaxConfigure = 10
 	DefaultMaxTerminate = 2
 	DefaultMaxFailure   = 5
-	// DefaultRestartPeriod is the restart timer in virtual time units.
-	// The automaton is driven by an abstract monotonic clock (Advance),
-	// so the unit is whatever the caller uses — seconds, cycles, ...
+	// DefaultRestartPeriod is the restart timer in virtual time units
+	// (Advance's clock: seconds, cycles, ...) until a round trip has
+	// been measured, and its floor after.
 	DefaultRestartPeriod = 3
 )
+
+// maxRestartPeriod caps the measured timer, so a peer that delays its
+// Acks can hold a negotiation at most MaxConfigure × 1024 ticks before
+// TO- gives up. 1024 is four round trips of a 128-tick line: a cold
+// timer backing off from 3 still catches its Acks by the 8th request.
+const maxRestartPeriod = 1024
 
 // Policy supplies the protocol-specific option semantics to the generic
 // automaton. LCP and the NCPs (package ipcp) differ only in their Policy.
@@ -86,10 +92,9 @@ type Automaton struct {
 	OnTransition func(from, to State)
 
 	// Restart parameters; zero values take the RFC defaults.
-	MaxConfigure  int
-	MaxTerminate  int
-	MaxFailure    int
-	RestartPeriod int64
+	MaxConfigure int
+	MaxTerminate int
+	MaxFailure   int
 
 	state    State
 	restart  int  // restart counter
@@ -100,6 +105,12 @@ type Automaton struct {
 	now      int64
 	deadline int64 // virtual-time restart timer; 0 = stopped
 
+	// RFC 6298's timer over Configure round trips (eighths of a tick,
+	// kept across negotiations), doubled per expiry until a sample or irc.
+	sentAt       int64 // tick the unanswered Configure-Request left; -1 = none
+	srtt, rttvar int64
+	backoff      uint
+
 	// Stats for the OAM register file.
 	TxPackets, RxPackets   uint64
 	RxBadPackets, Timeouts uint64
@@ -107,7 +118,7 @@ type Automaton struct {
 
 // NewAutomaton returns an automaton in the Initial state.
 func NewAutomaton(send func(*Packet), policy Policy, hooks Hooks) *Automaton {
-	return &Automaton{Send: send, Policy: policy, Hooks: hooks, state: Initial}
+	return &Automaton{Send: send, Policy: policy, Hooks: hooks, state: Initial, sentAt: -1}
 }
 
 // State reports the current automaton state.
@@ -134,11 +145,28 @@ func (a *Automaton) maxFailure() int {
 	return a.MaxFailure
 }
 
+// restartPeriod is srtt + max(1, 4·rttvar), doubled per backoff, within
+// [DefaultRestartPeriod, maxRestartPeriod].
 func (a *Automaton) restartPeriod() int64 {
-	if a.RestartPeriod == 0 {
-		return DefaultRestartPeriod
+	rto := max((a.srtt+max(8, 4*a.rttvar)+7)>>3, DefaultRestartPeriod)
+	return min(rto<<a.backoff, maxRestartPeriod)
+}
+
+// measure samples a reply to the outstanding Configure-Request. Its
+// identifier is fresh per request, so the sample is never ambiguous.
+func (a *Automaton) measure() {
+	if a.sentAt < 0 {
+		return
 	}
-	return a.RestartPeriod
+	r := (a.now - a.sentAt) << 3
+	a.sentAt, a.backoff = -1, 0
+	if a.srtt == 0 { // the first sample (zero-tick ones leave no trace)
+		a.srtt, a.rttvar = r, r/2
+		return
+	}
+	d := r - a.srtt
+	a.srtt += d >> 3
+	a.rttvar += (max(d, -d) - a.rttvar) >> 2
 }
 
 // --- primitive actions (RFC 1661 §4.4) ---
@@ -172,6 +200,7 @@ func (a *Automaton) stopTimer()  { a.deadline = 0 }
 
 // irc initialises the restart counter for configure or terminate.
 func (a *Automaton) irc(terminate bool) {
+	a.backoff = 0
 	if terminate {
 		a.restart = a.maxTerminate()
 	} else {
@@ -200,6 +229,7 @@ func (a *Automaton) scr() {
 	a.send(&Packet{Code: ConfigureRequest, ID: a.id, Data: MarshalOptions(nil, a.reqOpts)})
 	a.restart--
 	a.startTimer()
+	a.sentAt = a.now
 }
 
 func (a *Automaton) sca(id byte, opts []Option) {
@@ -224,6 +254,7 @@ func (a *Automaton) scn(id byte, naks, rejs []Option) {
 
 func (a *Automaton) str() {
 	a.id++
+	a.sentAt = -1
 	a.send(&Packet{Code: TerminateRequest, ID: a.id})
 	a.restart--
 	a.startTimer()
@@ -235,6 +266,7 @@ func (a *Automaton) sta(id byte) {
 
 func (a *Automaton) scj(bad *Packet) {
 	a.id++
+	a.sentAt = -1
 	a.send(&Packet{Code: CodeReject, ID: a.id, Data: bad.Marshal(nil)})
 }
 
@@ -342,6 +374,9 @@ func (a *Automaton) Advance(now int64) {
 		return
 	}
 	a.Timeouts++
+	if a.restartPeriod() < maxRestartPeriod {
+		a.backoff++
+	}
 	if a.restart > 0 {
 		a.timeoutRetry()
 	} else {

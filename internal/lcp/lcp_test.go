@@ -344,6 +344,66 @@ func TestTimeoutGivesUpAfterMaxConfigure(t *testing.T) {
 	}
 }
 
+// TestRestartTimerEstimator pins the measured restart timer: the RFC
+// default before any sample and its floor after, doubling per expiry
+// until a reply is sampled, srtt + 4·rttvar from the samples, the
+// backoff (not the estimate) reset by a new negotiation, and the cap.
+func TestRestartTimerEstimator(t *testing.T) {
+	a := NewAutomaton(func(*Packet) {}, NewLCPPolicy(1), Hooks{})
+	armed := func() int64 { return a.deadline - a.now } // the running timer
+	want := func(what string, period int64) {
+		t.Helper()
+		if got := armed(); got != period {
+			t.Fatalf("%s: timer %d, want %d", what, got, period)
+		}
+	}
+	expire := func() {
+		a.Advance(a.deadline)
+	}
+	// nak answers the outstanding request after rtt ticks (less than
+	// the running timer); RCN sends the next request at once.
+	nak := func(rtt int64) {
+		a.Advance(a.now + rtt)
+		a.Receive(&Packet{Code: ConfigureNak, ID: a.id})
+	}
+
+	a.Open()
+	a.Up()
+	want("cold", DefaultRestartPeriod)
+	for _, p := range []int64{6, 12, 24, 48} {
+		expire()
+		want("unanswered request", p)
+	}
+	nak(40) // first sample: srtt 40, rttvar 20
+	want("after a 40-tick sample", 40+4*20)
+	for _, p := range []int64{240, 480, 960, maxRestartPeriod, maxRestartPeriod} {
+		expire()
+		want("backoff from the estimate", p)
+	}
+	a.Down()
+	a.Up() // a new negotiation: backoff gone, estimate kept
+	want("new negotiation", 120)
+	for _, p := range []int64{240, 480, 960, maxRestartPeriod} {
+		expire()
+		want("backoff after the new negotiation", p)
+	}
+	nak(1000) // srtt 160, rttvar 255: 1180 ticks
+	want("after a 1000-tick sample", maxRestartPeriod)
+
+	// A line faster than the RFC default: one-tick samples drive
+	// rttvar to zero and srtt + 1 to 2 ticks, under the floor.
+	a = NewAutomaton(func(*Packet) {}, NewLCPPolicy(1), Hooks{})
+	a.Open()
+	a.Up()
+	for i := 0; i < 8; i++ {
+		nak(1)
+	}
+	if a.srtt != 8 || a.rttvar != 0 {
+		t.Fatalf("after one-tick samples: srtt %d/8, rttvar %d/8; want 8/8 and 0", a.srtt, a.rttvar)
+	}
+	want("floor", DefaultRestartPeriod)
+}
+
 func TestLossyLinkStillConverges(t *testing.T) {
 	pa := NewLCPPolicy(1)
 	pb := NewLCPPolicy(2)

@@ -18,33 +18,25 @@ func (a *Automaton) Receive(p *Packet) {
 		} else {
 			a.rcrBad(p.ID, naks, rejs)
 		}
-	case ConfigureAck:
+	case ConfigureAck, ConfigureNak, ConfigureReject:
 		if p.ID != a.id {
 			a.RxBadPackets++
 			return
 		}
+		a.measure()
 		opts, err := ParseOptions(p.Data)
-		if err != nil || !optionsEqual(opts, a.reqOpts) {
+		switch {
+		case err != nil, p.Code == ConfigureAck && !optionsEqual(opts, a.reqOpts):
 			a.RxBadPackets++
-			return
-		}
-		a.rca()
-	case ConfigureNak, ConfigureReject:
-		if p.ID != a.id {
-			a.RxBadPackets++
-			return
-		}
-		opts, err := ParseOptions(p.Data)
-		if err != nil {
-			a.RxBadPackets++
-			return
-		}
-		if p.Code == ConfigureNak {
+		case p.Code == ConfigureAck:
+			a.rca()
+		case p.Code == ConfigureNak:
 			a.Policy.HandleNak(opts)
-		} else {
+			a.rcn()
+		default:
 			a.Policy.HandleReject(opts)
+			a.rcn()
 		}
-		a.rcn()
 	case TerminateRequest:
 		a.rtr(p.ID)
 	case TerminateAck:

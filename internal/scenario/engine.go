@@ -38,10 +38,7 @@ func (s *Scenario) runEngine(rc RunConfig, res *Result) error {
 	var ports []transport.LineTransport
 	if socket {
 		cfg.Batch = 4
-		// Real sockets put several ticks under every control round trip;
-		// the RFC default restart timer would retire each request before
-		// its ack lands.
-		cfg.Link = gigapos.LinkConfig{Supervise: true, RetryMin: 8, RetryMax: 256, RestartPeriod: 24}
+		cfg.Link = gigapos.LinkConfig{Supervise: true, RetryMin: 8, RetryMax: 256}
 		cfg.Role = gigapos.RoleA
 		if rc.Dial != "" {
 			cfg.Role = gigapos.RoleZ

@@ -209,6 +209,9 @@ type metric struct {
 // series renders the full series identity: name plus label block.
 func (m *metric) series() string { return seriesName(m.name, m.labels) }
 
+// labelEscaper escapes label values as the exposition format (and ParseText) does.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+
 func seriesName(name string, labels []Label) string {
 	if len(labels) == 0 {
 		return name
@@ -220,7 +223,7 @@ func seriesName(name string, labels []Label) string {
 		if i > 0 {
 			b.WriteByte(',')
 		}
-		fmt.Fprintf(&b, "%s=%q", sanitizeName(l.Key), l.Value)
+		fmt.Fprintf(&b, `%s="%s"`, sanitizeName(l.Key), labelEscaper.Replace(l.Value))
 	}
 	b.WriteByte('}')
 	return b.String()

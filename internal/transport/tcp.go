@@ -298,23 +298,21 @@ func (t *TCP) Tick(now int64) {
 	}
 }
 
-// dial runs one connect attempt off the tick loop.
+// dial runs one connect attempt off the tick loop. dialing stays set
+// until install has marked the line connected, or a Tick in between
+// dials again and the two ends may each keep the connection the other
+// closed.
 func (t *TCP) dial() {
 	c, err := net.DialTimeout("tcp", t.dialAddr, dialTimeout)
+	if err == nil {
+		t.install(c) // closes c if the transport closed meanwhile
+	}
 	t.mu.Lock()
 	t.dialing = false
 	if err != nil {
 		t.retryAt = t.tickNow + t.bo.next()
-		t.mu.Unlock()
-		return
 	}
-	closed := t.closed
 	t.mu.Unlock()
-	if closed {
-		c.Close()
-		return
-	}
-	t.install(c)
 }
 
 // Up reports connection and dead-peer status.

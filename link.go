@@ -55,11 +55,8 @@ type LinkConfig struct {
 	// Auth configures the authentication phase (PAP / CHAP).
 	Auth AuthConfig
 
-	// RestartPeriod overrides the LCP/IPCP restart (retransmit) timer
-	// in virtual time units; 0 keeps the RFC 1661 default. Multi-hop
-	// paths (ring circuits crossing pass-through nodes) need this
-	// longer than the round-trip time or every Configure-Ack arrives
-	// after its request's ID has been retired.
+	// RestartPeriod is read by nothing (the restart timer measures its
+	// line); it stays until the benchmark, its last setter, drops it.
 	RestartPeriod int64
 
 	// EchoPeriod, when non-zero, sends LCP Echo-Requests at this
@@ -228,8 +225,6 @@ func NewLink(cfg LinkConfig) *Link {
 		l.ipcpPol,
 		lcp.Hooks{},
 	)
-	l.lcpA.RestartPeriod = cfg.RestartPeriod
-	l.ipcpA.RestartPeriod = cfg.RestartPeriod
 	l.ipcpA.Open()
 	if cfg.Auth.Require != 0 || cfg.Auth.Identity != "" {
 		l.initAuth()

@@ -26,18 +26,8 @@ type RingLink struct {
 	tel   *telemetry.Mirror // nil until Observe with a Registry
 }
 
-// ringRestartPeriod is the default LCP/IPCP restart timer for ring
-// endpoints. A circuit crosses pass-through nodes store-and-forward,
-// so the control round trip is several ticks — far beyond the RFC
-// default of 3 — and the timer must outlast it or negotiation
-// livelocks retiring every ID before its Ack returns.
-const ringRestartPeriod = 64
-
 // NewRingLink builds a link over a ring circuit endpoint.
 func NewRingLink(cfg LinkConfig, port *topo.Port) *RingLink {
-	if cfg.RestartPeriod == 0 {
-		cfg.RestartPeriod = ringRestartPeriod
-	}
 	rl := &RingLink{Link: NewLink(cfg), Port: port}
 	// The endpoint owns its port's hooks. A selector movement records the
 	// outage it healed and dumps the black box, once a recorder is armed.

@@ -2,9 +2,10 @@
 # verify.sh — the repo's full verification gate, a list of commands:
 #   gofmt, go vet (with and without the gates tag), go build,
 #   go test -race, the portable Go delimiter fold that amd64 replaces
-#   with an SSE2 kernel (GOARCH=386 go test of internal/hdlc and
-#   internal/ppp, GOARCH=arm64 go vet of internal/hdlc; go vet ./...
-#   above runs asmdecl on the kernel itself), the three timing gates
+#   with an SSE2 kernel and the 32-bit decoders (GOARCH=386 go test of
+#   internal/hdlc, internal/ppp, internal/flight and internal/telemetry,
+#   GOARCH=arm64 go vet of internal/hdlc; go vet ./... above runs
+#   asmdecl on the kernel itself), the three timing gates
 #   (gates_test.go; the OC-48 floor covers the codecs, the Link pair
 #   and the STM-16 section),
 #   every scenarios/*.json run through p5sim (each graded by its own
@@ -48,13 +49,15 @@ go test -race -count 2 ./internal/telemetry
 echo "== go test -race =="
 go test -race ./...
 
-echo "== portable delimiter fold (GOARCH=386 test, GOARCH=arm64 vet) =="
+echo "== 32-bit and portable paths (GOARCH=386 test, GOARCH=arm64 vet) =="
 # amd64 maps delimiters with delim_amd64.s; every other GOARCH runs the
 # Go fold in delim_other.go, which an amd64 build never compiles. 386
 # binaries run on an amd64 host, so the codec tests (TestBlockMapsExact,
 # the guard-page test, the fused-path tests) run against the fold too;
-# the arm64 vet checks the fold on a 64-bit GOARCH.
-GOARCH=386 go test ./internal/hdlc ./internal/ppp
+# the arm64 vet checks the fold on a 64-bit GOARCH. The capture decoder
+# and the exposition parser read outside input, and a capture's length
+# fields turn negative as a 32-bit int, so their tests run on 386 too.
+GOARCH=386 go test ./internal/hdlc ./internal/ppp ./internal/flight ./internal/telemetry
 GOARCH=arm64 go vet ./internal/hdlc
 
 echo "== timing gates (flight ≤ 5%, stage profile ≤ 8%, OC-48 floor: codecs, Link pair, STM-16 section) =="

@@ -1,8 +1,11 @@
 package gigapos
 
 import (
+	"bytes"
+	"fmt"
 	"testing"
 
+	"repro/internal/channel"
 	"repro/internal/lcp"
 )
 
@@ -265,5 +268,93 @@ func TestRetryTimesBounded(t *testing.T) {
 		if sup.RetryTimes[i] != sup.RetryTimes[i-1]+1 {
 			t.Fatalf("ring not contiguous at %d: %v", i, sup.RetryTimes[i-3:i+1])
 		}
+	}
+}
+
+// TestRestartTimerMeasuresLine: a supervised pair with no restart
+// period set comes up over a line of any one-way delay, and a one-sided
+// re-open (Down+Up on A) recovers without one restart-timer expiry on
+// any of the four automata — bring-up has measured the line — in
+// 5·delay + 5 ticks. Neither needs a supervisor restart. On a zero-delay
+// line the measured timer is the RFC default: IP-ready at tick 3, the
+// re-open in 5 ticks, as with the fixed timer.
+func TestRestartTimerMeasuresLine(t *testing.T) {
+	for _, delay := range []int64{0, 1, 2, 3, 4, 8, 16, 32, 64, 128} {
+		t.Run(fmt.Sprintf("delay=%d", delay), func(t *testing.T) {
+			a := NewLink(LinkConfig{Magic: 0xA0000001, IPAddr: [4]byte{10, 0, 0, 1}, Supervise: true})
+			z := NewLink(LinkConfig{Magic: 0xA0000002, IPAddr: [4]byte{10, 0, 0, 2}, Supervise: true})
+			ab, za := &channel.Line{Delay: delay}, &channel.Line{Delay: delay}
+			timeouts := func() uint64 {
+				return a.lcpA.Timeouts + a.ipcpA.Timeouts + z.lcpA.Timeouts + z.ipcpA.Timeouts
+			}
+			restarts := func() uint64 { return a.Supervisor().Restarts + z.Supervisor().Restarts }
+			now := int64(-1) // the last tick run; bring-up starts at tick 0
+			step := func() {
+				now++
+				a.Advance(now)
+				z.Advance(now)
+				// Both ends transmit, then both receive: every hop
+				// takes the line's delay plus one tick.
+				if out := a.Output(); len(out) > 0 {
+					ab.Push(now, bytes.Clone(out))
+				}
+				if out := z.Output(); len(out) > 0 {
+					za.Push(now, bytes.Clone(out))
+				}
+				for _, c := range ab.Pop(now, nil) {
+					z.Input(c)
+				}
+				for _, c := range za.Pop(now, nil) {
+					a.Input(c)
+				}
+			}
+			// settle steps until both ends are IP-ready and returns
+			// that tick.
+			settle := func(what string) int64 {
+				for deadline := now + 20000; now < deadline; {
+					step()
+					if a.IPReady() && z.IPReady() {
+						return now
+					}
+				}
+				t.Fatalf("%s: not IP-ready in 20000 ticks (%d timer expiries, %d supervisor restarts)",
+					what, timeouts(), restarts())
+				return 0
+			}
+
+			a.Open()
+			a.Up()
+			z.Open()
+			z.Up()
+			up := settle("bring-up")
+			upTimeouts := timeouts()
+			for i := int64(0); i < 4*delay+8; i++ { // drain the line
+				step()
+			}
+			if !a.IPReady() || !z.IPReady() {
+				t.Fatal("the pair fell out of IP-ready after bring-up")
+			}
+
+			before, down := timeouts(), now
+			a.Down()
+			a.Up()
+			reopen := settle("re-open") - down
+			t.Logf("IP-ready at tick %d (%d timer expiries), re-open in %d ticks, %d supervisor restarts",
+				up, upTimeouts, reopen, restarts())
+			if n := timeouts() - before; n != 0 {
+				t.Errorf("re-open took %d restart-timer expiries, want 0", n)
+			}
+			if n := restarts(); n != 0 {
+				t.Errorf("%d supervisor restarts, want 0", n)
+			}
+			// Five hops: LCP request; LCP Ack and request; IPCP request;
+			// IPCP Ack and request; the last Ack.
+			if reopen != 5*delay+5 {
+				t.Errorf("re-open in %d ticks, want 5·delay + 5 = %d", reopen, 5*delay+5)
+			}
+			if delay == 0 && up != 3 {
+				t.Errorf("zero-delay line IP-ready at tick %d, want 3", up)
+			}
+		})
 	}
 }

@@ -36,16 +36,13 @@ func udpPair(t *testing.T, cfg transport.Config) (ln, dl *transport.UDP) {
 // supervisedPorts builds a supervised link pair carried by the given
 // transports.
 func supervisedPorts(ta, tz transport.LineTransport) (a, z *TransportPort) {
-	// RestartPeriod must exceed the real-socket round trip expressed in
-	// virtual ticks, or every Configure-Ack arrives after its request
-	// timed out and negotiation exhausts MaxConfigure.
 	la := NewLink(LinkConfig{
 		Magic: 0xA0000001, IPAddr: [4]byte{10, 9, 0, 1},
-		Supervise: true, RetryMin: 8, RetryMax: 64, RestartPeriod: 24,
+		Supervise: true, RetryMin: 8, RetryMax: 64,
 	})
 	lz := NewLink(LinkConfig{
 		Magic: 0xA0000002, IPAddr: [4]byte{10, 9, 0, 2},
-		Supervise: true, RetryMin: 8, RetryMax: 64, RestartPeriod: 24,
+		Supervise: true, RetryMin: 8, RetryMax: 64,
 	})
 	la.Open()
 	la.Up()
@@ -317,7 +314,7 @@ func TestEngineRemote(t *testing.T) {
 			}
 			eA := NewEngine(EngineConfig{
 				Links: nLinks, Shards: 1, PayloadSize: 256, Batch: 2,
-				Link: LinkConfig{Supervise: true, RestartPeriod: 24},
+				Link: LinkConfig{Supervise: true},
 				Role: RoleA,
 				Transport: func(port int) (a, z transport.LineTransport) {
 					return listeners[port], nil
@@ -326,7 +323,7 @@ func TestEngineRemote(t *testing.T) {
 			defer eA.Close()
 			eZ := NewEngine(EngineConfig{
 				Links: nLinks, Shards: 1, PayloadSize: 256, Batch: 2,
-				Link: LinkConfig{Supervise: true, RestartPeriod: 24},
+				Link: LinkConfig{Supervise: true},
 				Role: RoleZ,
 				Transport: func(port int) (a, z transport.LineTransport) {
 					dl, err := tr.open(kcfg, "", listeners[port].LocalAddr().String())
