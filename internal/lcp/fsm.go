@@ -44,8 +44,10 @@ const (
 
 // maxRestartPeriod caps the measured timer, so a peer that delays its
 // Acks can hold a negotiation at most MaxConfigure × 1024 ticks before
-// TO- gives up. 1024 is four round trips of a 128-tick line: a cold
-// timer backing off from 3 still catches its Acks by the 8th request.
+// TO- gives up. The carriers here settle well below it (E32): 5–42
+// ticks on pipes, STM-16 lines, rings, the jittered circuit and socket
+// dialers; up to ~550 on a socket listener whose first sample spans
+// its peer's start-up.
 const maxRestartPeriod = 1024
 
 // Policy supplies the protocol-specific option semantics to the generic

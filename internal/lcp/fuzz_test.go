@@ -26,7 +26,8 @@ func FuzzParsePacket(f *testing.F) {
 }
 
 // FuzzParseOptions + automaton: a fuzzed packet must never panic the
-// automaton in any state, and the restart timer stays within
+// automaton in any state — received, after a timeout, and again. Then,
+// on a fresh automaton, the restart timer stays within
 // [DefaultRestartPeriod, maxRestartPeriod] whatever the peer sends and
 // whenever it sends it: each data octet is a gap in ticks (scaled by
 // its low bits up to ~16 000) before the next packet, alternately the
@@ -38,6 +39,13 @@ func FuzzReceive(f *testing.F) {
 	f.Add(byte(2), byte(1), []byte{0x3f, 0x07, 0xff, 1, 0x87, 0x47, 9, 0xc0})
 	f.Fuzz(func(t *testing.T, code, id byte, data []byte) {
 		a := NewAutomaton(func(*Packet) {}, NewLCPPolicy(1), Hooks{})
+		a.Open()
+		a.Up()
+		a.Receive(&Packet{Code: Code(code), ID: id, Data: data})
+		a.Advance(100)
+		a.Receive(&Packet{Code: Code(code), ID: id, Data: data})
+
+		a = NewAutomaton(func(*Packet) {}, NewLCPPolicy(1), Hooks{})
 		a.Open()
 		a.Up()
 		now := int64(0)

@@ -374,6 +374,17 @@ func TestRestartTimerEstimator(t *testing.T) {
 		expire()
 		want("unanswered request", p)
 	}
+	// Replies with the right identifier that the automaton discards
+	// (an Ack of other options, an unparsable Nak) are not samples and
+	// leave the backoff running.
+	a.Advance(a.now + 1)
+	a.Receive(&Packet{Code: ConfigureAck, ID: a.id})
+	a.Receive(&Packet{Code: ConfigureNak, ID: a.id, Data: []byte{1}})
+	if a.RxBadPackets != 2 {
+		t.Fatalf("RxBadPackets %d, want 2", a.RxBadPackets)
+	}
+	expire()
+	want("after malformed replies", 96)
 	nak(40) // first sample: srtt 40, rttvar 20
 	want("after a 40-tick sample", 40+4*20)
 	for _, p := range []int64{240, 480, 960, maxRestartPeriod, maxRestartPeriod} {

@@ -19,18 +19,16 @@ func (a *Automaton) Receive(p *Packet) {
 			a.rcrBad(p.ID, naks, rejs)
 		}
 	case ConfigureAck, ConfigureNak, ConfigureReject:
-		if p.ID != a.id {
+		opts, err := ParseOptions(p.Data)
+		if p.ID != a.id || err != nil || p.Code == ConfigureAck && !optionsEqual(opts, a.reqOpts) {
 			a.RxBadPackets++
 			return
 		}
-		a.measure()
-		opts, err := ParseOptions(p.Data)
-		switch {
-		case err != nil, p.Code == ConfigureAck && !optionsEqual(opts, a.reqOpts):
-			a.RxBadPackets++
-		case p.Code == ConfigureAck:
+		a.measure() // only a reply the automaton accepts is a sample
+		switch p.Code {
+		case ConfigureAck:
 			a.rca()
-		case p.Code == ConfigureNak:
+		case ConfigureNak:
 			a.Policy.HandleNak(opts)
 			a.rcn()
 		default:

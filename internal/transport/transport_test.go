@@ -286,6 +286,72 @@ func TestTCPRedialAfterReset(t *testing.T) {
 	}
 }
 
+// TestTCPDialsOnceUntilInstalled parks the dialer's first connect
+// between the connect and install (the test holds the lock install
+// needs), then Ticks as fast as it can while the dial completes: no
+// Tick may start a second dial, or the listener keeps the newest
+// connection it accepted while the dialer keeps the last one it
+// installed, and each end closes the one the other kept.
+func TestTCPDialsOnceUntilInstalled(t *testing.T) {
+	cfg := Config{RetryMin: 1, RetryMax: 4}
+	ln, err := NewTCP(TCPConfig{Config: cfg, ListenAddr: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	dl, err := NewTCP(TCPConfig{Config: cfg, DialAddr: ln.LocalAddr().String()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dl.Close()
+
+	locked := func(tr *TCP, f func() bool) bool {
+		tr.mu.Lock()
+		defer tr.mu.Unlock()
+		return f()
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	dl.mu.Lock()
+	dl.dialing = true // as Tick does before it starts a dial
+	go dl.dial()
+	for !locked(ln, func() bool { return ln.connected }) {
+		if time.Now().After(deadline) {
+			dl.mu.Unlock()
+			t.Fatal("listener never accepted the dial")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	dl.mu.Unlock()
+	now := int64(0)
+	for !locked(dl, func() bool { return dl.connected && !dl.dialing }) {
+		if time.Now().After(deadline) {
+			t.Fatal("dialer never installed its connection")
+		}
+		now++
+		dl.Tick(now)
+	}
+	// A second dial, had one started, is accepted within a few ms.
+	for end := time.Now().Add(20 * time.Millisecond); time.Now().Before(end); {
+		now++
+		dl.Tick(now)
+		ln.Tick(now)
+		time.Sleep(100 * time.Microsecond)
+	}
+	dl.mu.Lock()
+	ln.mu.Lock()
+	dlGen, lnGen := dl.connGen, ln.connGen
+	same := dl.conn != nil && ln.conn != nil && dl.conn.LocalAddr().String() == ln.conn.RemoteAddr().String()
+	ln.mu.Unlock()
+	dl.mu.Unlock()
+	if dlGen != 1 || lnGen != 1 || !same {
+		t.Fatalf("dialer installed %d connections, listener %d; same connection on both ends: %v", dlGen, lnGen, same)
+	}
+	dl.Send([]byte("once"))
+	if got := collect(t, ln, dl, 1, &now); string(got[0]) != "once" {
+		t.Fatalf("got %q", got[0])
+	}
+}
+
 func TestChunkQueueDropsOldest(t *testing.T) {
 	q := chunkQueue{limit: 3}
 	for i := 0; i < 5; i++ {
