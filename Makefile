@@ -15,9 +15,10 @@ vet:
 	$(GO) vet ./...
 	$(GO) vet -tags gates .
 
-# Short fuzz pass over every Fuzz* target (FUZZTIME=5s by default).
+# Short fuzz pass over every Fuzz* target (FUZZTIME=5s by default), alone;
+# `make verify` runs it after the rest of the gate.
 fuzz-smoke:
-	FUZZTIME=$(or $(FUZZTIME),5s) ./scripts/verify.sh
+	FUZZTIME=$(or $(FUZZTIME),5s) ./scripts/fuzz-smoke.sh
 
 # The full gate: vet + build + race tests + timing gates + smokes + fuzz.
 verify:

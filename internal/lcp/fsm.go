@@ -1,6 +1,10 @@
 package lcp
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/rtt"
+)
 
 // State is an RFC 1661 §4.2 automaton state.
 type State int
@@ -36,19 +40,7 @@ const (
 	DefaultMaxConfigure = 10
 	DefaultMaxTerminate = 2
 	DefaultMaxFailure   = 5
-	// DefaultRestartPeriod is the restart timer in virtual time units
-	// (Advance's clock: seconds, cycles, ...) until a round trip has
-	// been measured, and its floor after.
-	DefaultRestartPeriod = 3
 )
-
-// maxRestartPeriod caps the measured timer, so a peer that delays its
-// Acks can hold a negotiation at most MaxConfigure × 1024 ticks before
-// TO- gives up. The carriers here settle well below it (E32): 5–42
-// ticks on pipes, STM-16 lines, rings, the jittered circuit and socket
-// dialers; up to ~550 on a socket listener whose first sample spans
-// its peer's start-up.
-const maxRestartPeriod = 1024
 
 // Policy supplies the protocol-specific option semantics to the generic
 // automaton. LCP and the NCPs (package ipcp) differ only in their Policy.
@@ -97,6 +89,9 @@ type Automaton struct {
 	MaxConfigure int
 	MaxTerminate int
 	MaxFailure   int
+	// Line is the round-trip estimate the restart timer reads and feeds:
+	// NewAutomaton's own, or one shared by the timers of a line.
+	Line *rtt.Estimate
 
 	state    State
 	restart  int  // restart counter
@@ -107,11 +102,8 @@ type Automaton struct {
 	now      int64
 	deadline int64 // virtual-time restart timer; 0 = stopped
 
-	// RFC 6298's timer over Configure round trips (eighths of a tick,
-	// kept across negotiations), doubled per expiry until a sample or irc.
-	sentAt       int64 // tick the unanswered Configure-Request left; -1 = none
-	srtt, rttvar int64
-	backoff      uint
+	sentAt  int64 // tick the unanswered Configure-Request left; -1 = none
+	backoff uint  // expiries since the last sample or irc
 
 	// Stats for the OAM register file.
 	TxPackets, RxPackets   uint64
@@ -120,7 +112,7 @@ type Automaton struct {
 
 // NewAutomaton returns an automaton in the Initial state.
 func NewAutomaton(send func(*Packet), policy Policy, hooks Hooks) *Automaton {
-	return &Automaton{Send: send, Policy: policy, Hooks: hooks, state: Initial, sentAt: -1}
+	return &Automaton{Send: send, Policy: policy, Hooks: hooks, Line: new(rtt.Estimate), state: Initial, sentAt: -1}
 }
 
 // State reports the current automaton state.
@@ -145,30 +137,6 @@ func (a *Automaton) maxFailure() int {
 		return DefaultMaxFailure
 	}
 	return a.MaxFailure
-}
-
-// restartPeriod is srtt + max(1, 4·rttvar), doubled per backoff, within
-// [DefaultRestartPeriod, maxRestartPeriod].
-func (a *Automaton) restartPeriod() int64 {
-	rto := max((a.srtt+max(8, 4*a.rttvar)+7)>>3, DefaultRestartPeriod)
-	return min(rto<<a.backoff, maxRestartPeriod)
-}
-
-// measure samples a reply to the outstanding Configure-Request. Its
-// identifier is fresh per request, so the sample is never ambiguous.
-func (a *Automaton) measure() {
-	if a.sentAt < 0 {
-		return
-	}
-	r := (a.now - a.sentAt) << 3
-	a.sentAt, a.backoff = -1, 0
-	if a.srtt == 0 { // the first sample (zero-tick ones leave no trace)
-		a.srtt, a.rttvar = r, r/2
-		return
-	}
-	d := r - a.srtt
-	a.srtt += d >> 3
-	a.rttvar += (max(d, -d) - a.rttvar) >> 2
 }
 
 // --- primitive actions (RFC 1661 §4.4) ---
@@ -197,7 +165,7 @@ func (a *Automaton) tlf() {
 	}
 }
 
-func (a *Automaton) startTimer() { a.deadline = a.now + a.restartPeriod() }
+func (a *Automaton) startTimer() { a.deadline = a.now + a.Line.Period(a.backoff) }
 func (a *Automaton) stopTimer()  { a.deadline = 0 }
 
 // irc initialises the restart counter for configure or terminate.
@@ -376,9 +344,7 @@ func (a *Automaton) Advance(now int64) {
 		return
 	}
 	a.Timeouts++
-	if a.restartPeriod() < maxRestartPeriod {
-		a.backoff++
-	}
+	a.backoff++
 	if a.restart > 0 {
 		a.timeoutRetry()
 	} else {

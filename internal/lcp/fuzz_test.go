@@ -57,7 +57,7 @@ func FuzzReceive(f *testing.F) {
 			} else {
 				a.Receive(&Packet{Code: Code(code&1 + 2), ID: a.id, Data: MarshalOptions(nil, a.reqOpts)})
 			}
-			if p := a.restartPeriod(); p < DefaultRestartPeriod || p > maxRestartPeriod {
+			if p := a.Line.Period(a.backoff); p < DefaultRestartPeriod || p > maxRestartPeriod {
 				t.Fatalf("restart timer %d outside [%d, %d]", p, DefaultRestartPeriod, maxRestartPeriod)
 			}
 			if a.deadline != 0 && (a.deadline-a.now < 1 || a.deadline-a.now > maxRestartPeriod) {

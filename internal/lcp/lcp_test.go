@@ -302,6 +302,13 @@ func TestTerminate(t *testing.T) {
 	}
 }
 
+// The restart timer's bounds, internal/rtt's floor (RFC 1661 §4.6's
+// default) and ceiling.
+const (
+	DefaultRestartPeriod = 3
+	maxRestartPeriod     = 1024
+)
+
 func TestTimeoutRetransmission(t *testing.T) {
 	var sent []*Packet
 	p := NewLCPPolicy(1)
@@ -344,11 +351,13 @@ func TestTimeoutGivesUpAfterMaxConfigure(t *testing.T) {
 	}
 }
 
-// TestRestartTimerEstimator pins the measured restart timer: the RFC
-// default before any sample and its floor after, doubling per expiry
-// until a reply is sampled, srtt + 4·rttvar from the samples, the
-// backoff (not the estimate) reset by a new negotiation, and the cap.
-func TestRestartTimerEstimator(t *testing.T) {
+// TestRestartTimerBackoff pins the automaton's side of the measured
+// restart timer (the arithmetic is internal/rtt's): it doubles per
+// expiry until a reply the automaton accepts is sampled, a discarded
+// reply is no sample, a new negotiation drops the doubling but keeps
+// the estimate, and automata sharing one Line read each other's
+// samples.
+func TestRestartTimerBackoff(t *testing.T) {
 	a := NewAutomaton(func(*Packet) {}, NewLCPPolicy(1), Hooks{})
 	armed := func() int64 { return a.deadline - a.now } // the running timer
 	want := func(what string, period int64) {
@@ -401,18 +410,15 @@ func TestRestartTimerEstimator(t *testing.T) {
 	nak(1000) // srtt 160, rttvar 255: 1180 ticks
 	want("after a 1000-tick sample", maxRestartPeriod)
 
-	// A line faster than the RFC default: one-tick samples drive
-	// rttvar to zero and srtt + 1 to 2 ticks, under the floor.
-	a = NewAutomaton(func(*Packet) {}, NewLCPPolicy(1), Hooks{})
-	a.Open()
-	a.Up()
-	for i := 0; i < 8; i++ {
-		nak(1)
+	// A second automaton on the same line starts from the estimate,
+	// with a backoff of its own.
+	b := NewAutomaton(func(*Packet) {}, NewLCPPolicy(2), Hooks{})
+	b.Line = a.Line
+	b.Open()
+	b.Up()
+	if got := b.deadline - b.now; got != maxRestartPeriod {
+		t.Fatalf("shared line: timer %d, want %d", got, maxRestartPeriod)
 	}
-	if a.srtt != 8 || a.rttvar != 0 {
-		t.Fatalf("after one-tick samples: srtt %d/8, rttvar %d/8; want 8/8 and 0", a.srtt, a.rttvar)
-	}
-	want("floor", DefaultRestartPeriod)
 }
 
 func TestLossyLinkStillConverges(t *testing.T) {

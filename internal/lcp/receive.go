@@ -24,7 +24,10 @@ func (a *Automaton) Receive(p *Packet) {
 			a.RxBadPackets++
 			return
 		}
-		a.measure() // only a reply the automaton accepts is a sample
+		if a.Line.Sample(a.sentAt, a.now) { // accepted, and fresh per request: unambiguous
+			a.backoff = 0
+		}
+		a.sentAt = -1
 		switch p.Code {
 		case ConfigureAck:
 			a.rca()

@@ -10,7 +10,11 @@
 // retransmission on reject or timeout, and SABM/UA link reset.
 package reliable
 
-import "errors"
+import (
+	"errors"
+
+	"repro/internal/rtt"
+)
 
 // Control-field encodings (ISO 4335 / LAPB, modulo 8).
 //
@@ -106,11 +110,11 @@ type Station struct {
 	Release func([]byte)
 	// Window is the transmit window k (default DefaultWindow, max 7).
 	Window int
-	// RetransmitPeriod is the T1 timer in virtual time units
-	// (default 3).
-	RetransmitPeriod int64
 	// MaxRetries is N2 (default 10); exceeding it resets the link.
 	MaxRetries int
+	// Line is the round-trip estimate T1 reads and feeds; nil gives the
+	// station one of its own.
+	Line *rtt.Estimate
 
 	connected bool
 	initiator bool
@@ -124,10 +128,15 @@ type Station struct {
 
 	now, t1 int64
 	retries int
+	backoff uint // T1 expiries since the last sample or reset
+
+	// T1 times one first transmission (the SABM, or I frame timedNS).
+	timing  bool
+	timedNS uint8
+	sentAt  int64
 
 	// Counters.
 	TxI, RxI, TxREJ, RxREJ, Retransmits, Resets uint64
-	RxDiscarded                                 uint64
 }
 
 func (s *Station) window() int {
@@ -135,13 +144,6 @@ func (s *Station) window() int {
 		return DefaultWindow
 	}
 	return s.Window
-}
-
-func (s *Station) period() int64 {
-	if s.RetransmitPeriod <= 0 {
-		return 3
-	}
-	return s.RetransmitPeriod
 }
 
 func (s *Station) maxRetries() int {
@@ -159,6 +161,7 @@ func (s *Station) Connect() {
 	s.initiator = true
 	s.reset()
 	s.Out(Frame{Ctrl: CtrlSABM})
+	s.timing, s.sentAt = true, s.now
 	s.armT1()
 }
 
@@ -186,11 +189,8 @@ func (s *Station) reset() {
 	}
 	s.sent = nil
 	s.rejSent = false
-	s.retries = 0
+	s.retries, s.backoff, s.timing = 0, 0, false
 }
-
-// InFlight returns the number of unacknowledged I frames.
-func (s *Station) InFlight() int { return len(s.sent) }
 
 // Send queues an information field for numbered transmission. Payloads
 // beyond the window are buffered and flushed as acknowledgements open
@@ -214,12 +214,32 @@ func (s *Station) pump() {
 		s.sent = append(s.sent, f)
 		s.TxI++
 		s.Out(f)
+		if !s.timing {
+			s.timing, s.timedNS, s.sentAt = true, NS(f.Ctrl), s.now
+		}
 		s.armT1()
 	}
 }
 
-func (s *Station) armT1()  { s.t1 = s.now + s.period() }
+func (s *Station) armT1() {
+	if s.Line == nil {
+		s.Line = new(rtt.Estimate)
+	}
+	s.t1 = s.now + s.Line.Period(s.backoff)
+}
+
 func (s *Station) stopT1() { s.t1 = 0 }
+
+// sample ends the timing of frame ns, if it runs (stamped beside an
+// armT1, so Line is set).
+func (s *Station) sample(ns uint8) {
+	if s.timing && ns == s.timedNS {
+		s.timing = false
+		if s.Line.Sample(s.sentAt, s.now) {
+			s.backoff = 0
+		}
+	}
+}
 
 // Advance moves the virtual clock, firing the retransmission timer.
 func (s *Station) Advance(now int64) {
@@ -229,25 +249,20 @@ func (s *Station) Advance(now int64) {
 	if s.t1 == 0 || s.now < s.t1 {
 		return
 	}
-	if !s.connected {
-		// SABM unanswered.
-		if s.initiator {
-			s.retries++
-			if s.retries > s.maxRetries() {
-				s.stopT1()
-				return
-			}
-			s.Out(Frame{Ctrl: CtrlSABM})
-			s.armT1()
-		}
-		return
-	}
-	if len(s.sent) == 0 {
-		s.stopT1()
+	if s.connected && len(s.sent) == 0 || !s.connected && !s.initiator {
+		s.stopT1() // nothing to resend
 		return
 	}
 	s.retries++
-	if s.retries > s.maxRetries() {
+	s.backoff++
+	switch {
+	case !s.connected && s.retries > s.maxRetries():
+		s.stopT1() // SABM unanswered: give up
+	case !s.connected:
+		s.Out(Frame{Ctrl: CtrlSABM})
+		s.timing = false
+		s.armT1()
+	case s.retries > s.maxRetries():
 		// N2 exhausted: reset the link (RFC 1663 §2 / LAPB).
 		s.Resets++
 		s.connected = false
@@ -255,14 +270,15 @@ func (s *Station) Advance(now int64) {
 		if s.initiator {
 			s.Connect()
 		}
-		return
+	default:
+		// Go-back-N: retransmit everything outstanding with updated N(R).
+		s.retransmit()
+		s.armT1()
 	}
-	// Go-back-N: retransmit everything outstanding with updated N(R).
-	s.retransmit()
-	s.armT1()
 }
 
 func (s *Station) retransmit() {
+	s.timing = false // Karn: N(S) repeats, so a resent frame is no sample
 	for i := range s.sent {
 		s.sent[i].Ctrl = iCtrl(NS(s.sent[i].Ctrl), s.vr)
 		s.Retransmits++
@@ -296,6 +312,7 @@ func (s *Station) receiveU(f Frame) {
 		s.stopT1()
 	case CtrlUA & ctrlUMask:
 		if !s.connected {
+			s.sample(s.timedNS) // the SABM's
 			s.reset()
 			s.connected = true
 			s.stopT1()
@@ -304,6 +321,7 @@ func (s *Station) receiveU(f Frame) {
 	case CtrlDISC & ctrlUMask:
 		s.connected = false
 		s.reset()
+		s.stopT1()
 		s.Out(Frame{Ctrl: CtrlDM})
 	}
 }
@@ -317,7 +335,6 @@ func (s *Station) receiveI(f Frame) {
 	ns := NS(f.Ctrl)
 	if ns != s.vr {
 		// Out of sequence: discard and (once) ask for a go-back.
-		s.RxDiscarded++
 		if !s.rejSent {
 			s.rejSent = true
 			s.TxREJ++
@@ -348,6 +365,7 @@ func (s *Station) ack(nr uint8) {
 		if !seqInRange(s.va, first, nr) {
 			break
 		}
+		s.sample(first)
 		if s.Release != nil && s.sent[0].Payload != nil {
 			s.Release(s.sent[0].Payload)
 		}

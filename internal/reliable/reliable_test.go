@@ -147,8 +147,8 @@ func TestWindowLimitsInFlight(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if w.a.InFlight() != 3 {
-		t.Errorf("in flight = %d, want window 3", w.a.InFlight())
+	if len(w.a.sent) != 3 {
+		t.Errorf("in flight = %d, want window 3", len(w.a.sent))
 	}
 	if len(w.a.pending) != 7 {
 		t.Errorf("queued = %d, want 7", len(w.a.pending))
@@ -160,7 +160,7 @@ func TestWindowLimitsInFlight(t *testing.T) {
 	if got != 10 {
 		t.Errorf("delivered %d, want 10", got)
 	}
-	if w.a.InFlight() != 0 || len(w.a.pending) != 0 {
+	if len(w.a.sent) != 0 || len(w.a.pending) != 0 {
 		t.Error("window did not drain")
 	}
 }
@@ -351,5 +351,25 @@ func TestSequenceWraparound(t *testing.T) {
 	}
 	if w.a.vs != 30%8 {
 		t.Errorf("V(S) = %d, want %d", w.a.vs, 30%8)
+	}
+}
+
+// TestDiscStopsT1: a DISC from the peer ends the link, so T1 must not
+// fire afterwards and re-send a SABM that reconnects what the peer
+// just tore down.
+func TestDiscStopsT1(t *testing.T) {
+	w := newWire()
+	w.a.Connect()
+	w.run(10)
+	var sent []byte
+	w.a.Out = func(f Frame) { sent = append(sent, f.Ctrl) }
+	if err := w.a.Send([]byte{1}); err != nil { // outstanding: T1 armed
+		t.Fatal(err)
+	}
+	w.a.Receive(Frame{Ctrl: CtrlDISC})
+	sent = sent[:0]
+	w.a.Advance(100)
+	if len(sent) != 0 {
+		t.Fatalf("after DISC, T1 sent % x", sent)
 	}
 }

@@ -41,8 +41,6 @@ type LinkConfig struct {
 	Reliable bool
 	// ReliableWindow is the transmit window k (default 7).
 	ReliableWindow int
-	// ReliablePeriod is the T1 retransmit timer in virtual time units.
-	ReliablePeriod int64
 	// ReliableMaxRetries is N2, the retransmission limit before a link
 	// reset (default 10).
 	ReliableMaxRetries int
@@ -60,7 +58,8 @@ type LinkConfig struct {
 	RestartPeriod int64
 
 	// EchoPeriod, when non-zero, sends LCP Echo-Requests at this
-	// interval once Opened; EchoMisses consecutive unanswered echoes
+	// interval, or the line's measured RTO if longer, once Opened;
+	// EchoMisses consecutive requests with no frame received in reply
 	// (default 3) bring the link down — dead-peer detection.
 	EchoPeriod int64
 	// EchoMisses is the unanswered-echo limit (default 3).
@@ -146,8 +145,9 @@ type Link struct {
 	protoRejID byte
 
 	echoNext    int64
-	echoPending int  // unanswered echoes
-	echoID      byte // id of the outstanding echo
+	echoPending int    // requests since a frame last arrived
+	echoRx      uint64 // RxFrames when the last request left
+	echoID      byte   // id of the last request
 
 	// Stats.
 	RxFrames, RxErrors uint64
@@ -225,6 +225,7 @@ func NewLink(cfg LinkConfig) *Link {
 		l.ipcpPol,
 		lcp.Hooks{},
 	)
+	l.ipcpA.Line = l.lcpA.Line // one round-trip estimate per line
 	l.ipcpA.Open()
 	if cfg.Auth.Require != 0 || cfg.Auth.Identity != "" {
 		l.initAuth()
@@ -323,12 +324,17 @@ func (l *Link) serviceEcho(now int64) {
 		l.echoPending = 0
 		return
 	}
+	// Any frame received before the next request answers this one.
+	period := max(l.cfg.EchoPeriod, l.lcpA.Line.Period(0))
 	if l.echoNext == 0 {
-		l.echoNext = now + l.cfg.EchoPeriod
+		l.echoNext = now + period
 		return
 	}
 	if now < l.echoNext {
 		return
+	}
+	if l.RxFrames != l.echoRx {
+		l.echoPending = 0
 	}
 	misses := l.cfg.EchoMisses
 	if misses <= 0 {
@@ -345,13 +351,14 @@ func (l *Link) serviceEcho(now int64) {
 	}
 	l.echoPending++
 	l.echoID++
+	l.echoRx = l.RxFrames
 	var magic [4]byte
 	m := l.cfg.Magic
 	magic[0], magic[1], magic[2], magic[3] = byte(m>>24), byte(m>>16), byte(m>>8), byte(m)
 	pkt := lcpPacket(9 /* Echo-Request */, l.echoID, magic[:])
 	l.out = ppp.AppendFrame(l.out, &ppp.Frame{Protocol: ppp.ProtoLCP, Payload: pkt},
 		l.lcpTxConfig(), true)
-	l.echoNext = now + l.cfg.EchoPeriod
+	l.echoNext = now + period
 }
 
 // Opened reports whether LCP has reached the Opened state.
@@ -549,9 +556,6 @@ func (l *Link) frame(body []byte, fcsOK bool, cfg *ppp.Config) bool {
 	switch f.Protocol {
 	case ppp.ProtoLCP:
 		if p, err := lcp.ParsePacket(f.Payload); err == nil {
-			if p.Code == lcp.EchoReply && p.ID == l.echoID {
-				l.echoPending = 0
-			}
 			l.lcpA.Receive(p)
 		}
 	case ppp.ProtoIPCP:

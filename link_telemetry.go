@@ -63,6 +63,8 @@ func (l *Link) Observe(o Observation, name string) {
 		func() uint64 { return l.lcpA.RxPackets }, lbl)
 	m.Counter("link_lcp_timeouts_total", "LCP restart-timer expiries.",
 		func() uint64 { return l.lcpA.Timeouts }, lbl)
+	m.Gauge("link_line_rto", "Measured round-trip timeout of the line before backoff (virtual ticks).",
+		func() int64 { return l.lcpA.Line.Period(0) }, lbl)
 	m.Gauge("link_lcp_state", "LCP automaton state (RFC 1661 ordinal).",
 		func() int64 { return int64(l.lcpA.State()) }, lbl)
 	m.Gauge("link_ipcp_state", "IPCP automaton state (RFC 1661 ordinal).",

@@ -16,9 +16,9 @@ import (
 // initReliable wires a numbered-mode station into the link.
 func (l *Link) initReliable() {
 	l.station = &reliable.Station{
-		Window:           l.cfg.ReliableWindow,
-		RetransmitPeriod: l.cfg.ReliablePeriod,
-		MaxRetries:       l.cfg.ReliableMaxRetries,
+		Window:     l.cfg.ReliableWindow,
+		MaxRetries: l.cfg.ReliableMaxRetries,
+		Line:       l.lcpA.Line,
 		Out: func(f reliable.Frame) {
 			l.out = l.encodeNumbered(l.out, f)
 		},
@@ -90,14 +90,8 @@ func (l *Link) encodeNumbered(dst []byte, f reliable.Frame) []byte {
 // frame-check verdict. Returns false if the frame is not a valid
 // numbered frame (caller counts the error).
 func (l *Link) decodeNumbered(body []byte, fcsOK bool) bool {
-	if l.station == nil {
-		return false
-	}
 	fcsN := l.cfg.fcs().Bytes()
 	if len(body) < 2+fcsN || !fcsOK {
-		return false
-	}
-	if body[0] != ppp.AddrAllStations {
 		return false
 	}
 	ctrl := body[1]

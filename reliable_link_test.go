@@ -86,8 +86,8 @@ func lossyPump(a, b *Link, rng *rand.Rand, rounds int, loss float64) {
 
 func TestReliableLinkSurvivesNoise(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	a := NewLink(LinkConfig{Magic: 1, Reliable: true, ReliablePeriod: 4, IPAddr: [4]byte{10, 0, 0, 1}})
-	b := NewLink(LinkConfig{Magic: 2, Reliable: true, ReliablePeriod: 4, IPAddr: [4]byte{10, 0, 0, 2}})
+	a := NewLink(LinkConfig{Magic: 1, Reliable: true, IPAddr: [4]byte{10, 0, 0, 1}})
+	b := NewLink(LinkConfig{Magic: 2, Reliable: true, IPAddr: [4]byte{10, 0, 0, 2}})
 	a.Open()
 	b.Open()
 	a.Up()

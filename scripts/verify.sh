@@ -14,15 +14,15 @@
 #   encoder and the one production tokenizer, each against its
 #   byte-at-a-time reference
 #   (FUSED_FUZZTIME overrides, per kernel) — a 10s one of the SONET
-#   deframer's chunking (SONET_FUZZTIME overrides), and a short fuzz
-#   smoke of every Fuzz* target (5s each by default; FUZZTIME
-#   overrides). Speed is judged elsewhere: `go run ./benchmark`.
+#   deframer's chunking (SONET_FUZZTIME overrides), and
+#   scripts/fuzz-smoke.sh, a short fuzz of every Fuzz* target (5s each
+#   by default; FUZZTIME overrides). Speed is judged elsewhere:
+#   `go run ./benchmark`.
 #
 # Usage: ./scripts/verify.sh   (or: make verify)
 set -eu
 
 cd "$(dirname "$0")/.."
-FUZZTIME="${FUZZTIME:-5s}"
 
 echo "== gofmt =="
 unformatted=$(gofmt -l .)
@@ -180,18 +180,7 @@ echo "== SONET deframer chunking fuzz (${SONET_FUZZTIME:-10s}) =="
 go test -run '^$' -fuzz '^FuzzDeframerChunking$' -fuzzminimizetime 20x \
     -fuzztime "${SONET_FUZZTIME:-10s}" ./internal/sonet
 
-echo "== fuzz smoke ($FUZZTIME per target) =="
-# Each fuzz target must run alone: `go test -fuzz` accepts only one
-# match per package invocation.
-go list ./... | while read -r pkg; do
-    dir=$(go list -f '{{.Dir}}' "$pkg")
-    targets=$(grep -ho 'func Fuzz[A-Za-z0-9_]*' "$dir"/*_test.go 2>/dev/null |
-        sed 's/func //' | sort -u) || true
-    [ -n "$targets" ] || continue
-    for t in $targets; do
-        echo "-- $pkg $t"
-        go test -run '^$' -fuzz "^${t}\$" -fuzztime "$FUZZTIME" "$pkg"
-    done
-done
+# A short fuzz of every Fuzz* target (FUZZTIME each).
+./scripts/fuzz-smoke.sh
 
 echo "verify: OK"

@@ -134,6 +134,9 @@ func (p *TransportPort) Flush() int {
 		return 0
 	}
 	p.TxLineBytes += uint64(len(out))
+	if !p.T.Up() {
+		p.Link.lcpA.Line.Dark(p.Link.now)
+	}
 	p.T.Send(out)
 	return len(out)
 }
