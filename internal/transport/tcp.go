@@ -1,9 +1,11 @@
 package transport
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"time"
 )
@@ -16,7 +18,9 @@ import (
 // that batches queued records into one writev (net.Buffers) so a
 // stalled peer blocks only itself while the bounded queue drops oldest,
 // and keepalive probes whose misses reset the connection so dead peers
-// are re-dialed instead of trusted forever.
+// are re-dialed instead of trusted forever. Which connection is live
+// is decided in one place, step: the accept loop, dial, reader, writer,
+// Tick and Close only post events to it and act on what it returns.
 type TCP struct {
 	session
 	dialAddr string
@@ -27,9 +31,8 @@ type TCP struct {
 	cond *sync.Cond
 
 	conn      net.Conn
-	connGen   int
+	connGen   int // connections installed so far
 	connected bool
-	everUp    bool
 
 	dialing bool
 	retryAt int64
@@ -81,72 +84,116 @@ func (t *TCP) LocalAddr() net.Addr {
 	return t.ln.Addr()
 }
 
-// acceptLoop installs each accepted connection, newest wins.
+// event is one input to step.
+type event uint8
+
+const (
+	evTick     event = iota // a Tick
+	evDialed                // a dial ended with c, nil when it failed
+	evAccepted              // the listener accepted c
+	evFailed                // c failed: read/write error, bad header, keepalive give-up
+	evClose                 // Close
+)
+
+// actions is what step decided to do with sockets once mu is released.
+type actions struct {
+	dial        bool
+	read, close net.Conn // start its reader; close it
+}
+
+// step takes every connection-lifecycle decision, one event at a time,
+// under mu; it never blocks and never touches a socket. The newest
+// connection wins; a failure retires c only while c is the live
+// connection; a dialer has at most one dial in flight and backs off
+// after every failure; a closed transport installs nothing.
+func (t *TCP) step(ev event, c net.Conn) (a actions) {
+	switch ev {
+	case evTick:
+		if t.dialAddr != "" && !t.closed && t.conn == nil && !t.dialing && t.tickNow >= t.retryAt {
+			t.dialing, a.dial = true, true
+		}
+	case evDialed, evAccepted:
+		if ev == evDialed {
+			t.dialing = false
+		}
+		switch {
+		case c == nil:
+			t.retryAt = t.tickNow + t.bo.next()
+		case t.closed:
+			a.close = c
+		default:
+			if t.conn != nil {
+				t.st.Resets++
+			}
+			a.close, a.read = t.conn, c
+			t.conn, t.connected = c, true
+			t.connGen++
+			t.st.Reconnects = uint64(t.connGen - 1)
+			t.revive()
+			t.bo.reset()
+			t.cond.Broadcast()
+		}
+	case evFailed:
+		if c == t.conn {
+			a.close = c
+			t.conn, t.connected, t.alive = nil, false, false
+			t.st.Resets++
+			t.retryAt = t.tickNow + t.bo.next() // read by a dialer only
+		}
+	case evClose:
+		a.close = t.conn
+		t.conn, t.connected, t.closed = nil, false, true
+		t.cond.Broadcast()
+	}
+	return a
+}
+
+// act carries out what step decided, outside mu.
+func (t *TCP) act(a actions) {
+	if a.close != nil {
+		a.close.Close()
+	}
+	if a.read != nil {
+		go t.reader(a.read)
+	}
+	if a.dial {
+		go t.dial()
+	}
+}
+
+// post runs one event through step and acts on the result.
+func (t *TCP) post(ev event, c net.Conn) {
+	t.mu.Lock()
+	a := t.step(ev, c)
+	t.mu.Unlock()
+	t.act(a)
+}
+
+// acceptLoop posts each accepted connection until the listener closes.
+// After any other Accept error (out of file descriptors, say) it pauses,
+// doubling from pauseMin to pauseMax until an Accept succeeds.
 func (t *TCP) acceptLoop() {
+	const pauseMin, pauseMax = 5 * time.Millisecond, time.Second
+	var pause time.Duration
 	for {
 		c, err := t.ln.Accept()
+		if errors.Is(err, net.ErrClosed) {
+			return
+		}
 		if err != nil {
-			t.mu.Lock()
-			closed := t.closed
-			t.mu.Unlock()
-			if closed {
-				return
-			}
+			pause = min(max(2*pause, pauseMin), pauseMax)
+			time.Sleep(pause)
 			continue
 		}
-		t.install(c)
+		pause = 0
+		t.post(evAccepted, c)
 	}
 }
 
-// install makes c the active connection, replacing (and counting a
-// reset for) any previous one, and starts its reader.
-func (t *TCP) install(c net.Conn) {
-	if tc, ok := c.(*net.TCPConn); ok {
-		tc.SetNoDelay(true)
-	}
-	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
-		c.Close()
-		return
-	}
-	if t.conn != nil {
-		t.conn.Close()
-		t.st.Resets++
-	}
-	t.conn = c
-	t.connGen++
-	gen := t.connGen
-	t.connected = true
-	t.revive()
-	if t.everUp {
-		t.st.Reconnects++
-	}
-	t.everUp = true
-	t.bo.reset()
-	t.retryAt = 0
-	t.cond.Broadcast()
-	t.mu.Unlock()
-	go t.reader(c, gen)
-}
-
-// dropConn retires c (read/write error, keepalive give-up): the dialer
-// schedules a jittered re-dial, the listener waits for the next accept.
-func (t *TCP) dropConn(c net.Conn, gen int) {
-	t.mu.Lock()
-	if t.connGen != gen || t.conn != c {
-		t.mu.Unlock()
-		return
-	}
-	c.Close()
-	t.conn = nil
-	t.connected = false
-	t.alive = false
-	t.st.Resets++
-	if t.dialAddr != "" {
-		t.retryAt = t.tickNow + t.bo.next()
-	}
-	t.mu.Unlock()
+// dial runs one connect attempt off the tick loop.
+func (t *TCP) dial() {
+	c, _ := net.DialTimeout("tcp", t.dialAddr, dialTimeout) // nil c: the dial failed
+	t.post(evDialed, c)
 }
 
 // queueControl copies a control record the session built onto the send
@@ -157,35 +204,31 @@ func (t *TCP) queueControl(rec []byte) {
 	t.cond.Broadcast()
 }
 
-// reader parses length-prefixed wire records off c until it fails. A
-// header that does not decode is a stream desync: there is no next
-// record to find, so the connection is reset rather than
+// reader parses length-prefixed wire records off c until it fails or
+// is retired. A header that does not decode is a stream desync: there
+// is no next record to find, so the connection is reset rather than
 // resynchronised (a version-skewed peer resets on its first record and
 // never comes up — the clean rejection path, counted so fleet scrapes
 // can name the cause). A muted line keeps parsing, to stay
 // record-aligned for when the mute lifts.
-func (t *TCP) reader(c net.Conn, gen int) {
+func (t *TCP) reader(c net.Conn) {
+	defer t.post(evFailed, c) // step ignores it once c is retired
 	var hdr [HeaderLen]byte
 	payload := make([]byte, 0, 4096)
 	for {
 		if _, err := io.ReadFull(c, hdr[:]); err != nil {
-			t.dropConn(c, gen)
 			return
 		}
 		h, derr := DecodeHeader(hdr[:])
 		if derr == nil {
-			if cap(payload) < h.Len {
-				payload = make([]byte, 0, h.Len)
-			}
-			payload = payload[:h.Len]
+			payload = slices.Grow(payload[:0], h.Len)[:h.Len]
 			if _, err := io.ReadFull(c, payload); err != nil {
-				t.dropConn(c, gen)
 				return
 			}
 		}
 		rxWall := time.Now().UnixNano()
 		t.mu.Lock()
-		if t.closed {
+		if c != t.conn {
 			t.mu.Unlock()
 			return
 		}
@@ -197,14 +240,14 @@ func (t *TCP) reader(c net.Conn, gen int) {
 		}
 		t.mu.Unlock()
 		if derr != nil {
-			t.dropConn(c, gen)
 			return
 		}
 	}
 }
 
 // writer drains the send queue into writev batches, one goroutine for
-// the transport's lifetime.
+// the transport's lifetime. Only data records are counted, as under
+// UDP, though probes, replies and freezes share the queue here.
 func (t *TCP) writer() {
 	batch := make([][]byte, 0, 32)
 	// WriteTo consumes the slice it is called on, so nb is re-cut from
@@ -220,30 +263,28 @@ func (t *TCP) writer() {
 			t.mu.Unlock()
 			return
 		}
-		c, gen := t.conn, t.connGen
+		c := t.conn
 		batch = t.sq.drainInto(batch[:0], 32)
 		t.mu.Unlock()
 
 		nb = append(store[:0], batch...)
-		var payload uint64
-		for _, b := range batch {
-			payload += uint64(len(b) - HeaderLen)
-		}
 		_, err := nb.WriteTo(c)
 
 		t.mu.Lock()
-		if err != nil {
-			t.st.TxDropped += uint64(len(batch))
-		} else {
-			t.st.TxChunks += uint64(len(batch))
-			t.st.TxBytes += payload
-		}
 		for _, b := range batch {
+			switch {
+			case b[5] != TypeData: // header octet 5 is the record type
+			case err != nil:
+				t.st.TxDropped++
+			default:
+				t.st.TxChunks++
+				t.st.TxBytes += uint64(len(b) - HeaderLen)
+			}
 			t.sq.put(b)
 		}
 		t.mu.Unlock()
 		if err != nil {
-			t.dropConn(c, gen)
+			t.post(evFailed, c)
 		}
 	}
 }
@@ -263,56 +304,29 @@ func (t *TCP) Send(p []byte) error {
 
 // Tick schedules dial attempts, queues a due pending freeze, and runs
 // keepalive accounting while connected. An open connection whose peer
-// has gone silent is dropped, so the dead peer is re-dialed instead of
+// has gone silent fails, so the dead peer is re-dialed instead of
 // trusted forever.
 func (t *TCP) Tick(now int64) {
 	t.mu.Lock()
 	t.tickNow = now
-	if t.closed {
-		t.mu.Unlock()
-		return
-	}
-	if t.dialAddr != "" && !t.connected && !t.dialing && now >= t.retryAt {
-		t.dialing = true
-		go t.dial()
-	}
+	a := t.step(evTick, nil)
 	if rec := t.dueFreeze(now, t.connected); rec != nil {
 		t.queueControl(rec)
 	}
-	if !t.connected {
-		t.mu.Unlock()
-		return
-	}
-	due, dead := t.keepalive(now)
-	c, gen := t.conn, t.connGen
-	if due && !dead {
-		t.queueControl(t.probe(now, time.Now().UnixNano()))
-	}
-	if !t.muted && len(t.sq.bufs) > 0 {
-		// Data held across a mute has no Send to wake the writer.
-		t.cond.Broadcast()
-	}
-	t.mu.Unlock()
-	if dead {
-		t.dropConn(c, gen)
-	}
-}
-
-// dial runs one connect attempt off the tick loop. dialing stays set
-// until install has marked the line connected, or a Tick in between
-// dials again and the two ends may each keep the connection the other
-// closed.
-func (t *TCP) dial() {
-	c, err := net.DialTimeout("tcp", t.dialAddr, dialTimeout)
-	if err == nil {
-		t.install(c) // closes c if the transport closed meanwhile
-	}
-	t.mu.Lock()
-	t.dialing = false
-	if err != nil {
-		t.retryAt = t.tickNow + t.bo.next()
+	if t.connected {
+		due, dead := t.keepalive(now)
+		if dead {
+			a = t.step(evFailed, t.conn) // a tick never dials while connected
+		} else if due {
+			t.queueControl(t.probe(now, time.Now().UnixNano()))
+		}
+		if !t.muted && len(t.sq.bufs) > 0 {
+			// Data held across a mute has no Send to wake the writer.
+			t.cond.Broadcast()
+		}
 	}
 	t.mu.Unlock()
+	t.act(a)
 }
 
 // Up reports connection and dead-peer status.
@@ -325,22 +339,9 @@ func (t *TCP) Up() bool {
 // Close shuts down the listener, the connection, the writer and the
 // readers.
 func (t *TCP) Close() error {
-	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
-		return nil
-	}
-	t.closed = true
-	conn := t.conn
-	t.conn = nil
-	t.connected = false
-	t.cond.Broadcast()
-	t.mu.Unlock()
+	t.post(evClose, nil)
 	if t.ln != nil {
 		t.ln.Close()
-	}
-	if conn != nil {
-		conn.Close()
 	}
 	return nil
 }

@@ -16,8 +16,8 @@ func Instrument(reg *telemetry.Registry, line string, t LineTransport) {
 	resets := reg.Counter("transport_resets_total", "connection resets (dead peer, stream desync, write failure)", l)
 	kaProbes := reg.Counter("transport_keepalive_probes_total", "keepalive probes sent", l)
 	kaMisses := reg.Counter("transport_keepalive_misses_total", "keepalive periods with no traffic from the peer", l)
-	txChunks := reg.Counter("transport_tx_chunks_total", "wire chunks written to the line", l)
-	txBytes := reg.Counter("transport_tx_bytes_total", "payload octets written to the line", l)
+	txChunks := reg.Counter("transport_tx_chunks_total", "data records written to the line", l)
+	txBytes := reg.Counter("transport_tx_bytes_total", "payload octets of the data records written to the line", l)
 	rxChunks := reg.Counter("transport_rx_chunks_total", "wire chunks accepted from the line", l)
 	rxBytes := reg.Counter("transport_rx_bytes_total", "payload octets accepted from the line", l)
 	txDropped := reg.Counter("transport_tx_dropped_total", "chunks dropped before the wire (queue overflow, write errors)", l)

@@ -71,9 +71,9 @@ type Muter interface {
 
 // Stats is the observable record of one transport endpoint.
 type Stats struct {
-	// TxChunks/TxBytes count chunks actually written to the line
+	// TxChunks/TxBytes count data chunks actually written to the line
 	// (queued chunks dropped by backpressure are counted in TxDropped,
-	// not here).
+	// not here; keepalive probes, replies and freezes in neither).
 	TxChunks, TxBytes uint64
 	// RxChunks/RxBytes count chunks delivered to Recv callers.
 	RxChunks, RxBytes uint64

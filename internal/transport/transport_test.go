@@ -287,7 +287,7 @@ func TestTCPRedialAfterReset(t *testing.T) {
 }
 
 // TestTCPDialsOnceUntilInstalled parks the dialer's first connect
-// between the connect and install (the test holds the lock install
+// between the connect and its install (the test holds the lock step
 // needs), then Ticks as fast as it can while the dial completes: no
 // Tick may start a second dial, or the listener keeps the newest
 // connection it accepted while the dialer keeps the last one it
@@ -624,6 +624,41 @@ func TestFreezeExchange(t *testing.T) {
 			}
 			if len(got) != 1 {
 				t.Fatalf("freeze count %d, want 1", len(got))
+			}
+		})
+	}
+}
+
+// TestSocketTxChunksCountData: TxChunks/TxBytes count data records
+// only, so on a clean line each end's transmit counters equal its
+// peer's receive counters however many keepalive probes, replies and
+// freezes crossed beside the data.
+func TestSocketTxChunksCountData(t *testing.T) {
+	for _, tr := range sockPairs {
+		t.Run(tr.name, func(t *testing.T) {
+			cfg := Config{KeepalivePeriod: 2}
+			now := int64(0)
+			ln, dl := tr.open(t, cfg, &now)
+			for i := 0; i < 20; i++ {
+				dl.Send([]byte(fmt.Sprintf("c%03d", i)))
+			}
+			collect(t, ln, dl, 20, &now)
+			for i := 0; i < 10*int(cfg.KeepalivePeriod); i++ {
+				now++
+				dl.Tick(now)
+				ln.Tick(now)
+				time.Sleep(100 * time.Microsecond)
+			}
+			if p := dl.Stats().KeepaliveProbes + ln.Stats().KeepaliveProbes; p == 0 {
+				t.Fatal("no keepalive probes in 10 periods")
+			}
+			agree := func(tx, rx Stats) bool { return tx.TxChunks == rx.RxChunks && tx.TxBytes == rx.RxBytes }
+			tickUntil(t, &now, "transmit counters never matched the peer's receive counters", func() bool {
+				a, z := dl.Stats(), ln.Stats()
+				return agree(a, z) && agree(z, a)
+			}, dl, ln)
+			if st := dl.Stats(); st.TxChunks != 20 || st.TxBytes != 80 {
+				t.Fatalf("dialer sent %d chunks, %d octets; want 20, 80", st.TxChunks, st.TxBytes)
 			}
 		})
 	}

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"net/netip"
@@ -145,13 +146,10 @@ func (t *UDP) reader() {
 	buf := make([]byte, 65536)
 	for {
 		n, addr, err := t.conn.ReadFromUDPAddrPort(buf)
+		if errors.Is(err, net.ErrClosed) {
+			return
+		}
 		if err != nil {
-			t.mu.Lock()
-			closed := t.closed
-			t.mu.Unlock()
-			if closed {
-				return
-			}
 			continue
 		}
 		rxWall := time.Now().UnixNano()

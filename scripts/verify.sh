@@ -1,7 +1,8 @@
 #!/bin/sh
 # verify.sh — the repo's full verification gate, a list of commands:
 #   gofmt, go vet (with and without the gates tag), go build,
-#   go test -race, the portable Go delimiter fold that amd64 replaces
+#   go test -race (and fifty race runs of the TCP lifecycle tests),
+#   the portable Go delimiter fold that amd64 replaces
 #   with an SSE2 kernel and the 32-bit decoders (GOARCH=386 go test of
 #   internal/hdlc, internal/ppp, internal/flight and internal/telemetry,
 #   GOARCH=arm64 go vet of internal/hdlc; go vet ./... above runs
@@ -45,6 +46,13 @@ echo "== go test -race (telemetry concurrency gate) =="
 # more iterations so a probe-side data race fails loudly before the
 # full suite runs.
 go test -race -count 2 ./internal/telemetry
+
+echo "== go test -race (TCP lifecycle stress) =="
+# Which TCP connection is live is decided by one step function; the
+# interleaving test checks it over every event order, and fifty runs
+# of the socket tests under the race detector check the shells that
+# post its events.
+go test -race -count=50 -run 'TCP|Lifecycle' ./internal/transport
 
 echo "== go test -race =="
 go test -race ./...
