@@ -99,6 +99,15 @@ type emitRecord struct {
 	at  int64
 }
 
+const (
+	// maxLossPct declares the link Bad when outbound loss over a
+	// reporting window exceeds this percentage.
+	maxLossPct = 20
+	// goodWindows is the hysteresis: consecutive clean windows needed
+	// to return to Good.
+	goodWindows = 3
+)
+
 // Monitor measures one direction pair of a PPP link. The caller feeds
 // traffic events (CountOut*/CountIn*) and received LQRs, and services
 // the report timer through Advance; Send is invoked with each outgoing
@@ -111,13 +120,6 @@ type Monitor struct {
 	Period int64
 	// Send transmits an LQR toward the peer. Required.
 	Send func(*LQR)
-
-	// MaxLossPct declares the link Bad when outbound loss over a
-	// reporting window exceeds this percentage (default 20).
-	MaxLossPct float64
-	// GoodWindows is the hysteresis: consecutive clean windows needed
-	// to return to Good (default 3).
-	GoodWindows int
 
 	// Live counters (ours).
 	OutLQRs, OutPackets, OutOctets uint32
@@ -157,20 +159,6 @@ func (m *Monitor) period() int64 {
 		return 10
 	}
 	return m.Period
-}
-
-func (m *Monitor) maxLoss() float64 {
-	if m.MaxLossPct <= 0 {
-		return 20
-	}
-	return m.MaxLossPct
-}
-
-func (m *Monitor) goodWindows() int {
-	if m.GoodWindows <= 0 {
-		return 3
-	}
-	return m.GoodWindows
 }
 
 // Quality returns the current verdict.
@@ -270,13 +258,13 @@ func (m *Monitor) Receive(q *LQR) {
 		lost = 100 * float64(sentDelta-recvDelta) / float64(sentDelta)
 	}
 	m.LastInboundLossPct = lost
-	if lost > m.maxLoss() {
+	if lost > maxLossPct {
 		m.quality = Bad
 		m.cleanRuns = 0
 		return
 	}
 	m.cleanRuns++
-	if m.quality == Unknown || m.cleanRuns >= m.goodWindows() {
+	if m.quality == Unknown || m.cleanRuns >= goodWindows {
 		m.quality = Good
 	}
 }

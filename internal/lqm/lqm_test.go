@@ -116,7 +116,6 @@ func TestLossyLinkGoesBad(t *testing.T) {
 
 func TestHysteresisRecovery(t *testing.T) {
 	p := newPair()
-	p.b.GoodWindows = 3
 	now := int64(0)
 	for w := 0; w < 3; w++ {
 		now += 10

@@ -333,12 +333,12 @@ func (m *DefectMonitor) losOctet(b byte, thresh int) {
 // the hunt. A single errored pattern inside an otherwise good run keeps
 // sync (the in-frame hysteresis), so its payload is still delivered.
 //
-// sectionErr is the B1/B3 verdict (recorded for counters only);
 // lineErr is the measured B2 line parity verdict, and is what the
 // SD/SF declaration window integrates — signal degrade and signal fail
 // are line-layer defects, and they are the triggers a 1+1 APS
-// controller switches on.
-func (m *DefectMonitor) FrameResultLine(alignOK, sectionErr, lineErr bool) (inFrame bool) {
+// controller switches on. B1/B3 errors are the deframer's counters
+// alone.
+func (m *DefectMonitor) FrameResultLine(alignOK, lineErr bool) (inFrame bool) {
 	if alignOK {
 		m.goodRun++
 		m.badRun = 0
@@ -359,7 +359,6 @@ func (m *DefectMonitor) FrameResultLine(alignOK, sectionErr, lineErr bool) (inFr
 	if lineErr {
 		m.winErr++
 	}
-	_ = sectionErr // counted by the deframer; SD/SF integrate the line
 	if m.winFrm >= m.windowFrames() {
 		errs := m.winErr
 		m.winFrm, m.winErr = 0, 0

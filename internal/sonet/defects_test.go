@@ -15,10 +15,9 @@ func mon() *DefectMonitor {
 	return m
 }
 
-// FrameResult is FrameResultLine with a single parity verdict: the one
-// observation serves both the section and the line.
+// FrameResult is FrameResultLine with a single parity verdict.
 func (m *DefectMonitor) FrameResult(alignOK, parityErr bool) (inFrame bool) {
-	return m.FrameResultLine(alignOK, parityErr, parityErr)
+	return m.FrameResultLine(alignOK, parityErr)
 }
 
 func TestOOFNeedsConsecutiveErroredFrames(t *testing.T) {

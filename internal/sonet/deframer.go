@@ -162,11 +162,10 @@ func (d *Deframer) frame(raw []byte) {
 	// Parity checks against the previous frame. B1/B3 watch the section
 	// and path; B2 watches the line and is what SD/SF declaration
 	// integrates, feeding the APS SF/SD switch triggers.
-	parityErr, lineErr := false, false
+	lineErr := false
 	if d.havePrev {
 		if frame[row+0] != d.b1 { // row 1, first overhead byte
 			d.B1Errors++
-			parityErr = true
 		}
 		if frame[apsRow*row] != d.b2 {
 			d.B2Errors++
@@ -174,11 +173,10 @@ func (d *Deframer) frame(raw []byte) {
 		}
 		if frame[2*row+soh] != d.b3 {
 			d.B3Errors++
-			parityErr = true
 		}
 	}
 
-	if !d.Defects.FrameResultLine(alignOK, parityErr, lineErr) {
+	if !d.Defects.FrameResultLine(alignOK, lineErr) {
 		// Out of frame: drop back to hunting from the next octet — the
 		// true boundary may sit inside this very frame after a slip.
 		d.aligned = false

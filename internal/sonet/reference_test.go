@@ -187,11 +187,10 @@ func (d *refDeframer) frame(raw []byte) {
 	frame := append([]byte(nil), raw...)
 	refScramble(frame[soh:])
 
-	parityErr, lineErr := false, false
+	lineErr := false
 	if d.havePrev {
 		if frame[row+0] != refBip8(d.prevFrame) {
 			d.B1Errors++
-			parityErr = true
 		}
 		if frame[apsRow*row] != d.prevB2 {
 			d.B2Errors++
@@ -199,13 +198,12 @@ func (d *refDeframer) frame(raw []byte) {
 		}
 		if frame[2*row+soh] != refBip8(d.prevPath) {
 			d.B3Errors++
-			parityErr = true
 		}
 	}
 
 	inFrame := alignOK
 	if d.Defects != nil {
-		inFrame = d.Defects.FrameResultLine(alignOK, parityErr, lineErr)
+		inFrame = d.Defects.FrameResultLine(alignOK, lineErr)
 	}
 	if !inFrame {
 		d.aligned = false

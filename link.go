@@ -39,8 +39,6 @@ type LinkConfig struct {
 	// with modulo-8 sequence numbers, acknowledgements and go-back-N
 	// retransmission — the paper's noisy-wireless configuration.
 	Reliable bool
-	// ReliableWindow is the transmit window k (default 7).
-	ReliableWindow int
 	// ReliableMaxRetries is N2, the retransmission limit before a link
 	// reset (default 10).
 	ReliableMaxRetries int
@@ -68,22 +66,15 @@ type LinkConfig struct {
 	// LQMPeriod, when non-zero, enables RFC 1333 link quality
 	// monitoring with the given reporting period (virtual time units).
 	LQMPeriod int64
-	// LQMMaxLossPct is the loss threshold for a Bad verdict.
-	LQMMaxLossPct float64
-	// LQMGoodWindows is the recovery hysteresis.
-	LQMGoodWindows int
 
 	// Supervise enables the self-healing supervisor: after any outage
-	// (SONET defect via NotifyDefects, echo timeout, LCP give-up, Bad
-	// LQM verdict) the link re-runs LCP/auth/IPCP with capped
-	// exponential backoff until it reaches Opened again.
+	// (SONET defect via NotifyDefects, echo timeout, LCP give-up) the
+	// link re-runs LCP/auth/IPCP with capped exponential backoff until
+	// it reaches Opened again.
 	Supervise bool
 	// RetryMin and RetryMax bound the backoff between re-open attempts
 	// in virtual time units (defaults 8 and 256).
 	RetryMin, RetryMax int64
-	// RestartOnBadLQM makes a Bad RFC 1333 verdict trigger a
-	// supervised restart (requires LQMPeriod and Supervise).
-	RestartOnBadLQM bool
 	// JitterSeed seeds the ±20% jitter applied to supervised retry
 	// scheduling, de-synchronising links that fail together (0 derives
 	// a per-link seed from Magic).

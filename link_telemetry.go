@@ -98,8 +98,6 @@ func (l *Link) Observe(o Observation, name string) {
 			func() uint64 { return l.sup.Recoveries }, lbl)
 		m.Counter("link_supervisor_defect_outages_total", "Service-affecting defect windows.",
 			func() uint64 { return l.sup.DefectOutages }, lbl)
-		m.Counter("link_supervisor_lqm_restarts_total", "Restarts from Bad quality verdicts.",
-			func() uint64 { return l.sup.LQMRestarts }, lbl)
 	}
 	l.tel = &linkTelemetry{tracer: o.Tracer, scope: "link:" + name, mirror: m}
 

@@ -17,6 +17,12 @@ import (
 // root package).
 func productionFiles(t *testing.T, fn func(fset *token.FileSet, dir, name string, f *ast.File)) {
 	t.Helper()
+	moduleFiles(t, false, fn)
+}
+
+// moduleFiles is productionFiles over test files too when tests is set.
+func moduleFiles(t *testing.T, tests bool, fn func(fset *token.FileSet, dir, name string, f *ast.File)) {
+	t.Helper()
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -28,7 +34,7 @@ func productionFiles(t *testing.T, fn func(fset *token.FileSet, dir, name string
 			}
 			return nil
 		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+		if !strings.HasSuffix(path, ".go") || !tests && strings.HasSuffix(path, "_test.go") {
 			return nil
 		}
 		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
@@ -295,5 +301,111 @@ func TestObservationExportsHaveCallers(t *testing.T) {
 	sort.Strings(dead)
 	for _, d := range dead {
 		t.Error(d)
+	}
+}
+
+// TestEveryPackageHasAProductionPath holds every package under internal/
+// to a reason to exist: some non-test file outside the package itself,
+// examples/ and benchmark/ imports it. A package only examples, the
+// frozen benchmark or its own tests reach is deleted, or kept below
+// with the experiment or plan that needs it; a kept entry that is gone,
+// or that has since gained a production importer, fails too.
+func TestEveryPackageHasAProductionPath(t *testing.T) {
+	kept := map[string]string{
+		"internal/pos":   "E13's cycle-coupled PHY; BenchmarkSONETCoupledGoodput drives it",
+		"internal/gfp":   "E15's delineation baseline",
+		"internal/mapos": "ROADMAP item 10 deletes it in its own change",
+	}
+	pkgs := map[string]bool{}
+	imported := map[string]bool{}
+	productionFiles(t, func(_ *token.FileSet, dir, _ string, f *ast.File) {
+		if strings.HasPrefix(dir, "internal/") {
+			pkgs[dir] = true
+		}
+		if top, _, _ := strings.Cut(dir, "/"); top == "benchmark" || top == "examples" {
+			return
+		}
+		for _, imp := range f.Imports {
+			p, _ := strconv.Unquote(imp.Path.Value)
+			if p = strings.TrimPrefix(p, "repro/"); p != dir {
+				imported[p] = true
+			}
+		}
+	})
+	for dir := range pkgs {
+		if !imported[dir] && kept[dir] == "" {
+			t.Errorf("%s: no production file imports it; delete it or keep it with a reason", dir)
+		}
+	}
+	for dir := range kept {
+		switch {
+		case !pkgs[dir]:
+			t.Errorf("%s is kept but no longer exists", dir)
+		case imported[dir]:
+			t.Errorf("%s is kept but now has a production importer; drop it from kept", dir)
+		}
+	}
+}
+
+// TestEveryConfigFieldIsSet holds every exported field of an exported
+// *Config struct to a caller that sets it: a composite-literal key or
+// an assignment somewhere in the module, tests, examples and the
+// benchmark included. A field nothing sets is a constant in disguise.
+// The match is by name (go/parser, no type information), so it errs
+// towards silence.
+func TestEveryConfigFieldIsSet(t *testing.T) {
+	fields := map[string]token.Position{} // "Type.Field" -> definition
+	set := map[string]bool{}
+	moduleFiles(t, true, func(fset *token.FileSet, _, name string, f *ast.File) {
+		if !strings.HasSuffix(name, "_test.go") {
+			for _, decl := range f.Decls {
+				d, ok := decl.(*ast.GenDecl)
+				if !ok {
+					continue
+				}
+				for _, spec := range d.Specs {
+					ts, ok := spec.(*ast.TypeSpec)
+					if !ok || !ts.Name.IsExported() || !strings.HasSuffix(ts.Name.Name, "Config") {
+						continue
+					}
+					st, ok := ts.Type.(*ast.StructType)
+					if !ok {
+						continue
+					}
+					for _, fld := range st.Fields.List {
+						for _, id := range fld.Names {
+							if id.IsExported() {
+								fields[ts.Name.Name+"."+id.Name] = fset.Position(id.Pos())
+							}
+						}
+					}
+				}
+			}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.KeyValueExpr:
+				if id, ok := n.Key.(*ast.Ident); ok {
+					set[id.Name] = true
+				}
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					if sel, ok := lhs.(*ast.SelectorExpr); ok {
+						set[sel.Sel.Name] = true
+					}
+				}
+			}
+			return true
+		})
+	})
+	var unset []string
+	for name, pos := range fields {
+		if !set[name[strings.IndexByte(name, '.')+1:]] {
+			unset = append(unset, pos.String()+": "+name+" is set by no file; make it a constant or delete it")
+		}
+	}
+	sort.Strings(unset)
+	for _, u := range unset {
+		t.Error(u)
 	}
 }

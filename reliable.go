@@ -16,7 +16,6 @@ import (
 // initReliable wires a numbered-mode station into the link.
 func (l *Link) initReliable() {
 	l.station = &reliable.Station{
-		Window:     l.cfg.ReliableWindow,
 		MaxRetries: l.cfg.ReliableMaxRetries,
 		Line:       l.lcpA.Line,
 		Out: func(f reliable.Frame) {
@@ -41,10 +40,8 @@ func (l *Link) initReliable() {
 // initLQM wires a quality monitor into the link.
 func (l *Link) initLQM() {
 	l.monitor = &lqm.Monitor{
-		Magic:       l.cfg.Magic,
-		Period:      l.cfg.LQMPeriod,
-		MaxLossPct:  l.cfg.LQMMaxLossPct,
-		GoodWindows: l.cfg.LQMGoodWindows,
+		Magic:  l.cfg.Magic,
+		Period: l.cfg.LQMPeriod,
 		Send: func(q *lqm.LQR) {
 			l.ctl = q.Marshal(l.ctl[:0])
 			f := ppp.Frame{Protocol: lqm.Proto, Payload: l.ctl}

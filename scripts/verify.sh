@@ -10,7 +10,8 @@
 #   (gates_test.go; the OC-48 floor covers the codecs, the Link pair
 #   and the STM-16 section),
 #   every scenarios/*.json run through p5sim (each graded by its own
-#   assertions), the scenarios/net/*.json socket engines as two p5sim
+#   assertions), every examples/* program run with go run (each must
+#   exit 0), the scenarios/net/*.json socket engines as two p5sim
 #   halves each, a 30s differential fuzz of each fused kernel — the one production
 #   encoder and the one production tokenizer, each against its
 #   byte-at-a-time reference
@@ -82,6 +83,14 @@ go build -o "$scen_bin" ./cmd/p5sim
 for scen in scenarios/*.json; do
     echo "-- $scen"
     TMPDIR="$net_dir" "$scen_bin" "$scen"
+done
+
+echo "== examples =="
+# README lists each example as a command to run; run them, so one that
+# panics or exits non-zero fails here rather than in a reader's hands.
+for ex in examples/*/; do
+    echo "-- $ex"
+    go run "./$ex"
 done
 
 echo "== transport chaos smoke (two p5sim processes over UDP loopback) =="

@@ -3,15 +3,14 @@ package gigapos
 import (
 	"repro/internal/hdlc"
 	"repro/internal/lcp"
-	"repro/internal/lqm"
 	"repro/internal/netsim"
 	"repro/internal/sonet"
 	"repro/internal/vj"
 )
 
 // This file adds defect-driven self-healing to the Link: a supervisor
-// that consumes SONET defect transitions (NotifyDefects), echo-timeout
-// and LQM verdicts, tears the link down cleanly, and re-runs
+// that consumes SONET defect transitions (NotifyDefects) and echo
+// timeouts, tears the link down cleanly, and re-runs
 // LCP/auth/IPCP with capped exponential backoff until the line heals.
 
 // Alarm bits accepted by NotifyDefects — the sonet.Defect bit set, as
@@ -44,8 +43,6 @@ type SupervisorStats struct {
 	// DefectOutages counts service-affecting defect windows reported
 	// through NotifyDefects.
 	DefectOutages uint64
-	// LQMRestarts counts restarts triggered by a Bad quality verdict.
-	LQMRestarts uint64
 	// RetryTimes records the virtual time of the most recent restart
 	// attempts (bounded at retryTimesCap, oldest dropped first) — the
 	// exponential backoff is visible in the spacing. Restarts keeps the
@@ -61,13 +58,12 @@ const retryTimesCap = 64
 type supervisor struct {
 	SupervisorStats
 
-	lineOK    bool  // no service-affecting defect currently reported
-	wasOpened bool  // LCP state seen by the previous service pass
-	outage    bool  // between a loss of Opened and the next recovery
-	kick      bool  // line healed: retry immediately
-	retryAt   int64 // next scheduled restart (0 = none)
-	backoff   int64 // current retry interval
-	lastQ     lqm.Quality
+	lineOK    bool         // no service-affecting defect currently reported
+	wasOpened bool         // LCP state seen by the previous service pass
+	outage    bool         // between a loss of Opened and the next recovery
+	kick      bool         // line healed: retry immediately
+	retryAt   int64        // next scheduled restart (0 = none)
+	backoff   int64        // current retry interval
 	rng       *netsim.Rand // jitter source for retry scheduling
 }
 
@@ -167,18 +163,6 @@ func (l *Link) serviceSupervisor(now int64) {
 	}
 	s.wasOpened = opened
 
-	// A Bad quality verdict (RFC 1333) restarts the link on the
-	// transition, so a persistently bad line retries on the backoff
-	// schedule rather than flapping every pass.
-	if opened && l.cfg.RestartOnBadLQM && l.monitor != nil {
-		q := l.monitor.Quality()
-		if q == lqm.Bad && s.lastQ != lqm.Bad {
-			s.LQMRestarts++
-			l.trace("lqm-restart", "", int64(q), 0)
-			l.lcpA.Down()
-		}
-		s.lastQ = q
-	}
 	if opened {
 		return
 	}
