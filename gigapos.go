@@ -18,7 +18,7 @@
 //     Tables 1-3.
 //
 // See the examples directory for runnable end-to-end scenarios,
-// including IP over STM-16 SDH/SONET and a MAPOS LAN.
+// including IP over STM-16 SDH/SONET.
 package gigapos
 
 import (

@@ -11,7 +11,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/flight"
 	"repro/internal/netsim"
-	"repro/internal/obsnet"
 	"repro/internal/transport"
 )
 
@@ -220,18 +219,13 @@ func (s *Scenario) grade(res *Result) {
 	res.Pass = len(res.Failures) == 0
 }
 
-// conclude grades the fleet, prints the verdict, and hands the run —
-// still up — to rc.Live. Every topology's run ends here.
+// conclude prints the verdict and hands the run — still up — to
+// rc.Live. Every topology's run ends here.
 func (s *Scenario) conclude(rc RunConfig, res *Result) error {
 	out := rc.Out
-	if s.Fleet != nil {
-		fails := s.Fleet.grade(obsnet.ScrapeAll(s.Fleet.Instances))
-		fmt.Fprintf(out, "  fleet            : %d instances scraped, %d violations\n", len(s.Fleet.Instances), len(fails))
-		res.Failures = append(res.Failures, fails...)
-	}
 	res.Pass = len(res.Failures) == 0
 	if res.Pass {
-		fmt.Fprintf(out, "  verdict          : PASS (%d assertions held)\n", s.Assert.count()+s.Fleet.count())
+		fmt.Fprintf(out, "  verdict          : PASS (%d assertions held)\n", s.Assert.count())
 	} else {
 		fmt.Fprintf(out, "  verdict          : FAIL\n")
 		for _, f := range res.Failures {

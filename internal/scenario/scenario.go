@@ -47,10 +47,6 @@ type Scenario struct {
 
 	Events []Event    `json:"events,omitempty"`
 	Assert Assertions `json:"assert"`
-
-	// Fleet, when present, adds distributed SLO assertions graded by
-	// scraping live p5sim instances after the run (fleet.go).
-	Fleet *FleetSpec `json:"fleet,omitempty"`
 }
 
 // RingSpec parameterises the topo.Ring under a drill and the circuits
@@ -359,9 +355,6 @@ func (s *Scenario) Validate() error {
 		if has(reads[e.Action], "node") && e.Node >= s.Ring.Nodes {
 			return fail("event %d references node %d of %d", i, e.Node, s.Ring.Nodes)
 		}
-	}
-	if s.Fleet != nil && len(s.Fleet.Instances) == 0 {
-		return fail("fleet block with no instances")
 	}
 	return nil
 }

@@ -78,6 +78,9 @@ func TestParseValidation(t *testing.T) {
 		{"restart_period has no block", nil,
 			`{"name": "x", "ring": {"nodes": 4, "circuits": [{"name": "c0", "a": 0, "b": 2}]}, "links": {"restart_period": -1}, "duration": 100, "assert": {}}`,
 			`unknown field "links"`},
+		{"fleet block is refused", nil,
+			`{"name": "x", "ring": {"nodes": 4, "circuits": [{"name": "c0", "a": 0, "b": 2}]}, "duration": 100, "assert": {}, "fleet": {"instances": ["127.0.0.1:9100"], "assert": {"require_up": true}}}`,
+			`unknown field "fleet"`},
 		// Accepted, then refused by Run with a structural error.
 		{"circuit a == b", func(s *Scenario) { s.Ring.Circuits[0].B = 0 }, "", "bad endpoints 0,0"},
 		{"endpoint outside ring", func(s *Scenario) { s.Ring.Circuits[0].B = 7 }, "", "bad endpoints 0,7"},
@@ -237,10 +240,9 @@ func TestFailureProducesCaptures(t *testing.T) {
 // bytes Parse must not panic, and every document it accepts must run —
 // its clock, bring-up budget, P5 frames and engine pairs capped so an
 // input costs milliseconds, events past the cap dropped — without an
-// error or a panic. Socket engines (they need a peer process) and fleet
-// blocks (they scrape the network) are parsed, not run. The corpus is
-// every committed scenario plus testdata/fuzz, the documents
-// TestParseValidation's rows describe.
+// error or a panic. Socket engines (they need a peer process) are
+// parsed, not run. The corpus is every committed scenario plus
+// testdata/fuzz, the documents TestParseValidation's rows describe.
 func FuzzScenarioParse(f *testing.F) {
 	files, _ := filepath.Glob("../../scenarios/*.json")
 	net, _ := filepath.Glob("../../scenarios/net/*.json")
@@ -254,7 +256,7 @@ func FuzzScenarioParse(f *testing.F) {
 	const maxTicks = 40
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := Parse(data)
-		if err != nil || s.Fleet != nil || s.Engine != nil && s.Engine.socket() {
+		if err != nil || s.Engine != nil && s.Engine.socket() {
 			return
 		}
 		if s.P5 != nil {

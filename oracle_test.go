@@ -104,7 +104,7 @@ func TestOneSectionCarrier(t *testing.T) {
 		"internal/sonet": "the section itself, and the Line that wraps it",
 		"internal/topo":  "an ADM span maps payload offsets to the TDM slots of many circuits, not one octet stream",
 		"internal/pos":   "the PHY of the RTL model is clocked: W line octets per simulated cycle, with wire backpressure",
-		"benchmark":      "frozen contract; its sonet_imix workload migrates in ROADMAP item 4(d)",
+		"benchmark":      "frozen contract; its sonet_imix workload migrates in ROADMAP item 1(a)",
 	}
 	productionFiles(t, func(fset *token.FileSet, dir, _ string, f *ast.File) {
 		if kept[dir] != "" {
@@ -312,9 +312,8 @@ func TestObservationExportsHaveCallers(t *testing.T) {
 // or that has since gained a production importer, fails too.
 func TestEveryPackageHasAProductionPath(t *testing.T) {
 	kept := map[string]string{
-		"internal/pos":   "E13's cycle-coupled PHY; BenchmarkSONETCoupledGoodput drives it",
-		"internal/gfp":   "E15's delineation baseline",
-		"internal/mapos": "ROADMAP item 10 deletes it in its own change",
+		"internal/pos": "E13's cycle-coupled PHY; BenchmarkSONETCoupledGoodput drives it",
+		"internal/gfp": "E15's delineation baseline",
 	}
 	pkgs := map[string]bool{}
 	imported := map[string]bool{}

@@ -5,8 +5,9 @@
 #   the portable Go delimiter fold that amd64 replaces
 #   with an SSE2 kernel and the 32-bit decoders (GOARCH=386 go test of
 #   internal/hdlc, internal/ppp, internal/flight and internal/telemetry,
-#   GOARCH=arm64 go vet of internal/hdlc; go vet ./... above runs
-#   asmdecl on the kernel itself), the three timing gates
+#   GOARCH=386 go vet of the whole tree, GOARCH=arm64 go vet of
+#   internal/hdlc; go vet ./... above runs asmdecl on the kernel
+#   itself), the three timing gates
 #   (gates_test.go; the OC-48 floor covers the codecs, the Link pair
 #   and the STM-16 section),
 #   every scenarios/*.json run through p5sim (each graded by its own
@@ -58,7 +59,7 @@ go test -race -count=50 -run 'TCP|Lifecycle' ./internal/transport
 echo "== go test -race =="
 go test -race ./...
 
-echo "== 32-bit and portable paths (GOARCH=386 test, GOARCH=arm64 vet) =="
+echo "== 32-bit and portable paths (GOARCH=386 test and vet, GOARCH=arm64 vet) =="
 # amd64 maps delimiters with delim_amd64.s; every other GOARCH runs the
 # Go fold in delim_other.go, which an amd64 build never compiles. 386
 # binaries run on an amd64 host, so the codec tests (TestBlockMapsExact,
@@ -66,7 +67,10 @@ echo "== 32-bit and portable paths (GOARCH=386 test, GOARCH=arm64 vet) =="
 # the arm64 vet checks the fold on a 64-bit GOARCH. The capture decoder
 # and the exposition parser read outside input, and a capture's length
 # fields turn negative as a 32-bit int, so their tests run on 386 too.
+# The 386 vet type-checks every package, tests included, so a constant
+# that overflows a 32-bit int anywhere in the tree fails here.
 GOARCH=386 go test ./internal/hdlc ./internal/ppp ./internal/flight ./internal/telemetry
+GOARCH=386 go vet ./...
 GOARCH=arm64 go vet ./internal/hdlc
 
 echo "== timing gates (flight ≤ 5%, stage profile ≤ 8%, OC-48 floor: codecs, Link pair, STM-16 section) =="

@@ -13,15 +13,9 @@ import (
 // timeouts, tears the link down cleanly, and re-runs
 // LCP/auth/IPCP with capped exponential backoff until the line heals.
 
-// Alarm bits accepted by NotifyDefects — the sonet.Defect bit set, as
-// also surfaced in the P5 OAM alarm register.
+// The alarm word NotifyDefects takes is the sonet.Defect bit set (the
+// P5 OAM alarm register's layout) plus AlarmTransportLOS.
 const (
-	AlarmOOF = uint32(sonet.DefOOF)
-	AlarmLOF = uint32(sonet.DefLOF)
-	AlarmLOS = uint32(sonet.DefLOS)
-	AlarmSD  = uint32(sonet.DefSD)
-	AlarmSF  = uint32(sonet.DefSF)
-
 	// AlarmTransportLOS reports loss of the line *transport* — the
 	// socket or pipe carrying the wire octets — rather than a SONET
 	// receive defect. Deliberately outside the sonet.Defect bit range;
@@ -104,11 +98,12 @@ func (l *Link) Supervisor() SupervisorStats {
 	return s
 }
 
-// NotifyDefects reports the current SONET alarm set (Alarm* bits) for
-// the receive line. Wire it to a sonet.DefectMonitor's OnEvent — or to
-// the P5 OAM alarm register — so physical-layer supervision drives the
-// PPP state machine. A service-affecting defect takes the link down and
-// parks the supervisor; the all-clear triggers an immediate re-open.
+// NotifyDefects reports the current alarm set for the receive line: the
+// sonet.Defect bits plus AlarmTransportLOS. Wire it to a
+// sonet.DefectMonitor's OnEvent — or to the P5 OAM alarm register — so
+// physical-layer supervision drives the PPP state machine. A
+// service-affecting defect takes the link down and parks the
+// supervisor; the all-clear triggers an immediate re-open.
 func (l *Link) NotifyDefects(active uint32) {
 	s := l.sup
 	if s == nil {

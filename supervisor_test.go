@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/channel"
 	"repro/internal/lcp"
+	"repro/internal/sonet"
 )
 
 // tick advances both endpoints one virtual time unit and, unless the
@@ -211,8 +212,8 @@ func TestNotifyDefectsParksAndKicks(t *testing.T) {
 		t.Fatal("did not open")
 	}
 
-	a.NotifyDefects(AlarmLOS)
-	b.NotifyDefects(AlarmLOS)
+	a.NotifyDefects(uint32(sonet.DefLOS))
+	b.NotifyDefects(uint32(sonet.DefLOS))
 	if a.Opened() {
 		t.Fatal("link survived an LOS alarm")
 	}
