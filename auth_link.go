@@ -1,6 +1,8 @@
 package gigapos
 
 import (
+	"crypto/rand"
+
 	"repro/internal/auth"
 	"repro/internal/ppp"
 )
@@ -29,10 +31,6 @@ type AuthConfig struct {
 	// Name identifies this node in CHAP challenges (defaults to
 	// Identity).
 	Name string
-	// Rand supplies CHAP challenge bytes; a deterministic fallback
-	// seeded by the LCP magic is used when nil (fine for simulation,
-	// not for production).
-	Rand func() byte
 }
 
 type linkAuth struct {
@@ -65,20 +63,12 @@ func (l *Link) initAuth() {
 			l.out = ppp.AppendFrame(l.out, f, l.lcpTxConfig(), true)
 		}
 	}
-	rnd := a.cfg.Rand
-	if rnd == nil {
-		seed := l.cfg.Magic*0x9E3779B1 + 0x1234567
-		rnd = func() byte {
-			seed = seed*1664525 + 1013904223
-			return byte(seed >> 16)
-		}
-	}
 	switch a.cfg.Require {
 	case AuthPAP:
 		a.papSrv = &auth.PAPServer{Secrets: a.cfg.Secrets, Send: send(auth.ProtoPAP)}
 	case AuthCHAP:
 		a.chapSrv = &auth.CHAPServer{Name: a.cfg.name(), Secrets: a.cfg.Secrets,
-			Rand: rnd, Send: send(auth.ProtoCHAP)}
+			Rand: challengeByte, Send: send(auth.ProtoCHAP)}
 	}
 	if a.cfg.Identity != "" {
 		a.papCli = &auth.PAPClient{PeerID: a.cfg.Identity, Password: a.cfg.Secret,
@@ -91,6 +81,18 @@ func (l *Link) initAuth() {
 	if a.cfg.Identity != "" {
 		l.lcpPol.CanAuth = map[uint16]bool{AuthPAP: true, AuthCHAP: true}
 	}
+}
+
+// challengeByte draws CHAP challenge octets from the system's secure
+// source: RFC 1994 §2.3 asks for challenges that are unique and
+// unpredictable, so nothing the peer can read (the LCP magic crosses
+// the wire in clear) may seed them.
+func challengeByte() byte {
+	var b [1]byte
+	// Since Go 1.24 Read returns no error: it aborts the program when
+	// the system's source fails.
+	_, _ = rand.Read(b[:])
+	return b[0]
 }
 
 // startAuthPhase begins the exchanges after LCP opens.

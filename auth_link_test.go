@@ -1,6 +1,13 @@
 package gigapos
 
-import "testing"
+import (
+	"bytes"
+	"testing"
+
+	"repro/internal/auth"
+	"repro/internal/hdlc"
+	"repro/internal/ppp"
+)
 
 func TestLinkCHAPAuthentication(t *testing.T) {
 	// a is the access server demanding CHAP; b dials in.
@@ -116,5 +123,49 @@ func TestLinkMutualCHAP(t *testing.T) {
 	}
 	if a.AuthenticatedPeer() != "west" || b.AuthenticatedPeer() != "east" {
 		t.Errorf("peers: %q / %q", a.AuthenticatedPeer(), b.AuthenticatedPeer())
+	}
+}
+
+// TestCHAPChallengesAreUnpredictable: two authenticators built from one
+// config issue different first challenges. RFC 1994 §2.3 asks for
+// challenges that are unique and unpredictable; one derived from the
+// LCP magic, which the peer reads in clear, is neither.
+func TestCHAPChallengesAreUnpredictable(t *testing.T) {
+	srv := LinkConfig{Magic: 1, IPAddr: [4]byte{10, 0, 0, 1},
+		Auth: AuthConfig{Require: AuthCHAP, Name: "server",
+			Secrets: map[string]string{"bob": "hunter2"}}}
+	cli := LinkConfig{Magic: 2, IPAddr: [4]byte{10, 0, 0, 2},
+		Auth: AuthConfig{Identity: "bob", Secret: "hunter2"}}
+	// firstChallenge brings a fresh pair up and returns the value of
+	// the first CHAP Challenge the authenticator puts on the wire.
+	firstChallenge := func() []byte {
+		a, b := NewLink(srv), NewLink(cli)
+		a.Open()
+		b.Open()
+		a.Up()
+		b.Up()
+		var tk hdlc.Tokenizer
+		for i := 0; i < 100; i++ {
+			out := a.Output()
+			for _, tok := range tk.Feed(nil, out) {
+				var f ppp.Frame
+				if tok.Err != nil || ppp.DecodeBodyInto(&f, tok.Body, ppp.Config{ACCM: hdlc.ACCMAll}) != nil ||
+					f.Protocol != auth.ProtoCHAP {
+					continue
+				}
+				if p, err := auth.Parse(f.Payload); err == nil && p.Code == 1 && len(p.Data) > 0 {
+					n := int(p.Data[0])
+					return bytes.Clone(p.Data[1 : 1+n])
+				}
+			}
+			b.Input(out)
+			a.Input(b.Output())
+		}
+		t.Fatal("the authenticator sent no CHAP Challenge")
+		return nil
+	}
+	c1, c2 := firstChallenge(), firstChallenge()
+	if len(c1) == 0 || bytes.Equal(c1, c2) {
+		t.Errorf("two authenticators from one config challenged with % x and % x", c1, c2)
 	}
 }

@@ -211,9 +211,7 @@ func TestChaosSoakLinkSelfHealing(t *testing.T) {
 func TestChaosSoakDualLineProtection(t *testing.T) {
 	const fb = 2430
 	const wtr = 40
-	p := newProtectedPair(t, ProtectionConfig{
-		APS: aps.Config{Bidirectional: true, Revertive: true, WaitToRestore: wtr},
-	})
+	p := newProtectedPair(t, aps.Config{Bidirectional: true, Revertive: true, WaitToRestore: wtr})
 	a, b := p.a, p.b
 
 	// Per-line scripts, pinned to absolute line-octet offsets. The

@@ -43,12 +43,12 @@ type EngineConfig struct {
 	// Batch is how many datagrams each endpoint queues per step
 	// (default 8).
 	Batch int
-	// Transport, when non-nil, supplies the line transports carrying
-	// port i's wire octets instead of the direct in-process loopback:
-	// return both endpoints of a pair (transport.NewPipePair, or two
-	// sockets meeting on loopback), or — with Role RoleA or RoleZ —
-	// just the local side, nil for the other. The engine owns the
-	// returned transports and closes them with Close.
+	// Transport supplies the line transports carrying port i's wire
+	// octets: both endpoints of a pair (two sockets meeting on loopback,
+	// a sonet.Line pair), or — with Role RoleA or RoleZ — just the local
+	// side, nil for the other. The engine owns the returned transports
+	// and closes them with Close. Nil gives every port a
+	// transport.NewPipePair.
 	Transport func(port int) (a, z transport.LineTransport)
 	// Role selects which side of each port this engine instantiates.
 	// RoleLoopback (the default) builds both; RoleA and RoleZ build a
@@ -125,12 +125,11 @@ type EngineStats struct {
 
 // enginePort is one port's endpoints plus its traffic state: both
 // links of a loopback pair, or a single link in a remote-role engine
-// (z nil). When transports carry the wire (tpa/tpz non-nil) the direct
-// Output→Input move is replaced with Flush/Poll through them. A port
+// (z nil), each behind the TransportPort that carries its wire. A port
 // is owned exclusively by one shard worker.
 type enginePort struct {
 	a, z     *Link          // z is nil in a remote-role engine
-	tpa, tpz *TransportPort // nil for the direct loopback wire
+	tpa, tpz *TransportPort // tpz is nil with z
 
 	txBatch [][]byte   // batch of generated datagrams (shared template)
 	rxTmp   []Datagram // reusable drain scratch
@@ -156,28 +155,15 @@ func (p *enginePort) step(now int64, s *engineShard) {
 		}
 	}
 	sp.Stamp(prof.StageEncode)
-	if p.tpa != nil {
-		n := p.tpa.Flush()
-		if p.tpz != nil {
-			n += p.tpz.Flush()
-		}
-		s.lineBytes += uint64(n)
-		sp.Stamp(prof.StageLine)
-		p.tpa.Poll(now)
-		if p.tpz != nil {
-			p.tpz.Poll(now)
-		}
-	} else {
-		if out := p.a.Output(); len(out) > 0 {
-			s.lineBytes += uint64(len(out))
-			sp.Stamp(prof.StageLine)
-			p.z.Input(out)
-		}
-		if out := p.z.Output(); len(out) > 0 {
-			s.lineBytes += uint64(len(out))
-			sp.Stamp(prof.StageLine)
-			p.a.Input(out)
-		}
+	n := p.tpa.Flush()
+	if p.tpz != nil {
+		n += p.tpz.Flush()
+	}
+	s.lineBytes += uint64(n)
+	sp.Stamp(prof.StageLine)
+	p.tpa.Poll(now)
+	if p.tpz != nil {
+		p.tpz.Poll(now)
 	}
 	p.rxTmp = p.a.ReceivedInto(p.rxTmp[:0])
 	if p.z != nil {
@@ -273,6 +259,10 @@ func NewEngine(cfg EngineConfig) *Engine {
 	if cfg.Role != RoleLoopback && cfg.Transport == nil {
 		panic("gigapos: EngineConfig.Role RoleA/RoleZ requires a Transport hook")
 	}
+	hook := cfg.Transport
+	if hook == nil {
+		hook = func(int) (a, z transport.LineTransport) { return transport.NewPipePair() }
+	}
 	for i := 0; i < nLinks; i++ {
 		acfg, zcfg := cfg.Link, cfg.Link
 		// Distinct, nonzero magic numbers per endpoint: loopback
@@ -292,21 +282,19 @@ func NewEngine(cfg EngineConfig) *Engine {
 		if cfg.Role == RoleLoopback {
 			p.z = NewLink(zcfg)
 		}
-		if cfg.Transport != nil {
-			ta, tz := cfg.Transport(i)
-			if cfg.Role == RoleZ && tz != nil {
-				ta = tz // the z-side hook result backs the local (slot a) link
+		ta, tz := hook(i)
+		if cfg.Role == RoleZ && tz != nil {
+			ta = tz // the z-side hook result backs the local (slot a) link
+		}
+		if ta == nil {
+			panic(fmt.Sprintf("gigapos: Transport(%d) returned no local endpoint", i))
+		}
+		p.tpa = NewTransportPort(p.a, ta)
+		if p.z != nil {
+			if tz == nil {
+				panic(fmt.Sprintf("gigapos: Transport(%d) returned no z endpoint for a loopback engine", i))
 			}
-			if ta == nil {
-				panic(fmt.Sprintf("gigapos: Transport(%d) returned no local endpoint", i))
-			}
-			p.tpa = NewTransportPort(p.a, ta)
-			if p.z != nil {
-				if tz == nil {
-					panic(fmt.Sprintf("gigapos: Transport(%d) returned no z endpoint for a loopback engine", i))
-				}
-				p.tpz = NewTransportPort(p.z, tz)
-			}
+			p.tpz = NewTransportPort(p.z, tz)
 		}
 		p.txBatch = make([][]byte, cfg.batch())
 		for j := range p.txBatch {
@@ -450,17 +438,12 @@ func (e *Engine) Port(i int) (a, z *Link) {
 }
 
 // ends returns p's local ends as the (a, z) of the pair they belong
-// to, each behind its transport when it has one. A RoleZ engine keeps
-// its only link in slot a, but it is the pair's z end and named so.
+// to, each behind its transport. A RoleZ engine keeps its only link in
+// slot a, but it is the pair's z end and named so.
 func (e *Engine) ends(p *enginePort) (a, z Observable) {
-	a = p.a
-	if p.tpa != nil {
-		a = p.tpa
-	}
+	a = p.tpa
 	if p.tpz != nil {
 		z = p.tpz
-	} else if p.z != nil {
-		z = p.z
 	}
 	if e.cfg.Role == RoleZ {
 		a, z = nil, a
@@ -520,9 +503,7 @@ func (e *Engine) Close() {
 	}
 	for _, s := range e.shards {
 		for _, p := range s.ports {
-			if p.tpa != nil {
-				p.tpa.T.Close()
-			}
+			p.tpa.T.Close()
 			if p.tpz != nil {
 				p.tpz.T.Close()
 			}

@@ -46,8 +46,8 @@ import (
 //     supervisor, flight/SLO service, telemetry mirrors);
 //   - encode: SendIPv4Batch — the frame head prepared once per batch,
 //     then per frame one FCS fold over the payload and one stuffing walk;
-//   - line: the wire move — the Output buffer swap on a direct loopback,
-//     Flush plus the transport's Tick and Recv on a TransportPort;
+//   - line: the wire move — Flush plus the transport's Tick and Recv on
+//     each end's TransportPort;
 //   - tokenize: hdlc.Tokenizer.Feed for one input chunk — delineation,
 //     destuff and, at each closing flag, the FCS fold over that frame's
 //     body — and nothing else of Link.Input;

@@ -28,7 +28,7 @@ const (
 // transport-LOS defect and the supervisor renegotiates when the line
 // returns. Each pair is graded as the circuit port<i>: what its local
 // ends offered against the frames they accepted (the engine's links run
-// no echo or LQM, so after bring-up every accepted frame is a datagram),
+// no echo, so after bring-up every accepted frame is a datagram),
 // supervisor restarts as its renegotiations.
 func (s *Scenario) runEngine(rc RunConfig, res *Result) error {
 	es, o := s.Engine, rc.Observation

@@ -47,9 +47,9 @@ func (s *Scenario) runProtected(rc RunConfig, res *Result) error {
 	cfgA, cfgB := lcfg, lcfg
 	cfgA.Magic, cfgA.IPAddr = 0xAAAA, [4]byte{10, 0, 0, 1}
 	cfgB.Magic, cfgB.IPAddr = 0xBBBB, [4]byte{10, 0, 0, 2}
-	a, b := gigapos.NewProtectedPair(cfgA, cfgB, gigapos.ProtectionConfig{APS: aps.Config{
+	a, b := gigapos.NewProtectedPair(cfgA, cfgB, aps.Config{
 		Bidirectional: true, Revertive: true, WaitToRestore: 100,
-	}})
+	})
 	var w gigapos.Watch
 	w.ObservePair(rc.Observation, "prot", a, b)
 	oam := &p5.OAM{Regs: p5.NewRegs()}

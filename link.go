@@ -6,7 +6,6 @@ import (
 	"repro/internal/hdlc"
 	"repro/internal/ipcp"
 	"repro/internal/lcp"
-	"repro/internal/lqm"
 	"repro/internal/netsim"
 	"repro/internal/ppp"
 	"repro/internal/prof"
@@ -63,22 +62,16 @@ type LinkConfig struct {
 	// EchoMisses is the unanswered-echo limit (default 3).
 	EchoMisses int
 
-	// LQMPeriod, when non-zero, enables RFC 1333 link quality
-	// monitoring with the given reporting period (virtual time units).
-	LQMPeriod int64
-
 	// Supervise enables the self-healing supervisor: after any outage
 	// (SONET defect via NotifyDefects, echo timeout, LCP give-up) the
 	// link re-runs LCP/auth/IPCP with capped exponential backoff until
 	// it reaches Opened again.
 	Supervise bool
 	// RetryMin and RetryMax bound the backoff between re-open attempts
-	// in virtual time units (defaults 8 and 256).
+	// in virtual time units (defaults 8 and 256). Each retry is
+	// jittered ±20% from a seed derived from Magic, so links that fail
+	// together re-open apart.
 	RetryMin, RetryMax int64
-	// JitterSeed seeds the ±20% jitter applied to supervised retry
-	// scheduling, de-synchronising links that fail together (0 derives
-	// a per-link seed from Magic).
-	JitterSeed uint64
 }
 
 // Datagram is one received network-layer packet.
@@ -124,7 +117,6 @@ type Link struct {
 	relFree [][]byte // free list of numbered-mode information buffers
 
 	station *reliable.Station
-	monitor *lqm.Monitor
 	vjTx    *vj.Compressor
 	vjRx    *vj.Decompressor
 	auth    *linkAuth
@@ -224,16 +216,10 @@ func NewLink(cfg LinkConfig) *Link {
 	if cfg.Reliable {
 		l.initReliable()
 	}
-	if cfg.LQMPeriod > 0 {
-		l.initLQM()
-	}
 	if cfg.Supervise {
-		seed := cfg.JitterSeed
-		if seed == 0 {
-			// Derive a per-link seed so sibling links sharing a config
-			// still jitter apart (Magic is unique per endpoint).
-			seed = uint64(cfg.Magic)<<32 | uint64(cfg.Magic) | 1
-		}
+		// A per-link seed: sibling links sharing a config still jitter
+		// apart (Magic is unique per endpoint).
+		seed := uint64(cfg.Magic)<<32 | uint64(cfg.Magic) | 1
 		l.sup = &supervisor{lineOK: true, rng: netsim.NewRand(seed)}
 	}
 	return l
@@ -286,16 +272,13 @@ func (l *Link) Down() { l.lcpA.Down() }
 func (l *Link) Close() { l.lcpA.Close() }
 
 // Advance moves the endpoint's virtual clock (restart timers, the
-// numbered-mode T1, and quality report cadence).
+// numbered-mode T1, the echo keepalive and the supervisor).
 func (l *Link) Advance(now int64) {
 	l.now = now
 	l.lcpA.Advance(now)
 	l.ipcpA.Advance(now)
 	if l.station != nil {
 		l.station.Advance(now)
-	}
-	if l.monitor != nil {
-		l.monitor.Advance(now)
 	}
 	l.serviceEcho(now)
 	l.serviceSupervisor(now)
@@ -372,9 +355,6 @@ func (l *Link) Send(proto uint16, payload []byte) error {
 	if (proto == ppp.ProtoIPv4 || proto == ppp.ProtoVJC || proto == ppp.ProtoVJU) && !l.IPReady() {
 		return ErrLinkDown
 	}
-	if l.monitor != nil {
-		l.monitor.CountOutPacket(len(payload))
-	}
 	if l.station != nil {
 		if !l.station.Connected() {
 			return ErrLinkDown
@@ -425,9 +405,6 @@ func (l *Link) SendIPv4Batch(datagrams [][]byte) (int, error) {
 	// not latched on the link, so a renegotiation invalidates nothing.
 	hdr := l.dataTxConfig().Header(ppp.ProtoIPv4)
 	for _, d := range datagrams {
-		if l.monitor != nil {
-			l.monitor.CountOutPacket(len(d))
-		}
 		l.out = hdr.Append(l.out, d, true)
 		l.flightDepart()
 	}
@@ -502,13 +479,10 @@ func (l *Link) Input(stream []byte) {
 
 // rxError is the one exit for a damaged received frame — framing error,
 // bad FCS or header, unusable numbered frame, undecompressable VJ packet:
-// counted, shown to the flight burst detector, reported in LQM InErrors.
+// counted and shown to the flight burst detector.
 func (l *Link) rxError() {
 	l.RxErrors++
 	l.flightNoteError()
-	if l.monitor != nil {
-		l.monitor.CountInError()
-	}
 }
 
 // InputBatch feeds a batch of received chunks, amortising dispatch the
@@ -559,16 +533,7 @@ func (l *Link) frame(body []byte, fcsOK bool, cfg *ppp.Config) bool {
 		}
 	case 0xC023, 0xC223: // PAP / CHAP
 		l.authFrame(&f)
-	case lqm.Proto:
-		if l.monitor != nil {
-			if q, ok := lqm.Parse(f.Payload); ok {
-				l.monitor.Receive(&q)
-			}
-		}
 	case ppp.ProtoIPv4, ppp.ProtoIPv6:
-		if l.monitor != nil {
-			l.monitor.CountInPacket(len(f.Payload))
-		}
 		// Copy out of the tokenizer's recycled arena: the queued
 		// datagram must survive any number of further Input calls.
 		l.rx = append(l.rx, Datagram{Protocol: f.Protocol, Payload: l.copyRx(f.Payload)})
@@ -590,9 +555,6 @@ func (l *Link) frame(body []byte, fcsOK bool, cfg *ppp.Config) bool {
 			return false
 		}
 		l.prof.Stamp(prof.StageVJ)
-		if l.monitor != nil {
-			l.monitor.CountInPacket(len(pkt))
-		}
 		l.rx = append(l.rx, Datagram{Protocol: ppp.ProtoIPv4, Payload: pkt})
 		l.prof.Stamp(prof.StageQueue)
 		l.flightArrive()

@@ -79,18 +79,6 @@ func (l *Link) Observe(o Observation, name string) {
 		m.Counter("link_vj_saved_octets_total", "Header octets elided by VJ compression.",
 			func() uint64 { return l.vjTx.SavedOctets }, lbl)
 	}
-	if l.monitor != nil {
-		m.Counter("link_lqm_reports_out_total", "Link-Quality-Reports emitted.",
-			func() uint64 { return uint64(l.monitor.OutLQRs) }, lbl)
-		m.Counter("link_lqm_reports_in_total", "Link-Quality-Reports received.",
-			func() uint64 { return uint64(l.monitor.InLQRs) }, lbl)
-		m.Counter("link_lqm_rtt_samples_total", "Completed report round-trip measurements.",
-			func() uint64 { return l.monitor.RTTSamples }, lbl)
-		m.Gauge("link_lqm_rtt", "Last report round-trip (virtual time units).",
-			func() int64 { return l.monitor.LastRTT }, lbl)
-		m.Gauge("link_lqm_quality", "Quality verdict: 0 unknown, 1 good, 2 bad.",
-			func() int64 { return int64(l.monitor.Quality()) }, lbl)
-	}
 	if l.sup != nil {
 		m.Counter("link_supervisor_restarts_total", "Supervised re-open attempts.",
 			func() uint64 { return l.sup.Restarts }, lbl)

@@ -7,17 +7,16 @@ import (
 	"repro/internal/telemetry"
 )
 
-// TestLinkInstrumentTelemetry brings an instrumented pair up, runs LQM
-// long enough for round-trip samples, cuts the line to provoke the
-// supervisor, and checks the exported series and trace events.
+// TestLinkInstrumentTelemetry brings an instrumented pair up, cuts the
+// line to provoke the supervisor, and checks the exported series and
+// trace events.
 func TestLinkInstrumentTelemetry(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	tr := telemetry.NewTracer(512)
 	cfg := LinkConfig{
 		EchoPeriod: 4, EchoMisses: 2,
 		Supervise: true, RetryMin: 4, RetryMax: 64,
-		LQMPeriod: 5,
-		WantVJ:    true, AllowVJ: true,
+		WantVJ: true, AllowVJ: true,
 	}
 	cfg.Magic, cfg.IPAddr = 0x1111, [4]byte{10, 0, 0, 1}
 	a := NewLink(cfg)
@@ -64,12 +63,6 @@ func TestLinkInstrumentTelemetry(t *testing.T) {
 	}
 	if get(`link_rx_frames_total{link="b"}`) == 0 {
 		t.Error("no rx frames counted")
-	}
-	if get(`link_lqm_rtt_samples_total{link="a"}`) == 0 {
-		t.Error("no LQM round-trip samples")
-	}
-	if get(`link_lqm_rtt{link="a"}`) <= 0 {
-		t.Error("LQM RTT gauge never set")
 	}
 	if get(`link_vj_out_ip_total{link="a"}`) == 0 {
 		t.Error("VJ TYPE_IP counter not exported")

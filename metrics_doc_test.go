@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/aps"
 	"repro/internal/flight"
 	"repro/internal/p5"
 	"repro/internal/prof"
@@ -51,8 +52,8 @@ func TestMetricsDocMatchesRegistry(t *testing.T) {
 	e.Observe(o, "linecard")
 
 	// Every optional Link subsystem on, so every link_* family registers.
-	lcfg := LinkConfig{WantVJ: true, AllowVJ: true, LQMPeriod: 16, Supervise: true}
-	pa, pb := NewProtectedPair(lcfg, lcfg, ProtectionConfig{})
+	lcfg := LinkConfig{WantVJ: true, AllowVJ: true, Supervise: true}
+	pa, pb := NewProtectedPair(lcfg, lcfg, aps.Config{})
 	new(Watch).ObservePair(o, "prot", pa, pb)
 
 	ring, err := topo.NewRing(topo.Config{Nodes: 4})

@@ -2,8 +2,11 @@ package gigapos
 
 import (
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"path/filepath"
 	"sort"
@@ -347,60 +350,69 @@ func TestEveryPackageHasAProductionPath(t *testing.T) {
 }
 
 // TestEveryConfigFieldIsSet holds every exported field of an exported
-// *Config struct to a caller that sets it: a composite-literal key or
-// an assignment somewhere in the module, tests, examples and the
-// benchmark included. A field nothing sets is a constant in disguise.
-// The match is by name (go/parser, no type information), so it errs
-// towards silence.
+// *Config struct to a caller that sets it: a keyed composite literal or
+// an assignment naming that field of that type, somewhere in the module,
+// tests, examples and the benchmark included. Fields are resolved with
+// go/types, so a namesake in another struct sets nothing. A field
+// nothing sets is a constant in disguise.
 func TestEveryConfigFieldIsSet(t *testing.T) {
-	fields := map[string]token.Position{} // "Type.Field" -> definition
-	set := map[string]bool{}
-	moduleFiles(t, true, func(fset *token.FileSet, _, name string, f *ast.File) {
-		if !strings.HasSuffix(name, "_test.go") {
-			for _, decl := range f.Decls {
-				d, ok := decl.(*ast.GenDecl)
+	fields := map[token.Pos]string{} // field declaration -> "Type.Field"
+	m := checkModule(t)
+	for _, f := range m.files {
+		if strings.HasSuffix(m.fset.File(f.Pos()).Name(), "_test.go") {
+			continue
+		}
+		for _, decl := range f.Decls {
+			d, ok := decl.(*ast.GenDecl)
+			if !ok {
+				continue
+			}
+			for _, spec := range d.Specs {
+				ts, ok := spec.(*ast.TypeSpec)
+				if !ok || !ts.Name.IsExported() || !strings.HasSuffix(ts.Name.Name, "Config") {
+					continue
+				}
+				st, ok := ts.Type.(*ast.StructType)
 				if !ok {
 					continue
 				}
-				for _, spec := range d.Specs {
-					ts, ok := spec.(*ast.TypeSpec)
-					if !ok || !ts.Name.IsExported() || !strings.HasSuffix(ts.Name.Name, "Config") {
-						continue
-					}
-					st, ok := ts.Type.(*ast.StructType)
-					if !ok {
-						continue
-					}
-					for _, fld := range st.Fields.List {
-						for _, id := range fld.Names {
-							if id.IsExported() {
-								fields[ts.Name.Name+"."+id.Name] = fset.Position(id.Pos())
-							}
+				for _, fld := range st.Fields.List {
+					for _, id := range fld.Names {
+						if id.IsExported() {
+							fields[id.Pos()] = ts.Name.Name + "." + id.Name
 						}
 					}
 				}
 			}
 		}
+	}
+	set := map[token.Pos]bool{}
+	setField := func(id *ast.Ident) {
+		if v, ok := m.info.Uses[id].(*types.Var); ok && v.IsField() {
+			set[v.Origin().Pos()] = true
+		}
+	}
+	for _, f := range m.files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.KeyValueExpr:
 				if id, ok := n.Key.(*ast.Ident); ok {
-					set[id.Name] = true
+					setField(id)
 				}
 			case *ast.AssignStmt:
 				for _, lhs := range n.Lhs {
 					if sel, ok := lhs.(*ast.SelectorExpr); ok {
-						set[sel.Sel.Name] = true
+						setField(sel.Sel)
 					}
 				}
 			}
 			return true
 		})
-	})
+	}
 	var unset []string
-	for name, pos := range fields {
-		if !set[name[strings.IndexByte(name, '.')+1:]] {
-			unset = append(unset, pos.String()+": "+name+" is set by no file; make it a constant or delete it")
+	for pos, name := range fields {
+		if !set[pos] {
+			unset = append(unset, m.fset.Position(pos).String()+": "+name+" is set by no file; make it a constant or delete it")
 		}
 	}
 	sort.Strings(unset)
@@ -408,3 +420,90 @@ func TestEveryConfigFieldIsSet(t *testing.T) {
 		t.Error(u)
 	}
 }
+
+// typedModule is every package of the module type-checked from source,
+// test files (and the gates tag) included, with one Info over all of it.
+type typedModule struct {
+	fset  *token.FileSet
+	files []*ast.File
+	info  *types.Info
+}
+
+// checkModule type-checks the module as go test builds it for this
+// platform: each directory's package with its in-package test files,
+// and its external test package. Module imports resolve to the
+// packages checked here without their tests (no external test package
+// here uses a test-only export), the standard library to the
+// toolchain's export data (go/importer).
+func checkModule(t *testing.T) *typedModule {
+	t.Helper()
+	ctx := build.Default
+	ctx.BuildTags = append(ctx.BuildTags, "gates")
+	type dir struct {
+		lib, tests, xtests []*ast.File
+		pkg                *types.Package // lib alone, what importers see
+	}
+	m := &typedModule{info: &types.Info{Uses: map[*ast.Ident]types.Object{}}}
+	dirs := map[string]*dir{} // by import path
+	moduleFiles(t, true, func(fset *token.FileSet, d, name string, f *ast.File) {
+		m.fset = fset
+		if ok, err := ctx.MatchFile(d, name); err != nil || !ok {
+			return
+		}
+		path := "repro"
+		if d != "." {
+			path += "/" + d
+		}
+		pd := dirs[path]
+		if pd == nil {
+			pd = &dir{}
+			dirs[path] = pd
+		}
+		switch {
+		case strings.HasSuffix(f.Name.Name, "_test"):
+			pd.xtests = append(pd.xtests, f)
+		case strings.HasSuffix(name, "_test.go"):
+			pd.tests = append(pd.tests, f)
+		default:
+			pd.lib = append(pd.lib, f)
+		}
+		m.files = append(m.files, f)
+	})
+	std := importer.Default()
+	var errs []error
+	var imp importerFunc
+	check := func(path string, files []*ast.File) *types.Package {
+		conf := types.Config{Importer: imp, Error: func(err error) { errs = append(errs, err) }}
+		pkg, _ := conf.Check(path, m.fset, files, m.info)
+		return pkg
+	}
+	imp = func(path string) (*types.Package, error) {
+		d := dirs[path]
+		if d == nil {
+			return std.Import(path)
+		}
+		if d.pkg == nil {
+			d.pkg = check(path, d.lib)
+		}
+		return d.pkg, nil
+	}
+	for path, d := range dirs {
+		if len(d.tests) > 0 {
+			check(path, append(d.lib[:len(d.lib):len(d.lib)], d.tests...))
+		} else if len(d.lib) > 0 {
+			imp(path)
+		}
+		if len(d.xtests) > 0 {
+			check(path+"_test", d.xtests)
+		}
+	}
+	if len(errs) > 0 {
+		t.Fatalf("type-checking the module: %d errors, the first: %v", len(errs), errs[0])
+	}
+	return m
+}
+
+// importerFunc is a types.Importer in one function.
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }

@@ -15,17 +15,6 @@ import (
 // down does the event reach Link.NotifyDefects and the self-healing
 // supervisor's backoff path.
 
-// ProtectionConfig configures the protected pair around a Link.
-type ProtectionConfig struct {
-	// Level is the SONET rate of both lines (default STM1).
-	Level sonet.Level
-	// APS parameterises the protection controller.
-	APS aps.Config
-	// Defects overrides the defect-integration thresholds applied to
-	// both receive deframers (zero values keep the GR-253 defaults).
-	Defects sonet.DefectConfig
-}
-
 // ProtectedLink is one end of a Link pair riding a 1+1 protected line
 // pair. Advance is the whole drive: once per frame time and end. The
 // receive selector follows Ctrl.
@@ -46,19 +35,15 @@ type ProtectedLink struct {
 	tel *telemetry.Mirror // nil until Observe with a Registry
 }
 
-// NewProtectedPair builds two Links and the working and protection
-// sections between them.
-func NewProtectedPair(cfgA, cfgB LinkConfig, pcfg ProtectionConfig) (a, b *ProtectedLink) {
-	a = &ProtectedLink{Link: NewLink(cfgA), Ctrl: aps.NewController(pcfg.APS)}
-	b = &ProtectedLink{Link: NewLink(cfgB), Ctrl: aps.NewController(pcfg.APS)}
-	level := pcfg.Level
-	if level == 0 {
-		level = sonet.STM1
-	}
+// NewProtectedPair builds two Links, each with a protection controller
+// parameterised by cfg, and the working and protection sections between
+// them: STM-1 lines whose deframers integrate defects with the GR-253
+// defaults.
+func NewProtectedPair(cfgA, cfgB LinkConfig, cfg aps.Config) (a, b *ProtectedLink) {
+	a = &ProtectedLink{Link: NewLink(cfgA), Ctrl: aps.NewController(cfg)}
+	b = &ProtectedLink{Link: NewLink(cfgB), Ctrl: aps.NewController(cfg)}
 	for i := range a.lines {
-		a.lines[i], b.lines[i] = sonet.NewLinePair(level)
-		a.lines[i].Deframer().Defects.Cfg = pcfg.Defects
-		b.lines[i].Deframer().Defects.Cfg = pcfg.Defects
+		a.lines[i], b.lines[i] = sonet.NewLinePair(sonet.STM1)
 	}
 	for _, pl := range []*ProtectedLink{a, b} {
 		// Far-end requests arrive in the protection line's K1/K2, already

@@ -17,7 +17,7 @@ type protectedPair struct {
 	now  int64
 }
 
-func newProtectedPair(t *testing.T, pcfg ProtectionConfig) *protectedPair {
+func newProtectedPair(t *testing.T, acfg aps.Config) *protectedPair {
 	t.Helper()
 	cfg := LinkConfig{
 		EchoPeriod: 8, EchoMisses: 3,
@@ -26,7 +26,7 @@ func newProtectedPair(t *testing.T, pcfg ProtectionConfig) *protectedPair {
 	cfgA, cfgB := cfg, cfg
 	cfgA.Magic, cfgA.IPAddr = 0xAAAA, [4]byte{10, 0, 0, 1}
 	cfgB.Magic, cfgB.IPAddr = 0xBBBB, [4]byte{10, 0, 0, 2}
-	a, b := NewProtectedPair(cfgA, cfgB, pcfg)
+	a, b := NewProtectedPair(cfgA, cfgB, acfg)
 	p := &protectedPair{a: a, b: b}
 	a.Open()
 	a.Up()
@@ -59,9 +59,7 @@ func zeroFrame(f []byte) []byte { return make([]byte, len(f)) }
 // wait-to-restore without any of the above regressing.
 func TestProtectionHitlessFailover(t *testing.T) {
 	const wtr = 100
-	p := newProtectedPair(t, ProtectionConfig{
-		APS: aps.Config{Bidirectional: true, Revertive: true, WaitToRestore: wtr},
-	})
+	p := newProtectedPair(t, aps.Config{Bidirectional: true, Revertive: true, WaitToRestore: wtr})
 	a, b := p.a, p.b
 
 	for i := 0; i < 30; i++ {
@@ -188,9 +186,7 @@ func TestProtectionHitlessFailover(t *testing.T) {
 // supervisor (PR 1 backoff path), and the session recovers after the
 // lines heal.
 func TestProtectionBothLinesDownFallsBack(t *testing.T) {
-	p := newProtectedPair(t, ProtectionConfig{
-		APS: aps.Config{Bidirectional: true, Revertive: true, WaitToRestore: 50},
-	})
+	p := newProtectedPair(t, aps.Config{Bidirectional: true, Revertive: true, WaitToRestore: 50})
 	a, b := p.a, p.b
 	for i := 0; i < 30; i++ {
 		p.tick()
@@ -248,7 +244,7 @@ func TestProtectionBothLinesDownFallsBack(t *testing.T) {
 // its own aps_* and deframer record under its {link} label. A second
 // mirror on an end's series is a wiring bug and is refused.
 func TestProtectedPairTelemetryKeepsEndsApart(t *testing.T) {
-	p := newProtectedPair(t, ProtectionConfig{})
+	p := newProtectedPair(t, aps.Config{})
 	reg := telemetry.NewRegistry()
 	p.a.Observe(Observation{Registry: reg}, "a")
 	p.b.Observe(Observation{Registry: reg}, "b")
@@ -297,7 +293,7 @@ func TestProtectedPairTelemetryKeepsEndsApart(t *testing.T) {
 // one 40-octet datagram per tick allocates nothing — the bridge queue
 // is compacted in place and one receive buffer serves every line feed.
 func TestProtectedLinkSteadyStateAllocatesNothing(t *testing.T) {
-	p := newProtectedPair(t, ProtectionConfig{})
+	p := newProtectedPair(t, aps.Config{})
 	payload := make([]byte, 40)
 	payload[0] = 0x45
 	var rx []Datagram

@@ -2,16 +2,16 @@ package gigapos
 
 import (
 	"repro/internal/hdlc"
-	"repro/internal/lqm"
 	"repro/internal/ppp"
 	"repro/internal/reliable"
 )
 
 // This file holds the Link extensions beyond basic RFC 1661 operation:
-// numbered mode (RFC 1663 reliable transmission), link quality
-// monitoring (RFC 1333), and Protocol-Reject generation — the optional
-// capabilities the paper attributes to the programmable control field
-// and the Protocol OAM.
+// numbered mode (RFC 1663 reliable transmission) and Protocol-Reject
+// generation — the optional capabilities the paper attributes to the
+// programmable control field and the Protocol OAM. Line quality is
+// judged below PPP, by section parity: B1/B2 errors raise DefSD/DefSF,
+// which drive APS and the supervisor (NotifyDefects).
 
 // initReliable wires a numbered-mode station into the link.
 func (l *Link) initReliable() {
@@ -37,19 +37,6 @@ func (l *Link) initReliable() {
 	}
 }
 
-// initLQM wires a quality monitor into the link.
-func (l *Link) initLQM() {
-	l.monitor = &lqm.Monitor{
-		Magic:  l.cfg.Magic,
-		Period: l.cfg.LQMPeriod,
-		Send: func(q *lqm.LQR) {
-			l.ctl = q.Marshal(l.ctl[:0])
-			f := ppp.Frame{Protocol: lqm.Proto, Payload: l.ctl}
-			l.out = ppp.AppendFrame(l.out, &f, l.lcpTxConfig(), true)
-		},
-	}
-}
-
 // Reliable reports whether the numbered-mode station has completed
 // SABM/UA setup.
 func (l *Link) Reliable() bool {
@@ -63,15 +50,6 @@ func (l *Link) ReliableStats() (txI, rxI, retransmits, rejects uint64) {
 		return
 	}
 	return l.station.TxI, l.station.RxI, l.station.Retransmits, l.station.RxREJ
-}
-
-// LinkQuality returns the RFC 1333 verdict (lqm.Unknown when monitoring
-// is disabled) and the last measured inbound loss percentage.
-func (l *Link) LinkQuality() (lqm.Quality, float64) {
-	if l.monitor == nil {
-		return lqm.Unknown, 0
-	}
-	return l.monitor.Quality(), l.monitor.LastInboundLossPct
 }
 
 // encodeNumbered puts a numbered-mode frame on the wire: address, the

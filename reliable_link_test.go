@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/hdlc"
-	"repro/internal/lqm"
 	"repro/internal/ppp"
 )
 
@@ -143,70 +142,24 @@ func TestUnreliableLinkDropsUnderSameNoise(t *testing.T) {
 	}
 }
 
-func TestLQMOverLink(t *testing.T) {
-	a := NewLink(LinkConfig{Magic: 1, LQMPeriod: 10, IPAddr: [4]byte{10, 0, 0, 1}})
-	b := NewLink(LinkConfig{Magic: 2, LQMPeriod: 10, IPAddr: [4]byte{10, 0, 0, 2}})
-	bringUp(t, a, b)
-	now := int64(0)
-	// Several clean reporting windows with traffic.
-	for w := 0; w < 6; w++ {
-		for i := 0; i < 20; i++ {
-			if err := a.SendIPv4([]byte{1, 2, 3}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		pump(t, a, b, 200)
-		now += 10
-		a.Advance(now)
-		b.Advance(now)
-		pump(t, a, b, 200)
-	}
-	q, loss := b.LinkQuality()
-	if q != lqm.Good {
-		t.Errorf("quality = %v, want good", q)
-	}
-	if loss != 0 {
-		t.Errorf("loss = %v", loss)
-	}
-	// Now lose most traffic: b must call the link bad.
-	for w := 0; w < 4; w++ {
-		for i := 0; i < 20; i++ {
-			a.SendIPv4([]byte{1, 2, 3})
-		}
-		a.Output() // discard: 100% data loss (LQRs still flow below)
-		now += 10
-		a.Advance(now)
-		b.Advance(now)
-		pump(t, a, b, 200)
-	}
-	q, loss = b.LinkQuality()
-	if q != lqm.Bad {
-		t.Errorf("quality = %v after starvation, want bad (loss %.0f%%)", q, loss)
-	}
-}
-
 func TestProtocolRejectForUnknownProtocol(t *testing.T) {
-	a := NewLink(LinkConfig{Magic: 1, IPAddr: [4]byte{10, 0, 0, 1}})
-	b := NewLink(LinkConfig{Magic: 2, IPAddr: [4]byte{10, 0, 0, 2}})
-	bringUp(t, a, b)
-	// Hand-craft a frame with an unimplemented protocol (AppleTalk,
-	// 0x0029) from a to b.
-	if err := a.Send(0x0029, []byte{9, 9, 9}); err != nil {
-		t.Fatal(err)
-	}
-	pump(t, a, b, 100)
-	if b.ProtocolRejects != 1 {
-		t.Errorf("ProtocolRejects = %d", b.ProtocolRejects)
-	}
-	if got := b.Received(); len(got) != 0 {
-		t.Errorf("unknown protocol delivered: %+v", got)
-	}
-}
-
-func TestLQMQualityUnknownWhenDisabled(t *testing.T) {
-	a := NewLink(LinkConfig{Magic: 1})
-	if q, _ := a.LinkQuality(); q != lqm.Unknown {
-		t.Errorf("quality = %v", q)
+	// An unimplemented protocol (AppleTalk, 0x0029) and one LCP never
+	// negotiated (Link-Quality-Report, 0xC025: the Quality-Protocol
+	// option is Configure-Rejected) are both rejected, not dropped.
+	for _, proto := range []uint16{0x0029, ppp.ProtoLQR} {
+		a := NewLink(LinkConfig{Magic: 1, IPAddr: [4]byte{10, 0, 0, 1}})
+		b := NewLink(LinkConfig{Magic: 2, IPAddr: [4]byte{10, 0, 0, 2}})
+		bringUp(t, a, b)
+		if err := a.Send(proto, []byte{9, 9, 9}); err != nil {
+			t.Fatal(err)
+		}
+		pump(t, a, b, 100)
+		if b.ProtocolRejects != 1 {
+			t.Errorf("%#04x: ProtocolRejects = %d, want 1", proto, b.ProtocolRejects)
+		}
+		if got := b.Received(); len(got) != 0 {
+			t.Errorf("%#04x: unknown protocol delivered: %+v", proto, got)
+		}
 	}
 }
 
@@ -239,18 +192,19 @@ func TestNumberedFrameWireFormat(t *testing.T) {
 	}
 }
 
-// TestEveryDamagedFrameReachesLQM: a framing error is a damaged frame
-// like a bad FCS is. Abort, runt, oversize, a UI frame and a numbered
-// frame with a broken FCS each take the one receive-error exit, so the
-// InErrors the peer reads in our quality reports matches RxErrors.
-func TestEveryDamagedFrameReachesLQM(t *testing.T) {
-	cfg := LinkConfig{Magic: 1, Reliable: true, LQMPeriod: 10, IPAddr: [4]byte{10, 0, 0, 1}}
+// TestEveryDamagedFrameTakesTheErrorExit: a framing error is a damaged
+// frame like a bad FCS is. Abort, runt, oversize, a UI frame and a
+// numbered frame with a broken FCS each take the one receive-error
+// exit: RxErrors moves by exactly one per frame and nothing is
+// delivered.
+func TestEveryDamagedFrameTakesTheErrorExit(t *testing.T) {
+	cfg := LinkConfig{Magic: 1, Reliable: true, IPAddr: [4]byte{10, 0, 0, 1}}
 	a := NewLink(cfg)
 	cfg.Magic, cfg.IPAddr = 2, [4]byte{10, 0, 0, 2}
 	b := NewLink(cfg)
 	bringUpReliable(t, a, b)
-	if b.RxErrors != 0 || b.monitor.InErrors != 0 {
-		t.Fatalf("errors before any damage: RxErrors %d, InErrors %d", b.RxErrors, b.monitor.InErrors)
+	if b.RxErrors != 0 {
+		t.Fatalf("errors before any damage: RxErrors %d", b.RxErrors)
 	}
 	b.tk.MinFrame, b.tk.MaxFrame = 5, 64 // a link polices neither by default
 
@@ -276,9 +230,8 @@ func TestEveryDamagedFrameReachesLQM(t *testing.T) {
 		{"bad numbered frame", breakFCS(numbered)},
 	} {
 		b.Input(tc.wire)
-		if want := uint64(i + 1); b.RxErrors != want || uint64(b.monitor.InErrors) != want {
-			t.Fatalf("after %s: RxErrors %d, LQM InErrors %d, want %d each",
-				tc.name, b.RxErrors, b.monitor.InErrors, want)
+		if want := uint64(i + 1); b.RxErrors != want {
+			t.Fatalf("after %s: RxErrors %d, want %d", tc.name, b.RxErrors, want)
 		}
 	}
 	if got := b.Received(); len(got) != 0 {

@@ -1,6 +1,9 @@
 #!/bin/sh
 # verify.sh — the repo's full verification gate, a list of commands:
 #   gofmt, go vet (with and without the gates tag), go build,
+#   the three census guards (a package no production path imports, a
+#   *Config field no file sets, an internal export only tests name)
+#   as a fast first test step,
 #   go test -race (and fifty race runs of the TCP lifecycle tests),
 #   the portable Go delimiter fold that amd64 replaces
 #   with an SSE2 kernel and the 32-bit decoders (GOARCH=386 go test of
@@ -41,6 +44,10 @@ go vet -tags gates .
 
 echo "== go build =="
 go build ./...
+
+echo "== census guards (dead package, unset config field, uncalled export) =="
+# Seconds, not minutes: dead weight fails here, before the race suite.
+go test -count=1 -run '^TestEvery(PackageHasAProductionPath|ConfigFieldIsSet)$|^TestObservationExportsHaveCallers$' .
 
 echo "== go test -race (telemetry concurrency gate) =="
 # The telemetry registry/tracer promise lock-free concurrent scraping;

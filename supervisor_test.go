@@ -150,9 +150,8 @@ func TestSupervisorBackoffDoubling(t *testing.T) {
 // TestSupervisorRetryJitterDesynchronizes: two links that die at the
 // same instant with the same backoff config must not retry in
 // lockstep — the seeded ±20% retry jitter (derived per link from
-// Magic when JitterSeed is 0) spreads their schedules, so a herd of
-// links orphaned by one upstream failure does not thunder back in
-// phase.
+// Magic) spreads their schedules, so a herd of links orphaned by one
+// upstream failure does not thunder back in phase.
 func TestSupervisorRetryJitterDesynchronizes(t *testing.T) {
 	mk := func(magic uint32) *Link {
 		l := NewLink(LinkConfig{
