@@ -177,20 +177,6 @@ func (l *Link) maybeEnterNetworkPhase() {
 	}
 }
 
-// AuthenticatedPeer returns the identity the peer proved, if any.
-func (l *Link) AuthenticatedPeer() string {
-	if l.auth == nil {
-		return ""
-	}
-	if l.auth.papSrv != nil {
-		return l.auth.papSrv.Peer
-	}
-	if l.auth.chapSrv != nil {
-		return l.auth.chapSrv.Peer
-	}
-	return ""
-}
-
 // authFrame dispatches a received PAP/CHAP packet.
 func (l *Link) authFrame(f *ppp.Frame) {
 	if l.auth == nil || !l.Opened() {

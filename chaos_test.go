@@ -272,7 +272,7 @@ func TestChaosSoakDualLineProtection(t *testing.T) {
 			t.Fatalf("session dropped at tick %d with one line still up", p.now)
 		}
 	}
-	if !pair.Done() {
+	if !pair.Working.Done() || !pair.Protect.Done() {
 		t.Fatalf("scripts not fully fired: working=%q protect=%q", w.String(), pr.String())
 	}
 

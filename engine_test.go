@@ -308,7 +308,7 @@ func TestEngineReliableMode(t *testing.T) {
 		t.Fatalf("rx errors on clean numbered loopback: %d", st.RxErrors)
 	}
 	a, _ := e.Port(0)
-	if !a.Reliable() {
+	if !stationUp(a) {
 		t.Fatal("station not connected")
 	}
 	txI, rxI, _, _ := a.ReliableStats()

@@ -42,12 +42,3 @@ func ExampleNewLink() {
 	// Output:
 	// 0x0021 "datagram"
 }
-
-// The synthesis model reproduces the paper's area ratios.
-func ExampleAreaRatios() {
-	r := gigapos.AreaRatios()
-	fmt.Printf("escape generate 32-bit/8-bit: %.0fx LUTs, %.0fx FFs\n",
-		r.EscapeGenLUT, r.EscapeGenFF)
-	// Output:
-	// escape generate 32-bit/8-bit: 24x LUTs, 29x FFs
-}

@@ -13,8 +13,8 @@
 //     with RFC 1661 LCP negotiation, IPCP, HDLC framing, and 16/32-bit
 //     FCS, speaking the same wire format as the hardware model.
 //
-//   - The synthesis model (Synthesize, EscapeModuleTable, AreaRatios):
-//     the structural area/timing estimator that regenerates the paper's
+//   - The synthesis model (cmd/p5tables, over internal/synth): the
+//     structural area/timing estimator that regenerates the paper's
 //     Tables 1-3.
 //
 // See the examples directory for runnable end-to-end scenarios,
@@ -23,10 +23,8 @@ package gigapos
 
 import (
 	"repro/internal/crc"
-	"repro/internal/hdlc"
 	"repro/internal/p5"
 	"repro/internal/ppp"
-	"repro/internal/synth"
 )
 
 // Width selects the datapath width of the hardware model.
@@ -41,12 +39,6 @@ const (
 	Width32 Width = 4
 )
 
-// Octets returns the datapath width in octets per clock.
-func (w Width) Octets() int { return int(w) }
-
-// Bits returns the datapath width in bits.
-func (w Width) Bits() int { return int(w) * 8 }
-
 // Re-exported hardware-model types. The System is a full loopback P5
 // (transmitter, line, receiver, OAM); see repro/internal/p5 for the
 // individual pipeline units.
@@ -55,17 +47,6 @@ type (
 	System = p5.System
 	// TxJob is one datagram queued for transmission.
 	TxJob = p5.TxJob
-	// RxFrame is one received frame with its disposition.
-	RxFrame = p5.RxFrame
-	// Pair is two independent P5 endpoints cross-connected on one
-	// clock (each with its own OAM register file).
-	Pair = p5.Pair
-	// Endpoint is one side of a Pair.
-	Endpoint = p5.Endpoint
-	// Frame is a decoded PPP frame.
-	Frame = ppp.Frame
-	// ACCM is the async-control-character map.
-	ACCM = hdlc.ACCM
 	// FCSSize selects 16- or 32-bit frame check sequences.
 	FCSSize = crc.Size
 )
@@ -75,48 +56,13 @@ type (
 const (
 	RegCtrl    = p5.RegCtrl
 	RegAddress = p5.RegAddress
-	RegACCM    = p5.RegACCM
-	RegFCSMode = p5.RegFCSMode
-	RegMRU     = p5.RegMRU
-	RegIntStat = p5.RegIntStat
-	RegIntMask = p5.RegIntMask
 )
 
-// PPP protocol numbers.
-const (
-	ProtoIPv4 = ppp.ProtoIPv4
-	ProtoIPv6 = ppp.ProtoIPv6
-	ProtoLCP  = ppp.ProtoLCP
-	ProtoIPCP = ppp.ProtoIPCP
-)
+// ProtoIPv4 is the PPP protocol number of an IPv4 datagram.
+const ProtoIPv4 = ppp.ProtoIPv4
 
-// FCS sizes.
-const (
-	FCS16 = crc.FCS16Mode
-	FCS32 = crc.FCS32Mode
-)
+// FCS32 selects the 32-bit frame check sequence.
+const FCS32 = crc.FCS32Mode
 
 // NewSystem builds a cycle-accurate loopback P5 of the given width.
 func NewSystem(w Width) *System { return p5.NewSystem(int(w)) }
-
-// NewPair builds two cross-connected P5 endpoints of the given width,
-// each with its own register file — a real point-to-point deployment.
-func NewPair(w Width) *Pair { return p5.NewPair(int(w)) }
-
-// Synthesize returns the paper-style synthesis summary (Tables 1/2) for
-// the given width on the devices the paper targeted.
-func Synthesize(w Width) []synth.SystemRow {
-	if w == Width8 {
-		return synth.SystemTable(1, synth.XCV50, synth.XC2V40)
-	}
-	return synth.SystemTable(4, synth.XCV600, synth.XC2V1000)
-}
-
-// EscapeModuleTable returns the paper's Table 3: the Escape Generate
-// module alone on an XC2V40.
-func EscapeModuleTable() []synth.ModuleRow {
-	return synth.EscapeGenerateTable(synth.XC2V40)
-}
-
-// AreaRatios returns the paper's headline 32-bit/8-bit area ratios.
-func AreaRatios() synth.Ratios { return synth.ComputeRatios() }

@@ -41,11 +41,11 @@ type Request byte
 // K1 request codes, ascending priority.
 const (
 	ReqNoRequest      Request = 0x0
-	ReqDoNotRevert    Request = 0x1
+	reqDoNotRevert    Request = 0x1
 	ReqReverseRequest Request = 0x2
-	ReqExercise       Request = 0x4
+	reqExercise       Request = 0x4
 	ReqWaitToRestore  Request = 0x6
-	ReqManualSwitch   Request = 0x8
+	reqManualSwitch   Request = 0x8
 	ReqSignalDegrade  Request = 0xA
 	ReqSignalFail     Request = 0xC
 	ReqForcedSwitch   Request = 0xE
@@ -56,15 +56,15 @@ func (r Request) String() string {
 	switch r {
 	case ReqNoRequest:
 		return "no-request"
-	case ReqDoNotRevert:
+	case reqDoNotRevert:
 		return "do-not-revert"
 	case ReqReverseRequest:
 		return "reverse-request"
-	case ReqExercise:
+	case reqExercise:
 		return "exercise"
 	case ReqWaitToRestore:
 		return "wait-to-restore"
-	case ReqManualSwitch:
+	case reqManualSwitch:
 		return "manual"
 	case ReqSignalDegrade:
 		return "signal-degrade"
@@ -88,17 +88,17 @@ func ParseK1(b byte) (Request, int) { return Request(b >> 4), int(b & 0x0F) }
 
 // K2 mode bits (lower three bits).
 const (
-	ModeUnidirectional = 0x4
-	ModeBidirectional  = 0x5
+	modeUnidirectional = 0x4
+	modeBidirectional  = 0x5
 )
 
 // K2 composes a K2 byte: bridged channel in the upper nibble, the
 // architecture bit (0 = 1+1) and the provisioned mode below. In 1+1 the
 // bridge is permanent, so the bridged channel is always 1.
 func K2(channel int, bidirectional bool) byte {
-	mode := byte(ModeUnidirectional)
+	mode := byte(modeUnidirectional)
 	if bidirectional {
-		mode = ModeBidirectional
+		mode = modeBidirectional
 	}
 	return byte(channel&0x0F)<<4 | mode
 }
@@ -278,11 +278,11 @@ func (c *Controller) localRequest(now int64) (Request, int, int64) {
 	case c.sd[Working] && c.held(int(Working), now):
 		return ReqSignalDegrade, 1, c.condAt[Working]
 	case c.ext == extManual:
-		return ReqManualSwitch, 1, c.extAt
+		return reqManualSwitch, 1, c.extAt
 	case c.wtrAt != 0:
 		return ReqWaitToRestore, 1, c.condAt[Working]
 	case !c.Cfg.Revertive && c.selected == Protect:
-		return ReqDoNotRevert, 1, c.condAt[Working]
+		return reqDoNotRevert, 1, c.condAt[Working]
 	}
 	return ReqNoRequest, 0, now
 }

@@ -4,7 +4,7 @@ import "testing"
 
 // parseK2 splits a K2 byte into bridged channel and mode.
 func parseK2(b byte) (channel int, bidirectional bool) {
-	return int(b >> 4), b&0x07 == ModeBidirectional
+	return int(b >> 4), b&0x07 == modeBidirectional
 }
 
 // TestK1K2Codec pins the byte layout.
@@ -25,8 +25,8 @@ func TestK1K2Codec(t *testing.T) {
 		t.Fatalf("unidirectional K2 parsed as %d/%v", ch, bidi)
 	}
 	if ReqLockout < ReqForcedSwitch || ReqForcedSwitch < ReqSignalFail ||
-		ReqSignalFail < ReqSignalDegrade || ReqSignalDegrade < ReqManualSwitch ||
-		ReqManualSwitch < ReqWaitToRestore {
+		ReqSignalFail < ReqSignalDegrade || ReqSignalDegrade < reqManualSwitch ||
+		reqManualSwitch < ReqWaitToRestore {
 		t.Fatal("request codes are not priority-ordered")
 	}
 	if ReqSignalFail.String() != "signal-fail" || Working.String() != "working" {
@@ -92,7 +92,7 @@ func TestNonRevertiveStaysOnProtect(t *testing.T) {
 	if c.Active() != Protect {
 		t.Fatal("non-revertive group reverted")
 	}
-	if k1, _ := c.TxK1K2(); k1 != K1(ReqDoNotRevert, 1) {
+	if k1, _ := c.TxK1K2(); k1 != K1(reqDoNotRevert, 1) {
 		t.Errorf("tx K1 = %#x, want do-not-revert", k1)
 	}
 }

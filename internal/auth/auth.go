@@ -29,8 +29,8 @@ const (
 	chapFailure   = 4
 )
 
-// ErrMalformed reports a packet too short or inconsistent to parse.
-var ErrMalformed = errors.New("auth: malformed packet")
+// errMalformed reports a packet too short or inconsistent to parse.
+var errMalformed = errors.New("auth: malformed packet")
 
 // Packet is one authentication-protocol packet (same header layout as
 // LCP: code, id, length).
@@ -50,11 +50,11 @@ func (p *Packet) Marshal(dst []byte) []byte {
 // Parse decodes a packet from a PPP information field.
 func Parse(b []byte) (*Packet, error) {
 	if len(b) < 4 {
-		return nil, ErrMalformed
+		return nil, errMalformed
 	}
 	n := int(b[2])<<8 | int(b[3])
 	if n < 4 || n > len(b) {
-		return nil, ErrMalformed
+		return nil, errMalformed
 	}
 	return &Packet{Code: b[0], ID: b[1], Data: b[4:n]}, nil
 }
@@ -74,7 +74,7 @@ type Result int
 
 // Outcomes.
 const (
-	Pending Result = iota
+	pending Result = iota
 	Success
 	Failure
 )

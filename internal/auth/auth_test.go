@@ -26,10 +26,10 @@ func TestPacketRoundTrip(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
-	if _, err := Parse([]byte{1, 2}); err != ErrMalformed {
+	if _, err := Parse([]byte{1, 2}); err != errMalformed {
 		t.Error("short packet accepted")
 	}
-	if _, err := Parse([]byte{1, 2, 0, 99}); err != ErrMalformed {
+	if _, err := Parse([]byte{1, 2, 0, 99}); err != errMalformed {
 		t.Error("overlong length accepted")
 	}
 }
@@ -90,7 +90,7 @@ func TestPAPStaleReplyIgnored(t *testing.T) {
 	c := &PAPClient{PeerID: "a", Password: "b", Send: func(*Packet) {}}
 	c.Start()
 	c.Receive(&Packet{Code: papAck, ID: 99})
-	if c.Result() != Pending {
+	if c.Result() != pending {
 		t.Error("stale ack accepted")
 	}
 }
@@ -193,7 +193,7 @@ func TestCHAPHashVector(t *testing.T) {
 }
 
 func TestResultString(t *testing.T) {
-	if Pending.String() != "pending" || Success.String() != "success" || Failure.String() != "failure" {
+	if pending.String() != "pending" || Success.String() != "success" || Failure.String() != "failure" {
 		t.Error("strings")
 	}
 }

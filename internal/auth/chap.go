@@ -26,7 +26,7 @@ type CHAPServer struct {
 // periodic re-authentication).
 func (s *CHAPServer) Challenge() {
 	s.id++
-	s.result = Pending
+	s.result = pending
 	s.challenge = make([]byte, 16)
 	for i := range s.challenge {
 		s.challenge[i] = s.Rand()

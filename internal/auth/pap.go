@@ -17,7 +17,7 @@ type PAPClient struct {
 // Start transmits the first Authenticate-Request.
 func (c *PAPClient) Start() {
 	c.id++
-	c.result = Pending
+	c.result = pending
 	c.Send(&Packet{Code: papRequest, ID: c.id, Data: papCreds(c.PeerID, c.Password)})
 }
 

@@ -110,6 +110,3 @@ func (ln *Line) Pop(now int64, dst [][]byte) [][]byte {
 	}
 	return dst
 }
-
-// Pending returns the number of chunks still in flight.
-func (ln *Line) Pending() int { return len(ln.q) }

@@ -23,8 +23,8 @@ func TestLineZeroValueIsFIFO(t *testing.T) {
 	if len(got) != 3 || got[0][0] != 1 || got[1][0] != 2 || got[2][0] != 3 {
 		t.Fatalf("zero-value Line reordered or dropped: %v", got)
 	}
-	if ln.Pending() != 0 {
-		t.Fatalf("pending = %d, want 0", ln.Pending())
+	if len(ln.q) != 0 {
+		t.Fatalf("pending = %d, want 0", len(ln.q))
 	}
 }
 

@@ -7,12 +7,12 @@ package crc
 
 // Polynomials in reflected form.
 const (
-	// Poly16 is the reflected CRC-16/X.25 polynomial x^16+x^12+x^5+1
+	// poly16 is the reflected CRC-16/X.25 polynomial x^16+x^12+x^5+1
 	// used by the PPP 16-bit FCS (RFC 1662 §C.2).
-	Poly16 = 0x8408
-	// Poly32 is the reflected CRC-32/ISO-HDLC (a.k.a. IEEE 802.3)
+	poly16 = 0x8408
+	// poly32 is the reflected CRC-32/ISO-HDLC (a.k.a. IEEE 802.3)
 	// polynomial used by the PPP 32-bit FCS (RFC 1662 §C.3).
-	Poly32 = 0xEDB88320
+	poly32 = 0xEDB88320
 )
 
 // Initial register values ("all ones", RFC 1662).
@@ -29,36 +29,36 @@ const (
 	Good32 = uint32(0xDEBB20E3)
 )
 
-// UpdateBit16 advances a 16-bit FCS register by a single input bit
+// updateBit16 advances a 16-bit FCS register by a single input bit
 // (0 or 1). This is the serial LFSR ground truth every other engine is
 // verified against.
-func UpdateBit16(fcs uint16, bit uint16) uint16 {
+func updateBit16(fcs uint16, bit uint16) uint16 {
 	if (fcs^bit)&1 != 0 {
-		return (fcs >> 1) ^ Poly16
+		return (fcs >> 1) ^ poly16
 	}
 	return fcs >> 1
 }
 
-// UpdateBit32 advances a 32-bit FCS register by a single input bit.
-func UpdateBit32(fcs uint32, bit uint32) uint32 {
+// updateBit32 advances a 32-bit FCS register by a single input bit.
+func updateBit32(fcs uint32, bit uint32) uint32 {
 	if (fcs^bit)&1 != 0 {
-		return (fcs >> 1) ^ Poly32
+		return (fcs >> 1) ^ poly32
 	}
 	return fcs >> 1
 }
 
-// BitwiseByte16 advances a 16-bit FCS by one data byte, LSB first.
-func BitwiseByte16(fcs uint16, b byte) uint16 {
+// bitwiseByte16 advances a 16-bit FCS by one data byte, LSB first.
+func bitwiseByte16(fcs uint16, b byte) uint16 {
 	for i := 0; i < 8; i++ {
-		fcs = UpdateBit16(fcs, uint16(b>>i)&1)
+		fcs = updateBit16(fcs, uint16(b>>i)&1)
 	}
 	return fcs
 }
 
-// BitwiseByte32 advances a 32-bit FCS by one data byte, LSB first.
-func BitwiseByte32(fcs uint32, b byte) uint32 {
+// bitwiseByte32 advances a 32-bit FCS by one data byte, LSB first.
+func bitwiseByte32(fcs uint32, b byte) uint32 {
 	for i := 0; i < 8; i++ {
-		fcs = UpdateBit32(fcs, uint32(b>>i)&1)
+		fcs = updateBit32(fcs, uint32(b>>i)&1)
 	}
 	return fcs
 }
@@ -66,7 +66,7 @@ func BitwiseByte32(fcs uint32, b byte) uint32 {
 // Bitwise16 runs the serial reference over p starting from fcs.
 func Bitwise16(fcs uint16, p []byte) uint16 {
 	for _, b := range p {
-		fcs = BitwiseByte16(fcs, b)
+		fcs = bitwiseByte16(fcs, b)
 	}
 	return fcs
 }
@@ -74,7 +74,7 @@ func Bitwise16(fcs uint16, p []byte) uint16 {
 // Bitwise32 runs the serial reference over p starting from fcs.
 func Bitwise32(fcs uint32, p []byte) uint32 {
 	for _, b := range p {
-		fcs = BitwiseByte32(fcs, b)
+		fcs = bitwiseByte32(fcs, b)
 	}
 	return fcs
 }

@@ -64,8 +64,8 @@ func TestTableMatchesBitwise(t *testing.T) {
 
 func TestSlicingMatchesTable(t *testing.T) {
 	f := func(p []byte) bool {
-		return Slicing32(Init32, p) == Table32(Init32, p) &&
-			Slicing16(Init16, p) == Table16(Init16, p)
+		return slicing32(Init32, p) == Table32(Init32, p) &&
+			slicing16(Init16, p) == Table16(Init16, p)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -74,7 +74,7 @@ func TestSlicingMatchesTable(t *testing.T) {
 
 func TestSlicingArbitraryInit(t *testing.T) {
 	f := func(init uint32, p []byte) bool {
-		return Slicing32(init, p) == Bitwise32(init, p)
+		return slicing32(init, p) == Bitwise32(init, p)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -296,7 +296,7 @@ func TestTablesAreTheMatrix(t *testing.T) {
 	// Step's byte-sliced tables must be the same linear map as the
 	// matrices they were derived from — for every width the
 	// constructors accept, and
-	// with garbage above Width() in the data word, which the matrix
+	// with garbage above the width in the data word, which the matrix
 	// has no column for and Step must ignore.
 	rng := rand.New(rand.NewSource(15))
 	for _, w := range []int{1, 2, 4, 8, 16, 24, 32, 40, 48, 56, 64} {
@@ -472,7 +472,7 @@ func BenchmarkSlicing32(b *testing.B) {
 	rand.New(rand.NewSource(1)).Read(buf)
 	b.SetBytes(int64(len(buf)))
 	for i := 0; i < b.N; i++ {
-		Slicing32(Init32, buf)
+		slicing32(Init32, buf)
 	}
 }
 

@@ -45,12 +45,12 @@ func (s Size) Init() uint32 {
 // inputs take the in-package slicing tables, one call from here.
 func (s Size) Update(fcs uint32, p []byte) uint32 {
 	if s == FCS16Mode {
-		return uint32(Slicing16(uint16(fcs), p))
+		return uint32(slicing16(uint16(fcs), p))
 	}
 	if len(p) >= wide {
 		return ^crc32.Update(^fcs, crc32.IEEETable, p)
 	}
-	return Slicing32(fcs, p)
+	return slicing32(fcs, p)
 }
 
 // Slicing folds p through the in-package slicing tables whatever its
@@ -59,9 +59,9 @@ func (s Size) Update(fcs uint32, p []byte) uint32 {
 // for a few octets in a caller's stack buffer — a frame header.
 func (s Size) Slicing(fcs uint32, p []byte) uint32 {
 	if s == FCS16Mode {
-		return uint32(Slicing16(uint16(fcs), p))
+		return uint32(slicing16(uint16(fcs), p))
 	}
-	return Slicing32(fcs, p)
+	return slicing32(fcs, p)
 }
 
 // Finish complements a streaming register into the on-the-wire FCS
@@ -87,12 +87,12 @@ func (s Size) Append(p []byte) []byte {
 // tokenizer checks every one — is one call from its fold.
 func (s Size) Check(p []byte) bool {
 	if s == FCS16Mode {
-		return len(p) >= 2 && Slicing16(Init16, p) == Good16
+		return len(p) >= 2 && slicing16(Init16, p) == Good16
 	}
 	if len(p) >= wide {
 		return s.Update(Init32, p) == Good32
 	}
-	return len(p) >= 4 && Slicing32(Init32, p) == Good32
+	return len(p) >= 4 && slicing32(Init32, p) == Good32
 }
 
 func (s Size) String() string {

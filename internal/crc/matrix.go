@@ -97,7 +97,7 @@ func NewParallel32(w int) *Parallel32 {
 	// step runs the serial LFSR for w bits of data over a given state.
 	step := func(state uint32, data uint64) uint32 {
 		for i := 0; i < w; i++ {
-			state = UpdateBit32(state, uint32(data>>uint(i))&1)
+			state = updateBit32(state, uint32(data>>uint(i))&1)
 		}
 		return state
 	}
@@ -113,13 +113,10 @@ func NewParallel32(w int) *Parallel32 {
 	return p
 }
 
-// Width reports the number of data bits consumed per Step.
-func (p *Parallel32) Width() int { return p.w }
-
 // Step advances the FCS by one datapath word: next = Mstate·fcs ⊕
 // Mdata·data, evaluated through the byte-sliced tables. Only the low
-// Width() bits of data are consumed. This is the single-clock-cycle
-// operation of the hardware CRC core.
+// w bits of data (the width NewParallel32 was given) are consumed.
+// This is the single-clock-cycle operation of the hardware CRC core.
 func (p *Parallel32) Step(fcs uint32, data uint64) uint32 {
 	next := p.ts[0][byte(fcs)] ^ p.ts[1][byte(fcs>>8)] ^
 		p.ts[2][byte(fcs>>16)] ^ p.ts[3][fcs>>24]
@@ -129,7 +126,7 @@ func (p *Parallel32) Step(fcs uint32, data uint64) uint32 {
 	return next
 }
 
-// Update runs the engine over p, consuming Width()/8 bytes per step and
+// Update runs the engine over p, consuming w/8 bytes per step and
 // falling back to the Sarwate table for any tail shorter than one word.
 // Bytes are packed little-endian into the data word, matching LSB-first
 // serial transmission order.
@@ -181,7 +178,7 @@ func NewParallel16(w int) *Parallel16 {
 	p := &Parallel16{w: w}
 	step := func(state uint16, data uint64) uint16 {
 		for i := 0; i < w; i++ {
-			state = UpdateBit16(state, uint16(data>>uint(i))&1)
+			state = updateBit16(state, uint16(data>>uint(i))&1)
 		}
 		return state
 	}
@@ -197,9 +194,6 @@ func NewParallel16(w int) *Parallel16 {
 	p.td = sliceTables(p.mdata)
 	return p
 }
-
-// Width reports the number of data bits consumed per Step.
-func (p *Parallel16) Width() int { return p.w }
 
 // Step advances the FCS by one datapath word.
 func (p *Parallel16) Step(fcs uint16, data uint64) uint16 {

@@ -22,7 +22,7 @@ func init() {
 		c := uint16(i)
 		for k := 0; k < 8; k++ {
 			if c&1 != 0 {
-				c = (c >> 1) ^ Poly16
+				c = (c >> 1) ^ poly16
 			} else {
 				c >>= 1
 			}
@@ -33,7 +33,7 @@ func init() {
 		c := uint32(i)
 		for k := 0; k < 8; k++ {
 			if c&1 != 0 {
-				c = (c >> 1) ^ Poly32
+				c = (c >> 1) ^ poly32
 			} else {
 				c >>= 1
 			}
@@ -54,20 +54,20 @@ func init() {
 	}
 }
 
-// TableByte16 advances a 16-bit FCS by one byte using the Sarwate table.
-func TableByte16(fcs uint16, b byte) uint16 {
+// tableByte16 advances a 16-bit FCS by one byte using the Sarwate table.
+func tableByte16(fcs uint16, b byte) uint16 {
 	return (fcs >> 8) ^ table16[byte(fcs)^b]
 }
 
-// TableByte32 advances a 32-bit FCS by one byte using the Sarwate table.
-func TableByte32(fcs uint32, b byte) uint32 {
+// tableByte32 advances a 32-bit FCS by one byte using the Sarwate table.
+func tableByte32(fcs uint32, b byte) uint32 {
 	return (fcs >> 8) ^ table32[byte(fcs)^b]
 }
 
 // Table16 runs the Sarwate engine over p.
 func Table16(fcs uint16, p []byte) uint16 {
 	for _, b := range p {
-		fcs = TableByte16(fcs, b)
+		fcs = tableByte16(fcs, b)
 	}
 	return fcs
 }
@@ -75,15 +75,15 @@ func Table16(fcs uint16, p []byte) uint16 {
 // Table32 runs the Sarwate engine over p.
 func Table32(fcs uint32, p []byte) uint32 {
 	for _, b := range p {
-		fcs = TableByte32(fcs, b)
+		fcs = tableByte32(fcs, b)
 	}
 	return fcs
 }
 
-// Slicing32 runs slicing-by-8 over p: eight input bytes are folded into
+// slicing32 runs slicing-by-8 over p: eight input bytes are folded into
 // the register per step, the bulk software analog of the paper's
 // parallel-CRC datapath widened to the machine word.
-func Slicing32(fcs uint32, p []byte) uint32 {
+func slicing32(fcs uint32, p []byte) uint32 {
 	for len(p) >= 8 {
 		q := binary.LittleEndian.Uint64(p)
 		lo := fcs ^ uint32(q)
@@ -109,8 +109,8 @@ func Slicing32(fcs uint32, p []byte) uint32 {
 	return Table32(fcs, p)
 }
 
-// Slicing16 runs slicing-by-2 over p.
-func Slicing16(fcs uint16, p []byte) uint16 {
+// slicing16 runs slicing-by-2 over p.
+func slicing16(fcs uint16, p []byte) uint16 {
 	for len(p) >= 2 {
 		fcs ^= uint16(p[0]) | uint16(p[1])<<8
 		fcs = slice16[1][byte(fcs)] ^ slice16[0][byte(fcs>>8)]

@@ -24,31 +24,31 @@ import (
 	"repro/internal/netsim"
 )
 
-// Kind identifies an impairment type.
-type Kind int
+// kind identifies an impairment type.
+type kind int
 
 // The impairment kinds.
 const (
-	// KindInsert inserts Data octets into the stream at At (a positive
+	// kindInsert inserts Data octets into the stream at At (a positive
 	// byte slip: downstream alignment shifts late).
-	KindInsert Kind = iota
-	// KindDelete removes N octets starting at At (a negative byte slip
+	kindInsert kind = iota
+	// kindDelete removes N octets starting at At (a negative byte slip
 	// or, spanning to a frame boundary, a frame truncation).
-	KindDelete
-	// KindDuplicate re-emits the last N delivered octets at At.
-	KindDuplicate
-	// KindCorrupt XORs Mask over N octets starting at At.
-	KindCorrupt
-	// KindLOS replaces N octets starting at At with zeros — a timed
+	kindDelete
+	// kindDuplicate re-emits the last N delivered octets at At.
+	kindDuplicate
+	// kindCorrupt XORs Mask over N octets starting at At.
+	kindCorrupt
+	// kindLOS replaces N octets starting at At with zeros — a timed
 	// line cut, the all-zeros dead line of a loss-of-signal window.
-	KindLOS
-	// KindNoise applies random bit errors at Rate over N octets starting
+	kindLOS
+	// kindNoise applies random bit errors at Rate over N octets starting
 	// at At, drawn from a generator seeded by the op's Seed — a timed,
 	// reproducible noise burst (the resync-under-noise drills).
-	KindNoise
+	kindNoise
 )
 
-func (k Kind) String() string {
+func (k kind) String() string {
 	if names := [...]string{"insert", "delete", "duplicate", "corrupt", "los", "noise"}; k >= 0 && int(k) < len(names) {
 		return names[k]
 	}
@@ -59,7 +59,7 @@ func (k Kind) String() string {
 // position reaches At.
 type Op struct {
 	At   int64   // input-stream octet offset
-	Kind Kind    //
+	Kind kind    //
 	N    int     // span in octets (Delete/Duplicate/Corrupt/LOS/Noise)
 	Data []byte  // octets to insert (Insert)
 	Mask byte    // XOR mask (Corrupt); 0 defaults to 0xFF
@@ -74,13 +74,13 @@ type Script struct {
 
 // Insert schedules a byte-slip insertion of data at offset at.
 func (s *Script) Insert(at int64, data ...byte) *Script {
-	s.Ops = append(s.Ops, Op{At: at, Kind: KindInsert, Data: data})
+	s.Ops = append(s.Ops, Op{At: at, Kind: kindInsert, Data: data})
 	return s
 }
 
 // Delete schedules removal of n octets at offset at.
 func (s *Script) Delete(at int64, n int) *Script {
-	s.Ops = append(s.Ops, Op{At: at, Kind: KindDelete, N: n})
+	s.Ops = append(s.Ops, Op{At: at, Kind: kindDelete, N: n})
 	return s
 }
 
@@ -93,26 +93,26 @@ func (s *Script) Truncate(at int64, frameBytes int) *Script {
 
 // Duplicate schedules re-emission of the n octets delivered before at.
 func (s *Script) Duplicate(at int64, n int) *Script {
-	s.Ops = append(s.Ops, Op{At: at, Kind: KindDuplicate, N: n})
+	s.Ops = append(s.Ops, Op{At: at, Kind: kindDuplicate, N: n})
 	return s
 }
 
 // Corrupt schedules an XOR of mask over n octets at offset at.
 func (s *Script) Corrupt(at int64, n int, mask byte) *Script {
-	s.Ops = append(s.Ops, Op{At: at, Kind: KindCorrupt, N: n, Mask: mask})
+	s.Ops = append(s.Ops, Op{At: at, Kind: kindCorrupt, N: n, Mask: mask})
 	return s
 }
 
 // LOS schedules a line cut: n octets of dead (zero) line from at.
 func (s *Script) LOS(at int64, n int) *Script {
-	s.Ops = append(s.Ops, Op{At: at, Kind: KindLOS, N: n})
+	s.Ops = append(s.Ops, Op{At: at, Kind: kindLOS, N: n})
 	return s
 }
 
 // Noise schedules a reproducible noise burst: bit errors at rate over n
 // octets from at, drawn from a generator seeded with seed.
 func (s *Script) Noise(at int64, n int, rate float64, seed uint64) *Script {
-	s.Ops = append(s.Ops, Op{At: at, Kind: KindNoise, N: n, Rate: rate, Seed: seed})
+	s.Ops = append(s.Ops, Op{At: at, Kind: kindNoise, N: n, Rate: rate, Seed: seed})
 	return s
 }
 
@@ -124,7 +124,7 @@ func (s *Script) String() string {
 			b.WriteByte(' ')
 		}
 		switch op.Kind {
-		case KindInsert:
+		case kindInsert:
 			fmt.Fprintf(&b, "insert@%d+%d", op.At, len(op.Data))
 		default:
 			fmt.Fprintf(&b, "%v@%d:%d", op.Kind, op.At, op.N)
@@ -197,12 +197,12 @@ func (in *Injector) Apply(p []byte) []byte {
 			in.ops = in.ops[1:]
 			in.Stats.OpsFired++
 			switch op.Kind {
-			case KindInsert:
+			case kindInsert:
 				out = append(out, op.Data...)
 				in.Stats.Inserted += uint64(len(op.Data))
-			case KindDelete:
+			case kindDelete:
 				in.delEnd = max(in.delEnd, in.pos+int64(op.N))
-			case KindDuplicate:
+			case kindDuplicate:
 				// Replay the most recently delivered octets: the tail of
 				// this chunk's output first, then saved history.
 				n := op.N
@@ -218,16 +218,16 @@ func (in *Injector) Apply(p []byte) []byte {
 				}
 				out = append(out, dup...)
 				in.Stats.Duplicated += uint64(len(dup))
-			case KindCorrupt:
+			case kindCorrupt:
 				in.corEnd = max(in.corEnd, in.pos+int64(op.N))
 				in.corMask = op.Mask
 				if in.corMask == 0 {
 					in.corMask = 0xFF
 				}
-			case KindLOS:
+			case kindLOS:
 				in.losEnd = max(in.losEnd, in.pos+int64(op.N))
 				in.Stats.LOSWindows++
-			case KindNoise:
+			case kindNoise:
 				in.noiEnd = max(in.noiEnd, in.pos+int64(op.N))
 				in.noise = &channel.BER{Rate: op.Rate, Rand: netsim.NewRand(op.Seed)}
 			}

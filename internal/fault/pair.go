@@ -14,19 +14,11 @@ func NewPair(working, protect Script) *Pair {
 	return &Pair{Working: NewInjector(working), Protect: NewInjector(protect)}
 }
 
-// Line returns the injector for line (0 = working, 1 = protect).
-func (p *Pair) Line(line int) *Injector {
-	if line&1 == 0 {
-		return p.Working
-	}
-	return p.Protect
-}
-
-// Apply passes one chunk of the given line's stream through that
-// line's injector.
+// Apply passes one chunk of the given line's stream (0 = working,
+// 1 = protect) through that line's injector.
 func (p *Pair) Apply(line int, chunk []byte) []byte {
-	return p.Line(line).Apply(chunk)
+	if line&1 == 0 {
+		return p.Working.Apply(chunk)
+	}
+	return p.Protect.Apply(chunk)
 }
-
-// Done reports whether both lines' scripts have fully fired.
-func (p *Pair) Done() bool { return p.Working.Done() && p.Protect.Done() }

@@ -40,10 +40,12 @@ func TestPairIndependentLines(t *testing.T) {
 	if pair.Working.Stats.LOSOctets != 20 || pair.Protect.Stats.Corrupted != 4 {
 		t.Errorf("stats crossed lines: w=%+v p=%+v", pair.Working.Stats, pair.Protect.Stats)
 	}
-	if !pair.Done() {
+	if !pair.Working.Done() || !pair.Protect.Done() {
 		t.Error("both scripts fired but Done is false")
 	}
-	if pair.Line(0) != pair.Working || pair.Line(3) != pair.Protect {
-		t.Error("Line selector wrong")
+	var c Script
+	c.Corrupt(0, 1, 0xFF)
+	if got := NewPair(Script{}, c).Apply(3, []byte{0}); got[0] != 0xFF {
+		t.Error("line 3 did not select the protect line")
 	}
 }

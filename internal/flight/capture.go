@@ -145,8 +145,8 @@ func (w *sectionWriter) section(typ uint16, payload []byte) {
 	w.buf = append(w.buf, payload...)
 }
 
-// Encode serialises the capture into the p5fr byte format.
-func (c *Capture) Encode() ([]byte, error) {
+// encode serialises the capture into the p5fr byte format.
+func (c *Capture) encode() ([]byte, error) {
 	var out sectionWriter
 	out.buf = append(out.buf, captureMagic...)
 	out.u8(captureVersion)
@@ -243,9 +243,9 @@ func (r *sectionReader) str16() (string, error) {
 	return s, nil
 }
 
-// Decode parses a p5fr byte stream back into a Capture. Unknown
+// decode parses a p5fr byte stream back into a Capture. Unknown
 // section types are skipped.
-func Decode(data []byte) (*Capture, error) {
+func decode(data []byte) (*Capture, error) {
 	if len(data) < 8 || string(data[:4]) != captureMagic {
 		return nil, fmt.Errorf("flight: not a p5fr capture (bad magic)")
 	}
@@ -333,7 +333,7 @@ func Decode(data []byte) (*Capture, error) {
 // atomically: the encoding lands in a temp file first and is renamed
 // into place, so a reader never observes a torn capture.
 func (c *Capture) WriteFile(dir string) error {
-	data, err := c.Encode()
+	data, err := c.encode()
 	if err != nil {
 		return err
 	}
@@ -364,5 +364,5 @@ func ReadFile(path string) (*Capture, error) {
 	if err != nil {
 		return nil, err
 	}
-	return Decode(data)
+	return decode(data)
 }

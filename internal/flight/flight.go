@@ -39,9 +39,9 @@ import (
 	"repro/internal/telemetry"
 )
 
-// E2EBounds are the end-to-end latency histogram bounds, in virtual
+// e2eBounds are the end-to-end latency histogram bounds, in virtual
 // ticks (1 tick = one 125 µs frame slot in the SONET-paced sims).
-var E2EBounds = []int64{0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512}
+var e2eBounds = []int64{0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512}
 
 // The recorder's fixed sizes.
 const (
@@ -214,12 +214,12 @@ func NewRecorder(reg *telemetry.Registry, name string, cfg Config) *Recorder {
 	return &Recorder{
 		name:     name,
 		cfg:      cfg,
-		ex:       make([]Exemplar, len(E2EBounds)+1),
+		ex:       make([]Exemplar, len(e2eBounds)+1),
 		rx:       byteRing{buf: make([]byte, wireBytes)},
 		events:   telemetry.NewTracer(eventRing),
 		byReason: make(map[string]uint64),
 		e2e: reg.Histogram("flight_e2e_latency_ticks",
-			"end-to-end frame latency, departure to delivery, virtual ticks", E2EBounds, lk),
+			"end-to-end frame latency, departure to delivery, virtual ticks", e2eBounds, lk),
 		tracked: reg.Counter("flight_frames_tracked_total", "frames tagged at departure", lk),
 		lost:    reg.Counter("flight_frames_lost_total", "tagged frames never delivered (horizon or overflow)", lk),
 		capsC:   reg.Counter("flight_captures_total", "black-box captures triggered", lk),
@@ -314,12 +314,12 @@ func (r *Recorder) P99() int64 { return r.e2e.Quantile(0.99) }
 
 func (r *Recorder) noteExemplar(id uint64, lat int64, at int64) {
 	i := 0
-	for i < len(E2EBounds) && lat > E2EBounds[i] {
+	for i < len(e2eBounds) && lat > e2eBounds[i] {
 		i++
 	}
 	le := int64(math.MaxInt64)
-	if i < len(E2EBounds) {
-		le = E2EBounds[i]
+	if i < len(e2eBounds) {
+		le = e2eBounds[i]
 	}
 	r.exMu.Lock()
 	r.ex[i] = Exemplar{LE: le, ID: id, Value: lat, At: at, Seq: r.events.Total()}

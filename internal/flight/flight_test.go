@@ -84,7 +84,7 @@ func TestPipeOverflowRetiresOldest(t *testing.T) {
 // falls in, if one has been recorded.
 func exemplarFor(r *Recorder, v int64) (Exemplar, bool) {
 	le := int64(math.MaxInt64)
-	for _, b := range E2EBounds {
+	for _, b := range e2eBounds {
 		if v <= b {
 			le = b
 			break
@@ -166,11 +166,11 @@ func TestCaptureRoundTripByteIdentical(t *testing.T) {
 		},
 		Regs: []RegSample{{Name: "rx_frames", Value: 77}, {Name: "alarm", Value: 0x30}},
 	}
-	data, err := c.Encode()
+	data, err := c.encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Decode(data)
+	got, err := decode(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestCaptureRoundTripByteIdentical(t *testing.T) {
 	}
 
 	// Re-encoding the decoded capture is byte-identical too.
-	data2, err := got.Encode()
+	data2, err := got.encode()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,19 +193,19 @@ func TestCaptureRoundTripByteIdentical(t *testing.T) {
 }
 
 func TestCaptureDecodeRejectsGarbage(t *testing.T) {
-	if _, err := Decode([]byte("not a capture")); err == nil {
+	if _, err := decode([]byte("not a capture")); err == nil {
 		t.Fatal("bad magic accepted")
 	}
 	c := &Capture{Link: "a", Reason: "oam"}
-	data, _ := c.Encode()
-	if _, err := Decode(data[:len(data)-1]); err == nil {
+	data, _ := c.encode()
+	if _, err := decode(data[:len(data)-1]); err == nil {
 		t.Fatal("truncated capture accepted")
 	}
 	// Unknown sections are skipped, not fatal.
 	var w sectionWriter
 	w.buf = append(w.buf, data...)
 	w.section(0x7FFF, []byte("future extension"))
-	got, err := Decode(w.buf)
+	got, err := decode(w.buf)
 	if err != nil {
 		t.Fatalf("unknown section not skipped: %v", err)
 	}
@@ -234,26 +234,26 @@ func hugeSection(n uint32) []byte {
 // bounds check (run under GOARCH=386 by scripts/verify.sh).
 func TestCaptureDecodeHugeSectionLength(t *testing.T) {
 	for _, n := range []uint32{1 << 31, 1<<31 + 1, 1<<32 - 1} {
-		if _, err := Decode(hugeSection(n)); err == nil {
+		if _, err := decode(hugeSection(n)); err == nil {
 			t.Errorf("section length %#x accepted", n)
 		}
 	}
 	c := &Capture{Link: "a", Reason: "oam", Regs: []RegSample{{Name: "x", Value: 1}}}
-	data, _ := c.Encode()
+	data, _ := c.encode()
 	count := bytes.Index(data, []byte{1, 0, 0, 0, 1, 0, 'x'}) // regs: count u32, str16 "x"
 	if count < 0 {
 		t.Fatal("regs section not found")
 	}
 	data[count+3] = 0x80 // 2³¹ + 1 registers
-	if _, err := Decode(data); err == nil {
+	if _, err := decode(data); err == nil {
 		t.Error("register count 2³¹+1 accepted")
 	}
 }
 
 // FuzzCaptureDecode: p5trace reads capture files it did not write, so
-// any input is an error or a capture, never a panic, and what Decode
+// any input is an error or a capture, never a panic, and what decode
 // allocates is bounded by the input's size. The input also rides a
-// capture's every field through Encode → Decode unchanged (event
+// capture's every field through encode → decode unchanged (event
 // strings as valid UTF-8: the events section is JSON). Seeds: a
 // recorder's capture and the 2³¹ section header.
 func FuzzCaptureDecode(f *testing.F) {
@@ -265,7 +265,7 @@ func FuzzCaptureDecode(f *testing.F) {
 	r.Event(7, "restart", "backoff", 2, 8)
 	r.Trigger("transport-los")
 	r.AdoptIncident(0xFEED, "transport-los", 40, 1234)
-	recorded, err := r.Recent()[0].Encode()
+	recorded, err := r.Recent()[0].encode()
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -277,7 +277,7 @@ func FuzzCaptureDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, in []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		Decode(in)
+		decode(in)
 		runtime.ReadMemStats(&after)
 		if n := after.TotalAlloc - before.TotalAlloc; n > 256*uint64(len(in))+64<<10 {
 			t.Fatalf("Decode of %d octets allocated %d bytes", len(in), n)
@@ -295,11 +295,11 @@ func FuzzCaptureDecode(f *testing.F) {
 		if len(in) == 0 { // no octets: nil wire, and no tx section to carry TxBase
 			c.RxWire, c.TxBase, c.TxWire = nil, 0, nil
 		}
-		data, err := c.Encode()
+		data, err := c.encode()
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := Decode(data)
+		got, err := decode(data)
 		if err != nil {
 			t.Fatalf("Decode of an encoded capture: %v", err)
 		}
@@ -564,7 +564,7 @@ func TestExemplarOverflowBucketLE(t *testing.T) {
 		t.Fatalf("overflow exemplar = %+v ok=%v", ex, ok)
 	}
 	// And the histogram's p99 clamps to the highest finite bound.
-	if got := r.P99(); got != E2EBounds[len(E2EBounds)-1] {
-		t.Fatalf("p99 = %d, want clamp to %d", got, E2EBounds[len(E2EBounds)-1])
+	if got := r.P99(); got != e2eBounds[len(e2eBounds)-1] {
+		t.Fatalf("p99 = %d, want clamp to %d", got, e2eBounds[len(e2eBounds)-1])
 	}
 }

@@ -43,28 +43,28 @@ var coreScramble = [4]byte{0xB6, 0xAB, 0x31, 0xE0}
 
 // Header sizes.
 const (
-	CoreHeaderLen = 4 // PLI(2) + cHEC(2)
-	TypeHeaderLen = 4 // type(2) + tHEC(2)
+	coreHeaderLen = 4 // PLI(2) + cHEC(2)
+	typeHeaderLen = 4 // type(2) + tHEC(2)
 )
 
-// MaxPayload bounds the payload (PLI covers type header + payload).
-const MaxPayload = 65535 - TypeHeaderLen
+// maxPayload bounds the payload (PLI covers type header + payload).
+const maxPayload = 65535 - typeHeaderLen
 
-// TypeClientData is the payload type field value (simplified: client
+// typeClientData is the payload type field value (simplified: client
 // data is the only type carried).
-const TypeClientData = 0x1000
+const typeClientData = 0x1000
 
 // Errors.
 var (
-	ErrTooLong = errors.New("gfp: payload exceeds PLI range")
+	errTooLong = errors.New("gfp: payload exceeds PLI range")
 )
 
 // Encode appends one GFP client-data frame carrying payload to dst.
 func Encode(dst, payload []byte) ([]byte, error) {
-	if len(payload) > MaxPayload {
-		return dst, ErrTooLong
+	if len(payload) > maxPayload {
+		return dst, errTooLong
 	}
-	pli := uint16(len(payload) + TypeHeaderLen)
+	pli := uint16(len(payload) + typeHeaderLen)
 	hdr := [4]byte{byte(pli >> 8), byte(pli)}
 	chec := crc16CCITT(hdr[:2])
 	hdr[2], hdr[3] = byte(chec>>8), byte(chec)
@@ -72,43 +72,43 @@ func Encode(dst, payload []byte) ([]byte, error) {
 		hdr[i] ^= coreScramble[i]
 	}
 	dst = append(dst, hdr[:]...)
-	dst = append(dst, byte(TypeClientData>>8), byte(TypeClientData&0xFF))
+	dst = append(dst, byte(typeClientData>>8), byte(typeClientData&0xFF))
 	thec := crc16CCITT(dst[len(dst)-2:])
 	dst = append(dst, byte(thec>>8), byte(thec))
 	return append(dst, payload...), nil
 }
 
 // Delineation states (G.7041 §6.3.1).
-type State int
+type state int
 
 // The three delineation states.
 const (
-	Hunt State = iota
-	Presync
-	Sync
+	hunt state = iota
+	presync
+	sync
 )
 
-func (s State) String() string {
+func (s state) String() string {
 	switch s {
-	case Hunt:
+	case hunt:
 		return "HUNT"
-	case Presync:
+	case presync:
 		return "PRESYNC"
 	default:
 		return "SYNC"
 	}
 }
 
-// Delta is the number of consecutive correct core headers required to
+// delta is the number of consecutive correct core headers required to
 // move from PRESYNC to SYNC.
-const Delta = 1
+const delta = 1
 
-// Deframer is the streaming GFP delineator.
-type Deframer struct {
+// deframer is the streaming GFP delineator.
+type deframer struct {
 	// Deliver receives each client-data payload.
 	Deliver func([]byte)
 
-	state   State
+	state   state
 	buf     []byte
 	confirm int // correct headers seen in PRESYNC
 
@@ -116,39 +116,39 @@ type Deframer struct {
 	Frames, Idles, Corrected, HECErrors, Hunts uint64
 }
 
-// State reports the delineation state.
-func (d *Deframer) State() State { return d.state }
+// delineation reports the delineation state.
+func (d *deframer) delineation() state { return d.state }
 
-// Feed consumes received octets.
-func (d *Deframer) Feed(p []byte) {
+// feed consumes received octets.
+func (d *deframer) feed(p []byte) {
 	d.buf = append(d.buf, p...)
 	for d.step() {
 	}
 }
 
 // step tries to make progress; reports whether more may be possible.
-func (d *Deframer) step() bool {
+func (d *deframer) step() bool {
 	switch d.state {
-	case Hunt:
+	case hunt:
 		// Slide octet by octet until a core header's cHEC matches.
-		for len(d.buf) >= CoreHeaderLen {
+		for len(d.buf) >= coreHeaderLen {
 			if d.coreHeaderOK(false) {
-				d.state = Presync
+				d.state = presync
 				d.confirm = 0
 				return true
 			}
 			d.buf = d.buf[1:]
 		}
 		return false
-	case Presync, Sync:
-		if len(d.buf) < CoreHeaderLen {
+	case presync, sync:
+		if len(d.buf) < coreHeaderLen {
 			return false
 		}
-		correctable := d.state == Sync
+		correctable := d.state == sync
 		if !d.coreHeaderOK(correctable) {
 			// Lost delineation.
 			d.HECErrors++
-			d.state = Hunt
+			d.state = hunt
 			d.Hunts++
 			d.buf = d.buf[1:]
 			return true
@@ -156,16 +156,16 @@ func (d *Deframer) step() bool {
 		pli := int(d.buf[0]^coreScramble[0])<<8 | int(d.buf[1]^coreScramble[1])
 		if pli == 0 {
 			// Idle frame.
-			d.buf = d.buf[CoreHeaderLen:]
+			d.buf = d.buf[coreHeaderLen:]
 			d.Idles++
 			d.advanceSync()
 			return true
 		}
-		if len(d.buf) < CoreHeaderLen+pli {
+		if len(d.buf) < coreHeaderLen+pli {
 			return false // frame body still arriving
 		}
-		body := d.buf[CoreHeaderLen : CoreHeaderLen+pli]
-		d.buf = d.buf[CoreHeaderLen+pli:]
+		body := d.buf[coreHeaderLen : coreHeaderLen+pli]
+		d.buf = d.buf[coreHeaderLen+pli:]
 		d.advanceSync()
 		d.frame(body)
 		return true
@@ -173,18 +173,18 @@ func (d *Deframer) step() bool {
 	return false
 }
 
-func (d *Deframer) advanceSync() {
-	if d.state == Presync {
+func (d *deframer) advanceSync() {
+	if d.state == presync {
 		d.confirm++
-		if d.confirm >= Delta {
-			d.state = Sync
+		if d.confirm >= delta {
+			d.state = sync
 		}
 	}
 }
 
 // coreHeaderOK verifies (and in SYNC state, single-bit-corrects) the
 // descrambled core header at the front of the buffer.
-func (d *Deframer) coreHeaderOK(correct bool) bool {
+func (d *deframer) coreHeaderOK(correct bool) bool {
 	var h [4]byte
 	for i := range h {
 		h[i] = d.buf[i] ^ coreScramble[i]
@@ -214,8 +214,8 @@ func (d *Deframer) coreHeaderOK(correct bool) bool {
 }
 
 // frame validates the type header and delivers client data.
-func (d *Deframer) frame(body []byte) {
-	if len(body) < TypeHeaderLen {
+func (d *deframer) frame(body []byte) {
+	if len(body) < typeHeaderLen {
 		d.HECErrors++
 		return
 	}
@@ -226,7 +226,7 @@ func (d *Deframer) frame(body []byte) {
 	}
 	ptype := int(body[0])<<8 | int(body[1])
 	d.Frames++
-	if ptype == TypeClientData && d.Deliver != nil {
-		d.Deliver(body[TypeHeaderLen:])
+	if ptype == typeClientData && d.Deliver != nil {
+		d.Deliver(body[typeHeaderLen:])
 	}
 }

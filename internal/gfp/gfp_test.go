@@ -11,7 +11,7 @@ import (
 
 // overhead is GFP's fixed per-frame octet cost, the figure experiment
 // E15 sets against HDLC's data-dependent one.
-const overhead = CoreHeaderLen + TypeHeaderLen
+const overhead = coreHeaderLen + typeHeaderLen
 
 // encodeIdle appends one 4-octet idle frame (PLI = 0, scrambled): the
 // fill a mapper sends between client frames, which the decoder skips.
@@ -39,7 +39,7 @@ func TestEncodeLayout(t *testing.T) {
 	if out[0]^0xB6 != 0 || out[1]^0xAB != 6 {
 		t.Errorf("PLI = % x", out[:2])
 	}
-	if _, err := Encode(nil, make([]byte, MaxPayload+1)); err != ErrTooLong {
+	if _, err := Encode(nil, make([]byte, maxPayload+1)); err != errTooLong {
 		t.Error("oversize accepted")
 	}
 }
@@ -49,8 +49,8 @@ func TestRoundTripProperty(t *testing.T) {
 		var stream []byte
 		var want [][]byte
 		for _, p := range payloads {
-			if len(p) > MaxPayload {
-				p = p[:MaxPayload]
+			if len(p) > maxPayload {
+				p = p[:maxPayload]
 			}
 			var err error
 			stream, err = Encode(stream, p)
@@ -61,8 +61,8 @@ func TestRoundTripProperty(t *testing.T) {
 			stream = encodeIdle(stream) // idle fill between frames
 		}
 		var got [][]byte
-		d := &Deframer{Deliver: func(p []byte) { got = append(got, append([]byte(nil), p...)) }}
-		d.Feed(stream)
+		d := &deframer{Deliver: func(p []byte) { got = append(got, append([]byte(nil), p...)) }}
+		d.feed(stream)
 		if len(got) != len(want) {
 			return false
 		}
@@ -84,11 +84,11 @@ func TestDelineationFromMidStream(t *testing.T) {
 		stream, _ = Encode(stream, bytes.Repeat([]byte{byte(i)}, 50))
 	}
 	var got int
-	d := &Deframer{Deliver: func([]byte) { got++ }}
+	d := &deframer{Deliver: func([]byte) { got++ }}
 	// Join mid-frame: drop the first 17 octets.
-	d.Feed(stream[17:])
-	if d.State() != Sync {
-		t.Fatalf("state = %v", d.State())
+	d.feed(stream[17:])
+	if d.delineation() != sync {
+		t.Fatalf("state = %v", d.delineation())
 	}
 	// The partial first frame is unrecoverable; the rest delineate.
 	// Hunting may skip into frame 2 depending on where the cHEC
@@ -106,13 +106,13 @@ func TestChunkedFeed(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	for trial := 0; trial < 20; trial++ {
 		var got int
-		d := &Deframer{Deliver: func([]byte) { got++ }}
+		d := &deframer{Deliver: func([]byte) { got++ }}
 		for off := 0; off < len(stream); {
 			n := 1 + rng.Intn(11)
 			if off+n > len(stream) {
 				n = len(stream) - off
 			}
-			d.Feed(stream[off : off+n])
+			d.feed(stream[off : off+n])
 			off += n
 		}
 		if got != 8 {
@@ -132,16 +132,16 @@ func TestSingleBitCorrectionInSync(t *testing.T) {
 	pos := 2 * frameLen // start of frame 3's core header
 	stream[pos] ^= 0x04 // PLI high byte bit
 	var got int
-	d := &Deframer{Deliver: func([]byte) { got++ }}
-	d.Feed(stream)
+	d := &deframer{Deliver: func([]byte) { got++ }}
+	d.feed(stream)
 	if got != 4 {
 		t.Fatalf("delivered %d/4 with correctable error", got)
 	}
 	if d.Corrected != 1 {
 		t.Errorf("Corrected = %d", d.Corrected)
 	}
-	if d.State() != Sync {
-		t.Errorf("state = %v", d.State())
+	if d.delineation() != sync {
+		t.Errorf("state = %v", d.delineation())
 	}
 }
 
@@ -156,10 +156,10 @@ func TestMultiBitHeaderErrorForcesRehunt(t *testing.T) {
 	}
 	frameLen := overhead + 40
 	pos := 2 * frameLen
-	damageUncorrectably(t, stream[pos:pos+CoreHeaderLen])
+	damageUncorrectably(t, stream[pos:pos+coreHeaderLen])
 	var got int
-	d := &Deframer{Deliver: func([]byte) { got++ }}
-	d.Feed(stream)
+	d := &deframer{Deliver: func([]byte) { got++ }}
+	d.feed(stream)
 	if d.Hunts == 0 {
 		t.Error("no re-hunt recorded")
 	}
@@ -219,14 +219,14 @@ func TestFalseLockOnPayloadStallsHunt(t *testing.T) {
 	}
 	stream[0] ^= 0xFF // destroy the very first header: hunt from octet 0
 	var got int
-	d := &Deframer{Deliver: func([]byte) { got++ }}
-	d.Feed(stream)
+	d := &deframer{Deliver: func([]byte) { got++ }}
+	d.feed(stream)
 	// Keep the line alive with idle fill until delineation recovers.
-	for i := 0; i < 20000 && d.State() != Sync; i++ {
-		d.Feed(encodeIdle(nil))
+	for i := 0; i < 20000 && d.delineation() != sync; i++ {
+		d.feed(encodeIdle(nil))
 	}
-	if d.State() != Sync {
-		t.Fatalf("never re-acquired: %v", d.State())
+	if d.delineation() != sync {
+		t.Fatalf("never re-acquired: %v", d.delineation())
 	}
 }
 
@@ -238,18 +238,18 @@ func TestCorruptTypeHeaderDropsOnlyThatFrame(t *testing.T) {
 	// Damage frame 2's type header (core header intact: length still
 	// delineates).
 	frameLen := overhead + 3
-	stream[frameLen+CoreHeaderLen] ^= 0xFF
+	stream[frameLen+coreHeaderLen] ^= 0xFF
 	var got int
-	d := &Deframer{Deliver: func([]byte) { got++ }}
-	d.Feed(stream)
+	d := &deframer{Deliver: func([]byte) { got++ }}
+	d.feed(stream)
 	if got != 2 {
 		t.Errorf("delivered %d, want 2", got)
 	}
 	if d.HECErrors == 0 {
 		t.Error("tHEC failure not counted")
 	}
-	if d.State() != Sync {
-		t.Errorf("delineation lost: %v", d.State())
+	if d.delineation() != sync {
+		t.Errorf("delineation lost: %v", d.delineation())
 	}
 }
 
@@ -259,8 +259,8 @@ func TestIdleFramesCounted(t *testing.T) {
 	stream = encodeIdle(stream)
 	stream, _ = Encode(stream, []byte{9})
 	var got int
-	d := &Deframer{Deliver: func([]byte) { got++ }}
-	d.Feed(stream)
+	d := &deframer{Deliver: func([]byte) { got++ }}
+	d.feed(stream)
 	if got != 1 || d.Idles != 2 {
 		t.Errorf("frames=%d idles=%d", got, d.Idles)
 	}

@@ -4,7 +4,7 @@
 //
 // Two stuffing code paths are provided deliberately:
 //
-//   - the byte-at-a-time path (Stuff/Destuff), the software mirror of the
+//   - the byte-at-a-time path (Stuff/destuff), the software mirror of the
 //     paper's 8-bit P5 datapath, and
 //   - the word-parallel SWAR path (one delimiter bitmap per 64-octet
 //     block, sixteen lanes per SSE2 compare on amd64 and eight per
@@ -16,7 +16,7 @@
 //
 // Both produce identical byte streams. Production frames take the
 // word-parallel path only (Tokenizer.Feed, and AppendStuffed under
-// ppp.Header.Append for transmit), with Stuff/Destuff as its sub-word
+// ppp.Header.Append for transmit), with Stuff/destuff as its sub-word
 // tails; reference.go builds the byte-at-a-time path into a complete
 // encoder and tokenizer for tests, which hold the fast path and the P5
 // cycle-accurate model in internal/p5 to it.

@@ -140,7 +140,7 @@ func TestTokenizerFusedFCS(t *testing.T) {
 			stream = append(Stuff(stream, body[:len(body)-1], ACCMNone), Escape)
 			stream = append(stream, wire...)
 			toks := tk.Feed(nil, stream)
-			if len(toks) != 3 || toks[0].Err != ErrOversize || toks[1].Err != ErrAborted ||
+			if len(toks) != 3 || toks[0].Err != errOversize || toks[1].Err != ErrAborted ||
 				toks[2].Err != nil || !toks[2].FCSOK || !bytes.Equal(toks[2].Body, body) {
 				t.Fatalf("%v %d octets: after oversize and abort: %d tokens, errs %v %v", mode, n, len(toks), toks[0].Err, toks[1].Err)
 			}

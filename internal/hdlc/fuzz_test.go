@@ -80,7 +80,7 @@ func FuzzFusedDecode(f *testing.F) {
 	f.Add(ReferenceEncode(nil, crc.FCS32Mode.Append(dense), ACCMNone, false), 500, byte(2))
 	// A dense block that destuffs to exactly MaxFrame (40) with an escape
 	// pending on its last octet: the octet it protects is the 41st, and
-	// the flag after it must report ErrOversize.
+	// the flag after it must report errOversize.
 	over := append([]byte{Flag}, bytes.Repeat([]byte{Escape, 0x5E}, 23)...)
 	over = append(append(over, bytes.Repeat([]byte{0x42}, 17)...), Escape, 0x5E, Flag)
 	f.Add(over, 67, byte(8))
@@ -160,7 +160,7 @@ func FuzzFusedDecode(f *testing.F) {
 	})
 }
 
-// FuzzDestuffConsistency: the byte-serial Destuff is the oracle for the
+// FuzzDestuffConsistency: the byte-serial destuff is the oracle for the
 // block destuffer on any input, chunked anywhere.
 func FuzzDestuffConsistency(f *testing.F) {
 	f.Add([]byte{0x7D, 0x5E, 0x11}, 1)
@@ -179,7 +179,7 @@ func FuzzDestuffConsistency(f *testing.F) {
 		if chunk <= 0 {
 			chunk = 1
 		}
-		a, ea := Destuff(nil, src, false)
+		a, ea := destuff(nil, src, false)
 		var b []byte
 		eb := false
 		for off := 0; off < len(src); off += chunk {
@@ -209,39 +209,4 @@ func random2(n int, seed int64) []byte {
 		}
 	}
 	return p
-}
-
-// FuzzBitDestuffer must never panic and must round-trip everything the
-// stuffer produces.
-func FuzzBitDestuffer(f *testing.F) {
-	f.Add([]byte{0xFF, 0xFF}, []byte{0x01})
-	f.Add([]byte{}, []byte{0x7E, 0x7E})
-	f.Fuzz(func(t *testing.T, noise, body []byte) {
-		var d BitDestuffer
-		d.Feed(noise) // arbitrary garbage must be survivable
-		if len(body) == 0 {
-			return
-		}
-		var w BitWriter
-		BitStuff(&w, body)
-		d.Feed(w.Bytes())
-		if len(d.Frames) == 0 {
-			return // noise may have left us mid-"frame"; legal
-		}
-		last := d.Frames[len(d.Frames)-1]
-		if !bytes.Equal(last, body) {
-			// The frame may have absorbed noise prefix bits only if
-			// the noise ended inside a fake frame; in that case the
-			// NEXT frame must match. Accept either.
-			found := false
-			for _, fr := range d.Frames {
-				if bytes.Equal(fr, body) {
-					found = true
-				}
-			}
-			if !found {
-				t.Fatalf("stuffed body % x not recovered (frames % x)", body, d.Frames)
-			}
-		}
-	})
 }

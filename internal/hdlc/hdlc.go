@@ -44,12 +44,12 @@ func Stuff(dst, src []byte, m ACCM) []byte {
 	return dst
 }
 
-// Destuff appends the decoded form of a stuffed byte sequence to dst.
+// destuff appends the decoded form of a stuffed byte sequence to dst.
 // esc carries the escape-pending state across calls (streaming); pass
 // false initially and thread the returned value through subsequent calls.
 // A Flag octet must not appear in src (tokenize first); abort detection
 // lives in the Tokenizer.
-func Destuff(dst, src []byte, esc bool) ([]byte, bool) {
+func destuff(dst, src []byte, esc bool) ([]byte, bool) {
 	for _, b := range src {
 		if esc {
 			dst = append(dst, b^XorBit)

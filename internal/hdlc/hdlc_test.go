@@ -49,7 +49,7 @@ func TestStuffDestuffRoundTrip(t *testing.T) {
 	f := func(p []byte, m uint32) bool {
 		accm := ACCM(m)
 		enc := Stuff(nil, p, accm)
-		dec, esc := Destuff(nil, enc, false)
+		dec, esc := destuff(nil, enc, false)
 		return !esc && bytes.Equal(dec, p)
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -93,7 +93,7 @@ func TestAppendStuffedMatchesByteAtATime(t *testing.T) {
 func TestDestuffBlockMatches(t *testing.T) {
 	f := func(p []byte) bool {
 		enc := Stuff(nil, p, ACCMAll)
-		a, ea := Destuff(nil, enc, false)
+		a, ea := destuff(nil, enc, false)
 		b, eb := destuffBlock(nil, enc, false)
 		return ea == eb && bytes.Equal(a, b) && bytes.Equal(a, p)
 	}
@@ -354,7 +354,7 @@ func TestTokenizerAbort(t *testing.T) {
 func TestTokenizerRunt(t *testing.T) {
 	tk := Tokenizer{MinFrame: 5}
 	toks := tk.Feed(nil, []byte{Flag, 1, 2, Flag, 1, 2, 3, 4, 5, Flag})
-	if len(toks) != 2 || toks[0].Err != ErrRunt || toks[1].Err != nil {
+	if len(toks) != 2 || toks[0].Err != errRunt || toks[1].Err != nil {
 		t.Fatalf("tokens = %+v", toks)
 	}
 	if tk.Runts != 1 {
@@ -368,7 +368,7 @@ func TestTokenizerOversize(t *testing.T) {
 	stream := ReferenceEncode(nil, body, ACCMNone, false)
 	stream = ReferenceEncode(stream, []byte{1, 2, 3, 4, 5}, ACCMNone, true)
 	toks := tk.Feed(nil, stream)
-	if len(toks) != 2 || toks[0].Err != ErrOversize || toks[1].Err != nil {
+	if len(toks) != 2 || toks[0].Err != errOversize || toks[1].Err != nil {
 		t.Fatalf("tokens = %+v", toks)
 	}
 	if tk.Oversize != 1 {

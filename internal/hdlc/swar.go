@@ -325,5 +325,5 @@ func destuffBlock(dst, src []byte, esc bool) ([]byte, bool) {
 			lanes >>= 8
 		}
 	}
-	return Destuff(dst[:j], src, pend != 0)
+	return destuff(dst[:j], src, pend != 0)
 }

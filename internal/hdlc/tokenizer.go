@@ -15,10 +15,10 @@ var (
 	// ErrAborted marks a frame terminated by the abort sequence
 	// (Escape immediately followed by Flag, RFC 1662 §4.3).
 	ErrAborted = errors.New("hdlc: frame aborted")
-	// ErrRunt marks an inter-flag span too short to hold any frame.
-	ErrRunt = errors.New("hdlc: runt frame")
-	// ErrOversize marks a frame exceeding the tokenizer's MaxFrame.
-	ErrOversize = errors.New("hdlc: frame exceeds maximum size")
+	// errRunt marks an inter-flag span too short to hold any frame.
+	errRunt = errors.New("hdlc: runt frame")
+	// errOversize marks a frame exceeding the tokenizer's MaxFrame.
+	errOversize = errors.New("hdlc: frame exceeds maximum size")
 )
 
 // Token is one delineated, destuffed frame (or framing error) produced by
@@ -66,12 +66,12 @@ type Token struct {
 // arena has grown to the working set.
 type Tokenizer struct {
 	// MaxFrame, when non-zero, bounds the destuffed frame size; longer
-	// frames are reported with ErrOversize and the remainder discarded
+	// frames are reported with errOversize and the remainder discarded
 	// until the next flag.
 	MaxFrame int
 	// MinFrame, when non-zero, is the smallest valid frame body
 	// (typically the FCS size plus one); shorter inter-flag spans are
-	// reported with ErrRunt. Zero-length spans (back-to-back flags) are
+	// reported with errRunt. Zero-length spans (back-to-back flags) are
 	// always silently skipped.
 	MinFrame int
 	// FCS, when non-zero, arms the frame check: complete-frame tokens
@@ -280,7 +280,7 @@ func flagRun(p []byte) int {
 // arena, exceeds MaxFrame, and if so starts discarding it. Octets the
 // block kernels landed past the limit are dropped with the frame, and so
 // is a pending escape: the oversize octet came first, so a flag straight
-// after reports ErrOversize, not ErrAborted.
+// after reports errOversize, not ErrAborted.
 func (t *Tokenizer) oversize(n int) bool {
 	if t.MaxFrame > 0 && n-t.start > t.MaxFrame {
 		t.drop = true
@@ -309,14 +309,14 @@ func (t *Tokenizer) closeFrame(out []Token) []Token {
 		return append(out, Token{Err: ErrAborted})
 	case wasDrop:
 		t.arena = t.arena[:t.start]
-		return append(out, Token{Err: ErrOversize})
+		return append(out, Token{Err: errOversize})
 	case len(body) == 0:
 		// Back-to-back flags or shared flag: no frame.
 		return out
 	case t.MinFrame > 0 && len(body) < t.MinFrame:
 		t.arena = t.arena[:t.start]
 		t.Runts++
-		return append(out, Token{Err: ErrRunt})
+		return append(out, Token{Err: errRunt})
 	default:
 		t.Frames++
 		t.start = len(t.arena)

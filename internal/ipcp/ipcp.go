@@ -10,15 +10,15 @@ import "repro/internal/lcp"
 // IPCP configuration option types (RFC 1332).
 const (
 	OptIPAddresses   = 1 // deprecated pairwise form; always rejected
-	OptIPCompression = 2 // Van Jacobson; rejected (not implemented)
-	OptIPAddress     = 3
+	optIPCompression = 2 // Van Jacobson; rejected (not implemented)
+	optIPAddress     = 3
 )
 
 // Addr is an IPv4 address in host-independent 4-byte form.
 type Addr [4]byte
 
-// IsZero reports whether the address is 0.0.0.0.
-func (a Addr) IsZero() bool { return a == Addr{} }
+// isZero reports whether the address is 0.0.0.0.
+func (a Addr) isZero() bool { return a == Addr{} }
 
 func (a Addr) String() string {
 	var b []byte
@@ -79,7 +79,7 @@ func (p *Policy) vjSlots() byte {
 
 func (p *Policy) vjOption() lcp.Option {
 	// proto(2) max-slot-id(1) comp-slot-id(1).
-	return lcp.Option{Type: OptIPCompression,
+	return lcp.Option{Type: optIPCompression,
 		Data: []byte{byte(vjProto >> 8), byte(vjProto), p.vjSlots(), 0}}
 }
 
@@ -91,11 +91,11 @@ func NewPolicy(want Addr) *Policy {
 // LocalOptions implements lcp.Policy.
 func (p *Policy) LocalOptions() []lcp.Option {
 	var opts []lcp.Option
-	if p.WantVJ && !p.rejected[OptIPCompression] {
+	if p.WantVJ && !p.rejected[optIPCompression] {
 		opts = append(opts, p.vjOption())
 	}
-	if !p.rejected[OptIPAddress] {
-		opts = append(opts, lcp.Option{Type: OptIPAddress, Data: append([]byte(nil), p.WantAddr[:]...)})
+	if !p.rejected[optIPAddress] {
+		opts = append(opts, lcp.Option{Type: optIPAddress, Data: append([]byte(nil), p.WantAddr[:]...)})
 	}
 	return opts
 }
@@ -104,25 +104,25 @@ func (p *Policy) LocalOptions() []lcp.Option {
 func (p *Policy) CheckRequest(opts []lcp.Option) (naks, rejs []lcp.Option) {
 	for _, o := range opts {
 		switch o.Type {
-		case OptIPCompression:
+		case optIPCompression:
 			if !p.AllowVJ || len(o.Data) != 4 ||
 				o.Data[0] != byte(vjProto>>8) || o.Data[1] != byte(vjProto) {
 				rejs = append(rejs, o)
 			}
-		case OptIPAddress:
+		case optIPAddress:
 			if len(o.Data) != 4 {
 				rejs = append(rejs, o)
 				continue
 			}
 			var a Addr
 			copy(a[:], o.Data)
-			if a.IsZero() {
-				if p.AssignPeer.IsZero() {
+			if a.isZero() {
+				if p.AssignPeer.isZero() {
 					// Peer wants an assignment but we have none to
 					// give: reject the option.
 					rejs = append(rejs, o)
 				} else {
-					naks = append(naks, lcp.Option{Type: OptIPAddress, Data: append([]byte(nil), p.AssignPeer[:]...)})
+					naks = append(naks, lcp.Option{Type: optIPAddress, Data: append([]byte(nil), p.AssignPeer[:]...)})
 				}
 			}
 		default:
@@ -136,11 +136,11 @@ func (p *Policy) CheckRequest(opts []lcp.Option) (naks, rejs []lcp.Option) {
 func (p *Policy) ApplyPeer(opts []lcp.Option) {
 	for _, o := range opts {
 		switch o.Type {
-		case OptIPAddress:
+		case optIPAddress:
 			if len(o.Data) == 4 {
 				copy(p.PeerAddr[:], o.Data)
 			}
-		case OptIPCompression:
+		case optIPCompression:
 			// The peer asked to receive compressed packets: we may
 			// compress toward it.
 			p.VJToPeer = true
@@ -152,11 +152,11 @@ func (p *Policy) ApplyPeer(opts []lcp.Option) {
 func (p *Policy) PeerAcked(opts []lcp.Option) {
 	for _, o := range opts {
 		switch o.Type {
-		case OptIPAddress:
+		case optIPAddress:
 			if len(o.Data) == 4 {
 				copy(p.LocalAddr[:], o.Data)
 			}
-		case OptIPCompression:
+		case optIPCompression:
 			p.VJFromPeer = true
 		}
 	}
@@ -165,7 +165,7 @@ func (p *Policy) PeerAcked(opts []lcp.Option) {
 // HandleNak implements lcp.Policy: adopt the address the peer assigns.
 func (p *Policy) HandleNak(opts []lcp.Option) {
 	for _, o := range opts {
-		if o.Type == OptIPAddress && len(o.Data) == 4 {
+		if o.Type == optIPAddress && len(o.Data) == 4 {
 			copy(p.WantAddr[:], o.Data)
 		}
 	}

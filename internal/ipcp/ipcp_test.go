@@ -105,18 +105,18 @@ func TestZeroAddrWithNoAssignmentRejected(t *testing.T) {
 	if l.a.State() != lcp.Opened || l.b.State() != lcp.Opened {
 		t.Fatalf("states %v/%v", l.a.State(), l.b.State())
 	}
-	if !pa.LocalAddr.IsZero() {
+	if !pa.LocalAddr.isZero() {
 		t.Errorf("a got %v, want none", pa.LocalAddr)
 	}
 }
 
 func TestUnknownOptionRejected(t *testing.T) {
 	p := NewPolicy(Addr{10, 0, 0, 1})
-	naks, rejs := p.CheckRequest([]lcp.Option{{Type: OptIPCompression, Data: []byte{0, 0x2D, 0, 0}}})
+	naks, rejs := p.CheckRequest([]lcp.Option{{Type: optIPCompression, Data: []byte{0, 0x2D, 0, 0}}})
 	if len(naks) != 0 || len(rejs) != 1 {
 		t.Errorf("naks=%d rejs=%d", len(naks), len(rejs))
 	}
-	naks, rejs = p.CheckRequest([]lcp.Option{{Type: OptIPAddress, Data: []byte{1, 2}}})
+	naks, rejs = p.CheckRequest([]lcp.Option{{Type: optIPAddress, Data: []byte{1, 2}}})
 	if len(naks) != 0 || len(rejs) != 1 {
 		t.Errorf("malformed addr: naks=%d rejs=%d", len(naks), len(rejs))
 	}
@@ -160,7 +160,7 @@ func TestVJOptionEncoding(t *testing.T) {
 	p := NewPolicy(Addr{1, 2, 3, 4})
 	p.WantVJ = true
 	opts := p.LocalOptions()
-	if len(opts) != 2 || opts[0].Type != OptIPCompression {
+	if len(opts) != 2 || opts[0].Type != optIPCompression {
 		t.Fatalf("opts = %+v", opts)
 	}
 	d := opts[0].Data
@@ -176,11 +176,11 @@ func TestVJOptionEncoding(t *testing.T) {
 func TestVJMalformedOptionRejected(t *testing.T) {
 	p := NewPolicy(Addr{1, 2, 3, 4})
 	p.AllowVJ = true
-	_, rejs := p.CheckRequest([]lcp.Option{{Type: OptIPCompression, Data: []byte{0x00, 0x2D}}})
+	_, rejs := p.CheckRequest([]lcp.Option{{Type: optIPCompression, Data: []byte{0x00, 0x2D}}})
 	if len(rejs) != 1 {
 		t.Error("short VJ option accepted")
 	}
-	_, rejs = p.CheckRequest([]lcp.Option{{Type: OptIPCompression, Data: []byte{0xAA, 0xBB, 15, 0}}})
+	_, rejs = p.CheckRequest([]lcp.Option{{Type: optIPCompression, Data: []byte{0xAA, 0xBB, 15, 0}}})
 	if len(rejs) != 1 {
 		t.Error("non-VJ compression protocol accepted")
 	}

@@ -11,15 +11,15 @@ type State int
 
 // The ten automaton states.
 const (
-	Initial State = iota
+	initial State = iota
 	Starting
-	Closed
+	closed
 	Stopped
-	Closing
-	Stopping
-	ReqSent
-	AckRcvd
-	AckSent
+	closing
+	stopping
+	reqSent
+	ackRcvd
+	ackSent
 	Opened
 )
 
@@ -37,9 +37,9 @@ func (s State) String() string {
 
 // Default restart parameters (RFC 1661 §4.6).
 const (
-	DefaultMaxConfigure = 10
-	DefaultMaxTerminate = 2
-	DefaultMaxFailure   = 5
+	defaultMaxConfigure = 10
+	defaultMaxTerminate = 2
+	defaultMaxFailure   = 5
 )
 
 // Policy supplies the protocol-specific option semantics to the generic
@@ -112,7 +112,7 @@ type Automaton struct {
 
 // NewAutomaton returns an automaton in the Initial state.
 func NewAutomaton(send func(*Packet), policy Policy, hooks Hooks) *Automaton {
-	return &Automaton{Send: send, Policy: policy, Hooks: hooks, Line: new(rtt.Estimate), state: Initial, sentAt: -1}
+	return &Automaton{Send: send, Policy: policy, Hooks: hooks, Line: new(rtt.Estimate), state: initial, sentAt: -1}
 }
 
 // State reports the current automaton state.
@@ -120,21 +120,21 @@ func (a *Automaton) State() State { return a.state }
 
 func (a *Automaton) maxConfigure() int {
 	if a.MaxConfigure == 0 {
-		return DefaultMaxConfigure
+		return defaultMaxConfigure
 	}
 	return a.MaxConfigure
 }
 
 func (a *Automaton) maxTerminate() int {
 	if a.MaxTerminate == 0 {
-		return DefaultMaxTerminate
+		return defaultMaxTerminate
 	}
 	return a.MaxTerminate
 }
 
 func (a *Automaton) maxFailure() int {
 	if a.MaxFailure == 0 {
-		return DefaultMaxFailure
+		return defaultMaxFailure
 	}
 	return a.MaxFailure
 }
@@ -219,29 +219,29 @@ func (a *Automaton) scn(id byte, naks, rejs []Option) {
 		a.send(&Packet{Code: ConfigureReject, ID: id, Data: MarshalOptions(nil, naks)})
 		return
 	}
-	a.send(&Packet{Code: ConfigureNak, ID: id, Data: MarshalOptions(nil, naks)})
+	a.send(&Packet{Code: configureNak, ID: id, Data: MarshalOptions(nil, naks)})
 }
 
 func (a *Automaton) str() {
 	a.id++
 	a.sentAt = -1
-	a.send(&Packet{Code: TerminateRequest, ID: a.id})
+	a.send(&Packet{Code: terminateRequest, ID: a.id})
 	a.restart--
 	a.startTimer()
 }
 
 func (a *Automaton) sta(id byte) {
-	a.send(&Packet{Code: TerminateAck, ID: id})
+	a.send(&Packet{Code: terminateAck, ID: id})
 }
 
 func (a *Automaton) scj(bad *Packet) {
 	a.id++
 	a.sentAt = -1
-	a.send(&Packet{Code: CodeReject, ID: a.id, Data: bad.Marshal(nil)})
+	a.send(&Packet{Code: codeReject, ID: a.id, Data: bad.Marshal(nil)})
 }
 
 func (a *Automaton) ser(req *Packet) {
-	a.send(&Packet{Code: EchoReply, ID: req.ID, Data: append([]byte(nil), req.Data...)})
+	a.send(&Packet{Code: echoReply, ID: req.ID, Data: append([]byte(nil), req.Data...)})
 }
 
 func (a *Automaton) setState(s State) {
@@ -249,7 +249,7 @@ func (a *Automaton) setState(s State) {
 	a.state = s
 	// The restart timer only runs in the five "busy" states.
 	switch s {
-	case ReqSent, AckRcvd, AckSent, Closing, Stopping:
+	case reqSent, ackRcvd, ackSent, closing, stopping:
 	default:
 		a.stopTimer()
 	}
@@ -264,12 +264,12 @@ func (a *Automaton) setState(s State) {
 // is ready to carry traffic.
 func (a *Automaton) Up() {
 	switch a.state {
-	case Initial:
-		a.setState(Closed)
+	case initial:
+		a.setState(closed)
 	case Starting:
 		a.irc(false)
 		a.scr()
-		a.setState(ReqSent)
+		a.setState(reqSent)
 	default:
 		// Already up: ignore.
 	}
@@ -278,14 +278,14 @@ func (a *Automaton) Up() {
 // Down signals that the lower layer is no longer available.
 func (a *Automaton) Down() {
 	switch a.state {
-	case Closed:
-		a.setState(Initial)
+	case closed:
+		a.setState(initial)
 	case Stopped:
 		a.tls()
 		a.setState(Starting)
-	case Closing:
-		a.setState(Initial)
-	case Stopping, ReqSent, AckRcvd, AckSent:
+	case closing:
+		a.setState(initial)
+	case stopping, reqSent, ackRcvd, ackSent:
 		a.setState(Starting)
 	case Opened:
 		a.tld()
@@ -296,15 +296,15 @@ func (a *Automaton) Down() {
 // Open requests that the link be opened (administrative open).
 func (a *Automaton) Open() {
 	switch a.state {
-	case Initial:
+	case initial:
 		a.tls()
 		a.setState(Starting)
-	case Closed:
+	case closed:
 		a.irc(false)
 		a.scr()
-		a.setState(ReqSent)
-	case Closing:
-		a.setState(Stopping)
+		a.setState(reqSent)
+	case closing:
+		a.setState(stopping)
 	default:
 		// Starting/Stopped/Stopping restart option and the active
 		// states: no transition.
@@ -316,20 +316,20 @@ func (a *Automaton) Close() {
 	switch a.state {
 	case Starting:
 		a.tlf()
-		a.setState(Initial)
+		a.setState(initial)
 	case Stopped:
-		a.setState(Closed)
-	case Stopping:
-		a.setState(Closing)
-	case ReqSent, AckRcvd, AckSent:
+		a.setState(closed)
+	case stopping:
+		a.setState(closing)
+	case reqSent, ackRcvd, ackSent:
 		a.irc(true)
 		a.str()
-		a.setState(Closing)
+		a.setState(closing)
 	case Opened:
 		a.tld()
 		a.irc(true)
 		a.str()
-		a.setState(Closing)
+		a.setState(closing)
 	}
 }
 
@@ -355,15 +355,15 @@ func (a *Automaton) Advance(now int64) {
 // timeoutRetry is the TO+ event.
 func (a *Automaton) timeoutRetry() {
 	switch a.state {
-	case Closing:
+	case closing:
 		a.str()
-	case Stopping:
+	case stopping:
 		a.str()
-		a.setState(Stopping)
-	case ReqSent, AckRcvd:
+		a.setState(stopping)
+	case reqSent, ackRcvd:
 		a.scr()
-		a.setState(ReqSent)
-	case AckSent:
+		a.setState(reqSent)
+	case ackSent:
 		a.scr()
 	default:
 		a.stopTimer()
@@ -373,10 +373,10 @@ func (a *Automaton) timeoutRetry() {
 // timeoutGiveUp is the TO- event.
 func (a *Automaton) timeoutGiveUp() {
 	switch a.state {
-	case Closing:
+	case closing:
 		a.tlf()
-		a.setState(Closed)
-	case Stopping, ReqSent, AckRcvd, AckSent:
+		a.setState(closed)
+	case stopping, reqSent, ackRcvd, ackSent:
 		a.tlf()
 		a.setState(Stopped)
 	default:

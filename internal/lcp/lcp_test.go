@@ -32,13 +32,13 @@ func TestPacketRoundTrip(t *testing.T) {
 }
 
 func TestPacketParseErrors(t *testing.T) {
-	if _, err := ParsePacket([]byte{1, 2, 0}); err != ErrPacketShort {
+	if _, err := ParsePacket([]byte{1, 2, 0}); err != errPacketShort {
 		t.Errorf("short: %v", err)
 	}
-	if _, err := ParsePacket([]byte{1, 2, 0, 99}); err != ErrPacketLength {
+	if _, err := ParsePacket([]byte{1, 2, 0, 99}); err != errPacketLength {
 		t.Errorf("bad length: %v", err)
 	}
-	if _, err := ParsePacket([]byte{1, 2, 0, 3}); err != ErrPacketLength {
+	if _, err := ParsePacket([]byte{1, 2, 0, 3}); err != errPacketLength {
 		t.Errorf("length<4: %v", err)
 	}
 	// Padding beyond length is legal and discarded.
@@ -50,8 +50,8 @@ func TestPacketParseErrors(t *testing.T) {
 
 func TestOptionsRoundTrip(t *testing.T) {
 	opts := []Option{
-		{Type: OptMRU, Data: []byte{0x05, 0xDC}},
-		{Type: OptMagic, Data: []byte{1, 2, 3, 4}},
+		{Type: optMRU, Data: []byte{0x05, 0xDC}},
+		{Type: optMagic, Data: []byte{1, 2, 3, 4}},
 		{Type: OptPFC},
 	}
 	b := MarshalOptions(nil, opts)
@@ -65,13 +65,13 @@ func TestOptionsRoundTrip(t *testing.T) {
 }
 
 func TestOptionsParseErrors(t *testing.T) {
-	if _, err := ParseOptions([]byte{1}); err != ErrOptionFormat {
+	if _, err := ParseOptions([]byte{1}); err != errOptionFormat {
 		t.Errorf("truncated header: %v", err)
 	}
-	if _, err := ParseOptions([]byte{1, 1}); err != ErrOptionFormat {
+	if _, err := ParseOptions([]byte{1, 1}); err != errOptionFormat {
 		t.Errorf("length<2: %v", err)
 	}
-	if _, err := ParseOptions([]byte{1, 9, 0}); err != ErrOptionFormat {
+	if _, err := ParseOptions([]byte{1, 9, 0}); err != errOptionFormat {
 		t.Errorf("overrun: %v", err)
 	}
 }
@@ -179,7 +179,7 @@ func TestHandshakePassiveSide(t *testing.T) {
 
 func TestHandshakeWithNakConvergence(t *testing.T) {
 	pa := NewLCPPolicy(0xAAAAAAAA)
-	pa.WantMRU = 64 // below MinMRU: b will nak up to 128
+	pa.WantMRU = 64 // below minMRU: b will nak up to 128
 	pb := NewLCPPolicy(0xBBBBBBBB)
 	l := newLink(pa, pb)
 	l.a.Open()
@@ -190,8 +190,8 @@ func TestHandshakeWithNakConvergence(t *testing.T) {
 	if l.a.State() != Opened || l.b.State() != Opened {
 		t.Fatalf("states = %v / %v", l.a.State(), l.b.State())
 	}
-	if pa.Local.MRU != MinMRU {
-		t.Errorf("negotiated MRU = %d, want %d", pa.Local.MRU, MinMRU)
+	if pa.Local.MRU != minMRU {
+		t.Errorf("negotiated MRU = %d, want %d", pa.Local.MRU, minMRU)
 	}
 }
 
@@ -285,10 +285,10 @@ func TestTerminate(t *testing.T) {
 
 	l.a.Close()
 	l.run(t, 100)
-	if l.a.State() != Closed {
+	if l.a.State() != closed {
 		t.Errorf("a state = %v, want Closed", l.a.State())
 	}
-	if l.b.State() != Stopping && l.b.State() != Stopped {
+	if l.b.State() != stopping && l.b.State() != Stopped {
 		t.Errorf("b state = %v, want Stopping/Stopped", l.b.State())
 	}
 	if !aDown || !bDown {
@@ -336,7 +336,7 @@ func TestTimeoutGivesUpAfterMaxConfigure(t *testing.T) {
 	a.Open()
 	a.Up()
 	now := int64(0)
-	for i := 0; i < 10 && a.State() == ReqSent; i++ {
+	for i := 0; i < 10 && a.State() == reqSent; i++ {
 		now += DefaultRestartPeriod
 		a.Advance(now)
 	}
@@ -373,7 +373,7 @@ func TestRestartTimerBackoff(t *testing.T) {
 	// the running timer); RCN sends the next request at once.
 	nak := func(rtt int64) {
 		a.Advance(a.now + rtt)
-		a.Receive(&Packet{Code: ConfigureNak, ID: a.id})
+		a.Receive(&Packet{Code: configureNak, ID: a.id})
 	}
 
 	a.Open()
@@ -388,7 +388,7 @@ func TestRestartTimerBackoff(t *testing.T) {
 	// leave the backoff running.
 	a.Advance(a.now + 1)
 	a.Receive(&Packet{Code: ConfigureAck, ID: a.id})
-	a.Receive(&Packet{Code: ConfigureNak, ID: a.id, Data: []byte{1}})
+	a.Receive(&Packet{Code: configureNak, ID: a.id, Data: []byte{1}})
 	if a.RxBadPackets != 2 {
 		t.Fatalf("RxBadPackets %d, want 2", a.RxBadPackets)
 	}
@@ -466,7 +466,7 @@ func TestEchoOnlyWhenOpened(t *testing.T) {
 	}
 	sent = sent[:0]
 	a.Receive(&Packet{Code: EchoRequest, ID: 9, Data: []byte{1, 2, 3, 4}})
-	if len(sent) != 1 || sent[0].Code != EchoReply || sent[0].ID != 9 {
+	if len(sent) != 1 || sent[0].Code != echoReply || sent[0].ID != 9 {
 		t.Fatalf("echo reply = %+v", sent)
 	}
 }
@@ -478,7 +478,7 @@ func TestUnknownCodeRejected(t *testing.T) {
 	a.Up()
 	sent = sent[:0]
 	a.Receive(&Packet{Code: Code(42), ID: 7, Data: []byte{1}})
-	if len(sent) != 1 || sent[0].Code != CodeReject {
+	if len(sent) != 1 || sent[0].Code != codeReject {
 		t.Fatalf("sent = %+v", sent)
 	}
 	rej, err := ParsePacket(sent[0].Data)
@@ -492,7 +492,7 @@ func TestCodeRejectOfNeededCodeIsFatal(t *testing.T) {
 	a.Open()
 	a.Up()
 	bad := (&Packet{Code: ConfigureRequest, ID: 1}).Marshal(nil)
-	a.Receive(&Packet{Code: CodeReject, ID: 1, Data: bad})
+	a.Receive(&Packet{Code: codeReject, ID: 1, Data: bad})
 	if a.State() != Stopped {
 		t.Fatalf("state = %v, want Stopped", a.State())
 	}
@@ -503,7 +503,7 @@ func TestStaleAckIgnored(t *testing.T) {
 	a.Open()
 	a.Up()
 	a.Receive(&Packet{Code: ConfigureAck, ID: a.id + 5})
-	if a.State() != ReqSent {
+	if a.State() != reqSent {
 		t.Errorf("state = %v, want Req-Sent", a.State())
 	}
 	if a.RxBadPackets != 1 {
@@ -516,7 +516,7 @@ func TestAckWithWrongOptionsIgnored(t *testing.T) {
 	a.Open()
 	a.Up()
 	a.Receive(&Packet{Code: ConfigureAck, ID: a.id, Data: MarshalOptions(nil, []Option{{Type: OptPFC}})})
-	if a.State() != ReqSent {
+	if a.State() != reqSent {
 		t.Errorf("state = %v, want Req-Sent", a.State())
 	}
 }
@@ -557,14 +557,14 @@ func TestMaxFailureConvertsNakToReject(t *testing.T) {
 	a.MaxFailure = 2
 	a.Open()
 	a.Up()
-	badReq := MarshalOptions(nil, []Option{u16opt(OptMRU, 1)}) // below MinMRU
+	badReq := MarshalOptions(nil, []Option{u16opt(optMRU, 1)}) // below minMRU
 	for i := byte(1); i <= 4; i++ {
 		a.Receive(&Packet{Code: ConfigureRequest, ID: i, Data: badReq})
 	}
 	var naks, rejs int
 	for _, pkt := range sent {
 		switch pkt.Code {
-		case ConfigureNak:
+		case configureNak:
 			naks++
 		case ConfigureReject:
 			rejs++

@@ -9,18 +9,18 @@ import (
 
 // LCP configuration option types (RFC 1661 §6, RFC 1662 §7).
 const (
-	OptMRU         = 1
-	OptACCM        = 2
-	OptAuthProto   = 3
+	optMRU         = 1
+	optACCM        = 2
+	optAuthProto   = 3
 	OptQualityProt = 4
-	OptMagic       = 5
+	optMagic       = 5
 	OptPFC         = 7
 	OptACFC        = 8
 )
 
-// MinMRU is the smallest MRU this implementation will agree to operate
+// minMRU is the smallest MRU this implementation will agree to operate
 // with; smaller peer proposals are naked up to it.
-const MinMRU = 128
+const minMRU = 128
 
 // LinkParams is one direction's negotiated parameter set.
 type LinkParams struct {
@@ -31,8 +31,8 @@ type LinkParams struct {
 	ACFC  bool
 }
 
-// DefaultLinkParams are the RFC defaults in force before negotiation.
-func DefaultLinkParams() LinkParams {
+// defaultLinkParams are the RFC defaults in force before negotiation.
+func defaultLinkParams() LinkParams {
 	return LinkParams{MRU: ppp.DefaultMRU, ACCM: hdlc.ACCMAll}
 }
 
@@ -106,8 +106,8 @@ func NewLCPPolicy(magic uint32) *LCPPolicy {
 		RequestACCM: true,
 		WantACCM:    hdlc.ACCMNone,
 		WantMagic:   magic,
-		Local:       DefaultLinkParams(),
-		Peer:        DefaultLinkParams(),
+		Local:       defaultLinkParams(),
+		Peer:        defaultLinkParams(),
 	}
 }
 
@@ -133,16 +133,16 @@ func (p *LCPPolicy) LocalOptions() []Option {
 		opts = append(opts, o)
 	}
 	if p.WantMRU != 0 && p.WantMRU != ppp.DefaultMRU {
-		add(OptMRU, u16opt(OptMRU, uint16(p.WantMRU)))
+		add(optMRU, u16opt(optMRU, uint16(p.WantMRU)))
 	}
 	if p.RequestACCM {
-		add(OptACCM, u32opt(OptACCM, uint32(p.WantACCM)))
+		add(optACCM, u32opt(optACCM, uint32(p.WantACCM)))
 	}
 	if p.WantMagic != 0 {
-		add(OptMagic, u32opt(OptMagic, p.WantMagic))
+		add(optMagic, u32opt(optMagic, p.WantMagic))
 	}
 	if p.RequireAuth != 0 {
-		add(OptAuthProto, authOption(p.RequireAuth))
+		add(optAuthProto, authOption(p.RequireAuth))
 	}
 	if p.WantPFC {
 		add(OptPFC, Option{Type: OptPFC})
@@ -157,20 +157,20 @@ func (p *LCPPolicy) LocalOptions() []Option {
 func (p *LCPPolicy) CheckRequest(opts []Option) (naks, rejs []Option) {
 	for _, o := range opts {
 		switch o.Type {
-		case OptMRU:
+		case optMRU:
 			if len(o.Data) != 2 {
 				rejs = append(rejs, o)
 				continue
 			}
-			if v := binary.BigEndian.Uint16(o.Data); v < MinMRU {
-				naks = append(naks, u16opt(OptMRU, MinMRU))
+			if v := binary.BigEndian.Uint16(o.Data); v < minMRU {
+				naks = append(naks, u16opt(optMRU, minMRU))
 			}
-		case OptACCM:
+		case optACCM:
 			if len(o.Data) != 4 {
 				rejs = append(rejs, o)
 			}
 			// Any map the peer wants us to honour on transmit is fine.
-		case OptMagic:
+		case optMagic:
 			if len(o.Data) != 4 {
 				rejs = append(rejs, o)
 				continue
@@ -180,7 +180,7 @@ func (p *LCPPolicy) CheckRequest(opts []Option) (naks, rejs []Option) {
 				// Same magic both ways: looped link. Nak with a
 				// perturbed value so the peer picks a new one.
 				p.LoopbackSuspected++
-				naks = append(naks, u32opt(OptMagic, p.newMagic(v)))
+				naks = append(naks, u32opt(optMagic, p.newMagic(v)))
 			}
 		case OptPFC:
 			if !p.AllowPFC {
@@ -190,7 +190,7 @@ func (p *LCPPolicy) CheckRequest(opts []Option) (naks, rejs []Option) {
 			if !p.AllowACFC {
 				rejs = append(rejs, o)
 			}
-		case OptAuthProto:
+		case optAuthProto:
 			proto, ok := parseAuthOption(o)
 			if ok && p.CanAuth[proto] {
 				break // acceptable demand
@@ -220,20 +220,20 @@ func (p *LCPPolicy) CheckRequest(opts []Option) (naks, rejs []Option) {
 // ApplyPeer implements Policy: the peer's request was acked, so its
 // options govern what the peer may send to us (and what we must accept).
 func (p *LCPPolicy) ApplyPeer(opts []Option) {
-	res := DefaultLinkParams()
+	res := defaultLinkParams()
 	for _, o := range opts {
 		switch o.Type {
-		case OptMRU:
+		case optMRU:
 			res.MRU = int(binary.BigEndian.Uint16(o.Data))
-		case OptACCM:
+		case optACCM:
 			res.ACCM = hdlc.ACCM(binary.BigEndian.Uint32(o.Data))
-		case OptMagic:
+		case optMagic:
 			res.Magic = binary.BigEndian.Uint32(o.Data)
 		case OptPFC:
 			res.PFC = true
 		case OptACFC:
 			res.ACFC = true
-		case OptAuthProto:
+		case optAuthProto:
 			if proto, ok := parseAuthOption(o); ok {
 				p.AuthDemanded = proto
 			}
@@ -245,20 +245,20 @@ func (p *LCPPolicy) ApplyPeer(opts []Option) {
 // PeerAcked implements Policy: our request was acked, so these options
 // govern our transmit direction.
 func (p *LCPPolicy) PeerAcked(opts []Option) {
-	res := DefaultLinkParams()
+	res := defaultLinkParams()
 	for _, o := range opts {
 		switch o.Type {
-		case OptMRU:
+		case optMRU:
 			res.MRU = int(binary.BigEndian.Uint16(o.Data))
-		case OptACCM:
+		case optACCM:
 			res.ACCM = hdlc.ACCM(binary.BigEndian.Uint32(o.Data))
-		case OptMagic:
+		case optMagic:
 			res.Magic = binary.BigEndian.Uint32(o.Data)
 		case OptPFC:
 			res.PFC = true
 		case OptACFC:
 			res.ACFC = true
-		case OptAuthProto:
+		case optAuthProto:
 			p.AuthGranted = true
 		}
 	}
@@ -269,16 +269,16 @@ func (p *LCPPolicy) PeerAcked(opts []Option) {
 func (p *LCPPolicy) HandleNak(opts []Option) {
 	for _, o := range opts {
 		switch o.Type {
-		case OptMRU:
+		case optMRU:
 			if len(o.Data) == 2 {
 				p.WantMRU = int(binary.BigEndian.Uint16(o.Data))
 			}
-		case OptACCM:
+		case optACCM:
 			if len(o.Data) == 4 {
 				// Take the union: escape everything either side wants.
 				p.WantACCM |= hdlc.ACCM(binary.BigEndian.Uint32(o.Data))
 			}
-		case OptMagic:
+		case optMagic:
 			if len(o.Data) == 4 {
 				// Prefer a locally random magic when available; the
 				// peer's suggestion is only a tie-break hint.
@@ -288,7 +288,7 @@ func (p *LCPPolicy) HandleNak(opts []Option) {
 			p.WantPFC = false
 		case OptACFC:
 			p.WantACFC = false
-		case OptAuthProto:
+		case optAuthProto:
 			// Adopt the peer's counter-proposal when we can answer it.
 			if proto, ok := parseAuthOption(o); ok && proto != p.RequireAuth {
 				p.RequireAuth = proto
@@ -341,7 +341,7 @@ func authOption(proto uint16) Option {
 	if proto == 0xC223 {
 		data = append(data, chapMD5)
 	}
-	return Option{Type: OptAuthProto, Data: data}
+	return Option{Type: optAuthProto, Data: data}
 }
 
 // parseAuthOption decodes the option, accepting only CHAP/MD5 and PAP.

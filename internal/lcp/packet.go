@@ -21,29 +21,29 @@ type Code byte
 const (
 	ConfigureRequest Code = 1
 	ConfigureAck     Code = 2
-	ConfigureNak     Code = 3
+	configureNak     Code = 3
 	ConfigureReject  Code = 4
-	TerminateRequest Code = 5
-	TerminateAck     Code = 6
-	CodeReject       Code = 7
-	ProtocolReject   Code = 8
+	terminateRequest Code = 5
+	terminateAck     Code = 6
+	codeReject       Code = 7
+	protocolReject   Code = 8
 	EchoRequest      Code = 9
-	EchoReply        Code = 10
-	DiscardRequest   Code = 11
+	echoReply        Code = 10
+	discardRequest   Code = 11
 )
 
 var codeNames = map[Code]string{
 	ConfigureRequest: "Configure-Request",
 	ConfigureAck:     "Configure-Ack",
-	ConfigureNak:     "Configure-Nak",
+	configureNak:     "Configure-Nak",
 	ConfigureReject:  "Configure-Reject",
-	TerminateRequest: "Terminate-Request",
-	TerminateAck:     "Terminate-Ack",
-	CodeReject:       "Code-Reject",
-	ProtocolReject:   "Protocol-Reject",
+	terminateRequest: "Terminate-Request",
+	terminateAck:     "Terminate-Ack",
+	codeReject:       "Code-Reject",
+	protocolReject:   "Protocol-Reject",
 	EchoRequest:      "Echo-Request",
-	EchoReply:        "Echo-Reply",
-	DiscardRequest:   "Discard-Request",
+	echoReply:        "Echo-Reply",
+	discardRequest:   "Discard-Request",
 }
 
 func (c Code) String() string {
@@ -63,9 +63,9 @@ type Packet struct {
 
 // Codec errors.
 var (
-	ErrPacketShort  = errors.New("lcp: packet shorter than header")
-	ErrPacketLength = errors.New("lcp: length field exceeds packet")
-	ErrOptionFormat = errors.New("lcp: malformed option")
+	errPacketShort  = errors.New("lcp: packet shorter than header")
+	errPacketLength = errors.New("lcp: length field exceeds packet")
+	errOptionFormat = errors.New("lcp: malformed option")
 )
 
 // Marshal appends the wire encoding of p (code, id, 16-bit length, data)
@@ -81,11 +81,11 @@ func (p *Packet) Marshal(dst []byte) []byte {
 // §5).
 func ParsePacket(b []byte) (*Packet, error) {
 	if len(b) < 4 {
-		return nil, ErrPacketShort
+		return nil, errPacketShort
 	}
 	n := int(b[2])<<8 | int(b[3])
 	if n < 4 || n > len(b) {
-		return nil, ErrPacketLength
+		return nil, errPacketLength
 	}
 	return &Packet{Code: Code(b[0]), ID: b[1], Data: b[4:n]}, nil
 }
@@ -96,9 +96,9 @@ type Option struct {
 	Data []byte
 }
 
-// Marshal appends the option encoding (type, length-including-header,
+// marshal appends the option encoding (type, length-including-header,
 // data) to dst.
-func (o Option) Marshal(dst []byte) []byte {
+func (o Option) marshal(dst []byte) []byte {
 	dst = append(dst, o.Type, byte(2+len(o.Data)))
 	return append(dst, o.Data...)
 }
@@ -106,7 +106,7 @@ func (o Option) Marshal(dst []byte) []byte {
 // MarshalOptions appends every option in order.
 func MarshalOptions(dst []byte, opts []Option) []byte {
 	for _, o := range opts {
-		dst = o.Marshal(dst)
+		dst = o.marshal(dst)
 	}
 	return dst
 }
@@ -116,11 +116,11 @@ func ParseOptions(b []byte) ([]Option, error) {
 	var opts []Option
 	for len(b) > 0 {
 		if len(b) < 2 {
-			return nil, ErrOptionFormat
+			return nil, errOptionFormat
 		}
 		n := int(b[1])
 		if n < 2 || n > len(b) {
-			return nil, ErrOptionFormat
+			return nil, errOptionFormat
 		}
 		opts = append(opts, Option{Type: b[0], Data: append([]byte(nil), b[2:n]...)})
 		b = b[n:]

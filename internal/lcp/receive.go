@@ -18,7 +18,7 @@ func (a *Automaton) Receive(p *Packet) {
 		} else {
 			a.rcrBad(p.ID, naks, rejs)
 		}
-	case ConfigureAck, ConfigureNak, ConfigureReject:
+	case ConfigureAck, configureNak, ConfigureReject:
 		opts, err := ParseOptions(p.Data)
 		if p.ID != a.id || err != nil || p.Code == ConfigureAck && !optionsEqual(opts, a.reqOpts) {
 			a.RxBadPackets++
@@ -31,29 +31,29 @@ func (a *Automaton) Receive(p *Packet) {
 		switch p.Code {
 		case ConfigureAck:
 			a.rca()
-		case ConfigureNak:
+		case configureNak:
 			a.Policy.HandleNak(opts)
 			a.rcn()
 		default:
 			a.Policy.HandleReject(opts)
 			a.rcn()
 		}
-	case TerminateRequest:
+	case terminateRequest:
 		a.rtr(p.ID)
-	case TerminateAck:
+	case terminateAck:
 		a.rta()
-	case CodeReject:
+	case codeReject:
 		// Reject of a code we depend on is catastrophic (RXJ-);
 		// reject of an extension code is permitted (RXJ+).
-		if rej, err := ParsePacket(p.Data); err == nil && rej.Code >= ConfigureRequest && rej.Code <= TerminateAck {
+		if rej, err := ParsePacket(p.Data); err == nil && rej.Code >= ConfigureRequest && rej.Code <= terminateAck {
 			a.rxjBad()
 		}
 		// RXJ+ has no transitions: silently ignored.
-	case ProtocolReject:
+	case protocolReject:
 		// Passed up in a full stack; for the automaton it is RXJ+.
 	case EchoRequest:
 		a.rxr(p, true)
-	case EchoReply, DiscardRequest:
+	case echoReply, discardRequest:
 		a.rxr(p, false)
 	default:
 		a.ruc(p)
@@ -63,26 +63,26 @@ func (a *Automaton) Receive(p *Packet) {
 // rcrGood is RCR+: an acceptable Configure-Request.
 func (a *Automaton) rcrGood(id byte, opts []Option) {
 	switch a.state {
-	case Closed:
+	case closed:
 		a.sta(id)
 	case Stopped:
 		a.irc(false)
 		a.scr()
 		a.sca(id, opts)
 		a.Policy.ApplyPeer(opts)
-		a.setState(AckSent)
-	case Closing, Stopping:
+		a.setState(ackSent)
+	case closing, stopping:
 		// Terminating: ignore.
-	case ReqSent:
+	case reqSent:
 		a.sca(id, opts)
 		a.Policy.ApplyPeer(opts)
-		a.setState(AckSent)
-	case AckRcvd:
+		a.setState(ackSent)
+	case ackRcvd:
 		a.sca(id, opts)
 		a.Policy.ApplyPeer(opts)
 		a.setState(Opened)
 		a.tlu()
-	case AckSent:
+	case ackSent:
 		a.sca(id, opts)
 		a.Policy.ApplyPeer(opts)
 	case Opened:
@@ -90,49 +90,49 @@ func (a *Automaton) rcrGood(id byte, opts []Option) {
 		a.scr()
 		a.sca(id, opts)
 		a.Policy.ApplyPeer(opts)
-		a.setState(AckSent)
+		a.setState(ackSent)
 	}
 }
 
 // rcrBad is RCR-: an unacceptable Configure-Request.
 func (a *Automaton) rcrBad(id byte, naks, rejs []Option) {
 	switch a.state {
-	case Closed:
+	case closed:
 		a.sta(id)
 	case Stopped:
 		a.irc(false)
 		a.scr()
 		a.scn(id, naks, rejs)
-		a.setState(ReqSent)
-	case Closing, Stopping:
-	case ReqSent, AckSent:
+		a.setState(reqSent)
+	case closing, stopping:
+	case reqSent, ackSent:
 		a.scn(id, naks, rejs)
-		a.setState(ReqSent)
-	case AckRcvd:
+		a.setState(reqSent)
+	case ackRcvd:
 		a.scn(id, naks, rejs)
 	case Opened:
 		a.tld()
 		a.scr()
 		a.scn(id, naks, rejs)
-		a.setState(ReqSent)
+		a.setState(reqSent)
 	}
 }
 
 // rca is RCA: the peer acknowledged our request.
 func (a *Automaton) rca() {
 	switch a.state {
-	case Closed, Stopped:
+	case closed, Stopped:
 		a.sta(a.id)
-	case Closing, Stopping:
-	case ReqSent:
+	case closing, stopping:
+	case reqSent:
 		a.irc(false)
 		a.Policy.PeerAcked(a.reqOpts)
-		a.setState(AckRcvd)
-	case AckRcvd:
+		a.setState(ackRcvd)
+	case ackRcvd:
 		// Crossed acks: restart.
 		a.scr()
-		a.setState(ReqSent)
-	case AckSent:
+		a.setState(reqSent)
+	case ackSent:
 		a.irc(false)
 		a.Policy.PeerAcked(a.reqOpts)
 		a.setState(Opened)
@@ -140,7 +140,7 @@ func (a *Automaton) rca() {
 	case Opened:
 		a.tld()
 		a.scr()
-		a.setState(ReqSent)
+		a.setState(reqSent)
 	}
 }
 
@@ -148,56 +148,56 @@ func (a *Automaton) rca() {
 // already been revised by the Policy.
 func (a *Automaton) rcn() {
 	switch a.state {
-	case Closed, Stopped:
+	case closed, Stopped:
 		a.sta(a.id)
-	case Closing, Stopping:
-	case ReqSent:
+	case closing, stopping:
+	case reqSent:
 		a.irc(false)
 		a.scr()
-	case AckRcvd:
+	case ackRcvd:
 		a.scr()
-		a.setState(ReqSent)
-	case AckSent:
+		a.setState(reqSent)
+	case ackSent:
 		a.irc(false)
 		a.scr()
 	case Opened:
 		a.tld()
 		a.scr()
-		a.setState(ReqSent)
+		a.setState(reqSent)
 	}
 }
 
 // rtr is RTR: the peer requested termination.
 func (a *Automaton) rtr(id byte) {
 	switch a.state {
-	case Closed, Stopped, Closing, Stopping, ReqSent:
+	case closed, Stopped, closing, stopping, reqSent:
 		a.sta(id)
-	case AckRcvd, AckSent:
+	case ackRcvd, ackSent:
 		a.sta(id)
-		a.setState(ReqSent)
+		a.setState(reqSent)
 	case Opened:
 		a.tld()
 		a.zrc()
 		a.sta(id)
-		a.setState(Stopping)
+		a.setState(stopping)
 	}
 }
 
 // rta is RTA: the peer acknowledged our Terminate-Request.
 func (a *Automaton) rta() {
 	switch a.state {
-	case Closing:
+	case closing:
 		a.tlf()
-		a.setState(Closed)
-	case Stopping:
+		a.setState(closed)
+	case stopping:
 		a.tlf()
 		a.setState(Stopped)
-	case AckRcvd:
-		a.setState(ReqSent)
+	case ackRcvd:
+		a.setState(reqSent)
 	case Opened:
 		a.tld()
 		a.scr()
-		a.setState(ReqSent)
+		a.setState(reqSent)
 	default:
 	}
 }
@@ -205,7 +205,7 @@ func (a *Automaton) rta() {
 // ruc is RUC: an unknown code arrived; send Code-Reject.
 func (a *Automaton) ruc(p *Packet) {
 	switch a.state {
-	case Initial, Starting:
+	case initial, Starting:
 	default:
 		a.scj(p)
 	}
@@ -214,17 +214,17 @@ func (a *Automaton) ruc(p *Packet) {
 // rxjBad is RXJ-: a catastrophic Code/Protocol-Reject.
 func (a *Automaton) rxjBad() {
 	switch a.state {
-	case Closed, Closing:
+	case closed, closing:
 		a.tlf()
-		a.setState(Closed)
-	case Stopped, Stopping, ReqSent, AckRcvd, AckSent:
+		a.setState(closed)
+	case Stopped, stopping, reqSent, ackRcvd, ackSent:
 		a.tlf()
 		a.setState(Stopped)
 	case Opened:
 		a.tld()
 		a.irc(true)
 		a.str()
-		a.setState(Stopping)
+		a.setState(stopping)
 	}
 }
 

@@ -51,12 +51,12 @@ func (h *harness) toOpened(t *testing.T) {
 func TestUpInInitialGoesClosed(t *testing.T) {
 	h := newHarness()
 	h.a.Up()
-	if h.a.State() != Closed {
+	if h.a.State() != closed {
 		t.Errorf("state = %v", h.a.State())
 	}
 	// Up again: no transition.
 	h.a.Up()
-	if h.a.State() != Closed {
+	if h.a.State() != closed {
 		t.Errorf("second Up: %v", h.a.State())
 	}
 }
@@ -69,7 +69,7 @@ func TestOpenInInitialSignalsStart(t *testing.T) {
 	}
 	// Close from Starting: finished, back to Initial.
 	h.a.Close()
-	if h.a.State() != Initial || h.finished != 1 {
+	if h.a.State() != initial || h.finished != 1 {
 		t.Errorf("state=%v finished=%d", h.a.State(), h.finished)
 	}
 }
@@ -110,7 +110,7 @@ func TestDownFromEveryBusyState(t *testing.T) {
 	h2 := newHarness()
 	h2.a.Up()
 	h2.a.Down()
-	if h2.a.State() != Initial {
+	if h2.a.State() != initial {
 		t.Errorf("Closed+Down → %v", h2.a.State())
 	}
 	// Down in Stopped → Starting with tls.
@@ -132,27 +132,27 @@ func TestCloseAndReopenWhileClosing(t *testing.T) {
 	h := newHarness()
 	h.toOpened(t)
 	h.a.Close()
-	if h.a.State() != Closing || h.lastCode() != TerminateRequest {
+	if h.a.State() != closing || h.lastCode() != terminateRequest {
 		t.Fatalf("state=%v last=%v", h.a.State(), h.lastCode())
 	}
 	// Open during Closing → Stopping (restart after termination).
 	h.a.Open()
-	if h.a.State() != Stopping {
+	if h.a.State() != stopping {
 		t.Errorf("state = %v, want Stopping", h.a.State())
 	}
 	// Close during Stopping → back to Closing.
 	h.a.Close()
-	if h.a.State() != Closing {
+	if h.a.State() != closing {
 		t.Errorf("state = %v, want Closing", h.a.State())
 	}
 	// Terminate-Ack in Closing → Closed + tlf.
-	h.a.Receive(&Packet{Code: TerminateAck, ID: h.a.id})
-	if h.a.State() != Closed || h.finished != 1 {
+	h.a.Receive(&Packet{Code: terminateAck, ID: h.a.id})
+	if h.a.State() != closed || h.finished != 1 {
 		t.Errorf("state=%v finished=%d", h.a.State(), h.finished)
 	}
 	// Open from Closed restarts negotiation.
 	h.a.Open()
-	if h.a.State() != ReqSent {
+	if h.a.State() != reqSent {
 		t.Errorf("reopen: %v", h.a.State())
 	}
 }
@@ -163,17 +163,17 @@ func TestTimeoutInClosingGivesUpToClosed(t *testing.T) {
 	h.a.MaxTerminate = 2
 	h.a.Close()
 	now := int64(0)
-	for i := 0; i < 5 && h.a.State() == Closing; i++ {
+	for i := 0; i < 5 && h.a.State() == closing; i++ {
 		now += DefaultRestartPeriod
 		h.a.Advance(now)
 	}
-	if h.a.State() != Closed || h.finished != 1 {
+	if h.a.State() != closed || h.finished != 1 {
 		t.Errorf("state=%v finished=%d", h.a.State(), h.finished)
 	}
 	// Exactly 1 str + MaxTerminate-1 retries... count Terminate-Requests.
 	trs := 0
 	for _, p := range h.sent {
-		if p.Code == TerminateRequest {
+		if p.Code == terminateRequest {
 			trs++
 		}
 	}
@@ -189,17 +189,17 @@ func TestPacketsInClosingAreIgnoredOrAcked(t *testing.T) {
 	n := len(h.sent)
 	// Configure-Request while terminating: no reply, no transition.
 	h.a.Receive(&Packet{Code: ConfigureRequest, ID: 9})
-	if h.a.State() != Closing || len(h.sent) != n {
+	if h.a.State() != closing || len(h.sent) != n {
 		t.Errorf("RCR in Closing: state=%v sent=%d", h.a.State(), len(h.sent)-n)
 	}
 	// Configure-Ack likewise.
 	h.a.Receive(&Packet{Code: ConfigureAck, ID: h.a.id})
-	if h.a.State() != Closing {
+	if h.a.State() != closing {
 		t.Errorf("RCA in Closing: %v", h.a.State())
 	}
 	// Terminate-Request gets acked without leaving Closing.
-	h.a.Receive(&Packet{Code: TerminateRequest, ID: 3})
-	if h.a.State() != Closing || h.lastCode() != TerminateAck {
+	h.a.Receive(&Packet{Code: terminateRequest, ID: 3})
+	if h.a.State() != closing || h.lastCode() != terminateAck {
 		t.Errorf("RTR in Closing: state=%v last=%v", h.a.State(), h.lastCode())
 	}
 }
@@ -208,15 +208,15 @@ func TestRCAInClosedSendsTerminateAck(t *testing.T) {
 	h := newHarness()
 	h.a.Up() // Closed
 	h.a.Receive(&Packet{Code: ConfigureAck, ID: 0})
-	if h.lastCode() != TerminateAck {
+	if h.lastCode() != terminateAck {
 		t.Errorf("last = %v, want Terminate-Ack", h.lastCode())
 	}
-	h.a.Receive(&Packet{Code: ConfigureNak, ID: 0})
-	if h.lastCode() != TerminateAck {
+	h.a.Receive(&Packet{Code: configureNak, ID: 0})
+	if h.lastCode() != terminateAck {
 		t.Errorf("RCN in Closed: %v", h.lastCode())
 	}
 	h.a.Receive(&Packet{Code: ConfigureRequest, ID: 0})
-	if h.lastCode() != TerminateAck {
+	if h.lastCode() != terminateAck {
 		t.Errorf("RCR in Closed: %v", h.lastCode())
 	}
 }
@@ -231,11 +231,11 @@ func TestCrossedAcksRestartExchange(t *testing.T) {
 		return &Packet{Code: ConfigureAck, ID: h.a.id, Data: MarshalOptions(nil, h.a.reqOpts)}
 	}
 	h.a.Receive(ackNow()) // → Ack-Rcvd
-	if h.a.State() != AckRcvd {
+	if h.a.State() != ackRcvd {
 		t.Fatalf("state = %v", h.a.State())
 	}
 	h.a.Receive(ackNow())
-	if h.a.State() != ReqSent || h.lastCode() != ConfigureRequest {
+	if h.a.State() != reqSent || h.lastCode() != ConfigureRequest {
 		t.Errorf("crossed ack: state=%v last=%v", h.a.State(), h.lastCode())
 	}
 }
@@ -245,11 +245,11 @@ func TestNakInAckRcvdFallsBack(t *testing.T) {
 	h.a.Open()
 	h.a.Up()
 	h.a.Receive(&Packet{Code: ConfigureAck, ID: h.a.id, Data: MarshalOptions(nil, h.a.reqOpts)})
-	if h.a.State() != AckRcvd {
+	if h.a.State() != ackRcvd {
 		t.Fatalf("state = %v", h.a.State())
 	}
-	h.a.Receive(&Packet{Code: ConfigureNak, ID: h.a.id})
-	if h.a.State() != ReqSent {
+	h.a.Receive(&Packet{Code: configureNak, ID: h.a.id})
+	if h.a.State() != reqSent {
 		t.Errorf("state = %v, want Req-Sent", h.a.State())
 	}
 }
@@ -258,9 +258,9 @@ func TestRCRMinusInOpenedRenegotiates(t *testing.T) {
 	// An unacceptable Configure-Request on an open link: tld, scr, scn.
 	h := newHarness()
 	h.toOpened(t)
-	bad := MarshalOptions(nil, []Option{u16opt(OptMRU, 1)}) // below MinMRU
+	bad := MarshalOptions(nil, []Option{u16opt(optMRU, 1)}) // below minMRU
 	h.a.Receive(&Packet{Code: ConfigureRequest, ID: 7, Data: bad})
-	if h.a.State() != ReqSent {
+	if h.a.State() != reqSent {
 		t.Errorf("state = %v, want Req-Sent", h.a.State())
 	}
 	if h.down != 1 {
@@ -271,7 +271,7 @@ func TestRCRMinusInOpenedRenegotiates(t *testing.T) {
 		switch p.Code {
 		case ConfigureRequest:
 			sawReq = true
-		case ConfigureNak:
+		case configureNak:
 			sawNak = true
 		}
 	}
@@ -284,7 +284,7 @@ func TestRCAInOpenedRestarts(t *testing.T) {
 	h := newHarness()
 	h.toOpened(t)
 	h.a.Receive(&Packet{Code: ConfigureAck, ID: h.a.id, Data: MarshalOptions(nil, h.a.reqOpts)})
-	if h.a.State() != ReqSent || h.down != 1 {
+	if h.a.State() != reqSent || h.down != 1 {
 		t.Errorf("state=%v down=%d", h.a.State(), h.down)
 	}
 }
@@ -292,8 +292,8 @@ func TestRCAInOpenedRestarts(t *testing.T) {
 func TestRCNInOpenedRestarts(t *testing.T) {
 	h := newHarness()
 	h.toOpened(t)
-	h.a.Receive(&Packet{Code: ConfigureReject, ID: h.a.id, Data: MarshalOptions(nil, []Option{{Type: OptMagic, Data: []byte{0, 0, 0, 7}}})})
-	if h.a.State() != ReqSent || h.down != 1 {
+	h.a.Receive(&Packet{Code: ConfigureReject, ID: h.a.id, Data: MarshalOptions(nil, []Option{{Type: optMagic, Data: []byte{0, 0, 0, 7}}})})
+	if h.a.State() != reqSent || h.down != 1 {
 		t.Errorf("state=%v down=%d", h.a.State(), h.down)
 	}
 }
@@ -303,8 +303,8 @@ func TestRTAInOpenedRestarts(t *testing.T) {
 	// lost state: tld + scr.
 	h := newHarness()
 	h.toOpened(t)
-	h.a.Receive(&Packet{Code: TerminateAck, ID: 99})
-	if h.a.State() != ReqSent || h.down != 1 {
+	h.a.Receive(&Packet{Code: terminateAck, ID: 99})
+	if h.a.State() != reqSent || h.down != 1 {
 		t.Errorf("state=%v down=%d", h.a.State(), h.down)
 	}
 }
@@ -314,8 +314,8 @@ func TestRTAInAckRcvdFallsBack(t *testing.T) {
 	h.a.Open()
 	h.a.Up()
 	h.a.Receive(&Packet{Code: ConfigureAck, ID: h.a.id, Data: MarshalOptions(nil, h.a.reqOpts)})
-	h.a.Receive(&Packet{Code: TerminateAck, ID: 1})
-	if h.a.State() != ReqSent {
+	h.a.Receive(&Packet{Code: terminateAck, ID: 1})
+	if h.a.State() != reqSent {
 		t.Errorf("state = %v", h.a.State())
 	}
 }
@@ -323,12 +323,12 @@ func TestRTAInAckRcvdFallsBack(t *testing.T) {
 func TestRXJMinusInOpenedRestartsTermination(t *testing.T) {
 	h := newHarness()
 	h.toOpened(t)
-	bad := (&Packet{Code: TerminateRequest, ID: 1}).Marshal(nil)
-	h.a.Receive(&Packet{Code: CodeReject, ID: 1, Data: bad})
-	if h.a.State() != Stopping || h.down != 1 {
+	bad := (&Packet{Code: terminateRequest, ID: 1}).Marshal(nil)
+	h.a.Receive(&Packet{Code: codeReject, ID: 1, Data: bad})
+	if h.a.State() != stopping || h.down != 1 {
 		t.Errorf("state=%v down=%d", h.a.State(), h.down)
 	}
-	if h.lastCode() != TerminateRequest {
+	if h.lastCode() != terminateRequest {
 		t.Errorf("last = %v", h.lastCode())
 	}
 }
@@ -338,8 +338,8 @@ func TestRXJMinusInClosingFinishes(t *testing.T) {
 	h.toOpened(t)
 	h.a.Close()
 	bad := (&Packet{Code: ConfigureRequest, ID: 1}).Marshal(nil)
-	h.a.Receive(&Packet{Code: CodeReject, ID: 1, Data: bad})
-	if h.a.State() != Closed || h.finished != 1 {
+	h.a.Receive(&Packet{Code: codeReject, ID: 1, Data: bad})
+	if h.a.State() != closed || h.finished != 1 {
 		t.Errorf("state=%v finished=%d", h.a.State(), h.finished)
 	}
 }
@@ -350,7 +350,7 @@ func TestCodeRejectOfExtensionCodeIgnored(t *testing.T) {
 	h := newHarness()
 	h.toOpened(t)
 	bad := (&Packet{Code: EchoRequest, ID: 1}).Marshal(nil)
-	h.a.Receive(&Packet{Code: CodeReject, ID: 1, Data: bad})
+	h.a.Receive(&Packet{Code: codeReject, ID: 1, Data: bad})
 	if h.a.State() != Opened {
 		t.Errorf("state = %v, want Opened", h.a.State())
 	}
@@ -359,7 +359,7 @@ func TestCodeRejectOfExtensionCodeIgnored(t *testing.T) {
 func TestProtocolRejectIsRXJPlus(t *testing.T) {
 	h := newHarness()
 	h.toOpened(t)
-	h.a.Receive(&Packet{Code: ProtocolReject, ID: 1, Data: []byte{0x80, 0x21}})
+	h.a.Receive(&Packet{Code: protocolReject, ID: 1, Data: []byte{0x80, 0x21}})
 	if h.a.State() != Opened {
 		t.Errorf("state = %v", h.a.State())
 	}
@@ -369,7 +369,7 @@ func TestDiscardRequestNoReply(t *testing.T) {
 	h := newHarness()
 	h.toOpened(t)
 	n := len(h.sent)
-	h.a.Receive(&Packet{Code: DiscardRequest, ID: 1})
+	h.a.Receive(&Packet{Code: discardRequest, ID: 1})
 	if len(h.sent) != n || h.a.State() != Opened {
 		t.Error("discard-request must be silently discarded")
 	}
@@ -380,11 +380,11 @@ func TestTerminateRequestInAckSentFallsBack(t *testing.T) {
 	h.a.Open()
 	h.a.Up()
 	h.a.Receive(&Packet{Code: ConfigureRequest, ID: 1}) // → Ack-Sent
-	if h.a.State() != AckSent {
+	if h.a.State() != ackSent {
 		t.Fatalf("state = %v", h.a.State())
 	}
-	h.a.Receive(&Packet{Code: TerminateRequest, ID: 5})
-	if h.a.State() != ReqSent || h.lastCode() != TerminateAck {
+	h.a.Receive(&Packet{Code: terminateRequest, ID: 5})
+	if h.a.State() != reqSent || h.lastCode() != terminateAck {
 		t.Errorf("state=%v last=%v", h.a.State(), h.lastCode())
 	}
 }
@@ -400,7 +400,7 @@ func TestStoppedStateAnswersRequests(t *testing.T) {
 	}
 	// RCR+ in Stopped: irc, scr, sca → Ack-Sent.
 	h.a.Receive(&Packet{Code: ConfigureRequest, ID: 2})
-	if h.a.State() != AckSent {
+	if h.a.State() != ackSent {
 		t.Errorf("state = %v, want Ack-Sent", h.a.State())
 	}
 	// And a bad request from Stopped.
@@ -409,9 +409,9 @@ func TestStoppedStateAnswersRequests(t *testing.T) {
 	h2.a.Open()
 	h2.a.Up()
 	h2.a.Advance(10)
-	bad := MarshalOptions(nil, []Option{u16opt(OptMRU, 1)})
+	bad := MarshalOptions(nil, []Option{u16opt(optMRU, 1)})
 	h2.a.Receive(&Packet{Code: ConfigureRequest, ID: 2, Data: bad})
-	if h2.a.State() != ReqSent {
+	if h2.a.State() != reqSent {
 		t.Errorf("RCR- in Stopped: %v", h2.a.State())
 	}
 }
@@ -420,12 +420,12 @@ func TestTimeoutInStoppingGivesUpToStopped(t *testing.T) {
 	h := newHarness()
 	h.toOpened(t)
 	// Peer terminates; we land in Stopping with zero restart count.
-	h.a.Receive(&Packet{Code: TerminateRequest, ID: 3})
-	if h.a.State() != Stopping {
+	h.a.Receive(&Packet{Code: terminateRequest, ID: 3})
+	if h.a.State() != stopping {
 		t.Fatalf("state = %v", h.a.State())
 	}
 	now := int64(0)
-	for i := 0; i < 5 && h.a.State() == Stopping; i++ {
+	for i := 0; i < 5 && h.a.State() == stopping; i++ {
 		now += DefaultRestartPeriod
 		h.a.Advance(now)
 	}
@@ -462,13 +462,13 @@ func TestAuthOptionCodec(t *testing.T) {
 	if p, ok := parseAuthOption(chap); !ok || p != 0xC223 {
 		t.Error("CHAP option codec")
 	}
-	if _, ok := parseAuthOption(Option{Type: OptAuthProto, Data: []byte{0xC2}}); ok {
+	if _, ok := parseAuthOption(Option{Type: optAuthProto, Data: []byte{0xC2}}); ok {
 		t.Error("short option accepted")
 	}
-	if _, ok := parseAuthOption(Option{Type: OptAuthProto, Data: []byte{0xC2, 0x23, 9}}); ok {
+	if _, ok := parseAuthOption(Option{Type: optAuthProto, Data: []byte{0xC2, 0x23, 9}}); ok {
 		t.Error("unknown CHAP algorithm accepted")
 	}
-	if _, ok := parseAuthOption(Option{Type: OptAuthProto, Data: []byte{0x12, 0x34}}); ok {
+	if _, ok := parseAuthOption(Option{Type: optAuthProto, Data: []byte{0x12, 0x34}}); ok {
 		t.Error("unknown protocol accepted")
 	}
 }
@@ -476,9 +476,9 @@ func TestAuthOptionCodec(t *testing.T) {
 func TestCheckRequestMalformedOptions(t *testing.T) {
 	p := NewLCPPolicy(1)
 	naks, rejs := p.CheckRequest([]Option{
-		{Type: OptMRU, Data: []byte{1}},         // short MRU
-		{Type: OptACCM, Data: []byte{1, 2}},     // short ACCM
-		{Type: OptMagic, Data: []byte{1}},       // short magic
+		{Type: optMRU, Data: []byte{1}},         // short MRU
+		{Type: optACCM, Data: []byte{1, 2}},     // short ACCM
+		{Type: optMagic, Data: []byte{1}},       // short magic
 		{Type: OptQualityProt, Data: []byte{1}}, // unimplemented
 	})
 	if len(naks) != 0 || len(rejs) != 4 {
@@ -494,8 +494,8 @@ func TestHandleNakAdoptsValues(t *testing.T) {
 	p.RequireAuth = 0xC023
 	p.CanAuth = map[uint16]bool{0xC223: true}
 	p.HandleNak([]Option{
-		u16opt(OptMRU, 1400),
-		u32opt(OptACCM, 0x000A0000),
+		u16opt(optMRU, 1400),
+		u32opt(optACCM, 0x000A0000),
 		{Type: OptPFC},
 		{Type: OptACFC},
 		authOption(0xC223),

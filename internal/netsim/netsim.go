@@ -19,8 +19,8 @@ func NewRand(seed uint64) *Rand {
 	return &Rand{s: seed}
 }
 
-// Uint64 returns the next raw value.
-func (r *Rand) Uint64() uint64 {
+// next returns the next raw value.
+func (r *Rand) next() uint64 {
 	r.s ^= r.s >> 12
 	r.s ^= r.s << 25
 	r.s ^= r.s >> 27
@@ -32,16 +32,16 @@ func (r *Rand) Intn(n int) int {
 	if n <= 0 {
 		return 0
 	}
-	return int(r.Uint64() % uint64(n))
+	return int(r.next() % uint64(n))
 }
 
 // Float64 returns a value in [0, 1).
 func (r *Rand) Float64() float64 {
-	return float64(r.Uint64()>>11) / (1 << 53)
+	return float64(r.next()>>11) / (1 << 53)
 }
 
 // Byte returns a random octet.
-func (r *Rand) Byte() byte { return byte(r.Uint64()) }
+func (r *Rand) Byte() byte { return byte(r.next()) }
 
 // IPv4Header is a minimal IPv4 header (no options).
 type IPv4Header struct {
@@ -52,15 +52,15 @@ type IPv4Header struct {
 	Src, Dst [4]byte
 }
 
-// HeaderLen is the size of an option-less IPv4 header.
-const HeaderLen = 20
+// headerLen is the size of an option-less IPv4 header.
+const headerLen = 20
 
-// ProtoUDP is the IP protocol number the generators use.
-const ProtoUDP = 17
+// protoUDP is the IP protocol number the generators use.
+const protoUDP = 17
 
-// Marshal appends the 20-byte header with a valid checksum.
-func (h *IPv4Header) Marshal(dst []byte) []byte {
-	var b [HeaderLen]byte
+// marshal appends the 20-byte header with a valid checksum.
+func (h *IPv4Header) marshal(dst []byte) []byte {
+	var b [headerLen]byte
 	b[0] = 0x45 // version 4, IHL 5
 	binary.BigEndian.PutUint16(b[2:], h.TotalLen)
 	binary.BigEndian.PutUint16(b[4:], h.ID)
@@ -68,17 +68,17 @@ func (h *IPv4Header) Marshal(dst []byte) []byte {
 	b[9] = h.Protocol
 	copy(b[12:16], h.Src[:])
 	copy(b[16:20], h.Dst[:])
-	binary.BigEndian.PutUint16(b[10:], Checksum(b[:]))
+	binary.BigEndian.PutUint16(b[10:], checksum(b[:]))
 	return append(dst, b[:]...)
 }
 
 // ParseIPv4 decodes a datagram's header; ok is false on malformed input
 // or checksum failure.
 func ParseIPv4(p []byte) (h IPv4Header, ok bool) {
-	if len(p) < HeaderLen || p[0] != 0x45 {
+	if len(p) < headerLen || p[0] != 0x45 {
 		return h, false
 	}
-	if Checksum(p[:HeaderLen]) != 0 {
+	if checksum(p[:headerLen]) != 0 {
 		return h, false
 	}
 	h.TotalLen = binary.BigEndian.Uint16(p[2:])
@@ -90,9 +90,9 @@ func ParseIPv4(p []byte) (h IPv4Header, ok bool) {
 	return h, int(h.TotalLen) <= len(p)
 }
 
-// Checksum computes the Internet checksum (RFC 1071) over p. Computing
+// checksum computes the Internet checksum (RFC 1071) over p. Computing
 // it over a header whose checksum field is correct yields zero.
-func Checksum(p []byte) uint16 {
+func checksum(p []byte) uint16 {
 	var sum uint32
 	for i := 0; i+1 < len(p); i += 2 {
 		sum += uint32(p[i])<<8 | uint32(p[i+1])
@@ -108,7 +108,7 @@ func Checksum(p []byte) uint16 {
 
 // SizeDist selects datagram sizes.
 type SizeDist interface {
-	// Next returns the next datagram size in octets (≥ HeaderLen).
+	// Next returns the next datagram size in octets (≥ headerLen).
 	Next(r *Rand) int
 }
 
@@ -117,8 +117,8 @@ type Fixed int
 
 // Next implements SizeDist.
 func (f Fixed) Next(*Rand) int {
-	if int(f) < HeaderLen {
-		return HeaderLen
+	if int(f) < headerLen {
+		return headerLen
 	}
 	return int(f)
 }
@@ -144,8 +144,8 @@ type Uniform struct{ Min, Max int }
 // Next implements SizeDist.
 func (u Uniform) Next(r *Rand) int {
 	lo := u.Min
-	if lo < HeaderLen {
-		lo = HeaderLen
+	if lo < headerLen {
+		lo = headerLen
 	}
 	hi := u.Max
 	if hi < lo {
@@ -183,11 +183,11 @@ func (g *Gen) Next() []byte {
 		TotalLen: uint16(n),
 		ID:       g.id,
 		TTL:      64,
-		Protocol: ProtoUDP,
+		Protocol: protoUDP,
 		Src:      [4]byte{10, 0, 0, 1},
 		Dst:      [4]byte{10, 0, 0, 2},
 	}
-	p := h.Marshal(make([]byte, 0, n))
+	p := h.marshal(make([]byte, 0, n))
 	for len(p) < n {
 		var b byte
 		if g.EscDensity > 0 && g.Rand.Float64() < g.EscDensity {

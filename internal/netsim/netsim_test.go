@@ -8,16 +8,16 @@ import (
 func TestRandDeterministic(t *testing.T) {
 	a, b := NewRand(42), NewRand(42)
 	for i := 0; i < 100; i++ {
-		if a.Uint64() != b.Uint64() {
+		if a.next() != b.next() {
 			t.Fatal("same seed diverged")
 		}
 	}
-	if NewRand(1).Uint64() == NewRand(2).Uint64() {
+	if NewRand(1).next() == NewRand(2).next() {
 		t.Error("different seeds identical")
 	}
 	// Seed zero must not wedge the generator.
 	z := NewRand(0)
-	if z.Uint64() == 0 && z.Uint64() == 0 {
+	if z.next() == 0 && z.next() == 0 {
 		t.Error("zero seed produced zeros")
 	}
 }
@@ -40,18 +40,18 @@ func TestRandRanges(t *testing.T) {
 func TestChecksumRFC1071(t *testing.T) {
 	// Example from RFC 1071 §3: the checksum of this sequence.
 	data := []byte{0x00, 0x01, 0xF2, 0x03, 0xF4, 0xF5, 0xF6, 0xF7}
-	if got := Checksum(data); got != ^uint16(0xDDF2) {
+	if got := checksum(data); got != ^uint16(0xDDF2) {
 		t.Errorf("checksum = %#x, want %#x", got, ^uint16(0xDDF2))
 	}
 }
 
 func TestHeaderRoundTrip(t *testing.T) {
 	f := func(totalLen, id uint16, ttl, proto byte, src, dst [4]byte) bool {
-		if totalLen < HeaderLen {
-			totalLen = HeaderLen
+		if totalLen < headerLen {
+			totalLen = headerLen
 		}
 		h := IPv4Header{TotalLen: totalLen, ID: id, TTL: ttl, Protocol: proto, Src: src, Dst: dst}
-		b := h.Marshal(nil)
+		b := h.marshal(nil)
 		// pad to TotalLen so the length check passes
 		for len(b) < int(totalLen) {
 			b = append(b, 0)
@@ -65,8 +65,8 @@ func TestHeaderRoundTrip(t *testing.T) {
 }
 
 func TestParseRejectsCorruptHeader(t *testing.T) {
-	h := IPv4Header{TotalLen: 40, TTL: 64, Protocol: ProtoUDP}
-	b := h.Marshal(nil)
+	h := IPv4Header{TotalLen: 40, TTL: 64, Protocol: protoUDP}
+	b := h.marshal(nil)
 	b = append(b, make([]byte, 20)...)
 	b[8] ^= 0x01 // TTL flip breaks the checksum
 	if _, ok := ParseIPv4(b); ok {
@@ -102,7 +102,7 @@ func TestIMIXDistribution(t *testing.T) {
 
 func TestSizeDists(t *testing.T) {
 	r := NewRand(1)
-	if Fixed(10).Next(r) != HeaderLen {
+	if Fixed(10).Next(r) != headerLen {
 		t.Error("Fixed below header size must clamp")
 	}
 	if Fixed(100).Next(r) != 100 {
@@ -114,7 +114,7 @@ func TestSizeDists(t *testing.T) {
 			t.Fatalf("Uniform out of range: %d", v)
 		}
 	}
-	if (Uniform{Min: 5, Max: 3}).Next(r) != HeaderLen {
+	if (Uniform{Min: 5, Max: 3}).Next(r) != headerLen {
 		t.Error("degenerate uniform")
 	}
 }
@@ -139,7 +139,7 @@ func TestGenEscapeDensity(t *testing.T) {
 		esc, total := 0, 0
 		for i := 0; i < 50; i++ {
 			d := g.Next()
-			for _, b := range d[HeaderLen:] {
+			for _, b := range d[headerLen:] {
 				total++
 				if b == 0x7E || b == 0x7D {
 					esc++

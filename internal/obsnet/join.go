@@ -10,9 +10,9 @@ import (
 	"repro/internal/telemetry"
 )
 
-// JoinedEvent is one event of the merged incident timeline: a black-box
+// joinedEvent is one event of the merged incident timeline: a black-box
 // event from either side with its tick aligned into side A's domain.
-type JoinedEvent struct {
+type joinedEvent struct {
 	// Side is "A" or "B".
 	Side string
 	// AlignedAt is the event's tick translated into A's tick domain.
@@ -32,7 +32,7 @@ type Joined struct {
 	// ClockDeltaNS is the estimated B-minus-A wall-clock offset.
 	ClockDeltaNS int64
 	// Timeline holds both sides' events sorted by aligned tick.
-	Timeline []JoinedEvent
+	Timeline []joinedEvent
 }
 
 // tickDelta estimates the B-minus-A tick offset. Each side's TickOffset
@@ -80,10 +80,10 @@ func Join(a, b *flight.Capture) (*Joined, error) {
 		ClockDeltaNS: clockDelta(a, b),
 	}
 	for _, e := range a.Events {
-		j.Timeline = append(j.Timeline, JoinedEvent{Side: "A", AlignedAt: e.At, Event: e})
+		j.Timeline = append(j.Timeline, joinedEvent{Side: "A", AlignedAt: e.At, Event: e})
 	}
 	for _, e := range b.Events {
-		j.Timeline = append(j.Timeline, JoinedEvent{Side: "B", AlignedAt: e.At - j.TickDelta, Event: e})
+		j.Timeline = append(j.Timeline, joinedEvent{Side: "B", AlignedAt: e.At - j.TickDelta, Event: e})
 	}
 	sort.SliceStable(j.Timeline, func(i, k int) bool {
 		return j.Timeline[i].AlignedAt < j.Timeline[k].AlignedAt

@@ -25,7 +25,7 @@ import (
 
 // Instance is one scraped fleet member.
 type Instance struct {
-	// Addr is the instance's telemetry address as given to Scrape
+	// Addr is the instance's telemetry address as given to scrape
 	// (host:port or URL); it doubles as the injected instance label.
 	Addr string
 	// Series is the parsed /metrics snapshot with the instance label
@@ -67,9 +67,9 @@ func get(url string) ([]byte, error) {
 	return body, nil
 }
 
-// Scrape pulls one instance's /metrics and /status. The returned
+// scrape pulls one instance's /metrics and /status. The returned
 // Instance always carries Addr; Err marks a failed scrape.
-func Scrape(addr string) Instance {
+func scrape(addr string) Instance {
 	inst := Instance{Addr: addr}
 	base := baseURL(addr)
 
@@ -100,7 +100,7 @@ func Scrape(addr string) Instance {
 func ScrapeAll(addrs []string) []Instance {
 	out := make([]Instance, len(addrs))
 	for i, a := range addrs {
-		out[i] = Scrape(a)
+		out[i] = scrape(a)
 	}
 	return out
 }

@@ -26,8 +26,8 @@ func checkOneSample(t *testing.T, sys *System) {
 		}
 	}
 	if tx.Escape.ACCM != c.accm ||
-		tx.Escape.SharedFlags != (c.ctrl&CtrlSharedFlags != 0) ||
-		tx.Escape.IdleFill != (c.ctrl&CtrlIdleFill != 0) {
+		tx.Escape.SharedFlags != (c.ctrl&ctrlSharedFlags != 0) ||
+		tx.Escape.IdleFill != (c.ctrl&ctrlIdleFill != 0) {
 		t.Fatalf("cycle %d: Escape Generate disagrees with sample %+v", sys.Sim.Now(), c)
 	}
 }
@@ -42,14 +42,14 @@ func TestHostWriteLandsOnAClockEdge(t *testing.T) {
 	if sys.Tx.CRC.Mode != crc.FCS16Mode || sys.Rx.CRC.Mode != crc.FCS16Mode {
 		t.Fatalf("FCS-16 write not visible in the next clock: TX %v RX %v", sys.Tx.CRC.Mode, sys.Rx.CRC.Mode)
 	}
-	sys.OAM.Write(RegACCM, 0x000A0000)
-	sys.OAM.Write(RegCtrl, CtrlTxEnable|CtrlRxEnable|CtrlSharedFlags)
+	sys.OAM.Write(regACCM, 0x000A0000)
+	sys.OAM.Write(RegCtrl, ctrlTxEnable|ctrlRxEnable|ctrlSharedFlags)
 	sys.Cycle()
 	if sys.Tx.Escape.ACCM != hdlc.ACCM(0x000A0000) || !sys.Tx.Escape.SharedFlags {
 		t.Fatalf("ACCM/ctrl writes not visible in the next clock: %#x %t", sys.Tx.Escape.ACCM, sys.Tx.Escape.SharedFlags)
 	}
 	checkOneSample(t, sys)
-	sys.OAM.Write(RegCtrl, CtrlRxEnable)
+	sys.OAM.Write(RegCtrl, ctrlRxEnable)
 	sys.Send(TxJob{Protocol: ppp.ProtoIPv4, Payload: payload})
 	sys.Cycle()
 	if sys.Tx.Framer.FramesStarted != 0 {
@@ -91,11 +91,11 @@ func TestHostWriteLandsOnAClockEdge(t *testing.T) {
 			default:
 			}
 			sys.OAM.Write(RegFCSMode, 2+2*(i&1))
-			sys.OAM.Write(RegACCM, i)
-			sys.OAM.Write(RegCtrl, CtrlTxEnable|CtrlRxEnable|(i>>1&1)*CtrlSharedFlags|(i>>2&1)*CtrlIdleFill)
+			sys.OAM.Write(regACCM, i)
+			sys.OAM.Write(RegCtrl, ctrlTxEnable|ctrlRxEnable|(i>>1&1)*ctrlSharedFlags|(i>>2&1)*ctrlIdleFill)
 			sys.OAM.Write(RegAddress, 0xFF-(i>>3&1)*0xF0)
-			sys.OAM.Write(RegControl, 0x03^(i>>4&1)*0x10)
-			sys.OAM.Write(RegMRU, 1500-(i>>5&1)*1480)
+			sys.OAM.Write(regControl, 0x03^(i>>4&1)*0x10)
+			sys.OAM.Write(regMRU, 1500-(i>>5&1)*1480)
 		}
 	}()
 	changes, last, delivered := 0, sys.cfg.gen, 0

@@ -156,8 +156,8 @@ func (t *TxCRC) Eval() {
 	t.Out.Push(f)
 }
 
-// Busy reports whether FCS octets are still queued.
-func (t *TxCRC) Busy() bool { return t.fcsN > 0 }
+// busy reports whether FCS octets are still queued.
+func (t *TxCRC) busy() bool { return t.fcsN > 0 }
 
 // RxCRC is the receiver CRC unit: it folds every frame octet (FCS
 // included) into the running register and, at end of frame, verifies the

@@ -5,7 +5,7 @@ import (
 	"repro/internal/rtl"
 )
 
-// Delineator is the receiver's frame-alignment front end: it hunts for
+// delineator is the receiver's frame-alignment front end: it hunts for
 // flag octets in the raw line word stream — a flag can sit in any lane,
 // the condition that forces the 32-bit receiver's sorting logic — and
 // carves out the stuffed frame content between flags, detecting aborts
@@ -15,7 +15,7 @@ import (
 // is offered one; if its small buffer overflows because downstream is
 // stalled, octets are dropped and the damaged frame is marked in error
 // (the Overruns counter records it).
-type Delineator struct {
+type delineator struct {
 	In  *rtl.Wire // raw line words from the PHY
 	Out *rtl.Wire // stuffed frame content, SOF/EOF/Err marked
 
@@ -37,18 +37,18 @@ type Delineator struct {
 	Overruns  uint64
 }
 
-func (dl *Delineator) bufCap() int {
+func (dl *delineator) bufCap() int {
 	if dl.BufCap == 0 {
 		return 8 * dl.W
 	}
 	return dl.BufCap
 }
 
-// Busy reports whether frame content is still buffered.
-func (dl *Delineator) Busy() bool { return dl.fifo.Len() > 0 }
+// busy reports whether frame content is still buffered.
+func (dl *delineator) busy() bool { return dl.fifo.count() > 0 }
 
 // Eval implements rtl.Module.
-func (dl *Delineator) Eval() {
+func (dl *delineator) Eval() {
 	if dl.fifo.limit == 0 {
 		dl.fifo.reserve(dl.bufCap())
 	}
@@ -59,7 +59,7 @@ func (dl *Delineator) Eval() {
 	}
 	data := f.Data
 	if dl.inFrame && f.N > 0 && lanesEqual(data, hdlc.Flag)&validLanes(f.N) == 0 &&
-		dl.fifo.Len()+f.N <= dl.fifo.limit {
+		dl.fifo.count()+f.N <= dl.fifo.limit {
 		// No flag in any lane and room for the whole word: every lane
 		// is content of the open frame.
 		dl.fifo.push(data, f.N, dl.content == 0)
@@ -72,7 +72,7 @@ func (dl *Delineator) Eval() {
 	}
 }
 
-func (dl *Delineator) octet(b byte) {
+func (dl *delineator) octet(b byte) {
 	if b == hdlc.Flag {
 		dl.FlagsSeen++
 		if dl.inFrame && dl.content > 0 {
@@ -87,7 +87,7 @@ func (dl *Delineator) octet(b byte) {
 	if !dl.inFrame {
 		return // inter-frame fill / pre-alignment garbage
 	}
-	if dl.fifo.Len() >= dl.fifo.limit {
+	if dl.fifo.count() >= dl.fifo.limit {
 		dl.Overruns++
 		dl.dropped = true
 		dl.content++
@@ -98,7 +98,7 @@ func (dl *Delineator) octet(b byte) {
 	dl.lastEsc = b == hdlc.Escape
 }
 
-func (dl *Delineator) closeFrame() {
+func (dl *delineator) closeFrame() {
 	abort := dl.lastEsc
 	if abort {
 		// Abort sequence: the frame was deliberately cancelled.
@@ -109,7 +109,7 @@ func (dl *Delineator) closeFrame() {
 }
 
 // evalOutput drains buffered content downstream, cutting at frame ends.
-func (dl *Delineator) evalOutput() {
+func (dl *delineator) evalOutput() {
 	f, take, ok := dl.fifo.pack(dl.W)
 	if !ok {
 		return

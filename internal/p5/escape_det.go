@@ -71,14 +71,14 @@ func (d *EscapeDetect) bufCap() int {
 }
 
 // Occupancy returns the current buffer fill.
-func (d *EscapeDetect) Occupancy() int { return d.fifo.Len() }
+func (d *EscapeDetect) Occupancy() int { return d.fifo.count() }
 
 // HighWater returns the maximum buffer occupancy observed.
 func (d *EscapeDetect) HighWater() int { return d.fifo.HighWater }
 
-// Busy reports whether any octet is still inside the unit.
-func (d *EscapeDetect) Busy() bool {
-	return d.st[0].valid || d.st[1].valid || d.fifo.Len() > 0
+// busy reports whether any octet is still inside the unit.
+func (d *EscapeDetect) busy() bool {
+	return d.st[0].valid || d.st[1].valid || d.fifo.count() > 0
 }
 
 // Eval implements rtl.Module.
@@ -114,7 +114,7 @@ func (d *EscapeDetect) take(st *detStage) bool {
 	if !ok {
 		return false
 	}
-	if d.fifo.Len()+d.pending+f.N > d.fifo.limit {
+	if d.fifo.count()+d.pending+f.N > d.fifo.limit {
 		d.InputStalls++
 		return false
 	}

@@ -87,14 +87,14 @@ func (g *EscapeGen) bufCap() int {
 }
 
 // Occupancy returns the current resynchronisation-buffer fill.
-func (g *EscapeGen) Occupancy() int { return g.fifo.Len() }
+func (g *EscapeGen) Occupancy() int { return g.fifo.count() }
 
 // HighWater returns the maximum buffer occupancy observed.
 func (g *EscapeGen) HighWater() int { return g.fifo.HighWater }
 
 // Busy reports whether any octet is still inside the unit.
 func (g *EscapeGen) Busy() bool {
-	return g.st[0].valid || g.st[1].valid || g.fifo.Len() > 0
+	return g.st[0].valid || g.st[1].valid || g.fifo.count() > 0
 }
 
 // Eval implements rtl.Module. Stages run downstream-first, so a word
@@ -157,7 +157,7 @@ func (g *EscapeGen) take(st *genStage) bool {
 	if f.Err || f.Abort {
 		commit++ // abort is two octets
 	}
-	if g.fifo.Len()+g.pending+commit > g.fifo.limit {
+	if g.fifo.count()+g.pending+commit > g.fifo.limit {
 		g.InputStalls++
 		return false
 	}
@@ -225,7 +225,7 @@ const flagFill = lanesOf * hdlc.Flag
 
 // evalOutput is stage D: drain the buffer onto the line.
 func (g *EscapeGen) evalOutput() {
-	n := g.fifo.Len()
+	n := g.fifo.count()
 	var data uint64
 	switch {
 	case n >= g.W:

@@ -243,7 +243,7 @@ func runEscapeRoundTrip(t *testing.T, w int, bodies ...[]byte) []rtl.Flit {
 	content := sim.Wire("content")
 	out := sim.Wire("out")
 	gen := &EscapeGen{In: src.Out, Out: mid, W: w}
-	dl := &Delineator{In: mid, Out: content, W: w}
+	dl := &delineator{In: mid, Out: content, W: w}
 	det := &EscapeDetect{In: content, Out: out, W: w}
 	sink := rtl.NewSink(out)
 	sim.Add(src, gen, dl, det, sink)
@@ -251,7 +251,7 @@ func runEscapeRoundTrip(t *testing.T, w int, bodies ...[]byte) []rtl.Flit {
 		src.FeedBytes(b, w)
 	}
 	ok := sim.RunUntil(func() bool {
-		return src.Pending() == 0 && !gen.Busy() && !dl.Busy() && !det.Busy() && sim.Drained()
+		return src.Pending() == 0 && !gen.Busy() && !dl.busy() && !det.busy() && sim.Drained()
 	}, 100000)
 	if !ok {
 		t.Fatalf("round trip did not drain (w=%d)", w)

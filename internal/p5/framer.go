@@ -36,7 +36,7 @@ type Framer struct {
 	Regs *Regs
 	// Ring, when set, is the shared-memory descriptor ring jobs are
 	// pulled from after the direct queue is empty.
-	Ring *Ring[TxJob]
+	Ring *ring[TxJob]
 
 	clockSample
 
@@ -58,9 +58,9 @@ type Framer struct {
 // Enqueue appends jobs to the shared-memory transmit queue.
 func (fr *Framer) Enqueue(jobs ...TxJob) { fr.queue = append(fr.queue, jobs...) }
 
-// Busy reports whether a frame is mid-transmission or queued.
-func (fr *Framer) Busy() bool {
-	return fr.size != 0 || fr.head < len(fr.queue) || (fr.Ring != nil && fr.Ring.Len() > 0)
+// busy reports whether a frame is mid-transmission or queued.
+func (fr *Framer) busy() bool {
+	return fr.size != 0 || fr.head < len(fr.queue) || (fr.Ring != nil && fr.Ring.count() > 0)
 }
 
 // nextJob pulls from the direct queue first, then the descriptor ring.
@@ -78,7 +78,7 @@ func (fr *Framer) nextJob() (TxJob, bool) {
 		return job, true
 	}
 	if fr.Ring != nil {
-		return fr.Ring.Poll()
+		return fr.Ring.poll()
 	}
 	return TxJob{}, false
 }
@@ -86,7 +86,7 @@ func (fr *Framer) nextJob() (TxJob, bool) {
 // Eval implements rtl.Module.
 func (fr *Framer) Eval() {
 	cfg := fr.get(fr.Regs)
-	if cfg.ctrl&CtrlTxEnable == 0 {
+	if cfg.ctrl&ctrlTxEnable == 0 {
 		return
 	}
 	if fr.size == 0 {

@@ -93,7 +93,7 @@ func runGoldenCorpus(t *testing.T, w int, fcs16 bool) simCounts {
 		}
 	}
 	run := func() {
-		for i := 0; sys.Busy(); i++ {
+		for i := 0; sys.busy(); i++ {
 			if i > 1_000_000 {
 				t.Fatalf("w=%d fcs16=%t: did not drain", w, fcs16)
 			}
@@ -250,11 +250,11 @@ func TestPairCountsGolden(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		p.Cycle()
 	}
-	p.A.OAM.Write(RegCtrl, CtrlTxEnable|CtrlRxEnable|CtrlLoopback)
+	p.A.OAM.Write(RegCtrl, ctrlTxEnable|ctrlRxEnable|CtrlLoopback)
 	for i := 0; i < 600; i++ {
 		p.Cycle()
 	}
-	p.A.OAM.Write(RegCtrl, CtrlTxEnable|CtrlRxEnable)
+	p.A.OAM.Write(RegCtrl, ctrlTxEnable|ctrlRxEnable)
 	if !p.RunUntilIdle(1_000_000) {
 		t.Fatal("pair did not drain")
 	}

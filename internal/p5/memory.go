@@ -11,8 +11,8 @@ import "bytes"
 // host (Post fails); a full receive ring drops frames and counts them,
 // exactly the failure mode of an undersized DMA ring.
 
-// Ring is a single-producer single-consumer descriptor ring.
-type Ring[T any] struct {
+// ring is a single-producer single-consumer descriptor ring.
+type ring[T any] struct {
 	slots []T
 	used  []bool
 	head  int // consumer position
@@ -26,20 +26,20 @@ type Ring[T any] struct {
 	n         int
 }
 
-// NewRing creates a ring with the given capacity (minimum 1).
-func NewRing[T any](capacity int) *Ring[T] {
+// newRing creates a ring with the given capacity (minimum 1).
+func newRing[T any](capacity int) *ring[T] {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &Ring[T]{slots: make([]T, capacity), used: make([]bool, capacity)}
+	return &ring[T]{slots: make([]T, capacity), used: make([]bool, capacity)}
 }
 
-// Len returns the current occupancy.
-func (r *Ring[T]) Len() int { return r.n }
+// count returns the current occupancy.
+func (r *ring[T]) count() int { return r.n }
 
-// Post offers an item to the ring; it reports false (and changes
+// post offers an item to the ring; it reports false (and changes
 // nothing) when the ring is full — transmit-side backpressure.
-func (r *Ring[T]) Post(v T) bool {
+func (r *ring[T]) post(v T) bool {
 	if r.used[r.tail] {
 		return false
 	}
@@ -53,18 +53,18 @@ func (r *Ring[T]) Post(v T) bool {
 	return true
 }
 
-// PostOrDrop offers an item and counts a drop when full — receive-side
+// postOrDrop offers an item and counts a drop when full — receive-side
 // semantics.
-func (r *Ring[T]) PostOrDrop(v T) bool {
-	if r.Post(v) {
+func (r *ring[T]) postOrDrop(v T) bool {
+	if r.post(v) {
 		return true
 	}
 	r.Drops++
 	return false
 }
 
-// Poll removes and returns the oldest item.
-func (r *Ring[T]) Poll() (T, bool) {
+// poll removes and returns the oldest item.
+func (r *ring[T]) poll() (T, bool) {
 	var zero T
 	if !r.used[r.head] {
 		return zero, false
@@ -80,11 +80,11 @@ func (r *Ring[T]) Poll() (T, bool) {
 // UseRings replaces the system's unbounded software queues with
 // fixed-capacity shared-memory descriptor rings, returning them for the
 // host side to drive. A full receive ring drops frames (counted in the
-// returned ring's Drops and raised as IntRxError). A posted frame is
+// returned ring's Drops and raised as intRxError). A posted frame is
 // copied out of the receive arena into memory of its own, like a host buffer.
-func (s *System) UseRings(txCap, rxCap int) (tx *Ring[TxJob], rx *Ring[RxFrame]) {
-	tx = NewRing[TxJob](txCap)
-	rx = NewRing[RxFrame](rxCap)
+func (s *System) UseRings(txCap, rxCap int) (tx *ring[TxJob], rx *ring[RxFrame]) {
+	tx = newRing[TxJob](txCap)
+	rx = newRing[RxFrame](rxCap)
 	s.Tx.Framer.Ring = tx
 	s.Rx.Control.Deliver = func(f RxFrame) {
 		body := bytes.Clone(f.Body)
@@ -97,7 +97,7 @@ func (s *System) UseRings(txCap, rxCap int) (tx *Ring[TxJob], rx *Ring[RxFrame])
 		}
 		f.Body = body
 		s.Rx.Control.rewind()
-		s.Regs.RaiseInt(rxInt(rx.PostOrDrop(f) && f.Err == nil))
+		s.Regs.raiseInt(rxInt(rx.postOrDrop(f) && f.Err == nil))
 	}
 	return tx, rx
 }

@@ -16,25 +16,25 @@ import (
 // interface through which a host programs the P5 and reads its status.
 // All registers are 32 bits wide at word-aligned addresses.
 const (
-	RegCtrl    = 0x00 // control bits (see Ctrl* constants)
+	RegCtrl    = 0x00 // control bits (see the RegCtrl bits below)
 	RegAddress = 0x04 // HDLC address octet (programmable, MAPOS)
-	RegControl = 0x08 // HDLC control octet
-	RegACCM    = 0x0C // async-control-character map
+	regControl = 0x08 // HDLC control octet
+	regACCM    = 0x0C // async-control-character map
 	RegFCSMode = 0x10 // 2 = FCS-16, 4 = FCS-32
-	RegMRU     = 0x14 // maximum receive unit
+	regMRU     = 0x14 // maximum receive unit
 
 	RegIntStat = 0x20 // interrupt status (write 1 to clear)
 	RegIntMask = 0x24 // interrupt enable mask
 	RegAlarm   = 0x28 // live SONET section/path defect bits (RO)
 
-	RegTxFrames   = 0x40 // frames transmitted (RO)
-	RegTxEscaped  = 0x44 // octets escaped on transmit (RO)
-	RegTxStalls   = 0x48 // transmit backpressure stalls (RO)
+	regTxFrames   = 0x40 // frames transmitted (RO)
+	regTxEscaped  = 0x44 // octets escaped on transmit (RO)
+	regTxStalls   = 0x48 // transmit backpressure stalls (RO)
 	RegRxGood     = 0x4C // good frames received (RO)
 	RegRxBad      = 0x50 // bad frames received (RO)
 	RegRxFCSErr   = 0x54 // FCS failures (RO)
 	RegRxAborts   = 0x58 // aborted frames (RO)
-	RegRxOverruns = 0x5C // line overrun octets (RO)
+	regRxOverruns = 0x5C // line overrun octets (RO)
 	RegRxRunts    = 0x60 // runt frames (RO)
 
 	RegDefectRaise = 0x64 // total defect raise transitions (RO)
@@ -43,12 +43,12 @@ const (
 	RegB3Errors    = 0x70 // path BIP-8 errors (RO, needs section)
 	RegResyncs     = 0x74 // frame-alignment reacquisitions (RO)
 
-	RegCntOverflow = 0x78 // sticky per-counter overflow latch (write 1 to clear)
+	regCntOverflow = 0x78 // sticky per-counter overflow latch (write 1 to clear)
 
-	RegB2Errors = 0x7C // line BIP-8 errors (RO, needs section)
+	regB2Errors = 0x7C // line BIP-8 errors (RO, needs section)
 
 	// 1+1 APS protection block (AttachAPS).
-	RegAPSCtrl     = 0x80 // external switch commands (see APSCmd*)
+	regAPSCtrl     = 0x80 // external switch commands (see apsCmd*)
 	RegAPSState    = 0x84 // bit 0: selected line; bits 4-7: tx K1 request
 	RegAPSRx       = 0x88 // accepted far-end K1<<8 | K2 (RO)
 	RegAPSTx       = 0x8C // transmitted K1<<8 | K2 (RO)
@@ -56,59 +56,59 @@ const (
 
 	// Flight recorder / SLO block (AttachFlight).
 	RegFlightCtrl = 0x94 // write bit 0: dump the black box now; read: capture count
-	RegSLOBurn    = 0x98 // worst SLO burn rate in milli-units; bit 31 = alarm (RO)
+	regSLOBurn    = 0x98 // worst SLO burn rate in milli-units; bit 31 = alarm (RO)
 
 	// Performance observatory block (AttachProfiler).
-	RegProfCtrl = 0x9C // write bit 0: snapshot runtime profiles now; read: dump count
+	regProfCtrl = 0x9C // write bit 0: snapshot runtime profiles now; read: dump count
 )
 
-// RegAPSCtrl command encodings (lower two bits of a host write).
+// regAPSCtrl command encodings (lower two bits of a host write).
 const (
-	APSCmdClear   = 0 // release any latched external command
-	APSCmdLockout = 1 // lock the selector to the working line
-	APSCmdForced  = 2 // force the selector to the protection line
-	APSCmdManual  = 3 // request protection below the SF/SD priorities
+	apsCmdClear   = 0 // release any latched external command
+	apsCmdLockout = 1 // lock the selector to the working line
+	apsCmdForced  = 2 // force the selector to the protection line
+	apsCmdManual  = 3 // request protection below the SF/SD priorities
 )
 
-// RegCntOverflow bit assignments: the status counters above are 16-bit
+// regCntOverflow bit assignments: the status counters above are 16-bit
 // hardware fields. Reading a counter whose live value exceeds 0xFFFF
 // returns the saturated value and latches the counter's bit here. The
 // latch is sticky — cleared by writing 1, but re-asserted by the next
 // read while the counter remains saturated.
 const (
-	OvfTxFrames   = uint32(1) << 0
-	OvfTxEscaped  = uint32(1) << 1
-	OvfTxStalls   = uint32(1) << 2
-	OvfRxGood     = uint32(1) << 3
-	OvfRxBad      = uint32(1) << 4
-	OvfRxFCSErr   = uint32(1) << 5
-	OvfRxAborts   = uint32(1) << 6
-	OvfRxOverruns = uint32(1) << 7
-	OvfRxRunts    = uint32(1) << 8
-	OvfB1Errors   = uint32(1) << 9
-	OvfB3Errors   = uint32(1) << 10
-	OvfResyncs    = uint32(1) << 11
-	OvfB2Errors   = uint32(1) << 12
-	OvfAPSSwitch  = uint32(1) << 13
+	ovfTxFrames   = uint32(1) << 0
+	ovfTxEscaped  = uint32(1) << 1
+	ovfTxStalls   = uint32(1) << 2
+	ovfRxGood     = uint32(1) << 3
+	ovfRxBad      = uint32(1) << 4
+	ovfRxFCSErr   = uint32(1) << 5
+	ovfRxAborts   = uint32(1) << 6
+	ovfRxOverruns = uint32(1) << 7
+	ovfRxRunts    = uint32(1) << 8
+	ovfB1Errors   = uint32(1) << 9
+	ovfB3Errors   = uint32(1) << 10
+	ovfResyncs    = uint32(1) << 11
+	ovfB2Errors   = uint32(1) << 12
+	ovfAPSSwitch  = uint32(1) << 13
 )
 
 // RegAlarm's bit assignments are the sonet.Defect bit set.
 
 // RegCtrl bits.
 const (
-	CtrlTxEnable    = 1 << 0
-	CtrlRxEnable    = 1 << 1
+	ctrlTxEnable    = 1 << 0
+	ctrlRxEnable    = 1 << 1
 	CtrlLoopback    = 1 << 2
-	CtrlSharedFlags = 1 << 3
-	CtrlIdleFill    = 1 << 4
-	CtrlAnyAddress  = 1 << 5
+	ctrlSharedFlags = 1 << 3
+	ctrlIdleFill    = 1 << 4
+	ctrlAnyAddress  = 1 << 5
 )
 
 // Interrupt bits (RegIntStat / RegIntMask).
 const (
-	IntRxFrame = 1 << 0 // a frame reached the receive queue
-	IntRxError = 1 << 1 // a damaged frame was disposed of
-	IntTxDone  = 1 << 2 // transmit queue drained
+	intRxFrame = 1 << 0 // a frame reached the receive queue
+	intRxError = 1 << 1 // a damaged frame was disposed of
+	intTxDone  = 1 << 2 // transmit queue drained
 
 	// SONET section/path defect interrupt causes (AttachSection).
 	IntOOF         = 1 << 3 // out-of-frame declared
@@ -116,7 +116,7 @@ const (
 	IntLOS         = 1 << 5 // loss-of-signal declared
 	IntSDeg        = 1 << 6 // signal degrade threshold crossed
 	IntSFail       = 1 << 7 // signal fail threshold crossed
-	IntDefectClear = 1 << 8 // any defect cleared (alarm register updated)
+	intDefectClear = 1 << 8 // any defect cleared (alarm register updated)
 	IntAPSSwitch   = 1 << 9 // protection selector moved (AttachAPS)
 
 	IntFlightDump = 1 << 10 // the flight recorder dumped a capture (AttachFlight)
@@ -129,9 +129,9 @@ var IntCauseNames = []struct {
 	Bit  uint32
 	Name string
 }{
-	{IntRxFrame, "rx-frame"}, {IntRxError, "rx-error"}, {IntTxDone, "tx-done"},
+	{intRxFrame, "rx-frame"}, {intRxError, "rx-error"}, {intTxDone, "tx-done"},
 	{IntOOF, "oof"}, {IntLOF, "lof"}, {IntLOS, "los"},
-	{IntSDeg, "sdeg"}, {IntSFail, "sfail"}, {IntDefectClear, "defect-clear"},
+	{IntSDeg, "sdeg"}, {IntSFail, "sfail"}, {intDefectClear, "defect-clear"},
 	{IntAPSSwitch, "aps-switch"},
 	{IntFlightDump, "flight-dump"}, {IntSLOBurn, "slo-burn"},
 	{IntProfDump, "prof-dump"},
@@ -161,7 +161,7 @@ type Regs struct {
 	defectRaises uint32
 	defectClears uint32
 
-	// cntOvf is the RegCntOverflow latch. It is atomic rather than
+	// cntOvf is the regCntOverflow latch. It is atomic rather than
 	// mu-guarded because reads of saturated status counters latch
 	// bits while holding only the read lock.
 	cntOvf atomic.Uint32
@@ -171,7 +171,7 @@ type Regs struct {
 // 0xFF, control 0x03, ACCM 0 (octet-synchronous link), FCS-32, MRU 1500.
 func NewRegs() *Regs {
 	return &Regs{
-		ctrl:    CtrlTxEnable | CtrlRxEnable,
+		ctrl:    ctrlTxEnable | ctrlRxEnable,
 		address: ppp.AddrAllStations,
 		control: ppp.CtrlUI,
 		accm:    hdlc.ACCMNone,
@@ -207,7 +207,7 @@ func (r *Regs) sample(c *config) bool {
 	}
 	r.mu.RLock()
 	*c = config{sampled: true, gen: r.gen.Load(), ctrl: r.ctrl, accm: r.accm, fcs: r.fcsMode, control: r.control,
-		rx: ppp.Config{Address: r.address, AnyAddress: r.ctrl&CtrlAnyAddress != 0, FCS: r.fcsMode, MRU: r.mru}}
+		rx: ppp.Config{Address: r.address, AnyAddress: r.ctrl&ctrlAnyAddress != 0, FCS: r.fcsMode, MRU: r.mru}}
 	r.mu.RUnlock()
 	return true
 }
@@ -231,7 +231,7 @@ func (c *clockSample) get(r *Regs) *config {
 
 // stat16 narrows a live datapath counter to its 16-bit status register
 // field: values above 0xFFFF saturate (instead of silently wrapping)
-// and latch the counter's sticky bit in RegCntOverflow. Callers hold
+// and latch the counter's sticky bit in regCntOverflow. Callers hold
 // only the read lock, hence the CAS loop on the atomic latch.
 func (r *Regs) stat16(v uint64, bit uint32) uint32 {
 	if v <= 0xFFFF {
@@ -245,8 +245,8 @@ func (r *Regs) stat16(v uint64, bit uint32) uint32 {
 	}
 }
 
-// RaiseInt sets interrupt status bits.
-func (r *Regs) RaiseInt(bits uint32) {
+// raiseInt sets interrupt status bits.
+func (r *Regs) raiseInt(bits uint32) {
 	r.mu.Lock()
 	r.intStat |= bits
 	r.mu.Unlock()
@@ -273,14 +273,14 @@ type OAM struct {
 	// registers.
 	section *sonet.Deframer
 	// aps, when attached, supplies the protection status registers and
-	// accepts RegAPSCtrl commands.
+	// accepts regAPSCtrl commands.
 	aps *aps.Controller
-	// flight/slo, when attached, supply the RegFlightCtrl/RegSLOBurn
+	// flight/slo, when attached, supply the RegFlightCtrl/regSLOBurn
 	// block and the flight-dump / slo-burn interrupt causes.
 	flight *flight.Recorder
 	slo    *flight.SLO
-	// profiler, when attached, services RegProfCtrl dump requests;
-	// profDumps counts the successful ones for RegProfCtrl reads.
+	// profiler, when attached, services regProfCtrl dump requests;
+	// profDumps counts the successful ones for regProfCtrl reads.
 	profiler  func() error
 	profDumps atomic.Uint32
 }
@@ -328,7 +328,7 @@ func (o *OAM) AttachSection(df *sonet.Deframer) {
 			r.intStat |= defectIntBit(e.Defect)
 		} else {
 			r.defectClears++
-			r.intStat |= IntDefectClear
+			r.intStat |= intDefectClear
 		}
 		r.mu.Unlock()
 		if prev != nil {
@@ -339,7 +339,7 @@ func (o *OAM) AttachSection(df *sonet.Deframer) {
 
 // AttachAPS wires a 1+1 protection controller into the OAM block: the
 // host reads selector/request/signalling state from the RegAPS*
-// registers, issues lockout/forced/manual commands through RegAPSCtrl,
+// registers, issues lockout/forced/manual commands through regAPSCtrl,
 // and every completed selector movement raises the IntAPSSwitch cause
 // (chained ahead of any existing OnSwitch subscriber).
 func (o *OAM) AttachAPS(c *aps.Controller) {
@@ -349,7 +349,7 @@ func (o *OAM) AttachAPS(c *aps.Controller) {
 	}
 	prev := c.OnSwitch
 	c.OnSwitch = func(e aps.SwitchEvent) {
-		o.Regs.RaiseInt(IntAPSSwitch)
+		o.Regs.raiseInt(IntAPSSwitch)
 		if prev != nil {
 			prev(e)
 		}
@@ -360,7 +360,7 @@ func (o *OAM) AttachAPS(c *aps.Controller) {
 // evaluator; s may be nil) into the OAM block: every black-box dump
 // raises the IntFlightDump cause, every SLO burn-rate alarm raises
 // IntSLOBurn, the host triggers a dump by writing bit 0 of
-// RegFlightCtrl, and RegFlightCtrl/RegSLOBurn read back the capture
+// RegFlightCtrl, and RegFlightCtrl/regSLOBurn read back the capture
 // count and worst burn rate. Hooks chain ahead of any existing
 // subscriber, matching AttachAPS.
 func (o *OAM) AttachFlight(rec *flight.Recorder, s *flight.SLO) {
@@ -369,7 +369,7 @@ func (o *OAM) AttachFlight(rec *flight.Recorder, s *flight.SLO) {
 	if rec != nil {
 		prev := rec.OnCapture
 		rec.OnCapture = func(c *flight.Capture) {
-			o.Regs.RaiseInt(IntFlightDump)
+			o.Regs.raiseInt(IntFlightDump)
 			if prev != nil {
 				prev(c)
 			}
@@ -378,7 +378,7 @@ func (o *OAM) AttachFlight(rec *flight.Recorder, s *flight.SLO) {
 	if s != nil {
 		prev := s.OnAlarm
 		s.OnAlarm = func(objective string) {
-			o.Regs.RaiseInt(IntSLOBurn)
+			o.Regs.raiseInt(IntSLOBurn)
 			if prev != nil {
 				prev(objective)
 			}
@@ -387,10 +387,10 @@ func (o *OAM) AttachFlight(rec *flight.Recorder, s *flight.SLO) {
 }
 
 // AttachProfiler wires a runtime profile dumper into the OAM block:
-// the host writes bit 0 of RegProfCtrl to snapshot heap/mutex/block/
+// the host writes bit 0 of regProfCtrl to snapshot heap/mutex/block/
 // goroutine profiles on demand (p5sim -prof wires this to
 // prof.WriteSnapshot), each successful dump raises the IntProfDump
-// cause, and RegProfCtrl reads back the dump count.
+// cause, and regProfCtrl reads back the dump count.
 func (o *OAM) AttachProfiler(dump func() error) {
 	o.profiler = dump
 }
@@ -408,18 +408,18 @@ func (o *OAM) Write(addr uint32, v uint32) {
 	r := o.Regs
 	if addr == RegFlightCtrl {
 		// Handled before taking the register lock: the dump path
-		// re-enters RaiseInt through the capture hook, and the mutex is
+		// re-enters raiseInt through the capture hook, and the mutex is
 		// not reentrant.
 		if v&1 != 0 && o.flight != nil {
 			o.flight.Trigger("oam")
 		}
 		return
 	}
-	if addr == RegProfCtrl {
-		// Before the lock for the same reason: RaiseInt re-takes it.
+	if addr == regProfCtrl {
+		// Before the lock for the same reason: raiseInt re-takes it.
 		if v&1 != 0 && o.profiler != nil && o.profiler() == nil {
 			o.profDumps.Add(1)
-			o.Regs.RaiseInt(IntProfDump)
+			o.Regs.raiseInt(IntProfDump)
 		}
 		return
 	}
@@ -432,10 +432,10 @@ func (o *OAM) Write(addr uint32, v uint32) {
 	case RegAddress:
 		r.address = byte(v)
 		r.gen.Add(1)
-	case RegControl:
+	case regControl:
 		r.control = byte(v)
 		r.gen.Add(1)
-	case RegACCM:
+	case regACCM:
 		r.accm = hdlc.ACCM(v)
 		r.gen.Add(1)
 	case RegFCSMode:
@@ -445,31 +445,31 @@ func (o *OAM) Write(addr uint32, v uint32) {
 			r.fcsMode = crc.FCS32Mode
 		}
 		r.gen.Add(1)
-	case RegMRU:
+	case regMRU:
 		r.mru = int(v & 0xFFFF)
 		r.gen.Add(1)
 	case RegIntStat:
 		r.intStat &^= v // write-1-to-clear
 	case RegIntMask:
 		r.intMask = v
-	case RegCntOverflow:
+	case regCntOverflow:
 		for { // write-1-to-clear; CAS because reads latch lock-free
 			old := r.cntOvf.Load()
 			if r.cntOvf.CompareAndSwap(old, old&^v) {
 				break
 			}
 		}
-	case RegAPSCtrl:
+	case regAPSCtrl:
 		if o.aps != nil {
 			now := o.aps.Now()
 			switch v & 3 {
-			case APSCmdClear:
+			case apsCmdClear:
 				o.aps.Clear()
-			case APSCmdLockout:
+			case apsCmdLockout:
 				o.aps.Lockout(now)
-			case APSCmdForced:
+			case apsCmdForced:
 				o.aps.ForcedSwitch(now)
-			case APSCmdManual:
+			case apsCmdManual:
 				o.aps.ManualSwitch(now)
 			}
 		}
@@ -487,13 +487,13 @@ func (o *OAM) Read(addr uint32) uint32 {
 		return r.ctrl
 	case RegAddress:
 		return uint32(r.address)
-	case RegControl:
+	case regControl:
 		return uint32(r.control)
-	case RegACCM:
+	case regACCM:
 		return uint32(r.accm)
 	case RegFCSMode:
 		return uint32(r.fcsMode)
-	case RegMRU:
+	case regMRU:
 		return uint32(r.mru)
 	case RegIntStat:
 		return r.intStat
@@ -505,19 +505,19 @@ func (o *OAM) Read(addr uint32) uint32 {
 		return r.defectRaises
 	case RegDefectClear:
 		return r.defectClears
-	case RegCntOverflow:
+	case regCntOverflow:
 		return r.cntOvf.Load()
 	}
 	if o.section != nil {
 		switch addr {
 		case RegB1Errors:
-			return r.stat16(o.section.B1Errors, OvfB1Errors)
+			return r.stat16(o.section.B1Errors, ovfB1Errors)
 		case RegB3Errors:
-			return r.stat16(o.section.B3Errors, OvfB3Errors)
+			return r.stat16(o.section.B3Errors, ovfB3Errors)
 		case RegResyncs:
-			return r.stat16(o.section.ResyncCount, OvfResyncs)
-		case RegB2Errors:
-			return r.stat16(o.section.B2Errors, OvfB2Errors)
+			return r.stat16(o.section.ResyncCount, ovfResyncs)
+		case regB2Errors:
+			return r.stat16(o.section.B2Errors, ovfB2Errors)
 		}
 	}
 	if o.aps != nil {
@@ -532,16 +532,16 @@ func (o *OAM) Read(addr uint32) uint32 {
 		case RegAPSTx:
 			return uint32(txK1)<<8 | uint32(txK2)
 		case RegAPSSwitches:
-			return r.stat16(o.aps.Switches, OvfAPSSwitch)
+			return r.stat16(o.aps.Switches, ovfAPSSwitch)
 		}
 	}
 	if o.flight != nil && addr == RegFlightCtrl {
 		return uint32(o.flight.Captures())
 	}
-	if o.profiler != nil && addr == RegProfCtrl {
+	if o.profiler != nil && addr == regProfCtrl {
 		return o.profDumps.Load()
 	}
-	if o.slo != nil && addr == RegSLOBurn {
+	if o.slo != nil && addr == regSLOBurn {
 		burn := o.slo.WorstBurnMilli()
 		if burn > 0x7FFFFFFF {
 			burn = 0x7FFFFFFF
@@ -554,28 +554,28 @@ func (o *OAM) Read(addr uint32) uint32 {
 	}
 	if o.tx != nil {
 		switch addr {
-		case RegTxFrames:
-			return r.stat16(o.tx.CRC.Frames, OvfTxFrames)
-		case RegTxEscaped:
-			return r.stat16(o.tx.Escape.Escaped, OvfTxEscaped)
-		case RegTxStalls:
-			return r.stat16(o.tx.Escape.InputStalls, OvfTxStalls)
+		case regTxFrames:
+			return r.stat16(o.tx.CRC.Frames, ovfTxFrames)
+		case regTxEscaped:
+			return r.stat16(o.tx.Escape.Escaped, ovfTxEscaped)
+		case regTxStalls:
+			return r.stat16(o.tx.Escape.InputStalls, ovfTxStalls)
 		}
 	}
 	if o.rx != nil {
 		switch addr {
 		case RegRxGood:
-			return r.stat16(o.rx.Control.Good, OvfRxGood)
+			return r.stat16(o.rx.Control.Good, ovfRxGood)
 		case RegRxBad:
-			return r.stat16(o.rx.Control.Bad, OvfRxBad)
+			return r.stat16(o.rx.Control.Bad, ovfRxBad)
 		case RegRxFCSErr:
-			return r.stat16(o.rx.CRC.FCSErrors, OvfRxFCSErr)
+			return r.stat16(o.rx.CRC.FCSErrors, ovfRxFCSErr)
 		case RegRxAborts:
-			return r.stat16(o.rx.Delineator.Aborts, OvfRxAborts)
-		case RegRxOverruns:
-			return r.stat16(o.rx.Delineator.Overruns, OvfRxOverruns)
+			return r.stat16(o.rx.Delineator.Aborts, ovfRxAborts)
+		case regRxOverruns:
+			return r.stat16(o.rx.Delineator.Overruns, ovfRxOverruns)
 		case RegRxRunts:
-			return r.stat16(o.rx.Control.Runts, OvfRxRunts)
+			return r.stat16(o.rx.Control.Runts, ovfRxRunts)
 		}
 	}
 	return 0

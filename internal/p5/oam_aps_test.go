@@ -11,7 +11,7 @@ import (
 // failover under the OAM block and checks the host-visible view: the
 // state/signalling registers, the switch counter, the IntAPSSwitch
 // cause (and its W1C behaviour), and external commands written through
-// RegAPSCtrl.
+// regAPSCtrl.
 func TestOAMAPSRegisters(t *testing.T) {
 	ctrl := aps.NewController(aps.Config{Revertive: true, WaitToRestore: 10})
 	oam := &OAM{Regs: NewRegs()}
@@ -53,9 +53,9 @@ func TestOAMAPSRegisters(t *testing.T) {
 		t.Errorf("rx reg = %#x", got)
 	}
 
-	// Host commands through RegAPSCtrl: lockout pins working even with
+	// Host commands through regAPSCtrl: lockout pins working even with
 	// SF still active, clear releases it.
-	oam.Write(RegAPSCtrl, APSCmdLockout)
+	oam.Write(regAPSCtrl, apsCmdLockout)
 	ctrl.Advance(4)
 	if ctrl.Active() != aps.Working {
 		t.Fatal("lockout via register did not move the selector")
@@ -63,7 +63,7 @@ func TestOAMAPSRegisters(t *testing.T) {
 	if oam.Read(RegAPSState)>>4 != uint32(aps.ReqLockout) {
 		t.Errorf("state = %#x, want lockout request", oam.Read(RegAPSState))
 	}
-	oam.Write(RegAPSCtrl, APSCmdClear)
+	oam.Write(regAPSCtrl, apsCmdClear)
 	ctrl.Advance(5)
 	if ctrl.Active() != aps.Protect {
 		t.Fatal("clear did not return the selector to protect (SF-W active)")
@@ -90,7 +90,7 @@ func TestOAMB2Register(t *testing.T) {
 	if df.B2Errors == 0 {
 		t.Fatal("no B2 errors recorded")
 	}
-	if got := oam.Read(RegB2Errors); uint64(got) != df.B2Errors {
+	if got := oam.Read(regB2Errors); uint64(got) != df.B2Errors {
 		t.Errorf("RegB2Errors = %d, deframer %d", got, df.B2Errors)
 	}
 }

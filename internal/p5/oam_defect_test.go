@@ -15,7 +15,7 @@ func TestOAMSectionAlarms(t *testing.T) {
 	sys := NewSystem(8)
 	df := sonet.NewDeframer(sonet.STM1, nil)
 	sys.OAM.AttachSection(df)
-	sys.OAM.Write(RegIntMask, IntLOS|IntOOF|IntDefectClear)
+	sys.OAM.Write(RegIntMask, IntLOS|IntOOF|intDefectClear)
 
 	fr := sonet.NewFramer(sonet.STM1, nil) // an idle line: flag fill
 	for i := 0; i < 4; i++ {
@@ -46,7 +46,7 @@ func TestOAMSectionAlarms(t *testing.T) {
 	if a := sys.OAM.Read(RegAlarm); a != 0 {
 		t.Fatalf("alarm register = %#x after recovery", a)
 	}
-	if stat := sys.OAM.Read(RegIntStat); stat&IntDefectClear == 0 {
+	if stat := sys.OAM.Read(RegIntStat); stat&intDefectClear == 0 {
 		t.Fatalf("intstat = %#x, defect-clear cause not latched", stat)
 	}
 
@@ -70,8 +70,8 @@ func TestOAMSectionAlarms(t *testing.T) {
 	}
 
 	// Write-1-to-clear still works on defect causes.
-	sys.OAM.Write(RegIntStat, IntLOS|IntDefectClear)
-	if stat := sys.OAM.Read(RegIntStat); stat&(IntLOS|IntDefectClear) != 0 {
+	sys.OAM.Write(RegIntStat, IntLOS|intDefectClear)
+	if stat := sys.OAM.Read(RegIntStat); stat&(IntLOS|intDefectClear) != 0 {
 		t.Fatalf("intstat = %#x after W1C", stat)
 	}
 }

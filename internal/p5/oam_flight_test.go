@@ -6,7 +6,7 @@ import (
 	"repro/internal/flight"
 )
 
-// The RegFlightCtrl/RegSLOBurn block: host-commanded black-box dumps,
+// The RegFlightCtrl/regSLOBurn block: host-commanded black-box dumps,
 // capture-count readback, and the flight-dump / slo-burn interrupt
 // causes wired by AttachFlight.
 func TestOAMFlightBlock(t *testing.T) {
@@ -47,7 +47,7 @@ func TestOAMFlightBlock(t *testing.T) {
 	slo.Sample(0)
 	frames = 1000
 	slo.Sample(100)
-	if v := sys.OAM.Read(RegSLOBurn); v != 0 {
+	if v := sys.OAM.Read(regSLOBurn); v != 0 {
 		t.Fatalf("RegSLOBurn = %#x on a clean window, want 0", v)
 	}
 
@@ -55,7 +55,7 @@ func TestOAMFlightBlock(t *testing.T) {
 	// register reads the milli burn with bit 31 set.
 	frames, errors = 2000, 50
 	slo.Sample(200)
-	v := sys.OAM.Read(RegSLOBurn)
+	v := sys.OAM.Read(regSLOBurn)
 	if v&(1<<31) == 0 {
 		t.Errorf("RegSLOBurn = %#x, want alarm bit 31 set", v)
 	}
@@ -69,7 +69,7 @@ func TestOAMFlightBlock(t *testing.T) {
 
 // A dump triggered while another goroutine is mid-Write must not
 // deadlock: RegFlightCtrl is handled outside the register lock because
-// the capture hook re-enters RaiseInt.
+// the capture hook re-enters raiseInt.
 func TestOAMFlightDumpWriteNoDeadlock(t *testing.T) {
 	sys := NewSystem(1)
 	rec := flight.NewRecorder(nil, "oam", flight.Config{})

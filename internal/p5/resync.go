@@ -66,22 +66,22 @@ func (q *resync) resize(room int) {
 // room is the number of entries the lanes hold.
 func (q *resync) room() int { return len(q.oct) - 8 }
 
-// Len is the number of entries, markers included.
-func (q *resync) Len() int { return q.tail - q.head }
+// count is the number of entries, markers included.
+func (q *resync) count() int { return q.tail - q.head }
 
 // extend makes room for k more entries behind the tail — one room check
 // and one high-water update however many — and returns the tail's index.
 func (q *resync) extend(k int) int {
 	if q.tail+k > q.room() {
 		room := q.room()
-		for q.Len()+k > room {
+		for q.count()+k > room {
 			room *= 2
 		}
 		q.resize(room)
 	}
 	t := q.tail
 	q.tail += k
-	if n := q.Len(); n > q.HighWater {
+	if n := q.count(); n > q.HighWater {
 		q.HighWater = n
 	}
 	return t
@@ -132,7 +132,7 @@ func (q *resync) drop(n int) {
 // It returns the flit, the number of entries it spans, and whether
 // anything was buffered.
 func (q *resync) pack(w int) (f rtl.Flit, take int, ok bool) {
-	n := q.Len()
+	n := q.count()
 	if n == 0 {
 		return f, 0, false
 	}

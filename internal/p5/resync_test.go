@@ -102,13 +102,13 @@ func TestResyncRingEdgeCases(t *testing.T) {
 					var limit func() int
 					var busy func() bool
 					if unit == "delineator" {
-						dl := &Delineator{In: src.Out, Out: out.in, W: w, BufCap: bufCap}
+						dl := &delineator{In: src.Out, Out: out.in, W: w, BufCap: bufCap}
 						sim.Add(src, dl, out)
-						fifo, limit, busy = &dl.fifo, dl.bufCap, dl.Busy
+						fifo, limit, busy = &dl.fifo, dl.bufCap, dl.busy
 					} else {
 						det := &EscapeDetect{In: src.Out, Out: out.in, W: w, BufCap: bufCap}
 						sim.Add(src, det, out)
-						fifo, limit, busy = &det.fifo, det.bufCap, det.Busy
+						fifo, limit, busy = &det.fifo, det.bufCap, det.busy
 					}
 					storage := 4 << bits.Len(uint(bufCap-1))
 
@@ -409,8 +409,8 @@ func FuzzResyncBuffer(f *testing.F) {
 				q.drop(k)
 				m.q = m.q[k:]
 			}
-			if q.Len() != len(m.q) || q.HighWater != m.highWater {
-				t.Fatalf("Len %d, HighWater %d; model %d, %d", q.Len(), q.HighWater, len(m.q), m.highWater)
+			if q.count() != len(m.q) || q.HighWater != m.highWater {
+				t.Fatalf("Len %d, HighWater %d; model %d, %d", q.count(), q.HighWater, len(m.q), m.highWater)
 			}
 			room := resyncRoom(bufCap)
 			for room < m.highWater {

@@ -10,11 +10,11 @@ import (
 
 // Receive-side frame disposition errors.
 var (
-	// ErrRxAborted marks frames terminated by an abort sequence, a
+	// errRxAborted marks frames terminated by an abort sequence, a
 	// line overrun, or an FCS failure detected in-stream.
-	ErrRxAborted = errors.New("p5: frame aborted or damaged in stream")
-	// ErrRxRunt marks frames too short to carry a header plus FCS.
-	ErrRxRunt = errors.New("p5: runt frame")
+	errRxAborted = errors.New("p5: frame aborted or damaged in stream")
+	// errRxRunt marks frames too short to carry a header plus FCS.
+	errRxRunt = errors.New("p5: runt frame")
 )
 
 // RxFrame is one received frame as delivered to shared memory.
@@ -105,10 +105,10 @@ func (rc *RxControl) complete(streamErr, aborted bool) {
 		// Too short to be a frame at all — classified as a runt even
 		// when the stream also flagged it (noise bursts do both).
 		rc.Runts++
-		out.Err = ErrRxRunt
+		out.Err = errRxRunt
 	case aborted || streamErr:
 		rc.Aborted++
-		out.Err = ErrRxAborted
+		out.Err = errRxAborted
 	default:
 		// RxCRC has given the FCS verdict; the decode only parses.
 		var frame ppp.Frame

@@ -31,14 +31,14 @@ func NewTransmitter(sim *rtl.Sim, w int, regs *Regs) *Transmitter {
 
 // Busy reports whether any frame octet is still inside the transmitter.
 func (t *Transmitter) Busy() bool {
-	return t.Framer.Busy() || t.CRC.Busy() || t.Escape.Busy()
+	return t.Framer.busy() || t.CRC.busy() || t.Escape.Busy()
 }
 
 // applyConfig loads a changed register sample into the transmit units.
 func (t *Transmitter) applyConfig(c *config) {
 	t.Escape.ACCM = c.accm
-	t.Escape.SharedFlags = c.ctrl&CtrlSharedFlags != 0
-	t.Escape.IdleFill = c.ctrl&CtrlIdleFill != 0
+	t.Escape.SharedFlags = c.ctrl&ctrlSharedFlags != 0
+	t.Escape.IdleFill = c.ctrl&ctrlIdleFill != 0
 	t.CRC.Mode = c.fcs
 	if t.CRC.core != nil && t.CRC.core.mode != c.fcs {
 		t.CRC.core = nil // mode change re-arms the core
@@ -48,7 +48,7 @@ func (t *Transmitter) applyConfig(c *config) {
 // Receiver is the assembled P5 receive block (paper Figure 4):
 // Delineate → Escape Detect → CRC check → Control.
 type Receiver struct {
-	Delineator *Delineator
+	Delineator *delineator
 	Escape     *EscapeDetect
 	CRC        *RxCRC
 	Control    *RxControl
@@ -70,7 +70,7 @@ func NewReceiverOn(sim *rtl.Sim, w int, regs *Regs, in *rtl.Wire) *Receiver {
 	w1 := sim.Wire("rx.content")
 	w2 := sim.Wire("rx.clean")
 	w3 := sim.Wire("rx.checked")
-	r.Delineator = &Delineator{In: r.In, Out: w1, W: w}
+	r.Delineator = &delineator{In: r.In, Out: w1, W: w}
 	r.Escape = &EscapeDetect{In: w1, Out: w2, W: w}
 	r.CRC = &RxCRC{In: w2, Out: w3, W: w}
 	r.Control = &RxControl{In: w3, Regs: regs, judge: r.CRC}
@@ -80,7 +80,7 @@ func NewReceiverOn(sim *rtl.Sim, w int, regs *Regs, in *rtl.Wire) *Receiver {
 
 // Busy reports whether any octet is still inside the receiver.
 func (r *Receiver) Busy() bool {
-	return r.Delineator.Busy() || r.Escape.Busy()
+	return r.Delineator.busy() || r.Escape.busy()
 }
 
 func (r *Receiver) applyConfig(c *config) {
@@ -131,7 +131,7 @@ func (l *Line) Eval() {
 	l.Out.Push(f)
 }
 
-// Tick implements rtl.Clocked.
+// Tick is the unit's clocked half: rtl.Sim.Add picks it up.
 func (l *Line) Tick() { l.cycle++ }
 
 // System is a full loopback P5: transmitter, line, receiver, and the
@@ -181,19 +181,19 @@ func NewSystem(w int) *System {
 	sys.OAM = &OAM{Regs: sys.Regs, tx: sys.Tx, rx: sys.Rx}
 	sys.Rx.Control.Deliver = func(f RxFrame) {
 		sys.Rx.Control.Queue = append(sys.Rx.Control.Queue, f)
-		sys.Regs.RaiseInt(rxInt(f.Err == nil))
+		sys.Regs.raiseInt(rxInt(f.Err == nil))
 	}
 	clockConfig(sys.Regs, &sys.cfg, sys.Tx, sys.Rx) // reset values
 	return sys
 }
 
-// rxInt is the interrupt a frame handed to the host raises: IntRxFrame
-// for a good one, IntRxError for a bad or dropped one.
+// rxInt is the interrupt a frame handed to the host raises: intRxFrame
+// for a good one, intRxError for a bad or dropped one.
 func rxInt(good bool) uint32 {
 	if good {
-		return IntRxFrame
+		return intRxFrame
 	}
-	return IntRxError
+	return intRxError
 }
 
 // Send queues datagrams for transmission.
@@ -213,7 +213,7 @@ func (s *System) ReceivedInto(dst []RxFrame) []RxFrame {
 func (s *System) Cycle() {
 	clockConfig(s.Regs, &s.cfg, s.Tx, s.Rx)
 	// An idle transmitter picks up work only through the framer's queues.
-	if !s.fillPending && !s.txWasBusy && s.Tx.Framer.Busy() {
+	if !s.fillPending && !s.txWasBusy && s.Tx.Framer.busy() {
 		s.fillPending = true
 		s.fillStart = s.Sim.Now()
 	}
@@ -231,7 +231,7 @@ func (s *System) Cycle() {
 	}
 	busy := s.Tx.Busy()
 	if s.txWasBusy && !busy {
-		s.Regs.RaiseInt(IntTxDone)
+		s.Regs.raiseInt(intTxDone)
 	}
 	s.txWasBusy = busy
 	if s.tel != nil && s.Sim.Now()&(telemetrySyncInterval-1) == 0 {
@@ -239,15 +239,15 @@ func (s *System) Cycle() {
 	}
 }
 
-// Busy reports whether any octet is in flight anywhere in the system.
-func (s *System) Busy() bool {
+// busy reports whether any octet is in flight anywhere in the system.
+func (s *System) busy() bool {
 	return s.Tx.Busy() || s.Rx.Busy() || !s.Sim.Drained()
 }
 
 // RunUntilIdle clocks the system until it drains or the budget runs
 // out; it reports whether the system drained.
 func (s *System) RunUntilIdle(budget int) bool {
-	if !s.Busy() {
+	if !s.busy() {
 		return true
 	}
 	for i := 0; i < budget; i++ {

@@ -182,7 +182,7 @@ func TestSystemAddressRejection(t *testing.T) {
 	// Promiscuous mode accepts it.
 	sys2 := NewSystem(4)
 	sys2.OAM.Write(RegAddress, 0x09)
-	sys2.OAM.Write(RegCtrl, sys2.OAM.Read(RegCtrl)|CtrlAnyAddress)
+	sys2.OAM.Write(RegCtrl, sys2.OAM.Read(RegCtrl)|ctrlAnyAddress)
 	sys2.Send(TxJob{Address: 0x05, Protocol: ppp.ProtoIPv4, Payload: []byte{1}})
 	sys2.RunUntilIdle(100000)
 	got2 := sys2.Received()
@@ -204,7 +204,7 @@ func TestSystemAbortedFrameDropped(t *testing.T) {
 	if len(got) != 2 {
 		t.Fatalf("received %d frames", len(got))
 	}
-	if got[0].Err != ErrRxAborted {
+	if got[0].Err != errRxAborted {
 		t.Errorf("frame 0 err = %v, want ErrRxAborted", got[0].Err)
 	}
 	if got[1].Err != nil || !bytes.Equal(got[1].Frame.Payload, []byte{4, 5, 6}) {
@@ -257,17 +257,17 @@ func TestSystemBitErrorDetectedByCRC(t *testing.T) {
 
 func TestSystemInterrupts(t *testing.T) {
 	sys := NewSystem(4)
-	sys.OAM.Write(RegIntMask, IntRxFrame|IntTxDone)
+	sys.OAM.Write(RegIntMask, intRxFrame|intTxDone)
 	sys.Send(TxJob{Protocol: ppp.ProtoIPv4, Payload: []byte{1, 2, 3}})
 	sys.RunUntilIdle(100000)
 	if !sys.Regs.IRQ() {
 		t.Fatal("IRQ not raised")
 	}
 	stat := sys.OAM.Read(RegIntStat)
-	if stat&IntRxFrame == 0 {
+	if stat&intRxFrame == 0 {
 		t.Error("IntRxFrame not set")
 	}
-	if stat&IntTxDone == 0 {
+	if stat&intTxDone == 0 {
 		t.Error("IntTxDone not set")
 	}
 	// Write-1-to-clear.
@@ -283,13 +283,13 @@ func TestSystemOAMCounters(t *testing.T) {
 		sys.Send(TxJob{Protocol: ppp.ProtoIPv4, Payload: bytes.Repeat([]byte{0x7E}, 10)})
 	}
 	sys.RunUntilIdle(1000000)
-	if v := sys.OAM.Read(RegTxFrames); v != 5 {
+	if v := sys.OAM.Read(regTxFrames); v != 5 {
 		t.Errorf("TxFrames = %d", v)
 	}
 	if v := sys.OAM.Read(RegRxGood); v != 5 {
 		t.Errorf("RxGood = %d", v)
 	}
-	if v := sys.OAM.Read(RegTxEscaped); v < 50 {
+	if v := sys.OAM.Read(regTxEscaped); v < 50 {
 		t.Errorf("TxEscaped = %d, want ≥ 50", v)
 	}
 	if v := sys.OAM.Read(RegRxBad); v != 0 {
@@ -299,7 +299,7 @@ func TestSystemOAMCounters(t *testing.T) {
 
 func TestSystemTxDisable(t *testing.T) {
 	sys := NewSystem(4)
-	sys.OAM.Write(RegCtrl, CtrlRxEnable) // TX off
+	sys.OAM.Write(RegCtrl, ctrlRxEnable) // TX off
 	sys.Send(TxJob{Protocol: ppp.ProtoIPv4, Payload: []byte{1}})
 	for i := 0; i < 100; i++ {
 		sys.Cycle()
@@ -308,7 +308,7 @@ func TestSystemTxDisable(t *testing.T) {
 		t.Fatal("frame moved while TX disabled")
 	}
 	// Enable: the frame flows.
-	sys.OAM.Write(RegCtrl, CtrlTxEnable|CtrlRxEnable)
+	sys.OAM.Write(RegCtrl, ctrlTxEnable|ctrlRxEnable)
 	sys.RunUntilIdle(100000)
 	if got := sys.Received(); len(got) != 1 {
 		t.Fatalf("received %d after enable", len(got))
@@ -334,7 +334,7 @@ func TestReceiverRuntRejected(t *testing.T) {
 	if len(got) != 2 {
 		t.Fatalf("received %d frames, want runt + good", len(got))
 	}
-	if got[0].Err != ErrRxRunt {
+	if got[0].Err != errRxRunt {
 		t.Errorf("frame 0 = %+v, want runt", got[0])
 	}
 	if got[1].Err != nil {
@@ -347,7 +347,7 @@ func TestReceiverRuntRejected(t *testing.T) {
 
 func TestSystemMRUPolicing(t *testing.T) {
 	sys := NewSystem(4)
-	sys.OAM.Write(RegMRU, 16)
+	sys.OAM.Write(regMRU, 16)
 	sys.Send(TxJob{Protocol: ppp.ProtoIPv4, Payload: bytes.Repeat([]byte{7}, 32)})
 	sys.RunUntilIdle(100000)
 	got := sys.Received()
@@ -454,25 +454,25 @@ func TestOAMStatusCounterSaturation(t *testing.T) {
 	if v := sys.OAM.Read(RegRxGood); v != 0xFFFF {
 		t.Errorf("RegRxGood = %#x, want saturation at 0xFFFF", v)
 	}
-	if v := sys.OAM.Read(RegTxFrames); v != 0xFFFF {
+	if v := sys.OAM.Read(regTxFrames); v != 0xFFFF {
 		t.Errorf("RegTxFrames = %#x", v)
 	}
-	ovf := sys.OAM.Read(RegCntOverflow)
-	if ovf&OvfRxGood == 0 {
+	ovf := sys.OAM.Read(regCntOverflow)
+	if ovf&ovfRxGood == 0 {
 		t.Errorf("overflow latch %#x missing OvfRxGood", ovf)
 	}
-	if ovf&OvfTxFrames != 0 {
+	if ovf&ovfTxFrames != 0 {
 		t.Errorf("overflow latch %#x wrongly set for a counter at exactly 0xFFFF", ovf)
 	}
 
 	// W1C clears the latch...
-	sys.OAM.Write(RegCntOverflow, OvfRxGood)
-	if v := sys.OAM.Read(RegCntOverflow); v != 0 {
+	sys.OAM.Write(regCntOverflow, ovfRxGood)
+	if v := sys.OAM.Read(regCntOverflow); v != 0 {
 		t.Errorf("latch %#x after W1C, want 0", v)
 	}
 	// ...but the next read of the still-saturated counter re-asserts it.
 	sys.OAM.Read(RegRxGood)
-	if v := sys.OAM.Read(RegCntOverflow); v&OvfRxGood == 0 {
+	if v := sys.OAM.Read(regCntOverflow); v&ovfRxGood == 0 {
 		t.Error("latch not re-asserted while counter remains saturated")
 	}
 }

@@ -35,8 +35,8 @@ func InstrumentTransmitter(m *telemetry.Mirror, prefix string, sim *rtl.Sim, tx 
 		func() int64 { return int64(tx.Escape.Occupancy()) })
 	m.Gauge(prefix+"_tx_sorter_highwater", "Transmit byte-sorter FIFO high-water mark (octets).",
 		func() int64 { return int64(tx.Escape.HighWater()) })
-	watchUnitBusy(m.Registry(), prefix, sim, "framer", tx.Framer.Busy)
-	watchUnitBusy(m.Registry(), prefix, sim, "tx_crc", tx.CRC.Busy)
+	watchUnitBusy(m.Registry(), prefix, sim, "framer", tx.Framer.busy)
+	watchUnitBusy(m.Registry(), prefix, sim, "tx_crc", tx.CRC.busy)
 	watchUnitBusy(m.Registry(), prefix, sim, "escape_gen", tx.Escape.Busy)
 }
 
@@ -65,8 +65,8 @@ func InstrumentReceiver(m *telemetry.Mirror, prefix string, sim *rtl.Sim, rx *Re
 		func() int64 { return int64(rx.Escape.Occupancy()) })
 	m.Gauge(prefix+"_rx_sorter_highwater", "Receive byte-sorter FIFO high-water mark (octets).",
 		func() int64 { return int64(rx.Escape.HighWater()) })
-	watchUnitBusy(m.Registry(), prefix, sim, "delineator", rx.Delineator.Busy)
-	watchUnitBusy(m.Registry(), prefix, sim, "escape_detect", rx.Escape.Busy)
+	watchUnitBusy(m.Registry(), prefix, sim, "delineator", rx.Delineator.busy)
+	watchUnitBusy(m.Registry(), prefix, sim, "escape_detect", rx.Escape.busy)
 }
 
 func watchUnitBusy(reg *telemetry.Registry, prefix string, sim *rtl.Sim, unit string, busy func() bool) {

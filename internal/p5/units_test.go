@@ -20,7 +20,7 @@ func runFramer(t *testing.T, w int, jobs ...TxJob) []rtl.Flit {
 	sink := rtl.NewSink(out)
 	sim.Add(fr, sink)
 	fr.Enqueue(jobs...)
-	if !sim.RunUntil(func() bool { return !fr.Busy() && sim.Drained() }, 100000) {
+	if !sim.RunUntil(func() bool { return !fr.busy() && sim.Drained() }, 100000) {
 		t.Fatal("framer did not drain")
 	}
 	return sink.Flits
@@ -55,7 +55,7 @@ func TestFramerEmitsOneWordPerCycle(t *testing.T) {
 	sink := rtl.NewSink(out)
 	sim.Add(fr, sink)
 	fr.Enqueue(TxJob{Protocol: ppp.ProtoIPv4, Payload: bytes.Repeat([]byte{1}, 96)})
-	sim.RunUntil(func() bool { return !fr.Busy() && sim.Drained() }, 1000)
+	sim.RunUntil(func() bool { return !fr.busy() && sim.Drained() }, 1000)
 	// 100 body octets = 25 words; allow the 2-cycle pipe ends.
 	if n := sim.Now(); n > 25+3 {
 		t.Errorf("framer took %d cycles for 25 words", n)
@@ -67,17 +67,21 @@ func TestFramerRespectsTxDisable(t *testing.T) {
 	out := sim.Wire("out")
 	regs := NewRegs()
 	oam := &OAM{Regs: regs}
-	oam.Write(RegCtrl, CtrlRxEnable) // tx off
+	oam.Write(RegCtrl, ctrlRxEnable) // tx off
 	fr := &Framer{Out: out, W: 4, Regs: regs}
 	sink := rtl.NewSink(out)
 	sim.Add(fr, sink)
 	fr.Enqueue(TxJob{Protocol: ppp.ProtoIPv4})
-	sim.Run(50)
+	for i := 0; i < 50; i++ {
+		sim.Cycle()
+	}
 	if len(sink.Flits) != 0 {
 		t.Fatal("framer ran while disabled")
 	}
-	oam.Write(RegCtrl, CtrlTxEnable)
-	sim.Run(50)
+	oam.Write(RegCtrl, ctrlTxEnable)
+	for i := 0; i < 50; i++ {
+		sim.Cycle()
+	}
 	if len(sink.Flits) == 0 {
 		t.Fatal("framer did not resume")
 	}
@@ -96,7 +100,7 @@ func TestTxCRCAppendsValidFCS(t *testing.T) {
 			sim.Add(src, u, sink)
 			body := []byte{0xFF, 0x03, 0x00, 0x21, 1, 2, 3, 4, 5}
 			src.FeedBytes(body, w)
-			sim.RunUntil(func() bool { return src.Pending() == 0 && !u.Busy() && sim.Drained() }, 10000)
+			sim.RunUntil(func() bool { return src.Pending() == 0 && !u.busy() && sim.Drained() }, 10000)
 			if !mode.Check(sink.Data) {
 				t.Errorf("w=%d %v: FCS check failed over % x", w, mode, sink.Data)
 			}
@@ -121,7 +125,7 @@ func TestTxCRCPerFrameReset(t *testing.T) {
 	sim.Add(src, u, sink)
 	src.FeedBytes([]byte{1, 2, 3, 4}, 4)
 	src.FeedBytes([]byte{1, 2, 3, 4}, 4)
-	sim.RunUntil(func() bool { return src.Pending() == 0 && !u.Busy() && sim.Drained() }, 10000)
+	sim.RunUntil(func() bool { return src.Pending() == 0 && !u.busy() && sim.Drained() }, 10000)
 	// Two identical frames → two identical 8-octet outputs.
 	if len(sink.Data) != 16 || !bytes.Equal(sink.Data[:8], sink.Data[8:]) {
 		t.Errorf("frames differ: % x", sink.Data)
@@ -166,16 +170,16 @@ func TestRxCRCTagsBadFrame(t *testing.T) {
 
 // --- Delineator ---
 
-func runDelineator(t *testing.T, w int, line []byte) ([]rtl.Flit, *Delineator) {
+func runDelineator(t *testing.T, w int, line []byte) ([]rtl.Flit, *delineator) {
 	t.Helper()
 	sim := &rtl.Sim{}
 	src := &rtl.Source{Out: sim.Wire("in")}
 	out := sim.Wire("out")
-	dl := &Delineator{In: src.Out, Out: out, W: w}
+	dl := &delineator{In: src.Out, Out: out, W: w}
 	sink := rtl.NewSink(out)
 	sim.Add(src, dl, sink)
 	src.FeedBytes(line, w)
-	if !sim.RunUntil(func() bool { return src.Pending() == 0 && !dl.Busy() && sim.Drained() }, 100000) {
+	if !sim.RunUntil(func() bool { return src.Pending() == 0 && !dl.busy() && sim.Drained() }, 100000) {
 		t.Fatal("delineator did not drain")
 	}
 	return sink.Flits, dl
@@ -234,7 +238,7 @@ func TestDelineatorOverrunMarksFrame(t *testing.T) {
 	sim := &rtl.Sim{}
 	src := &rtl.Source{Out: sim.Wire("in")}
 	out := sim.Wire("out")
-	dl := &Delineator{In: src.Out, Out: out, W: 4, BufCap: 8}
+	dl := &delineator{In: src.Out, Out: out, W: 4, BufCap: 8}
 	// No consumer for out: it fills after one flit and stalls.
 	sim.Add(src, dl)
 	line := hdlc.ReferenceEncode(nil, bytes.Repeat([]byte{0x42}, 100), hdlc.ACCMNone, false)
@@ -249,7 +253,7 @@ func TestDelineatorOverrunMarksFrame(t *testing.T) {
 
 func TestOAMRegisterFileDefaults(t *testing.T) {
 	r := NewRegs()
-	if r.ctrl&CtrlTxEnable == 0 || r.ctrl&CtrlRxEnable == 0 || r.ctrl&CtrlLoopback != 0 {
+	if r.ctrl&ctrlTxEnable == 0 || r.ctrl&ctrlRxEnable == 0 || r.ctrl&CtrlLoopback != 0 {
 		t.Error("control defaults")
 	}
 	if r.address != 0xFF || r.control != 0x03 {
@@ -269,12 +273,12 @@ func TestOAMWriteReadback(t *testing.T) {
 		addr uint32
 		val  uint32
 	}{
-		{RegCtrl, CtrlTxEnable | CtrlLoopback},
+		{RegCtrl, ctrlTxEnable | CtrlLoopback},
 		{RegAddress, 0x0B},
-		{RegControl, 0x13},
-		{RegACCM, 0xFFFF0000},
-		{RegMRU, 9000 & 0xFFFF},
-		{RegIntMask, IntRxFrame},
+		{regControl, 0x13},
+		{regACCM, 0xFFFF0000},
+		{regMRU, 9000 & 0xFFFF},
+		{RegIntMask, intRxFrame},
 	}
 	for _, c := range cases {
 		oam.Write(c.addr, c.val)
@@ -291,20 +295,20 @@ func TestOAMWriteReadback(t *testing.T) {
 
 func TestOAMInterruptMaskAndClear(t *testing.T) {
 	oam := &OAM{Regs: NewRegs()}
-	oam.Regs.RaiseInt(IntRxFrame | IntTxDone)
+	oam.Regs.raiseInt(intRxFrame | intTxDone)
 	if oam.Regs.IRQ() {
 		t.Error("IRQ asserted with empty mask")
 	}
-	oam.Write(RegIntMask, IntRxFrame)
+	oam.Write(RegIntMask, intRxFrame)
 	if !oam.Regs.IRQ() {
 		t.Error("IRQ not asserted")
 	}
 	// Clearing only the masked bit deasserts.
-	oam.Write(RegIntStat, IntRxFrame)
+	oam.Write(RegIntStat, intRxFrame)
 	if oam.Regs.IRQ() {
 		t.Error("IRQ stuck after clear")
 	}
-	if oam.Read(RegIntStat) != IntTxDone {
+	if oam.Read(RegIntStat) != intTxDone {
 		t.Error("unrelated status bit lost")
 	}
 }
@@ -384,28 +388,28 @@ func TestLineCorruptHook(t *testing.T) {
 // --- Shared-memory descriptor rings ---
 
 func TestRingBasics(t *testing.T) {
-	r := NewRing[int](3)
-	if len(r.slots) != 3 || r.Len() != 0 {
+	r := newRing[int](3)
+	if len(r.slots) != 3 || r.count() != 0 {
 		t.Fatal("fresh ring")
 	}
 	for i := 1; i <= 3; i++ {
-		if !r.Post(i) {
+		if !r.post(i) {
 			t.Fatalf("post %d refused", i)
 		}
 	}
-	if r.Post(4) {
+	if r.post(4) {
 		t.Fatal("overfull post accepted")
 	}
-	if !r.PostOrDrop(4) == false || r.Drops != 1 {
+	if !r.postOrDrop(4) == false || r.Drops != 1 {
 		t.Fatal("drop accounting")
 	}
 	for i := 1; i <= 3; i++ {
-		v, ok := r.Poll()
+		v, ok := r.poll()
 		if !ok || v != i {
 			t.Fatalf("poll %d = %d,%v", i, v, ok)
 		}
 	}
-	if _, ok := r.Poll(); ok {
+	if _, ok := r.poll(); ok {
 		t.Fatal("poll from empty")
 	}
 	if r.HighWater != 3 {
@@ -413,10 +417,10 @@ func TestRingBasics(t *testing.T) {
 	}
 	// Wraparound reuse.
 	for i := 0; i < 10; i++ {
-		if !r.Post(i) {
+		if !r.post(i) {
 			t.Fatal("post after drain")
 		}
-		if v, ok := r.Poll(); !ok || v != i {
+		if v, ok := r.poll(); !ok || v != i {
 			t.Fatal("wrap poll")
 		}
 	}
@@ -435,12 +439,12 @@ func TestSystemWithRings(t *testing.T) {
 	var got []RxFrame
 	for cycles := 0; cycles < 100000 && len(got) < len(payloads); cycles++ {
 		if posted < len(payloads) {
-			if tx.Post(TxJob{Protocol: ppp.ProtoIPv4, Payload: payloads[posted]}) {
+			if tx.post(TxJob{Protocol: ppp.ProtoIPv4, Payload: payloads[posted]}) {
 				posted++
 			}
 		}
 		sys.Cycle()
-		if f, ok := rx.Poll(); ok {
+		if f, ok := rx.poll(); ok {
 			got = append(got, f)
 		}
 	}
@@ -460,7 +464,7 @@ func TestSystemWithRings(t *testing.T) {
 func TestSystemRxRingOverflowDropsAndInterrupts(t *testing.T) {
 	sys := NewSystem(4)
 	_, rx := sys.UseRings(16, 2)
-	sys.OAM.Write(RegIntMask, IntRxError)
+	sys.OAM.Write(RegIntMask, intRxError)
 	// Never poll rx: the 2-slot ring overflows.
 	for i := 0; i < 8; i++ {
 		sys.Send(TxJob{Protocol: ppp.ProtoIPv4, Payload: []byte{byte(i)}})
@@ -469,8 +473,8 @@ func TestSystemRxRingOverflowDropsAndInterrupts(t *testing.T) {
 	if rx.Drops == 0 {
 		t.Fatal("no drops on overflowing rx ring")
 	}
-	if rx.Len() != 2 {
-		t.Errorf("ring holds %d", rx.Len())
+	if rx.count() != 2 {
+		t.Errorf("ring holds %d", rx.count())
 	}
 	if !sys.Regs.IRQ() {
 		t.Error("overflow must raise IntRxError")

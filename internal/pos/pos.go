@@ -121,5 +121,5 @@ func (r *RxPHY) Eval() {
 	r.Out.Push(rtl.FlitOf(r.payload.Pop(n)))
 }
 
-// Deframer exposes the inner deframer's monitoring counters.
-func (r *RxPHY) Deframer() *sonet.Deframer { return r.deframer }
+// sectionDeframer exposes the inner deframer's monitoring counters.
+func (r *RxPHY) sectionDeframer() *sonet.Deframer { return r.deframer }

@@ -64,7 +64,7 @@ func TestPOSEndToEnd(t *testing.T) {
 			t.Fatalf("frame %d payload mismatch", i)
 		}
 	}
-	if s.rxPHY.Deframer().B1Errors != 0 {
+	if s.rxPHY.sectionDeframer().B1Errors != 0 {
 		t.Error("parity errors on a clean channel")
 	}
 	// Both PHYs stage at most the frame in hand: the transmit side by
@@ -122,16 +122,18 @@ func TestPOSOverheadThrottlesGoodput(t *testing.T) {
 
 func TestPOSIdleLinkCarriesFlags(t *testing.T) {
 	s := newPOSSystem(4, sonet.STM16)
-	s.sim.Run(2 * s.txPHY.frameCycles())
+	for i := 0; i < 2*s.txPHY.frameCycles(); i++ {
+		s.sim.Cycle()
+	}
 	if s.txPHY.Frames < 2 {
 		t.Fatalf("frames = %d", s.txPHY.Frames)
 	}
 	// No data queued: every payload octet is inter-frame fill. The P5's
 	// idle fill feeds the PHY, so the framer itself should rarely fill.
-	if s.rxPHY.Deframer() == nil {
+	if s.rxPHY.sectionDeframer() == nil {
 		t.Fatal("no frames reached the receiver PHY")
 	}
-	if got := s.rxPHY.Deframer().FramesOK; got < 1 {
+	if got := s.rxPHY.sectionDeframer().FramesOK; got < 1 {
 		t.Errorf("deframed %d", got)
 	}
 }

@@ -180,7 +180,7 @@ func DecodeVerifiedBodyInto(f *Frame, body []byte, c Config) error {
 func decodeChecked(f *Frame, body []byte, c *Config) error {
 	n := len(body) - c.fcs().Bytes()
 	if n < 1 {
-		return ErrTooShort
+		return errTooShort
 	}
 	p := body[:n]
 	// Address/control, possibly compressed away (ACFC). A compressed
@@ -188,7 +188,7 @@ func decodeChecked(f *Frame, body []byte, c *Config) error {
 	// address octet, so 0xFF always means "uncompressed header".
 	if len(p) >= 2 && p[0] == AddrAllStations || !c.ACFC {
 		if len(p) < 2 {
-			return ErrTooShort
+			return errTooShort
 		}
 		f.Address = p[0]
 		f.Control = p[1]
@@ -196,7 +196,7 @@ func decodeChecked(f *Frame, body []byte, c *Config) error {
 			return ErrBadAddress
 		}
 		if f.Control != CtrlUI {
-			return ErrBadControl
+			return errBadControl
 		}
 		p = p[2:]
 	} else {
@@ -207,17 +207,17 @@ func decodeChecked(f *Frame, body []byte, c *Config) error {
 	// (all protocol numbers have an odd low octet and even high octet,
 	// RFC 1661 §2).
 	if len(p) == 0 {
-		return ErrBadProtocol
+		return errBadProtocol
 	}
 	if p[0]&1 == 1 {
 		if !c.PFC {
-			return ErrBadProtocol
+			return errBadProtocol
 		}
 		f.Protocol = uint16(p[0])
 		p = p[1:]
 	} else {
 		if len(p) < 2 || p[1]&1 == 0 {
-			return ErrBadProtocol
+			return errBadProtocol
 		}
 		f.Protocol = uint16(p[0])<<8 | uint16(p[1])
 		p = p[2:]

@@ -43,10 +43,10 @@ const DefaultMRU = 1500
 // Decode errors.
 var (
 	ErrBadFCS      = errors.New("ppp: FCS check failed")
-	ErrTooShort    = errors.New("ppp: frame too short")
+	errTooShort    = errors.New("ppp: frame too short")
 	ErrBadAddress  = errors.New("ppp: unexpected address field")
-	ErrBadControl  = errors.New("ppp: unexpected control field")
-	ErrBadProtocol = errors.New("ppp: malformed protocol field")
+	errBadControl  = errors.New("ppp: unexpected control field")
+	errBadProtocol = errors.New("ppp: malformed protocol field")
 	ErrTooLong     = errors.New("ppp: payload exceeds MRU")
 )
 

@@ -105,10 +105,10 @@ func TestDecodeRejectsBadFCS(t *testing.T) {
 }
 
 func TestDecodeRejectsShort(t *testing.T) {
-	if _, err := decodeBody([]byte{1, 2, 3}, Config{}); !errors.Is(err, ErrTooShort) {
+	if _, err := decodeBody([]byte{1, 2, 3}, Config{}); !errors.Is(err, errTooShort) {
 		t.Errorf("err = %v, want ErrTooShort", err)
 	}
-	if _, err := decodeBody(nil, Config{}); !errors.Is(err, ErrTooShort) {
+	if _, err := decodeBody(nil, Config{}); !errors.Is(err, errTooShort) {
 		t.Errorf("err = %v, want ErrTooShort", err)
 	}
 }
@@ -135,7 +135,7 @@ func TestDecodeRejectsBadControl(t *testing.T) {
 	body[1] = 0x13                    // not UI
 	body = body[:len(body)-4]         // strip stale FCS
 	body = crc.FCS32Mode.Append(body) // re-seal
-	if _, err := decodeBody(body, Config{}); !errors.Is(err, ErrBadControl) {
+	if _, err := decodeBody(body, Config{}); !errors.Is(err, errBadControl) {
 		t.Errorf("err = %v, want ErrBadControl", err)
 	}
 }
@@ -144,13 +144,13 @@ func TestDecodeRejectsBadProtocol(t *testing.T) {
 	// Low protocol octet must be odd.
 	raw := []byte{0xFF, 0x03, 0x00, 0x20}
 	raw = crc.FCS32Mode.Append(raw)
-	if _, err := decodeBody(raw, Config{}); !errors.Is(err, ErrBadProtocol) {
+	if _, err := decodeBody(raw, Config{}); !errors.Is(err, errBadProtocol) {
 		t.Errorf("even low octet: err = %v", err)
 	}
 	// Single-octet protocol without PFC negotiated.
 	raw2 := []byte{0xFF, 0x03, 0x21}
 	raw2 = crc.FCS32Mode.Append(raw2)
-	if _, err := decodeBody(raw2, Config{}); !errors.Is(err, ErrBadProtocol) {
+	if _, err := decodeBody(raw2, Config{}); !errors.Is(err, errBadProtocol) {
 		t.Errorf("PFC off: err = %v", err)
 	}
 }

@@ -68,14 +68,14 @@ func ExportRuntime(reg *telemetry.Registry) *Runtime {
 	r.schedLatP99 = reg.Gauge("runtime_sched_latency_p99_ns",
 		"p99 time goroutines spent runnable before running, ns.")
 	r.heapBytes = reg.Gauge("runtime_heap_bytes", "Live heap object bytes.")
-	reg.AddSampler(r.Sample)
-	r.Sample()
+	reg.AddSampler(r.sample)
+	r.sample()
 	return r
 }
 
-// Sample re-reads the runtime metrics and refreshes the mirrors. The
+// sample re-reads the runtime metrics and refreshes the mirrors. The
 // registry calls it on every exposition; tests call it directly.
-func (r *Runtime) Sample() {
+func (r *Runtime) sample() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	metrics.Read(r.samples)
@@ -109,7 +109,7 @@ func histCount(h *metrics.Float64Histogram) uint64 {
 // histQuantileNs estimates the q-quantile of a runtime seconds
 // histogram in ns, using each bucket's upper boundary (conservative)
 // and clamping the +Inf bucket to the highest finite boundary — the
-// same rules telemetry.QuantileFromBuckets applies.
+// same rules telemetry.Histogram.Quantile applies.
 func histQuantileNs(h *metrics.Float64Histogram, q float64) int64 {
 	total := histCount(h)
 	if total == 0 {

@@ -94,7 +94,7 @@ func FuzzStation(f *testing.F) {
 		arrive := func(l *fifo, s *Station) bool {
 			f, ok := l.pop(now)
 			if ok {
-				if Classify(f.Ctrl) == KindU && f.Ctrl&ctrlUMask == CtrlSABM&ctrlUMask && s.Connected() {
+				if classify(f.Ctrl) == kindU && f.Ctrl&ctrlUMask == ctrlSABM&ctrlUMask && s.Connected() {
 					resets++
 				}
 				s.Receive(f)

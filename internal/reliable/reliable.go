@@ -28,54 +28,54 @@ const (
 	ctrlREJ   = 0x09
 
 	ctrlUMask = 0xEF // mask out the P/F bit
-	CtrlSABM  = 0x2F // set asynchronous balanced mode
-	CtrlUA    = 0x63 // unnumbered acknowledgement
-	CtrlDISC  = 0x43 // disconnect
-	CtrlDM    = 0x0F // disconnected mode
+	ctrlSABM  = 0x2F // set asynchronous balanced mode
+	ctrlUA    = 0x63 // unnumbered acknowledgement
+	ctrlDISC  = 0x43 // disconnect
+	ctrlDM    = 0x0F // disconnected mode
 )
 
-// Modulus is the sequence-number space (basic mode).
-const Modulus = 8
+// modulus is the sequence-number space (basic mode).
+const modulus = 8
 
-// DefaultWindow is the default transmit window k (RFC 1663 suggests
+// defaultWindow is the default transmit window k (RFC 1663 suggests
 // small windows; LAPB default k = 7 for modulo 8).
-const DefaultWindow = 7
+const defaultWindow = 7
 
-// FrameKind classifies a control octet.
-type FrameKind int
+// frameKind classifies a control octet.
+type frameKind int
 
 // Control-field classes.
 const (
-	KindI FrameKind = iota
-	KindRR
-	KindRNR
-	KindREJ
-	KindU
+	kindI frameKind = iota
+	kindRR
+	kindRNR
+	kindREJ
+	kindU
 )
 
-// Classify decodes a numbered-mode control octet.
-func Classify(ctrl byte) FrameKind {
+// classify decodes a numbered-mode control octet.
+func classify(ctrl byte) frameKind {
 	if ctrl&0x01 == 0 {
-		return KindI
+		return kindI
 	}
 	if ctrl&0x03 == 0x01 {
 		switch ctrl & ctrlSMask {
 		case ctrlRR:
-			return KindRR
+			return kindRR
 		case ctrlRNR:
-			return KindRNR
+			return kindRNR
 		case ctrlREJ:
-			return KindREJ
+			return kindREJ
 		}
 	}
-	return KindU
+	return kindU
 }
 
-// NS extracts the send sequence number of an I frame.
-func NS(ctrl byte) uint8 { return ctrl >> 1 & 0x07 }
+// sendSeq extracts the send sequence number of an I frame.
+func sendSeq(ctrl byte) uint8 { return ctrl >> 1 & 0x07 }
 
-// NR extracts the receive sequence number of an I or S frame.
-func NR(ctrl byte) uint8 { return ctrl >> 5 & 0x07 }
+// recvSeq extracts the receive sequence number of an I or S frame.
+func recvSeq(ctrl byte) uint8 { return ctrl >> 5 & 0x07 }
 
 // iCtrl builds an I-frame control octet.
 func iCtrl(ns, nr uint8) byte { return ns&7<<1 | nr&7<<5 }
@@ -83,8 +83,8 @@ func iCtrl(ns, nr uint8) byte { return ns&7<<1 | nr&7<<5 }
 // sCtrl builds an S-frame control octet.
 func sCtrl(base byte, nr uint8) byte { return base | nr&7<<5 }
 
-// ErrNotConnected is returned by Send before SABM/UA completes.
-var ErrNotConnected = errors.New("reliable: link not in ABM")
+// errNotConnected is returned by Send before SABM/UA completes.
+var errNotConnected = errors.New("reliable: link not in ABM")
 
 // Frame is one numbered-mode frame on the wire: the control octet and
 // (for I frames) the information field.
@@ -108,7 +108,7 @@ type Station struct {
 	// link reset. Callers recycling transmit buffers hook this to
 	// reclaim them; the station never touches a buffer after Release.
 	Release func([]byte)
-	// Window is the transmit window k (default DefaultWindow, max 7).
+	// Window is the transmit window k (default defaultWindow, max 7).
 	Window int
 	// MaxRetries is N2 (default 10); exceeding it resets the link.
 	MaxRetries int
@@ -141,7 +141,7 @@ type Station struct {
 
 func (s *Station) window() int {
 	if s.Window <= 0 || s.Window > 7 {
-		return DefaultWindow
+		return defaultWindow
 	}
 	return s.Window
 }
@@ -160,7 +160,7 @@ func (s *Station) Connected() bool { return s.connected }
 func (s *Station) Connect() {
 	s.initiator = true
 	s.reset()
-	s.Out(Frame{Ctrl: CtrlSABM})
+	s.Out(Frame{Ctrl: ctrlSABM})
 	s.timing, s.sentAt = true, s.now
 	s.armT1()
 }
@@ -168,7 +168,7 @@ func (s *Station) Connect() {
 // Disconnect tears the link down.
 func (s *Station) Disconnect() {
 	if s.connected {
-		s.Out(Frame{Ctrl: CtrlDISC})
+		s.Out(Frame{Ctrl: ctrlDISC})
 	}
 	s.connected = false
 	s.stopT1()
@@ -197,7 +197,7 @@ func (s *Station) reset() {
 // the window.
 func (s *Station) Send(payload []byte) error {
 	if !s.connected {
-		return ErrNotConnected
+		return errNotConnected
 	}
 	s.pending = append(s.pending, payload)
 	s.pump()
@@ -210,12 +210,12 @@ func (s *Station) pump() {
 		p := s.pending[0]
 		s.pending = s.pending[1:]
 		f := Frame{Ctrl: iCtrl(s.vs, s.vr), Payload: p}
-		s.vs = (s.vs + 1) % Modulus
+		s.vs = (s.vs + 1) % modulus
 		s.sent = append(s.sent, f)
 		s.TxI++
 		s.Out(f)
 		if !s.timing {
-			s.timing, s.timedNS, s.sentAt = true, NS(f.Ctrl), s.now
+			s.timing, s.timedNS, s.sentAt = true, sendSeq(f.Ctrl), s.now
 		}
 		s.armT1()
 	}
@@ -259,7 +259,7 @@ func (s *Station) Advance(now int64) {
 	case !s.connected && s.retries > s.maxRetries():
 		s.stopT1() // SABM unanswered: give up
 	case !s.connected:
-		s.Out(Frame{Ctrl: CtrlSABM})
+		s.Out(Frame{Ctrl: ctrlSABM})
 		s.timing = false
 		s.armT1()
 	case s.retries > s.maxRetries():
@@ -280,7 +280,7 @@ func (s *Station) Advance(now int64) {
 func (s *Station) retransmit() {
 	s.timing = false // Karn: N(S) repeats, so a resent frame is no sample
 	for i := range s.sent {
-		s.sent[i].Ctrl = iCtrl(NS(s.sent[i].Ctrl), s.vr)
+		s.sent[i].Ctrl = iCtrl(sendSeq(s.sent[i].Ctrl), s.vr)
 		s.Retransmits++
 		s.Out(s.sent[i])
 	}
@@ -288,14 +288,14 @@ func (s *Station) retransmit() {
 
 // Receive processes one frame from the peer.
 func (s *Station) Receive(f Frame) {
-	switch Classify(f.Ctrl) {
-	case KindU:
+	switch classify(f.Ctrl) {
+	case kindU:
 		s.receiveU(f)
-	case KindI:
+	case kindI:
 		s.receiveI(f)
-	case KindRR, KindREJ, KindRNR:
-		s.ack(NR(f.Ctrl))
-		if Classify(f.Ctrl) == KindREJ {
+	case kindRR, kindREJ, kindRNR:
+		s.ack(recvSeq(f.Ctrl))
+		if classify(f.Ctrl) == kindREJ {
 			s.RxREJ++
 			s.retransmit()
 			s.armT1()
@@ -305,12 +305,12 @@ func (s *Station) Receive(f Frame) {
 
 func (s *Station) receiveU(f Frame) {
 	switch f.Ctrl & ctrlUMask {
-	case CtrlSABM & ctrlUMask:
+	case ctrlSABM & ctrlUMask:
 		s.reset()
 		s.connected = true
-		s.Out(Frame{Ctrl: CtrlUA})
+		s.Out(Frame{Ctrl: ctrlUA})
 		s.stopT1()
-	case CtrlUA & ctrlUMask:
+	case ctrlUA & ctrlUMask:
 		if !s.connected {
 			s.sample(s.timedNS) // the SABM's
 			s.reset()
@@ -318,21 +318,21 @@ func (s *Station) receiveU(f Frame) {
 			s.stopT1()
 			s.pump()
 		}
-	case CtrlDISC & ctrlUMask:
+	case ctrlDISC & ctrlUMask:
 		s.connected = false
 		s.reset()
 		s.stopT1()
-		s.Out(Frame{Ctrl: CtrlDM})
+		s.Out(Frame{Ctrl: ctrlDM})
 	}
 }
 
 func (s *Station) receiveI(f Frame) {
 	if !s.connected {
-		s.Out(Frame{Ctrl: CtrlDM})
+		s.Out(Frame{Ctrl: ctrlDM})
 		return
 	}
-	s.ack(NR(f.Ctrl))
-	ns := NS(f.Ctrl)
+	s.ack(recvSeq(f.Ctrl))
+	ns := sendSeq(f.Ctrl)
 	if ns != s.vr {
 		// Out of sequence: discard and (once) ask for a go-back.
 		if !s.rejSent {
@@ -343,7 +343,7 @@ func (s *Station) receiveI(f Frame) {
 		return
 	}
 	s.rejSent = false
-	s.vr = (s.vr + 1) % Modulus
+	s.vr = (s.vr + 1) % modulus
 	s.RxI++
 	if s.Deliver != nil {
 		s.Deliver(f.Payload)
@@ -360,7 +360,7 @@ func (s *Station) receiveI(f Frame) {
 // ack processes an incoming N(R): everything below it is confirmed.
 func (s *Station) ack(nr uint8) {
 	for len(s.sent) > 0 {
-		first := NS(s.sent[0].Ctrl)
+		first := sendSeq(s.sent[0].Ctrl)
 		// first is acknowledged iff it lies in [va, nr) modulo 8.
 		if !seqInRange(s.va, first, nr) {
 			break
@@ -370,7 +370,7 @@ func (s *Station) ack(nr uint8) {
 			s.Release(s.sent[0].Payload)
 		}
 		s.sent = s.sent[1:]
-		s.va = (first + 1) % Modulus
+		s.va = (first + 1) % modulus
 		s.retries = 0
 	}
 	if len(s.sent) == 0 {
@@ -384,5 +384,5 @@ func (s *Station) ack(nr uint8) {
 // seqInRange reports whether x lies in the half-open window [lo, hi)
 // modulo 8.
 func seqInRange(lo, x, hi uint8) bool {
-	return (x-lo)%Modulus < (hi-lo)%Modulus
+	return (x-lo)%modulus < (hi-lo)%modulus
 }

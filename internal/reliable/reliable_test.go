@@ -11,22 +11,22 @@ func TestControlFieldCodec(t *testing.T) {
 	for ns := uint8(0); ns < 8; ns++ {
 		for nr := uint8(0); nr < 8; nr++ {
 			c := iCtrl(ns, nr)
-			if Classify(c) != KindI || NS(c) != ns || NR(c) != nr {
+			if classify(c) != kindI || sendSeq(c) != ns || recvSeq(c) != nr {
 				t.Fatalf("I frame codec ns=%d nr=%d ctrl=%#x", ns, nr, c)
 			}
 		}
 	}
-	if Classify(sCtrl(ctrlRR, 3)) != KindRR || NR(sCtrl(ctrlRR, 3)) != 3 {
+	if classify(sCtrl(ctrlRR, 3)) != kindRR || recvSeq(sCtrl(ctrlRR, 3)) != 3 {
 		t.Error("RR codec")
 	}
-	if Classify(sCtrl(ctrlREJ, 5)) != KindREJ {
+	if classify(sCtrl(ctrlREJ, 5)) != kindREJ {
 		t.Error("REJ codec")
 	}
-	if Classify(sCtrl(ctrlRNR, 1)) != KindRNR {
+	if classify(sCtrl(ctrlRNR, 1)) != kindRNR {
 		t.Error("RNR codec")
 	}
-	for _, u := range []byte{CtrlSABM, CtrlUA, CtrlDISC, CtrlDM} {
-		if Classify(u) != KindU {
+	for _, u := range []byte{ctrlSABM, ctrlUA, ctrlDISC, ctrlDM} {
+		if classify(u) != kindU {
 			t.Errorf("U codec %#x", u)
 		}
 	}
@@ -109,7 +109,7 @@ func TestConnectHandshake(t *testing.T) {
 
 func TestSendBeforeConnect(t *testing.T) {
 	w := newWire()
-	if err := w.a.Send([]byte{1}); err != ErrNotConnected {
+	if err := w.a.Send([]byte{1}); err != errNotConnected {
 		t.Errorf("err = %v", err)
 	}
 }
@@ -174,7 +174,7 @@ func TestREJTriggersGoBackN(t *testing.T) {
 	// Drop exactly the second I frame on its first transmission.
 	iSeen := 0
 	w.drop = func(f Frame) bool {
-		if Classify(f.Ctrl) == KindI {
+		if classify(f.Ctrl) == kindI {
 			iSeen++
 			return iSeen == 2
 		}
@@ -209,7 +209,7 @@ func TestTimeoutRetransmission(t *testing.T) {
 	// Black-hole every frame once: first transmission always lost.
 	lost := map[byte]bool{}
 	w.drop = func(f Frame) bool {
-		if Classify(f.Ctrl) == KindI && !lost[f.Ctrl] {
+		if classify(f.Ctrl) == kindI && !lost[f.Ctrl] {
 			lost[f.Ctrl] = true
 			return true
 		}
@@ -297,7 +297,7 @@ func TestDisconnect(t *testing.T) {
 	if w.a.Connected() || w.b.Connected() {
 		t.Error("disconnect did not propagate")
 	}
-	if err := w.b.Send([]byte{1}); err != ErrNotConnected {
+	if err := w.b.Send([]byte{1}); err != errNotConnected {
 		t.Error("send after disconnect must fail")
 	}
 }
@@ -366,7 +366,7 @@ func TestDiscStopsT1(t *testing.T) {
 	if err := w.a.Send([]byte{1}); err != nil { // outstanding: T1 armed
 		t.Fatal(err)
 	}
-	w.a.Receive(Frame{Ctrl: CtrlDISC})
+	w.a.Receive(Frame{Ctrl: ctrlDISC})
 	sent = sent[:0]
 	w.a.Advance(100)
 	if len(sent) != 0 {

@@ -86,7 +86,7 @@ func (s *Sink) Eval() {
 	}
 }
 
-// Tick implements Clocked.
+// Tick implements clocked.
 func (s *Sink) Tick() { s.cycle++ }
 
 // ByteFIFO is a synchronous byte buffer for spans of octets — the PHY

@@ -153,23 +153,23 @@ func (w *Wire) Tick() {
 	}
 }
 
-// Empty reports whether the wire holds no flit and none is being latched.
-func (w *Wire) Empty() bool { return !(w.curValid && !w.consumed) && !w.nextOK }
+// empty reports whether the wire holds no flit and none is being latched.
+func (w *Wire) empty() bool { return !(w.curValid && !w.consumed) && !w.nextOK }
 
 // Module is a pipeline stage. Eval runs its combinational phase for this
 // cycle; modules are evaluated downstream-first (reverse registration
 // order).
 type Module interface{ Eval() }
 
-// Clocked is the optional second half of a Module that keeps clocked
+// clocked is the optional second half of a Module that keeps clocked
 // state of its own: Tick latches it at the clock edge, after every Eval.
-type Clocked interface{ Tick() }
+type clocked interface{ Tick() }
 
 // Sim drives a set of modules and wires with a common clock. Register
 // modules in upstream-to-downstream order; Sim evaluates them in reverse.
 type Sim struct {
 	modules []Module
-	clocked []Clocked // the modules that also have a Tick
+	clocked []clocked // the modules that also have a Tick
 	wires   []*Wire
 	cycle   int64
 	instr   *instrumentation
@@ -179,7 +179,7 @@ type Sim struct {
 func (s *Sim) Add(m ...Module) {
 	s.modules = append(s.modules, m...)
 	for _, m := range m {
-		if c, ok := m.(Clocked); ok {
+		if c, ok := m.(clocked); ok {
 			s.clocked = append(s.clocked, c)
 		}
 	}
@@ -209,13 +209,6 @@ func (s *Sim) Cycle() {
 	}
 }
 
-// Run advances n cycles.
-func (s *Sim) Run(n int) {
-	for i := 0; i < n; i++ {
-		s.Cycle()
-	}
-}
-
 // RunUntil advances until pred returns true or the budget is exhausted;
 // it reports whether pred fired.
 func (s *Sim) RunUntil(pred func() bool, budget int) bool {
@@ -235,7 +228,7 @@ func (s *Sim) Now() int64 { return s.cycle }
 // in flight.
 func (s *Sim) Drained() bool {
 	for _, w := range s.wires {
-		if !w.Empty() {
+		if !w.empty() {
 			return false
 		}
 	}

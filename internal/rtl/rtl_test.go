@@ -363,7 +363,9 @@ func TestSinkGapOverflowBucket(t *testing.T) {
 	sink := NewSink(src.Out)
 	sim.Add(src, sink)
 	src.Feed(FlitOf([]byte{1}))
-	sim.Run(20) // first word arrives, then a long idle gap
+	for i := 0; i < 20; i++ { // first word arrives, then a long idle gap
+		sim.Cycle()
+	}
 	src.Feed(FlitOf([]byte{2}))
 	sim.RunUntil(func() bool { return len(sink.Flits) == 2 }, 100)
 	if sink.GapCounts[8] != 1 {
@@ -429,7 +431,7 @@ func refCycle(s *Sim) {
 		s.modules[i].Eval()
 	}
 	for _, m := range s.modules {
-		if c, ok := m.(Clocked); ok {
+		if c, ok := m.(clocked); ok {
 			c.Tick()
 		}
 	}

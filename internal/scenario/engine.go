@@ -128,7 +128,7 @@ func (s *Scenario) runEngine(rc RunConfig, res *Result) error {
 	}
 	// tally adds sign × each port's local-end counters to its report: -1
 	// before the measured steps and +1 after leaves the run's own.
-	res.Circuits = make([]CircuitReport, es.Links)
+	res.Circuits = make([]circuitReport, es.Links)
 	tally := func(sign int) {
 		for i := range res.Circuits {
 			a, z := e.Port(i)
@@ -238,7 +238,7 @@ func (s *Scenario) runEngine(rc RunConfig, res *Result) error {
 
 // open opens pair i's socket: bound at the listen address or dialling
 // the peer's, port + i.
-func (es *EngineSpec) open(rc RunConfig, i int) (transport.LineTransport, error) {
+func (es *engineSpec) open(rc RunConfig, i int) (transport.LineTransport, error) {
 	addr, _ := portAddr(rc.Listen+rc.Dial, i) // Check validated it
 	listen, dial := addr, ""
 	if rc.Dial != "" {

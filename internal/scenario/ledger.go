@@ -23,9 +23,9 @@ type medium interface {
 	tick(now int64)
 	// arm compiles the scripted line faults into the lines, counting from
 	// traffic start, and returns the events the drill fires itself.
-	arm(events []Event, duration int64) []Event
+	arm(events []event, duration int64) []event
 	// act fires one of those.
-	act(e Event)
+	act(e event)
 	// resyncs totals frame-alignment reacquisitions on every line.
 	resyncs() uint64
 }
@@ -172,7 +172,7 @@ func (s *Scenario) ledger(res *Result, runs []*circuitRun, m medium, slos map[st
 	}
 
 	for _, cr := range runs {
-		rep := CircuitReport{
+		rep := circuitReport{
 			Name:      cr.name,
 			Sent:      cr.a.sent + cr.b.sent,
 			Received:  cr.a.recv + cr.b.recv,

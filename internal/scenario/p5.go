@@ -39,8 +39,8 @@ func (s *Scenario) runP5(rc RunConfig, res *Result) error {
 // p5Ledger grades what the receiver queued against what was sent:
 // frames arrive in order, so each delivered one must be the next sent
 // payload it matches, or it is corrupt.
-func p5Ledger(sent [][]byte, got []p5.RxFrame) CircuitReport {
-	rep := CircuitReport{Name: "p5", Sent: len(sent)}
+func p5Ledger(sent [][]byte, got []p5.RxFrame) circuitReport {
+	rep := circuitReport{Name: "p5", Sent: len(sent)}
 	next := 0
 	for _, f := range got {
 		if f.Err != nil {
@@ -89,7 +89,7 @@ func (s *Scenario) p5Loopback(rc RunConfig, res *Result, sent [][]byte) error {
 	}
 	sys.SyncTelemetry()
 	rep := p5Ledger(sent, sys.Received())
-	res.Circuits = []CircuitReport{rep}
+	res.Circuits = []circuitReport{rep}
 
 	cycles := sys.Sim.Now()
 	bitsPerCycle := float64(payloadBits) / float64(cycles)
@@ -191,7 +191,7 @@ func (s *Scenario) p5Section(rc RunConfig, res *Result, sent [][]byte) error {
 	res.Resyncs = max(df.ResyncCount, 1) - 1
 
 	rep := p5Ledger(sent, rx.Control.Queue)
-	res.Circuits = []CircuitReport{rep}
+	res.Circuits = []circuitReport{rep}
 	fmt.Fprintf(out, "P5 %d-bit over STM-1 SDH section\n", s.P5.Width)
 	fmt.Fprintf(out, "  datagrams        : %d sent, %d delivered, %d rejected\n", rep.Sent, rep.Received+rep.Corrupted, rep.RxErrors)
 	if len(script.Ops) > 0 {

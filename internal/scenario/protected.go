@@ -16,12 +16,12 @@ import (
 type protected struct{ a, b *gigapos.ProtectedLink }
 
 func (protected) tick(int64)      {}
-func (protected) act(Event)       {}
+func (protected) act(event)       {}
 func (protected) resyncs() uint64 { return 0 } // min_resyncs is a ring and P5-section check
 
 // arm compiles the line faults into the working line a → z, from
 // traffic start; the protection line stays clean.
-func (p protected) arm(events []Event, duration int64) []Event {
+func (p protected) arm(events []event, duration int64) []event {
 	var working fault.Script
 	for _, e := range events {
 		e.fault(&working, int64(sonet.STM1.FrameBytes()), duration, 0)

@@ -20,10 +20,10 @@ func (r ring) tick(now int64) { r.Tick(now) }
 // traffic start (the injector position starts at zero when the script
 // is installed, and every span moves one frame per tick); node failures
 // and restores are the drill's to fire.
-func (r ring) arm(events []Event, duration int64) []Event {
+func (r ring) arm(events []event, duration int64) []event {
 	fb := int64(r.Cfg.Level.FrameBytes())
 	scripts := map[*topo.Span]*fault.Script{}
-	var actions []Event
+	var actions []event
 	for _, e := range events {
 		if !has(reads[e.Action], "between") {
 			actions = append(actions, e)
@@ -44,7 +44,7 @@ func (r ring) arm(events []Event, duration int64) []Event {
 	return actions
 }
 
-func (r ring) act(e Event) { r.Node(e.Node).Failed = e.Action == "node-fail" }
+func (r ring) act(e event) { r.Node(e.Node).Failed = e.Action == "node-fail" }
 
 // resyncs totals frame-alignment reacquisitions over every span.
 func (r ring) resyncs() uint64 {
@@ -61,7 +61,7 @@ func (r ring) resyncs() uint64 {
 func (s *Scenario) runRing(rc RunConfig, res *Result) error {
 	r, ports, err := s.Ring.build()
 	if err != nil {
-		return err // Validate built the same ring
+		return err // validate built the same ring
 	}
 	var watch gigapos.Watch
 	var runs []*circuitRun

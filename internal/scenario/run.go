@@ -41,7 +41,7 @@ type Result struct {
 	Scenario     string
 	Pass         bool
 	Failures     []Failure
-	Circuits     []CircuitReport
+	Circuits     []circuitReport
 	BringUpTicks int64
 	Resyncs      uint64 // frame-alignment reacquisitions after traffic start
 	// CapturePaths lists every .p5fr written during the run (failure
@@ -60,8 +60,8 @@ type Failure struct {
 	Msg     string
 }
 
-// CircuitReport is the measured behaviour of one circuit.
-type CircuitReport struct {
+// circuitReport is the measured behaviour of one circuit.
+type circuitReport struct {
 	Name                 string
 	Sent, Received       int
 	Corrupted, Lost      int
@@ -74,7 +74,7 @@ type CircuitReport struct {
 }
 
 // summary renders a one-line digest for reports and logs.
-func (c CircuitReport) summary() string {
+func (c circuitReport) summary() string {
 	return fmt.Sprintf("%s: sent=%d recv=%d corrupt=%d lost=%d switches=%d/%d failover=%d/%d reneg=%d/%d down=%v/%v alarm=%v/%v",
 		c.Name, c.Sent, c.Received, c.Corrupted, c.Lost,
 		c.SwitchesA, c.SwitchesB, c.FailoverA, c.FailoverB,
@@ -88,7 +88,7 @@ func (c CircuitReport) summary() string {
 // open, a P5 that never drains); a failed bring-up or assertion is a
 // Failure.
 func (s *Scenario) Run(rc RunConfig) (*Result, error) {
-	if err := s.Validate(); err != nil {
+	if err := s.validate(); err != nil {
 		return nil, err
 	}
 	if err := s.Check(rc); err != nil {
@@ -246,7 +246,7 @@ func (s *Scenario) conclude(rc RunConfig, res *Result) error {
 }
 
 // dist decodes the traffic mix specification.
-func (t TrafficSpec) dist() (netsim.SizeDist, error) {
+func (t trafficSpec) dist() (netsim.SizeDist, error) {
 	mix := t.Mix
 	if mix == "" {
 		mix = "imix"
@@ -276,7 +276,7 @@ func (t TrafficSpec) dist() (netsim.SizeDist, error) {
 }
 
 // seed is the traffic generator's seed (default 1).
-func (t TrafficSpec) seed() uint64 {
+func (t trafficSpec) seed() uint64 {
 	if t.Seed == 0 {
 		return 1
 	}
@@ -284,7 +284,7 @@ func (t TrafficSpec) seed() uint64 {
 }
 
 // span is how many ticks e lasts in a run of duration ticks.
-func (e Event) span(duration int64) int64 {
+func (e event) span(duration int64) int64 {
 	if e.Ticks == 0 {
 		return duration - e.At
 	}
@@ -294,7 +294,7 @@ func (e Event) span(duration int64) int64 {
 // fault adds e's line fault to sc, a line that carries fb octets a tick
 // from traffic start, in a run of duration ticks; dir tells a fibre's
 // two directions' noise apart.
-func (e Event) fault(sc *fault.Script, fb, duration int64, dir uint64) {
+func (e event) fault(sc *fault.Script, fb, duration int64, dir uint64) {
 	ticks := e.span(duration)
 	switch at := e.At * fb; e.Action {
 	case "cut":

@@ -9,7 +9,7 @@
 // Times are virtual ticks: one SONET frame time (125 µs) or one engine
 // step. Event offsets count from the end of bring-up ("traffic start"),
 // so a scenario does not depend on how long LCP/IPCP negotiation takes.
-// Validate is the single gate: a document it accepts runs, and every
+// validate is the single gate: a document it accepts runs, and every
 // field it accepts is read by the chosen topology.
 package scenario
 
@@ -33,11 +33,11 @@ type Scenario struct {
 	// Exactly one topology (DESIGN.md §12 has the table).
 	Ring      *RingSpec      `json:"ring,omitempty"`
 	Protected *ProtectedSpec `json:"protected,omitempty"`
-	Engine    *EngineSpec    `json:"engine,omitempty"`
-	P5        *P5Spec        `json:"p5,omitempty"`
+	Engine    *engineSpec    `json:"engine,omitempty"`
+	P5        *p5Spec        `json:"p5,omitempty"`
 
-	Traffic TrafficSpec `json:"traffic,omitempty"`
-	SLO     SLOSpec     `json:"slo,omitempty"`
+	Traffic trafficSpec `json:"traffic,omitempty"`
+	SLO     sloSpec     `json:"slo,omitempty"`
 
 	// Duration is how long the run lasts after bring-up, in ticks (the
 	// P5 loopback has no line clock and runs until its frames drain).
@@ -45,8 +45,8 @@ type Scenario struct {
 	// BringUpBudget bounds LCP/IPCP negotiation (default 4000 ticks).
 	BringUpBudget int64 `json:"bringup_budget,omitempty"`
 
-	Events []Event    `json:"events,omitempty"`
-	Assert Assertions `json:"assert"`
+	Events []event    `json:"events,omitempty"`
+	Assert assertions `json:"assert"`
 }
 
 // RingSpec parameterises the topo.Ring under a drill and the circuits
@@ -61,11 +61,11 @@ type RingSpec struct {
 	Seed         uint64        `json:"seed,omitempty"`
 	WTR          int64         `json:"wtr,omitempty"`
 	AISThreshold int           `json:"ais_threshold,omitempty"`
-	Circuits     []CircuitSpec `json:"circuits"`
+	Circuits     []circuitSpec `json:"circuits"`
 }
 
-// CircuitSpec provisions one bidirectional ring circuit.
-type CircuitSpec struct {
+// circuitSpec provisions one bidirectional ring circuit.
+type circuitSpec struct {
 	Name string `json:"name"`
 	A    int    `json:"a"`
 	B    int    `json:"b"`
@@ -78,9 +78,9 @@ type CircuitSpec struct {
 // the circuit "prot"; line faults hit the working line a → z.
 type ProtectedSpec struct{}
 
-// EngineSpec sizes a line-card engine: Links PPP pairs, each the circuit
+// engineSpec sizes a line-card engine: Links PPP pairs, each the circuit
 // port<i>, across GOMAXPROCS shard workers.
-type EngineSpec struct {
+type engineSpec struct {
 	Links int `json:"links"`
 	// Line carries every pair: "pipe" (in process), "stm16" (an STM-16
 	// sonet.Line per direction), or "udp"/"tcp" — one half of the pairs
@@ -88,9 +88,9 @@ type EngineSpec struct {
 	Line string `json:"line,omitempty"`
 }
 
-// P5Spec runs the cycle-accurate P5 model on Frames datagrams. Its one
+// p5Spec runs the cycle-accurate P5 model on Frames datagrams. Its one
 // circuit is "p5".
-type P5Spec struct {
+type p5Spec struct {
 	Width  int `json:"width"` // datapath bits: 8 or 32
 	Frames int `json:"frames"`
 	// Density is netsim's escape density: the probability that a payload
@@ -104,8 +104,8 @@ type P5Spec struct {
 	Line string `json:"line,omitempty"`
 }
 
-// TrafficSpec is the offered load.
-type TrafficSpec struct {
+// trafficSpec is the offered load.
+type trafficSpec struct {
 	// Mix is "imix" (default), "fixed:N", or "uniform:MIN:MAX"; sizes
 	// are 12..1500 octets. An engine sends one fixed size.
 	Mix string `json:"mix,omitempty"`
@@ -125,9 +125,9 @@ type TrafficSpec struct {
 	Drain int64 `json:"drain,omitempty"`
 }
 
-// SLOSpec maps onto flight.SLOConfig; zero fields keep the repo
+// sloSpec maps onto flight.SLOConfig; zero fields keep the repo
 // defaults.
-type SLOSpec struct {
+type sloSpec struct {
 	Window              int64   `json:"window,omitempty"`
 	FrameLossTarget     float64 `json:"loss_target,omitempty"`
 	P99BudgetTicks      int64   `json:"p99_budget_ticks,omitempty"`
@@ -135,7 +135,7 @@ type SLOSpec struct {
 	AlarmBurn           float64 `json:"alarm_burn,omitempty"`
 }
 
-// Event is one scripted action, At ticks after traffic start. Line
+// event is one scripted action, At ticks after traffic start. Line
 // faults land on the ring fibre Between two adjacent nodes (both
 // directions), the protected pair's working line, or the P5 section:
 //
@@ -149,7 +149,7 @@ type SLOSpec struct {
 //   - "blackout":     an engine's port 0 line goes dark, Ticks long
 //
 // Ticks 0 means "until the end of the run".
-type Event struct {
+type event struct {
 	At      int64   `json:"at"`
 	Action  string  `json:"action"`
 	Between [2]int  `json:"between,omitempty"`
@@ -166,16 +166,16 @@ var reads = map[string]string{
 	"node-fail": "node", "node-restore": "node", "stall": "ticks", "blackout": "ticks",
 }
 
-// Assertions are the pass/fail gates evaluated when the run ends.
-type Assertions struct {
-	Circuits []CircuitAssert `json:"circuits,omitempty"`
+// assertions are the pass/fail gates evaluated when the run ends.
+type assertions struct {
+	Circuits []circuitAssert `json:"circuits,omitempty"`
 	// MinResyncs requires at least this many frame-alignment
 	// reacquisitions after traffic start (resync-under-noise drills).
 	MinResyncs *uint64 `json:"min_resyncs,omitempty"`
 }
 
 // count reports how many individual checks the assertion block holds.
-func (a Assertions) count() int {
+func (a assertions) count() int {
 	n := 0
 	if a.MinResyncs != nil {
 		n++
@@ -190,10 +190,10 @@ func (a Assertions) count() int {
 	return n
 }
 
-// CircuitAssert grades one circuit, or every circuit when Circuit is
+// circuitAssert grades one circuit, or every circuit when Circuit is
 // empty. Absent (null) fields are not checked; counters aggregate both
 // endpoints.
-type CircuitAssert struct {
+type circuitAssert struct {
 	Circuit string `json:"circuit,omitempty"`
 	// Switches / MaxSwitches bound total path-selector movements.
 	Switches    *uint64 `json:"switches,omitempty"`
@@ -226,29 +226,29 @@ func Load(path string) (*Scenario, error) {
 	if err != nil {
 		return nil, err
 	}
-	s, err := Parse(data)
+	s, err := parse(data)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return s, nil
 }
 
-// Parse decodes and validates a scenario document. A field the format
+// parse decodes and validates a scenario document. A field the format
 // does not have is an error, not a silent no-op.
-func Parse(data []byte) (*Scenario, error) {
+func parse(data []byte) (*Scenario, error) {
 	var s Scenario
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&s); err != nil {
 		return nil, fmt.Errorf("scenario: %w", err)
 	}
-	if err := s.Validate(); err != nil {
+	if err := s.validate(); err != nil {
 		return nil, err
 	}
 	return &s, nil
 }
 
-// shape is what Validate needs to know about the chosen topology.
+// shape is what validate needs to know about the chosen topology.
 type shape struct {
 	name     string
 	circuits []string
@@ -280,10 +280,10 @@ func (s *Scenario) shape() (shape, error) {
 	return s.P5.check()
 }
 
-// Validate checks the document before any hardware is built: the
+// validate checks the document before any hardware is built: the
 // topology block, and every shared field against what that topology
 // reads, so no field is accepted only to be ignored.
-func (s *Scenario) Validate() error {
+func (s *Scenario) validate() error {
 	if s.Name == "" {
 		return fmt.Errorf("scenario: missing name")
 	}
@@ -304,7 +304,7 @@ func (s *Scenario) Validate() error {
 		return fail("traffic.density %g outside [0, 1]", d)
 	}
 	used := set(s.Traffic, "traffic.")
-	if s.SLO != (SLOSpec{}) {
+	if s.SLO != (sloSpec{}) {
 		used = append(used, "slo")
 	}
 	for name, v := range map[string]bool{"duration": s.Duration != 0, "bringup_budget": s.BringUpBudget != 0, "min_resyncs": s.Assert.MinResyncs != nil} {
@@ -406,7 +406,7 @@ func (r *RingSpec) build() (*topo.Ring, [][2]*topo.Port, error) {
 }
 
 // check validates the engine block; an engine sends one fixed size.
-func (e *EngineSpec) check(t TrafficSpec) (shape, error) {
+func (e *engineSpec) check(t trafficSpec) (shape, error) {
 	sh := shape{name: e.Line + " engine", actions: "stall blackout",
 		ignores: "traffic.density traffic.interval traffic.seed traffic.drain min_resyncs switches max_switches max_failover_ticks corrupted slo_green"}
 	if e.Links < 1 || e.Links > 64 {
@@ -425,10 +425,10 @@ func (e *EngineSpec) check(t TrafficSpec) (shape, error) {
 }
 
 // socket reports whether the engine's lines are sockets to a peer.
-func (e *EngineSpec) socket() bool { return e.Line == "udp" || e.Line == "tcp" }
+func (e *engineSpec) socket() bool { return e.Line == "udp" || e.Line == "tcp" }
 
 // check validates the P5 block.
-func (p *P5Spec) check() (shape, error) {
+func (p *p5Spec) check() (shape, error) {
 	sh := shape{name: "p5", circuits: []string{"p5"}, actions: "cut noise slip dup",
 		ignores: "traffic.density traffic.interval traffic.drain slo bringup_budget switches max_switches max_failover_ticks lcp_renegotiations down slo_green"}
 	switch {

@@ -16,20 +16,20 @@ func TestParseValidation(t *testing.T) {
 	base := func() *Scenario {
 		return &Scenario{
 			Name:     "x",
-			Ring:     &RingSpec{Nodes: 4, Circuits: []CircuitSpec{{Name: "c0", A: 0, B: 2, Slot: 0}}},
+			Ring:     &RingSpec{Nodes: 4, Circuits: []circuitSpec{{Name: "c0", A: 0, B: 2, Slot: 0}}},
 			Duration: 100,
 		}
 	}
 	engine := func(s *Scenario) {
-		s.Ring, s.Engine, s.Traffic.Mix = nil, &EngineSpec{Links: 2, Line: "pipe"}, "fixed:64"
+		s.Ring, s.Engine, s.Traffic.Mix = nil, &engineSpec{Links: 2, Line: "pipe"}, "fixed:64"
 	}
-	p5stm1 := func(s *Scenario) { s.Ring, s.P5 = nil, &P5Spec{Width: 32, Frames: 4, Line: "stm1"} }
-	p5loop := func(s *Scenario) { s.Ring, s.P5, s.Duration = nil, &P5Spec{Width: 8, Frames: 4, Line: "loopback"}, 0 }
+	p5stm1 := func(s *Scenario) { s.Ring, s.P5 = nil, &p5Spec{Width: 32, Frames: 4, Line: "stm1"} }
+	p5loop := func(s *Scenario) { s.Ring, s.P5, s.Duration = nil, &p5Spec{Width: 8, Frames: 4, Line: "loopback"}, 0 }
 	one := uint64(1)
 	cases := []struct {
 		name string
 		mut  func(*Scenario)
-		doc  string // when set, Parse this document instead
+		doc  string // when set, parse this document instead
 		want string
 	}{
 		{"ok", func(*Scenario) {}, "", ""},
@@ -39,33 +39,33 @@ func TestParseValidation(t *testing.T) {
 		{"no duration", func(s *Scenario) { s.Duration = 0 }, "", "duration"},
 		{"no circuits", func(s *Scenario) { s.Ring.Circuits = nil }, "", "no circuits"},
 		{"dup circuit", func(s *Scenario) {
-			s.Ring.Circuits = append(s.Ring.Circuits, CircuitSpec{Name: "c0", A: 1, B: 3, Slot: 1})
+			s.Ring.Circuits = append(s.Ring.Circuits, circuitSpec{Name: "c0", A: 1, B: 3, Slot: 1})
 		}, "", "duplicate circuit"},
 		{"bad mix", func(s *Scenario) { s.Traffic.Mix = "elephant" }, "", "unknown traffic mix"},
 		{"bad fixed", func(s *Scenario) { s.Traffic.Mix = "fixed:4" }, "", "bad traffic mix"},
 		{"bad density", func(s *Scenario) { s.Traffic.Density = 1.5 }, "", "traffic.density"},
 		{"event too late", func(s *Scenario) {
-			s.Events = []Event{{At: 100, Action: "cut", Between: [2]int{0, 1}}}
+			s.Events = []event{{At: 100, Action: "cut", Between: [2]int{0, 1}}}
 		}, "", "outside 0..99"},
 		{"cut non-adjacent", func(s *Scenario) {
-			s.Events = []Event{{At: 1, Action: "cut", Between: [2]int{0, 2}}}
+			s.Events = []event{{At: 1, Action: "cut", Between: [2]int{0, 2}}}
 		}, "", "non-adjacent"},
 		{"noise bad rate", func(s *Scenario) {
-			s.Events = []Event{{At: 1, Action: "noise", Between: [2]int{0, 1}, Rate: 0.9}}
+			s.Events = []event{{At: 1, Action: "noise", Between: [2]int{0, 1}, Rate: 0.9}}
 		}, "", "noise rate"},
 		{"bad node", func(s *Scenario) {
-			s.Events = []Event{{At: 1, Action: "node-fail", Node: 9}}
+			s.Events = []event{{At: 1, Action: "node-fail", Node: 9}}
 		}, "", "references node"},
 		{"bad action", func(s *Scenario) {
-			s.Events = []Event{{At: 1, Action: "meteor"}}
+			s.Events = []event{{At: 1, Action: "meteor"}}
 		}, "", "unknown action"},
 		{"unknown assert circuit", func(s *Scenario) {
-			s.Assert.Circuits = []CircuitAssert{{Circuit: "ghost"}}
+			s.Assert.Circuits = []circuitAssert{{Circuit: "ghost"}}
 		}, "", "unknown circuit"},
 
 		// Accepted at one time and inert: a negative window scripts nothing.
 		{"cut negative ticks", func(s *Scenario) {
-			s.Events = []Event{{At: 1, Action: "cut", Between: [2]int{0, 1}, Ticks: -400}}
+			s.Events = []event{{At: 1, Action: "cut", Between: [2]int{0, 1}, Ticks: -400}}
 		}, "", "events[0].ticks is negative"},
 		{"negative interval", func(s *Scenario) { s.Traffic.Interval = -2 }, "", "traffic.interval is negative"},
 		{"negative drain", func(s *Scenario) { s.Traffic.Drain = -1 }, "", "traffic.drain is negative"},
@@ -99,12 +99,12 @@ func TestParseValidation(t *testing.T) {
 		{"engine storm", func(s *Scenario) { engine(s); s.Traffic.Density = 0.5 }, "", "does not read traffic.density"},
 		{"engine switches", func(s *Scenario) {
 			engine(s)
-			s.Assert.Circuits = []CircuitAssert{{Circuit: "port1", Switches: &one}}
+			s.Assert.Circuits = []circuitAssert{{Circuit: "port1", Switches: &one}}
 		}, "", "does not read switches"},
-		{"engine cut", func(s *Scenario) { engine(s); s.Events = []Event{{At: 1, Action: "cut"}} }, "", "unknown action"},
+		{"engine cut", func(s *Scenario) { engine(s); s.Events = []event{{At: 1, Action: "cut"}} }, "", "unknown action"},
 		{"engine two stalls", func(s *Scenario) {
 			engine(s)
-			s.Events = []Event{{At: 1, Action: "stall", Ticks: 5}, {At: 20, Action: "stall", Ticks: 5}}
+			s.Events = []event{{At: 1, Action: "stall", Ticks: 5}, {At: 20, Action: "stall", Ticks: 5}}
 		}, "", "one stall window"},
 		{"p5 ok", p5stm1, "", ""},
 		{"p5 bad width", func(s *Scenario) { p5stm1(s); s.P5.Width = 16 }, "", "8 or 32"},
@@ -113,13 +113,13 @@ func TestParseValidation(t *testing.T) {
 		{"p5 slo", func(s *Scenario) { p5stm1(s); s.SLO.AlarmBurn = 2 }, "", "does not read slo"},
 		{"p5 section between", func(s *Scenario) {
 			p5stm1(s)
-			s.Events = []Event{{At: 1, Action: "cut", Between: [2]int{0, 1}}}
+			s.Events = []event{{At: 1, Action: "cut", Between: [2]int{0, 1}}}
 		}, "", "does not read between"},
 		{"p5 loopback duration", func(s *Scenario) { p5loop(s); s.Duration = 10 }, "", "does not read duration"},
-		{"p5 loopback event", func(s *Scenario) { p5loop(s); s.Events = []Event{{Action: "slip"}} }, "", "unknown action"},
+		{"p5 loopback event", func(s *Scenario) { p5loop(s); s.Events = []event{{Action: "slip"}} }, "", "unknown action"},
 		{"protected node event", func(s *Scenario) {
 			s.Ring, s.Protected = nil, &ProtectedSpec{}
-			s.Events = []Event{{At: 1, Action: "node-fail"}}
+			s.Events = []event{{At: 1, Action: "node-fail"}}
 		}, "", "unknown action"},
 		{"oversize mix", func(s *Scenario) { s.Traffic.Mix = "fixed:2000" }, "", "bad traffic mix"},
 	}
@@ -127,11 +127,11 @@ func TestParseValidation(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			var err error
 			if c.doc != "" {
-				_, err = Parse([]byte(c.doc))
+				_, err = parse([]byte(c.doc))
 			} else {
 				s := base()
 				c.mut(s)
-				err = s.Validate()
+				err = s.validate()
 			}
 			if c.want == "" {
 				if err != nil {
@@ -148,7 +148,7 @@ func TestParseValidation(t *testing.T) {
 
 func TestTrafficDist(t *testing.T) {
 	for _, mix := range []string{"", "imix", "fixed:64", "uniform:40:1500"} {
-		if _, err := (TrafficSpec{Mix: mix}).dist(); err != nil {
+		if _, err := (trafficSpec{Mix: mix}).dist(); err != nil {
 			t.Errorf("mix %q rejected: %v", mix, err)
 		}
 	}
@@ -204,10 +204,10 @@ func TestFailureProducesCaptures(t *testing.T) {
 	zero := uint64(0)
 	s := &Scenario{
 		Name:     "impossible",
-		Ring:     &RingSpec{Nodes: 4, Circuits: []CircuitSpec{{Name: "c0", A: 0, B: 2, Slot: 0}}},
+		Ring:     &RingSpec{Nodes: 4, Circuits: []circuitSpec{{Name: "c0", A: 0, B: 2, Slot: 0}}},
 		Duration: 600,
-		Events:   []Event{{At: 100, Action: "cut", Between: [2]int{0, 1}}},
-		Assert: Assertions{Circuits: []CircuitAssert{
+		Events:   []event{{At: 100, Action: "cut", Between: [2]int{0, 1}}},
+		Assert: assertions{Circuits: []circuitAssert{
 			// A cut always moves the selector once; demanding zero must fail.
 			{Circuit: "c0", Switches: &zero},
 		}},
@@ -237,7 +237,7 @@ func TestFailureProducesCaptures(t *testing.T) {
 }
 
 // FuzzScenarioParse holds Validate to being the single gate. On any
-// bytes Parse must not panic, and every document it accepts must run —
+// bytes parse must not panic, and every document it accepts must run —
 // its clock, bring-up budget, P5 frames and engine pairs capped so an
 // input costs milliseconds, events past the cap dropped — without an
 // error or a panic. Socket engines (they need a peer process) are
@@ -255,7 +255,7 @@ func FuzzScenarioParse(f *testing.F) {
 	}
 	const maxTicks = 40
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s, err := Parse(data)
+		s, err := parse(data)
 		if err != nil || s.Engine != nil && s.Engine.socket() {
 			return
 		}

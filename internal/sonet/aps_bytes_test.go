@@ -131,11 +131,11 @@ func TestSDDerivesFromLineParity(t *testing.T) {
 	rand.New(rand.NewSource(11)).Read(payload)
 
 	_, dfLine := pump(t, STM1, payload, 24, mangleLine)
-	if !dfLine.Defects.Has(DefSD) {
+	if !dfLine.Defects.has(DefSD) {
 		t.Error("sustained line corruption did not raise SD")
 	}
 	_, dfSec := pump(t, STM1, payload, 24, mangleSection)
-	if dfSec.Defects.Has(DefSD) || dfSec.Defects.Has(DefSF) {
+	if dfSec.Defects.has(DefSD) || dfSec.Defects.has(DefSF) {
 		t.Errorf("section-only corruption raised %v", dfSec.Defects.Active())
 	}
 	if dfSec.B1Errors == 0 {

@@ -80,9 +80,9 @@ func (e DefectEvent) String() string {
 	return fmt.Sprintf("%s %v @%d", verb, e.Defect, e.Octet)
 }
 
-// DefectConfig sets the integration thresholds. Zero values take the
+// defectConfig sets the integration thresholds. Zero values take the
 // GR-253-flavoured defaults scaled to the monitor's Level.
-type DefectConfig struct {
+type defectConfig struct {
 	// OOFBadFrames consecutive errored A1/A2 patterns declare OOF
 	// (default 4); OOFGoodFrames consecutive clean patterns re-enter
 	// the in-frame state (default 2).
@@ -105,7 +105,7 @@ type DefectConfig struct {
 // subscribe via OnEvent.
 type DefectMonitor struct {
 	Level Level
-	Cfg   DefectConfig
+	Cfg   defectConfig
 	// OnEvent, when set, observes every transition as it happens.
 	OnEvent func(DefectEvent)
 	// Events is the transition log (capped at eventCap entries).
@@ -131,8 +131,8 @@ type DefectMonitor struct {
 // unboundedly; counters keep exact totals regardless.
 const eventCap = 4096
 
-// NewDefectMonitor returns a monitor with default thresholds for level.
-func NewDefectMonitor(level Level) *DefectMonitor {
+// newDefectMonitor returns a monitor with default thresholds for level.
+func newDefectMonitor(level Level) *DefectMonitor {
 	return &DefectMonitor{Level: level}
 }
 
@@ -192,8 +192,8 @@ func (m *DefectMonitor) sfFrames() int {
 // Active returns the current defect set.
 func (m *DefectMonitor) Active() Defect { return m.active }
 
-// Has reports whether defect d is currently active.
-func (m *DefectMonitor) Has(d Defect) bool { return m.active&d != 0 }
+// has reports whether defect d is currently active.
+func (m *DefectMonitor) has(d Defect) bool { return m.active&d != 0 }
 
 // Raises returns how many times defect d has been raised.
 func (m *DefectMonitor) Raises(d Defect) uint64 { return m.raises[bitIndex(d)] }
@@ -239,7 +239,7 @@ func (m *DefectMonitor) event(e DefectEvent) {
 	}
 }
 
-// Octets observes raw line octets: the LOS zero-run detector and the
+// octets observes raw line octets: the LOS zero-run detector and the
 // LOF integration timers run at line rate. The Deframer calls it with
 // spans that end at each frame boundary, interleaved with FrameResult,
 // so the LOF persistence timer integrates correctly even when a whole
@@ -248,19 +248,19 @@ func (m *DefectMonitor) event(e DefectEvent) {
 // OOF only changes in FrameResult, so it is constant across p and the
 // LOF timer can cross its threshold at most once inside it, at an
 // offset known up front; only the zero-run detector looks at the octets.
-func (m *DefectMonitor) Octets(p []byte) {
+func (m *DefectMonitor) octets(p []byte) {
 	if m.lofThresh == 0 {
 		m.lofThresh = int64(m.lofFrames()) * int64(m.Level.FrameBytes())
 	}
 	// timer is the integrator running in this sync state; the LOF
 	// transition, if one is pending, fires on the octet that brings it
 	// to the threshold.
-	oof := m.Has(DefOOF)
+	oof := m.has(DefOOF)
 	timer := &m.inOct
 	if oof {
 		timer = &m.oofOct
 	}
-	if m.Has(DefLOF) != oof {
+	if m.has(DefLOF) != oof {
 		at := m.lofThresh - *timer
 		if at < 1 {
 			at = 1
@@ -289,7 +289,7 @@ func (m *DefectMonitor) scanLOS(p []byte) {
 	for len(p) >= 8 {
 		w := binary.LittleEndian.Uint64(p)
 		switch {
-		case !hasZeroOctet(w) && !m.Has(DefLOS): // a live line, nothing to clear
+		case !hasZeroOctet(w) && !m.has(DefLOS): // a live line, nothing to clear
 			m.zeroRun = 0
 			m.octet += 8
 		case w == 0 && (m.zeroRun >= thresh || m.zeroRun+8 < thresh):
@@ -327,7 +327,7 @@ func (m *DefectMonitor) losOctet(b byte, thresh int) {
 	}
 }
 
-// FrameResultLine observes one frame-time's framing and parity verdicts
+// frameResultLine observes one frame-time's framing and parity verdicts
 // and returns whether the deframer should keep frame sync: false means
 // OOF is active and this frame's alignment was errored — fall back to
 // the hunt. A single errored pattern inside an otherwise good run keeps
@@ -338,18 +338,18 @@ func (m *DefectMonitor) losOctet(b byte, thresh int) {
 // are line-layer defects, and they are the triggers a 1+1 APS
 // controller switches on. B1/B3 errors are the deframer's counters
 // alone.
-func (m *DefectMonitor) FrameResultLine(alignOK, lineErr bool) (inFrame bool) {
+func (m *DefectMonitor) frameResultLine(alignOK, lineErr bool) (inFrame bool) {
 	if alignOK {
 		m.goodRun++
 		m.badRun = 0
-		if m.Has(DefOOF) && m.goodRun >= m.oofGood() {
+		if m.has(DefOOF) && m.goodRun >= m.oofGood() {
 			m.clearDef(DefOOF)
 			m.inOct = 0
 		}
 	} else {
 		m.badRun++
 		m.goodRun = 0
-		if !m.Has(DefOOF) && m.badRun >= m.oofBad() {
+		if !m.has(DefOOF) && m.badRun >= m.oofBad() {
 			m.raise(DefOOF)
 			m.oofOct = 0
 		}
@@ -373,5 +373,5 @@ func (m *DefectMonitor) FrameResultLine(alignOK, lineErr bool) (inFrame bool) {
 			m.clearDef(DefSD)
 		}
 	}
-	return alignOK || !m.Has(DefOOF)
+	return alignOK || !m.has(DefOOF)
 }

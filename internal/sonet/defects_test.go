@@ -6,8 +6,8 @@ import (
 
 // mon returns a monitor with small thresholds for fast tests.
 func mon() *DefectMonitor {
-	m := NewDefectMonitor(STM1)
-	m.Cfg = DefectConfig{
+	m := newDefectMonitor(STM1)
+	m.Cfg = defectConfig{
 		OOFBadFrames: 4, OOFGoodFrames: 2,
 		LOFFrames: 8, LOSOctets: 32,
 		WindowFrames: 8, SDFrames: 2, SFFrames: 6,
@@ -15,9 +15,9 @@ func mon() *DefectMonitor {
 	return m
 }
 
-// FrameResult is FrameResultLine with a single parity verdict.
+// FrameResult is frameResultLine with a single parity verdict.
 func (m *DefectMonitor) FrameResult(alignOK, parityErr bool) (inFrame bool) {
-	return m.FrameResultLine(alignOK, parityErr)
+	return m.frameResultLine(alignOK, parityErr)
 }
 
 func TestOOFNeedsConsecutiveErroredFrames(t *testing.T) {
@@ -29,7 +29,7 @@ func TestOOFNeedsConsecutiveErroredFrames(t *testing.T) {
 		}
 	}
 	m.FrameResult(true, false)
-	if m.Has(DefOOF) {
+	if m.has(DefOOF) {
 		t.Fatal("OOF after a non-consecutive run")
 	}
 	// Four consecutive errored patterns: OOF declared, sync dropped.
@@ -39,16 +39,16 @@ func TestOOFNeedsConsecutiveErroredFrames(t *testing.T) {
 	if in := m.FrameResult(false, false); in {
 		t.Fatal("kept sync after 4 consecutive errored frames")
 	}
-	if !m.Has(DefOOF) {
+	if !m.has(DefOOF) {
 		t.Fatal("OOF not raised")
 	}
 	// Two consecutive good patterns re-enter the in-frame state.
 	m.FrameResult(true, false)
-	if !m.Has(DefOOF) {
+	if !m.has(DefOOF) {
 		t.Fatal("OOF cleared after one good frame")
 	}
 	m.FrameResult(true, false)
-	if m.Has(DefOOF) {
+	if m.has(DefOOF) {
 		t.Fatal("OOF not cleared after two good frames")
 	}
 	if m.Raises(DefOOF) != 1 || m.Clears(DefOOF) != 1 {
@@ -69,44 +69,44 @@ func TestLOFPersistenceTimer(t *testing.T) {
 	}
 	// Seven frame times in OOF: LOF not yet.
 	for i := 0; i < 7; i++ {
-		m.Octets(junk)
+		m.octets(junk)
 	}
-	if m.Has(DefLOF) {
+	if m.has(DefLOF) {
 		t.Fatal("LOF before the persistence timer")
 	}
-	m.Octets(junk)
-	if !m.Has(DefLOF) {
+	m.octets(junk)
+	if !m.has(DefLOF) {
 		t.Fatal("LOF not raised after 8 frame times in OOF")
 	}
 	// Recover framing; LOF must persist until the clear timer runs.
 	m.FrameResult(true, false)
 	m.FrameResult(true, false)
-	if m.Has(DefOOF) {
+	if m.has(DefOOF) {
 		t.Fatal("OOF still active")
 	}
-	if !m.Has(DefLOF) {
+	if !m.has(DefLOF) {
 		t.Fatal("LOF cleared instantly")
 	}
 	for i := 0; i < 8; i++ {
-		m.Octets(junk)
+		m.octets(junk)
 	}
-	if m.Has(DefLOF) {
+	if m.has(DefLOF) {
 		t.Fatal("LOF not cleared after in-frame persistence")
 	}
 }
 
 func TestLOSZeroRun(t *testing.T) {
 	m := mon()
-	m.Octets(make([]byte, 31))
-	if m.Has(DefLOS) {
+	m.octets(make([]byte, 31))
+	if m.has(DefLOS) {
 		t.Fatal("LOS before threshold")
 	}
-	m.Octets(make([]byte, 1))
-	if !m.Has(DefLOS) {
+	m.octets(make([]byte, 1))
+	if !m.has(DefLOS) {
 		t.Fatal("LOS not raised at 32 zero octets")
 	}
-	m.Octets([]byte{0xF6})
-	if m.Has(DefLOS) {
+	m.octets([]byte{0xF6})
+	if m.has(DefLOS) {
 		t.Fatal("LOS not cleared on live line")
 	}
 	if m.Raises(DefLOS) != 1 || m.Clears(DefLOS) != 1 {
@@ -114,8 +114,8 @@ func TestLOSZeroRun(t *testing.T) {
 	}
 	// A zero run interrupted by live octets never raises.
 	for i := 0; i < 10; i++ {
-		m.Octets(make([]byte, 20))
-		m.Octets([]byte{0x28})
+		m.octets(make([]byte, 20))
+		m.octets([]byte{0x28})
 	}
 	if m.Raises(DefLOS) != 1 {
 		t.Error("interrupted zero runs raised LOS")
@@ -128,29 +128,29 @@ func TestSignalDegradeAndFailThresholds(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		m.FrameResult(true, i < 2)
 	}
-	if !m.Has(DefSD) || m.Has(DefSF) {
+	if !m.has(DefSD) || m.has(DefSF) {
 		t.Fatalf("after degrade window: %v", m.Active())
 	}
 	// Window with 6 errored: SF joins.
 	for i := 0; i < 8; i++ {
 		m.FrameResult(true, i < 6)
 	}
-	if !m.Has(DefSD) || !m.Has(DefSF) {
+	if !m.has(DefSD) || !m.has(DefSF) {
 		t.Fatalf("after fail window: %v", m.Active())
 	}
 	// Clean window clears both.
 	for i := 0; i < 8; i++ {
 		m.FrameResult(true, false)
 	}
-	if m.Has(DefSD) || m.Has(DefSF) {
+	if m.has(DefSD) || m.has(DefSF) {
 		t.Fatalf("after clean window: %v", m.Active())
 	}
 }
 
 func TestDefectEventsAndStrings(t *testing.T) {
 	m := mon()
-	m.Octets(make([]byte, 64))
-	m.Octets([]byte{1})
+	m.octets(make([]byte, 64))
+	m.octets([]byte{1})
 	if len(m.Events) != 2 {
 		t.Fatalf("events = %v", m.Events)
 	}
@@ -186,7 +186,7 @@ func TestDeframerSurvivesSingleErroredPattern(t *testing.T) {
 	if df.FramesErrored != 1 {
 		t.Fatalf("FramesErrored = %d", df.FramesErrored)
 	}
-	if df.Defects.Has(DefOOF) {
+	if df.Defects.has(DefOOF) {
 		t.Fatal("OOF from a single errored pattern")
 	}
 	// All payload delivered: the errored frame's octets were kept.
@@ -240,16 +240,16 @@ func TestDeframerLOSWindow(t *testing.T) {
 	df := NewDeframer(STM1, nil)
 	// Small LOF timer; parity thresholds high enough that the outage's
 	// few misframed candidates don't also trip SD/SF.
-	df.Defects.Cfg = DefectConfig{LOFFrames: 8, WindowFrames: 8, SDFrames: 6, SFFrames: 7}
+	df.Defects.Cfg = defectConfig{LOFFrames: 8, WindowFrames: 8, SDFrames: 6, SFFrames: 7}
 	for i := 0; i < 3; i++ {
 		df.Feed(fr.NextFrame())
 	}
 	// 14 frame times of dead line.
 	df.Feed(make([]byte, 14*STM1.FrameBytes()))
-	if !df.Defects.Has(DefLOS) {
+	if !df.Defects.has(DefLOS) {
 		t.Fatal("LOS not raised on dead line")
 	}
-	if !df.Defects.Has(DefOOF) || !df.Defects.Has(DefLOF) {
+	if !df.Defects.has(DefOOF) || !df.Defects.has(DefLOF) {
 		t.Fatalf("outage defects = %v", df.Defects.Active())
 	}
 	// Light back: resync and clear everything.

@@ -68,7 +68,7 @@ func (d *Deframer) APSBytes() (k1, k2 byte, ok bool) {
 // DefectMonitor with default thresholds. A non-nil emit is adapted to
 // Payload for the frozen benchmark; everything else sets Payload.
 func NewDeframer(level Level, emit func(byte)) *Deframer {
-	d := &Deframer{Level: level, Defects: NewDefectMonitor(level)}
+	d := &Deframer{Level: level, Defects: newDefectMonitor(level)}
 	if emit != nil {
 		d.Payload = func(p []byte, _ int) {
 			for _, b := range p {
@@ -94,7 +94,7 @@ func (d *Deframer) Feed(p []byte) {
 		if n > len(p) {
 			n = len(p)
 		}
-		d.Defects.Octets(p[:n])
+		d.Defects.octets(p[:n])
 		if d.aligned && n == fb {
 			d.frame(p[:n])
 			p = p[n:]
@@ -133,12 +133,12 @@ func (d *Deframer) hunt() {
 
 func matchAlignment(p []byte, n int) bool {
 	for i := 0; i < 3*n; i++ {
-		if p[i] != A1 {
+		if p[i] != a1 {
 			return false
 		}
 	}
 	for i := 3 * n; i < 6*n; i++ {
-		if p[i] != A2 {
+		if p[i] != a2 {
 			return false
 		}
 	}
@@ -176,7 +176,7 @@ func (d *Deframer) frame(raw []byte) {
 		}
 	}
 
-	if !d.Defects.FrameResultLine(alignOK, lineErr) {
+	if !d.Defects.frameResultLine(alignOK, lineErr) {
 		// Out of frame: drop back to hunting from the next octet — the
 		// true boundary may sit inside this very frame after a slip.
 		d.aligned = false

@@ -123,7 +123,7 @@ func chunker(rng *rand.Rand, fb int) func(left int) int {
 
 // runBoth feeds line to the reference deframer octet by octet (its only
 // mode) and to the production deframer in chunks, and returns both logs.
-func runBoth(level Level, cfg DefectConfig, line []byte, next func(left int) int) (got, want *rxLog) {
+func runBoth(level Level, cfg defectConfig, line []byte, next func(left int) int) (got, want *rxLog) {
 	got, want = &rxLog{}, &rxLog{}
 	df := NewDeframer(level, nil)
 	df.Defects.Cfg = cfg
@@ -217,7 +217,7 @@ func TestDifferentialAgainstReference(t *testing.T) {
 		fb := int64(level.FrameBytes())
 		// Small integration spans so LOF raises inside the long cut and
 		// clears mid-chunk well before the line ends.
-		cfg := DefectConfig{LOFFrames: 5, WindowFrames: 8, SDFrames: 2, SFFrames: 5}
+		cfg := defectConfig{LOFFrames: 5, WindowFrames: 8, SDFrames: 2, SFFrames: 5}
 		los := int64(level.FrameBytes() / 8) // the default LOS threshold
 		for seed := int64(1); seed <= 4; seed++ {
 			clean := buildLine(t, level, seed, frames)
@@ -234,7 +234,7 @@ func TestDifferentialAgainstReference(t *testing.T) {
 			// Octet slips, one near a frame boundary.
 			sc.Insert(20*fb+rng.Int63n(fb), 0xA5)
 			sc.Delete(30*fb-1, 1)
-			sc.Insert(33*fb+rng.Int63n(fb), A1, A1, A2)
+			sc.Insert(33*fb+rng.Int63n(fb), a1, a1, a2)
 			// Zero runs: one octet short of LOS, exactly LOS, and both
 			// straddling a frame boundary; then a cut of many frames
 			// (OOF, then LOF, inside the dead line).
@@ -328,11 +328,11 @@ func TestClosureConstructorsMatchSpanHooks(t *testing.T) {
 func TestDefectMonitorOctetsMatchesPerOctet(t *testing.T) {
 	for seed := int64(0); seed < 200; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		cfg := DefectConfig{
+		cfg := defectConfig{
 			OOFBadFrames: 1 + rng.Intn(3), OOFGoodFrames: 1 + rng.Intn(2),
 			LOFFrames: 1 + rng.Intn(3), LOSOctets: 1 + rng.Intn(40),
 		}
-		bulk, ref := NewDefectMonitor(STM1), NewDefectMonitor(STM1)
+		bulk, ref := newDefectMonitor(STM1), newDefectMonitor(STM1)
 		bulk.Cfg, ref.Cfg = cfg, cfg
 		for step := 0; step < 60; step++ {
 			p := make([]byte, rng.Intn(3*STM1.FrameBytes()))
@@ -348,7 +348,7 @@ func TestDefectMonitorOctetsMatchesPerOctet(t *testing.T) {
 			if rng.Intn(8) == 0 {
 				clear(p)
 			}
-			bulk.Octets(p)
+			bulk.octets(p)
 			for _, b := range p {
 				refOctetIn(ref, b)
 			}

@@ -72,10 +72,10 @@ func (f *Framer) NextFrame() []byte {
 		case 0:
 			// A1 ×3N then A2 ×3N, then unused overhead.
 			for i := 0; i < 3*n; i++ {
-				line[i] = A1
+				line[i] = a1
 			}
 			for i := 3 * n; i < 6*n; i++ {
-				line[i] = A2
+				line[i] = a2
 			}
 			line[soh] = 0x01 // J1 trace (constant)
 		case 1:
@@ -98,7 +98,7 @@ func (f *Framer) NextFrame() []byte {
 			line[0] = f.b2
 			line[1] = f.K1
 			line[2] = f.K2
-			line[soh] = C2PPP
+			line[soh] = c2ppp
 		}
 		// --- Payload: the rest of the row carries the HDLC stream ---
 		payload := line[row-rp:]

@@ -107,7 +107,7 @@ func FuzzDeframerChunking(f *testing.F) {
 	f.Add(slices.Concat([]byte{1, 2, 3}, line[:2*fb+40], make([]byte, 3*fb), line[2*fb:]), cuts(fb, 17, 2*fb+9))
 	f.Add(slices.Concat(line[:fb+100], line[fb+101:]), cuts(700)) // one-octet slip
 	f.Fuzz(func(t *testing.T, line, cuts []byte) {
-		cfg := DefectConfig{LOFFrames: 2, LOSOctets: 24, WindowFrames: 4, SDFrames: 1, SFFrames: 3}
+		cfg := defectConfig{LOFFrames: 2, LOSOctets: 24, WindowFrames: 4, SDFrames: 1, SFFrames: 3}
 		at := 0
 		chunked, want := runBoth(STM1, cfg, line, func(left int) int {
 			n := left

@@ -17,8 +17,8 @@ func refBip8(p []byte) byte {
 }
 
 func refScramble(p []byte) {
-	var s Scrambler
-	s.Reset()
+	var s scrambler
+	s.reset()
 	for i := range p {
 		p[i] ^= s.Next()
 	}
@@ -50,10 +50,10 @@ func (f *refFramer) NextFrame() []byte {
 		switch r {
 		case 0:
 			for i := 0; i < 3*n; i++ {
-				frame[base+i] = A1
+				frame[base+i] = a1
 			}
 			for i := 3 * n; i < 6*n; i++ {
-				frame[base+i] = A2
+				frame[base+i] = a2
 			}
 		case 1:
 			frame[base] = refBip8(f.prevFrame)
@@ -72,7 +72,7 @@ func (f *refFramer) NextFrame() []byte {
 		case 2:
 			poh = refBip8(f.prevPath)
 		case 4:
-			poh = C2PPP
+			poh = c2ppp
 		}
 		frame[base+pathStart] = poh
 		for c := pathStart + 1; c < row; c++ {
@@ -105,7 +105,7 @@ func refOctetIn(m *DefectMonitor, b byte) {
 			m.raise(DefLOS)
 		}
 	} else {
-		if m.Has(DefLOS) {
+		if m.has(DefLOS) {
 			m.clearDef(DefLOS)
 		}
 		m.zeroRun = 0
@@ -113,14 +113,14 @@ func refOctetIn(m *DefectMonitor, b byte) {
 	if m.lofThresh == 0 {
 		m.lofThresh = int64(m.lofFrames()) * int64(m.Level.FrameBytes())
 	}
-	if m.Has(DefOOF) {
+	if m.has(DefOOF) {
 		m.oofOct++
-		if !m.Has(DefLOF) && m.oofOct >= m.lofThresh {
+		if !m.has(DefLOF) && m.oofOct >= m.lofThresh {
 			m.raise(DefLOF)
 		}
 	} else {
 		m.inOct++
-		if m.Has(DefLOF) && m.inOct >= m.lofThresh {
+		if m.has(DefLOF) && m.inOct >= m.lofThresh {
 			m.clearDef(DefLOF)
 		}
 	}
@@ -144,7 +144,7 @@ type refDeframer struct {
 }
 
 func newRefDeframer(level Level, emit func(byte)) *refDeframer {
-	return &refDeframer{Deframer: Deframer{Level: level, Defects: NewDefectMonitor(level)}, Emit: emit}
+	return &refDeframer{Deframer: Deframer{Level: level, Defects: newDefectMonitor(level)}, Emit: emit}
 }
 
 func (d *refDeframer) Feed(p []byte) {
@@ -203,7 +203,7 @@ func (d *refDeframer) frame(raw []byte) {
 
 	inFrame := alignOK
 	if d.Defects != nil {
-		inFrame = d.Defects.FrameResultLine(alignOK, lineErr)
+		inFrame = d.Defects.frameResultLine(alignOK, lineErr)
 	}
 	if !inFrame {
 		d.aligned = false

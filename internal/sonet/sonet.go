@@ -33,8 +33,8 @@ const (
 	rows        = 9
 	colsPerSTM1 = 270
 	sohCols     = 9 // section+line overhead columns per STM-1
-	// FramesPerSecond is the 125 µs frame cadence.
-	FramesPerSecond = 8000
+	// framesPerSecond is the 125 µs frame cadence.
+	framesPerSecond = 8000
 )
 
 // FrameBytes returns the transport frame size in octets.
@@ -42,7 +42,7 @@ func (n Level) FrameBytes() int { return rows * colsPerSTM1 * int(n) }
 
 // LineRate returns the gross line rate in bits per second.
 func (n Level) LineRate() float64 {
-	return float64(n.FrameBytes()) * 8 * FramesPerSecond
+	return float64(n.FrameBytes()) * 8 * framesPerSecond
 }
 
 // rowBytes is the octets per row of the transport frame.
@@ -65,25 +65,25 @@ func (n Level) PayloadBytes() int { return rows * n.rowPayload() }
 
 // Overhead byte values.
 const (
-	A1 = 0xF6 // frame alignment, first half
-	A2 = 0x28 // frame alignment, second half
-	// C2PPP is the path signal label for PPP/HDLC payload (RFC 2615).
-	C2PPP = 0x16
+	a1 = 0xF6 // frame alignment, first half
+	a2 = 0x28 // frame alignment, second half
+	// c2ppp is the path signal label for PPP/HDLC payload (RFC 2615).
+	c2ppp = 0x16
 )
 
-// Scrambler is the frame-synchronous SDH scrambler, generator
+// scrambler is the frame-synchronous SDH scrambler, generator
 // 1 + x^6 + x^7, reset to all ones at the first payload-scrambled byte
 // of every frame. Scrambling is an XOR stream, so the same operation
 // descrambles.
-type Scrambler struct {
+type scrambler struct {
 	state byte
 }
 
-// Reset re-seeds the scrambler (start of frame).
-func (s *Scrambler) Reset() { s.state = 0x7F }
+// reset re-seeds the scrambler (start of frame).
+func (s *scrambler) reset() { s.state = 0x7F }
 
 // Next returns the next scrambler byte (eight successive LFSR bits).
-func (s *Scrambler) Next() byte {
+func (s *scrambler) Next() byte {
 	var out byte
 	st := s.state // 7-bit state
 	for i := 7; i >= 0; i-- {
@@ -116,8 +116,8 @@ var (
 )
 
 func init() {
-	var s Scrambler
-	s.Reset()
+	var s scrambler
+	s.reset()
 	for i := 0; i < scramblerPeriod; i++ {
 		scramblerStateAt[i] = s.state
 		scramblerPhaseOf[s.state] = uint8(i)
@@ -143,7 +143,7 @@ func xorStream(dst, src []byte, phase int) int {
 
 // Apply XORs the scrambler stream over p in place, continuing from the
 // current state exactly as len(p) calls to Next would.
-func (s *Scrambler) Apply(p []byte) {
+func (s *scrambler) Apply(p []byte) {
 	if s.state == 0 {
 		return // never Reset: the LFSR is stuck at zero, its stream is zeros
 	}

@@ -16,7 +16,7 @@ func TestRates(t *testing.T) {
 		t.Errorf("STM-16 line rate = %v", got)
 	}
 	// STM-16 payload must comfortably exceed 2.3 Gb/s.
-	if got := float64(STM16.PayloadBytes()) * 8 * FramesPerSecond; got < 2.3e9 || got > 2.49e9 {
+	if got := float64(STM16.PayloadBytes()) * 8 * framesPerSecond; got < 2.3e9 || got > 2.49e9 {
 		t.Errorf("STM-16 payload rate = %v", got)
 	}
 	if STM4.FrameBytes() != 9*270*4 {
@@ -99,13 +99,13 @@ func TestScramblerIsSelfInverse(t *testing.T) {
 	data := make([]byte, 1000)
 	rand.New(rand.NewSource(1)).Read(data)
 	orig := append([]byte(nil), data...)
-	var a, b Scrambler
-	a.Reset()
+	var a, b scrambler
+	a.reset()
 	a.Apply(data)
 	if bytes.Equal(data, orig) {
 		t.Fatal("scrambler did nothing")
 	}
-	b.Reset()
+	b.reset()
 	b.Apply(data)
 	if !bytes.Equal(data, orig) {
 		t.Fatal("descramble failed")
@@ -114,9 +114,9 @@ func TestScramblerIsSelfInverse(t *testing.T) {
 	// the same octets and leaves the same state behind.
 	for skip := 0; skip < 2*scramblerPeriod; skip += 5 {
 		for _, n := range []int{0, 1, 126, 127, 128, 1000} {
-			var viaNext, viaApply Scrambler
-			viaNext.Reset()
-			viaApply.Reset()
+			var viaNext, viaApply scrambler
+			viaNext.reset()
+			viaApply.reset()
 			for i := 0; i < skip; i++ {
 				viaNext.Next()
 				viaApply.Next()
@@ -132,7 +132,7 @@ func TestScramblerIsSelfInverse(t *testing.T) {
 			}
 		}
 	}
-	var unreset Scrambler // stuck at zero: Next yields zeros, Apply must too
+	var unreset scrambler // stuck at zero: Next yields zeros, Apply must too
 	unreset.Apply(data)
 	if !bytes.Equal(data, orig) || unreset.Next() != 0 {
 		t.Fatal("zero-state scrambler is not the identity")
@@ -141,8 +141,8 @@ func TestScramblerIsSelfInverse(t *testing.T) {
 
 func TestScramblerPeriod(t *testing.T) {
 	// x^7+x^6+1 is maximal length: period 127 bits.
-	var s Scrambler
-	s.Reset()
+	var s scrambler
+	s.reset()
 	first := make([]byte, 127)
 	for i := range first {
 		first[i] = s.Next()
@@ -164,7 +164,7 @@ func TestScramblerPeriod(t *testing.T) {
 	// it are the ones the Next-per-octet reference framer builds — two
 	// successive frames (the reset is per frame) at every level.
 	for _, level := range []Level{STM1, STM4, STM16, STM64} {
-		s.Reset()
+		s.reset()
 		want := make([]byte, level.FrameBytes()-level.sohBytes())
 		for i := range want {
 			want[i] = s.Next()
@@ -314,7 +314,7 @@ func TestDeframerRealignsAfterFrameLoss(t *testing.T) {
 	if df.Defects.Raises(DefOOF) == 0 {
 		t.Error("slip did not raise OOF")
 	}
-	if df.Defects.Has(DefOOF) {
+	if df.Defects.has(DefOOF) {
 		t.Error("OOF still active after recovery")
 	}
 }

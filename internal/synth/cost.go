@@ -18,8 +18,8 @@ type Cost struct {
 	Depth int
 }
 
-// Add sums areas and takes the maximum depth (parallel composition).
-func (c Cost) Add(o Cost) Cost {
+// add sums areas and takes the maximum depth (parallel composition).
+func (c Cost) add(o Cost) Cost {
 	d := c.Depth
 	if o.Depth > d {
 		d = o.Depth
@@ -27,18 +27,18 @@ func (c Cost) Add(o Cost) Cost {
 	return Cost{LUTs: c.LUTs + o.LUTs, FFs: c.FFs + o.FFs, Depth: d}
 }
 
-// Times replicates a cost n times in parallel.
-func (c Cost) Times(n int) Cost {
+// times replicates a cost n times in parallel.
+func (c Cost) times(n int) Cost {
 	return Cost{LUTs: c.LUTs * n, FFs: c.FFs * n, Depth: c.Depth}
 }
 
-// Register is n flip-flops.
-func Register(bits int) Cost { return Cost{FFs: bits} }
+// register is n flip-flops.
+func register(bits int) Cost { return Cost{FFs: bits} }
 
-// LUTTree is a single-output boolean function of k inputs mapped onto a
+// lutTree is a single-output boolean function of k inputs mapped onto a
 // tree of 4-input LUTs: each LUT absorbs 4 inputs and emits 1, so the
 // tree needs ceil((k-1)/3) LUTs at depth ceil(log4(k)).
-func LUTTree(k int) Cost {
+func lutTree(k int) Cost {
 	if k <= 1 {
 		return Cost{}
 	}
@@ -50,15 +50,15 @@ func LUTTree(k int) Cost {
 	return Cost{LUTs: luts, Depth: depth}
 }
 
-// EqConst compares a bits-wide value against a constant.
-func EqConst(bits int) Cost { return LUTTree(bits) }
+// eqConst compares a bits-wide value against a constant.
+func eqConst(bits int) Cost { return lutTree(bits) }
 
-// XORTree is a parity/XOR reduction of k inputs (CRC next-state bit).
-func XORTree(k int) Cost { return LUTTree(k) }
+// xorTree is a parity/XOR reduction of k inputs (CRC next-state bit).
+func xorTree(k int) Cost { return lutTree(k) }
 
-// Mux is an n-to-1 multiplexer of the given width: each output bit is a
+// mux is an n-to-1 multiplexer of the given width: each output bit is a
 // tree of 2:1 muxes (one LUT4 each), n-1 per bit, depth ceil(log2 n).
-func Mux(n, width int) Cost {
+func mux(n, width int) Cost {
 	if n <= 1 {
 		return Cost{}
 	}
@@ -69,21 +69,21 @@ func Mux(n, width int) Cost {
 	return Cost{LUTs: (n - 1) * width, Depth: depth}
 }
 
-// Counter is an n-bit synchronous counter (carry chain absorbed into
+// counter is an n-bit synchronous counter (carry chain absorbed into
 // one LUT per bit on Virtex-class parts).
-func Counter(bits int) Cost { return Cost{LUTs: bits, FFs: bits, Depth: 1} }
+func counter(bits int) Cost { return Cost{LUTs: bits, FFs: bits, Depth: 1} }
 
-// FSM estimates a one-hot finite state machine with the given number of
+// fsm estimates a one-hot finite state machine with the given number of
 // states and condition inputs.
-func FSM(states, inputs int) Cost {
-	next := LUTTree(inputs + 2).Times(states) // next-state logic per state bit
+func fsm(states, inputs int) Cost {
+	next := lutTree(inputs + 2).times(states) // next-state logic per state bit
 	next.FFs = states
 	return next
 }
 
-// PriorityEncoder finds the first set bit among n inputs, emitting a
+// priorityEncoder finds the first set bit among n inputs, emitting a
 // log2(n)-bit index — the "first offending lane" logic of the sorter.
-func PriorityEncoder(n int) Cost {
+func priorityEncoder(n int) Cost {
 	if n <= 1 {
 		return Cost{}
 	}
@@ -91,7 +91,7 @@ func PriorityEncoder(n int) Cost {
 	for v := n - 1; v > 0; v >>= 1 {
 		bits++
 	}
-	c := LUTTree(n).Times(bits)
+	c := lutTree(n).times(bits)
 	// Multi-output prefix logic is a level deeper than a single tree.
 	c.Depth = bits
 	return c

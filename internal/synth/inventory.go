@@ -12,7 +12,7 @@ type ModuleCost struct {
 	Cost Cost
 }
 
-// EscapeGenerate estimates the Escape Generate unit for a W-octet
+// escapeGenerate estimates the Escape Generate unit for a W-octet
 // datapath, mirroring the structure simulated in internal/p5:
 //
 //   - detect: two 8-bit equal-to-constant comparators per lane
@@ -26,31 +26,31 @@ type ModuleCost struct {
 //     combinational logic" the paper identifies as the area driver;
 //   - for W == 1 the whole unit is one comparator pair, an output
 //     2:1 multiplexer and a small hold FSM, the classic 8-bit design.
-func EscapeGenerate(w int) Cost {
-	detect := EqConst(8).Times(2 * w)
+func escapeGenerate(w int) Cost {
+	detect := eqConst(8).times(2 * w)
 	if w == 1 {
-		out := Mux(2, 8)            // data / escaped-data selection
-		ctl := FSM(3, 3)            // idle / escape-pending / stuffing
-		hold := LUTTree(4).Times(2) // handshake + hold-input gating
-		hs := Register(3)           // valid/ready handshake flops
-		c := detect.Add(out).Add(ctl.Add(hold)).Add(hs)
+		out := mux(2, 8)            // data / escaped-data selection
+		ctl := fsm(3, 3)            // idle / escape-pending / stuffing
+		hold := lutTree(4).times(2) // handshake + hold-input gating
+		hs := register(3)           // valid/ready handshake flops
+		c := detect.add(out).add(ctl.add(hold)).add(hs)
 		c.Depth = detect.Depth + out.Depth + 1 // compare → select → gate
 		return c
 	}
 	// Stage registers: input word + mask (stage A), expanded octets +
 	// count (stage B).
-	regs := Register(w*8 + w).Add(Register(2*w*8 + bits.Len(uint(2*w))))
+	regs := register(w*8 + w).add(register(2*w*8 + bits.Len(uint(2*w))))
 	// Expansion crossbar: 2W output octets, each choosing among the W
 	// lanes or the escape/XORed constants.
-	expand := Mux(w+1, 8).Times(2 * w)
+	expand := mux(w+1, 8).times(2 * w)
 	// Prefix-population count of the mask steers the crossbar.
-	steer := PriorityEncoder(w).Times(2)
+	steer := priorityEncoder(w).times(2)
 	// Merge/align: residue register plus the W-octet output crossbar
 	// over 2W candidate sources.
-	residue := Register((2*w - 1) * 8)
-	align := Mux(2*w, 8).Times(w)
-	ctl := FSM(4, 4).Add(Counter(bits.Len(uint(4 * w))).Times(2))
-	c := detect.Add(regs).Add(expand).Add(steer).Add(residue).Add(align).Add(ctl)
+	residue := register((2*w - 1) * 8)
+	align := mux(2*w, 8).times(w)
+	ctl := fsm(4, 4).add(counter(bits.Len(uint(4 * w))).times(2))
+	c := detect.add(regs).add(expand).add(steer).add(residue).add(align).add(ctl)
 	// The unit is pipelined, so its critical path is the worst single
 	// stage, not the sum: the expand stage chains the mask steering
 	// into the crossbar selects plus the register-enable gating —
@@ -71,25 +71,25 @@ func maxInt(vs ...int) int {
 	return m
 }
 
-// EscapeDetect estimates the receive-side unit; structurally the mirror
+// escapeDetect estimates the receive-side unit; structurally the mirror
 // image (deletion instead of insertion), with the same sorter skeleton.
-func EscapeDetect(w int) Cost {
-	detect := EqConst(8).Times(w) // only the escape octet is hunted here
+func escapeDetect(w int) Cost {
+	detect := eqConst(8).times(w) // only the escape octet is hunted here
 	if w == 1 {
-		out := Mux(2, 8) // pass / XOR-restored
-		ctl := FSM(3, 3)
-		hs := Register(3)
-		c := detect.Add(out).Add(ctl).Add(hs)
+		out := mux(2, 8) // pass / XOR-restored
+		ctl := fsm(3, 3)
+		hs := register(3)
+		c := detect.add(out).add(ctl).add(hs)
 		c.Depth = detect.Depth + out.Depth + 1
 		return c
 	}
-	regs := Register(w*8 + w).Add(Register(w*8 + bits.Len(uint(w))))
-	compact := Mux(w, 8).Times(w) // bubble-collapse crossbar
-	steer := PriorityEncoder(w).Times(2)
-	residue := Register((2*w - 1) * 8)
-	align := Mux(2*w, 8).Times(w)
-	ctl := FSM(4, 4).Add(Counter(bits.Len(uint(4 * w))).Times(2))
-	c := detect.Add(regs).Add(compact).Add(steer).Add(residue).Add(align).Add(ctl)
+	regs := register(w*8 + w).add(register(w*8 + bits.Len(uint(w))))
+	compact := mux(w, 8).times(w) // bubble-collapse crossbar
+	steer := priorityEncoder(w).times(2)
+	residue := register((2*w - 1) * 8)
+	align := mux(2*w, 8).times(w)
+	ctl := fsm(4, 4).add(counter(bits.Len(uint(4 * w))).times(2))
+	c := detect.add(regs).add(compact).add(steer).add(residue).add(align).add(ctl)
 	c.Depth = maxInt(detect.Depth+1,
 		steer.Depth+compact.Depth+1,
 		align.Depth+2)
@@ -116,55 +116,55 @@ func crcMatrixCost(w int) Cost {
 	var c Cost
 	for r := 0; r < 32; r++ {
 		fanin := bits.OnesCount64(ms.Row(r)) + bits.OnesCount64(md.Row(r))
-		c = c.Add(XORTree(fanin)) // LUTs accumulate; depth takes the max row
+		c = c.add(xorTree(fanin)) // LUTs accumulate; depth takes the max row
 	}
 	return c
 }
 
-// FramerControl estimates the transmitter control unit: header
+// framerControl estimates the transmitter control unit: header
 // insertion multiplexers, length counters, and the framing FSM driven
 // by OAM commands.
-func FramerControl(w int) Cost {
-	hdr := Mux(3, 8).Times(w)   // header byte / payload / idle per lane
-	cnt := Counter(16).Times(2) // offset and length
-	ctl := FSM(5, 5)            // idle/header/payload/close/stall
-	c := hdr.Add(cnt).Add(ctl)
+func framerControl(w int) Cost {
+	hdr := mux(3, 8).times(w)   // header byte / payload / idle per lane
+	cnt := counter(16).times(2) // offset and length
+	ctl := fsm(5, 5)            // idle/header/payload/close/stall
+	c := hdr.add(cnt).add(ctl)
 	c.Depth = ctl.Depth + hdr.Depth
 	return c
 }
 
-// RxControlUnit estimates the receiver control unit: frame assembly
+// rxControlUnit estimates the receiver control unit: frame assembly
 // pointers, address/length policing comparators, status generation.
-func RxControlUnit(w int) Cost {
-	police := EqConst(8).Times(2).Add(LUTTree(16)) // address ×2 + MRU compare
-	cnt := Counter(16).Times(2)
-	ctl := FSM(5, 5)
-	c := police.Add(cnt).Add(ctl)
+func rxControlUnit(w int) Cost {
+	police := eqConst(8).times(2).add(lutTree(16)) // address ×2 + MRU compare
+	cnt := counter(16).times(2)
+	ctl := fsm(5, 5)
+	c := police.add(cnt).add(ctl)
 	c.Depth = ctl.Depth + police.Depth
 	return c
 }
 
-// OAMBlock estimates the Protocol OAM: configuration registers, the
+// oamBlock estimates the Protocol OAM: configuration registers, the
 // interrupt cell, the host bus decoder, and the status counters.
-func OAMBlock() Cost {
-	cfg := Register(32 + 8 + 8 + 32 + 3 + 16) // ctrl/addr/control/accm/fcs/mru
-	ints := Register(8 + 8).Add(LUTTree(8))   // status+mask+reduce
-	dec := LUTTree(6).Times(16)               // address decode for 16 registers
-	counters := Counter(16).Times(8)          // rolling status counters
-	return cfg.Add(ints).Add(dec).Add(counters)
+func oamBlock() Cost {
+	cfg := register(32 + 8 + 8 + 32 + 3 + 16) // ctrl/addr/control/accm/fcs/mru
+	ints := register(8 + 8).add(lutTree(8))   // status+mask+reduce
+	dec := lutTree(6).times(16)               // address decode for 16 registers
+	counters := counter(16).times(8)          // rolling status counters
+	return cfg.add(ints).add(dec).add(counters)
 }
 
 // Inventory lists every block of a width-w P5 (w octets per clock: 1 =
 // the paper's 8-bit system, 4 = the 32-bit system).
 func Inventory(w int) []ModuleCost {
 	return []ModuleCost{
-		{"escape-generate", EscapeGenerate(w)},
-		{"escape-detect", EscapeDetect(w)},
+		{"escape-generate", escapeGenerate(w)},
+		{"escape-detect", escapeDetect(w)},
 		{"tx-crc", CRCUnit(w, crc.FCS32Mode)},
 		{"rx-crc", CRCUnit(w, crc.FCS32Mode)},
-		{"tx-control", FramerControl(w)},
-		{"rx-control", RxControlUnit(w)},
-		{"protocol-oam", OAMBlock()},
+		{"tx-control", framerControl(w)},
+		{"rx-control", rxControlUnit(w)},
+		{"protocol-oam", oamBlock()},
 	}
 }
 
@@ -172,21 +172,21 @@ func Inventory(w int) []ModuleCost {
 func Total(inv []ModuleCost) Cost {
 	var c Cost
 	for _, m := range inv {
-		c = c.Add(m.Cost)
+		c = c.add(m.Cost)
 	}
 	return c
 }
 
-// DatapathTotal sums an inventory excluding the Protocol OAM — the
+// datapathTotal sums an inventory excluding the Protocol OAM — the
 // paper's stated focus ("the main focus of this paper is on the
 // data-path implementation").
-func DatapathTotal(inv []ModuleCost) Cost {
+func datapathTotal(inv []ModuleCost) Cost {
 	var c Cost
 	for _, m := range inv {
 		if m.Name == "protocol-oam" {
 			continue
 		}
-		c = c.Add(m.Cost)
+		c = c.add(m.Cost)
 	}
 	return c
 }
@@ -201,7 +201,7 @@ func CoreTotal(inv []ModuleCost) Cost {
 	for _, m := range inv {
 		switch m.Name {
 		case "escape-generate", "escape-detect", "tx-crc", "rx-crc":
-			c = c.Add(m.Cost)
+			c = c.add(m.Cost)
 		}
 	}
 	return c

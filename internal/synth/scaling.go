@@ -32,7 +32,7 @@ func ScalingTable() []ScalingRow {
 			FMaxPost:  fmax,
 			LineGbps:  gbps,
 			MeetsSTM:  highestSTM(gbps),
-			EscapeLUT: EscapeGenerate(w).LUTs,
+			EscapeLUT: escapeGenerate(w).LUTs,
 		})
 	}
 	return rows

@@ -31,9 +31,9 @@ func SystemTable(w int, devices ...Device) []SystemRow {
 		rows = append(rows, SystemRow{
 			Device:     d,
 			LUTs:       tot.LUTs,
-			LUTPct:     UtilPct(tot.LUTs, d.LUTs),
+			LUTPct:     utilPct(tot.LUTs, d.LUTs),
 			FFs:        tot.FFs,
-			FFPct:      UtilPct(tot.FFs, d.FFs),
+			FFPct:      utilPct(tot.FFs, d.FFs),
 			FMaxPre:    pre,
 			FMaxPost:   post,
 			MeetsRate:  post >= RequiredMHz,
@@ -59,14 +59,14 @@ type ModuleRow struct {
 func EscapeGenerateTable(d Device) []ModuleRow {
 	var rows []ModuleRow
 	for _, w := range []int{4, 1} {
-		c := EscapeGenerate(w)
+		c := escapeGenerate(w)
 		rows = append(rows, ModuleRow{
 			Name:   fmt.Sprintf("escape-generate %d-bit", w*8),
 			Width:  w,
 			LUTs:   c.LUTs,
-			LUTPct: UtilPct(c.LUTs, d.LUTs),
+			LUTPct: utilPct(c.LUTs, d.LUTs),
 			FFs:    c.FFs,
-			FFPct:  UtilPct(c.FFs, d.FFs),
+			FFPct:  utilPct(c.FFs, d.FFs),
 		})
 	}
 	return rows
@@ -84,8 +84,8 @@ type Ratios struct {
 func ComputeRatios() Ratios {
 	i8, i32 := Inventory(1), Inventory(4)
 	t8, t32 := Total(i8), Total(i32)
-	d8, d32 := DatapathTotal(i8), DatapathTotal(i32)
-	e8, e32 := EscapeGenerate(1), EscapeGenerate(4)
+	d8, d32 := datapathTotal(i8), datapathTotal(i32)
+	e8, e32 := escapeGenerate(1), escapeGenerate(4)
 	div := func(a, b int) float64 {
 		if b == 0 {
 			return 0

@@ -62,8 +62,8 @@ var (
 	XC2V1000 = Device{Name: "XC2V1000-6", LUTs: 10240, FFs: 10240, Tech: VirtexII}
 )
 
-// UtilPct returns n as a percentage of cap.
-func UtilPct(n, cap int) float64 {
+// utilPct returns n as a percentage of cap.
+func utilPct(n, cap int) float64 {
 	if cap == 0 {
 		return 0
 	}

@@ -81,7 +81,7 @@ samples:
 		les = append(les, le)
 	}
 	sort.Float64s(les)
-	// De-cumulate into the bounds/counts shape QuantileFromBuckets
+	// De-cumulate into the bounds/counts shape quantileFromBuckets
 	// expects: finite bounds plus one overflow slot (+Inf).
 	var bounds []int64
 	var counts []uint64
@@ -105,5 +105,5 @@ samples:
 	if len(bounds) == 0 {
 		return 0, false
 	}
-	return QuantileFromBuckets(bounds, counts, q), true
+	return quantileFromBuckets(bounds, counts, q), true
 }

@@ -28,17 +28,17 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			fmt.Fprintf(bw, "# TYPE %s %s\n", m.name, m.kind)
 		}
 		switch m.kind {
-		case KindCounter:
+		case kindCounter:
 			fmt.Fprintf(bw, "%s %d\n", m.series(), m.counter.Value())
-		case KindGauge:
+		case kindGauge:
 			if m.fn != nil {
 				fmt.Fprintf(bw, "%s %s\n", m.series(), formatFloat(m.fn()))
 			} else {
-				fmt.Fprintf(bw, "%s %d\n", m.series(), m.gauge.Value())
+				fmt.Fprintf(bw, "%s %d\n", m.series(), m.gauge.value())
 			}
-		case KindHistogram:
+		case kindHistogram:
 			cum := uint64(0)
-			counts := m.hist.BucketCounts()
+			counts := m.hist.bucketCounts()
 			for i, b := range m.hist.bounds {
 				cum += counts[i]
 				lbl := append(append([]Label(nil), m.labels...), L("le", fmt.Sprint(b)))
@@ -47,7 +47,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			cum += counts[len(counts)-1]
 			lbl := append(append([]Label(nil), m.labels...), L("le", "+Inf"))
 			fmt.Fprintf(bw, "%s %d\n", seriesName(m.name+"_bucket", lbl), cum)
-			fmt.Fprintf(bw, "%s %d\n", seriesName(m.name+"_sum", m.labels), m.hist.Sum())
+			fmt.Fprintf(bw, "%s %d\n", seriesName(m.name+"_sum", m.labels), m.hist.total())
 			fmt.Fprintf(bw, "%s %d\n", seriesName(m.name+"_count", m.labels), m.hist.Count())
 		}
 	}

@@ -23,29 +23,29 @@ import (
 	"time"
 )
 
-// Kind classifies a metric for exposition and delta semantics.
-type Kind uint8
+// kind classifies a metric for exposition and delta semantics.
+type kind uint8
 
 // The metric kinds.
 const (
-	// KindCounter is a monotonically increasing value; Snapshot.Delta
-	// subtracts counters.
-	KindCounter Kind = iota
-	// KindGauge is an instantaneous value; Snapshot.Delta keeps the
+	// kindCounter is a monotonically increasing value; a delta between
+	// two snapshots subtracts counters.
+	kindCounter kind = iota
+	// kindGauge is an instantaneous value; a delta keeps the
 	// newer value.
-	KindGauge
-	// KindHistogram is a fixed-bucket distribution; it flattens into
+	kindGauge
+	// kindHistogram is a fixed-bucket distribution; it flattens into
 	// _bucket/_sum/_count counter samples.
-	KindHistogram
+	kindHistogram
 )
 
-func (k Kind) String() string {
+func (k kind) String() string {
 	switch k {
-	case KindCounter:
+	case kindCounter:
 		return "counter"
-	case KindGauge:
+	case kindGauge:
 		return "gauge"
-	case KindHistogram:
+	case kindHistogram:
 		return "histogram"
 	}
 	return "unknown"
@@ -85,11 +85,8 @@ type Gauge struct{ v atomic.Int64 }
 // Set stores v.
 func (g *Gauge) Set(v int64) { g.v.Store(v) }
 
-// Add adds d (may be negative).
-func (g *Gauge) Add(d int64) { g.v.Add(d) }
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
+// value returns the current value.
+func (g *Gauge) value() int64 { return g.v.Load() }
 
 // Histogram is a fixed-bucket distribution over int64 observations
 // (cycles, octets, virtual time units). Buckets are cumulative on
@@ -124,12 +121,12 @@ func (h *Histogram) Observe(v int64) {
 // Count returns the number of observations.
 func (h *Histogram) Count() uint64 { return h.count.Load() }
 
-// Sum returns the sum of observed values.
-func (h *Histogram) Sum() int64 { return h.sum.Load() }
+// total returns the sum of observed values.
+func (h *Histogram) total() int64 { return h.sum.Load() }
 
-// BucketCounts returns the per-bucket (non-cumulative) counts; the last
+// bucketCounts returns the per-bucket (non-cumulative) counts; the last
 // entry is the overflow (+Inf) bucket.
-func (h *Histogram) BucketCounts() []uint64 {
+func (h *Histogram) bucketCounts() []uint64 {
 	out := make([]uint64, len(h.counts))
 	for i := range h.counts {
 		out[i] = h.counts[i].Load()
@@ -151,14 +148,14 @@ func (h *Histogram) Quantile(q float64) int64 {
 	for i := range h.counts {
 		counts = append(counts, h.counts[i].Load())
 	}
-	return QuantileFromBuckets(h.bounds, counts, q)
+	return quantileFromBuckets(h.bounds, counts, q)
 }
 
-// QuantileFromBuckets is Histogram.Quantile over externally captured
+// quantileFromBuckets is Histogram.Quantile over externally captured
 // bucket counts (len(counts) == len(bounds)+1, last entry the +Inf
 // overflow bucket), so scraped or snapshotted histograms can be
 // summarised with the same clamping rules.
-func QuantileFromBuckets(bounds []int64, counts []uint64, q float64) int64 {
+func quantileFromBuckets(bounds []int64, counts []uint64, q float64) int64 {
 	if len(bounds) == 0 || len(counts) != len(bounds)+1 {
 		return 0
 	}
@@ -198,7 +195,7 @@ type metric struct {
 	name   string // sanitized family name
 	help   string
 	labels []Label
-	kind   Kind
+	kind   kind
 
 	counter *Counter
 	gauge   *Gauge
@@ -284,7 +281,7 @@ func NewRegistry() *Registry {
 // fill gives a new metric its value inside the critical section: a
 // metric is never visible — to a second registrant or to a scrape —
 // before it has one, and is not written again once it is.
-func (r *Registry) register(name, help string, kind Kind, labels []Label, fill func(*metric)) *metric {
+func (r *Registry) register(name, help string, kind kind, labels []Label, fill func(*metric)) *metric {
 	name = sanitizeName(name)
 	key := seriesName(name, labels)
 	r.mu.Lock()
@@ -305,13 +302,13 @@ func (r *Registry) register(name, help string, kind Kind, labels []Label, fill f
 // Counter returns the registered counter for name+labels, creating it
 // if needed.
 func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
-	return r.register(name, help, KindCounter, labels, func(m *metric) { m.counter = &Counter{} }).counter
+	return r.register(name, help, kindCounter, labels, func(m *metric) { m.counter = &Counter{} }).counter
 }
 
 // Gauge returns the registered gauge for name+labels, creating it if
 // needed.
 func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	m := r.register(name, help, KindGauge, labels, func(m *metric) { m.gauge = &Gauge{} })
+	m := r.register(name, help, kindGauge, labels, func(m *metric) { m.gauge = &Gauge{} })
 	if m.gauge == nil {
 		panic(fmt.Sprintf("telemetry: %s re-registered as a gauge (was a gauge func)", m.series()))
 	}
@@ -322,13 +319,13 @@ func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 // exposition time. fn must be safe for concurrent calls. Asking again
 // for the same series keeps the first function.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Label) {
-	r.register(name, help, KindGauge, labels, func(m *metric) { m.fn = fn })
+	r.register(name, help, kindGauge, labels, func(m *metric) { m.fn = fn })
 }
 
 // Histogram returns the registered histogram for name+labels, creating
 // it with the given inclusive upper bounds if needed.
 func (r *Registry) Histogram(name, help string, bounds []int64, labels ...Label) *Histogram {
-	return r.register(name, help, KindHistogram, labels, func(m *metric) { m.hist = NewHistogram(bounds) }).hist
+	return r.register(name, help, kindHistogram, labels, func(m *metric) { m.hist = NewHistogram(bounds) }).hist
 }
 
 // AttachHistogram adopts an externally created histogram into the
@@ -336,7 +333,7 @@ func (r *Registry) Histogram(name, help string, bounds []int64, labels ...Label)
 // (the transport latency meter) expose them without copying. Asking
 // again for the same series keeps the first attached histogram.
 func (r *Registry) AttachHistogram(name, help string, h *Histogram, labels ...Label) {
-	r.register(name, help, KindHistogram, labels, func(m *metric) { m.hist = h })
+	r.register(name, help, kindHistogram, labels, func(m *metric) { m.hist = h })
 }
 
 // AddSampler registers fn to run at the start of every Snapshot and
@@ -365,7 +362,7 @@ type Sample struct {
 	// Series is the full series identity (name plus label block).
 	Series string
 	// Kind is the delta semantic: counters subtract, gauges keep.
-	Kind Kind
+	Kind kind
 	// Value is the sampled value.
 	Value float64
 }
@@ -393,29 +390,29 @@ func (r *Registry) Snapshot(name string) Snapshot {
 	s := Snapshot{Name: name, At: time.Now()}
 	for _, m := range metrics {
 		switch m.kind {
-		case KindCounter:
-			s.samples = append(s.samples, Sample{m.series(), KindCounter, float64(m.counter.Value())})
-		case KindGauge:
+		case kindCounter:
+			s.samples = append(s.samples, Sample{m.series(), kindCounter, float64(m.counter.Value())})
+		case kindGauge:
 			v := 0.0
 			if m.fn != nil {
 				v = m.fn()
 			} else {
-				v = float64(m.gauge.Value())
+				v = float64(m.gauge.value())
 			}
-			s.samples = append(s.samples, Sample{m.series(), KindGauge, v})
-		case KindHistogram:
+			s.samples = append(s.samples, Sample{m.series(), kindGauge, v})
+		case kindHistogram:
 			cum := uint64(0)
-			counts := m.hist.BucketCounts()
+			counts := m.hist.bucketCounts()
 			for i, b := range m.hist.bounds {
 				cum += counts[i]
 				lbl := append(append([]Label(nil), m.labels...), L("le", fmt.Sprint(b)))
-				s.samples = append(s.samples, Sample{seriesName(m.name+"_bucket", lbl), KindCounter, float64(cum)})
+				s.samples = append(s.samples, Sample{seriesName(m.name+"_bucket", lbl), kindCounter, float64(cum)})
 			}
 			cum += counts[len(counts)-1]
 			lbl := append(append([]Label(nil), m.labels...), L("le", "+Inf"))
-			s.samples = append(s.samples, Sample{seriesName(m.name+"_bucket", lbl), KindCounter, float64(cum)})
-			s.samples = append(s.samples, Sample{seriesName(m.name+"_sum", m.labels), KindCounter, float64(m.hist.Sum())})
-			s.samples = append(s.samples, Sample{seriesName(m.name+"_count", m.labels), KindCounter, float64(m.hist.Count())})
+			s.samples = append(s.samples, Sample{seriesName(m.name+"_bucket", lbl), kindCounter, float64(cum)})
+			s.samples = append(s.samples, Sample{seriesName(m.name+"_sum", m.labels), kindCounter, float64(m.hist.total())})
+			s.samples = append(s.samples, Sample{seriesName(m.name+"_count", m.labels), kindCounter, float64(m.hist.Count())})
 		}
 	}
 	sort.Slice(s.samples, func(i, j int) bool { return s.samples[i].Series < s.samples[j].Series })
@@ -443,44 +440,4 @@ func (s Snapshot) Get(series string) (float64, bool) {
 		return 0, false
 	}
 	return s.samples[i].Value, true
-}
-
-// Delta returns the change from prev to s: counter samples are
-// subtracted (series missing from prev keep their value; a counter that
-// went backwards — a reset — reports its new value), gauge samples keep
-// the newer value. The result carries s's name and timestamp.
-func (s Snapshot) Delta(prev Snapshot) Snapshot {
-	d := Snapshot{Name: s.Name, At: s.At}
-	d.samples = make([]Sample, 0, len(s.samples))
-	for _, smp := range s.samples {
-		if smp.Kind == KindCounter {
-			if old, ok := prev.Get(smp.Series); ok && old <= smp.Value {
-				smp.Value -= old
-			}
-		}
-		d.samples = append(d.samples, smp)
-	}
-	d.reindex()
-	return d
-}
-
-// Seconds returns the wall-clock span from prev to s, for turning a
-// delta into a rate.
-func (s Snapshot) Seconds(prev Snapshot) float64 {
-	return s.At.Sub(prev.At).Seconds()
-}
-
-// Rate returns a counter series' per-second rate over the span from
-// prev to s, or 0 when the span is empty or the series unknown.
-func (s Snapshot) Rate(prev Snapshot, series string) float64 {
-	secs := s.Seconds(prev)
-	if secs <= 0 {
-		return 0
-	}
-	cur, ok1 := s.Get(series)
-	old, ok2 := prev.Get(series)
-	if !ok1 || !ok2 || cur < old {
-		return 0
-	}
-	return (cur - old) / secs
 }

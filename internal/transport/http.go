@@ -106,8 +106,8 @@ type StatusDoc struct {
 	Transports []TransportStatus `json:"transports"`
 }
 
-// Status assembles the current status document.
-func (b *StatusBoard) Status() StatusDoc {
+// status assembles the current status document.
+func (b *StatusBoard) status() StatusDoc {
 	b.mu.Lock()
 	info := b.info
 	start := b.start
@@ -141,7 +141,7 @@ func (b *StatusBoard) Status() StatusDoc {
 // and /status (the JSON document) onto mux.
 func (b *StatusBoard) Mount(mux *http.ServeMux) {
 	mux.HandleFunc("/health", func(w http.ResponseWriter, r *http.Request) {
-		doc := b.Status()
+		doc := b.status()
 		w.Header().Set("Content-Type", "application/json")
 		if !doc.Healthy {
 			w.WriteHeader(http.StatusServiceUnavailable)
@@ -152,6 +152,6 @@ func (b *StatusBoard) Mount(mux *http.ServeMux) {
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		enc.Encode(b.Status())
+		enc.Encode(b.status())
 	})
 }

@@ -52,7 +52,7 @@ type session struct {
 	// ctl is where probe, reply and freeze records are built, so the
 	// control exchange never allocates. A record returned from it is
 	// valid until the next one is built (write or copy it under mu).
-	ctl [HeaderLen + 64]byte
+	ctl [headerLen + 64]byte
 }
 
 // sendQueueLimit bounds the send queue in records; when full the
@@ -84,7 +84,7 @@ func (s *session) stampDue() bool { return s.lm.stampWall(s.seq + 1) }
 func (s *session) queueData(p []byte, wall int64) []byte {
 	n := min(len(p), maxChunk)
 	s.seq++
-	buf := AppendHeader(s.sq.get(), TypeData, n, s.epoch, s.seq, s.tickNow, wall)
+	buf := appendHeader(s.sq.get(), typeData, n, s.epoch, s.seq, s.tickNow, wall)
 	s.sq.push(append(buf, p[:n]...))
 	return p[n:]
 }
@@ -118,7 +118,7 @@ const (
 // receive classifies one record. h, payload and derr are the decoder's
 // results (DecodeDatagram, or DecodeHeader plus the payload read off
 // the stream); rxWall is the local wall clock when the record arrived.
-func (s *session) receive(h Header, payload []byte, derr error, rxWall int64) (rxKind, peerEvent) {
+func (s *session) receive(h header, payload []byte, derr error, rxWall int64) (rxKind, peerEvent) {
 	if s.muted {
 		// The line is cut: what arrives anyway is lost in the dark
 		// window, invisible even to liveness accounting.
@@ -129,7 +129,7 @@ func (s *session) receive(h Header, payload []byte, derr error, rxWall int64) (r
 		// A version-skewed peer fails here on every record and never
 		// marks the line alive — keepalive supervision reports it dead,
 		// RxBadVersion names the cause.
-		if derr == ErrBadVersion {
+		if derr == errBadVersion {
 			s.st.RxBadVersion++
 		}
 		s.st.RxDropped++
@@ -148,18 +148,18 @@ func (s *session) receive(h Header, payload []byte, derr error, rxWall int64) (r
 	}
 	s.lm.noteTick(h.Tick, s.tickNow)
 	switch h.Type {
-	case TypeKeepalive:
+	case typeKeepalive:
 		if h.Wall != 0 {
 			return rxProbe, peer
 		}
 		return rxControl, peer
-	case TypeKeepaliveReply:
-		if t1, t2, t3, err := DecodeKeepaliveReply(payload); err == nil {
+	case typeKeepaliveReply:
+		if t1, t2, t3, err := decodeKeepaliveReply(payload); err == nil {
 			s.lm.noteReply(t1, t2, t3, rxWall)
 		}
 		return rxControl, peer
-	case TypeFreeze:
-		if inc, trigTick, trigWall, reason, err := DecodeFreeze(payload); err == nil {
+	case typeFreeze:
+		if inc, trigTick, trigWall, reason, err := decodeFreeze(payload); err == nil {
 			s.fz.note(FreezeInfo{Incident: inc, Reason: reason, Tick: trigTick, WallNs: trigWall})
 		}
 		return rxControl, peer
@@ -184,8 +184,8 @@ func (s *session) receive(h Header, payload []byte, derr error, rxWall int64) (r
 // from the probe's wall stamp, t2 the local receive clock, t3 the
 // local transmit clock.
 func (s *session) reply(t1, t2, t3 int64) []byte {
-	b := AppendHeader(s.ctl[:0], TypeKeepaliveReply, KeepaliveReplyLen, s.epoch, s.seq, s.tickNow, 0)
-	return AppendKeepaliveReplyPayload(b, t1, t2, t3)
+	b := appendHeader(s.ctl[:0], typeKeepaliveReply, keepaliveReplyLen, s.epoch, s.seq, s.tickNow, 0)
+	return appendKeepaliveReplyPayload(b, t1, t2, t3)
 }
 
 // keepalive runs the period clock at tick now. probe reports a period
@@ -232,7 +232,7 @@ func (s *session) revive() {
 // probe builds a keepalive probe; wall is the NTP t1 origin stamp.
 func (s *session) probe(now, wall int64) []byte {
 	s.st.KeepaliveProbes++
-	return AppendHeader(s.ctl[:0], TypeKeepalive, 0, s.epoch, s.seq, now, wall)
+	return appendHeader(s.ctl[:0], typeKeepalive, 0, s.epoch, s.seq, now, wall)
 }
 
 // dueFreeze builds the record of one pending freeze due at tick now,
@@ -245,9 +245,9 @@ func (s *session) dueFreeze(now int64, lineOK bool) []byte {
 	if fi == nil {
 		return nil
 	}
-	payload := AppendFreezePayload(s.ctl[HeaderLen:HeaderLen], fi.Incident, fi.Tick, fi.WallNs, fi.Reason)
-	AppendHeader(s.ctl[:0], TypeFreeze, len(payload), s.epoch, s.seq, now, 0)
-	return s.ctl[:HeaderLen+len(payload)]
+	payload := appendFreezePayload(s.ctl[headerLen:headerLen], fi.Incident, fi.Tick, fi.WallNs, fi.Reason)
+	appendHeader(s.ctl[:0], typeFreeze, len(payload), s.epoch, s.seq, now, 0)
+	return s.ctl[:headerLen+len(payload)]
 }
 
 // Recv appends the record payloads received since the previous Recv.

@@ -19,13 +19,13 @@ func bareSession(cfg Config) *session {
 
 // record builds one wire record the way a peer would.
 func record(typ byte, epoch uint32, seq uint64, tick, wall int64, payload []byte) []byte {
-	return append(AppendHeader(nil, typ, len(payload), epoch, seq, tick, wall), payload...)
+	return append(appendHeader(nil, typ, len(payload), epoch, seq, tick, wall), payload...)
 }
 
 // feed decodes rec as the UDP reader does and hands the result to the
 // session.
 func feed(s *session, rec []byte, rxWall int64) (rxKind, peerEvent) {
-	h, payload, derr := DecodeDatagram(rec)
+	h, payload, derr := decodeDatagram(rec)
 	return s.receive(h, payload, derr, rxWall)
 }
 
@@ -52,7 +52,7 @@ func TestSessionKeepaliveDeadPeer(t *testing.T) {
 		return
 	}
 
-	if kind, ev := feed(s, record(TypeData, 9, 1, 0, 0, []byte("hello")), 0); kind != rxData || ev != peerFirst {
+	if kind, ev := feed(s, record(typeData, 9, 1, 0, 0, []byte("hello")), 0); kind != rxData || ev != peerFirst {
 		t.Fatalf("first record: kind=%d ev=%d", kind, ev)
 	}
 	if !s.alive {
@@ -72,7 +72,7 @@ func TestSessionKeepaliveDeadPeer(t *testing.T) {
 	}
 
 	// Traffic resumes: alive at once, and the miss run starts over.
-	feed(s, record(TypeData, 9, 2, 0, 0, []byte("again")), 0)
+	feed(s, record(typeData, 9, 2, 0, 0, []byte("again")), 0)
 	if !s.alive {
 		t.Fatal("not alive after traffic resumed")
 	}
@@ -109,7 +109,7 @@ func TestSessionSeqDedup(t *testing.T) {
 		seq uint64
 		p   string
 	}{{1, "s1"}, {2, "s2"}, {2, "s2-dup"}, {4, "s4"}, {3, "s3-stale"}, {5, "s5"}} {
-		if kind, _ := feed(s, record(TypeData, epoch, m.seq, 0, 0, []byte(m.p)), 0); kind != wantKind[i] {
+		if kind, _ := feed(s, record(typeData, epoch, m.seq, 0, 0, []byte(m.p)), 0); kind != wantKind[i] {
 			t.Fatalf("record %d (seq %d): kind %d, want %d", i, m.seq, kind, wantKind[i])
 		}
 	}
@@ -132,7 +132,7 @@ func TestSessionSeqDedup(t *testing.T) {
 // TestUDPBadVersionRejected.
 func TestSessionBadVersionRejected(t *testing.T) {
 	s := bareSession(Config{})
-	rec := record(TypeData, 1, 1, 0, 0, []byte("hi"))
+	rec := record(typeData, 1, 1, 0, 0, []byte("hi"))
 	rec[4] = 1 // the v1 header a stale peer would send
 	if kind, ev := feed(s, rec, 0); kind != rxDropped || ev != peerSame {
 		t.Fatalf("skewed record: kind=%d ev=%d", kind, ev)
@@ -153,7 +153,7 @@ func TestSessionBadVersionRejected(t *testing.T) {
 func TestSessionSteadyStateZeroAlloc(t *testing.T) {
 	s := bareSession(Config{KeepalivePeriod: 1, KeepaliveMisses: 1 << 20})
 	payload := bytes.Repeat([]byte{0x7E}, 1500)
-	in := record(TypeData, 7, 0, 0, 1, payload)
+	in := record(typeData, 7, 0, 0, 1, payload)
 	var sent, rcvd [][]byte
 	now, seq := int64(0), uint64(0)
 	round := func() {
@@ -208,7 +208,7 @@ func recordOp(ver, typ byte, epoch uint32, seq uint64, tick, wall, rxWall int64,
 
 // dataOp is the common case of recordOp: a well-formed v2 data record.
 func dataOp(epoch uint32, seq uint64, payload string) []byte {
-	return recordOp(WireVersion, TypeData, epoch, seq, 0, 0, 0, len(payload), []byte(payload))
+	return recordOp(WireVersion, typeData, epoch, seq, 0, 0, 0, len(payload), []byte(payload))
 }
 
 func ops(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
@@ -234,23 +234,23 @@ func FuzzSessionRecords(f *testing.F) {
 	// Crossed freeze pings: both ends raise incident 7, the peer's
 	// arrives twice (a retransmission), then a new incident.
 	freeze := func(incident uint64) []byte {
-		p := AppendFreezePayload(nil, incident, 41, 1234, "transport-los")
-		return recordOp(WireVersion, TypeFreeze, 5, 0, 0, 0, 0, len(p), p)
+		p := appendFreezePayload(nil, incident, 41, 1234, "transport-los")
+		return recordOp(WireVersion, typeFreeze, 5, 0, 0, 0, 0, len(p), p)
 	}
 	f.Add(ops(dataOp(5, 1, "up"), []byte{opSendFreeze, 7}, freeze(7), []byte{opTick, 3}, freeze(7),
 		freeze(8), []byte{opTick, 9}, []byte{opRecv}))
 	// An NTP triple with t2 < t1 and stamps at the int64 limits, a probe
 	// and a stamped data record at the limits too.
-	ntp := AppendKeepaliveReplyPayload(nil, math.MaxInt64, math.MinInt64, 0)
-	f.Add(ops(recordOp(WireVersion, TypeKeepaliveReply, 6, 0, math.MinInt64, 0, math.MinInt64, len(ntp), ntp),
-		recordOp(WireVersion, TypeKeepalive, 6, 0, math.MaxInt64, math.MinInt64, math.MaxInt64, 0, nil),
-		recordOp(WireVersion, TypeData, 6, 1, 0, math.MinInt64, math.MaxInt64, 2, []byte("ow")),
-		recordOp(WireVersion, TypeData, 6, 2, 0, math.MaxInt64, math.MinInt64, 2, []byte("ow")), []byte{opRecv}))
+	ntp := appendKeepaliveReplyPayload(nil, math.MaxInt64, math.MinInt64, 0)
+	f.Add(ops(recordOp(WireVersion, typeKeepaliveReply, 6, 0, math.MinInt64, 0, math.MinInt64, len(ntp), ntp),
+		recordOp(WireVersion, typeKeepalive, 6, 0, math.MaxInt64, math.MinInt64, math.MaxInt64, 0, nil),
+		recordOp(WireVersion, typeData, 6, 1, 0, math.MinInt64, math.MaxInt64, 2, []byte("ow")),
+		recordOp(WireVersion, typeData, 6, 2, 0, math.MaxInt64, math.MinInt64, 2, []byte("ow")), []byte{opRecv}))
 	// A v1 header between v2 records, a bad type, a short payload, and a
 	// muted stretch.
-	f.Add(ops(dataOp(4, 1, "v2"), recordOp(1, TypeData, 4, 2, 0, 0, 0, 2, []byte("v1")), dataOp(4, 3, "v2"),
-		recordOp(WireVersion, TypeFreeze+1, 4, 4, 0, 0, 0, 0, nil),
-		recordOp(WireVersion, TypeData, 4, 5, 0, 0, 0, 9, []byte("short")),
+	f.Add(ops(dataOp(4, 1, "v2"), recordOp(1, typeData, 4, 2, 0, 0, 0, 2, []byte("v1")), dataOp(4, 3, "v2"),
+		recordOp(WireVersion, typeFreeze+1, 4, 4, 0, 0, 0, 0, nil),
+		recordOp(WireVersion, typeData, 4, 5, 0, 0, 0, 9, []byte("short")),
 		[]byte{opMute}, dataOp(4, 6, "dark"), []byte{opTick, 40}, []byte{opMute}, dataOp(4, 7, "light"), []byte{opRecv}))
 
 	f.Fuzz(func(t *testing.T, in []byte) {
@@ -292,8 +292,8 @@ func FuzzSessionRecords(f *testing.F) {
 			prevGot, prevOwed, owed = got, owed, nil
 		}
 		decodes := func(what string, rec []byte, typ byte) []byte {
-			h, payload, err := DecodeDatagram(rec)
-			if err != nil || h.Type != typ || h.Epoch != s.epoch || HeaderLen+h.Len != len(rec) {
+			h, payload, err := decodeDatagram(rec)
+			if err != nil || h.Type != typ || h.Epoch != s.epoch || headerLen+h.Len != len(rec) {
 				t.Fatalf("%s does not decode: %+v %v", what, h, err)
 			}
 			return payload
@@ -321,10 +321,10 @@ func FuzzSessionRecords(f *testing.F) {
 						if muted {
 							t.Fatal("probe asked of a muted line")
 						}
-						decodes("probe", s.probe(now, now), TypeKeepalive)
+						decodes("probe", s.probe(now, now), typeKeepalive)
 					}
 					if rec := s.dueFreeze(now, true); rec != nil {
-						if _, _, _, _, err := DecodeFreeze(decodes("freeze", rec, TypeFreeze)); err != nil {
+						if _, _, _, _, err := decodeFreeze(decodes("freeze", rec, typeFreeze)); err != nil {
 							t.Fatalf("freeze payload: %v", err)
 						}
 					}
@@ -335,11 +335,11 @@ func FuzzSessionRecords(f *testing.F) {
 				payload := take(int(hd[39]))
 				epoch := uint32(hd[2])<<24 | uint32(hd[3])<<16 | uint32(hd[4])<<8 | uint32(hd[5])
 				seq, tick, wall, rxWall := be64(hd[6:]), int64(be64(hd[14:])), int64(be64(hd[22:])), int64(be64(hd[30:]))
-				rec := AppendHeader(nil, hd[1], int(hd[38]), epoch, seq, tick, wall)
+				rec := appendHeader(nil, hd[1], int(hd[38]), epoch, seq, tick, wall)
 				rec[4] = hd[0]
 				rec = append(rec, payload...)
 
-				h, body, derr := DecodeDatagram(rec)
+				h, body, derr := decodeDatagram(rec)
 				kind, ev := s.receive(h, body, derr, rxWall)
 				fed++
 				want := rxControl
@@ -348,7 +348,7 @@ func FuzzSessionRecords(f *testing.F) {
 					want = rxDropped
 				case derr != nil:
 					want = rxDropped
-					if derr == ErrBadVersion {
+					if derr == errBadVersion {
 						badVersion++
 					}
 				default:
@@ -360,15 +360,15 @@ func FuzzSessionRecords(f *testing.F) {
 						gotEpoch, curEpoch, lastSeq = true, epoch, 0
 					}
 					switch h.Type {
-					case TypeKeepalive:
+					case typeKeepalive:
 						if wall != 0 {
 							want = rxProbe
 						}
-					case TypeKeepaliveReply:
-						if len(body) >= KeepaliveReplyLen {
+					case typeKeepaliveReply:
+						if len(body) >= keepaliveReplyLen {
 							rtts++
 						}
-					case TypeData:
+					case typeData:
 						want = rxDropped
 						if seq > lastSeq {
 							want, lastSeq = rxData, seq
@@ -394,8 +394,8 @@ func FuzzSessionRecords(f *testing.F) {
 					}
 					runSeq = seq
 				case rxProbe:
-					p := decodes("reply", s.reply(wall, rxWall, rxWall), TypeKeepaliveReply)
-					if t1, _, _, err := DecodeKeepaliveReply(p); err != nil || t1 != wall {
+					p := decodes("reply", s.reply(wall, rxWall, rxWall), typeKeepaliveReply)
+					if t1, _, _, err := decodeKeepaliveReply(p); err != nil || t1 != wall {
 						t.Fatalf("reply echoes t1=%d for probe wall %d (%v)", t1, wall, err)
 					}
 					control++

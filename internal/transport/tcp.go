@@ -213,13 +213,13 @@ func (t *TCP) queueControl(rec []byte) {
 // record-aligned for when the mute lifts.
 func (t *TCP) reader(c net.Conn) {
 	defer t.post(evFailed, c) // step ignores it once c is retired
-	var hdr [HeaderLen]byte
+	var hdr [headerLen]byte
 	payload := make([]byte, 0, 4096)
 	for {
 		if _, err := io.ReadFull(c, hdr[:]); err != nil {
 			return
 		}
-		h, derr := DecodeHeader(hdr[:])
+		h, derr := decodeHeader(hdr[:])
 		if derr == nil {
 			payload = slices.Grow(payload[:0], h.Len)[:h.Len]
 			if _, err := io.ReadFull(c, payload); err != nil {
@@ -273,12 +273,12 @@ func (t *TCP) writer() {
 		t.mu.Lock()
 		for _, b := range batch {
 			switch {
-			case b[5] != TypeData: // header octet 5 is the record type
+			case b[5] != typeData: // header octet 5 is the record type
 			case err != nil:
 				t.st.TxDropped++
 			default:
 				t.st.TxChunks++
-				t.st.TxBytes += uint64(len(b) - HeaderLen)
+				t.st.TxBytes += uint64(len(b) - headerLen)
 			}
 			t.sq.put(b)
 		}

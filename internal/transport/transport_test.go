@@ -411,7 +411,7 @@ func TestUDPSeqDedup(t *testing.T) {
 
 	const epoch = 0xBEEF
 	send := func(seq uint64, payload string) {
-		b := AppendHeader(nil, TypeData, len(payload), epoch, seq, 0, 0)
+		b := appendHeader(nil, typeData, len(payload), epoch, seq, 0, 0)
 		b = append(b, payload...)
 		if _, err := raw.Write(b); err != nil {
 			t.Fatal(err)
@@ -472,7 +472,7 @@ func TestUDPBadVersionRejected(t *testing.T) {
 	}
 	defer raw.Close()
 
-	b := AppendHeader(nil, TypeData, 2, 1, 1, 0, 0)
+	b := appendHeader(nil, typeData, 2, 1, 1, 0, 0)
 	b[4] = 1 // the v1 header a stale peer would send
 	b = append(b, 'h', 'i')
 	if _, err := raw.Write(b); err != nil {

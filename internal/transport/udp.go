@@ -107,7 +107,7 @@ func (t *UDP) flushLocked() {
 			t.st.TxDropped++
 		} else {
 			t.st.TxChunks++
-			t.st.TxBytes += uint64(len(buf) - HeaderLen)
+			t.st.TxBytes += uint64(len(buf) - headerLen)
 		}
 		t.sq.put(buf)
 	}
@@ -153,7 +153,7 @@ func (t *UDP) reader() {
 			continue
 		}
 		rxWall := time.Now().UnixNano()
-		h, payload, derr := DecodeDatagram(buf[:n])
+		h, payload, derr := decodeDatagram(buf[:n])
 		t.mu.Lock()
 		if t.closed {
 			t.mu.Unlock()

@@ -31,37 +31,37 @@ import "errors"
 
 // Wire header constants.
 const (
-	Magic = 0x50354C54 // "P5LT"
+	magic = 0x50354C54 // "P5LT"
 	// WireVersion is the protocol version this build speaks, exported
 	// so status boards can surface it for fleet version-skew checks.
 	WireVersion = 2
-	// HeaderLen is the fixed wire header size in octets.
-	HeaderLen = 36
+	// headerLen is the fixed wire header size in octets.
+	headerLen = 36
 )
 
 // Wire datagram types.
 const (
-	// TypeData carries a chunk of HDLC wire octets.
-	TypeData = 0
-	// TypeKeepalive is a liveness probe; its header tick/wall double as
+	// typeData carries a chunk of HDLC wire octets.
+	typeData = 0
+	// typeKeepalive is a liveness probe; its header tick/wall double as
 	// the NTP-style t1 origin stamp.
-	TypeKeepalive = 1
-	// TypeKeepaliveReply answers a probe with the three timestamps the
+	typeKeepalive = 1
+	// typeKeepaliveReply answers a probe with the three timestamps the
 	// initiator needs for offset/RTT estimation (see the payload codec
 	// below).
-	TypeKeepaliveReply = 2
-	// TypeFreeze asks the peer to dump its flight recorder under a
+	typeKeepaliveReply = 2
+	// typeFreeze asks the peer to dump its flight recorder under a
 	// shared incident ID (see AppendFreezePayload).
-	TypeFreeze = 3
+	typeFreeze = 3
 )
 
-// KeepaliveReplyLen is the TypeKeepaliveReply payload size: t1 (echoed
+// keepaliveReplyLen is the TypeKeepaliveReply payload size: t1 (echoed
 // origin wall ns), t2 (receive wall ns), t3 (transmit wall ns), each
 // i64 big endian.
-const KeepaliveReplyLen = 24
+const keepaliveReplyLen = 24
 
-// Header is one decoded wire header.
-type Header struct {
+// header is one decoded wire header.
+type header struct {
 	Version byte
 	Type    byte
 	Len     int
@@ -76,19 +76,19 @@ type Header struct {
 
 // Wire header decode errors.
 var (
-	ErrShortHeader = errors.New("transport: short wire header")
-	ErrBadMagic    = errors.New("transport: bad wire magic")
-	ErrBadVersion  = errors.New("transport: unsupported wire version")
-	ErrBadType     = errors.New("transport: unknown wire datagram type")
-	ErrBadLength   = errors.New("transport: wire length exceeds datagram")
+	errShortHeader = errors.New("transport: short wire header")
+	errBadMagic    = errors.New("transport: bad wire magic")
+	errBadVersion  = errors.New("transport: unsupported wire version")
+	errBadType     = errors.New("transport: unknown wire datagram type")
+	errBadLength   = errors.New("transport: wire length exceeds datagram")
 )
 
-// AppendHeader appends the encoded header for a payload of length n to
+// appendHeader appends the encoded header for a payload of length n to
 // dst and returns it. tick is the sender's virtual clock; wall is the
 // sampled transmit wall stamp in ns (pass 0 on unsampled datagrams).
-func AppendHeader(dst []byte, typ byte, n int, epoch uint32, seq uint64, tick, wall int64) []byte {
+func appendHeader(dst []byte, typ byte, n int, epoch uint32, seq uint64, tick, wall int64) []byte {
 	return append(dst,
-		byte(Magic>>24), byte(Magic>>16&0xFF), byte(Magic>>8&0xFF), byte(Magic&0xFF),
+		byte(magic>>24), byte(magic>>16&0xFF), byte(magic>>8&0xFF), byte(magic&0xFF),
 		WireVersion, typ,
 		byte(n>>8), byte(n),
 		byte(epoch>>24), byte(epoch>>16), byte(epoch>>8), byte(epoch),
@@ -100,25 +100,25 @@ func AppendHeader(dst []byte, typ byte, n int, epoch uint32, seq uint64, tick, w
 		byte(wall>>24), byte(wall>>16), byte(wall>>8), byte(wall))
 }
 
-// DecodeHeader parses the wire header at the front of p. For UDP the
+// decodeHeader parses the wire header at the front of p. For UDP the
 // remainder of the datagram must hold exactly the declared payload; for
 // TCP the caller reads the declared length off the stream, so only the
 // header octets are required here.
-func DecodeHeader(p []byte) (Header, error) {
-	var h Header
-	if len(p) < HeaderLen {
-		return h, ErrShortHeader
+func decodeHeader(p []byte) (header, error) {
+	var h header
+	if len(p) < headerLen {
+		return h, errShortHeader
 	}
-	if uint32(p[0])<<24|uint32(p[1])<<16|uint32(p[2])<<8|uint32(p[3]) != Magic {
-		return h, ErrBadMagic
+	if uint32(p[0])<<24|uint32(p[1])<<16|uint32(p[2])<<8|uint32(p[3]) != magic {
+		return h, errBadMagic
 	}
 	h.Version = p[4]
 	if h.Version != WireVersion {
-		return h, ErrBadVersion
+		return h, errBadVersion
 	}
 	h.Type = p[5]
-	if h.Type > TypeFreeze {
-		return h, ErrBadType
+	if h.Type > typeFreeze {
+		return h, errBadType
 	}
 	h.Len = int(p[6])<<8 | int(p[7])
 	h.Epoch = uint32(p[8])<<24 | uint32(p[9])<<16 | uint32(p[10])<<8 | uint32(p[11])
@@ -140,32 +140,32 @@ func appendBE64(dst []byte, v uint64) []byte {
 		byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
 }
 
-// DecodeDatagram parses one complete datagram (header plus payload, the
+// decodeDatagram parses one complete datagram (header plus payload, the
 // UDP shape) and returns the header and the payload span within p.
-func DecodeDatagram(p []byte) (Header, []byte, error) {
-	h, err := DecodeHeader(p)
+func decodeDatagram(p []byte) (header, []byte, error) {
+	h, err := decodeHeader(p)
 	if err != nil {
 		return h, nil, err
 	}
-	if h.Len > len(p)-HeaderLen {
-		return h, nil, ErrBadLength
+	if h.Len > len(p)-headerLen {
+		return h, nil, errBadLength
 	}
-	return h, p[HeaderLen : HeaderLen+h.Len], nil
+	return h, p[headerLen : headerLen+h.Len], nil
 }
 
-// AppendKeepaliveReplyPayload appends the TypeKeepaliveReply payload:
+// appendKeepaliveReplyPayload appends the TypeKeepaliveReply payload:
 // t1 is the probe's echoed origin wall stamp, t2 the wall clock when
 // the probe arrived, t3 the wall clock when the reply left.
-func AppendKeepaliveReplyPayload(dst []byte, t1, t2, t3 int64) []byte {
+func appendKeepaliveReplyPayload(dst []byte, t1, t2, t3 int64) []byte {
 	dst = appendBE64(dst, uint64(t1))
 	dst = appendBE64(dst, uint64(t2))
 	return appendBE64(dst, uint64(t3))
 }
 
-// DecodeKeepaliveReply parses a TypeKeepaliveReply payload.
-func DecodeKeepaliveReply(p []byte) (t1, t2, t3 int64, err error) {
-	if len(p) < KeepaliveReplyLen {
-		return 0, 0, 0, ErrShortHeader
+// decodeKeepaliveReply parses a TypeKeepaliveReply payload.
+func decodeKeepaliveReply(p []byte) (t1, t2, t3 int64, err error) {
+	if len(p) < keepaliveReplyLen {
+		return 0, 0, 0, errShortHeader
 	}
 	return int64(be64(p)), int64(be64(p[8:])), int64(be64(p[16:])), nil
 }
@@ -174,10 +174,10 @@ func DecodeKeepaliveReply(p []byte) (t1, t2, t3 int64, err error) {
 // payload; longer reasons are truncated on encode.
 const freezeReasonMax = 32
 
-// AppendFreezePayload appends the TypeFreeze payload: the shared
+// appendFreezePayload appends the TypeFreeze payload: the shared
 // incident ID, the triggering end's virtual tick and wall clock at the
 // trigger, and a short reason tag.
-func AppendFreezePayload(dst []byte, incident uint64, trigTick, trigWall int64, reason string) []byte {
+func appendFreezePayload(dst []byte, incident uint64, trigTick, trigWall int64, reason string) []byte {
 	if len(reason) > freezeReasonMax {
 		reason = reason[:freezeReasonMax]
 	}
@@ -188,14 +188,14 @@ func AppendFreezePayload(dst []byte, incident uint64, trigTick, trigWall int64, 
 	return append(dst, reason...)
 }
 
-// DecodeFreeze parses a TypeFreeze payload.
-func DecodeFreeze(p []byte) (incident uint64, trigTick, trigWall int64, reason string, err error) {
+// decodeFreeze parses a TypeFreeze payload.
+func decodeFreeze(p []byte) (incident uint64, trigTick, trigWall int64, reason string, err error) {
 	if len(p) < 25 {
-		return 0, 0, 0, "", ErrShortHeader
+		return 0, 0, 0, "", errShortHeader
 	}
 	n := int(p[24])
 	if n > freezeReasonMax || len(p) < 25+n {
-		return 0, 0, 0, "", ErrBadLength
+		return 0, 0, 0, "", errBadLength
 	}
 	return be64(p), int64(be64(p[8:])), int64(be64(p[16:])), string(p[25 : 25+n]), nil
 }

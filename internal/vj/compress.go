@@ -21,7 +21,7 @@ type Compressor struct {
 // NewCompressor returns a compressor with n slots (0 = MaxSlots).
 func NewCompressor(n int) *Compressor {
 	if n <= 0 || n > 254 {
-		n = MaxSlots
+		n = maxSlots
 	}
 	return &Compressor{
 		Slots:    n,
@@ -37,14 +37,14 @@ func NewCompressor(n int) *Compressor {
 func (c *Compressor) Compress(p []byte) (Type, []byte) {
 	if !compressible(p) {
 		c.OutIP++
-		return TypeIP, append([]byte(nil), p...)
+		return typeIP, append([]byte(nil), p...)
 	}
 	flags := p[tcpFlags]
 	if flags&(flSYN|flRST) != 0 {
 		// Connection state changing: send as plain IP (RFC 1144 A.2
 		// sends SYN/RST uncompressed without installing state).
 		c.OutIP++
-		return TypeIP, append([]byte(nil), p...)
+		return typeIP, append([]byte(nil), p...)
 	}
 	key := keyOf(p)
 	c.clock++

@@ -18,7 +18,7 @@ type Decompressor struct {
 // NewDecompressor returns a decompressor with n slots (0 = MaxSlots).
 func NewDecompressor(n int) *Decompressor {
 	if n <= 0 || n > 254 {
-		n = MaxSlots
+		n = maxSlots
 	}
 	return &Decompressor{Slots: n, table: make([]slot, n), lastSlot: 255}
 }
@@ -26,7 +26,7 @@ func NewDecompressor(n int) *Decompressor {
 // Decompress reverses Compress for one packet.
 func (d *Decompressor) Decompress(t Type, p []byte) ([]byte, error) {
 	switch t {
-	case TypeIP:
+	case typeIP:
 		d.InIP++
 		return append([]byte(nil), p...), nil
 	case TypeUncompressed:
@@ -45,7 +45,7 @@ func (d *Decompressor) uncompressed(p []byte) ([]byte, error) {
 	if idx >= len(d.table) {
 		d.toss = true
 		d.Tossed++
-		return nil, ErrBadSlot
+		return nil, errBadSlot
 	}
 	out := append([]byte(nil), p...)
 	out[ipProto] = protoTCP
@@ -75,12 +75,12 @@ func (d *Decompressor) compressed(p []byte) ([]byte, error) {
 		// Resynchronising: only an uncompressed packet re-arms the
 		// connection state (RFC 1144 §4).
 		d.Tossed++
-		return nil, ErrTossed
+		return nil, errTossed
 	}
 	if idx >= len(d.table) || !d.table[idx].used {
 		d.toss = true
 		d.Tossed++
-		return nil, ErrBadSlot
+		return nil, errBadSlot
 	}
 	d.lastSlot = idx
 	s := &d.table[idx]

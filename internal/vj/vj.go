@@ -24,9 +24,9 @@ type Type byte
 
 // The three packet classes of RFC 1144.
 const (
-	// TypeIP is an unmodified IP datagram (not TCP, or not
+	// typeIP is an unmodified IP datagram (not TCP, or not
 	// compressible).
-	TypeIP Type = iota
+	typeIP Type = iota
 	// TypeUncompressed is a TCP datagram whose IP protocol field has
 	// been replaced with the connection slot number; it installs
 	// state.
@@ -54,8 +54,8 @@ const (
 	specialD = newS | newA | newW | newU
 )
 
-// MaxSlots is the default connection-state table size (RFC: 16).
-const MaxSlots = 16
+// maxSlots is the default connection-state table size (RFC: 16).
+const maxSlots = 16
 
 // Header layout offsets within the 40-octet IP+TCP header block.
 const (
@@ -165,10 +165,10 @@ func readDelta(b []byte) (d uint16, n int, err error) {
 
 var (
 	errTruncated = errors.New("vj: truncated compressed header")
-	// ErrBadSlot reports a compressed packet naming an uninstalled
+	// errBadSlot reports a compressed packet naming an uninstalled
 	// connection; the decompressor tosses until the next uncompressed
 	// packet.
-	ErrBadSlot = errors.New("vj: reference to uninstalled connection state")
-	// ErrTossed reports packets discarded while resynchronising.
-	ErrTossed = errors.New("vj: tossed awaiting uncompressed packet")
+	errBadSlot = errors.New("vj: reference to uninstalled connection state")
+	// errTossed reports packets discarded while resynchronising.
+	errTossed = errors.New("vj: tossed awaiting uncompressed packet")
 )

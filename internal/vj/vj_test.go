@@ -85,7 +85,7 @@ func TestNonTCPPassesThrough(t *testing.T) {
 	udp := c0.marshal()
 	udp[ipProto] = 17
 	fixIPChecksum(udp)
-	if typ := pp.send(t, udp); typ != TypeIP {
+	if typ := pp.send(t, udp); typ != typeIP {
 		t.Errorf("type = %d", typ)
 	}
 }
@@ -94,7 +94,7 @@ func TestSynSentAsIP(t *testing.T) {
 	pp := newPipe()
 	pkt := defaultConn()
 	pkt.flags = flSYN
-	if typ := pp.send(t, pkt.marshal()); typ != TypeIP {
+	if typ := pp.send(t, pkt.marshal()); typ != typeIP {
 		t.Errorf("SYN type = %d", typ)
 	}
 }
@@ -288,7 +288,7 @@ func TestTossRecoveryAfterLoss(t *testing.T) {
 	pkt.id++
 	pkt.seq++
 	typ, wire = pp.c.Compress(pkt.marshal())
-	if _, err := pp.d.Decompress(typ, wire); err != ErrTossed {
+	if _, err := pp.d.Decompress(typ, wire); err != errTossed {
 		t.Fatalf("expected toss, got %v", err)
 	}
 	// ...until the compressor refreshes (e.g. driven by a TCP
@@ -416,7 +416,7 @@ func TestDecompressorErrorPaths(t *testing.T) {
 	bad := defaultConn()
 	pb := bad.marshal()
 	pb[ipProto] = 200 // beyond table
-	if _, err := d.Decompress(TypeUncompressed, pb); err != ErrBadSlot {
+	if _, err := d.Decompress(TypeUncompressed, pb); err != errBadSlot {
 		t.Errorf("slot 200: %v", err)
 	}
 	// Compressed too short.
@@ -426,7 +426,7 @@ func TestDecompressorErrorPaths(t *testing.T) {
 	}
 	// Compressed referencing never-installed state.
 	d3 := NewDecompressor(0)
-	if _, err := d3.Decompress(TypeCompressed, []byte{newC, 3, 0, 0}); err != ErrBadSlot {
+	if _, err := d3.Decompress(TypeCompressed, []byte{newC, 3, 0, 0}); err != errBadSlot {
 		t.Errorf("uninstalled slot: %v", err)
 	}
 	// Truncated delta fields.

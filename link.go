@@ -265,12 +265,6 @@ func (l *Link) Open() { l.lcpA.Open() }
 // Up signals that the physical layer is available (LCP Up event).
 func (l *Link) Up() { l.lcpA.Up() }
 
-// Down signals loss of the physical layer.
-func (l *Link) Down() { l.lcpA.Down() }
-
-// Close administratively closes the link.
-func (l *Link) Close() { l.lcpA.Close() }
-
 // Advance moves the endpoint's virtual clock (restart timers, the
 // numbered-mode T1, the echo keepalive and the supervisor).
 func (l *Link) Advance(now int64) {
@@ -343,9 +337,6 @@ func (l *Link) IPReady() bool { return l.ipcpA.State() == lcp.Opened }
 
 // LocalIP returns the negotiated local IPv4 address.
 func (l *Link) LocalIP() [4]byte { return [4]byte(l.ipcpPol.LocalAddr) }
-
-// PeerIP returns the peer's negotiated IPv4 address.
-func (l *Link) PeerIP() [4]byte { return [4]byte(l.ipcpPol.PeerAddr) }
 
 // Send queues a network-layer payload for transmission.
 func (l *Link) Send(proto uint16, payload []byte) error {
@@ -448,9 +439,6 @@ func (l *Link) Output() []byte {
 	l.out, l.outSpare = l.outSpare[:0], o
 	return o
 }
-
-// HasOutput reports whether transmit bytes are pending.
-func (l *Link) HasOutput() bool { return len(l.out) > 0 }
 
 // Input feeds received line bytes into the endpoint; complete frames
 // are decoded and dispatched (control packets drive the automatons,
@@ -601,6 +589,3 @@ func (l *Link) ReceivedInto(dst []Datagram) []Datagram {
 	l.rxArena, l.rxArenaSpare = l.rxArenaSpare[:0], l.rxArena
 	return dst
 }
-
-// NegotiatedMRU returns the MRU granted to our transmit direction.
-func (l *Link) NegotiatedMRU() int { return l.lcpPol.Peer.MRU }

@@ -77,7 +77,7 @@ func TestNumberedModeMeasuresLine(t *testing.T) {
 			p := newDelayedPair(delay, LinkConfig{Reliable: true})
 			a, z := p.a, p.z
 			up := p.until(t, "bring-up", func() bool {
-				return a.IPReady() && z.IPReady() && a.Reliable() && z.Reliable()
+				return a.IPReady() && z.IPReady() && stationUp(a) && stationUp(z)
 			})
 			const n = 200
 			for i := 0; i < n; i++ {

@@ -1,6 +1,7 @@
 package gigapos
 
 import (
+	"fmt"
 	"go/ast"
 	"go/build"
 	"go/importer"
@@ -9,9 +10,11 @@ import (
 	"go/types"
 	"io/fs"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -20,14 +23,17 @@ import (
 // root package).
 func productionFiles(t *testing.T, fn func(fset *token.FileSet, dir, name string, f *ast.File)) {
 	t.Helper()
-	moduleFiles(t, false, fn)
+	if err := walkModule(false, fn); err != nil {
+		t.Fatal(err)
+	}
 }
 
-// moduleFiles is productionFiles over test files too when tests is set.
-func moduleFiles(t *testing.T, tests bool, fn func(fset *token.FileSet, dir, name string, f *ast.File)) {
-	t.Helper()
+// walkModule parses every .go file of the module, test files only when
+// tests is set, and hands each to fn with its slash-separated directory
+// ("." for the root package).
+func walkModule(tests bool, fn func(fset *token.FileSet, dir, name string, f *ast.File)) error {
 	fset := token.NewFileSet()
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+	return filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
@@ -47,9 +53,6 @@ func moduleFiles(t *testing.T, tests bool, fn func(fset *token.FileSet, dir, nam
 		fn(fset, filepath.ToSlash(filepath.Dir(path)), d.Name(), f)
 		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestOracleStaysAnOracle holds the framing codec to one production
@@ -102,6 +105,7 @@ func TestOracleStaysAnOracle(t *testing.T) {
 // built by sonet.NewLinePair and driven through transport.LineTransport.
 // Outside internal/sonet, production code constructs a bare Framer or
 // Deframer only in the directories kept below, each with its reason.
+// Calls resolve by object, so an import alias hides nothing.
 func TestOneSectionCarrier(t *testing.T) {
 	kept := map[string]string{
 		"internal/sonet": "the section itself, and the Line that wraps it",
@@ -109,21 +113,14 @@ func TestOneSectionCarrier(t *testing.T) {
 		"internal/pos":   "the PHY of the RTL model is clocked: W line octets per simulated cycle, with wire backpressure",
 		"benchmark":      "frozen contract; its sonet_imix workload migrates in ROADMAP item 1(a)",
 	}
-	productionFiles(t, func(fset *token.FileSet, dir, _ string, f *ast.File) {
-		if kept[dir] != "" {
-			return
+	m := checkModule(t)
+	for _, u := range m.uses(func(obj types.Object) bool {
+		return isFunc(obj, "repro/internal/sonet", "", "NewFramer", "NewDeframer")
+	}) {
+		if f := m.meta(u.id); !f.test && kept[f.dir] == "" {
+			t.Errorf("%s: sonet.%s outside the one carrier; use sonet.NewLinePair", m.fset.Position(u.id.Pos()), u.obj.Name())
 		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			sel, ok := n.(*ast.SelectorExpr)
-			if !ok || sel.Sel.Name != "NewFramer" && sel.Sel.Name != "NewDeframer" {
-				return true
-			}
-			if x, ok := sel.X.(*ast.Ident); ok && x.Name == "sonet" {
-				t.Errorf("%s: sonet.%s outside the one carrier; use sonet.NewLinePair", fset.Position(sel.Pos()), sel.Sel.Name)
-			}
-			return true
-		})
-	})
+	}
 }
 
 // TestOneArmingCall holds observation to one way in: the Observe
@@ -132,7 +129,7 @@ func TestOneSectionCarrier(t *testing.T) {
 // flight/SLO/profile config — directly or inside an Observation — and
 // outside the root package and internal/flight nothing builds a
 // recorder or an SLO or attaches one to a board by hand: that is the
-// dance ObservePair writes once.
+// dance ObservePair writes once. Types and calls resolve by object.
 func TestOneArmingCall(t *testing.T) {
 	family := map[string]string{
 		"Link.Observe":          "the end every other kind wraps: protocol series, events, recorder",
@@ -142,73 +139,50 @@ func TestOneArmingCall(t *testing.T) {
 		"Watch.ObservePair":     "names both ends, joins the pipes, grades each direction, fills the board",
 		"Engine.Observe":        "the engine series, the stage clock, and ObservePair per port",
 	}
-	watched := map[string]map[string]bool{
-		"telemetry": {"Registry": true, "Tracer": true},
-		"flight":    {"Recorder": true, "Config": true, "SLOConfig": true},
-		"prof":      {"Config": true},
+	watched := map[string]bool{
+		"repro/internal/telemetry.Registry": true, "repro/internal/telemetry.Tracer": true,
+		"repro/internal/flight.Recorder": true, "repro/internal/flight.Config": true, "repro/internal/flight.SLOConfig": true,
+		"repro/internal/prof.Config": true,
+		"repro.Observation":          true,
 	}
+	m := checkModule(t)
 	seen := map[string]bool{}
-	productionFiles(t, func(fset *token.FileSet, dir, _ string, f *ast.File) {
-		if dir == "." {
-			for _, decl := range f.Decls {
-				fn, ok := decl.(*ast.FuncDecl)
-				if !ok || !fn.Name.IsExported() {
-					continue
-				}
-				name := fn.Name.Name
-				if fn.Recv != nil {
-					recv := fn.Recv.List[0].Type
-					if star, ok := recv.(*ast.StarExpr); ok {
-						recv = star.X
-					}
-					name = recv.(*ast.Ident).Name + "." + name
-				}
-				arms := false
-				ast.Inspect(fn.Type.Params, func(n ast.Node) bool {
-					switch n := n.(type) {
-					case *ast.Ident:
-						arms = arms || n.Name == "Observation"
-					case *ast.SelectorExpr:
-						if x, ok := n.X.(*ast.Ident); ok {
-							arms = arms || watched[x.Name][n.Sel.Name]
-						}
-					}
-					return true
+	for _, f := range m.files {
+		if fm := m.meta(f.Name); fm.test || fm.dir != "." {
+			continue
+		}
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || !fn.Name.IsExported() {
+				continue
+			}
+			sig := m.info.Defs[fn.Name].Type().(*types.Signature)
+			arms := false
+			for i := 0; i < sig.Params().Len(); i++ {
+				walkType(sig.Params().At(i).Type(), func(n *types.Named) {
+					arms = arms || n.Obj().Pkg() != nil && watched[n.Obj().Pkg().Path()+"."+n.Obj().Name()]
 				})
-				switch {
-				case arms && family[name] == "":
-					t.Errorf("%s: %s takes an observation argument; arm through Observe", fset.Position(fn.Pos()), name)
-				case arms:
-					seen[name] = true
-				}
 			}
-			return
+			name := fn.Name.Name
+			if recv := sig.Recv(); recv != nil {
+				name = namedOf(recv.Type()).Obj().Name() + "." + name
+			}
+			switch {
+			case arms && family[name] == "":
+				t.Errorf("%s: %s takes an observation argument; arm through Observe", m.fset.Position(fn.Pos()), name)
+			case arms:
+				seen[name] = true
+			}
 		}
-		usesFlight := false
-		for _, imp := range f.Imports {
-			usesFlight = usesFlight || imp.Path.Value == `"repro/internal/flight"`
+	}
+	for _, u := range m.uses(func(obj types.Object) bool {
+		return isFunc(obj, "repro/internal/flight", "", "NewRecorder", "NewSLO") ||
+			isFunc(obj, "repro/internal/flight", "Board", "Attach", "AttachSLO")
+	}) {
+		if f := m.meta(u.id); !f.test && f.dir != "." && f.dir != "internal/flight" {
+			t.Errorf("%s: %s by hand; gigapos.ObservePair builds, joins and boards the recorders", m.fset.Position(u.id.Pos()), u.obj.Name())
 		}
-		if !usesFlight || dir == "internal/flight" {
-			return
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			x, _ := sel.X.(*ast.Ident)
-			byHand := x != nil && x.Name == "flight" && (sel.Sel.Name == "NewRecorder" || sel.Sel.Name == "NewSLO") ||
-				sel.Sel.Name == "Attach" || sel.Sel.Name == "AttachSLO"
-			if byHand {
-				t.Errorf("%s: %s by hand; gigapos.ObservePair builds, joins and boards the recorders", fset.Position(call.Pos()), sel.Sel.Name)
-			}
-			return true
-		})
-	})
+	}
 	for name := range family {
 		if !seen[name] {
 			t.Errorf("%s is kept as an arming call but no longer exists or takes no observation", name)
@@ -216,71 +190,103 @@ func TestOneArmingCall(t *testing.T) {
 	}
 }
 
-// TestObservationExportsHaveCallers keeps every internal package's
-// surface to what something reads (it began with the observation
-// packages, hence the name): every exported function, method, type,
-// constant, variable and untagged struct field defined under internal/
-// must be named by at least one non-test file of the module besides its
-// own definition. An accessor only tests call is either a documented
-// series or dead — delete it, unexport it, or move it into the test that
-// needs it. The root package is the public API and exempt. The match is by
-// name (go/parser, no type information), so it errs towards silence;
-// struct fields with a tag are serialised documents and exempt, as are
-// methods the standard library calls through an interface and the
-// names kept below, each with its reason.
-func TestObservationExportsHaveCallers(t *testing.T) {
-	viaInterface := map[string]bool{"String": true, "Error": true, "ServeHTTP": true, "Less": true}
+// TestEveryExportHasACaller holds every capital letter to a reader. It
+// covers each exported package-level const, var, type and func, each
+// exported method and each untagged exported struct field declared in a
+// non-test file of the root package or internal/, resolved by object
+// with go/types, so a namesake elsewhere calls nothing. Two rules:
+//
+//   - (a) some non-test file names it, or it is deleted. benchmark/ is a
+//     frozen contract, so its files count.
+//   - (b) an internal/ export other than a field is named by some file of
+//     another package, tests included, or it loses its capital. The
+//     root package is the public API: only (a) holds there.
+//
+// A type that outside code holds through an exported signature or field
+// counts as named there. A method counts as named wherever its type
+// implements an interface that declares it and that a non-test file of
+// the module uses, the standard library's included (fmt.Stringer and
+// error always: fmt calls them by reflection). An unkeyed composite
+// literal names every field it sets. Tagged fields are serialised
+// documents and exempt, and keptPackages are exempt from (a): their
+// experiment is the reason. A kept entry, keyed by qualified name, is
+// exempt for its reason; one that is gone, or that no longer breaks a
+// rule, fails.
+func TestEveryExportHasACaller(t *testing.T) {
 	kept := map[string]string{
-		"Recent":    "flight.Recorder: the in-memory captures are the evidence when no capture directory is set",
-		"STM4":      "sonet.Level: the STM rate table; topo's STM-4 ring test and the geometry tests walk every level",
-		"STM64":     "sonet.Level: the STM rate table (the scaling study's ceiling)",
-		"Raises":    "sonet.DefectMonitor: per-defect counts the chaos drill and the OAM test reconcile the alarm registers against",
-		"Clears":    "sonet.DefectMonitor: as Raises",
-		"Truncate":  "fault.Script: frame truncation, a chaos knob TestChaosSoakLinkSelfHealing drives",
-		"Randomize": "fault.Transport: the seeded drop/dup/reorder rates TestTransportDupReorderSoakUDP drives",
-		"Drop":      "fault.Transport: scripted twin of Randomize's drop rate, pins the adapter's loss exactly",
-		"Dup":       "fault.Transport: scripted twin of Randomize's dup rate, pins the adapter's delivery order exactly",
-		"Reorder":   "fault.Transport: as Dup, for the one-slot late delivery",
-
-		"Bitwise16":      "crc: the serial LFSR that defines the register; every table, slicing, matrix and hardware-folded kernel is tested against it",
-		"Bitwise32":      "crc: as Bitwise16",
-		"OptIPAddresses": "ipcp: RFC 1332's option-number table; type 1 is the deprecated pairwise form, always rejected",
-		"OptQualityProt": "lcp: RFC 1661's option-number table; type 4 is the option the state-table test sends as unimplemented",
-		"UseRings":       "p5.System: the host/P5 shared-memory descriptor rings of the paper's Figure 2 (DESIGN.md S19); the ring tests are the host",
-		"CoreTotal":      "synth: E8's core-only 32/8-bit ratio, hand-kept until ROADMAP item 9's one stage graph replaces it",
-		"Toss":           "vj.Decompressor: RFC 1144 §4's driver entry for a checksum failure only the end host can see",
+		"flight.Recorder.Recent":       "the in-memory captures are the evidence when no capture directory is set",
+		"sonet.STM4":                   "the STM rate table; topo's STM-4 ring test and the geometry tests walk every level",
+		"sonet.STM64":                  "the STM rate table (the scaling study's ceiling)",
+		"sonet.DefectMonitor.Raises":   "per-defect counts the chaos drill and the OAM test reconcile the alarm registers against",
+		"sonet.DefectMonitor.Clears":   "as Raises",
+		"fault.Script.Truncate":        "frame truncation, a chaos knob TestChaosSoakLinkSelfHealing drives",
+		"fault.Transport.Randomize":    "the seeded drop/dup/reorder rates TestTransportDupReorderSoakUDP drives",
+		"fault.Transport.Drop":         "scripted twin of Randomize's drop rate, pins the adapter's loss exactly",
+		"fault.Transport.Dup":          "scripted twin of Randomize's dup rate, pins the adapter's delivery order exactly",
+		"fault.Transport.Reorder":      "as Dup, for the one-slot late delivery",
+		"crc.Bitwise16":                "the serial LFSR that defines the register; every table, slicing, matrix and hardware-folded kernel is tested against it",
+		"crc.Bitwise32":                "as Bitwise16",
+		"ipcp.OptIPAddresses":          "RFC 1332's option-number table; type 1 is the deprecated pairwise form, always rejected",
+		"lcp.OptQualityProt":           "RFC 1661's option-number table; type 4 is the option the state-table test sends as unimplemented",
+		"p5.System.UseRings":           "the host/P5 shared-memory descriptor rings of the paper's Figure 2 (DESIGN.md S19); the ring tests are the host",
+		"synth.CoreTotal":              "E8's core-only 32/8-bit ratio, hand-kept until ROADMAP item 9's one stage graph replaces it",
+		"vj.Decompressor.Toss":         "RFC 1144 §4's driver entry for a checksum failure only the end host can see",
+		"gigapos.Width8":               "the paper's 8-bit P5 (Table 1), NewSystem's other width; the quickstart builds the 32-bit one",
+		"channel.GilbertElliott":       "the burst-error line model, a chaos knob TestChaosSoakLinkSelfHealing drives",
+		"fault.Script.Corrupt":         "octet corruption, a chaos knob the chaos soaks and the SONET differential test drive",
+		"fault.Injector.Done":          "the chaos drills' evidence that a whole script fired",
+		"fault.Transport.Duplicated":   "the dup soak's evidence that Randomize's dup rate fired; Dropped's twin",
+		"transport.TCP.LocalAddr":      "a :0 listener's bound port, UDP.LocalAddr's twin; TestEngineRemote dials it",
+		"crc.Size.Append":              "appends a correct FCS: the codec, channel and P5 tests build their reference frames with it",
+		"crc.Parallel32.Update":        "the matrix engine over a buffer; the property tests hold every width to Bitwise32 through it",
+		"crc.Parallel16.Update":        "as Parallel32.Update, against Bitwise16",
+		"hdlc.ReferenceTokenizer":      "the test oracle (TestOracleStaysAnOracle): the byte-at-a-time tokenizer the fused kernel is checked against",
+		"hdlc.ReferenceTokenizer.Feed": "as ReferenceTokenizer",
+		"ppp.ReferenceEncode":          "the test oracle (TestOracleStaysAnOracle): the byte-at-a-time encoder the fused kernel is checked against",
+		"p5.CtrlLoopback":              "the OAM control register's local-loopback bit, part of the register map; the pair harness steers on it",
+		"telemetry.Snapshot.Get":       "the by-name read the tests of six instrumented packages assert series through",
 	}
-
-	defined := map[string]token.Position{} // exported name -> a definition site
-	defIdent := map[*ast.Ident]bool{}
-	uses := map[string]int{}
-	productionFiles(t, func(fset *token.FileSet, dir, _ string, f *ast.File) {
-		define := func(id *ast.Ident) {
-			defIdent[id] = true
-			if strings.HasPrefix(dir, "internal/") && id.IsExported() && !viaInterface[id.Name] {
-				defined[id.Name] = fset.Position(id.Pos())
+	type export struct {
+		name                    string // qualified: pkg.Name, pkg.Type.Method, pkg.Type.Field
+		pkg, dir                string // import path, directory
+		field, nonTest, outside bool
+	}
+	m := checkModule(t)
+	exports := map[token.Pos]*export{}
+	for _, f := range m.files {
+		fm := m.meta(f.Name)
+		if fm.test || fm.dir != "." && !strings.HasPrefix(fm.dir, "internal/") {
+			continue
+		}
+		pkg := f.Name.Name
+		def := func(id *ast.Ident, name string, field bool) {
+			if id.IsExported() {
+				exports[id.Pos()] = &export{name: pkg + "." + name, pkg: fm.pkg, dir: fm.dir, field: field}
 			}
 		}
 		for _, decl := range f.Decls {
 			switch d := decl.(type) {
 			case *ast.FuncDecl:
-				define(d.Name)
+				name := d.Name.Name
+				if recv := m.info.Defs[d.Name].Type().(*types.Signature).Recv(); recv != nil {
+					name = namedOf(recv.Type()).Obj().Name() + "." + name
+				}
+				def(d.Name, name, false)
 			case *ast.GenDecl:
 				for _, spec := range d.Specs {
 					switch s := spec.(type) {
 					case *ast.ValueSpec:
 						for _, id := range s.Names {
-							define(id)
+							def(id, id.Name, false)
 						}
 					case *ast.TypeSpec:
-						define(s.Name)
+						def(s.Name, s.Name.Name, false)
 						if st, ok := s.Type.(*ast.StructType); ok {
 							for _, fld := range st.Fields.List {
-								if fld.Tag != nil {
-									continue
-								}
 								for _, id := range fld.Names {
-									define(id)
+									if fld.Tag == nil {
+										def(id, s.Name.Name+"."+id.Name, true)
+									}
 								}
 							}
 						}
@@ -288,36 +294,140 @@ func TestObservationExportsHaveCallers(t *testing.T) {
 				}
 			}
 		}
+	}
+
+	// Interfaces a non-test file uses, as method-name sets: those its
+	// objects' types mention.
+	ifaces := [][]string{{"String"}, {"Error"}}
+	seenIface := map[*types.Interface]bool{}
+	useIface := func(t types.Type) {
+		if it, ok := t.Underlying().(*types.Interface); ok && it.NumMethods() > 0 && !seenIface[it] {
+			seenIface[it] = true
+			var names []string
+			for i := 0; i < it.NumMethods(); i++ {
+				names = append(names, it.Method(i).Name())
+			}
+			ifaces = append(ifaces, names)
+		}
+	}
+	for _, u := range m.uses(nil) {
+		fm := m.meta(u.id)
+		if e := exports[origin(u.obj).Pos()]; e != nil {
+			e.nonTest = e.nonTest || !fm.test
+			e.outside = e.outside || fm.pkg != e.pkg
+		}
+		if !fm.test {
+			useIface(u.obj.Type())
+			walkType(u.obj.Type(), func(n *types.Named) { useIface(n) })
+		}
+		if u.obj.Pkg() == nil || fm.pkg == u.obj.Pkg().Path() {
+			continue
+		}
+		// Outside code holds every type the object's type mentions.
+		walkType(u.obj.Type(), func(n *types.Named) {
+			if e := exports[n.Obj().Pos()]; e != nil {
+				e.outside = true
+			}
+		})
+	}
+	// An unkeyed composite literal names every field it sets.
+	for _, f := range m.files {
+		if m.meta(f.Name).test {
+			continue
+		}
 		ast.Inspect(f, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && !defIdent[id] {
-				uses[id.Name]++
+			lit, ok := n.(*ast.CompositeLit)
+			if !ok || len(lit.Elts) == 0 {
+				return true
+			}
+			if _, keyed := lit.Elts[0].(*ast.KeyValueExpr); keyed {
+				return true
+			}
+			if st, ok := m.info.Types[lit].Type.Underlying().(*types.Struct); ok {
+				for i := 0; i < st.NumFields(); i++ {
+					if e := exports[st.Field(i).Origin().Pos()]; e != nil {
+						e.nonTest = true
+					}
+				}
 			}
 			return true
 		})
-	})
-	var dead []string
-	for name, pos := range defined {
-		if uses[name] == 0 && kept[name] == "" {
-			dead = append(dead, pos.String()+": exported "+name+" has no non-test caller")
+	}
+	// A type a non-test file declares that has every method of a used
+	// interface is called through it, promoted methods included.
+	for _, obj := range m.info.Defs {
+		tn, ok := obj.(*types.TypeName)
+		if !ok || tn.IsAlias() || m.meta(tn).test {
+			continue
+		}
+		ms := types.NewMethodSet(types.NewPointer(tn.Type()))
+	ifaces:
+		for _, names := range ifaces {
+			var sels []*types.Selection
+			for _, n := range names {
+				sel := ms.Lookup(tn.Pkg(), n)
+				if sel == nil {
+					continue ifaces
+				}
+				sels = append(sels, sel)
+			}
+			for _, sel := range sels {
+				if e := exports[origin(sel.Obj()).Pos()]; e != nil {
+					e.nonTest, e.outside = true, true
+				}
+			}
 		}
 	}
-	sort.Strings(dead)
-	for _, d := range dead {
-		t.Error(d)
+
+	var bad []string
+	found := map[string]bool{}
+	for pos, e := range exports {
+		why := ""
+		switch {
+		case !e.nonTest && keptPackages[e.dir] == "":
+			why = "no non-test file names it; delete it or keep it with a reason"
+		case e.dir != "." && !e.field && !e.outside:
+			why = "no file outside its package names it; unexport it"
+		}
+		if kept[e.name] != "" {
+			found[e.name] = true
+			if why == "" {
+				bad = append(bad, m.fset.Position(pos).String()+": "+e.name+" is kept but breaks no rule; drop it from kept")
+			}
+			continue
+		}
+		if why != "" {
+			bad = append(bad, m.fset.Position(pos).String()+": exported "+e.name+": "+why)
+		}
 	}
+	for name := range kept {
+		if !found[name] {
+			bad = append(bad, name+" is kept but no longer exists")
+		}
+	}
+	sort.Strings(bad)
+	for _, b := range bad {
+		t.Error(b)
+	}
+}
+
+// keptPackages are the packages under internal/ that no production path
+// imports, each with the experiment that keeps it. Their exports need no
+// non-test caller: the experiment is their reason.
+var keptPackages = map[string]string{
+	"internal/pos": "E13's cycle-coupled PHY; BenchmarkSONETCoupledGoodput drives it",
+	"internal/gfp": "E15's delineation baseline",
 }
 
 // TestEveryPackageHasAProductionPath holds every package under internal/
 // to a reason to exist: some non-test file outside the package itself,
 // examples/ and benchmark/ imports it. A package only examples, the
-// frozen benchmark or its own tests reach is deleted, or kept below
-// with the experiment or plan that needs it; a kept entry that is gone,
-// or that has since gained a production importer, fails too.
+// frozen benchmark or its own tests reach is deleted, or kept in
+// keptPackages with the experiment or plan that needs it; a kept entry
+// that is gone, or that has since gained a production importer, fails
+// too.
 func TestEveryPackageHasAProductionPath(t *testing.T) {
-	kept := map[string]string{
-		"internal/pos": "E13's cycle-coupled PHY; BenchmarkSONETCoupledGoodput drives it",
-		"internal/gfp": "E15's delineation baseline",
-	}
+	kept := keptPackages
 	pkgs := map[string]bool{}
 	imported := map[string]bool{}
 	productionFiles(t, func(_ *token.FileSet, dir, _ string, f *ast.File) {
@@ -424,28 +534,83 @@ func TestEveryConfigFieldIsSet(t *testing.T) {
 // typedModule is every package of the module type-checked from source,
 // test files (and the gates tag) included, with one Info over all of it.
 type typedModule struct {
-	fset  *token.FileSet
-	files []*ast.File
-	info  *types.Info
+	fset   *token.FileSet
+	files  []*ast.File
+	info   *types.Info
+	byName map[string]fileMeta // by the file's path in fset
+	recv   map[*ast.Ident]bool // the identifiers of every method receiver
 }
 
-// checkModule type-checks the module as go test builds it for this
-// platform: each directory's package with its in-package test files,
-// and its external test package. Module imports resolve to the
-// packages checked here without their tests (no external test package
-// here uses a test-only export), the standard library to the
-// toolchain's export data (go/importer).
+// fileMeta places one file of the module.
+type fileMeta struct {
+	dir  string // slash-separated, "." for the root package
+	pkg  string // import path of its package; "_test" ends an external test package
+	test bool
+}
+
+// meta places the file that holds pos.
+func (m *typedModule) meta(pos interface{ Pos() token.Pos }) fileMeta {
+	return m.byName[m.fset.File(pos.Pos()).Name()]
+}
+
+// use is one identifier that names an object.
+type use struct {
+	id  *ast.Ident
+	obj types.Object
+}
+
+// uses lists the module's identifiers that name an object keep accepts
+// (all of them when keep is nil), in no particular order. A receiver's
+// type names nothing: it declares a method.
+func (m *typedModule) uses(keep func(types.Object) bool) []use {
+	var out []use
+	for id, obj := range m.info.Uses {
+		if !m.recv[id] && (keep == nil || keep(obj)) {
+			out = append(out, use{id, obj})
+		}
+	}
+	return out
+}
+
+var module struct {
+	once sync.Once
+	m    *typedModule
+	err  error
+}
+
+// checkModule type-checks the module once per test binary, as go test
+// builds it for this platform: each directory's package with its
+// in-package test files, and its external test package. Module imports
+// resolve to the packages checked here without their tests (no external
+// test package here uses a test-only export), the standard library to
+// the toolchain's export data (go/importer).
 func checkModule(t *testing.T) *typedModule {
 	t.Helper()
+	module.once.Do(func() { module.m, module.err = loadModule() })
+	if module.err != nil {
+		t.Fatal(module.err)
+	}
+	return module.m
+}
+
+func loadModule() (*typedModule, error) {
 	ctx := build.Default
 	ctx.BuildTags = append(ctx.BuildTags, "gates")
 	type dir struct {
 		lib, tests, xtests []*ast.File
 		pkg                *types.Package // lib alone, what importers see
 	}
-	m := &typedModule{info: &types.Info{Uses: map[*ast.Ident]types.Object{}}}
+	m := &typedModule{
+		info: &types.Info{
+			Defs:  map[*ast.Ident]types.Object{},
+			Uses:  map[*ast.Ident]types.Object{},
+			Types: map[ast.Expr]types.TypeAndValue{},
+		},
+		byName: map[string]fileMeta{},
+		recv:   map[*ast.Ident]bool{},
+	}
 	dirs := map[string]*dir{} // by import path
-	moduleFiles(t, true, func(fset *token.FileSet, d, name string, f *ast.File) {
+	err := walkModule(true, func(fset *token.FileSet, d, name string, f *ast.File) {
 		m.fset = fset
 		if ok, err := ctx.MatchFile(d, name); err != nil || !ok {
 			return
@@ -459,16 +624,32 @@ func checkModule(t *testing.T) *typedModule {
 			pd = &dir{}
 			dirs[path] = pd
 		}
+		fm := fileMeta{dir: d, pkg: path, test: strings.HasSuffix(name, "_test.go")}
 		switch {
 		case strings.HasSuffix(f.Name.Name, "_test"):
 			pd.xtests = append(pd.xtests, f)
-		case strings.HasSuffix(name, "_test.go"):
+			fm.pkg += "_test"
+		case fm.test:
 			pd.tests = append(pd.tests, f)
 		default:
 			pd.lib = append(pd.lib, f)
 		}
 		m.files = append(m.files, f)
+		m.byName[fset.File(f.Pos()).Name()] = fm
+		for _, decl := range f.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv != nil {
+				ast.Inspect(fn.Recv, func(n ast.Node) bool {
+					if id, ok := n.(*ast.Ident); ok {
+						m.recv[id] = true
+					}
+					return true
+				})
+			}
+		}
 	})
+	if err != nil {
+		return nil, err
+	}
 	std := importer.Default()
 	var errs []error
 	var imp importerFunc
@@ -498,12 +679,81 @@ func checkModule(t *testing.T) *typedModule {
 		}
 	}
 	if len(errs) > 0 {
-		t.Fatalf("type-checking the module: %d errors, the first: %v", len(errs), errs[0])
+		return nil, fmt.Errorf("type-checking the module: %d errors, the first: %v", len(errs), errs[0])
 	}
-	return m
+	return m, nil
 }
 
 // importerFunc is a types.Importer in one function.
 type importerFunc func(path string) (*types.Package, error)
 
 func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// origin is the declaration a use of an instantiated field or method
+// resolves to.
+func origin(obj types.Object) types.Object {
+	switch o := obj.(type) {
+	case *types.Var:
+		return o.Origin()
+	case *types.Func:
+		return o.Origin()
+	}
+	return obj
+}
+
+// namedOf is the named type t is or points to.
+func namedOf(t types.Type) *types.Named {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	n, _ := t.(*types.Named)
+	return n
+}
+
+// isFunc reports whether obj is one of the named functions of the
+// package at path: package-level when recv is empty, else methods of
+// the type recv.
+func isFunc(obj types.Object, path, recv string, names ...string) bool {
+	fn, ok := obj.(*types.Func)
+	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != path || !slices.Contains(names, fn.Name()) {
+		return false
+	}
+	r := fn.Type().(*types.Signature).Recv()
+	if recv == "" {
+		return r == nil
+	}
+	return r != nil && namedOf(r.Type()) != nil && namedOf(r.Type()).Obj().Name() == recv
+}
+
+// walkType calls fn on every named type t mentions without looking
+// through a name: pointers, containers, signatures and unnamed structs.
+func walkType(t types.Type, fn func(*types.Named)) {
+	switch t := t.(type) {
+	case *types.Named:
+		fn(t)
+	case *types.Alias:
+		walkType(types.Unalias(t), fn)
+	case *types.Pointer:
+		walkType(t.Elem(), fn)
+	case *types.Slice:
+		walkType(t.Elem(), fn)
+	case *types.Array:
+		walkType(t.Elem(), fn)
+	case *types.Chan:
+		walkType(t.Elem(), fn)
+	case *types.Map:
+		walkType(t.Key(), fn)
+		walkType(t.Elem(), fn)
+	case *types.Signature:
+		walkType(t.Params(), fn)
+		walkType(t.Results(), fn)
+	case *types.Tuple:
+		for i := 0; i < t.Len(); i++ {
+			walkType(t.At(i).Type(), fn)
+		}
+	case *types.Struct:
+		for i := 0; i < t.NumFields(); i++ {
+			walkType(t.Field(i).Type(), fn)
+		}
+	}
+}

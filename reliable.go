@@ -37,12 +37,6 @@ func (l *Link) initReliable() {
 	}
 }
 
-// Reliable reports whether the numbered-mode station has completed
-// SABM/UA setup.
-func (l *Link) Reliable() bool {
-	return l.station != nil && l.station.Connected()
-}
-
 // ReliableStats exposes the numbered-mode counters (retransmits,
 // rejects, resets) for diagnostics.
 func (l *Link) ReliableStats() (txI, rxI, retransmits, rejects uint64) {

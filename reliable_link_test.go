@@ -19,7 +19,7 @@ func bringUpReliable(t *testing.T, a, b *Link) {
 	if !a.Opened() || !b.Opened() {
 		t.Fatal("LCP did not open")
 	}
-	if !a.Reliable() || !b.Reliable() {
+	if !stationUp(a) || !stationUp(b) {
 		t.Fatal("numbered mode did not connect")
 	}
 }
@@ -92,7 +92,7 @@ func TestReliableLinkSurvivesNoise(t *testing.T) {
 	a.Up()
 	b.Up()
 	lossyPump(a, b, rng, 200, 0) // clean bring-up
-	if !a.Reliable() || !b.Reliable() {
+	if !stationUp(a) || !stationUp(b) {
 		t.Fatal("bring-up failed")
 	}
 	const n = 30
@@ -238,3 +238,7 @@ func TestEveryDamagedFrameTakesTheErrorExit(t *testing.T) {
 		t.Errorf("damaged frames delivered: %+v", got)
 	}
 }
+
+// stationUp reports whether l's numbered-mode station has completed
+// SABM/UA setup.
+func stationUp(l *Link) bool { return l.station != nil && l.station.Connected() }

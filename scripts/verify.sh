@@ -1,9 +1,11 @@
 #!/bin/sh
 # verify.sh — the repo's full verification gate, a list of commands:
 #   gofmt, go vet (with and without the gates tag), go build,
-#   the three census guards (a package no production path imports, a
-#   *Config field no file sets, an internal export only tests name)
-#   as a fast first test step,
+#   the census guards as a fast first test step, over one type-check of
+#   the module (a package no production path imports, a *Config field
+#   no file sets, an export no non-test file names or an internal one no
+#   other package names, a bare SONET section or a hand-armed recorder
+#   outside their one seam),
 #   go test -race (and fifty race runs of the TCP lifecycle tests),
 #   the portable Go delimiter fold that amd64 replaces
 #   with an SSE2 kernel and the 32-bit decoders (GOARCH=386 go test of
@@ -45,9 +47,10 @@ go vet -tags gates .
 echo "== go build =="
 go build ./...
 
-echo "== census guards (dead package, unset config field, uncalled export) =="
+echo "== census guards (dead package, unset config field, uncalled export, one seam) =="
 # Seconds, not minutes: dead weight fails here, before the race suite.
-go test -count=1 -run '^TestEvery(PackageHasAProductionPath|ConfigFieldIsSet)$|^TestObservationExportsHaveCallers$' .
+# The typed guards share one type-check of the module.
+go test -count=1 -run '^TestEvery(PackageHasAProductionPath|ConfigFieldIsSet|ExportHasACaller)$|^TestOne(SectionCarrier|ArmingCall)$' .
 
 echo "== go test -race (telemetry concurrency gate) =="
 # The telemetry registry/tracer promise lock-free concurrent scraping;

@@ -336,7 +336,7 @@ func TestRestartTimerMeasuresLine(t *testing.T) {
 			}
 
 			before, down := timeouts(), now
-			a.Down()
+			a.lcpA.Down()
 			a.Up()
 			reopen := settle("re-open") - down
 			t.Logf("IP-ready at tick %d (%d timer expiries), re-open in %d ticks, %d supervisor restarts",
