@@ -2,6 +2,7 @@ package gigapos
 
 import (
 	"crypto/rand"
+	"io"
 
 	"repro/internal/auth"
 	"repro/internal/ppp"
@@ -86,12 +87,19 @@ func (l *Link) initAuth() {
 // challengeByte draws CHAP challenge octets from the system's secure
 // source: RFC 1994 §2.3 asks for challenges that are unique and
 // unpredictable, so nothing the peer can read (the LCP magic crosses
-// the wire in clear) may seed them.
-func challengeByte() byte {
+// the wire in clear) may seed them. A source that fails fails closed,
+// whatever toolchain builds this: go.mod admits Go 1.22, whose Read
+// returns the error and leaves the octet zero, a challenge the peer
+// could predict; since Go 1.24 the default source aborts the program
+// itself.
+func challengeByte() byte { return challengeFrom(rand.Reader) }
+
+// challengeFrom is challengeByte from source r.
+func challengeFrom(r io.Reader) byte {
 	var b [1]byte
-	// Since Go 1.24 Read returns no error: it aborts the program when
-	// the system's source fails.
-	_, _ = rand.Read(b[:])
+	if _, err := io.ReadFull(r, b[:]); err != nil {
+		panic("gigapos: CHAP challenge: " + err.Error())
+	}
 	return b[0]
 }
 

@@ -2,7 +2,10 @@ package gigapos
 
 import (
 	"bytes"
+	"errors"
+	"strings"
 	"testing"
+	"testing/iotest"
 
 	"repro/internal/auth"
 	"repro/internal/hdlc"
@@ -181,4 +184,21 @@ func authenticatedPeer(l *Link) string {
 		return l.auth.chapSrv.Peer
 	}
 	return ""
+}
+
+// TestChallengeFailsClosed: a CHAP challenge source that fails stops
+// the link instead of handing out a zero octet the peer could predict,
+// whatever toolchain builds it.
+func TestChallengeFailsClosed(t *testing.T) {
+	if got := challengeFrom(bytes.NewReader([]byte{0xA5})); got != 0xA5 {
+		t.Fatalf("challengeFrom = %#x, want 0xa5", got)
+	}
+	defer func() {
+		r := recover()
+		if msg, _ := r.(string); !strings.Contains(msg, "entropy gone") {
+			t.Fatalf("recovered %v, want a panic naming the source's error", r)
+		}
+	}()
+	challengeFrom(iotest.ErrReader(errors.New("entropy gone")))
+	t.Fatal("challengeFrom returned on a failing source")
 }

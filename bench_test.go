@@ -765,16 +765,24 @@ func densityPayload(n, density int) []byte {
 func BenchmarkAppendFramed(b *testing.B) {
 	for _, pt := range sweepPoints() {
 		b.Run(pt.name, func(b *testing.B) {
-			benchSteady(b, appendFramedOp(pt.payload))
+			benchSteady(b, appendFramedOp(pt.payload, hdlc.ACCMNone))
 		})
 	}
+	b.Run(accmAllPoint.name, func(b *testing.B) {
+		benchSteady(b, appendFramedOp(accmAllPoint.payload, hdlc.ACCMAll))
+	})
 }
 
-func appendFramedOp(payload []byte) steadyOp {
+// accmAllPoint is the transmit sweep's programmed-map point: the
+// random=2% datagram sent under ACCMAll, so every control octet is
+// escaped too (about 15 % of its octets) — the P5 with RegACCM set.
+var accmAllPoint = sweepPoint{"accm=all", netsim.NewGen(1, netsim.Fixed(1500), 0.02).Next()}
+
+func appendFramedOp(payload []byte, m hdlc.ACCM) steadyOp {
 	hdr := []byte{0xFF, 0x03, 0x00, 0x21}
-	dst := ppp.AppendFramed(nil, hdr, payload, crc.FCS32Mode, hdlc.ACCMNone, true)
+	dst := ppp.AppendFramed(nil, hdr, payload, crc.FCS32Mode, m, true)
 	return steadyOp{func() {
-		dst = ppp.AppendFramed(dst[:0], hdr, payload, crc.FCS32Mode, hdlc.ACCMNone, true)
+		dst = ppp.AppendFramed(dst[:0], hdr, payload, crc.FCS32Mode, m, true)
 	}, len(dst)}
 }
 

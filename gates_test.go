@@ -16,6 +16,8 @@ package gigapos
 import (
 	"fmt"
 	"testing"
+
+	"repro/internal/hdlc"
 )
 
 const (
@@ -74,7 +76,8 @@ func TestGateProfileOverhead(t *testing.T) {
 
 // TestGateOC48Floor: every point of the BenchmarkAppendFramed and
 // BenchmarkTokenizerFeed sweeps (escape density 0–100 % at 1500 octets,
-// frame size 40–1500 octets at 2 %), every size of BenchmarkLinkPair,
+// frame size 40–1500 octets at 2 %), the transmit sweep's ACCMAll
+// point (accmAllPoint), every size of BenchmarkLinkPair,
 // and BenchmarkSONETSection's STM-16 map + demap counted in line
 // octets, in bursts of about 256 KB of wire.
 func TestGateOC48Floor(t *testing.T) {
@@ -85,9 +88,10 @@ func TestGateOC48Floor(t *testing.T) {
 	var pts []point
 	for _, pt := range sweepPoints() {
 		pts = append(pts,
-			point{"AppendFramed/" + pt.name, appendFramedOp(pt.payload)},
+			point{"AppendFramed/" + pt.name, appendFramedOp(pt.payload, hdlc.ACCMNone)},
 			point{"TokenizerFeed/" + pt.name, tokenizerFeedOp(t, pt.payload)})
 	}
+	pts = append(pts, point{"AppendFramed/" + accmAllPoint.name, appendFramedOp(accmAllPoint.payload, hdlc.ACCMAll)})
 	for _, size := range sweepSizes {
 		pts = append(pts, point{fmt.Sprintf("LinkPair/size=%d", size), linkPairOp(t, size)})
 	}

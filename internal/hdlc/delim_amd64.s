@@ -1,3 +1,4 @@
+#include "go_asm.h"
 #include "textflag.h"
 
 // func delimMaps(maps *[mapBlocks]uint64, src []byte) int
@@ -15,7 +16,7 @@ TEXT ·delimMaps(SB), NOSPLIT, $0-40
 	MOVQ src_base+8(FP), SI
 	MOVQ src_len+16(FP), CX
 	SHRQ $6, CX
-	MOVQ $16, AX // mapBlocks
+	MOVQ $const_mapBlocks, AX
 	CMPQ CX, AX
 	CMOVQGT AX, CX
 	MOVQ CX, ret+32(FP)
@@ -74,7 +75,7 @@ loop:
 	MOVQ X9, BX
 	PEXTRW $4, X9, DX
 	ADDL DX, BX
-	CMPL BX, $8 // denseBits
+	CMPL BX, $const_denseBits
 	JA dense
 	ADDQ $64, SI
 	CMPQ R8, CX

@@ -10,7 +10,8 @@
 //     block, sixteen lanes per SSE2 compare on amd64 and eight per
 //     word elsewhere, and the bitmap's set bits walked; dense blocks
 //     and sub-block tails through word sorters that resolve every lane
-//     without a branch on the data), the software mirror of the 32-bit
+//     without a branch on the data, one PSHUFB per word on amd64 with
+//     SSSE3 and a lane loop elsewhere), the software mirror of the 32-bit
 //     P5 datapath where a flag or escape can appear in any lane of the
 //     word.
 //

@@ -484,3 +484,27 @@ func BenchmarkBlockMaps(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkSorter is the word path alone at 50 % density, per sorter
+// this build can run, over the 24 blocks of BenchmarkBlockMaps: ns/op
+// over 24 is its cost per 64-octet block, the row to set beside the
+// bitmap's.
+func BenchmarkSorter(b *testing.B) {
+	p := makePayload(1536, 0.5, 1)
+	enc := Stuff(nil, p, ACCMNone)[:len(p)]
+	dst := make([]byte, 2*len(p))
+	for _, s := range wordSorters() {
+		b.Run("stuff/"+s.name, func(b *testing.B) {
+			b.SetBytes(int64(len(p)))
+			for i := 0; i < b.N; i++ {
+				s.stuff(dst, p, ACCMNone)
+			}
+		})
+		b.Run("destuff/"+s.name, func(b *testing.B) {
+			b.SetBytes(int64(len(enc)))
+			for i := 0; i < b.N; i++ {
+				s.destuff(dst, enc, 0)
+			}
+		})
+	}
+}

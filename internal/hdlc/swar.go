@@ -9,11 +9,16 @@ import (
 // Word-parallel stuffing. The hardware problem (paper §3, Figs 5 and 6) is
 // that on a W-byte datapath a flag/escape can sit in any lane, so one
 // input word can expand to up to 2W output bytes (stuffing) or collapse
-// leaving bubbles (destuffing). In software the analog is SWAR: every
-// lane of a word tested for 0x7E/0x7D at once — sixteen per SSE2
-// compare on amd64 (delim_amd64.s), eight per 64-bit word in ALU
-// operations elsewhere — into a 64-octet block's delimiter bitmap, whose
-// set bits the block kernels walk.
+// leaving bubbles (destuffing). In software the analog is SWAR, in two
+// parts. Every lane of a word is tested for 0x7E/0x7D at once — sixteen
+// per SSE2 compare on amd64 (delim_amd64.s), eight per 64-bit word in
+// ALU operations elsewhere — into a 64-octet block's delimiter bitmap,
+// whose set bits the block kernels walk. A dense block goes to the word
+// path instead, the byte sorter proper: per 8-octet word, the lane mask
+// picks a shuffle that opens (transmit) or closes (receive) the escape
+// slots — one table-driven PSHUFB per word on amd64 with SSSE3
+// (sorter_amd64.s, chosen by CPUID at init), a branch-free lane loop
+// elsewhere (stuffWords, destuffWords).
 
 const (
 	lsbMask = 0x0101010101010101
@@ -115,10 +120,16 @@ func DelimiterSpan(src []byte) int {
 const BlockOctets = 64
 
 // denseBits is the popcount above which a block takes the word path
-// instead of the bit walk: the walk pays a 64-octet segment store per
-// set bit, and past about one delimiter per word the branch-free lane
-// sorter is cheaper. It is a property of the input the kernel observes,
-// not a knob.
+// instead of the bit walk. The walk pays a 64-octet segment store and
+// two octet stores per set bit, about 2 ns; the SIMD sorter pays a flat
+// 9 ns (transmit) to 15 ns (receive) per block, plus a call, and drags
+// each following block that opens dirty along with it. The crossover
+// is therefore near four to six bits, and the sweep over 0…16 (E39)
+// reads flat from 4 to 16 on link_mtu within its spread, 2.5–5 % worse
+// at 2 and 13–20 % worse at 1 and 0; 8 sits inside the flat range.
+// (Against the Go
+// sorters, 100–200 ns a dense block, 8 was reasoned the same way, E30.)
+// It is a property of the input the kernel observes, not a knob.
 const denseBits = 8
 
 // The dense policy, one for both kernels: a block whose bitmap isDense
@@ -205,8 +216,15 @@ func copyBlock(d, s *[BlockOctets]byte) {
 // fixed-width store into reserved slack and each escaped octet two
 // stores, so its cost does not depend on where the escapes fall. A
 // dense block (popcount above denseBits) and the sub-block tail take
-// the word path, stuffBlock. Output is byte-identical to Stuff.
+// the word path, stuffBlock. Under a non-empty map, where the SIMD
+// sorter classifies mapped control octets itself, all of src takes
+// it: a programmed ACCM costs what an empty one does (the bitmap under
+// a map is the Go lane fold, mappedLanes). Output is byte-identical to
+// Stuff.
 func AppendStuffed(dst, src []byte, m ACCM) []byte {
+	if sorter && m != 0 {
+		return stuffBlock(dst, src, m)
+	}
 	j := len(dst)
 	out := slices.Grow(dst, 2*len(src)+BlockOctets)
 	out = out[:cap(out)]
@@ -222,12 +240,12 @@ func AppendStuffed(dst, src []byte, m ACCM) []byte {
 				run = b + BlockOctets
 				if isDense(bm) {
 					// A dense block is the last one mapped: it and the
-					// blocks after it that open dirty take the word path.
-					j = len(stuffBlock(out[:j], src[b:run], m))
+					// blocks after it that open dirty take the word path,
+					// in one call.
 					for opensDirty(src[run:], m) {
-						j = len(stuffBlock(out[:j], src[run:run+BlockOctets], m))
 						run += BlockOctets
 					}
+					j = len(stuffBlock(out[:j], src[b:run], m))
 					b = run
 					break
 				}
@@ -261,16 +279,33 @@ func AppendStuffed(dst, src []byte, m ACCM) []byte {
 
 // stuffBlock appends the octet-stuffed encoding of src to dst at a
 // cost that does not depend on where the escapes fall: the word path
-// of the transmit kernel. Room for the worst case is reserved up front;
-// each lane then stores Escape, stores its octet over it or after it,
-// and advances by one or two, with no branch on the data. A word with
-// nothing to escape is stored whole. Output is byte-identical to Stuff.
+// of the transmit kernel, the Escape Generate sorter (paper Fig 5) one
+// 8-octet word at a time. Room for the worst case is reserved up front;
+// every whole word goes through the SSSE3 sorter (sortStuff,
+// sorter_amd64.s) where the CPU has it and through stuffWords
+// otherwise, and the sub-word tail through Stuff. Output is
+// byte-identical to Stuff.
 func stuffBlock(dst, src []byte, m ACCM) []byte {
 	j := len(dst)
 	dst = slices.Grow(dst, 2*len(src))[:j+2*len(src)]
-	for len(src) >= 8 {
+	n := len(src) &^ 7
+	if sorter {
+		j += sortStuff(dst[j:], src[:n], m)
+	} else {
+		j += stuffWords(dst[j:], src[:n], m)
+	}
+	return Stuff(dst[:j], src[n:], m)
+}
+
+// stuffWords stores the stuffed encoding of the whole words of src at
+// the head of dst, which has room for twice len(src), and returns its
+// length: the portable sorter. Each lane stores Escape, stores its
+// octet over it or after it, and advances by one or two, with no branch
+// on the data; a word with nothing to escape is stored whole.
+func stuffWords(dst, src []byte, m ACCM) int {
+	j := 0
+	for ; len(src) >= 8; src = src[8:] {
 		x := binary.LittleEndian.Uint64(src)
-		src = src[8:]
 		var lanes uint64
 		if m == 0 {
 			lanes = delimLanes(x) // inline: escLanes is a call
@@ -291,26 +326,43 @@ func stuffBlock(dst, src []byte, m ACCM) []byte {
 			lanes >>= 8
 		}
 	}
-	return Stuff(dst[:j], src, m)
+	return j
 }
 
 // destuffBlock appends the decoded form of the flag-free stuffed
 // sequence src to dst, threading the escape-pending state exactly as
-// Destuff does: the word path of the receive kernel (paper Fig 6).
-// Each lane is stored xored by the previous lane's escape bit and the
-// write position advances only past lanes that are not themselves an
-// escape, so an escape octet is overwritten by its successor; again no
-// branch on the data, and a word without escapes is stored whole.
+// destuff does: the word path of the receive kernel, the Escape Detect
+// sorter (paper Fig 6). Every whole word goes through the SSSE3 sorter
+// (sortDestuff) where the CPU has it and through destuffWords
+// otherwise, and the sub-word tail through destuff.
 func destuffBlock(dst, src []byte, esc bool) ([]byte, bool) {
 	j := len(dst)
 	dst = slices.Grow(dst, len(src))[:j+len(src)]
-	var pend uint64 // 1 while the previous lane was an escape octet
+	var pend uint64 // 1 while the previous octet was an escape
 	if esc {
 		pend = 1
 	}
-	for len(src) >= 8 {
+	n, k := len(src)&^7, 0
+	if sorter {
+		k, pend = sortDestuff(dst[j:], src[:n], pend)
+	} else {
+		k, pend = destuffWords(dst[j:], src[:n], pend)
+	}
+	return destuff(dst[:j+k], src[n:], pend != 0)
+}
+
+// destuffWords stores the decoded form of the whole words of src at the
+// head of dst, which has room for len(src), threading the pending
+// escape, and returns its length and the escape pending after it: the
+// portable sorter. Each lane is stored xored by the previous lane's
+// escape bit and the write position advances only past lanes that are
+// not themselves an escape, so an escape octet is overwritten by its
+// successor; again no branch on the data, and a word without escapes is
+// stored whole.
+func destuffWords(dst, src []byte, pend uint64) (int, uint64) {
+	j := 0
+	for ; len(src) >= 8; src = src[8:] {
 		x := binary.LittleEndian.Uint64(src)
-		src = src[8:]
 		lanes := matchLanes(x, Escape) >> 7
 		if lanes|pend == 0 {
 			binary.LittleEndian.PutUint64(dst[j:], x)
@@ -325,5 +377,5 @@ func destuffBlock(dst, src []byte, esc bool) ([]byte, bool) {
 			lanes >>= 8
 		}
 	}
-	return destuff(dst[:j], src, pend != 0)
+	return j, pend
 }

@@ -52,7 +52,7 @@ type Token struct {
 // one bitmap of the Flag and Escape octets; clean blocks reach the arena
 // as one memmove per clean run, a dirty block walks its set bits —
 // closing a frame at each flag in the same walk — and a dense block and
-// the sub-block tail take the branch-free word destuffer, so the cost
+// the sub-block tail take the word sorter (destuffBlock), so the cost
 // per octet does not depend on where the escapes fall. The frame, not
 // the block, is the unit of the FCS: the in-progress frame is
 // contiguous in the arena however the stream was chunked, so the
@@ -221,20 +221,19 @@ func (t *Tokenizer) blocks(out []Token, chunk []byte) ([]Token, int) {
 
 // dense takes the block at run, and each whole block after it that
 // opens with a delimiter and has an octet after it, through the word
-// path, then the octet an escape ending the last one protects, policed
-// like every other octet. It returns the octets consumed, stopping early
-// once the frame is to be discarded.
+// path — one call per frame — then the octet an escape ending the last
+// one protects, policed like every other octet. It returns the octets
+// consumed, stopping early once the frame is to be discarded.
 func (t *Tokenizer) dense(out []Token, chunk []byte, run int) ([]Token, int) {
-	for end := run&^(BlockOctets-1) + BlockOctets; ; end += BlockOctets {
-		for run < end {
-			var used int
-			out, used = t.words(out, chunk[run:end])
-			if run += used; t.drop {
-				return out, run
-			}
-		}
-		if !opensDirty(chunk[end:len(chunk)-1], 0) {
-			break
+	end := run&^(BlockOctets-1) + BlockOctets
+	for opensDirty(chunk[end:len(chunk)-1], 0) {
+		end += BlockOctets
+	}
+	for run < end {
+		var used int
+		out, used = t.words(out, chunk[run:end])
+		if run += used; t.drop {
+			return out, run
 		}
 	}
 	if t.esc && chunk[run] != Flag {

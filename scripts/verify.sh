@@ -7,12 +7,13 @@
 #   other package names, a bare SONET section or a hand-armed recorder
 #   outside their one seam),
 #   go test -race (and fifty race runs of the TCP lifecycle tests),
-#   the portable Go delimiter fold that amd64 replaces
-#   with an SSE2 kernel and the 32-bit decoders (GOARCH=386 go test of
+#   the portable Go paths that amd64 replaces with its two kernels —
+#   the delimiter fold (SSE2) and the word sorters (SSSE3, chosen by
+#   CPUID) — and the 32-bit decoders (GOARCH=386 go test of
 #   internal/hdlc, internal/ppp, internal/flight and internal/telemetry,
 #   GOARCH=386 go vet of the whole tree, GOARCH=arm64 go vet of
-#   internal/hdlc; go vet ./... above runs asmdecl on the kernel
-#   itself), the three timing gates
+#   internal/hdlc; go vet ./... above runs asmdecl on both kernels
+#   themselves), the three timing gates
 #   (gates_test.go; the OC-48 floor covers the codecs, the Link pair
 #   and the STM-16 section),
 #   every scenarios/*.json run through p5sim (each graded by its own
@@ -20,8 +21,9 @@
 #   exit 0), the scenarios/net/*.json socket engines as two p5sim
 #   halves each, a 30s differential fuzz of each fused kernel — the one production
 #   encoder and the one production tokenizer, each against its
-#   byte-at-a-time reference
-#   (FUSED_FUZZTIME overrides, per kernel) — a 10s one of the SONET
+#   byte-at-a-time reference — and of the receive word sorter against
+#   the byte-serial destuff
+#   (FUSED_FUZZTIME overrides, per fuzzer) — a 10s one of the SONET
 #   deframer's chunking (SONET_FUZZTIME overrides), and
 #   scripts/fuzz-smoke.sh, a short fuzz of every Fuzz* target (5s each
 #   by default; FUZZTIME overrides). Speed is judged elsewhere:
@@ -70,11 +72,14 @@ echo "== go test -race =="
 go test -race ./...
 
 echo "== 32-bit and portable paths (GOARCH=386 test and vet, GOARCH=arm64 vet) =="
-# amd64 maps delimiters with delim_amd64.s; every other GOARCH runs the
-# Go fold in delim_other.go, which an amd64 build never compiles. 386
-# binaries run on an amd64 host, so the codec tests (TestBlockMapsExact,
-# the guard-page test, the fused-path tests) run against the fold too;
-# the arm64 vet checks the fold on a 64-bit GOARCH. The capture decoder
+# amd64 carries two kernels: it maps delimiters with delim_amd64.s and
+# sorts dense words with sorter_amd64.s (where CPUID reports SSSE3);
+# every other GOARCH runs the Go fold in delim_other.go, which an amd64
+# build never compiles, and the Go word sorters (stuffWords,
+# destuffWords). 386 binaries run on an amd64 host, so the codec tests
+# (TestBlockMapsExact, the guard-page tests, the sorter tests, the
+# fused-path tests) run against the Go paths too; the arm64 vet checks
+# them on a 64-bit GOARCH. The capture decoder
 # and the exposition parser read outside input, and a capture's length
 # fields turn negative as a 32-bit int, so their tests run on 386 too.
 # The 386 vet type-checks every package, tests included, so a constant
@@ -191,15 +196,20 @@ grep -q '^incident ' "$net_dir/fleet-join.txt" || {
 }
 echo "fleet smoke: OK (one board, one correlated capture pair, joined timeline)"
 
-echo "== fused codec fuzz (${FUSED_FUZZTIME:-30s} per kernel) =="
+echo "== fused codec fuzz (${FUSED_FUZZTIME:-30s} per fuzzer) =="
 # Every frame, control frames included, leaves through ppp.AppendFrame
 # and arrives through hdlc.Tokenizer.Feed; each is held to its
 # byte-at-a-time reference by a differential fuzzer, and a divergence
-# is a wire-format bug with no second production path to mask it. Both
-# get a longer dedicated run than the generic smoke below.
+# is a wire-format bug with no second production path to mask it. The
+# receive word sorter (destuffBlock) resolves escape runs from a table
+# of its own, so it is held to the byte-serial destuff under any
+# chunking as well. All three get a longer dedicated run than the
+# generic smoke below.
 go test -run '^$' -fuzz '^FuzzFusedEncode$' \
     -fuzztime "${FUSED_FUZZTIME:-30s}" ./internal/ppp
 go test -run '^$' -fuzz '^FuzzFusedDecode$' \
+    -fuzztime "${FUSED_FUZZTIME:-30s}" ./internal/hdlc
+go test -run '^$' -fuzz '^FuzzDestuffConsistency$' \
     -fuzztime "${FUSED_FUZZTIME:-30s}" ./internal/hdlc
 
 echo "== SONET deframer chunking fuzz (${SONET_FUZZTIME:-10s}) =="
