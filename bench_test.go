@@ -35,7 +35,6 @@ import (
 	"repro/internal/hdlc"
 	"repro/internal/netsim"
 	"repro/internal/p5"
-	"repro/internal/pos"
 	"repro/internal/ppp"
 	"repro/internal/prof"
 	"repro/internal/rtl"
@@ -433,41 +432,33 @@ func BenchmarkScaling_WidthSweep(b *testing.B) {
 	}
 }
 
-// BenchmarkSONETCoupledGoodput (E13) runs the P5 against the cycle-
-// coupled SDH/SONET PHY: the ~3.4% transport-overhead tax on goodput
+// BenchmarkSONETCoupledGoodput (E13) runs the P5 over its STM-16
+// section on one clock: the ~3.4% transport-overhead tax on goodput
 // emerges from backpressure rather than configuration.
 func BenchmarkSONETCoupledGoodput(b *testing.B) {
 	b.ReportAllocs()
 	var bpc float64
 	for i := 0; i < b.N; i++ {
-		sim := &rtl.Sim{}
-		regs := p5.NewRegs()
-		tx := p5.NewTransmitter(sim, 4, regs)
-		tx.Escape.IdleFill = true
-		txPHY := &pos.TxPHY{In: tx.Out, Level: sonet.STM16, W: 4}
-		sim.Add(txPHY)
-		line := sim.Wire("phy.line")
-		rxPHY := &pos.RxPHY{Out: line, Level: sonet.STM16, W: 4}
-		sim.Add(rxPHY)
-		rx := p5.NewReceiverOn(sim, 4, regs, line)
-		txPHY.EmitFrame = func(f []byte) { rxPHY.Feed(f) }
+		sys := p5.NewSectionSystem(4, sonet.STM16)
+		sys.OAM.Write(p5.RegCtrl, sys.OAM.Read(p5.RegCtrl)|0x10 /* idle fill */)
 
 		payload := make([]byte, 1496)
 		const n = 300
 		for j := 0; j < n; j++ {
-			tx.Framer.Enqueue(p5.TxJob{Protocol: ppp.ProtoIPv4, Payload: payload})
+			sys.Send(p5.TxJob{Protocol: ppp.ProtoIPv4, Payload: payload})
 		}
 		// Line-level accounting over the saturated middle: the fraction
 		// of transport capacity carrying real PPP octets.
+		fr := sys.Section.A.Framer()
 		var f0, fill0 uint64
-		sim.RunUntil(func() bool {
-			if f0 == 0 && len(rx.Control.Queue) >= 30 {
-				f0, fill0 = txPHY.Frames, txPHY.FillOctets
+		for len(sys.Rx.Control.Queue) < 270 && sys.Sim.Now() < 50_000_000 {
+			if f0 == 0 && len(sys.Rx.Control.Queue) >= 30 {
+				f0, fill0 = fr.FramesBuilt, fr.FillOctets
 			}
-			return len(rx.Control.Queue) >= 270
-		}, 50_000_000)
-		frames := float64(txPHY.Frames - f0)
-		fill := float64(txPHY.FillOctets - fill0)
+			sys.Cycle()
+		}
+		frames := float64(fr.FramesBuilt - f0)
+		fill := float64(fr.FillOctets - fill0)
 		util := (frames*float64(sonet.STM16.PayloadBytes()) - fill) /
 			(frames * float64(sonet.STM16.FrameBytes()))
 		bpc = util * 32 // of the 32 line bits per cycle

@@ -151,7 +151,7 @@ func TestLoopbackTelemetryScrape(t *testing.T) {
 
 // TestSONETTelemetryScrape runs the P5 over its STM-1 section with a
 // byte slip and a line cut, and checks the section/defect series and
-// trace events appear alongside the per-direction pipeline series.
+// trace events appear alongside the System's pipeline series.
 func TestSONETTelemetryScrape(t *testing.T) {
 	var series map[string]float64
 	var trace []telemetry.Event
@@ -175,11 +175,11 @@ func TestSONETTelemetryScrape(t *testing.T) {
 		t.Fatal("scrape hook never ran")
 	}
 	for _, name := range []string{
-		`p5tx_cycles_total`,
-		`p5tx_tx_frames_total`,
-		`p5tx_unit_busy_cycles_total{unit="escape_gen"}`,
-		`p5rx_rx_frames_good_total`,
-		`p5rx_unit_busy_cycles_total{unit="delineator"}`,
+		`p5_cycles_total`,
+		`p5_tx_frames_total`,
+		`p5_unit_busy_cycles_total{unit="escape_gen"}`,
+		`p5_rx_frames_good_total`,
+		`p5_unit_busy_cycles_total{unit="delineator"}`,
 		`sonet_frames_ok_total`,
 		`sonet_resyncs_total`,
 		`sonet_defect_raises_total`,

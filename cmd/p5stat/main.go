@@ -2,9 +2,9 @@
 // report from a running p5sim telemetry endpoint — the software
 // equivalent of watching the pipeline's occupancy LEDs. It attaches to
 // the Prometheus exposition at /metrics (shared with any ordinary
-// scraper), groups series by instrument prefix (p5, p5tx, p5rx,
-// sonet), and derives busy and stall percentages from the cycle
-// counters.
+// scraper), groups series by instrument prefix (p5 — one System,
+// over its loopback line or its STM-1 section — and sonet), and derives
+// busy and stall percentages from the cycle counters.
 //
 // With -interval the endpoint is rescraped periodically and each
 // report shows the delta window, so live runs read as rates rather

@@ -23,6 +23,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -53,57 +54,62 @@ func flitString(f rtl.Flit, ok bool) string {
 	return b.String() + tags
 }
 
-func main() {
-	fig := flag.Int("fig", 5, "figure to trace (5 = escape generate, 6 = escape detect)")
-	cycles := flag.Int("cycles", 16, "cycles to trace")
-	vcdPath := flag.String("vcd", "", "also write a Value Change Dump to this file")
-	capture := flag.String("capture", "", "decode a flight-recorder capture file (.p5fr) and exit")
-	join := flag.Bool("join", false, "merge the two correlated .p5fr captures given as arguments into one incident timeline")
-	fcsBits := flag.Int("fcs", 32, "FCS mode used when re-framing captured wire bytes (16 or 32)")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("p5trace", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fig := fs.Int("fig", 5, "figure to trace (5 = escape generate, 6 = escape detect)")
+	cycles := fs.Int("cycles", 16, "cycles to trace")
+	vcdPath := fs.String("vcd", "", "also write a Value Change Dump to this file")
+	capture := fs.String("capture", "", "decode a flight-recorder capture file (.p5fr) and exit")
+	join := fs.Bool("join", false, "merge the two correlated .p5fr captures given as arguments into one incident timeline")
+	fcsBits := fs.Int("fcs", 32, "FCS mode used when re-framing captured wire bytes (16 or 32)")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "p5trace:", err)
+		return 1
+	}
 
 	if *join {
-		if err := joinCaptures(os.Stdout, flag.Args()); err != nil {
-			fmt.Fprintln(os.Stderr, "p5trace:", err)
-			os.Exit(1)
+		if err := joinCaptures(stdout, fs.Args()); err != nil {
+			return fail(err)
 		}
-		return
+		return 0
 	}
 	if *capture != "" {
-		if err := dumpCapture(os.Stdout, *capture, *fcsBits); err != nil {
-			fmt.Fprintln(os.Stderr, "p5trace:", err)
-			os.Exit(1)
+		if err := dumpCapture(stdout, *capture, *fcsBits); err != nil {
+			return fail(err)
 		}
-		return
+		return 0
 	}
 
+	trace := map[int]func(io.Writer, int, *rtl.VCD){5: trace5, 6: trace6}[*fig]
+	if trace == nil {
+		fmt.Fprintln(stderr, "p5trace: -fig must be 5 or 6")
+		return 2
+	}
 	var vcd *rtl.VCD
 	if *vcdPath != "" {
 		f, err := os.Create(*vcdPath)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "p5trace:", err)
-			os.Exit(1)
+			return fail(err)
 		}
 		defer f.Close()
 		vcd = rtl.NewVCD(f)
 	}
-
-	switch *fig {
-	case 5:
-		trace5(*cycles, vcd)
-	case 6:
-		trace6(*cycles, vcd)
-	default:
-		fmt.Println("p5trace: -fig must be 5 or 6")
-	}
+	trace(stdout, *cycles, vcd)
 	if vcd != nil {
-		fmt.Printf("\nVCD written to %s\n", *vcdPath)
+		fmt.Fprintf(stdout, "\nVCD written to %s\n", *vcdPath)
 	}
+	return 0
 }
 
 // joinCaptures loads a correlated capture pair and renders the merged
 // two-sided incident timeline.
-func joinCaptures(w *os.File, paths []string) error {
+func joinCaptures(w io.Writer, paths []string) error {
 	if len(paths) != 2 {
 		return fmt.Errorf("-join needs exactly two capture files, got %d", len(paths))
 	}
@@ -126,26 +132,26 @@ func joinCaptures(w *os.File, paths []string) error {
 // trace5 reproduces Figure 5: the word 7E 12 34 56 enters the Escape
 // Generate unit; 7E expands to 7D 5E, producing five octets that must
 // be re-sorted across word boundaries.
-func trace5(n int, vcd *rtl.VCD) {
-	fmt.Println("Figure 5 — Escape Generate data organisation")
-	fmt.Println("input frame: 7E 12 34 56 9A BC DE F0 (flag in lane 0 of word 0)")
-	fmt.Println()
+func trace5(out io.Writer, n int, vcd *rtl.VCD) {
+	fmt.Fprintln(out, "Figure 5 — Escape Generate data organisation")
+	fmt.Fprintln(out, "input frame: 7E 12 34 56 9A BC DE F0 (flag in lane 0 of word 0)")
+	fmt.Fprintln(out)
 	sim := &rtl.Sim{}
 	src := &rtl.Source{Out: sim.Wire("in")}
-	out := sim.Wire("out")
-	gen := &p5.EscapeGen{In: src.Out, Out: out, W: 4}
-	sink := rtl.NewSink(out)
+	line := sim.Wire("out")
+	gen := &p5.EscapeGen{In: src.Out, Out: line, W: 4}
+	sink := rtl.NewSink(line)
 	sim.Add(src, gen, sink)
 	src.FeedBytes([]byte{0x7E, 0x12, 0x34, 0x56, 0x9A, 0xBC, 0xDE, 0xF0}, 4)
 
 	if vcd != nil {
 		vcd.WatchWire("input", src.Out, 4)
-		vcd.WatchWire("line", out, 4)
+		vcd.WatchWire("line", line, 4)
 		vcd.Watch("resync_occupancy", 8, func() (uint64, bool) {
 			return uint64(gen.Occupancy()), true
 		})
 	}
-	fmt.Printf("%5s  %-16s %8s  %-16s\n", "cycle", "input word", "buffer", "line word out")
+	fmt.Fprintf(out, "%5s  %-16s %8s  %-16s\n", "cycle", "input word", "buffer", "line word out")
 	for c := 0; c < n; c++ {
 		in, inOK := src.Out.Peek()
 		outStart := len(sink.Flits)
@@ -158,19 +164,19 @@ func trace5(n int, vcd *rtl.VCD) {
 		if len(sink.Flits) > outStart {
 			outStr = flitString(sink.Flits[len(sink.Flits)-1], true)
 		}
-		fmt.Printf("%5d  %-16s %5d B   %-16s\n", c, flitString(in, inOK), occ, outStr)
+		fmt.Fprintf(out, "%5d  %-16s %5d B   %-16s\n", c, flitString(in, inOK), occ, outStr)
 	}
-	fmt.Printf("\nline stream: % X\n", sink.Data)
-	fmt.Println("note the extra 7D octet after the opening flag and the one-octet")
-	fmt.Println("shift of every subsequent word — the paper's Figure 5 reorganisation.")
+	fmt.Fprintf(out, "\nline stream: % X\n", sink.Data)
+	fmt.Fprintln(out, "note the extra 7D octet after the opening flag and the one-octet")
+	fmt.Fprintln(out, "shift of every subsequent word — the paper's Figure 5 reorganisation.")
 }
 
 // trace6 reproduces Figure 6: the stuffed stream 7D 5E 12 ... enters the
 // receiver; deleting 7D leaves a bubble the sorter must close.
-func trace6(n int, vcd *rtl.VCD) {
-	fmt.Println("Figure 6 — Escape Detect data organisation")
-	fmt.Println("line: 7E 7D 5E 12 34 56 9A BC DE 7E (escaped flag in the payload)")
-	fmt.Println()
+func trace6(out io.Writer, n int, vcd *rtl.VCD) {
+	fmt.Fprintln(out, "Figure 6 — Escape Detect data organisation")
+	fmt.Fprintln(out, "line: 7E 7D 5E 12 34 56 9A BC DE 7E (escaped flag in the payload)")
+	fmt.Fprintln(out)
 	sim := &rtl.Sim{}
 	src := &rtl.Source{}
 	regs := p5.NewRegs()
@@ -190,7 +196,7 @@ func trace6(n int, vcd *rtl.VCD) {
 			return uint64(det.Occupancy()), true
 		})
 	}
-	fmt.Printf("%5s  %-16s %8s  %-16s\n", "cycle", "line word in", "buffer", "destuffed out")
+	fmt.Fprintf(out, "%5s  %-16s %8s  %-16s\n", "cycle", "line word in", "buffer", "destuffed out")
 	for c := 0; c < n; c++ {
 		in, inOK := src.Out.Peek()
 		outF, outOK := det.Out.Peek()
@@ -199,8 +205,8 @@ func trace6(n int, vcd *rtl.VCD) {
 		if vcd != nil {
 			vcd.Sample(sim.Now())
 		}
-		fmt.Printf("%5d  %-16s %5d B   %-16s\n", c, flitString(in, inOK), occ, flitString(outF, outOK))
+		fmt.Fprintf(out, "%5d  %-16s %5d B   %-16s\n", c, flitString(in, inOK), occ, flitString(outF, outOK))
 	}
-	fmt.Println("\nthe deleted 7D leaves a one-octet bubble; the following octets")
-	fmt.Println("slide forward one lane — the paper's Figure 6 compaction.")
+	fmt.Fprintln(out, "\nthe deleted 7D leaves a one-octet bubble; the following octets")
+	fmt.Fprintln(out, "slide forward one lane — the paper's Figure 6 compaction.")
 }

@@ -95,3 +95,42 @@ func TestDumpCaptureRejectsGarbage(t *testing.T) {
 func writeTestFile(path string, data []byte) error {
 	return os.WriteFile(path, data, 0o644)
 }
+
+// TestRunRejectsUnknownFigure: -fig other than 5 or 6 exits 2 with the
+// message on stderr, and is refused before -vcd creates its file, so no
+// empty dump is left behind or reported as written.
+func TestRunRejectsUnknownFigure(t *testing.T) {
+	vcd := filepath.Join(t.TempDir(), "trace.vcd")
+	var out, errb bytes.Buffer
+	if code := run([]string{"-fig", "7", "-vcd", vcd}, &out, &errb); code != 2 {
+		t.Errorf("exit %d, want 2", code)
+	}
+	if out.Len() != 0 {
+		t.Errorf("stdout %q, want nothing", out.String())
+	}
+	if !strings.Contains(errb.String(), "-fig must be 5 or 6") {
+		t.Errorf("stderr %q", errb.String())
+	}
+	if _, err := os.Stat(vcd); !os.IsNotExist(err) {
+		t.Errorf("the VCD file exists after a rejected -fig (stat: %v)", err)
+	}
+}
+
+// TestRunTracesBothFigures: -fig 5 with -vcd and -fig 6 exit 0, and the
+// dump holds the traced signals.
+func TestRunTracesBothFigures(t *testing.T) {
+	vcd := filepath.Join(t.TempDir(), "trace.vcd")
+	for _, args := range [][]string{{"-fig", "5", "-vcd", vcd}, {"-fig", "6"}} {
+		var out, errb bytes.Buffer
+		if code := run(args, &out, &errb); code != 0 {
+			t.Fatalf("%v: exit %d: %s", args, code, errb.String())
+		}
+		if !strings.Contains(out.String(), "Figure "+args[1]) {
+			t.Errorf("%v: no figure header in %q", args, out.String())
+		}
+	}
+	dump, err := os.ReadFile(vcd)
+	if err != nil || !bytes.Contains(dump, []byte("resync_occupancy")) {
+		t.Errorf("VCD dump: %v, %d octets without the traced signals", err, len(dump))
+	}
+}

@@ -15,55 +15,27 @@ import (
 )
 
 // TestHardwareP5OverSONET drives the full hardware path of the paper's
-// Figure 2: datagrams enter the cycle-accurate P5 transmitter, its line
-// octets are mapped byte-synchronously into STM-16 transport frames,
-// carried, demapped, and fed into the cycle-accurate P5 receiver.
+// Figure 2 on one clock: datagrams enter the cycle-accurate P5
+// transmitter, its line octets are mapped byte-synchronously into
+// STM-16 transport frames, carried, demapped, and fed into the
+// cycle-accurate P5 receiver.
 func TestHardwareP5OverSONET(t *testing.T) {
-	regs := p5.NewRegs()
-
-	// Transmit side: a P5 transmitter whose line words we collect.
-	txSim := &rtl.Sim{}
-	tx := p5.NewTransmitter(txSim, 4, regs)
-	txSink := rtl.NewSink(tx.Out)
-	txSim.Add(txSink)
-
+	sys := p5.NewSectionSystem(4, sonet.STM16)
 	gen := netsim.NewGen(11, netsim.IMIX{}, 0.05)
 	var want [][]byte
 	for i := 0; i < 25; i++ {
 		d := gen.Next()
 		want = append(want, d)
-		tx.Framer.Enqueue(p5.TxJob{Protocol: ppp.ProtoIPv4, Payload: d})
+		sys.Send(p5.TxJob{Protocol: ppp.ProtoIPv4, Payload: d})
 	}
-	if !txSim.RunUntil(func() bool { return !tx.Busy() && txSim.Drained() }, 10_000_000) {
-		t.Fatal("transmitter did not drain")
+	if !sys.RunUntilIdle(10_000_000) {
+		t.Fatal("system did not drain")
 	}
-
-	// SONET section: map the line stream into STM-16 frames and back.
-	la, lz := sonet.NewLinePair(sonet.STM16)
-	la.Send(txSink.Data)
-	for la.Stats().QueueDepth > 0 {
-		la.Tick(0)
-	}
-	la.Tick(0) // one fill frame to flush
-	recovered := lz.Recv(nil)[0]
-	if df := lz.Deframer(); df.B1Errors != 0 || df.B3Errors != 0 {
+	if df := sys.Section.Z.Deframer(); df.B1Errors != 0 || df.B3Errors != 0 {
 		t.Fatalf("parity errors on a clean line: %d/%d", df.B1Errors, df.B3Errors)
 	}
 
-	// Receive side: a P5 receiver fed the demapped octet stream.
-	rxSim := &rtl.Sim{}
-	src := &rtl.Source{}
-	rx := p5.NewReceiver(rxSim, 4, regs)
-	src.Out = rx.In
-	rxSim.Add(src)
-	src.FeedBytes(recovered, 4)
-	if !rxSim.RunUntil(func() bool {
-		return src.Pending() == 0 && !rx.Busy() && rxSim.Drained()
-	}, 10_000_000) {
-		t.Fatal("receiver did not drain")
-	}
-
-	got := rx.Control.Queue
+	got := sys.Received()
 	if len(got) != len(want) {
 		t.Fatalf("delivered %d/%d frames", len(got), len(want))
 	}
@@ -141,7 +113,7 @@ func threeWay(t *testing.T, payload []byte, fcs crc.Size, w int) {
 	fr := &ppp.Frame{Protocol: ppp.ProtoIPv4, Payload: payload}
 	cfg := ppp.Config{FCS: fcs}
 	regs := p5.NewRegs()
-	p5.NewOAM(regs, nil, nil).Write(p5.RegFCSMode, uint32(fcs.Bytes()))
+	(&p5.OAM{Regs: regs}).Write(p5.RegFCSMode, uint32(fcs.Bytes()))
 
 	// Transmit.
 	ref := ppp.ReferenceEncode(nil, fr, cfg, false)
@@ -190,7 +162,7 @@ func threeWay(t *testing.T, payload []byte, fcs crc.Size, w int) {
 func p5Encode(t *testing.T, w int, regs *p5.Regs, payload []byte) []byte {
 	sim := &rtl.Sim{}
 	tx := p5.NewTransmitter(sim, w, regs)
-	tx.CRC.Mode = crc.Size(p5.NewOAM(regs, nil, nil).Read(p5.RegFCSMode))
+	tx.CRC.Mode = crc.Size((&p5.OAM{Regs: regs}).Read(p5.RegFCSMode))
 	sink := rtl.NewSink(tx.Out)
 	sim.Add(sink)
 	tx.Framer.Enqueue(p5.TxJob{Protocol: ppp.ProtoIPv4, Payload: payload})
@@ -206,7 +178,7 @@ func p5Decode(t *testing.T, w int, regs *p5.Regs, wire []byte) []p5.RxFrame {
 	sim := &rtl.Sim{}
 	src := &rtl.Source{}
 	rx := p5.NewReceiver(sim, w, regs)
-	rx.CRC.Mode = crc.Size(p5.NewOAM(regs, nil, nil).Read(p5.RegFCSMode))
+	rx.CRC.Mode = crc.Size((&p5.OAM{Regs: regs}).Read(p5.RegFCSMode))
 	src.Out = rx.In
 	sim.Add(src)
 	src.FeedBytes(wire, w)

@@ -285,13 +285,6 @@ type OAM struct {
 	profDumps atomic.Uint32
 }
 
-// NewOAM assembles an OAM block over separately constructed datapath
-// halves — for deployments that wire their own transmitter/receiver
-// pair (either tap may be nil; its status registers then read zero).
-func NewOAM(regs *Regs, tx *Transmitter, rx *Receiver) *OAM {
-	return &OAM{Regs: regs, tx: tx, rx: rx}
-}
-
 // defectIntBit maps a defect raise to its interrupt cause.
 func defectIntBit(d sonet.Defect) uint32 {
 	switch d {

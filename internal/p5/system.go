@@ -2,6 +2,7 @@ package p5
 
 import (
 	"repro/internal/rtl"
+	"repro/internal/sonet"
 	"repro/internal/telemetry"
 )
 
@@ -58,15 +59,8 @@ type Receiver struct {
 
 // NewReceiver builds a receiver of width w on sim.
 func NewReceiver(sim *rtl.Sim, w int, regs *Regs) *Receiver {
-	return NewReceiverOn(sim, w, regs, sim.Wire("rx.line"))
-}
-
-// NewReceiverOn builds a receiver reading from an existing line wire —
-// used when the producer (a PHY) must be registered before the receiver
-// so the evaluation order keeps the line at full rate.
-func NewReceiverOn(sim *rtl.Sim, w int, regs *Regs, in *rtl.Wire) *Receiver {
 	r := &Receiver{}
-	r.In = in
+	r.In = sim.Wire("rx.line")
 	w1 := sim.Wire("rx.content")
 	w2 := sim.Wire("rx.clean")
 	w3 := sim.Wire("rx.checked")
@@ -134,8 +128,9 @@ func (l *Line) Eval() {
 // Tick is the unit's clocked half: rtl.Sim.Add picks it up.
 func (l *Line) Tick() { l.cycle++ }
 
-// System is a full loopback P5: transmitter, line, receiver, and the
-// Protocol OAM block, all on one clock.
+// System is a full P5: transmitter, line, receiver, and the Protocol
+// OAM block, all on one clock. The line loops the octets straight back,
+// or (NewSectionSystem) hands them to an STM-N Section on the way.
 type System struct {
 	W    int
 	Sim  *rtl.Sim
@@ -144,6 +139,8 @@ type System struct {
 	Tx   *Transmitter
 	Rx   *Receiver
 	Line *Line
+	// Section is the STM-N section between Line and Rx; nil in loopback.
+	Section *Section
 
 	cfg       config // this clock's register sample
 	txWasBusy bool
@@ -163,21 +160,42 @@ type System struct {
 	FillSpans   uint64
 }
 
-// NewSystem assembles a width-w system (w = 1 for the 8-bit P5, 4 for
-// the 32-bit P5).
-func NewSystem(w int) *System {
-	sys := &System{W: w, Sim: &rtl.Sim{}, Regs: NewRegs(), FillLatency: -1}
+// NewSystem assembles a width-w loopback system (w = 1 for the 8-bit
+// P5, 4 for the 32-bit P5).
+func NewSystem(w int) *System { return newSystem(w, nil) }
+
+// NewSectionSystem assembles a width-w system whose line octets cross
+// one STM-N section at level before they reach the receiver; the OAM
+// block watches the far end's defect monitor.
+func NewSectionSystem(w int, level sonet.Level) *System {
+	a, z := sonet.NewLinePair(level)
+	sys := newSystem(w, &Section{A: a, Z: z, w: w, level: level, budget: level.FrameBytes()})
+	sys.OAM.AttachSection(z.Deframer())
+	return sys
+}
+
+func newSystem(w int, sec *Section) *System {
+	sys := &System{W: w, Sim: &rtl.Sim{}, Regs: NewRegs(), FillLatency: -1, Section: sec}
 	sys.Tx = NewTransmitter(sys.Sim, w, sys.Regs)
 	sys.Tx.Framer.cfg = &sys.cfg
-	// The line registers between Tx and Rx so that, in the kernel's
-	// downstream-first evaluation, the receiver vacates Rx.In before
-	// the line pushes and the line vacates Tx.Out before the
-	// transmitter pushes — full one-word-per-cycle line rate.
+	// The line (and the section behind it) registers between Tx and Rx
+	// so that, in the kernel's downstream-first evaluation, the receiver
+	// vacates Rx.In before the line pushes and the line vacates Tx.Out
+	// before the transmitter pushes — full one-word-per-cycle line rate.
 	sys.Line = &Line{In: sys.Tx.Out}
 	sys.Sim.Add(sys.Line)
+	if sec != nil {
+		sec.in = sys.Sim.Wire("phy.line")
+		sys.Line.Out = sec.in
+		sys.Sim.Add(sec)
+	}
 	sys.Rx = NewReceiver(sys.Sim, w, sys.Regs)
 	sys.Rx.Control.cfg = &sys.cfg
-	sys.Line.Out = sys.Rx.In
+	if sec != nil {
+		sec.out = sys.Rx.In
+	} else {
+		sys.Line.Out = sys.Rx.In
+	}
 	sys.OAM = &OAM{Regs: sys.Regs, tx: sys.Tx, rx: sys.Rx}
 	sys.Rx.Control.Deliver = func(f RxFrame) {
 		sys.Rx.Control.Queue = append(sys.Rx.Control.Queue, f)
@@ -235,13 +253,13 @@ func (s *System) Cycle() {
 	}
 	s.txWasBusy = busy
 	if s.tel != nil && s.Sim.Now()&(telemetrySyncInterval-1) == 0 {
-		s.SyncTelemetry()
+		s.tel.Sync()
 	}
 }
 
 // busy reports whether any octet is in flight anywhere in the system.
 func (s *System) busy() bool {
-	return s.Tx.Busy() || s.Rx.Busy() || !s.Sim.Drained()
+	return s.Tx.Busy() || s.Rx.Busy() || !s.Sim.Drained() || s.Section.busy()
 }
 
 // RunUntilIdle clocks the system until it drains or the budget runs
@@ -253,7 +271,7 @@ func (s *System) RunUntilIdle(budget int) bool {
 	for i := 0; i < budget; i++ {
 		s.Cycle()
 		// Cycle has just evaluated the transmitter's busy state.
-		if !s.txWasBusy && !s.Rx.Busy() && s.Sim.Drained() {
+		if !s.txWasBusy && !s.Rx.Busy() && s.Sim.Drained() && !s.Section.busy() {
 			return true
 		}
 	}

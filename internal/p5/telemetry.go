@@ -7,20 +7,19 @@ import (
 
 // Telemetry mirrors: the datapath counters are plain uint64s written
 // only on the simulation thread (see internal/rtl/telemetry.go); here
-// each is declared on a telemetry.Mirror, whose Sync copies it into its
-// atomic registry series. System hooks the sync into its own Cycle so a
-// scraper sees values at most telemetrySyncInterval cycles stale;
-// standalone assemblies (the p5sim -sonet path) sync the mirror they
-// passed in themselves.
+// each is declared on the System's one telemetry.Mirror, kernel series
+// included, whose Sync copies it into its atomic registry series. System
+// hooks the sync into its own Cycle so a scraper sees values at most
+// telemetrySyncInterval cycles stale.
 
 // telemetrySyncInterval is how often (cycles) an instrumented System
 // refreshes its mirrors. Power of two so the check is a mask.
 const telemetrySyncInterval = 256
 
-// InstrumentTransmitter declares a transmitter's unit counters on m
+// instrumentTransmitter declares a transmitter's unit counters on m
 // under prefix and samples its units' busy state each cycle (sim must
 // already be instrumented).
-func InstrumentTransmitter(m *telemetry.Mirror, prefix string, sim *rtl.Sim, tx *Transmitter) {
+func instrumentTransmitter(m *telemetry.Mirror, prefix string, sim *rtl.Sim, tx *Transmitter) {
 	m.Counter(prefix+"_tx_frames_total", "Frames through the transmit CRC unit.",
 		func() uint64 { return tx.CRC.Frames })
 	m.Counter(prefix+"_tx_octets_total", "Payload octets read by the framer.",
@@ -35,14 +34,14 @@ func InstrumentTransmitter(m *telemetry.Mirror, prefix string, sim *rtl.Sim, tx 
 		func() int64 { return int64(tx.Escape.Occupancy()) })
 	m.Gauge(prefix+"_tx_sorter_highwater", "Transmit byte-sorter FIFO high-water mark (octets).",
 		func() int64 { return int64(tx.Escape.HighWater()) })
-	watchUnitBusy(m.Registry(), prefix, sim, "framer", tx.Framer.busy)
-	watchUnitBusy(m.Registry(), prefix, sim, "tx_crc", tx.CRC.busy)
-	watchUnitBusy(m.Registry(), prefix, sim, "escape_gen", tx.Escape.Busy)
+	watchUnitBusy(prefix, sim, "framer", tx.Framer.busy)
+	watchUnitBusy(prefix, sim, "tx_crc", tx.CRC.busy)
+	watchUnitBusy(prefix, sim, "escape_gen", tx.Escape.Busy)
 }
 
-// InstrumentReceiver declares a receiver's unit counters on m under
+// instrumentReceiver declares a receiver's unit counters on m under
 // prefix and samples its units' busy state each cycle.
-func InstrumentReceiver(m *telemetry.Mirror, prefix string, sim *rtl.Sim, rx *Receiver) {
+func instrumentReceiver(m *telemetry.Mirror, prefix string, sim *rtl.Sim, rx *Receiver) {
 	m.Counter(prefix+"_rx_frames_good_total", "Frames delivered with a valid FCS.",
 		func() uint64 { return rx.Control.Good })
 	m.Counter(prefix+"_rx_frames_bad_total", "Frames disposed of as damaged.",
@@ -65,27 +64,29 @@ func InstrumentReceiver(m *telemetry.Mirror, prefix string, sim *rtl.Sim, rx *Re
 		func() int64 { return int64(rx.Escape.Occupancy()) })
 	m.Gauge(prefix+"_rx_sorter_highwater", "Receive byte-sorter FIFO high-water mark (octets).",
 		func() int64 { return int64(rx.Escape.HighWater()) })
-	watchUnitBusy(m.Registry(), prefix, sim, "delineator", rx.Delineator.busy)
-	watchUnitBusy(m.Registry(), prefix, sim, "escape_detect", rx.Escape.busy)
+	watchUnitBusy(prefix, sim, "delineator", rx.Delineator.busy)
+	watchUnitBusy(prefix, sim, "escape_detect", rx.Escape.busy)
 }
 
-func watchUnitBusy(reg *telemetry.Registry, prefix string, sim *rtl.Sim, unit string, busy func() bool) {
-	sim.WatchBusy(reg.Counter(prefix+"_unit_busy_cycles_total",
+func watchUnitBusy(prefix string, sim *rtl.Sim, unit string, busy func() bool) {
+	sim.WatchBusy(prefix+"_unit_busy_cycles_total",
 		"Cycles the unit held frame octets (pipeline utilisation numerator).",
-		telemetry.L("unit", unit)), busy)
+		busy, telemetry.L("unit", unit))
 }
 
-// Instrument exports the whole loopback system — kernel wires, unit
-// busy cycles, and datapath counters — under prefix. Cycle then
-// refreshes the mirrors every telemetrySyncInterval cycles; call
+// Instrument exports the whole system — kernel wires, unit busy
+// cycles, and datapath counters — under prefix, and returns the one
+// mirror that carries them, on which a caller may declare series of its
+// own (the section's deframer) to share its cadence. Cycle then
+// refreshes the mirror every telemetrySyncInterval cycles; call
 // SyncTelemetry after the final cycle for an exact view. One registry
 // takes one system per prefix: a second would fight the first over the
 // same series, and the mirror refuses it.
-func (s *System) Instrument(reg *telemetry.Registry, prefix string) {
-	s.Sim.Instrument(reg, prefix)
+func (s *System) Instrument(reg *telemetry.Registry, prefix string) *telemetry.Mirror {
 	s.tel = reg.Mirror()
-	InstrumentTransmitter(s.tel, prefix, s.Sim, s.Tx)
-	InstrumentReceiver(s.tel, prefix, s.Sim, s.Rx)
+	s.Sim.Instrument(s.tel, prefix)
+	instrumentTransmitter(s.tel, prefix, s.Sim, s.Tx)
+	instrumentReceiver(s.tel, prefix, s.Sim, s.Rx)
 	s.tel.Counter(prefix+"_line_words_total", "Words carried by the line model.",
 		func() uint64 { return s.Line.Words })
 	s.tel.Gauge(prefix+"_tx_fill_latency_cycles",
@@ -97,12 +98,10 @@ func (s *System) Instrument(reg *telemetry.Registry, prefix string) {
 	s.fillHist = reg.Histogram(prefix+"_tx_fill_latency_cycles_dist",
 		"Distribution of transmit fill latencies — the paper's four-cycle sorter claim, continuously asserted.",
 		[]int64{1, 2, 3, 4, 5, 6, 8, 12, 16, 24, 32})
-	s.SyncTelemetry()
+	s.tel.Sync()
+	return s.tel
 }
 
 // SyncTelemetry refreshes every exported mirror immediately. No-op
 // when the system is not instrumented.
-func (s *System) SyncTelemetry() {
-	s.tel.Sync()
-	s.Sim.SyncTelemetry()
-}
+func (s *System) SyncTelemetry() { s.tel.Sync() }

@@ -88,46 +88,3 @@ func (s *Sink) Eval() {
 
 // Tick implements clocked.
 func (s *Sink) Tick() { s.cycle++ }
-
-// ByteFIFO is a synchronous byte buffer for spans of octets — the PHY
-// staging buffers of internal/pos.
-type ByteFIFO struct {
-	buf  []byte
-	head int
-	// HighWater records the maximum occupancy ever seen.
-	HighWater int
-}
-
-// Len returns the current occupancy.
-func (q *ByteFIFO) Len() int { return len(q.buf) - q.head }
-
-// Push appends bytes.
-func (q *ByteFIFO) Push(p ...byte) {
-	if len(q.buf)+len(p) > cap(q.buf) && q.head*2 >= len(q.buf) {
-		// Compact instead of growing, but only once at least half the
-		// array is dead space behind head: Pop rewinds only on a full
-		// drain, so a FIFO that never quite empties would otherwise
-		// slide its window through an ever-growing backing array. The
-		// half-dead threshold keeps Push amortised O(1) — after a
-		// compaction at least half the capacity is free slack — while
-		// pinning the array near 2x the high-water occupancy, so the
-		// steady state stops allocating.
-		q.buf, q.head = q.buf[:copy(q.buf, q.buf[q.head:])], 0
-	}
-	q.buf = append(q.buf, p...)
-	if n := q.Len(); n > q.HighWater {
-		q.HighWater = n
-	}
-}
-
-// Pop removes and returns up to n bytes. The returned slice aliases the
-// FIFO's storage: consume it before the next Push, which may compact.
-func (q *ByteFIFO) Pop(n int) []byte {
-	n = min(n, q.Len())
-	p := q.buf[q.head : q.head+n]
-	q.head += n
-	if q.head == len(q.buf) {
-		q.buf, q.head = q.buf[:0], 0
-	}
-	return p
-}

@@ -26,7 +26,11 @@
 // scheme of a ready/valid hardware pipeline with registered outputs.
 package rtl
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+
+	"repro/internal/telemetry"
+)
 
 // Flit is one datapath word in flight: up to 8 octets packed
 // little-endian (lane 0 = first octet on the wire), a lane count, and
@@ -172,7 +176,8 @@ type Sim struct {
 	clocked []clocked // the modules that also have a Tick
 	wires   []*Wire
 	cycle   int64
-	instr   *instrumentation
+	mirror  *telemetry.Mirror // nil until Instrument
+	watches []*busyWatch
 }
 
 // Add registers modules in datapath order (source first).
@@ -204,8 +209,10 @@ func (s *Sim) Cycle() {
 		w.Tick()
 	}
 	s.cycle++
-	if s.instr != nil {
-		s.instr.cycle(s.cycle)
+	for _, bw := range s.watches {
+		if bw.busy() {
+			bw.cycles++
+		}
 	}
 }
 

@@ -234,26 +234,6 @@ func TestSourceFeedBytes(t *testing.T) {
 	}
 }
 
-func TestByteFIFO(t *testing.T) {
-	var q ByteFIFO
-	q.Push(1, 2, 3)
-	if q.Len() != 3 {
-		t.Error("push")
-	}
-	p := q.Pop(2)
-	if !bytes.Equal(p, []byte{1, 2}) || q.Len() != 1 {
-		t.Error("pop")
-	}
-	q.Push(4, 5)
-	if q.HighWater != 3 {
-		t.Errorf("HighWater = %d", q.HighWater)
-	}
-	p = q.Pop(10)
-	if !bytes.Equal(p, []byte{3, 4, 5}) || q.Len() != 0 {
-		t.Errorf("drain pop = % x", p)
-	}
-}
-
 func TestSimDrained(t *testing.T) {
 	var sim Sim
 	w := sim.Wire("w")
@@ -386,16 +366,16 @@ func TestSimInstrument(t *testing.T) {
 	sim.Add(sink)
 
 	reg := telemetry.NewRegistry()
-	sim.Instrument(reg, "kern")
-	busySrc := reg.Counter("kern_unit_busy_cycles_total", "", telemetry.L("unit", "source"))
-	sim.WatchBusy(busySrc, func() bool { return src.Pending() > 0 })
+	m := reg.Mirror()
+	sim.Instrument(m, "kern")
+	sim.WatchBusy("kern_unit_busy_cycles_total", "", func() bool { return src.Pending() > 0 }, telemetry.L("unit", "source"))
 
 	const n = 30
 	for i := 0; i < n; i++ {
 		src.Feed(FlitOf([]byte{byte(i)}))
 	}
 	sim.RunUntil(func() bool { return len(sink.Flits) == n }, 10000)
-	sim.SyncTelemetry()
+	m.Sync()
 
 	snap := reg.Snapshot("t")
 	mustGet := func(series string) float64 {
@@ -418,7 +398,7 @@ func TestSimInstrument(t *testing.T) {
 	if v := mustGet(`kern_wire_occupied_cycles_total{wire="w1"}`); v == 0 {
 		t.Error("no occupancy exported")
 	}
-	if busySrc.Value() == 0 {
+	if v := mustGet(`kern_unit_busy_cycles_total{unit="source"}`); v == 0 {
 		t.Error("busy watch never sampled busy")
 	}
 }
@@ -439,8 +419,10 @@ func refCycle(s *Sim) {
 		w.Tick()
 	}
 	s.cycle++
-	if s.instr != nil {
-		s.instr.cycle(s.cycle)
+	for _, bw := range s.watches {
+		if bw.busy() {
+			bw.cycles++
+		}
 	}
 }
 

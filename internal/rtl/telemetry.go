@@ -5,99 +5,47 @@ import "repro/internal/telemetry"
 // The kernel's counters (Wire.Transfers/Stalls/Occupied, busy-watch
 // cycle counts) are plain integers written only by the simulation
 // thread — keeping the hot path free of atomics. Instrumentation
-// mirrors them into a telemetry.Registry: each series gets an atomic
-// counter that is refreshed from the plain value on every sync, so a
+// declares them on the caller's telemetry.Mirror, whose Sync — at the
+// cadence its owner picks — copies each into its atomic series, so a
 // scraper on another goroutine always reads a consistent recent view
 // without ever touching simulation state.
-
-// syncInterval is how often (in cycles) an instrumented Sim refreshes
-// its mirror counters. Power of two so the check is a mask.
-const syncInterval = 1024
 
 // busyWatch samples one unit's busy predicate each cycle.
 type busyWatch struct {
 	busy   func() bool
 	cycles uint64 // plain; sim thread only
-	mirror *telemetry.Counter
 }
 
-// wireMirror pairs a wire with its exported series.
-type wireMirror struct {
-	w                           *Wire
-	transfers, stalls, occupied *telemetry.Counter
-}
-
-type instrumentation struct {
-	cycles  *telemetry.Counter
-	wires   []wireMirror
-	watches []*busyWatch
-}
-
-// Instrument mirrors the simulation's counters into reg. Every wire
-// gets <prefix>_wire_{transfers,stalls,occupied_cycles}_total series
+// Instrument declares the simulation's counters on m. Every wire gets
+// <prefix>_wire_{transfers,stalls,occupied_cycles}_total series
 // labelled with its name, and the clock is exported as
 // <prefix>_cycles_total. Wires created after this call are not
-// covered — instrument after wiring. Mirrors refresh automatically
-// every syncInterval cycles; call SyncTelemetry for an up-to-date
-// view (e.g. after the final cycle).
-func (s *Sim) Instrument(reg *telemetry.Registry, prefix string) {
-	in := &instrumentation{
-		cycles: reg.Counter(prefix+"_cycles_total", "Simulation clock cycles elapsed."),
-	}
+// covered — instrument after wiring. The series are as fresh as m's
+// last Sync.
+func (s *Sim) Instrument(m *telemetry.Mirror, prefix string) {
+	m.Counter(prefix+"_cycles_total", "Simulation clock cycles elapsed.",
+		func() uint64 { return uint64(s.cycle) })
 	for _, w := range s.wires {
-		in.wires = append(in.wires, wireMirror{
-			w: w,
-			transfers: reg.Counter(prefix+"_wire_transfers_total",
-				"Flits accepted across the wire.", telemetry.L("wire", w.Name)),
-			stalls: reg.Counter(prefix+"_wire_stalls_total",
-				"Producer cycles blocked on a full wire (backpressure).", telemetry.L("wire", w.Name)),
-			occupied: reg.Counter(prefix+"_wire_occupied_cycles_total",
-				"Cycles the wire slot held a flit at the clock edge.", telemetry.L("wire", w.Name)),
-		})
+		name := telemetry.L("wire", w.Name)
+		m.Counter(prefix+"_wire_transfers_total", "Flits accepted across the wire.",
+			func() uint64 { return w.Transfers }, name)
+		m.Counter(prefix+"_wire_stalls_total", "Producer cycles blocked on a full wire (backpressure).",
+			func() uint64 { return w.Stalls }, name)
+		m.Counter(prefix+"_wire_occupied_cycles_total", "Cycles the wire slot held a flit at the clock edge.",
+			func() uint64 { return w.Occupied }, name)
 	}
-	s.instr = in
+	s.mirror = m
 }
 
-// WatchBusy samples busy every cycle and exports the count of busy
-// cycles as <series>; the caller picks the registered counter (so the
-// p5 layer can choose its own naming and labels). Only effective after
-// Instrument.
-func (s *Sim) WatchBusy(mirror *telemetry.Counter, busy func() bool) {
-	if s.instr == nil {
+// WatchBusy samples busy every cycle and declares the count of busy
+// cycles as the series name on the Instrument mirror; the caller picks
+// the name, help and labels (so the p5 layer keeps its own naming).
+// Only effective after Instrument.
+func (s *Sim) WatchBusy(name, help string, busy func() bool, labels ...telemetry.Label) {
+	if s.mirror == nil {
 		return
 	}
-	s.instr.watches = append(s.instr.watches, &busyWatch{busy: busy, mirror: mirror})
-}
-
-// cycle runs the per-cycle instrumentation work: busy sampling and the
-// periodic mirror refresh.
-func (in *instrumentation) cycle(now int64) {
-	for _, bw := range in.watches {
-		if bw.busy() {
-			bw.cycles++
-		}
-	}
-	if now&(syncInterval-1) == 0 {
-		in.sync(now)
-	}
-}
-
-func (in *instrumentation) sync(now int64) {
-	in.cycles.Set(uint64(now))
-	for _, wm := range in.wires {
-		wm.transfers.Set(wm.w.Transfers)
-		wm.stalls.Set(wm.w.Stalls)
-		wm.occupied.Set(wm.w.Occupied)
-	}
-	for _, bw := range in.watches {
-		bw.mirror.Set(bw.cycles)
-	}
-}
-
-// SyncTelemetry refreshes every mirror counter immediately. No-op when
-// the Sim is not instrumented.
-func (s *Sim) SyncTelemetry() {
-	if s.instr != nil {
-		s.instr.sync(s.cycle)
-	}
+	bw := &busyWatch{busy: busy}
+	s.watches = append(s.watches, bw)
+	s.mirror.Counter(name, help, func() uint64 { return bw.cycles }, labels...)
 }

@@ -12,7 +12,6 @@ import (
 	"repro/internal/rtl"
 	"repro/internal/sonet"
 	"repro/internal/synth"
-	"repro/internal/telemetry"
 )
 
 // runP5 runs the cycle-accurate P5 model on the traffic and reports the
@@ -25,11 +24,17 @@ func (s *Scenario) runP5(rc RunConfig, res *Result) error {
 	for i := range sent {
 		sent[i] = gen.Next()
 	}
-	run := s.p5Loopback
+	run, sys := s.p5Loopback, p5.NewSystem(s.P5.Width/8)
 	if s.P5.Line == "stm1" {
-		run = s.p5Section
+		run, sys = s.p5Section, p5.NewSectionSystem(s.P5.Width/8, sonet.STM1)
 	}
-	if err := run(rc, res, sent); err != nil {
+	if reg := rc.Observation.Registry; reg != nil {
+		tel := sys.Instrument(reg, "p5")
+		if sys.Section != nil {
+			sys.Section.Z.Deframer().Instrument(tel, rc.Observation.Tracer, "sonet")
+		}
+	}
+	if err := run(rc, res, sys, sent); err != nil {
 		return err
 	}
 	s.grade(res)
@@ -61,14 +66,10 @@ func p5Ledger(sent [][]byte, got []p5.RxFrame) circuitReport {
 	return rep
 }
 
-// p5Loopback runs transmitter and receiver in one simulation, the line
-// model looping the octets straight back.
-func (s *Scenario) p5Loopback(rc RunConfig, res *Result, sent [][]byte) error {
-	w, out := s.P5.Width/8, rc.Out
-	sys := p5.NewSystem(w)
-	if reg := rc.Observation.Registry; reg != nil {
-		sys.Instrument(reg, "p5")
-	}
+// p5Loopback runs the system with the line model looping the octets
+// straight back.
+func (s *Scenario) p5Loopback(rc RunConfig, res *Result, sys *p5.System, sent [][]byte) error {
+	w, out := sys.W, rc.Out
 	if rate := s.P5.Errors; rate > 0 {
 		rng := netsim.NewRand(s.Traffic.seed() ^ 0xBEEF)
 		sys.Line.Corrupt = func(f rtl.Flit, cycle int64) rtl.Flit {
@@ -114,83 +115,40 @@ func (s *Scenario) p5Loopback(rc RunConfig, res *Result, sent [][]byte) error {
 	return nil
 }
 
-// p5Section is the STM-1 pipeline: P5 transmitter → STM-1 section with
-// the scripted faults → P5 receiver, the deframer's defect monitor wired
-// into the OAM alarm register; the section runs Duration frame times.
-// Transmit and receive run on separate simulations, so their telemetry
-// uses distinct prefixes (p5tx/p5rx) plus "sonet" for the section.
-func (s *Scenario) p5Section(rc RunConfig, res *Result, sent [][]byte) error {
-	w, out := s.P5.Width/8, rc.Out
-	reg, tr := rc.Observation.Registry, rc.Observation.Tracer
-	regs := p5.NewRegs()
-
-	txSim, rxSim := &rtl.Sim{}, &rtl.Sim{}
-	tx := p5.NewTransmitter(txSim, w, regs)
-	sink := rtl.NewSink(tx.Out)
-	txSim.Add(sink)
-	la, lz := sonet.NewLinePair(sonet.STM1)
-	df := lz.Deframer()
-	src := &rtl.Source{}
-	rx := p5.NewReceiver(rxSim, w, regs)
-	src.Out = rx.In
-	rxSim.Add(src)
-	oam := p5.NewOAM(regs, tx, rx)
-	oam.AttachSection(df)
+// p5Section runs the system over its STM-1 section with the scripted
+// faults on the section's transmit side, the deframer's defect monitor
+// wired into the OAM alarm register; the section runs Duration frame
+// times, one every FrameBytes/W cycles.
+func (s *Scenario) p5Section(rc RunConfig, res *Result, sys *p5.System, sent [][]byte) error {
+	out, sec, oam := rc.Out, sys.Section, sys.OAM
+	df := sec.Z.Deframer()
 	oam.Write(p5.RegIntMask, p5.IntOOF|p5.IntLOF|p5.IntLOS|p5.IntSDeg|p5.IntSFail)
-	// One mirror for the split assembly: transmitter, receiver and
-	// section counters, synced together after the run (nil, and every
-	// use below a no-op, without telemetry).
-	var tel *telemetry.Mirror
-	if reg != nil {
-		tel = reg.Mirror()
-		txSim.Instrument(reg, "p5tx")
-		p5.InstrumentTransmitter(tel, "p5tx", txSim, tx)
-		rxSim.Instrument(reg, "p5rx")
-		p5.InstrumentReceiver(tel, "p5rx", rxSim, rx)
-		df.Instrument(tel, tr, "sonet")
-	}
 
-	// Transmit: run the P5 transmitter to completion, collecting its
-	// line octets.
-	for _, d := range sent {
-		tx.Framer.Enqueue(p5.TxJob{Protocol: ppp.ProtoIPv4, Payload: d})
-	}
-	if !txSim.RunUntil(func() bool { return !tx.Busy() && txSim.Drained() }, 200_000_000) {
-		return fmt.Errorf("transmitter did not drain")
-	}
-
-	// Section: the scripted faults on its transmit side, one frame per
-	// tick from traffic start.
+	// The scripted faults, one frame per frame time from traffic start.
 	var script fault.Script
 	for _, e := range s.Events {
 		e.fault(&script, int64(sonet.STM1.FrameBytes()), s.Duration, 0)
 	}
 	sort.SliceStable(script.Ops, func(i, j int) bool { return script.Ops[i].At < script.Ops[j].At })
 	inj := fault.NewInjector(script)
-	la.Inject = inj.Apply
-	la.Send(sink.Data)
-	for i := int64(0); i < s.Duration; i++ {
-		la.Tick(i)
+	sec.A.Inject = inj.Apply
+	for _, d := range sent {
+		sys.Send(p5.TxJob{Protocol: ppp.ProtoIPv4, Payload: d})
 	}
-
-	// Receive: feed the demapped octet stream to the P5 receiver.
-	fed := 0
-	for _, p := range lz.Recv(nil) {
-		src.FeedBytes(p, w)
-		fed += len(p)
+	for int64(sec.A.Framer().FramesBuilt) < s.Duration {
+		sys.Cycle()
 	}
-	if !rxSim.RunUntil(func() bool {
-		return src.Pending() == 0 && !rx.Busy() && rxSim.Drained()
-	}, 200_000_000+4*fed/w) {
-		return fmt.Errorf("receiver did not drain")
+	// Then the line goes dark: what the transmitter still holds is never
+	// carried, and the receiver drains what the last frame brought.
+	sec.A.Inject = func([]byte) []byte { return nil }
+	if !sys.RunUntilIdle(200_000_000) {
+		return fmt.Errorf("system did not drain")
 	}
-	tel.Sync()
-	txSim.SyncTelemetry()
-	rxSim.SyncTelemetry()
+	sys.SyncTelemetry()
 	// The first alignment is acquisition, not a resync.
 	res.Resyncs = max(df.ResyncCount, 1) - 1
 
-	rep := p5Ledger(sent, rx.Control.Queue)
+	rep := p5Ledger(sent, sys.Received())
 	res.Circuits = []circuitReport{rep}
 	fmt.Fprintf(out, "P5 %d-bit over STM-1 SDH section\n", s.P5.Width)
 	fmt.Fprintf(out, "  datagrams        : %d sent, %d delivered, %d rejected\n", rep.Sent, rep.Received+rep.Corrupted, rep.RxErrors)
@@ -212,7 +170,7 @@ func (s *Scenario) p5Section(rc RunConfig, res *Result, sent [][]byte) error {
 		oam.Read(p5.RegRxGood), oam.Read(p5.RegRxBad),
 		oam.Read(p5.RegRxFCSErr), oam.Read(p5.RegRxAborts), oam.Read(p5.RegRxRunts))
 	fmt.Fprintf(out, "  OAM interrupts   : stat=%#x irq=%v causes=[%s]\n",
-		oam.Read(p5.RegIntStat), regs.IRQ(), causeNames(oam.Read(p5.RegIntStat)))
+		oam.Read(p5.RegIntStat), sys.Regs.IRQ(), causeNames(oam.Read(p5.RegIntStat)))
 	return nil
 }
 

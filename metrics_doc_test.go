@@ -66,8 +66,10 @@ func TestMetricsDocMatchesRegistry(t *testing.T) {
 	}
 	NewRingLink(LinkConfig{}, port).Observe(o, "ring")
 
-	p5.NewSystem(4).Instrument(reg, "p5")
-	sonet.NewDeframer(sonet.STM1, nil).Instrument(reg.Mirror(), tr, "sonet")
+	// A section System exports the loopback's series plus its section's
+	// wire, and carries the sonet_* series on the same mirror.
+	sys := p5.NewSectionSystem(4, sonet.STM1)
+	sys.Section.Z.Deframer().Instrument(sys.Instrument(reg, "p5"), tr, "sonet")
 
 	udp, err := transport.NewUDP(transport.UDPConfig{ListenAddr: "127.0.0.1:0"})
 	if err != nil {
@@ -168,7 +170,7 @@ func renderMetricsDoc(t *testing.T, expo []byte) []byte {
 		"family. Instance labels (`link`, `engine`, `shard`, `line`, `slo`) are listed\n" +
 		"by key; every other label is a closed vocabulary and lists its values.\n" +
 		"The `p5_*` families are registered under the prefix handed to\n" +
-		"`Instrument` (`p5sim -sonet` uses `p5tx_*` / `p5rx_*` for its split assembly),\n" +
+		"`Instrument` (`p5sim` uses `p5_*` over the loopback line and the STM-1 section alike),\n" +
 		"histograms expose `_bucket{le}` / `_sum` / `_count`, and where the time went is\n" +
 		"`prof_stage_ns_total{stage}` alone — DESIGN.md §13 defines each stage.\n\n" +
 		"| series | type | labels | help |\n|---|---|---|---|\n")

@@ -110,7 +110,6 @@ func TestOneSectionCarrier(t *testing.T) {
 	kept := map[string]string{
 		"internal/sonet": "the section itself, and the Line that wraps it",
 		"internal/topo":  "an ADM span maps payload offsets to the TDM slots of many circuits, not one octet stream",
-		"internal/pos":   "the PHY of the RTL model is clocked: W line octets per simulated cycle, with wire backpressure",
 		"benchmark":      "frozen contract; its sonet_imix workload migrates in ROADMAP item 1(a)",
 	}
 	m := checkModule(t)
@@ -119,6 +118,56 @@ func TestOneSectionCarrier(t *testing.T) {
 	}) {
 		if f := m.meta(u.id); !f.test && kept[f.dir] == "" {
 			t.Errorf("%s: sonet.%s outside the one carrier; use sonet.NewLinePair", m.fset.Position(u.id.Pos()), u.obj.Name())
+		}
+	}
+}
+
+// TestOneP5Assembly holds the cycle-accurate P5 to one assembly: a
+// transmitter and a receiver meet a line, and an OAM block taps them,
+// only in p5.System, built by NewSystem (loopback) or NewSectionSystem
+// (an STM-N section). Outside internal/p5, production code builds a
+// Transmitter or a Receiver — by constructor or by composite literal —
+// only in the directories kept below, each with its reason; a kept
+// entry that no longer does fails too. An OAM literal cannot reach a
+// datapath (its taps are unexported): it is a bare register file, as
+// the protection drill's. Resolved by object and by type, so an import
+// alias hides nothing.
+func TestOneP5Assembly(t *testing.T) {
+	kept := map[string]string{
+		"cmd/p5trace": "its figures trace one unit, cycle by cycle, with nothing around it",
+	}
+	const p5 = "repro/internal/p5"
+	m := checkModule(t)
+	seen := map[string]bool{}
+	check := func(at ast.Node, what string) {
+		f := m.meta(at)
+		switch {
+		case f.test || f.dir == "internal/p5":
+		case kept[f.dir] != "":
+			seen[f.dir] = true
+		default:
+			t.Errorf("%s: %s outside the one P5 assembly; build a p5.System", m.fset.Position(at.Pos()), what)
+		}
+	}
+	for _, u := range m.uses(func(obj types.Object) bool {
+		return isFunc(obj, p5, "", "NewTransmitter", "NewReceiver")
+	}) {
+		check(u.id, "p5."+u.obj.Name())
+	}
+	for _, f := range m.files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			if lit, ok := n.(*ast.CompositeLit); ok {
+				if n := namedOf(m.info.Types[lit].Type); n != nil && n.Obj().Pkg() != nil && n.Obj().Pkg().Path() == p5 &&
+					(n.Obj().Name() == "Transmitter" || n.Obj().Name() == "Receiver") {
+					check(lit, "a p5."+n.Obj().Name()+" literal")
+				}
+			}
+			return true
+		})
+	}
+	for dir := range kept {
+		if !seen[dir] {
+			t.Errorf("%s is kept but builds no P5 unit; drop it from kept", dir)
 		}
 	}
 }
@@ -245,6 +294,8 @@ func TestEveryExportHasACaller(t *testing.T) {
 		"ppp.ReferenceEncode":          "the test oracle (TestOracleStaysAnOracle): the byte-at-a-time encoder the fused kernel is checked against",
 		"p5.CtrlLoopback":              "the OAM control register's local-loopback bit, part of the register map; the pair harness steers on it",
 		"telemetry.Snapshot.Get":       "the by-name read the tests of six instrumented packages assert series through",
+		"rtl.Sim.RunUntil":             "the unit tests' clock: rtl's, p5's and the root hardware tests drive a bare unit to a predicate through it",
+		"rtl.Source.Pending":           "the drain predicate those unit tests clock a Source against",
 	}
 	type export struct {
 		name                    string // qualified: pkg.Name, pkg.Type.Method, pkg.Type.Field
@@ -415,7 +466,6 @@ func TestEveryExportHasACaller(t *testing.T) {
 // imports, each with the experiment that keeps it. Their exports need no
 // non-test caller: the experiment is their reason.
 var keptPackages = map[string]string{
-	"internal/pos": "E13's cycle-coupled PHY; BenchmarkSONETCoupledGoodput drives it",
 	"internal/gfp": "E15's delineation baseline",
 }
 

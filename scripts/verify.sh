@@ -4,8 +4,8 @@
 #   the census guards as a fast first test step, over one type-check of
 #   the module (a package no production path imports, a *Config field
 #   no file sets, an export no non-test file names or an internal one no
-#   other package names, a bare SONET section or a hand-armed recorder
-#   outside their one seam),
+#   other package names, a bare SONET section, a hand-built P5 unit or
+#   a hand-armed recorder outside their one seam),
 #   go test -race (and fifty race runs of the TCP lifecycle tests),
 #   the portable Go paths that amd64 replaces with its two kernels —
 #   the delimiter fold (SSE2) and the word sorters (SSSE3, chosen by
@@ -18,7 +18,9 @@
 #   and the STM-16 section),
 #   every scenarios/*.json run through p5sim (each graded by its own
 #   assertions), every examples/* program run with go run (each must
-#   exit 0), the scenarios/net/*.json socket engines as two p5sim
+#   exit 0), the offline commands — p5tables, p5trace -fig 5 with a
+#   VCD dump, p5trace -fig 6 — each of which must exit 0, the
+#   scenarios/net/*.json socket engines as two p5sim
 #   halves each, a 30s differential fuzz of each fused kernel — the one production
 #   encoder and the one production tokenizer, each against its
 #   byte-at-a-time reference — and of the receive word sorter against
@@ -49,10 +51,10 @@ go vet -tags gates .
 echo "== go build =="
 go build ./...
 
-echo "== census guards (dead package, unset config field, uncalled export, one seam) =="
+echo "== census guards (dead package, unset config field, uncalled export, one seam, one P5 assembly) =="
 # Seconds, not minutes: dead weight fails here, before the race suite.
 # The typed guards share one type-check of the module.
-go test -count=1 -run '^TestEvery(PackageHasAProductionPath|ConfigFieldIsSet|ExportHasACaller)$|^TestOne(SectionCarrier|ArmingCall)$' .
+go test -count=1 -run '^TestEvery(PackageHasAProductionPath|ConfigFieldIsSet|ExportHasACaller)$|^TestOne(SectionCarrier|ArmingCall|P5Assembly)$' .
 
 echo "== go test -race (telemetry concurrency gate) =="
 # The telemetry registry/tracer promise lock-free concurrent scraping;
@@ -111,6 +113,14 @@ for ex in examples/*/; do
     echo "-- $ex"
     go run "./$ex"
 done
+
+echo "== offline commands =="
+# The commands that need no peer and no scenario: the synthesis tables
+# (with the goodput surface) and both figure traces, one with a VCD
+# dump. Each must exit 0.
+go run ./cmd/p5tables
+go run ./cmd/p5trace -fig 5 -vcd "$net_dir/fig5.vcd"
+go run ./cmd/p5trace -fig 6
 
 echo "== transport chaos smoke (two p5sim processes over UDP loopback) =="
 # The two halves of scenarios/net/udp-stall.json interconnect over real
