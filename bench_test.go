@@ -918,10 +918,11 @@ func BenchmarkTransportUDPSteady(b *testing.B) {
 // arenas and meters warm, and the dialing transport.
 func udpSteadyOp(tb testing.TB) (step func(), dl *transport.UDP) {
 	// The measured loop advances virtual time far faster than wall time,
-	// so probe replies land "late" in tick terms; a huge miss budget
-	// keeps the probes (and their RTT samples) flowing without ever
-	// tripping dead-peer detection mid-run.
-	cfg := transport.Config{KeepalivePeriod: 64, KeepaliveMisses: 1 << 20, RetryMin: 8, RetryMax: 64}
+	// so probe replies land "late" in tick terms; a 1024-tick period
+	// keeps probes (and their RTT samples) flowing while a run of a few
+	// thousand ops stays short of the three silent periods that declare
+	// a peer dead.
+	cfg := transport.Config{KeepalivePeriod: 1024}
 	ln, err := transport.NewUDP(transport.UDPConfig{Config: cfg, ListenAddr: "127.0.0.1:0"})
 	if err != nil {
 		tb.Fatal(err)

@@ -24,8 +24,7 @@ func TestChaosSoakLinkSelfHealing(t *testing.T) {
 	const fb = 2430 // STM-1 frame bytes; one frame per direction per tick
 
 	cfg := LinkConfig{
-		EchoPeriod: 8, EchoMisses: 2,
-		Supervise: true, RetryMin: 8, RetryMax: 128,
+		EchoPeriod: 8, Supervise: true, RetryMin: 8, RetryMax: 128,
 	}
 	cfg.Magic, cfg.IPAddr = 0xAAAA, [4]byte{10, 0, 0, 1}
 	a := NewLink(cfg)
@@ -210,8 +209,8 @@ func TestChaosSoakLinkSelfHealing(t *testing.T) {
 // outages) while at least one line of the pair is up.
 func TestChaosSoakDualLineProtection(t *testing.T) {
 	const fb = 2430
-	const wtr = 40
-	p := newProtectedPair(t, aps.Config{Bidirectional: true, Revertive: true, WaitToRestore: wtr})
+	const wtr = 100 // the controller's wait-to-restore
+	p := newProtectedPair(t)
 	a, b := p.a, p.b
 
 	// Per-line scripts, pinned to absolute line-octet offsets. The

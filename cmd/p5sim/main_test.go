@@ -98,15 +98,17 @@ func withProcs(t *testing.T, n int) {
 }
 
 // TestLoopbackTelemetryScrape is the acceptance path: a framed burst
-// with injected line errors, then an HTTP scrape of /metrics must show
-// nonzero per-stage occupancy, stall, and FCS-error series, and the
-// debug endpoints must answer.
+// over the STM-1 section with scripted line faults, then an HTTP scrape
+// of /metrics must show nonzero per-stage occupancy, stall, and
+// FCS-error series, and the debug endpoints must answer.
 func TestLoopbackTelemetryScrape(t *testing.T) {
 	var series map[string]float64
 	cfg := simConfig{
-		scenario: inline(t, `{"name": "loopback-errors",
-			"p5": {"width": 8, "frames": 20, "density": 0.02, "errors": 0.001, "line": "loopback"},
-			"traffic": {"mix": "imix", "seed": 7}, "assert": {}}`),
+		scenario: inline(t, `{"name": "section-errors",
+			"p5": {"width": 8, "frames": 60, "density": 0.02, "line": "stm1"},
+			"traffic": {"mix": "imix", "seed": 7}, "duration": 40,
+			"events": [{"at": 2, "action": "dup"}, {"at": 4, "action": "noise", "ticks": 4, "rate": 0.0005, "seed": 7}],
+			"assert": {}}`),
 		telemetryAddr: "127.0.0.1:0",
 		scrape: func(base string) {
 			series = seriesMap(t, base)

@@ -30,6 +30,12 @@
 // burn-rate/alarm rows across all instances. Unreachable instances
 // render as DOWN rows instead of failing the board.
 //
+// An argument p5stat would not read is a usage error, reported on
+// stderr with exit status 2 before anything is scraped: a positional
+// argument, -n without -interval, a negative -n or -interval, an
+// attach flag (-url, -interval, -n, -events, -transport, -slo,
+// -exemplars) beside -fleet or -replay, or both of those.
+//
 // Usage:
 //
 //	p5stat [-url http://127.0.0.1:8080] [-interval 2s] [-n 5] [-events] [-slo] [-exemplars] [-transport]
@@ -54,29 +60,72 @@ import (
 	"repro/internal/telemetry"
 )
 
-func main() {
-	url := flag.String("url", "http://127.0.0.1:8080", "p5sim telemetry endpoint base URL")
-	interval := flag.Duration("interval", 0, "rescrape period (0 = one snapshot report)")
-	count := flag.Int("n", 0, "stop after this many interval reports (0 = run until killed)")
-	events := flag.Bool("events", false, "dump the structured event trace from /trace after the report")
-	transportTab := flag.Bool("transport", false, "render the per-line transport table (liveness, reconnects, keepalive misses, queue high-water) from the transport_* series")
-	slo := flag.Bool("slo", false, "render the error-budget board from /slo after the report")
-	exemplars := flag.Bool("exemplars", false, "with the /slo board, list each link's latency exemplars")
-	replay := flag.String("replay", "", "format events from a saved JSON trace file instead of attaching")
-	fleet := flag.String("fleet", "", "comma-separated telemetry addresses; render the cross-instance fleet board instead of attaching to one endpoint")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	if *fleet != "" {
-		if err := runFleet(os.Stdout, *fleet); err != nil {
-			fmt.Fprintln(os.Stderr, "p5stat:", err)
-			os.Exit(1)
+// attachFlags are the flags that read from one attached endpoint; the
+// -fleet and -replay modes attach to none and refuse them.
+var attachFlags = []string{"url", "interval", "n", "events", "transport", "slo", "exemplars"}
+
+// run is the command: it parses args, renders the chosen report to
+// stdout and returns the exit status — 2 for a usage error, said on
+// stderr before anything is scraped or read; 1 for a failed scrape or
+// render.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("p5stat", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	url := fs.String("url", "http://127.0.0.1:8080", "p5sim telemetry endpoint base URL")
+	interval := fs.Duration("interval", 0, "rescrape period (0 = one snapshot report)")
+	count := fs.Int("n", 0, "with -interval, stop after this many reports (0 = run until killed)")
+	var v view
+	fs.BoolVar(&v.events, "events", false, "dump the structured event trace from /trace after the report")
+	fs.BoolVar(&v.transport, "transport", false, "render the per-line transport table (liveness, reconnects, keepalive misses, queue high-water) from the transport_* series")
+	fs.BoolVar(&v.slo, "slo", false, "render the error-budget board from /slo after the report")
+	fs.BoolVar(&v.exemplars, "exemplars", false, "with the /slo board, list each link's latency exemplars")
+	replay := fs.String("replay", "", "format events from a saved JSON trace file instead of attaching")
+	fleet := fs.String("fleet", "", "comma-separated telemetry addresses; render the cross-instance fleet board instead of attaching to one endpoint")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	given := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { given[f.Name] = true })
+	usage := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "p5stat: "+format+"\n", a...)
+		return 2
+	}
+	switch {
+	case fs.NArg() > 0:
+		return usage("unexpected argument %q", fs.Arg(0))
+	case *interval < 0:
+		return usage("-interval %v is negative", *interval)
+	case *count < 0:
+		return usage("-n %d is negative", *count)
+	case given["n"] && *interval == 0:
+		return usage("-n counts -interval reports; give -interval")
+	case given["fleet"] && given["replay"]:
+		return usage("-fleet and -replay are two modes; give one")
+	}
+	for _, mode := range []string{"fleet", "replay"} {
+		for _, f := range attachFlags {
+			if given[mode] && given[f] {
+				return usage("-%s attaches to no endpoint; -%s does not apply", mode, f)
+			}
 		}
-		return
 	}
-	if err := run(os.Stdout, *url, *interval, *count, *events, *slo, *exemplars, *transportTab, *replay); err != nil {
-		fmt.Fprintln(os.Stderr, "p5stat:", err)
-		os.Exit(1)
+
+	var err error
+	switch {
+	case given["fleet"]:
+		err = runFleet(stdout, *fleet)
+	case given["replay"]:
+		err = replayTrace(stdout, *replay)
+	default:
+		err = attach(stdout, *url, *interval, *count, v)
 	}
+	if err != nil {
+		fmt.Fprintln(stderr, "p5stat:", err)
+		return 1
+	}
+	return 0
 }
 
 // runFleet is the fleet-board mode: scrape every listed instance and
@@ -109,36 +158,43 @@ func runFleet(w io.Writer, addrList string) error {
 	return nil
 }
 
-func run(w io.Writer, url string, interval time.Duration, count int, events, slo, exemplars, transportTab bool, replay string) error {
-	if replay != "" {
-		f, err := os.Open(replay)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		evs, err := telemetry.ReadEvents(f)
-		if err != nil {
-			return fmt.Errorf("%s: %v", replay, err)
-		}
-		writeEvents(w, evs)
-		return nil
+// replayTrace formats a saved JSON trace without attaching to anything.
+func replayTrace(w io.Writer, path string) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
 	}
+	defer f.Close()
+	evs, err := telemetry.ReadEvents(f)
+	if err != nil {
+		return fmt.Errorf("%s: %v", path, err)
+	}
+	writeEvents(w, evs)
+	return nil
+}
 
+// view is what an attached report renders after the stage tables.
+type view struct{ events, slo, exemplars, transport bool }
+
+// attach renders one endpoint's stage tables — one snapshot, or with
+// interval a delta report per window, count of them (0 = until killed)
+// — and then what v asks for.
+func attach(w io.Writer, url string, interval time.Duration, count int, v view) error {
 	cur, err := scrape(url + "/metrics")
 	if err != nil {
 		return err
 	}
 	trailers := func() error {
-		if transportTab {
+		if v.transport {
 			writeTransport(w, cur)
 		}
-		if events {
+		if v.events {
 			if err := dumpTrace(w, url); err != nil {
 				return err
 			}
 		}
-		if slo || exemplars {
-			return dumpSLO(w, url, exemplars)
+		if v.slo || v.exemplars {
+			return dumpSLO(w, url, v.exemplars)
 		}
 		return nil
 	}

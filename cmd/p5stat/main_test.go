@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -61,13 +62,58 @@ func fixtureServer(t *testing.T) (*httptest.Server, *telemetry.Registry) {
 	return srv, reg
 }
 
-func TestSLOBoardReport(t *testing.T) {
-	srv, _ := fixtureServer(t)
-	var out bytes.Buffer
-	if err := run(&out, srv.URL, 0, 0, false, true, true, false, ""); err != nil {
+// runOK runs p5stat with args and fails the test unless it exits 0
+// with nothing on stderr; it returns what went to stdout.
+func runOK(t *testing.T, args ...string) string {
+	t.Helper()
+	var out, errb bytes.Buffer
+	if code := run(args, &out, &errb); code != 0 || errb.Len() != 0 {
+		t.Fatalf("p5stat %v exited %d: %s", args, code, errb.String())
+	}
+	return out.String()
+}
+
+// TestRunRejectsUsageErrors: every argument p5stat would otherwise
+// ignore is a usage error — exit 2 and a message on stderr, before any
+// endpoint is scraped or file read.
+func TestRunRejectsUsageErrors(t *testing.T) {
+	var hits atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { hits.Add(1) }))
+	defer srv.Close()
+	trace := filepath.Join(t.TempDir(), "trace.json")
+	if err := os.WriteFile(trace, []byte(`{"events": []}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got := out.String()
+	host := strings.TrimPrefix(srv.URL, "http://")
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-url", srv.URL, "extra"}, `unexpected argument "extra"`},
+		{[]string{"-url", srv.URL, "-n", "3"}, "give -interval"},
+		{[]string{"-url", srv.URL, "-interval", "1ms", "-n", "-1"}, "-n -1 is negative"},
+		{[]string{"-url", srv.URL, "-interval", "-1s"}, "-interval -1s is negative"},
+		{[]string{"-fleet", host, "-url", srv.URL}, "-url does not apply"},
+		{[]string{"-fleet", host, "-slo"}, "-slo does not apply"},
+		{[]string{"-fleet", host, "-interval", "1ms"}, "-interval does not apply"},
+		{[]string{"-replay", trace, "-events"}, "-events does not apply"},
+		{[]string{"-replay", trace, "-n", "2", "-interval", "1ms"}, "does not apply"},
+		{[]string{"-replay", trace, "-fleet", host}, "two modes"},
+	} {
+		var out, errb bytes.Buffer
+		if code := run(c.args, &out, &errb); code != 2 || !strings.Contains(errb.String(), c.want) || out.Len() != 0 {
+			t.Errorf("p5stat %v: exit %d, stderr %q, stdout %q; want exit 2, stderr naming %q, no output",
+				c.args, code, errb.String(), out.String(), c.want)
+		}
+	}
+	if n := hits.Load(); n != 0 {
+		t.Errorf("%d requests reached the endpoint before the usage error", n)
+	}
+}
+
+func TestSLOBoardReport(t *testing.T) {
+	srv, _ := fixtureServer(t)
+	got := runOK(t, "-url", srv.URL, "-slo", "-exemplars")
 	for _, want := range []string{
 		"slo board:",
 		"port0", "5.25", "40.0%", "ALARM", // burn, budget remaining, alarm flag
@@ -84,22 +130,14 @@ func TestSLOBoardReport(t *testing.T) {
 
 func TestSLOWithoutExemplarsOmitsThem(t *testing.T) {
 	srv, _ := fixtureServer(t)
-	var out bytes.Buffer
-	if err := run(&out, srv.URL, 0, 0, false, true, false, false, ""); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(out.String(), "exemplars ") {
-		t.Errorf("-slo alone leaked exemplar rows:\n%s", out.String())
+	if got := runOK(t, "-url", srv.URL, "-slo"); strings.Contains(got, "exemplars ") {
+		t.Errorf("-slo alone leaked exemplar rows:\n%s", got)
 	}
 }
 
 func TestSnapshotReport(t *testing.T) {
 	srv, _ := fixtureServer(t)
-	var out bytes.Buffer
-	if err := run(&out, srv.URL, 0, 0, true, false, false, false, ""); err != nil {
-		t.Fatal(err)
-	}
-	got := out.String()
+	got := runOK(t, "-url", srv.URL, "-events")
 	for _, want := range []string{
 		"p5: 1000 cycles",
 		"framer", "60.0", // busy% = 600/1000
@@ -115,11 +153,7 @@ func TestSnapshotReport(t *testing.T) {
 
 func TestIntervalDeltaReport(t *testing.T) {
 	srv, _ := fixtureServer(t)
-	var out bytes.Buffer
-	if err := run(&out, srv.URL, time.Millisecond, 2, false, false, false, false, ""); err != nil {
-		t.Fatal(err)
-	}
-	got := out.String()
+	got := runOK(t, "-url", srv.URL, "-interval", time.Millisecond.String(), "-n", "2")
 	// Each window advances by exactly one step, so the delta equals the
 	// per-scrape increment, not the lifetime total.
 	if !strings.Contains(got, "p5: 1000 cycles") {
@@ -145,11 +179,7 @@ func TestReplayTraceFile(t *testing.T) {
 	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	var out bytes.Buffer
-	if err := run(&out, "", 0, 0, false, false, false, false, path); err != nil {
-		t.Fatal(err)
-	}
-	got := out.String()
+	got := runOK(t, "-replay", path)
 	if !strings.Contains(got, "trace: 2 events") ||
 		!strings.Contains(got, "link:a/restart") ||
 		!strings.Contains(got, "link:a/recovered") {
@@ -180,11 +210,7 @@ func TestTransportTable(t *testing.T) {
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
 
-	var out bytes.Buffer
-	if err := run(&out, srv.URL, 0, 0, false, false, false, true, ""); err != nil {
-		t.Fatal(err)
-	}
-	got := out.String()
+	got := runOK(t, "-url", srv.URL, "-transport")
 	i := strings.Index(got, "transport lines:")
 	if i < 0 {
 		t.Fatalf("no transport table:\n%s", got)
@@ -213,11 +239,7 @@ func TestTransportTable(t *testing.T) {
 	})
 	esrv := httptest.NewServer(emux)
 	defer esrv.Close()
-	out.Reset()
-	if err := run(&out, esrv.URL, 0, 0, false, false, false, true, ""); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "no transport_* series") {
-		t.Errorf("empty run output: %q", out.String())
+	if got := runOK(t, "-url", esrv.URL, "-transport"); !strings.Contains(got, "no transport_* series") {
+		t.Errorf("empty run output: %q", got)
 	}
 }

@@ -19,14 +19,8 @@ import (
 // transmissions; returns how many arrived and the retransmit count.
 func noisyRun(reliableMode bool, loss float64, n int, seed int64) (delivered int, retransmits uint64) {
 	rng := rand.New(rand.NewSource(seed))
-	a := gigapos.NewLink(gigapos.LinkConfig{
-		Magic: 1, Reliable: reliableMode,
-		ReliableMaxRetries: 100, IPAddr: [4]byte{10, 9, 0, 1},
-	})
-	b := gigapos.NewLink(gigapos.LinkConfig{
-		Magic: 2, Reliable: reliableMode,
-		ReliableMaxRetries: 100, IPAddr: [4]byte{10, 9, 0, 2},
-	})
+	a := gigapos.NewLink(gigapos.LinkConfig{Magic: 1, Reliable: reliableMode, IPAddr: [4]byte{10, 9, 0, 1}})
+	b := gigapos.NewLink(gigapos.LinkConfig{Magic: 2, Reliable: reliableMode, IPAddr: [4]byte{10, 9, 0, 2}})
 	a.Open()
 	b.Open()
 	a.Up()

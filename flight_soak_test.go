@@ -24,8 +24,7 @@ func TestChaosSoakFlightRecorder(t *testing.T) {
 	const fb = 2430 // STM-1 frame bytes; one frame per direction per tick
 
 	cfg := LinkConfig{
-		EchoPeriod: 8, EchoMisses: 2,
-		Supervise: true, RetryMin: 8, RetryMax: 128,
+		EchoPeriod: 8, Supervise: true, RetryMin: 8, RetryMax: 128,
 	}
 	cfg.Magic, cfg.IPAddr = 0xAAAA, [4]byte{10, 0, 0, 1}
 	a := NewLink(cfg)
@@ -38,7 +37,7 @@ func TestChaosSoakFlightRecorder(t *testing.T) {
 	dir := t.TempDir()
 	reg := telemetry.NewRegistry()
 	var w Watch
-	w.ObservePair(Observation{Registry: reg, Flight: &flight.Config{Dir: dir, Horizon: 256}}, "soak", a, b)
+	w.ObservePair(Observation{Registry: reg, Flight: &flight.Config{Dir: dir}}, "soak", a, b)
 	ra, rb, slo := a.Flight(), b.Flight(), w.SLOs["soak_z"]
 
 	// SONET carry a→b with the fault injector in the middle; b→a is a

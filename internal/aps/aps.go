@@ -86,51 +86,20 @@ func K1(r Request, channel int) byte { return byte(r)<<4 | byte(channel&0x0F) }
 // ParseK1 splits a K1 byte into request and channel.
 func ParseK1(b byte) (Request, int) { return Request(b >> 4), int(b & 0x0F) }
 
-// K2 mode bits (lower three bits).
-const (
-	modeUnidirectional = 0x4
-	modeBidirectional  = 0x5
-)
+// modeBidirectional is K2's provisioned-mode indication (lower three
+// bits): every group here runs the bidirectional protocol.
+const modeBidirectional = 0x5
 
 // K2 composes a K2 byte: bridged channel in the upper nibble, the
-// architecture bit (0 = 1+1) and the provisioned mode below. In 1+1 the
-// bridge is permanent, so the bridged channel is always 1.
-func K2(channel int, bidirectional bool) byte {
-	mode := byte(modeUnidirectional)
-	if bidirectional {
-		mode = modeBidirectional
-	}
-	return byte(channel&0x0F)<<4 | mode
-}
+// architecture bit (0 = 1+1) and the bidirectional mode below. In 1+1
+// the bridge is permanent, so the bridged channel is always 1.
+func K2(channel int) byte { return byte(channel&0x0F)<<4 | modeBidirectional }
 
-// Config parameterises the controller. The zero value is a
-// unidirectional, non-revertive group with no hold-off.
-type Config struct {
-	// Bidirectional runs the bidirectional protocol: an accepted
-	// far-end K1 request is evaluated against the local one and, when
-	// it wins, both selector moves and a Reverse-Request
-	// acknowledgement follow.
-	Bidirectional bool
-	// Revertive re-selects the working line after its defect clears and
-	// the wait-to-restore period expires; non-revertive groups signal
-	// Do-Not-Revert and stay on protection.
-	Revertive bool
-	// WaitToRestore is the revertive hold time in virtual time units
-	// (default 32). GR-253 uses 5–12 minutes; the simulation scales it
-	// to its frame-time clock.
-	WaitToRestore int64
-	// HoldOff delays acting on a new SF/SD condition, riding through
-	// transients that a lower layer may clear on its own (default 0:
-	// switch as fast as the signalling allows).
-	HoldOff int64
-}
-
-func (c Config) waitToRestore() int64 {
-	if c.WaitToRestore > 0 {
-		return c.WaitToRestore
-	}
-	return 32
-}
+// waitToRestore is the revertive hold time in frame times: after the
+// working line heals, the selector stays on protection this long before
+// it reverts. GR-253 uses 5–12 minutes; the simulation scales it to its
+// frame-time clock.
+const waitToRestore = 100
 
 // SwitchEvent is one selector movement.
 type SwitchEvent struct {
@@ -172,9 +141,13 @@ const (
 	extManual
 )
 
-// Controller is the per-group APS state machine.
+// Controller is the per-group APS state machine of a bidirectional,
+// revertive 1+1 group: an accepted far-end K1 request is evaluated
+// against the local one and, when it wins, both selectors move and a
+// Reverse-Request acknowledgement follows; after the working line heals
+// and waitToRestore expires, the selector reverts to it. A new SF/SD
+// condition is acted on at once (no hold-off).
 type Controller struct {
-	Cfg Config
 	// OnSwitch observes every selector movement.
 	OnSwitch func(SwitchEvent)
 
@@ -197,11 +170,8 @@ type Controller struct {
 
 // NewController returns a controller with the selector on the working
 // line and no request active.
-func NewController(cfg Config) *Controller {
-	c := &Controller{Cfg: cfg}
-	c.txK1 = K1(ReqNoRequest, 0)
-	c.txK2 = K2(1, cfg.Bidirectional)
-	return c
+func NewController() *Controller {
+	return &Controller{txK1: K1(ReqNoRequest, 0), txK2: K2(1)}
 }
 
 // Active returns the line the receive selector currently follows.
@@ -220,7 +190,7 @@ func (c *Controller) TxK1K2() (k1, k2 byte) { return c.txK1, c.txK2 }
 // SetSignal reports the current SF/SD condition of one line, as
 // integrated by that line's defect monitor (SF covers the whole
 // service-affecting set; SD the degrade threshold). now stamps the
-// rising edge for hold-off and switch-duration accounting.
+// rising edge for switch-duration accounting.
 func (c *Controller) SetSignal(now int64, line Line, sf, sd bool) {
 	i := int(line) & 1
 	if (sf || sd) && !(c.sf[i] || c.sd[i]) {
@@ -253,36 +223,28 @@ func (c *Controller) ManualSwitch(now int64) { c.ext, c.extAt = extManual, now }
 // Clear removes any external command.
 func (c *Controller) Clear() { c.ext = extNone }
 
-// held reports whether line i's SF/SD condition has persisted past the
-// hold-off timer.
-func (c *Controller) held(i int, now int64) bool {
-	return now-c.condAt[i] >= c.Cfg.HoldOff
-}
-
 // localRequest evaluates the highest-priority local condition, in the
 // GR-253 order: lockout > SF on protection > forced > SF on working >
-// SD on protection > SD on working > manual > wait-to-restore >
-// do-not-revert > no request. Channel 0 selects working, 1 protect.
+// SD on protection > SD on working > manual > wait-to-restore > no
+// request. Channel 0 selects working, 1 protect.
 func (c *Controller) localRequest(now int64) (Request, int, int64) {
 	switch {
 	case c.ext == extLockout:
 		return ReqLockout, 0, c.extAt
-	case c.sf[Protect] && c.held(int(Protect), now):
+	case c.sf[Protect]:
 		return ReqSignalFail, 0, c.condAt[Protect]
 	case c.ext == extForced:
 		return ReqForcedSwitch, 1, c.extAt
-	case c.sf[Working] && c.held(int(Working), now):
+	case c.sf[Working]:
 		return ReqSignalFail, 1, c.condAt[Working]
-	case c.sd[Protect] && c.held(int(Protect), now):
+	case c.sd[Protect]:
 		return ReqSignalDegrade, 0, c.condAt[Protect]
-	case c.sd[Working] && c.held(int(Working), now):
+	case c.sd[Working]:
 		return ReqSignalDegrade, 1, c.condAt[Working]
 	case c.ext == extManual:
 		return reqManualSwitch, 1, c.extAt
 	case c.wtrAt != 0:
 		return ReqWaitToRestore, 1, c.condAt[Working]
-	case !c.Cfg.Revertive && c.selected == Protect:
-		return reqDoNotRevert, 1, c.condAt[Working]
 	}
 	return ReqNoRequest, 0, now
 }
@@ -294,7 +256,7 @@ func (c *Controller) localRequest(now int64) (Request, int, int64) {
 func (c *Controller) Advance(now int64) {
 	c.now = now
 
-	// Wait-to-restore: in a revertive group, once the selector sits on
+	// Wait-to-restore: once the selector sits on
 	// protection and the working line is healthy again, hold it there
 	// for the WTR period, then release (the request evaluation below
 	// then finds nothing and reverts). Any new working-line condition
@@ -303,12 +265,13 @@ func (c *Controller) Advance(now int64) {
 	// is still winding down its own revert, or the two ends keep each
 	// other on protection with alternating WTR requests forever.
 	workingClean := !c.sf[Working] && !c.sd[Working]
-	if c.Cfg.Revertive && c.selected == Protect && workingClean && c.ext == extNone {
+	restoring := c.selected == Protect && workingClean && c.ext == extNone
+	if restoring {
 		if c.wtrDone {
 			// Served: nothing asserts; the selector reverts below as
 			// soon as the far end stops requesting protection.
 		} else if c.wtrAt == 0 {
-			c.wtrAt = now + c.Cfg.waitToRestore()
+			c.wtrAt = now + waitToRestore
 		} else if now >= c.wtrAt {
 			c.wtrAt, c.wtrDone = 0, true // expired: selector reverts below
 		}
@@ -317,18 +280,17 @@ func (c *Controller) Advance(now int64) {
 	}
 	// WTR released this pass: recompute with the request gone.
 	req, ch, since := c.localRequest(now)
-	if c.Cfg.Revertive && c.selected == Protect && workingClean && c.ext == extNone &&
-		c.wtrAt == 0 && req == ReqWaitToRestore {
+	if restoring && c.wtrAt == 0 && req == ReqWaitToRestore {
 		req, ch, since = ReqNoRequest, 0, now
 	}
 
-	// Bidirectional arbitration: an originating far-end request beats a
+	// Arbitration: an originating far-end request beats a
 	// weaker local one (Reverse-Request is an acknowledgement, never an
 	// originator). Ties resolve toward the null channel — selecting
 	// working is the safe direction.
 	remote := false
 	rreq, rch := ParseK1(c.rxK1)
-	if c.Cfg.Bidirectional && rreq != ReqReverseRequest {
+	if rreq != ReqReverseRequest {
 		if rreq > req || (rreq == req && rch == 0) {
 			if rreq > ReqNoRequest {
 				req, ch, since = rreq, rch, c.rxAt
@@ -372,5 +334,5 @@ func (c *Controller) Advance(now int64) {
 	} else {
 		c.txK1 = K1(req, ch)
 	}
-	c.txK2 = K2(1, c.Cfg.Bidirectional)
+	c.txK2 = K2(1)
 }

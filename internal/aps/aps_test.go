@@ -17,12 +17,9 @@ func TestK1K2Codec(t *testing.T) {
 	if r != ReqSignalFail || ch != 1 {
 		t.Fatalf("ParseK1 = %v/%d", r, ch)
 	}
-	k2 := K2(1, true)
+	k2 := K2(1)
 	if ch, bidi := parseK2(k2); ch != 1 || !bidi {
 		t.Fatalf("parseK2(%#x) = %d/%v", k2, ch, bidi)
-	}
-	if ch, bidi := parseK2(K2(1, false)); ch != 1 || bidi {
-		t.Fatalf("unidirectional K2 parsed as %d/%v", ch, bidi)
 	}
 	if ReqLockout < ReqForcedSwitch || ReqForcedSwitch < ReqSignalFail ||
 		ReqSignalFail < ReqSignalDegrade || ReqSignalDegrade < reqManualSwitch ||
@@ -34,10 +31,10 @@ func TestK1K2Codec(t *testing.T) {
 	}
 }
 
-// TestSFSwitchesToProtect: the basic failover and, in revertive mode,
-// the wait-to-restore path home.
+// TestSFSwitchesToProtect: the basic failover and the wait-to-restore
+// path home.
 func TestSFSwitchesToProtect(t *testing.T) {
-	c := NewController(Config{Revertive: true, WaitToRestore: 10})
+	c := NewController()
 	var events []SwitchEvent
 	c.OnSwitch = func(e SwitchEvent) { events = append(events, e) }
 
@@ -57,7 +54,7 @@ func TestSFSwitchesToProtect(t *testing.T) {
 		t.Errorf("tx K1 = %#x", k1)
 	}
 
-	// Condition clears: WTR holds the selector for 10 units.
+	// Condition clears: WTR holds the selector for waitToRestore units.
 	c.SetSignal(5, Working, false, false)
 	c.Advance(5)
 	if c.Active() != Protect {
@@ -66,11 +63,11 @@ func TestSFSwitchesToProtect(t *testing.T) {
 	if k1, _ := c.TxK1K2(); k1 != K1(ReqWaitToRestore, 1) {
 		t.Errorf("tx K1 during WTR = %#x", k1)
 	}
-	c.Advance(14)
+	c.Advance(5 + waitToRestore - 1)
 	if c.Active() != Protect {
 		t.Fatal("reverted at WTR-1")
 	}
-	c.Advance(15)
+	c.Advance(5 + waitToRestore)
 	if c.Active() != Working {
 		t.Fatal("did not revert after WTR expiry")
 	}
@@ -79,60 +76,10 @@ func TestSFSwitchesToProtect(t *testing.T) {
 	}
 }
 
-// TestNonRevertiveStaysOnProtect: after the working line heals, a
-// non-revertive group signals Do-Not-Revert and keeps the selector.
-func TestNonRevertiveStaysOnProtect(t *testing.T) {
-	c := NewController(Config{})
-	c.SetSignal(1, Working, true, false)
-	c.Advance(1)
-	c.SetSignal(10, Working, false, false)
-	for now := int64(10); now < 100; now += 5 {
-		c.Advance(now)
-	}
-	if c.Active() != Protect {
-		t.Fatal("non-revertive group reverted")
-	}
-	if k1, _ := c.TxK1K2(); k1 != K1(reqDoNotRevert, 1) {
-		t.Errorf("tx K1 = %#x, want do-not-revert", k1)
-	}
-}
-
-// TestHoldOffDelaysSwitch: a condition shorter than the hold-off never
-// moves the selector; one that persists switches at the timer.
-func TestHoldOffDelaysSwitch(t *testing.T) {
-	c := NewController(Config{HoldOff: 5})
-	c.SetSignal(10, Working, true, false)
-	c.Advance(10)
-	c.Advance(12)
-	if c.Active() != Working {
-		t.Fatal("switched inside the hold-off window")
-	}
-	// Transient clears before hold-off: no switch ever.
-	c.SetSignal(13, Working, false, false)
-	c.Advance(14)
-	c.Advance(20)
-	if c.Active() != Working || c.Switches != 0 {
-		t.Fatal("transient caused a switch")
-	}
-	// Persistent condition: switch once the hold-off elapses.
-	c.SetSignal(30, Working, true, false)
-	c.Advance(33)
-	if c.Active() != Working {
-		t.Fatal("switched early")
-	}
-	c.Advance(35)
-	if c.Active() != Protect {
-		t.Fatal("hold-off never released")
-	}
-	if c.LastSwitchTook != 5 {
-		t.Errorf("switch duration = %d, want 5 (the hold-off)", c.LastSwitchTook)
-	}
-}
-
 // TestPriorityOrdering: SF on protection pre-empts a forced switch;
 // lockout pre-empts everything.
 func TestPriorityOrdering(t *testing.T) {
-	c := NewController(Config{})
+	c := NewController()
 	c.ForcedSwitch(1)
 	c.Advance(1)
 	if c.Active() != Protect {
@@ -175,7 +122,7 @@ func TestPriorityOrdering(t *testing.T) {
 // TestManualSwitchYieldsToSignalDegrade: manual sits below SD in the
 // priority order — SD on the protection line sends the selector home.
 func TestManualSwitchYieldsToSignalDegrade(t *testing.T) {
-	c := NewController(Config{})
+	c := NewController()
 	c.ManualSwitch(1)
 	c.Advance(1)
 	if c.Active() != Protect {
@@ -192,8 +139,7 @@ func TestManualSwitchYieldsToSignalDegrade(t *testing.T) {
 // SF on its receive working line; A must follow on the strength of the
 // K1 request alone and acknowledge with Reverse-Request.
 func TestBidirectionalHandshake(t *testing.T) {
-	cfg := Config{Bidirectional: true, Revertive: true, WaitToRestore: 8}
-	a, b := NewController(cfg), NewController(cfg)
+	a, b := NewController(), NewController()
 
 	// Transport: each Advance's tx bytes arrive at the peer next tick.
 	deliver := func(now int64, from, to *Controller) {
@@ -223,7 +169,7 @@ func TestBidirectionalHandshake(t *testing.T) {
 
 	// Heal: B runs WTR, reverts, and A follows home.
 	b.SetSignal(10, Working, false, false)
-	for now := int64(10); now <= 40; now++ {
+	for now := int64(10); now <= 10+waitToRestore+30; now++ {
 		a.Advance(now)
 		b.Advance(now)
 		deliver(now, a, b)
@@ -238,7 +184,7 @@ func TestBidirectionalHandshake(t *testing.T) {
 // working (SF-P outranks SF-W) — the layer above falls back to its own
 // recovery path.
 func TestBothLinesFailed(t *testing.T) {
-	c := NewController(Config{})
+	c := NewController()
 	c.SetSignal(1, Working, true, false)
 	c.Advance(1)
 	if c.Active() != Protect {
@@ -263,14 +209,14 @@ func TestBothLinesFailed(t *testing.T) {
 // restoral must serve a full WTR period, not the remainder of the
 // cancelled one.
 func TestWTRCancelledBySecondSF(t *testing.T) {
-	c := NewController(Config{Revertive: true, WaitToRestore: 20})
+	c := NewController()
 	c.SetSignal(2, Working, true, false)
 	c.Advance(2)
 	if c.Active() != Protect {
 		t.Fatal("first SF did not switch")
 	}
 
-	// Heals at 10: WTR runs 10→30.
+	// Heals at 10: WTR runs 10→110.
 	c.SetSignal(10, Working, false, false)
 	c.Advance(10)
 	if k1, _ := c.TxK1K2(); k1 != K1(ReqWaitToRestore, 1) {
@@ -290,16 +236,16 @@ func TestWTRCancelledBySecondSF(t *testing.T) {
 		t.Fatalf("switches = %d, want 1 (no intermediate revert)", c.Switches)
 	}
 
-	// Heals again at 40: a FULL WTR must run (40→60); reverting at the
-	// old expiry (30) or the old remainder would be a stale timer.
+	// Heals again at 40: a FULL WTR must run (40→140); reverting at the
+	// old expiry (110) or the old remainder would be a stale timer.
 	c.SetSignal(40, Working, false, false)
-	for now := int64(40); now < 60; now++ {
+	for now := int64(40); now < 40+waitToRestore; now++ {
 		c.Advance(now)
 		if c.Active() != Protect {
 			t.Fatalf("reverted at %d, before the re-armed WTR expired", now)
 		}
 	}
-	c.Advance(60)
+	c.Advance(40 + waitToRestore)
 	if c.Active() != Working {
 		t.Fatal("did not revert after the re-armed WTR")
 	}
@@ -312,16 +258,16 @@ func TestWTRCancelledBySecondSF(t *testing.T) {
 // WTR expires must win the evaluation — the selector stays on
 // protection with no revert-and-return double transition.
 func TestWTRExpiryRacesSecondSF(t *testing.T) {
-	c := NewController(Config{Revertive: true, WaitToRestore: 20})
+	c := NewController()
 	c.SetSignal(2, Working, true, false)
 	c.Advance(2)
 	c.SetSignal(10, Working, false, false)
-	c.Advance(10) // WTR expiry at 30
+	c.Advance(10) // WTR expiry at 110
 
-	// The line observation for tick 30 lands before the tick's Advance,
+	// The line observation for tick 110 lands before the tick's Advance,
 	// exactly as the frame loop feeds the controller.
-	c.SetSignal(30, Working, true, false)
-	c.Advance(30)
+	c.SetSignal(10+waitToRestore, Working, true, false)
+	c.Advance(10 + waitToRestore)
 	if c.Active() != Protect {
 		t.Fatal("selector left protection while working was failed")
 	}
@@ -339,11 +285,11 @@ func TestWTRExpiryRacesSecondSF(t *testing.T) {
 // locked out must NOT move the selector. Clearing the lockout with the
 // failure still standing switches to protection at last.
 func TestLockoutDuringWTR(t *testing.T) {
-	c := NewController(Config{Revertive: true, WaitToRestore: 50})
+	c := NewController()
 	c.SetSignal(2, Working, true, false)
 	c.Advance(2)
 	c.SetSignal(10, Working, false, false)
-	c.Advance(10) // WTR armed, expiry at 60
+	c.Advance(10) // WTR armed, expiry at 110
 
 	c.Lockout(20)
 	c.Advance(20)
@@ -381,11 +327,11 @@ func TestLockoutDuringWTR(t *testing.T) {
 	if k1, _ := c.TxK1K2(); k1 != K1(ReqWaitToRestore, 1) {
 		t.Fatalf("tx K1 = %#x, want wait-to-restore", k1)
 	}
-	c.Advance(129)
+	c.Advance(80 + waitToRestore - 1)
 	if c.Active() != Protect {
 		t.Fatal("reverted before the post-lockout WTR expired")
 	}
-	c.Advance(130)
+	c.Advance(80 + waitToRestore)
 	if c.Active() != Working {
 		t.Fatal("did not revert after the post-lockout WTR")
 	}

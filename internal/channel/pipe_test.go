@@ -77,32 +77,8 @@ func TestLineJitterBoundedAndDeterministic(t *testing.T) {
 	}
 }
 
-func TestLineReorderInvertsOrder(t *testing.T) {
-	ln := Line{ReorderEvery: 4, ReorderDelay: 3, Rand: netsim.NewRand(7)}
-	n := 64
-	for i := 0; i < n; i++ {
-		ln.Push(int64(i), []byte{byte(i)})
-	}
-	got := popAll(&ln, 0, int64(n)+16)
-	if len(got) != n {
-		t.Fatalf("delivered %d of %d", len(got), n)
-	}
-	if ln.Held == 0 {
-		t.Fatalf("reorder never fired over %d chunks at ReorderEvery=4", n)
-	}
-	inversions := 0
-	for i := 1; i < len(got); i++ {
-		if got[i][0] < got[i-1][0] {
-			inversions++
-		}
-	}
-	if inversions == 0 {
-		t.Fatalf("%d chunks held back but delivery order never inverted", ln.Held)
-	}
-}
-
 func TestLineInOrderClampsJitter(t *testing.T) {
-	ln := Line{Delay: 1, Jitter: 6, InOrder: true, Rand: netsim.NewRand(3)}
+	ln := Line{Delay: 1, Jitter: 6, Rand: netsim.NewRand(3)}
 	n := 128
 	for i := 0; i < n; i++ {
 		ln.Push(int64(i), []byte{byte(i)})
@@ -113,7 +89,7 @@ func TestLineInOrderClampsJitter(t *testing.T) {
 	}
 	for i := 1; i < len(got); i++ {
 		if got[i][0] != byte(i) {
-			t.Fatalf("InOrder line reordered: position %d holds chunk %d", i, got[i][0])
+			t.Fatalf("jitter reordered the line: position %d holds chunk %d", i, got[i][0])
 		}
 	}
 }

@@ -57,13 +57,13 @@ const (
 	slowTicks = 32
 	// recentCaptures bounds the in-memory capture list.
 	recentCaptures = 8
+	// horizon is the age in ticks after which an unmatched departure is
+	// declared lost.
+	horizon = 1024
 )
 
 // Config parameterises a Recorder. The zero value is usable.
 type Config struct {
-	// Horizon is the age in ticks after which an unmatched departure
-	// is declared lost (default 1024).
-	Horizon int64
 	// Dir, when non-empty, is the directory capture files are written
 	// to (one file per trigger). Empty keeps captures in memory only.
 	Dir string
@@ -79,9 +79,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Horizon <= 0 {
-		c.Horizon = 1024
-	}
 	if c.Clock == nil {
 		c.Clock = func() int64 { return time.Now().UnixNano() }
 	}
@@ -283,7 +280,7 @@ func (r *Recorder) Expire(now int64) { r.expire(now) }
 func (r *Recorder) expire(now int64) {
 	for r.head != r.tail {
 		d := r.ring[r.head%pipeDepth]
-		if now-d.at <= r.cfg.Horizon {
+		if now-d.at <= horizon {
 			return
 		}
 		r.head++
@@ -435,7 +432,7 @@ func (r *Recorder) AdoptIncident(incident uint64, reason string, peerNow, peerWa
 	var target, fallback, crossed *Capture
 	for i := len(r.recent) - 1; i >= 0; i-- {
 		c := r.recent[i]
-		if r.now-c.Now > r.cfg.Horizon {
+		if r.now-c.Now > horizon {
 			continue
 		}
 		if c.Incident == 0 {

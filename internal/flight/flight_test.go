@@ -42,23 +42,21 @@ func TestPipeMatchesFIFO(t *testing.T) {
 }
 
 func TestPipeHorizonCountsLoss(t *testing.T) {
-	cfg := testCfg()
-	cfg.Horizon = 100
-	r := NewRecorder(nil, "a", cfg)
-	r.Depart(0)   // will expire
-	r.Depart(950) // still live at 1000
-	r.Expire(1000)
+	r := NewRecorder(nil, "a", testCfg())
+	r.Depart(0)            // will expire
+	r.Depart(horizon + 50) // still live at horizon+100
+	r.Expire(horizon + 100)
 	if r.Lost() != 1 {
 		t.Fatalf("lost = %d, want 1", r.Lost())
 	}
-	lat, ok := r.Arrive(1000)
+	lat, ok := r.Arrive(horizon + 100)
 	if !ok || lat != 50 {
 		t.Fatalf("lat=%d ok=%v, want 50 (matched the live departure)", lat, ok)
 	}
 
 	// Flush retires everything still in flight.
-	r.Depart(1001)
-	r.Depart(1002)
+	r.Depart(horizon + 101)
+	r.Depart(horizon + 102)
 	r.Flush()
 	if r.Lost() != 3 || r.InFlight() != 0 {
 		t.Fatalf("after flush lost=%d inflight=%d", r.Lost(), r.InFlight())
@@ -458,7 +456,7 @@ func TestSLOBurnRates(t *testing.T) {
 	var frames, errors uint64
 	var p99, fo int64
 	alarms := []string{}
-	s := NewSLO(nil, "b", SLOConfig{Window: 80, FrameLossTarget: 0.01, P99BudgetTicks: 8, FailoverBudgetTicks: 400, AlarmBurn: 4},
+	s := NewSLO(nil, "b", SLOConfig{FrameLossTarget: 0.01, P99BudgetTicks: 8},
 		Sources{
 			Frames:   func() uint64 { return frames },
 			Errors:   func() uint64 { return errors },
@@ -470,14 +468,15 @@ func TestSLOBurnRates(t *testing.T) {
 	// Clean window: 1000 frames, no loss.
 	s.Sample(0)
 	frames = 1000
-	s.Sample(100)
+	s.Sample(sloWindow)
 	if s.WorstBurnMilli() != 0 || s.Alarmed() {
 		t.Fatalf("clean window burn=%d alarmed=%v", s.WorstBurnMilli(), s.Alarmed())
 	}
 
-	// 5% loss against a 1% target → loss burn 5, alarm fires once.
+	// 5% loss against a 1% target over the window → loss burn 5, alarm
+	// fires once.
 	frames, errors = 2000, 50
-	s.Sample(200)
+	s.Sample(2 * sloWindow)
 	if got := s.WorstBurnMilli(); got < 4000 {
 		t.Fatalf("loss burn = %dm, want ≥ 4000m", got)
 	}
@@ -494,7 +493,7 @@ func TestSLOBurnRates(t *testing.T) {
 
 	// Loss stops; after the window rolls past the errored span the
 	// burn decays and the alarm clears with hysteresis.
-	for at := int64(300); at <= 900; at += 10 {
+	for at := int64(2*sloWindow + 100); at <= 5*sloWindow; at += 100 {
 		frames += 100
 		s.Sample(at)
 	}
@@ -506,8 +505,8 @@ func TestSLOBurnRates(t *testing.T) {
 	}
 
 	// Latency and failover objectives burn independently.
-	p99, fo = 16, 800
-	s.Sample(1000)
+	p99, fo = 16, 2*failoverBudgetTicks
+	s.Sample(5*sloWindow + 100)
 	doc = s.snapshot()
 	if doc.P99Burn != 2 || doc.FailoverBurn != 2 {
 		t.Fatalf("p99 burn=%v failover burn=%v, want 2/2", doc.P99Burn, doc.FailoverBurn)
@@ -554,12 +553,10 @@ func TestBoardSnapshotAndJSON(t *testing.T) {
 }
 
 func TestExemplarOverflowBucketLE(t *testing.T) {
-	cfg := testCfg()
-	cfg.Horizon = 1 << 40 // keep the matcher from declaring it lost first
-	r := NewRecorder(nil, "a", cfg)
+	r := NewRecorder(nil, "a", testCfg())
 	r.Depart(0)
-	r.Arrive(100000) // beyond the last finite bound
-	ex, ok := exemplarFor(r, 100000)
+	r.Arrive(horizon) // beyond the last finite bound, inside the horizon
+	ex, ok := exemplarFor(r, horizon)
 	if !ok || ex.LE != math.MaxInt64 {
 		t.Fatalf("overflow exemplar = %+v ok=%v", ex, ok)
 	}

@@ -13,41 +13,36 @@ import (
 
 // SLOConfig sets the service-level objectives a link is held to. The
 // zero value gives the repo's defaults: loss ≤ 1e-3, p99 end-to-end
-// latency ≤ 8 ticks (1 ms at 125 µs/tick), failover ≤ 400 ticks (the
-// GR-253 50 ms protection budget).
+// latency ≤ 8 ticks (1 ms at 125 µs/tick). Failover is held to
+// failoverBudgetTicks, burn rates are computed over sloWindow, and the
+// alarm raises at alarmBurn.
 type SLOConfig struct {
-	// Window is the rolling evaluation window in virtual ticks
-	// (default 2048). Burn rates are computed over the trailing
-	// window with Window/8 granularity.
-	Window int64
 	// FrameLossTarget is the objective's maximum frame-loss ratio
 	// (default 1e-3).
 	FrameLossTarget float64
 	// P99BudgetTicks is the end-to-end p99 latency budget (default 8).
 	P99BudgetTicks int64
-	// FailoverBudgetTicks is the protection-switch duration budget
-	// (default 400 ticks = 50 ms).
-	FailoverBudgetTicks int64
-	// AlarmBurn is the worst-objective burn rate at which the SLO
-	// alarms (default 4; clears below half that, for hysteresis).
-	AlarmBurn float64
 }
 
+const (
+	// sloWindow is the rolling evaluation window in virtual ticks. Burn
+	// rates are computed over the trailing window with sloWindow/8
+	// granularity.
+	sloWindow = 2048
+	// failoverBudgetTicks is the protection-switch duration budget:
+	// 400 ticks = the GR-253 50 ms.
+	failoverBudgetTicks = 400
+	// alarmBurn is the worst-objective burn rate at which the SLO
+	// alarms; it clears below half that, for hysteresis.
+	alarmBurn = 4
+)
+
 func (c SLOConfig) withDefaults() SLOConfig {
-	if c.Window <= 0 {
-		c.Window = 2048
-	}
 	if c.FrameLossTarget <= 0 {
 		c.FrameLossTarget = 1e-3
 	}
 	if c.P99BudgetTicks <= 0 {
 		c.P99BudgetTicks = 8
-	}
-	if c.FailoverBudgetTicks <= 0 {
-		c.FailoverBudgetTicks = 400
-	}
-	if c.AlarmBurn <= 0 {
-		c.AlarmBurn = 4
 	}
 	return c
 }
@@ -152,14 +147,14 @@ func (s *SLO) Sample(now int64) {
 		errors = s.src.Errors()
 	}
 
-	gran := s.cfg.Window / 8
+	gran := int64(sloWindow / 8)
 	if gran < 1 {
 		gran = 1
 	}
 	if len(s.points) == 0 || now-s.points[len(s.points)-1].at >= gran {
 		s.points = append(s.points, sloPoint{at: now, frames: frames, errors: errors})
 		// Keep one point older than the window as the subtrahend.
-		for len(s.points) > 2 && now-s.points[1].at >= s.cfg.Window {
+		for len(s.points) > 2 && now-s.points[1].at >= sloWindow {
 			s.points = s.points[1:]
 		}
 	}
@@ -192,7 +187,7 @@ func (s *SLO) Sample(now int64) {
 		fo = s.src.Failover()
 	}
 	s.failTicks.Store(fo)
-	failBurn := float64(fo) / float64(s.cfg.FailoverBudgetTicks)
+	failBurn := float64(fo) / failoverBudgetTicks
 	s.failBurnM.Store(milliClamp(failBurn))
 
 	worst, objective := lossBurn, "frame_loss"
@@ -218,12 +213,12 @@ func (s *SLO) Sample(now int64) {
 	}
 	s.budgetM.Store(milliClamp(budget))
 
-	// Alarm with hysteresis: raise at AlarmBurn, clear below half.
-	if worst >= s.cfg.AlarmBurn {
+	// Alarm with hysteresis: raise at alarmBurn, clear below half.
+	if worst >= alarmBurn {
 		if !s.alarmed.Swap(true) && s.OnAlarm != nil {
 			s.OnAlarm(objective)
 		}
-	} else if worst < s.cfg.AlarmBurn/2 {
+	} else if worst < alarmBurn/2 {
 		s.alarmed.Store(false)
 	}
 }
@@ -240,10 +235,10 @@ func (s *SLO) Alarmed() bool { return s.alarmed.Load() }
 func (s *SLO) snapshot() SLOJSON {
 	return SLOJSON{
 		Name:            s.name,
-		WindowTicks:     s.cfg.Window,
+		WindowTicks:     sloWindow,
 		LossTarget:      s.cfg.FrameLossTarget,
 		P99BudgetTicks:  s.cfg.P99BudgetTicks,
-		FailBudgetTicks: s.cfg.FailoverBudgetTicks,
+		FailBudgetTicks: failoverBudgetTicks,
 		LossBurn:        float64(s.lossBurnM.Load()) / 1000,
 		P99Burn:         float64(s.p99BurnM.Load()) / 1000,
 		FailoverBurn:    float64(s.failBurnM.Load()) / 1000,

@@ -86,7 +86,8 @@ type LCPPolicy struct {
 	// Without it a deterministic perturbation is used, which is correct
 	// for a genuinely looped link (negotiation must not converge there)
 	// but cannot break the tie between two distinct peers that chose
-	// the same magic by accident.
+	// the same magic by accident. gigapos.Link always sets it to a
+	// runtime-seeded source.
 	Rand func() uint32
 
 	rejected map[byte]bool

@@ -13,7 +13,7 @@ import (
 // cause (and its W1C behaviour), and external commands written through
 // regAPSCtrl.
 func TestOAMAPSRegisters(t *testing.T) {
-	ctrl := aps.NewController(aps.Config{Revertive: true, WaitToRestore: 10})
+	ctrl := aps.NewController()
 	oam := &OAM{Regs: NewRegs()}
 	oam.AttachAPS(ctrl)
 	oam.Write(RegIntMask, IntAPSSwitch)
@@ -32,7 +32,7 @@ func TestOAMAPSRegisters(t *testing.T) {
 	if got := oam.Read(RegAPSState); got != uint32(1|aps.ReqSignalFail<<4) {
 		t.Errorf("state = %#x, want protect+SF", got)
 	}
-	wantTx := uint32(aps.K1(aps.ReqSignalFail, 1))<<8 | uint32(aps.K2(1, false))
+	wantTx := uint32(aps.K1(aps.ReqSignalFail, 1))<<8 | uint32(aps.K2(1))
 	if got := oam.Read(RegAPSTx); got != wantTx {
 		t.Errorf("tx reg = %#x, want %#x", got, wantTx)
 	}
@@ -48,8 +48,8 @@ func TestOAMAPSRegisters(t *testing.T) {
 	}
 
 	// Far-end signalling surfaces in the rx register.
-	ctrl.ReceiveK1K2(3, aps.K1(aps.ReqReverseRequest, 1), aps.K2(1, true))
-	if got := oam.Read(RegAPSRx); got != uint32(aps.K1(aps.ReqReverseRequest, 1))<<8|uint32(aps.K2(1, true)) {
+	ctrl.ReceiveK1K2(3, aps.K1(aps.ReqReverseRequest, 1), aps.K2(1))
+	if got := oam.Read(RegAPSRx); got != uint32(aps.K1(aps.ReqReverseRequest, 1))<<8|uint32(aps.K2(1)) {
 		t.Errorf("rx reg = %#x", got)
 	}
 

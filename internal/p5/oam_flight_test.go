@@ -13,7 +13,7 @@ func TestOAMFlightBlock(t *testing.T) {
 	sys := NewSystem(1)
 	rec := flight.NewRecorder(nil, "oam", flight.Config{})
 	var frames, errors uint64
-	slo := flight.NewSLO(nil, "oam", flight.SLOConfig{Window: 80, FrameLossTarget: 0.01, AlarmBurn: 4},
+	slo := flight.NewSLO(nil, "oam", flight.SLOConfig{FrameLossTarget: 0.01},
 		flight.Sources{
 			Frames: func() uint64 { return frames },
 			Errors: func() uint64 { return errors },
@@ -43,10 +43,11 @@ func TestOAMFlightBlock(t *testing.T) {
 	}
 	sys.OAM.Write(RegIntStat, IntFlightDump)
 
-	// Healthy SLO: no burn, no alarm bit.
+	// Healthy SLO: no burn, no alarm bit. One sample a 2048-tick SLO
+	// window apart from the next.
 	slo.Sample(0)
 	frames = 1000
-	slo.Sample(100)
+	slo.Sample(2048)
 	if v := sys.OAM.Read(regSLOBurn); v != 0 {
 		t.Fatalf("RegSLOBurn = %#x on a clean window, want 0", v)
 	}
@@ -54,7 +55,7 @@ func TestOAMFlightBlock(t *testing.T) {
 	// Burn the budget 5x: the alarm edge raises IntSLOBurn and the
 	// register reads the milli burn with bit 31 set.
 	frames, errors = 2000, 50
-	slo.Sample(200)
+	slo.Sample(2 * 2048)
 	v := sys.OAM.Read(regSLOBurn)
 	if v&(1<<31) == 0 {
 		t.Errorf("RegSLOBurn = %#x, want alarm bit 31 set", v)

@@ -244,7 +244,7 @@ func (es *engineSpec) open(rc RunConfig, i int) (transport.LineTransport, error)
 	if rc.Dial != "" {
 		listen, dial = "", addr
 	}
-	tcfg := transport.Config{KeepalivePeriod: socketKeepalive, RetryMin: 8, RetryMax: 256}
+	tcfg := transport.Config{KeepalivePeriod: socketKeepalive}
 	if es.Line == "tcp" {
 		return transport.NewTCP(transport.TCPConfig{Config: tcfg, ListenAddr: listen, DialAddr: dial})
 	}

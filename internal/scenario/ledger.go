@@ -116,10 +116,9 @@ func (s *Scenario) ledger(res *Result, runs []*circuitRun, m medium, slos map[st
 	if interval == 0 {
 		interval = 2
 	}
-	drain := s.Traffic.Drain
-	if drain == 0 {
-		drain = 100
-	}
+	// The senders stop drain ticks before the end so in-flight
+	// datagrams settle.
+	drain := int64(100)
 	if drain >= s.Duration {
 		drain = s.Duration / 2
 	}

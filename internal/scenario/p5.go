@@ -9,7 +9,6 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/p5"
 	"repro/internal/ppp"
-	"repro/internal/rtl"
 	"repro/internal/sonet"
 	"repro/internal/synth"
 )
@@ -70,16 +69,6 @@ func p5Ledger(sent [][]byte, got []p5.RxFrame) circuitReport {
 // straight back.
 func (s *Scenario) p5Loopback(rc RunConfig, res *Result, sys *p5.System, sent [][]byte) error {
 	w, out := sys.W, rc.Out
-	if rate := s.P5.Errors; rate > 0 {
-		rng := netsim.NewRand(s.Traffic.seed() ^ 0xBEEF)
-		sys.Line.Corrupt = func(f rtl.Flit, cycle int64) rtl.Flit {
-			if rng.Float64() < rate {
-				lane := rng.Intn(f.N)
-				f.SetByte(lane, f.Byte(lane)^byte(1<<uint(rng.Intn(8))))
-			}
-			return f
-		}
-	}
 	var payloadBits int64
 	for _, d := range sent {
 		payloadBits += int64(len(d)) * 8

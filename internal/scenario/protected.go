@@ -41,15 +41,12 @@ func (p protected) arm(events []event, duration int64) []event {
 // watches the controller, its recorder and its SLO.
 func (s *Scenario) runProtected(rc RunConfig, res *Result) error {
 	lcfg := gigapos.LinkConfig{
-		EchoPeriod: 8, EchoMisses: 3,
-		Supervise: true, RetryMin: 8, RetryMax: 128,
+		EchoPeriod: 8, Supervise: true, RetryMin: 8, RetryMax: 128,
 	}
 	cfgA, cfgB := lcfg, lcfg
 	cfgA.Magic, cfgA.IPAddr = 0xAAAA, [4]byte{10, 0, 0, 1}
 	cfgB.Magic, cfgB.IPAddr = 0xBBBB, [4]byte{10, 0, 0, 2}
-	a, b := gigapos.NewProtectedPair(cfgA, cfgB, aps.Config{
-		Bidirectional: true, Revertive: true, WaitToRestore: 100,
-	})
+	a, b := gigapos.NewProtectedPair(cfgA, cfgB)
 	var w gigapos.Watch
 	w.ObservePair(rc.Observation, "prot", a, b)
 	oam := &p5.OAM{Regs: p5.NewRegs()}

@@ -6,6 +6,7 @@ import (
 
 	gigapos "repro"
 	"repro/internal/fault"
+	"repro/internal/sonet"
 	"repro/internal/topo"
 )
 
@@ -21,7 +22,7 @@ func (r ring) tick(now int64) { r.Tick(now) }
 // is installed, and every span moves one frame per tick); node failures
 // and restores are the drill's to fire.
 func (r ring) arm(events []event, duration int64) []event {
-	fb := int64(r.Cfg.Level.FrameBytes())
+	fb := int64(sonet.STM1.FrameBytes()) // every ring span is STM-1
 	scripts := map[*topo.Span]*fault.Script{}
 	var actions []event
 	for _, e := range events {

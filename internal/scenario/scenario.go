@@ -52,16 +52,14 @@ type Scenario struct {
 // RingSpec parameterises the topo.Ring under a drill and the circuits
 // provisioned over it, each carrying a PPP RingLink pair.
 type RingSpec struct {
-	Nodes        int           `json:"nodes"`
-	Mode         string        `json:"mode"` // "upsr" (default) or "blsr"
-	Slots        int           `json:"slots,omitempty"`
-	Delay        int64         `json:"delay,omitempty"`
-	Jitter       int64         `json:"jitter,omitempty"`
-	ReorderEvery int           `json:"reorder_every,omitempty"`
-	Seed         uint64        `json:"seed,omitempty"`
-	WTR          int64         `json:"wtr,omitempty"`
-	AISThreshold int           `json:"ais_threshold,omitempty"`
-	Circuits     []circuitSpec `json:"circuits"`
+	Nodes    int           `json:"nodes"`
+	Mode     string        `json:"mode"` // "upsr" (default) or "blsr"
+	Slots    int           `json:"slots,omitempty"`
+	Delay    int64         `json:"delay,omitempty"`
+	Jitter   int64         `json:"jitter,omitempty"`
+	Seed     uint64        `json:"seed,omitempty"`
+	WTR      int64         `json:"wtr,omitempty"`
+	Circuits []circuitSpec `json:"circuits"`
 }
 
 // circuitSpec provisions one bidirectional ring circuit.
@@ -96,8 +94,6 @@ type p5Spec struct {
 	// Density is netsim's escape density: the probability that a payload
 	// octet is a flag or an escape, in every datagram.
 	Density float64 `json:"density,omitempty"`
-	// Errors is the per-word probability of a line bit error (loopback).
-	Errors float64 `json:"errors,omitempty"`
 	// Line is "loopback" (the line model turns the octets straight
 	// round) or "stm1" (transmitter → STM-1 section with the scripted
 	// faults → receiver, the OAM watching the section).
@@ -120,19 +116,13 @@ type trafficSpec struct {
 	Interval int64 `json:"interval,omitempty"`
 	// Seed drives the size draws (default 1).
 	Seed uint64 `json:"seed,omitempty"`
-	// Drain stops the senders this many ticks before the end so
-	// in-flight datagrams settle (default 100).
-	Drain int64 `json:"drain,omitempty"`
 }
 
 // sloSpec maps onto flight.SLOConfig; zero fields keep the repo
 // defaults.
 type sloSpec struct {
-	Window              int64   `json:"window,omitempty"`
-	FrameLossTarget     float64 `json:"loss_target,omitempty"`
-	P99BudgetTicks      int64   `json:"p99_budget_ticks,omitempty"`
-	FailoverBudgetTicks int64   `json:"failover_budget_ticks,omitempty"`
-	AlarmBurn           float64 `json:"alarm_burn,omitempty"`
+	FrameLossTarget float64 `json:"loss_target,omitempty"`
+	P99BudgetTicks  int64   `json:"p99_budget_ticks,omitempty"`
 }
 
 // event is one scripted action, At ticks after traffic start. Line
@@ -388,8 +378,7 @@ func (r *RingSpec) build() (*topo.Ring, [][2]*topo.Port, error) {
 	}
 	ring, err := topo.NewRing(topo.Config{
 		Nodes: r.Nodes, Slots: r.Slots, Mode: mode,
-		Delay: r.Delay, Jitter: r.Jitter, ReorderEvery: r.ReorderEvery, Seed: r.Seed,
-		WTR: r.WTR, AISThreshold: r.AISThreshold,
+		Delay: r.Delay, Jitter: r.Jitter, Seed: r.Seed, WTR: r.WTR,
 	})
 	if err != nil {
 		return nil, nil, err
@@ -408,7 +397,7 @@ func (r *RingSpec) build() (*topo.Ring, [][2]*topo.Port, error) {
 // check validates the engine block; an engine sends one fixed size.
 func (e *engineSpec) check(t trafficSpec) (shape, error) {
 	sh := shape{name: e.Line + " engine", actions: "stall blackout",
-		ignores: "traffic.density traffic.interval traffic.seed traffic.drain min_resyncs switches max_switches max_failover_ticks corrupted slo_green"}
+		ignores: "traffic.density traffic.interval traffic.seed min_resyncs switches max_switches max_failover_ticks corrupted slo_green"}
 	if e.Links < 1 || e.Links > 64 {
 		return sh, fmt.Errorf("engine.links %d outside 1..64", e.Links)
 	}
@@ -430,16 +419,14 @@ func (e *engineSpec) socket() bool { return e.Line == "udp" || e.Line == "tcp" }
 // check validates the P5 block.
 func (p *p5Spec) check() (shape, error) {
 	sh := shape{name: "p5", circuits: []string{"p5"}, actions: "cut noise slip dup",
-		ignores: "traffic.density traffic.interval traffic.drain slo bringup_budget switches max_switches max_failover_ticks lcp_renegotiations down slo_green"}
+		ignores: "traffic.density traffic.interval slo bringup_budget switches max_switches max_failover_ticks lcp_renegotiations down slo_green"}
 	switch {
 	case p.Width != 8 && p.Width != 32:
 		return sh, fmt.Errorf("p5.width must be 8 or 32")
 	case p.Frames < 1 || p.Frames > 10000:
 		return sh, fmt.Errorf("p5.frames %d outside 1..10000", p.Frames)
-	case p.Density > 1 || p.Errors > 1:
-		return sh, fmt.Errorf("p5.density and p5.errors are probabilities")
-	case p.Line == "stm1" && p.Errors > 0:
-		return sh, fmt.Errorf("p5.errors faults the loopback line; fault the stm1 section with events")
+	case p.Density > 1:
+		return sh, fmt.Errorf("p5.density is a probability")
 	case p.Line == "loopback":
 		sh.name, sh.actions = "p5 loopback", ""
 		sh.ignores += " duration min_resyncs"

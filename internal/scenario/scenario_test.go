@@ -2,8 +2,13 @@ package scenario
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -68,16 +73,16 @@ func TestParseValidation(t *testing.T) {
 			s.Events = []event{{At: 1, Action: "cut", Between: [2]int{0, 1}, Ticks: -400}}
 		}, "", "events[0].ticks is negative"},
 		{"negative interval", func(s *Scenario) { s.Traffic.Interval = -2 }, "", "traffic.interval is negative"},
-		{"negative drain", func(s *Scenario) { s.Traffic.Drain = -1 }, "", "traffic.drain is negative"},
 		{"negative bringup_budget", func(s *Scenario) { s.BringUpBudget = -1 }, "", "bringup_budget is negative"},
 		{"negative delay", func(s *Scenario) { s.Ring.Delay = -1 }, "", "ring.delay is negative"},
 		{"negative jitter", func(s *Scenario) { s.Ring.Jitter = -1 }, "", "ring.jitter is negative"},
-		{"negative reorder_every", func(s *Scenario) { s.Ring.ReorderEvery = -1 }, "", "ring.reorder_every is negative"},
 		{"negative wtr", func(s *Scenario) { s.Ring.WTR = -1 }, "", "ring.wtr is negative"},
-		{"negative ais_threshold", func(s *Scenario) { s.Ring.AISThreshold = -1 }, "", "ring.ais_threshold is negative"},
 		{"restart_period has no block", nil,
 			`{"name": "x", "ring": {"nodes": 4, "circuits": [{"name": "c0", "a": 0, "b": 2}]}, "links": {"restart_period": -1}, "duration": 100, "assert": {}}`,
 			`unknown field "links"`},
+		{"removed key is refused", nil,
+			`{"name": "x", "ring": {"nodes": 4, "circuits": [{"name": "c0", "a": 0, "b": 2}]}, "slo": {"failover_budget_ticks": 400}, "duration": 100, "assert": {}}`,
+			`unknown field "failover_budget_ticks"`},
 		{"fleet block is refused", nil,
 			`{"name": "x", "ring": {"nodes": 4, "circuits": [{"name": "c0", "a": 0, "b": 2}]}, "duration": 100, "assert": {}, "fleet": {"instances": ["127.0.0.1:9100"], "assert": {"require_up": true}}}`,
 			`unknown field "fleet"`},
@@ -109,8 +114,7 @@ func TestParseValidation(t *testing.T) {
 		{"p5 ok", p5stm1, "", ""},
 		{"p5 bad width", func(s *Scenario) { p5stm1(s); s.P5.Width = 16 }, "", "8 or 32"},
 		{"p5 no frames", func(s *Scenario) { p5stm1(s); s.P5.Frames = 0 }, "", "p5.frames 0"},
-		{"p5 errors on stm1", func(s *Scenario) { p5stm1(s); s.P5.Errors = 0.01 }, "", "p5.errors"},
-		{"p5 slo", func(s *Scenario) { p5stm1(s); s.SLO.AlarmBurn = 2 }, "", "does not read slo"},
+		{"p5 slo", func(s *Scenario) { p5stm1(s); s.SLO.P99BudgetTicks = 8 }, "", "does not read slo"},
 		{"p5 section between", func(s *Scenario) {
 			p5stm1(s)
 			s.Events = []event{{At: 1, Action: "cut", Between: [2]int{0, 1}}}
@@ -143,6 +147,87 @@ func TestParseValidation(t *testing.T) {
 				t.Fatalf("error = %v, want substring %q", err, c.want)
 			}
 		})
+	}
+}
+
+// TestEveryScenarioKeyIsSet holds every key of the scenario language,
+// walked from the document's JSON tags, to a committed
+// scenarios/**/*.json that sets it. A key only the tests set is a
+// constant in disguise: every value it opens is one more run the
+// committed drills never make. Keys are dotted paths; an array's
+// elements share their array's path. A kept entry is exempt for its
+// reason; one that is gone, or that a committed scenario now sets,
+// fails.
+func TestEveryScenarioKeyIsSet(t *testing.T) {
+	kept := map[string]string{
+		"ring.slots": "the ring's slot plan: every committed ring runs the default 4, and the slot-division and BLSR-parity rows of TestParseValidation read it; not yet cut",
+	}
+	set := map[string]bool{}
+	var walkType func(rt reflect.Type, prefix string)
+	walkType = func(rt reflect.Type, prefix string) {
+		for rt.Kind() == reflect.Pointer || rt.Kind() == reflect.Slice {
+			rt = rt.Elem()
+		}
+		if rt.Kind() != reflect.Struct {
+			return
+		}
+		for i := 0; i < rt.NumField(); i++ {
+			key, _, _ := strings.Cut(rt.Field(i).Tag.Get("json"), ",")
+			set[prefix+key] = false
+			walkType(rt.Field(i).Type, prefix+key+".")
+		}
+	}
+	walkType(reflect.TypeOf(Scenario{}), "")
+
+	var walkDoc func(v any, prefix string)
+	walkDoc = func(v any, prefix string) {
+		switch v := v.(type) {
+		case map[string]any:
+			for key, e := range v {
+				set[prefix+key] = true
+				walkDoc(e, prefix+key+".")
+			}
+		case []any:
+			for _, e := range v {
+				walkDoc(e, prefix)
+			}
+		}
+	}
+	err := filepath.WalkDir("../../scenarios", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || filepath.Ext(path) != ".json" {
+			return err
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		var doc any
+		if err := json.Unmarshal(data, &doc); err != nil {
+			return fmt.Errorf("%s: %w", path, err)
+		}
+		walkDoc(doc, "")
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bad []string
+	for key, ok := range set {
+		switch {
+		case kept[key] != "" && ok:
+			bad = append(bad, "scenario key "+key+" is kept but a committed scenario sets it; drop it from kept")
+		case kept[key] == "" && !ok:
+			bad = append(bad, "scenario key "+key+" is set by no committed scenario; make it a constant or delete it")
+		}
+	}
+	for key := range kept {
+		if _, ok := set[key]; !ok {
+			bad = append(bad, "scenario key "+key+" is kept but no longer exists")
+		}
+	}
+	sort.Strings(bad)
+	for _, b := range bad {
+		t.Error(b)
 	}
 }
 
@@ -242,7 +327,9 @@ func TestFailureProducesCaptures(t *testing.T) {
 // input costs milliseconds, events past the cap dropped — without an
 // error or a panic. Socket engines (they need a peer process) are
 // parsed, not run. The corpus is every committed scenario plus
-// testdata/fuzz, the documents TestParseValidation's rows describe.
+// testdata/fuzz: the documents TestParseValidation's rows describe, and
+// four that name a scenario key since made a constant (drain,
+// reorder_every, ais_threshold, p5 errors), which parse now refuses.
 func FuzzScenarioParse(f *testing.F) {
 	files, _ := filepath.Glob("../../scenarios/*.json")
 	net, _ := filepath.Glob("../../scenarios/net/*.json")

@@ -145,7 +145,7 @@ func rxCap(r *Ring) int { return 16 * r.block }
 // wrap is delivering around it), or the slot has carried a sustained
 // AIS run inserted by an upstream node.
 func (p *Port) pathDown(rot Rotation) bool {
-	if p.aisRun[rot] >= p.node.ring.Cfg.AISThreshold {
+	if p.aisRun[rot] >= aisThreshold {
 		return true
 	}
 	if p.node.inDefect(rot) {

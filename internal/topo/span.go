@@ -20,7 +20,7 @@ type Span struct {
 	// zero. Install with SetScript or assign directly before traffic.
 	Inject *fault.Injector
 
-	// Line models the fibre's propagation delay, jitter and reorder.
+	// Line models the fibre's propagation delay and jitter.
 	Line channel.Line
 
 	fr   *sonet.Framer
@@ -34,28 +34,21 @@ type Span struct {
 
 func newSpan(r *Ring, rot Rotation, from, to int) *Span {
 	s := &Span{From: from, To: to, Rot: rot, ring: r}
-	s.Line = channel.Line{
-		Delay:        r.Cfg.Delay,
-		Jitter:       r.Cfg.Jitter,
-		ReorderEvery: r.Cfg.ReorderEvery,
-		// Jitter alone must not reorder a fibre; only an explicit
-		// ReorderEvery does.
-		InOrder: r.Cfg.ReorderEvery == 0,
-	}
-	if r.Cfg.Jitter > 0 || r.Cfg.ReorderEvery > 0 {
+	s.Line = channel.Line{Delay: r.Cfg.Delay, Jitter: r.Cfg.Jitter}
+	if r.Cfg.Jitter > 0 {
 		s.Line.Rand = newRand(spanSeed(r.Cfg.Seed, rot, from))
 	}
 	// The slot of a payload octet is its offset in the frame over the
 	// block size. The offset comes with every row, so a resync after a
 	// slip or cut cannot leave the slots rotated.
-	s.fr = sonet.NewFramer(r.Cfg.Level, nil)
+	s.fr = sonet.NewFramer(level, nil)
 	s.fr.Fill = func(dst []byte, off int) int {
 		for i := range dst {
 			dst[i] = r.nodes[from].txByte(rot, (off+i)/r.block)
 		}
 		return len(dst)
 	}
-	s.df = sonet.NewDeframer(r.Cfg.Level, nil)
+	s.df = sonet.NewDeframer(level, nil)
 	s.df.Payload = func(p []byte, off int) {
 		// While the line is service-affected the deframer may still
 		// deliver frames at the assumed boundary (the defect monitor's

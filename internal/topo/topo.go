@@ -93,32 +93,32 @@ const (
 	idleOctet = 0x7E
 )
 
+// level is every span's transport level.
+const level = sonet.STM1
+
+// aisThreshold is the consecutive-0xFF run that declares path AIS at a
+// drop port: 1024 octets (just under two STM-1 slot blocks), long
+// enough that payload bytes never fake it.
+const aisThreshold = 1024
+
 // Config parameterises a ring.
 type Config struct {
-	Nodes int         // ring size (2..16; BLSR needs node IDs ≤ 15)
-	Level sonet.Level // transport level; default STM-1
-	Slots int         // payload slots per frame; default 4
+	Nodes int // ring size (2..16; BLSR needs node IDs ≤ 15)
+	Slots int // payload slots per frame; default 4
 	Mode  Mode
 
 	// Span transmission characteristics, applied to every span: fixed
-	// propagation Delay in ticks, uniform extra Jitter in [0, Jitter],
-	// and roughly one frame in ReorderEvery held back. Jitter and
-	// reorder draws derive from Seed, per span, so a topology is
-	// exactly reproducible.
-	Delay        int64
-	Jitter       int64
-	ReorderEvery int
-	Seed         uint64
+	// propagation Delay in ticks and uniform extra Jitter in
+	// [0, Jitter], never reordering a fibre. Jitter draws derive from
+	// Seed, per span, so a topology is exactly reproducible.
+	Delay  int64
+	Jitter int64
+	Seed   uint64
 
 	// WTR is the BLSR ring wait-to-restore in ticks: how long a
 	// locally-detected failure must stay clear before the wrap is
 	// released. 0 reverts immediately.
 	WTR int64
-
-	// AISThreshold is the consecutive-0xFF run that declares path AIS
-	// at a drop port; default 1024 octets (just under two STM-1 slot
-	// blocks), long enough that payload bytes never fake it.
-	AISThreshold int
 }
 
 // Circuit is a bidirectional slot between two endpoint nodes.
@@ -145,19 +145,13 @@ type Ring struct {
 
 // NewRing builds a ring from cfg.
 func NewRing(cfg Config) (*Ring, error) {
-	if cfg.Level == 0 {
-		cfg.Level = sonet.STM1
-	}
 	if cfg.Slots == 0 {
 		cfg.Slots = 4
-	}
-	if cfg.AISThreshold == 0 {
-		cfg.AISThreshold = 1024
 	}
 	if cfg.Nodes < 2 || cfg.Nodes > 16 {
 		return nil, fmt.Errorf("topo: ring size %d outside 2..16", cfg.Nodes)
 	}
-	payload := cfg.Level.PayloadBytes()
+	payload := level.PayloadBytes()
 	if cfg.Slots < 1 || payload%cfg.Slots != 0 {
 		return nil, fmt.Errorf("topo: %d slots do not divide the %d-octet payload", cfg.Slots, payload)
 	}
@@ -179,7 +173,7 @@ func NewRing(cfg Config) (*Ring, error) {
 	return r, nil
 }
 
-// spanSeed derives a per-span jitter/reorder seed from the ring seed.
+// spanSeed derives a per-span jitter seed from the ring seed.
 func spanSeed(base uint64, rot Rotation, idx int) uint64 {
 	x := base ^ (uint64(idx)*2 + uint64(rot) + 1)
 	return x*0x9E3779B97F4A7C15 + 0xD1B54A32D192ED03
@@ -271,7 +265,7 @@ func (r *Ring) Tick(now int64) {
 	for rot := East; rot <= West; rot++ {
 		for _, s := range r.spans[rot] {
 			if r.nodes[s.From].Failed {
-				s.Line.Push(now, make([]byte, r.Cfg.Level.FrameBytes()))
+				s.Line.Push(now, make([]byte, level.FrameBytes()))
 				s.DarkFrames++
 				continue
 			}

@@ -126,57 +126,6 @@ func TestUPSRDelayedJitteredRingDelivers(t *testing.T) {
 	}
 }
 
-// TestSTM4RingKeepsSlotsApart: above STM-1 the concatenated payload is
-// 9·(261·N − 1) octets, which Level.PayloadBytes must state exactly —
-// the slot mux and demux wrap their position counters on it, so any
-// disagreement with what the framer really carries rotates the slots a
-// little further every frame. Two circuits on different slots of an
-// STM-4 ring, with frames in flight on a delayed fibre, must each see
-// only their own unbroken stream.
-func TestSTM4RingKeepsSlotsApart(t *testing.T) {
-	r, err := NewRing(Config{Nodes: 4, Mode: UPSR, Level: sonet.STM4, Slots: 3, Delay: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := r.block * 3; got != sonet.STM4.PayloadBytes() {
-		t.Fatalf("3 slots of %d octets, payload %d", r.block, sonet.STM4.PayloadBytes())
-	}
-	pa, pb, err := r.AddCircuit(Circuit{Name: "a-c", A: 0, B: 2, Slot: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	qa, qb, err := r.AddCircuit(Circuit{Name: "b-d", A: 1, B: 3, Slot: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const ticks, perTick = 60, 2000
-	pat, qat := pattern{}, pattern{next: 57}
-	var gotP, gotQ []byte
-	for now := int64(0); now < ticks; now++ {
-		pa.Send(pat.fill(perTick))
-		qa.Send(qat.fill(perTick))
-		r.Tick(now)
-		gotP, gotQ = pb.Recv(gotP), qb.Recv(gotQ)
-	}
-	for name, stream := range map[string][]byte{"slot 0": gotP, "slot 2": gotQ} {
-		got := analyse(stream)
-		if got.breaks != 0 || got.junk != 0 || got.ais != 0 {
-			t.Errorf("%s: breaks=%d junk=%d ais=%d", name, got.breaks, got.junk, got.ais)
-		}
-		if len(got.payload) < (ticks-15)*perTick {
-			t.Errorf("%s: delivered %d payload octets of %d sent", name, len(got.payload), ticks*perTick)
-		}
-	}
-	for rot := East; rot <= West; rot++ {
-		for _, s := range r.spans[rot] {
-			df := s.Deframer()
-			if df.B1Errors+df.B2Errors+df.B3Errors+df.FramesErrored != 0 || df.ResyncCount != 1 {
-				t.Errorf("span %d->%d: parity/framing trouble on a clean STM-4 ring", s.From, s.To)
-			}
-		}
-	}
-}
-
 // cutBoth installs LOS scripts covering both directions of the fibre
 // between u and v from tick from for the given duration (0 = to end).
 func cutBoth(t *testing.T, r *Ring, u, v int, from, ticks int64) {
@@ -185,7 +134,7 @@ func cutBoth(t *testing.T, r *Ring, u, v int, from, ticks int64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fb := int64(r.Cfg.Level.FrameBytes())
+	fb := int64(level.FrameBytes())
 	for _, s := range []*Span{uv, vu} {
 		var sc fault.Script
 		sc.LOS(from*fb, int(ticks*fb))

@@ -54,7 +54,6 @@ type meter struct {
 	jitter *telemetry.Histogram // µs
 	rtt    *telemetry.Histogram // µs
 
-	sampleMask uint64 // stamp wall when seq&sampleMask == 0
 	samples    uint64
 	rttSamples uint64
 	lastOneWay int64 // µs, for jitter
@@ -73,21 +72,17 @@ type meter struct {
 	tickOffSet bool
 }
 
-func newMeter(sampleShift int) meter {
-	if sampleShift <= 0 {
-		sampleShift = defaultLatencySampleShift
-	}
+func newMeter() meter {
 	return meter{
-		oneWay:     telemetry.NewHistogram(latencyBoundsUS),
-		jitter:     telemetry.NewHistogram(latencyBoundsUS),
-		rtt:        telemetry.NewHistogram(latencyBoundsUS),
-		sampleMask: 1<<uint(sampleShift) - 1,
+		oneWay: telemetry.NewHistogram(latencyBoundsUS),
+		jitter: telemetry.NewHistogram(latencyBoundsUS),
+		rtt:    telemetry.NewHistogram(latencyBoundsUS),
 	}
 }
 
 // stampWall reports whether the datagram with this seq should carry a
-// wall stamp (1 in 2^shift).
-func (m *meter) stampWall(seq uint64) bool { return seq&m.sampleMask == 0 }
+// wall stamp (1 in 2^latencySampleShift).
+func (m *meter) stampWall(seq uint64) bool { return seq&(1<<latencySampleShift-1) == 0 }
 
 // noteTick feeds the tick-domain max-filter from any valid arrival.
 func (m *meter) noteTick(headerTick, localTick int64) {

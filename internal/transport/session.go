@@ -71,11 +71,11 @@ func (s *session) init(cfg Config, listener bool, epoch uint32) {
 	s.listener = listener
 	s.epoch = epoch
 	s.sq.limit = sendQueueLimit
-	s.lm = newMeter(cfg.LatencySampleShift)
+	s.lm = newMeter()
 }
 
 // stampDue reports whether the next data record carries a wall stamp
-// (1 in 2^LatencySampleShift), so the shell reads its clock only then.
+// (1 in 2^latencySampleShift), so the shell reads its clock only then.
 func (s *session) stampDue() bool { return s.lm.stampWall(s.seq + 1) }
 
 // queueData builds one data record from the head of p (at most
@@ -191,7 +191,7 @@ func (s *session) reply(t1, t2, t3 int64) []byte {
 // keepalive runs the period clock at tick now. probe reports a period
 // boundary on an unmuted line (the shell sends the record probe
 // builds, if it has somewhere to send it); dead reports that this
-// boundary was the KeepaliveMisses-th consecutive silent one, and the
+// boundary was the keepaliveMisses-th consecutive silent one, and the
 // session has stopped calling the peer alive until traffic resumes.
 func (s *session) keepalive(now int64) (probe, dead bool) {
 	period := s.cfg.KeepalivePeriod
@@ -210,7 +210,7 @@ func (s *session) keepalive(now int64) (probe, dead bool) {
 	if s.rxCount == s.kaLastRx {
 		s.kaMisses++
 		s.st.KeepaliveMisses++
-		if s.kaMisses >= s.cfg.keepaliveMisses() && s.alive {
+		if s.kaMisses >= keepaliveMisses && s.alive {
 			s.alive = false
 			dead = true
 		}

@@ -34,7 +34,7 @@ func feed(s *session, rec []byte, rxWall int64) (rxKind, peerEvent) {
 // TCP peer goes through: traffic, silence, one dead verdict, a fresh
 // connection with a full budget, silence, dead again.
 func TestSessionKeepaliveDeadPeer(t *testing.T) {
-	s := bareSession(Config{KeepalivePeriod: 4, KeepaliveMisses: 2})
+	s := bareSession(Config{KeepalivePeriod: 4})
 	now := int64(0)
 	// run ticks n times and returns the probe and dead verdicts seen.
 	run := func(n int) (probes, deads int) {
@@ -59,12 +59,12 @@ func TestSessionKeepaliveDeadPeer(t *testing.T) {
 		t.Fatal("not alive after traffic")
 	}
 	// The peer goes silent: keepalive gives up within
-	// KeepalivePeriod*(KeepaliveMisses+1) ticks, exactly once.
-	probes, deads := run(4 * (2 + 2))
+	// KeepalivePeriod*(keepaliveMisses+2) ticks, exactly once.
+	probes, deads := run(4 * (keepaliveMisses + 2))
 	if deads != 1 || s.alive {
 		t.Fatalf("after silence: %d dead verdicts, alive=%v", deads, s.alive)
 	}
-	if probes == 0 || s.st.KeepaliveMisses < 2 {
+	if probes == 0 || s.st.KeepaliveMisses < keepaliveMisses {
 		t.Fatalf("probes=%d stats=%+v", probes, s.st)
 	}
 	if _, deads = run(16); deads != 0 {
@@ -85,10 +85,10 @@ func TestSessionKeepaliveDeadPeer(t *testing.T) {
 	run(16)
 	s.revive()
 	before := s.st.KeepaliveMisses
-	_, deads = run(4 * (2 + 1))
-	if deads != 1 || s.st.KeepaliveMisses-before != 2 {
-		t.Fatalf("revived connection: %d dead verdicts after %d misses, want 1 after 2",
-			deads, s.st.KeepaliveMisses-before)
+	_, deads = run(4 * (keepaliveMisses + 1))
+	if deads != 1 || s.st.KeepaliveMisses-before != keepaliveMisses {
+		t.Fatalf("revived connection: %d dead verdicts after %d misses, want 1 after %d",
+			deads, s.st.KeepaliveMisses-before, keepaliveMisses)
 	}
 
 	// A muted line counts misses but asks for no probes.
@@ -151,7 +151,7 @@ func TestSessionBadVersionRejected(t *testing.T) {
 // and hand it to Recv, run the keepalive clock, build a probe and a
 // reply — allocates nothing.
 func TestSessionSteadyStateZeroAlloc(t *testing.T) {
-	s := bareSession(Config{KeepalivePeriod: 1, KeepaliveMisses: 1 << 20})
+	s := bareSession(Config{KeepalivePeriod: 1})
 	payload := bytes.Repeat([]byte{0x7E}, 1500)
 	in := record(typeData, 7, 0, 0, 1, payload)
 	var sent, rcvd [][]byte
@@ -254,7 +254,7 @@ func FuzzSessionRecords(f *testing.F) {
 		[]byte{opMute}, dataOp(4, 6, "dark"), []byte{opTick, 40}, []byte{opMute}, dataOp(4, 7, "light"), []byte{opRecv}))
 
 	f.Fuzz(func(t *testing.T, in []byte) {
-		s := bareSession(Config{KeepalivePeriod: 4, KeepaliveMisses: 2, LatencySampleShift: 1})
+		s := bareSession(Config{KeepalivePeriod: 4})
 		// take returns the next n input octets, zero-padded past the end.
 		take := func(n int) []byte {
 			b := make([]byte, n)

@@ -21,11 +21,11 @@ type backoff struct {
 }
 
 func newBackoff(cfg Config) backoff {
-	seed := cfg.JitterSeed
+	seed := cfg.jitterSeed
 	if seed == 0 {
 		seed = uint64(time.Now().UnixNano()) | 1
 	}
-	return backoff{min: cfg.retryMin(), max: cfg.retryMax(), rng: netsim.NewRand(seed)}
+	return backoff{min: retryMin, max: retryMax, rng: netsim.NewRand(seed)}
 }
 
 // next returns the delay before the next attempt, doubling the base

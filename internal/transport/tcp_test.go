@@ -43,15 +43,12 @@ type lcWorld struct {
 	trace   []string
 }
 
-// lcRetryMin is the worlds' RetryMin; retryFloor is backoff.next's
-// lower jitter edge for it, max(1, ⌊0.8·RetryMin⌋).
-const (
-	lcRetryMin = 4
-	retryFloor = max(1, lcRetryMin*8/10)
-)
+// retryFloor is backoff.next's lower jitter edge for retryMin,
+// max(1, ⌊0.8·retryMin⌋).
+const retryFloor = max(1, retryMin*8/10)
 
 func newLCEnd(dialAddr string) *TCP {
-	cfg := Config{RetryMin: lcRetryMin, RetryMax: 16, JitterSeed: 7}
+	cfg := Config{jitterSeed: 7}
 	t := &TCP{dialAddr: dialAddr, bo: newBackoff(cfg)}
 	t.init(cfg, dialAddr == "", 1)
 	t.cond = sync.NewCond(&t.mu)

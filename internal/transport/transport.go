@@ -101,51 +101,29 @@ type Stats struct {
 	QueueDepth, QueueHighWater int
 }
 
-// Config tunes the socket transports. The zero value is usable; every
-// field has a default.
+// Config tunes the socket transports. The zero value is usable.
 type Config struct {
 	// KeepalivePeriod, when non-zero, sends a keepalive probe every
-	// this many ticks and checks for inbound traffic; KeepaliveMisses
-	// consecutive silent periods (default 3) declare the peer dead
-	// (Up() turns false) until traffic resumes.
+	// this many ticks and checks for inbound traffic; keepaliveMisses
+	// consecutive silent periods declare the peer dead (Up() turns
+	// false) until traffic resumes.
 	KeepalivePeriod int64
-	// KeepaliveMisses is the silent-period limit (default 3).
-	KeepaliveMisses int
-	// RetryMin and RetryMax bound the capped exponential dial/re-dial
-	// backoff in ticks (defaults 8 and 1024). Each delay carries ±20%
-	// seeded jitter so a fleet of transports sharing one dead peer does
-	// not re-dial in lockstep.
-	RetryMin, RetryMax int64
-	// JitterSeed seeds the backoff jitter (0 derives a per-process
-	// default). Distinct transports should use distinct seeds.
-	JitterSeed uint64
-	// LatencySampleShift controls the one-way latency wall-stamp rate:
-	// one data datagram in 2^shift carries a transmit wall stamp
-	// (default 6, 1 in 64). Sampling keeps the stamp cost off most of
-	// the hot path while the histograms still converge in seconds.
-	LatencySampleShift int
+	// jitterSeed seeds the backoff jitter; 0, the only value outside
+	// the package's tests, derives a per-process seed.
+	jitterSeed uint64
 }
 
-// defaultLatencySampleShift is the 1-in-64 default sampling rate.
-const defaultLatencySampleShift = 6
-
-func (c Config) keepaliveMisses() int {
-	if c.KeepaliveMisses <= 0 {
-		return 3
-	}
-	return c.KeepaliveMisses
-}
-
-func (c Config) retryMin() int64 {
-	if c.RetryMin <= 0 {
-		return 8
-	}
-	return c.RetryMin
-}
-
-func (c Config) retryMax() int64 {
-	if c.RetryMax <= 0 {
-		return 1024
-	}
-	return c.RetryMax
-}
+const (
+	// keepaliveMisses is the silent-period limit.
+	keepaliveMisses = 3
+	// retryMin and retryMax bound the capped exponential dial/re-dial
+	// backoff in ticks. Each delay carries ±20% seeded jitter so a
+	// fleet of transports sharing one dead peer does not re-dial in
+	// lockstep.
+	retryMin, retryMax = 8, 256
+	// latencySampleShift sets the one-way latency wall-stamp rate: one
+	// data datagram in 2^shift (1 in 64) carries a transmit wall stamp.
+	// Sampling keeps the stamp cost off most of the hot path while the
+	// histograms still converge in seconds.
+	latencySampleShift = 6
+)

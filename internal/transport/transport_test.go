@@ -127,7 +127,7 @@ func TestUDPPairExchange(t *testing.T) {
 }
 
 func TestUDPKeepaliveDeadPeer(t *testing.T) {
-	cfg := Config{KeepalivePeriod: 4, KeepaliveMisses: 2}
+	cfg := Config{KeepalivePeriod: 4}
 	ln, err := NewUDP(UDPConfig{Config: cfg, ListenAddr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
@@ -146,9 +146,9 @@ func TestUDPKeepaliveDeadPeer(t *testing.T) {
 	}
 
 	// Kill the dialer: the listener's keepalive gives up within
-	// KeepalivePeriod*(KeepaliveMisses+1) silent ticks.
+	// KeepalivePeriod*(keepaliveMisses+2) silent ticks.
 	dl.Close()
-	for i := 0; i < 4*(2+2); i++ {
+	for i := 0; i < 4*(keepaliveMisses+2); i++ {
 		now++
 		ln.Tick(now)
 	}
@@ -235,7 +235,7 @@ func TestTCPPairExchange(t *testing.T) {
 }
 
 func TestTCPRedialAfterReset(t *testing.T) {
-	cfg := Config{RetryMin: 1, RetryMax: 4}
+	cfg := Config{}
 	ln, err := NewTCP(TCPConfig{Config: cfg, ListenAddr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
@@ -293,7 +293,7 @@ func TestTCPRedialAfterReset(t *testing.T) {
 // connection it accepted while the dialer keeps the last one it
 // installed, and each end closes the one the other kept.
 func TestTCPDialsOnceUntilInstalled(t *testing.T) {
-	cfg := Config{RetryMin: 1, RetryMax: 4}
+	cfg := Config{}
 	ln, err := NewTCP(TCPConfig{Config: cfg, ListenAddr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
@@ -370,9 +370,8 @@ func TestChunkQueueDropsOldest(t *testing.T) {
 }
 
 func TestBackoffJitterBounds(t *testing.T) {
-	cfg := Config{RetryMin: 8, RetryMax: 64, JitterSeed: 12345}
-	b := newBackoff(cfg)
-	expect := []int64{8, 16, 32, 64, 64, 64}
+	b := newBackoff(Config{jitterSeed: 12345})
+	expect := []int64{8, 16, 32, 64, 128, 256, 256, 256}
 	var varied bool
 	for i, base := range expect {
 		d := b.next()
@@ -389,7 +388,7 @@ func TestBackoffJitterBounds(t *testing.T) {
 	}
 	b.reset()
 	if d := b.next(); d > 8*120/100 {
-		t.Fatalf("post-reset delay %d not back at RetryMin scale", d)
+		t.Fatalf("post-reset delay %d not back at retryMin scale", d)
 	}
 }
 
@@ -565,13 +564,14 @@ func TestLatencyExchange(t *testing.T) {
 	for _, tr := range sockPairs {
 		t.Run(tr.name, func(t *testing.T) {
 			now := int64(0)
-			ln, dl := tr.open(t, Config{KeepalivePeriod: 2, LatencySampleShift: 1}, &now)
-			for i := 0; i < 16; i++ {
+			ln, dl := tr.open(t, Config{KeepalivePeriod: 2}, &now)
+			const n = 1 << latencySampleShift // the last one carries a wall stamp
+			for i := 0; i < n; i++ {
 				dl.Send([]byte("tick"))
 			}
-			collect(t, ln, dl, 16, &now)
+			collect(t, ln, dl, n, &now)
 			if lat := ln.Latency(); lat.Samples == 0 {
-				t.Fatalf("no one-way samples after 16 stamped chunks: %+v", lat)
+				t.Fatalf("no one-way samples after %d chunks: %+v", n, lat)
 			}
 
 			// Reverse traffic marks the dialer's peer alive, after which its
@@ -670,7 +670,7 @@ func TestSocketTxChunksCountData(t *testing.T) {
 // runs out of misses, drops the connection and re-dials; when the mute
 // lifts, the replacement connection carries data again.
 func TestTCPSilentPeerRedial(t *testing.T) {
-	cfg := Config{KeepalivePeriod: 4, KeepaliveMisses: 2, RetryMin: 1, RetryMax: 4}
+	cfg := Config{KeepalivePeriod: 4}
 	now := int64(0)
 	ln, dl := tcpSockPair(t, cfg, &now)
 	dl.Send([]byte("before"))
@@ -681,7 +681,7 @@ func TestTCPSilentPeerRedial(t *testing.T) {
 		st := dl.Stats()
 		return st.Resets > 0 && st.Reconnects > 0
 	}, dl, ln)
-	if st := dl.Stats(); st.KeepaliveMisses < 2 {
+	if st := dl.Stats(); st.KeepaliveMisses < keepaliveMisses {
 		t.Fatalf("give-up without the configured misses: %+v", st)
 	}
 
@@ -719,9 +719,9 @@ func TestCorrelationLeader(t *testing.T) {
 // NTP timestamps: RTT excludes peer hold time, the first offset sample
 // seeds the EWMA, and the tick offset is a max-filter.
 func TestMeterEstimates(t *testing.T) {
-	m := newMeter(1)
-	if !m.stampWall(2) || m.stampWall(3) {
-		t.Fatal("sample mask wrong for shift 1")
+	m := newMeter()
+	if !m.stampWall(1<<latencySampleShift) || m.stampWall(1<<latencySampleShift+1) {
+		t.Fatal("sample mask wrong")
 	}
 	// t1=0 t2=600µs t3=700µs t4=300µs: RTT = 300µs - 100µs hold = 200µs,
 	// offset θ = ((t2-t1)+(t3-t4))/2 = 500µs.

@@ -2,6 +2,7 @@ package gigapos
 
 import (
 	"errors"
+	"math/rand/v2"
 
 	"repro/internal/hdlc"
 	"repro/internal/ipcp"
@@ -30,17 +31,13 @@ type LinkConfig struct {
 	// AssignPeer, when non-zero, is handed to a peer that requests an
 	// address.
 	AssignPeer [4]byte
-	// Rand supplies randomness for magic-number collisions (optional).
-	Rand func() uint32
 
 	// Reliable enables numbered-mode operation (RFC 1663): after LCP
 	// opens, the endpoints run SABM/UA and carry network-layer frames
 	// with modulo-8 sequence numbers, acknowledgements and go-back-N
-	// retransmission — the paper's noisy-wireless configuration.
+	// retransmission — the paper's noisy-wireless configuration. N2,
+	// the retransmission limit before a link reset, is 10.
 	Reliable bool
-	// ReliableMaxRetries is N2, the retransmission limit before a link
-	// reset (default 10).
-	ReliableMaxRetries int
 
 	// WantVJ requests Van Jacobson TCP/IP header compression for our
 	// receive direction (RFC 1144 via IPCP, RFC 1332 §4); AllowVJ
@@ -56,11 +53,9 @@ type LinkConfig struct {
 
 	// EchoPeriod, when non-zero, sends LCP Echo-Requests at this
 	// interval, or the line's measured RTO if longer, once Opened;
-	// EchoMisses consecutive requests with no frame received in reply
-	// (default 3) bring the link down — dead-peer detection.
+	// echoMisses consecutive requests with no frame received in reply
+	// bring the link down — dead-peer detection.
 	EchoPeriod int64
-	// EchoMisses is the unanswered-echo limit (default 3).
-	EchoMisses int
 
 	// Supervise enables the self-healing supervisor: after any outage
 	// (SONET defect via NotifyDefects, echo timeout, LCP give-up) the
@@ -166,7 +161,9 @@ func NewLink(cfg LinkConfig) *Link {
 	l.lcpPol.WantACFC = cfg.WantACFC
 	l.lcpPol.AllowPFC = cfg.AllowPFC
 	l.lcpPol.AllowACFC = cfg.AllowACFC
-	l.lcpPol.Rand = cfg.Rand
+	// Two distinct peers that drew the same magic break the tie with
+	// fresh random draws; a looped line keeps colliding whatever it draws.
+	l.lcpPol.Rand = rand.Uint32
 
 	l.ipcpPol = ipcp.NewPolicy(ipcp.Addr(cfg.IPAddr))
 	l.ipcpPol.AssignPeer = ipcp.Addr(cfg.AssignPeer)
@@ -284,8 +281,11 @@ func (l *Link) Advance(now int64) {
 	}
 }
 
+// echoMisses is the unanswered-echo limit.
+const echoMisses = 3
+
 // serviceEcho implements the keepalive: periodic Echo-Requests on an
-// opened link, teardown after EchoMisses silent periods.
+// opened link, teardown after echoMisses silent periods.
 func (l *Link) serviceEcho(now int64) {
 	if l.cfg.EchoPeriod <= 0 || !l.Opened() {
 		l.echoNext = 0
@@ -304,15 +304,11 @@ func (l *Link) serviceEcho(now int64) {
 	if l.RxFrames != l.echoRx {
 		l.echoPending = 0
 	}
-	misses := l.cfg.EchoMisses
-	if misses <= 0 {
-		misses = 3
-	}
-	if l.echoPending >= misses {
+	if l.echoPending >= echoMisses {
 		// Dead peer: the link goes down (RFC 1661 §5.8 is the
 		// liveness tool; teardown policy is the implementation's).
 		l.EchoTimeouts++
-		l.trace("echo-timeout", "", int64(misses), 0)
+		l.trace("echo-timeout", "", echoMisses, 0)
 		l.echoPending = 0
 		l.lcpA.Down()
 		return

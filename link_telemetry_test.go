@@ -14,8 +14,7 @@ func TestLinkInstrumentTelemetry(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	tr := telemetry.NewTracer(512)
 	cfg := LinkConfig{
-		EchoPeriod: 4, EchoMisses: 2,
-		Supervise: true, RetryMin: 4, RetryMax: 64,
+		EchoPeriod: 4, Supervise: true, RetryMin: 4, RetryMax: 64,
 		WantVJ: true, AllowVJ: true,
 	}
 	cfg.Magic, cfg.IPAddr = 0x1111, [4]byte{10, 0, 0, 1}

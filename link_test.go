@@ -2,7 +2,6 @@ package gigapos
 
 import (
 	"bytes"
-	"math/rand"
 	"testing"
 
 	"repro/internal/crc"
@@ -126,10 +125,8 @@ func TestLinkDynamicAddressAssignment(t *testing.T) {
 }
 
 func TestLinkSameMagicStillConverges(t *testing.T) {
-	ra := rand.New(rand.NewSource(1))
-	rb := rand.New(rand.NewSource(2))
-	a := NewLink(LinkConfig{Magic: 0xDEAD, Rand: ra.Uint32, IPAddr: [4]byte{10, 0, 0, 1}})
-	b := NewLink(LinkConfig{Magic: 0xDEAD, Rand: rb.Uint32, IPAddr: [4]byte{10, 0, 0, 2}})
+	a := NewLink(LinkConfig{Magic: 0xDEAD, IPAddr: [4]byte{10, 0, 0, 1}})
+	b := NewLink(LinkConfig{Magic: 0xDEAD, IPAddr: [4]byte{10, 0, 0, 2}})
 	bringUp(t, a, b)
 }
 
@@ -311,7 +308,7 @@ func TestEchoKeepaliveSustainsLink(t *testing.T) {
 }
 
 func TestEchoKeepaliveDetectsDeadPeer(t *testing.T) {
-	a := NewLink(LinkConfig{Magic: 1, EchoPeriod: 10, EchoMisses: 3, IPAddr: [4]byte{10, 0, 0, 1}})
+	a := NewLink(LinkConfig{Magic: 1, EchoPeriod: 10, IPAddr: [4]byte{10, 0, 0, 1}})
 	b := NewLink(LinkConfig{Magic: 2, IPAddr: [4]byte{10, 0, 0, 2}})
 	bringUp(t, a, b)
 	// Peer goes silent: discard everything a sends.

@@ -116,16 +116,16 @@ func TestNumberedModeMeasuresLine(t *testing.T) {
 }
 
 // TestEchoMeasuresLine holds LCP echo supervision (EchoPeriod 8,
-// EchoMisses 2) over every line delay: requests leave every
+// echoMisses 3) over every line delay: requests leave every
 // max(EchoPeriod, RTO) and any frame received since the last request
 // answers it, so a live peer is never declared dead however long its
 // replies take, and a cut line is declared dead within
-// (EchoMisses + 1) × max(EchoPeriod, RTO) ticks.
+// (echoMisses + 1) × max(EchoPeriod, RTO) ticks.
 func TestEchoMeasuresLine(t *testing.T) {
-	const period, misses = 8, 2
+	const period = 8
 	for _, delay := range []int64{0, 1, 2, 3, 4, 8, 16, 32, 64, 128} {
 		t.Run(fmt.Sprintf("delay=%d", delay), func(t *testing.T) {
-			p := newDelayedPair(delay, LinkConfig{EchoPeriod: period, EchoMisses: misses, Supervise: true})
+			p := newDelayedPair(delay, LinkConfig{EchoPeriod: period, Supervise: true})
 			a, z := p.a, p.z
 			ready := func() bool { return a.IPReady() && z.IPReady() }
 			up := p.until(t, "bring-up", ready)
@@ -142,7 +142,7 @@ func TestEchoMeasuresLine(t *testing.T) {
 
 			p.cut = true
 			cut, rto := p.now, a.lcpA.Line.Period(0)
-			bound := (misses + 1) * max(period, rto)
+			bound := (echoMisses + 1) * max(period, rto)
 			for a.EchoTimeouts == 0 && p.now-cut <= bound {
 				p.step()
 			}
@@ -151,8 +151,8 @@ func TestEchoMeasuresLine(t *testing.T) {
 			if a.EchoTimeouts == 0 {
 				t.Fatalf("cut line not declared dead within %d ticks", bound)
 			}
-			if delay == 0 && p.now-cut != 18 {
-				t.Errorf("zero-delay line declared dead in %d ticks, want 18", p.now-cut)
+			if delay == 0 && p.now-cut != 26 {
+				t.Errorf("zero-delay line declared dead in %d ticks, want 26", p.now-cut)
 			}
 		})
 	}

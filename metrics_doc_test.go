@@ -10,7 +10,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/aps"
 	"repro/internal/flight"
 	"repro/internal/p5"
 	"repro/internal/prof"
@@ -53,7 +52,7 @@ func TestMetricsDocMatchesRegistry(t *testing.T) {
 
 	// Every optional Link subsystem on, so every link_* family registers.
 	lcfg := LinkConfig{WantVJ: true, AllowVJ: true, Supervise: true}
-	pa, pb := NewProtectedPair(lcfg, lcfg, aps.Config{})
+	pa, pb := NewProtectedPair(lcfg, lcfg)
 	new(Watch).ObservePair(o, "prot", pa, pb)
 
 	ring, err := topo.NewRing(topo.Config{Nodes: 4})

@@ -32,7 +32,7 @@ func TestObserveOrderFree(t *testing.T) {
 		failoverInCapture bool
 	}
 	run := func(t *testing.T, observeFirst bool) outcome {
-		p := newProtectedPair(t, aps.Config{})
+		p := newProtectedPair(t)
 		reg, tr, dir := telemetry.NewRegistry(), telemetry.NewTracer(256), t.TempDir()
 		o := Observation{Registry: reg, Tracer: tr, Flight: &flight.Config{Dir: dir}}
 		oam := &p5.OAM{Regs: p5.NewRegs()}
@@ -110,7 +110,7 @@ func TestObserveNilIsOff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pa, pz := NewProtectedPair(LinkConfig{}, LinkConfig{}, aps.Config{})
+	pa, pz := NewProtectedPair(LinkConfig{}, LinkConfig{})
 	ta, _ := transport.NewPipePair()
 	ends := map[string]Observable{
 		"Link":          NewLink(LinkConfig{}),
@@ -135,7 +135,7 @@ func TestObserveNilIsOff(t *testing.T) {
 	}
 
 	// Flight alone.
-	p := newProtectedPair(t, aps.Config{})
+	p := newProtectedPair(t)
 	dir := t.TempDir()
 	var w Watch
 	w.ObservePair(Observation{Flight: &flight.Config{Dir: dir}}, "prot", p.a, p.b)
@@ -188,7 +188,7 @@ func TestObserveGradesBothDirections(t *testing.T) {
 		}
 	}
 
-	p := newProtectedPair(t, aps.Config{})
+	p := newProtectedPair(t)
 	var pw Watch
 	pw.ObservePair(Observation{Registry: reg, Flight: &flight.Config{}}, "prot", p.a, p.b)
 

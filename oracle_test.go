@@ -264,7 +264,7 @@ func TestOneArmingCall(t *testing.T) {
 func TestEveryExportHasACaller(t *testing.T) {
 	kept := map[string]string{
 		"flight.Recorder.Recent":       "the in-memory captures are the evidence when no capture directory is set",
-		"sonet.STM4":                   "the STM rate table; topo's STM-4 ring test and the geometry tests walk every level",
+		"sonet.STM4":                   "the STM rate table; the geometry tests walk every level",
 		"sonet.STM64":                  "the STM rate table (the scaling study's ceiling)",
 		"sonet.DefectMonitor.Raises":   "per-defect counts the chaos drill and the OAM test reconcile the alarm registers against",
 		"sonet.DefectMonitor.Clears":   "as Raises",
@@ -296,6 +296,7 @@ func TestEveryExportHasACaller(t *testing.T) {
 		"telemetry.Snapshot.Get":       "the by-name read the tests of six instrumented packages assert series through",
 		"rtl.Sim.RunUntil":             "the unit tests' clock: rtl's, p5's and the root hardware tests drive a bare unit to a predicate through it",
 		"rtl.Source.Pending":           "the drain predicate those unit tests clock a Source against",
+		"rtl.Flit.SetByte":             "flips one octet of a line flit: the P5 soak, golden, system and section tests corrupt the line through p5.Line.Corrupt with it",
 	}
 	type export struct {
 		name                    string // qualified: pkg.Name, pkg.Type.Method, pkg.Type.Field
@@ -510,16 +511,49 @@ func TestEveryPackageHasAProductionPath(t *testing.T) {
 }
 
 // TestEveryConfigFieldIsSet holds every exported field of an exported
-// *Config struct to a caller that sets it: a keyed composite literal or
-// an assignment naming that field of that type, somewhere in the module,
-// tests, examples and the benchmark included. Fields are resolved with
-// go/types, so a namesake in another struct sets nothing. A field
-// nothing sets is a constant in disguise.
+// *Config struct to a production caller that sets it. A field counts as
+// set only by a keyed composite literal, an assignment naming that
+// field of that type, or a conversion of a struct into its type, and
+// only in a non-test file outside examples/ and outside the field's own
+// package; benchmark/ is a frozen contract, so its files count. Fields
+// are resolved with go/types, so a namesake in another struct sets
+// nothing. A field only its own package or a test sets is a constant in
+// disguise: every configuration it opens is one more the tests must
+// cover. A kept entry, keyed by qualified name, is exempt for its
+// reason; one that is gone, or that a production caller now sets, fails.
 func TestEveryConfigFieldIsSet(t *testing.T) {
-	fields := map[token.Pos]string{} // field declaration -> "Type.Field"
+	const negotiated = "a PPP option negotiated with the peer: what this end wants or allows is the peer's to answer, so both sides stay in the language"
+	const clock = "a fake-clock seam: the tests drive time and sampling through it, production leaves it zero for the wall clock"
+	kept := map[string]string{
+		"gigapos.AuthConfig.Require":    negotiated,
+		"gigapos.AuthConfig.Secrets":    negotiated,
+		"gigapos.AuthConfig.Identity":   negotiated,
+		"gigapos.AuthConfig.Secret":     negotiated,
+		"gigapos.AuthConfig.Name":       negotiated,
+		"gigapos.LinkConfig.MRU":        negotiated,
+		"gigapos.LinkConfig.FCS":        negotiated,
+		"gigapos.LinkConfig.WantPFC":    negotiated,
+		"gigapos.LinkConfig.AllowPFC":   negotiated,
+		"gigapos.LinkConfig.WantACFC":   negotiated,
+		"gigapos.LinkConfig.AllowACFC":  negotiated,
+		"gigapos.LinkConfig.WantVJ":     negotiated,
+		"gigapos.LinkConfig.AllowVJ":    negotiated,
+		"gigapos.LinkConfig.AssignPeer": negotiated,
+		"gigapos.LinkConfig.Auth":       negotiated,
+		"gigapos.LinkConfig.Reliable":   negotiated,
+		"prof.Config.Clock":             clock,
+		"prof.Config.SampleShift":       clock,
+		"flight.Config.Clock":           clock,
+	}
+	type field struct {
+		name, pkg string // qualified name; import path of the declaring package
+		set       bool
+	}
 	m := checkModule(t)
+	fields := map[token.Pos]*field{}
 	for _, f := range m.files {
-		if strings.HasSuffix(m.fset.File(f.Pos()).Name(), "_test.go") {
+		fm := m.meta(f.Name)
+		if fm.test {
 			continue
 		}
 		for _, decl := range f.Decls {
@@ -539,20 +573,28 @@ func TestEveryConfigFieldIsSet(t *testing.T) {
 				for _, fld := range st.Fields.List {
 					for _, id := range fld.Names {
 						if id.IsExported() {
-							fields[id.Pos()] = ts.Name.Name + "." + id.Name
+							fields[id.Pos()] = &field{name: f.Name.Name + "." + ts.Name.Name + "." + id.Name, pkg: fm.pkg}
 						}
 					}
 				}
 			}
 		}
 	}
-	set := map[token.Pos]bool{}
-	setField := func(id *ast.Ident) {
-		if v, ok := m.info.Uses[id].(*types.Var); ok && v.IsField() {
-			set[v.Origin().Pos()] = true
-		}
-	}
 	for _, f := range m.files {
+		fm := m.meta(f.Name)
+		if fm.test || strings.HasPrefix(fm.dir, "examples/") {
+			continue
+		}
+		set := func(v *types.Var) {
+			if fl := fields[v.Origin().Pos()]; fl != nil && fl.pkg != fm.pkg {
+				fl.set = true
+			}
+		}
+		setField := func(id *ast.Ident) {
+			if v, ok := m.info.Uses[id].(*types.Var); ok && v.IsField() {
+				set(v)
+			}
+		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.KeyValueExpr:
@@ -565,19 +607,41 @@ func TestEveryConfigFieldIsSet(t *testing.T) {
 						setField(sel.Sel)
 					}
 				}
+			case *ast.CallExpr:
+				// A conversion into a struct type sets every field.
+				if tv := m.info.Types[n.Fun]; tv.IsType() && len(n.Args) == 1 {
+					if st, ok := tv.Type.Underlying().(*types.Struct); ok {
+						for i := 0; i < st.NumFields(); i++ {
+							set(st.Field(i))
+						}
+					}
+				}
 			}
 			return true
 		})
 	}
-	var unset []string
-	for pos, name := range fields {
-		if !set[pos] {
-			unset = append(unset, m.fset.Position(pos).String()+": "+name+" is set by no file; make it a constant or delete it")
+	var bad []string
+	found := map[string]bool{}
+	for pos, fl := range fields {
+		if kept[fl.name] != "" {
+			found[fl.name] = true
+			if fl.set {
+				bad = append(bad, m.fset.Position(pos).String()+": "+fl.name+" is kept but a production caller sets it; drop it from kept")
+			}
+			continue
+		}
+		if !fl.set {
+			bad = append(bad, m.fset.Position(pos).String()+": "+fl.name+" is set by no production file outside its package; make it a constant or delete it")
 		}
 	}
-	sort.Strings(unset)
-	for _, u := range unset {
-		t.Error(u)
+	for name := range kept {
+		if !found[name] {
+			bad = append(bad, name+" is kept but no longer exists")
+		}
+	}
+	sort.Strings(bad)
+	for _, b := range bad {
+		t.Error(b)
 	}
 }
 

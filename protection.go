@@ -35,13 +35,13 @@ type ProtectedLink struct {
 	tel *telemetry.Mirror // nil until Observe with a Registry
 }
 
-// NewProtectedPair builds two Links, each with a protection controller
-// parameterised by cfg, and the working and protection sections between
-// them: STM-1 lines whose deframers integrate defects with the GR-253
-// defaults.
-func NewProtectedPair(cfgA, cfgB LinkConfig, cfg aps.Config) (a, b *ProtectedLink) {
-	a = &ProtectedLink{Link: NewLink(cfgA), Ctrl: aps.NewController(cfg)}
-	b = &ProtectedLink{Link: NewLink(cfgB), Ctrl: aps.NewController(cfg)}
+// NewProtectedPair builds two Links, each with a bidirectional,
+// revertive protection controller, and the working and protection
+// sections between them: STM-1 lines whose deframers integrate defects
+// with the GR-253 defaults.
+func NewProtectedPair(cfgA, cfgB LinkConfig) (a, b *ProtectedLink) {
+	a = &ProtectedLink{Link: NewLink(cfgA), Ctrl: aps.NewController()}
+	b = &ProtectedLink{Link: NewLink(cfgB), Ctrl: aps.NewController()}
 	for i := range a.lines {
 		a.lines[i], b.lines[i] = sonet.NewLinePair(sonet.STM1)
 	}

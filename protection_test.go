@@ -17,16 +17,15 @@ type protectedPair struct {
 	now  int64
 }
 
-func newProtectedPair(t *testing.T, acfg aps.Config) *protectedPair {
+func newProtectedPair(t *testing.T) *protectedPair {
 	t.Helper()
 	cfg := LinkConfig{
-		EchoPeriod: 8, EchoMisses: 3,
-		Supervise: true, RetryMin: 8, RetryMax: 128,
+		EchoPeriod: 8, Supervise: true, RetryMin: 8, RetryMax: 128,
 	}
 	cfgA, cfgB := cfg, cfg
 	cfgA.Magic, cfgA.IPAddr = 0xAAAA, [4]byte{10, 0, 0, 1}
 	cfgB.Magic, cfgB.IPAddr = 0xBBBB, [4]byte{10, 0, 0, 2}
-	a, b := NewProtectedPair(cfgA, cfgB, acfg)
+	a, b := NewProtectedPair(cfgA, cfgB)
 	p := &protectedPair{a: a, b: b}
 	a.Open()
 	a.Up()
@@ -59,7 +58,7 @@ func zeroFrame(f []byte) []byte { return make([]byte, len(f)) }
 // wait-to-restore without any of the above regressing.
 func TestProtectionHitlessFailover(t *testing.T) {
 	const wtr = 100
-	p := newProtectedPair(t, aps.Config{Bidirectional: true, Revertive: true, WaitToRestore: wtr})
+	p := newProtectedPair(t)
 	a, b := p.a, p.b
 
 	for i := 0; i < 30; i++ {
@@ -186,7 +185,7 @@ func TestProtectionHitlessFailover(t *testing.T) {
 // supervisor (PR 1 backoff path), and the session recovers after the
 // lines heal.
 func TestProtectionBothLinesDownFallsBack(t *testing.T) {
-	p := newProtectedPair(t, aps.Config{Bidirectional: true, Revertive: true, WaitToRestore: 50})
+	p := newProtectedPair(t)
 	a, b := p.a, p.b
 	for i := 0; i < 30; i++ {
 		p.tick()
@@ -238,13 +237,15 @@ func TestProtectionBothLinesDownFallsBack(t *testing.T) {
 }
 
 // TestProtectedPairTelemetryKeepsEndsApart instruments both ends of one
-// pair into one registry. Unidirectional APS makes the ends differ — a
-// cut of the a→b working line moves b's selector and leaves a's alone —
-// so two sync loops sharing one series would show: each end must keep
-// its own aps_* and deframer record under its {link} label. A second
-// mirror on an end's series is a wiring bug and is refused.
+// pair into one registry. A cut of the a→b working line gives the ends
+// different records — b switches on its own signal fail and sends it in
+// K1, a follows on that far-end request and acknowledges with
+// Reverse-Request — so two sync loops sharing one series would show:
+// each end must keep its own aps_* and deframer record under its {link}
+// label. A second mirror on an end's series is a wiring bug and is
+// refused.
 func TestProtectedPairTelemetryKeepsEndsApart(t *testing.T) {
-	p := newProtectedPair(t, aps.Config{})
+	p := newProtectedPair(t)
 	reg := telemetry.NewRegistry()
 	p.a.Observe(Observation{Registry: reg}, "a")
 	p.b.Observe(Observation{Registry: reg}, "b")
@@ -258,16 +259,18 @@ func TestProtectedPairTelemetryKeepsEndsApart(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		p.tick()
 	}
-	if p.b.Ctrl.Switches != 1 || p.a.Ctrl.Switches != 0 {
-		t.Fatalf("scenario did not split the ends: switches a=%d b=%d, want 0/1",
-			p.a.Ctrl.Switches, p.b.Ctrl.Switches)
+	if p.a.Ctrl.Switches != 1 || p.b.Ctrl.Switches != 1 || p.a.Ctrl.RemoteWins == 0 || p.b.Ctrl.RemoteWins != 0 {
+		t.Fatalf("scenario did not split the ends: switches a=%d b=%d, remote wins a=%d b=%d; want 1/1, a>0, b=0",
+			p.a.Ctrl.Switches, p.b.Ctrl.Switches, p.a.Ctrl.RemoteWins, p.b.Ctrl.RemoteWins)
 	}
 	snap := reg.Snapshot("pair")
 	for series, want := range map[string]float64{
-		`aps_switches_total{link="a"}`: 0,
-		`aps_switches_total{link="b"}`: 1,
-		`aps_active{link="a"}`:         float64(aps.Working),
-		`aps_active{link="b"}`:         float64(aps.Protect),
+		`aps_switches_total{link="a"}`:    1,
+		`aps_switches_total{link="b"}`:    1,
+		`aps_remote_wins_total{link="a"}`: float64(p.a.Ctrl.RemoteWins),
+		`aps_remote_wins_total{link="b"}`: 0,
+		`aps_request{link="a"}`:           float64(aps.ReqReverseRequest),
+		`aps_request{link="b"}`:           float64(aps.ReqSignalFail),
 	} {
 		if got, ok := snap.Get(series); !ok || got != want {
 			t.Errorf("%s = %v (present=%v), want %v", series, got, ok, want)
@@ -293,7 +296,7 @@ func TestProtectedPairTelemetryKeepsEndsApart(t *testing.T) {
 // one 40-octet datagram per tick allocates nothing — the bridge queue
 // is compacted in place and one receive buffer serves every line feed.
 func TestProtectedLinkSteadyStateAllocatesNothing(t *testing.T) {
-	p := newProtectedPair(t, aps.Config{})
+	p := newProtectedPair(t)
 	payload := make([]byte, 40)
 	payload[0] = 0x45
 	var rx []Datagram

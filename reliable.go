@@ -16,8 +16,7 @@ import (
 // initReliable wires a numbered-mode station into the link.
 func (l *Link) initReliable() {
 	l.station = &reliable.Station{
-		MaxRetries: l.cfg.ReliableMaxRetries,
-		Line:       l.lcpA.Line,
+		Line: l.lcpA.Line,
 		Out: func(f reliable.Frame) {
 			l.out = l.encodeNumbered(l.out, f)
 		},

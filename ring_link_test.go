@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/flight"
+	"repro/internal/sonet"
 	"repro/internal/telemetry"
 	"repro/internal/topo"
 )
@@ -53,7 +54,7 @@ func cutRing(t *testing.T, r *topo.Ring, u, v int, at, ticks int64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fb := int64(r.Cfg.Level.FrameBytes())
+	fb := int64(sonet.STM1.FrameBytes()) // every ring span is STM-1
 	for _, s := range []*topo.Span{uv, vu} {
 		var sc fault.Script
 		sc.LOS(at*fb, int(ticks*fb))

@@ -56,8 +56,7 @@ func TestLCPMaxConfigureExhaustion(t *testing.T) {
 // it back to Opened without operator intervention.
 func TestEchoDeadPeerSupervisedHeal(t *testing.T) {
 	cfg := LinkConfig{
-		EchoPeriod: 4, EchoMisses: 2,
-		Supervise: true, RetryMin: 4, RetryMax: 64,
+		EchoPeriod: 4, Supervise: true, RetryMin: 4, RetryMax: 64,
 	}
 	cfg.Magic, cfg.IPAddr = 0x1111, [4]byte{10, 0, 0, 1}
 	a := NewLink(cfg)

@@ -60,7 +60,7 @@ func supervisedPorts(ta, tz transport.LineTransport) (a, z *TransportPort) {
 // afterwards the link must hold steady — zero further renegotiations,
 // and never a corrupted datagram delivered to IP.
 func TestTransportChaosSoakUDP(t *testing.T) {
-	kcfg := transport.Config{KeepalivePeriod: 32, KeepaliveMisses: 3}
+	kcfg := transport.Config{KeepalivePeriod: 32}
 	ln, dl := udpPair(t, kcfg)
 
 	const blackoutFrom, blackoutTo = 1200, 1700
@@ -302,7 +302,7 @@ func TestEngineRemote(t *testing.T) {
 	} {
 		t.Run(tr.name, func(t *testing.T) {
 			const nLinks = 2
-			kcfg := transport.Config{KeepalivePeriod: 64, KeepaliveMisses: 5}
+			kcfg := transport.Config{KeepalivePeriod: 64}
 
 			listeners := make([]remoteLine, nLinks)
 			for i := range listeners {
@@ -421,7 +421,7 @@ func TestEngineBringUpDeadline(t *testing.T) {
 // exactly one capture pair on disk sharing one nonzero incident ID,
 // with no ping-pong extras.
 func TestTransportCorrelatedCapturesUDP(t *testing.T) {
-	kcfg := transport.Config{KeepalivePeriod: 32, KeepaliveMisses: 3}
+	kcfg := transport.Config{KeepalivePeriod: 32}
 	ln, dl := udpPair(t, kcfg)
 
 	const blackoutFrom, blackoutTo = 1200, 1700
