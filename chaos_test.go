@@ -211,7 +211,7 @@ func TestChaosSoakDualLineProtection(t *testing.T) {
 	const fb = 2430
 	const wtr = 100 // the controller's wait-to-restore
 	p := newProtectedPair(t)
-	a, b := p.a, p.b
+	a, b, la, lb := p.a.Link, p.b.Link, p.la, p.lb
 
 	// Per-line scripts, pinned to absolute line-octet offsets. The
 	// service-affecting windows are disjoint across the two lines:
@@ -279,12 +279,12 @@ func TestChaosSoakDualLineProtection(t *testing.T) {
 	for i := 0; i < wtr+60; i++ {
 		p.tick()
 	}
-	if b.Active() != aps.Working || a.Active() != aps.Working {
-		t.Fatalf("group did not revert: a=%v b=%v", a.Active(), b.Active())
+	if lb.Ctrl.Active() != aps.Working || la.Ctrl.Active() != aps.Working {
+		t.Fatalf("group did not revert: a=%v b=%v", la.Ctrl.Active(), lb.Ctrl.Active())
 	}
 
 	// Zero LCP restarts while >= 1 line was up — on both ends.
-	for name, l := range map[string]*ProtectedLink{"a": a, "b": b} {
+	for name, l := range map[string]*Link{"a": a, "b": b} {
 		sup := l.Supervisor()
 		if sup.Restarts != 0 || sup.DefectOutages != 0 || sup.Recoveries != 0 {
 			t.Errorf("%s supervisor acted during protected chaos: %+v", name, sup)
@@ -295,15 +295,15 @@ func TestChaosSoakDualLineProtection(t *testing.T) {
 	}
 	// Two working cuts each force a failover and a revert; protect-line
 	// events must not add spurious selector flaps beyond the slip's.
-	if b.Ctrl.ToProtect < 2 {
-		t.Errorf("ToProtect = %d, want >= 2 (two working-line cuts)", b.Ctrl.ToProtect)
+	if lb.Ctrl.ToProtect < 2 {
+		t.Errorf("ToProtect = %d, want >= 2 (two working-line cuts)", lb.Ctrl.ToProtect)
 	}
-	if b.Ctrl.Switches < 4 {
-		t.Errorf("Switches = %d, want >= 4 (each cut out and back)", b.Ctrl.Switches)
+	if lb.Ctrl.Switches < 4 {
+		t.Errorf("Switches = %d, want >= 4 (each cut out and back)", lb.Ctrl.Switches)
 	}
 	lost := int(seq) - delivered
 	t.Logf("sent=%d delivered=%d lost=%d switches=%d toProtect=%d standbyDiscarded=%d",
-		seq, delivered, lost, b.Ctrl.Switches, b.Ctrl.ToProtect, b.DiscardedStandbyOctets)
+		seq, delivered, lost, lb.Ctrl.Switches, lb.Ctrl.ToProtect, lb.DiscardedStandbyOctets)
 	if lost > int(seq)/10 {
 		t.Errorf("lost %d of %d datagrams; switch windows should cost far less", lost, seq)
 	}

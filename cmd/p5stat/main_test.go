@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -71,6 +72,24 @@ func runOK(t *testing.T, args ...string) string {
 		t.Fatalf("p5stat %v exited %d: %s", args, code, errb.String())
 	}
 	return out.String()
+}
+
+// TestOversizeBodyRefused: a /metrics body over the fetch bound (8 MiB)
+// is an error — exit 1 and a message on stderr — not a report rendered
+// from however much of it was read.
+func TestOversizeBodyRefused(t *testing.T) {
+	pad := "# " + strings.Repeat("x", 1021) + "\n"
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.WriteString(w, "p5_up 1\n")
+		for n := 0; n <= 8<<20; n += len(pad) {
+			io.WriteString(w, pad)
+		}
+	}))
+	t.Cleanup(srv.Close)
+	var out, errb bytes.Buffer
+	if code := run([]string{"-url", srv.URL}, &out, &errb); code != 1 || !strings.Contains(errb.String(), "bound") {
+		t.Errorf("p5stat on an oversize /metrics exited %d, stderr %q; want 1 and the bound named", code, errb.String())
+	}
 }
 
 // TestRunRejectsUsageErrors: every argument p5stat would otherwise

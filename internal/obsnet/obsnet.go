@@ -42,6 +42,11 @@ type Instance struct {
 // dead instance.
 var client = &http.Client{Timeout: 5 * time.Second}
 
+// maxBody bounds one fetched document. A body over it is refused, never
+// cut short: a board rendered from a truncated exposition would show a
+// fleet that is not there.
+const maxBody = 8 << 20
+
 func baseURL(addr string) string {
 	if strings.Contains(addr, "://") {
 		return strings.TrimSuffix(addr, "/")
@@ -49,13 +54,16 @@ func baseURL(addr string) string {
 	return "http://" + addr
 }
 
-func get(url string) ([]byte, error) {
+// Fetch GETs one telemetry document (/metrics, /status, /slo, /trace)
+// with the bounded client: it gives up after 5 s, and refuses a non-200
+// answer and a body over 8 MiB.
+func Fetch(url string) ([]byte, error) {
 	resp, err := client.Get(url)
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 8<<20))
+	body, err := io.ReadAll(io.LimitReader(resp.Body, maxBody+1))
 	if err != nil {
 		return nil, err
 	}
@@ -63,6 +71,9 @@ func get(url string) ([]byte, error) {
 	// non-200 is a failure.
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("%s: HTTP %d", url, resp.StatusCode)
+	}
+	if len(body) > maxBody {
+		return nil, fmt.Errorf("%s: body over the %d MiB bound", url, maxBody>>20)
 	}
 	return body, nil
 }
@@ -73,7 +84,7 @@ func scrape(addr string) Instance {
 	inst := Instance{Addr: addr}
 	base := baseURL(addr)
 
-	body, err := get(base + "/metrics")
+	body, err := Fetch(base + "/metrics")
 	if err != nil {
 		inst.Err = err
 		return inst
@@ -85,7 +96,7 @@ func scrape(addr string) Instance {
 	}
 	inst.Series = telemetry.InjectLabel(series, "instance", addr)
 
-	if body, err = get(base + "/status"); err != nil {
+	if body, err = Fetch(base + "/status"); err != nil {
 		inst.Err = err
 		return inst
 	}

@@ -37,9 +37,13 @@ const (
 // modulus is the sequence-number space (basic mode).
 const modulus = 8
 
-// defaultWindow is the default transmit window k (RFC 1663 suggests
-// small windows; LAPB default k = 7 for modulo 8).
-const defaultWindow = 7
+// window is the transmit window k (RFC 1663 suggests small windows;
+// LAPB's k = 7 for modulo 8), and maxRetries is N2: T1 expiries past it
+// reset the link.
+const (
+	window     = 7
+	maxRetries = 10
+)
 
 // frameKind classifies a control octet.
 type frameKind int
@@ -108,10 +112,6 @@ type Station struct {
 	// link reset. Callers recycling transmit buffers hook this to
 	// reclaim them; the station never touches a buffer after Release.
 	Release func([]byte)
-	// Window is the transmit window k (default defaultWindow, max 7).
-	Window int
-	// MaxRetries is N2 (default 10); exceeding it resets the link.
-	MaxRetries int
 	// Line is the round-trip estimate T1 reads and feeds; nil gives the
 	// station one of its own.
 	Line *rtt.Estimate
@@ -137,20 +137,6 @@ type Station struct {
 
 	// Counters.
 	TxI, RxI, TxREJ, RxREJ, Retransmits, Resets uint64
-}
-
-func (s *Station) window() int {
-	if s.Window <= 0 || s.Window > 7 {
-		return defaultWindow
-	}
-	return s.Window
-}
-
-func (s *Station) maxRetries() int {
-	if s.MaxRetries <= 0 {
-		return 10
-	}
-	return s.MaxRetries
 }
 
 // Connected reports whether the link is in asynchronous balanced mode.
@@ -206,7 +192,7 @@ func (s *Station) Send(payload []byte) error {
 
 // pump transmits pending payloads while window space exists.
 func (s *Station) pump() {
-	for len(s.pending) > 0 && len(s.sent) < s.window() {
+	for len(s.pending) > 0 && len(s.sent) < window {
 		p := s.pending[0]
 		s.pending = s.pending[1:]
 		f := Frame{Ctrl: iCtrl(s.vs, s.vr), Payload: p}
@@ -256,13 +242,13 @@ func (s *Station) Advance(now int64) {
 	s.retries++
 	s.backoff++
 	switch {
-	case !s.connected && s.retries > s.maxRetries():
+	case !s.connected && s.retries > maxRetries:
 		s.stopT1() // SABM unanswered: give up
 	case !s.connected:
 		s.Out(Frame{Ctrl: ctrlSABM})
 		s.timing = false
 		s.armT1()
-	case s.retries > s.maxRetries():
+	case s.retries > maxRetries:
 		// N2 exhausted: reset the link (RFC 1663 §2 / LAPB).
 		s.Resets++
 		s.connected = false
@@ -350,7 +336,7 @@ func (s *Station) receiveI(f Frame) {
 	}
 	// Acknowledge. Piggybacking happens naturally when pump() runs; if
 	// nothing is pending, send an explicit RR.
-	if len(s.pending) > 0 && len(s.sent) < s.window() {
+	if len(s.pending) > 0 && len(s.sent) < window {
 		s.pump()
 	} else {
 		s.Out(Frame{Ctrl: sCtrl(ctrlRR, s.vr)})

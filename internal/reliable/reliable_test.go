@@ -138,7 +138,6 @@ func TestInOrderDelivery(t *testing.T) {
 
 func TestWindowLimitsInFlight(t *testing.T) {
 	w := newWire()
-	w.a.Window = 3
 	w.a.Connect()
 	w.run(10)
 	// Queue 10 without letting the peer answer.
@@ -147,11 +146,11 @@ func TestWindowLimitsInFlight(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if len(w.a.sent) != 3 {
-		t.Errorf("in flight = %d, want window 3", len(w.a.sent))
+	if len(w.a.sent) != window {
+		t.Errorf("in flight = %d, want window %d", len(w.a.sent), window)
 	}
-	if len(w.a.pending) != 7 {
-		t.Errorf("queued = %d, want 7", len(w.a.pending))
+	if len(w.a.pending) != 10-window {
+		t.Errorf("queued = %d, want %d", len(w.a.pending), 10-window)
 	}
 	// Drain: acknowledgements open the window.
 	var got int
@@ -304,28 +303,27 @@ func TestDisconnect(t *testing.T) {
 
 func TestSABMRetriesAndGivesUp(t *testing.T) {
 	var sent int
-	s := &Station{Out: func(Frame) { sent++ }, MaxRetries: 3}
+	s := &Station{Out: func(Frame) { sent++ }}
 	s.Connect()
 	now := int64(0)
-	for i := 0; i < 10; i++ {
+	for i := 0; i < 4000; i++ {
 		now += 5
 		s.Advance(now)
 	}
-	if sent != 4 { // initial + 3 retries
-		t.Errorf("SABM transmissions = %d, want 4", sent)
+	if sent != maxRetries+1 { // initial + N2 retries
+		t.Errorf("SABM transmissions = %d, want %d", sent, maxRetries+1)
 	}
 }
 
 func TestN2ExhaustionResetsLink(t *testing.T) {
 	w := newWire()
-	w.a.MaxRetries = 2
 	w.a.Connect()
 	w.run(10)
 	// Peer goes silent: drop everything toward b.
 	w.drop = func(Frame) bool { return true }
 	w.a.Send([]byte{1})
 	now := int64(0)
-	for i := 0; i < 10; i++ {
+	for i := 0; i < 4000 && w.a.Resets == 0; i++ {
 		now += 5
 		w.a.Advance(now)
 		w.run(10)

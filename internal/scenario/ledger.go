@@ -19,7 +19,7 @@ import (
 // medium carries a ledger drill's circuits: the ring, or the protected
 // pair's own lines.
 type medium interface {
-	// tick moves the medium one frame time, before the ends advance.
+	// tick moves the medium one frame time, before the ends tick.
 	tick(now int64)
 	// arm compiles the scripted line faults into the lines, counting from
 	// traffic start, and returns the events the drill fires itself.
@@ -32,8 +32,7 @@ type medium interface {
 
 // endpoint is one side of a circuit under test.
 type endpoint struct {
-	link    *gigapos.Link
-	advance func(now int64) // the end's own drive (RingLink, ProtectedLink)
+	port *gigapos.TransportPort
 	// path reads the end's receive selector: movements, the outage (or
 	// switch time) of the last one, and whether no path is live.
 	path func() (switches uint64, failover int64, down bool)
@@ -51,9 +50,9 @@ type endpoint struct {
 	sent    int
 }
 
-// newEndpoint wraps a PPP end for the ledger.
-func newEndpoint(l *gigapos.Link, advance func(int64), path func() (uint64, int64, bool)) *endpoint {
-	return &endpoint{link: l, advance: advance, path: path, expect: make(map[uint32][]byte)}
+// newEndpoint wraps a PPP end on its line for the ledger.
+func newEndpoint(port *gigapos.TransportPort, path func() (uint64, int64, bool)) *endpoint {
+	return &endpoint{port: port, path: path, expect: make(map[uint32][]byte)}
 }
 
 // circuitRun is a circuit plus its two endpoints, observed as the pair
@@ -74,8 +73,8 @@ func (s *Scenario) ledger(res *Result, runs []*circuitRun, m medium, slos map[st
 	}
 	for _, cr := range runs {
 		for _, ep := range []*endpoint{cr.a, cr.b} {
-			ep.link.Open()
-			ep.link.Up()
+			ep.port.Link.Open()
+			ep.port.Link.Up()
 		}
 	}
 	now := int64(0)
@@ -84,9 +83,9 @@ func (s *Scenario) ledger(res *Result, runs []*circuitRun, m medium, slos map[st
 		m.tick(now)
 		ready = true
 		for _, cr := range runs {
-			cr.a.advance(now)
-			cr.b.advance(now)
-			ready = ready && cr.a.link.IPReady() && cr.b.link.IPReady()
+			cr.a.port.Tick(now)
+			cr.b.port.Tick(now)
+			ready = ready && cr.a.port.Link.IPReady() && cr.b.port.Link.IPReady()
 		}
 		if ready {
 			now++
@@ -102,7 +101,7 @@ func (s *Scenario) ledger(res *Result, runs []*circuitRun, m medium, slos map[st
 	res.BringUpTicks = t0
 	for _, cr := range runs {
 		for _, ep := range []*endpoint{cr.a, cr.b} {
-			ep.wasOpen, ep.rxErr0 = true, int(ep.link.RxErrors)
+			ep.wasOpen, ep.rxErr0 = true, int(ep.port.Link.RxErrors)
 		}
 	}
 	actions := m.arm(s.Events, s.Duration)
@@ -136,11 +135,11 @@ func (s *Scenario) ledger(res *Result, runs []*circuitRun, m medium, slos map[st
 		m.tick(now)
 		for ci, cr := range runs {
 			for di, ep := range []*endpoint{cr.a, cr.b} {
-				ep.advance(now)
+				ep.port.Tick(now)
 				if _, fo, _ := ep.path(); fo > ep.failover {
 					ep.failover = fo
 				}
-				if open := ep.link.Opened(); ep.wasOpen && !open {
+				if open := ep.port.Link.Opened(); ep.wasOpen && !open {
 					ep.reneg++
 					ep.wasOpen = false
 				} else if open {
@@ -156,13 +155,13 @@ func (s *Scenario) ledger(res *Result, runs []*circuitRun, m medium, slos map[st
 					if s.Traffic.Density > 0 && ep.seq&1 == 1 {
 						storm(d, s.Traffic.Density, escapes)
 					}
-					if err := ep.link.SendIPv4(d); err == nil {
+					if err := ep.port.Link.SendIPv4(d); err == nil {
 						peer.expect[ep.seq] = d
 						ep.seq++
 						ep.sent++
 					}
 				}
-				rxScratch = ep.link.ReceivedInto(rxScratch[:0])
+				rxScratch = ep.port.Link.ReceivedInto(rxScratch[:0])
 				for _, d := range rxScratch {
 					ep.verify(d.Payload)
 				}
@@ -177,7 +176,7 @@ func (s *Scenario) ledger(res *Result, runs []*circuitRun, m medium, slos map[st
 			Received:  cr.a.recv + cr.b.recv,
 			Corrupted: cr.a.corrupt + cr.b.corrupt,
 			Lost:      len(cr.a.expect) + len(cr.b.expect),
-			RxErrors:  int(cr.a.link.RxErrors+cr.b.link.RxErrors) - cr.a.rxErr0 - cr.b.rxErr0,
+			RxErrors:  int(cr.a.port.Link.RxErrors+cr.b.port.Link.RxErrors) - cr.a.rxErr0 - cr.b.rxErr0,
 			FailoverA: cr.a.failover,
 			FailoverB: cr.b.failover,
 			RenegA:    cr.a.reneg,
@@ -212,8 +211,8 @@ func dump(res *Result, runs []*circuitRun) {
 		if !global && !failing[cr.name] {
 			continue
 		}
-		cr.a.link.Flight().Trigger("scenario-fail")
-		cr.b.link.Flight().Trigger("scenario-fail")
+		cr.a.port.Link.Flight().Trigger("scenario-fail")
+		cr.b.port.Link.Flight().Trigger("scenario-fail")
 	}
 }
 
@@ -225,8 +224,8 @@ func notePaths(res *Result, runs []*circuitRun) {
 		}
 	}
 	for _, cr := range runs {
-		cr.a.link.Flight().OnCapture = note
-		cr.b.link.Flight().OnCapture = note
+		cr.a.port.Link.Flight().OnCapture = note
+		cr.b.port.Link.Flight().OnCapture = note
 	}
 }
 

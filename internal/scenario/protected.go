@@ -11,9 +11,9 @@ import (
 	"repro/internal/sonet"
 )
 
-// protected is the 1+1 pair's own lines as a ledger medium: each end
-// drives its two sections in Advance, so a tick moves nothing else.
-type protected struct{ a, b *gigapos.ProtectedLink }
+// protected is the 1+1 pair's own lines as a ledger medium: each end's
+// port ticks its two sections, so a tick moves nothing else.
+type protected struct{ a, b *aps.Protected }
 
 func (protected) tick(int64)      {}
 func (protected) act(event)       {}
@@ -46,11 +46,13 @@ func (s *Scenario) runProtected(rc RunConfig, res *Result) error {
 	cfgA, cfgB := lcfg, lcfg
 	cfgA.Magic, cfgA.IPAddr = 0xAAAA, [4]byte{10, 0, 0, 1}
 	cfgB.Magic, cfgB.IPAddr = 0xBBBB, [4]byte{10, 0, 0, 2}
-	a, b := gigapos.NewProtectedPair(cfgA, cfgB)
+	la, lb := aps.NewProtectedPair()
+	a := gigapos.NewTransportPort(gigapos.NewLink(cfgA), la)
+	b := gigapos.NewTransportPort(gigapos.NewLink(cfgB), lb)
 	var w gigapos.Watch
 	w.ObservePair(rc.Observation, "prot", a, b)
 	oam := &p5.OAM{Regs: p5.NewRegs()}
-	oam.AttachAPS(b.Ctrl)
+	oam.AttachAPS(lb.Ctrl)
 	oam.Write(p5.RegIntMask, p5.IntAPSSwitch|p5.IntFlightDump|p5.IntSLOBurn|p5.IntProfDump)
 	if dir := rc.ProfDir; dir != "" {
 		oam.AttachProfiler(func() error {
@@ -58,20 +60,20 @@ func (s *Scenario) runProtected(rc RunConfig, res *Result) error {
 			return err
 		})
 	}
-	oam.AttachFlight(b.Flight(), w.SLOs["prot_z"])
+	oam.AttachFlight(b.Link.Flight(), w.SLOs["prot_z"])
 
-	end := func(pl *gigapos.ProtectedLink) *endpoint {
-		return newEndpoint(pl.Link, pl.Advance, func() (uint64, int64, bool) {
-			defects := pl.Line(pl.Active()).Deframer().Defects.Active()
+	end := func(tp *gigapos.TransportPort, pl *aps.Protected) *endpoint {
+		return newEndpoint(tp, func() (uint64, int64, bool) {
+			defects := pl.Line(pl.Ctrl.Active()).Deframer().Defects.Active()
 			return pl.Ctrl.Stats.Switches, pl.Ctrl.Stats.LastSwitchTook, defects&sonet.ServiceAffecting != 0
 		})
 	}
-	runs := []*circuitRun{{name: "prot", a: end(a), b: end(b)}}
+	runs := []*circuitRun{{name: "prot", a: end(a, la), b: end(b, lb)}}
 	notePaths(res, runs)
-	s.ledger(res, runs, protected{a, b}, w.SLOs)
+	s.ledger(res, runs, protected{la, lb}, w.SLOs)
 	res.Board = w.Board
 
-	out, st := rc.Out, b.Ctrl.Stats
+	out, st := rc.Out, lb.Ctrl.Stats
 	fmt.Fprintf(out, "1+1 protected PPP over STM-1 (GR-253 linear APS, bidirectional, revertive)\n")
 	for _, e := range s.Events {
 		if cut := e.span(s.Duration); e.Action == "cut" {
@@ -84,16 +86,16 @@ func (s *Scenario) runProtected(rc RunConfig, res *Result) error {
 	fmt.Fprintf(out, "  aps              : switches=%d to-protect=%d to-working=%d remote-wins=%d\n",
 		st.Switches, st.ToProtect, st.ToWorking, st.RemoteWins)
 	fmt.Fprintf(out, "  switch time      : %d frame times (budget 400 = 50 ms); selector now on %v\n",
-		st.LastSwitchTook, b.Active())
+		st.LastSwitchTook, lb.Ctrl.Active())
 	fmt.Fprintf(out, "  standby selector : %d payload octets recovered hot and discarded\n",
-		b.DiscardedStandbyOctets)
+		lb.DiscardedStandbyOctets)
 	fmt.Fprintf(out, "  OAM aps regs     : state=%#x rx=%#04x tx=%#04x switches=%d\n",
 		oam.Read(p5.RegAPSState), oam.Read(p5.RegAPSRx),
 		oam.Read(p5.RegAPSTx), oam.Read(p5.RegAPSSwitches))
 	fmt.Fprintf(out, "  OAM interrupts   : stat=%#x irq=%v causes=[%s]\n",
 		oam.Read(p5.RegIntStat), oam.Regs.IRQ(), causeNames(oam.Read(p5.RegIntStat)))
 	fmt.Fprintf(out, "  flight captures  : aps-switch=%d total=%d (p99 %d ticks a→b); OAM RegFlightCtrl=%d\n",
-		b.Flight().CapturesFor("aps-switch"), b.Flight().Captures(), a.Flight().P99(),
+		b.Link.Flight().CapturesFor("aps-switch"), b.Link.Flight().Captures(), a.Link.Flight().P99(),
 		oam.Read(p5.RegFlightCtrl))
 	flightLine(out, w.Board, rc.Observation.Flight.Dir)
 	return s.conclude(rc, res)

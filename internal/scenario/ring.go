@@ -58,7 +58,8 @@ func (r ring) resyncs() uint64 {
 	return n
 }
 
-// runRing rides a PPP RingLink pair over every circuit of the ring.
+// runRing rides a PPP Link pair over every circuit of the ring, each end
+// on its circuit's port.
 func (s *Scenario) runRing(rc RunConfig, res *Result) error {
 	r, ports, err := s.Ring.build()
 	if err != nil {
@@ -67,10 +68,11 @@ func (s *Scenario) runRing(rc RunConfig, res *Result) error {
 	var watch gigapos.Watch
 	var runs []*circuitRun
 	for i, cs := range s.Ring.Circuits {
-		mk := func(port *topo.Port, magic uint32, ip byte) (*gigapos.RingLink, *endpoint) {
-			rl := gigapos.NewRingLink(gigapos.LinkConfig{Magic: magic, IPAddr: [4]byte{10, byte(i), 0, ip}}, port)
-			return rl, newEndpoint(rl.Link, rl.Advance, func() (uint64, int64, bool) {
-				return port.Switches, port.LastFailover, port.Down()
+		mk := func(port *topo.Port, magic uint32, ip byte) (*gigapos.TransportPort, *endpoint) {
+			l := gigapos.NewLink(gigapos.LinkConfig{Magic: magic, IPAddr: [4]byte{10, byte(i), 0, ip}})
+			tp := gigapos.NewTransportPort(l, port)
+			return tp, newEndpoint(tp, func() (uint64, int64, bool) {
+				return port.Switches, port.LastFailover, !port.Up()
 			})
 		}
 		la, a := mk(ports[i][0], 0xA0000000+uint32(i)*2, 1)

@@ -50,11 +50,10 @@ type Scenario struct {
 }
 
 // RingSpec parameterises the topo.Ring under a drill and the circuits
-// provisioned over it, each carrying a PPP RingLink pair.
+// provisioned over it, each carrying a PPP Link pair on its ports.
 type RingSpec struct {
 	Nodes    int           `json:"nodes"`
 	Mode     string        `json:"mode"` // "upsr" (default) or "blsr"
-	Slots    int           `json:"slots,omitempty"`
 	Delay    int64         `json:"delay,omitempty"`
 	Jitter   int64         `json:"jitter,omitempty"`
 	Seed     uint64        `json:"seed,omitempty"`
@@ -350,7 +349,7 @@ func (s *Scenario) validate() error {
 }
 
 // check builds the ring and its circuits — the topo package's own rules
-// on size, slots and endpoints — and returns the circuit names.
+// on size, slot capacity and endpoints — and returns the circuit names.
 func (r *RingSpec) check() ([]string, error) {
 	if len(r.Circuits) == 0 {
 		return nil, fmt.Errorf("no circuits")
@@ -377,7 +376,7 @@ func (r *RingSpec) build() (*topo.Ring, [][2]*topo.Port, error) {
 		return nil, nil, fmt.Errorf("unknown ring mode %q", r.Mode)
 	}
 	ring, err := topo.NewRing(topo.Config{
-		Nodes: r.Nodes, Slots: r.Slots, Mode: mode,
+		Nodes: r.Nodes, Mode: mode,
 		Delay: r.Delay, Jitter: r.Jitter, Seed: r.Seed, WTR: r.WTR,
 	})
 	if err != nil {

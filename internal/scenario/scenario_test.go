@@ -83,6 +83,9 @@ func TestParseValidation(t *testing.T) {
 		{"removed key is refused", nil,
 			`{"name": "x", "ring": {"nodes": 4, "circuits": [{"name": "c0", "a": 0, "b": 2}]}, "slo": {"failover_budget_ticks": 400}, "duration": 100, "assert": {}}`,
 			`unknown field "failover_budget_ticks"`},
+		{"removed ring.slots is refused", nil,
+			`{"name": "x", "ring": {"nodes": 4, "slots": 4, "circuits": [{"name": "c0", "a": 0, "b": 2}]}, "duration": 100, "assert": {}}`,
+			`unknown field "slots"`},
 		{"fleet block is refused", nil,
 			`{"name": "x", "ring": {"nodes": 4, "circuits": [{"name": "c0", "a": 0, "b": 2}]}, "duration": 100, "assert": {}, "fleet": {"instances": ["127.0.0.1:9100"], "assert": {"require_up": true}}}`,
 			`unknown field "fleet"`},
@@ -91,8 +94,6 @@ func TestParseValidation(t *testing.T) {
 		{"endpoint outside ring", func(s *Scenario) { s.Ring.Circuits[0].B = 7 }, "", "bad endpoints 0,7"},
 		{"negative slot", func(s *Scenario) { s.Ring.Circuits[0].Slot = -1 }, "", "ring.circuits[0].slot is negative"},
 		{"slot outside capacity", func(s *Scenario) { s.Ring.Circuits[0].Slot = 4 }, "", "outside working capacity"},
-		{"slots do not divide the payload", func(s *Scenario) { s.Ring.Slots = 7 }, "", "do not divide"},
-		{"odd BLSR slot count", func(s *Scenario) { s.Ring.Mode, s.Ring.Slots = "blsr", 3 }, "", "even slot count"},
 
 		// One topology per document, and no field it would ignore.
 		{"two topologies in one document", func(s *Scenario) { s.Protected = &ProtectedSpec{} }, "", "exactly one topology"},
@@ -159,9 +160,7 @@ func TestParseValidation(t *testing.T) {
 // reason; one that is gone, or that a committed scenario now sets,
 // fails.
 func TestEveryScenarioKeyIsSet(t *testing.T) {
-	kept := map[string]string{
-		"ring.slots": "the ring's slot plan: every committed ring runs the default 4, and the slot-division and BLSR-parity rows of TestParseValidation read it; not yet cut",
-	}
+	kept := map[string]string{}
 	set := map[string]bool{}
 	var walkType func(rt reflect.Type, prefix string)
 	walkType = func(rt reflect.Type, prefix string) {
@@ -328,8 +327,9 @@ func TestFailureProducesCaptures(t *testing.T) {
 // error or a panic. Socket engines (they need a peer process) are
 // parsed, not run. The corpus is every committed scenario plus
 // testdata/fuzz: the documents TestParseValidation's rows describe, and
-// four that name a scenario key since made a constant (drain,
-// reorder_every, ais_threshold, p5 errors), which parse now refuses.
+// six that name a scenario key since made a constant (drain,
+// reorder_every, ais_threshold, p5 errors, and ring slots twice), which
+// parse now refuses.
 func FuzzScenarioParse(f *testing.F) {
 	files, _ := filepath.Glob("../../scenarios/*.json")
 	net, _ := filepath.Glob("../../scenarios/net/*.json")

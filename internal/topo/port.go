@@ -1,20 +1,25 @@
 package topo
 
-// Port is one end of a circuit at its endpoint node: the add queue(s)
-// feeding the ring and the drop side recovering the peer's stream. In
-// UPSR mode the add side dual-feeds both rotations with identical
-// octets and the drop side runs the non-revertive path selector; in
-// BLSR mode the port adds on its short-path rotation only and the ring
-// switch (not the port) heals failures.
-//
-// The overlay stack (a gigapos Link, or any byte-synchronous HDLC
-// source) pushes its line stream with Send and drains the selected
-// receive stream with Recv once per tick. When the add queue runs dry
-// the slot is filled with HDLC flags, exactly like an idle synchronous
-// payload envelope.
+import (
+	"sync"
+	"sync/atomic"
+
+	"repro/internal/telemetry"
+	"repro/internal/transport"
+)
+
+// Port is one end of a circuit at its endpoint node, a
+// transport.LineTransport: Send feeds the add queue(s), Recv drains the
+// selected drop stream, Up is false while the circuit is squelched (no
+// rotation delivers the peer's traffic). Ring.Tick moves the spans, so
+// Tick only refreshes the port's series. In UPSR mode the add side
+// dual-feeds both rotations and the drop side runs the non-revertive
+// path selector; in BLSR mode the port adds on its short-path rotation
+// and the ring switch (not the port) heals failures. A dry add queue is
+// filled with HDLC flags, like an idle synchronous payload envelope. A
+// ring is driven from one goroutine; Up and Stats are safe from any.
 type Port struct {
 	Circ *Circuit
-	Peer int // peer endpoint node ID
 
 	node *Node
 	// txRot is the BLSR transmit rotation (shortest path to the peer);
@@ -29,24 +34,30 @@ type Port struct {
 	// when it switches away from it.
 	lastGood [2]int64
 
-	sel  Rotation
-	down bool
+	sel  Rotation    // the rotation the drop side delivers
+	down atomic.Bool // squelched
 
-	// Counters and hooks.
+	rx   [2][]byte // Recv's double buffer, rx[flip] refilled next
+	flip int
+
+	mu sync.Mutex      // guards st
+	st transport.Stats // Send calls and Recv spans, as chunks
+
+	// Counters.
 	Switches     uint64
 	LastSwitchAt int64
 	LastFailover int64 // outage ticks healed by the last switch
 	FillOctets   uint64
 	RxDrops      uint64
-	// OnSwitch observes every selector movement with the outage length
-	// it healed; OnDown observes squelch transitions (both paths dead /
-	// recovered).
-	OnSwitch func(now int64, from, to Rotation, outage int64)
-	OnDown   func(now int64, down bool)
+
+	onSwitch func(reason, detail string, to, ticks int64) // OnFailover's chain
+	tel      *telemetry.Mirror                            // Instrument's
+	tr       *telemetry.Tracer
+	scope    string
 }
 
 func newPort(n *Node, c *Circuit, peer int) *Port {
-	p := &Port{Circ: c, Peer: peer, node: n, sel: East}
+	p := &Port{Circ: c, node: n, sel: East}
 	N := len(n.ring.nodes)
 	eastDist := (peer - n.ID + N) % N
 	if 2*eastDist <= N {
@@ -67,30 +78,93 @@ func newPort(n *Node, c *Circuit, peer int) *Port {
 	return p
 }
 
-// Selected returns the rotation the drop side currently delivers.
-func (p *Port) Selected() Rotation { return p.sel }
-
-// Down reports whether the circuit is squelched at this end: no
-// rotation currently delivers the peer's traffic.
-func (p *Port) Down() bool { return p.down }
-
-// Send enqueues line octets for transmission toward the peer. UPSR
-// dual-feeds both rotations; BLSR feeds the short path.
-func (p *Port) Send(b []byte) {
+// Send enqueues line octets for transmission toward the peer; b is not
+// kept. UPSR dual-feeds both rotations; BLSR feeds the short path.
+func (p *Port) Send(b []byte) error {
 	if p.node.ring.Cfg.Mode == UPSR {
 		p.txq[East].pushSlice(b)
 		p.txq[West].pushSlice(b)
-		return
+	} else {
+		p.txq[p.txRot].pushSlice(b)
 	}
-	p.txq[p.txRot].pushSlice(b)
+	p.mu.Lock()
+	p.st.TxChunks, p.st.TxBytes = p.st.TxChunks+1, p.st.TxBytes+uint64(len(b))
+	p.mu.Unlock()
+	return nil
 }
 
-// Recv appends the selected rotation's received octets to dst and
-// discards the other rotation's backlog. Call once per tick.
-func (p *Port) Recv(dst []byte) []byte {
-	dst = p.rxq[p.sel].drain(dst)
+// Recv appends the selected rotation's received octets to dst as one
+// span, valid until the second-following Recv, and discards the other
+// rotation's backlog. Call once per tick.
+func (p *Port) Recv(dst [][]byte) [][]byte {
+	buf := p.rxq[p.sel].drain(p.rx[p.flip][:0])
 	p.rxq[p.sel.opp()].reset()
-	return dst
+	p.rx[p.flip], p.flip = buf, p.flip^1
+	if len(buf) == 0 {
+		return dst
+	}
+	p.mu.Lock()
+	p.st.RxChunks, p.st.RxBytes = p.st.RxChunks+1, p.st.RxBytes+uint64(len(buf))
+	p.mu.Unlock()
+	return append(dst, buf[:len(buf):len(buf)])
+}
+
+// Tick refreshes the port's series; Ring.Tick moves the spans.
+func (p *Port) Tick(int64) { p.tel.Sync() }
+
+// Up reports that the circuit is not squelched at this end.
+func (p *Port) Up() bool { return !p.down.Load() }
+
+// Stats counts Send calls and Recv spans as chunks.
+func (p *Port) Stats() transport.Stats {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.st
+}
+
+// Close does nothing: the circuit belongs to the ring.
+func (p *Port) Close() error { return nil }
+
+// OnFailover chains fn onto the path selector's movements, ahead of any
+// subscriber already there.
+func (p *Port) OnFailover(fn func(reason, detail string, to, ticks int64)) {
+	prev := p.onSwitch
+	p.onSwitch = func(reason, detail string, to, ticks int64) {
+		fn(reason, detail, to, ticks)
+		if prev != nil {
+			prev(reason, detail, to, ticks)
+		}
+	}
+}
+
+// Instrument declares the port's selector series (link_ring_*) on reg,
+// labelled {link=name}, and sends a "ring-squelch" event to tr on every
+// squelch transition. Tick refreshes the mirrors.
+func (p *Port) Instrument(reg *telemetry.Registry, tr *telemetry.Tracer, name string) {
+	lbl := telemetry.L("link", name)
+	m := reg.Mirror()
+	m.Counter("link_ring_switches_total",
+		"Path selector movements at this ring endpoint.",
+		func() uint64 { return p.Switches }, lbl)
+	m.Counter("link_ring_fill_octets_total",
+		"Idle flag octets inserted while the add queue ran dry.",
+		func() uint64 { return p.FillOctets }, lbl)
+	m.Counter("link_ring_rx_drops_total",
+		"Drop-stream octets discarded to the receive depth cap.",
+		func() uint64 { return p.RxDrops }, lbl)
+	m.Gauge("link_ring_selected_rotation",
+		"Rotation the drop selector currently delivers (0 east, 1 west).",
+		func() int64 { return int64(p.sel) }, lbl)
+	m.Gauge("link_ring_down",
+		"1 while the circuit is squelched (no rotation delivers).",
+		func() int64 {
+			if p.down.Load() {
+				return 1
+			}
+			return 0
+		}, lbl)
+	m.Sync()
+	p.tel, p.tr, p.scope = m, tr, "ring:"+name
 }
 
 // dropsFrom reports whether arrivals on rot belong to this port.
@@ -167,8 +241,8 @@ func (p *Port) service(now int64) {
 			p.Switches++
 			p.LastSwitchAt = now
 			p.LastFailover = outage
-			if p.OnSwitch != nil {
-				p.OnSwitch(now, cur, p.sel, outage)
+			if p.onSwitch != nil {
+				p.onSwitch("ring-switch", p.sel.String(), int64(p.sel), outage)
 			}
 		}
 	}
@@ -176,10 +250,14 @@ func (p *Port) service(now int64) {
 	if p.node.ring.Cfg.Mode == UPSR {
 		down = down && p.pathDown(p.sel.opp())
 	}
-	if down != p.down {
-		p.down = down
-		if p.OnDown != nil {
-			p.OnDown(now, down)
+	if down != p.down.Load() {
+		p.down.Store(down)
+		if p.tr != nil {
+			var v int64
+			if down {
+				v = 1
+			}
+			p.tr.Emit(now, p.scope, "ring-squelch", p.Circ.Name, v, now)
 		}
 	}
 }

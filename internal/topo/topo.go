@@ -14,8 +14,8 @@
 // West spans carry node i → i-1. Every span moves one transport frame
 // per tick (the 125 µs frame cadence), so tick T of a span occupies
 // octets [T·FrameBytes, (T+1)·FrameBytes) of its fault-script
-// coordinate space. The payload of each frame is divided into Slots
-// contiguous blocks; a slot is a circuit: the unit of add/drop,
+// coordinate space. The payload of each frame is divided into slots
+// (four) contiguous blocks; a slot is a circuit: the unit of add/drop,
 // pass-through, and protection switching.
 //
 // Per slot a node either terminates (an endpoint Port adds its own
@@ -96,6 +96,11 @@ const (
 // level is every span's transport level.
 const level = sonet.STM1
 
+// slots is every ring's slot plan: four payload blocks per frame, which
+// divide the STM-1 payload and halve evenly into BLSR working and
+// protection capacity.
+const slots = 4
+
 // aisThreshold is the consecutive-0xFF run that declares path AIS at a
 // drop port: 1024 octets (just under two STM-1 slot blocks), long
 // enough that payload bytes never fake it.
@@ -104,7 +109,6 @@ const aisThreshold = 1024
 // Config parameterises a ring.
 type Config struct {
 	Nodes int // ring size (2..16; BLSR needs node IDs ≤ 15)
-	Slots int // payload slots per frame; default 4
 	Mode  Mode
 
 	// Span transmission characteristics, applied to every span: fixed
@@ -145,23 +149,13 @@ type Ring struct {
 
 // NewRing builds a ring from cfg.
 func NewRing(cfg Config) (*Ring, error) {
-	if cfg.Slots == 0 {
-		cfg.Slots = 4
-	}
 	if cfg.Nodes < 2 || cfg.Nodes > 16 {
 		return nil, fmt.Errorf("topo: ring size %d outside 2..16", cfg.Nodes)
 	}
-	payload := level.PayloadBytes()
-	if cfg.Slots < 1 || payload%cfg.Slots != 0 {
-		return nil, fmt.Errorf("topo: %d slots do not divide the %d-octet payload", cfg.Slots, payload)
-	}
-	if cfg.Mode == BLSR && cfg.Slots%2 != 0 {
-		return nil, fmt.Errorf("topo: BLSR needs an even slot count, got %d", cfg.Slots)
-	}
 	r := &Ring{
 		Cfg:      cfg,
-		block:    payload / cfg.Slots,
-		slotCirc: make([]*Circuit, cfg.Slots),
+		block:    level.PayloadBytes() / slots,
+		slotCirc: make([]*Circuit, slots),
 	}
 	for i := 0; i < cfg.Nodes; i++ {
 		r.nodes = append(r.nodes, newNode(r, i))
@@ -205,9 +199,9 @@ func (r *Ring) SpansBetween(u, v int) (uv, vu *Span, err error) {
 // endpoint ports (at c.A and c.B respectively). Call before the first
 // Tick.
 func (r *Ring) AddCircuit(c Circuit) (pa, pb *Port, err error) {
-	maxSlot := r.Cfg.Slots
+	maxSlot := slots
 	if r.Cfg.Mode == BLSR {
-		maxSlot = r.Cfg.Slots / 2 // upper half is protection capacity
+		maxSlot = slots / 2 // upper half is protection capacity
 	}
 	if c.Slot < 0 || c.Slot >= maxSlot {
 		return nil, nil, fmt.Errorf("topo: slot %d outside working capacity 0..%d", c.Slot, maxSlot-1)
@@ -302,7 +296,7 @@ type Node struct {
 func newNode(r *Ring, id int) *Node {
 	n := &Node{ID: id, ring: r, ports: make(map[int]*Port)}
 	for rot := East; rot <= West; rot++ {
-		n.pass[rot] = make([]deque, r.Cfg.Slots)
+		n.pass[rot] = make([]deque, slots)
 	}
 	if r.Cfg.Mode == BLSR {
 		n.raps = newRingAPS(id, r.Cfg.Nodes, r.Cfg.WTR)
@@ -353,7 +347,7 @@ func (n *Node) rxByte(rot Rotation, slot int, b byte) {
 		return
 	}
 	if n.raps != nil {
-		if s2 := n.ring.Cfg.Slots / 2; slot >= s2 && n.raps.isWrapped(rot) {
+		if s2 := slots / 2; slot >= s2 && n.raps.isWrapped(rot) {
 			// Unwrap: this node's opposite-rotation incoming span is the
 			// broken one; protection arrivals here are the working
 			// traffic that went the long way around.
@@ -378,7 +372,7 @@ func passCap(r *Ring) int { return 4 * r.block }
 // txByte supplies one payload octet for the frame being built on an
 // outgoing rotation.
 func (n *Node) txByte(rot Rotation, slot int) byte {
-	s2 := n.ring.Cfg.Slots / 2
+	s2 := slots / 2
 	if n.raps != nil {
 		switch {
 		case slot >= s2 && n.raps.isWrapped(rot.opp()):

@@ -69,6 +69,14 @@ func analyse(stream []byte) *analysis {
 	return a
 }
 
+// drain appends p's received span to dst.
+func drain(p *Port, dst []byte) []byte {
+	for _, c := range p.Recv(nil) {
+		dst = append(dst, c...)
+	}
+	return dst
+}
+
 // run drives the ring for ticks, feeding perTick pattern octets into
 // src each tick and collecting dst's drop stream.
 func run(t *testing.T, r *Ring, src, dst *Port, pat *pattern, from, ticks int64, perTick int) []byte {
@@ -77,7 +85,7 @@ func run(t *testing.T, r *Ring, src, dst *Port, pat *pattern, from, ticks int64,
 	for now := from; now < from+ticks; now++ {
 		src.Send(pat.fill(perTick))
 		r.Tick(now)
-		got = dst.Recv(got)
+		got = drain(dst, got)
 	}
 	return got
 }
@@ -99,10 +107,10 @@ func TestUPSRCleanRingDelivers(t *testing.T) {
 	if got.breaks != 0 || got.junk != 0 || got.ais != 0 {
 		t.Fatalf("clean ring: breaks=%d junk=%d ais=%d", got.breaks, got.junk, got.ais)
 	}
-	if pb.Down() || pb.Switches != 0 {
-		t.Fatalf("clean ring: down=%v switches=%d", pb.Down(), pb.Switches)
+	if !pb.Up() || pb.Switches != 0 {
+		t.Fatalf("clean ring: down=%v switches=%d", !pb.Up(), pb.Switches)
 	}
-	if pa.Down() {
+	if !pa.Up() {
 		t.Fatal("clean ring: reverse direction down")
 	}
 }
@@ -161,16 +169,16 @@ func TestUPSRSingleCutSwitchesHitless(t *testing.T) {
 	for now := int64(0); now < 400; now++ {
 		pa.Send(pat.fill(256))
 		r.Tick(now)
-		got = pb.Recv(got)
-		if pb.Down() {
+		got = drain(pb, got)
+		if !pb.Up() {
 			t.Fatalf("tick %d: single cut squelched the circuit", now)
 		}
 	}
 	if pb.Switches != 1 {
 		t.Fatalf("switches = %d, want 1", pb.Switches)
 	}
-	if pb.Selected() != West {
-		t.Fatalf("selected %v after East-path cut", pb.Selected())
+	if pb.sel != West {
+		t.Fatalf("selected %v after East-path cut", pb.sel)
 	}
 	if d := pb.LastSwitchAt - cutAt; d < 0 || d > 400 {
 		t.Fatalf("switch at %+d ticks from the cut, budget 400", d)
@@ -210,13 +218,13 @@ func TestUPSRDualCutSquelchesIsolatedNode(t *testing.T) {
 		pa.Send(patP.fill(256))
 		qa.Send(patQ.fill(256))
 		r.Tick(now)
-		gotB = pb.Recv(gotB)
+		gotB = drain(pb, gotB)
 		qb.Recv(nil)
 	}
-	if !qa.Down() {
+	if qa.Up() {
 		t.Fatal("circuit to the isolated node not squelched at the surviving end")
 	}
-	if pb.Down() || pa.Down() {
+	if !pb.Up() || !pa.Up() {
 		t.Fatal("surviving circuit went down")
 	}
 	a := analyse(gotB)
@@ -248,13 +256,13 @@ func TestUPSRNodeFailureSwitchesAroundIt(t *testing.T) {
 		}
 		pa.Send(pat.fill(256))
 		r.Tick(now)
-		got = pb.Recv(got)
+		got = drain(pb, got)
 	}
-	if pb.Down() {
+	if !pb.Up() {
 		t.Fatal("node failure on one path squelched a dual-fed circuit")
 	}
-	if pb.Switches != 1 || pb.Selected() != West {
-		t.Fatalf("switches=%d selected=%v", pb.Switches, pb.Selected())
+	if pb.Switches != 1 || pb.sel != West {
+		t.Fatalf("switches=%d selected=%v", pb.Switches, pb.sel)
 	}
 	a := analyse(got)
 	if a.junk != 0 || a.sinceBreak < 50*256 {
@@ -280,7 +288,7 @@ func TestBLSRSpanCutWrapsAndDelivers(t *testing.T) {
 	for now := int64(0); now < 800; now++ {
 		pa.Send(pat.fill(256))
 		r.Tick(now)
-		got = pb.Recv(got)
+		got = drain(pb, got)
 		if wrappedAt < 0 && r.Node(1).raps.isWrapped(East) && r.Node(2).raps.isWrapped(West) {
 			wrappedAt = now
 		}
@@ -291,7 +299,7 @@ func TestBLSRSpanCutWrapsAndDelivers(t *testing.T) {
 	if d := wrappedAt - cutAt; d > 400 {
 		t.Fatalf("wrap took %d ticks, budget 400", d)
 	}
-	if pb.Down() {
+	if !pb.Up() {
 		t.Fatal("wrapped circuit reported down")
 	}
 	a := analyse(got)
@@ -326,7 +334,7 @@ func TestBLSRDualCutSquelchesUnreachable(t *testing.T) {
 		pb.Recv(nil)
 		pa.Recv(nil)
 	}
-	if !pa.Down() {
+	if pa.Up() {
 		t.Fatal("circuit to an isolated node not squelched under BLSR")
 	}
 	if ok := r.Node(1).raps.reachable(0, 3, r.now); ok {
@@ -334,12 +342,56 @@ func TestBLSRDualCutSquelchesUnreachable(t *testing.T) {
 	}
 }
 
+// TestPortScrapedConcurrently: a port is a line transport, so Up and
+// Stats may be read from a scrape goroutine while the ring runs — here
+// across a squelch and its counters (go test -race).
+func TestPortScrapedConcurrently(t *testing.T) {
+	r, err := NewRing(Config{Nodes: 4, Mode: UPSR})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pa, pb, err := r.AddCircuit(Circuit{Name: "a-b", A: 0, B: 2, Slot: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cutBoth(t, r, 1, 2, 50, 10000)
+	cutBoth(t, r, 2, 3, 50, 10000)
+	stop := make(chan struct{})
+	done := make(chan bool)
+	go func() {
+		sawDown := false
+		for {
+			select {
+			case <-stop:
+				done <- sawDown || !pa.Up()
+				return
+			default:
+			}
+			_ = pa.Stats()
+			sawDown = sawDown || !pa.Up()
+		}
+	}()
+	var pat pattern
+	for now := int64(0); now < 600; now++ {
+		pa.Send(pat.fill(64))
+		r.Tick(now)
+		pa.Tick(now)
+		pb.Recv(nil)
+		pa.Recv(nil)
+	}
+	close(stop)
+	sawDown := <-done
+	if st := pa.Stats(); st.TxChunks != 600 || st.TxBytes != 600*64 || st.RxChunks == 0 {
+		t.Errorf("stats %+v, want 600 chunks of 64 octets sent and some received", st)
+	}
+	if pa.Up() || !sawDown {
+		t.Errorf("isolating the peer: up=%v, scraper saw it down=%v; want squelched, seen", pa.Up(), sawDown)
+	}
+}
+
 func TestRingValidation(t *testing.T) {
 	if _, err := NewRing(Config{Nodes: 1}); err == nil {
 		t.Fatal("accepted a 1-node ring")
-	}
-	if _, err := NewRing(Config{Nodes: 4, Slots: 7}); err == nil {
-		t.Fatal("accepted a slot count that does not divide the payload")
 	}
 	r, err := NewRing(Config{Nodes: 4, Mode: BLSR})
 	if err != nil {

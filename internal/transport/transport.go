@@ -30,7 +30,11 @@
 //     concurrently (telemetry scrapes, /status).
 package transport
 
-import "errors"
+import (
+	"errors"
+
+	"repro/internal/telemetry"
+)
 
 // LineTransport moves wire octets between two PPP endpoints.
 type LineTransport interface {
@@ -67,6 +71,19 @@ var ErrClosed = errors.New("transport: closed")
 // the chaos adapter drives it for scripted blackout windows.
 type Muter interface {
 	Mute(on bool)
+}
+
+// Selector is implemented by a line with a receive selector of its own
+// (aps.Protected, topo.Port): it heals a failure beneath the session,
+// and Up turns false only when no path is left.
+type Selector interface {
+	// OnFailover chains fn, ahead of any subscriber already there, onto
+	// every selector movement: reason is "aps-switch" or "ring-switch",
+	// detail and to the new selection, ticks the outage it healed.
+	OnFailover(fn func(reason, detail string, to, ticks int64))
+	// Instrument declares the selector's series on reg labelled
+	// {link=name}, its events to tr (nil is off); Tick refreshes them.
+	Instrument(reg *telemetry.Registry, tr *telemetry.Tracer, name string)
 }
 
 // Stats is the observable record of one transport endpoint.

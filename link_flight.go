@@ -92,7 +92,8 @@ func (l *Link) armSLO(reg *telemetry.Registry, name string, cfg flight.SLOConfig
 // flightFailover is a protection layer's selector movement as an armed
 // link sees it (no-op while unarmed): the duration feeds the SLO's
 // failover objective and the black box is dumped under reason, the
-// switch its last event. ProtectedLink and RingLink hook it up.
+// switch its last event. NewTransportPort hands it to a line with a
+// selector of its own (transport.Selector).
 func (l *Link) flightFailover(reason, detail string, to, ticks int64) {
 	if l.fl == nil {
 		return

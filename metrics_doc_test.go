@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/aps"
 	"repro/internal/flight"
 	"repro/internal/p5"
 	"repro/internal/prof"
@@ -52,8 +53,8 @@ func TestMetricsDocMatchesRegistry(t *testing.T) {
 
 	// Every optional Link subsystem on, so every link_* family registers.
 	lcfg := LinkConfig{WantVJ: true, AllowVJ: true, Supervise: true}
-	pa, pb := NewProtectedPair(lcfg, lcfg)
-	new(Watch).ObservePair(o, "prot", pa, pb)
+	la, lb := aps.NewProtectedPair()
+	new(Watch).ObservePair(o, "prot", NewTransportPort(NewLink(lcfg), la), NewTransportPort(NewLink(lcfg), lb))
 
 	ring, err := topo.NewRing(topo.Config{Nodes: 4})
 	if err != nil {
@@ -63,7 +64,7 @@ func TestMetricsDocMatchesRegistry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	NewRingLink(LinkConfig{}, port).Observe(o, "ring")
+	NewTransportPort(NewLink(LinkConfig{}), port).Observe(o, "ring")
 
 	// A section System exports the loopback's series plus its section's
 	// wire, and carries the sonet_* series on the same mirror.

@@ -30,11 +30,11 @@ type Observation struct {
 	Profile *prof.Config
 }
 
-// Observable is an end that can be watched: *Link, *ProtectedLink,
-// *RingLink, *TransportPort. Observe arms o under name — the end's
-// {link} label, its recorder, the prefix of its capture files — and each
-// kind adds what only it has (table in DESIGN.md §9). The set is closed:
-// ObservePair reaches the Link underneath to join the pipes.
+// Observable is an end that can be watched: *Link or *TransportPort.
+// Observe arms o under name — the end's {link} label, its recorder, the
+// prefix of its capture files — and a port adds what its line has
+// (table in DESIGN.md §9). The set is closed: ObservePair reaches the
+// Link underneath to join the pipes.
 type Observable interface {
 	Observe(o Observation, name string)
 	endpoint() *Link

@@ -14,11 +14,11 @@ import (
 	"repro/internal/transport"
 )
 
-// TestObserveOrderFree: a protected end's selector hook has four
-// subscribers — the link's own failover/capture step, the aps_* series,
-// the deframer defect series and the host's OAM block — and the outcome
-// of one scripted working-line cut must not depend on whether the host
-// attached its OAM before or after the pair was observed. (The recorder
+// TestObserveOrderFree: a protected line's selector hook has three
+// subscribers — the link's own failover/capture step (wired by
+// NewTransportPort), the aps_* series and the host's OAM block — and the
+// outcome of one scripted working-line cut must not depend on whether
+// the host attached its OAM before or after the pair was observed. (The recorder
 // the OAM's flight block takes exists only after Observe, so that
 // attach is always last.)
 func TestObserveOrderFree(t *testing.T) {
@@ -40,24 +40,24 @@ func TestObserveOrderFree(t *testing.T) {
 		if observeFirst {
 			w.ObservePair(o, "prot", p.a, p.b)
 		}
-		oam.AttachAPS(p.b.Ctrl)
+		oam.AttachAPS(p.lb.Ctrl)
 		if !observeFirst {
 			w.ObservePair(o, "prot", p.a, p.b)
 		}
-		oam.AttachFlight(p.b.Flight(), w.SLOs["prot_z"])
+		oam.AttachFlight(p.b.Link.Flight(), w.SLOs["prot_z"])
 		oam.Write(p5.RegIntMask, p5.IntAPSSwitch|p5.IntFlightDump)
 
 		for i := 0; i < 30; i++ {
 			p.tick()
 		}
-		if !p.a.IPReady() || !p.b.IPReady() {
+		if !p.a.Link.IPReady() || !p.b.Link.IPReady() {
 			t.Fatal("links did not open on the clean pair")
 		}
 		p.impair(aps.Working, zeroFrame)
 		for i := 0; i < 40; i++ {
 			p.tick()
 		}
-		if p.b.Active() != aps.Protect {
+		if p.lb.Ctrl.Active() != aps.Protect {
 			t.Fatal("the cut did not move b's selector")
 		}
 
@@ -72,10 +72,10 @@ func TestObserveOrderFree(t *testing.T) {
 				out.controllerEvents++
 			}
 		}
-		out.captures = p.b.Flight().CapturesFor("aps-switch")
+		out.captures = p.b.Link.Flight().CapturesFor("aps-switch")
 		files, _ := filepath.Glob(filepath.Join(dir, "prot_z-*-aps-switch.p5fr"))
 		out.captureFiles = len(files)
-		for _, c := range p.b.Flight().Recent() {
+		for _, c := range p.b.Link.Flight().Recent() {
 			for _, e := range c.Events {
 				out.failoverInCapture = out.failoverInCapture || e.Name == "aps-switch"
 			}
@@ -97,8 +97,9 @@ func TestObserveOrderFree(t *testing.T) {
 	}
 }
 
-// TestObserveNilIsOff: the zero Observation on every port kind arms
-// nothing and allocates nothing, and each field is independent of the
+// TestObserveNilIsOff: the zero Observation on every end and every line
+// kind arms nothing and allocates nothing (so no selector declared a
+// mirror), and each field is independent of the
 // others — a recorder armed with no Registry (p5sim -protect -flight DIR
 // without -telemetry) still records, captures and grades its SLO.
 func TestObserveNilIsOff(t *testing.T) {
@@ -110,13 +111,14 @@ func TestObserveNilIsOff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pa, pz := NewProtectedPair(LinkConfig{}, LinkConfig{})
+	la, lz := aps.NewProtectedPair()
+	pa, pz := NewTransportPort(NewLink(LinkConfig{}), la), NewTransportPort(NewLink(LinkConfig{}), lz)
 	ta, _ := transport.NewPipePair()
 	ends := map[string]Observable{
-		"Link":          NewLink(LinkConfig{}),
-		"ProtectedLink": pa,
-		"RingLink":      NewRingLink(LinkConfig{}, port),
-		"TransportPort": NewTransportPort(NewLink(LinkConfig{}), ta),
+		"Link":                    NewLink(LinkConfig{}),
+		"TransportPort/pipe":      NewTransportPort(NewLink(LinkConfig{}), ta),
+		"TransportPort/protected": pa,
+		"TransportPort/ring":      NewTransportPort(NewLink(LinkConfig{}), port),
 	}
 	for kind, end := range ends {
 		if n := testing.AllocsPerRun(10, func() { end.Observe(Observation{}, "off") }); n != 0 {
@@ -125,9 +127,6 @@ func TestObserveNilIsOff(t *testing.T) {
 		if l := end.endpoint(); l.Flight() != nil || l.tel != nil || l.prof != nil {
 			t.Errorf("%s: the zero Observation armed something: flight=%v tel=%v prof=%v", kind, l.Flight(), l.tel, l.prof)
 		}
-	}
-	if pa.tel != nil || ends["RingLink"].(*RingLink).tel != nil {
-		t.Error("the zero Observation left a mirror on a protected or ring end")
 	}
 	var off Watch
 	if off.ObservePair(Observation{}, "off", pa, pz); off.Board != nil || off.SLOs != nil || off.Profile != nil {
@@ -139,7 +138,7 @@ func TestObserveNilIsOff(t *testing.T) {
 	dir := t.TempDir()
 	var w Watch
 	w.ObservePair(Observation{Flight: &flight.Config{Dir: dir}}, "prot", p.a, p.b)
-	if p.a.Link.tel != nil || p.a.tel != nil {
+	if p.a.Link.tel != nil {
 		t.Error("Flight alone armed the protocol series")
 	}
 	for i := 0; i < 30; i++ {
@@ -148,13 +147,13 @@ func TestObserveNilIsOff(t *testing.T) {
 	p.impair(aps.Working, zeroFrame)
 	payload := []byte{0x45, 0, 0, 20, 0, 0, 0, 0}
 	for i := 0; i < 40; i++ {
-		if p.a.IPReady() {
-			p.a.SendIPv4(payload)
+		if p.a.Link.IPReady() {
+			p.a.Link.SendIPv4(payload)
 		}
 		p.tick()
-		p.b.Received()
+		p.b.Link.Received()
 	}
-	if ra := p.a.Flight(); ra.Tracked() == 0 || ra.Tracked() == ra.Lost() {
+	if ra := p.a.Link.Flight(); ra.Tracked() == 0 || ra.Tracked() == ra.Lost() {
 		t.Errorf("a→z pipe did not record: tracked=%d lost=%d", ra.Tracked(), ra.Lost())
 	}
 	if files, _ := filepath.Glob(filepath.Join(dir, "prot_z-*-aps-switch.p5fr")); len(files) != 1 {

@@ -122,6 +122,51 @@ func TestOneSectionCarrier(t *testing.T) {
 	}
 }
 
+// TestOnePort holds a Link to one way onto its line: TransportPort.
+// Outside transport_port.go, production code moves octets between a
+// Link and anything else — calls (*Link).Output, Input or InputBatch —
+// only in the directories kept below, each with its reason; a kept entry
+// that no longer does fails too. The three methods calling each other
+// are the seam itself. Calls resolve by object, so a method value or an
+// import alias hides nothing.
+func TestOnePort(t *testing.T) {
+	kept := map[string]string{
+		"benchmark": "frozen contract; its rungs time the codec with no line under it",
+		"examples":  "the hand-wired teaching loops, a Link's two ends with nothing between",
+	}
+	m := checkModule(t)
+	seam := map[string]bool{"Output": true, "Input": true, "InputBatch": true}
+	var within []ast.Node // the bodies of the three methods
+	for _, f := range m.files {
+		for _, decl := range f.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv != nil && seam[fn.Name.Name] &&
+				isFunc(m.info.Defs[fn.Name], "repro", "Link", fn.Name.Name) {
+				within = append(within, fn)
+			}
+		}
+	}
+	seen := map[string]bool{}
+	for _, u := range m.uses(func(obj types.Object) bool {
+		return isFunc(obj, "repro", "Link", "Output", "Input", "InputBatch")
+	}) {
+		f := m.meta(u.id)
+		top, _, _ := strings.Cut(f.dir, "/")
+		inSeam := slices.ContainsFunc(within, func(n ast.Node) bool { return n.Pos() <= u.id.Pos() && u.id.Pos() < n.End() })
+		switch {
+		case f.test || inSeam || f.dir == "." && filepath.Base(m.fset.File(u.id.Pos()).Name()) == "transport_port.go":
+		case kept[top] != "":
+			seen[top] = true
+		default:
+			t.Errorf("%s: (*Link).%s outside the one port; bind the Link to its line with NewTransportPort", m.fset.Position(u.id.Pos()), u.obj.Name())
+		}
+	}
+	for dir := range kept {
+		if !seen[dir] {
+			t.Errorf("%s is kept but moves no octets into or out of a Link; drop it from kept", dir)
+		}
+	}
+}
+
 // TestOneP5Assembly holds the cycle-accurate P5 to one assembly: a
 // transmitter and a receiver meet a line, and an OAM block taps them,
 // only in p5.System, built by NewSystem (loopback) or NewSectionSystem
@@ -181,10 +226,8 @@ func TestOneP5Assembly(t *testing.T) {
 // dance ObservePair writes once. Types and calls resolve by object.
 func TestOneArmingCall(t *testing.T) {
 	family := map[string]string{
-		"Link.Observe":          "the end every other kind wraps: protocol series, events, recorder",
-		"ProtectedLink.Observe": "adds the aps_* and per-line deframer series",
-		"RingLink.Observe":      "adds the link_ring_* selector series",
-		"TransportPort.Observe": "adds the transport_* series and the freeze-channel correlation",
+		"Link.Observe":          "the end a port wraps: protocol series, events, recorder",
+		"TransportPort.Observe": "adds the transport_* series, a selector's own series and the freeze-channel correlation",
 		"Watch.ObservePair":     "names both ends, joins the pipes, grades each direction, fills the board",
 		"Engine.Observe":        "the engine series, the stage clock, and ObservePair per port",
 	}

@@ -8,13 +8,15 @@ import (
 	"repro/internal/telemetry"
 )
 
-// protectedPair wires two ProtectedLinks full duplex: both directions
-// ride a working+protect line pair, one frame per direction per tick
-// (1 tick = one 125 µs frame time, so the GR-253 50 ms switch budget
-// is 400 ticks).
+// protectedPair wires two Links full duplex over a 1+1 protected pair:
+// each end's TransportPort drives its aps.Protected line, both
+// directions ride a working+protect section pair, one frame per
+// direction per tick (1 tick = one 125 µs frame time, so the GR-253
+// 50 ms switch budget is 400 ticks).
 type protectedPair struct {
-	a, b *ProtectedLink
-	now  int64
+	a, b   *TransportPort
+	la, lb *aps.Protected // the ends' lines
+	now    int64
 }
 
 func newProtectedPair(t *testing.T) *protectedPair {
@@ -25,25 +27,25 @@ func newProtectedPair(t *testing.T) *protectedPair {
 	cfgA, cfgB := cfg, cfg
 	cfgA.Magic, cfgA.IPAddr = 0xAAAA, [4]byte{10, 0, 0, 1}
 	cfgB.Magic, cfgB.IPAddr = 0xBBBB, [4]byte{10, 0, 0, 2}
-	a, b := NewProtectedPair(cfgA, cfgB)
-	p := &protectedPair{a: a, b: b}
-	a.Open()
-	a.Up()
-	b.Open()
-	b.Up()
+	la, lb := aps.NewProtectedPair()
+	p := &protectedPair{a: NewTransportPort(NewLink(cfgA), la), b: NewTransportPort(NewLink(cfgB), lb), la: la, lb: lb}
+	for _, l := range []*Link{p.a.Link, p.b.Link} {
+		l.Open()
+		l.Up()
+	}
 	return p
 }
 
 // impair sets what transforms the a→b frames of one line in transit
 // (nil passes them through); b→a stays clean in these scenarios.
 func (p *protectedPair) impair(line aps.Line, fn func([]byte) []byte) {
-	p.a.Line(line).Inject = fn
+	p.la.Line(line).Inject = fn
 }
 
 func (p *protectedPair) tick() {
 	p.now++
-	p.a.Advance(p.now)
-	p.b.Advance(p.now)
+	p.a.Tick(p.now)
+	p.b.Tick(p.now)
 }
 
 // zeroFrame replaces a frame with a dead line — a full-frame LOS cut.
@@ -59,7 +61,7 @@ func zeroFrame(f []byte) []byte { return make([]byte, len(f)) }
 func TestProtectionHitlessFailover(t *testing.T) {
 	const wtr = 100
 	p := newProtectedPair(t)
-	a, b := p.a, p.b
+	a, b, la, lb := p.a.Link, p.b.Link, p.la, p.lb
 
 	for i := 0; i < 30; i++ {
 		p.tick()
@@ -128,17 +130,17 @@ func TestProtectionHitlessFailover(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		step()
 	}
-	if b.Active() != aps.Protect {
+	if lb.Ctrl.Active() != aps.Protect {
 		t.Fatalf("selector still on working %d ticks into the cut", p.now-failAt)
 	}
-	if b.Ctrl.ToProtect != 1 {
-		t.Errorf("ToProtect = %d, want 1", b.Ctrl.ToProtect)
+	if lb.Ctrl.ToProtect != 1 {
+		t.Errorf("ToProtect = %d, want 1", lb.Ctrl.ToProtect)
 	}
-	if took := b.Ctrl.LastSwitchTook; took > 400 {
+	if took := lb.Ctrl.LastSwitchTook; took > 400 {
 		t.Errorf("switch took %d ticks, exceeds the 400-tick (50 ms) budget", took)
 	}
 	// The far end follows on the K1 request alone (bidirectional).
-	if a.Active() != aps.Protect {
+	if la.Ctrl.Active() != aps.Protect {
 		t.Error("far end did not follow the switch")
 	}
 
@@ -147,11 +149,11 @@ func TestProtectionHitlessFailover(t *testing.T) {
 	for i := 0; i < wtr+100; i++ {
 		step()
 	}
-	if b.Active() != aps.Working || a.Active() != aps.Working {
-		t.Fatalf("revertive group did not revert: a=%v b=%v", a.Active(), b.Active())
+	if lb.Ctrl.Active() != aps.Working || la.Ctrl.Active() != aps.Working {
+		t.Fatalf("revertive group did not revert: a=%v b=%v", la.Ctrl.Active(), lb.Ctrl.Active())
 	}
-	if b.Ctrl.Switches != 2 {
-		t.Errorf("switches = %d, want exactly 2 (out and back)", b.Ctrl.Switches)
+	if lb.Ctrl.Switches != 2 {
+		t.Errorf("switches = %d, want exactly 2 (out and back)", lb.Ctrl.Switches)
 	}
 
 	// Hitless end to end: zero renegotiation, zero supervisor action,
@@ -163,7 +165,7 @@ func TestProtectionHitlessFailover(t *testing.T) {
 	if maxGap > 400 {
 		t.Errorf("delivery gap %d ticks exceeds the 50 ms budget", maxGap)
 	}
-	for name, l := range map[string]*ProtectedLink{"a": a, "b": b} {
+	for name, l := range map[string]*Link{"a": a, "b": b} {
 		sup := l.Supervisor()
 		if sup.Restarts != 0 || sup.DefectOutages != 0 || sup.Recoveries != 0 {
 			t.Errorf("%s supervisor acted during protected failover: %+v", name, sup)
@@ -171,11 +173,11 @@ func TestProtectionHitlessFailover(t *testing.T) {
 	}
 	lost := int(seq) - delivered
 	t.Logf("sent=%d delivered=%d lost=%d maxGap=%d switchTook=%d standbyDiscarded=%d",
-		seq, delivered, lost, maxGap, b.Ctrl.LastSwitchTook, b.DiscardedStandbyOctets)
+		seq, delivered, lost, maxGap, lb.Ctrl.LastSwitchTook, lb.DiscardedStandbyOctets)
 	if lost > 40 {
 		t.Errorf("lost %d datagrams; the switch windows should cost far less", lost)
 	}
-	if b.DiscardedStandbyOctets == 0 {
+	if lb.DiscardedStandbyOctets == 0 {
 		t.Error("standby deframer never ran hot — switches cannot have been hitless")
 	}
 }
@@ -186,7 +188,7 @@ func TestProtectionHitlessFailover(t *testing.T) {
 // lines heal.
 func TestProtectionBothLinesDownFallsBack(t *testing.T) {
 	p := newProtectedPair(t)
-	a, b := p.a, p.b
+	a, b := p.a.Link, p.b.Link
 	for i := 0; i < 30; i++ {
 		p.tick()
 	}
@@ -236,6 +238,49 @@ func TestProtectionBothLinesDownFallsBack(t *testing.T) {
 	t.Fatal("recovered pair did not deliver traffic")
 }
 
+// TestProtectionDualCutEscalatesAsTransportLOS pins the one escalation
+// rule: a protected pair with both a→z sections cut is a line that is
+// down, and its z end escalates it the way an engine port escalates a
+// cut STM-16 section (TestEngineOverSONET) — exactly one transport-los
+// outage, no defect-outage, then a recovery once the sections heal.
+func TestProtectionDualCutEscalatesAsTransportLOS(t *testing.T) {
+	p := newProtectedPair(t)
+	tr := telemetry.NewTracer(256)
+	p.b.Observe(Observation{Registry: telemetry.NewRegistry(), Tracer: tr}, "prot_z")
+	for i := 0; i < 30; i++ {
+		p.tick()
+	}
+	if !p.b.Link.IPReady() {
+		t.Fatal("links did not open")
+	}
+	p.impair(aps.Working, zeroFrame)
+	p.impair(aps.Protect, zeroFrame)
+	for i := 0; i < 150; i++ {
+		p.tick()
+	}
+	if p.lb.Up() {
+		t.Fatal("z's protected line still up with both sections cut")
+	}
+	p.impair(aps.Working, nil)
+	p.impair(aps.Protect, nil)
+	for i := 0; i < 400 && !(p.a.Link.IPReady() && p.b.Link.IPReady()); i++ {
+		p.tick()
+	}
+	var los, other int
+	for _, ev := range tr.Events() {
+		switch ev.Name {
+		case "transport-los":
+			los++
+		case "defect-outage":
+			other++
+		}
+	}
+	if sup := p.b.Link.Supervisor(); los != 1 || other != 0 || sup.DefectOutages != 1 || sup.Recoveries < 1 {
+		t.Errorf("z end: %d transport-los, %d defect-outage events, supervisor %+v; want exactly one transport-los outage and a recovery",
+			los, other, sup)
+	}
+}
+
 // TestProtectedPairTelemetryKeepsEndsApart instruments both ends of one
 // pair into one registry. A cut of the a→b working line gives the ends
 // different records — b switches on its own signal fail and sends it in
@@ -252,22 +297,22 @@ func TestProtectedPairTelemetryKeepsEndsApart(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		p.tick()
 	}
-	if !p.a.IPReady() || !p.b.IPReady() {
+	if !p.a.Link.IPReady() || !p.b.Link.IPReady() {
 		t.Fatal("links did not open on the clean pair")
 	}
 	p.impair(aps.Working, zeroFrame)
 	for i := 0; i < 40; i++ {
 		p.tick()
 	}
-	if p.a.Ctrl.Switches != 1 || p.b.Ctrl.Switches != 1 || p.a.Ctrl.RemoteWins == 0 || p.b.Ctrl.RemoteWins != 0 {
+	if p.la.Ctrl.Switches != 1 || p.lb.Ctrl.Switches != 1 || p.la.Ctrl.RemoteWins == 0 || p.lb.Ctrl.RemoteWins != 0 {
 		t.Fatalf("scenario did not split the ends: switches a=%d b=%d, remote wins a=%d b=%d; want 1/1, a>0, b=0",
-			p.a.Ctrl.Switches, p.b.Ctrl.Switches, p.a.Ctrl.RemoteWins, p.b.Ctrl.RemoteWins)
+			p.la.Ctrl.Switches, p.lb.Ctrl.Switches, p.la.Ctrl.RemoteWins, p.lb.Ctrl.RemoteWins)
 	}
 	snap := reg.Snapshot("pair")
 	for series, want := range map[string]float64{
 		`aps_switches_total{link="a"}`:    1,
 		`aps_switches_total{link="b"}`:    1,
-		`aps_remote_wins_total{link="a"}`: float64(p.a.Ctrl.RemoteWins),
+		`aps_remote_wins_total{link="a"}`: float64(p.la.Ctrl.RemoteWins),
 		`aps_remote_wins_total{link="b"}`: 0,
 		`aps_request{link="a"}`:           float64(aps.ReqReverseRequest),
 		`aps_request{link="b"}`:           float64(aps.ReqSignalFail),
@@ -301,13 +346,13 @@ func TestProtectedLinkSteadyStateAllocatesNothing(t *testing.T) {
 	payload[0] = 0x45
 	var rx []Datagram
 	step := func() {
-		if p.a.IPReady() {
-			if err := p.a.SendIPv4(payload); err != nil {
+		if p.a.Link.IPReady() {
+			if err := p.a.Link.SendIPv4(payload); err != nil {
 				t.Fatal(err)
 			}
 		}
 		p.tick()
-		rx = p.b.ReceivedInto(rx[:0])
+		rx = p.b.Link.ReceivedInto(rx[:0])
 	}
 	for i := 0; i < 100; i++ {
 		step()

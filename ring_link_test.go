@@ -10,9 +10,9 @@ import (
 	"repro/internal/topo"
 )
 
-// ringPair builds a 4-node UPSR ring with one circuit 0↔2 and a
-// RingLink on each end.
-func ringPair(t *testing.T, mode topo.Mode) (*topo.Ring, *RingLink, *RingLink) {
+// ringPair builds a 4-node ring with one circuit 0↔2 and a Link on
+// each end, bound to its circuit port.
+func ringPair(t *testing.T, mode topo.Mode, cfg LinkConfig) (*topo.Ring, *TransportPort, *TransportPort) {
 	t.Helper()
 	r, err := topo.NewRing(topo.Config{Nodes: 4, Mode: mode})
 	if err != nil {
@@ -22,23 +22,24 @@ func ringPair(t *testing.T, mode topo.Mode) (*topo.Ring, *RingLink, *RingLink) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := NewRingLink(LinkConfig{Magic: 0xAA, IPAddr: [4]byte{10, 0, 0, 1}}, pa)
-	b := NewRingLink(LinkConfig{Magic: 0xBB, IPAddr: [4]byte{10, 0, 0, 2}}, pb)
-	return r, a, b
+	cfgA, cfgB := cfg, cfg
+	cfgA.Magic, cfgA.IPAddr = 0xAA, [4]byte{10, 0, 0, 1}
+	cfgB.Magic, cfgB.IPAddr = 0xBB, [4]byte{10, 0, 0, 2}
+	return r, NewTransportPort(NewLink(cfgA), pa), NewTransportPort(NewLink(cfgB), pb)
 }
 
-func ringBringUp(t *testing.T, r *topo.Ring, a, b *RingLink, from int64) int64 {
+func ringBringUp(t *testing.T, r *topo.Ring, a, b *TransportPort, from int64) int64 {
 	t.Helper()
-	a.Open()
-	b.Open()
-	a.Up()
-	b.Up()
+	for _, l := range []*Link{a.Link, b.Link} {
+		l.Open()
+		l.Up()
+	}
 	now := from
 	for ; now < from+2000; now++ {
 		r.Tick(now)
-		a.Advance(now)
-		b.Advance(now)
-		if a.IPReady() && b.IPReady() {
+		a.Tick(now)
+		b.Tick(now)
+		if a.Link.IPReady() && b.Link.IPReady() {
 			return now
 		}
 	}
@@ -63,20 +64,20 @@ func cutRing(t *testing.T, r *topo.Ring, u, v int, at, ticks int64) {
 }
 
 func TestRingLinkBringUpAndTransfer(t *testing.T) {
-	r, a, b := ringPair(t, topo.UPSR)
+	r, a, b := ringPair(t, topo.UPSR, LinkConfig{})
 	now := ringBringUp(t, r, a, b, 0)
 	want := [][]byte{{0x45, 1, 2, 3}, {0x45, 9, 8, 7, 6}}
 	for _, d := range want {
-		if err := a.SendIPv4(d); err != nil {
+		if err := a.Link.SendIPv4(d); err != nil {
 			t.Fatal(err)
 		}
 	}
 	var got []Datagram
 	for end := now + 50; now < end; now++ {
 		r.Tick(now)
-		a.Advance(now)
-		b.Advance(now)
-		got = append(got, b.ReceivedInto(nil)...)
+		a.Tick(now)
+		b.Tick(now)
+		got = append(got, b.Link.ReceivedInto(nil)...)
 	}
 	if len(got) != len(want) {
 		t.Fatalf("received %d datagrams, want %d", len(got), len(want))
@@ -89,10 +90,10 @@ func TestRingLinkBringUpAndTransfer(t *testing.T) {
 }
 
 func TestRingLinkHitlessCutNoRenegotiation(t *testing.T) {
-	r, a, b := ringPair(t, topo.UPSR)
+	r, a, b := ringPair(t, topo.UPSR, LinkConfig{})
 
 	new(Watch).ObservePair(Observation{Registry: telemetry.NewRegistry(), Flight: &flight.Config{Dir: t.TempDir()}}, "ring", a, b)
-	rb := b.Flight()
+	rb, pb := b.Link.Flight(), b.T.(*topo.Port)
 
 	now := ringBringUp(t, r, a, b, 0)
 	cutAt := now + 100
@@ -102,25 +103,25 @@ func TestRingLinkHitlessCutNoRenegotiation(t *testing.T) {
 	lcpDrops := 0
 	for end := now + 1500; now < end; now++ {
 		if now == cutAt-1 || now%3 == 0 {
-			if err := a.SendIPv4([]byte{0x45, byte(sent), byte(sent >> 8)}); err == nil {
+			if err := a.Link.SendIPv4([]byte{0x45, byte(sent), byte(sent >> 8)}); err == nil {
 				sent++
 			}
 		}
 		r.Tick(now)
-		a.Advance(now)
-		b.Advance(now)
-		if !b.Opened() {
+		a.Tick(now)
+		b.Tick(now)
+		if !b.Link.Opened() {
 			lcpDrops++
 		}
-		received += len(b.ReceivedInto(nil))
+		received += len(b.Link.ReceivedInto(nil))
 	}
 	if lcpDrops != 0 {
 		t.Fatalf("LCP dropped for %d ticks across the switch — not hitless", lcpDrops)
 	}
-	if b.Port.Switches != 1 {
-		t.Fatalf("switches = %d, want 1", b.Port.Switches)
+	if pb.Switches != 1 {
+		t.Fatalf("switches = %d, want 1", pb.Switches)
 	}
-	if d := b.Port.LastSwitchAt - cutAt; d < 0 || d > 400 {
+	if d := pb.LastSwitchAt - cutAt; d < 0 || d > 400 {
 		t.Fatalf("switch %+d ticks from cut, budget 400", d)
 	}
 	if rb.CapturesFor("ring-switch") == 0 {
@@ -132,29 +133,29 @@ func TestRingLinkHitlessCutNoRenegotiation(t *testing.T) {
 }
 
 func TestRingLinkSquelchEscalatesToSupervisor(t *testing.T) {
-	r, err := topo.NewRing(topo.Config{Nodes: 4, Mode: topo.UPSR})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pa, pb, err := r.AddCircuit(topo.Circuit{Name: "c0", A: 0, B: 2, Slot: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := NewRingLink(LinkConfig{Magic: 0xAA, IPAddr: [4]byte{10, 0, 0, 1}, Supervise: true}, pa)
-	b := NewRingLink(LinkConfig{Magic: 0xBB, IPAddr: [4]byte{10, 0, 0, 2}, Supervise: true}, pb)
+	r, a, b := ringPair(t, topo.UPSR, LinkConfig{Supervise: true})
+	tr := telemetry.NewTracer(64)
+	a.Observe(Observation{Registry: telemetry.NewRegistry(), Tracer: tr}, "ring_a")
 	now := ringBringUp(t, r, a, b, 0)
 	// Isolate node 2 (b's node): both of its fibres die.
 	cutRing(t, r, 1, 2, now+50, 100000)
 	cutRing(t, r, 2, 3, now+50, 100000)
 	for end := now + 800; now < end; now++ {
 		r.Tick(now)
-		a.Advance(now)
-		b.Advance(now)
+		a.Tick(now)
+		b.Tick(now)
 	}
-	if !a.Port.Down() {
+	if a.T.Up() {
 		t.Fatal("surviving end's port not squelched")
 	}
 	if a.Link.Supervisor().DefectOutages == 0 {
 		t.Fatal("squelch did not escalate to the supervisor")
+	}
+	squelched := false
+	for _, e := range tr.Events() {
+		squelched = squelched || e.Scope == "ring:ring_a" && e.Name == "ring-squelch" && e.Detail == "c0" && e.V1 == 1
+	}
+	if !squelched {
+		t.Error("the squelch did not reach the tracer")
 	}
 }

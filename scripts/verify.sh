@@ -5,8 +5,9 @@
 #   the module (a package no production path imports, a *Config field
 #   no production file sets, a scenario key no committed scenario sets,
 #   an export no non-test file names or an internal one no other
-#   package names, a bare SONET section, a hand-built P5 unit or a
-#   hand-armed recorder outside their one seam),
+#   package names, a bare SONET section, a hand-built P5 unit, a Link
+#   fed or drained outside TransportPort or a hand-armed recorder
+#   outside their one seam),
 #   go test -race (and fifty race runs of the TCP lifecycle tests),
 #   the portable Go paths that amd64 replaces with its two kernels —
 #   the delimiter fold (SSE2) and the word sorters (SSSE3, chosen by
@@ -52,10 +53,10 @@ go vet -tags gates .
 echo "== go build =="
 go build ./...
 
-echo "== census guards (dead package, unset config field, unset scenario key, uncalled export, one seam, one P5 assembly) =="
+echo "== census guards (dead package, unset config field, unset scenario key, uncalled export, one seam, one P5 assembly, one port) =="
 # Seconds, not minutes: dead weight fails here, before the race suite.
 # The typed guards share one type-check of the module.
-go test -count=1 -run '^TestEvery(PackageHasAProductionPath|ConfigFieldIsSet|ExportHasACaller)$|^TestOne(SectionCarrier|ArmingCall|P5Assembly)$' .
+go test -count=1 -run '^TestEvery(PackageHasAProductionPath|ConfigFieldIsSet|ExportHasACaller)$|^TestOne(SectionCarrier|ArmingCall|P5Assembly|Port)$' .
 go test -count=1 -run '^TestEveryScenarioKeyIsSet$' ./internal/scenario
 
 echo "== go test -race (telemetry concurrency gate) =="

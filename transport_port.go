@@ -8,12 +8,12 @@ import (
 	"repro/internal/transport"
 )
 
-// TransportPort binds one Link endpoint to a LineTransport: the glue
-// that takes the engine off loopback. Each tick it flushes the link's
-// pending wire output into the transport, ticks the transport's
-// housekeeping (keepalive, reconnection), maps dead-peer transitions
-// onto the supervisor's defect machinery as AlarmTransportLOS, and
-// feeds received chunks back into the link.
+// TransportPort binds one Link endpoint to a LineTransport — a pipe, a
+// socket, an STM-N section, a protected pair (aps.Protected) or a ring
+// circuit (topo.Port): the one place a Link meets its line. Each tick it
+// flushes the link's pending wire output into the transport, ticks the
+// transport, maps liveness edges onto the supervisor's defect machinery
+// as AlarmTransportLOS, and feeds received chunks back into the link.
 //
 // The ownership contracts line up without copies on the receive side:
 // transport.Recv payloads stay valid until the second-following Recv,
@@ -42,13 +42,20 @@ type TransportPort struct {
 	rxFreezes   []transport.FreezeInfo
 }
 
-// NewTransportPort binds l to t.
+// NewTransportPort binds l to t. A line with a selector of its own gets
+// the link's failover step: every movement feeds the SLO's failover
+// objective and, once a recorder is armed, dumps the black box.
 func NewTransportPort(l *Link, t transport.LineTransport) *TransportPort {
+	if s, ok := t.(transport.Selector); ok {
+		s.OnFailover(l.flightFailover)
+	}
 	return &TransportPort{Link: l, T: t}
 }
 
 // Observe arms o on the port's Link and adds what the line has: with
-// Registry the transport_* series labelled {line=name}, and with Flight
+// Registry the transport_* series labelled {line=name} and, on a line
+// with a selector of its own, the selector's series labelled
+// {link=name} with its events to Tracer (transport.Selector); with Flight
 // on a transport with a freeze side channel (transport.Freezer: the
 // sockets, not Pipe or a sonet.Line) the recorder joins it, turning
 // isolated black-box dumps into correlated capture pairs (DESIGN.md
@@ -61,6 +68,9 @@ func (p *TransportPort) Observe(o Observation, name string) {
 	p.Link.Observe(o, name)
 	if o.Registry != nil {
 		transport.Instrument(o.Registry, name, p.T)
+		if s, ok := p.T.(transport.Selector); ok {
+			s.Instrument(o.Registry, o.Tracer, name)
+		}
 	}
 	if fz, ok := p.T.(transport.Freezer); ok && o.Flight != nil {
 		p.fz = fz
