@@ -41,10 +41,20 @@ type linkAuth struct {
 	papCli  *auth.PAPClient
 	chapSrv *auth.CHAPServer
 	chapCli *auth.CHAPClient
+}
 
-	// peerOK: the peer satisfied our demand; weOK: we satisfied the
-	// peer's (trivially true when not demanded).
-	started bool
+// peer is the identity the peer proved to this end: empty unless this
+// end demanded authentication and it succeeded.
+func (a *linkAuth) peer() string {
+	switch {
+	case a == nil:
+		return ""
+	case a.papSrv != nil:
+		return a.papSrv.Peer
+	case a.chapSrv != nil:
+		return a.chapSrv.Peer
+	}
+	return ""
 }
 
 func (a *AuthConfig) name() string {
@@ -106,7 +116,6 @@ func challengeFrom(r io.Reader) byte {
 // startAuthPhase begins the exchanges after LCP opens.
 func (l *Link) startAuthPhase() {
 	a := l.auth
-	a.started = true
 	if a.chapSrv != nil {
 		a.chapSrv.Challenge()
 	}
@@ -179,6 +188,9 @@ func (l *Link) maybeEnterNetworkPhase() {
 		return
 	}
 	l.networkUp = true
+	if peer := l.auth.peer(); peer != "" {
+		l.trace("authenticated", peer, 0, 0)
+	}
 	l.ipcpA.Up()
 	if l.station != nil {
 		l.station.Connect()

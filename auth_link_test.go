@@ -30,8 +30,8 @@ func TestLinkCHAPAuthentication(t *testing.T) {
 	if !a.IPReady() || !b.IPReady() {
 		t.Fatal("network phase not reached after CHAP")
 	}
-	if authenticatedPeer(a) != "bob" {
-		t.Errorf("authenticated peer = %q", authenticatedPeer(a))
+	if a.auth.peer() != "bob" {
+		t.Errorf("authenticated peer = %q", a.auth.peer())
 	}
 	// Data flows normally afterwards.
 	if err := b.SendIPv4([]byte{1, 2, 3}); err != nil {
@@ -57,8 +57,8 @@ func TestLinkPAPAuthentication(t *testing.T) {
 	if !a.IPReady() || !b.IPReady() {
 		t.Fatal("network phase not reached after PAP")
 	}
-	if authenticatedPeer(a) != "alice" {
-		t.Errorf("peer = %q", authenticatedPeer(a))
+	if a.auth.peer() != "alice" {
+		t.Errorf("peer = %q", a.auth.peer())
 	}
 }
 
@@ -98,7 +98,7 @@ func TestLinkNoCredentialsGetsRejectedDemand(t *testing.T) {
 	a.Up()
 	b.Up()
 	pump(t, a, b, 1000)
-	if authenticatedPeer(a) != "" {
+	if a.auth.peer() != "" {
 		t.Error("phantom authentication")
 	}
 	if a.IPReady() {
@@ -124,8 +124,8 @@ func TestLinkMutualCHAP(t *testing.T) {
 	if !a.IPReady() || !b.IPReady() {
 		t.Fatal("mutual CHAP did not complete")
 	}
-	if authenticatedPeer(a) != "west" || authenticatedPeer(b) != "east" {
-		t.Errorf("peers: %q / %q", authenticatedPeer(a), authenticatedPeer(b))
+	if a.auth.peer() != "west" || b.auth.peer() != "east" {
+		t.Errorf("peers: %q / %q", a.auth.peer(), b.auth.peer())
 	}
 }
 
@@ -171,19 +171,6 @@ func TestCHAPChallengesAreUnpredictable(t *testing.T) {
 	if len(c1) == 0 || bytes.Equal(c1, c2) {
 		t.Errorf("two authenticators from one config challenged with % x and % x", c1, c2)
 	}
-}
-
-// authenticatedPeer is the identity the peer proved to l, if any.
-func authenticatedPeer(l *Link) string {
-	switch {
-	case l.auth == nil:
-		return ""
-	case l.auth.papSrv != nil:
-		return l.auth.papSrv.Peer
-	case l.auth.chapSrv != nil:
-		return l.auth.chapSrv.Peer
-	}
-	return ""
 }
 
 // TestChallengeFailsClosed: a CHAP challenge source that fails stops

@@ -99,7 +99,7 @@ func TestChaosSoakLinkSelfHealing(t *testing.T) {
 	}
 	la.Inject = nil
 	if !inj.Done() {
-		t.Fatalf("script not fully fired: %d ops left", len(script.Ops)-inj.Stats.OpsFired)
+		t.Fatal("script not fully fired")
 	}
 	if !sawOutage {
 		t.Fatal("two LOS windows produced no outage — scenario did not bite")
@@ -153,9 +153,8 @@ func TestChaosSoakLinkSelfHealing(t *testing.T) {
 	if got := mon.Clears(sonet.DefLOS); got != 2 {
 		t.Errorf("LOS clears = %d, want 2", got)
 	}
-	if inj.Stats.LOSWindows != 2 || inj.Stats.LOSOctets != 210*fb {
-		t.Errorf("injector LOS stats %d/%d, want 2 windows, %d octets",
-			inj.Stats.LOSWindows, inj.Stats.LOSOctets, 210*fb)
+	if inj.Stats.LOSOctets != 210*fb {
+		t.Errorf("injector zeroed %d octets in its LOS windows, want %d", inj.Stats.LOSOctets, 210*fb)
 	}
 	if inj.Stats.Inserted != 3 || inj.Stats.Deleted != uint64(1+fb-1200) || inj.Stats.Duplicated != 16 {
 		t.Errorf("injector slip stats: ins=%d del=%d dup=%d", inj.Stats.Inserted, inj.Stats.Deleted, inj.Stats.Duplicated)

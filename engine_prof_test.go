@@ -76,7 +76,7 @@ func testStageAccounting(t *testing.T, hook func(int) (a, z transport.LineTransp
 		}
 	}
 
-	snap := reg.Snapshot("prof")
+	snap := reg.Snapshot()
 	for _, series := range []string{
 		`prof_stage_ns_total{engine="test",shard="0",stage="encode"}`,
 		`prof_stage_ns_total{engine="test",shard="1",stage="tokenize"}`,

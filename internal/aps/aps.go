@@ -126,8 +126,7 @@ type Stats struct {
 	ToProtect  uint64
 	ToWorking  uint64
 	RemoteWins uint64 // evaluations where the far-end request pre-empted
-	// LastSwitchAt/LastSwitchTook mirror the most recent SwitchEvent.
-	LastSwitchAt   int64
+	// LastSwitchTook is the most recent SwitchEvent's Duration.
 	LastSwitchTook int64
 }
 
@@ -321,7 +320,7 @@ func (c *Controller) Advance(now int64) {
 		} else {
 			c.ToWorking++
 		}
-		c.LastSwitchAt, c.LastSwitchTook = now, e.Duration
+		c.LastSwitchTook = e.Duration
 		if c.OnSwitch != nil {
 			c.OnSwitch(e)
 		}

@@ -57,9 +57,6 @@ func TestPAPSuccess(t *testing.T) {
 	if s.Peer != "alice" {
 		t.Errorf("peer = %q", s.Peer)
 	}
-	if c.Message != "welcome" {
-		t.Errorf("message = %q", c.Message)
-	}
 }
 
 func TestPAPWrongPassword(t *testing.T) {

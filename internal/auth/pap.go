@@ -10,8 +10,6 @@ type PAPClient struct {
 
 	id     byte
 	result Result
-	// Message carries the authenticator's reply text.
-	Message string
 }
 
 // Start transmits the first Authenticate-Request.
@@ -32,10 +30,8 @@ func (c *PAPClient) Receive(p *Packet) {
 	switch p.Code {
 	case papAck:
 		c.result = Success
-		c.Message = papMessage(p.Data)
 	case papNak:
 		c.result = Failure
-		c.Message = papMessage(p.Data)
 	}
 }
 
@@ -44,13 +40,6 @@ func papCreds(id, pw string) []byte {
 	out = append(out, id...)
 	out = append(out, byte(len(pw)))
 	return append(out, pw...)
-}
-
-func papMessage(b []byte) string {
-	if len(b) < 1 || int(b[0])+1 > len(b) {
-		return ""
-	}
-	return string(b[1 : 1+int(b[0])])
 }
 
 // PAPServer is the authenticator: it validates Authenticate-Requests

@@ -136,16 +136,12 @@ func (s *Script) String() string {
 // Stats counts what the injector actually did, for reconciling a run
 // against its script.
 type Stats struct {
-	In, Out    uint64 // octets consumed / delivered
 	Inserted   uint64 // octets added by Insert ops
 	Deleted    uint64 // octets removed by Delete ops
 	Duplicated uint64 // octets re-emitted by Duplicate ops
-	Corrupted  uint64 // octets XORed by Corrupt ops
-	LOSWindows uint64 // LOS ops fired
 	LOSOctets  uint64 // octets zeroed inside LOS windows
 	BitErrors  uint64 // bits flipped by the analog Model
 	NoiseBits  uint64 // bits flipped inside scripted Noise windows
-	OpsFired   int    // scripted ops consumed
 }
 
 // histMax bounds the delivered-octet history kept for Duplicate ops.
@@ -195,7 +191,6 @@ func (in *Injector) Apply(p []byte) []byte {
 		for len(in.ops) > 0 && in.ops[0].At <= in.pos {
 			op := in.ops[0]
 			in.ops = in.ops[1:]
-			in.Stats.OpsFired++
 			switch op.Kind {
 			case kindInsert:
 				out = append(out, op.Data...)
@@ -226,7 +221,6 @@ func (in *Injector) Apply(p []byte) []byte {
 				}
 			case kindLOS:
 				in.losEnd = max(in.losEnd, in.pos+int64(op.N))
-				in.Stats.LOSWindows++
 			case kindNoise:
 				in.noiEnd = max(in.noiEnd, in.pos+int64(op.N))
 				in.noise = &channel.BER{Rate: op.Rate, Rand: netsim.NewRand(op.Seed)}
@@ -244,7 +238,6 @@ func (in *Injector) Apply(p []byte) []byte {
 		default:
 			if in.pos < in.corEnd {
 				b ^= in.corMask
-				in.Stats.Corrupted++
 			}
 			if in.pos < in.noiEnd && in.noise != nil {
 				one := [1]byte{b}
@@ -256,8 +249,6 @@ func (in *Injector) Apply(p []byte) []byte {
 		in.pos++
 	}
 	flush()
-	in.Stats.In += uint64(len(p))
-	in.Stats.Out += uint64(len(out))
 	if n := len(out); n > 0 {
 		in.hist = append(in.hist, out...)
 		if len(in.hist) > histMax {

@@ -64,7 +64,7 @@ func TestLOSWindowZerosTheLine(t *testing.T) {
 			t.Errorf("octet %d zeroed outside LOS window", i)
 		}
 	}
-	if in.Stats.LOSWindows != 1 || in.Stats.LOSOctets != 6 {
+	if in.Stats.LOSOctets != 6 {
 		t.Errorf("stats = %+v", in.Stats)
 	}
 }

@@ -37,7 +37,7 @@ func TestPairIndependentLines(t *testing.T) {
 			t.Fatalf("protect[%d] = %#x, want %#x", i, b, want)
 		}
 	}
-	if pair.Working.Stats.LOSOctets != 20 || pair.Protect.Stats.Corrupted != 4 {
+	if pair.Working.Stats.LOSOctets != 20 || pair.Protect.Stats.LOSOctets != 0 {
 		t.Errorf("stats crossed lines: w=%+v p=%+v", pair.Working.Stats, pair.Protect.Stats)
 	}
 	if !pair.Working.Done() || !pair.Protect.Done() {

@@ -359,7 +359,7 @@ func TestCaptureWriteErrorIsCounted(t *testing.T) {
 	if got := r.WriteErrors(); got != 1 {
 		t.Fatalf("WriteErrors = %d, want 1", got)
 	}
-	if v, _ := reg.Snapshot("t").Get(`flight_capture_write_errors_total{link="w"}`); v != 1 {
+	if v, _ := reg.Snapshot().Get(`flight_capture_write_errors_total{link="w"}`); v != 1 {
 		t.Errorf("flight_capture_write_errors_total = %v, want 1", v)
 	}
 	b := NewBoard()
@@ -543,7 +543,7 @@ func TestBoardSnapshotAndJSON(t *testing.T) {
 	}
 
 	// The registered gauges flatten into a scrape.
-	snap := reg.Snapshot("t")
+	snap := reg.Snapshot()
 	if _, ok := snap.Get(`slo_worst_burn_rate{slo="port0"}`); !ok {
 		t.Fatal("slo_worst_burn_rate not registered")
 	}

@@ -307,9 +307,6 @@ func TestTokenizerBasic(t *testing.T) {
 	if !bytes.Equal(toks[1].Body, []byte{0x7E, 0x7D, 4}) {
 		t.Errorf("frame 1 = % x", toks[1].Body)
 	}
-	if tk.Frames != 2 {
-		t.Errorf("Frames = %d", tk.Frames)
-	}
 }
 
 func TestTokenizerSplitAcrossFeeds(t *testing.T) {

@@ -85,8 +85,7 @@ type Tokenizer struct {
 	inFrame bool   // seen an opening flag
 	drop    bool   // discarding until next flag (after oversize)
 
-	// Counters for the OAM status registers.
-	Frames   uint64 // complete frames emitted
+	// Drop counters: frames discarded, by reason.
 	Aborts   uint64 // aborted frames
 	Runts    uint64 // runt spans
 	Oversize uint64 // oversize frames
@@ -317,7 +316,6 @@ func (t *Tokenizer) closeFrame(out []Token) []Token {
 		t.Runts++
 		return append(out, Token{Err: errRunt})
 	default:
-		t.Frames++
 		t.start = len(t.arena)
 		// One fold over the contiguous body it is about to hand out.
 		return append(out, Token{Body: body, FCSOK: t.FCS != 0 && t.FCS.Check(body)})

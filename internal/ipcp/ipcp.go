@@ -53,16 +53,12 @@ type Policy struct {
 	// receive direction (RFC 1332 §4); AllowVJ grants it to the peer.
 	WantVJ  bool
 	AllowVJ bool
-	// VJSlots is the max-slot-id we advertise (default 15).
-	VJSlots byte
 
 	// Negotiated results.
 	LocalAddr Addr // our address, acknowledged by the peer
 	PeerAddr  Addr // the peer's address, acknowledged by us
-	// VJToPeer means we may send VJ-compressed packets to the peer;
-	// VJFromPeer means the peer may send them to us.
-	VJToPeer   bool
-	VJFromPeer bool
+	// VJToPeer means we may send VJ-compressed packets to the peer.
+	VJToPeer bool
 
 	rejected map[byte]bool
 }
@@ -70,17 +66,14 @@ type Policy struct {
 // vjProto is the compression-protocol identifier for VJ (RFC 1332 §4).
 const vjProto = 0x002D
 
-func (p *Policy) vjSlots() byte {
-	if p.VJSlots == 0 {
-		return 15
-	}
-	return p.VJSlots
-}
+// vjMaxSlotID is the max-slot-id we advertise: 16 slots, RFC 1144's
+// number.
+const vjMaxSlotID = 15
 
 func (p *Policy) vjOption() lcp.Option {
 	// proto(2) max-slot-id(1) comp-slot-id(1).
 	return lcp.Option{Type: optIPCompression,
-		Data: []byte{byte(vjProto >> 8), byte(vjProto), p.vjSlots(), 0}}
+		Data: []byte{byte(vjProto >> 8), byte(vjProto), vjMaxSlotID, 0}}
 }
 
 // NewPolicy returns an IPCP policy requesting the given local address.
@@ -156,8 +149,6 @@ func (p *Policy) PeerAcked(opts []lcp.Option) {
 			if len(o.Data) == 4 {
 				copy(p.LocalAddr[:], o.Data)
 			}
-		case optIPCompression:
-			p.VJFromPeer = true
 		}
 	}
 }

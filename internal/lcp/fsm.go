@@ -35,11 +35,11 @@ func (s State) String() string {
 	return fmt.Sprintf("State(%d)", int(s))
 }
 
-// Default restart parameters (RFC 1661 §4.6).
+// Restart parameters: RFC 1661 §4.6's defaults.
 const (
-	defaultMaxConfigure = 10
-	defaultMaxTerminate = 2
-	defaultMaxFailure   = 5
+	maxConfigure = 10
+	maxTerminate = 2
+	maxFailure   = 5
 )
 
 // Policy supplies the protocol-specific option semantics to the generic
@@ -63,13 +63,13 @@ type Policy interface {
 	ApplyPeer(opts []Option)
 }
 
-// Hooks are the this-layer-* signals of RFC 1661 §4.3. Any nil hook is
-// skipped. In the P5 these surface as Protocol-OAM interrupts to the host.
+// Hooks are the this-layer-up/down signals of RFC 1661 §4.3. Any nil
+// hook is skipped. In the P5 these surface as Protocol-OAM interrupts to
+// the host. This-layer-started and -finished have no hook: the lower
+// layer here is always there to be used.
 type Hooks struct {
-	Up       func() // tlu: entered Opened
-	Down     func() // tld: left Opened
-	Started  func() // tls: lower layer should come up
-	Finished func() // tlf: lower layer no longer needed
+	Up   func() // tlu: entered Opened
+	Down func() // tld: left Opened
 }
 
 // Automaton is the RFC 1661 option-negotiation state machine.
@@ -84,11 +84,6 @@ type Automaton struct {
 	// OnTransition, when set, observes every state change (telemetry
 	// tracing); it runs after the state is stored, before any hook.
 	OnTransition func(from, to State)
-
-	// Restart parameters; zero values take the RFC defaults.
-	MaxConfigure int
-	MaxTerminate int
-	MaxFailure   int
 	// Line is the round-trip estimate the restart timer reads and feeds:
 	// NewAutomaton's own, or one shared by the timers of a line.
 	Line *rtt.Estimate
@@ -118,27 +113,6 @@ func NewAutomaton(send func(*Packet), policy Policy, hooks Hooks) *Automaton {
 // State reports the current automaton state.
 func (a *Automaton) State() State { return a.state }
 
-func (a *Automaton) maxConfigure() int {
-	if a.MaxConfigure == 0 {
-		return defaultMaxConfigure
-	}
-	return a.MaxConfigure
-}
-
-func (a *Automaton) maxTerminate() int {
-	if a.MaxTerminate == 0 {
-		return defaultMaxTerminate
-	}
-	return a.MaxTerminate
-}
-
-func (a *Automaton) maxFailure() int {
-	if a.MaxFailure == 0 {
-		return defaultMaxFailure
-	}
-	return a.MaxFailure
-}
-
 // --- primitive actions (RFC 1661 §4.4) ---
 
 func (a *Automaton) tlu() {
@@ -153,18 +127,6 @@ func (a *Automaton) tld() {
 	}
 }
 
-func (a *Automaton) tls() {
-	if a.Hooks.Started != nil {
-		a.Hooks.Started()
-	}
-}
-
-func (a *Automaton) tlf() {
-	if a.Hooks.Finished != nil {
-		a.Hooks.Finished()
-	}
-}
-
 func (a *Automaton) startTimer() { a.deadline = a.now + a.Line.Period(a.backoff) }
 func (a *Automaton) stopTimer()  { a.deadline = 0 }
 
@@ -172,9 +134,9 @@ func (a *Automaton) stopTimer()  { a.deadline = 0 }
 func (a *Automaton) irc(terminate bool) {
 	a.backoff = 0
 	if terminate {
-		a.restart = a.maxTerminate()
+		a.restart = maxTerminate
 	} else {
-		a.restart = a.maxConfigure()
+		a.restart = maxConfigure
 		a.failures = 0
 	}
 }
@@ -215,7 +177,7 @@ func (a *Automaton) scn(id byte, naks, rejs []Option) {
 		return
 	}
 	a.failures++
-	if a.failures > a.maxFailure() {
+	if a.failures > maxFailure {
 		a.send(&Packet{Code: ConfigureReject, ID: id, Data: MarshalOptions(nil, naks)})
 		return
 	}
@@ -281,7 +243,6 @@ func (a *Automaton) Down() {
 	case closed:
 		a.setState(initial)
 	case Stopped:
-		a.tls()
 		a.setState(Starting)
 	case closing:
 		a.setState(initial)
@@ -297,7 +258,6 @@ func (a *Automaton) Down() {
 func (a *Automaton) Open() {
 	switch a.state {
 	case initial:
-		a.tls()
 		a.setState(Starting)
 	case closed:
 		a.irc(false)
@@ -315,7 +275,6 @@ func (a *Automaton) Open() {
 func (a *Automaton) Close() {
 	switch a.state {
 	case Starting:
-		a.tlf()
 		a.setState(initial)
 	case Stopped:
 		a.setState(closed)
@@ -374,10 +333,8 @@ func (a *Automaton) timeoutRetry() {
 func (a *Automaton) timeoutGiveUp() {
 	switch a.state {
 	case closing:
-		a.tlf()
 		a.setState(closed)
 	case stopping, reqSent, ackRcvd, ackSent:
-		a.tlf()
 		a.setState(Stopped)
 	default:
 		a.stopTimer()

@@ -329,25 +329,13 @@ func TestTimeoutRetransmission(t *testing.T) {
 }
 
 func TestTimeoutGivesUpAfterMaxConfigure(t *testing.T) {
-	var finished bool
 	p := NewLCPPolicy(1)
-	a := NewAutomaton(func(*Packet) {}, p, Hooks{Finished: func() { finished = true }})
-	a.MaxConfigure = 3
+	a := NewAutomaton(func(*Packet) {}, p, Hooks{})
 	a.Open()
 	a.Up()
-	now := int64(0)
-	for i := 0; i < 10 && a.State() == reqSent; i++ {
-		now += DefaultRestartPeriod
-		a.Advance(now)
-	}
-	if a.State() != Stopped {
-		t.Fatalf("state = %v, want Stopped", a.State())
-	}
-	if !finished {
-		t.Error("this-layer-finished not signalled")
-	}
-	if a.TxPackets != 3 {
-		t.Errorf("TxPackets = %d, want 3 (MaxConfigure)", a.TxPackets)
+	toStopped(t, a)
+	if a.TxPackets != maxConfigure {
+		t.Errorf("TxPackets = %d, want %d (Max-Configure)", a.TxPackets, maxConfigure)
 	}
 }
 
@@ -554,11 +542,10 @@ func TestMaxFailureConvertsNakToReject(t *testing.T) {
 	p := NewLCPPolicy(1)
 	var sent []*Packet
 	a := NewAutomaton(func(pkt *Packet) { sent = append(sent, clonePacket(pkt)) }, p, Hooks{})
-	a.MaxFailure = 2
 	a.Open()
 	a.Up()
 	badReq := MarshalOptions(nil, []Option{u16opt(optMRU, 1)}) // below minMRU
-	for i := byte(1); i <= 4; i++ {
+	for i := byte(1); i <= maxFailure+2; i++ {
 		a.Receive(&Packet{Code: ConfigureRequest, ID: i, Data: badReq})
 	}
 	var naks, rejs int
@@ -570,8 +557,8 @@ func TestMaxFailureConvertsNakToReject(t *testing.T) {
 			rejs++
 		}
 	}
-	if naks != 2 || rejs < 1 {
-		t.Errorf("naks=%d rejs=%d, want 2 naks then rejects", naks, rejs)
+	if naks != maxFailure || rejs < 1 {
+		t.Errorf("naks=%d rejs=%d, want %d naks (Max-Failure) then rejects", naks, rejs, maxFailure)
 	}
 }
 

@@ -74,9 +74,6 @@ type LCPPolicy struct {
 	// AuthDemanded records the authentication protocol the peer's
 	// acknowledged Configure-Request requires of us (0 = none).
 	AuthDemanded uint16
-	// AuthGranted records that the peer acknowledged our RequireAuth
-	// demand.
-	AuthGranted bool
 
 	// LoopbackSuspected counts magic-number collisions seen in peer
 	// requests — the RFC 1661 looped-link telltale.
@@ -259,8 +256,6 @@ func (p *LCPPolicy) PeerAcked(opts []Option) {
 			res.PFC = true
 		case OptACFC:
 			res.ACFC = true
-		case optAuthProto:
-			p.AuthGranted = true
 		}
 	}
 	p.Local = res

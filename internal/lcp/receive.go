@@ -187,10 +187,8 @@ func (a *Automaton) rtr(id byte) {
 func (a *Automaton) rta() {
 	switch a.state {
 	case closing:
-		a.tlf()
 		a.setState(closed)
 	case stopping:
-		a.tlf()
 		a.setState(Stopped)
 	case ackRcvd:
 		a.setState(reqSent)
@@ -215,10 +213,8 @@ func (a *Automaton) ruc(p *Packet) {
 func (a *Automaton) rxjBad() {
 	switch a.state {
 	case closed, closing:
-		a.tlf()
 		a.setState(closed)
 	case Stopped, stopping, reqSent, ackRcvd, ackSent:
-		a.tlf()
 		a.setState(Stopped)
 	case Opened:
 		a.tld()

@@ -165,8 +165,6 @@ type Gen struct {
 	id uint16
 	// Octets counts total generated datagram bytes.
 	Octets uint64
-	// EscapableOctets counts payload bytes that will need stuffing.
-	EscapableOctets uint64
 }
 
 // NewGen returns a generator with the given seed, size mix and escape
@@ -196,7 +194,6 @@ func (g *Gen) Next() []byte {
 			} else {
 				b = 0x7D
 			}
-			g.EscapableOctets++
 		} else {
 			// Avoid accidental escapes so the density is exact.
 			for {

@@ -52,7 +52,7 @@ func TestHostWriteLandsOnAClockEdge(t *testing.T) {
 	sys.OAM.Write(RegCtrl, ctrlRxEnable)
 	sys.Send(TxJob{Protocol: ppp.ProtoIPv4, Payload: payload})
 	sys.Cycle()
-	if sys.Tx.Framer.FramesStarted != 0 {
+	if sys.Tx.Framer.size != 0 {
 		t.Fatal("framer started a frame in the clock after TxEnable was cleared")
 	}
 
@@ -63,8 +63,8 @@ func TestHostWriteLandsOnAClockEdge(t *testing.T) {
 		sys := NewSystem(4)
 		sys.OAM.Write(RegFCSMode, sizes[0])
 		sys.Send(TxJob{Protocol: ppp.ProtoIPv4, Payload: payload})
-		for sys.Rx.CRC.Frames == 0 {
-			sys.Cycle()
+		for f, ok := sys.Rx.CRC.Out.Peek(); !ok || !f.EOF; f, ok = sys.Rx.CRC.Out.Peek() {
+			sys.Cycle() // until RxCRC's verdict on the frame end waits for RxControl
 		}
 		sys.OAM.Write(RegFCSMode, sizes[1])
 		sys.Cycle()

@@ -174,7 +174,6 @@ type RxCRC struct {
 	// RxControl strips that frame by it on the next clock.
 	judged crc.Size
 
-	Frames    uint64
 	FCSErrors uint64
 }
 
@@ -196,7 +195,6 @@ func (r *RxCRC) Eval() {
 	}
 	r.core.step(f)
 	if f.EOF {
-		r.Frames++
 		r.judged = r.core.mode
 		if !f.Err && !f.Abort && !r.core.good() {
 			f.Err = true

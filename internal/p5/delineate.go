@@ -21,8 +21,6 @@ type delineator struct {
 
 	// W is the datapath width in octets.
 	W int
-	// BufCap bounds the internal buffer; zero selects 8W.
-	BufCap int
 
 	fifo    resync
 	inFrame bool
@@ -32,17 +30,12 @@ type delineator struct {
 
 	// Counters surfaced through the OAM.
 	FlagsSeen uint64
-	Frames    uint64
 	Aborts    uint64
 	Overruns  uint64
 }
 
-func (dl *delineator) bufCap() int {
-	if dl.BufCap == 0 {
-		return 8 * dl.W
-	}
-	return dl.BufCap
-}
+// bufCap bounds the internal buffer: eight words.
+func (dl *delineator) bufCap() int { return 8 * dl.W }
 
 // busy reports whether frame content is still buffered.
 func (dl *delineator) busy() bool { return dl.fifo.count() > 0 }
@@ -104,7 +97,6 @@ func (dl *delineator) closeFrame() {
 		// Abort sequence: the frame was deliberately cancelled.
 		dl.Aborts++
 	}
-	dl.Frames++
 	dl.fifo.mark(dl.dropped, abort)
 }
 

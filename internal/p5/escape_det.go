@@ -38,9 +38,6 @@ type EscapeDetect struct {
 
 	// W is the datapath width in octets.
 	W int
-	// BufCap is the resynchronisation buffer capacity in octets; the
-	// zero value selects 4W.
-	BufCap int
 
 	st      [2]detStage // stage A's register is st[a], stage B's the other
 	a       int
@@ -51,7 +48,6 @@ type EscapeDetect struct {
 
 	// Counters surfaced through the OAM.
 	Removed     uint64 // escape octets removed
-	Frames      uint64 // frames completed
 	InputStalls uint64
 }
 
@@ -63,12 +59,9 @@ type detStage struct {
 	outN  int
 }
 
-func (d *EscapeDetect) bufCap() int {
-	if d.BufCap == 0 {
-		return 4 * d.W
-	}
-	return d.BufCap
-}
+// bufCap is the resynchronisation buffer capacity in octets: four
+// words.
+func (d *EscapeDetect) bufCap() int { return 4 * d.W }
 
 // Occupancy returns the current buffer fill.
 func (d *EscapeDetect) Occupancy() int { return d.fifo.count() }
@@ -168,7 +161,6 @@ func (d *EscapeDetect) merge(st *detStage) {
 	if st.flit.EOF {
 		d.fifo.mark(st.flit.Err, st.flit.Abort)
 		d.sofPend = false
-		d.Frames++
 	}
 }
 

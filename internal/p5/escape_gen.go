@@ -44,9 +44,6 @@ type EscapeGen struct {
 	// unit would otherwise emit nothing — the continuous line fill of
 	// a real POS interface.
 	IdleFill bool
-	// BufCap is the resynchronisation buffer capacity in octets; the
-	// zero value selects 4W.
-	BufCap int
 
 	st       [2]genStage // stage A's register is st[a], stage B's the other
 	a        int
@@ -57,7 +54,6 @@ type EscapeGen struct {
 
 	// Counters surfaced through the OAM.
 	Escaped     uint64 // octets escaped
-	Frames      uint64 // frames delimited
 	InputStalls uint64 // cycles input was refused by backpressure
 	IdleWords   uint64 // idle fill words emitted
 }
@@ -72,19 +68,11 @@ type genStage struct {
 	expN   int
 }
 
-func (g *EscapeGen) bufCap() int {
-	c := g.BufCap
-	if c == 0 {
-		c = 4 * g.W
-	}
-	// A single worst-case word commits 2W stuffed octets plus two
-	// delimiting flags; any smaller buffer could never accept it and
-	// the unit would deadlock.
-	if min := 2*g.W + 2; c < min {
-		c = min
-	}
-	return c
-}
+// bufCap is the resynchronisation buffer capacity in octets: four
+// words. A single worst-case word commits 2W stuffed octets plus two
+// delimiting flags, and 4W ≥ 2W+2 for every W ≥ 1, so the buffer always
+// takes it and the unit cannot deadlock.
+func (g *EscapeGen) bufCap() int { return 4 * g.W }
 
 // Occupancy returns the current resynchronisation-buffer fill.
 func (g *EscapeGen) Occupancy() int { return g.fifo.count() }
@@ -214,7 +202,6 @@ func (g *EscapeGen) merge(st *genStage) {
 			closing, n = closing<<8|hdlc.Escape, 2
 		}
 		g.fifo.push(closing, n, false)
-		g.Frames++
 		g.inFrame = false
 		g.lastFlag = true
 	}

@@ -51,8 +51,7 @@ type Framer struct {
 	size, off int
 
 	// Counters surfaced through the OAM.
-	FramesStarted uint64
-	OctetsRead    uint64
+	OctetsRead uint64
 }
 
 // Enqueue appends jobs to the shared-memory transmit queue.
@@ -100,7 +99,6 @@ func (fr *Framer) Eval() {
 		}
 		fr.job, fr.off, fr.size = job, 0, 4+len(job.Payload)
 		fr.hdr = uint64(addr) | uint64(cfg.control)<<8 | uint64(job.Protocol>>8)<<16 | uint64(byte(job.Protocol))<<24
-		fr.FramesStarted++
 	}
 	if !fr.Out.CanPush() {
 		return

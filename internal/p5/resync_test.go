@@ -75,10 +75,12 @@ func (v *valve) Eval() {
 // TestResyncRingEdgeCases drives each resynchronisation buffer at small
 // and awkward capacities: a stalled run of 1-octet frames, whose in-band
 // end-of-frame markers are the one thing the units do not bound, then
-// ordinary frames. The buffer's room is four times the next power of two
-// at or above bufCap() (each lane 8 entries longer, the word-load margin),
-// stays a power of two when the markers force it to double, never holds
-// more than bufCap() octets, and loses no boundary.
+// ordinary frames. Each capacity is reserved before the first clock, in
+// place of the unit's own 8W or 4W. The buffer's room is four times the
+// next power of two at or above it (each lane 8 entries longer, the
+// word-load margin), stays a power of two when the markers force it to
+// double, never holds more than the capacity in octets, and loses no
+// boundary.
 func TestResyncRingEdgeCases(t *testing.T) {
 	octets := func(q *resync) (n int) {
 		for _, f := range q.flg[q.head:q.tail] {
@@ -99,17 +101,17 @@ func TestResyncRingEdgeCases(t *testing.T) {
 					src := &rtl.Source{Out: sim.Wire("in")}
 					out := &valve{in: sim.Wire("out")}
 					var fifo *resync
-					var limit func() int
 					var busy func() bool
 					if unit == "delineator" {
-						dl := &delineator{In: src.Out, Out: out.in, W: w, BufCap: bufCap}
+						dl := &delineator{In: src.Out, Out: out.in, W: w}
 						sim.Add(src, dl, out)
-						fifo, limit, busy = &dl.fifo, dl.bufCap, dl.busy
+						fifo, busy = &dl.fifo, dl.busy
 					} else {
-						det := &EscapeDetect{In: src.Out, Out: out.in, W: w, BufCap: bufCap}
+						det := &EscapeDetect{In: src.Out, Out: out.in, W: w}
 						sim.Add(src, det, out)
-						fifo, limit, busy = &det.fifo, det.bufCap, det.busy
+						fifo, busy = &det.fifo, det.busy
 					}
+					fifo.reserve(bufCap) // the sweep's capacity, not the unit's own 8W or 4W
 					storage := 4 << bits.Len(uint(bufCap-1))
 
 					// The corpus: a run of 1-octet frames, then ordinary ones.
@@ -140,8 +142,8 @@ func TestResyncRingEdgeCases(t *testing.T) {
 						if c := fifo.room(); c&(c-1) != 0 || fifo.tail > c || len(fifo.flg) != c+8 {
 							t.Fatalf("cycle %d: room of %d entries (%d-entry flag lane) holds [%d,%d)", sim.Now(), c, len(fifo.flg), fifo.head, fifo.tail)
 						}
-						if n := octets(fifo); n > limit() {
-							t.Fatalf("cycle %d: %d octets buffered, bufCap %d", sim.Now(), n, limit())
+						if n := octets(fifo); n > bufCap {
+							t.Fatalf("cycle %d: %d octets buffered, bufCap %d", sim.Now(), n, bufCap)
 						}
 					}
 
@@ -156,8 +158,8 @@ func TestResyncRingEdgeCases(t *testing.T) {
 					// The delineator cannot refuse the line, so its markers pile up
 					// without bound; escape detect stops taking words at bufCap and
 					// overshoots by a marker or two at most.
-					if unit == "delineator" && fifo.HighWater <= limit() {
-						t.Errorf("stalled run reached %d entries, want the markers to overfill bufCap %d", fifo.HighWater, limit())
+					if unit == "delineator" && fifo.HighWater <= bufCap {
+						t.Errorf("stalled run reached %d entries, want the markers to overfill bufCap %d", fifo.HighWater, bufCap)
 					}
 					grown := storage // doubled exactly as far as the markers forced it
 					for grown < fifo.HighWater {

@@ -62,11 +62,9 @@ type RxControl struct {
 	start               int
 
 	// Counters surfaced through the OAM.
-	Good      uint64
-	Bad       uint64
-	Aborted   uint64
-	Runts     uint64
-	Delivered uint64
+	Good  uint64
+	Bad   uint64
+	Runts uint64
 }
 
 // Eval implements rtl.Module.
@@ -107,7 +105,6 @@ func (rc *RxControl) complete(streamErr, aborted bool) {
 		rc.Runts++
 		out.Err = errRxRunt
 	case aborted || streamErr:
-		rc.Aborted++
 		out.Err = errRxAborted
 	default:
 		// RxCRC has given the FCS verdict; the decode only parses.
@@ -121,7 +118,6 @@ func (rc *RxControl) complete(streamErr, aborted bool) {
 	if out.Err != nil {
 		rc.Bad++
 	}
-	rc.Delivered++
 	if rc.Deliver != nil {
 		rc.Deliver(out)
 		return

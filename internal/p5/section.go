@@ -25,7 +25,6 @@ type Section struct {
 	rx      []byte // recovered octets; rx[head:] is not yet fed on
 	head    int
 	spans   [][]byte // Z.Recv's scratch
-	stalls  uint64   // cycles the staging bound held the transmitter
 }
 
 // Eval implements rtl.Module: feed up to W recovered octets to the
@@ -40,8 +39,6 @@ func (s *Section) Eval() {
 		if len(s.staged)+f.N <= s.level.PayloadBytes() {
 			s.in.Take()
 			s.staged = f.Bytes(s.staged)
-		} else {
-			s.stalls++
 		}
 	}
 	if s.budget -= s.w; s.budget > 0 {

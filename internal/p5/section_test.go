@@ -94,8 +94,9 @@ func TestSectionSystemOverheadThrottlesGoodput(t *testing.T) {
 		t.Errorf("goodput %.2f bits/cycle, want ≈ %.2f ±5%% (overhead ratio %.4f)",
 			gotBitsPerCycle, ideal, ratio)
 	}
-	// The throttle is backpressure, visible at the section's input.
-	if sys.Section.stalls == 0 {
+	// The throttle is backpressure, visible at the section's input: the
+	// line finds the wire into the section still full.
+	if sys.Section.in.Stalls == 0 {
 		t.Error("no backpressure recorded at the section")
 	}
 }

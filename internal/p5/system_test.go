@@ -488,7 +488,7 @@ func TestSystemInstrumentExportsPipelineSeries(t *testing.T) {
 		t.Fatal("system did not drain")
 	}
 	sys.SyncTelemetry()
-	snap := reg.Snapshot("final")
+	snap := reg.Snapshot()
 	for _, series := range []string{
 		"p5_cycles_total",
 		"p5_tx_frames_total",
@@ -541,7 +541,7 @@ func TestSystemFillLatencyGaugeFourCycles(t *testing.T) {
 		t.Errorf("histogram count=%d p99=%d, want 5 and 4", h.Count(), h.Quantile(0.99))
 	}
 	sys.SyncTelemetry()
-	snap := reg.Snapshot("final")
+	snap := reg.Snapshot()
 	if v, ok := snap.Get("p5_tx_fill_latency_cycles"); !ok || v != 4 {
 		t.Errorf("fill gauge = %v (present=%v), want 4", v, ok)
 	}

@@ -126,7 +126,7 @@ func TestCollectorTelemetryMirrors(t *testing.T) {
 	p.BatchEnd()
 	col.Join()
 
-	snap := reg.Snapshot("t")
+	snap := reg.Snapshot()
 	if v, ok := snap.Get(`prof_stage_ns_total{engine="mirror",shard="0",stage="encode"}`); !ok || v != 10 {
 		t.Errorf("encode mirror = %v (ok=%v), want 10", v, ok)
 	}
@@ -152,14 +152,14 @@ func TestStepRingLapsAndHistogramSync(t *testing.T) {
 		t.Fatalf("ring retains %d entries, want %d", got, stepRing)
 	}
 	col.sync()
-	snap := reg.Snapshot("t")
+	snap := reg.Snapshot()
 	// Only the retained window is observable after a lap.
 	if v, _ := snap.Get(`prof_step_ns_count{engine="ring"}`); v != stepRing {
 		t.Errorf("histogram count = %v, want %d (retained window)", v, stepRing)
 	}
 	// A second sync with no new steps adds nothing.
 	col.sync()
-	snap = reg.Snapshot("t")
+	snap = reg.Snapshot()
 	if v, _ := snap.Get(`prof_step_ns_count{engine="ring"}`); v != stepRing {
 		t.Errorf("histogram count after idle sync = %v, want %d", v, stepRing)
 	}

@@ -62,7 +62,7 @@ func TestRuntimeExporterSnapshotRoundTrip(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	ExportRuntime(reg)
 
-	s1 := reg.Snapshot("one")
+	s1 := reg.Snapshot()
 	g, ok := s1.Get("runtime_goroutines")
 	if !ok || g < 1 {
 		t.Fatalf("runtime_goroutines = %v (ok=%v), want >= 1", g, ok)
@@ -74,7 +74,7 @@ func TestRuntimeExporterSnapshotRoundTrip(t *testing.T) {
 
 	runtime.GC()
 	runtime.GC()
-	s2 := reg.Snapshot("two")
+	s2 := reg.Snapshot()
 	c2, _ := s2.Get("runtime_gc_cycles_total")
 	if c2 < c1+2 {
 		t.Errorf("gc cycles %v -> %v: snapshot did not resample after 2 forced GCs", c1, c2)

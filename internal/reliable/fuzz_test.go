@@ -104,8 +104,13 @@ func FuzzStation(f *testing.F) {
 		}
 		tick := func() {
 			now++
-			a.Advance(now)
-			b.Advance(now)
+			for _, s := range []*Station{a, b} {
+				was := s.Connected()
+				s.Advance(now)
+				if was && !s.Connected() {
+					resets++ // N2 exhausted: the station reset itself
+				}
+			}
 			check()
 			for arrive(&ab, b) || arrive(&ba, a) {
 			}
@@ -134,7 +139,7 @@ func FuzzStation(f *testing.F) {
 			}
 			tick()
 		}
-		if resets+int(a.Resets+b.Resets) == 0 && got != sent {
+		if resets == 0 && got != sent {
 			t.Fatalf("clean drain delivered %v of %v with no reset", got, sent)
 		}
 	})

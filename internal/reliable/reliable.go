@@ -136,7 +136,7 @@ type Station struct {
 	sentAt  int64
 
 	// Counters.
-	TxI, RxI, TxREJ, RxREJ, Retransmits, Resets uint64
+	TxI, RxI, RxREJ, Retransmits uint64
 }
 
 // Connected reports whether the link is in asynchronous balanced mode.
@@ -250,7 +250,6 @@ func (s *Station) Advance(now int64) {
 		s.armT1()
 	case s.retries > maxRetries:
 		// N2 exhausted: reset the link (RFC 1663 §2 / LAPB).
-		s.Resets++
 		s.connected = false
 		s.reset()
 		if s.initiator {
@@ -323,7 +322,6 @@ func (s *Station) receiveI(f Frame) {
 		// Out of sequence: discard and (once) ask for a go-back.
 		if !s.rejSent {
 			s.rejSent = true
-			s.TxREJ++
 			s.Out(Frame{Ctrl: sCtrl(ctrlREJ, s.vr)})
 		}
 		return

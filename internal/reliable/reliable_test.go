@@ -183,7 +183,7 @@ func TestREJTriggersGoBackN(t *testing.T) {
 		w.a.Send([]byte{byte(i)})
 	}
 	w.run(1000)
-	if w.b.TxREJ == 0 {
+	if w.a.RxREJ == 0 {
 		t.Error("receiver never sent REJ")
 	}
 	if w.a.Retransmits == 0 {
@@ -323,12 +323,12 @@ func TestN2ExhaustionResetsLink(t *testing.T) {
 	w.drop = func(Frame) bool { return true }
 	w.a.Send([]byte{1})
 	now := int64(0)
-	for i := 0; i < 4000 && w.a.Resets == 0; i++ {
+	for i := 0; i < 4000 && w.a.Connected(); i++ {
 		now += 5
 		w.a.Advance(now)
 		w.run(10)
 	}
-	if w.a.Resets == 0 {
+	if w.a.Connected() {
 		t.Error("link never reset after N2 exhaustion")
 	}
 }

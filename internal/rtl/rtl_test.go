@@ -377,7 +377,7 @@ func TestSimInstrument(t *testing.T) {
 	sim.RunUntil(func() bool { return len(sink.Flits) == n }, 10000)
 	m.Sync()
 
-	snap := reg.Snapshot("t")
+	snap := reg.Snapshot()
 	mustGet := func(series string) float64 {
 		v, ok := snap.Get(series)
 		if !ok {

@@ -14,7 +14,6 @@ type VCD struct {
 	w          io.Writer
 	signals    []vcdSignal
 	headerDone bool
-	time       int64
 	err        error
 }
 
@@ -101,5 +100,4 @@ func (v *VCD) Sample(cycle int64) {
 		}
 		s.last, s.lastV, s.first = val, ok, false
 	}
-	v.time = cycle
 }

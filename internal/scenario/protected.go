@@ -12,8 +12,9 @@ import (
 )
 
 // protected is the 1+1 pair's own lines as a ledger medium: each end's
-// port ticks its two sections, so a tick moves nothing else.
-type protected struct{ a, b *aps.Protected }
+// port ticks its two sections, so a tick moves nothing else. Faults go
+// on the a end's sections.
+type protected struct{ a *aps.Protected }
 
 func (protected) tick(int64)      {}
 func (protected) act(event)       {}
@@ -70,7 +71,7 @@ func (s *Scenario) runProtected(rc RunConfig, res *Result) error {
 	}
 	runs := []*circuitRun{{name: "prot", a: end(a, la), b: end(b, lb)}}
 	notePaths(res, runs)
-	s.ledger(res, runs, protected{la, lb}, w.SLOs)
+	s.ledger(res, runs, protected{la}, w.SLOs)
 	res.Board = w.Board
 
 	out, st := rc.Out, lb.Ctrl.Stats

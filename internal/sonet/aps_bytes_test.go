@@ -51,9 +51,6 @@ func TestK1K2CarriedAndFiltered(t *testing.T) {
 	if !ok || k1 != 0xC1 || k2 != 0x15 {
 		t.Errorf("APSBytes = %#x/%#x/%v", k1, k2, ok)
 	}
-	if df.APSAccepts != 2 {
-		t.Errorf("APSAccepts = %d", df.APSAccepts)
-	}
 }
 
 // TestB2CleanLine: no line parity errors on an unimpaired section.

@@ -124,7 +124,6 @@ type DefectMonitor struct {
 	winErr    int
 	raises    [5]uint64
 	clears    [5]uint64
-	dropped   uint64 // events not logged because of the cap
 }
 
 // eventCap bounds the transition log so a long soak cannot grow it
@@ -231,8 +230,6 @@ func (m *DefectMonitor) clearDef(d Defect) {
 func (m *DefectMonitor) event(e DefectEvent) {
 	if len(m.Events) < eventCap {
 		m.Events = append(m.Events, e)
-	} else {
-		m.dropped++
 	}
 	if m.OnEvent != nil {
 		m.OnEvent(e)

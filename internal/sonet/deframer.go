@@ -51,7 +51,6 @@ type Deframer struct {
 	B2Errors      uint64 // line BIP mismatches (drive SD/SF declaration)
 	B3Errors      uint64
 	ResyncCount   uint64
-	APSAccepts    uint64 // accepted K1/K2 changes
 }
 
 // apsAcceptFrames is the K1/K2 persistence requirement: a value must
@@ -229,7 +228,6 @@ func (d *Deframer) observeAPS(k1, k2 byte) {
 	}
 	d.apsK1, d.apsK2 = k1, k2
 	d.apsValid = true
-	d.APSAccepts++
 	if d.OnAPS != nil {
 		d.OnAPS(k1, k2)
 	}

@@ -208,7 +208,7 @@ func TestSystemTableRows(t *testing.T) {
 
 func TestEscapeGenerateTableFormat(t *testing.T) {
 	rows := EscapeGenerateTable(XC2V40)
-	if len(rows) != 2 || rows[0].Width != 4 || rows[1].Width != 1 {
+	if len(rows) != 2 || rows[0].Name != "escape-generate 32-bit" || rows[1].Name != "escape-generate 8-bit" {
 		t.Fatalf("rows = %+v", rows)
 	}
 	out := FormatModuleTable(XC2V40, rows)

@@ -7,16 +7,14 @@ import (
 
 // SystemRow is one device row of a Table 1/2-style synthesis summary.
 type SystemRow struct {
-	Device     Device
-	LUTs       int
-	LUTPct     float64
-	FFs        int
-	FFPct      float64
-	FMaxPre    float64
-	FMaxPost   float64
-	MeetsRate  bool // post-layout fMax clears 78.125 MHz
-	Depth      int
-	LineGbpsAt float64 // line rate at the required clock
+	Device    Device
+	LUTs      int
+	LUTPct    float64
+	FFs       int
+	FFPct     float64
+	FMaxPre   float64
+	FMaxPost  float64
+	MeetsRate bool // post-layout fMax clears 78.125 MHz
 }
 
 // SystemTable computes the paper's Table 1 (w = 1) or Table 2 (w = 4)
@@ -29,16 +27,14 @@ func SystemTable(w int, devices ...Device) []SystemRow {
 		pre := d.Tech.FMaxMHz(tot.Depth, false)
 		post := d.Tech.FMaxMHz(tot.Depth, true)
 		rows = append(rows, SystemRow{
-			Device:     d,
-			LUTs:       tot.LUTs,
-			LUTPct:     utilPct(tot.LUTs, d.LUTs),
-			FFs:        tot.FFs,
-			FFPct:      utilPct(tot.FFs, d.FFs),
-			FMaxPre:    pre,
-			FMaxPost:   post,
-			MeetsRate:  post >= RequiredMHz,
-			Depth:      tot.Depth,
-			LineGbpsAt: LineRateGbps(RequiredMHz, w),
+			Device:    d,
+			LUTs:      tot.LUTs,
+			LUTPct:    utilPct(tot.LUTs, d.LUTs),
+			FFs:       tot.FFs,
+			FFPct:     utilPct(tot.FFs, d.FFs),
+			FMaxPre:   pre,
+			FMaxPost:  post,
+			MeetsRate: post >= RequiredMHz,
 		})
 	}
 	return rows
@@ -47,7 +43,6 @@ func SystemTable(w int, devices ...Device) []SystemRow {
 // ModuleRow is one entry of the Table 3-style module comparison.
 type ModuleRow struct {
 	Name   string
-	Width  int
 	LUTs   int
 	LUTPct float64
 	FFs    int
@@ -62,7 +57,6 @@ func EscapeGenerateTable(d Device) []ModuleRow {
 		c := escapeGenerate(w)
 		rows = append(rows, ModuleRow{
 			Name:   fmt.Sprintf("escape-generate %d-bit", w*8),
-			Width:  w,
 			LUTs:   c.LUTs,
 			LUTPct: utilPct(c.LUTs, d.LUTs),
 			FFs:    c.FFs,

@@ -52,7 +52,7 @@ func Publish(reg *Registry, name string) {
 		return
 	}
 	expvar.Publish(name, expvar.Func(func() any {
-		snap := reg.Snapshot(name)
+		snap := reg.Snapshot()
 		out := make(map[string]float64, len(snap.Samples()))
 		for _, s := range snap.Samples() {
 			out[s.Series] = s.Value
@@ -66,7 +66,6 @@ type Server struct {
 	// Addr is the bound listen address (useful with ":0").
 	Addr string
 
-	ln  net.Listener
 	srv *http.Server
 }
 
@@ -79,7 +78,7 @@ func ServeHandler(addr string, h http.Handler) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{Addr: ln.Addr().String(), ln: ln, srv: &http.Server{Handler: h}}
+	s := &Server{Addr: ln.Addr().String(), srv: &http.Server{Handler: h}}
 	go s.srv.Serve(ln)
 	return s, nil
 }

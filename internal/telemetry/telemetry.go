@@ -20,7 +20,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // kind classifies a metric for exposition and delta semantics.
@@ -367,27 +366,22 @@ type Sample struct {
 	Value float64
 }
 
-// Snapshot is a named, timestamped flattening of a registry: every
-// counter and gauge one sample, every histogram a _bucket series per
-// bound plus _sum and _count. Samples are sorted by series name.
+// Snapshot is a flattening of a registry: every counter and gauge one
+// sample, every histogram a _bucket series per bound plus _sum and
+// _count. Samples are sorted by series name.
 type Snapshot struct {
-	// Name labels the snapshot (the registry owner's choosing).
-	Name string
-	// At is the capture time.
-	At time.Time
-
 	samples []Sample
 	idx     map[string]int
 }
 
 // Snapshot captures the current value of every registered series.
-func (r *Registry) Snapshot(name string) Snapshot {
+func (r *Registry) Snapshot() Snapshot {
 	r.runSamplers()
 	r.mu.RLock()
 	metrics := append([]*metric(nil), r.metrics...)
 	r.mu.RUnlock()
 
-	s := Snapshot{Name: name, At: time.Now()}
+	var s Snapshot
 	for _, m := range metrics {
 		switch m.kind {
 		case kindCounter:

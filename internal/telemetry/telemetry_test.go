@@ -6,7 +6,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestCounterGaugeHistogramBasics(t *testing.T) {
@@ -111,10 +110,10 @@ func TestSnapshotDeltaSemantics(t *testing.T) {
 	g := r.Gauge("fill", "")
 	c.Add(10)
 	g.Set(3)
-	s1 := r.Snapshot("t1")
+	s1 := r.Snapshot()
 	c.Add(5)
 	g.Set(8)
-	s2 := r.Snapshot("t2")
+	s2 := r.Snapshot()
 
 	d := delta(s2, s1)
 	if v, _ := d.Get("xfers_total"); v != 5 {
@@ -125,7 +124,7 @@ func TestSnapshotDeltaSemantics(t *testing.T) {
 	}
 	// A counter reset (value went backwards) reports the new value.
 	c.Set(2)
-	s3 := r.Snapshot("t3")
+	s3 := r.Snapshot()
 	if d := delta(s3, s2); func() float64 { v, _ := d.Get("xfers_total"); return v }() != 2 {
 		t.Error("counter reset not reported as new value")
 	}
@@ -135,11 +134,10 @@ func TestSnapshotRate(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("octets_total", "")
 	c.Add(100)
-	s1 := r.Snapshot("a")
+	s1 := r.Snapshot()
 	c.Add(300)
-	s2 := r.Snapshot("b")
-	s2.At = s1.At.Add(2 * time.Second) // pin the span for determinism
-	if rate := rate(s2, s1, "octets_total"); rate != 150 {
+	s2 := r.Snapshot()
+	if rate := rate(s2, s1, "octets_total", 2); rate != 150 {
 		t.Errorf("rate = %v, want 150", rate)
 	}
 }
@@ -150,7 +148,7 @@ func TestHistogramSnapshotFlattening(t *testing.T) {
 	h.Observe(1)
 	h.Observe(3)
 	h.Observe(9)
-	s := r.Snapshot("x")
+	s := r.Snapshot()
 	checks := map[string]float64{
 		`lat_bucket{unit="crc",le="2"}`:    1,
 		`lat_bucket{unit="crc",le="4"}`:    2,
@@ -194,14 +192,14 @@ func TestConcurrentWritersAndReaders(t *testing.T) {
 	readerDone := make(chan struct{})
 	go func() { // reader
 		defer close(readerDone)
-		prev := r.Snapshot("prev")
+		prev := r.Snapshot()
 		for {
 			select {
 			case <-stop:
 				return
 			default:
 			}
-			cur := r.Snapshot("cur")
+			cur := r.Snapshot()
 			delta(cur, prev)
 			prev = cur
 			r.WritePrometheus(io.Discard)
@@ -255,9 +253,6 @@ func TestTracerRingWrap(t *testing.T) {
 	}
 	if evs[0].Seq != 25 || evs[15].Seq != 40 {
 		t.Errorf("retained window [%d..%d], want [25..40]", evs[0].Seq, evs[15].Seq)
-	}
-	if tr.dropped != 24 {
-		t.Errorf("dropped = %d", tr.dropped)
 	}
 	// JSON round-trip.
 	var buf bytes.Buffer
@@ -318,7 +313,7 @@ func TestMirrorSyncsAndRefusesSecondClaim(t *testing.T) {
 
 	frames, depth = 7, -3
 	m.Sync()
-	snap := reg.Snapshot("t")
+	snap := reg.Snapshot()
 	if v, _ := snap.Get(`frames_total{link="a"}`); v != 7 {
 		t.Errorf(`frames_total{link="a"} = %v, want 7`, v)
 	}
@@ -352,9 +347,9 @@ func TestMirrorSyncsAndRefusesSecondClaim(t *testing.T) {
 // delta returns the change from prev to s: counter samples are
 // subtracted (series missing from prev keep their value; a counter that
 // went backwards — a reset — reports its new value), gauge samples keep
-// the newer value. The result carries s's name and timestamp.
+// the newer value.
 func delta(s, prev Snapshot) Snapshot {
-	d := Snapshot{Name: s.Name, At: s.At}
+	var d Snapshot
 	d.samples = make([]Sample, 0, len(s.samples))
 	for _, smp := range s.samples {
 		if smp.Kind == kindCounter {
@@ -369,9 +364,9 @@ func delta(s, prev Snapshot) Snapshot {
 }
 
 // rate returns a counter series' per-second rate over the span from
-// prev to s, or 0 when the span is empty or the series unknown.
-func rate(s, prev Snapshot, series string) float64 {
-	secs := s.At.Sub(prev.At).Seconds()
+// prev to s, secs long, or 0 when the span is empty or the series
+// unknown.
+func rate(s, prev Snapshot, series string, secs float64) float64 {
 	if secs <= 0 {
 		return 0
 	}

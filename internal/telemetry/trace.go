@@ -44,12 +44,12 @@ func (e Event) String() string {
 
 // Tracer is a bounded ring buffer of Events. Emission never blocks and
 // never allocates; when the ring is full the oldest event is
-// overwritten and counted as dropped. Safe for concurrent use.
+// overwritten, and the gap shows in the retained events' Seq against
+// Total. Safe for concurrent use.
 type Tracer struct {
-	mu      sync.Mutex
-	ring    []Event
-	seq     uint64 // events ever emitted
-	dropped uint64 // events overwritten before being read out
+	mu   sync.Mutex
+	ring []Event
+	seq  uint64 // events ever emitted
 }
 
 // NewTracer returns a tracer holding the most recent capacity events
@@ -64,9 +64,6 @@ func NewTracer(capacity int) *Tracer {
 // Emit records one event.
 func (t *Tracer) Emit(at int64, scope, name, detail string, v1, v2 int64) {
 	t.mu.Lock()
-	if t.seq >= uint64(len(t.ring)) {
-		t.dropped++
-	}
 	t.seq++
 	t.ring[(t.seq-1)%uint64(len(t.ring))] = Event{
 		Seq: t.seq, At: at, Scope: scope, Name: name, Detail: detail, V1: v1, V2: v2,

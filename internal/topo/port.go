@@ -45,7 +45,6 @@ type Port struct {
 
 	// Counters.
 	Switches     uint64
-	LastSwitchAt int64
 	LastFailover int64 // outage ticks healed by the last switch
 	FillOctets   uint64
 	RxDrops      uint64
@@ -239,7 +238,6 @@ func (p *Port) service(now int64) {
 			outage := now - p.lastGood[cur]
 			p.sel = cur.opp()
 			p.Switches++
-			p.LastSwitchAt = now
 			p.LastFailover = outage
 			if p.onSwitch != nil {
 				p.onSwitch("ring-switch", p.sel.String(), int64(p.sel), outage)

@@ -39,9 +39,6 @@ type ringAPS struct {
 	relay    [2]relayState
 	failed   map[int]int64 // east-span index -> known-failed until tick
 	now      int64         // last Advance tick
-
-	Wraps  uint64
-	OnWrap func(now int64, rot Rotation, on bool)
 }
 
 type relayState struct {
@@ -142,20 +139,6 @@ func (ra *ringAPS) reachable(a, b int, now int64) bool {
 	return false
 }
 
-// setWrap flips a wrap state.
-func (ra *ringAPS) setWrap(rot Rotation, on bool, now int64) {
-	if ra.wrapped[rot] == on {
-		return
-	}
-	ra.wrapped[rot] = on
-	if on {
-		ra.Wraps++
-	}
-	if ra.OnWrap != nil {
-		ra.OnWrap(now, rot, on)
-	}
-}
-
 // receiveK processes one K1/K2 pair observed on the incoming span of a
 // rotation. Call every tick with the deframer's current accepted pair
 // (K bytes are a continuous signal; absence lets held state age out).
@@ -190,7 +173,7 @@ func (ra *ringAPS) receiveK(rot Rotation, k1, k2 byte, now int64) {
 		wr = West
 	}
 	if sustains {
-		ra.setWrap(wr, true, now)
+		ra.wrapped[wr] = true
 		ra.farUntil[wr] = now + ra.KTTL
 		ra.markFailed(sp, now)
 		return
@@ -215,7 +198,7 @@ func (ra *ringAPS) advance(now int64, sfEast, sfWest bool) {
 			ra.localSF[r] = true
 			ra.wtrUntil[r] = 0
 			ra.markFailed(ra.inSpan(r), now)
-			ra.setWrap(wr, true, now)
+			ra.wrapped[wr] = true
 		case ra.localSF[r]:
 			// Cleared: hold the switch through wait-to-restore, then
 			// revert.
@@ -231,7 +214,7 @@ func (ra *ringAPS) advance(now int64, sfEast, sfWest bool) {
 		}
 		if ra.wrapped[wr] && !ra.localSF[r] &&
 			(ra.farUntil[wr] == 0 || now >= ra.farUntil[wr]) {
-			ra.setWrap(wr, false, now)
+			ra.wrapped[wr] = false
 			ra.farUntil[wr] = 0
 		}
 	}

@@ -13,7 +13,6 @@ import (
 // ticks as offset = tick · FrameBytes.
 type Span struct {
 	From, To int
-	Rot      Rotation
 
 	// Inject, when set, impairs the transmitted frames (scripted cuts,
 	// slips, noise bursts). Offsets count transmitted octets from tick
@@ -23,17 +22,14 @@ type Span struct {
 	// Line models the fibre's propagation delay and jitter.
 	Line channel.Line
 
-	fr   *sonet.Framer
-	df   *sonet.Deframer
-	ring *Ring
+	fr *sonet.Framer
+	df *sonet.Deframer
 
-	FramesSent      uint64
-	FramesDelivered uint64
-	DarkFrames      uint64 // zero frames launched while the source was failed
+	DarkFrames uint64 // zero frames launched while the source was failed
 }
 
 func newSpan(r *Ring, rot Rotation, from, to int) *Span {
-	s := &Span{From: from, To: to, Rot: rot, ring: r}
+	s := &Span{From: from, To: to}
 	s.Line = channel.Line{Delay: r.Cfg.Delay, Jitter: r.Cfg.Jitter}
 	if r.Cfg.Jitter > 0 {
 		s.Line.Rand = newRand(spanSeed(r.Cfg.Seed, rot, from))

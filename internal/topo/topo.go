@@ -234,7 +234,6 @@ func (r *Ring) Tick(now int64) {
 			for _, chunk := range r.popBuf {
 				if !r.nodes[s.To].Failed {
 					s.df.Feed(chunk)
-					s.FramesDelivered++
 				}
 			}
 		}
@@ -273,7 +272,6 @@ func (r *Ring) Tick(now int64) {
 				f = append([]byte(nil), f...)
 			}
 			s.Line.Push(now, f)
-			s.FramesSent++
 		}
 	}
 }

@@ -180,8 +180,8 @@ func TestUPSRSingleCutSwitchesHitless(t *testing.T) {
 	if pb.sel != West {
 		t.Fatalf("selected %v after East-path cut", pb.sel)
 	}
-	if d := pb.LastSwitchAt - cutAt; d < 0 || d > 400 {
-		t.Fatalf("switch at %+d ticks from the cut, budget 400", d)
+	if d := pb.LastFailover; d <= 0 || d > 400 {
+		t.Fatalf("switch healed %d dark ticks, budget 400", d)
 	}
 	a := analyse(got)
 	if a.junk != 0 {

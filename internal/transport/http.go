@@ -68,21 +68,18 @@ func (b *StatusBoard) SetInfo(flightArmed, profArmed, latencyTracing bool) {
 	b.mu.Unlock()
 }
 
-// snapshot returns the registered transports in name order.
-func (b *StatusBoard) snapshot() []struct {
+// namedTransport is one registered transport under its name.
+type namedTransport struct {
 	name string
 	t    LineTransport
-} {
+}
+
+// snapshot returns the registered transports in name order.
+func (b *StatusBoard) snapshot() []namedTransport {
 	b.mu.Lock()
-	out := make([]struct {
-		name string
-		t    LineTransport
-	}, 0, len(b.ts))
+	out := make([]namedTransport, 0, len(b.ts))
 	for n, t := range b.ts {
-		out = append(out, struct {
-			name string
-			t    LineTransport
-		}{n, t})
+		out = append(out, namedTransport{n, t})
 	}
 	b.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })

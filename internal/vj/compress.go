@@ -5,10 +5,7 @@ import "encoding/binary"
 // Compressor is the transmit side: it owns the slot table and the
 // last-transmitted-slot optimisation (the C bit).
 type Compressor struct {
-	// Slots bounds the connection table (default MaxSlots, max 254).
-	Slots int
-
-	table    []slot
+	table    []slot // the connection table: n slots, at most 254
 	byKey    map[connKey]int
 	lastSlot int
 	clock    uint64
@@ -24,7 +21,6 @@ func NewCompressor(n int) *Compressor {
 		n = maxSlots
 	}
 	return &Compressor{
-		Slots:    n,
 		table:    make([]slot, n),
 		byKey:    make(map[connKey]int, n),
 		lastSlot: 255,

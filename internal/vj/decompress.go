@@ -5,14 +5,13 @@ import "encoding/binary"
 // Decompressor is the receive side: it mirrors the compressor's slot
 // table and reconstructs full headers.
 type Decompressor struct {
-	Slots int
-
 	table    []slot
 	lastSlot int
 	toss     bool // discard compressed packets until resync
 
-	// Counters.
-	InIP, InUncompressed, InCompressed, Tossed uint64
+	// Tossed counts packets discarded: malformed, or compressed while
+	// the connection state is out of sync.
+	Tossed uint64
 }
 
 // NewDecompressor returns a decompressor with n slots (0 = MaxSlots).
@@ -20,14 +19,13 @@ func NewDecompressor(n int) *Decompressor {
 	if n <= 0 || n > 254 {
 		n = maxSlots
 	}
-	return &Decompressor{Slots: n, table: make([]slot, n), lastSlot: 255}
+	return &Decompressor{table: make([]slot, n), lastSlot: 255}
 }
 
 // Decompress reverses Compress for one packet.
 func (d *Decompressor) Decompress(t Type, p []byte) ([]byte, error) {
 	switch t {
 	case typeIP:
-		d.InIP++
 		return append([]byte(nil), p...), nil
 	case TypeUncompressed:
 		return d.uncompressed(p)
@@ -55,7 +53,6 @@ func (d *Decompressor) uncompressed(p []byte) ([]byte, error) {
 	s.used = true
 	d.lastSlot = idx
 	d.toss = false
-	d.InUncompressed++
 	return out, nil
 }
 
@@ -179,7 +176,6 @@ func (d *Decompressor) compressed(p []byte) ([]byte, error) {
 	copy(out[hdrLen:], data)
 	fixIPChecksum(out)
 	copy(s.hdr[:], out[:hdrLen])
-	d.InCompressed++
 	return out, nil
 }
 

@@ -151,10 +151,7 @@ var ErrLinkDown = errors.New("gigapos: link not opened")
 
 // NewLink creates an endpoint with the given configuration.
 func NewLink(cfg LinkConfig) *Link {
-	l := &Link{cfg: cfg}
-	// Arm the tokenizer's frame check: it folds each body once, at the
-	// closing flag, so decode never re-walks it.
-	l.tk.FCS = cfg.fcs()
+	l := &Link{cfg: cfg, tk: cfg.tokenizer()}
 	l.lcpPol = lcp.NewLCPPolicy(cfg.Magic)
 	l.lcpPol.WantMRU = cfg.MRU
 	l.lcpPol.WantPFC = cfg.WantPFC
@@ -233,6 +230,18 @@ func (c LinkConfig) fcs() FCSSize {
 		return FCS32
 	}
 	return c.FCS
+}
+
+// tokenizer is the receive framer for this configuration. Its frame
+// check folds each body once, at the closing flag, so decode never
+// re-walks it. Its bounds are what frame can accept: at most the
+// header (address, control, two-octet protocol), the larger of the
+// requested MRU and ppp.DefaultMRU, and the FCS; at least the FCS and
+// one octet. A peer that opens a frame and never closes it costs one
+// MaxFrame of arena, not the whole stream.
+func (c LinkConfig) tokenizer() hdlc.Tokenizer {
+	fcs := c.fcs().Bytes()
+	return hdlc.Tokenizer{FCS: c.fcs(), MaxFrame: 4 + max(c.MRU, ppp.DefaultMRU) + fcs, MinFrame: fcs + 1}
 }
 
 // dataTxConfig is the framing config for network-layer frames after

@@ -46,7 +46,7 @@ func TestLinkInstrumentTelemetry(t *testing.T) {
 	}
 	run(5, false)
 
-	snap := reg.Snapshot("up")
+	snap := reg.Snapshot()
 	get := func(series string) float64 {
 		v, ok := snap.Get(series)
 		if !ok {
@@ -77,7 +77,7 @@ func TestLinkInstrumentTelemetry(t *testing.T) {
 	if !a.Opened() {
 		t.Fatal("supervisor did not recover the link")
 	}
-	snap = reg.Snapshot("healed")
+	snap = reg.Snapshot()
 	for _, series := range []string{
 		`link_echo_timeouts_total{link="a"}`,
 		`link_supervisor_restarts_total{link="a"}`,

@@ -2,6 +2,7 @@ package gigapos
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"repro/internal/crc"
@@ -281,11 +282,11 @@ func TestAuthenticatedPeerPAP(t *testing.T) {
 	a.Up()
 	b.Up()
 	pump(t, a, b, 1000)
-	if authenticatedPeer(a) != "u" {
-		t.Errorf("peer = %q", authenticatedPeer(a))
+	if a.auth.peer() != "u" {
+		t.Errorf("peer = %q", a.auth.peer())
 	}
-	if authenticatedPeer(b) != "" {
-		t.Errorf("non-authenticator peer = %q", authenticatedPeer(b))
+	if b.auth.peer() != "" {
+		t.Errorf("non-authenticator peer = %q", b.auth.peer())
 	}
 }
 
@@ -439,4 +440,32 @@ func TestInputRenegotiatesMidChunk(t *testing.T) {
 			t.Errorf("datagram %d: fed whole %x, fed per octet %x", i, whole.got[i], octets.got[i])
 		}
 	}
+}
+
+// TestUnterminatedFrameIsBounded: a peer that sends one opening flag and
+// then no closing flag costs the receiver one MaxFrame of arena, not the
+// stream. 64 MiB of flagless octets must leave live heap within a few
+// MiB of where it started, and the frame, closed at last, is one
+// receive error.
+func TestUnterminatedFrameIsBounded(t *testing.T) {
+	const total, chunk, slackMiB = 64 << 20, 64 << 10, 4
+	l := NewLink(LinkConfig{Magic: 1})
+	buf := bytes.Repeat([]byte{0x41}, chunk)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	l.Input([]byte{hdlc.Flag})
+	for fed := 0; fed < total; fed += chunk {
+		l.Input(buf)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew > slackMiB<<20 {
+		t.Errorf("64 MiB without a closing flag grew the live heap by %.1f MiB, want ≤ %d", float64(grew)/(1<<20), slackMiB)
+	}
+	l.Input([]byte{hdlc.Flag})
+	if l.RxErrors != 1 {
+		t.Errorf("RxErrors = %d, want 1: the unterminated frame is one oversize frame", l.RxErrors)
+	}
+	runtime.KeepAlive(l)
 }

@@ -101,11 +101,11 @@ func TestNumberedModeMeasuresLine(t *testing.T) {
 				}
 			}
 			sa, sz := a.station, z.station
-			t.Logf("ready at tick %d; T1 %d ticks; TxI %d, retransmits %d/%d, REJ %d/%d, resets %d/%d",
-				up, a.lcpA.Line.Period(0), sa.TxI, sa.Retransmits, sz.Retransmits, sa.TxREJ, sz.TxREJ, sa.Resets, sz.Resets)
-			if sa.Retransmits+sz.Retransmits+sa.TxREJ+sz.TxREJ+sa.Resets+sz.Resets != 0 {
-				t.Errorf("clean line: retransmits %d/%d, REJ %d/%d, resets %d/%d; want all 0",
-					sa.Retransmits, sz.Retransmits, sa.TxREJ, sz.TxREJ, sa.Resets, sz.Resets)
+			t.Logf("ready at tick %d; T1 %d ticks; TxI %d, retransmits %d/%d, REJ received %d/%d, connected %v/%v",
+				up, a.lcpA.Line.Period(0), sa.TxI, sa.Retransmits, sz.Retransmits, sa.RxREJ, sz.RxREJ, sa.Connected(), sz.Connected())
+			if sa.Retransmits+sz.Retransmits+sa.RxREJ+sz.RxREJ != 0 || !sa.Connected() || !sz.Connected() {
+				t.Errorf("clean line: retransmits %d/%d, REJ received %d/%d, connected %v/%v; want 0 and no reset",
+					sa.Retransmits, sz.Retransmits, sa.RxREJ, sz.RxREJ, sa.Connected(), sz.Connected())
 			}
 			if delay == 0 && (up != 3 || sa.TxI != n || sz.TxI != 0 || sz.RxI != n) {
 				t.Errorf("zero-delay line: ready at tick %d, TxI %d/%d, RxI %d; want 3, %d/0, %d",
@@ -221,7 +221,7 @@ func TestDarkLineGivesNoSample(t *testing.T) {
 	}
 	late.Tick(now) // mirror the estimates as bring-up left them
 	prompt.Tick(now)
-	snap := reg.Snapshot("up")
+	snap := reg.Snapshot()
 	l, _ := snap.Get(`link_line_rto{link="late"}`)
 	p, _ := snap.Get(`link_line_rto{link="prompt"}`)
 	t.Logf("IP-ready at tick %d; link_line_rto late %v, prompt %v", now-1, l, p)

@@ -63,7 +63,7 @@ func TestObserveOrderFree(t *testing.T) {
 
 		var out outcome
 		out.intStat = oam.Read(p5.RegIntStat)
-		out.apsSwitches, _ = reg.Snapshot("cut").Get(`aps_switches_total{link="prot_z"}`)
+		out.apsSwitches, _ = reg.Snapshot().Get(`aps_switches_total{link="prot_z"}`)
 		for _, e := range tr.Events() {
 			switch {
 			case e.Scope == "link:prot_z" && e.Name == "aps-switch":
@@ -198,7 +198,7 @@ func TestObserveGradesBothDirections(t *testing.T) {
 	if got, want := strings.Join(names, " "), "port0_a port0_z port1_a port1_z port2_a port2_z prot_a prot_z"; got != want {
 		t.Errorf("graded ends = %q, want %q", got, want)
 	}
-	snap := reg.Snapshot("run")
+	snap := reg.Snapshot()
 	for _, end := range []string{"port0_a", "port0_z", "port2_a", "port2_z"} {
 		if _, ok := snap.Get(`slo_worst_burn_rate{slo="` + end + `"}`); !ok {
 			t.Errorf(`slo_worst_burn_rate{slo=%q} not registered`, end)

@@ -339,7 +339,7 @@ func TestEveryExportHasACaller(t *testing.T) {
 		"telemetry.Snapshot.Get":       "the by-name read the tests of six instrumented packages assert series through",
 		"rtl.Sim.RunUntil":             "the unit tests' clock: rtl's, p5's and the root hardware tests drive a bare unit to a predicate through it",
 		"rtl.Source.Pending":           "the drain predicate those unit tests clock a Source against",
-		"rtl.Flit.SetByte":             "flips one octet of a line flit: the P5 soak, golden, system and section tests corrupt the line through p5.Line.Corrupt with it",
+		"rtl.Flit.SetByte":             "flips one octet of a line flit, for the fault-injection seam p5.Line.Corrupt (kept in TestEveryFieldIsRead): the P5 soak, golden, system and section tests corrupt the line with it",
 	}
 	type export struct {
 		name                    string // qualified: pkg.Name, pkg.Type.Method, pkg.Type.Field
@@ -553,11 +553,15 @@ func TestEveryPackageHasAProductionPath(t *testing.T) {
 	}
 }
 
+// negotiated keeps a PPP option in both field censuses: only tests set it
+// because what a production end asks of its peer is the default.
+const negotiated = "a PPP option negotiated with the peer: what this end wants or allows is the peer's to answer, so both sides stay in the language"
+
 // TestEveryConfigFieldIsSet holds every exported field of an exported
 // *Config struct to a production caller that sets it. A field counts as
-// set only by a keyed composite literal, an assignment naming that
-// field of that type, or a conversion of a struct into its type, and
-// only in a non-test file outside examples/ and outside the field's own
+// set by a write the field census sees (fieldAccesses: an assignment, a
+// keyed or unkeyed literal, a conversion into its type, &x.f), and only
+// in a non-test file outside examples/ and outside the field's own
 // package; benchmark/ is a frozen contract, so its files count. Fields
 // are resolved with go/types, so a namesake in another struct sets
 // nothing. A field only its own package or a test sets is a constant in
@@ -565,7 +569,6 @@ func TestEveryPackageHasAProductionPath(t *testing.T) {
 // cover. A kept entry, keyed by qualified name, is exempt for its
 // reason; one that is gone, or that a production caller now sets, fails.
 func TestEveryConfigFieldIsSet(t *testing.T) {
-	const negotiated = "a PPP option negotiated with the peer: what this end wants or allows is the peer's to answer, so both sides stay in the language"
 	const clock = "a fake-clock seam: the tests drive time and sampling through it, production leaves it zero for the wall clock"
 	kept := map[string]string{
 		"gigapos.AuthConfig.Require":    negotiated,
@@ -594,75 +597,17 @@ func TestEveryConfigFieldIsSet(t *testing.T) {
 	}
 	m := checkModule(t)
 	fields := map[token.Pos]*field{}
-	for _, f := range m.files {
-		fm := m.meta(f.Name)
-		if fm.test {
+	for _, d := range m.structFields() {
+		if d.meta.test || !d.top || !d.id.IsExported() || !token.IsExported(d.typ) || !strings.HasSuffix(d.typ, "Config") {
 			continue
 		}
-		for _, decl := range f.Decls {
-			d, ok := decl.(*ast.GenDecl)
-			if !ok {
-				continue
-			}
-			for _, spec := range d.Specs {
-				ts, ok := spec.(*ast.TypeSpec)
-				if !ok || !ts.Name.IsExported() || !strings.HasSuffix(ts.Name.Name, "Config") {
-					continue
-				}
-				st, ok := ts.Type.(*ast.StructType)
-				if !ok {
-					continue
-				}
-				for _, fld := range st.Fields.List {
-					for _, id := range fld.Names {
-						if id.IsExported() {
-							fields[id.Pos()] = &field{name: f.Name.Name + "." + ts.Name.Name + "." + id.Name, pkg: fm.pkg}
-						}
-					}
-				}
-			}
-		}
+		fields[d.id.Pos()] = &field{name: d.name, pkg: d.meta.pkg}
 	}
-	for _, f := range m.files {
-		fm := m.meta(f.Name)
-		if fm.test || strings.HasPrefix(fm.dir, "examples/") {
-			continue
+	m.fieldAccesses(func(fm fileMeta, v *types.Var, how access) {
+		if fl := fields[v.Pos()]; fl != nil && how&write != 0 && !fm.test && !strings.HasPrefix(fm.dir, "examples/") && fm.pkg != fl.pkg {
+			fl.set = true
 		}
-		set := func(v *types.Var) {
-			if fl := fields[v.Origin().Pos()]; fl != nil && fl.pkg != fm.pkg {
-				fl.set = true
-			}
-		}
-		setField := func(id *ast.Ident) {
-			if v, ok := m.info.Uses[id].(*types.Var); ok && v.IsField() {
-				set(v)
-			}
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.KeyValueExpr:
-				if id, ok := n.Key.(*ast.Ident); ok {
-					setField(id)
-				}
-			case *ast.AssignStmt:
-				for _, lhs := range n.Lhs {
-					if sel, ok := lhs.(*ast.SelectorExpr); ok {
-						setField(sel.Sel)
-					}
-				}
-			case *ast.CallExpr:
-				// A conversion into a struct type sets every field.
-				if tv := m.info.Types[n.Fun]; tv.IsType() && len(n.Args) == 1 {
-					if st, ok := tv.Type.Underlying().(*types.Struct); ok {
-						for i := 0; i < st.NumFields(); i++ {
-							set(st.Field(i))
-						}
-					}
-				}
-			}
-			return true
-		})
-	}
+	})
 	var bad []string
 	found := map[string]bool{}
 	for pos, fl := range fields {
@@ -686,6 +631,638 @@ func TestEveryConfigFieldIsSet(t *testing.T) {
 	for _, b := range bad {
 		t.Error(b)
 	}
+}
+
+// TestEveryFieldIsRead holds every struct field to the OAM register
+// map's rule: what the program keeps is there to be read, and what it
+// reads is there to be set. It covers each untagged, named struct field
+// declared in a non-test file outside benchmark/ and examples/ (those
+// two still count as readers and setters), resolved by object over the
+// one checkModule. Two rules:
+//
+//   - (a) a field some non-test file writes is read by a non-test file,
+//     or it is write-only state: delete it with its writes.
+//   - (b) a field of basic or func type some non-test file reads is set
+//     by a non-test file, or it is a knob only tests turn: a constant.
+//
+// Reads and writes are classified by classifyFields, shared with
+// TestEveryConfigFieldIsSet and held to its table by TestFieldCensus.
+// keptPackages are exempt, as from the export census. A kept entry,
+// keyed by qualified name, is exempt for its reason; one that is gone,
+// or that no longer breaks a rule, fails.
+func TestEveryFieldIsRead(t *testing.T) {
+	const (
+		drop  = "a drop counter: frames or octets discarded for a named reason, kept for the one drop ledger (ROADMAP item 4)"
+		bench = "a testbench instrument: rtl.Source and rtl.Sink drive and drain a unit under test, and the unit tests measure it through them"
+		chaos = "the burst-error line model is a chaos knob only tests turn (TestEveryExportHasACaller keeps channel.GilbertElliott); TestChaosSoakLinkSelfHealing sets its rates and checks its bursts"
+		alarm = "a defect-integration threshold at test scale: the defect, differential and fuzz tests shrink it to reach every alarm transition in a few frames; production runs the GR-253 default"
+	)
+	kept := map[string]string{
+		"hdlc.Tokenizer.Aborts":             drop,
+		"hdlc.Tokenizer.Runts":              drop,
+		"hdlc.Tokenizer.Oversize":           drop,
+		"gigapos.Link.RxBadAuth":            drop,
+		"p5.ring.Drops":                     drop,
+		"topo.Node.PassDrops":               drop,
+		"topo.Span.DarkFrames":              drop,
+		"vj.Decompressor.Tossed":            drop,
+		"lcp.Automaton.RxBadPackets":        drop,
+		"gigapos.LinkConfig.RestartPeriod":  "the frozen benchmark sets it and nothing reads it; it goes with ROADMAP item 1(f)",
+		"gigapos.LinkConfig.MRU":            negotiated,
+		"gigapos.LinkConfig.FCS":            negotiated,
+		"gigapos.LinkConfig.WantPFC":        negotiated,
+		"gigapos.LinkConfig.AllowPFC":       negotiated,
+		"gigapos.LinkConfig.WantACFC":       negotiated,
+		"gigapos.LinkConfig.AllowACFC":      negotiated,
+		"gigapos.LinkConfig.WantVJ":         negotiated,
+		"gigapos.LinkConfig.AllowVJ":        negotiated,
+		"gigapos.AuthConfig.Require":        negotiated,
+		"gigapos.AuthConfig.Identity":       negotiated,
+		"gigapos.AuthConfig.Secret":         negotiated,
+		"gigapos.AuthConfig.Name":           negotiated,
+		"p5.Line.Corrupt":                   "a fault-injection seam, beside the fake-clock seams: production leaves it nil; soak_test.go and internal/p5's golden, system and section tests corrupt line flits through it",
+		"p5.TxJob.Abort":                    "the abort datapath's test hook: TestSystemAbortedFrameDropped aborts a frame mid-payload through it",
+		"p5.TxJob.Address":                  "fakes a foreign sender: the loopback and pair address-policing tests send under another HDLC address through it",
+		"main.simConfig.scrape":             "the p5sim tests scrape the live endpoints through it while the run holds them open",
+		"transport.Config.jitterSeed":       "the backoff tests pin the reconnect jitter through it; production seeds from the clock",
+		"rtl.Source.Sent":                   bench,
+		"rtl.Source.StallCycles":            bench,
+		"rtl.Sink.GapCounts":                bench,
+		"channel.GilbertElliott.PGoodToBad": chaos,
+		"channel.GilbertElliott.PBadToGood": chaos,
+		"channel.GilbertElliott.BERGood":    chaos,
+		"channel.GilbertElliott.BERBad":     chaos,
+		"channel.GilbertElliott.Bursts":     chaos,
+		"sonet.defectConfig.OOFBadFrames":   alarm,
+		"sonet.defectConfig.OOFGoodFrames":  alarm,
+		"sonet.defectConfig.LOFFrames":      alarm,
+		"sonet.defectConfig.LOSOctets":      alarm,
+		"sonet.defectConfig.WindowFrames":   alarm,
+		"sonet.defectConfig.SDFrames":       alarm,
+		"sonet.defectConfig.SFFrames":       alarm,
+	}
+	m := checkModule(t)
+	type field struct {
+		decl                                 declaredField
+		prodRead, testRead, prodSet, testSet bool
+	}
+	fields := map[token.Pos]*field{}
+	exported := 0
+	for _, d := range m.structFields() {
+		if top, _, _ := strings.Cut(d.meta.dir, "/"); d.meta.test || d.tagged || top == "benchmark" || top == "examples" || keptPackages[d.meta.dir] != "" {
+			continue
+		}
+		fields[d.id.Pos()] = &field{decl: d}
+		if d.id.IsExported() {
+			exported++
+		}
+	}
+	m.fieldAccesses(func(fm fileMeta, v *types.Var, how access) {
+		f := fields[v.Pos()]
+		if f == nil {
+			return
+		}
+		if how&read != 0 {
+			f.prodRead, f.testRead = f.prodRead || !fm.test, f.testRead || fm.test
+		}
+		if how&write != 0 {
+			f.prodSet, f.testSet = f.prodSet || !fm.test, f.testSet || fm.test
+		}
+	})
+	t.Logf("%d untagged struct fields in scope, %d of them exported", len(fields), exported)
+	var bad []string
+	found := map[string]bool{}
+	for pos, f := range fields {
+		why := ""
+		switch {
+		case f.prodSet && !f.prodRead && f.testRead:
+			why = "rule (a): production writes it and only tests read it; delete it with its writes, or read it"
+		case f.prodSet && !f.prodRead:
+			why = "rule (a): production writes it and nothing reads it; delete it with its writes"
+		case f.prodRead && !f.prodSet && basicOrFunc(f.decl.v.Type()) && f.testSet:
+			why = "rule (b): production reads it and only tests set it; make it a constant"
+		case f.prodRead && !f.prodSet && basicOrFunc(f.decl.v.Type()):
+			why = "rule (b): production reads it and nothing sets it; make it a constant"
+		}
+		name := f.decl.name
+		if kept[name] != "" {
+			found[name] = true
+			if why == "" {
+				bad = append(bad, m.fset.Position(pos).String()+": "+name+" is kept but breaks no rule; drop it from kept")
+			}
+			continue
+		}
+		if why != "" {
+			bad = append(bad, m.fset.Position(pos).String()+": "+name+": "+why)
+		}
+	}
+	for name := range kept {
+		if !found[name] {
+			bad = append(bad, name+" is kept but no longer exists")
+		}
+	}
+	sort.Strings(bad)
+	for _, b := range bad {
+		t.Error(b)
+	}
+}
+
+// TestFieldCensus holds fieldAccesses' classifier to its rules on small
+// packages type-checked in memory: each case names every field it
+// declares (fields are named apart) and how the package touches it. A
+// lenient classifier would let TestEveryFieldIsRead pass silently.
+func TestFieldCensus(t *testing.T) {
+	const rw = read | write
+	for _, tc := range []struct {
+		name, src string
+		want      map[string]access // by field name; an absent one is untouched
+	}{
+		{"map key", `type key struct{ a, b int }
+			var m map[key]int
+			func get(k key) int { return m[k] }`,
+			map[string]access{"key.a": read, "key.b": read}},
+		{"map literal key", `type key struct{ a int }
+			func lit(k key) map[key]bool { return map[key]bool{k: true} }`,
+			map[string]access{"key.a": read}},
+		{"== on a struct", `type pt struct{ x int; in inner }
+			type inner struct{ y int }
+			func eq(p, q pt) bool { return p == q }`,
+			map[string]access{"pt.x": read, "pt.in": read, "inner.y": read}},
+		{"passed to fmt", `type st struct{ n int; p *deep }
+			type deep struct{ v int }
+			func show(s st) string { return fmt.Sprint(s) }`,
+			map[string]access{"st.n": read, "st.p": read, "deep.v": read}},
+		{"passed as a non-empty interface", `type named struct{ n int }
+			func (named) String() string { return "" }
+			func show(s named) string { var v fmt.Stringer = s; return v.String() }`,
+			nil},
+		{"&x.f", `type c struct{ n int }
+			func addr(x *c) *int { return &x.n }`,
+			map[string]access{"c.n": rw}},
+		{"x.f += 1, x.f++ and x.f = v", `type c struct{ a, b, d int }
+			func bump(x *c) { x.a += 1; x.b++; x.d = 3 }`,
+			map[string]access{"c.a": write, "c.b": write, "c.d": write}},
+		{"writing through a struct or array field", `type c struct{ in inner; arr [2]int; sl []int }
+			type inner struct{ g int }
+			func set(x *c) { x.in.g = 1; x.arr[0] = 1; x.sl[0] = 1 }`,
+			map[string]access{"c.in": write, "inner.g": write, "c.arr": write, "c.sl": read}},
+		{"keyed literal and read by name", `type k struct{ a, b int }
+			func f() int { v := k{a: 1}; return v.b }`,
+			map[string]access{"k.a": write, "k.b": read}},
+		{"unkeyed literal", `type u struct{ a, b int }
+			var _ = u{1, 2}`,
+			map[string]access{"u.a": write, "u.b": write}},
+		{"struct conversion", `type s1 struct{ a int }
+			type s2 struct{ a int }
+			func conv(x s1) s2 { return s2(x) }`,
+			map[string]access{"s1.a": read, "s2.a": write}},
+		{"a copy reads nothing", `type cp struct{ a int }
+			func dup(x cp) cp { y := x; return y }`,
+			nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fset := token.NewFileSet()
+			f, err := parser.ParseFile(fset, "census.go", "package census\nimport \"fmt\"\nvar _ = fmt.Sprint\n"+tc.src, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}, Types: map[ast.Expr]types.TypeAndValue{}}
+			if _, err := (&types.Config{Importer: importer.Default()}).Check("census", fset, []*ast.File{f}, info); err != nil {
+				t.Fatal(err)
+			}
+			names := map[*types.Var]string{} // Type.field
+			for _, obj := range info.Defs {
+				if tn, ok := obj.(*types.TypeName); ok {
+					if st, ok := tn.Type().Underlying().(*types.Struct); ok {
+						for i := 0; i < st.NumFields(); i++ {
+							names[st.Field(i)] = tn.Name() + "." + st.Field(i).Name()
+						}
+					}
+				}
+			}
+			got := map[string]access{}
+			for _, name := range names {
+				got[name] = 0
+			}
+			classifyFields(info, f, func(v *types.Var, how access) { got[names[v]] |= how })
+			for name, how := range got {
+				if want := tc.want[name]; how != want {
+					t.Errorf("field %s: got %s, want %s", name, how, want)
+				}
+			}
+			for name := range tc.want {
+				if _, ok := got[name]; !ok {
+					t.Errorf("field %s: not declared", name)
+				}
+			}
+		})
+	}
+}
+
+// basicOrFunc reports whether a field of type t is a knob: a number, a
+// string, a bool or a func, named or not.
+func basicOrFunc(t types.Type) bool {
+	switch t.Underlying().(type) {
+	case *types.Basic, *types.Signature:
+		return true
+	}
+	return false
+}
+
+// declaredField is one named struct field declared in the module.
+type declaredField struct {
+	id     *ast.Ident
+	v      *types.Var
+	name   string // pkg.Type.Field; pkg.Type.Outer.Field inside an unnamed struct
+	typ    string // the declaring named type; "" inside an unnamed one
+	top    bool   // declared directly in typ's struct
+	tagged bool
+	meta   fileMeta
+}
+
+// structFields lists every named struct field declared in the module,
+// test files included. A field of an unnamed struct is named after the
+// type or variable that holds it, else after the struct itself.
+func (m *typedModule) structFields() []declaredField {
+	var out []declaredField
+	for _, f := range m.files {
+		fm := m.meta(f.Name)
+		pkg := f.Name.Name
+		seen := map[*ast.Ident]bool{}
+		var walk func(prefix, typ string, top bool, t ast.Expr)
+		walk = func(prefix, typ string, top bool, t ast.Expr) {
+			switch t := t.(type) {
+			case *ast.StructType:
+				for _, fld := range t.Fields.List {
+					for _, id := range fld.Names {
+						if v, ok := m.info.Defs[id].(*types.Var); ok && id.Name != "_" && !seen[id] {
+							seen[id] = true
+							out = append(out, declaredField{id: id, v: v, name: prefix + "." + id.Name, typ: typ, top: top, tagged: fld.Tag != nil, meta: fm})
+						}
+						walk(prefix+"."+id.Name, typ, false, fld.Type)
+					}
+				}
+			case *ast.StarExpr:
+				walk(prefix, typ, false, t.X)
+			case *ast.ArrayType:
+				walk(prefix, typ, false, t.Elt)
+			case *ast.MapType:
+				walk(prefix, typ, false, t.Value)
+			case *ast.ChanType:
+				walk(prefix, typ, false, t.Value)
+			}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.TypeSpec:
+				walk(pkg+"."+n.Name.Name, n.Name.Name, true, n.Type)
+			case *ast.ValueSpec:
+				if n.Type != nil {
+					walk(pkg+"."+n.Names[0].Name, "", false, n.Type)
+				}
+			case *ast.StructType:
+				walk(pkg+".struct", "", false, n)
+			}
+			return true
+		})
+	}
+	return out
+}
+
+// access is how one occurrence touches a struct field.
+type access uint8
+
+const (
+	read access = 1 << iota
+	write
+)
+
+func (a access) String() string {
+	return [...]string{"untouched", "read", "written", "read and written"}[a]
+}
+
+// fieldAccesses calls fn for every read and write of a struct field in
+// the module, with the file it is in and the field's declaration.
+func (m *typedModule) fieldAccesses(fn func(fm fileMeta, v *types.Var, how access)) {
+	for _, f := range m.files {
+		fm := m.meta(f.Name)
+		classifyFields(m.info, f, func(v *types.Var, how access) { fn(fm, v, how) })
+	}
+}
+
+// classifyFields walks one type-checked file and calls fn for every read
+// and write of a struct field, resolved to its declaration. A write is
+// an assignment (=, op=, ++/--, a range variable), a key of a struct
+// literal, a position of an unkeyed one, or a conversion into the
+// struct's type; writing x.f.g or x.f[i] through a struct or array value
+// writes f too. &x.f, slicing an array field and a method called on a
+// field held by value (its receiver may be &x.f) are a read and a
+// write; every other occurrence is a read. A whole value read where its
+// fields cannot be followed by name reads them all: as a map key, an
+// operand of == or a switch, or converted to another struct type, every
+// field it holds by value (through nested struct and array values);
+// converted to an empty interface, where fmt, json and reflection walk
+// it, everything it reaches, through pointers, slices and maps too. A
+// conversion to a non-empty interface reads nothing: its methods read
+// by name. Nor does a plain copy into the same type: the copy's fields
+// are the same objects, followed by name wherever they are read.
+func classifyFields(info *types.Info, f *ast.File, fn func(v *types.Var, how access)) {
+	var stack []ast.Node
+	// all reaches every field a value of type t carries: through nested
+	// struct and array values, and when deep (reflection) through
+	// pointers, slices and maps too.
+	all := func(t types.Type, how access, deep bool) {
+		seen := map[types.Type]bool{}
+		var walk func(t types.Type)
+		walk = func(t types.Type) {
+			if seen[t] {
+				return
+			}
+			seen[t] = true
+			switch u := t.Underlying().(type) {
+			case *types.Struct:
+				for i := 0; i < u.NumFields(); i++ {
+					fn(u.Field(i).Origin(), how)
+					walk(u.Field(i).Type())
+				}
+			case *types.Array:
+				walk(u.Elem())
+			case *types.Pointer:
+				if deep {
+					walk(u.Elem())
+				}
+			case *types.Slice:
+				if deep {
+					walk(u.Elem())
+				}
+			case *types.Map:
+				if deep {
+					walk(u.Key())
+					walk(u.Elem())
+				}
+			}
+		}
+		walk(t)
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		if n == nil {
+			stack = stack[:len(stack)-1]
+			return true
+		}
+		defer func() { stack = append(stack, n) }()
+		switch n := n.(type) {
+		case *ast.Ident:
+			v, ok := info.Uses[n].(*types.Var)
+			if !ok || !v.IsField() {
+				break
+			}
+			switch p := stack[len(stack)-1].(type) {
+			case *ast.KeyValueExpr:
+				fn(v.Origin(), write)
+			case *ast.SelectorExpr:
+				fn(v.Origin(), lvalue(info, stack, p))
+			default:
+				fn(v.Origin(), read)
+			}
+		case *ast.CompositeLit:
+			st, ok := deref(info.TypeOf(n)).Underlying().(*types.Struct)
+			if !ok || len(n.Elts) == 0 {
+				break
+			}
+			if _, keyed := n.Elts[0].(*ast.KeyValueExpr); !keyed {
+				for i := range n.Elts {
+					fn(st.Field(i).Origin(), write)
+				}
+			}
+		case *ast.CallExpr:
+			if tv := info.Types[n.Fun]; tv.IsType() && len(n.Args) == 1 {
+				if _, ok := tv.Type.Underlying().(*types.Struct); ok {
+					all(tv.Type, write, false)
+				}
+			}
+		}
+		if e, ok := n.(ast.Expr); ok && len(stack) > 0 {
+			if tv, ok := info.Types[e]; ok && tv.IsValue() {
+				switch whole := wholeRead(info, stack, e); {
+				case whole == reflected:
+					all(tv.Type, read, true)
+				case whole == compared && holdsStruct(tv.Type):
+					all(tv.Type, read, false)
+				}
+			}
+		}
+		return true
+	})
+}
+
+// lvalue classifies the field selection sel, whose ancestors are stack
+// (sel itself on top): a write when it is assigned, or when a field or
+// array element of its value is; both when its address is taken.
+func lvalue(info *types.Info, stack []ast.Node, sel *ast.SelectorExpr) access {
+	var cur ast.Expr = sel
+	for i := len(stack) - 2; i >= 0; i-- {
+		switch p := stack[i].(type) {
+		case *ast.ParenExpr:
+		case *ast.SelectorExpr:
+			v, ok := info.Uses[p.Sel].(*types.Var)
+			if !ok || !v.IsField() {
+				if _, method := info.Uses[p.Sel].(*types.Func); method && !isPointer(info.TypeOf(cur)) {
+					return read | write // the receiver may be its address
+				}
+				return read
+			}
+			if isPointer(info.TypeOf(cur)) {
+				return read
+			}
+		case *ast.IndexExpr:
+			if _, array := info.TypeOf(cur).Underlying().(*types.Array); !array || p.X != cur {
+				return read
+			}
+		case *ast.SliceExpr:
+			if _, array := info.TypeOf(cur).Underlying().(*types.Array); array && p.X == cur {
+				return read | write
+			}
+			return read
+		case *ast.AssignStmt:
+			if slices.Contains(p.Lhs, cur) {
+				return write
+			}
+			return read
+		case *ast.IncDecStmt:
+			return write
+		case *ast.RangeStmt:
+			if p.Key == cur || p.Value == cur {
+				return write
+			}
+			return read
+		case *ast.UnaryExpr:
+			if p.Op == token.AND {
+				return read | write
+			}
+			return read
+		default:
+			return read
+		}
+		cur = stack[i].(ast.Expr)
+	}
+	return read
+}
+
+// whole is how a value is read other than field by field.
+type whole uint8
+
+const (
+	byName    whole = iota // its fields are followed where they are named
+	compared               // compared, hashed or converted: every field it holds by value
+	reflected              // converted to an empty interface: everything it reaches
+)
+
+// wholeRead classifies how the value e, whose ancestors are stack, is
+// read: compared (==, a switch, a map key, converted to another struct
+// type) or reflected (converted to an empty interface, where fmt, json
+// and the like walk it), or neither.
+func wholeRead(info *types.Info, stack []ast.Node, e ast.Expr) whole {
+	into := func(t types.Type) whole {
+		from := info.TypeOf(e)
+		switch {
+		case t == nil || types.IsInterface(from):
+		case types.IsInterface(t):
+			if it, ok := t.Underlying().(*types.Interface); ok && it.Empty() {
+				return reflected
+			}
+		case holdsStruct(t) && !types.Identical(t, from):
+			return compared
+		}
+		return byName
+	}
+	is := func(yes bool) whole {
+		if yes {
+			return compared
+		}
+		return byName
+	}
+	switch p := stack[len(stack)-1].(type) {
+	case *ast.BinaryExpr:
+		return is(p.Op == token.EQL || p.Op == token.NEQ)
+	case *ast.SwitchStmt:
+		return is(p.Tag == e)
+	case *ast.CaseClause:
+		return compared
+	case *ast.IndexExpr:
+		_, m := info.TypeOf(p.X).Underlying().(*types.Map)
+		return is(m && p.Index == e)
+	case *ast.KeyValueExpr:
+		lit, _ := stack[len(stack)-2].(*ast.CompositeLit)
+		if lit == nil {
+			break
+		}
+		switch u := deref(info.TypeOf(lit)).Underlying().(type) {
+		case *types.Map:
+			if p.Key == e {
+				return max(compared, into(u.Key()))
+			}
+			return into(u.Elem())
+		case *types.Slice:
+			return into(u.Elem())
+		case *types.Array:
+			return into(u.Elem())
+		case *types.Struct:
+			if p.Value == e {
+				return into(info.TypeOf(p.Key))
+			}
+		}
+	case *ast.CompositeLit:
+		i := slices.Index(p.Elts, e)
+		switch u := deref(info.TypeOf(p)).Underlying().(type) {
+		case *types.Slice:
+			return into(u.Elem())
+		case *types.Array:
+			return into(u.Elem())
+		case *types.Struct:
+			if i >= 0 && i < u.NumFields() {
+				return into(u.Field(i).Type())
+			}
+		}
+	case *ast.CallExpr:
+		i := slices.Index(p.Args, e)
+		if i < 0 {
+			break
+		}
+		tv := info.Types[p.Fun]
+		if tv.IsType() {
+			return into(tv.Type)
+		}
+		if sig, ok := tv.Type.Underlying().(*types.Signature); ok {
+			return into(paramType(sig, i, p.Ellipsis.IsValid()))
+		}
+	case *ast.AssignStmt:
+		if i := slices.Index(p.Rhs, e); i >= 0 && len(p.Lhs) == len(p.Rhs) {
+			return into(info.TypeOf(p.Lhs[i]))
+		}
+	case *ast.ValueSpec:
+		if p.Type != nil {
+			return into(info.TypeOf(p.Type))
+		}
+	case *ast.SendStmt:
+		if ch, ok := info.TypeOf(p.Chan).Underlying().(*types.Chan); ok && p.Value == e {
+			return into(ch.Elem())
+		}
+	case *ast.ReturnStmt:
+		i := slices.Index(p.Results, e)
+		for j := len(stack) - 2; j >= 0 && i >= 0; j-- {
+			var sig *types.Signature
+			switch fn := stack[j].(type) {
+			case *ast.FuncLit:
+				sig, _ = info.TypeOf(fn).(*types.Signature)
+			case *ast.FuncDecl:
+				sig, _ = info.Defs[fn.Name].Type().(*types.Signature)
+			default:
+				continue
+			}
+			if sig != nil && sig.Results().Len() == len(p.Results) {
+				return into(sig.Results().At(i).Type())
+			}
+			break
+		}
+	}
+	return byName
+}
+
+// paramType is the type argument i of a call to sig binds to.
+func paramType(sig *types.Signature, i int, ellipsis bool) types.Type {
+	n := sig.Params().Len()
+	switch {
+	case sig.Variadic() && i >= n-1 && !ellipsis:
+		return sig.Params().At(n - 1).Type().(*types.Slice).Elem()
+	case i < n:
+		return sig.Params().At(i).Type()
+	}
+	return nil
+}
+
+// holdsStruct reports whether a value of type t carries struct fields by
+// value: a struct, or an array of them.
+func holdsStruct(t types.Type) bool {
+	switch u := t.Underlying().(type) {
+	case *types.Struct:
+		return true
+	case *types.Array:
+		return holdsStruct(u.Elem())
+	}
+	return false
+}
+
+// deref is the type t points to, or t.
+func deref(t types.Type) types.Type {
+	if p, ok := t.Underlying().(*types.Pointer); ok {
+		return p.Elem()
+	}
+	return t
+}
+
+func isPointer(t types.Type) bool {
+	_, ok := t.Underlying().(*types.Pointer)
+	return ok
 }
 
 // typedModule is every package of the module type-checked from source,

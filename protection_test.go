@@ -308,7 +308,7 @@ func TestProtectedPairTelemetryKeepsEndsApart(t *testing.T) {
 		t.Fatalf("scenario did not split the ends: switches a=%d b=%d, remote wins a=%d b=%d; want 1/1, a>0, b=0",
 			p.la.Ctrl.Switches, p.lb.Ctrl.Switches, p.la.Ctrl.RemoteWins, p.lb.Ctrl.RemoteWins)
 	}
-	snap := reg.Snapshot("pair")
+	snap := reg.Snapshot()
 	for series, want := range map[string]float64{
 		`aps_switches_total{link="a"}`:    1,
 		`aps_switches_total{link="b"}`:    1,

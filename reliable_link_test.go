@@ -206,7 +206,6 @@ func TestEveryDamagedFrameTakesTheErrorExit(t *testing.T) {
 	if b.RxErrors != 0 {
 		t.Fatalf("errors before any damage: RxErrors %d", b.RxErrors)
 	}
-	b.tk.MinFrame, b.tk.MaxFrame = 5, 64 // a link polices neither by default
 
 	breakFCS := func(wire []byte) []byte {
 		wire = bytes.Clone(wire)
@@ -225,7 +224,7 @@ func TestEveryDamagedFrameTakesTheErrorExit(t *testing.T) {
 	}{
 		{"abort", []byte{0x7E, 0xFF, 0x03, 0x41, 0x7D, 0x7E}},
 		{"runt", []byte{0x7E, 0xFF, 0x03, 0x7E}},
-		{"oversize", append(append([]byte{0x7E}, bytes.Repeat([]byte{0x41}, 80)...), 0x7E)},
+		{"oversize", append(append([]byte{0x7E}, bytes.Repeat([]byte{0x41}, 4+ppp.DefaultMRU+4+1)...), 0x7E)},
 		{"bad FCS", breakFCS(echo)},
 		{"bad numbered frame", breakFCS(numbered)},
 	} {

@@ -3,7 +3,9 @@
 #   gofmt, go vet (with and without the gates tag), go build,
 #   the census guards as a fast first test step, over one type-check of
 #   the module (a package no production path imports, a *Config field
-#   no production file sets, a scenario key no committed scenario sets,
+#   no production file sets, a struct field production writes and
+#   nothing reads or reads and nothing sets, and the classifier that
+#   tells them apart, a scenario key no committed scenario sets,
 #   an export no non-test file names or an internal one no other
 #   package names, a bare SONET section, a hand-built P5 unit, a Link
 #   fed or drained outside TransportPort or a hand-armed recorder
@@ -53,10 +55,10 @@ go vet -tags gates .
 echo "== go build =="
 go build ./...
 
-echo "== census guards (dead package, unset config field, unset scenario key, uncalled export, one seam, one P5 assembly, one port) =="
+echo "== census guards (dead package, unset config field, unread or unset field, unset scenario key, uncalled export, one seam, one P5 assembly, one port) =="
 # Seconds, not minutes: dead weight fails here, before the race suite.
 # The typed guards share one type-check of the module.
-go test -count=1 -run '^TestEvery(PackageHasAProductionPath|ConfigFieldIsSet|ExportHasACaller)$|^TestOne(SectionCarrier|ArmingCall|P5Assembly|Port)$' .
+go test -count=1 -run '^TestEvery(PackageHasAProductionPath|ConfigFieldIsSet|FieldIsRead|ExportHasACaller)$|^TestFieldCensus$|^TestOne(SectionCarrier|ArmingCall|P5Assembly|Port)$' .
 go test -count=1 -run '^TestEveryScenarioKeyIsSet$' ./internal/scenario
 
 echo "== go test -race (telemetry concurrency gate) =="

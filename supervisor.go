@@ -1,7 +1,6 @@
 package gigapos
 
 import (
-	"repro/internal/hdlc"
 	"repro/internal/lcp"
 	"repro/internal/netsim"
 	"repro/internal/sonet"
@@ -222,7 +221,7 @@ func (l *Link) restartLCP(now int64) {
 // bookkeeping, and VJ compression slots (RFC 1144 state is per
 // connection establishment).
 func (l *Link) resetTransport() {
-	l.tk = hdlc.Tokenizer{FCS: l.cfg.fcs()}
+	l.tk = l.cfg.tokenizer()
 	l.echoNext = 0
 	l.echoPending = 0
 	if l.fl != nil {

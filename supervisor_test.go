@@ -26,15 +26,16 @@ func tick(a, b *Link, now int64, cut bool) {
 }
 
 // TestLCPMaxConfigureExhaustion: with no peer answering, the automaton
-// retransmits Configure-Requests Max-Configure times and then gives up
-// into Stopped (RFC 1661 TO- with the restart counter expired).
+// retransmits Configure-Requests Max-Configure times (RFC 1661's 10) on
+// its backed-off restart timer and then gives up into Stopped (TO- with
+// the restart counter expired).
 func TestLCPMaxConfigureExhaustion(t *testing.T) {
+	const maxConfigure = 10
 	a := NewLink(LinkConfig{Magic: 1, IPAddr: [4]byte{10, 0, 0, 1}})
-	a.lcpA.MaxConfigure = 3
 	a.Open()
 	a.Up()
 	requests := 0
-	for now := int64(1); now <= 40; now++ {
+	for now := int64(1); now <= 1<<14 && a.lcpA.State() != lcp.Stopped; now++ {
 		a.Advance(now)
 		if len(a.Output()) > 0 {
 			requests++
@@ -43,11 +44,42 @@ func TestLCPMaxConfigureExhaustion(t *testing.T) {
 	if st := a.lcpA.State(); st != lcp.Stopped {
 		t.Fatalf("state = %v, want Stopped after Max-Configure", st)
 	}
-	if requests != 3 {
-		t.Errorf("sent %d Configure-Requests, want 3", requests)
+	if requests != maxConfigure {
+		t.Errorf("sent %d Configure-Requests, want %d", requests, maxConfigure)
 	}
-	if a.lcpA.Timeouts < 3 {
-		t.Errorf("timeouts = %d, want >= 3", a.lcpA.Timeouts)
+	if a.lcpA.Timeouts < maxConfigure {
+		t.Errorf("timeouts = %d, want >= %d", a.lcpA.Timeouts, maxConfigure)
+	}
+}
+
+// deadLineRetries clocks supervised links against a silent line until
+// each has made n supervisor retries, and returns per link the gap from
+// LCP giving up into Stopped to each retry: the jittered backoff alone,
+// without the Max-Configure expiries before it.
+func deadLineRetries(t *testing.T, n int, links ...*Link) [][]int64 {
+	t.Helper()
+	gaps := make([][]int64, len(links))
+	stoppedAt := make([]int64, len(links))
+	for now := int64(1); ; now++ {
+		done := true
+		for i, l := range links {
+			retries, wasStopped := len(l.sup.RetryTimes), l.lcpA.State() == lcp.Stopped
+			l.Advance(now)
+			l.Output()
+			if !wasStopped && l.lcpA.State() == lcp.Stopped {
+				stoppedAt[i] = now
+			}
+			if len(l.sup.RetryTimes) > retries {
+				gaps[i] = append(gaps[i], now-stoppedAt[i])
+			}
+			done = done && len(gaps[i]) >= n
+		}
+		if done {
+			return gaps
+		}
+		if now > 1<<17 {
+			t.Fatalf("fewer than %d retries in %d ticks: %v", n, now, gaps)
+		}
 	}
 }
 
@@ -109,28 +141,14 @@ func TestSupervisorBackoffDoubling(t *testing.T) {
 		Magic: 1, IPAddr: [4]byte{10, 0, 0, 1},
 		Supervise: true, RetryMin: 4, RetryMax: 16,
 	})
-	a.lcpA.MaxConfigure = 1 // give up after one unanswered request
 	a.Open()
 	a.Up()
-	for now := int64(1); now <= 400; now++ {
-		a.Advance(now)
-		a.Output()
-	}
-	times := a.Supervisor().RetryTimes
-	if len(times) < 4 {
-		t.Fatalf("only %d retries in 400 units: %v", len(times), times)
-	}
-	// Each cycle is the LCP give-up time (restart period) plus the
-	// supervisor backoff, so the gaps grow roughly 4→8→16 and then
-	// hold; the ±20% retry jitter wobbles each gap but neither the
-	// growth trend nor the cap.
-	var gaps []int64
-	for i := 1; i < len(times); i++ {
-		gaps = append(gaps, times[i]-times[i-1])
-	}
-	const slack = 3 // LCP give-up time per cycle
+	// From each give-up to the retry after it is the supervisor backoff
+	// alone, so the gaps grow 4→8→16 and then hold; the ±20% retry
+	// jitter wobbles each gap but neither the growth trend nor the cap.
+	gaps := deadLineRetries(t, 8, a)[0]
 	for _, g := range gaps {
-		if g > 16*120/100+slack {
+		if g > 16*120/100 {
 			t.Fatalf("gap %d exceeds jittered RetryMax: gaps %v", g, gaps)
 		}
 	}
@@ -157,22 +175,13 @@ func TestSupervisorRetryJitterDesynchronizes(t *testing.T) {
 			Magic: magic, IPAddr: [4]byte{10, 0, 0, 1},
 			Supervise: true, RetryMin: 8, RetryMax: 64,
 		})
-		l.lcpA.MaxConfigure = 1 // give up after one unanswered request
 		l.Open()
 		l.Up()
 		return l
 	}
 	a, b := mk(0xA0000001), mk(0xA0000002)
-	for now := int64(1); now <= 600; now++ {
-		a.Advance(now)
-		a.Output()
-		b.Advance(now)
-		b.Output()
-	}
+	deadLineRetries(t, 4, a, b)
 	ta, tb := a.Supervisor().RetryTimes, b.Supervisor().RetryTimes
-	if len(ta) < 4 || len(tb) < 4 {
-		t.Fatalf("too few retries against a dead line: a=%v b=%v", ta, tb)
-	}
 	n := min(len(ta), len(tb))
 	same := 0
 	for i := 0; i < n; i++ {

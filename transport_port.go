@@ -25,9 +25,8 @@ type TransportPort struct {
 	Link *Link
 	T    transport.LineTransport
 
-	// TxLineBytes and RxLineBytes count wire octets offered to and
-	// accepted from the transport.
-	TxLineBytes, RxLineBytes uint64
+	// TxLineBytes counts wire octets offered to the transport.
+	TxLineBytes uint64
 
 	sawUp    bool // transport has been up at least once
 	wasUp    bool // liveness seen by the previous Poll
@@ -182,7 +181,6 @@ func (p *TransportPort) Poll(now int64) int {
 	for _, c := range p.rxChunks {
 		n += len(c)
 	}
-	p.RxLineBytes += uint64(n)
 	p.Link.InputBatch(p.rxChunks)
 	if p.fz != nil {
 		p.drainFreezes()
