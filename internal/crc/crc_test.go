@@ -94,85 +94,97 @@ var sizes = []struct {
 	{FCS32Mode, Bitwise32, Table32},
 }
 
-// TestUpdateMatchesBitwise holds the production kernel — in-package
-// slicing below 64 octets, hash/crc32's wide fold from there — to the
-// 1-bit LFSR at the seam between the two: every length around it, every
-// slice alignment the vector kernel could care about, starting
-// registers other than Init (the complement trick must hold from any
-// value, not only the checksum convention's), and every way of cutting
-// an input in two so each half lands on either side of the threshold
-// and of the 16-octet remainder the wide kernel leaves behind.
+// TestUpdateMatchesBitwise holds the production kernel — on amd64 the
+// carry-less fold from one 16-octet block and the slicing tables below
+// it, elsewhere slicing and hash/crc32's fold from 64 octets — to the
+// 1-bit LFSR, once per kernel this host can take: every length to 300,
+// every slice alignment a vector load could care about, starting
+// registers other than Init (FCS-16's with junk in the upper half the
+// fold must ignore), and every way of cutting an input in two, so each
+// half lands on either side of each threshold and leaves every tail
+// length the fold handles in-register.
 func TestUpdateMatchesBitwise(t *testing.T) {
-	rng := rand.New(rand.NewSource(18))
-	backing := make([]byte, 65535+16)
-	rng.Read(backing)
-	lengths := []int{1500, 4470, 65535}
-	for n := 0; n <= 300; n++ {
-		lengths = append(lengths, n)
-	}
-	for _, sz := range sizes {
-		inits := []uint32{sz.mode.Init(), 0}
-		for _, n := range lengths {
-			for align := 0; align < 16; align++ {
-				p := backing[align : align+n]
-				init := inits[(n+align)%len(inits)]
-				if (n+align)%3 == 0 {
-					init = rng.Uint32() >> (32 - 8*uint(sz.mode.Bytes()))
+	eachKernel(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(18))
+		backing := make([]byte, 65535+16)
+		rng.Read(backing)
+		lengths := []int{1500, 4470, 65535}
+		for n := 0; n <= 300; n++ {
+			lengths = append(lengths, n)
+		}
+		for _, sz := range sizes {
+			inits := []uint32{sz.mode.Init(), 0}
+			for _, n := range lengths {
+				for align := 0; align < 16; align++ {
+					p := backing[align : align+n]
+					init := inits[(n+align)%len(inits)]
+					if (n+align)%3 == 0 {
+						init = rng.Uint32() >> (32 - 8*uint(sz.mode.Bytes()))
+					}
+					if (n+align)%5 == 0 && sz.mode == FCS16Mode {
+						init |= 0xA5A50000
+					}
+					if got, want := sz.mode.Update(init, p), sz.bitwise(init, p); got != want {
+						t.Fatalf("%v: Update(%#x, %d octets at +%d) = %#x, bitwise %#x", sz.mode, init, n, align, got, want)
+					}
 				}
-				if got, want := sz.mode.Update(init, p), sz.bitwise(init, p); got != want {
-					t.Fatalf("%v: Update(%#x, %d octets at +%d) = %#x, bitwise %#x", sz.mode, init, n, align, got, want)
+			}
+			for _, n := range []int{127, 128, 129, 160, 300} {
+				p := backing[3 : 3+n]
+				init := rng.Uint32() >> (32 - 8*uint(sz.mode.Bytes()))
+				want := sz.bitwise(init, p)
+				for cut := 0; cut <= n; cut++ {
+					if got := sz.mode.Update(sz.mode.Update(init, p[:cut]), p[cut:]); got != want {
+						t.Fatalf("%v: %d octets cut at %d = %#x, bitwise %#x", sz.mode, n, cut, got, want)
+					}
 				}
 			}
 		}
-		for _, n := range []int{127, 128, 129, 160, 300} {
-			p := backing[3 : 3+n]
-			init := rng.Uint32() >> (32 - 8*uint(sz.mode.Bytes()))
-			want := sz.bitwise(init, p)
-			for cut := 0; cut <= n; cut++ {
-				if got := sz.mode.Update(sz.mode.Update(init, p[:cut]), p[cut:]); got != want {
-					t.Fatalf("%v: %d octets cut at %d = %#x, bitwise %#x", sz.mode, n, cut, got, want)
-				}
-			}
-		}
-	}
+	})
 }
 
 // TestOneKernelPerSize pins that the named helpers are views of
 // Size.Update: same field value, same verdict, at lengths on both sides
-// of the wide threshold.
+// of every threshold, once per kernel.
 func TestOneKernelPerSize(t *testing.T) {
-	rng := rand.New(rand.NewSource(19))
-	for _, n := range []int{0, 1, 40, 63, 64, 65, 1500} {
-		p := make([]byte, n)
-		rng.Read(p)
-		if got, want := uint16(fcs(FCS16Mode, p)), ^Bitwise16(Init16, p); got != want {
-			t.Errorf("FCS16(%d octets) = %#x, bitwise %#x", n, got, want)
-		}
-		if got, want := fcs(FCS32Mode, p), ^Bitwise32(Init32, p); got != want {
-			t.Errorf("FCS32(%d octets) = %#x, bitwise %#x", n, got, want)
-		}
-		for _, s := range []Size{FCS16Mode, FCS32Mode} {
-			sealed := s.Append(bytes.Clone(p))
-			if !s.Check(sealed) {
-				t.Errorf("%v: %d octets sealed by Append fail Check", s, n)
+	eachKernel(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(19))
+		for _, n := range []int{0, 1, 15, 16, 17, 40, 63, 64, 65, 1500} {
+			p := make([]byte, n)
+			rng.Read(p)
+			if got, want := uint16(fcs(FCS16Mode, p)), ^Bitwise16(Init16, p); got != want {
+				t.Errorf("FCS16(%d octets) = %#x, bitwise %#x", n, got, want)
 			}
-			sealed[n/2] ^= 0x10
-			if s.Check(sealed) {
-				t.Errorf("%v: %d octets pass Check with a bit flipped", s, n)
+			if got, want := fcs(FCS32Mode, p), ^Bitwise32(Init32, p); got != want {
+				t.Errorf("FCS32(%d octets) = %#x, bitwise %#x", n, got, want)
+			}
+			for _, s := range []Size{FCS16Mode, FCS32Mode} {
+				sealed := s.Append(bytes.Clone(p))
+				if !s.Check(sealed) {
+					t.Errorf("%v: %d octets sealed by Append fail Check", s, n)
+				}
+				sealed[n/2] ^= 0x10
+				if s.Check(sealed) {
+					t.Errorf("%v: %d octets pass Check with a bit flipped", s, n)
+				}
 			}
 		}
-	}
+	})
 }
 
 // FuzzUpdateSplit: folding an input in two pieces through the
 // production kernel, from any starting register, equals the Sarwate
 // table over the whole — wherever the cut puts each piece relative to
-// the wide threshold.
+// the block, the four-block stride and the tail the fold handles
+// in-register.
 func FuzzUpdateSplit(f *testing.F) {
 	f.Add([]byte("123456789"), uint32(Init32), 4)
 	f.Add(bytes.Repeat([]byte{0x7E, 0x7D, 0x00, 0xFF}, 40), uint32(0), 64)
 	f.Add(bytes.Repeat([]byte{0xA5}, 129), uint32(0xDEADBEEF), 65)
 	f.Add(bytes.Repeat([]byte{0x11}, 1500), uint32(1), 63)
+	for _, cut := range []int{15, 16, 31, 32, 47, 48, 63, 64, 79} {
+		f.Add(bytes.Repeat([]byte{0x5A, 0x7E, 0xC3}, 53), uint32(0x1234567), cut)
+	}
 	f.Fuzz(func(t *testing.T, data []byte, init uint32, cut int) {
 		if cut < 0 {
 			cut = -(cut + 1) // -cut overflows at MinInt
@@ -366,35 +378,41 @@ func TestMatrixRowColumnDuality(t *testing.T) {
 }
 
 func TestCheckRoundTrip(t *testing.T) {
-	f := func(p []byte) bool {
-		ok16 := FCS16Mode.Check(FCS16Mode.Append(append([]byte(nil), p...)))
-		ok32 := FCS32Mode.Check(FCS32Mode.Append(append([]byte(nil), p...)))
-		return ok16 && ok32
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
+	eachKernel(t, func(t *testing.T) {
+		f := func(p []byte) bool {
+			ok16 := FCS16Mode.Check(FCS16Mode.Append(append([]byte(nil), p...)))
+			ok32 := FCS32Mode.Check(FCS32Mode.Append(append([]byte(nil), p...)))
+			return ok16 && ok32
+		}
+		if err := quick.Check(f, nil); err != nil {
+			t.Error(err)
+		}
+	})
 }
 
 func TestCheckDetectsCorruption(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 200; i++ {
-		p := make([]byte, 4+rng.Intn(64))
-		rng.Read(p)
-		framed := FCS32Mode.Append(append([]byte(nil), p...))
-		pos := rng.Intn(len(framed))
-		bit := byte(1) << uint(rng.Intn(8))
-		framed[pos] ^= bit
-		if FCS32Mode.Check(framed) {
-			t.Fatalf("single-bit corruption at %d undetected", pos)
+	eachKernel(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(7))
+		for i := 0; i < 200; i++ {
+			p := make([]byte, 4+rng.Intn(64))
+			rng.Read(p)
+			framed := FCS32Mode.Append(append([]byte(nil), p...))
+			pos := rng.Intn(len(framed))
+			bit := byte(1) << uint(rng.Intn(8))
+			framed[pos] ^= bit
+			if FCS32Mode.Check(framed) {
+				t.Fatalf("single-bit corruption at %d undetected", pos)
+			}
 		}
-	}
+	})
 }
 
 func TestCheckRejectsShort(t *testing.T) {
-	if FCS16Mode.Check([]byte{0x01}) || FCS32Mode.Check([]byte{0x01, 0x02, 0x03}) {
-		t.Error("short frames must fail FCS check")
-	}
+	eachKernel(t, func(t *testing.T) {
+		if FCS16Mode.Check([]byte{0x01}) || FCS32Mode.Check([]byte{0x01, 0x02, 0x03}) {
+			t.Error("short frames must fail FCS check")
+		}
+	})
 }
 
 func TestLinearity(t *testing.T) {
@@ -486,25 +504,42 @@ func BenchmarkParallel32x32(b *testing.B) {
 	}
 }
 
-// BenchmarkFCSUpdate prices the production FCS-32 kernel across the
-// frame sizes of the ladder, 256 frames laid end to end per op: the
-// step at 64 octets is where the wide fold engages.
+// BenchmarkFCSUpdate prices the production kernel of each size across
+// the frame sizes of the ladder, 256 frames laid end to end per op, on
+// every kernel this host can take: the carry-less fold engages at one
+// block (16 octets) and strides four blocks from 64.
 func BenchmarkFCSUpdate(b *testing.B) {
 	const frames = 256
-	for _, size := range []int{40, 64, 128, 576, 1500} {
-		b.Run(fmt.Sprintf("size=%d", size), func(b *testing.B) {
-			buf := make([]byte, frames*size)
-			rand.New(rand.NewSource(1)).Read(buf)
-			b.SetBytes(int64(len(buf)))
-			b.ReportAllocs()
-			b.ResetTimer()
-			var sink uint32
-			for i := 0; i < b.N; i++ {
-				for off := 0; off < len(buf); off += size {
-					sink += FCS32Mode.Update(Init32, buf[off:off+size])
-				}
+	for _, k := range kernels() {
+		for _, s := range []Size{FCS32Mode, FCS16Mode} {
+			for _, size := range []int{16, 32, 40, 48, 64, 128, 576, 1500} {
+				b.Run(fmt.Sprintf("%s/%v/size=%d", k, s, size), func(b *testing.B) {
+					defer useKernel(k)()
+					buf := make([]byte, frames*size)
+					rand.New(rand.NewSource(1)).Read(buf)
+					b.SetBytes(int64(len(buf)))
+					b.ReportAllocs()
+					b.ResetTimer()
+					var sink uint32
+					for i := 0; i < b.N; i++ {
+						for off := 0; off < len(buf); off += size {
+							sink += s.Update(s.Init(), buf[off:off+size])
+						}
+					}
+					benchSink = sink
+				})
 			}
-			benchSink = sink
+		}
+	}
+}
+
+// eachKernel runs f once per kernel Update can take on this host, as
+// a subtest named after it.
+func eachKernel(t *testing.T, f func(t *testing.T)) {
+	for _, k := range kernels() {
+		t.Run(k, func(t *testing.T) {
+			defer useKernel(k)()
+			f(t)
 		})
 	}
 }

@@ -12,10 +12,13 @@
 //     in one step via a GF(2) matrix, exactly the 8×32 (8-bit P5) and
 //     32×32 (32-bit P5) parallel matrices of the paper.
 //
-// Size.Update is the production kernel: FCS-32 inputs of 64 octets or
-// more are folded by hash/crc32 — software's CRC core as wide as the
-// datapath — and everything else takes the Slicing tables. Callers fold
-// once per frame, so that a frame reaches it whole.
+// Size.Update is the production kernel. On amd64 every input of 16
+// octets or more, of either size, is folded by carry-less multiply
+// (fcs_amd64.s) — software's CRC core as wide as the datapath, its
+// constants derived from the Matrix model at init — when the CPU has
+// the instructions; elsewhere FCS-32 inputs of 64 octets or more go
+// to hash/crc32. Everything else takes the Slicing tables. Callers
+// fold once per frame, so that a frame reaches it whole.
 //
 // All engines operate on the same reflected polynomial conventions PPP
 // uses (FCS-16 poly 0x8408, FCS-32 poly 0xEDB88320, init all-ones,

@@ -1,7 +1,5 @@
 package crc
 
-import "hash/crc32"
-
 // PPP frame-check-sequence helpers (RFC 1662 appendix C). The FCS is
 // computed over address, control, protocol and information fields (after
 // any header compression, before any byte stuffing), transmitted
@@ -18,12 +16,6 @@ const (
 	FCS32Mode Size = 4 // 32-bit FCS, 4 octets on the wire
 )
 
-// wide is the input length from which FCS-32 is folded at datapath
-// width by hash/crc32 — carry-less multiply on amd64, the CRC32
-// instructions on arm64, slicing-by-8 elsewhere. The stdlib's own wide
-// kernel needs as much; shorter inputs would only pay its dispatch.
-const wide = 64
-
 // Bytes returns the on-the-wire size of the FCS field in octets.
 func (s Size) Bytes() int { return int(s) }
 
@@ -37,26 +29,10 @@ func (s Size) Init() uint32 {
 	return Init32
 }
 
-// Update folds p into a streaming register started by Init — the one
-// production kernel of each size. hash/crc32 speaks the checksum
-// convention (register complemented going in and coming out); the
-// complement on both sides turns it back into the raw register, from
-// any starting value. FCS-16 has no hardware kernel: it and short
-// inputs take the in-package slicing tables, one call from here.
-func (s Size) Update(fcs uint32, p []byte) uint32 {
-	if s == FCS16Mode {
-		return uint32(slicing16(uint16(fcs), p))
-	}
-	if len(p) >= wide {
-		return ^crc32.Update(^fcs, crc32.IEEETable, p)
-	}
-	return slicing32(fcs, p)
-}
-
 // Slicing folds p through the in-package slicing tables whatever its
-// length. Unlike Update it does not let p escape to the heap (the
-// stdlib dispatches through a function variable), so it is the fold
-// for a few octets in a caller's stack buffer — a frame header.
+// length. It never lets p escape to the heap — off amd64 Update does,
+// since hash/crc32 dispatches through a function variable — so it is
+// the fold for a few octets in a caller's stack buffer: a frame header.
 func (s Size) Slicing(fcs uint32, p []byte) uint32 {
 	if s == FCS16Mode {
 		return uint32(slicing16(uint16(fcs), p))
@@ -83,16 +59,13 @@ func (s Size) Append(p []byte) []byte {
 }
 
 // Check verifies a frame body (including trailing FCS) in the selected
-// mode. It dispatches like Update, so that a short frame — the
-// tokenizer checks every one — is one call from its fold.
+// mode: one fold through Update, so that a short frame — the tokenizer
+// checks every one — takes the same kernel as a long one.
 func (s Size) Check(p []byte) bool {
 	if s == FCS16Mode {
-		return len(p) >= 2 && slicing16(Init16, p) == Good16
+		return len(p) >= 2 && s.Update(uint32(Init16), p) == uint32(Good16)
 	}
-	if len(p) >= wide {
-		return s.Update(Init32, p) == Good32
-	}
-	return len(p) >= 4 && slicing32(Init32, p) == Good32
+	return len(p) >= 4 && s.Update(Init32, p) == Good32
 }
 
 func (s Size) String() string {

@@ -56,7 +56,8 @@ type Token struct {
 // per octet does not depend on where the escapes fall. The frame, not
 // the block, is the unit of the FCS: the in-progress frame is
 // contiguous in the arena however the stream was chunked, so the
-// closing flag folds it once through crc.Size.Update's wide kernel, and
+// closing flag folds it once through crc.Size.Check — on amd64 the
+// carry-less fold from 16 octets, a 40-octet frame included — and
 // aborts, runts, oversize discards and hunting never touch the CRC.
 // ReferenceTokenizer retains the byte-at-a-time loop, with a per-octet
 // check of its own, as the differential-fuzz model.

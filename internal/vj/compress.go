@@ -5,7 +5,7 @@ import "encoding/binary"
 // Compressor is the transmit side: it owns the slot table and the
 // last-transmitted-slot optimisation (the C bit).
 type Compressor struct {
-	table    []slot // the connection table: n slots, at most 254
+	table    []slot // the connection table: maxSlots slots
 	byKey    map[connKey]int
 	lastSlot int
 	clock    uint64
@@ -15,14 +15,11 @@ type Compressor struct {
 	SavedOctets                           uint64
 }
 
-// NewCompressor returns a compressor with n slots (0 = MaxSlots).
-func NewCompressor(n int) *Compressor {
-	if n <= 0 || n > 254 {
-		n = maxSlots
-	}
+// NewCompressor returns a compressor with maxSlots slots.
+func NewCompressor() *Compressor {
 	return &Compressor{
-		table:    make([]slot, n),
-		byKey:    make(map[connKey]int, n),
+		table:    make([]slot, maxSlots),
+		byKey:    make(map[connKey]int, maxSlots),
 		lastSlot: 255,
 	}
 }

@@ -14,12 +14,10 @@ type Decompressor struct {
 	Tossed uint64
 }
 
-// NewDecompressor returns a decompressor with n slots (0 = MaxSlots).
-func NewDecompressor(n int) *Decompressor {
-	if n <= 0 || n > 254 {
-		n = maxSlots
-	}
-	return &Decompressor{table: make([]slot, n), lastSlot: 255}
+// NewDecompressor returns a decompressor with maxSlots slots, the
+// compressor's.
+func NewDecompressor() *Decompressor {
+	return &Decompressor{table: make([]slot, maxSlots), lastSlot: 255}
 }
 
 // Decompress reverses Compress for one packet.

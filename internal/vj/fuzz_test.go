@@ -9,7 +9,7 @@ func FuzzDecompress(f *testing.F) {
 	f.Add(byte(0), []byte{0x45})
 	f.Add(byte(2), []byte{0xFF, 0x00, 0x00, 0x00, 0x00})
 	f.Fuzz(func(t *testing.T, ty byte, data []byte) {
-		d := NewDecompressor(0)
+		d := NewDecompressor()
 		// Prime one connection so compressed packets have state to hit.
 		c0 := defaultConn()
 		seed := c0.marshal()

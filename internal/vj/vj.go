@@ -54,7 +54,8 @@ const (
 	specialD = newS | newA | newW | newU
 )
 
-// maxSlots is the default connection-state table size (RFC: 16).
+// maxSlots is the connection-state table size of both ends (RFC 1144:
+// 16).
 const maxSlots = 16
 
 // Header layout offsets within the 40-octet IP+TCP header block.

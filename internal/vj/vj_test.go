@@ -62,7 +62,7 @@ type pipe struct {
 }
 
 func newPipe() *pipe {
-	return &pipe{c: NewCompressor(0), d: NewDecompressor(0)}
+	return &pipe{c: NewCompressor(), d: NewDecompressor()}
 }
 
 // send compresses then decompresses, asserting byte-exact recovery.
@@ -407,7 +407,7 @@ func TestCompressibleEdgeCases(t *testing.T) {
 }
 
 func TestDecompressorErrorPaths(t *testing.T) {
-	d := NewDecompressor(0)
+	d := NewDecompressor()
 	// Truncated uncompressed packet.
 	if _, err := d.Decompress(TypeUncompressed, make([]byte, 10)); err == nil {
 		t.Error("short uncompressed accepted")
@@ -420,17 +420,17 @@ func TestDecompressorErrorPaths(t *testing.T) {
 		t.Errorf("slot 200: %v", err)
 	}
 	// Compressed too short.
-	d2 := NewDecompressor(0)
+	d2 := NewDecompressor()
 	if _, err := d2.Decompress(TypeCompressed, []byte{0}); err == nil {
 		t.Error("short compressed accepted")
 	}
 	// Compressed referencing never-installed state.
-	d3 := NewDecompressor(0)
+	d3 := NewDecompressor()
 	if _, err := d3.Decompress(TypeCompressed, []byte{newC, 3, 0, 0}); err != errBadSlot {
 		t.Errorf("uninstalled slot: %v", err)
 	}
 	// Truncated delta fields.
-	d4 := NewDecompressor(0)
+	d4 := NewDecompressor()
 	c0 := defaultConn()
 	seed := c0.marshal()
 	seed[ipProto] = 0

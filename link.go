@@ -167,12 +167,12 @@ func NewLink(cfg LinkConfig) *Link {
 	l.ipcpPol.WantVJ = cfg.WantVJ
 	l.ipcpPol.AllowVJ = cfg.AllowVJ
 	if cfg.WantVJ {
-		l.vjRx = vj.NewDecompressor(0)
+		l.vjRx = vj.NewDecompressor()
 	}
 	if cfg.AllowVJ {
 		// The peer may still decline; the compressor is armed only
 		// once IPCP grants VJToPeer.
-		l.vjTx = vj.NewCompressor(0)
+		l.vjTx = vj.NewCompressor()
 	}
 
 	l.lcpA = lcp.NewAutomaton(
@@ -235,14 +235,19 @@ func (c LinkConfig) fcs() FCSSize {
 // tokenizer is the receive framer for this configuration. Its frame
 // check folds each body once, at the closing flag, so decode never
 // re-walks it. Its bounds are what frame can accept: at most the
-// header (address, control, two-octet protocol), the larger of the
-// requested MRU and ppp.DefaultMRU, and the FCS; at least the FCS and
-// one octet. A peer that opens a frame and never closes it costs one
-// MaxFrame of arena, not the whole stream.
+// header (address, control, two-octet protocol), rxMRU of the
+// requested MRU, and the FCS; at least the FCS and one octet. A peer
+// that opens a frame and never closes it costs one MaxFrame of arena,
+// not the whole stream.
 func (c LinkConfig) tokenizer() hdlc.Tokenizer {
 	fcs := c.fcs().Bytes()
-	return hdlc.Tokenizer{FCS: c.fcs(), MaxFrame: 4 + max(c.MRU, ppp.DefaultMRU) + fcs, MinFrame: fcs + 1}
+	return hdlc.Tokenizer{FCS: c.fcs(), MaxFrame: 4 + rxMRU(c.MRU) + fcs, MinFrame: fcs + 1}
 }
+
+// rxMRU is the largest information field a link accepts under MRU mru,
+// requested or negotiated: never under ppp.DefaultMRU, since control
+// packets may exceed a tiny negotiated MRU.
+func rxMRU(mru int) int { return max(mru, ppp.DefaultMRU) }
 
 // dataTxConfig is the framing config for network-layer frames after
 // negotiation.
@@ -255,7 +260,7 @@ func (l *Link) dataTxConfig() ppp.Config {
 func (l *Link) rxConfig() ppp.Config {
 	cfg := l.lcpPol.RxConfig()
 	cfg.FCS = l.cfg.fcs()
-	cfg.MRU = 0 // control packets may exceed a tiny negotiated MRU
+	cfg.MRU = rxMRU(cfg.MRU)
 	return cfg
 }
 

@@ -251,6 +251,35 @@ func TestLinkHasOutputAndMRU(t *testing.T) {
 	}
 }
 
+// TestJumboMRUDelivers: with both ends asking for a 9000-octet MRU, a
+// 4000-octet datagram the sender accepts arrives byte for byte — the
+// receive side polices the MRU it negotiated, not DefaultMRU — and
+// counts no receive error.
+func TestJumboMRUDelivers(t *testing.T) {
+	a := NewLink(LinkConfig{Magic: 1, MRU: 9000, IPAddr: [4]byte{10, 0, 0, 1}})
+	b := NewLink(LinkConfig{Magic: 2, MRU: 9000, IPAddr: [4]byte{10, 0, 0, 2}})
+	bringUp(t, a, b)
+	if got := b.lcpPol.Local.MRU; got != 9000 {
+		t.Fatalf("b negotiated MRU %d, want 9000", got)
+	}
+	datagram := make([]byte, 4000)
+	for i := range datagram {
+		datagram[i] = byte(i * 7)
+	}
+	if err := a.SendIPv4(datagram); err != nil {
+		t.Fatal(err)
+	}
+	errs := b.RxErrors
+	pump(t, a, b, 100)
+	got := b.Received()
+	if len(got) != 1 || !bytes.Equal(got[0].Payload, datagram) {
+		t.Fatalf("received %d datagrams, want the 4000-octet one", len(got))
+	}
+	if b.RxErrors != errs {
+		t.Errorf("RxErrors %d → %d", errs, b.RxErrors)
+	}
+}
+
 func TestReliableStatsWithoutStation(t *testing.T) {
 	a := NewLink(LinkConfig{Magic: 1})
 	if tx, rx, re, rj := a.ReliableStats(); tx+rx+re+rj != 0 {

@@ -11,13 +11,14 @@
 #   fed or drained outside TransportPort or a hand-armed recorder
 #   outside their one seam),
 #   go test -race (and fifty race runs of the TCP lifecycle tests),
-#   the portable Go paths that amd64 replaces with its two kernels —
-#   the delimiter fold (SSE2) and the word sorters (SSSE3, chosen by
+#   the portable Go paths that amd64 replaces with its three kernels —
+#   the delimiter fold (SSE2), the word sorters (SSSE3, chosen by
+#   CPUID) and the FCS slicing tables (the carry-less fold, chosen by
 #   CPUID) — and the 32-bit decoders (GOARCH=386 go test of
-#   internal/hdlc, internal/ppp, internal/flight and internal/telemetry,
-#   GOARCH=386 go vet of the whole tree, GOARCH=arm64 go vet of
-#   internal/hdlc; go vet ./... above runs asmdecl on both kernels
-#   themselves), the three timing gates
+#   internal/crc, internal/hdlc, internal/ppp, internal/flight and
+#   internal/telemetry, GOARCH=386 go vet of the whole tree,
+#   GOARCH=arm64 go vet of internal/crc and internal/hdlc; go vet ./...
+#   above runs asmdecl on the kernels themselves), the three timing gates
 #   (gates_test.go; the OC-48 floor covers the codecs, the Link pair
 #   and the STM-16 section),
 #   every scenarios/*.json run through p5sim (each graded by its own
@@ -27,9 +28,9 @@
 #   scenarios/net/*.json socket engines as two p5sim
 #   halves each, a 30s differential fuzz of each fused kernel — the one production
 #   encoder and the one production tokenizer, each against its
-#   byte-at-a-time reference — and of the receive word sorter against
-#   the byte-serial destuff
-#   (FUSED_FUZZTIME overrides, per fuzzer) — a 10s one of the SONET
+#   byte-at-a-time reference — of the receive word sorter against
+#   the byte-serial destuff, and of the FCS kernel against the Sarwate
+#   table (FUSED_FUZZTIME overrides, per fuzzer) — a 10s one of the SONET
 #   deframer's chunking (SONET_FUZZTIME overrides), and
 #   scripts/fuzz-smoke.sh, a short fuzz of every Fuzz* target (5s each
 #   by default; FUZZTIME overrides). Speed is judged elsewhere:
@@ -79,21 +80,24 @@ echo "== go test -race =="
 go test -race ./...
 
 echo "== 32-bit and portable paths (GOARCH=386 test and vet, GOARCH=arm64 vet) =="
-# amd64 carries two kernels: it maps delimiters with delim_amd64.s and
-# sorts dense words with sorter_amd64.s (where CPUID reports SSSE3);
-# every other GOARCH runs the Go fold in delim_other.go, which an amd64
-# build never compiles, and the Go word sorters (stuffWords,
-# destuffWords). 386 binaries run on an amd64 host, so the codec tests
-# (TestBlockMapsExact, the guard-page tests, the sorter tests, the
-# fused-path tests) run against the Go paths too; the arm64 vet checks
-# them on a 64-bit GOARCH. The capture decoder
+# amd64 carries three kernels: it maps delimiters with delim_amd64.s,
+# sorts dense words with sorter_amd64.s (where CPUID reports SSSE3) and
+# folds the FCS of every input of 16 octets or more with fcs_amd64.s
+# (where CPUID reports PCLMULQDQ, SSSE3 and SSE4.1); every other GOARCH
+# runs the Go fold in delim_other.go, which an amd64 build never
+# compiles, the Go word sorters (stuffWords, destuffWords) and
+# fcs_other.go's slicing tables and hash/crc32. 386 binaries run on an
+# amd64 host, so the codec tests (TestBlockMapsExact, the guard-page
+# tests, the sorter tests, the fused-path tests, the FCS differentials)
+# run against the Go paths too; the arm64 vet checks them on a 64-bit
+# GOARCH. The capture decoder
 # and the exposition parser read outside input, and a capture's length
 # fields turn negative as a 32-bit int, so their tests run on 386 too.
 # The 386 vet type-checks every package, tests included, so a constant
 # that overflows a 32-bit int anywhere in the tree fails here.
-GOARCH=386 go test ./internal/hdlc ./internal/ppp ./internal/flight ./internal/telemetry
+GOARCH=386 go test ./internal/crc ./internal/hdlc ./internal/ppp ./internal/flight ./internal/telemetry
 GOARCH=386 go vet ./...
-GOARCH=arm64 go vet ./internal/hdlc
+GOARCH=arm64 go vet ./internal/crc ./internal/hdlc
 
 echo "== timing gates (flight ≤ 5%, stage profile ≤ 8%, OC-48 floor: codecs, Link pair, STM-16 section) =="
 go test -tags gates -run '^TestGate' -count=1 -v .
@@ -218,14 +222,17 @@ echo "== fused codec fuzz (${FUSED_FUZZTIME:-30s} per fuzzer) =="
 # is a wire-format bug with no second production path to mask it. The
 # receive word sorter (destuffBlock) resolves escape runs from a table
 # of its own, so it is held to the byte-serial destuff under any
-# chunking as well. All three get a longer dedicated run than the
-# generic smoke below.
+# chunking as well, and the FCS kernel both codecs fold through
+# (crc.Size.Update) to the Sarwate table, cut anywhere. All four get a
+# longer dedicated run than the generic smoke below.
 go test -run '^$' -fuzz '^FuzzFusedEncode$' \
     -fuzztime "${FUSED_FUZZTIME:-30s}" ./internal/ppp
 go test -run '^$' -fuzz '^FuzzFusedDecode$' \
     -fuzztime "${FUSED_FUZZTIME:-30s}" ./internal/hdlc
 go test -run '^$' -fuzz '^FuzzDestuffConsistency$' \
     -fuzztime "${FUSED_FUZZTIME:-30s}" ./internal/hdlc
+go test -run '^$' -fuzz '^FuzzUpdateSplit$' \
+    -fuzztime "${FUSED_FUZZTIME:-30s}" ./internal/crc
 
 echo "== SONET deframer chunking fuzz (${SONET_FUZZTIME:-10s}) =="
 # The word-wide SONET receive path is gated the same way: one line fed

@@ -230,9 +230,9 @@ func (l *Link) resetTransport() {
 		l.fl.rec.Flush()
 	}
 	if l.cfg.WantVJ {
-		l.vjRx = vj.NewDecompressor(0)
+		l.vjRx = vj.NewDecompressor()
 	}
 	if l.cfg.AllowVJ {
-		l.vjTx = vj.NewCompressor(0)
+		l.vjTx = vj.NewCompressor()
 	}
 }
