@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/aps"
-	"repro/internal/channel"
 	"repro/internal/fault"
 	"repro/internal/netsim"
 	"repro/internal/p5"
@@ -15,7 +14,7 @@ import (
 // self-healing stack: two supervised PPP endpoints ride an STM-1
 // section whose a→b direction suffers a scripted fault scenario — byte
 // slips, a frame truncation, a duplication, two timed LOS line cuts —
-// with mild Gilbert-Elliott burst noise layered on top. The link must
+// with mild noise bursts at seeded offsets layered on top. The link must
 // return to Opened after every outage within bounded virtual time, the
 // supervisor's exponential backoff must be visible in its retry
 // timestamps, and the OAM defect counters must reconcile exactly
@@ -47,18 +46,20 @@ func TestChaosSoakLinkSelfHealing(t *testing.T) {
 	var script fault.Script
 	script.Insert(40*fb+1000, 0x55)      // byte slip (late)
 	script.Delete(70*fb+500, 1)          // byte slip (early)
-	script.Truncate(100*fb+1200, fb)     // frame truncation
+	script.Delete(100*fb+1200, fb-1200)  // frame truncation
 	script.Duplicate(130*fb+17, 16)      // duplication
 	script.LOS(170*fb, 150*fb)           // line cut #1: 150 frames
 	script.Insert(360*fb+99, 0xAA, 0x55) // double slip mid-recovery era
 	script.LOS(520*fb, 60*fb)            // line cut #2: 60 frames
 	script.Corrupt(640*fb+300, 32, 0x0F) // a scorched run of octets
-	inj := fault.NewInjector(script)
-	inj.Model = &channel.GilbertElliott{
-		PGoodToBad: 2e-6, PBadToGood: 0.1,
-		BERGood: 0, BERBad: 0.05,
-		Rand: netsim.NewRand(0xC0FFEE),
+	// Mild burst noise over the whole soak: about one short burst every
+	// 26 frames, each at a seeded offset with its own generator seed.
+	const soak = 720 // frame times the script spans
+	bursts := netsim.NewRand(0xC0FFEE)
+	for i := uint64(0); i < soak/26; i++ {
+		script.Noise(int64(bursts.Intn(soak*fb)), 8, 0.05, i)
 	}
+	inj := fault.NewInjector(script)
 
 	now := int64(0)
 	var rx [][]byte
@@ -91,7 +92,7 @@ func TestChaosSoakLinkSelfHealing(t *testing.T) {
 	// recovery after it ends.
 	sawOutage := false
 	la.Inject = inj.Apply
-	for i := 0; i < 720; i++ {
+	for i := 0; i < soak; i++ {
 		tickOnce()
 		if !b.Opened() {
 			sawOutage = true
@@ -159,6 +160,9 @@ func TestChaosSoakLinkSelfHealing(t *testing.T) {
 	if inj.Stats.Inserted != 3 || inj.Stats.Deleted != uint64(1+fb-1200) || inj.Stats.Duplicated != 16 {
 		t.Errorf("injector slip stats: ins=%d del=%d dup=%d", inj.Stats.Inserted, inj.Stats.Deleted, inj.Stats.Duplicated)
 	}
+	if inj.Stats.NoiseBits == 0 {
+		t.Error("the noise bursts flipped no bits")
+	}
 	var raises, clears uint64
 	for _, d := range []sonet.Defect{sonet.DefOOF, sonet.DefLOF, sonet.DefLOS, sonet.DefSD, sonet.DefSF} {
 		raises += mon.Raises(d)
@@ -222,9 +226,9 @@ func TestChaosSoakDualLineProtection(t *testing.T) {
 	pr.Corrupt(150*fb+100, 64, 0xFF) // standby line parity burst
 	pr.LOS(180*fb, 60*fb)            // protect cut while working is clean
 	pr.LOS(400*fb, 50*fb)            // protect cut #2, selector on working
-	pair := fault.NewPair(w, pr)
-	p.impair(aps.Working, pair.Working.Apply)
-	p.impair(aps.Protect, pair.Protect.Apply)
+	injW, injP := fault.NewInjector(w), fault.NewInjector(pr)
+	p.impair(aps.Working, injW.Apply)
+	p.impair(aps.Protect, injP.Apply)
 
 	for i := 0; i < 40; i++ {
 		p.tick()
@@ -270,7 +274,7 @@ func TestChaosSoakDualLineProtection(t *testing.T) {
 			t.Fatalf("session dropped at tick %d with one line still up", p.now)
 		}
 	}
-	if !pair.Working.Done() || !pair.Protect.Done() {
+	if !injW.Done() || !injP.Done() {
 		t.Fatalf("scripts not fully fired: working=%q protect=%q", w.String(), pr.String())
 	}
 

@@ -1,7 +1,7 @@
-// Package channel models the transmission impairments of the paper's
-// physical layer: independent random bit errors (optical links) and the
-// Gilbert-Elliott two-state burst model (radio links, the "noisy
-// environments" of the paper's §2). It exists to evaluate the framing
+// Package channel models the transmission medium of the paper's physical
+// layer: independent random bit errors at a fixed rate (BER, the
+// generator behind fault's scripted noise windows) and a fibre's
+// propagation delay and jitter (Line). Its tests evaluate the framing
 // layer's error-detection choices — notably the paper's decision to
 // "incorporate 32-bit CRC checking" rather than FCS-16.
 package channel
@@ -12,14 +12,8 @@ import (
 	"repro/internal/netsim"
 )
 
-// Model corrupts a byte stream in place and reports the bits flipped.
-type Model interface {
-	// Apply flips bits in p and returns how many it flipped.
-	Apply(p []byte) int
-}
-
-// BER is a memoryless binary symmetric channel with the given bit error
-// rate.
+// BER is a memoryless binary symmetric channel with the bit error rate
+// it was built with.
 type BER struct {
 	Rate float64
 	Rand *netsim.Rand
@@ -29,11 +23,10 @@ type BER struct {
 	// does not change the error process.
 	skip   int64
 	primed bool
-	lnq    float64 // cached ln(1-Rate)
-	rate   float64 // Rate the cache was computed for
+	lnq    float64 // ln(1-Rate)
 }
 
-// Apply implements Model. Instead of one uniform draw per bit (eight
+// Apply flips bits in p and returns how many it flipped. Instead of one uniform draw per bit (eight
 // per byte), it samples the geometric inter-error distance directly —
 // identical error statistics, but the work scales with the number of
 // errors rather than the number of bits, which at realistic optical
@@ -48,9 +41,8 @@ func (m *BER) Apply(p []byte) int {
 		}
 		return len(p) * 8
 	}
-	if !m.primed || m.rate != m.Rate {
+	if !m.primed {
 		m.lnq = math.Log1p(-m.Rate)
-		m.rate = m.Rate
 		m.skip = m.draw()
 		m.primed = true
 	}
@@ -85,47 +77,6 @@ func (m *BER) applyNaive(p []byte) int {
 	for i := range p {
 		for b := 0; b < 8; b++ {
 			if m.Rand.Float64() < m.Rate {
-				p[i] ^= 1 << uint(b)
-				flips++
-			}
-		}
-	}
-	return flips
-}
-
-// GilbertElliott is the classic two-state burst-error channel: a Good
-// state with negligible errors and a Bad state with a high error rate;
-// transitions between them create error bursts with geometric lengths.
-type GilbertElliott struct {
-	// PGoodToBad and PBadToGood are per-bit transition probabilities.
-	PGoodToBad, PBadToGood float64
-	// BERGood and BERBad are the in-state bit error rates.
-	BERGood, BERBad float64
-	Rand            *netsim.Rand
-
-	bad bool
-	// Bursts counts Good→Bad transitions.
-	Bursts uint64
-}
-
-// Apply implements Model.
-func (m *GilbertElliott) Apply(p []byte) int {
-	flips := 0
-	for i := range p {
-		for b := 0; b < 8; b++ {
-			if m.bad {
-				if m.Rand.Float64() < m.PBadToGood {
-					m.bad = false
-				}
-			} else if m.Rand.Float64() < m.PGoodToBad {
-				m.bad = true
-				m.Bursts++
-			}
-			ber := m.BERGood
-			if m.bad {
-				ber = m.BERBad
-			}
-			if m.Rand.Float64() < ber {
 				p[i] ^= 1 << uint(b)
 				flips++
 			}

@@ -109,25 +109,6 @@ func BenchmarkBERApply(b *testing.B) {
 	}
 }
 
-func TestGilbertElliottBurstiness(t *testing.T) {
-	m := &GilbertElliott{
-		PGoodToBad: 1e-4, PBadToGood: 0.05,
-		BERGood: 0, BERBad: 0.3,
-		Rand: netsim.NewRand(2),
-	}
-	p := make([]byte, 200000)
-	flips := m.Apply(p)
-	if m.Bursts == 0 || flips == 0 {
-		t.Fatalf("bursts=%d flips=%d", m.Bursts, flips)
-	}
-	// Burstiness: mean flips per burst must far exceed what a uniform
-	// channel at the same average rate would cluster.
-	perBurst := float64(flips) / float64(m.Bursts)
-	if perBurst < 3 {
-		t.Errorf("flips per burst = %.1f, not bursty", perBurst)
-	}
-}
-
 // burstAt flips a run of `bits` consecutive bits starting at the given
 // bit offset — a deterministic all-ones burst for targeted tests.
 func burstAt(p []byte, bitOff, bits int) {

@@ -3,7 +3,7 @@ package channel
 import "repro/internal/netsim"
 
 // This file models the *temporal* impairments of a long-haul line, the
-// complement of the bit-error Models in channel.go: fixed propagation
+// complement of the bit-error channel in channel.go: fixed propagation
 // delay and bounded random jitter, at chunk (transport-frame)
 // granularity and clocked in virtual ticks. A ring span pushes each
 // transmitted frame into a Line and pops the frames due at the current

@@ -253,13 +253,13 @@ func compose(p *Parallel32) *Parallel32 {
 	q := &Parallel32{w: p.w * 2}
 	q.mstate.Cols = make([]uint32, 32)
 	for i := 0; i < 32; i++ {
-		q.mstate.Cols[i] = p.mstate.Apply(p.mstate.Cols[i])
+		q.mstate.Cols[i] = p.mstate.apply(p.mstate.Cols[i])
 	}
 	q.mdata.Cols = make([]uint32, q.w)
 	// First (earlier) w data bits pass through the second application of
 	// Mstate; the last w bits are injected directly.
 	for j := 0; j < p.w; j++ {
-		q.mdata.Cols[j] = p.mstate.Apply(p.mdata.Cols[j])
+		q.mdata.Cols[j] = p.mstate.apply(p.mdata.Cols[j])
 		q.mdata.Cols[p.w+j] = p.mdata.Cols[j]
 	}
 	q.buildTables()
@@ -293,7 +293,19 @@ func TestComposeMatchesDirect(t *testing.T) {
 	}
 }
 
-// apply16 is Matrix32.Apply for the 16-bit engine's bare column slices.
+// apply multiplies the matrix by the input vector v (bit i of v selects
+// Cols[i]).
+func (m Matrix32) apply(v uint32) uint32 {
+	var out uint32
+	for i, c := range m.Cols {
+		if v>>uint(i)&1 != 0 {
+			out ^= c
+		}
+	}
+	return out
+}
+
+// apply16 is Matrix32.apply for the 16-bit engine's bare column slices.
 func apply16(cols []uint16, v uint64) uint16 {
 	var out uint16
 	for i, c := range cols {
@@ -319,12 +331,12 @@ func TestTablesAreTheMatrix(t *testing.T) {
 			if i%2 == 0 {
 				data &= low
 			}
-			// Matrix32.Apply takes a 32-bit vector: wider data words go
+			// Matrix32.apply takes a 32-bit vector: wider data words go
 			// through it half by half.
 			lo := Matrix32{p32.mdata.Cols[:min(w, 32)]}
-			want32 := p32.mstate.Apply(state) ^ lo.Apply(uint32(data))
+			want32 := p32.mstate.apply(state) ^ lo.apply(uint32(data))
 			if w > 32 {
-				want32 ^= Matrix32{p32.mdata.Cols[32:]}.Apply(uint32(data >> 32))
+				want32 ^= Matrix32{p32.mdata.Cols[32:]}.apply(uint32(data >> 32))
 			}
 			if got := p32.Step(state, data); got != want32 {
 				t.Fatalf("Parallel32(%d).Step(%#x, %#x) = %#x, matrix says %#x", w, state, data, got, want32)
@@ -355,7 +367,7 @@ func TestComposedTablesMatchDirect(t *testing.T) {
 		if got := composed.Step(state, data); got != want {
 			t.Fatalf("composed Step(%#x, %#x) = %#x, direct %#x", state, data, got, want)
 		}
-		viaMatrix := composed.mstate.Apply(state) ^ composed.mdata.Apply(uint32(data))
+		viaMatrix := composed.mstate.apply(state) ^ composed.mdata.apply(uint32(data))
 		if viaMatrix != want {
 			t.Fatalf("composed matrices (%#x, %#x) = %#x, direct Step %#x", state, data, viaMatrix, want)
 		}

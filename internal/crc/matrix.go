@@ -15,27 +15,15 @@ import "math/bits"
 // the "8 x 32-bit parallel matrix" (8-bit P5) and "32 x 32-bit parallel
 // matrix" (32-bit P5) of the paper. Here the matrices are the definition:
 // the synthesis-cost model reads them (each row's population count sizes
-// its XOR tree) and Apply evaluates them column by column. Step, the
+// its XOR tree) and the tests evaluate them column by column. Step, the
 // per-clock operation of the simulated CRC unit, evaluates the same map
 // eight input bits at a time through tables derived from the columns.
 
 // Matrix32 is a GF(2) linear map into 32-bit vectors, stored column-major:
-// Cols[i] is the 32-bit output contribution of input bit i. Apply XORs the
-// columns selected by the input vector.
+// Cols[i] is the 32-bit output contribution of input bit i: the product
+// with an input vector XORs the columns its set bits select.
 type Matrix32 struct {
 	Cols []uint32
-}
-
-// Apply multiplies the matrix by the input vector v (bit i of v selects
-// Cols[i]).
-func (m Matrix32) Apply(v uint32) uint32 {
-	var out uint32
-	for i, c := range m.Cols {
-		if v>>uint(i)&1 != 0 {
-			out ^= c
-		}
-	}
-	return out
 }
 
 // Row returns row r as a bitmask over the input bits: bit i is set iff

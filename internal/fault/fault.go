@@ -1,18 +1,17 @@
 // Package fault is a deterministic, scriptable fault injector for byte
 // streams: the impairment layer the robustness tests drive the SONET
-// section and PPP stack with. Where package channel models *analog*
-// noise (independent and bursty bit errors), fault models the *digital*
-// failures a real OC-48 line sees — byte insert/delete slips that break
-// frame alignment, frame truncation, duplication, and timed line-cut
-// (LOS) windows during which the receiver sees a dead (all-zeros) line.
+// section and PPP stack with. It models the failures a real OC-48 line
+// sees — byte insert/delete slips that break frame alignment (a
+// deletion to a frame boundary truncates the frame), duplication,
+// octet corruption, timed line-cut (LOS) windows during which the
+// receiver sees a dead (all-zeros) line, and timed noise windows of
+// random bit errors, the one source of analog noise (channel.BER seeded
+// per window; a cut fibre carries no light, so no noise inside LOS).
 //
 // Every impairment is an Op pinned to an absolute input-stream octet
 // offset, so a scenario is exactly reproducible: build a Script (by hand,
 // or compiled from a scenario file's events by internal/scenario), wrap
-// it in an Injector, and pass the line stream through Apply. An optional
-// channel.Model composes analog bit errors on top of the scripted events
-// (bit noise is suppressed inside LOS windows — a cut fibre carries no
-// light, and therefore no noise).
+// it in an Injector, and pass the line stream through Apply.
 package fault
 
 import (
@@ -84,13 +83,6 @@ func (s *Script) Delete(at int64, n int) *Script {
 	return s
 }
 
-// Truncate schedules a frame truncation: everything from at to the next
-// multiple of frameBytes is dropped.
-func (s *Script) Truncate(at int64, frameBytes int) *Script {
-	n := frameBytes - int(at%int64(frameBytes))
-	return s.Delete(at, n)
-}
-
 // Duplicate schedules re-emission of the n octets delivered before at.
 func (s *Script) Duplicate(at int64, n int) *Script {
 	s.Ops = append(s.Ops, Op{At: at, Kind: kindDuplicate, N: n})
@@ -140,21 +132,16 @@ type Stats struct {
 	Deleted    uint64 // octets removed by Delete ops
 	Duplicated uint64 // octets re-emitted by Duplicate ops
 	LOSOctets  uint64 // octets zeroed inside LOS windows
-	BitErrors  uint64 // bits flipped by the analog Model
 	NoiseBits  uint64 // bits flipped inside scripted Noise windows
 }
 
 // histMax bounds the delivered-octet history kept for Duplicate ops.
 const histMax = 8192
 
-// Injector applies a Script (and optionally an analog channel.Model) to
-// a byte stream fed through Apply in arbitrary chunks. It is
-// deterministic: the same script, model state and input always produce
-// the same output.
+// Injector applies a Script to a byte stream fed through Apply in
+// arbitrary chunks. It is deterministic: the same script and input
+// always produce the same output, however the input is chunked.
 type Injector struct {
-	// Model, when set, adds analog bit errors to the delivered stream
-	// (outside LOS windows).
-	Model channel.Model
 	// Stats tallies applied impairments.
 	Stats Stats
 
@@ -180,13 +167,6 @@ func NewInjector(script Script) *Injector {
 // the impaired chunk (which may be shorter or longer than the input).
 func (in *Injector) Apply(p []byte) []byte {
 	out := make([]byte, 0, len(p)+8)
-	seg := 0 // start of the current analog segment within out
-	flush := func() {
-		if in.Model != nil && len(out) > seg {
-			in.Stats.BitErrors += uint64(in.Model.Apply(out[seg:]))
-		}
-		seg = len(out)
-	}
 	for _, b := range p {
 		for len(in.ops) > 0 && in.ops[0].At <= in.pos {
 			op := in.ops[0]
@@ -230,10 +210,8 @@ func (in *Injector) Apply(p []byte) []byte {
 		case in.pos < in.delEnd:
 			in.Stats.Deleted++
 		case in.pos < in.losEnd:
-			// Dead line: no noise model inside the cut.
-			flush()
+			// Dead line: no noise inside the cut.
 			out = append(out, 0)
-			seg = len(out)
 			in.Stats.LOSOctets++
 		default:
 			if in.pos < in.corEnd {
@@ -248,7 +226,6 @@ func (in *Injector) Apply(p []byte) []byte {
 		}
 		in.pos++
 	}
-	flush()
 	if n := len(out); n > 0 {
 		in.hist = append(in.hist, out...)
 		if len(in.hist) > histMax {

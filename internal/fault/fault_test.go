@@ -3,9 +3,6 @@ package fault
 import (
 	"bytes"
 	"testing"
-
-	"repro/internal/channel"
-	"repro/internal/netsim"
 )
 
 func feed(in *Injector, p []byte, chunk int) []byte {
@@ -88,7 +85,7 @@ func TestDuplicateReplaysHistory(t *testing.T) {
 func TestCorruptAndTruncate(t *testing.T) {
 	var s Script
 	s.Corrupt(2, 2, 0x0F)
-	s.Truncate(9, 4) // drop 9..11: up to the next 4-octet boundary
+	s.Delete(9, 3) // truncate: drop 9..11, up to the next 4-octet boundary
 	in := NewInjector(s)
 	got := feed(in, seq(12), 12)
 	src := seq(12)
@@ -142,38 +139,19 @@ func TestNoiseSuppressedInsideLOS(t *testing.T) {
 func TestDeterminismAcrossChunkings(t *testing.T) {
 	src := seq(4096)
 	// Slips both ways, two line cuts and two duplications, interleaved
-	// the way a scenario's events compile.
+	// the way a scenario's events compile, under noise over the whole
+	// stream.
 	var script Script
 	script.Insert(137, 0xA5).Delete(611, 1).LOS(1300, 100).Duplicate(1770, 16)
 	script.Insert(2203, 0x5A).Delete(2890, 1).LOS(3100, 100).Duplicate(3555, 16)
+	script.Noise(0, len(src), 1e-3, 7)
 	var outs [][]byte
 	for _, chunk := range []int{1, 7, 64, 4096} {
-		in := NewInjector(script)
-		in.Model = &channel.GilbertElliott{
-			PGoodToBad: 1e-4, PBadToGood: 0.05, BERBad: 0.3,
-			Rand: netsim.NewRand(7),
-		}
-		outs = append(outs, feed(in, src, chunk))
+		outs = append(outs, feed(NewInjector(script), src, chunk))
 	}
 	for i := 1; i < len(outs); i++ {
 		if !bytes.Equal(outs[0], outs[i]) {
 			t.Fatalf("chunking %d changed the output", i)
 		}
-	}
-}
-
-func TestModelSuppressedInsideLOS(t *testing.T) {
-	var s Script
-	s.LOS(0, 1000)
-	in := NewInjector(s)
-	in.Model = &channel.BER{Rate: 0.5, Rand: netsim.NewRand(3)}
-	got := in.Apply(seq(1000))
-	for i, b := range got {
-		if b != 0 {
-			t.Fatalf("octet %d = %#x: noise inside a dead line", i, b)
-		}
-	}
-	if in.Stats.BitErrors != 0 {
-		t.Errorf("BitErrors = %d inside LOS", in.Stats.BitErrors)
 	}
 }

@@ -1,7 +1,6 @@
 package fault
 
 import (
-	"repro/internal/netsim"
 	"repro/internal/telemetry"
 	"repro/internal/transport"
 )
@@ -26,10 +25,8 @@ type Transport struct {
 	dupN     map[uint64]bool
 	reorderN map[uint64]bool
 
-	stallFrom, stallTo        int64 // real stall: chunks held, then released
-	blackoutFrom, blackoutTo  int64 // blackout: chunks discarded
-	rng                       *netsim.Rand
-	dropRate, dupRate, reRate float64
+	stallFrom, stallTo       int64 // real stall: chunks held, then released
+	blackoutFrom, blackoutTo int64 // blackout: chunks discarded
 
 	held    [][]byte // chunks captured by reorder/stall, owned copies
 	dropped uint64
@@ -37,7 +34,7 @@ type Transport struct {
 }
 
 // WrapTransport wraps inner with an impairment adapter. Program it
-// with the Drop/Dup/Reorder/Stall/Blackout/Randomize methods before
+// with the Drop/Dup/Reorder/Stall/Blackout methods before
 // (or while) driving it.
 func WrapTransport(inner transport.LineTransport) *Transport {
 	return &Transport{
@@ -70,14 +67,6 @@ func (t *Transport) Stall(from, to int64) *Transport {
 // — a hard line cut with no recovery burst.
 func (t *Transport) Blackout(from, to int64) *Transport {
 	t.blackoutFrom, t.blackoutTo = from, to
-	return t
-}
-
-// Randomize applies seeded random impairment rates per offered chunk
-// (checked after the scripted per-chunk maps).
-func (t *Transport) Randomize(seed uint64, drop, dup, reorder float64) *Transport {
-	t.rng = netsim.NewRand(seed)
-	t.dropRate, t.dupRate, t.reRate = drop, dup, reorder
 	return t
 }
 
@@ -118,22 +107,16 @@ func (t *Transport) Send(p []byte) error {
 		t.hold(p)
 		return nil
 	}
-	drop, dup, reorder := t.dropN[n], t.dupN[n], t.reorderN[n]
-	if t.rng != nil {
-		drop = drop || t.rng.Float64() < t.dropRate
-		dup = dup || t.rng.Float64() < t.dupRate
-		reorder = reorder || t.rng.Float64() < t.reRate
-	}
 	switch {
-	case drop:
+	case t.dropN[n]:
 		t.dropped++
 		return nil
-	case reorder:
+	case t.reorderN[n]:
 		t.hold(p)
 		return nil
 	}
 	err := t.inner.Send(p)
-	if dup {
+	if t.dupN[n] {
 		t.duped++
 		t.inner.Send(p)
 	}

@@ -66,29 +66,3 @@ func TestTransportAdapterBlackoutWindow(t *testing.T) {
 		t.Fatalf("dropped=%d, want 1", w.Dropped())
 	}
 }
-
-// TestTransportAdapterSeededRandomness: the random impairment stream is
-// a pure function of the seed, so a chaotic soak replays exactly.
-func TestTransportAdapterSeededRandomness(t *testing.T) {
-	run := func(seed uint64) (dropped, duped uint64, delivered int) {
-		a, z := transport.NewPipePair()
-		w := WrapTransport(a).Randomize(seed, 0.2, 0.1, 0.1)
-		for i := 0; i < 200; i++ {
-			w.Send([]byte{byte(i)})
-		}
-		w.Tick(1) // flush any trailing reorder holds
-		return w.Dropped(), w.Duplicated(), len(z.Recv(nil))
-	}
-	d1, p1, n1 := run(42)
-	d2, p2, n2 := run(42)
-	if d1 != d2 || p1 != p2 || n1 != n2 {
-		t.Fatalf("seed 42 not reproducible: (%d,%d,%d) vs (%d,%d,%d)", d1, p1, n1, d2, p2, n2)
-	}
-	if d1 == 0 || p1 == 0 {
-		t.Fatalf("rates produced no impairments: dropped=%d duped=%d", d1, p1)
-	}
-	d3, _, _ := run(43)
-	if d3 == d1 {
-		t.Log("different seeds coincided on drop count (possible but unusual)")
-	}
-}

@@ -148,7 +148,7 @@ func (s *Scenario) p5Section(rc RunConfig, res *Result, sys *p5.System, sent [][
 	}
 	fmt.Fprintf(out, "  injector         : slips +%d/-%d dup=%d los-octets=%d bit-errors=%d\n",
 		inj.Stats.Inserted, inj.Stats.Deleted, inj.Stats.Duplicated,
-		inj.Stats.LOSOctets, inj.Stats.BitErrors+inj.Stats.NoiseBits)
+		inj.Stats.LOSOctets, inj.Stats.NoiseBits)
 	fmt.Fprintf(out, "  section          : frames ok=%d errored=%d resyncs=%d b1=%d b3=%d\n",
 		df.FramesOK, df.FramesErrored,
 		oam.Read(p5.RegResyncs), oam.Read(p5.RegB1Errors), oam.Read(p5.RegB3Errors))

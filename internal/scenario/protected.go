@@ -27,9 +27,7 @@ func (p protected) arm(events []event, duration int64) []event {
 	for _, e := range events {
 		e.fault(&working, int64(sonet.STM1.FrameBytes()), duration, 0)
 	}
-	pair := fault.NewPair(working, fault.Script{})
-	p.a.Line(aps.Working).Inject = pair.Working.Apply
-	p.a.Line(aps.Protect).Inject = pair.Protect.Apply
+	p.a.Line(aps.Working).Inject = fault.NewInjector(working).Apply
 	return nil
 }
 

@@ -39,7 +39,7 @@ func (r ring) arm(events []event, duration int64) []event {
 		}
 	}
 	for sp, sc := range scripts {
-		sp.SetScript(sc)
+		sp.Inject = fault.NewInjector(*sc).Apply
 	}
 	sort.SliceStable(actions, func(i, j int) bool { return actions[i].At < actions[j].At })
 	return actions

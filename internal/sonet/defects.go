@@ -21,12 +21,12 @@ type Defect uint32
 
 // The modelled defects.
 const (
-	// DefOOF: out of frame — OOFBadFrames consecutive errored A1/A2
+	// DefOOF: out of frame — oofBadFrames consecutive errored A1/A2
 	// patterns. The deframer re-hunts while OOF is active.
 	DefOOF Defect = 1 << iota
-	// DefLOF: loss of frame — OOF persisted LOFFrames frame times.
+	// DefLOF: loss of frame — OOF persisted lofFrames frame times.
 	DefLOF
-	// DefLOS: loss of signal — LOSOctets consecutive zero octets (a
+	// DefLOS: loss of signal — losOctets consecutive zero octets (a
 	// dead line; scrambling guarantees a live line is never all-zeros).
 	DefLOS
 	// DefSD: signal degrade — B2 line-parity errored-frame rate over a
@@ -80,112 +80,52 @@ func (e DefectEvent) String() string {
 	return fmt.Sprintf("%s %v @%d", verb, e.Defect, e.Octet)
 }
 
-// defectConfig sets the integration thresholds. Zero values take the
-// GR-253-flavoured defaults scaled to the monitor's Level.
-type defectConfig struct {
-	// OOFBadFrames consecutive errored A1/A2 patterns declare OOF
-	// (default 4); OOFGoodFrames consecutive clean patterns re-enter
-	// the in-frame state (default 2).
-	OOFBadFrames, OOFGoodFrames int
-	// LOFFrames frame times spent in OOF declare LOF; the same span
-	// in-frame clears it (default 24 ≈ 3 ms).
-	LOFFrames int
-	// LOSOctets consecutive zero octets declare LOS (default one
-	// eighth of a transport frame ≈ 15 µs); any nonzero octet clears.
-	LOSOctets int
-	// WindowFrames is the parity evaluation window (default 16 = 2 ms);
-	// SDFrames / SFFrames errored frames within it raise signal
-	// degrade / fail (defaults 4 and 12). A window below threshold
-	// clears.
-	WindowFrames, SDFrames, SFFrames int
-}
+// The integration thresholds, GR-253's defaults. LOS, a zero run of an
+// eighth of a transport frame, scales with the level: losOctets.
+const (
+	// oofBadFrames consecutive errored A1/A2 patterns declare OOF;
+	// oofGoodFrames consecutive clean ones re-enter the in-frame state.
+	oofBadFrames, oofGoodFrames = 4, 2
+	// lofFrames frame times spent in OOF declare LOF; the same span
+	// in-frame clears it (≈ 3 ms).
+	lofFrames = 24
+	// windowFrames is the B2 evaluation window (2 ms); sdFrames /
+	// sfFrames errored frames within it raise signal degrade / fail. A
+	// window below a threshold clears its defect.
+	windowFrames, sdFrames, sfFrames = 16, 4, 12
+)
 
 // DefectMonitor integrates framing, parity and signal observations into
-// alarm state. The Deframer drives it; hosts read Active and Events or
-// subscribe via OnEvent.
+// alarm state. The Deframer drives it; hosts read Active or subscribe
+// via OnEvent.
 type DefectMonitor struct {
 	Level Level
-	Cfg   defectConfig
 	// OnEvent, when set, observes every transition as it happens.
 	OnEvent func(DefectEvent)
-	// Events is the transition log (capped at eventCap entries).
-	Events []DefectEvent
 
 	active Defect
 
-	octet     int64
-	zeroRun   int
-	badRun    int
-	goodRun   int
-	oofOct    int64 // octets spent in OOF (LOF integration)
-	inOct     int64 // octets spent in-frame (LOF clearing)
-	lofThresh int64 // cached LOF integration span in octets
-	winFrm    int
-	winErr    int
-	raises    [5]uint64
-	clears    [5]uint64
+	octet   int64
+	zeroRun int
+	badRun  int
+	goodRun int
+	oofOct  int64 // octets spent in OOF (LOF integration)
+	inOct   int64 // octets spent in-frame (LOF clearing)
+	winFrm  int
+	winErr  int
+	raises  [5]uint64
+	clears  [5]uint64
 }
 
-// eventCap bounds the transition log so a long soak cannot grow it
-// unboundedly; counters keep exact totals regardless.
-const eventCap = 4096
-
-// newDefectMonitor returns a monitor with default thresholds for level.
+// newDefectMonitor returns a monitor for level.
 func newDefectMonitor(level Level) *DefectMonitor {
 	return &DefectMonitor{Level: level}
 }
 
-func (m *DefectMonitor) oofBad() int {
-	if m.Cfg.OOFBadFrames > 0 {
-		return m.Cfg.OOFBadFrames
-	}
-	return 4
-}
-
-func (m *DefectMonitor) oofGood() int {
-	if m.Cfg.OOFGoodFrames > 0 {
-		return m.Cfg.OOFGoodFrames
-	}
-	return 2
-}
-
-func (m *DefectMonitor) lofFrames() int {
-	if m.Cfg.LOFFrames > 0 {
-		return m.Cfg.LOFFrames
-	}
-	return 24
-}
-
+// losOctets is the LOS threshold: consecutive zero octets for one eighth
+// of a transport frame (≈ 15 µs), at least 16; any nonzero octet clears.
 func (m *DefectMonitor) losOctets() int {
-	if m.Cfg.LOSOctets > 0 {
-		return m.Cfg.LOSOctets
-	}
-	n := m.Level.FrameBytes() / 8
-	if n < 16 {
-		n = 16
-	}
-	return n
-}
-
-func (m *DefectMonitor) windowFrames() int {
-	if m.Cfg.WindowFrames > 0 {
-		return m.Cfg.WindowFrames
-	}
-	return 16
-}
-
-func (m *DefectMonitor) sdFrames() int {
-	if m.Cfg.SDFrames > 0 {
-		return m.Cfg.SDFrames
-	}
-	return 4
-}
-
-func (m *DefectMonitor) sfFrames() int {
-	if m.Cfg.SFFrames > 0 {
-		return m.Cfg.SFFrames
-	}
-	return 12
+	return max(m.Level.FrameBytes()/8, 16)
 }
 
 // Active returns the current defect set.
@@ -228,9 +168,6 @@ func (m *DefectMonitor) clearDef(d Defect) {
 }
 
 func (m *DefectMonitor) event(e DefectEvent) {
-	if len(m.Events) < eventCap {
-		m.Events = append(m.Events, e)
-	}
 	if m.OnEvent != nil {
 		m.OnEvent(e)
 	}
@@ -246,9 +183,6 @@ func (m *DefectMonitor) event(e DefectEvent) {
 // LOF timer can cross its threshold at most once inside it, at an
 // offset known up front; only the zero-run detector looks at the octets.
 func (m *DefectMonitor) octets(p []byte) {
-	if m.lofThresh == 0 {
-		m.lofThresh = int64(m.lofFrames()) * int64(m.Level.FrameBytes())
-	}
 	// timer is the integrator running in this sync state; the LOF
 	// transition, if one is pending, fires on the octet that brings it
 	// to the threshold.
@@ -258,7 +192,7 @@ func (m *DefectMonitor) octets(p []byte) {
 		timer = &m.oofOct
 	}
 	if m.has(DefLOF) != oof {
-		at := m.lofThresh - *timer
+		at := int64(lofFrames)*int64(m.Level.FrameBytes()) - *timer
 		if at < 1 {
 			at = 1
 		}
@@ -339,14 +273,14 @@ func (m *DefectMonitor) frameResultLine(alignOK, lineErr bool) (inFrame bool) {
 	if alignOK {
 		m.goodRun++
 		m.badRun = 0
-		if m.has(DefOOF) && m.goodRun >= m.oofGood() {
+		if m.has(DefOOF) && m.goodRun >= oofGoodFrames {
 			m.clearDef(DefOOF)
 			m.inOct = 0
 		}
 	} else {
 		m.badRun++
 		m.goodRun = 0
-		if !m.has(DefOOF) && m.badRun >= m.oofBad() {
+		if !m.has(DefOOF) && m.badRun >= oofBadFrames {
 			m.raise(DefOOF)
 			m.oofOct = 0
 		}
@@ -356,15 +290,15 @@ func (m *DefectMonitor) frameResultLine(alignOK, lineErr bool) (inFrame bool) {
 	if lineErr {
 		m.winErr++
 	}
-	if m.winFrm >= m.windowFrames() {
+	if m.winFrm >= windowFrames {
 		errs := m.winErr
 		m.winFrm, m.winErr = 0, 0
-		if errs >= m.sfFrames() {
+		if errs >= sfFrames {
 			m.raise(DefSF)
 		} else {
 			m.clearDef(DefSF)
 		}
-		if errs >= m.sdFrames() {
+		if errs >= sdFrames {
 			m.raise(DefSD)
 		} else {
 			m.clearDef(DefSD)

@@ -1,19 +1,12 @@
 package sonet
 
 import (
+	"fmt"
 	"testing"
 )
 
-// mon returns a monitor with small thresholds for fast tests.
-func mon() *DefectMonitor {
-	m := newDefectMonitor(STM1)
-	m.Cfg = defectConfig{
-		OOFBadFrames: 4, OOFGoodFrames: 2,
-		LOFFrames: 8, LOSOctets: 32,
-		WindowFrames: 8, SDFrames: 2, SFFrames: 6,
-	}
-	return m
-}
+// mon returns an STM-1 monitor.
+func mon() *DefectMonitor { return newDefectMonitor(STM1) }
 
 // FrameResult is frameResultLine with a single parity verdict.
 func (m *DefectMonitor) FrameResult(alignOK, parityErr bool) (inFrame bool) {
@@ -60,15 +53,15 @@ func TestLOFPersistenceTimer(t *testing.T) {
 	m := mon()
 	fb := STM1.FrameBytes()
 	// Enter OOF.
-	for i := 0; i < 4; i++ {
+	for i := 0; i < oofBadFrames; i++ {
 		m.FrameResult(false, false)
 	}
 	junk := make([]byte, fb)
 	for i := range junk {
 		junk[i] = 0x42 // live line, just misframed
 	}
-	// Seven frame times in OOF: LOF not yet.
-	for i := 0; i < 7; i++ {
+	// One frame time short of the persistence timer: LOF not yet.
+	for i := 0; i < lofFrames-1; i++ {
 		m.octets(junk)
 	}
 	if m.has(DefLOF) {
@@ -76,20 +69,25 @@ func TestLOFPersistenceTimer(t *testing.T) {
 	}
 	m.octets(junk)
 	if !m.has(DefLOF) {
-		t.Fatal("LOF not raised after 8 frame times in OOF")
+		t.Fatalf("LOF not raised after %d frame times in OOF", lofFrames)
 	}
 	// Recover framing; LOF must persist until the clear timer runs.
-	m.FrameResult(true, false)
-	m.FrameResult(true, false)
+	for i := 0; i < oofGoodFrames; i++ {
+		m.FrameResult(true, false)
+	}
 	if m.has(DefOOF) {
 		t.Fatal("OOF still active")
 	}
 	if !m.has(DefLOF) {
 		t.Fatal("LOF cleared instantly")
 	}
-	for i := 0; i < 8; i++ {
+	for i := 0; i < lofFrames-1; i++ {
 		m.octets(junk)
 	}
+	if !m.has(DefLOF) {
+		t.Fatal("LOF cleared before the in-frame persistence timer")
+	}
+	m.octets(junk)
 	if m.has(DefLOF) {
 		t.Fatal("LOF not cleared after in-frame persistence")
 	}
@@ -97,13 +95,17 @@ func TestLOFPersistenceTimer(t *testing.T) {
 
 func TestLOSZeroRun(t *testing.T) {
 	m := mon()
-	m.octets(make([]byte, 31))
+	los := m.losOctets()
+	if los != STM1.FrameBytes()/8 {
+		t.Fatalf("STM-1 LOS threshold %d, want an eighth of a frame", los)
+	}
+	m.octets(make([]byte, los-1))
 	if m.has(DefLOS) {
 		t.Fatal("LOS before threshold")
 	}
 	m.octets(make([]byte, 1))
 	if !m.has(DefLOS) {
-		t.Fatal("LOS not raised at 32 zero octets")
+		t.Fatalf("LOS not raised at %d zero octets", los)
 	}
 	m.octets([]byte{0xF6})
 	if m.has(DefLOS) {
@@ -114,7 +116,7 @@ func TestLOSZeroRun(t *testing.T) {
 	}
 	// A zero run interrupted by live octets never raises.
 	for i := 0; i < 10; i++ {
-		m.octets(make([]byte, 20))
+		m.octets(make([]byte, los-2))
 		m.octets([]byte{0x28})
 	}
 	if m.Raises(DefLOS) != 1 {
@@ -124,41 +126,54 @@ func TestLOSZeroRun(t *testing.T) {
 
 func TestSignalDegradeAndFailThresholds(t *testing.T) {
 	m := mon()
-	// Window of 8 frames with 2 parity-errored: SD but not SF.
-	for i := 0; i < 8; i++ {
-		m.FrameResult(true, i < 2)
+	// A window with sdFrames parity-errored frames: SD but not SF.
+	for i := 0; i < windowFrames; i++ {
+		m.FrameResult(true, i < sdFrames)
 	}
 	if !m.has(DefSD) || m.has(DefSF) {
 		t.Fatalf("after degrade window: %v", m.Active())
 	}
-	// Window with 6 errored: SF joins.
-	for i := 0; i < 8; i++ {
-		m.FrameResult(true, i < 6)
+	// One errored frame short of the fail threshold: still SD alone.
+	for i := 0; i < windowFrames; i++ {
+		m.FrameResult(true, i < sfFrames-1)
+	}
+	if !m.has(DefSD) || m.has(DefSF) {
+		t.Fatalf("after a window just short of fail: %v", m.Active())
+	}
+	// A window with sfFrames errored: SF joins.
+	for i := 0; i < windowFrames; i++ {
+		m.FrameResult(true, i < sfFrames)
 	}
 	if !m.has(DefSD) || !m.has(DefSF) {
 		t.Fatalf("after fail window: %v", m.Active())
 	}
-	// Clean window clears both.
-	for i := 0; i < 8; i++ {
-		m.FrameResult(true, false)
+	// A window just under the degrade threshold clears both.
+	for i := 0; i < windowFrames; i++ {
+		m.FrameResult(true, i < sdFrames-1)
 	}
 	if m.has(DefSD) || m.has(DefSF) {
-		t.Fatalf("after clean window: %v", m.Active())
+		t.Fatalf("after a window under the degrade threshold: %v", m.Active())
 	}
 }
 
 func TestDefectEventsAndStrings(t *testing.T) {
 	m := mon()
-	m.octets(make([]byte, 64))
+	var events []DefectEvent
+	m.OnEvent = func(e DefectEvent) { events = append(events, e) }
+	los := m.losOctets()
+	m.octets(make([]byte, 2*los))
 	m.octets([]byte{1})
-	if len(m.Events) != 2 {
-		t.Fatalf("events = %v", m.Events)
+	if len(events) != 2 {
+		t.Fatalf("events = %v", events)
 	}
-	if !m.Events[0].Raised || m.Events[0].Defect != DefLOS {
-		t.Errorf("event 0 = %v", m.Events[0])
+	if !events[0].Raised || events[0].Defect != DefLOS || events[0].Octet != int64(los) {
+		t.Errorf("event 0 = %v", events[0])
 	}
-	if got := m.Events[0].String(); got == "" {
-		t.Error("empty event string")
+	if events[1].Raised || events[1].Defect != DefLOS || events[1].Octet != int64(2*los+1) {
+		t.Errorf("event 1 = %v", events[1])
+	}
+	if got := events[0].String(); got != fmt.Sprintf("raise LOS @%d", los) {
+		t.Errorf("event string %q", got)
 	}
 	if (DefLOS | DefOOF).String() != "LOS+OOF" {
 		t.Errorf("String = %q", (DefLOS | DefOOF).String())
@@ -238,22 +253,20 @@ func TestDeframerByteSlipRaisesOOFAndRecovers(t *testing.T) {
 func TestDeframerLOSWindow(t *testing.T) {
 	fr := constFramer(STM1, 0x42)
 	df := NewDeframer(STM1, nil)
-	// Small LOF timer; parity thresholds high enough that the outage's
-	// few misframed candidates don't also trip SD/SF.
-	df.Defects.Cfg = defectConfig{LOFFrames: 8, WindowFrames: 8, SDFrames: 6, SFFrames: 7}
 	for i := 0; i < 3; i++ {
 		df.Feed(fr.NextFrame())
 	}
-	// 14 frame times of dead line.
-	df.Feed(make([]byte, 14*STM1.FrameBytes()))
+	// Long enough a dead line to integrate OOF and then LOF.
+	df.Feed(make([]byte, (oofBadFrames+lofFrames+2)*STM1.FrameBytes()))
 	if !df.Defects.has(DefLOS) {
 		t.Fatal("LOS not raised on dead line")
 	}
 	if !df.Defects.has(DefOOF) || !df.Defects.has(DefLOF) {
 		t.Fatalf("outage defects = %v", df.Defects.Active())
 	}
-	// Light back: resync and clear everything.
-	for i := 0; i < 12; i++ {
+	// Light back: resync, then the LOF clear timer and a clean parity
+	// window clear everything.
+	for i := 0; i < lofFrames+windowFrames+4; i++ {
 		df.Feed(fr.NextFrame())
 	}
 	if df.Defects.Active() != 0 {

@@ -21,6 +21,7 @@ type rxLog struct {
 	Counters [6]uint64
 	K1, K2   byte
 	APSValid bool
+	Events   []DefectEvent // every transition, through OnEvent
 	Monitor  DefectMonitor // OnEvent cleared
 	SpanErr  string
 	nextOff  int // the offset the next span must carry
@@ -41,12 +42,19 @@ func (l *rxLog) hook(d *Deframer) {
 		l.nextOff = (off + len(p)) % d.Level.PayloadBytes()
 	}
 	d.OnAPS = func(k1, k2 byte) { l.APS = append(l.APS, [2]byte{k1, k2}) }
+	l.watch(d.Defects)
 }
 
 func (l *rxLog) hookRef(d *refDeframer) {
 	d.Emit = func(b byte) { l.Out = append(l.Out, b) }
 	d.OnFrame = func() { l.FrameAt = append(l.FrameAt, len(l.Out)) }
 	d.OnAPS = func(k1, k2 byte) { l.APS = append(l.APS, [2]byte{k1, k2}) }
+	l.watch(d.Defects)
+}
+
+// watch logs every defect transition of m.
+func (l *rxLog) watch(m *DefectMonitor) {
+	m.OnEvent = func(e DefectEvent) { l.Events = append(l.Events, e) }
 }
 
 func (l *rxLog) finish(d *Deframer) {
@@ -63,13 +71,16 @@ func (l *rxLog) finish(d *Deframer) {
 
 // diff reports the first difference between two logs, or "".
 func (l *rxLog) diff(want *rxLog) string {
-	for i, e := range want.Monitor.Events {
-		if i >= len(l.Monitor.Events) {
+	for i, e := range want.Events {
+		if i >= len(l.Events) {
 			return fmt.Sprintf("defect event %d missing: want %v", i, e)
 		}
-		if l.Monitor.Events[i] != e {
-			return fmt.Sprintf("defect event %d: got %v, want %v", i, l.Monitor.Events[i], e)
+		if l.Events[i] != e {
+			return fmt.Sprintf("defect event %d: got %v, want %v", i, l.Events[i], e)
 		}
+	}
+	if len(l.Events) > len(want.Events) {
+		return fmt.Sprintf("defect event %d extra: got %v", len(want.Events), l.Events[len(want.Events)])
 	}
 	if !bytes.Equal(l.Out, want.Out) {
 		return fmt.Sprintf("emitted payload differs (%d vs %d octets)", len(l.Out), len(want.Out))
@@ -123,13 +134,11 @@ func chunker(rng *rand.Rand, fb int) func(left int) int {
 
 // runBoth feeds line to the reference deframer octet by octet (its only
 // mode) and to the production deframer in chunks, and returns both logs.
-func runBoth(level Level, cfg defectConfig, line []byte, next func(left int) int) (got, want *rxLog) {
+func runBoth(level Level, line []byte, next func(left int) int) (got, want *rxLog) {
 	got, want = &rxLog{}, &rxLog{}
 	df := NewDeframer(level, nil)
-	df.Defects.Cfg = cfg
 	got.hook(df)
 	ref := newRefDeframer(level, nil)
-	ref.Defects.Cfg = cfg
 	want.hookRef(ref)
 
 	ref.Feed(line)
@@ -206,19 +215,33 @@ func buildLine(t *testing.T, level Level, seed int64, frames int) []byte {
 	return line
 }
 
+// unreached lists each alarm transition m has never made: a raise and a
+// clear of each of OOF, LOF, LOS, SD and SF. A scenario that claims to
+// exercise the monitor must leave it empty.
+func unreached(m *DefectMonitor) []string {
+	var miss []string
+	for _, n := range defectNames {
+		if m.Raises(n.bit) == 0 {
+			miss = append(miss, "raise "+n.name)
+		}
+		if m.Clears(n.bit) == 0 {
+			miss = append(miss, "clear "+n.name)
+		}
+	}
+	return miss
+}
+
 // TestDifferentialAgainstReference is the oracle for the word-wide
 // rebuild: on impaired lines the production framer/deframer/monitor
 // must match the byte-at-a-time reference on every frame octet, every
 // emitted octet, every counter, the APS filter, and the defect event
-// log down to the octet index of each transition.
+// log down to the octet index of each transition. Each line raises and
+// clears every alarm at the GR-253 thresholds.
 func TestDifferentialAgainstReference(t *testing.T) {
 	for _, level := range []Level{STM1, STM16} {
-		const frames = 100 // the reference costs ~2 ms per STM-16 frame
+		const frames = 150 // the reference costs ~2 ms per STM-16 frame
 		fb := int64(level.FrameBytes())
-		// Small integration spans so LOF raises inside the long cut and
-		// clears mid-chunk well before the line ends.
-		cfg := defectConfig{LOFFrames: 5, WindowFrames: 8, SDFrames: 2, SFFrames: 5}
-		los := int64(level.FrameBytes() / 8) // the default LOS threshold
+		los := int64(newDefectMonitor(level).losOctets())
 		for seed := int64(1); seed <= 4; seed++ {
 			clean := buildLine(t, level, seed, frames)
 			rng := rand.New(rand.NewSource(seed * 977))
@@ -230,22 +253,26 @@ func TestDifferentialAgainstReference(t *testing.T) {
 			sc.Corrupt(6*fb+int64(level.rowBytes()), 1, 0x01)
 			sc.Corrupt(7*fb+apsRow*int64(level.rowBytes()), 3, 0x80)
 			sc.Corrupt(8*fb+2*int64(level.rowBytes())+int64(level.sohBytes()), 1, 0x04)
-			sc.Noise(10*fb+rng.Int63n(fb), int(6*fb), 2e-5, uint64(seed))
-			// Octet slips, one near a frame boundary.
-			sc.Insert(20*fb+rng.Int63n(fb), 0xA5)
-			sc.Delete(30*fb-1, 1)
-			sc.Insert(33*fb+rng.Int63n(fb), a1, a1, a2)
+			// Noise at about eight bit errors a frame for 20 frames: B2
+			// errors in nearly every frame of a parity window (SD and
+			// SF), then clean windows clear both.
+			sc.Noise(10*fb+rng.Int63n(fb), int(20*fb), 1/float64(fb), uint64(seed))
+			// Octet slips, one near a frame boundary, and a duplication.
+			sc.Insert(34*fb+rng.Int63n(fb), 0xA5)
+			sc.Delete(44*fb-1, 1)
+			sc.Insert(47*fb+rng.Int63n(fb), a1, a1, a2)
+			sc.Duplicate(56*fb+100, 16)
 			// Zero runs: one octet short of LOS, exactly LOS, and both
-			// straddling a frame boundary; then a cut of many frames
-			// (OOF, then LOF, inside the dead line).
-			sc.LOS(40*fb-los/2, int(los-1))
-			sc.LOS(42*fb-3, int(los))
-			sc.LOS(44*fb+rng.Int63n(fb), int(los+rng.Int63n(fb)))
-			sc.LOS(46*fb+rng.Int63n(fb), int(12*fb+rng.Int63n(fb)))
-			sc.Duplicate(70*fb+100, 16)
+			// straddling a frame boundary; then a cut long enough for
+			// OOF and then LOF inside the dead line, followed by enough
+			// clean line for LOF and the parity window to clear.
+			sc.LOS(66*fb-los/2, int(los-1))
+			sc.LOS(68*fb-3, int(los))
+			sc.LOS(70*fb+rng.Int63n(fb), int(los+rng.Int63n(fb)))
+			sc.LOS(73*fb+rng.Int63n(fb), int((oofBadFrames+lofFrames+4)*fb+rng.Int63n(fb)))
 			line := fault.NewInjector(sc).Apply(clean)
 
-			got, want := runBoth(level, cfg, line, chunker(rng, int(fb)))
+			got, want := runBoth(level, line, chunker(rng, int(fb)))
 			if d := got.diff(want); d != "" {
 				t.Fatalf("%v seed %d: %s", level, seed, d)
 			}
@@ -254,9 +281,8 @@ func TestDifferentialAgainstReference(t *testing.T) {
 			}
 			// The scenario must really exercise what it claims to.
 			m := &want.Monitor
-			if m.Raises(DefLOS) < 3 || m.Raises(DefOOF) < 3 || m.Raises(DefLOF) == 0 ||
-				m.Clears(DefLOF) == 0 || m.Raises(DefSD) == 0 || m.Active() != 0 {
-				t.Fatalf("%v seed %d: weak scenario: events %v", level, seed, m.Events)
+			if miss := unreached(m); len(miss) > 0 || m.Raises(DefLOS) < 3 || m.Raises(DefOOF) < 3 || m.Active() != 0 {
+				t.Fatalf("%v seed %d: weak scenario: unreached %v, active %v, events %v", level, seed, miss, m.Active(), want.Events)
 			}
 			c := want.Counters
 			if c[1] == 0 || c[2] == 0 || c[3] == 0 || c[4] == 0 || c[5] < 4 || len(want.APS) < 3 {
@@ -292,6 +318,7 @@ func TestClosureConstructorsMatchSpanHooks(t *testing.T) {
 	spans.hook(dfSpan)
 	dfOctet := NewDeframer(level, func(b byte) { octets.Out = append(octets.Out, b) })
 	dfOctet.OnAPS = func(k1, k2 byte) { octets.APS = append(octets.APS, [2]byte{k1, k2}) }
+	octets.watch(dfOctet.Defects)
 
 	injSpan, injOctet := fault.NewInjector(sc), fault.NewInjector(sc)
 	for i := 0; i < frames; i++ {
@@ -316,51 +343,59 @@ func TestClosureConstructorsMatchSpanHooks(t *testing.T) {
 		t.Fatalf("emit vs Payload: %s", d)
 	}
 	if spans.SpanErr != "" || spans.Monitor.Raises(DefLOS) == 0 || spans.Counters[5] < 2 {
-		t.Fatalf("weak or broken scenario: %q, events %v, counters %v", spans.SpanErr, spans.Monitor.Events, spans.Counters)
+		t.Fatalf("weak or broken scenario: %q, events %v, counters %v", spans.SpanErr, spans.Events, spans.Counters)
 	}
 }
 
 // TestDefectMonitorOctetsMatchesPerOctet drives the bulk line-rate
 // observer and the per-octet reference with the same octets and the
-// same framing verdicts at random points, under random thresholds, and
-// compares the complete monitor state: zero runs that straddle chunks,
-// LOS transitions mid-chunk, and the LOF timer crossing mid-chunk.
+// same framing and parity verdicts at random points, and compares the
+// complete monitor state: zero runs that straddle chunks, LOS
+// transitions mid-chunk, and the LOF timer crossing mid-chunk. The
+// verdicts come in phases (clean, misframed, clean, parity-errored),
+// each long enough at the GR-253 thresholds for its alarms to raise and
+// the next to clear them.
 func TestDefectMonitorOctetsMatchesPerOctet(t *testing.T) {
-	for seed := int64(0); seed < 200; seed++ {
+	fb := STM1.FrameBytes()
+	for seed := int64(0); seed < 24; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		cfg := defectConfig{
-			OOFBadFrames: 1 + rng.Intn(3), OOFGoodFrames: 1 + rng.Intn(2),
-			LOFFrames: 1 + rng.Intn(3), LOSOctets: 1 + rng.Intn(40),
-		}
 		bulk, ref := newDefectMonitor(STM1), newDefectMonitor(STM1)
-		bulk.Cfg, ref.Cfg = cfg, cfg
-		for step := 0; step < 60; step++ {
-			p := make([]byte, rng.Intn(3*STM1.FrameBytes()))
-			rng.Read(p)
-			for holes := rng.Intn(6); holes > 0 && len(p) > 0; holes-- {
-				at := rng.Intn(len(p))
-				end := at + rng.Intn(80)
-				if rng.Intn(4) == 0 {
-					end = len(p) // a run that continues into the next chunk
+		for phase := 0; phase < 8; phase++ {
+			misframed, errored := 0.02, 0.0 // chance per verdict
+			switch phase % 4 {
+			case 1:
+				misframed = 0.9 // OOF, then LOF once it persists
+			case 3:
+				errored = 0.9 // SD and SF
+			}
+			for step := 30 + rng.Intn(20); step > 0; step-- {
+				p := make([]byte, rng.Intn(3*fb))
+				rng.Read(p)
+				for holes := rng.Intn(6); holes > 0 && len(p) > 0; holes-- {
+					at := rng.Intn(len(p))
+					end := at + rng.Intn(80)
+					if rng.Intn(4) == 0 {
+						end = len(p) // a run that continues into the next chunk
+					}
+					clear(p[at:min(end, len(p))])
 				}
-				clear(p[at:min(end, len(p))])
-			}
-			if rng.Intn(8) == 0 {
-				clear(p)
-			}
-			bulk.octets(p)
-			for _, b := range p {
-				refOctetIn(ref, b)
-			}
-			ok := rng.Intn(3) != 0
-			bulk.FrameResult(ok, false)
-			ref.FrameResult(ok, false)
-			if !reflect.DeepEqual(bulk, ref) {
-				t.Fatalf("seed %d step %d: monitors diverge\nbulk %+v\n ref %+v", seed, step, bulk, ref)
+				if rng.Intn(8) == 0 {
+					clear(p)
+				}
+				bulk.octets(p)
+				for _, b := range p {
+					refOctetIn(ref, b)
+				}
+				ok, bad := rng.Float64() >= misframed, rng.Float64() < errored
+				bulk.FrameResult(ok, bad)
+				ref.FrameResult(ok, bad)
+				if !reflect.DeepEqual(bulk, ref) {
+					t.Fatalf("seed %d phase %d: monitors diverge\nbulk %+v\n ref %+v", seed, phase, bulk, ref)
+				}
 			}
 		}
-		if ref.Raises(DefLOS) == 0 {
-			t.Fatalf("seed %d: no LOS in %v", seed, ref.Events)
+		if miss := unreached(ref); len(miss) > 0 {
+			t.Fatalf("seed %d: weak scenario: unreached %v", seed, miss)
 		}
 	}
 }

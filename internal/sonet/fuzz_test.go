@@ -1,6 +1,7 @@
 package sonet
 
 import (
+	"bytes"
 	"slices"
 	"testing"
 
@@ -72,15 +73,23 @@ func FuzzDeframerByteSlip(f *testing.F) {
 	})
 }
 
-// FuzzDeframerChunking: how a line is cut into Feed calls must be
-// invisible. Arbitrary line octets go to one deframer in an arbitrary
-// chunking (cuts, two octets per chunk length, cycled), to a second one
-// octet at a time, and to the byte-at-a-time reference; emitted
-// payload, frame starts and OnAPS callbacks, every counter and the
-// defect event log must agree. Thresholds are small so a few frames of
-// input reach LOS, LOF and SD/SF.
-func FuzzDeframerChunking(f *testing.F) {
-	const fb = 2430 // STM-1
+// expand turns a compact per-frame program into STM-1 line octets, so a
+// few dozen program octets reach alarms whose thresholds count frames.
+// Each program octet is one frame time of a seeded framer: the low three
+// bits pick what the line carries and the rest is an argument a (0…31).
+//
+//	0, 1  the frame
+//	2     a dead frame: all zeros (LOS, and OOF then LOF as it persists)
+//	3     the frame with its first A1 octet errored
+//	4     the frame with one payload octet inverted (B2 errors: SD, SF)
+//	5     the frame less a+1 octets at offset 75·a (a slip)
+//	6     a+1 octets of garbage, then the frame
+//	7     the frame with its last 16·a octets zeroed (a zero run)
+//
+// Programs longer than maxProgram are cut there.
+func expand(prog []byte) []byte {
+	const maxProgram = 256
+	fb := STM1.FrameBytes()
 	fr := NewFramer(STM1, nil)
 	fr.Fill = func(dst []byte, off int) int {
 		for i := range dst {
@@ -89,27 +98,98 @@ func FuzzDeframerChunking(f *testing.F) {
 		return len(dst) - off%7 // a few octets of flag fill on most rows
 	}
 	var line []byte
-	for i := 0; i < 6; i++ {
+	for i, op := range prog[:min(len(prog), maxProgram)] {
 		fr.K1 = byte(i / 3)
-		line = append(line, fr.NextFrame()...)
+		f, a := fr.NextFrame(), int(op>>3)
+		switch op & 7 {
+		case 2:
+			line = append(line, make([]byte, fb)...)
+		case 3:
+			line = append(append(line, f[0]^0xFF), f[1:]...)
+		case 4:
+			line = append(line, f...)
+			line[len(line)-fb/2] ^= 0xFF
+		case 5:
+			line = append(append(line, f[:75*a]...), f[75*a+a+1:]...)
+		case 6:
+			for j := 0; j <= a; j++ {
+				line = append(line, byte(j*31+a))
+			}
+			line = append(line, f...)
+		case 7:
+			line = append(line, f...)
+			clear(line[len(line)-16*a:])
+		default:
+			line = append(line, f...)
+		}
 	}
+	return line
+}
+
+// chunkingSeeds is FuzzDeframerChunking's seed corpus: per-frame
+// programs (see expand) and the chunk lengths to cut their lines into.
+// TestChunkingSeedsReachEveryAlarm holds it to raising and clearing
+// every defect, so the fuzzer always starts from inputs that exercise
+// the monitor.
+var chunkingSeeds = func() (seeds [][2][]byte) {
+	const fb = 2430 // STM-1
 	cuts := func(ns ...int) (c []byte) {
 		for _, n := range ns {
 			c = append(c, byte(n), byte(n>>8))
 		}
 		return c
 	}
-	f.Add(line, cuts(fb))   // whole aligned frames: checked in the caller's slice
-	f.Add(line, cuts(fb-1)) // every chunk one octet short of a frame
-	f.Add(line, cuts(fb+1)) // ... and one over
-	f.Add(line, cuts(3*fb, 1, 5))
-	// Garbage, two frames, a three-frame line cut, the rest.
-	f.Add(slices.Concat([]byte{1, 2, 3}, line[:2*fb+40], make([]byte, 3*fb), line[2*fb:]), cuts(fb, 17, 2*fb+9))
-	f.Add(slices.Concat(line[:fb+100], line[fb+101:]), cuts(700)) // one-octet slip
-	f.Fuzz(func(t *testing.T, line, cuts []byte) {
-		cfg := defectConfig{LOFFrames: 2, LOSOctets: 24, WindowFrames: 4, SDFrames: 1, SFFrames: 3}
+	run := func(op byte, n int) []byte { return bytes.Repeat([]byte{op}, n) }
+	add := func(cut []byte, prog ...[]byte) { seeds = append(seeds, [2][]byte{slices.Concat(prog...), cut}) }
+	six := run(0, 6)
+	add(cuts(fb), six)   // whole aligned frames: checked in the caller's slice
+	add(cuts(fb-1), six) // every chunk one octet short of a frame
+	add(cuts(fb+1), six) // ... and one over
+	add(cuts(3*fb, 1, 5), six)
+	// Garbage before a frame, two more, a three-frame line cut, the rest.
+	add(cuts(fb, 17, 2*fb+9), []byte{6 | 2<<3, 0, 0}, run(2, 3), run(0, 4))
+	add(cuts(700), []byte{0, 5 | 1<<3}, run(0, 4)) // a two-octet slip
+	// A cut long enough for OOF and LOF, then enough line to clear them;
+	// zero runs short of and past LOS on the way in.
+	add(cuts(fb+3, 977), run(0, 3), []byte{7 | 18<<3, 0, 7 | 19<<3, 0}, run(2, oofBadFrames+lofFrames+2), run(0, lofFrames+4))
+	// Errored A1 patterns short of OOF and enough for it; a parity burst
+	// for SD and SF, then clean windows to clear them.
+	add(cuts(2*fb+1, 33), run(0, 2), run(3, 3), run(0, 2), run(3, oofBadFrames), run(0, 4),
+		run(4, windowFrames+4), run(0, 2*windowFrames+2))
+	return seeds
+}()
+
+// TestChunkingSeedsReachEveryAlarm: between them, FuzzDeframerChunking's
+// seeds raise and clear every defect the monitor models.
+func TestChunkingSeedsReachEveryAlarm(t *testing.T) {
+	var all DefectMonitor
+	for _, s := range chunkingSeeds {
+		df := NewDeframer(STM1, nil)
+		df.Feed(expand(s[0]))
+		for i := range all.raises {
+			all.raises[i] += df.Defects.raises[i]
+			all.clears[i] += df.Defects.clears[i]
+		}
+	}
+	if miss := unreached(&all); len(miss) > 0 {
+		t.Fatalf("the seed corpus never reaches %v", miss)
+	}
+}
+
+// FuzzDeframerChunking: how a line is cut into Feed calls must be
+// invisible. A line expanded from a per-frame program goes to one
+// deframer in an arbitrary chunking (cuts, two octets per chunk length,
+// cycled), to a second one octet at a time, and to the byte-at-a-time
+// reference; emitted payload, frame starts and OnAPS callbacks, every
+// counter and the defect event log must agree.
+func FuzzDeframerChunking(f *testing.F) {
+	for _, s := range chunkingSeeds {
+		f.Add(s[0], s[1])
+	}
+	f.Fuzz(func(t *testing.T, prog, cuts []byte) {
+		line := expand(prog)
 		at := 0
-		chunked, want := runBoth(STM1, cfg, line, func(left int) int {
+		chunked, want := runBoth(STM1, line, func(left int) int {
 			n := left
 			if len(cuts) >= 2 {
 				n = int(cuts[at]) | int(cuts[at+1])<<8
@@ -127,7 +207,7 @@ func FuzzDeframerChunking(f *testing.F) {
 		if chunked.SpanErr != "" {
 			t.Fatalf("chunked spans: %s", chunked.SpanErr)
 		}
-		single, _ := runBoth(STM1, cfg, line, func(int) int { return 1 })
+		single, _ := runBoth(STM1, line, func(int) int { return 1 })
 		if d := single.diff(chunked); d != "" {
 			t.Fatalf("octet-by-octet vs chunked: %s", d)
 		}

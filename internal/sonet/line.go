@@ -15,9 +15,9 @@ import (
 // it. A pair is driven from one goroutine; Up and Stats are safe from any.
 type Line struct {
 	// Inject, when set, passes every frame this end transmits on its way
-	// to the peer (fault.Injector.Apply, or one line of a fault.Pair). It
-	// may edit the frame in place, resize it, or return nil: a frame time
-	// in which the peer hears nothing.
+	// to the peer (fault.Injector.Apply). It may edit the frame in place,
+	// resize it, or return nil: a frame time in which the peer hears
+	// nothing.
 	Inject func(frame []byte) []byte
 
 	fr   *Framer

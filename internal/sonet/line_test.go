@@ -70,6 +70,7 @@ func TestLineAddsNothingToTheWire(t *testing.T) {
 		a, z := NewLinePair(level)
 		got := &rxLog{}
 		z.Deframer().OnAPS = func(k1, k2 byte) { got.APS = append(got.APS, [2]byte{k1, k2}) }
+		got.watch(z.Deframer().Defects)
 		linj := fault.NewInjector(script)
 		a.Inject = linj.Apply
 		var spans [][]byte

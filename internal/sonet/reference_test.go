@@ -110,17 +110,15 @@ func refOctetIn(m *DefectMonitor, b byte) {
 		}
 		m.zeroRun = 0
 	}
-	if m.lofThresh == 0 {
-		m.lofThresh = int64(m.lofFrames()) * int64(m.Level.FrameBytes())
-	}
+	lof := int64(lofFrames) * int64(m.Level.FrameBytes())
 	if m.has(DefOOF) {
 		m.oofOct++
-		if !m.has(DefLOF) && m.oofOct >= m.lofThresh {
+		if !m.has(DefLOF) && m.oofOct >= lof {
 			m.raise(DefLOF)
 		}
 	} else {
 		m.inOct++
-		if m.has(DefLOF) && m.inOct >= m.lofThresh {
+		if m.has(DefLOF) && m.inOct >= lof {
 			m.clearDef(DefLOF)
 		}
 	}

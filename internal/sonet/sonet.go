@@ -105,22 +105,16 @@ const scramblerPeriod = 127
 // scramblerTile is how many periods one word-wide XOR covers.
 const scramblerTile = 32
 
-// The scrambler stream as tables, derived once from Scrambler.Next (the
-// reference definition): scramblerTile+1 back-to-back periods of stream
-// octets, so scramblerTile periods starting at any phase are one
-// contiguous slice, and the LFSR state at each phase with its inverse.
-var (
-	scramblerStream  [(scramblerTile + 1) * scramblerPeriod]byte
-	scramblerStateAt [scramblerPeriod]byte
-	scramblerPhaseOf [128]uint8
-)
+// scramblerStream is the scrambler stream as a table, derived once from
+// scrambler.Next (the reference definition): scramblerTile+1
+// back-to-back periods of stream octets, so scramblerTile periods
+// starting at any phase are one contiguous slice.
+var scramblerStream [(scramblerTile + 1) * scramblerPeriod]byte
 
 func init() {
 	var s scrambler
 	s.reset()
 	for i := 0; i < scramblerPeriod; i++ {
-		scramblerStateAt[i] = s.state
-		scramblerPhaseOf[s.state] = uint8(i)
 		scramblerStream[i] = s.Next()
 	}
 	for at := scramblerPeriod; at < len(scramblerStream); at += scramblerPeriod {
@@ -139,15 +133,6 @@ func xorStream(dst, src []byte, phase int) int {
 		phase = (phase + n) % scramblerPeriod
 	}
 	return phase
-}
-
-// Apply XORs the scrambler stream over p in place, continuing from the
-// current state exactly as len(p) calls to Next would.
-func (s *scrambler) Apply(p []byte) {
-	if s.state == 0 {
-		return // never Reset: the LFSR is stuck at zero, its stream is zeros
-	}
-	s.state = scramblerStateAt[xorStream(p, p, int(scramblerPhaseOf[s.state]))]
 }
 
 // bip8 computes even byte-interleaved parity over p, folding eight

@@ -95,22 +95,42 @@ func TestSteadyStateAllocatesNothing(t *testing.T) {
 	}
 }
 
+// apply XORs the scrambler stream over p in place, continuing from the
+// current state exactly as len(p) calls to Next would: xorStream from
+// the phase of that state, then the state at the phase it returns.
+func (s *scrambler) apply(p []byte) {
+	if s.state == 0 {
+		return // never reset: the LFSR is stuck at zero, its stream is zeros
+	}
+	var at scrambler
+	at.reset()
+	phase := 0
+	for ; at.state != s.state; phase++ {
+		at.Next()
+	}
+	at.reset()
+	for phase = xorStream(p, p, phase); phase > 0; phase-- {
+		at.Next()
+	}
+	s.state = at.state
+}
+
 func TestScramblerIsSelfInverse(t *testing.T) {
 	data := make([]byte, 1000)
 	rand.New(rand.NewSource(1)).Read(data)
 	orig := append([]byte(nil), data...)
 	var a, b scrambler
 	a.reset()
-	a.Apply(data)
+	a.apply(data)
 	if bytes.Equal(data, orig) {
 		t.Fatal("scrambler did nothing")
 	}
 	b.reset()
-	b.Apply(data)
+	b.apply(data)
 	if !bytes.Equal(data, orig) {
 		t.Fatal("descramble failed")
 	}
-	// Apply is the table-driven form of Next: from any phase it XORs
+	// xorStream is the table-driven form of Next: from any phase it XORs
 	// the same octets and leaves the same state behind.
 	for skip := 0; skip < 2*scramblerPeriod; skip += 5 {
 		for _, n := range []int{0, 1, 126, 127, 128, 1000} {
@@ -126,14 +146,14 @@ func TestScramblerIsSelfInverse(t *testing.T) {
 				want[i] ^= viaNext.Next()
 			}
 			got := append([]byte(nil), orig[:n]...)
-			viaApply.Apply(got)
+			viaApply.apply(got)
 			if !bytes.Equal(got, want) || viaApply != viaNext {
-				t.Fatalf("Apply(%d octets) after %d differs from Next", n, skip)
+				t.Fatalf("apply(%d octets) after %d differs from Next", n, skip)
 			}
 		}
 	}
-	var unreset scrambler // stuck at zero: Next yields zeros, Apply must too
-	unreset.Apply(data)
+	var unreset scrambler // stuck at zero: Next yields zeros, apply must too
+	unreset.apply(data)
 	if !bytes.Equal(data, orig) || unreset.Next() != 0 {
 		t.Fatal("zero-state scrambler is not the identity")
 	}

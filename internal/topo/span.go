@@ -2,7 +2,6 @@ package topo
 
 import (
 	"repro/internal/channel"
-	"repro/internal/fault"
 	"repro/internal/sonet"
 )
 
@@ -14,10 +13,12 @@ import (
 type Span struct {
 	From, To int
 
-	// Inject, when set, impairs the transmitted frames (scripted cuts,
-	// slips, noise bursts). Offsets count transmitted octets from tick
-	// zero. Install with SetScript or assign directly before traffic.
-	Inject *fault.Injector
+	// Inject, when set, passes every frame the span transmits on its way
+	// into the fibre (fault.Injector.Apply: scripted cuts, slips, noise
+	// bursts, its offsets counting transmitted octets from tick zero).
+	// It gets the span's own copy of the frame: it may edit it in
+	// place, resize it, or return nil, as sonet.Line.Inject.
+	Inject func(frame []byte) []byte
 
 	// Line models the fibre's propagation delay and jitter.
 	Line channel.Line
@@ -59,15 +60,6 @@ func newSpan(r *Ring, rot Rotation, from, to int) *Span {
 		}
 	}
 	return s
-}
-
-// SetScript installs a fault script on the span. nil clears.
-func (s *Span) SetScript(sc *fault.Script) {
-	if sc == nil {
-		s.Inject = nil
-		return
-	}
-	s.Inject = fault.NewInjector(*sc)
 }
 
 // Deframer exposes the receive-side deframer (defect monitor, parity

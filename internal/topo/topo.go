@@ -263,13 +263,10 @@ func (r *Ring) Tick(now int64) {
 				continue
 			}
 			// The delay line keeps the frame in flight across ticks, so
-			// it needs its own copy of the framer's reused buffer; the
-			// injector's output already is one.
-			f := s.fr.NextFrame()
+			// it needs its own copy of the framer's reused buffer.
+			f := append([]byte(nil), s.fr.NextFrame()...)
 			if s.Inject != nil {
-				f = s.Inject.Apply(f)
-			} else {
-				f = append([]byte(nil), f...)
+				f = s.Inject(f)
 			}
 			s.Line.Push(now, f)
 		}

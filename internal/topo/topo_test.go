@@ -146,7 +146,7 @@ func cutBoth(t *testing.T, r *Ring, u, v int, from, ticks int64) {
 	for _, s := range []*Span{uv, vu} {
 		var sc fault.Script
 		sc.LOS(from*fb, int(ticks*fb))
-		s.SetScript(&sc)
+		s.Inject = fault.NewInjector(sc).Apply
 	}
 }
 

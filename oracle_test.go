@@ -311,10 +311,8 @@ func TestEveryExportHasACaller(t *testing.T) {
 		"sonet.STM64":                  "the STM rate table (the scaling study's ceiling)",
 		"sonet.DefectMonitor.Raises":   "per-defect counts the chaos drill and the OAM test reconcile the alarm registers against",
 		"sonet.DefectMonitor.Clears":   "as Raises",
-		"fault.Script.Truncate":        "frame truncation, a chaos knob TestChaosSoakLinkSelfHealing drives",
-		"fault.Transport.Randomize":    "the seeded drop/dup/reorder rates TestTransportDupReorderSoakUDP drives",
-		"fault.Transport.Drop":         "scripted twin of Randomize's drop rate, pins the adapter's loss exactly",
-		"fault.Transport.Dup":          "scripted twin of Randomize's dup rate, pins the adapter's delivery order exactly",
+		"fault.Transport.Drop":         "a chaos knob by chunk index: pins the adapter's loss exactly",
+		"fault.Transport.Dup":          "a chaos knob by chunk index: TestTransportDupReorderSoakUDP duplicates the chunks its seeded generator picks",
 		"fault.Transport.Reorder":      "as Dup, for the one-slot late delivery",
 		"crc.Bitwise16":                "the serial LFSR that defines the register; every table, slicing, matrix and hardware-folded kernel is tested against it",
 		"crc.Bitwise32":                "as Bitwise16",
@@ -324,10 +322,10 @@ func TestEveryExportHasACaller(t *testing.T) {
 		"synth.CoreTotal":              "E8's core-only 32/8-bit ratio, hand-kept until ROADMAP item 9's one stage graph replaces it",
 		"vj.Decompressor.Toss":         "RFC 1144 §4's driver entry for a checksum failure only the end host can see",
 		"gigapos.Width8":               "the paper's 8-bit P5 (Table 1), NewSystem's other width; the quickstart builds the 32-bit one",
-		"channel.GilbertElliott":       "the burst-error line model, a chaos knob TestChaosSoakLinkSelfHealing drives",
 		"fault.Script.Corrupt":         "octet corruption, a chaos knob the chaos soaks and the SONET differential test drive",
+		"fault.Script.Delete":          "a negative byte slip, or a truncation when it runs to a frame boundary: a chaos knob the chaos soak and the SONET differential, line and fuzz tests drive; the scenario language's slip is an insertion",
 		"fault.Injector.Done":          "the chaos drills' evidence that a whole script fired",
-		"fault.Transport.Duplicated":   "the dup soak's evidence that Randomize's dup rate fired; Dropped's twin",
+		"fault.Transport.Duplicated":   "the dup soak's evidence that its scripted chunk indices were reached; Dropped's twin",
 		"transport.TCP.LocalAddr":      "a :0 listener's bound port, UDP.LocalAddr's twin; TestEngineRemote dials it",
 		"crc.Size.Append":              "appends a correct FCS: the codec, channel and P5 tests build their reference frames with it",
 		"crc.Parallel32.Update":        "the matrix engine over a buffer; the property tests hold every width to Bitwise32 through it",
@@ -654,52 +652,38 @@ func TestEveryFieldIsRead(t *testing.T) {
 	const (
 		drop  = "a drop counter: frames or octets discarded for a named reason, kept for the one drop ledger (ROADMAP item 4)"
 		bench = "a testbench instrument: rtl.Source and rtl.Sink drive and drain a unit under test, and the unit tests measure it through them"
-		chaos = "the burst-error line model is a chaos knob only tests turn (TestEveryExportHasACaller keeps channel.GilbertElliott); TestChaosSoakLinkSelfHealing sets its rates and checks its bursts"
-		alarm = "a defect-integration threshold at test scale: the defect, differential and fuzz tests shrink it to reach every alarm transition in a few frames; production runs the GR-253 default"
 	)
 	kept := map[string]string{
-		"hdlc.Tokenizer.Aborts":             drop,
-		"hdlc.Tokenizer.Runts":              drop,
-		"hdlc.Tokenizer.Oversize":           drop,
-		"gigapos.Link.RxBadAuth":            drop,
-		"p5.ring.Drops":                     drop,
-		"topo.Node.PassDrops":               drop,
-		"topo.Span.DarkFrames":              drop,
-		"vj.Decompressor.Tossed":            drop,
-		"lcp.Automaton.RxBadPackets":        drop,
-		"gigapos.LinkConfig.RestartPeriod":  "the frozen benchmark sets it and nothing reads it; it goes with ROADMAP item 1(f)",
-		"gigapos.LinkConfig.MRU":            negotiated,
-		"gigapos.LinkConfig.FCS":            negotiated,
-		"gigapos.LinkConfig.WantPFC":        negotiated,
-		"gigapos.LinkConfig.AllowPFC":       negotiated,
-		"gigapos.LinkConfig.WantACFC":       negotiated,
-		"gigapos.LinkConfig.AllowACFC":      negotiated,
-		"gigapos.LinkConfig.WantVJ":         negotiated,
-		"gigapos.LinkConfig.AllowVJ":        negotiated,
-		"gigapos.AuthConfig.Require":        negotiated,
-		"gigapos.AuthConfig.Identity":       negotiated,
-		"gigapos.AuthConfig.Secret":         negotiated,
-		"gigapos.AuthConfig.Name":           negotiated,
-		"p5.Line.Corrupt":                   "a fault-injection seam, beside the fake-clock seams: production leaves it nil; soak_test.go and internal/p5's golden, system and section tests corrupt line flits through it",
-		"p5.TxJob.Abort":                    "the abort datapath's test hook: TestSystemAbortedFrameDropped aborts a frame mid-payload through it",
-		"p5.TxJob.Address":                  "fakes a foreign sender: the loopback and pair address-policing tests send under another HDLC address through it",
-		"main.simConfig.scrape":             "the p5sim tests scrape the live endpoints through it while the run holds them open",
-		"transport.Config.jitterSeed":       "the backoff tests pin the reconnect jitter through it; production seeds from the clock",
-		"rtl.Source.Sent":                   bench,
-		"rtl.Source.StallCycles":            bench,
-		"rtl.Sink.GapCounts":                bench,
-		"channel.GilbertElliott.PGoodToBad": chaos,
-		"channel.GilbertElliott.PBadToGood": chaos,
-		"channel.GilbertElliott.BERGood":    chaos,
-		"channel.GilbertElliott.BERBad":     chaos,
-		"channel.GilbertElliott.Bursts":     chaos,
-		"sonet.defectConfig.OOFBadFrames":   alarm,
-		"sonet.defectConfig.OOFGoodFrames":  alarm,
-		"sonet.defectConfig.LOFFrames":      alarm,
-		"sonet.defectConfig.LOSOctets":      alarm,
-		"sonet.defectConfig.WindowFrames":   alarm,
-		"sonet.defectConfig.SDFrames":       alarm,
-		"sonet.defectConfig.SFFrames":       alarm,
+		"hdlc.Tokenizer.Aborts":            drop,
+		"hdlc.Tokenizer.Runts":             drop,
+		"hdlc.Tokenizer.Oversize":          drop,
+		"gigapos.Link.RxBadAuth":           drop,
+		"p5.ring.Drops":                    drop,
+		"topo.Node.PassDrops":              drop,
+		"topo.Span.DarkFrames":             drop,
+		"vj.Decompressor.Tossed":           drop,
+		"lcp.Automaton.RxBadPackets":       drop,
+		"gigapos.LinkConfig.RestartPeriod": "the frozen benchmark sets it and nothing reads it; it goes with ROADMAP item 1(f)",
+		"gigapos.LinkConfig.MRU":           negotiated,
+		"gigapos.LinkConfig.FCS":           negotiated,
+		"gigapos.LinkConfig.WantPFC":       negotiated,
+		"gigapos.LinkConfig.AllowPFC":      negotiated,
+		"gigapos.LinkConfig.WantACFC":      negotiated,
+		"gigapos.LinkConfig.AllowACFC":     negotiated,
+		"gigapos.LinkConfig.WantVJ":        negotiated,
+		"gigapos.LinkConfig.AllowVJ":       negotiated,
+		"gigapos.AuthConfig.Require":       negotiated,
+		"gigapos.AuthConfig.Identity":      negotiated,
+		"gigapos.AuthConfig.Secret":        negotiated,
+		"gigapos.AuthConfig.Name":          negotiated,
+		"p5.Line.Corrupt":                  "a fault-injection seam, beside the fake-clock seams: production leaves it nil; soak_test.go and internal/p5's golden, system and section tests corrupt line flits through it",
+		"p5.TxJob.Abort":                   "the abort datapath's test hook: TestSystemAbortedFrameDropped aborts a frame mid-payload through it",
+		"p5.TxJob.Address":                 "fakes a foreign sender: the loopback and pair address-policing tests send under another HDLC address through it",
+		"main.simConfig.scrape":            "the p5sim tests scrape the live endpoints through it while the run holds them open",
+		"transport.Config.jitterSeed":      "the backoff tests pin the reconnect jitter through it; production seeds from the clock",
+		"rtl.Source.Sent":                  bench,
+		"rtl.Source.StallCycles":           bench,
+		"rtl.Sink.GapCounts":               bench,
 	}
 	m := checkModule(t)
 	type field struct {
@@ -819,6 +803,16 @@ func TestFieldCensus(t *testing.T) {
 		{"a copy reads nothing", `type cp struct{ a int }
 			func dup(x cp) cp { y := x; return y }`,
 			nil},
+		{"a capped append log", `type lg struct{ evs []int }
+			func (l *lg) add(e int) { if len(l.evs) < 8 { l.evs = append(l.evs, e) } }`,
+			map[string]access{"lg.evs": write}},
+		{"len, cap and append that read", `type lh struct{ evs, other []int }
+			func (l *lh) add(e int) int {
+				if len(l.evs) < 8 { l.other = append(l.other, e) }
+				l.other = append(l.evs, e)
+				return cap(l.other)
+			}`,
+			map[string]access{"lh.evs": read, "lh.other": read | write}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			fset := token.NewFileSet()
@@ -1020,7 +1014,9 @@ func classifyFields(info *types.Info, f *ast.File, fn func(v *types.Var, how acc
 			case *ast.KeyValueExpr:
 				fn(v.Origin(), write)
 			case *ast.SelectorExpr:
-				fn(v.Origin(), lvalue(info, stack, p))
+				if !appendOnly(info, stack, p) {
+					fn(v.Origin(), lvalue(info, stack, p))
+				}
 			default:
 				fn(v.Origin(), read)
 			}
@@ -1053,6 +1049,68 @@ func classifyFields(info *types.Info, f *ast.File, fn func(v *types.Var, how acc
 		}
 		return true
 	})
+}
+
+// appendOnly reports whether the field selection sel, whose ancestors
+// are stack (sel itself on top), reads the field only to grow it: the
+// first operand of an append assigned back to the same selection
+// (x.f = append(x.f, e)), or the operand of len or cap in the condition
+// of an if whose body makes such an append (a capped log). A field
+// touched only so is written, never read.
+func appendOnly(info *types.Info, stack []ast.Node, sel *ast.SelectorExpr) bool {
+	builtin := func(e ast.Expr, names ...string) bool {
+		id, ok := ast.Unparen(e).(*ast.Ident)
+		if !ok {
+			return false
+		}
+		b, ok := info.Uses[id].(*types.Builtin)
+		return ok && slices.Contains(names, b.Name())
+	}
+	// selfAppend reports whether n assigns append(x.f, …) to x.f.
+	selfAppend := func(n ast.Node) bool {
+		as, ok := n.(*ast.AssignStmt)
+		if !ok || len(as.Lhs) != len(as.Rhs) {
+			return false
+		}
+		for i, r := range as.Rhs {
+			call, ok := r.(*ast.CallExpr)
+			if ok && builtin(call.Fun, "append") && len(call.Args) > 0 &&
+				types.ExprString(call.Args[0]) == types.ExprString(sel) && types.ExprString(as.Lhs[i]) == types.ExprString(sel) {
+				return true
+			}
+		}
+		return false
+	}
+	call, ok := stack[len(stack)-2].(*ast.CallExpr)
+	if !ok || len(call.Args) == 0 || call.Args[0] != sel {
+		return false
+	}
+	if builtin(call.Fun, "append") {
+		return selfAppend(stack[len(stack)-3])
+	}
+	if !builtin(call.Fun, "len", "cap") {
+		return false
+	}
+	var cur ast.Node = call
+	for i := len(stack) - 3; i >= 0; i-- {
+		switch p := stack[i].(type) {
+		case *ast.BinaryExpr, *ast.ParenExpr, *ast.UnaryExpr:
+			cur = p
+			continue
+		case *ast.IfStmt:
+			if p.Cond != cur {
+				return false
+			}
+			grows := false
+			ast.Inspect(p.Body, func(n ast.Node) bool {
+				grows = grows || selfAppend(n)
+				return !grows
+			})
+			return grows
+		}
+		return false
+	}
+	return false
 }
 
 // lvalue classifies the field selection sel, whose ancestors are stack

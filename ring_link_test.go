@@ -59,7 +59,7 @@ func cutRing(t *testing.T, r *topo.Ring, u, v int, at, ticks int64) {
 	for _, s := range []*topo.Span{uv, vu} {
 		var sc fault.Script
 		sc.LOS(at*fb, int(ticks*fb))
-		s.SetScript(&sc)
+		s.Inject = fault.NewInjector(sc).Apply
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/flight"
+	"repro/internal/netsim"
 	"repro/internal/transport"
 )
 
@@ -174,17 +175,29 @@ func TestTransportChaosSoakUDP(t *testing.T) {
 	}
 }
 
-// TestTransportDupReorderSoakUDP drives sustained random duplication
-// and reorder through the chaos adapter over real UDP sockets: the
+// TestTransportDupReorderSoakUDP drives sustained duplication and
+// reorder through the chaos adapter over real UDP sockets: the
 // sequence-number defense plus HDLC's FCS must keep every datagram
 // that reaches IP intact — impairments may cost throughput, never
 // correctness.
 func TestTransportDupReorderSoakUDP(t *testing.T) {
 	ln, dl := udpPair(t, transport.Config{})
 	// Impair both directions: dup and reorder, no outright drops, so
-	// sustained delivery is expected alongside the chaos.
-	ca := fault.WrapTransport(ln).Randomize(101, 0, 0.10, 0.10)
-	cz := fault.WrapTransport(dl).Randomize(202, 0, 0.10, 0.10)
+	// sustained delivery is expected alongside the chaos. About one
+	// chunk in ten is duplicated and one in ten reordered, at indices
+	// drawn from a seeded generator per direction.
+	ca, cz := fault.WrapTransport(ln), fault.WrapTransport(dl)
+	for seed, c := range map[uint64]*fault.Transport{101: ca, 202: cz} {
+		rng := netsim.NewRand(seed)
+		for n := uint64(0); n < 1<<13; n++ { // ~3200 chunks a direction
+			if rng.Intn(10) == 0 {
+				c.Dup(n)
+			}
+			if rng.Intn(10) == 0 {
+				c.Reorder(n)
+			}
+		}
+	}
 	pa, pz := supervisedPorts(ca, cz)
 
 	template := make([]byte, 200)
