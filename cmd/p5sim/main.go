@@ -14,9 +14,10 @@
 //	-telemetry ADDR    after the report, serve the Prometheus exposition at
 //	                   /metrics, expvar JSON at /debug/vars, Go profiles under
 //	                   /debug/pprof/ and the event trace at /trace — plus the
-//	                   error-budget board at /slo where ends record, and the
-//	                   transport /health and /status on a socket engine;
-//	                   scrape with p5stat or curl, ^C to exit
+//	                   error-budget board at /slo where ends record, and on a
+//	                   socket engine /health, answered from the transport_up
+//	                   series; scrape with p5stat (-fleet reads only /metrics)
+//	                   or curl, ^C to exit
 //	-flight DIR        arm the always-on flight recorder on every PPP end:
 //	                   latency histograms with exemplars, SLO burn gauges,
 //	                   black-box .p5fr captures (p5trace -capture) in DIR on
@@ -33,7 +34,8 @@
 //
 // Every end the run arms is named <pair>_a or <pair>_z in every series,
 // recorder and capture file. Whenever telemetry is armed, runtime/metrics
-// (GC pauses, scheduler latency, goroutine count) join as runtime_* gauges.
+// (GC pauses, scheduler latency, goroutine count) and the process uptime
+// join as runtime_* gauges.
 //
 // Usage:
 //
@@ -51,6 +53,7 @@ import (
 	"repro/internal/prof"
 	"repro/internal/scenario"
 	"repro/internal/telemetry"
+	"repro/internal/transport"
 )
 
 // simConfig is one p5sim invocation, decoupled from flag parsing so
@@ -183,11 +186,11 @@ func observation(cfg simConfig) gigapos.Observation {
 }
 
 // serveTelemetry starts the exposition endpoint after a run, mounting
-// the flight board at /slo and a socket engine's transport board at
-// /health and /status when the run has them. With a scrape hook the
-// server lives only for the hook call; otherwise it lingers until the
-// process is killed so the operator can attach p5stat, curl /metrics,
-// or pull a profile.
+// the flight board at /slo when the run has one and, on a socket
+// engine, /health over the registry's transport_up series. With a
+// scrape hook the server lives only for the hook call; otherwise it
+// lingers until the process is killed so the operator can attach
+// p5stat, curl /metrics, or pull a profile.
 func serveTelemetry(cfg simConfig, o gigapos.Observation, res *scenario.Result, out io.Writer) error {
 	reg := o.Registry
 	if reg == nil {
@@ -204,9 +207,9 @@ func serveTelemetry(cfg simConfig, o gigapos.Observation, res *scenario.Result, 
 		mux.Handle("/slo", res.Board.Handler())
 		endpoints += " /slo"
 	}
-	if res.Status != nil {
-		res.Status.Mount(mux)
-		endpoints += " /health /status"
+	if cfg.listen != "" || cfg.dial != "" {
+		mux.HandleFunc("/health", transport.Health(reg))
+		endpoints += " /health"
 	}
 	srv, err := telemetry.ServeHandler(addr, mux)
 	if err != nil {

@@ -343,6 +343,11 @@ func TestProtectFlightScrape(t *testing.T) {
 	if !strings.Contains(out.String(), "flight captures  : aps-switch=2") {
 		t.Errorf("report missing the flight capture line:\n%s", out.String())
 	}
+	// The OAM block watches the z end's recorder (IntFlightDump is
+	// unmasked): each capture latches flight-dump beside the switch.
+	if !strings.Contains(out.String(), "OAM interrupts   : stat=0x600 irq=true causes=[aps-switch flight-dump]") {
+		t.Errorf("OAM interrupt line does not name flight-dump:\n%s", out.String())
+	}
 }
 
 // engineDoc is a 4-pair engine over pipes, 200 steps of 256-octet

@@ -2,12 +2,14 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"net"
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/obsnet"
 )
 
 // freeUDPPort reserves and releases a loopback UDP port for the test
@@ -44,11 +46,21 @@ func netReport(t *testing.T, out string) map[string]string {
 	return nil
 }
 
+// fleetBoard renders the fleet board over the one instance at base.
+func fleetBoard(t *testing.T, base string) string {
+	t.Helper()
+	var b strings.Builder
+	if err := obsnet.WriteFleetBoard(&b, obsnet.ScrapeAll([]string{base})); err != nil {
+		t.Errorf("fleet board over %s: %v", base, err)
+	}
+	return b.String()
+}
+
 // TestNetModeUDPTwoHalves drives both halves of a udp engine in one
 // process over real UDP loopback sockets, with a stall window scripted
 // on port 0's line. Both halves must converge, ride the stall out with
-// zero LCP renegotiations, and the listener's telemetry endpoint must
-// serve /health, /status and the transport_* series.
+// zero LCP renegotiations, and each half's telemetry endpoint must
+// serve /health and the transport_* series the fleet board renders.
 func TestNetModeUDPTwoHalves(t *testing.T) {
 	addr := fmt.Sprintf("127.0.0.1:%d", freeUDPPort(t))
 	doc := inline(t, `{"name": "udp-stall", "engine": {"links": 1, "line": "udp"},
@@ -57,31 +69,13 @@ func TestNetModeUDPTwoHalves(t *testing.T) {
 		"assert": {"circuits": [{"lcp_renegotiations": 0, "rx_errors": 0}]}}`)
 
 	var healthCode int
-	var statusDoc struct {
-		Healthy bool `json:"healthy"`
-		Info    struct {
-			Start          string `json:"start"`
-			WireVersion    int    `json:"wire_version"`
-			FlightArmed    bool   `json:"flight_armed"`
-			LatencyTracing bool   `json:"latency_tracing"`
-		} `json:"info"`
-		Transports []struct {
-			Name string `json:"name"`
-			Up   bool   `json:"up"`
-		} `json:"transports"`
-	}
 	var series map[string]float64
-
+	var board string
 	lcfg := simConfig{scenario: doc, listen: addr, telemetryAddr: "127.0.0.1:0"}
 	lcfg.scrape = func(base string) {
 		healthCode, _ = scrapeGet(t, base, "/health")
-		code, body := scrapeGet(t, base, "/status")
-		if code != http.StatusOK {
-			t.Errorf("/status code %d", code)
-		} else if err := json.Unmarshal(body, &statusDoc); err != nil {
-			t.Errorf("/status JSON: %v", err)
-		}
 		series = seriesMap(t, base)
+		board = fleetBoard(t, base)
 	}
 	var lout bytes.Buffer
 	lerr := make(chan error, 1)
@@ -89,19 +83,13 @@ func TestNetModeUDPTwoHalves(t *testing.T) {
 
 	// The dialer is the Z half: everything that names its end says _z —
 	// the transport series, the protocol series the observed engine now
-	// exports per port, and the /status row the fleet board reads.
+	// exports per port, and the line the fleet board shows.
 	var dseries map[string]float64
-	var dstatus struct {
-		Transports []struct {
-			Name string `json:"name"`
-		} `json:"transports"`
-	}
+	var dboard string
 	dcfg := simConfig{scenario: doc, dial: addr, telemetryAddr: "127.0.0.1:0"}
 	dcfg.scrape = func(base string) {
 		dseries = seriesMap(t, base)
-		if _, body := scrapeGet(t, base, "/status"); json.Unmarshal(body, &dstatus) != nil {
-			t.Errorf("dialer /status: %s", body)
-		}
+		dboard = fleetBoard(t, base)
 	}
 	var dout bytes.Buffer
 	if err := run(dcfg, &dout); err != nil {
@@ -130,16 +118,29 @@ func TestNetModeUDPTwoHalves(t *testing.T) {
 	if healthCode != http.StatusOK {
 		t.Errorf("/health code %d, want 200", healthCode)
 	}
-	if !statusDoc.Healthy || len(statusDoc.Transports) != 1 || !statusDoc.Transports[0].Up {
-		t.Errorf("/status document: %+v", statusDoc)
-	}
-	// The fleet-facing identity block: wire version for skew detection,
-	// armed flags, and a parseable start stamp.
-	if statusDoc.Info.WireVersion != 2 || !statusDoc.Info.LatencyTracing || statusDoc.Info.FlightArmed {
-		t.Errorf("/status info block: %+v", statusDoc.Info)
-	}
-	if statusDoc.Info.Start == "" {
-		t.Error("/status info.start is empty")
+	// Each half's board row: healthy, an uptime, the wire version for
+	// skew detection, latency tracing armed and no flight recorder; its
+	// one line is the end it runs, up.
+	for name, c := range map[string]struct{ board, line string }{
+		"listener": {board, "port0_a"}, "dialer": {dboard, "port0_z"},
+	} {
+		var inst [][]string
+		var lines []string
+		for _, l := range strings.Split(c.board, "\n") {
+			f := strings.Fields(l)
+			if strings.HasPrefix(l, "instance ") {
+				inst = append(inst, f)
+			} else if len(f) > 2 && strings.HasPrefix(f[1], "port") {
+				lines = append(lines, f[1]+" "+f[2])
+			}
+		}
+		if len(inst) != 1 || len(inst[0]) != 9 || inst[0][2] != "healthy" || !strings.HasSuffix(inst[0][4], "s") ||
+			strings.Join(inst[0][5:], " ") != "wire v2 armed: latency" {
+			t.Errorf("%s board instance rows %q, want one: healthy, up Ns, wire v2, armed: latency\n%s", name, inst, c.board)
+		}
+		if want := []string{c.line + " up"}; !reflect.DeepEqual(lines, want) {
+			t.Errorf("%s board lines %q, want %q\n%s", name, lines, want, c.board)
+		}
 	}
 	for _, k := range []string{"oneway_p50_us", "oneway_p99_us", "rtt_p50_us"} {
 		if _, ok := lr[k]; !ok {
@@ -164,10 +165,7 @@ func TestNetModeUDPTwoHalves(t *testing.T) {
 		}
 	}
 	if _, ok := dseries[`transport_up{line="port0_a"}`]; ok {
-		t.Error(`dialer calls its only end port0_a; RoleZ's end is the pair's z`)
-	}
-	if len(dstatus.Transports) != 1 || dstatus.Transports[0].Name != "port0_z" {
-		t.Errorf("dialer /status transports = %+v, want one named port0_z", dstatus.Transports)
+		t.Error(`dialer calls its only end port0_a; the z side's end is the pair's z`)
 	}
 	if series[`transport_up{line="port0_a"}`] != 1 {
 		t.Errorf("transport_up = %v, want 1", series[`transport_up{line="port0_a"}`])

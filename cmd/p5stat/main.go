@@ -19,14 +19,15 @@
 //
 // With -transport the per-line transport table is rendered after the
 // stage tables (socket-backed p5sim runs export the transport_* series):
-// liveness, chunk counters, reconnects and resets, keepalive probe and
-// miss counts, and send-queue backpressure high-water marks.
+// liveness, chunk counters, one-way latency p50/p99 and RTT p50,
+// reconnects and resets, keepalive probe and miss counts, drops,
+// version-skew arrivals and send-queue backpressure.
 //
 // With -fleet ADDR,ADDR,... p5stat becomes the fleet board: every
-// address's /metrics and /status are scraped, merged under per-instance
-// labels, and rendered as one columnar view — instance identity
-// (health, uptime, wire version, armed subsystems), per-line transport
-// state with one-way latency p50/p99 and RTT p50, and the SLO
+// address's /metrics is scraped once, labelled with its instance, and
+// rendered as one columnar view from those series — instance identity
+// (health, uptime, wire version, armed subsystems), the same per-line
+// transport table as -transport with an instance column, and the SLO
 // burn-rate/alarm rows across all instances. Unreachable instances
 // render as DOWN rows instead of failing the board.
 //
@@ -78,7 +79,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	count := fs.Int("n", 0, "with -interval, stop after this many reports (0 = run until killed)")
 	var v view
 	fs.BoolVar(&v.events, "events", false, "dump the structured event trace from /trace after the report")
-	fs.BoolVar(&v.transport, "transport", false, "render the per-line transport table (liveness, reconnects, keepalive misses, queue high-water) from the transport_* series")
+	fs.BoolVar(&v.transport, "transport", false, "render the per-line transport table (liveness, latency, reconnects, keepalive misses, queue high-water) from the transport_* series")
 	fs.BoolVar(&v.slo, "slo", false, "render the error-budget board from /slo after the report")
 	fs.BoolVar(&v.exemplars, "exemplars", false, "with the /slo board, list each link's latency exemplars")
 	replay := fs.String("replay", "", "format events from a saved JSON trace file instead of attaching")
@@ -186,7 +187,9 @@ func attach(w io.Writer, url string, interval time.Duration, count int, v view) 
 	}
 	trailers := func() error {
 		if v.transport {
-			writeTransport(w, cur)
+			if err := obsnet.WriteTransportTable(w, cur); err != nil {
+				return err
+			}
 		}
 		if v.events {
 			if err := dumpTrace(w, url); err != nil {
@@ -272,69 +275,6 @@ func writeBoard(w io.Writer, doc flight.BoardJSON, exemplars bool) {
 		}
 		tw.Flush()
 	}
-}
-
-// writeTransport renders the per-line transport table from the
-// transport_* series family (exported by socket-backed p5sim runs):
-// liveness, chunk counters, connection churn, keepalive health,
-// send-queue backpressure, and wire-level latency (one-way p50/p99 from
-// the sampled wall stamps, RTT p50 from keepalive probes), one row per
-// line label.
-func writeTransport(w io.Writer, cur []telemetry.Series) {
-	type row struct{ vals map[string]float64 }
-	rows := map[string]*row{}
-	names := []string{}
-	for _, s := range cur {
-		if !strings.HasPrefix(s.Name, "transport_") {
-			continue
-		}
-		line := s.Label("line")
-		if line == "" {
-			continue
-		}
-		r := rows[line]
-		if r == nil {
-			r = &row{vals: map[string]float64{}}
-			rows[line] = r
-			names = append(names, line)
-		}
-		r.vals[s.Name] = s.Value
-	}
-	if len(names) == 0 {
-		fmt.Fprintln(w, "transport: no transport_* series (not a socket-backed run?)")
-		return
-	}
-	sort.Strings(names)
-	// Latency columns come from the per-line histograms rather than the
-	// flattened gauge map — quantiles need the bucket structure.
-	quant := func(line, name string, q float64) string {
-		v, ok := telemetry.SeriesQuantile(cur, name, q, telemetry.L("line", line))
-		if !ok {
-			return "-"
-		}
-		return fmt.Sprintf("%d", v)
-	}
-	fmt.Fprintln(w, "transport lines:")
-	tw := tabwriter.NewWriter(w, 2, 0, 2, ' ', tabwriter.AlignRight)
-	fmt.Fprintln(tw, "\tline\tup\ttx\trx\toneway-p50µs\toneway-p99µs\trtt-p50µs\treconn\tresets\tprobes\tmisses\ttx-drop\trx-drop\tq\tq-hw\t")
-	for _, n := range names {
-		v := rows[n].vals
-		up := "down"
-		if v["transport_up"] == 1 {
-			up = "up"
-		}
-		fmt.Fprintf(tw, "\t%s\t%s\t%.0f\t%.0f\t%s\t%s\t%s\t%.0f\t%.0f\t%.0f\t%.0f\t%.0f\t%.0f\t%.0f\t%.0f\t\n",
-			n, up,
-			v["transport_tx_chunks_total"], v["transport_rx_chunks_total"],
-			quant(n, "transport_oneway_latency_us", 0.50),
-			quant(n, "transport_oneway_latency_us", 0.99),
-			quant(n, "transport_rtt_us", 0.50),
-			v["transport_reconnects_total"], v["transport_resets_total"],
-			v["transport_keepalive_probes_total"], v["transport_keepalive_misses_total"],
-			v["transport_tx_dropped_total"], v["transport_rx_dropped_total"],
-			v["transport_queue_depth"], v["transport_queue_high_water"])
-	}
-	tw.Flush()
 }
 
 // scrape fetches and parses one Prometheus exposition.

@@ -44,33 +44,17 @@ type EngineConfig struct {
 	// (default 8).
 	Batch int
 	// Transport supplies the line transports carrying port i's wire
-	// octets: both endpoints of a pair (two sockets meeting on loopback,
-	// a sonet.Line pair), or — with Role RoleA or RoleZ — just the local
-	// side, nil for the other. The engine owns the returned transports
+	// octets, and with them the sides of the port this engine builds:
+	// both endpoints of a pair (two sockets meeting on loopback, a
+	// sonet.Line pair) build both links; a alone builds only the a end
+	// (magic 0xA0000001+2i, address 10.x.y.1: the listener half of a
+	// two-process pair) and z alone only the z end (magic
+	// 0xA0000002+2i, address 10.x.y.2: the dialler half), whose peer
+	// runs in another process. The engine owns the returned transports
 	// and closes them with Close. Nil gives every port a
 	// transport.NewPipePair.
 	Transport func(port int) (a, z transport.LineTransport)
-	// Role selects which side of each port this engine instantiates.
-	// RoleLoopback (the default) builds both; RoleA and RoleZ build a
-	// single-ended engine whose peer runs in another process, reached
-	// through the Transport hook (required for those roles).
-	Role EngineRole
 }
-
-// EngineRole selects the engine's side of each port.
-type EngineRole int
-
-// The engine roles.
-const (
-	// RoleLoopback instantiates both endpoints of every port.
-	RoleLoopback EngineRole = iota
-	// RoleA instantiates only the a-side endpoints (magic 0xA0000001+2i,
-	// address 10.x.y.1) — the listener half of a two-process pair.
-	RoleA
-	// RoleZ instantiates only the z-side endpoints (magic 0xA0000002+2i,
-	// address 10.x.y.2) — the dialer half.
-	RoleZ
-)
 
 func (c EngineConfig) links() int {
 	if c.Links <= 0 {
@@ -124,12 +108,13 @@ type EngineStats struct {
 }
 
 // enginePort is one port's endpoints plus its traffic state: both
-// links of a loopback pair, or a single link in a remote-role engine
+// links of a loopback pair, or a single link in a single-ended engine
 // (z nil), each behind the TransportPort that carries its wire. A port
 // is owned exclusively by one shard worker.
 type enginePort struct {
-	a, z     *Link          // z is nil in a remote-role engine
+	a, z     *Link          // z is nil in a single-ended engine
 	tpa, tpz *TransportPort // tpz is nil with z
+	zSide    bool           // single-ended, and a is the pair's z end
 
 	txBatch [][]byte   // batch of generated datagrams (shared template)
 	rxTmp   []Datagram // reusable drain scratch
@@ -256,9 +241,6 @@ func NewEngine(cfg EngineConfig) *Engine {
 	for i := range e.shards {
 		e.shards[i] = &engineShard{id: i, steps: make(chan int)}
 	}
-	if cfg.Role != RoleLoopback && cfg.Transport == nil {
-		panic("gigapos: EngineConfig.Role RoleA/RoleZ requires a Transport hook")
-	}
 	hook := cfg.Transport
 	if hook == nil {
 		hook = func(int) (a, z transport.LineTransport) { return transport.NewPipePair() }
@@ -267,7 +249,7 @@ func NewEngine(cfg EngineConfig) *Engine {
 		acfg, zcfg := cfg.Link, cfg.Link
 		// Distinct, nonzero magic numbers per endpoint: loopback
 		// negotiation must never look like a looped-back line. The
-		// derivation is shared by both remote roles, so two single-ended
+		// derivation is shared by both single-ended sides, so two
 		// engines meeting over sockets agree on who is who.
 		acfg.Magic = 0xA0000001 + uint32(i)*2
 		zcfg.Magic = 0xA0000002 + uint32(i)*2
@@ -275,25 +257,21 @@ func NewEngine(cfg EngineConfig) *Engine {
 			acfg.IPAddr = [4]byte{10, byte(i >> 8), byte(i), 1}
 			zcfg.IPAddr = [4]byte{10, byte(i >> 8), byte(i), 2}
 		}
-		if cfg.Role == RoleZ {
-			acfg = zcfg // a single-ended engine's local link sits in slot a
-		}
-		p := &enginePort{a: NewLink(acfg)}
-		if cfg.Role == RoleLoopback {
-			p.z = NewLink(zcfg)
-		}
+		// The sides the hook returns are the sides this engine builds; a
+		// single-ended engine's local link sits in slot a.
 		ta, tz := hook(i)
-		if cfg.Role == RoleZ && tz != nil {
-			ta = tz // the z-side hook result backs the local (slot a) link
-		}
-		if ta == nil {
-			panic(fmt.Sprintf("gigapos: Transport(%d) returned no local endpoint", i))
+		p := &enginePort{}
+		switch {
+		case ta != nil:
+			p.a = NewLink(acfg)
+		case tz != nil:
+			p.a, ta, tz, p.zSide = NewLink(zcfg), tz, nil, true
+		default:
+			panic(fmt.Sprintf("gigapos: Transport(%d) returned no endpoint", i))
 		}
 		p.tpa = NewTransportPort(p.a, ta)
-		if p.z != nil {
-			if tz == nil {
-				panic(fmt.Sprintf("gigapos: Transport(%d) returned no z endpoint for a loopback engine", i))
-			}
+		if tz != nil {
+			p.z = NewLink(zcfg)
 			p.tpz = NewTransportPort(p.z, tz)
 		}
 		p.txBatch = make([][]byte, cfg.batch())
@@ -430,7 +408,7 @@ func (e *Engine) port(i int) *enginePort {
 }
 
 // Port returns the i'th link pair for inspection (a, z; z is nil in a
-// remote-role engine). Call only between Runs; the port's shard owns
+// single-ended engine). Call only between Runs; the port's shard owns
 // the links while Run executes.
 func (e *Engine) Port(i int) (a, z *Link) {
 	p := e.port(i)
@@ -438,56 +416,47 @@ func (e *Engine) Port(i int) (a, z *Link) {
 }
 
 // ends returns p's local ends as the (a, z) of the pair they belong
-// to, each behind its transport. A RoleZ engine keeps its only link in
+// to, each behind its transport. A z-side port keeps its only link in
 // slot a, but it is the pair's z end and named so.
-func (e *Engine) ends(p *enginePort) (a, z Observable) {
+func (p *enginePort) ends() (a, z Observable) {
 	a = p.tpa
 	if p.tpz != nil {
 		z = p.tpz
 	}
-	if e.cfg.Role == RoleZ {
+	if p.zSide {
 		a, z = nil, a
 	}
 	return a, z
-}
-
-// EachTransport visits every line transport the engine owns, named as
-// Observe names the end it carries (port<i>_a / port<i>_z) — the hook
-// status boards build on. Call only between Runs.
-func (e *Engine) EachTransport(fn func(name string, t transport.LineTransport)) {
-	for i := 0; i < e.cfg.links(); i++ {
-		a, z := e.ends(e.port(i))
-		if tp, ok := a.(*TransportPort); ok {
-			fn(fmt.Sprintf("port%d_a", i), tp.T)
-		}
-		if tp, ok := z.(*TransportPort); ok {
-			fn(fmt.Sprintf("port%d_z", i), tp.T)
-		}
-	}
 }
 
 // TransportStats sums the counters of every line transport the engine
 // owns. Call only between Runs.
 func (e *Engine) TransportStats() transport.Stats {
 	var sum transport.Stats
-	e.EachTransport(func(_ string, t transport.LineTransport) {
-		st := t.Stats()
-		sum.TxChunks += st.TxChunks
-		sum.TxBytes += st.TxBytes
-		sum.RxChunks += st.RxChunks
-		sum.RxBytes += st.RxBytes
-		sum.TxDropped += st.TxDropped
-		sum.RxDropped += st.RxDropped
-		sum.RxBadVersion += st.RxBadVersion
-		sum.Reconnects += st.Reconnects
-		sum.Resets += st.Resets
-		sum.KeepaliveProbes += st.KeepaliveProbes
-		sum.KeepaliveMisses += st.KeepaliveMisses
-		sum.QueueDepth += st.QueueDepth
-		if st.QueueHighWater > sum.QueueHighWater {
-			sum.QueueHighWater = st.QueueHighWater
+	for i := 0; i < e.cfg.links(); i++ {
+		p := e.port(i)
+		for _, tp := range []*TransportPort{p.tpa, p.tpz} {
+			if tp == nil {
+				continue
+			}
+			st := tp.T.Stats()
+			sum.TxChunks += st.TxChunks
+			sum.TxBytes += st.TxBytes
+			sum.RxChunks += st.RxChunks
+			sum.RxBytes += st.RxBytes
+			sum.TxDropped += st.TxDropped
+			sum.RxDropped += st.RxDropped
+			sum.RxBadVersion += st.RxBadVersion
+			sum.Reconnects += st.Reconnects
+			sum.Resets += st.Resets
+			sum.KeepaliveProbes += st.KeepaliveProbes
+			sum.KeepaliveMisses += st.KeepaliveMisses
+			sum.QueueDepth += st.QueueDepth
+			if st.QueueHighWater > sum.QueueHighWater {
+				sum.QueueHighWater = st.QueueHighWater
+			}
 		}
-	})
+	}
 	return sum
 }
 
@@ -554,7 +523,7 @@ func (e *Engine) Observe(o Observation, name string) (w Watch) {
 		}
 	}
 	for i := 0; i < e.cfg.links(); i++ {
-		a, z := e.ends(e.port(i))
+		a, z := e.port(i).ends()
 		w.ObservePair(o, fmt.Sprintf("port%d", i), a, z)
 	}
 	return w

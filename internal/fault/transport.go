@@ -6,54 +6,35 @@ import (
 )
 
 // Transport is the transport-level chaos adapter: it wraps a
-// transport.LineTransport and impairs whole send chunks — dropping,
-// duplicating, delaying (reorder) and stalling them — the failure
-// modes a socket-backed line sees that the octet-level Injector cannot
-// express. Impairments are scripted against the adapter's virtual-tick
-// clock and chunk counter, so a scenario replays exactly.
+// transport.LineTransport and stalls or discards whole send chunks in
+// scripted tick windows — the brownout and the hard cut a socket-backed
+// line sees that the octet-level Injector cannot express. Windows are
+// scripted against the adapter's virtual-tick clock, so a scenario
+// replays exactly. Duplication and reorder are what a network does to
+// datagrams after they leave the transport; a test makes them there, in
+// a relay between the sockets.
 //
 // The adapter impairs only the transmit path (impair where you inject:
 // the peer's receiver observes the chaos). Recv, Up, Stats and Close
-// pass through to the wrapped transport; held chunks released by
-// reorder or a stall window ending are flushed from Tick.
+// pass through to the wrapped transport; chunks held by a stall window
+// are flushed from Tick once it ends.
 type Transport struct {
 	inner transport.LineTransport
 
-	txIndex  uint64 // chunks offered to Send so far
-	now      int64
-	dropN    map[uint64]bool
-	dupN     map[uint64]bool
-	reorderN map[uint64]bool
+	now int64
 
 	stallFrom, stallTo       int64 // real stall: chunks held, then released
 	blackoutFrom, blackoutTo int64 // blackout: chunks discarded
 
-	held    [][]byte // chunks captured by reorder/stall, owned copies
+	held    [][]byte // chunks captured by a stall, owned copies
 	dropped uint64
-	duped   uint64
 }
 
 // WrapTransport wraps inner with an impairment adapter. Program it
-// with the Drop/Dup/Reorder/Stall/Blackout methods before
-// (or while) driving it.
+// with Stall and Blackout before (or while) driving it.
 func WrapTransport(inner transport.LineTransport) *Transport {
-	return &Transport{
-		inner:    inner,
-		dropN:    make(map[uint64]bool),
-		dupN:     make(map[uint64]bool),
-		reorderN: make(map[uint64]bool),
-	}
+	return &Transport{inner: inner}
 }
-
-// Drop discards the n-th offered chunk (0-based).
-func (t *Transport) Drop(n uint64) *Transport { t.dropN[n] = true; return t }
-
-// Dup sends the n-th offered chunk twice.
-func (t *Transport) Dup(n uint64) *Transport { t.dupN[n] = true; return t }
-
-// Reorder holds the n-th offered chunk and releases it after the next
-// chunk has been sent — a one-slot late delivery.
-func (t *Transport) Reorder(n uint64) *Transport { t.reorderN[n] = true; return t }
 
 // Stall holds every chunk offered in the tick window [from, to); the
 // backlog is released, in order, at the first Tick at or past to. The
@@ -72,9 +53,6 @@ func (t *Transport) Blackout(from, to int64) *Transport {
 
 // Dropped reports how many chunks the adapter discarded.
 func (t *Transport) Dropped() uint64 { return t.dropped }
-
-// Duplicated reports how many extra chunk copies the adapter sent.
-func (t *Transport) Duplicated() uint64 { return t.duped }
 
 // hold captures an owned copy of p (Send must not retain the caller's
 // buffer past the call).
@@ -97,8 +75,6 @@ func (t *Transport) inWindow(from, to int64) bool {
 // Send passes p through the impairment script and on to the wrapped
 // transport.
 func (t *Transport) Send(p []byte) error {
-	n := t.txIndex
-	t.txIndex++
 	if t.inWindow(t.blackoutFrom, t.blackoutTo) {
 		t.dropped++
 		return nil
@@ -107,33 +83,14 @@ func (t *Transport) Send(p []byte) error {
 		t.hold(p)
 		return nil
 	}
-	switch {
-	case t.dropN[n]:
-		t.dropped++
-		return nil
-	case t.reorderN[n]:
-		t.hold(p)
-		return nil
-	}
-	err := t.inner.Send(p)
-	if t.dupN[n] {
-		t.duped++
-		t.inner.Send(p)
-	}
-	// A reordered chunk is released one chunk late: after this in-order
-	// send, not before it.
-	if len(t.held) > 0 && !t.inWindow(t.stallFrom, t.stallTo) {
-		t.releaseHeld()
-	}
-	return err
+	return t.inner.Send(p)
 }
 
 // Recv passes through to the wrapped transport.
 func (t *Transport) Recv(dst [][]byte) [][]byte { return t.inner.Recv(dst) }
 
-// Tick advances the adapter's clock, releases any held backlog whose
-// window has ended (stall) or that no following Send flushed (reorder
-// at end of traffic), and ticks the wrapped transport. On transports
+// Tick advances the adapter's clock, releases the held backlog once its
+// stall window has ended, and ticks the wrapped transport. On transports
 // that support it (Muter), a blackout window cuts the line completely
 // — keepalive probes and receive included — so both ends' dead-peer
 // detection sees a dark line, not just missing data.

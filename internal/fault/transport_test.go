@@ -15,26 +15,6 @@ func chunks(t *testing.T, p *transport.Pipe, want int) [][]byte {
 	return got
 }
 
-func TestTransportAdapterScriptedOps(t *testing.T) {
-	a, z := transport.NewPipePair()
-	w := WrapTransport(a).Drop(1).Dup(2).Reorder(3)
-	for i := 0; i < 6; i++ {
-		w.Send([]byte{byte(i)})
-	}
-	// Chunk 1 dropped; chunk 2 duplicated; chunk 3 delivered one slot
-	// late (after chunk 4).
-	got := chunks(t, z, 6)
-	want := []byte{0, 2, 2, 4, 3, 5}
-	for i, c := range got {
-		if c[0] != want[i] {
-			t.Fatalf("delivery order %v, want %v", got, want)
-		}
-	}
-	if w.Dropped() != 1 || w.Duplicated() != 1 {
-		t.Fatalf("dropped=%d duplicated=%d", w.Dropped(), w.Duplicated())
-	}
-}
-
 func TestTransportAdapterStallWindow(t *testing.T) {
 	a, z := transport.NewPipePair()
 	w := WrapTransport(a).Stall(10, 20)

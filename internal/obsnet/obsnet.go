@@ -1,16 +1,16 @@
-// Package obsnet is the fleet side of the observatory: it pulls the
-// telemetry surfaces one p5sim process exposes over HTTP (/metrics,
-// /status) from N processes, merges them under per-instance labels,
-// and renders one columnar board covering the whole fleet — per-line
-// one-way latency, transport health, SLO burn rates and defect alarms
-// across every instance (DESIGN.md §16). It also joins correlated
-// flight-capture pairs into a single two-sided incident timeline
-// (join.go). p5stat -fleet and p5trace -join are thin shells over this
-// package.
+// Package obsnet is the fleet side of the observatory: it scrapes the
+// one document a p5sim process exposes for its state, /metrics, from N
+// processes, labels each instance's series with its address, and
+// renders one columnar board covering the whole fleet from those series
+// alone — instance health, uptime, wire version and armed subsystems,
+// the per-line transport table (WriteTransportTable, which p5stat
+// -transport renders for one instance), SLO burn rates and alarms
+// (DESIGN.md §16). It also joins correlated flight-capture pairs into a
+// single two-sided incident timeline (join.go). p5stat -fleet and
+// p5trace -join are thin shells over this package.
 package obsnet
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"repro/internal/telemetry"
-	"repro/internal/transport"
 )
 
 // Instance is one scraped fleet member.
@@ -31,10 +30,8 @@ type Instance struct {
 	// Series is the parsed /metrics snapshot with the instance label
 	// already injected (nil when the scrape failed).
 	Series []telemetry.Series
-	// Status is the decoded /status document.
-	Status transport.StatusDoc
-	// Err records a failed or partial scrape; the board renders the
-	// instance as down instead of dropping it.
+	// Err records a failed scrape; the board renders the instance as
+	// down instead of dropping it.
 	Err error
 }
 
@@ -54,9 +51,9 @@ func baseURL(addr string) string {
 	return "http://" + addr
 }
 
-// Fetch GETs one telemetry document (/metrics, /status, /slo, /trace)
-// with the bounded client: it gives up after 5 s, and refuses a non-200
-// answer and a body over 8 MiB.
+// Fetch GETs one telemetry document (/metrics, /slo, /trace) with the
+// bounded client: it gives up after 5 s, and refuses a non-200 answer
+// and a body over 8 MiB.
 func Fetch(url string) ([]byte, error) {
 	resp, err := client.Get(url)
 	if err != nil {
@@ -67,8 +64,6 @@ func Fetch(url string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	// /health answers 503 while unhealthy; for the scraped documents a
-	// non-200 is a failure.
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("%s: HTTP %d", url, resp.StatusCode)
 	}
@@ -78,31 +73,22 @@ func Fetch(url string) ([]byte, error) {
 	return body, nil
 }
 
-// scrape pulls one instance's /metrics and /status. The returned
+// scrape pulls one instance's /metrics: one request. The returned
 // Instance always carries Addr; Err marks a failed scrape.
 func scrape(addr string) Instance {
 	inst := Instance{Addr: addr}
-	base := baseURL(addr)
-
-	body, err := Fetch(base + "/metrics")
+	url := baseURL(addr) + "/metrics"
+	body, err := Fetch(url)
 	if err != nil {
 		inst.Err = err
 		return inst
 	}
 	series, err := telemetry.ParseText(strings.NewReader(string(body)))
 	if err != nil {
-		inst.Err = fmt.Errorf("parse %s/metrics: %w", base, err)
+		inst.Err = fmt.Errorf("parse %s: %w", url, err)
 		return inst
 	}
 	inst.Series = telemetry.InjectLabel(series, "instance", addr)
-
-	if body, err = Fetch(base + "/status"); err != nil {
-		inst.Err = err
-		return inst
-	}
-	if err := json.Unmarshal(body, &inst.Status); err != nil {
-		inst.Err = fmt.Errorf("decode %s/status: %w", base, err)
-	}
 	return inst
 }
 
@@ -116,74 +102,142 @@ func ScrapeAll(addrs []string) []Instance {
 	return out
 }
 
-// WriteFleetBoard renders the fleet: one header line per instance
-// (health, uptime, wire version, armed subsystems), a per-line
-// transport table across all instances (liveness, one-way latency
-// p50/p99, RTT p50, wire counters, version-skew drops), and the SLO
-// burn-rate/alarm rows. Returns an error only for writer failures.
+// WriteFleetBoard renders the fleet from the scraped series: one header
+// line per instance — healthy while every transport_up is 1, uptime
+// from runtime_uptime_seconds, wire version from transport_wire_version,
+// and as armed each of the flight_*, prof_* and
+// transport_oneway_latency_us families present — a warning when the
+// instances speak more than one wire version, the per-line transport
+// table across all instances, and the SLO burn-rate/alarm rows. Returns
+// an error only for writer failures.
 func WriteFleetBoard(w io.Writer, instances []Instance) error {
-	versions := map[int]bool{}
+	versions := map[float64]bool{}
+	var fleet []telemetry.Series
 	for _, in := range instances {
 		if in.Err != nil {
 			fmt.Fprintf(w, "instance %-24s DOWN  (%v)\n", in.Addr, in.Err)
 			continue
 		}
-		info := in.Status.Info
-		health := "healthy"
-		if !in.Status.Healthy {
-			health = "DEGRADED"
+		fleet = append(fleet, in.Series...)
+		health, uptime, wire := "healthy", "-", "-"
+		var flight, prof, latency bool
+		for _, s := range in.Series {
+			switch {
+			case s.Name == "transport_up" && s.Value != 1:
+				health = "DEGRADED"
+			case s.Name == "runtime_uptime_seconds":
+				uptime = fmt.Sprintf("%.0fs", s.Value)
+			case s.Name == "transport_wire_version":
+				versions[s.Value] = true
+				wire = fmt.Sprintf("v%.0f", s.Value)
+			case strings.HasPrefix(s.Name, "flight_"):
+				flight = true
+			case strings.HasPrefix(s.Name, "prof_"):
+				prof = true
+			case strings.HasPrefix(s.Name, "transport_oneway_latency_us_"):
+				latency = true
+			}
 		}
-		versions[info.WireVersion] = true
 		armed := make([]string, 0, 3)
-		if info.FlightArmed {
+		if flight {
 			armed = append(armed, "flight")
 		}
-		if info.ProfArmed {
+		if prof {
 			armed = append(armed, "prof")
 		}
-		if info.LatencyTracing {
+		if latency {
 			armed = append(armed, "latency")
 		}
 		if len(armed) == 0 {
 			armed = append(armed, "none")
 		}
-		fmt.Fprintf(w, "instance %-24s %-8s up %6ds  wire v%d  armed: %s\n",
-			in.Addr, health, info.UptimeSeconds, info.WireVersion, strings.Join(armed, ","))
+		fmt.Fprintf(w, "instance %-24s %-8s up %7s  wire %s  armed: %s\n",
+			in.Addr, health, uptime, wire, strings.Join(armed, ","))
 	}
 	if len(versions) > 1 {
 		fmt.Fprintf(w, "WARNING: wire version skew across the fleet (%d distinct versions)\n", len(versions))
 	}
-
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', tabwriter.AlignRight)
-	fmt.Fprintln(tw, "\ninstance\tline\tup\toneway-p50µs\toneway-p99µs\trtt-p50µs\ttx-chunks\trx-chunks\treconn\tresets\trx-drop\tbad-ver\t")
-	for _, in := range instances {
-		if in.Err != nil {
-			continue
-		}
-		for _, t := range in.Status.Transports {
-			up := "up"
-			if !t.Up {
-				up = "DOWN"
-			}
-			p50, p99, rtt := "-", "-", "-"
-			if t.Latency != nil && t.Latency.Samples > 0 {
-				p50 = fmt.Sprint(t.Latency.OneWayP50US)
-				p99 = fmt.Sprint(t.Latency.OneWayP99US)
-			}
-			if t.Latency != nil && t.Latency.RTTSamples > 0 {
-				rtt = fmt.Sprint(t.Latency.RTTP50US)
-			}
-			fmt.Fprintf(tw, "%s\t%s\t%s\t%s\t%s\t%s\t%d\t%d\t%d\t%d\t%d\t%d\t\n",
-				in.Addr, t.Name, up, p50, p99, rtt,
-				t.Stats.TxChunks, t.Stats.RxChunks,
-				t.Stats.Reconnects, t.Stats.Resets,
-				t.Stats.RxDropped, t.Stats.RxBadVersion)
-		}
-	}
-	if err := tw.Flush(); err != nil {
+	fmt.Fprintln(w)
+	if err := WriteTransportTable(w, fleet); err != nil {
 		return err
 	}
 	return writeSLORows(w, instances)
+}
+
+// WriteTransportTable renders the per-line transport table from the
+// transport_* series (Instrument's families): liveness, chunk counters,
+// wire-level latency (one-way p50/p99 from the sampled wall stamps, RTT
+// p50 from keepalive probes), connection churn, keepalive health, drops,
+// version-skew arrivals and send-queue backpressure, one row per line.
+// Series that carry an instance label (a fleet scrape) get an instance
+// column and one row per instance and line.
+func WriteTransportTable(w io.Writer, series []telemetry.Series) error {
+	type key struct{ instance, line string }
+	rows := map[key]map[string]float64{}
+	var keys []key
+	fleet := false
+	for _, s := range series {
+		k := key{s.Label("instance"), s.Label("line")}
+		if !strings.HasPrefix(s.Name, "transport_") || k.line == "" {
+			continue
+		}
+		if rows[k] == nil {
+			rows[k] = map[string]float64{}
+			keys = append(keys, k)
+		}
+		rows[k][s.Name] = s.Value
+		fleet = fleet || k.instance != ""
+	}
+	if len(keys) == 0 {
+		_, err := fmt.Fprintln(w, "transport: no transport_* series (not a socket-backed run?)")
+		return err
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		if keys[i].instance != keys[j].instance {
+			return keys[i].instance < keys[j].instance
+		}
+		return keys[i].line < keys[j].line
+	})
+	fmt.Fprintln(w, "transport lines:")
+	tw := tabwriter.NewWriter(w, 2, 0, 2, ' ', tabwriter.AlignRight)
+	head := "\tline\tup\ttx\trx\toneway-p50µs\toneway-p99µs\trtt-p50µs\treconn\tresets\tprobes\tmisses\ttx-drop\trx-drop\tbad-ver\tq\tq-hw\t"
+	if fleet {
+		head = "\tinstance" + head
+	}
+	fmt.Fprintln(tw, head)
+	for _, k := range keys {
+		// Latency columns come from the per-line histograms rather than
+		// the flattened value map: quantiles need the bucket structure.
+		match := []telemetry.Label{telemetry.L("line", k.line)}
+		if fleet {
+			match = append(match, telemetry.L("instance", k.instance))
+			fmt.Fprintf(tw, "\t%s", k.instance)
+		}
+		v := rows[k]
+		quant := func(name string, q float64) string {
+			if v[name+"_count"] == 0 {
+				return "-"
+			}
+			p, _ := telemetry.SeriesQuantile(series, name, q, match...)
+			return fmt.Sprint(p)
+		}
+		up := "DOWN"
+		if v["transport_up"] == 1 {
+			up = "up"
+		}
+		fmt.Fprintf(tw, "\t%s\t%s\t%.0f\t%.0f\t%s\t%s\t%s\t%.0f\t%.0f\t%.0f\t%.0f\t%.0f\t%.0f\t%.0f\t%.0f\t%.0f\t\n",
+			k.line, up,
+			v["transport_tx_chunks_total"], v["transport_rx_chunks_total"],
+			quant("transport_oneway_latency_us", 0.50),
+			quant("transport_oneway_latency_us", 0.99),
+			quant("transport_rtt_us", 0.50),
+			v["transport_reconnects_total"], v["transport_resets_total"],
+			v["transport_keepalive_probes_total"], v["transport_keepalive_misses_total"],
+			v["transport_tx_dropped_total"], v["transport_rx_dropped_total"],
+			v["transport_rx_bad_version_total"],
+			v["transport_queue_depth"], v["transport_queue_high_water"])
+	}
+	return tw.Flush()
 }
 
 // writeSLORows renders the fleet's SLO state: one row per instance and

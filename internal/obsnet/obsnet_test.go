@@ -1,70 +1,116 @@
 package obsnet
 
 import (
-	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/flight"
+	"repro/internal/prof"
 	"repro/internal/telemetry"
 	"repro/internal/transport"
 )
 
-// fakeInstance serves the two scrape surfaces one p5sim process exposes.
-func fakeInstance(t *testing.T, metrics string, doc transport.StatusDoc) *httptest.Server {
+// fakeInstance serves metrics as one p5sim process's /metrics, the one
+// document a fleet scrape reads, and counts the requests it answers.
+func fakeInstance(t *testing.T, metrics func() string) (*httptest.Server, *atomic.Int64) {
 	t.Helper()
-	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Write([]byte(metrics))
-	})
-	mux.HandleFunc("/status", func(w http.ResponseWriter, r *http.Request) {
-		json.NewEncoder(w).Encode(doc)
-	})
-	srv := httptest.NewServer(mux)
+	var hits atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		hits.Add(1)
+		if r.URL.Path != "/metrics" {
+			http.NotFound(w, r)
+			return
+		}
+		w.Write([]byte(metrics()))
+	}))
 	t.Cleanup(srv.Close)
-	return srv
+	return srv, &hits
 }
 
-const metricsA = `# HELP transport_oneway_latency_us one-way latency
-# TYPE transport_oneway_latency_us histogram
-transport_oneway_latency_us_bucket{line="port0_a",le="100"} 10
-transport_oneway_latency_us_bucket{line="port0_a",le="250"} 12
-transport_oneway_latency_us_bucket{line="port0_a",le="+Inf"} 12
-transport_oneway_latency_us_sum{line="port0_a"} 1400
-transport_oneway_latency_us_count{line="port0_a"} 12
-slo_worst_burn_rate{slo="frame_loss"} 0.25
+func text(s string) func() string { return func() string { return s } }
+
+// measuredLine returns the listening end of a loopback UDP pair once it
+// has measured one-way latency from the dialler's data and probe round
+// trips of its own, with the line quiet again.
+func measuredLine(t *testing.T) *transport.UDP {
+	t.Helper()
+	cfg := transport.Config{KeepalivePeriod: 4}
+	ln, err := transport.NewUDP(transport.UDPConfig{Config: cfg, ListenAddr: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	dl, err := transport.NewUDP(transport.UDPConfig{Config: cfg, DialAddr: ln.LocalAddr().String()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { dl.Close() })
+	deadline := time.Now().Add(10 * time.Second)
+	for now := int64(1); ; now++ {
+		if lat := ln.Latency(); lat.Samples >= 4 && lat.RTTSamples >= 2 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no latency measured on loopback: %+v", ln.Latency())
+		}
+		ln.Tick(now)
+		dl.Tick(now)
+		for i := 0; i < 16; i++ {
+			dl.Send([]byte("data"))
+		}
+		ln.Recv(nil)
+		dl.Recv(nil)
+		time.Sleep(200 * time.Microsecond)
+	}
+	time.Sleep(20 * time.Millisecond) // let the last replies land
+	ln.Recv(nil)
+	dl.Recv(nil)
+	return ln
+}
+
+// row returns the transport-table row of board naming instance and line.
+func row(t *testing.T, board, instance, line string) []string {
+	t.Helper()
+	for _, l := range strings.Split(board, "\n") {
+		f := strings.Fields(l)
+		if len(f) > 2 && f[0] == instance && f[1] == line {
+			return f
+		}
+	}
+	t.Fatalf("no %s %s row:\n%s", instance, line, board)
+	return nil
+}
+
+const sloA = `slo_worst_burn_rate{slo="frame_loss"} 0.25
 slo_alarm{slo="frame_loss"} 0
 `
 
-const metricsB = `slo_worst_burn_rate{slo="frame_loss"} 14.5
-slo_alarm{slo="frame_loss"} 1
-`
-
-func statusDoc(healthy bool, latency *transport.Latency) transport.StatusDoc {
-	return transport.StatusDoc{
-		Healthy: healthy,
-		Info: transport.BoardInfo{
-			Start:          "2026-08-09T00:00:00Z",
-			UptimeSeconds:  42,
-			WireVersion:    transport.WireVersion,
-			FlightArmed:    true,
-			LatencyTracing: true,
-		},
-		Transports: []transport.TransportStatus{{
-			Name:    "port0_a",
-			Up:      healthy,
-			Stats:   transport.Stats{TxChunks: 100, RxChunks: 99, RxDropped: 1},
-			Latency: latency,
-		}},
-	}
-}
-
 func TestScrapeAndFleetBoard(t *testing.T) {
-	latA := &transport.Latency{Samples: 12, OneWayP50US: 100, OneWayP99US: 250, RTTSamples: 4, RTTP50US: 180}
-	srvA := fakeInstance(t, metricsA, statusDoc(true, latA))
-	srvB := fakeInstance(t, metricsB, statusDoc(false, nil))
+	// Instance A: a measured socket line, a flight recorder and the
+	// runtime exporter, as a p5sim -flight -telemetry socket half has.
+	ln := measuredLine(t)
+	reg := telemetry.NewRegistry()
+	transport.Instrument(reg, "port0_a", ln)
+	flight.NewRecorder(reg, "port0_a", flight.Config{})
+	prof.ExportRuntime(reg)
+	srvA, _ := fakeInstance(t, func() string {
+		var b strings.Builder
+		reg.WritePrometheus(&b)
+		return b.String() + sloA
+	})
+	// Instance B: its line is down and its SLO alarms.
+	srvB, _ := fakeInstance(t, text(`transport_up{line="port0_z"} 0
+transport_wire_version{line="port0_z"} 2
+slo_worst_burn_rate{slo="frame_loss"} 14.5
+slo_alarm{slo="frame_loss"} 1
+`))
 
 	addrA := strings.TrimPrefix(srvA.URL, "http://")
 	instances := ScrapeAll([]string{addrA, srvB.URL, "127.0.0.1:1"})
@@ -78,12 +124,6 @@ func TestScrapeAndFleetBoard(t *testing.T) {
 	if dead.Err == nil {
 		t.Fatalf("scrape of dead address succeeded")
 	}
-	if !a.Status.Healthy || a.Status.Info.WireVersion != transport.WireVersion {
-		t.Fatalf("instance A status = %+v", a.Status)
-	}
-	if b.Status.Healthy {
-		t.Fatalf("instance B reported healthy")
-	}
 	for _, s := range a.Series {
 		if s.Label("instance") != addrA {
 			t.Fatalf("series %q missing instance label: %+v", s.Name, s.Labels)
@@ -96,9 +136,10 @@ func TestScrapeAndFleetBoard(t *testing.T) {
 	for _, in := range instances {
 		merged = append(merged, in.Series...)
 	}
+	lat := ln.Latency()
 	p50, ok := telemetry.SeriesQuantile(merged, "transport_oneway_latency_us", 0.50)
-	if !ok || p50 != 100 {
-		t.Fatalf("fleet p50 = %d ok=%v, want 100", p50, ok)
+	if !ok || p50 != lat.OneWayP50US {
+		t.Fatalf("fleet p50 = %d ok=%v, want %d", p50, ok, lat.OneWayP50US)
 	}
 
 	var board strings.Builder
@@ -108,8 +149,7 @@ func TestScrapeAndFleetBoard(t *testing.T) {
 	out := board.String()
 	for _, want := range []string{
 		addrA, "healthy", "DEGRADED", "DOWN", "wire v2",
-		"flight,latency", "port0_a", "100", "250", "180",
-		"frame_loss", "14.500", "ALARM",
+		"flight,latency", "frame_loss", "14.500", "ALARM",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("fleet board missing %q:\n%s", want, out)
@@ -119,13 +159,20 @@ func TestScrapeAndFleetBoard(t *testing.T) {
 	if got := strings.Count(out, "ALARM"); got != 1 {
 		t.Fatalf("ALARM count = %d, want 1\n%s", got, out)
 	}
+	// The table shows the line's own measurement: columns 6-8 are the
+	// one-way p50/p99 and the RTT p50.
+	ra := row(t, out, addrA, "port0_a")
+	if got, want := ra[5:8], []string{fmt.Sprint(lat.OneWayP50US), fmt.Sprint(lat.OneWayP99US), fmt.Sprint(lat.RTTP50US)}; !reflect.DeepEqual(got, want) {
+		t.Errorf("port0_a latency columns %v, want Latency() %v (%+v)\n%s", got, want, lat, out)
+	}
+	if rb := row(t, out, srvB.URL, "port0_z"); rb[2] != "DOWN" || rb[5] != "-" {
+		t.Errorf("instance B row %v: want DOWN and no latency", rb)
+	}
 }
 
 func TestFleetBoardVersionSkew(t *testing.T) {
-	docOld := statusDoc(true, nil)
-	docOld.Info.WireVersion = 1
-	srvA := fakeInstance(t, "", statusDoc(true, nil))
-	srvB := fakeInstance(t, "", docOld)
+	srvA, _ := fakeInstance(t, text(`transport_wire_version{line="port0_a"} 2`+"\n"))
+	srvB, _ := fakeInstance(t, text(`transport_wire_version{line="port0_z"} 1`+"\n"))
 
 	var board strings.Builder
 	if err := WriteFleetBoard(&board, ScrapeAll([]string{srvA.URL, srvB.URL})); err != nil {
@@ -133,6 +180,22 @@ func TestFleetBoardVersionSkew(t *testing.T) {
 	}
 	if !strings.Contains(board.String(), "wire version skew") {
 		t.Fatalf("no skew warning:\n%s", board.String())
+	}
+}
+
+// TestScrapeIsOneRequest: a fleet scrape reads each instance's state
+// from one document, so the board costs every instance one request.
+func TestScrapeIsOneRequest(t *testing.T) {
+	srv, hits := fakeInstance(t, text(`transport_up{line="port0_a"} 1`+"\n"))
+	in := ScrapeAll([]string{srv.URL})
+	if err := WriteFleetBoard(io.Discard, in); err != nil {
+		t.Fatal(err)
+	}
+	if n := hits.Load(); n != 1 {
+		t.Fatalf("%d requests to one instance, want 1", n)
+	}
+	if in[0].Err != nil {
+		t.Fatal(in[0].Err)
 	}
 }
 

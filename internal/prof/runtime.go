@@ -4,13 +4,15 @@ import (
 	"math"
 	"runtime/metrics"
 	"sync"
+	"time"
 
 	"repro/internal/telemetry"
 )
 
 // Runtime exports a curated slice of runtime/metrics into a telemetry
 // registry: goroutine count, GC cycle count, GC pause and scheduler
-// latency p99s, and live heap size. Values refresh through the
+// latency p99s, and live heap size, beside the seconds since the export
+// was armed (p5sim arms it at start-up, so this is its uptime). Values refresh through the
 // registry's sampler hook, so every Snapshot or Prometheus scrape sees
 // a fresh metrics.Read — the instrumented process never polls in the
 // background, and an idle registry costs nothing.
@@ -23,9 +25,11 @@ import (
 //	runtime_gc_pause_p99_ns      gauge
 //	runtime_sched_latency_p99_ns gauge
 //	runtime_heap_bytes           gauge
+//	runtime_uptime_seconds       gauge
 type Runtime struct {
 	mu      sync.Mutex
 	samples []metrics.Sample
+	start   time.Time
 
 	goroutines  *telemetry.Gauge
 	gcCycles    *telemetry.Counter
@@ -33,6 +37,7 @@ type Runtime struct {
 	gcPauseP99  *telemetry.Gauge
 	schedLatP99 *telemetry.Gauge
 	heapBytes   *telemetry.Gauge
+	uptime      *telemetry.Gauge
 }
 
 // Indices into Runtime.samples; keep in sync with runtimeMetricNames.
@@ -57,7 +62,7 @@ var runtimeMetricNames = []string{
 // registry; the series are unlabelled so a second call would collide
 // by design.
 func ExportRuntime(reg *telemetry.Registry) *Runtime {
-	r := &Runtime{samples: make([]metrics.Sample, len(runtimeMetricNames))}
+	r := &Runtime{samples: make([]metrics.Sample, len(runtimeMetricNames)), start: time.Now()}
 	for i, n := range runtimeMetricNames {
 		r.samples[i].Name = n
 	}
@@ -68,6 +73,7 @@ func ExportRuntime(reg *telemetry.Registry) *Runtime {
 	r.schedLatP99 = reg.Gauge("runtime_sched_latency_p99_ns",
 		"p99 time goroutines spent runnable before running, ns.")
 	r.heapBytes = reg.Gauge("runtime_heap_bytes", "Live heap object bytes.")
+	r.uptime = reg.Gauge("runtime_uptime_seconds", "Whole seconds since the runtime export was armed (p5sim: process start).")
 	reg.AddSampler(r.sample)
 	r.sample()
 	return r
@@ -96,6 +102,7 @@ func (r *Runtime) sample() {
 	if v := r.samples[rmHeapBytes]; v.Value.Kind() == metrics.KindUint64 {
 		r.heapBytes.Set(int64(v.Value.Uint64()))
 	}
+	r.uptime.Set(int64(time.Since(r.start) / time.Second))
 }
 
 func histCount(h *metrics.Float64Histogram) uint64 {

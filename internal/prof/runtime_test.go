@@ -23,6 +23,7 @@ var runtimeSeries = []struct {
 	{"runtime_gc_pause_p99_ns", "gauge"},
 	{"runtime_sched_latency_p99_ns", "gauge"},
 	{"runtime_heap_bytes", "gauge"},
+	{"runtime_uptime_seconds", "gauge"},
 }
 
 func TestRuntimeExporterNamesStable(t *testing.T) {

@@ -39,10 +39,6 @@ func (s *Scenario) runEngine(rc RunConfig, res *Result) error {
 	if socket {
 		cfg.Batch = 4
 		cfg.Link = gigapos.LinkConfig{Supervise: true, RetryMin: 8, RetryMax: 256}
-		cfg.Role = gigapos.RoleA
-		if rc.Dial != "" {
-			cfg.Role = gigapos.RoleZ
-		}
 		// Open every socket up front so a bad address fails before the
 		// engine spins up.
 		for i := 0; i < es.Links; i++ {
@@ -72,7 +68,7 @@ func (s *Scenario) runEngine(rc RunConfig, res *Result) error {
 			chaos = fault.WrapTransport(a)
 			a = chaos
 		}
-		if cfg.Role == gigapos.RoleZ {
+		if rc.Dial != "" { // the dialler runs the z side
 			a, z = nil, a
 		}
 		return a, z
@@ -81,13 +77,6 @@ func (s *Scenario) runEngine(rc RunConfig, res *Result) error {
 	defer e.Close()
 	w := e.Observe(o, "linecard")
 	res.Board = w.Board
-	if socket {
-		res.Status = transport.NewStatusBoard()
-		e.EachTransport(res.Status.Add)
-		// Socket transports always speak the v2 latency-tracing header, so
-		// the fleet board can trust the armed flags it scrapes.
-		res.Status.SetInfo(o.Flight != nil, o.Profile != nil, true)
-	}
 
 	budget := s.BringUpBudget
 	if budget == 0 {
@@ -168,7 +157,7 @@ func (s *Scenario) runEngine(rc RunConfig, res *Result) error {
 	out := rc.Out
 	var captures uint64
 	if socket {
-		role := map[bool]string{false: "A", true: "Z"}[cfg.Role == gigapos.RoleZ]
+		role := map[bool]string{false: "A", true: "Z"}[rc.Dial != ""]
 		fmt.Fprintf(out, "Socket line-card (role %s, %s)\n", role, es.Line)
 		fmt.Fprintf(out, "  topology         : %d links on %d shards; keepalive every %d ticks; %v/tick\n",
 			st.Links, st.Shards, socketKeepalive, socketTick)

@@ -216,16 +216,22 @@ func dump(res *Result, runs []*circuitRun) {
 	}
 }
 
-// notePaths makes every capture the ends write land in res.CapturePaths.
+// notePaths makes every capture the ends write land in res.CapturePaths,
+// chained after any hook already on the recorder (p5.OAM.AttachFlight's
+// flight-dump interrupt).
 func notePaths(res *Result, runs []*circuitRun) {
-	note := func(c *flight.Capture) {
-		if c.Path != "" {
-			res.CapturePaths = append(res.CapturePaths, c.Path)
-		}
-	}
 	for _, cr := range runs {
-		cr.a.port.Link.Flight().OnCapture = note
-		cr.b.port.Link.Flight().OnCapture = note
+		for _, rec := range []*flight.Recorder{cr.a.port.Link.Flight(), cr.b.port.Link.Flight()} {
+			prev := rec.OnCapture
+			rec.OnCapture = func(c *flight.Capture) {
+				if prev != nil {
+					prev(c)
+				}
+				if c.Path != "" {
+					res.CapturePaths = append(res.CapturePaths, c.Path)
+				}
+			}
+		}
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/flight"
 	"repro/internal/netsim"
-	"repro/internal/transport"
 )
 
 // RunConfig says where a scenario runs: what watches it, where a
@@ -50,8 +49,6 @@ type Result struct {
 	// Board holds every recorder and SLO the run armed (nil when none),
 	// live for a /slo endpoint.
 	Board *flight.Board
-	// Status is a socket engine's transport board (/health, /status).
-	Status *transport.StatusBoard
 }
 
 // Failure is one violated assertion.

@@ -20,7 +20,7 @@ func refScramble(p []byte) {
 	var s scrambler
 	s.reset()
 	for i := range p {
-		p[i] ^= s.Next()
+		p[i] ^= s.next()
 	}
 }
 

@@ -82,8 +82,8 @@ type scrambler struct {
 // reset re-seeds the scrambler (start of frame).
 func (s *scrambler) reset() { s.state = 0x7F }
 
-// Next returns the next scrambler byte (eight successive LFSR bits).
-func (s *scrambler) Next() byte {
+// next returns the next scrambler byte (eight successive LFSR bits).
+func (s *scrambler) next() byte {
 	var out byte
 	st := s.state // 7-bit state
 	for i := 7; i >= 0; i-- {
@@ -106,7 +106,7 @@ const scramblerPeriod = 127
 const scramblerTile = 32
 
 // scramblerStream is the scrambler stream as a table, derived once from
-// scrambler.Next (the reference definition): scramblerTile+1
+// scrambler.next (the reference definition): scramblerTile+1
 // back-to-back periods of stream octets, so scramblerTile periods
 // starting at any phase are one contiguous slice.
 var scramblerStream [(scramblerTile + 1) * scramblerPeriod]byte
@@ -115,7 +115,7 @@ func init() {
 	var s scrambler
 	s.reset()
 	for i := 0; i < scramblerPeriod; i++ {
-		scramblerStream[i] = s.Next()
+		scramblerStream[i] = s.next()
 	}
 	for at := scramblerPeriod; at < len(scramblerStream); at += scramblerPeriod {
 		copy(scramblerStream[at:], scramblerStream[:scramblerPeriod])

@@ -96,7 +96,7 @@ func TestSteadyStateAllocatesNothing(t *testing.T) {
 }
 
 // apply XORs the scrambler stream over p in place, continuing from the
-// current state exactly as len(p) calls to Next would: xorStream from
+// current state exactly as len(p) calls to next would: xorStream from
 // the phase of that state, then the state at the phase it returns.
 func (s *scrambler) apply(p []byte) {
 	if s.state == 0 {
@@ -106,11 +106,11 @@ func (s *scrambler) apply(p []byte) {
 	at.reset()
 	phase := 0
 	for ; at.state != s.state; phase++ {
-		at.Next()
+		at.next()
 	}
 	at.reset()
 	for phase = xorStream(p, p, phase); phase > 0; phase-- {
-		at.Next()
+		at.next()
 	}
 	s.state = at.state
 }
@@ -130,7 +130,7 @@ func TestScramblerIsSelfInverse(t *testing.T) {
 	if !bytes.Equal(data, orig) {
 		t.Fatal("descramble failed")
 	}
-	// xorStream is the table-driven form of Next: from any phase it XORs
+	// xorStream is the table-driven form of next: from any phase it XORs
 	// the same octets and leaves the same state behind.
 	for skip := 0; skip < 2*scramblerPeriod; skip += 5 {
 		for _, n := range []int{0, 1, 126, 127, 128, 1000} {
@@ -138,23 +138,23 @@ func TestScramblerIsSelfInverse(t *testing.T) {
 			viaNext.reset()
 			viaApply.reset()
 			for i := 0; i < skip; i++ {
-				viaNext.Next()
-				viaApply.Next()
+				viaNext.next()
+				viaApply.next()
 			}
 			want := append([]byte(nil), orig[:n]...)
 			for i := range want {
-				want[i] ^= viaNext.Next()
+				want[i] ^= viaNext.next()
 			}
 			got := append([]byte(nil), orig[:n]...)
 			viaApply.apply(got)
 			if !bytes.Equal(got, want) || viaApply != viaNext {
-				t.Fatalf("apply(%d octets) after %d differs from Next", n, skip)
+				t.Fatalf("apply(%d octets) after %d differs from next", n, skip)
 			}
 		}
 	}
-	var unreset scrambler // stuck at zero: Next yields zeros, apply must too
+	var unreset scrambler // stuck at zero: next yields zeros, apply must too
 	unreset.apply(data)
-	if !bytes.Equal(data, orig) || unreset.Next() != 0 {
+	if !bytes.Equal(data, orig) || unreset.next() != 0 {
 		t.Fatal("zero-state scrambler is not the identity")
 	}
 }
@@ -165,11 +165,11 @@ func TestScramblerPeriod(t *testing.T) {
 	s.reset()
 	first := make([]byte, 127)
 	for i := range first {
-		first[i] = s.Next()
+		first[i] = s.next()
 	}
 	second := make([]byte, 127)
 	for i := range second {
-		second[i] = s.Next()
+		second[i] = s.next()
 	}
 	if !bytes.Equal(first, second) {
 		t.Error("scrambler stream not 127-byte periodic over 127 bytes*8 bits... pattern mismatch")
@@ -179,20 +179,20 @@ func TestScramblerPeriod(t *testing.T) {
 		t.Error("scrambler output constant")
 	}
 	// The cached period, applied a word at a time from the frame-
-	// synchronous reset, is Scrambler.Next's sequence over the whole
+	// synchronous reset, is scrambler.next's sequence over the whole
 	// scrambled span of a frame, and the frames the framer builds with
-	// it are the ones the Next-per-octet reference framer builds — two
+	// it are the ones the next-per-octet reference framer builds — two
 	// successive frames (the reset is per frame) at every level.
 	for _, level := range []Level{STM1, STM4, STM16, STM64} {
 		s.reset()
 		want := make([]byte, level.FrameBytes()-level.sohBytes())
 		for i := range want {
-			want[i] = s.Next()
+			want[i] = s.next()
 		}
 		got := make([]byte, len(want))
 		xorStream(got, got, 0)
 		if !bytes.Equal(got, want) {
-			t.Fatalf("%v: cached sequence differs from Scrambler.Next", level)
+			t.Fatalf("%v: cached sequence differs from scrambler.next", level)
 		}
 		fr, ref := NewFramer(level, nil), &refFramer{Level: level}
 		for frame := 0; frame < 2; frame++ {

@@ -22,12 +22,10 @@ type Latency struct {
 	Samples uint64
 	// OneWayP50US / OneWayP99US summarise the one-way delay in µs.
 	OneWayP50US, OneWayP99US int64
-	// JitterP99US is the p99 of successive one-way deltas in µs.
-	JitterP99US int64
 	// RTTSamples counts completed probe/reply round trips.
 	RTTSamples uint64
-	// RTTP50US / RTTP99US summarise the probe RTT in µs.
-	RTTP50US, RTTP99US int64
+	// RTTP50US is the median probe RTT in µs.
+	RTTP50US int64
 	// ClockOffsetNS is the EWMA estimate of (peer wall − local wall).
 	ClockOffsetNS int64
 	// TickOffset is the estimated (peer tick − local tick), a max-filter
@@ -141,10 +139,8 @@ func (m *meter) latency() Latency {
 		Samples:       m.samples,
 		OneWayP50US:   m.oneWay.Quantile(0.5),
 		OneWayP99US:   m.oneWay.Quantile(0.99),
-		JitterP99US:   m.jitter.Quantile(0.99),
 		RTTSamples:    m.rttSamples,
 		RTTP50US:      m.rtt.Quantile(0.5),
-		RTTP99US:      m.rtt.Quantile(0.99),
 		ClockOffsetNS: m.offsetNS,
 		TickOffset:    m.tickOff,
 	}

@@ -61,7 +61,7 @@ func Instrument(reg *telemetry.Registry, line string, t LineTransport) {
 	reg.AttachHistogram("transport_rtt_us", "keepalive probe round-trip time, µs", rtt, l)
 	clockOff := reg.Gauge("transport_clock_offset_ns", "estimated peer-minus-local wall clock offset, ns", l)
 	tickOff := reg.Gauge("transport_tick_offset", "estimated peer-minus-local virtual tick offset (lower bound)", l)
-	reg.Gauge("transport_wire_version", "P5LT wire header version this endpoint speaks", l).Set(WireVersion)
+	reg.Gauge("transport_wire_version", "P5LT wire header version this endpoint speaks", l).Set(wireVersion)
 	reg.AddSampler(func() {
 		lat := lm.Latency()
 		clockOff.Set(lat.ClockOffsetNS)

@@ -27,7 +27,7 @@
 //     and drain again next tick without copying.
 //   - Send, Recv and Tick are called from one owning goroutine (the
 //     engine shard that owns the link). Stats and Up may be called
-//     concurrently (telemetry scrapes, /status).
+//     concurrently (telemetry scrapes).
 package transport
 
 import (

@@ -9,7 +9,7 @@ import "errors"
 // measure cross-process latency (tick, wall):
 //
 //	octets 0..3   magic  "P5LT" (0x50354C54), big endian
-//	octet  4      version (WireVersion)
+//	octet  4      version (wireVersion)
 //	octet  5      type: TypeData | TypeKeepalive | TypeKeepaliveReply | TypeFreeze
 //	octets 6..7   payload length, big endian
 //	octets 8..11  epoch — random per transport instance
@@ -26,15 +26,16 @@ import "errors"
 // purpose: a v1 peer's datagrams fail DecodeHeader with ErrBadVersion,
 // the receiver counts them in Stats.RxBadVersion and never marks the
 // line alive, so a version-skewed deployment looks like a dead peer —
-// detected by keepalive supervision, visible in /status — instead of a
-// corrupted byte stream.
+// detected by keepalive supervision, visible in transport_up and
+// transport_rx_bad_version_total — instead of a corrupted byte stream.
 
 // Wire header constants.
 const (
 	magic = 0x50354C54 // "P5LT"
-	// WireVersion is the protocol version this build speaks, exported
-	// so status boards can surface it for fleet version-skew checks.
-	WireVersion = 2
+	// wireVersion is the protocol version this build speaks; the
+	// transport_wire_version series carries it to the fleet board's
+	// version-skew check.
+	wireVersion = 2
 	// headerLen is the fixed wire header size in octets.
 	headerLen = 36
 )
@@ -89,7 +90,7 @@ var (
 func appendHeader(dst []byte, typ byte, n int, epoch uint32, seq uint64, tick, wall int64) []byte {
 	return append(dst,
 		byte(magic>>24), byte(magic>>16&0xFF), byte(magic>>8&0xFF), byte(magic&0xFF),
-		WireVersion, typ,
+		wireVersion, typ,
 		byte(n>>8), byte(n),
 		byte(epoch>>24), byte(epoch>>16), byte(epoch>>8), byte(epoch),
 		byte(seq>>56), byte(seq>>48), byte(seq>>40), byte(seq>>32),
@@ -113,7 +114,7 @@ func decodeHeader(p []byte) (header, error) {
 		return h, errBadMagic
 	}
 	h.Version = p[4]
-	if h.Version != WireVersion {
+	if h.Version != wireVersion {
 		return h, errBadVersion
 	}
 	h.Type = p[5]

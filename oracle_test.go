@@ -311,9 +311,6 @@ func TestEveryExportHasACaller(t *testing.T) {
 		"sonet.STM64":                  "the STM rate table (the scaling study's ceiling)",
 		"sonet.DefectMonitor.Raises":   "per-defect counts the chaos drill and the OAM test reconcile the alarm registers against",
 		"sonet.DefectMonitor.Clears":   "as Raises",
-		"fault.Transport.Drop":         "a chaos knob by chunk index: pins the adapter's loss exactly",
-		"fault.Transport.Dup":          "a chaos knob by chunk index: TestTransportDupReorderSoakUDP duplicates the chunks its seeded generator picks",
-		"fault.Transport.Reorder":      "as Dup, for the one-slot late delivery",
 		"crc.Bitwise16":                "the serial LFSR that defines the register; every table, slicing, matrix and hardware-folded kernel is tested against it",
 		"crc.Bitwise32":                "as Bitwise16",
 		"ipcp.OptIPAddresses":          "RFC 1332's option-number table; type 1 is the deprecated pairwise form, always rejected",
@@ -325,7 +322,6 @@ func TestEveryExportHasACaller(t *testing.T) {
 		"fault.Script.Corrupt":         "octet corruption, a chaos knob the chaos soaks and the SONET differential test drive",
 		"fault.Script.Delete":          "a negative byte slip, or a truncation when it runs to a frame boundary: a chaos knob the chaos soak and the SONET differential, line and fuzz tests drive; the scenario language's slip is an insertion",
 		"fault.Injector.Done":          "the chaos drills' evidence that a whole script fired",
-		"fault.Transport.Duplicated":   "the dup soak's evidence that its scripted chunk indices were reached; Dropped's twin",
 		"transport.TCP.LocalAddr":      "a :0 listener's bound port, UDP.LocalAddr's twin; TestEngineRemote dials it",
 		"crc.Size.Append":              "appends a correct FCS: the codec, channel and P5 tests build their reference frames with it",
 		"crc.Parallel32.Update":        "the matrix engine over a buffer; the property tests hold every width to Bitwise32 through it",
@@ -389,18 +385,40 @@ func TestEveryExportHasACaller(t *testing.T) {
 		}
 	}
 
-	// Interfaces a non-test file uses, as method-name sets: those its
-	// objects' types mention.
-	ifaces := [][]string{{"String"}, {"Error"}}
+	// Interfaces a non-test file uses, as method sets: those its
+	// objects' types mention. A method is its name and its signature,
+	// spelled with package paths and without parameter names, so the
+	// module's two type-checks of one package agree on it.
+	type method struct{ name, sig string }
+	sigOf := func(sig *types.Signature) string {
+		qual := func(p *types.Package) string { return p.Path() }
+		var b strings.Builder
+		for _, tup := range []*types.Tuple{sig.Params(), sig.Results()} {
+			b.WriteByte('(')
+			for i := 0; i < tup.Len(); i++ {
+				if i > 0 {
+					b.WriteString(", ")
+				}
+				b.WriteString(types.TypeString(tup.At(i).Type(), qual))
+			}
+			b.WriteByte(')')
+		}
+		if sig.Variadic() {
+			b.WriteString("...")
+		}
+		return b.String()
+	}
+	ifaces := [][]method{{{"String", "()(string)"}}, {{"Error", "()(string)"}}}
 	seenIface := map[*types.Interface]bool{}
 	useIface := func(t types.Type) {
 		if it, ok := t.Underlying().(*types.Interface); ok && it.NumMethods() > 0 && !seenIface[it] {
 			seenIface[it] = true
-			var names []string
+			var ms []method
 			for i := 0; i < it.NumMethods(); i++ {
-				names = append(names, it.Method(i).Name())
+				fn := it.Method(i)
+				ms = append(ms, method{fn.Name(), sigOf(fn.Type().(*types.Signature))})
 			}
-			ifaces = append(ifaces, names)
+			ifaces = append(ifaces, ms)
 		}
 	}
 	for _, u := range m.uses(nil) {
@@ -447,7 +465,8 @@ func TestEveryExportHasACaller(t *testing.T) {
 		})
 	}
 	// A type a non-test file declares that has every method of a used
-	// interface is called through it, promoted methods included.
+	// interface, by name and signature, is called through it, promoted
+	// methods included.
 	for _, obj := range m.info.Defs {
 		tn, ok := obj.(*types.TypeName)
 		if !ok || tn.IsAlias() || m.meta(tn).test {
@@ -455,11 +474,11 @@ func TestEveryExportHasACaller(t *testing.T) {
 		}
 		ms := types.NewMethodSet(types.NewPointer(tn.Type()))
 	ifaces:
-		for _, names := range ifaces {
+		for _, want := range ifaces {
 			var sels []*types.Selection
-			for _, n := range names {
-				sel := ms.Lookup(tn.Pkg(), n)
-				if sel == nil {
+			for _, w := range want {
+				sel := ms.Lookup(tn.Pkg(), w.name)
+				if sel == nil || sigOf(sel.Obj().Type().(*types.Signature)) != w.sig {
 					continue ifaces
 				}
 				sels = append(sels, sel)

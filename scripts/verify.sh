@@ -16,7 +16,8 @@
 #   CPUID) and the FCS slicing tables (the carry-less fold, chosen by
 #   CPUID) — and the 32-bit decoders and line model (GOARCH=386 go
 #   test of internal/crc, internal/hdlc, internal/ppp, internal/flight,
-#   internal/telemetry, internal/sonet and internal/fault,
+#   internal/telemetry, internal/obsnet, internal/sonet and
+#   internal/fault,
 #   GOARCH=386 go vet of the whole tree,
 #   GOARCH=arm64 go vet of internal/crc and internal/hdlc; go vet ./...
 #   above runs asmdecl on the kernels themselves), the three timing gates
@@ -91,13 +92,14 @@ echo "== 32-bit and portable paths (GOARCH=386 test and vet, GOARCH=arm64 vet) =
 # amd64 host, so the codec tests (TestBlockMapsExact, the guard-page
 # tests, the sorter tests, the fused-path tests, the FCS differentials)
 # run against the Go paths too; the arm64 vet checks them on a 64-bit
-# GOARCH. The capture decoder
-# and the exposition parser read outside input, and a capture's length
+# GOARCH. The capture decoder,
+# the exposition parser and the fleet board that renders scraped bodies
+# read outside input, and a capture's length
 # fields turn negative as a 32-bit int, so their tests run on 386 too,
 # as do the defect monitor's word-at-a-time LOS scan and the fault
 # injector's octet offsets. The 386 vet type-checks every package, tests included, so a constant
 # that overflows a 32-bit int anywhere in the tree fails here.
-GOARCH=386 go test ./internal/crc ./internal/hdlc ./internal/ppp ./internal/flight ./internal/telemetry ./internal/sonet ./internal/fault
+GOARCH=386 go test ./internal/crc ./internal/hdlc ./internal/ppp ./internal/flight ./internal/telemetry ./internal/obsnet ./internal/sonet ./internal/fault
 GOARCH=386 go vet ./...
 GOARCH=arm64 go vet ./internal/crc ./internal/hdlc
 
