@@ -12,12 +12,12 @@
 //	-listen HOST:PORT  run the listening half of a udp or tcp engine (pair i on PORT+i)
 //	-dial HOST:PORT    run the dialling half against a peer p5sim's -listen
 //	-telemetry ADDR    after the report, serve the Prometheus exposition at
-//	                   /metrics, expvar JSON at /debug/vars, Go profiles under
-//	                   /debug/pprof/ and the event trace at /trace — plus the
-//	                   error-budget board at /slo where ends record, and on a
-//	                   socket engine /health, answered from the transport_up
-//	                   series; scrape with p5stat (-fleet reads only /metrics)
-//	                   or curl, ^C to exit
+//	                   /metrics (the one state document: SLO burn rates and
+//	                   flight counts included), Go profiles under
+//	                   /debug/pprof/ and the event trace at /trace (slow-frame
+//	                   latency exemplars included) — and on a socket engine
+//	                   /health, answered from the transport_up series; scrape
+//	                   with p5stat or curl, ^C to exit
 //	-flight DIR        arm the always-on flight recorder on every PPP end:
 //	                   latency histograms with exemplars, SLO burn gauges,
 //	                   black-box .p5fr captures (p5trace -capture) in DIR on
@@ -80,7 +80,7 @@ func main() {
 	cfg := simConfig{}
 	flag.StringVar(&cfg.listen, "listen", "", "run the listening half of a udp or tcp engine, binding HOST:PORT (pair i on PORT+i)")
 	flag.StringVar(&cfg.dial, "dial", "", "run the dialling half of a udp or tcp engine against the peer's HOST:PORT")
-	flag.StringVar(&cfg.telemetryAddr, "telemetry", "", "serve /metrics, /debug/vars, /debug/pprof/, /trace on this address after the run")
+	flag.StringVar(&cfg.telemetryAddr, "telemetry", "", "serve /metrics, /debug/pprof/, /trace on this address after the run")
 	flag.StringVar(&cfg.flightDir, "flight", "", "arm the flight recorder on every PPP end; write .p5fr captures to this directory")
 	flag.StringVar(&cfg.profDir, "prof", "", "capture CPU/heap/mutex/block profiles of the run into this directory; an engine arms its stage clock")
 	flag.Usage = func() {
@@ -141,7 +141,7 @@ func run(cfg simConfig, out io.Writer) error {
 	}
 	// After the report and the verdict, while the topology is still up:
 	// the profile files, then the endpoint (which may linger forever).
-	rc.Live = func(res *scenario.Result) error {
+	rc.Live = func(*scenario.Result) error {
 		if session != nil {
 			files, err := session.Stop()
 			if err != nil {
@@ -150,7 +150,7 @@ func run(cfg simConfig, out io.Writer) error {
 			fmt.Fprintf(out, "  profiles         : %d written to %s (go tool pprof %s/cpu.pprof)\n",
 				len(files), cfg.profDir, cfg.profDir)
 		}
-		return serveTelemetry(cfg, o, res, out)
+		return serveTelemetry(cfg, o, out)
 	}
 	res, err := s.Run(rc)
 	if err != nil {
@@ -186,12 +186,11 @@ func observation(cfg simConfig) gigapos.Observation {
 }
 
 // serveTelemetry starts the exposition endpoint after a run, mounting
-// the flight board at /slo when the run has one and, on a socket
-// engine, /health over the registry's transport_up series. With a
-// scrape hook the server lives only for the hook call; otherwise it
-// lingers until the process is killed so the operator can attach
+// /health over the registry's transport_up series on a socket engine.
+// With a scrape hook the server lives only for the hook call; otherwise
+// it lingers until the process is killed so the operator can attach
 // p5stat, curl /metrics, or pull a profile.
-func serveTelemetry(cfg simConfig, o gigapos.Observation, res *scenario.Result, out io.Writer) error {
+func serveTelemetry(cfg simConfig, o gigapos.Observation, out io.Writer) error {
 	reg := o.Registry
 	if reg == nil {
 		return nil
@@ -200,13 +199,8 @@ func serveTelemetry(cfg simConfig, o gigapos.Observation, res *scenario.Result, 
 	if addr == "" {
 		addr = "127.0.0.1:0"
 	}
-	telemetry.Publish(reg, "p5sim")
 	mux := telemetry.Mux(reg, o.Tracer)
-	endpoints := "/debug/vars /debug/pprof/ /trace"
-	if res.Board != nil {
-		mux.Handle("/slo", res.Board.Handler())
-		endpoints += " /slo"
-	}
+	endpoints := "/debug/pprof/ /trace"
 	if cfg.listen != "" || cfg.dial != "" {
 		mux.HandleFunc("/health", transport.Health(reg))
 		endpoints += " /health"

@@ -62,18 +62,14 @@ func seriesMap(t *testing.T, base string) map[string]float64 {
 	return out
 }
 
-// scrapeBoard GETs /slo and decodes the error-budget board.
-func scrapeBoard(t *testing.T, base string) flight.BoardJSON {
-	t.Helper()
-	code, body := scrapeGet(t, base, "/slo")
-	if code != http.StatusOK {
-		t.Fatalf("/slo status %d", code)
+// count is how many series of s are the family name, over any labels.
+func count(s map[string]float64, name string) (n int) {
+	for full := range s {
+		if strings.HasPrefix(full, name+"{") {
+			n++
+		}
 	}
-	board, err := flight.ReadBoard(bytes.NewReader(body))
-	if err != nil {
-		t.Fatalf("decode /slo: %v", err)
-	}
-	return board
+	return n
 }
 
 // scrapeTrace GETs /trace and decodes the events.
@@ -100,7 +96,8 @@ func withProcs(t *testing.T, n int) {
 // TestLoopbackTelemetryScrape is the acceptance path: a framed burst
 // over the STM-1 section with scripted line faults, then an HTTP scrape
 // of /metrics must show nonzero per-stage occupancy, stall, and
-// FCS-error series, and the debug endpoints must answer.
+// FCS-error series, the profiling and trace endpoints must answer, and
+// /metrics is the only state document: /debug/vars is not served.
 func TestLoopbackTelemetryScrape(t *testing.T) {
 	var series map[string]float64
 	cfg := simConfig{
@@ -112,10 +109,8 @@ func TestLoopbackTelemetryScrape(t *testing.T) {
 		telemetryAddr: "127.0.0.1:0",
 		scrape: func(base string) {
 			series = seriesMap(t, base)
-			if code, body := scrapeGet(t, base, "/debug/vars"); code != http.StatusOK {
-				t.Errorf("/debug/vars status %d", code)
-			} else if !bytes.Contains(body, []byte(`"p5sim"`)) {
-				t.Error("/debug/vars does not include the published registry")
+			if code, _ := scrapeGet(t, base, "/debug/vars"); code != http.StatusNotFound {
+				t.Errorf("/debug/vars status %d, want 404", code)
 			}
 			if code, _ := scrapeGet(t, base, "/debug/pprof/"); code != http.StatusOK {
 				t.Errorf("/debug/pprof/ status %d", code)
@@ -275,19 +270,15 @@ func TestProtectTelemetryScrape(t *testing.T) {
 // TestProtectFlightScrape re-runs the failover with -flight: the APS
 // switch must dump exactly one capture per selector movement (decodable
 // from disk), the SLO burn gauges and latency histograms must appear in
-// /metrics, and /slo must serve the error-budget board.
+// /metrics with prot_z graded and prot_a's departures tracked.
 func TestProtectFlightScrape(t *testing.T) {
 	dir := t.TempDir()
 	var series map[string]float64
-	var board flight.BoardJSON
 	cfg := simConfig{
 		scenario:      committed("protected-working-cut"),
 		telemetryAddr: "127.0.0.1:0",
 		flightDir:     dir,
-		scrape: func(base string) {
-			series = seriesMap(t, base)
-			board = scrapeBoard(t, base)
-		},
+		scrape:        func(base string) { series = seriesMap(t, base) },
 	}
 	var out bytes.Buffer
 	if err := run(cfg, &out); err != nil {
@@ -310,19 +301,8 @@ func TestProtectFlightScrape(t *testing.T) {
 	if got := series[`flight_captures_total{link="prot_z"}`]; got != 2 {
 		t.Errorf("captures = %v, want 2 (failover + revert)", got)
 	}
-	var slos, links int
-	for _, s := range board.SLOs {
-		if s.Name == "prot_z" {
-			slos++
-		}
-	}
-	for _, l := range board.Links {
-		if l.Link == "prot_a" && l.Tracked > 0 {
-			links++
-		}
-	}
-	if slos != 1 || links != 1 {
-		t.Errorf("/slo board missing entries: slos=%d links=%d\n%+v", slos, links, board)
+	if n := series[`flight_frames_tracked_total{link="prot_a"}`]; n == 0 {
+		t.Error("prot_a tracked no departures")
 	}
 	// Both ends dump on each selector movement; check the receiving
 	// side's two files decode back losslessly.
@@ -360,15 +340,11 @@ const engineDoc = `{"name": "engine-4", "engine": {"links": 4, "line": "pipe"},
 func TestEngineModeScrape(t *testing.T) {
 	withProcs(t, 2)
 	var series map[string]float64
-	var board flight.BoardJSON
 	cfg := simConfig{
 		scenario:      inline(t, engineDoc),
 		telemetryAddr: "127.0.0.1:0",
 		flightDir:     t.TempDir(),
-		scrape: func(base string) {
-			series = seriesMap(t, base)
-			board = scrapeBoard(t, base)
-		},
+		scrape:        func(base string) { series = seriesMap(t, base) },
 	}
 	var out bytes.Buffer
 	if err := run(cfg, &out); err != nil {
@@ -396,12 +372,12 @@ func TestEngineModeScrape(t *testing.T) {
 	}
 	// Every end of every pair records, and every end is graded on what
 	// it receives.
-	if len(board.SLOs) != 8 || len(board.Links) != 8 {
-		t.Errorf("/slo board: %d slos %d links, want 8/8", len(board.SLOs), len(board.Links))
+	if slos, links := count(series, "slo_worst_burn_rate"), count(series, "flight_frames_lost_total"); slos != 8 || links != 8 {
+		t.Errorf("/metrics: %d slos %d links, want 8/8", slos, links)
 	}
-	for _, l := range board.Links {
-		if l.Lost != 0 {
-			t.Errorf("clean engine run lost %d frames on %s", l.Lost, l.Link)
+	for full, v := range series {
+		if strings.HasPrefix(full, "flight_frames_lost_total{") && v != 0 {
+			t.Errorf("clean engine run lost %v frames: %s", v, full)
 		}
 	}
 	report := out.String()
@@ -587,18 +563,15 @@ func TestScenarioMode(t *testing.T) {
 
 // TestScenarioTelemetryScrape: a ring drill under -telemetry serves what
 // its ends armed — the ring selector series of both ends of every
-// circuit in /metrics, and the error-budget board at /slo.
+// circuit and the SLOs grading both of its ends in /metrics, the one
+// state document the endpoint list names.
 func TestScenarioTelemetryScrape(t *testing.T) {
 	var series map[string]float64
-	var board flight.BoardJSON
 	cfg := simConfig{
 		scenario:      committed("fiber-cut"),
 		flightDir:     t.TempDir(),
 		telemetryAddr: "127.0.0.1:0",
-		scrape: func(base string) {
-			series = seriesMap(t, base)
-			board = scrapeBoard(t, base)
-		},
+		scrape:        func(base string) { series = seriesMap(t, base) },
 	}
 	var out bytes.Buffer
 	if err := run(cfg, &out); err != nil {
@@ -613,15 +586,13 @@ func TestScenarioTelemetryScrape(t *testing.T) {
 	if _, ok := series[`link_ring_switches_total{link="c0_a"}`]; !ok {
 		t.Error(`link_ring_switches_total{link="c0_a"} missing`)
 	}
-	slos := map[string]bool{}
-	for _, s := range board.SLOs {
-		slos[s.Name] = true
+	for _, end := range []string{"c0_a", "c0_z"} {
+		if _, ok := series[`slo_worst_burn_rate{slo="`+end+`"}`]; !ok {
+			t.Errorf(`slo_worst_burn_rate{slo=%q} missing: the drill graded no such end`, end)
+		}
 	}
-	if !slos["c0_a"] || !slos["c0_z"] {
-		t.Errorf("/slo board SLOs = %v, want c0_a and c0_z", slos)
-	}
-	if !strings.Contains(out.String(), "/slo") {
-		t.Errorf("report does not list /slo among the endpoints:\n%s", out.String())
+	if !strings.Contains(out.String(), "(/debug/pprof/ /trace)") {
+		t.Errorf("report does not list exactly /debug/pprof/ and /trace beside /metrics:\n%s", out.String())
 	}
 }
 

@@ -11,11 +11,12 @@
 // than lifetime totals. With -events the structured trace at /trace is
 // dumped after the tables; -replay FILE formats a saved JSON trace
 // (the /trace or telemetry.WriteJSON format) without attaching to
-// anything. With -slo the error-budget board at /slo is rendered after
-// the tables (burn rates, budget remaining, alarms, per-link loss);
-// -exemplars adds each link's latency exemplars — bucket upper bound,
-// frame id, and the tick it was observed — so a p99 outlier resolves
-// to a concrete frame.
+// anything. With -slo the error-budget board is rendered after the
+// tables from the same /metrics scrape (burn rates, budget remaining,
+// alarms, per-link loss, in-flight frames and p99); -exemplars adds
+// each link's latency exemplars, the slow-frame events at /trace —
+// bucket upper bound, latency, frame id and the tick it arrived — so a
+// p99 outlier resolves to a concrete frame.
 //
 // With -transport the per-line transport table is rendered after the
 // stage tables (socket-backed p5sim runs export the transport_* series):
@@ -27,9 +28,9 @@
 // address's /metrics is scraped once, labelled with its instance, and
 // rendered as one columnar view from those series — instance identity
 // (health, uptime, wire version, armed subsystems), the same per-line
-// transport table as -transport with an instance column, and the SLO
-// burn-rate/alarm rows across all instances. Unreachable instances
-// render as DOWN rows instead of failing the board.
+// transport table as -transport and the same SLO board as -slo, each
+// with an instance column. Unreachable instances render as DOWN rows
+// instead of failing the board.
 //
 // An argument p5stat would not read is a usage error, reported on
 // stderr with exit status 2 before anything is scraped: a positional
@@ -49,14 +50,12 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"sort"
 	"strings"
 	"text/tabwriter"
 	"time"
 
-	"repro/internal/flight"
 	"repro/internal/obsnet"
 	"repro/internal/telemetry"
 )
@@ -80,8 +79,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var v view
 	fs.BoolVar(&v.events, "events", false, "dump the structured event trace from /trace after the report")
 	fs.BoolVar(&v.transport, "transport", false, "render the per-line transport table (liveness, latency, reconnects, keepalive misses, queue high-water) from the transport_* series")
-	fs.BoolVar(&v.slo, "slo", false, "render the error-budget board from /slo after the report")
-	fs.BoolVar(&v.exemplars, "exemplars", false, "with the /slo board, list each link's latency exemplars")
+	fs.BoolVar(&v.slo, "slo", false, "render the error-budget board from the slo_* and flight_* series after the report")
+	fs.BoolVar(&v.exemplars, "exemplars", false, "with the error-budget board, list each link's latency exemplars (slow-frame events from /trace)")
 	replay := fs.String("replay", "", "format events from a saved JSON trace file instead of attaching")
 	fleet := fs.String("fleet", "", "comma-separated telemetry addresses; render the cross-instance fleet board instead of attaching to one endpoint")
 	if err := fs.Parse(args); err != nil {
@@ -192,14 +191,22 @@ func attach(w io.Writer, url string, interval time.Duration, count int, v view) 
 			}
 		}
 		if v.events {
-			if err := dumpTrace(w, url); err != nil {
+			evs, err := fetchTrace(url)
+			if err != nil {
+				return err
+			}
+			writeEvents(w, evs)
+		}
+		if !v.slo && !v.exemplars {
+			return nil
+		}
+		var evs []telemetry.Event
+		if v.exemplars {
+			if evs, err = fetchTrace(url); err != nil {
 				return err
 			}
 		}
-		if v.slo || v.exemplars {
-			return dumpSLO(w, url, v.exemplars)
-		}
-		return nil
+		return obsnet.WriteSLOBoard(w, cur, evs)
 	}
 	if interval <= 0 {
 		report(w, cur, nil, 0)
@@ -217,66 +224,6 @@ func attach(w io.Writer, url string, interval time.Duration, count int, v view) 
 	return trailers()
 }
 
-// dumpSLO renders the /slo error-budget board: per-objective burn
-// rates and, with exemplars, the concrete frames behind the latency
-// histogram's slow buckets.
-func dumpSLO(w io.Writer, base string, exemplars bool) error {
-	body, err := obsnet.Fetch(base + "/slo")
-	if err != nil {
-		return err
-	}
-	doc, err := flight.ReadBoard(bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	writeBoard(w, doc, exemplars)
-	return nil
-}
-
-func writeBoard(w io.Writer, doc flight.BoardJSON, exemplars bool) {
-	tw := tabwriter.NewWriter(w, 2, 0, 2, ' ', tabwriter.AlignRight)
-	if len(doc.SLOs) > 0 {
-		fmt.Fprintln(w, "slo board:")
-		fmt.Fprintln(tw, "\tslo\tloss burn\tp99 burn\tfailover burn\tworst\tbudget left\tp99 ticks\talarm\t")
-		for _, s := range doc.SLOs {
-			alarm := "-"
-			if s.Alarm {
-				alarm = "ALARM"
-			}
-			fmt.Fprintf(tw, "\t%s\t%.2f\t%.2f\t%.2f\t%.2f\t%.1f%%\t%d\t%s\t\n",
-				s.Name, s.LossBurn, s.P99Burn, s.FailoverBurn, s.WorstBurn,
-				100*s.BudgetRemaining, s.P99Ticks, alarm)
-		}
-		tw.Flush()
-	}
-	if len(doc.Links) > 0 {
-		fmt.Fprintln(tw, "\tlink\ttracked\tlost\tin flight\tp99 ticks\tcaptures\t")
-		for _, l := range doc.Links {
-			fmt.Fprintf(tw, "\t%s\t%d\t%d\t%d\t%d\t%d\t\n",
-				l.Link, l.Tracked, l.Lost, l.InFlight, l.P99Ticks, l.Captures)
-		}
-		tw.Flush()
-	}
-	if !exemplars {
-		return
-	}
-	for _, l := range doc.Links {
-		if len(l.Exemplars) == 0 {
-			continue
-		}
-		fmt.Fprintf(w, "exemplars %s:\n", l.Link)
-		fmt.Fprintln(tw, "\tbucket ≤\tlatency\tframe id\tat tick\t")
-		for _, ex := range l.Exemplars {
-			le := fmt.Sprintf("%d", ex.LE)
-			if ex.LE == math.MaxInt64 {
-				le = "+Inf"
-			}
-			fmt.Fprintf(tw, "\t%s\t%d\t%d\t%d\t\n", le, ex.Value, ex.ID, ex.At)
-		}
-		tw.Flush()
-	}
-}
-
 // scrape fetches and parses one Prometheus exposition.
 func scrape(url string) ([]telemetry.Series, error) {
 	body, err := obsnet.Fetch(url)
@@ -286,17 +233,13 @@ func scrape(url string) ([]telemetry.Series, error) {
 	return telemetry.ParseText(bytes.NewReader(body))
 }
 
-func dumpTrace(w io.Writer, base string) error {
+// fetchTrace fetches and decodes the event trace at /trace.
+func fetchTrace(base string) ([]telemetry.Event, error) {
 	body, err := obsnet.Fetch(base + "/trace")
 	if err != nil {
-		return err
+		return nil, err
 	}
-	evs, err := telemetry.ReadEvents(bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	writeEvents(w, evs)
-	return nil
+	return telemetry.ReadEvents(bytes.NewReader(body))
 }
 
 func writeEvents(w io.Writer, evs []telemetry.Event) {

@@ -31,6 +31,27 @@ func fixtureServer(t *testing.T) (*httptest.Server, *telemetry.Registry) {
 	depth := reg.Gauge("p5_tx_sorter_occupancy", "fifo")
 	depth.Set(3)
 	tr.Emit(100, "sonet", "defect-raise", "LOS", 4, 4)
+	// One graded link, as an armed p5sim pair exports it: an SLO
+	// alarming on frame loss, the recorder behind it with two frames
+	// still in flight, and two slow frames on the trace.
+	slo := telemetry.L("slo", "port0")
+	for name, v := range map[string]float64{"frame_loss": 5.25, "p99_latency": 0.5, "failover": 0} {
+		reg.GaugeFunc("slo_burn_rate", "burn", func() float64 { return v }, slo, telemetry.L("objective", name))
+	}
+	reg.GaugeFunc("slo_worst_burn_rate", "worst", func() float64 { return 5.25 }, slo)
+	reg.GaugeFunc("slo_error_budget_remaining", "budget", func() float64 { return 0.4 }, slo)
+	reg.GaugeFunc("slo_p99_latency_ticks", "p99", func() float64 { return 4 }, slo)
+	reg.GaugeFunc("slo_alarm", "alarm", func() float64 { return 1 }, slo)
+	link := telemetry.L("link", "port0_a")
+	reg.Counter("flight_frames_tracked_total", "tracked", link).Add(900)
+	reg.Counter("flight_frames_lost_total", "lost", link).Add(3)
+	reg.Counter("flight_captures_total", "captures", link).Add(1)
+	e2e := reg.Histogram("flight_e2e_latency_ticks", "e2e", []int64{0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512}, link)
+	for i := 0; i < 895; i++ {
+		e2e.Observe(int64(i % 5))
+	}
+	tr.Emit(5000, "link:port0_a", "slow-frame", "", 117, 40)
+	tr.Emit(9000, "link:port0_a", "slow-frame", "", 903, 700)
 	advance := func() {
 		cycles.Add(1000)
 		busy.Add(600)
@@ -46,18 +67,6 @@ func fixtureServer(t *testing.T) (*httptest.Server, *telemetry.Registry) {
 		advance()
 	})
 	mux.HandleFunc("/trace", func(w http.ResponseWriter, r *http.Request) { tr.WriteJSON(w) })
-	mux.HandleFunc("/slo", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		w.Write([]byte(`{
-		 "slos": [{"name": "port0", "window_ticks": 2048, "loss_target": 0.001,
-		  "p99_budget_ticks": 8, "failover_budget_ticks": 400,
-		  "loss_burn": 5.25, "p99_burn": 0.5, "failover_burn": 0,
-		  "worst_burn": 5.25, "budget_remaining": 0.4, "p99_ticks": 4, "alarm": true}],
-		 "links": [{"link": "port0_a", "tracked": 900, "lost": 3, "in_flight": 2,
-		  "p99_ticks": 4, "captures": 1,
-		  "exemplars": [{"le": 4, "id": 117, "value": 3, "at": 5000, "seq": 116},
-		   {"le": 9223372036854775807, "id": 903, "value": 700, "at": 9000, "seq": 902}]}]}`))
-	})
 	srv := httptest.NewServer(mux)
 	t.Cleanup(srv.Close)
 	return srv, reg
@@ -130,6 +139,9 @@ func TestRunRejectsUsageErrors(t *testing.T) {
 	}
 }
 
+// TestSLOBoardReport: -slo renders the board from the /metrics scrape
+// and -exemplars the slow-frame events from /trace, each under its
+// latency bucket.
 func TestSLOBoardReport(t *testing.T) {
 	srv, _ := fixtureServer(t)
 	got := runOK(t, "-url", srv.URL, "-slo", "-exemplars")
@@ -145,6 +157,25 @@ func TestSLOBoardReport(t *testing.T) {
 			t.Errorf("slo report missing %q:\n%s", want, got)
 		}
 	}
+	// The link row: tracked, lost, in flight (900 − 3 − 895 delivered),
+	// p99 and captures.
+	if !rowWith(got, "port0_a", "900", "3", "2", "4", "1") {
+		t.Errorf("no port0_a row 900 3 2 4 1:\n%s", got)
+	}
+	// The exemplar rows: bucket, latency, frame id, arrival tick.
+	if !rowWith(got, "64", "40", "117", "5000") || !rowWith(got, "+Inf", "700", "903", "9000") {
+		t.Errorf("exemplar rows missing:\n%s", got)
+	}
+}
+
+// rowWith reports whether some line of out is exactly the fields want.
+func rowWith(out string, want ...string) bool {
+	for _, l := range strings.Split(out, "\n") {
+		if strings.Join(strings.Fields(l), " ") == strings.Join(want, " ") {
+			return true
+		}
+	}
+	return false
 }
 
 func TestSLOWithoutExemplarsOmitsThem(t *testing.T) {

@@ -3,6 +3,7 @@ package gigapos
 import (
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/fault"
 	"repro/internal/sonet"
@@ -18,7 +19,9 @@ import (
 // scripted line cut on one section turns that line's Up false, which
 // TransportPort.Poll escalates as one transport-los outage on that port
 // alone; the supervisor re-opens it when the line returns. Stats and Up
-// are scraped from a second goroutine throughout (go test -race).
+// are scraped from a second goroutine throughout (go test -race), and
+// the step loop holds the cut line down until that goroutine has seen
+// it, so the check does not depend on the scheduler.
 func TestEngineOverSONET(t *testing.T) {
 	const links, batch, cutPort = 8, 8, 3
 	var as, zs [links]*sonet.Line
@@ -59,11 +62,12 @@ func TestEngineOverSONET(t *testing.T) {
 	// A scraper, as a telemetry endpoint would: concurrent with the
 	// shard workers that own the lines.
 	stop := make(chan struct{})
+	sawDown := make(chan struct{}) // closed when the scraper first sees a line down
 	var scraper sync.WaitGroup
-	var sawDown bool
 	scraper.Add(1)
 	go func() {
 		defer scraper.Done()
+		down := false
 		for {
 			select {
 			case <-stop:
@@ -72,8 +76,9 @@ func TestEngineOverSONET(t *testing.T) {
 			}
 			for i := range zs {
 				_ = as[i].Stats()
-				if !zs[i].Up() && zs[i].Stats().RxChunks > 0 {
-					sawDown = true
+				if !down && !zs[i].Up() && zs[i].Stats().RxChunks > 0 {
+					down = true
+					close(sawDown)
 				}
 			}
 		}
@@ -84,9 +89,19 @@ func TestEngineOverSONET(t *testing.T) {
 	script.LOS(int64(3*sonet.STM16.FrameBytes()), 12*sonet.STM16.FrameBytes())
 	inj := fault.NewInjector(script)
 	as[cutPort].Inject = inj.Apply
-	healed := -1
+	healed, held := -1, false
 	for i := 0; i < 200 && healed < 0; i++ {
 		e.Run(1)
+		if !held && !zs[cutPort].Up() {
+			// The handshake: between Runs nothing moves the lines, so the
+			// cut stays visible until the scraper has looked. A minute is
+			// only a backstop; the assertion below reports a miss.
+			held = true
+			select {
+			case <-sawDown:
+			case <-time.After(time.Minute):
+			}
+		}
 		if inj.Done() && zs[cutPort].Up() && e.Ready() {
 			healed = i
 		}
@@ -96,7 +111,9 @@ func TestEngineOverSONET(t *testing.T) {
 	if healed < 0 {
 		t.Fatalf("port %d did not re-open within 200 steps of the cut: %+v", cutPort, cutZ.Supervisor())
 	}
-	if !sawDown {
+	select {
+	case <-sawDown:
+	default:
 		t.Error("the scraper never saw the cut line down")
 	}
 

@@ -27,7 +27,7 @@
 // and Trigger must be called from the goroutine that owns the link (or
 // while the simulation is quiesced); the histograms and counters behind
 // them are atomic and the exemplar store is mutex-protected, so HTTP
-// scrapes and the /slo board are safe at any time.
+// scrapes of /metrics are safe at any time.
 package flight
 
 import (
@@ -53,7 +53,8 @@ const (
 	// the oldest departure is counted lost.
 	pipeDepth = 1024
 	// slowTicks is the end-to-end latency at or above which an arrival
-	// emits a slow-frame event into the black box.
+	// emits a slow-frame event into the black box (and the receiving
+	// link one onto its tracer: the /trace exemplars).
 	slowTicks = 32
 	// recentCaptures bounds the in-memory capture list.
 	recentCaptures = 8
@@ -251,12 +252,14 @@ func (r *Recorder) Depart(now int64) uint64 {
 // Arrive matches one delivered frame FIFO against the oldest live
 // departure, observes the end-to-end latency and updates the bucket
 // exemplar. Departures older than the horizon are retired as lost
-// first. Returns the matched latency in ticks, or ok=false when
-// nothing was in flight.
-func (r *Recorder) Arrive(now int64) (lat int64, ok bool) {
+// first. Returns the matched frame's ID (0 when nothing was in flight)
+// and latency in ticks; slow reports a latency at or above the
+// slow-frame threshold, an arrival the black box records as a
+// slow-frame event.
+func (r *Recorder) Arrive(now int64) (id uint64, lat int64, slow bool) {
 	r.expire(now)
 	if r.head == r.tail {
-		return 0, false
+		return 0, 0, false
 	}
 	d := r.ring[r.head%pipeDepth]
 	r.head++
@@ -266,10 +269,10 @@ func (r *Recorder) Arrive(now int64) (lat int64, ok bool) {
 	}
 	r.e2e.Observe(lat)
 	r.noteExemplar(d.id, lat, now)
-	if lat >= slowTicks {
+	if slow = lat >= slowTicks; slow {
 		r.events.Emit(now, r.name, "slow-frame", "", int64(d.id), lat)
 	}
-	return lat, true
+	return d.id, lat, slow
 }
 
 // Expire retires departures older than the horizon as lost. Arrive
@@ -296,9 +299,6 @@ func (r *Recorder) Flush() {
 		r.lost.Inc()
 	}
 }
-
-// InFlight returns the number of tagged, unmatched departures.
-func (r *Recorder) InFlight() int { return int(r.tail - r.head) }
 
 // Tracked returns the total tagged departures.
 func (r *Recorder) Tracked() uint64 { return r.tracked.Value() }
@@ -398,10 +398,9 @@ func (r *Recorder) Trigger(reason string) *Capture {
 }
 
 // write lands c in dir. A capture is evidence: one that could not be
-// written is counted (flight_capture_write_errors_total, the board's
-// capture_write_errors) and leaves a capture-write-error event in the
-// black box, so every report that names capture files can say when one
-// is missing.
+// written is counted (flight_capture_write_errors_total) and leaves a
+// capture-write-error event in the black box, so every report that
+// names capture files can say when one is missing.
 func (r *Recorder) write(c *Capture, dir string) {
 	if err := c.WriteFile(dir); err != nil {
 		r.writeErrs.Inc()

@@ -18,6 +18,12 @@ func testCfg() Config {
 	return Config{Clock: func() int64 { n += 1000; return n }}
 }
 
+// inFlight is what the series say is in flight: tracked − lost −
+// delivered, the identity the error-budget board renders.
+func inFlight(r *Recorder) uint64 {
+	return r.Tracked() - r.Lost() - r.e2e.Count()
+}
+
 func TestPipeMatchesFIFO(t *testing.T) {
 	r := NewRecorder(nil, "a", testCfg())
 	id1 := r.Depart(10)
@@ -25,16 +31,16 @@ func TestPipeMatchesFIFO(t *testing.T) {
 	if id1 != 1 || id2 != 2 {
 		t.Fatalf("ids = %d,%d", id1, id2)
 	}
-	lat, ok := r.Arrive(12)
-	if !ok || lat != 2 {
-		t.Fatalf("first arrival lat=%d ok=%v, want 2", lat, ok)
+	id, lat, _ := r.Arrive(12)
+	if id != 1 || lat != 2 {
+		t.Fatalf("first arrival id=%d lat=%d, want 1/2", id, lat)
 	}
-	lat, ok = r.Arrive(15)
-	if !ok || lat != 4 {
-		t.Fatalf("second arrival lat=%d ok=%v, want 4", lat, ok)
+	id, lat, _ = r.Arrive(15)
+	if id != 2 || lat != 4 {
+		t.Fatalf("second arrival id=%d lat=%d, want 2/4", id, lat)
 	}
-	if _, ok := r.Arrive(16); ok {
-		t.Fatal("arrival with empty pipe matched")
+	if id, _, _ := r.Arrive(16); id != 0 {
+		t.Fatalf("arrival with empty pipe matched frame %d", id)
 	}
 	if r.Tracked() != 2 || r.Lost() != 0 {
 		t.Fatalf("tracked=%d lost=%d", r.Tracked(), r.Lost())
@@ -49,17 +55,17 @@ func TestPipeHorizonCountsLoss(t *testing.T) {
 	if r.Lost() != 1 {
 		t.Fatalf("lost = %d, want 1", r.Lost())
 	}
-	lat, ok := r.Arrive(horizon + 100)
-	if !ok || lat != 50 {
-		t.Fatalf("lat=%d ok=%v, want 50 (matched the live departure)", lat, ok)
+	id, lat, _ := r.Arrive(horizon + 100)
+	if id != 2 || lat != 50 {
+		t.Fatalf("id=%d lat=%d, want 2/50 (matched the live departure)", id, lat)
 	}
 
 	// Flush retires everything still in flight.
 	r.Depart(horizon + 101)
 	r.Depart(horizon + 102)
 	r.Flush()
-	if r.Lost() != 3 || r.InFlight() != 0 {
-		t.Fatalf("after flush lost=%d inflight=%d", r.Lost(), r.InFlight())
+	if r.Lost() != 3 || inFlight(r) != 0 {
+		t.Fatalf("after flush lost=%d inflight=%d", r.Lost(), inFlight(r))
 	}
 }
 
@@ -68,13 +74,13 @@ func TestPipeOverflowRetiresOldest(t *testing.T) {
 	for i := 0; i < pipeDepth+2; i++ {
 		r.Depart(int64(i))
 	}
-	if r.Lost() != 2 || r.InFlight() != pipeDepth {
-		t.Fatalf("lost=%d inflight=%d, want 2/%d", r.Lost(), r.InFlight(), pipeDepth)
+	if r.Lost() != 2 || inFlight(r) != pipeDepth {
+		t.Fatalf("lost=%d inflight=%d, want 2/%d", r.Lost(), inFlight(r), pipeDepth)
 	}
 	// Oldest live departure is #3 (at=2).
-	lat, ok := r.Arrive(10)
-	if !ok || lat != 8 {
-		t.Fatalf("lat=%d ok=%v, want 8", lat, ok)
+	id, lat, _ := r.Arrive(10)
+	if id != 3 || lat != 8 {
+		t.Fatalf("id=%d lat=%d, want 3/8", id, lat)
 	}
 }
 
@@ -362,11 +368,6 @@ func TestCaptureWriteErrorIsCounted(t *testing.T) {
 	if v, _ := reg.Snapshot().Get(`flight_capture_write_errors_total{link="w"}`); v != 1 {
 		t.Errorf("flight_capture_write_errors_total = %v, want 1", v)
 	}
-	b := NewBoard()
-	b.Attach(r)
-	if got := b.Snapshot().Links[0].CaptureWriteErrors; got != 1 {
-		t.Errorf("board capture_write_errors = %d, want 1", got)
-	}
 	found := false
 	for _, e := range r.events.Events() {
 		found = found || e.Name == "capture-write-error" && e.V1 == int64(c.Seq)
@@ -456,7 +457,15 @@ func TestSLOBurnRates(t *testing.T) {
 	var frames, errors uint64
 	var p99, fo int64
 	alarms := []string{}
-	s := NewSLO(nil, "b", SLOConfig{FrameLossTarget: 0.01, P99BudgetTicks: 8},
+	reg := telemetry.NewRegistry()
+	gauge := func(series string) float64 {
+		v, ok := reg.Snapshot().Get(series)
+		if !ok {
+			t.Fatalf("%s not registered", series)
+		}
+		return v
+	}
+	s := NewSLO(reg, "b", SLOConfig{FrameLossTarget: 0.01, P99BudgetTicks: 8},
 		Sources{
 			Frames:   func() uint64 { return frames },
 			Errors:   func() uint64 { return errors },
@@ -483,12 +492,11 @@ func TestSLOBurnRates(t *testing.T) {
 	if !s.Alarmed() || len(alarms) != 1 || alarms[0] != "frame_loss" {
 		t.Fatalf("alarm state: %v %v", s.Alarmed(), alarms)
 	}
-	doc := s.snapshot()
-	if !doc.Alarm || doc.LossBurn < 4 {
-		t.Fatalf("snapshot = %+v", doc)
+	if alarm, loss := gauge(`slo_alarm{slo="b"}`), gauge(`slo_burn_rate{slo="b",objective="frame_loss"}`); alarm != 1 || loss < 4 {
+		t.Fatalf("slo_alarm = %v, frame_loss burn = %v; want 1 and ≥ 4", alarm, loss)
 	}
-	if doc.BudgetRemaining != 0 {
-		t.Fatalf("budget remaining = %v, want 0 (2.5x overspent)", doc.BudgetRemaining)
+	if budget := gauge(`slo_error_budget_remaining{slo="b"}`); budget != 0 {
+		t.Fatalf("budget remaining = %v, want 0 (2.5x overspent)", budget)
 	}
 
 	// Loss stops; after the window rolls past the errored span the
@@ -507,48 +515,9 @@ func TestSLOBurnRates(t *testing.T) {
 	// Latency and failover objectives burn independently.
 	p99, fo = 16, 2*failoverBudgetTicks
 	s.Sample(5*sloWindow + 100)
-	doc = s.snapshot()
-	if doc.P99Burn != 2 || doc.FailoverBurn != 2 {
-		t.Fatalf("p99 burn=%v failover burn=%v, want 2/2", doc.P99Burn, doc.FailoverBurn)
-	}
-}
-
-func TestBoardSnapshotAndJSON(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	r := NewRecorder(reg, "port0", testCfg())
-	r.Depart(0)
-	r.Arrive(3)
-	s := NewSLO(reg, "port0", SLOConfig{}, Sources{Frames: r.Tracked, Errors: r.Lost, P99: r.P99})
-	s.Sample(10)
-	b := NewBoard()
-	b.Attach(r)
-	b.AttachSLO(s)
-
-	var buf bytes.Buffer
-	if err := b.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	doc, err := ReadBoard(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(doc.SLOs) != 1 || len(doc.Links) != 1 {
-		t.Fatalf("doc = %+v", doc)
-	}
-	if doc.Links[0].Link != "port0" || doc.Links[0].Tracked != 1 || len(doc.Links[0].Exemplars) != 1 {
-		t.Fatalf("link entry = %+v", doc.Links[0])
-	}
-	if doc.SLOs[0].Name != "port0" || doc.SLOs[0].WindowTicks != 2048 {
-		t.Fatalf("slo entry = %+v", doc.SLOs[0])
-	}
-
-	// The registered gauges flatten into a scrape.
-	snap := reg.Snapshot()
-	if _, ok := snap.Get(`slo_worst_burn_rate{slo="port0"}`); !ok {
-		t.Fatal("slo_worst_burn_rate not registered")
-	}
-	if v, ok := snap.Get(`flight_frames_tracked_total{link="port0"}`); !ok || v != 1 {
-		t.Fatalf("flight_frames_tracked_total = %v %v", v, ok)
+	p99Burn, failBurn := gauge(`slo_burn_rate{slo="b",objective="p99_latency"}`), gauge(`slo_burn_rate{slo="b",objective="failover"}`)
+	if p99Burn != 2 || failBurn != 2 {
+		t.Fatalf("p99 burn=%v failover burn=%v, want 2/2", p99Burn, failBurn)
 	}
 }
 

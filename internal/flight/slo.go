@@ -1,11 +1,7 @@
 package flight
 
 import (
-	"encoding/json"
-	"io"
 	"math"
-	"net/http"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/telemetry"
@@ -74,9 +70,8 @@ type sloPoint struct {
 // of 1.0 means the objective is being consumed exactly at target; 4x
 // sustained exhausts a budget 4x early and raises the alarm.
 type SLO struct {
-	name string
-	cfg  SLOConfig
-	src  Sources
+	cfg SLOConfig
+	src Sources
 
 	// rolling checkpoints, Window/8 apart, oldest first
 	points []sloPoint
@@ -87,7 +82,6 @@ type SLO struct {
 	worstM    atomic.Int64
 	budgetM   atomic.Int64 // remaining lifetime error budget, 0..1000
 	p99Ticks  atomic.Int64
-	failTicks atomic.Int64
 	alarmed   atomic.Bool
 
 	// OnAlarm, when set, fires once on each rising alarm edge with the
@@ -98,7 +92,7 @@ type SLO struct {
 // NewSLO builds an evaluator named for its link and registers its
 // gauges (slo_* family, labelled slo=name) in reg; reg may be nil.
 func NewSLO(reg *telemetry.Registry, name string, cfg SLOConfig, src Sources) *SLO {
-	s := &SLO{name: name, cfg: cfg.withDefaults(), src: src}
+	s := &SLO{cfg: cfg.withDefaults(), src: src}
 	s.budgetM.Store(1000)
 	if reg != nil {
 		lk := telemetry.L("slo", name)
@@ -186,7 +180,6 @@ func (s *SLO) Sample(now int64) {
 	if s.src.Failover != nil {
 		fo = s.src.Failover()
 	}
-	s.failTicks.Store(fo)
 	failBurn := float64(fo) / failoverBudgetTicks
 	s.failBurnM.Store(milliClamp(failBurn))
 
@@ -230,133 +223,3 @@ func (s *SLO) WorstBurnMilli() int64 { return s.worstM.Load() }
 
 // Alarmed reports whether the SLO alarm is currently raised.
 func (s *SLO) Alarmed() bool { return s.alarmed.Load() }
-
-// snapshot renders the SLO for the /slo board.
-func (s *SLO) snapshot() SLOJSON {
-	return SLOJSON{
-		Name:            s.name,
-		WindowTicks:     sloWindow,
-		LossTarget:      s.cfg.FrameLossTarget,
-		P99BudgetTicks:  s.cfg.P99BudgetTicks,
-		FailBudgetTicks: failoverBudgetTicks,
-		LossBurn:        float64(s.lossBurnM.Load()) / 1000,
-		P99Burn:         float64(s.p99BurnM.Load()) / 1000,
-		FailoverBurn:    float64(s.failBurnM.Load()) / 1000,
-		WorstBurn:       float64(s.worstM.Load()) / 1000,
-		BudgetRemaining: float64(s.budgetM.Load()) / 1000,
-		P99Ticks:        s.p99Ticks.Load(),
-		FailoverTicks:   s.failTicks.Load(),
-		Alarm:           s.alarmed.Load(),
-	}
-}
-
-// SLOJSON is one SLO's entry in the /slo board document.
-type SLOJSON struct {
-	Name            string  `json:"name"`
-	WindowTicks     int64   `json:"window_ticks"`
-	LossTarget      float64 `json:"loss_target"`
-	P99BudgetTicks  int64   `json:"p99_budget_ticks"`
-	FailBudgetTicks int64   `json:"failover_budget_ticks"`
-	LossBurn        float64 `json:"loss_burn"`
-	P99Burn         float64 `json:"p99_burn"`
-	FailoverBurn    float64 `json:"failover_burn"`
-	WorstBurn       float64 `json:"worst_burn"`
-	BudgetRemaining float64 `json:"budget_remaining"`
-	P99Ticks        int64   `json:"p99_ticks"`
-	FailoverTicks   int64   `json:"failover_ticks"`
-	Alarm           bool    `json:"alarm"`
-}
-
-// LinkJSON is one recorder's entry in the /slo board document.
-type LinkJSON struct {
-	Link     string `json:"link"`
-	Tracked  uint64 `json:"tracked"`
-	Lost     uint64 `json:"lost"`
-	InFlight int    `json:"in_flight"`
-	P99Ticks int64  `json:"p99_ticks"`
-	Captures uint64 `json:"captures"`
-	// CaptureWriteErrors counts captures whose file never reached the
-	// capture directory: evidence a report would otherwise name.
-	CaptureWriteErrors uint64     `json:"capture_write_errors,omitempty"`
-	Exemplars          []Exemplar `json:"exemplars,omitempty"`
-}
-
-// BoardJSON is the /slo document: every SLO and every recorder
-// attached to the board.
-type BoardJSON struct {
-	SLOs  []SLOJSON  `json:"slos"`
-	Links []LinkJSON `json:"links"`
-}
-
-// Board aggregates recorders and SLOs for the /slo endpoint.
-type Board struct {
-	mu   sync.Mutex
-	recs []*Recorder
-	slos []*SLO
-}
-
-// NewBoard returns an empty board.
-func NewBoard() *Board { return &Board{} }
-
-// Attach adds a recorder to the board.
-func (b *Board) Attach(r *Recorder) {
-	b.mu.Lock()
-	b.recs = append(b.recs, r)
-	b.mu.Unlock()
-}
-
-// AttachSLO adds an SLO to the board.
-func (b *Board) AttachSLO(s *SLO) {
-	b.mu.Lock()
-	b.slos = append(b.slos, s)
-	b.mu.Unlock()
-}
-
-// Snapshot renders the board document.
-func (b *Board) Snapshot() BoardJSON {
-	b.mu.Lock()
-	recs := append([]*Recorder(nil), b.recs...)
-	slos := append([]*SLO(nil), b.slos...)
-	b.mu.Unlock()
-	doc := BoardJSON{SLOs: []SLOJSON{}, Links: []LinkJSON{}}
-	for _, s := range slos {
-		doc.SLOs = append(doc.SLOs, s.snapshot())
-	}
-	for _, r := range recs {
-		doc.Links = append(doc.Links, LinkJSON{
-			Link:               r.Name(),
-			Tracked:            r.Tracked(),
-			Lost:               r.Lost(),
-			InFlight:           r.InFlight(),
-			P99Ticks:           r.P99(),
-			Captures:           r.Captures(),
-			CaptureWriteErrors: r.WriteErrors(),
-			Exemplars:          r.Exemplars(),
-		})
-	}
-	return doc
-}
-
-// WriteJSON writes the board document to w.
-func (b *Board) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(b.Snapshot())
-}
-
-// Handler serves the board as JSON — mount it at /slo on a
-// telemetry.Mux.
-func (b *Board) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		b.WriteJSON(w)
-	})
-}
-
-// ReadBoard decodes a board document previously served by Handler —
-// the p5stat -slo input.
-func ReadBoard(r io.Reader) (BoardJSON, error) {
-	var doc BoardJSON
-	err := json.NewDecoder(r).Decode(&doc)
-	return doc, err
-}

@@ -4,17 +4,21 @@
 // renders one columnar board covering the whole fleet from those series
 // alone — instance health, uptime, wire version and armed subsystems,
 // the per-line transport table (WriteTransportTable, which p5stat
-// -transport renders for one instance), SLO burn rates and alarms
-// (DESIGN.md §16). It also joins correlated flight-capture pairs into a
-// single two-sided incident timeline (join.go). p5stat -fleet and
-// p5trace -join are thin shells over this package.
+// -transport renders for one instance) and the SLO board
+// (WriteSLOBoard, likewise for p5stat -slo); DESIGN.md §16. It also
+// joins correlated flight-capture pairs into a single two-sided
+// incident timeline (join.go). p5stat -fleet and p5trace -join are thin
+// shells over this package.
 package obsnet
 
 import (
 	"fmt"
 	"io"
+	"math"
 	"net/http"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"text/tabwriter"
 	"time"
@@ -51,7 +55,7 @@ func baseURL(addr string) string {
 	return "http://" + addr
 }
 
-// Fetch GETs one telemetry document (/metrics, /slo, /trace) with the
+// Fetch GETs one telemetry document (/metrics, /trace) with the
 // bounded client: it gives up after 5 s, and refuses a non-200 answer
 // and a body over 8 MiB.
 func Fetch(url string) ([]byte, error) {
@@ -107,9 +111,9 @@ func ScrapeAll(addrs []string) []Instance {
 // from runtime_uptime_seconds, wire version from transport_wire_version,
 // and as armed each of the flight_*, prof_* and
 // transport_oneway_latency_us families present — a warning when the
-// instances speak more than one wire version, the per-line transport
-// table across all instances, and the SLO burn-rate/alarm rows. Returns
-// an error only for writer failures.
+// instances speak more than one wire version, then the per-line
+// transport table and the SLO board across all instances. Returns an
+// error only for writer failures.
 func WriteFleetBoard(w io.Writer, instances []Instance) error {
 	versions := map[float64]bool{}
 	var fleet []telemetry.Series
@@ -161,7 +165,7 @@ func WriteFleetBoard(w io.Writer, instances []Instance) error {
 	if err := WriteTransportTable(w, fleet); err != nil {
 		return err
 	}
-	return writeSLORows(w, instances)
+	return WriteSLOBoard(w, fleet, nil)
 }
 
 // WriteTransportTable renders the per-line transport table from the
@@ -240,47 +244,156 @@ func WriteTransportTable(w io.Writer, series []telemetry.Series) error {
 	return tw.Flush()
 }
 
-// writeSLORows renders the fleet's SLO state: one row per instance and
-// SLO with the worst burn rate and the alarm flag.
-func writeSLORows(w io.Writer, instances []Instance) error {
-	type row struct {
-		instance, slo string
-		burnMilli     float64
-		alarm         bool
-	}
-	var rows []row
-	for _, in := range instances {
-		burns := map[string]float64{}
-		alarms := map[string]bool{}
-		for _, s := range in.Series {
-			switch s.Name {
-			case "slo_worst_burn_rate":
-				burns[s.Label("slo")] = s.Value
-			case "slo_alarm":
-				alarms[s.Label("slo")] = s.Value != 0
+// WriteSLOBoard renders the error-budget board from the slo_* and
+// flight_* series: one row per SLO — the three objectives' burn rates,
+// the worst, the lifetime budget left, the SLO's p99 estimate and the
+// alarm — and one row per recorded link — frames tracked, lost and in
+// flight (tracked − lost − delivered), the end-to-end p99 ("-" before
+// the first delivery) and captures. Series that carry an instance label
+// (a fleet scrape) get an instance column. A value an instance does not
+// export renders as "-". With events (one instance's /trace), each
+// link's slow-frame events follow as its latency exemplars: the bucket
+// of flight_e2e_latency_ticks the latency falls in, the latency, the
+// frame ID and the arrival tick. Renders nothing when the series hold
+// no SLO and no recorder; returns an error only for writer failures.
+func WriteSLOBoard(w io.Writer, series []telemetry.Series, events []telemetry.Event) error {
+	type key struct{ instance, name string }
+	slos, links := map[key]map[string]float64{}, map[key]map[string]float64{}
+	var sloKeys, linkKeys []key
+	var bounds []float64
+	fleet := false
+	for _, s := range series {
+		rows, keys, k, col := slos, &sloKeys, key{s.Label("instance"), s.Label("slo")}, s.Name
+		switch s.Name {
+		case "slo_burn_rate":
+			col += "/" + s.Label("objective")
+		case "slo_worst_burn_rate", "slo_error_budget_remaining", "slo_p99_latency_ticks", "slo_alarm":
+		case "flight_frames_tracked_total", "flight_frames_lost_total", "flight_captures_total", "flight_e2e_latency_ticks_count":
+			rows, keys, k = links, &linkKeys, key{s.Label("instance"), s.Label("link")}
+		case "flight_e2e_latency_ticks_bucket":
+			if le, err := strconv.ParseFloat(s.Label("le"), 64); err == nil && !slices.Contains(bounds, le) {
+				bounds = append(bounds, le)
 			}
+			continue
+		default:
+			continue
 		}
-		for slo, b := range burns {
-			rows = append(rows, row{in.Addr, slo, b, alarms[slo]})
+		if rows[k] == nil {
+			rows[k] = map[string]float64{}
+			*keys = append(*keys, k)
 		}
+		rows[k][col] = s.Value
+		fleet = fleet || k.instance != ""
 	}
-	if len(rows) == 0 {
+	if len(sloKeys) == 0 && len(linkKeys) == 0 {
 		return nil
 	}
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].instance != rows[j].instance {
-			return rows[i].instance < rows[j].instance
-		}
-		return rows[i].slo < rows[j].slo
-	})
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', tabwriter.AlignRight)
-	fmt.Fprintln(tw, "\ninstance\tslo\tworst-burn\talarm\t")
-	for _, r := range rows {
-		alarm := "-"
-		if r.alarm {
-			alarm = "ALARM"
-		}
-		fmt.Fprintf(tw, "%s\t%s\t%.3f\t%s\t\n", r.instance, r.slo, r.burnMilli, alarm)
+	byKey := func(keys []key) {
+		sort.Slice(keys, func(i, j int) bool {
+			if keys[i].instance != keys[j].instance {
+				return keys[i].instance < keys[j].instance
+			}
+			return keys[i].name < keys[j].name
+		})
 	}
-	return tw.Flush()
+	byKey(sloKeys)
+	byKey(linkKeys)
+	sort.Float64s(bounds)
+
+	tw := tabwriter.NewWriter(w, 2, 0, 2, ' ', tabwriter.AlignRight)
+	// row writes one table row: the instance column on a fleet board,
+	// then the cells.
+	row := func(instance string, cells ...string) {
+		if fleet {
+			fmt.Fprintf(tw, "\t%s", instance)
+		}
+		fmt.Fprintf(tw, "\t%s\t\n", strings.Join(cells, "\t"))
+	}
+	num := func(v map[string]float64, col, format string, scale float64) string {
+		x, ok := v[col]
+		if !ok {
+			return "-"
+		}
+		return fmt.Sprintf(format, x*scale)
+	}
+	fmt.Fprintln(w, "slo board:")
+	if len(sloKeys) > 0 {
+		row("instance", "slo", "loss burn", "p99 burn", "failover burn", "worst", "budget left", "p99 ticks", "alarm")
+		for _, k := range sloKeys {
+			v := slos[k]
+			alarm := "-"
+			if v["slo_alarm"] != 0 {
+				alarm = "ALARM"
+			}
+			row(k.instance, k.name,
+				num(v, "slo_burn_rate/frame_loss", "%.3f", 1),
+				num(v, "slo_burn_rate/p99_latency", "%.3f", 1),
+				num(v, "slo_burn_rate/failover", "%.3f", 1),
+				num(v, "slo_worst_burn_rate", "%.3f", 1),
+				num(v, "slo_error_budget_remaining", "%.1f%%", 100),
+				num(v, "slo_p99_latency_ticks", "%.0f", 1),
+				alarm)
+		}
+		if err := tw.Flush(); err != nil {
+			return err
+		}
+	}
+	if len(linkKeys) > 0 {
+		row("instance", "link", "tracked", "lost", "in flight", "p99 ticks", "captures")
+		for _, k := range linkKeys {
+			v := links[k]
+			match := []telemetry.Label{telemetry.L("link", k.name)}
+			if fleet {
+				match = append(match, telemetry.L("instance", k.instance))
+			}
+			p99 := "-"
+			if q, ok := telemetry.SeriesQuantile(series, "flight_e2e_latency_ticks", 0.99, match...); ok {
+				p99 = fmt.Sprint(q)
+			}
+			inFlight := v["flight_frames_tracked_total"] - v["flight_frames_lost_total"] - v["flight_e2e_latency_ticks_count"]
+			row(k.instance, k.name,
+				num(v, "flight_frames_tracked_total", "%.0f", 1),
+				num(v, "flight_frames_lost_total", "%.0f", 1),
+				fmt.Sprintf("%.0f", inFlight), p99,
+				num(v, "flight_captures_total", "%.0f", 1))
+		}
+		if err := tw.Flush(); err != nil {
+			return err
+		}
+	}
+	return writeExemplars(w, events, bounds)
+}
+
+// writeExemplars renders the slow-frame events, grouped by the link
+// that received them in the order each first appears, under the
+// finite latency-bucket bounds (the +Inf bucket above them).
+func writeExemplars(w io.Writer, events []telemetry.Event, bounds []float64) error {
+	byLink := map[string][]telemetry.Event{}
+	var order []string
+	for _, e := range events {
+		if e.Name != "slow-frame" {
+			continue
+		}
+		link := strings.TrimPrefix(e.Scope, "link:")
+		if byLink[link] == nil {
+			order = append(order, link)
+		}
+		byLink[link] = append(byLink[link], e)
+	}
+	tw := tabwriter.NewWriter(w, 2, 0, 2, ' ', tabwriter.AlignRight)
+	for _, link := range order {
+		fmt.Fprintf(w, "exemplars %s:\n", link)
+		fmt.Fprintln(tw, "\tbucket ≤\tlatency\tframe id\tat tick\t")
+		for _, e := range byLink[link] {
+			le := "+Inf"
+			if i := sort.SearchFloat64s(bounds, float64(e.V2)); i < len(bounds) && !math.IsInf(bounds[i], 1) {
+				le = fmt.Sprint(bounds[i])
+			}
+			fmt.Fprintf(tw, "\t%s\t%d\t%d\t%d\t\n", le, e.V2, e.V1, e.At)
+		}
+		if err := tw.Flush(); err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -76,7 +76,17 @@ func (s *Scenario) runEngine(rc RunConfig, res *Result) error {
 	e := gigapos.NewEngine(cfg)
 	defer e.Close()
 	w := e.Observe(o, "linecard")
-	res.Board = w.Board
+	res.slos = w.SLOs
+	if o.Flight != nil {
+		for i := range es.Links {
+			a, z := e.Port(i)
+			for _, l := range []*gigapos.Link{a, z} {
+				if l != nil {
+					res.recs = append(res.recs, l.Flight())
+				}
+			}
+		}
+	}
 
 	budget := s.BringUpBudget
 	if budget == 0 {
@@ -180,8 +190,8 @@ func (s *Scenario) runEngine(rc RunConfig, res *Result) error {
 			fmt.Fprintf(out, "  latency          : oneway p50=%dµs p99=%dµs (%d samples); rtt p50=%dµs (%d probes); clock offset %+dns\n",
 				lat.OneWayP50US, lat.OneWayP99US, lat.Samples, lat.RTTP50US, lat.RTTSamples, lat.ClockOffsetNS)
 		}
-		if w.Board != nil {
-			captures = flightLine(out, w.Board, o.Flight.Dir)
+		if o.Flight != nil {
+			captures = flightLine(out, res, o.Flight.Dir)
 		}
 		// The one-line machine-readable summary.
 		fmt.Fprintf(out, "NET-REPORT role=%s transport=%s links=%d steps=%d delivered=%d rx_errors=%d renegotiations=%d reconnects=%d resets=%d tx_dropped=%d rx_dropped=%d captures=%d oneway_p50_us=%d oneway_p99_us=%d rtt_p50_us=%d\n",
@@ -219,8 +229,8 @@ func (s *Scenario) runEngine(rc RunConfig, res *Result) error {
 			}
 		}
 	}
-	if w.Board != nil {
-		flightLine(out, w.Board, o.Flight.Dir)
+	if o.Flight != nil {
+		flightLine(out, res, o.Flight.Dir)
 	}
 	return s.conclude(rc, res)
 }

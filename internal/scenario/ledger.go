@@ -216,12 +216,14 @@ func dump(res *Result, runs []*circuitRun) {
 	}
 }
 
-// notePaths makes every capture the ends write land in res.CapturePaths,
-// chained after any hook already on the recorder (p5.OAM.AttachFlight's
+// notePaths keeps the ends' recorders in res for the flight lines and
+// makes every capture they write land in res.CapturePaths, chained
+// after any hook already on the recorder (p5.OAM.AttachFlight's
 // flight-dump interrupt).
 func notePaths(res *Result, runs []*circuitRun) {
 	for _, cr := range runs {
 		for _, rec := range []*flight.Recorder{cr.a.port.Link.Flight(), cr.b.port.Link.Flight()} {
+			res.recs = append(res.recs, rec)
 			prev := rec.OnCapture
 			rec.OnCapture = func(c *flight.Capture) {
 				if prev != nil {

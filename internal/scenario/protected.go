@@ -70,7 +70,7 @@ func (s *Scenario) runProtected(rc RunConfig, res *Result) error {
 	runs := []*circuitRun{{name: "prot", a: end(a, la), b: end(b, lb)}}
 	notePaths(res, runs)
 	s.ledger(res, runs, protected{la}, w.SLOs)
-	res.Board = w.Board
+	res.slos = w.SLOs
 
 	out, st := rc.Out, lb.Ctrl.Stats
 	fmt.Fprintf(out, "1+1 protected PPP over STM-1 (GR-253 linear APS, bidirectional, revertive)\n")
@@ -96,6 +96,6 @@ func (s *Scenario) runProtected(rc RunConfig, res *Result) error {
 	fmt.Fprintf(out, "  flight captures  : aps-switch=%d total=%d (p99 %d ticks a→b); OAM RegFlightCtrl=%d\n",
 		b.Link.Flight().CapturesFor("aps-switch"), b.Link.Flight().Captures(), a.Link.Flight().P99(),
 		oam.Read(p5.RegFlightCtrl))
-	flightLine(out, w.Board, rc.Observation.Flight.Dir)
+	flightLine(out, res, rc.Observation.Flight.Dir)
 	return s.conclude(rc, res)
 }

@@ -82,7 +82,7 @@ func (s *Scenario) runRing(rc RunConfig, res *Result) error {
 	}
 	notePaths(res, runs)
 	s.ledger(res, runs, ring{r}, watch.SLOs)
-	res.Board = watch.Board
+	res.slos = watch.SLOs
 
 	out, dir := rc.Out, rc.Observation.Flight.Dir
 	fmt.Fprintf(out, "  ring             : %d nodes, %s, %d ticks (bring-up took %d)\n",
@@ -92,10 +92,9 @@ func (s *Scenario) runRing(rc RunConfig, res *Result) error {
 	for _, c := range res.Circuits {
 		fmt.Fprintf(out, "  %s\n", c.summary())
 	}
-	doc := watch.Board.Snapshot()
-	worst, alarm := worstBurn(doc)
+	worst, alarm := worstBurn(res.slos)
 	fmt.Fprintf(out, "  slo              : worst-burn=%.2f alarm=%v captures=%d dir=%s\n",
 		worst, alarm, len(res.CapturePaths), dir)
-	captureErrors(out, doc.Links, dir)
+	captureErrors(out, res.recs, dir)
 	return s.conclude(rc, res)
 }

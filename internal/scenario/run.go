@@ -46,9 +46,11 @@ type Result struct {
 	// CapturePaths lists every .p5fr written during the run (failure
 	// triggers and protection-switch dumps alike), oldest first.
 	CapturePaths []string
-	// Board holds every recorder and SLO the run armed (nil when none),
-	// live for a /slo endpoint.
-	Board *flight.Board
+
+	// recs and slos are the flight recorders and SLOs the run armed
+	// (none without Flight), read by the report's flight lines.
+	recs []*flight.Recorder
+	slos map[string]*flight.SLO
 }
 
 // Failure is one violated assertion.
@@ -305,32 +307,31 @@ func (e event) fault(sc *fault.Script, fb, duration int64, dir uint64) {
 	}
 }
 
-// flightLine renders the one-line flight report of a board: aggregate
+// flightLine renders the one-line flight report of a run: aggregate
 // frames tracked/lost, captures dumped (returned), and the worst SLO
 // burn — plus the capture-error line when files failed to land.
-func flightLine(out io.Writer, board *flight.Board, dir string) (captures uint64) {
-	doc := board.Snapshot()
+func flightLine(out io.Writer, res *Result, dir string) (captures uint64) {
 	var tracked, lost uint64
 	exemplars := 0
-	for _, l := range doc.Links {
-		tracked += l.Tracked
-		lost += l.Lost
-		captures += l.Captures
-		exemplars += len(l.Exemplars)
+	for _, r := range res.recs {
+		tracked += r.Tracked()
+		lost += r.Lost()
+		captures += r.Captures()
+		exemplars += len(r.Exemplars())
 	}
-	worst, alarm := worstBurn(doc)
+	worst, alarm := worstBurn(res.slos)
 	fmt.Fprintf(out, "  flight           : tracked=%d lost=%d captures=%d exemplars=%d worst-burn=%.2f alarm=%v dir=%s\n",
 		tracked, lost, captures, exemplars, worst, alarm, dir)
-	captureErrors(out, doc.Links, dir)
+	captureErrors(out, res.recs, dir)
 	return captures
 }
 
-// worstBurn is the highest SLO burn on a board and whether any alarm is
+// worstBurn is the highest burn of slos and whether any alarm is
 // raised.
-func worstBurn(doc flight.BoardJSON) (worst float64, alarm bool) {
-	for _, s := range doc.SLOs {
-		worst = max(worst, s.WorstBurn)
-		alarm = alarm || s.Alarm
+func worstBurn(slos map[string]*flight.SLO) (worst float64, alarm bool) {
+	for _, s := range slos {
+		worst = max(worst, float64(s.WorstBurnMilli())/1000)
+		alarm = alarm || s.Alarmed()
 	}
 	return worst, alarm
 }
@@ -338,10 +339,10 @@ func worstBurn(doc flight.BoardJSON) (worst float64, alarm bool) {
 // captureErrors adds a line to any report that names capture files when
 // some never reached dir: evidence the reader would look for and not
 // find. Silent when every write landed.
-func captureErrors(out io.Writer, links []flight.LinkJSON, dir string) {
+func captureErrors(out io.Writer, recs []*flight.Recorder, dir string) {
 	var n uint64
-	for _, l := range links {
-		n += l.CaptureWriteErrors
+	for _, r := range recs {
+		n += r.WriteErrors()
 	}
 	if n > 0 {
 		fmt.Fprintf(out, "  capture errors   : %d capture file(s) could NOT be written to %s (flight_capture_write_errors_total)\n", n, dir)

@@ -102,8 +102,8 @@ samples:
 	if len(bounds) == len(counts) {
 		counts = append(counts, 0) // no +Inf sample line: empty overflow
 	}
-	if len(bounds) == 0 {
-		return 0, false
+	if len(bounds) == 0 || prev == 0 {
+		return 0, false // no bounds, or no observation in any bucket
 	}
 	return quantileFromBuckets(bounds, counts, q), true
 }

@@ -153,6 +153,14 @@ func TestSeriesQuantile(t *testing.T) {
 	if _, ok := SeriesQuantile(nil, "lat_us", 0.5); ok {
 		t.Fatal("quantile from no series reported ok")
 	}
+	// A histogram that is exported but has observed nothing (a link
+	// before its first delivery) matches no observation either: every
+	// bucket line is present and zero.
+	re := NewRegistry()
+	re.AttachHistogram("lat_us", "latency", NewHistogram([]int64{10, 100, 1000}), L("line", "idle"))
+	if q, ok := SeriesQuantile(scrapeOf(t, re), "lat_us", 0.99, L("line", "idle")); ok {
+		t.Fatalf("quantile of an empty histogram = %d with ok=true, want ok=false", q)
+	}
 
 	// Second instance skewed high: the fleet-wide p50 (no instance
 	// match) must move up to the merged distribution's median.

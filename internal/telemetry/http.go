@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"expvar"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -10,23 +9,20 @@ import (
 // Mux builds the exposition endpoint set over a registry and an
 // optional tracer:
 //
-//	/metrics       Prometheus text format
-//	/debug/vars    expvar JSON (includes the registry snapshot under
-//	               the published name, plus Go memstats/cmdline)
+//	/metrics       Prometheus text format: the one state document
 //	/debug/pprof/  the standard Go profiling endpoints
 //	/trace         the tracer's retained events as JSON (404 when nil)
 //
 // The returned mux is safe to serve while probes are being written:
 // all metric state is atomic. It is a concrete *http.ServeMux so
-// callers can mount additional endpoints (the flight recorder's /slo
-// board, for example) next to the standard set before serving.
+// callers can mount additional endpoints (p5sim's /health on a socket
+// half, for example) next to the standard set before serving.
 func Mux(reg *Registry, tr *Tracer) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		reg.WritePrometheus(w)
 	})
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -41,24 +37,6 @@ func Mux(reg *Registry, tr *Tracer) *http.ServeMux {
 		tr.WriteJSON(w)
 	})
 	return mux
-}
-
-// Publish exposes the registry under name in the process-wide expvar
-// namespace (visible at /debug/vars) as a map of series name to value.
-// Publishing the same name twice is a no-op, so repeated instrumenting
-// in tests is safe.
-func Publish(reg *Registry, name string) {
-	if expvar.Get(name) != nil {
-		return
-	}
-	expvar.Publish(name, expvar.Func(func() any {
-		snap := reg.Snapshot()
-		out := make(map[string]float64, len(snap.Samples()))
-		for _, s := range snap.Samples() {
-			out[s.Series] = s.Value
-		}
-		return out
-	}))
 }
 
 // Server is a running exposition endpoint.

@@ -1,7 +1,7 @@
 // Package telemetry is the repo's observability spine: a zero-dependency,
 // allocation-free metrics registry (atomic counters, gauges, fixed-bucket
 // histograms) with named snapshot/delta semantics, plus a bounded
-// ring-buffer structured event tracer (trace.go) and Prometheus/expvar/
+// ring-buffer structured event tracer (trace.go) and Prometheus/
 // pprof exposition (prometheus.go, http.go).
 //
 // The paper's P5 is only credible at OC-48 because every pipeline stage's

@@ -268,6 +268,55 @@ func TestTracerRingWrap(t *testing.T) {
 	}
 }
 
+// FuzzReadEvents: ReadEvents decodes bodies from outside the process
+// (/trace in p5stat -events and -exemplars, any p5stat -replay file),
+// so any input is an error or events, never a panic; and the events it
+// accepts, emitted into a Tracer, come back from WriteJSON → ReadEvents
+// field for field, numbered afresh by the Tracer's sequence.
+func FuzzReadEvents(f *testing.F) {
+	tr := NewTracer(16)
+	tr.Emit(100, "link:port0_z", "slow-frame", "", 117, 40)
+	tr.Emit(101, "sonet", "defect-raise", "LOS", 4, -4)
+	var golden bytes.Buffer
+	if err := tr.WriteJSON(&golden); err != nil {
+		f.Fatal(err)
+	}
+	for _, seed := range []string{
+		golden.String(), "[]", "null", "", "{", "[{}]", `[{"seq": -1}]`,
+		`[{"at": "x"}]`, `[{"scope": "\ud800", "v1": 9223372036854775807}]`, "[1, 2]",
+		`{"events": []}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		evs, err := ReadEvents(bytes.NewReader(in))
+		if err != nil {
+			return
+		}
+		tr := NewTracer(len(evs))
+		for _, e := range evs {
+			tr.Emit(e.At, e.Scope, e.Name, e.Detail, e.V1, e.V2)
+		}
+		var buf bytes.Buffer
+		if err := tr.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadEvents(&buf)
+		if err != nil {
+			t.Fatalf("ReadEvents of WriteJSON output: %v\n%s", err, buf.Bytes())
+		}
+		if len(back) != len(evs) {
+			t.Fatalf("%d events back, want %d", len(back), len(evs))
+		}
+		for i, e := range evs {
+			e.Seq = uint64(i + 1)
+			if back[i] != e {
+				t.Errorf("event %d: got %+v, want %+v", i, back[i], e)
+			}
+		}
+	})
+}
+
 func TestParseTextRoundTrip(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("a_total", "help a").Add(3)

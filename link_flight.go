@@ -111,10 +111,15 @@ func (l *Link) flightDepart() {
 }
 
 // flightArrive matches one delivered datagram against the departure
-// pipe of the peer that sent it.
+// pipe of the peer that sent it. A slow arrival is a latency exemplar:
+// it goes onto the observation tracer as a slow-frame event carrying
+// the frame ID and latency, and not into this link's own black box.
 func (l *Link) flightArrive() {
 	if l.fl != nil && l.fl.peer != nil {
-		l.fl.peer.Arrive(l.now)
+		id, lat, slow := l.fl.peer.Arrive(l.now)
+		if slow && l.tel != nil && l.tel.tracer != nil {
+			l.tel.tracer.Emit(l.now, l.tel.scope, "slow-frame", "", int64(id), lat)
+		}
 	}
 }
 

@@ -43,10 +43,9 @@ type Observable interface {
 // Watch collects what arming builds that no single end owns (an end's
 // own recorder is Link.Flight). The zero Watch is ready to use.
 type Watch struct {
-	// Board holds every recorder and SLO armed with Flight, for /slo.
-	Board *flight.Board
-	// SLOs are the board's evaluators by name (<pair>_a, <pair>_z), for
-	// a host that wires one into its own alarm path (p5.OAM).
+	// SLOs are the evaluators arming built, by name (<pair>_a,
+	// <pair>_z), for a host that wires one into its own alarm path
+	// (p5.OAM) or reads it into a report.
 	SLOs map[string]*flight.SLO
 	// Profile is an Engine's stage-cost collector.
 	Profile *prof.Collector
@@ -56,8 +55,8 @@ type Watch struct {
 // everything that belongs to an end is called name_a or name_z — its
 // series, its recorder, its capture files, the SLO grading what it
 // receives. With Flight the two latency pipes are joined, each end is
-// graded over its receive direction, and recorders and SLOs go on w's
-// board. Either end may be nil: a single end keeps its suffix and its
+// graded over its receive direction, and the SLOs go in w.SLOs (an
+// end's recorder is its Link.Flight). Either end may be nil: a single end keeps its suffix and its
 // recorder and, receiving from no joined peer, is not graded.
 func (w *Watch) ObservePair(o Observation, name string, a, z Observable) {
 	ends := make([]*Link, 0, 2)
@@ -67,22 +66,14 @@ func (w *Watch) ObservePair(o Observation, name string, a, z Observable) {
 			ends = append(ends, end.endpoint())
 		}
 	}
-	if o.Flight == nil {
+	if o.Flight == nil || len(ends) < 2 {
 		return
 	}
-	if w.Board == nil {
-		w.Board, w.SLOs = flight.NewBoard(), make(map[string]*flight.SLO)
-	}
-	for _, l := range ends {
-		w.Board.Attach(l.fl.rec)
-	}
-	if len(ends) < 2 {
-		return
+	if w.SLOs == nil {
+		w.SLOs = make(map[string]*flight.SLO)
 	}
 	ends[0].fl.peer, ends[1].fl.peer = ends[1].fl.rec, ends[0].fl.rec
 	for _, l := range ends {
-		slo := l.armSLO(o.Registry, l.fl.rec.Name(), o.SLO)
-		w.Board.AttachSLO(slo)
-		w.SLOs[l.fl.rec.Name()] = slo
+		w.SLOs[l.fl.rec.Name()] = l.armSLO(o.Registry, l.fl.rec.Name(), o.SLO)
 	}
 }

@@ -3,6 +3,7 @@ package gigapos
 import (
 	"fmt"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 
@@ -129,7 +130,7 @@ func TestObserveNilIsOff(t *testing.T) {
 		}
 	}
 	var off Watch
-	if off.ObservePair(Observation{}, "off", pa, pz); off.Board != nil || off.SLOs != nil || off.Profile != nil {
+	if off.ObservePair(Observation{}, "off", pa, pz); off.SLOs != nil || off.Profile != nil {
 		t.Errorf("the zero Observation on a pair filled its Watch: %+v", off)
 	}
 
@@ -161,7 +162,7 @@ func TestObserveNilIsOff(t *testing.T) {
 	}
 	slo := w.SLOs["prot_z"]
 	if slo == nil || slo.WorstBurnMilli() == 0 {
-		t.Errorf("prot_z's SLO did not grade the cut: %+v", w.Board.Snapshot().SLOs)
+		t.Errorf("prot_z's SLO did not grade the cut: %+v", w.SLOs)
 	}
 }
 
@@ -192,8 +193,13 @@ func TestObserveGradesBothDirections(t *testing.T) {
 	pw.ObservePair(Observation{Registry: reg, Flight: &flight.Config{}}, "prot", p.a, p.b)
 
 	var names []string
-	for _, s := range append(w.Board.Snapshot().SLOs, pw.Board.Snapshot().SLOs...) {
-		names = append(names, s.Name)
+	for _, slos := range []map[string]*flight.SLO{w.SLOs, pw.SLOs} {
+		var keys []string
+		for name := range slos {
+			keys = append(keys, name)
+		}
+		sort.Strings(keys)
+		names = append(names, keys...)
 	}
 	if got, want := strings.Join(names, " "), "port0_a port0_z port1_a port1_z port2_a port2_z prot_a prot_z"; got != want {
 		t.Errorf("graded ends = %q, want %q", got, want)

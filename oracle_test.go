@@ -222,13 +222,13 @@ func TestOneP5Assembly(t *testing.T) {
 // function or method takes a registry, a tracer, a recorder or a
 // flight/SLO/profile config — directly or inside an Observation — and
 // outside the root package and internal/flight nothing builds a
-// recorder or an SLO or attaches one to a board by hand: that is the
-// dance ObservePair writes once. Types and calls resolve by object.
+// recorder or an SLO by hand: that is the dance ObservePair writes
+// once. Types and calls resolve by object.
 func TestOneArmingCall(t *testing.T) {
 	family := map[string]string{
 		"Link.Observe":          "the end a port wraps: protocol series, events, recorder",
 		"TransportPort.Observe": "adds the transport_* series, a selector's own series and the freeze-channel correlation",
-		"Watch.ObservePair":     "names both ends, joins the pipes, grades each direction, fills the board",
+		"Watch.ObservePair":     "names both ends, joins the pipes, grades each direction",
 		"Engine.Observe":        "the engine series, the stage clock, and ObservePair per port",
 	}
 	watched := map[string]bool{
@@ -268,11 +268,10 @@ func TestOneArmingCall(t *testing.T) {
 		}
 	}
 	for _, u := range m.uses(func(obj types.Object) bool {
-		return isFunc(obj, "repro/internal/flight", "", "NewRecorder", "NewSLO") ||
-			isFunc(obj, "repro/internal/flight", "Board", "Attach", "AttachSLO")
+		return isFunc(obj, "repro/internal/flight", "", "NewRecorder", "NewSLO")
 	}) {
 		if f := m.meta(u.id); !f.test && f.dir != "." && f.dir != "internal/flight" {
-			t.Errorf("%s: %s by hand; gigapos.ObservePair builds, joins and boards the recorders", m.fset.Position(u.id.Pos()), u.obj.Name())
+			t.Errorf("%s: %s by hand; gigapos.ObservePair builds and joins the recorders and grades them", m.fset.Position(u.id.Pos()), u.obj.Name())
 		}
 	}
 	for name := range family {

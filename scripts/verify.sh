@@ -11,6 +11,7 @@
 #   fed or drained outside TransportPort or a hand-armed recorder
 #   outside their one seam),
 #   go test -race (and fifty race runs of the TCP lifecycle tests),
+#   go test at GOMAXPROCS=1 (no verdict may depend on the scheduler),
 #   the portable Go paths that amd64 replaces with its three kernels —
 #   the delimiter fold (SSE2), the word sorters (SSSE3, chosen by
 #   CPUID) and the FCS slicing tables (the carry-less fold, chosen by
@@ -80,6 +81,12 @@ go test -race -count=50 -run 'TCP|Lifecycle' ./internal/transport
 
 echo "== go test -race =="
 go test -race ./...
+
+echo "== go test at GOMAXPROCS=1 =="
+# A verdict may depend on the seed, not on the scheduler: a test that
+# needs another goroutine to have observed something orders that with a
+# handshake, so it passes on one P as on many.
+GOMAXPROCS=1 go test ./...
 
 echo "== 32-bit and portable paths (GOARCH=386 test and vet, GOARCH=arm64 vet) =="
 # amd64 carries three kernels: it maps delimiters with delim_amd64.s,
