@@ -19,7 +19,7 @@
 //	                   /health, answered from the transport_up series; scrape
 //	                   with p5stat or curl, ^C to exit
 //	-flight DIR        arm the always-on flight recorder on every PPP end:
-//	                   latency histograms with exemplars, SLO burn gauges,
+//	                   latency histograms of each joined pair, SLO burn gauges,
 //	                   black-box .p5fr captures (p5trace -capture) in DIR on
 //	                   every defect escalation, APS switch, FCS burst or
 //	                   supervisor restart (the ring and the protected pair

@@ -13,7 +13,7 @@ import (
 
 // dumpCapture decodes a flight-recorder black-box file (.p5fr): the
 // trigger metadata, the register snapshot, the trace events leading up
-// to the trigger, and the captured wire streams re-tokenized into
+// to the trigger, and the captured receive wire re-tokenized into
 // annotated HDLC frames.
 func dumpCapture(w io.Writer, path string, fcsBits int) error {
 	c, err := flight.ReadFile(path)
@@ -34,20 +34,19 @@ func dumpCapture(w io.Writer, path string, fcsBits int) error {
 	for _, e := range c.Events {
 		fmt.Fprintln(w, " ", e.String())
 	}
-	dumpWire(w, "rx", c.RxBase, c.RxWire, fcsBits)
-	dumpWire(w, "tx", c.TxBase, c.TxWire, fcsBits)
+	dumpWire(w, c.RxBase, c.RxWire, fcsBits)
 	return nil
 }
 
 // dumpWire re-runs frame delineation over a captured raw octet stream.
 // The ring usually starts mid-frame, so the first token is often
 // damaged — that is annotated, not hidden.
-func dumpWire(w io.Writer, dir string, base uint64, wire []byte, fcsBits int) {
+func dumpWire(w io.Writer, base uint64, wire []byte, fcsBits int) {
 	if len(wire) == 0 {
-		fmt.Fprintf(w, "%s wire: empty\n", dir)
+		fmt.Fprintln(w, "rx wire: empty")
 		return
 	}
-	fmt.Fprintf(w, "%s wire: %d octets from stream offset %d\n", dir, len(wire), base)
+	fmt.Fprintf(w, "rx wire: %d octets from stream offset %d\n", len(wire), base)
 	cfg := ppp.Config{AnyAddress: true}
 	if fcsBits == 16 {
 		cfg.FCS = crc.FCS16Mode

@@ -18,8 +18,9 @@ import (
 // the black-box bookkeeping invariants — every supervisor restart and
 // every defect outage dumped exactly one capture, every capture file on
 // disk decodes losslessly back to its in-memory twin — plus a live
-// latency observatory: the e2e histogram carries resolvable exemplars
-// and the SLO evaluator burned budget through the outage windows.
+// latency observatory: every sent datagram tracked once, losses
+// through the cuts, and the SLO evaluator burned budget through the
+// outage windows.
 func TestChaosSoakFlightRecorder(t *testing.T) {
 	const fb = 2430 // STM-1 frame bytes; one frame per direction per tick
 
@@ -152,8 +153,8 @@ func TestChaosSoakFlightRecorder(t *testing.T) {
 		if rc.Link != c.Link || rc.Reason != c.Reason || rc.Seq != c.Seq || rc.Now != c.Now {
 			t.Errorf("%s: header mismatch after round trip: %+v", c.Filename(), rc)
 		}
-		if !bytes.Equal(rc.RxWire, c.RxWire) || !bytes.Equal(rc.TxWire, c.TxWire) {
-			t.Errorf("%s: wire rings not byte-identical after round trip", c.Filename())
+		if !bytes.Equal(rc.RxWire, c.RxWire) {
+			t.Errorf("%s: wire ring not byte-identical after round trip", c.Filename())
 		}
 		if len(rc.Events) != len(c.Events) || len(rc.Regs) != len(c.Regs) {
 			t.Errorf("%s: events/regs truncated: %d/%d events, %d/%d regs",
@@ -161,26 +162,16 @@ func TestChaosSoakFlightRecorder(t *testing.T) {
 		}
 	}
 
-	// Latency observatory: the a→b pipe tracked the soak's datagrams,
-	// the LOS windows surfaced as losses, and the e2e histogram carries
-	// at least one exemplar that resolves to a concrete tagged frame.
-	if ra.Tracked() == 0 || delivered == 0 {
-		t.Fatalf("no traffic observed: tracked=%d delivered=%d", ra.Tracked(), delivered)
+	// Latency observatory: the a→b pipe tracked each of the soak's
+	// datagrams once and the LOS windows surfaced as losses.
+	if ra.Tracked() != uint64(sent) || delivered == 0 {
+		t.Fatalf("tracked=%d sent=%d delivered=%d, want every sent datagram tracked once", ra.Tracked(), sent, delivered)
 	}
 	if ra.Lost() == 0 {
 		t.Error("two line cuts produced no tracked losses")
 	}
-	exs := ra.Exemplars()
-	if len(exs) == 0 {
-		t.Fatal("e2e histogram has no exemplars")
-	}
-	for _, ex := range exs {
-		if ex.ID == 0 || ex.ID > ra.Tracked() {
-			t.Errorf("exemplar frame id %d not resolvable (tracked %d)", ex.ID, ra.Tracked())
-		}
-		if ex.Value < 0 {
-			t.Errorf("exemplar latency %d < 0", ex.Value)
-		}
+	if ra.Tracked() != uint64(delivered)+ra.Lost() {
+		t.Errorf("tracked %d, delivered %d + lost %d: a frame went uncounted or counted twice", ra.Tracked(), delivered, ra.Lost())
 	}
 
 	// SLO evaluator: the outage loss (percent-scale against a 0.1%
@@ -224,8 +215,8 @@ func TestChaosSoakFlightRecorder(t *testing.T) {
 
 // TestLinkSteadyStateZeroAllocFlightArmed re-runs the PR-4 zero-alloc
 // invariant with the flight recorder armed on both ends: tagging,
-// FIFO matching, exemplar upkeep and wire-ring taps must all ride the
-// steady-state path without allocating.
+// FIFO matching and wire-ring taps must all ride the steady-state path
+// without allocating.
 func TestLinkSteadyStateZeroAllocFlightArmed(t *testing.T) {
 	a, z := newTestPair(t, LinkConfig{}, LinkConfig{})
 	new(Watch).ObservePair(Observation{Flight: &flight.Config{}}, "z", a, z)
@@ -244,7 +235,7 @@ func TestLinkSteadyStateZeroAllocFlightArmed(t *testing.T) {
 		z.Input(a.Output())
 		rx = z.ReceivedInto(rx[:0])
 	}
-	// Warm every buffer (and the exemplar store) to steady state.
+	// Warm every buffer to steady state.
 	for i := 0; i < 16; i++ {
 		step()
 	}
@@ -258,8 +249,5 @@ func TestLinkSteadyStateZeroAllocFlightArmed(t *testing.T) {
 	// Flush retires what is still in flight as lost: nothing may be.
 	if fr.Flush(); fr.Tracked() == 0 || fr.Lost() != 0 {
 		t.Fatalf("recorder did not track the run: tracked=%d inflight=%d", fr.Tracked(), fr.Lost())
-	}
-	if len(fr.Exemplars()) == 0 {
-		t.Fatal("no exemplars after a tracked run")
 	}
 }

@@ -19,16 +19,17 @@ import (
 // all integers little-endian. Section types:
 //
 //	1 meta     seq u64, now i64, wallns i64, link str16, reason str16
-//	2 wire     dir u8 (0 rx, 1 tx), pad[7], base u64, octets...
+//	2 wire     dir u8 (0 rx), pad[7], base u64, octets...
 //	3 events   JSON event array (telemetry.Event encoding)
 //	4 regs     count u32, { name str16, value u64 }*
 //	5 incident incident u64, origin u8 (1 = peer-triggered), pad[7],
 //	           peernow i64, peerwall i64, clockoff i64, tickoff i64
 //
-// str16 is u16 length + bytes. Unknown section types are skipped on
-// decode, so the format is self-describing and forward-compatible —
-// the incident section (distributed correlation, DESIGN.md §16) rides
-// under version 1 for exactly that reason.
+// str16 is u16 length + bytes. Only the receive wire is recorded; a
+// wire section of any other dir is skipped on decode, like an unknown
+// section type, so the format is self-describing and
+// forward-compatible — the incident section (distributed correlation,
+// DESIGN.md §16) rides under version 1 for exactly that reason.
 const (
 	captureMagic   = "P5FR"
 	captureVersion = 1
@@ -42,8 +43,8 @@ const (
 
 // RegSample is one named register value snapshotted into a capture.
 type RegSample struct {
-	Name  string `json:"name"`
-	Value uint64 `json:"value"`
+	Name  string
+	Value uint64
 }
 
 // Capture is one black-box dump: everything the recorder retained at
@@ -64,11 +65,6 @@ type Capture struct {
 	// most recent received raw HDLC octets.
 	RxBase uint64
 	RxWire []byte
-	// TxBase/TxWire are the transmit section of the .p5fr layout. No
-	// recorder has ever tapped transmit, so Trigger leaves them empty;
-	// the codec still carries the section so every capture file loads.
-	TxBase uint64
-	TxWire []byte
 	// Events is the retained black-box event ring, oldest first.
 	Events []telemetry.Event
 	// Regs are register snapshots contributed by the link and OAM.
@@ -160,18 +156,12 @@ func (c *Capture) encode() ([]byte, error) {
 	meta.str16(c.Reason)
 	out.section(secMeta, meta.buf)
 
-	wire := func(dir uint8, base uint64, octets []byte) {
-		var w sectionWriter
-		w.u8(dir)
-		w.pad(7)
-		w.u64(base)
-		w.buf = append(w.buf, octets...)
-		out.section(secWire, w.buf)
-	}
-	wire(0, c.RxBase, c.RxWire)
-	if len(c.TxWire) > 0 {
-		wire(1, c.TxBase, c.TxWire)
-	}
+	var wire sectionWriter
+	wire.u8(0) // dir: receive
+	wire.pad(7)
+	wire.u64(c.RxBase)
+	wire.buf = append(wire.buf, c.RxWire...)
+	out.section(secWire, wire.buf)
 
 	if len(c.Events) > 0 {
 		js, err := json.Marshal(c.Events)
@@ -285,15 +275,12 @@ func decode(data []byte) (*Capture, error) {
 			if !body.need(16) {
 				return nil, fmt.Errorf("flight: short wire section")
 			}
-			dir := body.u8()
-			body.skip(7)
-			base := body.u64()
-			octets := append([]byte(nil), body.buf...)
-			if dir == 0 {
-				c.RxBase, c.RxWire = base, octets
-			} else {
-				c.TxBase, c.TxWire = base, octets
+			if body.u8() != 0 {
+				continue // not the receive wire
 			}
+			body.skip(7)
+			c.RxBase = body.u64()
+			c.RxWire = append([]byte(nil), body.buf...)
 		case secEvents:
 			if err := json.Unmarshal(body.buf, &c.Events); err != nil {
 				return nil, fmt.Errorf("flight: decode events: %w", err)

@@ -5,9 +5,10 @@
 //
 //   - a per-frame latency pipe: datagrams are tagged when they depart a
 //     link's transmit path and matched FIFO at the far end, feeding an
-//     end-to-end latency histogram (virtual ticks) with *exemplars* —
-//     the concrete frame ID, arrival time and trace-ring sequence
-//     behind each bucket, so a p99 spike resolves to a real frame;
+//     end-to-end latency histogram (virtual ticks). The first arrival of
+//     each run of slow arrivals is the pipe's exemplar: a slow-frame
+//     event carrying the concrete frame ID and latency, so a p99 spike
+//     resolves to a real frame;
 //   - a black-box recorder: bounded rings of recent raw HDLC wire
 //     bytes, structured events and register snapshots, dumped
 //     atomically to a self-describing capture file (capture.go) on
@@ -20,18 +21,16 @@
 // one ring store and one atomic add per frame (no wall-clock read, no
 // wire copy), keeping the PR-4 zero-alloc encode benchmark within its
 // overhead gate; the receive path adds the wire-ring memcpy and the
-// FIFO match. Neither path reads a wall clock — stage timing is
-// internal/prof's job — and nothing on either path allocates.
+// FIFO match. Neither path reads a wall clock, takes a lock or
+// allocates — stage timing is internal/prof's job.
 //
 // Ownership follows the Link rules (DESIGN.md §8): Depart/Arrive/TapRx
 // and Trigger must be called from the goroutine that owns the link (or
 // while the simulation is quiesced); the histograms and counters behind
-// them are atomic and the exemplar store is mutex-protected, so HTTP
-// scrapes of /metrics are safe at any time.
+// them are atomic, so HTTP scrapes of /metrics are safe at any time.
 package flight
 
 import (
-	"math"
 	"path/filepath"
 	"sync"
 	"time"
@@ -53,8 +52,9 @@ const (
 	// the oldest departure is counted lost.
 	pipeDepth = 1024
 	// slowTicks is the end-to-end latency at or above which an arrival
-	// emits a slow-frame event into the black box (and the receiving
-	// link one onto its tracer: the /trace exemplars).
+	// is slow; the first of a run emits a slow-frame event into the
+	// black box (and the receiving link one onto its tracer: the /trace
+	// exemplars).
 	slowTicks = 32
 	// recentCaptures bounds the in-memory capture list.
 	recentCaptures = 8
@@ -84,23 +84,6 @@ func (c Config) withDefaults() Config {
 		c.Clock = func() int64 { return time.Now().UnixNano() }
 	}
 	return c
-}
-
-// Exemplar is the concrete frame behind a latency bucket: enough to
-// find the frame again in the trace ring and the wire dump.
-type Exemplar struct {
-	// LE is the bucket's inclusive upper bound in ticks;
-	// math.MaxInt64 marks the overflow (+Inf) bucket.
-	LE int64 `json:"le"`
-	// ID is the frame's departure sequence number (1-based per link).
-	ID uint64 `json:"id"`
-	// Value is the observed end-to-end latency in ticks.
-	Value int64 `json:"value"`
-	// At is the arrival virtual time.
-	At int64 `json:"at"`
-	// Seq is the black-box event sequence current at arrival, linking
-	// the exemplar into the trace ring.
-	Seq uint64 `json:"seq"`
 }
 
 type departure struct {
@@ -164,6 +147,9 @@ type Recorder struct {
 	head   uint64 // oldest live entry
 	tail   uint64 // next free slot
 	nextID uint64
+	// slowRun is set while consecutive arrivals are slow: only the
+	// first of a run is reported and recorded (see Arrive).
+	slowRun bool
 
 	e2e       *telemetry.Histogram
 	tracked   *telemetry.Counter
@@ -171,9 +157,6 @@ type Recorder struct {
 	capsC     *telemetry.Counter
 	writeErrs *telemetry.Counter
 	wireRx    *telemetry.Counter
-
-	exMu sync.Mutex
-	ex   []Exemplar // one slot per e2e bucket, zero ID = empty
 
 	rx     byteRing // received raw wire octets; transmit is not tapped
 	events *telemetry.Tracer
@@ -212,7 +195,6 @@ func NewRecorder(reg *telemetry.Registry, name string, cfg Config) *Recorder {
 	return &Recorder{
 		name:     name,
 		cfg:      cfg,
-		ex:       make([]Exemplar, len(e2eBounds)+1),
 		rx:       byteRing{buf: make([]byte, wireBytes)},
 		events:   telemetry.NewTracer(eventRing),
 		byReason: make(map[string]uint64),
@@ -250,12 +232,13 @@ func (r *Recorder) Depart(now int64) uint64 {
 }
 
 // Arrive matches one delivered frame FIFO against the oldest live
-// departure, observes the end-to-end latency and updates the bucket
-// exemplar. Departures older than the horizon are retired as lost
-// first. Returns the matched frame's ID (0 when nothing was in flight)
-// and latency in ticks; slow reports a latency at or above the
-// slow-frame threshold, an arrival the black box records as a
-// slow-frame event.
+// departure and observes the end-to-end latency. Departures older than
+// the horizon are retired as lost first. Returns the matched frame's ID
+// (0 when nothing was in flight) and latency in ticks; slow reports the
+// first arrival of a run of arrivals at or above the slow-frame
+// threshold — the run's exemplar, which the black box records as a
+// slow-frame event. One held line releases its backlog as one run, so
+// it leaves one event, not one per frame.
 func (r *Recorder) Arrive(now int64) (id uint64, lat int64, slow bool) {
 	r.expire(now)
 	if r.head == r.tail {
@@ -268,8 +251,10 @@ func (r *Recorder) Arrive(now int64) (id uint64, lat int64, slow bool) {
 		lat = 0
 	}
 	r.e2e.Observe(lat)
-	r.noteExemplar(d.id, lat, now)
-	if slow = lat >= slowTicks; slow {
+	late := lat >= slowTicks
+	slow = late && !r.slowRun
+	r.slowRun = late
+	if slow {
 		r.events.Emit(now, r.name, "slow-frame", "", int64(d.id), lat)
 	}
 	return d.id, lat, slow
@@ -308,34 +293,6 @@ func (r *Recorder) Lost() uint64 { return r.lost.Value() }
 
 // P99 returns the current end-to-end p99 latency estimate in ticks.
 func (r *Recorder) P99() int64 { return r.e2e.Quantile(0.99) }
-
-func (r *Recorder) noteExemplar(id uint64, lat int64, at int64) {
-	i := 0
-	for i < len(e2eBounds) && lat > e2eBounds[i] {
-		i++
-	}
-	le := int64(math.MaxInt64)
-	if i < len(e2eBounds) {
-		le = e2eBounds[i]
-	}
-	r.exMu.Lock()
-	r.ex[i] = Exemplar{LE: le, ID: id, Value: lat, At: at, Seq: r.events.Total()}
-	r.exMu.Unlock()
-}
-
-// Exemplars returns the populated bucket exemplars, lowest bucket
-// first.
-func (r *Recorder) Exemplars() []Exemplar {
-	r.exMu.Lock()
-	defer r.exMu.Unlock()
-	out := make([]Exemplar, 0, len(r.ex))
-	for _, e := range r.ex {
-		if e.ID != 0 {
-			out = append(out, e)
-		}
-	}
-	return out
-}
 
 // TapRx records received raw wire octets into the black box.
 func (r *Recorder) TapRx(p []byte) {

@@ -2,7 +2,6 @@ package flight
 
 import (
 	"bytes"
-	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -84,50 +83,62 @@ func TestPipeOverflowRetiresOldest(t *testing.T) {
 	}
 }
 
-// exemplarFor returns the exemplar of the bucket a latency of v ticks
-// falls in, if one has been recorded.
-func exemplarFor(r *Recorder, v int64) (Exemplar, bool) {
-	le := int64(math.MaxInt64)
-	for _, b := range e2eBounds {
-		if v <= b {
-			le = b
-			break
+// slowEvents returns the slow-frame events in r's black box.
+func slowEvents(r *Recorder) []telemetry.Event {
+	var out []telemetry.Event
+	for _, e := range r.events.Events() {
+		if e.Name == "slow-frame" {
+			out = append(out, e)
 		}
 	}
-	for _, e := range r.Exemplars() {
-		if e.LE == le {
-			return e, true
-		}
-	}
-	return Exemplar{}, false
+	return out
 }
 
+// TestExemplarsResolve: a slow frame (≥ slowTicks) is reported by
+// Arrive and leaves a black-box event carrying its ID and latency; a
+// fast one leaves nothing.
 func TestExemplarsResolve(t *testing.T) {
 	r := NewRecorder(nil, "a", testCfg())
 	r.Depart(0)
 	r.Depart(0)
-	r.Arrive(1)   // fast frame
-	r.Arrive(100) // slow frame, bucket le=128
-	ex, ok := exemplarFor(r, 100)
-	if !ok {
-		t.Fatal("no exemplar for the slow bucket")
+	if _, _, slow := r.Arrive(1); slow {
+		t.Fatal("a 1-tick arrival reported slow")
 	}
-	if ex.ID != 2 || ex.Value != 100 || ex.At != 100 || ex.LE != 128 {
-		t.Fatalf("exemplar = %+v", ex)
+	if id, lat, slow := r.Arrive(100); id != 2 || lat != 100 || !slow {
+		t.Fatalf("slow arrival id=%d lat=%d slow=%v, want 2/100/true", id, lat, slow)
 	}
-	all := r.Exemplars()
-	if len(all) != 2 {
-		t.Fatalf("exemplars = %d, want 2", len(all))
+	evs := slowEvents(r)
+	if len(evs) != 1 || evs[0].V1 != 2 || evs[0].V2 != 100 || evs[0].At != 100 {
+		t.Fatalf("slow-frame events %v, want one for frame 2 at 100", evs)
 	}
-	// A slow frame (≥ slowTicks) leaves a black-box event carrying its ID.
-	found := false
-	for _, e := range r.events.Events() {
-		if e.Name == "slow-frame" && e.V1 == 2 && e.V2 == 100 {
-			found = true
+}
+
+// TestSlowRunReportsItsFirstFrame: a held line releases its backlog as
+// a run of slow arrivals; only the run's first is reported and
+// recorded, and a fast arrival ends the run.
+func TestSlowRunReportsItsFirstFrame(t *testing.T) {
+	r := NewRecorder(nil, "a", testCfg())
+	for i := 0; i < 2*eventRing; i++ {
+		r.Depart(0)
+	}
+	r.Depart(200)
+	reported := 0
+	for i := 0; i < 2*eventRing; i++ {
+		if _, _, slow := r.Arrive(64); slow {
+			reported++
 		}
 	}
-	if !found {
-		t.Fatalf("no slow-frame event for frame 2 in %v", r.events.Events())
+	if _, _, slow := r.Arrive(201); slow {
+		t.Fatal("a 1-tick arrival reported slow")
+	}
+	r.Depart(300)
+	if _, _, slow := r.Arrive(400); !slow {
+		t.Fatal("the first slow arrival after a fast one was not reported")
+	}
+	evs := slowEvents(r)
+	if reported != 1 || len(evs) != 2 || evs[0].V1 != 1 || evs[1].V1 != 2*eventRing+2 {
+		t.Fatalf("%d of the run's arrivals reported, %d slow-frame events recorded; want 1, and 2: frames 1 and %d",
+			reported, len(evs), 2*eventRing+2)
 	}
 }
 
@@ -162,8 +173,6 @@ func TestCaptureRoundTripByteIdentical(t *testing.T) {
 		WallNs: 1234567890,
 		RxBase: 9000,
 		RxWire: []byte{0x7E, 0xFF, 0x03, 0x00, 0x21, 0x45, 0x7D, 0x5E, 0x7E},
-		TxBase: 100,
-		TxWire: []byte{0x7E, 0x01, 0x02},
 		Events: []telemetry.Event{
 			{Seq: 1, At: 10, Scope: "b", Name: "restart", Detail: "backoff", V1: 2, V2: 8},
 			{Seq: 2, At: 11, Scope: "b", Name: "capture", Detail: "supervisor-restart"},
@@ -178,9 +187,8 @@ func TestCaptureRoundTripByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got.RxWire, c.RxWire) || !bytes.Equal(got.TxWire, c.TxWire) {
-		t.Fatalf("wire stream not byte-identical:\n got %x / %x\nwant %x / %x",
-			got.RxWire, got.TxWire, c.RxWire, c.TxWire)
+	if !bytes.Equal(got.RxWire, c.RxWire) {
+		t.Fatalf("wire stream not byte-identical:\n got %x\nwant %x", got.RxWire, c.RxWire)
 	}
 	if !reflect.DeepEqual(got, c) {
 		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, c)
@@ -259,7 +267,8 @@ func TestCaptureDecodeHugeSectionLength(t *testing.T) {
 // allocates is bounded by the input's size. The input also rides a
 // capture's every field through encode → decode unchanged (event
 // strings as valid UTF-8: the events section is JSON). Seeds: a
-// recorder's capture and the 2³¹ section header.
+// recorder's capture, the same capture with a dir-1 wire section (which
+// decodes with that section skipped) and the 2³¹ section header.
 func FuzzCaptureDecode(f *testing.F) {
 	r := NewRecorder(nil, "port0_a", testCfg())
 	r.RegDump = func(dst []RegSample) []RegSample {
@@ -274,6 +283,7 @@ func FuzzCaptureDecode(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(recorded)
+	f.Add(txWire(f, recorded))
 	f.Add(hugeSection(1 << 31))
 	f.Add(hugeSection(1<<32 - 1))
 	f.Add([]byte("P5FR\x01\x00\x00\x00"))
@@ -291,13 +301,13 @@ func FuzzCaptureDecode(f *testing.F) {
 		u := strings.ToValidUTF8(s, "?")
 		c := &Capture{
 			Link: s, Reason: s, Seq: v, Now: -int64(v), WallNs: int64(v) << 20,
-			RxBase: v, RxWire: in, TxBase: ^v, TxWire: in,
+			RxBase: v, RxWire: in,
 			Events:   []telemetry.Event{{Seq: v, At: 1, Scope: u, Name: u, Detail: u, V1: -1, V2: int64(v)}},
 			Regs:     []RegSample{{Name: s, Value: v}, {Name: "", Value: ^v}},
 			Incident: v | 1, FromPeer: v%2 == 0, PeerNow: 3, PeerWallNs: -4, ClockOffsetNS: int64(v), TickOffset: -5,
 		}
-		if len(in) == 0 { // no octets: nil wire, and no tx section to carry TxBase
-			c.RxWire, c.TxBase, c.TxWire = nil, 0, nil
+		if len(in) == 0 { // no octets: nil wire
+			c.RxWire = nil
 		}
 		data, err := c.encode()
 		if err != nil {
@@ -311,6 +321,32 @@ func FuzzCaptureDecode(f *testing.F) {
 			t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, c)
 		}
 	})
+}
+
+// txWire appends to an encoded capture a wire section whose dir is not
+// the receive direction, as a transmit tap would have written it, and
+// checks that decode skips it: the capture reads back as encoded.
+func txWire(tb testing.TB, capture []byte) []byte {
+	tb.Helper()
+	var w, tx sectionWriter
+	tx.u8(1)
+	tx.pad(7)
+	tx.u64(100)
+	tx.buf = append(tx.buf, 0x7E, 0x01, 0x02)
+	w.buf = append(w.buf, capture...)
+	w.section(secWire, tx.buf)
+	want, err := decode(capture)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	got, err := decode(w.buf)
+	if err != nil {
+		tb.Fatalf("dir-1 wire section not skipped: %v", err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		tb.Fatalf("dir-1 wire section changed the capture:\n got %+v\nwant %+v", got, want)
+	}
+	return w.buf
 }
 
 func TestCaptureFileAtomicWrite(t *testing.T) {
@@ -521,15 +557,18 @@ func TestSLOBurnRates(t *testing.T) {
 	}
 }
 
+// TestExemplarOverflowBucketLE: an arrival past the last finite bound
+// (inside the horizon) is slow and recorded with its latency, and the
+// histogram's p99 clamps to the highest finite bound.
 func TestExemplarOverflowBucketLE(t *testing.T) {
 	r := NewRecorder(nil, "a", testCfg())
 	r.Depart(0)
-	r.Arrive(horizon) // beyond the last finite bound, inside the horizon
-	ex, ok := exemplarFor(r, horizon)
-	if !ok || ex.LE != math.MaxInt64 {
-		t.Fatalf("overflow exemplar = %+v ok=%v", ex, ok)
+	if _, lat, slow := r.Arrive(horizon); lat != horizon || !slow {
+		t.Fatalf("overflow arrival lat=%d slow=%v, want %d/true", lat, slow, horizon)
 	}
-	// And the histogram's p99 clamps to the highest finite bound.
+	if evs := slowEvents(r); len(evs) != 1 || evs[0].V2 != horizon {
+		t.Fatalf("slow-frame events %v, want one at latency %d", evs, horizon)
+	}
 	if got := r.P99(); got != e2eBounds[len(e2eBounds)-1] {
 		t.Fatalf("p99 = %d, want clamp to %d", got, e2eBounds[len(e2eBounds)-1])
 	}

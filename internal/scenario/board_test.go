@@ -141,10 +141,11 @@ func TestSLOBoardMatchesTheRun(t *testing.T) {
 }
 
 // TestSLOBoardExemplars: p5stat -exemplars renders the slow-frame
-// events at /trace, and each names a frame the sending end's recorder
-// resolves. No committed drill delivers a frame 32 ticks late (every
-// one lands within 2 ticks), so a one-pair engine holds its port 0
-// line for 64 ticks and then releases the backlog.
+// events at /trace, and each names a frame the sending end's black box
+// recorded as slow. No committed drill delivers a frame 32 ticks late
+// (every one lands within 2 ticks), so a one-pair engine holds its port
+// 0 line for 64 ticks and then releases the backlog: one run of slow
+// arrivals per direction, so at most one event per direction.
 func TestSLOBoardExemplars(t *testing.T) {
 	doc := `{"name": "held-line", "engine": {"links": 1, "line": "pipe"},
 		"traffic": {"mix": "fixed:64"}, "duration": 400,
@@ -158,24 +159,27 @@ func TestSLOBoardExemplars(t *testing.T) {
 		t.Fatal(err)
 	}
 	renderBoard(t, s, true, func(rows [][]string, res *Result, _ func(string) float64) {
-		ids := map[string]map[string]bool{} // receiving end → frame IDs its peer's recorder resolves
+		ids := map[string]map[string]bool{} // receiving end → slow frames its peer's black box recorded
 		for _, rec := range res.recs {
 			peer := strings.TrimSuffix(rec.Name(), "_a") + "_z"
 			if strings.HasSuffix(rec.Name(), "_z") {
 				peer = strings.TrimSuffix(rec.Name(), "_z") + "_a"
 			}
 			ids[peer] = map[string]bool{}
-			for _, ex := range rec.Exemplars() {
-				ids[peer][fmt.Sprint(ex.ID)] = true
+			for _, e := range rec.Trigger("oam").Events {
+				if e.Name == "slow-frame" {
+					ids[peer][fmt.Sprint(e.V1)] = true
+				}
 			}
 		}
-		link, resolved, slow := "", 0, 0
+		link, rowsPer, resolved, slow := "", map[string]int{}, 0, 0
 		for _, r := range rows {
 			switch {
 			case len(r) == 2 && r[0] == "exemplars":
 				link = strings.TrimSuffix(r[1], ":")
 			case link != "" && len(r) == 4 && r[0] != "bucket":
 				slow++
+				rowsPer[link]++
 				if lat, _ := strconv.Atoi(r[1]); lat < 32 {
 					t.Errorf("exemplar row %v: latency under the 32-tick slow-frame threshold", r)
 				}
@@ -184,8 +188,13 @@ func TestSLOBoardExemplars(t *testing.T) {
 				}
 			}
 		}
-		if slow == 0 || resolved == 0 {
-			t.Errorf("%d slow-frame rows, %d of them resolved by a recorder's exemplars; want at least one", slow, resolved)
+		if slow == 0 || resolved != slow {
+			t.Errorf("%d slow-frame rows, %d of them in the sender's black box; want at least one, all resolved", slow, resolved)
+		}
+		for link, n := range rowsPer {
+			if n > 1 {
+				t.Errorf("%s: %d slow-frame rows for one stall, want at most 1", link, n)
+			}
 		}
 	})
 }

@@ -312,16 +312,14 @@ func (e event) fault(sc *fault.Script, fb, duration int64, dir uint64) {
 // burn — plus the capture-error line when files failed to land.
 func flightLine(out io.Writer, res *Result, dir string) (captures uint64) {
 	var tracked, lost uint64
-	exemplars := 0
 	for _, r := range res.recs {
 		tracked += r.Tracked()
 		lost += r.Lost()
 		captures += r.Captures()
-		exemplars += len(r.Exemplars())
 	}
 	worst, alarm := worstBurn(res.slos)
-	fmt.Fprintf(out, "  flight           : tracked=%d lost=%d captures=%d exemplars=%d worst-burn=%.2f alarm=%v dir=%s\n",
-		tracked, lost, captures, exemplars, worst, alarm, dir)
+	fmt.Fprintf(out, "  flight           : tracked=%d lost=%d captures=%d worst-burn=%.2f alarm=%v dir=%s\n",
+		tracked, lost, captures, worst, alarm, dir)
 	captureErrors(out, res.recs, dir)
 	return captures
 }

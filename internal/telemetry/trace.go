@@ -71,13 +71,6 @@ func (t *Tracer) Emit(at int64, scope, name, detail string, v1, v2 int64) {
 	t.mu.Unlock()
 }
 
-// Total returns the number of events ever emitted.
-func (t *Tracer) Total() uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.seq
-}
-
 // Events returns the retained events, oldest first.
 func (t *Tracer) Events() []Event {
 	t.mu.Lock()

@@ -366,10 +366,18 @@ func (l *Link) Send(proto uint16, payload []byte) error {
 		info := l.getInfoBuf()
 		info = append(info, byte(proto>>8), byte(proto))
 		info = append(info, payload...)
-		return l.station.Send(info)
+		err := l.station.Send(info)
+		if err == nil {
+			l.flightDepart() // the peer's station delivers every protocol
+		}
+		return err
 	}
 	f := ppp.Frame{Protocol: proto, Payload: payload}
 	l.out = ppp.AppendFrame(l.out, &f, l.dataTxConfig(), true)
+	switch proto {
+	case ppp.ProtoIPv4, ppp.ProtoIPv6, ppp.ProtoVJC, ppp.ProtoVJU:
+		l.flightDepart() // the protocols the peer's frame delivers
+	}
 	return nil
 }
 
@@ -413,8 +421,7 @@ func (l *Link) SendIPv4Batch(datagrams [][]byte) (int, error) {
 }
 
 // SendIPv4 queues an IPv4 datagram, applying Van Jacobson header
-// compression when IPCP has negotiated it. With the flight recorder
-// armed the datagram is tagged at departure.
+// compression when IPCP has negotiated it.
 func (l *Link) SendIPv4(datagram []byte) error {
 	proto := uint16(ppp.ProtoIPv4)
 	if l.vjTx != nil && l.VJGranted() {
@@ -427,11 +434,7 @@ func (l *Link) SendIPv4(datagram []byte) error {
 			proto = ppp.ProtoVJU
 		}
 	}
-	err := l.Send(proto, datagram)
-	if err == nil {
-		l.flightDepart()
-	}
-	return err
+	return l.Send(proto, datagram)
 }
 
 // VJGranted reports whether the peer agreed to receive VJ-compressed
@@ -534,9 +537,7 @@ func (l *Link) frame(body []byte, fcsOK bool, cfg *ppp.Config) bool {
 	case ppp.ProtoIPv4, ppp.ProtoIPv6:
 		// Copy out of the tokenizer's recycled arena: the queued
 		// datagram must survive any number of further Input calls.
-		l.rx = append(l.rx, Datagram{Protocol: f.Protocol, Payload: l.copyRx(f.Payload)})
-		l.prof.Stamp(prof.StageQueue)
-		l.flightArrive()
+		l.deliver(f.Protocol, l.copyRx(f.Payload))
 		return true
 	case ppp.ProtoVJC, ppp.ProtoVJU:
 		if l.vjRx == nil {
@@ -553,15 +554,31 @@ func (l *Link) frame(body []byte, fcsOK bool, cfg *ppp.Config) bool {
 			return false
 		}
 		l.prof.Stamp(prof.StageVJ)
-		l.rx = append(l.rx, Datagram{Protocol: ppp.ProtoIPv4, Payload: pkt})
-		l.prof.Stamp(prof.StageQueue)
-		l.flightArrive()
+		l.deliver(ppp.ProtoIPv4, pkt)
 		return true
 	default:
 		// Unknown protocol: Protocol-Reject (RFC 1661 §5.7).
 		l.protocolReject(&f)
 	}
 	return false
+}
+
+// deliver is the one arrival site: it queues a received datagram for
+// Received, stamps the queue stage and completes the sender's departure
+// pipe. Every datagram Send tags lands here at the peer. Plain delivery
+// is every link's hot path: deliver inlines, and an end that is neither
+// profiled nor armed pays one append and two nil checks.
+func (l *Link) deliver(proto uint16, payload []byte) {
+	l.rx = append(l.rx, Datagram{Protocol: proto, Payload: payload})
+	if l.prof != nil || l.fl != nil {
+		l.delivered()
+	}
+}
+
+// delivered is deliver's observed half, out of line.
+func (l *Link) delivered() {
+	l.prof.Stamp(prof.StageQueue)
+	l.flightArrive()
 }
 
 // copyRx appends p to the link's receive arena and returns the stored

@@ -7,13 +7,13 @@ import (
 
 // This file arms a Link with the flight recorder (internal/flight):
 // the departure/arrival latency pipe on the transmit and receive fast
-// paths, the black-box wire/event rings, capture triggers (supervisor
-// restart, defect escalation, APS switch, FCS-error burst), and the
-// per-link SLO evaluator. Everything here follows the fast-path rules
-// of DESIGN.md §8: the armed steady state allocates nothing and reads
-// no wall clock, the transmit side pays only a pipe-ring store plus one
-// atomic add per datagram, and unarmed each fast-path hook is one
-// inlined nil check.
+// paths of a joined pair, the black-box wire/event rings, capture
+// triggers (supervisor restart, defect escalation, APS switch,
+// FCS-error burst), and the per-link SLO evaluator. Everything here
+// follows the fast-path rules of DESIGN.md §8: the armed steady state
+// allocates nothing and reads no wall clock, the transmit side pays
+// only a pipe-ring store plus one atomic add per datagram, and unarmed
+// each fast-path hook is one inlined nil check.
 
 // Default FCS-error burst trigger: eight damaged frames inside 128
 // ticks dumps the black box once per burst.
@@ -58,7 +58,7 @@ func (l *Link) armFlight(rec *flight.Recorder) {
 }
 
 // Flight returns the link's armed recorder (nil when unarmed): the one
-// way to reach an end's captures, exemplars and counts after Observe.
+// way to reach an end's captures and counts after Observe.
 func (l *Link) Flight() *flight.Recorder {
 	if l.fl == nil {
 		return nil
@@ -103,17 +103,21 @@ func (l *Link) flightFailover(reason, detail string, to, ticks int64) {
 	l.fl.rec.Trigger(reason)
 }
 
-// flightDepart tags one queued datagram in the departure pipe.
+// flightDepart tags one queued datagram in the departure pipe. Only an
+// end ObservePair joined to a peer has a pipe: an unjoined end's
+// datagrams arrive at no recorder, so tagging them would count every
+// one lost.
 func (l *Link) flightDepart() {
-	if l.fl != nil {
+	if l.fl != nil && l.fl.peer != nil {
 		l.fl.rec.Depart(l.now)
 	}
 }
 
 // flightArrive matches one delivered datagram against the departure
-// pipe of the peer that sent it. A slow arrival is a latency exemplar:
-// it goes onto the observation tracer as a slow-frame event carrying
-// the frame ID and latency, and not into this link's own black box.
+// pipe of the peer that sent it. The first slow arrival of a run is
+// the latency exemplar: it goes onto the observation tracer as a
+// slow-frame event carrying the frame ID and latency, and not into
+// this link's own black box.
 func (l *Link) flightArrive() {
 	if l.fl != nil && l.fl.peer != nil {
 		id, lat, slow := l.fl.peer.Arrive(l.now)

@@ -56,8 +56,11 @@ type Watch struct {
 // series, its recorder, its capture files, the SLO grading what it
 // receives. With Flight the two latency pipes are joined, each end is
 // graded over its receive direction, and the SLOs go in w.SLOs (an
-// end's recorder is its Link.Flight). Either end may be nil: a single end keeps its suffix and its
-// recorder and, receiving from no joined peer, is not graded.
+// end's recorder is its Link.Flight). Either end may be nil: a single
+// end keeps its suffix, its recorder, black box, captures and capture
+// correlation, but has no latency pipe — its peer's recorder is out of
+// reach, so it tags nothing, its flight_frames_* series read 0, and it
+// is not graded.
 func (w *Watch) ObservePair(o Observation, name string, a, z Observable) {
 	ends := make([]*Link, 0, 2)
 	for i, end := range []Observable{a, z} {

@@ -25,7 +25,7 @@ func (l *Link) initReliable() {
 				return
 			}
 			proto := uint16(info[0])<<8 | uint16(info[1])
-			l.rx = append(l.rx, Datagram{Protocol: proto, Payload: l.copyRx(info[2:])})
+			l.deliver(proto, l.copyRx(info[2:]))
 		},
 		// Acknowledged (or reset-dropped) information buffers return to
 		// the free list Link.Send draws from — the numbered-mode path's
