@@ -783,7 +783,7 @@ func BenchmarkSystemSteady(b *testing.B) {
 				// double-buffered arena, so a warmed op allocates nothing.
 				sys := p5.NewSystem(w)
 				if instrumented {
-					sys.Instrument(reg, "p5")
+					sys.Instrument(reg)
 				}
 				var rx []p5.RxFrame
 				var bpc float64

@@ -24,7 +24,8 @@
 //	                   every defect escalation, APS switch, FCS burst or
 //	                   supervisor restart (the ring and the protected pair
 //	                   always record; without -flight their captures land in
-//	                   a fresh $TMPDIR/p5sim-scenario-*)
+//	                   a fresh $TMPDIR/p5sim-scenario-*, removed at exit when
+//	                   nothing was captured)
 //	-prof DIR          capture CPU, heap, allocs, mutex, block and goroutine
 //	                   profiles of the run into DIR (go tool pprof); an engine
 //	                   also arms its per-shard stage clock (the report's stage
@@ -120,8 +121,11 @@ func run(cfg simConfig, out io.Writer) error {
 	if dir != "" {
 		err = os.MkdirAll(dir, 0o755)
 	} else if s.Ring != nil || s.Protected != nil {
-		// These ends always record: land the evidence somewhere.
+		// These ends always record: land the evidence somewhere, and
+		// take the directory away at exit if nothing landed in it
+		// (os.Remove refuses a non-empty one).
 		dir, err = os.MkdirTemp("", "p5sim-scenario-*")
+		defer os.Remove(dir)
 		rc.Observation.Flight = &flight.Config{Dir: dir}
 	}
 	if err != nil {

@@ -199,8 +199,10 @@ func TestSONETTelemetryScrape(t *testing.T) {
 
 // TestProtectTelemetryScrape is the protection acceptance path: the
 // committed working-line cut must expose the APS switch counter and the
-// switch-duration histogram through /metrics, emit aps switch trace
-// events, and report a hitless run (no LCP renegotiation).
+// switch-duration histogram through /metrics, each section's deframer
+// in the sonet_* family labelled with its end and section, emit aps
+// switch trace events and defect events naming the cut section, and
+// report a hitless run (no LCP renegotiation).
 func TestProtectTelemetryScrape(t *testing.T) {
 	t.Setenv("TMPDIR", t.TempDir()) // the pair records; its captures land here
 	var series map[string]float64
@@ -236,9 +238,9 @@ func TestProtectTelemetryScrape(t *testing.T) {
 	}
 	for _, name := range []string{
 		`aps_to_protect_total{link="prot_z"}`, `aps_to_working_total{link="prot_z"}`,
-		`link_working_b2_errors_total{link="prot_z"}`, // the cut corrupts line parity before LOS bites
-		`link_protect_frames_ok_total{link="prot_z"}`,
-		`link_protect_frames_ok_total{link="prot_a"}`,
+		`sonet_b2_errors_total{link="prot_z",section="working"}`, // the cut corrupts line parity before LOS bites
+		`sonet_frames_ok_total{link="prot_z",section="protect"}`,
+		`sonet_frames_ok_total{link="prot_a",section="protect"}`,
 		`link_standby_discarded_octets_total{link="prot_z"}`,
 	} {
 		if v, ok := series[name]; !ok || v == 0 {
@@ -246,20 +248,28 @@ func TestProtectTelemetryScrape(t *testing.T) {
 		}
 	}
 	// Only the a→b working line was cut: a's own receive side stayed clean.
-	if got := series[`link_working_b2_errors_total{link="prot_a"}`]; got != 0 {
-		t.Errorf(`link_working_b2_errors_total{link="prot_a"} = %v, want 0 (b's errors leaked into a's series)`, got)
+	if got, ok := series[`sonet_b2_errors_total{link="prot_a",section="working"}`]; !ok || got != 0 {
+		t.Errorf(`sonet_b2_errors_total{link="prot_a",section="working"} = %v (present=%v), want 0 (b's errors leaked into a's series)`, got, ok)
 	}
 	if got := series[`aps_active{link="prot_z"}`]; got != 0 {
 		t.Errorf("aps_active = %v, want 0 (reverted to working)", got)
 	}
 	switches := 0
+	raised := map[string]bool{}
 	for _, e := range trace {
 		if e.Scope == "aps:prot_z" && e.Name == "switch" {
 			switches++
 		}
+		if e.Name == "defect-raise" {
+			raised[e.Scope] = true
+		}
 	}
 	if switches != 2 {
 		t.Errorf("aps:prot_z switch trace events = %d, want 2", switches)
+	}
+	// The cut's defects name the end and the section they were seen on.
+	if !raised["sonet:prot_z/working"] || len(raised) != 1 {
+		t.Errorf("defect-raise scopes %v, want only sonet:prot_z/working (the one cut section)", raised)
 	}
 	// The ledger's circuit line: no LCP renegotiation at either end.
 	if !strings.Contains(out.String(), "reneg=0/0") {
@@ -517,7 +527,10 @@ func TestRunRejectsModeCombinations(t *testing.T) {
 
 // TestScenarioMode runs the committed fiber-cut drill (PASS, report
 // names the drill) and a deliberately impossible drill (FAIL, non-nil
-// error, report points at the .p5fr captures).
+// error, report points at the .p5fr captures). Without -flight a ring
+// records into a fresh directory under $TMPDIR: a drill that captured
+// nothing leaves none behind, a failing one keeps its captures where its
+// error says.
 func TestScenarioMode(t *testing.T) {
 	var out bytes.Buffer
 	cfg := simConfig{scenario: committed("fiber-cut"), flightDir: t.TempDir()}
@@ -531,6 +544,19 @@ func TestScenarioMode(t *testing.T) {
 		}
 	}
 
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	out.Reset()
+	if err := run(simConfig{scenario: committed("blsr-span-cut")}, &out); err != nil {
+		t.Fatalf("blsr-span-cut drill failed: %v\n%s", err, out.String())
+	}
+	if !strings.Contains(out.String(), "captures=0 dir="+tmp) {
+		t.Errorf("blsr-span-cut: want a report of no captures under %s:\n%s", tmp, out.String())
+	}
+	if left, _ := os.ReadDir(tmp); len(left) != 0 {
+		t.Errorf("a drill that captured nothing left %d entries in $TMPDIR: %v", len(left), left)
+	}
+
 	// An impossible drill: assert zero switches across a fibre cut.
 	bad := inline(t, `{
 	  "name": "impossible", "ring": {"nodes": 4, "circuits": [{"name": "c0", "a": 0, "b": 2, "slot": 0}]},
@@ -539,7 +565,7 @@ func TestScenarioMode(t *testing.T) {
 	  "assert": {"circuits": [{"circuit": "c0", "switches": 0}]}
 	}`)
 	out.Reset()
-	err := run(simConfig{scenario: bad, flightDir: t.TempDir()}, &out)
+	err := run(simConfig{scenario: bad}, &out)
 	if err == nil {
 		t.Fatalf("impossible drill passed:\n%s", out.String())
 	}
@@ -551,6 +577,10 @@ func TestScenarioMode(t *testing.T) {
 		if !strings.Contains(report, want) {
 			t.Errorf("failure report missing %q:\n%s", want, report)
 		}
+	}
+	left, _ := filepath.Glob(filepath.Join(tmp, "p5sim-scenario-*", "*.p5fr"))
+	if len(left) == 0 || !strings.Contains(err.Error(), filepath.Dir(left[0])) {
+		t.Errorf("failing drill: captures %v, error %q; want the captures kept in the directory the error names", left, err)
 	}
 
 	// A missing file is a usage error (exit 2), not a drill failure.

@@ -7,7 +7,9 @@ import (
 	"net/http"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/flight"
@@ -48,77 +50,90 @@ func netReport(t *testing.T, out string) map[string]string {
 	return nil
 }
 
-// fleetBoard renders the fleet board over the one instance at base.
-func fleetBoard(t *testing.T, base string) string {
-	t.Helper()
-	var b strings.Builder
-	if err := obsnet.WriteFleetBoard(&b, obsnet.ScrapeAll([]string{base})); err != nil {
-		t.Errorf("fleet board over %s: %v", base, err)
-	}
-	return b.String()
-}
-
 // TestNetModeUDPTwoHalves drives both halves of a udp engine in one
 // process over real UDP loopback sockets, with a line fault scripted on
 // port 0. Both halves must converge and deliver, and each half's
-// telemetry endpoint must serve /health and the transport_* series the
-// fleet board renders. Through a stall the pair rides it out with zero
+// telemetry endpoint must serve /health and the transport_* series; both
+// endpoints stay up until the test has drawn one board over the two, as
+// p5stat -url A,B does: two healthy instance rows speaking wire v2, the
+// transport table with its one-way latency column and every line of both
+// ends up. Through the committed stall the pair rides it out with zero
 // LCP renegotiations. Through the committed blackout, armed with flight
 // directories, keepalive dead-peer detection leaves exactly one
 // transport-LOS capture per end, the two share one incident, and each
-// half's link row reads nothing tracked and nothing lost: its peer's
+// end's link row reads nothing tracked and nothing lost: its peer's
 // recorder is in the other process, so it has no latency pipe.
 func TestNetModeUDPTwoHalves(t *testing.T) {
 	for _, c := range []struct {
 		name    string
-		doc     string
+		links   int    // pairs in the scenario, one line each per half
 		flight  bool   // arm the recorder with a capture directory per half
 		rideOut bool   // no LCP renegotiation through the fault
 		armed   string // the board's armed column
 	}{
-		{"udp-stall", `{"name": "udp-stall", "engine": {"links": 1, "line": "udp"},
-			"traffic": {"mix": "fixed:256"}, "duration": 600, "bringup_budget": 400000,
-			"events": [{"at": 100, "action": "stall", "ticks": 100}],
-			"assert": {"circuits": [{"lcp_renegotiations": 0, "rx_errors": 0}]}}`, false, true, "latency"},
-		{"udp-blackout", "", true, false, "flight,latency"},
+		{"udp-stall", 2, false, true, "latency"},
+		{"udp-blackout", 1, true, false, "flight,latency"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			doc := committed("net/" + c.name)
-			if c.doc != "" {
-				doc = inline(t, c.doc)
-			}
 			addr := fmt.Sprintf("127.0.0.1:%d", freeUDPPort(t))
-			newHalf := func(listen bool) (simConfig, *half) {
-				h := &half{end: "port0_a"}
+			// Each half's endpoint, once up, is reported on up and held
+			// until the test has scraped both and drawn the board.
+			up := make(chan *half, 2)
+			drawn := make(chan struct{})
+			release := sync.OnceFunc(func() { close(drawn) })
+			t.Cleanup(release)
+			newHalf := func(listen bool) *half {
+				h := &half{end: "a", done: make(chan struct{})}
 				cfg := simConfig{scenario: doc, telemetryAddr: "127.0.0.1:0"}
 				if listen {
 					cfg.listen = addr
 				} else {
-					h.end, cfg.dial = "port0_z", addr
+					h.end, cfg.dial = "z", addr
 				}
 				if c.flight {
 					h.dir = t.TempDir()
 					cfg.flightDir = h.dir
 				}
 				cfg.scrape = func(base string) {
-					h.health, _ = scrapeGet(t, base, "/health")
-					h.series = seriesMap(t, base)
-					h.board = fleetBoard(t, base)
+					h.base = base
+					up <- h
+					<-drawn
 				}
-				return cfg, h
+				go func() {
+					defer close(h.done)
+					h.err = run(cfg, &h.out)
+				}()
+				return h
 			}
-			lcfg, l := newHalf(true)
-			lerr := make(chan error, 1)
-			go func() { lerr <- run(lcfg, &l.out) }()
 			// The dialer is the Z half: everything that names its end says
 			// _z — the transport series, the protocol series the observed
-			// engine exports per port, and the line the fleet board shows.
-			dcfg, d := newHalf(false)
-			if err := run(dcfg, &d.out); err != nil {
-				t.Fatalf("dialer: %v\n%s", err, d.out.String())
+			// engine exports per port, and the lines the board shows.
+			l, d := newHalf(true), newHalf(false)
+			for n := 0; n < 2; n++ {
+				select {
+				case <-up:
+				case <-l.done:
+					t.Fatalf("listener ended before its endpoint came up: %v\n%s", l.err, l.out.String())
+				case <-d.done:
+					t.Fatalf("dialer ended before its endpoint came up: %v\n%s", d.err, d.out.String())
+				}
 			}
-			if err := <-lerr; err != nil {
-				t.Fatalf("listener: %v\n%s", err, l.out.String())
+			for _, h := range []*half{l, d} {
+				h.health, _ = scrapeGet(t, h.base, "/health")
+				h.series = seriesMap(t, h.base)
+			}
+			var b strings.Builder
+			if err := obsnet.WriteBoard(&b, obsnet.ScrapeAll([]string{l.base, d.base}, false), nil, 0, false); err != nil {
+				t.Fatal(err)
+			}
+			board := b.String()
+			release()
+			for _, h := range []*half{l, d} {
+				<-h.done
+				if h.err != nil {
+					t.Fatalf("%s half: %v\n%s", h.end, h.err, h.out.String())
+				}
 			}
 
 			lr, dr := netReport(t, l.out.String()), netReport(t, d.out.String())
@@ -142,43 +157,61 @@ func TestNetModeUDPTwoHalves(t *testing.T) {
 				}
 			}
 
-			// Each half's board: one instance row — healthy, an uptime, the
-			// wire version for skew detection, what is armed; its one line
-			// is the end it runs, up; with the recorder, its one link row
-			// tracks nothing and loses nothing.
+			// The board over both halves: one instance row each — healthy,
+			// an uptime, the wire version for skew detection, what is
+			// armed; the transport table with the one-way latency column
+			// and every end's lines up; with the recorder, each end's one
+			// link row tracks nothing and loses nothing.
+			var inst, links [][]string
+			var lines, wantLines []string
+			var wantLinks [][]string
+			section := ""
+			for _, row := range strings.Split(board, "\n") {
+				f := strings.Fields(row)
+				switch {
+				case strings.HasPrefix(row, "instance "):
+					inst = append(inst, f)
+				case strings.HasSuffix(row, ":"):
+					section = row
+				case len(f) > 3 && strings.HasPrefix(f[1], "port") && section == "transport lines:":
+					lines = append(lines, strings.Join(f[:3], " "))
+				case len(f) > 3 && strings.HasPrefix(f[1], "port") && section == "slo board:":
+					links = append(links, f[:4])
+				}
+			}
+			for i, h := range []*half{l, d} {
+				if i >= len(inst) || len(inst[i]) != 9 || inst[i][1] != h.base || inst[i][2] != "healthy" ||
+					!strings.HasSuffix(inst[i][4], "s") || strings.Join(inst[i][5:], " ") != "wire v2 armed: "+c.armed {
+					t.Errorf("board instance rows %q, want %s's: healthy, up Ns, wire v2, armed: %s\n%s", inst, h.base, c.armed, board)
+				}
+				for p := 0; p < c.links; p++ {
+					end := fmt.Sprintf("port%d_%s", p, h.end)
+					wantLines = append(wantLines, h.base+" "+end+" up")
+					if c.flight {
+						wantLinks = append(wantLinks, []string{h.base, end, "0", "0"})
+					}
+				}
+			}
+			if len(inst) != 2 {
+				t.Errorf("board has %d instance rows, want 2\n%s", len(inst), board)
+			}
+			if !strings.Contains(board, "oneway-p50") {
+				t.Errorf("board has no oneway-p50 column\n%s", board)
+			}
+			sort.Strings(lines)
+			sort.Strings(wantLines)
+			if !reflect.DeepEqual(lines, wantLines) {
+				t.Errorf("board lines %q, want %q\n%s", lines, wantLines, board)
+			}
+			sort.Slice(links, func(i, j int) bool { return strings.Join(links[i], " ") < strings.Join(links[j], " ") })
+			sort.Slice(wantLinks, func(i, j int) bool { return strings.Join(wantLinks[i], " ") < strings.Join(wantLinks[j], " ") })
+			if !reflect.DeepEqual(links, wantLinks) {
+				t.Errorf("board link rows %q, want %q (instance, link, tracked, lost)\n%s", links, wantLinks, board)
+			}
+
 			for name, h := range map[string]*half{"listener": l, "dialer": d} {
 				if h.health != http.StatusOK {
 					t.Errorf("%s /health code %d, want 200", name, h.health)
-				}
-				var inst, links [][]string
-				var lines []string
-				section := ""
-				for _, row := range strings.Split(h.board, "\n") {
-					f := strings.Fields(row)
-					switch {
-					case strings.HasPrefix(row, "instance "):
-						inst = append(inst, f)
-					case strings.HasSuffix(row, ":"):
-						section = row
-					case len(f) > 2 && strings.HasPrefix(f[1], "port") && section == "transport lines:":
-						lines = append(lines, f[1]+" "+f[2])
-					case len(f) > 3 && strings.HasPrefix(f[1], "port") && section == "slo board:":
-						links = append(links, f[1:4])
-					}
-				}
-				if len(inst) != 1 || len(inst[0]) != 9 || inst[0][2] != "healthy" || !strings.HasSuffix(inst[0][4], "s") ||
-					strings.Join(inst[0][5:], " ") != "wire v2 armed: "+c.armed {
-					t.Errorf("%s board instance rows %q, want one: healthy, up Ns, wire v2, armed: %s\n%s", name, inst, c.armed, h.board)
-				}
-				if want := []string{h.end + " up"}; !reflect.DeepEqual(lines, want) {
-					t.Errorf("%s board lines %q, want %q\n%s", name, lines, want, h.board)
-				}
-				var want [][]string
-				if c.flight {
-					want = [][]string{{h.end, "0", "0"}}
-				}
-				if !reflect.DeepEqual(links, want) {
-					t.Errorf("%s board link rows %q, want %q (link, tracked, lost)\n%s", name, links, want, h.board)
 				}
 			}
 			for _, want := range []string{
@@ -231,15 +264,17 @@ func TestNetModeUDPTwoHalves(t *testing.T) {
 	}
 }
 
-// half is what a test keeps of one p5sim half: its report, its capture
-// directory and what its telemetry endpoint served.
+// half is what a test keeps of one p5sim half: its report and error,
+// its capture directory and what its telemetry endpoint served.
 type half struct {
 	out    bytes.Buffer
+	err    error
+	done   chan struct{} // closed when the run has returned
 	dir    string
-	end    string // the end it runs
+	end    string // "a" for the listener, "z" for the dialer
+	base   string // its telemetry endpoint
 	health int
 	series map[string]float64
-	board  string
 }
 
 // TestNetModeFlagValidation covers the usage errors of a socket engine's

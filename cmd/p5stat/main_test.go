@@ -84,8 +84,10 @@ func runOK(t *testing.T, args ...string) string {
 }
 
 // TestOversizeBodyRefused: a /metrics body over the fetch bound (8 MiB)
-// is an error — exit 1 and a message on stderr — not a report rendered
-// from however much of it was read.
+// is an error, not a board rendered from however much of it was read.
+// Alone it is exit 1 and the bound named on stderr; beside a reachable
+// instance it is that instance's DOWN row, and the board of the other
+// exits 0.
 func TestOversizeBodyRefused(t *testing.T) {
 	pad := "# " + strings.Repeat("x", 1021) + "\n"
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -98,6 +100,11 @@ func TestOversizeBodyRefused(t *testing.T) {
 	var out, errb bytes.Buffer
 	if code := run([]string{"-url", srv.URL}, &out, &errb); code != 1 || !strings.Contains(errb.String(), "bound") {
 		t.Errorf("p5stat on an oversize /metrics exited %d, stderr %q; want 1 and the bound named", code, errb.String())
+	}
+	good, _ := fixtureServer(t)
+	got := runOK(t, "-url", srv.URL+","+good.URL)
+	if !strings.Contains(got, "instance "+srv.URL) || !strings.Contains(got, "DOWN") || !strings.Contains(got, good.URL+" p5: ") {
+		t.Errorf("board of an oversize and a good instance: want the first DOWN, the second's stage tables:\n%s", got)
 	}
 }
 
@@ -112,7 +119,6 @@ func TestRunRejectsUsageErrors(t *testing.T) {
 	if err := os.WriteFile(trace, []byte(`{"events": []}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	host := strings.TrimPrefix(srv.URL, "http://")
 	for _, c := range []struct {
 		args []string
 		want string
@@ -121,12 +127,15 @@ func TestRunRejectsUsageErrors(t *testing.T) {
 		{[]string{"-url", srv.URL, "-n", "3"}, "give -interval"},
 		{[]string{"-url", srv.URL, "-interval", "1ms", "-n", "-1"}, "-n -1 is negative"},
 		{[]string{"-url", srv.URL, "-interval", "-1s"}, "-interval -1s is negative"},
-		{[]string{"-fleet", host, "-url", srv.URL}, "-url does not apply"},
-		{[]string{"-fleet", host, "-slo"}, "-slo does not apply"},
-		{[]string{"-fleet", host, "-interval", "1ms"}, "-interval does not apply"},
+		{[]string{"-url", " , "}, "-url names no address"},
+		{[]string{"-replay", trace, "-url", srv.URL}, "-url does not apply"},
 		{[]string{"-replay", trace, "-events"}, "-events does not apply"},
+		{[]string{"-replay", trace, "-exemplars"}, "-exemplars does not apply"},
 		{[]string{"-replay", trace, "-n", "2", "-interval", "1ms"}, "does not apply"},
-		{[]string{"-replay", trace, "-fleet", host}, "two modes"},
+		// One board for one or many instances: the mode flags are gone.
+		{[]string{"-fleet", srv.URL}, "flag provided but not defined: -fleet"},
+		{[]string{"-url", srv.URL, "-slo"}, "flag provided but not defined: -slo"},
+		{[]string{"-url", srv.URL, "-transport"}, "flag provided but not defined: -transport"},
 	} {
 		var out, errb bytes.Buffer
 		if code := run(c.args, &out, &errb); code != 2 || !strings.Contains(errb.String(), c.want) || out.Len() != 0 {
@@ -139,12 +148,12 @@ func TestRunRejectsUsageErrors(t *testing.T) {
 	}
 }
 
-// TestSLOBoardReport: -slo renders the board from the /metrics scrape
-// and -exemplars the slow-frame events from /trace, each under its
-// latency bucket.
+// TestSLOBoardReport: the board renders the error-budget board from the
+// /metrics scrape of an instance that exports SLOs, and -exemplars the
+// slow-frame events from /trace, each under its latency bucket.
 func TestSLOBoardReport(t *testing.T) {
 	srv, _ := fixtureServer(t)
-	got := runOK(t, "-url", srv.URL, "-slo", "-exemplars")
+	got := runOK(t, "-url", srv.URL, "-exemplars")
 	for _, want := range []string{
 		"slo board:",
 		"port0", "5.25", "40.0%", "ALARM", // burn, budget remaining, alarm flag
@@ -157,13 +166,13 @@ func TestSLOBoardReport(t *testing.T) {
 			t.Errorf("slo report missing %q:\n%s", want, got)
 		}
 	}
-	// The link row: tracked, lost, in flight (900 − 3 − 895 delivered),
-	// p99 and captures.
-	if !rowWith(got, "port0_a", "900", "3", "2", "4", "1") {
+	// The link row: instance, link, tracked, lost, in flight (900 − 3 −
+	// 895 delivered), p99 and captures.
+	if !rowWith(got, srv.URL, "port0_a", "900", "3", "2", "4", "1") {
 		t.Errorf("no port0_a row 900 3 2 4 1:\n%s", got)
 	}
-	// The exemplar rows: bucket, latency, frame id, arrival tick.
-	if !rowWith(got, "64", "40", "117", "5000") || !rowWith(got, "+Inf", "700", "903", "9000") {
+	// The exemplar rows: instance, bucket, latency, frame id, arrival tick.
+	if !rowWith(got, srv.URL, "64", "40", "117", "5000") || !rowWith(got, srv.URL, "+Inf", "700", "903", "9000") {
 		t.Errorf("exemplar rows missing:\n%s", got)
 	}
 }
@@ -180,8 +189,8 @@ func rowWith(out string, want ...string) bool {
 
 func TestSLOWithoutExemplarsOmitsThem(t *testing.T) {
 	srv, _ := fixtureServer(t)
-	if got := runOK(t, "-url", srv.URL, "-slo"); strings.Contains(got, "exemplars ") {
-		t.Errorf("-slo alone leaked exemplar rows:\n%s", got)
+	if got := runOK(t, "-url", srv.URL); !strings.Contains(got, "slo board:") || strings.Contains(got, "exemplars ") {
+		t.Errorf("the board without -exemplars: want the slo board and no exemplar rows:\n%s", got)
 	}
 }
 
@@ -215,6 +224,12 @@ func TestIntervalDeltaReport(t *testing.T) {
 	if !strings.Contains(got, "rate/s") {
 		t.Errorf("interval report missing rate column:\n%s", got)
 	}
+	// A histogram is cumulative too: its series show the window's change
+	// (no frame arrived in it), and a gauge shows its value with no rate.
+	if !rowWith(got, `flight_e2e_latency_ticks_count{link="port0_a"}`, "0", "0.0") ||
+		!rowWith(got, "p5_tx_sorter_occupancy", "3", "-") {
+		t.Errorf("interval report: want the histogram count's window delta and the gauge without a rate:\n%s", got)
+	}
 }
 
 func TestReplayTraceFile(t *testing.T) {
@@ -237,8 +252,8 @@ func TestReplayTraceFile(t *testing.T) {
 	}
 }
 
-// TestTransportTable renders the -transport column set from a
-// socket-backed run's transport_* series.
+// TestTransportTable: the board renders the transport table from a
+// socket-backed run's transport_* series, and no table without them.
 func TestTransportTable(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	lbl := telemetry.L("line", "port0_a")
@@ -260,7 +275,7 @@ func TestTransportTable(t *testing.T) {
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
 
-	got := runOK(t, "-url", srv.URL, "-transport")
+	got := runOK(t, "-url", srv.URL)
 	i := strings.Index(got, "transport lines:")
 	if i < 0 {
 		t.Fatalf("no transport table:\n%s", got)
@@ -281,7 +296,7 @@ func TestTransportTable(t *testing.T) {
 		}
 	}
 
-	// Without any transport series the table degrades to a note.
+	// Without any transport series there is no table.
 	empty := telemetry.NewRegistry()
 	emux := http.NewServeMux()
 	emux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
@@ -289,7 +304,7 @@ func TestTransportTable(t *testing.T) {
 	})
 	esrv := httptest.NewServer(emux)
 	defer esrv.Close()
-	if got := runOK(t, "-url", esrv.URL, "-transport"); !strings.Contains(got, "no transport_* series") {
-		t.Errorf("empty run output: %q", got)
+	if got := runOK(t, "-url", esrv.URL); strings.Contains(got, "transport lines:") || !strings.Contains(got, "instance "+esrv.URL) {
+		t.Errorf("board of an instance with no transport series: want its instance row and no transport table:\n%s", got)
 	}
 }

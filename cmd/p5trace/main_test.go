@@ -136,3 +136,43 @@ func TestRunTracesBothFigures(t *testing.T) {
 		t.Errorf("VCD dump: %v, %d octets without the traced signals", err, len(dump))
 	}
 }
+
+// TestJoinCaptures: -join merges two capture files that share an
+// incident into one timeline under its incident header, and refuses a
+// pair that does not share one, or a number of files other than two.
+func TestJoinCaptures(t *testing.T) {
+	write := func(c *flight.Capture) string {
+		dir := t.TempDir()
+		if err := c.WriteFile(dir); err != nil {
+			t.Fatal(err)
+		}
+		return filepath.Join(dir, c.Filename())
+	}
+	a := write(&flight.Capture{Link: "port0_a", Reason: "transport-los", Seq: 1, Now: 1000, Incident: 0xBEEF,
+		Events: []telemetry.Event{{Seq: 1, At: 990, Scope: "supervisor", Name: "raise", Detail: "los"}}})
+	b := write(&flight.Capture{Link: "port0_z", Reason: "transport-los", Seq: 1, Now: 1210, Incident: 0xBEEF,
+		FromPeer: true, TickOffset: -200,
+		Events: []telemetry.Event{{Seq: 9, At: 1195, Scope: "supervisor", Name: "raise", Detail: "los"}}})
+	other := write(&flight.Capture{Link: "port1_z", Reason: "transport-los", Seq: 1, Now: 1210, Incident: 0xDEAD})
+
+	var out, errb bytes.Buffer
+	if code := run([]string{"-join", a, b}, &out, &errb); code != 0 {
+		t.Fatalf("-join exited %d: %s", code, errb.String())
+	}
+	lines := strings.Split(out.String(), "\n")
+	if lines[0] != "joined captures "+a+" + "+b || len(lines) < 2 || lines[1] != "incident 000000000000beef" {
+		t.Errorf("-join output does not open with the files and the incident header:\n%s", out.String())
+	}
+	for _, want := range []string{"port0_a", "port0_z", "tick delta (B-A) +200"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("-join output missing %q:\n%s", want, out.String())
+		}
+	}
+	for _, args := range [][]string{{"-join", a, other}, {"-join", a}} {
+		out.Reset()
+		errb.Reset()
+		if code := run(args, &out, &errb); code != 1 || errb.Len() == 0 {
+			t.Errorf("p5trace %v exited %d, stderr %q; want 1 and the reason", args, code, errb.String())
+		}
+	}
+}

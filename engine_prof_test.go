@@ -76,7 +76,7 @@ func testStageAccounting(t *testing.T, hook func(int) (a, z transport.LineTransp
 		}
 	}
 
-	snap := reg.Snapshot()
+	snap := seriesValues(reg)
 	for _, series := range []string{
 		`prof_stage_ns_total{engine="test",shard="0",stage="encode"}`,
 		`prof_stage_ns_total{engine="test",shard="1",stage="tokenize"}`,
@@ -89,24 +89,24 @@ func testStageAccounting(t *testing.T, hook func(int) (a, z transport.LineTransp
 		`prof_sampled_steps_total{engine="test"}`,
 		`prof_shard_imbalance{engine="test"}`,
 	} {
-		if _, ok := snap.Get(series); !ok {
+		if _, ok := snap[series]; !ok {
 			t.Errorf("series %s missing from snapshot", series)
 		}
 	}
-	if v, _ := snap.Get(`prof_sampled_steps_total{engine="test"}`); v == 0 {
+	if v := snap[`prof_sampled_steps_total{engine="test"}`]; v == 0 {
 		t.Error("prof_sampled_steps_total = 0")
 	}
 	// The step-cost histogram flattens into _bucket/_sum/_count; no Run
 	// above was long enough to lap the step ring, so its _sum is every
 	// sampled step's whole cost and the stages must tile it exactly.
-	if v, _ := snap.Get(`prof_step_ns_count{engine="test"}`); v != float64(sum.Sampled) {
+	if v := snap[`prof_step_ns_count{engine="test"}`]; v != float64(sum.Sampled) {
 		t.Errorf("prof_step_ns took %v observations, want %d", v, sum.Sampled)
 	}
 	var stages uint64
 	for st := prof.Stage(0); st < prof.StageBarrier; st++ {
 		stages += sum.StageNs[st]
 	}
-	if whole, _ := snap.Get(`prof_step_ns_sum{engine="test"}`); float64(stages) != whole {
+	if whole := snap[`prof_step_ns_sum{engine="test"}`]; float64(stages) != whole {
 		t.Errorf("stage ns sum to %d, whole steps to %.0f: the stages do not tile the step", stages, whole)
 	}
 }

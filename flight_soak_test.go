@@ -197,14 +197,14 @@ func TestChaosSoakFlightRecorder(t *testing.T) {
 		}
 	}
 	// Both directions are graded; only a→b carried (and lost) traffic.
-	snap := reg.Snapshot()
-	alarmA, okA := snap.Get(`slo_alarm{slo="soak_a"}`)
-	alarmZ, okZ := snap.Get(`slo_alarm{slo="soak_z"}`)
+	snap := seriesValues(reg)
+	alarmA, okA := snap[`slo_alarm{slo="soak_a"}`]
+	alarmZ, okZ := snap[`slo_alarm{slo="soak_z"}`]
 	if len(w.SLOs) != 2 || !okA || alarmA != 0 || !okZ || alarmZ != 1 {
 		t.Errorf("SLO alarms wrong: %d SLOs, soak_a=%v (present=%v) soak_z=%v (present=%v), want 2, 0 and 1",
 			len(w.SLOs), alarmA, okA, alarmZ, okZ)
 	}
-	if v, _ := snap.Get(`flight_frames_tracked_total{link="soak_a"}`); v != float64(ra.Tracked()) {
+	if v := snap[`flight_frames_tracked_total{link="soak_a"}`]; v != float64(ra.Tracked()) {
 		t.Errorf("flight_frames_tracked_total{link=\"soak_a\"} = %v, want %d", v, ra.Tracked())
 	}
 

@@ -131,10 +131,11 @@ func (p *Protected) OnFailover(fn func(reason, detail string, to, ticks int64)) 
 // Instrument declares the end's series on reg, every one labelled
 // {link=name} — both ends of a pair share a registry, so the label is
 // what keeps their records apart: the controller's switching record
-// (aps_*), each section's deframer (link_working_*, link_protect_*) and
-// the standby discard counter. tr, when not nil, receives a structured
-// event for every selector movement and every defect transition. Tick
-// refreshes the mirrors.
+// (aps_*), each section's deframer (the sonet_* family, told apart by
+// section="working"|"protect") and the standby discard counter. tr,
+// when not nil, receives a structured event for every selector movement
+// and every defect transition, the latter scoped to its section
+// ("sonet:prot_z/working"). Tick refreshes the mirrors.
 func (p *Protected) Instrument(reg *telemetry.Registry, tr *telemetry.Tracer, name string) {
 	lbl := telemetry.L("link", name)
 	m := reg.Mirror()
@@ -174,8 +175,8 @@ func (p *Protected) Instrument(reg *telemetry.Registry, tr *telemetry.Tracer, na
 		}
 	}
 
-	p.lines[Working].Deframer().Instrument(m, tr, "link_working", lbl)
-	p.lines[Protect].Deframer().Instrument(m, tr, "link_protect", lbl)
+	p.lines[Working].Deframer().Instrument(m, tr, lbl, telemetry.L("section", "working"))
+	p.lines[Protect].Deframer().Instrument(m, tr, lbl, telemetry.L("section", "protect"))
 	m.Counter("link_standby_discarded_octets_total",
 		"Standby-line payload octets dropped by the receive selector.",
 		func() uint64 { return p.DiscardedStandbyOctets }, lbl)

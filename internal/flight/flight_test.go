@@ -401,7 +401,7 @@ func TestCaptureWriteErrorIsCounted(t *testing.T) {
 	if got := r.WriteErrors(); got != 1 {
 		t.Fatalf("WriteErrors = %d, want 1", got)
 	}
-	if v, _ := reg.Snapshot().Get(`flight_capture_write_errors_total{link="w"}`); v != 1 {
+	if v := seriesValues(reg)[`flight_capture_write_errors_total{link="w"}`]; v != 1 {
 		t.Errorf("flight_capture_write_errors_total = %v, want 1", v)
 	}
 	found := false
@@ -495,7 +495,7 @@ func TestSLOBurnRates(t *testing.T) {
 	alarms := []string{}
 	reg := telemetry.NewRegistry()
 	gauge := func(series string) float64 {
-		v, ok := reg.Snapshot().Get(series)
+		v, ok := seriesValues(reg)[series]
 		if !ok {
 			t.Fatalf("%s not registered", series)
 		}
@@ -572,4 +572,14 @@ func TestExemplarOverflowBucketLE(t *testing.T) {
 	if got := r.P99(); got != e2eBounds[len(e2eBounds)-1] {
 		t.Fatalf("p99 = %d, want clamp to %d", got, e2eBounds[len(e2eBounds)-1])
 	}
+}
+
+// seriesValues reads reg's series into a map of full series name
+// (name plus label block) to value.
+func seriesValues(reg *telemetry.Registry) map[string]float64 {
+	out := map[string]float64{}
+	for _, s := range reg.Series() {
+		out[s.Full] = s.Value
+	}
+	return out
 }

@@ -113,7 +113,7 @@ slo_alarm{slo="frame_loss"} 1
 `))
 
 	addrA := strings.TrimPrefix(srvA.URL, "http://")
-	instances := ScrapeAll([]string{addrA, srvB.URL, "127.0.0.1:1"})
+	instances := ScrapeAll([]string{addrA, srvB.URL, "127.0.0.1:1"}, false)
 	if len(instances) != 3 {
 		t.Fatalf("instances = %d, want 3", len(instances))
 	}
@@ -143,8 +143,8 @@ slo_alarm{slo="frame_loss"} 1
 	}
 
 	var board strings.Builder
-	if err := WriteFleetBoard(&board, instances); err != nil {
-		t.Fatalf("WriteFleetBoard: %v", err)
+	if err := WriteBoard(&board, instances, nil, 0, false); err != nil {
+		t.Fatalf("WriteBoard: %v", err)
 	}
 	out := board.String()
 	for _, want := range []string{
@@ -175,8 +175,8 @@ func TestFleetBoardVersionSkew(t *testing.T) {
 	srvB, _ := fakeInstance(t, text(`transport_wire_version{line="port0_z"} 1`+"\n"))
 
 	var board strings.Builder
-	if err := WriteFleetBoard(&board, ScrapeAll([]string{srvA.URL, srvB.URL})); err != nil {
-		t.Fatalf("WriteFleetBoard: %v", err)
+	if err := WriteBoard(&board, ScrapeAll([]string{srvA.URL, srvB.URL}, false), nil, 0, false); err != nil {
+		t.Fatalf("WriteBoard: %v", err)
 	}
 	if !strings.Contains(board.String(), "wire version skew") {
 		t.Fatalf("no skew warning:\n%s", board.String())
@@ -187,8 +187,8 @@ func TestFleetBoardVersionSkew(t *testing.T) {
 // from one document, so the board costs every instance one request.
 func TestScrapeIsOneRequest(t *testing.T) {
 	srv, hits := fakeInstance(t, text(`transport_up{line="port0_a"} 1`+"\n"))
-	in := ScrapeAll([]string{srv.URL})
-	if err := WriteFleetBoard(io.Discard, in); err != nil {
+	in := ScrapeAll([]string{srv.URL}, false)
+	if err := WriteBoard(io.Discard, in, nil, 0, false); err != nil {
 		t.Fatal(err)
 	}
 	if n := hits.Load(); n != 1 {

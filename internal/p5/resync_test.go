@@ -228,7 +228,7 @@ func TestSystemSteadyAllocs(t *testing.T) {
 		for _, instrumented := range []bool{false, true} {
 			sys := NewSystem(w)
 			if instrumented {
-				sys.Instrument(telemetry.NewRegistry(), "p5")
+				sys.Instrument(telemetry.NewRegistry())
 			}
 			var rx []RxFrame
 			op := func() {

@@ -480,7 +480,7 @@ func TestOAMStatusCounterSaturation(t *testing.T) {
 func TestSystemInstrumentExportsPipelineSeries(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	sys := NewSystem(1)
-	sys.Instrument(reg, "p5")
+	sys.Instrument(reg)
 	for i := 0; i < 8; i++ {
 		sys.Send(TxJob{Protocol: ppp.ProtoIPv4, Payload: bytes.Repeat([]byte{0x7E}, 64)})
 	}
@@ -488,7 +488,7 @@ func TestSystemInstrumentExportsPipelineSeries(t *testing.T) {
 		t.Fatal("system did not drain")
 	}
 	sys.SyncTelemetry()
-	snap := reg.Snapshot()
+	snap := seriesValues(reg)
 	for _, series := range []string{
 		"p5_cycles_total",
 		"p5_tx_frames_total",
@@ -499,16 +499,16 @@ func TestSystemInstrumentExportsPipelineSeries(t *testing.T) {
 		`p5_wire_stalls_total{wire="tx.body"}`,
 		`p5_unit_busy_cycles_total{unit="framer"}`,
 	} {
-		if v, ok := snap.Get(series); !ok || v == 0 {
+		if v, ok := snap[series]; !ok || v == 0 {
 			t.Errorf("series %s = %v (present=%v), want nonzero", series, v, ok)
 		}
 	}
 	// All-flag payload forces heavy escaping: the sorter high-water
 	// gauge must have moved.
-	if v, _ := snap.Get("p5_tx_sorter_highwater"); v == 0 {
+	if v := snap["p5_tx_sorter_highwater"]; v == 0 {
 		t.Error("tx sorter high-water gauge never moved")
 	}
-	if v, _ := snap.Get("p5_rx_fcs_errors_total"); v != 0 {
+	if v := snap["p5_rx_fcs_errors_total"]; v != 0 {
 		t.Errorf("clean run exported %v FCS errors", v)
 	}
 }
@@ -521,7 +521,7 @@ func TestSystemFillLatencyGaugeFourCycles(t *testing.T) {
 	// once, with a sink directly on the transmit wire).
 	reg := telemetry.NewRegistry()
 	sys := NewSystem(1)
-	sys.Instrument(reg, "p5")
+	sys.Instrument(reg)
 	if sys.FillLatency != -1 {
 		t.Fatalf("FillLatency = %d before any span, want -1", sys.FillLatency)
 	}
@@ -541,11 +541,21 @@ func TestSystemFillLatencyGaugeFourCycles(t *testing.T) {
 		t.Errorf("histogram count=%d p99=%d, want 5 and 4", h.Count(), h.Quantile(0.99))
 	}
 	sys.SyncTelemetry()
-	snap := reg.Snapshot()
-	if v, ok := snap.Get("p5_tx_fill_latency_cycles"); !ok || v != 4 {
+	snap := seriesValues(reg)
+	if v, ok := snap["p5_tx_fill_latency_cycles"]; !ok || v != 4 {
 		t.Errorf("fill gauge = %v (present=%v), want 4", v, ok)
 	}
-	if v, _ := snap.Get("p5_tx_fill_spans_total"); v != 5 {
+	if v := snap["p5_tx_fill_spans_total"]; v != 5 {
 		t.Errorf("fill spans counter = %v, want 5", v)
 	}
+}
+
+// seriesValues reads reg's series into a map of full series name
+// (name plus label block) to value.
+func seriesValues(reg *telemetry.Registry) map[string]float64 {
+	out := map[string]float64{}
+	for _, s := range reg.Series() {
+		out[s.Full] = s.Value
+	}
+	return out
 }

@@ -14,7 +14,7 @@ import (
 // atomic stores — not garbage.
 func TestInstrumentedSyncZeroAlloc(t *testing.T) {
 	sys := NewSystem(1)
-	sys.Instrument(telemetry.NewRegistry(), "p5")
+	sys.Instrument(telemetry.NewRegistry())
 	// Real traffic first so every tap reads nonzero, post-warm-up state.
 	sys.Send(TxJob{Protocol: ppp.ProtoIPv4, Payload: make([]byte, 512)})
 	if !sys.RunUntilIdle(1_000_000) {
@@ -31,7 +31,7 @@ func TestInstrumentedSyncZeroAlloc(t *testing.T) {
 // would tax every instrumented run per cycle, not per scrape.
 func TestInstrumentedIdleCycleZeroAlloc(t *testing.T) {
 	sys := NewSystem(1)
-	sys.Instrument(telemetry.NewRegistry(), "p5")
+	sys.Instrument(telemetry.NewRegistry())
 	sys.Send(TxJob{Protocol: ppp.ProtoIPv4, Payload: make([]byte, 512)})
 	if !sys.RunUntilIdle(1_000_000) {
 		t.Fatal("system did not drain")
@@ -52,11 +52,11 @@ func TestInstrumentedIdleCycleZeroAlloc(t *testing.T) {
 // other; the mirror refuses at wiring time instead.
 func TestInstrumentRefusesSecondSystem(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	NewSystem(1).Instrument(reg, "p5")
+	NewSystem(1).Instrument(reg)
 	defer func() {
 		if recover() == nil {
 			t.Error("second system instrumented into the same series without a panic")
 		}
 	}()
-	NewSystem(1).Instrument(reg, "p5")
+	NewSystem(1).Instrument(reg)
 }

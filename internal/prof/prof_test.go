@@ -126,14 +126,14 @@ func TestCollectorTelemetryMirrors(t *testing.T) {
 	p.BatchEnd()
 	col.Join()
 
-	snap := reg.Snapshot()
-	if v, ok := snap.Get(`prof_stage_ns_total{engine="mirror",shard="0",stage="encode"}`); !ok || v != 10 {
+	snap := seriesValues(reg)
+	if v, ok := snap[`prof_stage_ns_total{engine="mirror",shard="0",stage="encode"}`]; !ok || v != 10 {
 		t.Errorf("encode mirror = %v (ok=%v), want 10", v, ok)
 	}
-	if v, ok := snap.Get(`prof_sampled_steps_total{engine="mirror"}`); !ok || v != 1 {
+	if v, ok := snap[`prof_sampled_steps_total{engine="mirror"}`]; !ok || v != 1 {
 		t.Errorf("sampled mirror = %v (ok=%v), want 1", v, ok)
 	}
-	if _, ok := snap.Get(`prof_barrier_wait_ns_total{engine="mirror",shard="0"}`); !ok {
+	if _, ok := snap[`prof_barrier_wait_ns_total{engine="mirror",shard="0"}`]; !ok {
 		t.Error("barrier mirror missing")
 	}
 }
@@ -152,15 +152,15 @@ func TestStepRingLapsAndHistogramSync(t *testing.T) {
 		t.Fatalf("ring retains %d entries, want %d", got, stepRing)
 	}
 	col.sync()
-	snap := reg.Snapshot()
+	snap := seriesValues(reg)
 	// Only the retained window is observable after a lap.
-	if v, _ := snap.Get(`prof_step_ns_count{engine="ring"}`); v != stepRing {
+	if v := snap[`prof_step_ns_count{engine="ring"}`]; v != stepRing {
 		t.Errorf("histogram count = %v, want %d (retained window)", v, stepRing)
 	}
 	// A second sync with no new steps adds nothing.
 	col.sync()
-	snap = reg.Snapshot()
-	if v, _ := snap.Get(`prof_step_ns_count{engine="ring"}`); v != stepRing {
+	snap = seriesValues(reg)
+	if v := snap[`prof_step_ns_count{engine="ring"}`]; v != stepRing {
 		t.Errorf("histogram count after idle sync = %v, want %d", v, stepRing)
 	}
 }
@@ -220,4 +220,14 @@ func TestWriteSnapshotTagged(t *testing.T) {
 			t.Error(err)
 		}
 	}
+}
+
+// seriesValues reads reg's series into a map of full series name
+// (name plus label block) to value.
+func seriesValues(reg *telemetry.Registry) map[string]float64 {
+	out := map[string]float64{}
+	for _, s := range reg.Series() {
+		out[s.Full] = s.Value
+	}
+	return out
 }

@@ -63,25 +63,25 @@ func TestRuntimeExporterSnapshotRoundTrip(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	ExportRuntime(reg)
 
-	s1 := reg.Snapshot()
-	g, ok := s1.Get("runtime_goroutines")
+	s1 := seriesValues(reg)
+	g, ok := s1["runtime_goroutines"]
 	if !ok || g < 1 {
 		t.Fatalf("runtime_goroutines = %v (ok=%v), want >= 1", g, ok)
 	}
-	if h, ok := s1.Get("runtime_heap_bytes"); !ok || h <= 0 {
+	if h, ok := s1["runtime_heap_bytes"]; !ok || h <= 0 {
 		t.Fatalf("runtime_heap_bytes = %v (ok=%v), want > 0", h, ok)
 	}
-	c1, _ := s1.Get("runtime_gc_cycles_total")
+	c1 := s1["runtime_gc_cycles_total"]
 
 	runtime.GC()
 	runtime.GC()
-	s2 := reg.Snapshot()
-	c2, _ := s2.Get("runtime_gc_cycles_total")
+	s2 := seriesValues(reg)
+	c2 := s2["runtime_gc_cycles_total"]
 	if c2 < c1+2 {
 		t.Errorf("gc cycles %v -> %v: snapshot did not resample after 2 forced GCs", c1, c2)
 	}
-	if p1, _ := s1.Get("runtime_gc_pauses_total"); p1 > 0 {
-		if p2, _ := s2.Get("runtime_gc_pauses_total"); p2 < p1 {
+	if p1 := s1["runtime_gc_pauses_total"]; p1 > 0 {
+		if p2 := s2["runtime_gc_pauses_total"]; p2 < p1 {
 			t.Errorf("gc pauses went backwards: %v -> %v", p1, p2)
 		}
 	}

@@ -367,8 +367,8 @@ func TestSimInstrument(t *testing.T) {
 
 	reg := telemetry.NewRegistry()
 	m := reg.Mirror()
-	sim.Instrument(m, "kern")
-	sim.WatchBusy("kern_unit_busy_cycles_total", "", func() bool { return src.Pending() > 0 }, telemetry.L("unit", "source"))
+	sim.Instrument(m)
+	sim.WatchBusy("p5_unit_busy_cycles_total", "", func() bool { return src.Pending() > 0 }, telemetry.L("unit", "source"))
 
 	const n = 30
 	for i := 0; i < n; i++ {
@@ -377,28 +377,28 @@ func TestSimInstrument(t *testing.T) {
 	sim.RunUntil(func() bool { return len(sink.Flits) == n }, 10000)
 	m.Sync()
 
-	snap := reg.Snapshot()
+	snap := seriesValues(reg)
 	mustGet := func(series string) float64 {
-		v, ok := snap.Get(series)
+		v, ok := snap[series]
 		if !ok {
-			t.Fatalf("series %s missing; have %v", series, snap.Samples())
+			t.Fatalf("series %s missing; have %v", series, snap)
 		}
 		return v
 	}
-	if v := mustGet("kern_cycles_total"); int64(v) != sim.Now() {
+	if v := mustGet("p5_cycles_total"); int64(v) != sim.Now() {
 		t.Errorf("cycles = %v, want %d", v, sim.Now())
 	}
-	if v := mustGet(`kern_wire_transfers_total{wire="w2"}`); v != n {
+	if v := mustGet(`p5_wire_transfers_total{wire="w2"}`); v != n {
 		t.Errorf("w2 transfers = %v, want %d", v, n)
 	}
 	// The throttle backpressures w1 — stalls must be visible.
-	if v := mustGet(`kern_wire_stalls_total{wire="w1"}`); v == 0 {
+	if v := mustGet(`p5_wire_stalls_total{wire="w1"}`); v == 0 {
 		t.Error("no stalls exported for the throttled wire")
 	}
-	if v := mustGet(`kern_wire_occupied_cycles_total{wire="w1"}`); v == 0 {
+	if v := mustGet(`p5_wire_occupied_cycles_total{wire="w1"}`); v == 0 {
 		t.Error("no occupancy exported")
 	}
-	if v := mustGet(`kern_unit_busy_cycles_total{unit="source"}`); v == 0 {
+	if v := mustGet(`p5_unit_busy_cycles_total{unit="source"}`); v == 0 {
 		t.Error("busy watch never sampled busy")
 	}
 }
@@ -621,4 +621,14 @@ func BenchmarkKernelCycle(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(sim.Now()-start), "ns/cycle")
+}
+
+// seriesValues reads reg's series into a map of full series name
+// (name plus label block) to value.
+func seriesValues(reg *telemetry.Registry) map[string]float64 {
+	out := map[string]float64{}
+	for _, s := range reg.Series() {
+		out[s.Full] = s.Value
+	}
+	return out
 }

@@ -16,22 +16,22 @@ type busyWatch struct {
 	cycles uint64 // plain; sim thread only
 }
 
-// Instrument declares the simulation's counters on m. Every wire gets
-// <prefix>_wire_{transfers,stalls,occupied_cycles}_total series
-// labelled with its name, and the clock is exported as
-// <prefix>_cycles_total. Wires created after this call are not
+// Instrument declares the simulation's counters on m, in the p5_*
+// family of the P5 the kernel simulates. Every wire gets
+// p5_wire_{transfers,stalls,occupied_cycles}_total series labelled
+// with its name, and the clock is exported as p5_cycles_total. Wires created after this call are not
 // covered — instrument after wiring. The series are as fresh as m's
 // last Sync.
-func (s *Sim) Instrument(m *telemetry.Mirror, prefix string) {
-	m.Counter(prefix+"_cycles_total", "Simulation clock cycles elapsed.",
+func (s *Sim) Instrument(m *telemetry.Mirror) {
+	m.Counter("p5_cycles_total", "Simulation clock cycles elapsed.",
 		func() uint64 { return uint64(s.cycle) })
 	for _, w := range s.wires {
 		name := telemetry.L("wire", w.Name)
-		m.Counter(prefix+"_wire_transfers_total", "Flits accepted across the wire.",
+		m.Counter("p5_wire_transfers_total", "Flits accepted across the wire.",
 			func() uint64 { return w.Transfers }, name)
-		m.Counter(prefix+"_wire_stalls_total", "Producer cycles blocked on a full wire (backpressure).",
+		m.Counter("p5_wire_stalls_total", "Producer cycles blocked on a full wire (backpressure).",
 			func() uint64 { return w.Stalls }, name)
-		m.Counter(prefix+"_wire_occupied_cycles_total", "Cycles the wire slot held a flit at the clock edge.",
+		m.Counter("p5_wire_occupied_cycles_total", "Cycles the wire slot held a flit at the clock edge.",
 			func() uint64 { return w.Occupied }, name)
 	}
 	s.mirror = m

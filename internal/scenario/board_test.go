@@ -1,7 +1,6 @@
 package scenario
 
 import (
-	"bytes"
 	"fmt"
 	"net/http/httptest"
 	"os"
@@ -17,12 +16,13 @@ import (
 )
 
 // renderBoard runs s armed with a registry and a tracer and, while the
-// run is still up, serves them the way p5sim -telemetry does and renders
-// the error-budget board the way p5stat -slo does: from one /metrics
-// scrape, plus with exemplars the /trace events. check sees the board's
-// rows, field by field, beside the run's in-process recorders and SLOs
-// and published, which reads a series in process: from the registry,
-// without the HTTP scrape, the text format or the board in between.
+// run is still up, serves them the way p5sim -telemetry does and draws
+// the board over it the way p5stat does: from one /metrics scrape, plus
+// with exemplars the /trace events. check sees the board's rows, field
+// by field and without the instance column, beside the run's in-process
+// recorders and SLOs and published, which reads a series in process:
+// from the registry, without the HTTP scrape, the text format or the
+// board in between.
 func renderBoard(t *testing.T, s *Scenario, exemplars bool, check func(rows [][]string, res *Result, published func(string) float64)) {
 	t.Helper()
 	reg, tr := telemetry.NewRegistry(), telemetry.NewTracer(4096)
@@ -32,34 +32,25 @@ func renderBoard(t *testing.T, s *Scenario, exemplars bool, check func(rows [][]
 		live = true
 		srv := httptest.NewServer(telemetry.Mux(reg, tr))
 		defer srv.Close()
-		body, err := obsnet.Fetch(srv.URL + "/metrics")
-		if err != nil {
+		instances := obsnet.ScrapeAll([]string{srv.URL}, exemplars)
+		if err := instances[0].Err; err != nil {
 			return err
-		}
-		series, err := telemetry.ParseText(bytes.NewReader(body))
-		if err != nil {
-			return err
-		}
-		var evs []telemetry.Event
-		if exemplars {
-			if body, err = obsnet.Fetch(srv.URL + "/trace"); err != nil {
-				return err
-			}
-			if evs, err = telemetry.ReadEvents(bytes.NewReader(body)); err != nil {
-				return err
-			}
 		}
 		var board strings.Builder
-		if err := obsnet.WriteSLOBoard(&board, series, evs); err != nil {
+		if err := obsnet.WriteBoard(&board, instances, nil, 0, exemplars); err != nil {
 			return err
 		}
 		t.Logf("board:\n%s", board.String())
 		var rows [][]string
 		for _, l := range strings.Split(board.String(), "\n") {
-			rows = append(rows, strings.Fields(l))
+			r := strings.Fields(l)
+			if len(r) > 0 && r[0] == srv.URL {
+				r = r[1:]
+			}
+			rows = append(rows, r)
 		}
 		check(rows, res, func(series string) float64 {
-			v, ok := reg.Snapshot().Get(series)
+			v, ok := seriesValues(reg)[series]
 			if !ok {
 				t.Fatalf("%s not published", series)
 			}
@@ -75,7 +66,7 @@ func renderBoard(t *testing.T, s *Scenario, exemplars bool, check func(rows [][]
 	}
 }
 
-// TestSLOBoardMatchesTheRun: the board p5stat -slo renders from a scrape
+// TestSLOBoardMatchesTheRun: the SLO board p5stat draws from a scrape
 // of the committed protected drill says what the run's SLOs and
 // recorders hold in process — every burn, budget, p99, alarm, tracked,
 // lost, in-flight and capture count.
@@ -197,4 +188,14 @@ func TestSLOBoardExemplars(t *testing.T) {
 			}
 		}
 	})
+}
+
+// seriesValues reads reg's series into a map of full series name
+// (name plus label block) to value.
+func seriesValues(reg *telemetry.Registry) map[string]float64 {
+	out := map[string]float64{}
+	for _, s := range reg.Series() {
+		out[s.Full] = s.Value
+	}
+	return out
 }

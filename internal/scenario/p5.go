@@ -28,9 +28,9 @@ func (s *Scenario) runP5(rc RunConfig, res *Result) error {
 		run, sys = s.p5Section, p5.NewSectionSystem(s.P5.Width/8, sonet.STM1)
 	}
 	if reg := rc.Observation.Registry; reg != nil {
-		tel := sys.Instrument(reg, "p5")
+		tel := sys.Instrument(reg)
 		if sys.Section != nil {
-			sys.Section.Z.Deframer().Instrument(tel, rc.Observation.Tracer, "sonet")
+			sys.Section.Z.Deframer().Instrument(tel, rc.Observation.Tracer)
 		}
 	}
 	if err := run(rc, res, sys, sent); err != nil {

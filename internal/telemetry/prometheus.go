@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"strconv"
@@ -54,6 +55,17 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	return bw.Flush()
 }
 
+// Series flattens every registered metric into its series by parsing
+// the registry's own exposition: an in-process reader sees exactly the
+// series, names and values a scraper of /metrics sees, in the same
+// order.
+func (r *Registry) Series() []Series {
+	var b bytes.Buffer
+	r.WritePrometheus(&b)
+	series, _ := ParseText(&b) // the exposition always parses back
+	return series
+}
+
 func formatFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
@@ -76,7 +88,7 @@ func (s Series) Label(key string) string { return s.Labels[key] }
 // ParseText parses Prometheus text exposition format into its series,
 // in input order. Comment and blank lines are skipped; malformed lines
 // are an error. This is the scrape side of WritePrometheus, used by
-// p5stat and the golden tests — it understands the subset this package
+// Series, p5stat and the golden tests — it understands the subset this package
 // emits (no timestamps, no escaped label values beyond \" \\ \n).
 func ParseText(r io.Reader) ([]Series, error) {
 	var out []Series

@@ -50,7 +50,7 @@ func TestWritePrometheusGolden(t *testing.T) {
 }
 
 // FuzzParseText: ParseText reads scrape bodies from arbitrary peers
-// (p5stat -fleet), so any input is an error or a result, never a
+// (p5stat -url A,B,...), so any input is an error or a result, never a
 // panic; and the input as a label value and help text survives
 // WritePrometheus → ParseText with every series and value intact.
 func FuzzParseText(f *testing.F) {

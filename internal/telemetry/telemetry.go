@@ -1,6 +1,6 @@
 // Package telemetry is the repo's observability spine: a zero-dependency,
 // allocation-free metrics registry (atomic counters, gauges, fixed-bucket
-// histograms) with named snapshot/delta semantics, plus a bounded
+// histograms) read back as one flattening of series, plus a bounded
 // ring-buffer structured event tracer (trace.go) and Prometheus/
 // pprof exposition (prometheus.go, http.go).
 //
@@ -16,25 +16,22 @@ package telemetry
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 )
 
-// kind classifies a metric for exposition and delta semantics.
+// kind classifies a metric for exposition (its # TYPE line).
 type kind uint8
 
 // The metric kinds.
 const (
-	// kindCounter is a monotonically increasing value; a delta between
-	// two snapshots subtracts counters.
+	// kindCounter is a monotonically increasing value.
 	kindCounter kind = iota
-	// kindGauge is an instantaneous value; a delta keeps the
-	// newer value.
+	// kindGauge is an instantaneous value.
 	kindGauge
 	// kindHistogram is a fixed-bucket distribution; it flattens into
-	// _bucket/_sum/_count counter samples.
+	// _bucket/_sum/_count series.
 	kindHistogram
 )
 
@@ -335,8 +332,8 @@ func (r *Registry) AttachHistogram(name, help string, h *Histogram, labels ...La
 	r.register(name, help, kindHistogram, labels, func(m *metric) { m.hist = h })
 }
 
-// AddSampler registers fn to run at the start of every Snapshot and
-// Prometheus exposition, before metric values are read. It is the hook
+// AddSampler registers fn to run at the start of every Prometheus
+// exposition (and so of every Series call), before metric values are read. It is the hook
 // for pull-style sources (the prof package's runtime/metrics exporter)
 // that refresh mirror counters/gauges only when someone is looking,
 // keeping the instrumented process free of background polling. fn must
@@ -354,84 +351,4 @@ func (r *Registry) runSamplers() {
 	for _, fn := range samplers {
 		fn()
 	}
-}
-
-// Sample is one flattened series value in a snapshot.
-type Sample struct {
-	// Series is the full series identity (name plus label block).
-	Series string
-	// Kind is the delta semantic: counters subtract, gauges keep.
-	Kind kind
-	// Value is the sampled value.
-	Value float64
-}
-
-// Snapshot is a flattening of a registry: every counter and gauge one
-// sample, every histogram a _bucket series per bound plus _sum and
-// _count. Samples are sorted by series name.
-type Snapshot struct {
-	samples []Sample
-	idx     map[string]int
-}
-
-// Snapshot captures the current value of every registered series.
-func (r *Registry) Snapshot() Snapshot {
-	r.runSamplers()
-	r.mu.RLock()
-	metrics := append([]*metric(nil), r.metrics...)
-	r.mu.RUnlock()
-
-	var s Snapshot
-	for _, m := range metrics {
-		switch m.kind {
-		case kindCounter:
-			s.samples = append(s.samples, Sample{m.series(), kindCounter, float64(m.counter.Value())})
-		case kindGauge:
-			v := 0.0
-			if m.fn != nil {
-				v = m.fn()
-			} else {
-				v = float64(m.gauge.value())
-			}
-			s.samples = append(s.samples, Sample{m.series(), kindGauge, v})
-		case kindHistogram:
-			cum := uint64(0)
-			counts := m.hist.bucketCounts()
-			for i, b := range m.hist.bounds {
-				cum += counts[i]
-				lbl := append(append([]Label(nil), m.labels...), L("le", fmt.Sprint(b)))
-				s.samples = append(s.samples, Sample{seriesName(m.name+"_bucket", lbl), kindCounter, float64(cum)})
-			}
-			cum += counts[len(counts)-1]
-			lbl := append(append([]Label(nil), m.labels...), L("le", "+Inf"))
-			s.samples = append(s.samples, Sample{seriesName(m.name+"_bucket", lbl), kindCounter, float64(cum)})
-			s.samples = append(s.samples, Sample{seriesName(m.name+"_sum", m.labels), kindCounter, float64(m.hist.total())})
-			s.samples = append(s.samples, Sample{seriesName(m.name+"_count", m.labels), kindCounter, float64(m.hist.Count())})
-		}
-	}
-	sort.Slice(s.samples, func(i, j int) bool { return s.samples[i].Series < s.samples[j].Series })
-	s.reindex()
-	return s
-}
-
-func (s *Snapshot) reindex() {
-	s.idx = make(map[string]int, len(s.samples))
-	for i, smp := range s.samples {
-		s.idx[smp.Series] = i
-	}
-}
-
-// Samples returns the flattened series, sorted by name.
-func (s Snapshot) Samples() []Sample { return s.samples }
-
-// Get returns the value of a series by full name.
-func (s Snapshot) Get(series string) (float64, bool) {
-	if s.idx == nil {
-		return 0, false
-	}
-	i, ok := s.idx[series]
-	if !ok {
-		return 0, false
-	}
-	return s.samples[i].Value, true
 }

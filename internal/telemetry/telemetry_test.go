@@ -104,51 +104,13 @@ func TestHistogramQuantileClampsOverflow(t *testing.T) {
 	}
 }
 
-func TestSnapshotDeltaSemantics(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("xfers_total", "")
-	g := r.Gauge("fill", "")
-	c.Add(10)
-	g.Set(3)
-	s1 := r.Snapshot()
-	c.Add(5)
-	g.Set(8)
-	s2 := r.Snapshot()
-
-	d := delta(s2, s1)
-	if v, _ := d.Get("xfers_total"); v != 5 {
-		t.Errorf("counter delta = %v", v)
-	}
-	if v, _ := d.Get("fill"); v != 8 {
-		t.Errorf("gauge delta keeps newer value, got %v", v)
-	}
-	// A counter reset (value went backwards) reports the new value.
-	c.Set(2)
-	s3 := r.Snapshot()
-	if d := delta(s3, s2); func() float64 { v, _ := d.Get("xfers_total"); return v }() != 2 {
-		t.Error("counter reset not reported as new value")
-	}
-}
-
-func TestSnapshotRate(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("octets_total", "")
-	c.Add(100)
-	s1 := r.Snapshot()
-	c.Add(300)
-	s2 := r.Snapshot()
-	if rate := rate(s2, s1, "octets_total", 2); rate != 150 {
-		t.Errorf("rate = %v, want 150", rate)
-	}
-}
-
 func TestHistogramSnapshotFlattening(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("lat", "", []int64{2, 4}, L("unit", "crc"))
 	h.Observe(1)
 	h.Observe(3)
 	h.Observe(9)
-	s := r.Snapshot()
+	s := values(r)
 	checks := map[string]float64{
 		`lat_bucket{unit="crc",le="2"}`:    1,
 		`lat_bucket{unit="crc",le="4"}`:    2,
@@ -157,7 +119,7 @@ func TestHistogramSnapshotFlattening(t *testing.T) {
 		`lat_count{unit="crc"}`:            3,
 	}
 	for series, want := range checks {
-		if v, ok := s.Get(series); !ok || v != want {
+		if v, ok := s[series]; !ok || v != want {
 			t.Errorf("%s = %v,%v want %v", series, v, ok, want)
 		}
 	}
@@ -177,7 +139,7 @@ func TestSanitizeNames(t *testing.T) {
 
 // TestConcurrentWritersAndReaders is the -race gate of the satellite
 // task: hammer every metric type and the tracer from many goroutines
-// while a reader concurrently snapshots and scrapes.
+// while a reader concurrently reads the series and scrapes.
 func TestConcurrentWritersAndReaders(t *testing.T) {
 	r := NewRegistry()
 	tr := NewTracer(64)
@@ -192,16 +154,13 @@ func TestConcurrentWritersAndReaders(t *testing.T) {
 	readerDone := make(chan struct{})
 	go func() { // reader
 		defer close(readerDone)
-		prev := r.Snapshot()
 		for {
 			select {
 			case <-stop:
 				return
 			default:
 			}
-			cur := r.Snapshot()
-			delta(cur, prev)
-			prev = cur
+			r.Series()
 			r.WritePrometheus(io.Discard)
 			tr.Events()
 		}
@@ -362,14 +321,14 @@ func TestMirrorSyncsAndRefusesSecondClaim(t *testing.T) {
 
 	frames, depth = 7, -3
 	m.Sync()
-	snap := reg.Snapshot()
-	if v, _ := snap.Get(`frames_total{link="a"}`); v != 7 {
+	snap := values(reg)
+	if v := snap[`frames_total{link="a"}`]; v != 7 {
 		t.Errorf(`frames_total{link="a"} = %v, want 7`, v)
 	}
-	if v, _ := snap.Get(`depth{link="a"}`); v != -3 {
+	if v := snap[`depth{link="a"}`]; v != -3 {
 		t.Errorf(`depth{link="a"} = %v, want -3`, v)
 	}
-	if v, _ := snap.Get(`frames_total{link="b"}`); v != 0 {
+	if v, ok := snap[`frames_total{link="b"}`]; !ok || v != 0 {
 		t.Errorf(`frames_total{link="b"} = %v before its own Sync, want 0`, v)
 	}
 	if allocs := testing.AllocsPerRun(100, m.Sync); allocs != 0 {
@@ -393,36 +352,11 @@ func TestMirrorSyncsAndRefusesSecondClaim(t *testing.T) {
 	}
 }
 
-// delta returns the change from prev to s: counter samples are
-// subtracted (series missing from prev keep their value; a counter that
-// went backwards — a reset — reports its new value), gauge samples keep
-// the newer value.
-func delta(s, prev Snapshot) Snapshot {
-	var d Snapshot
-	d.samples = make([]Sample, 0, len(s.samples))
-	for _, smp := range s.samples {
-		if smp.Kind == kindCounter {
-			if old, ok := prev.Get(smp.Series); ok && old <= smp.Value {
-				smp.Value -= old
-			}
-		}
-		d.samples = append(d.samples, smp)
+// values reads r's series into a map of full series name to value.
+func values(r *Registry) map[string]float64 {
+	out := map[string]float64{}
+	for _, s := range r.Series() {
+		out[s.Full] = s.Value
 	}
-	d.reindex()
-	return d
-}
-
-// rate returns a counter series' per-second rate over the span from
-// prev to s, secs long, or 0 when the span is empty or the series
-// unknown.
-func rate(s, prev Snapshot, series string, secs float64) float64 {
-	if secs <= 0 {
-		return 0
-	}
-	cur, ok1 := s.Get(series)
-	old, ok2 := prev.Get(series)
-	if !ok1 || !ok2 || cur < old {
-		return 0
-	}
-	return (cur - old) / secs
+	return out
 }

@@ -3,7 +3,6 @@ package transport
 import (
 	"encoding/json"
 	"net/http"
-	"strings"
 
 	"repro/internal/telemetry"
 )
@@ -14,8 +13,8 @@ import (
 func Health(reg *telemetry.Registry) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		healthy := true
-		for _, s := range reg.Snapshot().Samples() {
-			if name, _, _ := strings.Cut(s.Series, "{"); name == "transport_up" && s.Value != 1 {
+		for _, s := range reg.Series() {
+			if s.Name == "transport_up" && s.Value != 1 {
 				healthy = false
 			}
 		}

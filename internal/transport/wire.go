@@ -33,7 +33,7 @@ import "errors"
 const (
 	magic = 0x50354C54 // "P5LT"
 	// wireVersion is the protocol version this build speaks; the
-	// transport_wire_version series carries it to the fleet board's
+	// transport_wire_version series carries it to the p5stat board's
 	// version-skew check.
 	wireVersion = 2
 	// headerLen is the fixed wire header size in octets.

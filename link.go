@@ -366,17 +366,16 @@ func (l *Link) Send(proto uint16, payload []byte) error {
 		info := l.getInfoBuf()
 		info = append(info, byte(proto>>8), byte(proto))
 		info = append(info, payload...)
-		err := l.station.Send(info)
-		if err == nil {
-			l.flightDepart() // the peer's station delivers every protocol
+		if err := l.station.Send(info); err != nil {
+			return err
 		}
-		return err
+	} else {
+		f := ppp.Frame{Protocol: proto, Payload: payload}
+		l.out = ppp.AppendFrame(l.out, &f, l.dataTxConfig(), true)
 	}
-	f := ppp.Frame{Protocol: proto, Payload: payload}
-	l.out = ppp.AppendFrame(l.out, &f, l.dataTxConfig(), true)
 	switch proto {
 	case ppp.ProtoIPv4, ppp.ProtoIPv6, ppp.ProtoVJC, ppp.ProtoVJU:
-		l.flightDepart() // the protocols the peer's frame delivers
+		l.flightDepart() // the protocols the peer's network dispatch delivers
 	}
 	return nil
 }
@@ -534,6 +533,19 @@ func (l *Link) frame(body []byte, fcsOK bool, cfg *ppp.Config) bool {
 		}
 	case 0xC023, 0xC223: // PAP / CHAP
 		l.authFrame(&f)
+	default:
+		return l.network(&f)
+	}
+	return false
+}
+
+// network dispatches a network-layer packet, from a plain frame or a
+// numbered-mode station's information field: IPv4 and IPv6 are queued
+// for Received, VJ packets decompressed into IPv4 (or Protocol-Rejected
+// when VJ was not negotiated), anything else Protocol-Rejected (RFC 1661
+// §5.7). True means it queued a datagram.
+func (l *Link) network(f *ppp.Frame) bool {
+	switch f.Protocol {
 	case ppp.ProtoIPv4, ppp.ProtoIPv6:
 		// Copy out of the tokenizer's recycled arena: the queued
 		// datagram must survive any number of further Input calls.
@@ -541,7 +553,7 @@ func (l *Link) frame(body []byte, fcsOK bool, cfg *ppp.Config) bool {
 		return true
 	case ppp.ProtoVJC, ppp.ProtoVJU:
 		if l.vjRx == nil {
-			l.protocolReject(&f)
+			l.protocolReject(f)
 			return false
 		}
 		typ := vj.TypeCompressed
@@ -557,8 +569,7 @@ func (l *Link) frame(body []byte, fcsOK bool, cfg *ppp.Config) bool {
 		l.deliver(ppp.ProtoIPv4, pkt)
 		return true
 	default:
-		// Unknown protocol: Protocol-Reject (RFC 1661 §5.7).
-		l.protocolReject(&f)
+		l.protocolReject(f)
 	}
 	return false
 }

@@ -46,9 +46,9 @@ func TestLinkInstrumentTelemetry(t *testing.T) {
 	}
 	run(5, false)
 
-	snap := reg.Snapshot()
+	snap := seriesValues(reg)
 	get := func(series string) float64 {
-		v, ok := snap.Get(series)
+		v, ok := snap[series]
 		if !ok {
 			t.Fatalf("series %s missing", series)
 		}
@@ -77,13 +77,13 @@ func TestLinkInstrumentTelemetry(t *testing.T) {
 	if !a.Opened() {
 		t.Fatal("supervisor did not recover the link")
 	}
-	snap = reg.Snapshot()
+	snap = seriesValues(reg)
 	for _, series := range []string{
 		`link_echo_timeouts_total{link="a"}`,
 		`link_supervisor_restarts_total{link="a"}`,
 		`link_supervisor_recoveries_total{link="a"}`,
 	} {
-		if v, ok := snap.Get(series); !ok || v == 0 {
+		if v, ok := snap[series]; !ok || v == 0 {
 			t.Errorf("%s = %v (present=%v), want nonzero", series, v, ok)
 		}
 	}
@@ -99,4 +99,14 @@ func TestLinkInstrumentTelemetry(t *testing.T) {
 			t.Errorf("trace event %q never emitted for link:a", name)
 		}
 	}
+}
+
+// seriesValues reads reg's series into a map of full series name
+// (name plus label block) to value.
+func seriesValues(reg *telemetry.Registry) map[string]float64 {
+	out := map[string]float64{}
+	for _, s := range reg.Series() {
+		out[s.Full] = s.Value
+	}
+	return out
 }

@@ -221,9 +221,9 @@ func TestDarkLineGivesNoSample(t *testing.T) {
 	}
 	late.Tick(now) // mirror the estimates as bring-up left them
 	prompt.Tick(now)
-	snap := reg.Snapshot()
-	l, _ := snap.Get(`link_line_rto{link="late"}`)
-	p, _ := snap.Get(`link_line_rto{link="prompt"}`)
+	snap := seriesValues(reg)
+	l := snap[`link_line_rto{link="late"}`]
+	p := snap[`link_line_rto{link="prompt"}`]
 	t.Logf("IP-ready at tick %d; link_line_rto late %v, prompt %v", now-1, l, p)
 	if l == 0 || l > p {
 		t.Errorf("late end's link_line_rto %v exceeds the prompt end's %v: a dark wait was sampled", l, p)

@@ -69,7 +69,7 @@ func TestMetricsDocMatchesRegistry(t *testing.T) {
 	// A section System exports the loopback's series plus its section's
 	// wire, and carries the sonet_* series on the same mirror.
 	sys := p5.NewSectionSystem(4, sonet.STM1)
-	sys.Section.Z.Deframer().Instrument(sys.Instrument(reg, "p5"), tr, "sonet")
+	sys.Section.Z.Deframer().Instrument(sys.Instrument(reg), tr)
 
 	udp, err := transport.NewUDP(transport.UDPConfig{ListenAddr: "127.0.0.1:0"})
 	if err != nil {
@@ -169,8 +169,8 @@ func renderMetricsDoc(t *testing.T, expo []byte) []byte {
 		"rewrites it; `go test ./...` fails when it drifts). One row per metric\n" +
 		"family. Instance labels (`link`, `engine`, `shard`, `line`, `slo`) are listed\n" +
 		"by key; every other label is a closed vocabulary and lists its values.\n" +
-		"The `p5_*` families are registered under the prefix handed to\n" +
-		"`Instrument` (`p5sim` uses `p5_*` over the loopback line and the STM-1 section alike),\n" +
+		"Each instrument exports one family: `p5_*` for the P5 (over the loopback line and the\n" +
+		"STM-1 section alike), `sonet_*` for every section (a protected pair's by `link` and `section`),\n" +
 		"histograms expose `_bucket{le}` / `_sum` / `_count`, and where the time went is\n" +
 		"`prof_stage_ns_total{stage}` alone — DESIGN.md §13 defines each stage.\n\n" +
 		"| series | type | labels | help |\n|---|---|---|---|\n")

@@ -64,7 +64,7 @@ func TestObserveOrderFree(t *testing.T) {
 
 		var out outcome
 		out.intStat = oam.Read(p5.RegIntStat)
-		out.apsSwitches, _ = reg.Snapshot().Get(`aps_switches_total{link="prot_z"}`)
+		out.apsSwitches = seriesValues(reg)[`aps_switches_total{link="prot_z"}`]
 		for _, e := range tr.Events() {
 			switch {
 			case e.Scope == "link:prot_z" && e.Name == "aps-switch":
@@ -204,17 +204,17 @@ func TestObserveGradesBothDirections(t *testing.T) {
 	if got, want := strings.Join(names, " "), "port0_a port0_z port1_a port1_z port2_a port2_z prot_a prot_z"; got != want {
 		t.Errorf("graded ends = %q, want %q", got, want)
 	}
-	snap := reg.Snapshot()
+	snap := seriesValues(reg)
 	for _, end := range []string{"port0_a", "port0_z", "port2_a", "port2_z"} {
-		if _, ok := snap.Get(`slo_worst_burn_rate{slo="` + end + `"}`); !ok {
+		if _, ok := snap[`slo_worst_burn_rate{slo="`+end+`"}`]; !ok {
 			t.Errorf(`slo_worst_burn_rate{slo=%q} not registered`, end)
 		}
 		// Both directions carry the engine's traffic, so both are graded
 		// on real frames.
-		if v, _ := snap.Get(`flight_frames_tracked_total{link="` + end + `"}`); v == 0 {
+		if v := snap[`flight_frames_tracked_total{link="`+end+`"}`]; v == 0 {
 			t.Errorf("%s tracked no departures", end)
 		}
-		if v, ok := snap.Get(`link_ipcp_state{link="` + end + `"}`); !ok || v == 0 {
+		if v, ok := snap[`link_ipcp_state{link="`+end+`"}`]; !ok || v == 0 {
 			t.Errorf(`link_ipcp_state{link=%q} = %v (present=%v): the card's per-port protocol series are missing`, end, v, ok)
 		}
 	}

@@ -329,7 +329,6 @@ func TestEveryExportHasACaller(t *testing.T) {
 		"hdlc.ReferenceTokenizer.Feed": "as ReferenceTokenizer",
 		"ppp.ReferenceEncode":          "the test oracle (TestOracleStaysAnOracle): the byte-at-a-time encoder the fused kernel is checked against",
 		"p5.CtrlLoopback":              "the OAM control register's local-loopback bit, part of the register map; the pair harness steers on it",
-		"telemetry.Snapshot.Get":       "the by-name read the tests of six instrumented packages assert series through",
 		"rtl.Sim.RunUntil":             "the unit tests' clock: rtl's, p5's and the root hardware tests drive a bare unit to a predicate through it",
 		"rtl.Source.Pending":           "the drain predicate those unit tests clock a Source against",
 		"rtl.Flit.SetByte":             "flips one octet of a line flit, for the fault-injection seam p5.Line.Corrupt (kept in TestEveryFieldIsRead): the P5 soak, golden, system and section tests corrupt the line with it",

@@ -308,7 +308,7 @@ func TestProtectedPairTelemetryKeepsEndsApart(t *testing.T) {
 		t.Fatalf("scenario did not split the ends: switches a=%d b=%d, remote wins a=%d b=%d; want 1/1, a>0, b=0",
 			p.la.Ctrl.Switches, p.lb.Ctrl.Switches, p.la.Ctrl.RemoteWins, p.lb.Ctrl.RemoteWins)
 	}
-	snap := reg.Snapshot()
+	snap := seriesValues(reg)
 	for series, want := range map[string]float64{
 		`aps_switches_total{link="a"}`:    1,
 		`aps_switches_total{link="b"}`:    1,
@@ -317,16 +317,16 @@ func TestProtectedPairTelemetryKeepsEndsApart(t *testing.T) {
 		`aps_request{link="a"}`:           float64(aps.ReqReverseRequest),
 		`aps_request{link="b"}`:           float64(aps.ReqSignalFail),
 	} {
-		if got, ok := snap.Get(series); !ok || got != want {
+		if got, ok := snap[series]; !ok || got != want {
 			t.Errorf("%s = %v (present=%v), want %v", series, got, ok, want)
 		}
 	}
 	// The dead working line shows on b's deframer only.
-	if v, _ := snap.Get(`link_working_alarms{link="b"}`); v == 0 {
-		t.Error(`link_working_alarms{link="b"} = 0 on a cut line`)
+	if v := snap[`sonet_alarms{link="b",section="working"}`]; v == 0 {
+		t.Error(`sonet_alarms{link="b",section="working"} = 0 on a cut line`)
 	}
-	if v, _ := snap.Get(`link_working_alarms{link="a"}`); v != 0 {
-		t.Errorf(`link_working_alarms{link="a"} = %v on a clean line`, v)
+	if v, ok := snap[`sonet_alarms{link="a",section="working"}`]; !ok || v != 0 {
+		t.Errorf(`sonet_alarms{link="a",section="working"} = %v (present=%v) on a clean line`, v, ok)
 	}
 
 	defer func() {

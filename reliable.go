@@ -20,12 +20,13 @@ func (l *Link) initReliable() {
 		Out: func(f reliable.Frame) {
 			l.out = l.encodeNumbered(l.out, f)
 		},
+		// The information field is a protocol number and its packet:
+		// the same network-layer dispatch as a plain frame's.
 		Deliver: func(info []byte) {
 			if len(info) < 2 {
 				return
 			}
-			proto := uint16(info[0])<<8 | uint16(info[1])
-			l.deliver(proto, l.copyRx(info[2:]))
+			l.network(&ppp.Frame{Protocol: uint16(info[0])<<8 | uint16(info[1]), Payload: info[2:]})
 		},
 		// Acknowledged (or reset-dropped) information buffers return to
 		// the free list Link.Send draws from — the numbered-mode path's

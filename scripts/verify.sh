@@ -27,9 +27,9 @@
 #   every scenarios/*.json run through p5sim (each graded by its own
 #   assertions), every examples/* program run with go run (each must
 #   exit 0), the offline commands — p5tables, p5trace -fig 5 with a
-#   VCD dump, p5trace -fig 6 — each of which must exit 0, the
-#   scenarios/net/*.json socket engines as two p5sim
-#   halves each, a 30s differential fuzz of each fused kernel — the one production
+#   VCD dump, p5trace -fig 6 — each of which must exit 0 (the
+#   scenarios/net/*.json socket engines run as two halves under one
+#   board in go test: TestNetModeUDPTwoHalves), a 30s differential fuzz of each fused kernel — the one production
 #   encoder and the one production tokenizer, each against its
 #   byte-at-a-time reference — of the receive word sorter against
 #   the byte-serial destuff, and of the FCS kernel against the Sarwate
@@ -100,7 +100,7 @@ echo "== 32-bit and portable paths (GOARCH=386 test and vet, GOARCH=arm64 vet) =
 # tests, the sorter tests, the fused-path tests, the FCS differentials)
 # run against the Go paths too; the arm64 vet checks them on a 64-bit
 # GOARCH. The capture decoder,
-# the exposition parser and the fleet board that renders scraped bodies
+# the exposition parser and the board that renders scraped bodies
 # read outside input, and a capture's length
 # fields turn negative as a 32-bit int, so their tests run on 386 too,
 # as do the defect monitor's word-at-a-time LOS scan and the fault
@@ -141,90 +141,6 @@ echo "== offline commands =="
 go run ./cmd/p5tables
 go run ./cmd/p5trace -fig 5 -vcd "$net_dir/fig5.vcd"
 go run ./cmd/p5trace -fig 6
-
-echo "== transport chaos smoke (two p5sim processes over UDP loopback) =="
-# The two halves of scenarios/net/udp-stall.json interconnect over real
-# UDP sockets, each riding a 250-tick stall of its port 0 line; both must
-# pass the scenario's assertions (no renegotiation, no damaged frame).
-net_port=$((20000 + $$ % 20000))
-"$scen_bin" -listen "127.0.0.1:$net_port" scenarios/net/udp-stall.json > "$net_dir/netA.log" 2>&1 &
-net_pid=$!
-sleep 1
-net_ok=0
-"$scen_bin" -dial "127.0.0.1:$net_port" scenarios/net/udp-stall.json > "$net_dir/netZ.log" 2>&1 || net_ok=1
-wait "$net_pid" || net_ok=1
-cat "$net_dir/netA.log" "$net_dir/netZ.log"
-[ "$net_ok" = 0 ] || { echo "transport smoke: a half failed"; exit 1; }
-
-echo "== distributed fleet smoke (two instances, one board, correlated captures) =="
-# The two halves of scenarios/net/udp-blackout.json interconnect over
-# UDP with flight recorders and telemetry endpoints armed; the scripted
-# blackout cuts the line mid-run. Beside the scenario's own verdict, the
-# gate asserts the three distributed-observatory claims end to end:
-# `p5stat -fleet` renders both instances in one board, the blackout
-# yields exactly one transport-los capture per end, and the pair shares
-# an incident ID that `p5trace -join` merges into one timeline.
-fleet_port=$((21000 + $$ % 20000))
-tport_a=$((fleet_port + 211))
-tport_z=$((fleet_port + 212))
-fdir_a="$net_dir/flightA"
-fdir_z="$net_dir/flightZ"
-mkdir -p "$fdir_a" "$fdir_z"
-go build -o "$net_dir/p5stat" ./cmd/p5stat
-go build -o "$net_dir/p5trace" ./cmd/p5trace
-"$scen_bin" -listen "127.0.0.1:$fleet_port" -flight "$fdir_a" \
-    -telemetry "127.0.0.1:$tport_a" scenarios/net/udp-blackout.json > "$net_dir/fleetA.log" 2>&1 &
-fleet_a_pid=$!
-sleep 1
-"$scen_bin" -dial "127.0.0.1:$fleet_port" -flight "$fdir_z" \
-    -telemetry "127.0.0.1:$tport_z" scenarios/net/udp-blackout.json > "$net_dir/fleetZ.log" 2>&1 &
-fleet_z_pid=$!
-# The -telemetry endpoints serve forever once the verdict is in; poll
-# for the endpoint lines, scrape, then kill both halves.
-fleet_up=0
-for _ in $(seq 1 120); do
-    if grep -q '^  telemetry  ' "$net_dir/fleetA.log" 2>/dev/null &&
-       grep -q '^  telemetry  ' "$net_dir/fleetZ.log" 2>/dev/null; then
-        fleet_up=1
-        break
-    fi
-    sleep 1
-done
-if [ "$fleet_up" != 1 ]; then
-    echo "fleet smoke: instances never reported"
-    cat "$net_dir/fleetA.log" "$net_dir/fleetZ.log"
-    exit 1
-fi
-cat "$net_dir/fleetA.log" "$net_dir/fleetZ.log"
-grep -q 'verdict          : PASS' "$net_dir/fleetA.log" && grep -q 'verdict          : PASS' "$net_dir/fleetZ.log" || {
-    echo "fleet smoke: a half failed its scenario"
-    exit 1
-}
-"$net_dir/p5stat" -fleet "127.0.0.1:$tport_a,127.0.0.1:$tport_z" > "$net_dir/fleet-board.txt"
-cat "$net_dir/fleet-board.txt"
-for want in "127.0.0.1:$tport_a" "127.0.0.1:$tport_z" "wire v2" "oneway-p50" "port0"; do
-    grep -q -- "$want" "$net_dir/fleet-board.txt" || {
-        echo "fleet smoke: board is missing \"$want\""
-        exit 1
-    }
-done
-kill "$fleet_a_pid" "$fleet_z_pid" 2>/dev/null || true
-wait "$fleet_a_pid" "$fleet_z_pid" 2>/dev/null || true
-los_a=$(ls "$fdir_a"/*transport-los.p5fr 2>/dev/null | wc -l)
-los_z=$(ls "$fdir_z"/*transport-los.p5fr 2>/dev/null | wc -l)
-if [ "$los_a" -ne 1 ] || [ "$los_z" -ne 1 ]; then
-    echo "fleet smoke: transport-los captures A=$los_a Z=$los_z, want exactly 1 each"
-    ls -l "$fdir_a" "$fdir_z"
-    exit 1
-fi
-"$net_dir/p5trace" -join "$fdir_a"/*transport-los.p5fr "$fdir_z"/*transport-los.p5fr \
-    > "$net_dir/fleet-join.txt"
-cat "$net_dir/fleet-join.txt"
-grep -q '^incident ' "$net_dir/fleet-join.txt" || {
-    echo "fleet smoke: joined timeline missing incident header"
-    exit 1
-}
-echo "fleet smoke: OK (one board, one correlated capture pair, joined timeline)"
 
 echo "== fused codec fuzz (${FUSED_FUZZTIME:-30s} per fuzzer) =="
 # Every frame, control frames included, leaves through ppp.AppendFrame
