@@ -70,8 +70,7 @@ func (l *Link) initAuth() {
 	l.auth = a
 	send := func(proto uint16) func(*auth.Packet) {
 		return func(p *auth.Packet) {
-			f := &ppp.Frame{Protocol: proto, Payload: p.Marshal(nil)}
-			l.out = ppp.AppendFrame(l.out, f, l.lcpTxConfig(), true)
+			l.sendFrame(l.lcpTxConfig(), proto, p.Marshal(nil))
 		}
 	}
 	switch a.cfg.Require {

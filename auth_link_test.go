@@ -8,6 +8,7 @@ import (
 	"testing/iotest"
 
 	"repro/internal/auth"
+	"repro/internal/crc"
 	"repro/internal/hdlc"
 	"repro/internal/ppp"
 )
@@ -147,12 +148,12 @@ func TestCHAPChallengesAreUnpredictable(t *testing.T) {
 		b.Open()
 		a.Up()
 		b.Up()
-		var tk hdlc.Tokenizer
+		tk := hdlc.Tokenizer{FCS: crc.FCS32Mode}
 		for i := 0; i < 100; i++ {
 			out := a.Output()
 			for _, tok := range tk.Feed(nil, out) {
 				var f ppp.Frame
-				if tok.Err != nil || ppp.DecodeBodyInto(&f, tok.Body, ppp.Config{ACCM: hdlc.ACCMAll}) != nil ||
+				if tok.Err != nil || !tok.FCSOK || ppp.DecodeVerifiedBodyInto(&f, tok.Body, ppp.Config{}) != nil ||
 					f.Protocol != auth.ProtoCHAP {
 					continue
 				}

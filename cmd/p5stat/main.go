@@ -10,8 +10,8 @@
 //     subsystems, or DOWN with the reason it could not be scraped;
 //   - each instance's stage tables, its series grouped by instrument
 //     prefix (p5 — one System, over its loopback line or its STM-1
-//     section — sonet, link, ...), with busy and stall percentages
-//     derived from the cycle counters;
+//     section — sonet, link, ...; not a family a table below draws),
+//     with busy and stall percentages derived from the cycle counters;
 //   - when the instances export transport_* series (socket-backed runs),
 //     the per-line transport table: liveness, chunk counters, one-way
 //     latency p50/p99 and RTT p50, reconnects and resets, keepalive probe

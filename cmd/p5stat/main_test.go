@@ -30,6 +30,8 @@ func fixtureServer(t *testing.T) (*httptest.Server, *telemetry.Registry) {
 	frames := reg.Counter("p5_tx_frames_total", "frames")
 	depth := reg.Gauge("p5_tx_sorter_occupancy", "fifo")
 	depth.Set(3)
+	fill := reg.Histogram("p5_tx_fill_latency_cycles_dist", "fill", []int64{1, 2, 4, 8})
+	fill.Observe(4)
 	tr.Emit(100, "sonet", "defect-raise", "LOS", 4, 4)
 	// One graded link, as an armed p5sim pair exports it: an SLO
 	// alarming on frame loss, the recorder behind it with two frames
@@ -225,10 +227,32 @@ func TestIntervalDeltaReport(t *testing.T) {
 		t.Errorf("interval report missing rate column:\n%s", got)
 	}
 	// A histogram is cumulative too: its series show the window's change
-	// (no frame arrived in it), and a gauge shows its value with no rate.
-	if !rowWith(got, `flight_e2e_latency_ticks_count{link="port0_a"}`, "0", "0.0") ||
+	// (no fill was timed in it), and a gauge shows its value with no rate.
+	if !rowWith(got, "p5_tx_fill_latency_cycles_dist_count", "0", "0.0") ||
 		!rowWith(got, "p5_tx_sorter_occupancy", "3", "-") {
 		t.Errorf("interval report: want the histogram count's window delta and the gauge without a rate:\n%s", got)
+	}
+}
+
+// TestStageTablesLeaveOutTheBoards: a family the SLO board or the
+// transport table draws is not listed again, series by series, in the
+// instance's stage tables; the p5 stage table stays whole.
+func TestStageTablesLeaveOutTheBoards(t *testing.T) {
+	srv, reg := fixtureServer(t)
+	reg.Gauge("transport_up", "live", telemetry.L("line", "port0_a")).Set(1)
+	got := runOK(t, "-url", srv.URL)
+	if !strings.Contains(got, "slo board:") || !strings.Contains(got, "transport lines:") {
+		t.Fatalf("want both fleet tables:\n%s", got)
+	}
+	for _, drawn := range []string{" flight:", " slo:", " transport:", "flight_e2e_latency_ticks_bucket", "slo_burn_rate", "transport_up{"} {
+		if strings.Contains(got, drawn) {
+			t.Errorf("the stage tables repeat %q, which a fleet table draws:\n%s", drawn, got)
+		}
+	}
+	for _, kept := range []string{" p5: 1000 cycles", "p5_tx_frames_total", "p5_tx_fill_latency_cycles_dist_count"} {
+		if !strings.Contains(got, kept) {
+			t.Errorf("the stage tables lost %q:\n%s", kept, got)
+		}
 	}
 }
 

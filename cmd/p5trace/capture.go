@@ -47,18 +47,22 @@ func dumpWire(w io.Writer, base uint64, wire []byte, fcsBits int) {
 		return
 	}
 	fmt.Fprintf(w, "rx wire: %d octets from stream offset %d\n", len(wire), base)
-	cfg := ppp.Config{AnyAddress: true}
+	cfg := ppp.Config{AnyAddress: true, FCS: crc.FCS32Mode}
 	if fcsBits == 16 {
 		cfg.FCS = crc.FCS16Mode
 	}
-	var tk hdlc.Tokenizer
+	// The link's own receive path: the tokenizer folds the frame check,
+	// the decode only parses a body that passed it.
+	tk := hdlc.Tokenizer{FCS: cfg.FCS}
 	for i, t := range tk.Feed(nil, wire) {
 		switch {
 		case t.Err != nil:
 			fmt.Fprintf(w, "  frame %3d: %4d octets  damaged: %v\n", i, len(t.Body), t.Err)
+		case !t.FCSOK && len(t.Body) > cfg.FCS.Bytes(): // a shorter body is the decode's "too short"
+			fmt.Fprintf(w, "  frame %3d: %4d octets  undecodable: ppp: FCS check failed\n", i, len(t.Body))
 		default:
 			var f ppp.Frame
-			if err := ppp.DecodeBodyInto(&f, t.Body, cfg); err != nil {
+			if err := ppp.DecodeVerifiedBodyInto(&f, t.Body, cfg); err != nil {
 				fmt.Fprintf(w, "  frame %3d: %4d octets  undecodable: %v\n", i, len(t.Body), err)
 				continue
 			}

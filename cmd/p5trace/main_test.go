@@ -12,16 +12,17 @@ import (
 	"repro/internal/telemetry"
 )
 
+// appendFrame appends one wire frame of proto under the default framing.
+func appendFrame(dst []byte, proto uint16, payload []byte) []byte {
+	h := ppp.Config{}.Header(proto)
+	return h.Append(dst, payload, false)
+}
+
 func TestDumpCaptureAnnotatesFrames(t *testing.T) {
 	// Build a wire stream of two clean PPP frames, wrap it in a capture
 	// file, and check the decoder re-frames and annotates both.
-	var cfg ppp.Config
-	wire := ppp.AppendFrame(nil, &ppp.Frame{
-		Protocol: ppp.ProtoIPv4, Payload: []byte{0x45, 0, 0, 4, 0xDE, 0xAD, 0xBE, 0xEF, 1, 2},
-	}, cfg, false)
-	wire = ppp.AppendFrame(wire, &ppp.Frame{
-		Protocol: ppp.ProtoLCP, Payload: []byte{1, 1, 0, 4},
-	}, cfg, false)
+	wire := appendFrame(nil, ppp.ProtoIPv4, []byte{0x45, 0, 0, 4, 0xDE, 0xAD, 0xBE, 0xEF, 1, 2})
+	wire = appendFrame(wire, ppp.ProtoLCP, []byte{1, 1, 0, 4})
 
 	c := &flight.Capture{
 		Link: "a", Reason: "fcs-burst", Seq: 3, Now: 1234, WallNs: 42,
@@ -60,9 +61,8 @@ func TestDumpCaptureAnnotatesFrames(t *testing.T) {
 func TestDumpCaptureAnnotatesDamage(t *testing.T) {
 	// A truncated ring start and a corrupted FCS must be annotated, not
 	// dropped silently.
-	var cfg ppp.Config
-	wire := ppp.AppendFrame(nil, &ppp.Frame{Protocol: ppp.ProtoIPv4, Payload: []byte{1, 2, 3, 4}}, cfg, false)
-	bad := ppp.AppendFrame(nil, &ppp.Frame{Protocol: ppp.ProtoIPv4, Payload: []byte{5, 6, 7, 8}}, cfg, false)
+	wire := appendFrame(nil, ppp.ProtoIPv4, []byte{1, 2, 3, 4})
+	bad := appendFrame(nil, ppp.ProtoIPv4, []byte{5, 6, 7, 8})
 	bad[5] ^= 0xFF // damage inside the body: FCS check fails
 	// Start mid-frame: drop the opening flag and first body octets.
 	stream := append(append(wire[4:], bad...), 0x7E)

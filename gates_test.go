@@ -22,7 +22,7 @@ import (
 
 const (
 	// flightOverheadPct: the flight recorder's contract is an invisible
-	// transmit fast path. Armed, that path is AppendFrame plus a bare
+	// transmit fast path. Armed, that path is Header.Append plus a bare
 	// Depart — one departure-ring store, one atomic add, no clock read;
 	// measured ≈ 1 %.
 	flightOverheadPct = 5

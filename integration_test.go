@@ -117,7 +117,7 @@ func threeWay(t *testing.T, payload []byte, fcs crc.Size, w int) {
 
 	// Transmit.
 	ref := ppp.ReferenceEncode(nil, fr, cfg, false)
-	if fused := ppp.AppendFrame(nil, fr, cfg, false); !bytes.Equal(fused, ref) {
+	if fused := appendFrame(nil, fr, cfg, false); !bytes.Equal(fused, ref) {
 		t.Fatalf("fused encoder diverges from reference:\n got % x\nwant % x", fused, ref)
 	}
 	model := p5Encode(t, w, regs, payload)

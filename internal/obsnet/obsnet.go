@@ -129,7 +129,8 @@ func ScrapeAll(addrs []string, trace bool) []Instance {
 // the instances speak more than one wire version; then each reachable
 // instance's stage tables; then, when any transport_* series exist, the
 // per-line transport table, and when any slo_* or flight_* series
-// exist, the SLO board, each across all instances. prev, when not nil,
+// exist, the SLO board, each across all instances. The stage tables
+// leave out the families of a table drawn below them. prev, when not nil,
 // is the previous scrape of the same addresses and window the time
 // since: the stage tables then show each counter's change over the
 // window and its rate. With exemplars, each link's slow-frame events
@@ -182,6 +183,16 @@ func WriteBoard(w io.Writer, cur, prev []Instance, window time.Duration, exempla
 	if len(versions) > 1 {
 		fmt.Fprintf(w, "WARNING: wire version skew across the fleet (%d distinct versions)\n", len(versions))
 	}
+	// The fleet tables go into buffers first: the stage tables leave out
+	// the families a drawn one shows.
+	var transport, slo bytes.Buffer
+	writeTransportTable(&transport, fleet)
+	var traced []Instance
+	if exemplars {
+		traced = cur
+	}
+	writeSLOBoard(&slo, fleet, traced)
+	drawn := map[string]bool{"transport": transport.Len() > 0, "flight": slo.Len() > 0, "slo": slo.Len() > 0}
 	for i, in := range cur {
 		if in.Err != nil {
 			continue
@@ -191,18 +202,15 @@ func WriteBoard(w io.Writer, cur, prev []Instance, window time.Duration, exempla
 			before = prev[i].Series
 		}
 		fmt.Fprintln(w)
-		if err := writeStages(w, in, before, window.Seconds()); err != nil {
+		if err := writeStages(w, in, before, window.Seconds(), drawn); err != nil {
 			return err
 		}
 	}
-	if err := writeTransportTable(w, fleet); err != nil {
+	if _, err := transport.WriteTo(w); err != nil {
 		return err
 	}
-	var traced []Instance
-	if exemplars {
-		traced = cur
-	}
-	return writeSLOBoard(w, fleet, traced)
+	_, err := slo.WriteTo(w)
+	return err
 }
 
 // writeStages draws one instance's stage tables: its series grouped by
@@ -212,8 +220,8 @@ func WriteBoard(w io.Writer, cur, prev []Instance, window time.Duration, exempla
 // scrape) turns every cumulative series — a counter or a histogram's
 // _bucket, _sum or _count, by the exposition's naming convention — into
 // its change since; elapsed > 0 adds a per-second rate column, which a
-// gauge leaves "-".
-func writeStages(w io.Writer, in Instance, prev []telemetry.Series, elapsed float64) error {
+// gauge leaves "-". A prefix in drawn is left out: a fleet table shows it.
+func writeStages(w io.Writer, in Instance, prev []telemetry.Series, elapsed float64, drawn map[string]bool) error {
 	prevVal := map[string]float64{}
 	for _, s := range prev {
 		prevVal[s.Full] = s.Value
@@ -239,7 +247,9 @@ func writeStages(w io.Writer, in Instance, prev []telemetry.Series, elapsed floa
 		if i := strings.IndexByte(p, '_'); i > 0 {
 			p = p[:i]
 		}
-		byPrefix[p] = append(byPrefix[p], s)
+		if !drawn[p] {
+			byPrefix[p] = append(byPrefix[p], s)
+		}
 	}
 	prefixes := make([]string, 0, len(byPrefix))
 	for p := range byPrefix {

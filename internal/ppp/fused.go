@@ -14,9 +14,13 @@ import (
 // it from the OAM register file, and a frame then costs one FCS fold at
 // datapath width and one stuffing walk: the software mirror of the
 // paper's pipelined CRC → Escape Generate transmitter stages, a CRC
-// core as wide as the bus ahead of the byte sorter. Tests hold it
-// byte-for-byte equal to the two-pass, byte-at-a-time ReferenceEncode
-// (reference.go; FuzzFusedEncode), which no production code calls.
+// core as wide as the bus ahead of the byte sorter. It has two ways in:
+// Config.Header for a frame with a PPP head, AppendFramed for a raw one
+// (numbered mode's address and I/S/U control octet). Receive is the
+// tokenizer's FCS verdict (hdlc.Token.FCSOK) and DecodeVerifiedBodyInto.
+// Tests hold the encoder byte-for-byte equal to the two-pass,
+// byte-at-a-time ReferenceEncode (reference.go; FuzzFusedEncode), which
+// no production code calls.
 
 // Header is the constant part of every frame of one protocol under one
 // framing configuration: the head octets as they go on the wire and the
@@ -33,23 +37,16 @@ type Header struct {
 // Header prepares the head of protocol proto's frames under c: address,
 // CtrlUI and protocol number, compressed as negotiated (never for LCP).
 func (c Config) Header(proto uint16) (h Header) {
-	x, n := c.head(0, 0, proto)
+	x, n := c.head(proto)
 	h.prepare(x, n, c.fcs(), c.ACCM)
 	return h
 }
 
 // head assembles an unstuffed frame head as a little-endian word and its
 // length: the fold loads it whole, and that stalls behind octet stores.
-// A zero addr or ctrl takes the configured address or CtrlUI.
-func (c Config) head(addr, ctrl byte, proto uint16) (x uint32, n int) {
+func (c Config) head(proto uint16) (x uint32, n int) {
 	if !c.ACFC || proto == ProtoLCP {
-		if addr == 0 {
-			addr = c.address()
-		}
-		if ctrl == 0 {
-			ctrl = CtrlUI
-		}
-		x, n = uint32(addr)|uint32(ctrl)<<8, 2
+		x, n = uint32(c.address())|CtrlUI<<8, 2
 	}
 	if c.PFC && proto < 0x100 && proto&1 == 1 { // never LCP, 0xC021
 		return x | uint32(proto)<<(8*n), n + 1
@@ -122,14 +119,13 @@ func (h *Header) Append(dst, payload []byte, shareFlag bool) []byte {
 	return dst[:j+n+1]
 }
 
-// AppendFramed appends one complete wire frame to dst from a raw head:
-// hdr is the unstuffed address/control/protocol octets, compressed as
-// negotiated; the FCS of the selected size covers hdr then payload. It
-// prepares hdr per frame — a word-wide step — and ends in Header.Append.
+// AppendFramed appends one complete wire frame to dst from a raw head of
+// at most four unstuffed octets — numbered mode's address and I/S/U
+// control octet, or a PPP head a caller assembled itself; the FCS of
+// the selected size covers hdr then payload, and m is the transmit ACCM
+// as for Config.Header. It prepares hdr per frame — a word-wide step —
+// and ends in Header.Append.
 func AppendFramed(dst, hdr, payload []byte, s crc.Size, m hdlc.ACCM, shareFlag bool) []byte {
-	if s == 0 {
-		s = crc.FCS32Mode
-	}
 	if len(hdr) > 4 {
 		panic("ppp: frame head longer than four octets")
 	}
@@ -142,35 +138,14 @@ func AppendFramed(dst, hdr, payload []byte, s crc.Size, m hdlc.ACCM, shareFlag b
 	return h.Append(dst, payload, shareFlag)
 }
 
-// AppendFrame appends the complete on-the-wire encoding of f — flags,
-// stuffed header, payload and FCS — to dst with no intermediate body
-// buffer. Zero Address and Control fields take the configured address
-// and CtrlUI. It ends in Header.Append, shareFlag included.
-func AppendFrame(dst []byte, f *Frame, c Config, shareFlag bool) []byte {
-	var h Header
-	x, n := c.head(f.Address, f.Control, f.Protocol)
-	h.prepare(x, n, c.fcs(), c.ACCM)
-	return h.Append(dst, f.Payload, shareFlag)
-}
-
-// DecodeBodyInto parses a destuffed frame body (as produced by the
-// hdlc Tokenizer: address through FCS) into *f without allocating — the
-// receive-side twin of AppendFrame. It verifies the FCS, polices the
-// address and MRU, and understands compressed headers when the
-// corresponding Config option is on. f.Payload aliases body.
-func DecodeBodyInto(f *Frame, body []byte, c Config) error {
-	if s := c.fcs(); len(body) > s.Bytes() && !s.Check(body) {
-		return ErrBadFCS
-	}
-	return decodeChecked(f, body, &c)
-}
-
 // DecodeVerifiedBodyInto parses a destuffed frame body whose FCS has
 // already been verified upstream — by the tokenizer, which folds the
 // frame check at the closing flag (hdlc.Token.FCSOK) — so the body is
 // not traversed again here. Callers must only pass bodies with a true
-// verdict; semantics otherwise match DecodeBodyInto. It inlines: the
-// caller is one call from the parse.
+// verdict. It polices the address and MRU, understands compressed
+// headers when the corresponding Config option is on, and aliases
+// f.Payload into body. It inlines: the caller is one call from the
+// parse.
 func DecodeVerifiedBodyInto(f *Frame, body []byte, c Config) error {
 	return decodeChecked(f, body, &c)
 }

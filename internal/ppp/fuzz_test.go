@@ -9,8 +9,9 @@ import (
 	"repro/internal/hdlc"
 )
 
-// FuzzDecodeBody: DecodeBodyInto must never panic on arbitrary bodies
-// and must accept everything the reference body builder produces.
+// FuzzDecodeBody: DecodeVerifiedBodyInto must never panic on arbitrary
+// bodies, FCS good or not, and must accept everything the reference body
+// builder produces.
 func FuzzDecodeBody(f *testing.F) {
 	f.Add([]byte{0xFF, 0x03, 0x00, 0x21, 1, 2, 3}, true, true, false)
 	f.Add([]byte{}, false, false, true)
@@ -21,12 +22,15 @@ func FuzzDecodeBody(f *testing.F) {
 			cfg.FCS = crc.FCS16Mode
 		}
 		var got Frame
-		DecodeBodyInto(&got, body, cfg) // must not panic
+		DecodeVerifiedBodyInto(&got, body, cfg) // must not panic
 
 		// And the constructive direction always decodes.
 		fr := &Frame{Protocol: ProtoIPv4, Payload: body}
 		enc := ReferenceEncodeBody(nil, fr, cfg)
-		err := DecodeBodyInto(&got, enc, Config{PFC: pfc, ACFC: acfc, FCS: cfg.FCS, MRU: 1 << 16})
+		if !cfg.fcs().Check(enc) {
+			t.Fatal("self-encoded frame fails its FCS")
+		}
+		err := DecodeVerifiedBodyInto(&got, enc, Config{PFC: pfc, ACFC: acfc, FCS: cfg.FCS, MRU: 1 << 16})
 		if err != nil {
 			t.Fatalf("self-encoded frame rejected: %v", err)
 		}
@@ -39,10 +43,14 @@ func FuzzDecodeBody(f *testing.F) {
 // FuzzFusedEncode differential-tests the production transmit kernel
 // (Header.Append: one wide FCS fold from the prepared register, then
 // span/block stuffing and a word-wide tail) against the two-pass,
-// byte-at-a-time ReferenceEncode, both through a Header prepared ahead
-// and through AppendFrame's per-frame preparation: every payload,
-// framing-option combination, protocol number and prior-stream state
-// must produce byte-for-byte identical wire encodings.
+// byte-at-a-time reference, through both ways in: a Header prepared by
+// Config.Header against ppp.ReferenceEncode, and AppendFramed with a
+// numbered-mode head — address, then control octet byte(proto>>8), an
+// I/S/U octet whenever it is not CtrlUI, and no protocol field —
+// against hdlc.ReferenceEncode of the body it covers. Every payload,
+// framing-option combination, protocol number or control octet, ACCM
+// and prior-stream state must produce byte-for-byte identical wire
+// encodings.
 func FuzzFusedEncode(f *testing.F) {
 	f.Add([]byte{1, 2, 3}, uint16(ProtoIPv4), false, false, false, false, uint32(0))
 	f.Add([]byte{0x7E, 0x7D, 0x00, 0x13}, uint16(ProtoIPv4), true, true, false, true, uint32(0xFFFFFFFF))
@@ -82,15 +90,22 @@ func FuzzFusedEncode(f *testing.F) {
 		}
 		fr := &Frame{Protocol: proto, Payload: payload}
 		hdr := cfg.Header(proto)
+		numbered := []byte{AddrAllStations, byte(proto >> 8)}
+		numberedBody := cfg.fcs().Append(append(bytes.Clone(numbered), payload...))
 		// Exercise the shared-flag elision from both prior states: an
 		// empty stream and one ending in a closing flag.
 		for _, prior := range [][]byte{nil, {hdlc.Flag}} {
 			ref := ReferenceEncode(bytes.Clone(prior), fr, cfg, share)
-			fused := AppendFrame(bytes.Clone(prior), fr, cfg, share)
 			prepared := hdr.Append(bytes.Clone(prior), payload, share)
-			if !bytes.Equal(ref, fused) || !bytes.Equal(ref, prepared) {
-				t.Fatalf("fused kernel diverges from two-pass reference\nproto=%#04x pfc=%t acfc=%t fcs16=%t share=%t accm=%#x prior=% x\nref      = % x\nfused    = % x\nprepared = % x",
-					proto, pfc, acfc, fcs16, share, accm, prior, ref, fused, prepared)
+			if !bytes.Equal(ref, prepared) {
+				t.Fatalf("fused kernel diverges from two-pass reference\nproto=%#04x pfc=%t acfc=%t fcs16=%t share=%t accm=%#x prior=% x\nref      = % x\nprepared = % x",
+					proto, pfc, acfc, fcs16, share, accm, prior, ref, prepared)
+			}
+			ref = hdlc.ReferenceEncode(bytes.Clone(prior), numberedBody, cfg.ACCM, share)
+			framed := AppendFramed(bytes.Clone(prior), numbered, payload, cfg.fcs(), cfg.ACCM, share)
+			if !bytes.Equal(ref, framed) {
+				t.Fatalf("numbered head diverges from two-pass reference\nhead=% x fcs16=%t share=%t accm=%#x prior=% x\nref    = % x\nframed = % x",
+					numbered, fcs16, share, accm, prior, ref, framed)
 			}
 		}
 	})

@@ -42,7 +42,6 @@ const DefaultMRU = 1500
 
 // Decode errors.
 var (
-	ErrBadFCS      = errors.New("ppp: FCS check failed")
 	errTooShort    = errors.New("ppp: frame too short")
 	ErrBadAddress  = errors.New("ppp: unexpected address field")
 	errBadControl  = errors.New("ppp: unexpected control field")

@@ -11,10 +11,11 @@ import (
 	"repro/internal/hdlc"
 )
 
-// decodeBody is DecodeBodyInto into a fresh Frame.
+// decodeBody is DecodeVerifiedBodyInto into a fresh Frame, for a body
+// whose FCS is good or that the parse refuses before reading it.
 func decodeBody(body []byte, c Config) (*Frame, error) {
 	f := new(Frame)
-	if err := DecodeBodyInto(f, body, c); err != nil {
+	if err := DecodeVerifiedBodyInto(f, body, c); err != nil {
 		return nil, err
 	}
 	return f, nil
@@ -96,11 +97,24 @@ func TestACFCKeepsLCPUncompressed(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsBadFCS: the FCS verdict is the tokenizer's, folded at
+// the closing flag; a body that fails it never reaches the parse.
 func TestDecodeRejectsBadFCS(t *testing.T) {
-	body := ReferenceEncodeBody(nil, &Frame{Protocol: ProtoIPv4, Payload: []byte{1}}, Config{})
-	body[3] ^= 0x40
-	if _, err := decodeBody(body, Config{}); !errors.Is(err, ErrBadFCS) {
-		t.Errorf("err = %v, want ErrBadFCS", err)
+	for _, fcs := range []crc.Size{crc.FCS16Mode, crc.FCS32Mode} {
+		cfg := Config{FCS: fcs}
+		wire := ReferenceEncode(nil, &Frame{Protocol: ProtoIPv4, Payload: []byte{1}}, cfg, false)
+		bad := bytes.Clone(wire)
+		bad[4] ^= 0x40 // the protocol's low octet, 0x21: no delimiter either way
+		tk := hdlc.Tokenizer{FCS: fcs}
+		for _, tc := range []struct {
+			wire []byte
+			ok   bool
+		}{{wire, true}, {bad, false}} {
+			toks := tk.Feed(nil, tc.wire)
+			if len(toks) != 1 || toks[0].Err != nil || toks[0].FCSOK != tc.ok {
+				t.Errorf("%v: % x: tokens %+v, want one with FCSOK %t", fcs, tc.wire, toks, tc.ok)
+			}
+		}
 	}
 }
 
@@ -177,14 +191,14 @@ func TestWireRoundTripThroughTokenizer(t *testing.T) {
 	for _, f := range frames {
 		wire = ReferenceEncode(wire, f, cfg, true)
 	}
-	var tk hdlc.Tokenizer
+	tk := hdlc.Tokenizer{FCS: cfg.fcs()}
 	toks := tk.Feed(nil, wire)
 	if len(toks) != len(frames) {
 		t.Fatalf("got %d tokens, want %d", len(toks), len(frames))
 	}
 	for i, tok := range toks {
-		if tok.Err != nil {
-			t.Fatalf("token %d: %v", i, tok.Err)
+		if tok.Err != nil || !tok.FCSOK {
+			t.Fatalf("token %d: %v, FCS ok %t", i, tok.Err, tok.FCSOK)
 		}
 		got, err := decodeBody(tok.Body, cfg)
 		if err != nil {
@@ -201,9 +215,9 @@ func TestWireRoundTripProperty(t *testing.T) {
 		cfg := Config{PFC: pfc, ACFC: acfc, MRU: 65535}
 		fr := &Frame{Protocol: ProtoIPv4, Payload: payload}
 		wire := ReferenceEncode(nil, fr, cfg, false)
-		var tk hdlc.Tokenizer
+		tk := hdlc.Tokenizer{FCS: cfg.fcs()}
 		toks := tk.Feed(nil, wire)
-		if len(toks) != 1 || toks[0].Err != nil {
+		if len(toks) != 1 || toks[0].Err != nil || !toks[0].FCSOK {
 			return false
 		}
 		got, err := decodeBody(toks[0].Body, cfg)
@@ -221,41 +235,14 @@ func TestFrameString(t *testing.T) {
 	}
 }
 
-func TestAppendFrameMatchesEncode(t *testing.T) {
-	payloads := [][]byte{
-		nil,
-		{0x00},
-		{0x7E, 0x7D, 0x03, 0x13},
-		bytes.Repeat([]byte{0x7E}, 100),
-		bytes.Repeat([]byte{0x42}, 1500),
-	}
-	for _, pfc := range []bool{false, true} {
-		for _, acfc := range []bool{false, true} {
-			for _, fcs := range []crc.Size{0, crc.FCS16Mode, crc.FCS32Mode} {
-				for _, accm := range []hdlc.ACCM{hdlc.ACCMNone, hdlc.ACCMAll} {
-					cfg := Config{PFC: pfc, ACFC: acfc, FCS: fcs, ACCM: accm}
-					for _, proto := range []uint16{ProtoIPv4, ProtoLCP, ProtoVJC, 0x0057} {
-						for _, p := range payloads {
-							fr := &Frame{Protocol: proto, Payload: p}
-							ref := ReferenceEncode(nil, fr, cfg, false)
-							got := AppendFrame(nil, fr, cfg, false)
-							if !bytes.Equal(ref, got) {
-								t.Fatalf("pfc=%t acfc=%t fcs=%v accm=%#x proto=%#04x len=%d:\nref % x\ngot % x",
-									pfc, acfc, fcs, accm, proto, len(p), ref, got)
-							}
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
-func TestAppendFrameSharedFlag(t *testing.T) {
+// TestHeaderAppendSharedFlag: a frame appended after a closing flag
+// shares it.
+func TestHeaderAppendSharedFlag(t *testing.T) {
 	cfg := Config{ACCM: hdlc.ACCMNone}
 	fr := &Frame{Protocol: ProtoIPv4, Payload: []byte{9, 9}}
-	s := AppendFrame(nil, fr, cfg, false)
-	shared := AppendFrame(s, fr, cfg, true)
+	h := cfg.Header(fr.Protocol)
+	s := h.Append(nil, fr.Payload, false)
+	shared := h.Append(s, fr.Payload, true)
 	ref := ReferenceEncode(ReferenceEncode(nil, fr, cfg, false), fr, cfg, true)
 	if !bytes.Equal(shared, ref) {
 		t.Fatalf("shared-flag stream % x, want % x", shared, ref)
@@ -286,11 +273,10 @@ func tailPayloads(t *testing.T, c Config, proto uint16, base []byte, want byte) 
 	return out
 }
 
-// TestHeaderAppendMatchesReference holds the three ways into the one
-// encoder — a prepared Header, AppendFrame, and (through the body
-// builder's own header) the byte-at-a-time ReferenceEncode — to the
-// same wire image, over every head the config can produce and every
-// tail the FCS can.
+// TestHeaderAppendMatchesReference holds the one encoder, a prepared
+// Header, to the byte-at-a-time ReferenceEncode (which builds the head
+// itself) over every head the config can produce, every tail the FCS
+// can, and every prior stream state.
 func TestHeaderAppendMatchesReference(t *testing.T) {
 	corpus := [][]byte{
 		nil,
@@ -329,10 +315,9 @@ func TestHeaderAppendMatchesReference(t *testing.T) {
 						for _, share := range []bool{false, true} {
 							ref := ReferenceEncode(bytes.Clone(prior), fr, cfg, share)
 							got := hdr.Append(bytes.Clone(prior), p, share)
-							af := AppendFrame(bytes.Clone(prior), fr, cfg, share)
-							if !bytes.Equal(ref, got) || !bytes.Equal(ref, af) {
-								t.Fatalf("cfg=%+v proto=%#04x len=%d prior=% x share=%t:\nref    % x\nheader % x\nframe  % x",
-									cfg, proto, len(p), prior, share, ref, got, af)
+							if !bytes.Equal(ref, got) {
+								t.Fatalf("cfg=%+v proto=%#04x len=%d prior=% x share=%t:\nref    % x\nheader % x",
+									cfg, proto, len(p), prior, share, ref, got)
 							}
 							n++
 						}
@@ -346,16 +331,18 @@ func TestHeaderAppendMatchesReference(t *testing.T) {
 
 // TestAppendFramedRawHead: the raw-head wrapper takes any head of up to
 // four octets — numbered mode sends address and an I/S/U control octet,
-// no protocol field — and refuses a longer one.
+// no protocol field — under any ACCM, and refuses a longer one.
 func TestAppendFramedRawHead(t *testing.T) {
-	payload := []byte{0x7E, 1, 2, 3}
+	payload := []byte{0x7E, 1, 2, 3, 0x11, 0x20}
 	for _, fcs := range []crc.Size{crc.FCS16Mode, crc.FCS32Mode} {
-		for n := 0; n <= 4; n++ {
-			hdr := []byte{0xFF, 0x7D, 0x13, 0x7E}[:n]
-			body := fcs.Append(append(bytes.Clone(hdr), payload...))
-			ref := hdlc.ReferenceEncode(nil, body, hdlc.ACCMAll, false)
-			if got := AppendFramed(nil, hdr, payload, fcs, hdlc.ACCMAll, false); !bytes.Equal(got, ref) {
-				t.Errorf("%v, %d-octet head:\nref % x\ngot % x", fcs, n, ref, got)
+		for _, accm := range []hdlc.ACCM{hdlc.ACCMNone, hdlc.ACCMAll, 1<<0x11 | 1<<0x13} {
+			for n := 0; n <= 4; n++ {
+				hdr := []byte{0xFF, 0x7D, 0x13, 0x7E}[:n]
+				body := fcs.Append(append(bytes.Clone(hdr), payload...))
+				ref := hdlc.ReferenceEncode(nil, body, accm, false)
+				if got := AppendFramed(nil, hdr, payload, fcs, accm, false); !bytes.Equal(got, ref) {
+					t.Errorf("%v, accm %#x, %d-octet head:\nref % x\ngot % x", fcs, accm, n, ref, got)
+				}
 			}
 		}
 	}
@@ -369,35 +356,33 @@ func TestAppendFramedRawHead(t *testing.T) {
 
 // TestFusedPathZeroAlloc pins the zero-allocation invariant of the
 // steady-state encode and decode fast paths: once dst, the arena and
-// the frame struct are warm, Header.Append, its two wrappers,
-// Tokenizer.Feed and DecodeBodyInto must not allocate. From 64 octets
-// the payloads are long enough for the wide FCS fold, whose stdlib
-// dispatch makes whatever it is handed escape: the head the wrappers
-// assemble, and the Header they prepare from it, live in their stack
-// frames and must not reach it. Every fourth octet is a flag, so the
+// the frame struct are warm, Header.Append, AppendFramed,
+// Tokenizer.Feed and DecodeVerifiedBodyInto must not allocate. From 64
+// octets the payloads are long enough for the wide FCS fold, whose
+// stdlib dispatch makes whatever it is handed escape: the head
+// AppendFramed assembles, and the Header it prepares from it, live in
+// its stack frame and must not reach it. Every fourth octet is a flag, so the
 // FCS tail and the escaped-word path of stuffWord are exercised too.
 func TestFusedPathZeroAlloc(t *testing.T) {
 	cfg := Config{ACCM: hdlc.ACCMNone}
 	var body []byte
 	for _, n := range []int{40, 64, 1500} {
 		payload := bytes.Repeat([]byte{0x17, 0x7E, 0x42, 0x55}, 375)[:n]
-		fr := Frame{Protocol: ProtoIPv4, Payload: payload}
-		dst := AppendFrame(nil, &fr, cfg, false) // size the buffer
 		hdr := cfg.Header(ProtoIPv4)
+		dst := hdr.Append(nil, payload, false) // size the buffer
 		raw := []byte{AddrAllStations, CtrlUI, 0x00, ProtoIPv4}
 		for _, enc := range []struct {
 			name string
 			f    func()
 		}{
 			{"Header.Append", func() { dst = hdr.Append(dst[:0], payload, false) }},
-			{"AppendFrame", func() { dst = AppendFrame(dst[:0], &fr, cfg, false) }},
 			{"AppendFramed", func() { dst = AppendFramed(dst[:0], raw, payload, crc.FCS32Mode, hdlc.ACCMAll, false) }},
 		} {
 			if allocs := testing.AllocsPerRun(100, enc.f); allocs != 0 {
 				t.Errorf("%s, %d octets: %.1f allocs/op, want 0", enc.name, n, allocs)
 			}
 		}
-		dst = AppendFrame(dst[:0], &fr, cfg, false)
+		dst = hdr.Append(dst[:0], payload, false)
 
 		// One frame straddling two chunks: the frame check folds the
 		// arena at the closing flag, in the second Feed.
@@ -419,10 +404,10 @@ func TestFusedPathZeroAlloc(t *testing.T) {
 
 	var out Frame
 	if allocs := testing.AllocsPerRun(100, func() {
-		if err := DecodeBodyInto(&out, body, cfg); err != nil {
+		if err := DecodeVerifiedBodyInto(&out, body, cfg); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs != 0 {
-		t.Errorf("DecodeBodyInto: %.1f allocs/op, want 0", allocs)
+		t.Errorf("DecodeVerifiedBodyInto: %.1f allocs/op, want 0", allocs)
 	}
 }

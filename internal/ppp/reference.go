@@ -8,7 +8,7 @@ import (
 // This file is the transmit oracle: the two-pass encoder — build the
 // body, checksum it, then stuff it, each a byte at a time — that the
 // fused kernel in fused.go replaced. It shares neither the header
-// builder nor any word-parallel code with AppendFrame, so the
+// builder nor any word-parallel code with Header.Append, so the
 // differential tests (FuzzFusedEncode, the RTL equivalence tests)
 // compare two independent implementations. Tests only: no production
 // code may name a Reference* symbol (TestOracleStaysAnOracle).
@@ -49,7 +49,9 @@ func ReferenceEncodeBody(dst []byte, f *Frame, c Config) []byte {
 }
 
 // ReferenceEncode appends the complete on-the-wire encoding of f —
-// flags, stuffed body, FCS — to dst, with AppendFrame's contract.
+// flags, stuffed body, FCS — to dst: what c.Header(f.Protocol) then
+// Append put on the wire for f.Payload, shareFlag included. A zero
+// Address or Control takes the configured address or CtrlUI.
 func ReferenceEncode(dst []byte, f *Frame, c Config, shareFlag bool) []byte {
 	return hdlc.ReferenceEncode(dst, ReferenceEncodeBody(nil, f, c), c.ACCM, shareFlag)
 }

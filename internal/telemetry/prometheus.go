@@ -10,8 +10,9 @@ import (
 )
 
 // WritePrometheus renders every registered metric in the Prometheus
-// text exposition format (version 0.0.4), in registration order. HELP
-// and TYPE headers are emitted once per metric family.
+// text exposition format (version 0.0.4), family by family in order of
+// first registration: each family is one group under its one HELP and
+// TYPE header.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	r.runSamplers()
 	r.mu.RLock()

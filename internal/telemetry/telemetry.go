@@ -16,6 +16,7 @@ package telemetry
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -290,7 +291,15 @@ func (r *Registry) register(name, help string, kind kind, labels []Label, fill f
 	}
 	m := &metric{name: name, help: help, labels: append([]Label(nil), labels...), kind: kind}
 	fill(m)
-	r.metrics = append(r.metrics, m)
+	// A family stays one group whoever registers its series: a new one
+	// goes after its family's last, and WritePrometheus keeps the order.
+	at := len(r.metrics)
+	for i, o := range r.metrics {
+		if o.name == name {
+			at = i + 1
+		}
+	}
+	r.metrics = slices.Insert(r.metrics, at, m)
 	r.index[key] = m
 	return m
 }

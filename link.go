@@ -219,8 +219,8 @@ func NewLink(cfg LinkConfig) *Link {
 	return l
 }
 
-// lcpTxConfig is the framing config for control packets: LCP always
-// runs uncompressed with default framing.
+// lcpTxConfig is the framing config for control packets (LCP, IPCP,
+// PAP/CHAP): they always run uncompressed with default framing.
 func (l *Link) lcpTxConfig() ppp.Config {
 	return ppp.Config{FCS: l.cfg.fcs(), ACCM: hdlc.ACCMAll}
 }
@@ -249,8 +249,8 @@ func (c LinkConfig) tokenizer() hdlc.Tokenizer {
 // packets may exceed a tiny negotiated MRU.
 func rxMRU(mru int) int { return max(mru, ppp.DefaultMRU) }
 
-// dataTxConfig is the framing config for network-layer frames after
-// negotiation.
+// dataTxConfig is the framing config for every frame after negotiation:
+// network-layer frames and numbered mode's I/S/U frames.
 func (l *Link) dataTxConfig() ppp.Config {
 	cfg := l.lcpPol.TxConfig()
 	cfg.FCS = l.cfg.fcs()
@@ -264,10 +264,18 @@ func (l *Link) rxConfig() ppp.Config {
 	return cfg
 }
 
+// sendControl puts one control packet (LCP, IPCP) on the wire under the
+// control framing.
 func (l *Link) sendControl(proto uint16, p *lcp.Packet) {
 	l.ctl = p.Marshal(l.ctl[:0])
-	f := ppp.Frame{Protocol: proto, Payload: l.ctl}
-	l.out = ppp.AppendFrame(l.out, &f, l.lcpTxConfig(), true)
+	l.sendFrame(l.lcpTxConfig(), proto, l.ctl)
+}
+
+// sendFrame puts one frame of protocol proto on the wire under c:
+// lcpTxConfig or dataTxConfig (numbered frames: encodeNumbered).
+func (l *Link) sendFrame(c ppp.Config, proto uint16, payload []byte) {
+	h := c.Header(proto)
+	l.out = h.Append(l.out, payload, true)
 }
 
 // Open administratively opens the link (LCP Open event).
@@ -333,9 +341,7 @@ func (l *Link) serviceEcho(now int64) {
 	var magic [4]byte
 	m := l.cfg.Magic
 	magic[0], magic[1], magic[2], magic[3] = byte(m>>24), byte(m>>16), byte(m>>8), byte(m)
-	pkt := lcpPacket(9 /* Echo-Request */, l.echoID, magic[:])
-	l.out = ppp.AppendFrame(l.out, &ppp.Frame{Protocol: ppp.ProtoLCP, Payload: pkt},
-		l.lcpTxConfig(), true)
+	l.sendControl(ppp.ProtoLCP, &lcp.Packet{Code: lcp.EchoRequest, ID: l.echoID, Data: magic[:]})
 	l.echoNext = now + period
 }
 
@@ -370,8 +376,7 @@ func (l *Link) Send(proto uint16, payload []byte) error {
 			return err
 		}
 	} else {
-		f := ppp.Frame{Protocol: proto, Payload: payload}
-		l.out = ppp.AppendFrame(l.out, &f, l.dataTxConfig(), true)
+		l.sendFrame(l.dataTxConfig(), proto, payload)
 	}
 	switch proto {
 	case ppp.ProtoIPv4, ppp.ProtoIPv6, ppp.ProtoVJC, ppp.ProtoVJU:

@@ -356,15 +356,22 @@ func TestEchoKeepaliveDetectsDeadPeer(t *testing.T) {
 	}
 }
 
+// appendFrame appends f's wire image under c, as the link's sendFrame
+// encodes it: a Header for f.Protocol, then Append.
+func appendFrame(dst []byte, f *ppp.Frame, c ppp.Config, shareFlag bool) []byte {
+	h := c.Header(f.Protocol)
+	return h.Append(dst, f.Payload, shareFlag)
+}
+
 // lastRequest returns the newest LCP Configure-Request in wire, one
 // Output of a link.
 func lastRequest(t *testing.T, wire []byte) *lcp.Packet {
 	t.Helper()
 	var req *lcp.Packet
-	var tk hdlc.Tokenizer
+	tk := hdlc.Tokenizer{FCS: crc.FCS32Mode}
 	for _, tok := range tk.Feed(nil, wire) {
 		var f ppp.Frame
-		if tok.Err != nil || ppp.DecodeBodyInto(&f, tok.Body, ppp.Config{}) != nil || f.Protocol != ppp.ProtoLCP {
+		if tok.Err != nil || !tok.FCSOK || ppp.DecodeVerifiedBodyInto(&f, tok.Body, ppp.Config{}) != nil || f.Protocol != ppp.ProtoLCP {
 			continue
 		}
 		if p, err := lcp.ParsePacket(f.Payload); err == nil && p.Code == lcp.ConfigureRequest {
@@ -389,7 +396,7 @@ func TestInputRenegotiatesMidChunk(t *testing.T) {
 	lcpCfg := ppp.Config{ACCM: hdlc.ACCMAll}
 	control := func(dst []byte, code lcp.Code, req *lcp.Packet, data []byte) []byte {
 		pkt := (&lcp.Packet{Code: code, ID: req.ID, Data: data}).Marshal(nil)
-		return ppp.AppendFrame(dst, &ppp.Frame{Protocol: ppp.ProtoLCP, Payload: pkt}, lcpCfg, true)
+		return appendFrame(dst, &ppp.Frame{Protocol: ppp.ProtoLCP, Payload: pkt}, lcpCfg, true)
 	}
 	plain := &ppp.Frame{Protocol: ppp.ProtoIPv4, Payload: []byte{0x45, 0, 0, 20, 1, 2, 3, 4}}
 	packed := &ppp.Frame{Protocol: ppp.ProtoIPv4, Payload: []byte{0x45, 0, 0, 20, 5, 6, 7, 8}}
@@ -415,7 +422,7 @@ func TestInputRenegotiatesMidChunk(t *testing.T) {
 		// octet, 0x21, reads as a bad address.
 		req := lastRequest(t, l.Output())
 		chunk := control(nil, lcp.ConfigureAck, req, req.Data)
-		chunk = ppp.AppendFrame(chunk, packed, compressed, true)
+		chunk = appendFrame(chunk, packed, compressed, true)
 		feed(l, chunk)
 		drain()
 		if len(res.got) != 1 || !bytes.Equal(res.got[0], packed.Payload) {
@@ -440,8 +447,8 @@ func TestInputRenegotiatesMidChunk(t *testing.T) {
 		// datagram, and a compressed one — refused from here on.
 		req = lastRequest(t, l.Output())
 		chunk = control(nil, lcp.ConfigureAck, req, req.Data)
-		chunk = ppp.AppendFrame(chunk, plain, ppp.Config{}, true)
-		chunk = ppp.AppendFrame(chunk, packed, compressed, true)
+		chunk = appendFrame(chunk, plain, ppp.Config{}, true)
+		chunk = appendFrame(chunk, packed, compressed, true)
 		feed(l, chunk)
 		drain()
 		res.rxFrames, res.rxErrs = l.RxFrames, l.RxErrors

@@ -219,3 +219,51 @@ func TestObserveGradesBothDirections(t *testing.T) {
 		}
 	}
 }
+
+// TestExpositionGroupsEachFamily walks the exposition of an observed
+// protected pair, whose families several owners register: both ends
+// register every link_* and transport_* family, and each end's two
+// sections register the sonet_* families. Each family must appear as one
+// group of samples under its one TYPE line.
+func TestExpositionGroupsEachFamily(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	la, lb := aps.NewProtectedPair()
+	cfg := LinkConfig{WantVJ: true, AllowVJ: true, Supervise: true}
+	new(Watch).ObservePair(Observation{Registry: reg, Flight: &flight.Config{}}, "prot",
+		NewTransportPort(NewLink(cfg), la), NewTransportPort(NewLink(cfg), lb))
+	var b strings.Builder
+	if err := reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	typed := map[string]bool{}
+	family, samples := "", 0
+	for i, line := range strings.Split(strings.TrimSuffix(b.String(), "\n"), "\n") {
+		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			family, _, _ = strings.Cut(rest, " ")
+			if typed[family] {
+				t.Errorf("line %d: a second TYPE line for %s: its samples are split", i+1, family)
+			}
+			typed[family] = true
+			continue
+		}
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		name, _, _ := strings.Cut(line, " ")
+		name, _, _ = strings.Cut(name, "{")
+		switch strings.TrimPrefix(name, family) {
+		case "", "_bucket", "_sum", "_count":
+			samples++
+		default:
+			t.Errorf("line %d: %s sample under the TYPE line of %s", i+1, name, family)
+		}
+	}
+	for _, f := range []string{"link_rx_frames_total", "sonet_frames_ok_total", "transport_up"} {
+		if !typed[f] {
+			t.Errorf("no %s family in the exposition", f)
+		}
+	}
+	if samples == 0 {
+		t.Fatal("no samples in the exposition")
+	}
+}

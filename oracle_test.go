@@ -167,6 +167,59 @@ func TestOnePort(t *testing.T) {
 	}
 }
 
+// TestOneCodec holds a frame to one way onto the wire and one way off
+// it. The codec's byte-level calls are the functions and methods of
+// internal/ppp and internal/hdlc that take a []byte; outside those two
+// packages, production code calls only the entries below — a Header
+// prepared by Config.Header then Append, AppendFramed for a raw head
+// (numbered mode's address and I/S/U octet), the tokenizer's Feed with
+// its FCS verdict, and DecodeVerifiedBodyInto — except in the
+// directories kept below, each with its reason; a kept entry that no
+// longer calls another fails too. Calls resolve by object, so a method
+// value or an import alias hides nothing.
+func TestOneCodec(t *testing.T) {
+	kept := map[string]string{
+		"benchmark": "frozen contract; its ladder counts delimiter spans with hdlc.DelimiterSpan",
+	}
+	const ppp, hdlc = "repro/internal/ppp", "repro/internal/hdlc"
+	entry := func(obj types.Object) bool {
+		return isFunc(obj, ppp, "Header", "Append") || isFunc(obj, ppp, "", "AppendFramed", "DecodeVerifiedBodyInto") ||
+			isFunc(obj, hdlc, "Tokenizer", "Feed")
+	}
+	takesBytes := func(obj types.Object) bool {
+		fn, ok := obj.(*types.Func)
+		if !ok || fn.Pkg() == nil || fn.Pkg().Path() != ppp && fn.Pkg().Path() != hdlc {
+			return false
+		}
+		params := fn.Type().(*types.Signature).Params()
+		for i := 0; i < params.Len(); i++ {
+			if s, ok := params.At(i).Type().(*types.Slice); ok && types.Identical(s.Elem(), types.Typ[types.Byte]) {
+				return true
+			}
+		}
+		return false
+	}
+	m := checkModule(t)
+	seen := map[string]bool{}
+	for _, u := range m.uses(func(obj types.Object) bool { return takesBytes(obj) && !entry(obj) }) {
+		f := m.meta(u.id)
+		top, _, _ := strings.Cut(f.dir, "/")
+		switch {
+		case f.test || f.dir == "internal/ppp" || f.dir == "internal/hdlc":
+		case kept[top] != "":
+			seen[top] = true
+		default:
+			t.Errorf("%s: %s.%s outside the codec's entries; encode through Config.Header and Append (or AppendFramed), decode through Tokenizer.Feed and DecodeVerifiedBodyInto",
+				m.fset.Position(u.id.Pos()), u.obj.Pkg().Name(), u.obj.Name())
+		}
+	}
+	for dir := range kept {
+		if !seen[dir] {
+			t.Errorf("%s is kept but calls no codec function beyond the entries; drop it from kept", dir)
+		}
+	}
+}
+
 // TestOneP5Assembly holds the cycle-accurate P5 to one assembly: a
 // transmitter and a receiver meet a line, and an OAM block taps them,
 // only in p5.System, built by NewSystem (loopback) or NewSectionSystem

@@ -1,7 +1,7 @@
 package gigapos
 
 import (
-	"repro/internal/hdlc"
+	"repro/internal/lcp"
 	"repro/internal/ppp"
 	"repro/internal/reliable"
 )
@@ -47,11 +47,12 @@ func (l *Link) ReliableStats() (txI, rxI, retransmits, rejects uint64) {
 }
 
 // encodeNumbered puts a numbered-mode frame on the wire: address, the
-// I/S/U control octet, the information field, FCS — stuffed and flagged
-// like every other frame, through the production codec.
+// I/S/U control octet, the information field, FCS — stuffed under the
+// negotiated ACCM and flagged like every other data frame.
 func (l *Link) encodeNumbered(dst []byte, f reliable.Frame) []byte {
+	c := l.dataTxConfig()
 	hdr := [2]byte{ppp.AddrAllStations, f.Ctrl}
-	return ppp.AppendFramed(dst, hdr[:], f.Payload, l.cfg.fcs(), hdlc.ACCMAll, true)
+	return ppp.AppendFramed(dst, hdr[:], f.Payload, c.FCS, c.ACCM, true)
 }
 
 // decodeNumbered handles a frame whose control octet is not UI: it
@@ -79,14 +80,6 @@ func (l *Link) protocolReject(f *ppp.Frame) {
 	l.protoRejID++
 	data := []byte{byte(f.Protocol >> 8), byte(f.Protocol)}
 	data = append(data, f.Payload...)
-	pkt := lcpPacket(8 /* Protocol-Reject */, l.protoRejID, data)
-	l.out = ppp.AppendFrame(l.out, &ppp.Frame{Protocol: ppp.ProtoLCP, Payload: pkt},
-		l.lcpTxConfig(), true)
+	l.sendControl(ppp.ProtoLCP, &lcp.Packet{Code: 8 /* Protocol-Reject */, ID: l.protoRejID, Data: data})
 	l.ProtocolRejects++
-}
-
-func lcpPacket(code, id byte, data []byte) []byte {
-	n := 4 + len(data)
-	out := append(make([]byte, 0, n), code, id, byte(n>>8), byte(n))
-	return append(out, data...)
 }

@@ -212,7 +212,7 @@ func TestEveryDamagedFrameTakesTheErrorExit(t *testing.T) {
 		wire[len(wire)-3] ^= 0x01 // inside the FCS field; both frames are fixed, and neither grows a delimiter
 		return wire
 	}
-	echo := ppp.AppendFrame(nil, &ppp.Frame{Protocol: ppp.ProtoLCP, Payload: []byte{9, 1, 0, 8, 0, 0, 0, 1}},
+	echo := appendFrame(nil, &ppp.Frame{Protocol: ppp.ProtoLCP, Payload: []byte{9, 1, 0, 8, 0, 0, 0, 1}},
 		ppp.Config{ACCM: hdlc.ACCMAll}, false)
 	if err := a.SendIPv4([]byte{0xAA, 0xBB}); err != nil {
 		t.Fatal(err)
@@ -241,3 +241,33 @@ func TestEveryDamagedFrameTakesTheErrorExit(t *testing.T) {
 // stationUp reports whether l's numbered-mode station has completed
 // SABM/UA setup.
 func stationUp(l *Link) bool { return l.station != nil && l.station.Connected() }
+
+// TestNumberedFramesUseTheNegotiatedACCM: a numbered-mode frame is
+// stuffed under the ACCM LCP negotiated, as a plain frame is. Seven
+// datagrams whose octets are all control characters (0x01) — escaped
+// under ACCMAll, not under the SONET default of an empty map — take as
+// many wire octets from a Reliable pair as from a plain pair: an I/S/U
+// control octet replaces UI, and nothing else differs.
+func TestNumberedFramesUseTheNegotiatedACCM(t *testing.T) {
+	wire := func(reliable bool) int {
+		a := NewLink(LinkConfig{Magic: 1, Reliable: reliable, IPAddr: [4]byte{10, 0, 0, 1}})
+		b := NewLink(LinkConfig{Magic: 2, Reliable: reliable, IPAddr: [4]byte{10, 0, 0, 2}})
+		if reliable {
+			bringUpReliable(t, a, b)
+		} else {
+			bringUp(t, a, b)
+		}
+		a.Output() // anything bring-up left pending
+		d := bytes.Repeat([]byte{0x01}, 140)
+		for i := 0; i < 7; i++ {
+			if err := a.SendIPv4(d); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return len(a.Output())
+	}
+	plain, numbered := wire(false), wire(true)
+	if numbered != plain {
+		t.Errorf("seven 140-octet datagrams of 0x01: %d wire octets numbered, %d plain; want the same", numbered, plain)
+	}
+}

@@ -8,8 +8,9 @@
 #   tells them apart, a scenario key no committed scenario sets,
 #   an export no non-test file names or an internal one no other
 #   package names, a bare SONET section, a hand-built P5 unit, a Link
-#   fed or drained outside TransportPort or a hand-armed recorder
-#   outside their one seam),
+#   fed or drained outside TransportPort, a frame encoded or decoded
+#   outside the codec's entries or a hand-armed recorder outside their
+#   one seam),
 #   go test -race (and fifty race runs of the TCP lifecycle tests),
 #   go test at GOMAXPROCS=1 (no verdict may depend on the scheduler),
 #   the portable Go paths that amd64 replaces with its three kernels —
@@ -59,10 +60,10 @@ go vet -tags gates .
 echo "== go build =="
 go build ./...
 
-echo "== census guards (dead package, unset config field, unread or unset field, unset scenario key, uncalled export, one seam, one P5 assembly, one port) =="
+echo "== census guards (dead package, unset config field, unread or unset field, unset scenario key, uncalled export, one seam, one P5 assembly, one port, one codec) =="
 # Seconds, not minutes: dead weight fails here, before the race suite.
 # The typed guards share one type-check of the module.
-go test -count=1 -run '^TestEvery(PackageHasAProductionPath|ConfigFieldIsSet|FieldIsRead|ExportHasACaller)$|^TestFieldCensus$|^TestOne(SectionCarrier|ArmingCall|P5Assembly|Port)$' .
+go test -count=1 -run '^TestEvery(PackageHasAProductionPath|ConfigFieldIsSet|FieldIsRead|ExportHasACaller)$|^TestFieldCensus$|^TestOne(SectionCarrier|ArmingCall|P5Assembly|Port|Codec)$' .
 go test -count=1 -run '^TestEveryScenarioKeyIsSet$' ./internal/scenario
 
 echo "== go test -race (telemetry concurrency gate) =="
@@ -143,10 +144,12 @@ go run ./cmd/p5trace -fig 5 -vcd "$net_dir/fig5.vcd"
 go run ./cmd/p5trace -fig 6
 
 echo "== fused codec fuzz (${FUSED_FUZZTIME:-30s} per fuzzer) =="
-# Every frame, control frames included, leaves through ppp.AppendFrame
-# and arrives through hdlc.Tokenizer.Feed; each is held to its
-# byte-at-a-time reference by a differential fuzzer, and a divergence
-# is a wire-format bug with no second production path to mask it. The
+# Every frame, control and numbered frames included, leaves through
+# ppp.Header.Append — prepared by Config.Header, or by AppendFramed for
+# a raw head — and arrives through hdlc.Tokenizer.Feed (TestOneCodec);
+# each direction is held to its byte-at-a-time reference by a
+# differential fuzzer, and a divergence is a wire-format bug with no
+# second production path to mask it. The
 # receive word sorter (destuffBlock) resolves escape runs from a table
 # of its own, so it is held to the byte-serial destuff under any
 # chunking as well, and the FCS kernel both codecs fold through
